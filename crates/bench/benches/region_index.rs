@@ -6,8 +6,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use standoff_core::{
-    evaluate_standoff_join, IterNode, JoinInput, RegionIndex, StandoffAxis, StandoffConfig,
-    StandoffStrategy,
+    evaluate_standoff_join, CandidateScratch, IterNode, JoinInput, RegionIndex, StandoffAxis,
+    StandoffConfig, StandoffStrategy,
 };
 use standoff_xmark::{generate, standoffify, XmarkConfig};
 
@@ -36,7 +36,7 @@ fn region_index(c: &mut Criterion) {
     // Sparse-pushdown scaling: a fixed 64-candidate set against indexes
     // an order of magnitude apart in size. The node-view path must cost
     // (roughly) the same on both — candidate-count scaling — while the
-    // forced scan baseline grows with the index. This is the
+    // forced scan kernel grows with the index. This is the
     // "no longer Θ(|index|)" acceptance measurement.
     let mut group = c.benchmark_group("region_index/sparse_scaling");
     for n in [10_000usize, 100_000] {
@@ -59,7 +59,12 @@ fn region_index(c: &mut Criterion) {
             BenchmarkId::new("forced_scan_64_cands", n),
             &sparse,
             |b, cands| {
-                b.iter(|| synthetic.candidates_for_scan(cands));
+                let mut scratch = CandidateScratch::default();
+                let mut out = Vec::new();
+                b.iter(|| {
+                    synthetic.dense_scan_candidates(cands, &mut scratch, &mut out);
+                    out.len()
+                });
             },
         );
     }
@@ -83,25 +88,28 @@ fn region_index(c: &mut Criterion) {
         let dense: Vec<u32> = (0..25_000u32).map(|k| k * 2).collect();
         let retracted: Vec<u32> = (0..250u32).map(|k| k * 200).collect();
         group.bench_function("candidates_dense_raw_index", |b| {
+            let mut scratch = CandidateScratch::default();
             let mut out = Vec::new();
             b.iter(|| {
-                synthetic.candidates_into(&dense, &mut out);
+                synthetic.candidates_into(&dense, &mut scratch, &mut out);
                 out.len()
             });
         });
         group.bench_function("candidates_dense_pure_source", |b| {
             let source = standoff_core::RegionSource::from_index(&synthetic);
+            let mut scratch = CandidateScratch::default();
             let mut out = Vec::new();
             b.iter(|| {
-                source.candidates_into(&dense, &mut out);
+                source.candidates_into(&dense, &mut scratch, &mut out);
                 out.len()
             });
         });
         group.bench_function("candidates_dense_retracting_source", |b| {
             let source = standoff_core::RegionSource::with_retractions(&synthetic, &retracted);
+            let mut scratch = CandidateScratch::default();
             let mut out = Vec::new();
             b.iter(|| {
-                source.candidates_into(&dense, &mut out);
+                source.candidates_into(&dense, &mut scratch, &mut out);
                 out.len()
             });
         });

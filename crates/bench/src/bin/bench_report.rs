@@ -29,8 +29,8 @@ use standoff_core::join::merge::ll_select_narrow;
 use standoff_core::join::CtxEntry;
 use standoff_core::obs::{MetricsRegistry, MetricsSnapshot};
 use standoff_core::{
-    evaluate_standoff_join, CandidateScratch, IterNode, JoinInput, MorselPolicy, RegionEntry,
-    RegionIndex, StandoffAxis, StandoffStrategy,
+    evaluate_standoff_join, CandidateScratch, IterNode, JoinInput, RegionEntry, RegionIndex,
+    StandoffAxis, StandoffStrategy,
 };
 use standoff_xmark::queries::XmarkQuery;
 use standoff_xquery::{Executor, Governance, QueryError};
@@ -161,13 +161,12 @@ fn main() {
         record("region_index/candidates_dense_25k_of_50k", ns);
     }
 
-    // ---- representation crossover (dense_scaling) ----
-    // Forced-path ablation over the same 50k-entry index at several
-    // candidate densities: the adaptive entry point against the forced
-    // sparse scan, the forced dense-bitset scan, and the forced
-    // node-view gather. The crossovers visible here are what calibrate
-    // `node_view_preferred` and `dense_repr_preferred` — the adaptive
-    // row should track the cheapest forced row at every density.
+    // ---- kernel crossover (dense_scaling) ----
+    // Both kernels forced over the same 50k-entry index at several
+    // candidate densities, next to the entry point that chooses between
+    // them. The crossover visible here is what calibrates
+    // `node_view_preferred` — the adaptive row should track the cheaper
+    // kernel row at every density.
     {
         let index = synthetic_index(50_000);
         for count in [64usize, 1_000, 5_000, 25_000] {
@@ -175,35 +174,26 @@ fn main() {
             let cands: Vec<u32> = (0..count as u32).map(|k| k * stride).collect();
             let ns = median_ns(config.samples, || index.candidates_for(&cands));
             record(&format!("dense_scaling/adaptive_{count}"), ns);
-            let ns = median_ns(config.samples, || index.candidates_for_scan(&cands));
-            record(&format!("dense_scaling/sparse_{count}"), ns);
-            let ns = median_ns(config.samples, || index.candidates_for_dense_scan(&cands));
+            let ns = median_ns(config.samples, || {
+                let mut out = Vec::new();
+                index.dense_scan_candidates(&cands, &mut CandidateScratch::default(), &mut out);
+                out
+            });
             record(&format!("dense_scaling/dense_{count}"), ns);
-            let ns = median_ns(config.samples, || index.candidates_for_gather(&cands));
+            let ns = median_ns(config.samples, || {
+                let mut out = Vec::new();
+                index.gather_candidates(&cands, &mut out);
+                out
+            });
             record(&format!("dense_scaling/gather_{count}"), ns);
         }
-    }
-
-    // ---- morsel-parallel candidate scan ----
-    // The 25k-of-50k dense workload split into pre-range morsels over a
-    // worker pool. Single-CPU containers show overhead, not speedup;
-    // the group exists to keep the dispatch cost visible either way.
-    {
-        let index = synthetic_index(50_000);
-        let dense: Vec<u32> = (0..25_000u32).map(|k| k * 2).collect();
-        for threads in [1usize, 2, 4] {
-            let mut scratch = CandidateScratch::default();
-            scratch.policy = MorselPolicy { threads };
-            let mut out = Vec::new();
-            let ns = median_ns(config.samples, || {
-                index.candidates_into_with(&dense, &mut scratch, &mut out);
-                out.len()
-            });
-            record(
-                &format!("morsel/candidates_dense_25k_threads_{threads}"),
-                ns,
-            );
-        }
+        // The one regime the deleted sparse-list scan used to take:
+        // far more candidate elements than index entries (C ≫ E), where
+        // the scan now pays an O(C) bitset fill for a one-block pass.
+        let tiny = synthetic_index(64);
+        let many: Vec<u32> = (0..50_000u32).collect();
+        let ns = median_ns(config.samples, || tiny.candidates_for(&many));
+        record("dense_scaling/oversubscribed_50k_cands_of_64", ns);
     }
 
     // ---- raw join with sparse pushdown (core, no query layers) ----

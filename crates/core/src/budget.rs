@@ -4,8 +4,7 @@
 //! that a host installs before evaluation and that every long-running
 //! loop in the engine polls cooperatively: the candidate scan kernels,
 //! the merge-join emission loops, the naive baselines' nested loops,
-//! the evaluator's operator dispatch, and the morsel workers of
-//! [`crate::par::scatter`]. It enforces three caps —
+//! and the evaluator's operator dispatch. It enforces three caps —
 //!
 //! * a **deadline** (wall-clock [`Instant`]),
 //! * a **result-cardinality cap** (cumulative operator output rows),
@@ -27,8 +26,8 @@
 //!   only every [`POLL_STRIDE`] polls, so the branch-free dense scan
 //!   stays branch-free (the chunk loop gains one predictable branch);
 //! * the clock is read eagerly only at coarse chokepoints
-//!   ([`Budget::check`]): once per evaluated operator, per join unit,
-//!   per morsel.
+//!   ([`Budget::check`]): once per evaluated operator and per join
+//!   unit.
 //!
 //! # Trip semantics
 //!
@@ -206,7 +205,7 @@ impl Budget {
     }
 
     /// Chokepoint-grade check: trip flag plus an eager clock read.
-    /// Called once per evaluated operator / join unit / morsel.
+    /// Called once per evaluated operator / join unit.
     #[inline]
     pub fn check(&self) -> Result<(), BudgetExceeded> {
         if let Some(why) = self.exceeded() {

@@ -4,8 +4,8 @@
 //! under `cfg(any(test, feature = "fault-inject"))`; release builds
 //! carry no trace of it (the stand-in [`point`] below is an empty
 //! inline function). Hot paths call [`point`] at the places chaos
-//! tests want to break — a morsel worker about to run, a scatter
-//! worker claiming a task, a server connection handling a request —
+//! tests want to break — a scatter worker claiming a task, a server
+//! connection handling a request —
 //! and tests arm those points with [`inject`]:
 //!
 //! * [`FaultAction::Panic`] — panic with a recognizable payload,
@@ -13,7 +13,7 @@
 //!   surface as a clean internal error, never a wedged pool or a
 //!   silently incomplete result);
 //! * [`FaultAction::Delay`] — sleep, stretching a normally-instant
-//!   window (a morsel in flight, a request mid-parse) so tests can
+//!   window (a batch task in flight, a request mid-parse) so tests can
 //!   race cancellation, unmount or shutdown into it deterministically.
 //!
 //! Armed points apply process-wide; tests touching the same point must

@@ -6,6 +6,12 @@
 //! the same id in several entries. A second, node-ordered view supports
 //! context-region fetch and the candidate-sequence intersection that the
 //! element-name index feeds into StandOff steps with name tests.
+//!
+//! That intersection is one operation with one entry point,
+//! [`RegionIndex::candidates_into`], which makes one decision
+//! ([`node_view_preferred`]) between two sequential kernels: a gather
+//! through the node view for selective candidate sets and a branch-free
+//! bitset scan of the clustered table for broad ones.
 
 use std::io;
 
@@ -14,6 +20,7 @@ use standoff_xml::{wire, Document, NodeKind};
 
 use crate::config::StandoffConfig;
 use crate::error::StandoffError;
+use crate::join::JoinStats;
 use crate::region::{Area, Region};
 
 /// One row of the region index.
@@ -258,73 +265,37 @@ impl RegionIndex {
     /// ordering* of the region index. This is how an element-name test is
     /// pushed down into a StandOff step.
     ///
-    /// Adaptive (see [`node_view_preferred`]): selective candidate sets
-    /// walk the CSR node view candidate-by-candidate — never touching
-    /// the full entries table — and restore the `(start, end, id)`
-    /// clustering only when the gathered runs actually violate it
-    /// (single-region annotations laid out in document order, the
-    /// common case, come out sorted for free). Broad candidate sets
-    /// keep the single scan of the start-clustered table. The crossover
-    /// mirrors MonetDB's choice between positional gather and scan.
+    /// The allocating convenience over [`RegionIndex::candidates_into`].
     pub fn candidates_for(&self, sorted_node_pres: &[u32]) -> Vec<RegionEntry> {
         let mut out = Vec::new();
-        self.candidates_into(sorted_node_pres, &mut out);
+        self.candidates_into(sorted_node_pres, &mut CandidateScratch::default(), &mut out);
         out
     }
 
-    /// [`RegionIndex::candidates_for`] into a reusable buffer (cleared
-    /// first). Cold callers use this form; the join hot path goes through
-    /// [`RegionIndex::candidates_into_with`] so the dense bitset and the
-    /// kernel counters persist across iterations.
-    pub fn candidates_into(&self, sorted_node_pres: &[u32], out: &mut Vec<RegionEntry>) {
-        let mut scratch = CandidateScratch::default();
-        self.candidates_into_with(sorted_node_pres, &mut scratch, out);
-    }
-
-    /// [`RegionIndex::candidates_into`] with caller-owned scratch state:
-    /// the reusable dense bitset, the morsel policy, and the kernel
-    /// counters ([`KernelStats`]) all live in `scratch`, so the hot path
-    /// allocates nothing per call and the executor can report which
-    /// representation actually ran.
-    pub fn candidates_into_with(
+    /// The candidate intersection into a reusable buffer: one decision
+    /// ([`node_view_preferred`]) between two kernels. Selective candidate
+    /// sets walk the CSR node view ([`RegionIndex::gather_candidates`]),
+    /// never touching the full entries table; broad ones take one
+    /// branch-free pass over the start-clustered table
+    /// ([`RegionIndex::dense_scan_candidates`]). The crossover mirrors
+    /// MonetDB's choice between positional gather and scan. `scratch`
+    /// carries the reusable bitset, the governance budget and the kernel
+    /// counters, so the join hot path allocates nothing per call.
+    pub fn candidates_into(
         &self,
         sorted_node_pres: &[u32],
         scratch: &mut CandidateScratch,
         out: &mut Vec<RegionEntry>,
     ) {
-        debug_assert!(sorted_node_pres.windows(2).all(|w| w[0] < w[1]));
-        out.clear();
         if self.prefers_node_view(sorted_node_pres.len()) {
-            out.reserve(sorted_node_pres.len());
-            let mut sorted = true;
-            let mut last = (i64::MIN, i64::MIN, 0u32);
-            for &pre in sorted_node_pres {
-                for r in self.regions_of(pre) {
-                    let key = (r.start, r.end, pre);
-                    sorted &= last < key;
-                    last = key;
-                    out.push(RegionEntry {
-                        start: r.start,
-                        end: r.end,
-                        id: pre,
-                    });
-                }
-            }
-            // Sortedness fast path: the per-node runs arrive in pre
-            // order, which usually coincides with start order (always in
-            // the nesting-free single-region layouts) — detected on the
-            // fly, never assumed, so the merge-back sort runs only when
-            // the clustering was actually violated.
-            if !sorted {
-                out.sort_unstable_by_key(|e| (e.start, e.end, e.id));
-            }
+            self.gather_candidates(sorted_node_pres, out);
         } else {
-            scan_filter_into(&self.entries, sorted_node_pres, scratch, out);
+            self.dense_scan_candidates(sorted_node_pres, scratch, out);
         }
     }
 
-    /// Would [`RegionIndex::candidates_for`] take the node-view gather
-    /// path for a candidate set of this size? Exposed so the query
+    /// Would [`RegionIndex::candidates_into`] take the node-view gather
+    /// kernel for a candidate set of this size? Exposed so the query
     /// planner's explain output and runtime statistics can report the
     /// same decision the index makes.
     #[inline]
@@ -332,42 +303,15 @@ impl RegionIndex {
         node_view_preferred(candidate_count, self.entries.len() as u64)
     }
 
-    /// The scan path of [`RegionIndex::candidates_for`], unconditionally —
-    /// the pre-inversion behavior, kept as the ablation baseline for
-    /// benches and the property suite.
-    #[doc(hidden)]
-    pub fn candidates_for_scan(&self, sorted_node_pres: &[u32]) -> Vec<RegionEntry> {
+    /// The gather kernel: fetch each candidate's regions through the CSR
+    /// node view into `out` (cleared first), restoring the
+    /// `(start, end, id)` clustering only when the gathered runs
+    /// actually violate it. Public so benches and the property suite
+    /// can run it on inputs the cost rule would send to the scan.
+    pub fn gather_candidates(&self, sorted_node_pres: &[u32], out: &mut Vec<RegionEntry>) {
         debug_assert!(sorted_node_pres.windows(2).all(|w| w[0] < w[1]));
-        self.entries
-            .iter()
-            .filter(|e| sorted_node_pres.binary_search(&e.id).is_ok())
-            .copied()
-            .collect()
-    }
-
-    /// The scan path with the representation forced to the dense bitset,
-    /// unconditionally — the ablation counterpart of
-    /// [`RegionIndex::candidates_for_scan`] for the `dense_scaling`
-    /// crossover measurement and the property suite.
-    #[doc(hidden)]
-    pub fn candidates_for_dense_scan(&self, sorted_node_pres: &[u32]) -> Vec<RegionEntry> {
-        debug_assert!(sorted_node_pres.windows(2).all(|w| w[0] < w[1]));
-        let mut out = Vec::new();
-        if sorted_node_pres.is_empty() {
-            return out;
-        }
-        let mut dense = DenseCandidates::default();
-        dense.fill(sorted_node_pres);
-        dense_scan_chunks(&self.entries, &dense, None, &mut out);
-        out
-    }
-
-    /// The node-view gather path, unconditionally — the third leg of the
-    /// `dense_scaling` crossover measurement.
-    #[doc(hidden)]
-    pub fn candidates_for_gather(&self, sorted_node_pres: &[u32]) -> Vec<RegionEntry> {
-        debug_assert!(sorted_node_pres.windows(2).all(|w| w[0] < w[1]));
-        let mut out = Vec::new();
+        out.clear();
+        out.reserve(sorted_node_pres.len());
         let mut sorted = true;
         let mut last = (i64::MIN, i64::MIN, 0u32);
         for &pre in sorted_node_pres {
@@ -382,10 +326,37 @@ impl RegionIndex {
                 });
             }
         }
+        // Sortedness fast path: the per-node runs arrive in pre order,
+        // which usually coincides with start order (always in the
+        // nesting-free single-region layouts) — detected on the fly,
+        // never assumed, so the merge-back sort runs only when the
+        // clustering was actually violated.
         if !sorted {
             out.sort_unstable_by_key(|e| (e.start, e.end, e.id));
         }
-        out
+    }
+
+    /// The scan kernel: build the candidate bitset in `scratch`, then one
+    /// chunked branch-free pass over the start-clustered table into
+    /// `out` (cleared first), which therefore needs no re-sort. Polls
+    /// `scratch.budget` once per 64-entry block. Public for the same
+    /// reason as [`RegionIndex::gather_candidates`].
+    pub fn dense_scan_candidates(
+        &self,
+        sorted_node_pres: &[u32],
+        scratch: &mut CandidateScratch,
+        out: &mut Vec<RegionEntry>,
+    ) {
+        debug_assert!(sorted_node_pres.windows(2).all(|w| w[0] < w[1]));
+        out.clear();
+        if sorted_node_pres.is_empty() || self.entries.is_empty() {
+            return;
+        }
+        scratch.dense.fill(sorted_node_pres);
+        scratch.stats.candidate_repr_dense += 1;
+        // The kernel visits every 64-entry block exactly once.
+        scratch.stats.candidate_dense_blocks += self.entries.len().div_ceil(SCAN_CHUNK) as u64;
+        dense_scan_chunks(&self.entries, &scratch.dense, scratch.budget.as_ref(), out);
     }
 
     /// Memory footprint estimate in bytes (used by the bench harness to
@@ -590,11 +561,11 @@ impl RegionIndex {
     }
 }
 
-/// The gather-vs-scan cost rule of the candidate intersection: walking
-/// the node view costs ~`C log C` (gather plus the worst-case re-sort),
-/// the scan costs one pass over all `E` entries — gather wins while
-/// `C log C < E`. A free function so the planner can evaluate the rule
-/// from statistics alone, without an index at hand.
+/// The one cost rule of the candidate intersection: walking the node
+/// view costs ~`C log C` (gather plus the worst-case re-sort), the dense
+/// scan costs one pass over all `E` entries plus building the bitset —
+/// gather wins while `C log C < E`. A free function so the planner can
+/// evaluate the rule from statistics alone, without an index at hand.
 ///
 /// Calibration (bench-report `dense_scaling` group, 50k-entry table):
 /// the measured gather/scan break-even sits between C = 4 000 and
@@ -608,50 +579,11 @@ pub fn node_view_preferred(candidate_count: usize, index_entries: u64) -> bool {
     gather_cost < index_entries
 }
 
-/// Which materialization the scan kernel ran with (see [`CandidateSet`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CandidateRepr {
-    /// The sorted id list itself; membership is a binary search.
-    Sparse,
-    /// A u64-block bitset over the candidate pre range; membership is one
-    /// masked bit test.
-    Dense,
-}
-
-/// The candidate set as the scan kernel sees it: either today's sorted
-/// id list ([`CandidateRepr::Sparse`]) or a bitset over the candidate
-/// pre range ([`CandidateRepr::Dense`]), chosen per call by
-/// [`dense_repr_preferred`].
-pub enum CandidateSet<'a> {
-    Sparse(&'a [u32]),
-    Dense(&'a DenseCandidates),
-}
-
-impl CandidateSet<'_> {
-    /// Which representation this is (what the counters report).
-    #[inline]
-    pub fn repr(&self) -> CandidateRepr {
-        match self {
-            CandidateSet::Sparse(_) => CandidateRepr::Sparse,
-            CandidateSet::Dense(_) => CandidateRepr::Dense,
-        }
-    }
-
-    /// Membership test — the per-entry predicate of the scan kernel.
-    #[inline]
-    pub fn contains(&self, id: u32) -> bool {
-        match self {
-            CandidateSet::Sparse(ids) => ids.binary_search(&id).is_ok(),
-            CandidateSet::Dense(bits) => bits.contains(id),
-        }
-    }
-}
-
 /// A u64-block bitset over the candidate pre range `[base, base + span)`.
 /// Offsets outside the span test negative without branching: the word
 /// index is clamped and the in-range flag is folded into the bit.
 #[derive(Clone, Debug, Default)]
-pub struct DenseCandidates {
+struct DenseCandidates {
     base: u32,
     span: u64,
     words: Vec<u64>,
@@ -660,7 +592,7 @@ pub struct DenseCandidates {
 impl DenseCandidates {
     /// (Re)build the bitset from a strictly ascending id list, reusing
     /// the word buffer. `sorted` must be non-empty.
-    pub fn fill(&mut self, sorted: &[u32]) {
+    fn fill(&mut self, sorted: &[u32]) {
         debug_assert!(!sorted.is_empty());
         let base = sorted[0];
         let span = (*sorted.last().unwrap() - base) as u64 + 1;
@@ -679,7 +611,7 @@ impl DenseCandidates {
     /// in-range mask — no data-dependent branches, so the chunked scan
     /// loop autovectorizes.
     #[inline(always)]
-    pub fn contains(&self, id: u32) -> bool {
+    fn contains(&self, id: u32) -> bool {
         let off = id.wrapping_sub(self.base) as u64;
         let w = ((off >> 6) as usize).min(self.words.len().saturating_sub(1));
         let bit = (self.words[w] >> (off & 63)) & 1;
@@ -687,193 +619,38 @@ impl DenseCandidates {
     }
 }
 
-/// Counters of the candidate scan kernels — surfaced per query through
-/// `join_stats()` so tests and the `stats` dump can assert which
-/// mechanism actually ran (the 1-CPU bench container understates the
-/// wall-clock story).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct KernelStats {
-    /// Scan calls that ran with the dense bitset representation.
-    pub repr_dense: u64,
-    /// Scan calls that ran with the sparse list representation.
-    pub repr_sparse: u64,
-    /// 64-entry blocks processed by the dense kernel.
-    pub dense_blocks: u64,
-    /// Morsels dispatched to the worker pool (0 ⇒ every scan ran
-    /// sequentially).
-    pub morsels_dispatched: u64,
-}
-
-impl KernelStats {
-    /// Fold another sample into this one.
-    pub fn merge(&mut self, other: KernelStats) {
-        self.repr_dense += other.repr_dense;
-        self.repr_sparse += other.repr_sparse;
-        self.dense_blocks += other.dense_blocks;
-        self.morsels_dispatched += other.morsels_dispatched;
-    }
-
-    /// Take the accumulated counters, leaving zeros behind.
-    pub fn take(&mut self) -> KernelStats {
-        std::mem::take(self)
-    }
-}
-
-/// Intra-query parallelism policy for the scan kernels: how many worker
-/// threads a single candidate scan may fan out over. `threads == 1` (the
-/// default) keeps every scan sequential.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct MorselPolicy {
-    pub threads: usize,
-}
-
-impl Default for MorselPolicy {
-    fn default() -> MorselPolicy {
-        MorselPolicy { threads: 1 }
-    }
-}
-
-/// Entries per morsel: a multiple of the 64-entry kernel block, big
-/// enough that per-morsel overhead (a buffer + an atomic fetch-add) is
-/// noise, small enough that a 50k-entry table still splits ~12 ways.
-pub const MORSEL_ENTRIES: usize = 4096;
-
-/// Caller-owned scratch for [`RegionIndex::candidates_into_with`]: the
-/// reusable dense bitset, the [`MorselPolicy`], and the accumulated
-/// [`KernelStats`]. Lives inside the executor's `JoinScratch` so the
-/// join hot path allocates nothing per iteration.
+/// Caller-owned scratch for [`RegionIndex::candidates_into`]: the
+/// reusable candidate bitset, the governance budget, and the kernel
+/// counters. Lives inside the executor's `JoinScratch` so the join hot
+/// path allocates nothing per iteration.
 #[derive(Clone, Debug, Default)]
 pub struct CandidateScratch {
-    pub policy: MorselPolicy,
-    pub stats: KernelStats,
+    /// `candidate_repr_dense` and `candidate_dense_blocks` accumulate
+    /// here until the executor takes them.
+    pub stats: JoinStats,
     /// Cooperative evaluation budget, polled once per 64-entry kernel
-    /// chunk and checked per morsel. `None` (the default) keeps the
-    /// kernels budget-free apart from one hoisted `Option` test.
+    /// chunk. `None` (the default) keeps the kernel budget-free apart
+    /// from one hoisted `Option` test.
     pub budget: Option<crate::budget::Budget>,
     dense: DenseCandidates,
 }
 
 impl CandidateScratch {
-    /// Pick the representation for `sorted` over an `index_entries`-row
-    /// table, (re)building the bitset if dense wins. Bumps the repr
-    /// counter for the choice.
-    pub fn prepare<'a>(&'a mut self, sorted: &'a [u32], index_entries: u64) -> CandidateSet<'a> {
-        let span = candidate_span(sorted);
-        if dense_repr_preferred(sorted.len(), span, index_entries) {
-            self.stats.repr_dense += 1;
-            self.dense.fill(sorted);
-            CandidateSet::Dense(&self.dense)
-        } else {
-            self.stats.repr_sparse += 1;
-            CandidateSet::Sparse(sorted)
-        }
+    /// Bytes pinned by the bitset's word buffer (capacity, not length).
+    pub fn approx_bytes(&self) -> usize {
+        self.dense.words.capacity() * std::mem::size_of::<u64>()
     }
-}
-
-/// Pre-range span of a sorted candidate list (`last - first + 1`), the
-/// bitset size `dense_repr_preferred` weighs against the probe savings.
-#[inline]
-pub fn candidate_span(sorted: &[u32]) -> u64 {
-    match (sorted.first(), sorted.last()) {
-        (Some(&first), Some(&last)) => (last - first) as u64 + 1,
-        _ => 0,
-    }
-}
-
-/// The scan path of the candidate intersection, representation-adaptive
-/// and morsel-parallel. Appends matching entries to `out` in entry
-/// (start-clustered) order regardless of representation or thread count:
-/// morsels are contiguous entry ranges concatenated by morsel index.
-fn scan_filter_into(
-    entries: &[RegionEntry],
-    sorted_node_pres: &[u32],
-    scratch: &mut CandidateScratch,
-    out: &mut Vec<RegionEntry>,
-) {
-    if sorted_node_pres.is_empty() || entries.is_empty() {
-        return;
-    }
-    let policy = scratch.policy;
-    let budget = scratch.budget.clone();
-    let set = scratch.prepare(sorted_node_pres, entries.len() as u64);
-    let mut blocks = 0u64;
-    let mut morsels = 0u64;
-    if policy.threads > 1 && entries.len() >= 2 * MORSEL_ENTRIES {
-        let morsel_count = entries.len().div_ceil(MORSEL_ENTRIES);
-        morsels = morsel_count as u64;
-        let budget = budget.as_ref();
-        let parts = crate::par::scatter(
-            morsel_count,
-            policy.threads,
-            Vec::new,
-            |buf: &mut Vec<RegionEntry>, m| {
-                crate::fault::point("index.morsel");
-                buf.clear();
-                // A tripped budget makes remaining morsels no-ops; the
-                // whole (partial) result is discarded by the evaluator
-                // when it observes the trip reason.
-                if budget.is_none_or(|b| b.check().is_ok()) {
-                    scan_chunks(morsel(entries, m), &set, budget, buf);
-                }
-                std::mem::take(buf)
-            },
-        );
-        for part in parts {
-            out.extend_from_slice(&part);
-        }
-    } else {
-        scan_chunks(entries, &set, budget.as_ref(), out);
-    }
-    if set.repr() == CandidateRepr::Dense {
-        // The dense kernel visits every 64-entry block exactly once, so
-        // the block count is determined by the table size — counted here
-        // (not in the workers) to keep the counter exact under morsels.
-        blocks = entries.len().div_ceil(SCAN_CHUNK) as u64;
-    }
-    scratch.stats.dense_blocks += blocks;
-    scratch.stats.morsels_dispatched += morsels;
-}
-
-/// Entries of morsel `m` (fixed-size contiguous ranges of the table).
-#[inline]
-fn morsel(entries: &[RegionEntry], m: usize) -> &[RegionEntry] {
-    let lo = m * MORSEL_ENTRIES;
-    &entries[lo..entries.len().min(lo + MORSEL_ENTRIES)]
 }
 
 /// Kernel block width: one u64 of match bits per block.
 const SCAN_CHUNK: usize = 64;
 
-/// The chunked, branch-free scan kernel. For each 64-entry block it
+/// The chunked, branch-free scan loop. For each 64-entry block it
 /// computes a match bitmask with a data-independent inner loop (the
-/// dense representation's membership test is a clamped load + bit test,
-/// so the block compiles to straight-line autovectorizable code), then
-/// materializes: an all-ones mask copies the whole block with
-/// `extend_from_slice`, otherwise set bits are popped in order.
-fn scan_chunks(
-    entries: &[RegionEntry],
-    set: &CandidateSet<'_>,
-    budget: Option<&crate::budget::Budget>,
-    out: &mut Vec<RegionEntry>,
-) {
-    match set {
-        CandidateSet::Dense(bits) => dense_scan_chunks(entries, bits, budget, out),
-        CandidateSet::Sparse(ids) => {
-            for chunk in entries.chunks(SCAN_CHUNK) {
-                if budget.is_some_and(|b| b.poll().is_some()) {
-                    return;
-                }
-                out.extend(
-                    chunk
-                        .iter()
-                        .filter(|e| ids.binary_search(&e.id).is_ok())
-                        .copied(),
-                );
-            }
-        }
-    }
-}
-
+/// bitset's membership test is a clamped load + bit test, so the block
+/// compiles to straight-line autovectorizable code), then materializes:
+/// an all-ones mask copies the whole block with `extend_from_slice`,
+/// otherwise set bits are popped in order.
 fn dense_scan_chunks(
     entries: &[RegionEntry],
     bits: &DenseCandidates,
@@ -900,31 +677,6 @@ fn dense_scan_chunks(
             }
         }
     }
-}
-
-/// The sparse-vs-dense representation rule for the scan path, in cost
-/// units of one sparse probe (a binary-search step): the sparse scan
-/// costs `E · log₂C` probe steps, the dense scan costs `E` bit tests
-/// plus building the bitset (`span/64` word writes + `C` bit sets).
-/// Dense wins when the probe savings pay for the build; sparse survives
-/// only where the build dominates — few candidates strewn over a wide
-/// id span against a small entry table.
-///
-/// Calibration (bench-report `dense_scaling` group, 50k-entry table,
-/// candidate ids spanning the full table): the rule picks dense at
-/// every benched density 1/781 … 1/2 and the measurement agrees — the
-/// dense scan beats the sparse scan 2.7–5.8× there. The model's
-/// *magnitude* overestimates that gap ~2× (a bit test is not quite
-/// free relative to a cache-warm binary-search step), so the predicted
-/// break-even sits a factor ~2 early; both paths cost within 2× of
-/// each other in that band, so the misprediction is bounded.
-#[inline]
-pub fn dense_repr_preferred(candidate_count: usize, id_span: u64, index_entries: u64) -> bool {
-    let c = candidate_count as u64;
-    let log2c = (usize::BITS - (candidate_count | 1).leading_zeros()) as u64;
-    let sparse_cost = index_entries.saturating_mul(log2c);
-    let dense_cost = index_entries + id_span / 64 + c;
-    dense_cost < sparse_cost
 }
 
 const INDEX_MAGIC: &[u8; 4] = b"SORX";
@@ -956,6 +708,16 @@ mod tests {
         .unwrap();
         let idx = RegionIndex::build(&doc, &StandoffConfig::default()).unwrap();
         (doc, idx)
+    }
+
+    /// §4.3 by definition: the start-clustered table filtered by
+    /// candidate membership.
+    fn definitional(idx: &RegionIndex, cands: &[u32]) -> Vec<RegionEntry> {
+        idx.entries()
+            .iter()
+            .filter(|e| cands.binary_search(&e.id).is_ok())
+            .copied()
+            .collect()
     }
 
     #[test]
@@ -1036,13 +798,7 @@ mod tests {
         cands.sort_unstable(); // …the caller-side fix
         cands.dedup();
         let got = idx.candidates_for(&cands);
-        let want: Vec<RegionEntry> = idx
-            .entries()
-            .iter()
-            .filter(|e| cands.binary_search(&e.id).is_ok())
-            .copied()
-            .collect();
-        assert_eq!(got, want);
+        assert_eq!(got, definitional(&idx, &cands));
         assert_eq!(got.len(), 5); // 3 shots + 2 music annotations
     }
 
@@ -1088,7 +844,7 @@ mod tests {
                 .all(|w| (w[0].start, w[0].end, w[0].id) < (w[1].start, w[1].end, w[1].id)),
             "node-view gather must restore the start clustering: {got:?}"
         );
-        assert_eq!(got, idx.candidates_for_scan(&cands), "paths must agree");
+        assert_eq!(got, definitional(&idx, &cands), "paths must agree");
     }
 
     /// Both access paths agree on every candidate subset of a mixed
@@ -1098,6 +854,7 @@ mod tests {
         let (doc, idx) = figure1_index();
         let all: Vec<u32> = idx.annotated_nodes().to_vec();
         let mut buf = Vec::new();
+        let mut scratch = CandidateScratch::default();
         for mask in 0u32..(1 << all.len()) {
             let subset: Vec<u32> = all
                 .iter()
@@ -1105,12 +862,12 @@ mod tests {
                 .filter(|(k, _)| mask & (1 << k) != 0)
                 .map(|(_, &p)| p)
                 .collect();
-            idx.candidates_into(&subset, &mut buf);
-            assert_eq!(buf, idx.candidates_for_scan(&subset), "mask {mask:#b}");
+            idx.candidates_into(&subset, &mut scratch, &mut buf);
+            assert_eq!(buf, definitional(&idx, &subset), "mask {mask:#b}");
         }
         // Unannotated candidates simply contribute nothing.
         let video = doc.elements_named("video")[0];
-        idx.candidates_into(&[video], &mut buf);
+        idx.candidates_into(&[video], &mut scratch, &mut buf);
         assert!(buf.is_empty());
     }
 

@@ -20,14 +20,24 @@
 //! | `NaiveWithCandidates`    | §3.2 Alt. 2 / Figure 3                 | O(|S1|·|S2|) per iteration |
 //! | `BasicMergeJoin`         | §4.4                                   | one index scan **per iteration** |
 //! | `LoopLiftedMergeJoin`    | §4.5 / Listing 1                       | one index scan **total** |
+//!
+//! The merge joins derive their candidate entries through one path —
+//! [`JoinInput::candidate_entries_in`] →
+//! [`RegionSource::candidates_into`] →
+//! [`RegionIndex::candidates_into`](crate::index::RegionIndex::candidates_into)
+//! — and every mechanism counter, here and in the query engine above,
+//! is a field of the one [`JoinStats`] declaration.
 
 pub mod merge;
 pub mod naive;
 pub mod post;
+mod stats;
+
+pub use stats::{JoinCounter, JoinStats};
 
 use standoff_xml::Document;
 
-use crate::index::RegionEntry;
+use crate::index::{CandidateScratch, RegionEntry};
 use crate::source::RegionSource;
 use crate::trace::TraceSink;
 
@@ -242,19 +252,12 @@ impl<'a> JoinInput<'a> {
         self.ctx_index.unwrap_or(self.index)
     }
 
-    /// Fetch `[start,end]` rows for all context nodes and sort by start —
-    /// the context-preparation step of §4.4. Context nodes that are not
-    /// area-annotations contribute no rows.
-    pub fn context_entries(&self) -> Vec<CtxEntry> {
-        let mut out = Vec::new();
-        self.context_entries_into(&mut out);
-        out
-    }
-
-    /// [`JoinInput::context_entries`] into a reusable buffer (cleared
-    /// first). The overlay retraction check is hoisted out of the
-    /// per-node loop: the pure-snapshot branch fetches regions straight
-    /// off the index, so it compiles to the pre-overlay code.
+    /// Fetch `[start,end]` rows for all context nodes into `out` (cleared
+    /// first) and sort by start — the context-preparation step of §4.4.
+    /// Context nodes that are not area-annotations contribute no rows.
+    /// The overlay retraction check is hoisted out of the per-node loop:
+    /// the pure-snapshot branch fetches regions straight off the index,
+    /// so it compiles to the pre-overlay code.
     pub fn context_entries_into(&self, out: &mut Vec<CtxEntry>) {
         out.clear();
         out.reserve(self.context.len());
@@ -286,45 +289,15 @@ impl<'a> JoinInput<'a> {
         out.sort_by_key(|c| (c.start, c.end, c.iter, c.node));
     }
 
-    /// The candidate region entries in start order: the full visible
+    /// The candidate region entries in start order: without a candidate
+    /// restriction a pure source's own entry table is returned as-is —
+    /// no copy of the full index per operator; otherwise the visible
     /// stream, or its intersection with the candidate node sequence
-    /// (§4.3).
-    pub fn candidate_entries(&self) -> Vec<RegionEntry> {
-        let mut out = Vec::new();
-        match self.candidates {
-            None => out.extend_from_slice(self.index.entries_in(&mut Vec::new())),
-            Some(nodes) => self.index.candidates_into(nodes, &mut out),
-        }
-        out
-    }
-
-    /// Borrowing form of [`JoinInput::candidate_entries`]: without a
-    /// candidate restriction a pure source's own entry table is returned
-    /// as-is — no copy of the full index per operator — and otherwise the
-    /// visible stream is materialized into `scratch`.
+    /// (§4.3, [`RegionSource::candidates_into`]), is materialized into
+    /// `buf`.
     pub fn candidate_entries_in<'s>(
         &'s self,
-        scratch: &'s mut Vec<RegionEntry>,
-    ) -> &'s [RegionEntry]
-    where
-        'a: 's,
-    {
-        match self.candidates {
-            None => self.index.entries_in(scratch),
-            Some(nodes) => {
-                self.index.candidates_into(nodes, scratch);
-                scratch
-            }
-        }
-    }
-
-    /// [`JoinInput::candidate_entries_in`] through caller-owned kernel
-    /// scratch: the representation-adaptive (sparse list vs dense
-    /// bitset), morsel-parallel scan path with persistent counters — the
-    /// form the executor's hot path uses.
-    pub fn candidate_entries_with<'s>(
-        &'s self,
-        kernel: &mut crate::index::CandidateScratch,
+        kernel: &mut CandidateScratch,
         buf: &'s mut Vec<RegionEntry>,
     ) -> &'s [RegionEntry]
     where
@@ -333,7 +306,7 @@ impl<'a> JoinInput<'a> {
         match self.candidates {
             None => self.index.entries_in(buf),
             Some(nodes) => {
-                self.index.candidates_into_with(nodes, kernel, buf);
+                self.index.candidates_into(nodes, kernel, buf);
                 buf
             }
         }
@@ -383,18 +356,11 @@ pub struct JoinScratch {
     single: Vec<CtxEntry>,
     universe: Vec<u32>,
     merge: merge::MergeScratch,
-    /// Candidate-kernel state: dense bitset, morsel policy, counters.
-    kernel: crate::index::CandidateScratch,
+    /// Candidate-kernel state: dense bitset, budget, counters.
+    kernel: CandidateScratch,
 }
 
 impl JoinScratch {
-    /// Set the intra-query parallelism budget for candidate scans (the
-    /// executor threads this through from its engine options; 1 keeps
-    /// every scan sequential).
-    pub fn set_morsel_threads(&mut self, threads: usize) {
-        self.kernel.policy.threads = threads.max(1);
-    }
-
     /// Install (or clear) the governance handle polled by the scan and
     /// merge kernels. The engine sets this per query; `None` restores
     /// the ungoverned fast path (a hoisted null test per loop round).
@@ -411,27 +377,23 @@ impl JoinScratch {
             + self.cands.capacity() * std::mem::size_of::<RegionEntry>()
             + self.emissions.capacity() * std::mem::size_of::<Emission>()
             + self.single.capacity() * std::mem::size_of::<CtxEntry>()
-            + (self.iters.capacity() + self.universe.capacity()) * std::mem::size_of::<u32>())
-            as u64
+            + (self.iters.capacity() + self.universe.capacity()) * std::mem::size_of::<u32>()
+            + self.kernel.approx_bytes()) as u64
     }
 
-    /// Take the kernel counters accumulated since the last take
-    /// (representation choices, dense blocks, morsels dispatched),
-    /// leaving zeros behind.
-    pub fn take_kernel_stats(&mut self) -> crate::index::KernelStats {
-        self.kernel.stats.take()
+    /// Take the kernel counters accumulated since the last take (dense
+    /// scans and branch-free blocks), leaving zeros behind.
+    pub fn take_stats(&mut self) -> JoinStats {
+        self.kernel.stats.take_delta()
     }
 }
 
 impl Clone for JoinScratch {
     /// Scratch state is semantically empty between joins; cloning (e.g.
     /// when a session is stamped out from a shared engine) starts the
-    /// clone cold instead of copying dead buffer contents — except the
-    /// morsel policy, which is configuration, not scratch.
+    /// clone cold instead of copying dead buffer contents.
     fn clone(&self) -> Self {
-        let mut fresh = JoinScratch::default();
-        fresh.kernel.policy = self.kernel.policy;
-        fresh
+        JoinScratch::default()
     }
 }
 
@@ -488,7 +450,7 @@ pub fn evaluate_standoff_join_with(
                     break;
                 }
                 // Re-derived per iteration — the strategy's modeled cost.
-                let cands = input.candidate_entries_with(&mut scratch.kernel, &mut scratch.cands);
+                let cands = input.candidate_entries_in(&mut scratch.kernel, &mut scratch.cands);
                 scratch.single.clear();
                 scratch.single.extend(
                     scratch
@@ -518,12 +480,12 @@ pub fn evaluate_standoff_join_with(
                     e.iter = iter;
                 }
             }
-            let cands = input.candidate_entries_with(&mut scratch.kernel, &mut scratch.cands);
+            let cands = input.candidate_entries_in(&mut scratch.kernel, &mut scratch.cands);
             post::finalize_select(select_axis, &scratch.emissions, cands, input.index)
         }
         StandoffStrategy::LoopLiftedMergeJoin => {
             input.context_entries_into(&mut scratch.ctx);
-            let cands = input.candidate_entries_with(&mut scratch.kernel, &mut scratch.cands);
+            let cands = input.candidate_entries_in(&mut scratch.kernel, &mut scratch.cands);
             // Multi-region containment (∀∃) must attribute every match to
             // a specific context annotation; see merge.rs.
             let per_annotation = select_axis.is_narrow() && input.index.max_regions() > 1;
@@ -550,7 +512,7 @@ pub fn evaluate_standoff_join_with(
     // The merge kernels count their branch-free emission blocks in the
     // merge scratch; fold them into the per-join kernel counters so
     // `join_stats()` reports one `candidate_dense_blocks` total.
-    scratch.kernel.stats.dense_blocks += scratch.merge.take_blocks();
+    scratch.kernel.stats.candidate_dense_blocks += scratch.merge.take_blocks();
     // Charge what the join buffers now pin against any scratch-memory
     // cap. A trip is recorded in the budget flag; the evaluator's next
     // check surfaces it, so the partial result below is never emitted.
@@ -586,6 +548,47 @@ mod tests {
             StandoffStrategy::parse("ll"),
             Some(StandoffStrategy::LoopLiftedMergeJoin)
         );
+    }
+
+    /// Regression: the dense bitset's word buffer is the scan side's
+    /// only allocation, and the scratch-memory cap could not see it.
+    #[test]
+    fn approx_bytes_charges_the_dense_bitset() {
+        use crate::region::Area;
+        let doc = standoff_xml::parse_document("<a/>").unwrap();
+        let far = 1_000_000u32;
+        let index = crate::RegionIndex::from_areas(&[
+            (1, Area::single(0, 9).unwrap()),
+            (2, Area::single(2, 3).unwrap()),
+            (far, Area::single(4, 5).unwrap()),
+        ]);
+        let context = [IterNode { iter: 0, node: 1 }];
+        let mut scratch = JoinScratch::default();
+        let run = |candidates: &[u32], scratch: &mut JoinScratch| {
+            let input = JoinInput {
+                doc: &doc,
+                index: RegionSource::from_index(&index),
+                ctx_index: None,
+                context: &context,
+                candidates: Some(candidates),
+                iter_domain: &[0],
+            };
+            assert!(!index.prefers_node_view(candidates.len()), "must scan");
+            let strategy = StandoffStrategy::LoopLiftedMergeJoin;
+            evaluate_standoff_join_with(StandoffAxis::SelectNarrow, strategy, &input, None, scratch)
+        };
+        // Narrow span: a one-word bitset.
+        assert_eq!(run(&[1, 2, 3], &mut scratch).len(), 2);
+        let narrow = scratch.approx_bytes();
+        // Same candidate count over a million-rank span.
+        assert_eq!(run(&[1, 2, far], &mut scratch).len(), 3);
+        let bitset = (far as u64).div_ceil(64) * 8;
+        assert!(
+            narrow < 1024 && scratch.approx_bytes() >= bitset,
+            "{narrow} -> {} must grow by the {bitset}-byte bitset",
+            scratch.approx_bytes()
+        );
+        assert_eq!(scratch.take_stats().candidate_repr_dense, 2);
     }
 
     #[test]

@@ -1,0 +1,135 @@
+//! The StandOff join counter set, declared once.
+//!
+//! Every place that enumerates the counters — [`JoinStats::merge`], the
+//! `join.*` names of the metrics registry, the per-operator profile JSON
+//! and the `explain --analyze` suffix — walks [`JoinStats::COUNTERS`]
+//! or [`JoinStats::counters`], so adding a counter is one row of the
+//! `join_counters!` invocation below and nothing else.
+
+/// One row of the counter declaration.
+#[derive(Clone, Copy, Debug)]
+pub struct JoinCounter {
+    /// The field name; the registry key is `join.<name>` and the
+    /// profile JSON key is `<name>`.
+    pub name: &'static str,
+    /// `explain --analyze` token, `{}` standing for the value.
+    pub label: &'static str,
+    /// Printed by `explain --analyze` even when zero (kernel-detail
+    /// counters are shown only when they fired).
+    pub always: bool,
+}
+
+macro_rules! join_counters {
+    (@show always) => { true };
+    (@show nonzero) => { false };
+    ($($(#[$doc:meta])* $field:ident: $label:literal $show:ident,)*) => {
+        /// Counters of the StandOff join executor's fast-path decisions,
+        /// kept on the engine state and readable through
+        /// `Engine::join_stats` / `Session::join_stats`. They exist so
+        /// tests (and curious operators) can assert *mechanism*, not
+        /// just timing: that a pushdown-guaranteed step really skipped
+        /// its trailing self-axis pass, that a single-fragment scope
+        /// really skipped the result sort, and which side of the
+        /// candidate-intersection cost rule an operator landed on.
+        ///
+        /// # Reset semantics
+        ///
+        /// The counters are **cumulative per engine / per session**,
+        /// never per query: every query run on the same engine or
+        /// session adds to them. A fresh session from
+        /// `SharedEngine::session` starts at zero — it does *not*
+        /// inherit counts accumulated before the engine was frozen. To
+        /// meter a single query (or any window), either call
+        /// `reset_join_stats` first or use `take_join_stats`, which
+        /// returns the counts since the last take/reset and zeroes them
+        /// in one step. The same events are also mirrored into the
+        /// engine's metrics registry under `join.*` names, where they
+        /// accumulate engine-wide across all sessions.
+        #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+        pub struct JoinStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl JoinStats {
+            /// The declaration, in field (and display) order.
+            pub const COUNTERS: &'static [JoinCounter] = &[
+                $(JoinCounter {
+                    name: stringify!($field),
+                    label: $label,
+                    always: join_counters!(@show $show),
+                },)*
+            ];
+
+            /// Every declared counter with its current value.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static JoinCounter, u64)> {
+                Self::COUNTERS.iter().zip([$(self.$field,)*])
+            }
+
+            /// Fold another counter set into this one.
+            pub fn merge(&mut self, other: JoinStats) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
+}
+
+join_counters! {
+    /// Candidate intersections taken through the node view (gather).
+    candidate_node_view: "node-view={}" always,
+    /// Candidate intersections taken as full index scans.
+    candidate_scans: "scan={}" always,
+    /// Result merges that had to sort (multi-fragment / multi-layer).
+    result_sorts: "sorts={}" always,
+    /// Result merges skipped because the scope was a single fragment
+    /// (or trivially small) and the join output was already in
+    /// `(iter, document-order)`.
+    result_sorts_elided: "(elided {})" always,
+    /// Trailing `self::test` passes executed.
+    post_filters: "post={}" always,
+    /// Trailing `self::test` passes skipped (plan-guaranteed tests).
+    post_filters_elided: "(elided {})" always,
+    /// Dense-bitset scan kernel invocations (one per scan-path
+    /// intersection that had candidates and entries to intersect; the
+    /// basic strategy re-derives per iteration, so it counts each).
+    candidate_repr_dense: "repr dense={}" nonzero,
+    /// 64-entry blocks processed by the branch-free kernels (dense
+    /// candidate scans + the merge join's single-active emission runs).
+    candidate_dense_blocks: "blocks={}" nonzero,
+}
+
+impl JoinStats {
+    /// Zero every counter.
+    pub fn reset(&mut self) {
+        *self = JoinStats::default();
+    }
+
+    /// Return the current counts and zero them — the "delta since last
+    /// take" primitive profiling runs use so they never inherit stale
+    /// counts.
+    pub fn take_delta(&mut self) -> JoinStats {
+        std::mem::take(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn counters_walk_the_declaration_in_order() {
+        let stats = JoinStats {
+            candidate_node_view: 1,
+            candidate_dense_blocks: 8,
+            ..JoinStats::default()
+        };
+        let pairs: Vec<(&str, u64)> = stats.counters().map(|(c, v)| (c.name, v)).collect();
+        assert_eq!(pairs.len(), 8);
+        assert_eq!(pairs[0], ("candidate_node_view", 1));
+        assert_eq!(pairs[7], ("candidate_dense_blocks", 8));
+        let mut sum = stats;
+        sum.merge(stats);
+        assert_eq!(sum.candidate_dense_blocks, 16);
+        assert_eq!(sum.take_delta().candidate_node_view, 2);
+        assert_eq!(sum, JoinStats::default());
+    }
+}

@@ -55,13 +55,10 @@ pub use budget::{Budget, BudgetExceeded, BudgetLimits};
 pub use config::{RegionRepr, StandoffConfig};
 pub use crc::{crc32, Crc32};
 pub use error::StandoffError;
-pub use index::{
-    CandidateRepr, CandidateScratch, CandidateSet, DenseCandidates, IndexStats, KernelStats,
-    MorselPolicy, RegionEntry, RegionIndex,
-};
+pub use index::{CandidateScratch, IndexStats, RegionEntry, RegionIndex};
 pub use join::{
-    evaluate_standoff_join, evaluate_standoff_join_with, IterNode, JoinInput, JoinScratch,
-    StandoffAxis, StandoffStrategy,
+    evaluate_standoff_join, evaluate_standoff_join_with, IterNode, JoinCounter, JoinInput,
+    JoinScratch, JoinStats, StandoffAxis, StandoffStrategy,
 };
 pub use obs::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use region::{Area, Region};

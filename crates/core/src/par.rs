@@ -1,12 +1,12 @@
 //! Order-preserving worker-pool fan-out.
 //!
-//! One small primitive, [`scatter`], shared by the two places the engine
+//! One small primitive, [`scatter`], behind the one place the engine
 //! goes parallel: inter-query batch execution (the executor's worker
-//! pool) and intra-query morsel dispatch (dense candidate scans split
-//! into fixed-size pre-range morsels). Workers pull task indexes from a
-//! shared atomic counter — classic work stealing without queues — and
-//! results are re-assembled *by task index*, so the output order is
-//! deterministic and independent of the thread count.
+//! pool; a single query always evaluates sequentially). Workers pull
+//! task indexes from a shared atomic counter — classic work stealing
+//! without queues — and results are re-assembled *by task index*, so
+//! the output order is deterministic and independent of the thread
+//! count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -98,8 +98,17 @@ where
 mod tests {
     use super::*;
 
+    /// `par.worker` is a process-wide fault point: the test that arms it
+    /// must not overlap the others, or its injected panic lands in them.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn preserves_task_order() {
+        let _serial = serial();
         for threads in [1, 2, 4, 8] {
             let got = scatter(37, threads, || 0u32, |_, k| k * k);
             let want: Vec<usize> = (0..37).map(|k| k * k).collect();
@@ -109,6 +118,7 @@ mod tests {
 
     #[test]
     fn init_runs_once_per_worker_inline() {
+        let _serial = serial();
         use std::sync::atomic::AtomicUsize;
         let inits = AtomicUsize::new(0);
         let got = scatter(
@@ -123,6 +133,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_task() {
+        let _serial = serial();
         assert!(scatter(0, 4, || (), |_, k| k).is_empty());
         assert_eq!(scatter(1, 4, || (), |_, k| k), vec![0]);
     }
@@ -132,6 +143,7 @@ mod tests {
     /// must now surface on the calling thread.
     #[test]
     fn worker_panic_propagates_to_caller() {
+        let _serial = serial();
         for threads in [1, 4] {
             let outcome = std::panic::catch_unwind(|| {
                 scatter(
@@ -156,6 +168,7 @@ mod tests {
     /// worker panic anywhere in the pool fails the whole scatter.
     #[test]
     fn injected_worker_fault_propagates() {
+        let _serial = serial();
         crate::fault::inject_times("par.worker", crate::fault::FaultAction::Panic, 1);
         let outcome = std::panic::catch_unwind(|| scatter(32, 4, || (), |_, k| k));
         crate::fault::clear("par.worker");

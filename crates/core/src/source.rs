@@ -21,7 +21,7 @@
 //! `RegionSource`, and the engine's existing multi-document join
 //! machinery merges the streams in document order.
 
-use crate::index::{IndexStats, RegionEntry, RegionIndex};
+use crate::index::{CandidateScratch, IndexStats, RegionEntry, RegionIndex};
 use crate::region::Region;
 
 /// A region index plus an optional retraction set, presented as one
@@ -134,23 +134,14 @@ impl<'a> RegionSource<'a> {
     /// access path of §4.3, minus anything retracted. The retraction
     /// filter is a single post-pass gated on `is_pure()`, never a
     /// per-entry check inside the scan kernel, so the pure-snapshot path
-    /// runs the exact index kernel.
-    pub fn candidates_into(&self, candidates: &[u32], out: &mut Vec<RegionEntry>) {
-        self.index.candidates_into(candidates, out);
-        if !self.is_pure() {
-            out.retain(|e| !self.is_retracted(e.id));
-        }
-    }
-
-    /// [`RegionSource::candidates_into`] with caller-owned kernel scratch
-    /// (dense bitset, morsel policy, counters) — the join hot path.
-    pub fn candidates_into_with(
+    /// runs the exact index kernel ([`RegionIndex::candidates_into`]).
+    pub fn candidates_into(
         &self,
         candidates: &[u32],
-        scratch: &mut crate::index::CandidateScratch,
+        scratch: &mut CandidateScratch,
         out: &mut Vec<RegionEntry>,
     ) {
-        self.index.candidates_into_with(candidates, scratch, out);
+        self.index.candidates_into(candidates, scratch, out);
         if !self.is_pure() {
             out.retain(|e| !self.is_retracted(e.id));
         }
@@ -253,7 +244,7 @@ mod tests {
         assert_eq!(src.annotated_nodes_in(&mut nodes), &[2, 6]);
 
         let mut cands = Vec::new();
-        src.candidates_into(&[2, 4, 6], &mut cands);
+        src.candidates_into(&[2, 4, 6], &mut CandidateScratch::default(), &mut cands);
         assert!(cands.iter().all(|e| e.id != 4));
         assert_eq!(cands.len(), 2);
     }

@@ -1,13 +1,43 @@
-//! Property tests for the region index: both candidate-intersection
-//! paths (selective gather vs full scan) must agree, and the index must
+//! Property tests for the region index: the candidate intersection's
+//! single entry point and both of its kernels (node-view gather, dense
+//! bitset scan) must agree with the §4.3 definition, and the index must
 //! faithfully represent the annotations it was built from.
 
 use proptest::prelude::*;
 
-use standoff_core::{
-    Area, CandidateScratch, MorselPolicy, Region, RegionEntry, RegionIndex, StandoffConfig,
-};
+use standoff_core::{Area, CandidateScratch, Region, RegionEntry, RegionIndex, StandoffConfig};
 use standoff_xml::DocumentBuilder;
+
+/// The oracle, by definition: the start-clustered table filtered by
+/// candidate membership. Shares no code with either kernel.
+fn oracle(index: &RegionIndex, candidates: &[u32]) -> Vec<RegionEntry> {
+    index
+        .entries()
+        .iter()
+        .filter(|e| candidates.binary_search(&e.id).is_ok())
+        .copied()
+        .collect()
+}
+
+/// Entry point and both kernels against the oracle; returns the kernel
+/// counters the entry point accumulated.
+fn assert_all_agree(index: &RegionIndex, candidates: &[u32]) -> CandidateScratch {
+    let want = oracle(index, candidates);
+    let mut scratch = CandidateScratch::default();
+    let mut got = vec![RegionEntry {
+        start: -1,
+        end: -1,
+        id: 0,
+    }]; // must be cleared
+    index.candidates_into(candidates, &mut scratch, &mut got);
+    assert_eq!(got, want, "entry point");
+    assert_eq!(index.candidates_for(candidates), want, "allocating form");
+    index.gather_candidates(candidates, &mut got);
+    assert_eq!(got, want, "gather kernel");
+    index.dense_scan_candidates(candidates, &mut CandidateScratch::default(), &mut got);
+    assert_eq!(got, want, "dense scan kernel");
+    scratch
+}
 
 /// Random single/multi-region annotations with controlled geometry.
 fn annotations_strategy() -> impl Strategy<Value = Vec<Vec<(i64, i64)>>> {
@@ -50,33 +80,24 @@ fn build_index(annotations: &[Vec<(i64, i64)>]) -> (Vec<u32>, RegionIndex) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The adaptive gather path and the scan path of `candidates_for`
-    /// return identical entry sequences for every selectivity.
+    /// The entry point and both kernels equal the oracle for every
+    /// table size (empty and one-entry tables included) and every
+    /// candidate set drawn from annotated *and* unannotated pre ranks —
+    /// so cases land on both sides of the `node_view_preferred`
+    /// boundary and reach `C > E`.
     #[test]
-    fn intersection_paths_agree(
+    fn entry_point_and_kernels_match_the_oracle(
         annotations in annotations_strategy(),
-        picks in prop::collection::vec(any::<u8>(), 0..64),
+        picks in prop::collection::vec(any::<u16>(), 0..160),
     ) {
         let (pres, index) = build_index(&annotations);
-        if pres.is_empty() {
-            return Ok(());
-        }
-        let mut candidates: Vec<u32> = picks
-            .iter()
-            .map(|&p| pres[p as usize % pres.len()])
-            .collect();
+        // Even ranks up to 2·n are annotated; odd ones and the tail
+        // beyond are not.
+        let universe = pres.len() as u32 * 2 + 40;
+        let mut candidates: Vec<u32> = picks.iter().map(|&p| p as u32 % universe).collect();
         candidates.sort_unstable();
         candidates.dedup();
-
-        let fast = index.candidates_for(&candidates);
-        // Reference: the definitional scan.
-        let slow: Vec<RegionEntry> = index
-            .entries()
-            .iter()
-            .filter(|e| candidates.binary_search(&e.id).is_ok())
-            .copied()
-            .collect();
-        prop_assert_eq!(fast, slow);
+        assert_all_agree(&index, &candidates);
     }
 
     /// Index round-trip: every annotation's regions come back through
@@ -106,40 +127,6 @@ proptest! {
         prop_assert_eq!(index.max_regions() as usize, max);
     }
 
-    /// Every candidate representation — the adaptive entry point, the
-    /// forced sparse scan, the forced dense-bitset scan, and the forced
-    /// node-view gather — returns byte-identical entry sequences, and
-    /// the threaded (morsel-policy) path agrees with the sequential one
-    /// regardless of thread count.
-    #[test]
-    fn candidate_representations_agree(
-        annotations in annotations_strategy(),
-        picks in prop::collection::vec(any::<u8>(), 0..64),
-        threads in 1usize..8,
-    ) {
-        let (pres, index) = build_index(&annotations);
-        if pres.is_empty() {
-            return Ok(());
-        }
-        let mut candidates: Vec<u32> = picks
-            .iter()
-            .map(|&p| pres[p as usize % pres.len()])
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-
-        let adaptive = index.candidates_for(&candidates);
-        prop_assert_eq!(&adaptive, &index.candidates_for_scan(&candidates));
-        prop_assert_eq!(&adaptive, &index.candidates_for_dense_scan(&candidates));
-        prop_assert_eq!(&adaptive, &index.candidates_for_gather(&candidates));
-
-        let mut scratch = CandidateScratch::default();
-        scratch.policy = MorselPolicy { threads };
-        let mut threaded = Vec::new();
-        index.candidates_into_with(&candidates, &mut scratch, &mut threaded);
-        prop_assert_eq!(&adaptive, &threaded);
-    }
-
     /// Unknown nodes have no regions; annotated nodes are reported in
     /// document order.
     #[test]
@@ -155,14 +142,11 @@ proptest! {
     }
 }
 
-/// Deterministic check that both intersection paths are actually
-/// exercised: tiny candidate sets take the gather path, huge ones the
-/// scan path — forced by construction.
-#[test]
-fn both_paths_execute() {
+/// `n` single-region annotations `<a start end/>` under one root.
+fn uniform_index(n: i64) -> (Vec<u32>, RegionIndex) {
     let mut b = DocumentBuilder::new();
     b.start_element("d");
-    for k in 0..2000 {
+    for k in 0..n {
         b.start_element("a");
         b.attribute("start", &(k * 3).to_string());
         b.attribute("end", &(k * 3 + 1).to_string());
@@ -171,59 +155,78 @@ fn both_paths_execute() {
     b.end_element();
     let doc = b.finish().unwrap();
     let index = RegionIndex::build(&doc, &StandoffConfig::default()).unwrap();
-    let all = doc.elements_named("a");
-
-    // Selective: 3 nodes → gather path.
-    let few = [all[10], all[500], all[1999]];
-    let got = index.candidates_for(&few);
-    assert_eq!(got.len(), 3);
-    assert!(got.windows(2).all(|w| w[0].start <= w[1].start));
-
-    // Broad: everything → scan path; equals the full index.
-    let got = index.candidates_for(all);
-    assert_eq!(got, index.entries());
+    (doc.elements_named("a").to_vec(), index)
 }
 
-/// Deterministic check that the morsel pool actually engages on a table
-/// big enough to split, and that its document-order merge is
-/// byte-identical to the sequential scan for every thread count.
+/// Deterministic check that the one decision really dispatches to both
+/// kernels, and that the candidate counts adjacent to the crossover land
+/// on opposite sides of it with identical answers.
 #[test]
-fn morsel_split_is_bytewise_identical() {
-    let mut b = DocumentBuilder::new();
-    b.start_element("d");
-    for k in 0..20_000i64 {
-        b.start_element("a");
-        b.attribute("start", &(k * 2).to_string());
-        b.attribute("end", &(k * 2 + 1).to_string());
-        b.end_element();
-    }
-    b.end_element();
-    let doc = b.finish().unwrap();
-    let index = RegionIndex::build(&doc, &StandoffConfig::default()).unwrap();
-    // Every other element: dense enough for the bitset, selective enough
-    // that the result is not just the whole table.
-    let candidates: Vec<u32> = doc.elements_named("a").iter().step_by(2).copied().collect();
+fn both_kernels_execute_around_the_crossover() {
+    let (all, index) = uniform_index(2000);
 
-    let sequential = index.candidates_for_scan(&candidates);
-    for threads in [2usize, 4, 8] {
-        let mut scratch = CandidateScratch::default();
-        scratch.policy = MorselPolicy { threads };
-        let mut got = Vec::new();
-        index.candidates_into_with(&candidates, &mut scratch, &mut got);
-        assert_eq!(got, sequential, "threads={threads}");
-        assert_eq!(scratch.stats.repr_dense, 1, "threads={threads}");
-        assert!(
-            scratch.stats.morsels_dispatched >= 2,
-            "threads={threads}: expected a real split, got {:?}",
-            scratch.stats
-        );
-        assert!(scratch.stats.dense_blocks > 0);
+    // Selective: 3 nodes → gather kernel, no scan counters.
+    let few = [all[10], all[500], all[1999]];
+    assert!(index.prefers_node_view(few.len()));
+    let scratch = assert_all_agree(&index, &few);
+    assert_eq!(scratch.stats.candidate_repr_dense, 0);
+    assert_eq!(scratch.stats.candidate_dense_blocks, 0);
+
+    // Broad: everything → dense scan kernel; equals the full index.
+    assert!(!index.prefers_node_view(all.len()));
+    let scratch = assert_all_agree(&index, &all);
+    assert_eq!(index.candidates_for(&all), index.entries());
+    assert_eq!(scratch.stats.candidate_repr_dense, 1);
+    assert_eq!(scratch.stats.candidate_dense_blocks, 2000u64.div_ceil(64));
+
+    // The last gather-side count and the first scan-side count.
+    let last_gather = (1..all.len())
+        .rev()
+        .find(|&c| index.prefers_node_view(c))
+        .unwrap();
+    assert!(!index.prefers_node_view(last_gather + 1));
+    let spread: Vec<u32> = all.iter().step_by(7).copied().collect();
+    assert!(spread.len() > last_gather);
+    assert_eq!(
+        assert_all_agree(&index, &spread[..last_gather])
+            .stats
+            .candidate_repr_dense,
+        0
+    );
+    assert_eq!(
+        assert_all_agree(&index, &spread[..last_gather + 1])
+            .stats
+            .candidate_repr_dense,
+        1
+    );
+}
+
+/// The degenerate tables: no entries, one entry, and far more candidate
+/// elements than entries (`C ≫ E`, where the scan pays an `O(C)` bitset
+/// fill for a one-block pass).
+#[test]
+fn empty_single_entry_and_oversubscribed_tables() {
+    let many: Vec<u32> = (0..50_000).collect();
+
+    let (_, empty) = uniform_index(0);
+    assert!(empty.is_empty());
+    for cands in [&[][..], &[7][..], &many[..]] {
+        let scratch = assert_all_agree(&empty, cands);
+        assert_eq!(scratch.stats.candidate_repr_dense, 0, "nothing to scan");
     }
 
-    // threads == 1 must not spawn or split at all.
-    let mut scratch = CandidateScratch::default();
-    let mut got = Vec::new();
-    index.candidates_into_with(&candidates, &mut scratch, &mut got);
-    assert_eq!(got, sequential);
-    assert_eq!(scratch.stats.morsels_dispatched, 0);
+    let (one, single) = uniform_index(1);
+    assert_eq!(single.len(), 1);
+    assert_all_agree(&single, &[]);
+    assert_eq!(single.candidates_for(&one), single.entries());
+    assert_all_agree(&single, &one);
+    assert_all_agree(&single, &[one[0] + 1]);
+    let scratch = assert_all_agree(&single, &many);
+    assert_eq!(scratch.stats.candidate_repr_dense, 1);
+    assert_eq!(scratch.stats.candidate_dense_blocks, 1);
+
+    let (_, small) = uniform_index(64);
+    assert!(!small.prefers_node_view(many.len()));
+    assert_eq!(small.candidates_for(&many), small.entries());
+    assert_all_agree(&small, &many);
 }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use standoff_algebra::{Item, LlSeq};
-use standoff_core::join::JoinScratch;
+use standoff_core::join::{JoinScratch, JoinStats};
 use standoff_core::obs::{Counter, Histogram, MetricsRegistry};
 use standoff_core::{Budget, IndexStats, RegionIndex, StandoffConfig, StandoffStrategy};
 use standoff_xml::{DocId, Document, Store};
@@ -66,12 +66,6 @@ pub struct EngineOptions {
     /// of [`EngineOptions::fingerprint`]: profiled and unprofiled runs
     /// may share one cached plan.
     pub profile: bool,
-    /// Worker threads a single query may fan a dense candidate scan out
-    /// over (morsel-driven intra-query parallelism; 1 = sequential).
-    /// Like `profile` this is a pure *run-time* switch — the plan and
-    /// the results are identical at any thread count — so it is **not**
-    /// part of [`EngineOptions::fingerprint`] either.
-    pub threads: usize,
 }
 
 impl Default for EngineOptions {
@@ -82,7 +76,6 @@ impl Default for EngineOptions {
             recursion_limit: 64,
             auto_strategy: false,
             profile: false,
-            threads: 1,
         }
     }
 }
@@ -113,93 +106,6 @@ impl EngineOptions {
     }
 }
 
-/// Counters of the StandOff join executor's fast-path decisions, kept on
-/// the engine state and readable through [`Engine::join_stats`] /
-/// [`Session::join_stats`]. They exist so tests (and curious operators)
-/// can assert *mechanism*, not just timing: that a pushdown-guaranteed
-/// step really skipped its trailing self-axis pass, that a single-
-/// fragment scope really skipped the result sort, and which side of the
-/// candidate-intersection cost model an operator landed on.
-///
-/// # Reset semantics
-///
-/// The counters are **cumulative per [`Engine`] / per [`Session`]**,
-/// never per query: every query run on the same engine or session adds
-/// to them. A fresh [`Session`] from [`SharedEngine::session`] starts
-/// at zero — it does *not* inherit counts accumulated before the engine
-/// was frozen. To meter a single query (or any window), either call
-/// [`Engine::reset_join_stats`] first or use
-/// [`Engine::take_join_stats`] / [`Session::take_join_stats`], which
-/// returns the counts since the last take/reset and zeroes them in one
-/// step. The same events are also mirrored into the engine's
-/// [`MetricsRegistry`] under `join.*` names, where they accumulate
-/// engine-wide across all sessions.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct JoinStats {
-    /// Result merges skipped because the scope was a single fragment
-    /// (or trivially small) and the join output was already in
-    /// `(iter, document-order)`.
-    pub result_sorts_elided: u64,
-    /// Result merges that had to sort (multi-fragment / multi-layer).
-    pub result_sorts: u64,
-    /// Trailing `self::test` passes skipped (plan-guaranteed tests).
-    pub post_filters_elided: u64,
-    /// Trailing `self::test` passes executed.
-    pub post_filters: u64,
-    /// Candidate intersections taken through the node view (gather).
-    pub candidate_node_view: u64,
-    /// Candidate intersections taken as full index scans.
-    pub candidate_scans: u64,
-    /// Scan-path intersections that ran with the dense bitset
-    /// representation ([`standoff_core::CandidateRepr::Dense`]).
-    pub candidate_repr_dense: u64,
-    /// Scan-path intersections that ran with the sparse list
-    /// representation.
-    pub candidate_repr_sparse: u64,
-    /// 64-entry blocks processed by the branch-free kernels (dense
-    /// candidate scans + the merge join's single-active emission runs).
-    pub candidate_dense_blocks: u64,
-    /// Morsels dispatched to the intra-query worker pool (0 ⇒ every
-    /// scan ran sequentially — the default at `threads = 1`).
-    pub morsels_dispatched: u64,
-}
-
-impl JoinStats {
-    /// Fold another counter set into this one.
-    pub fn merge(&mut self, other: JoinStats) {
-        self.result_sorts_elided += other.result_sorts_elided;
-        self.result_sorts += other.result_sorts;
-        self.post_filters_elided += other.post_filters_elided;
-        self.post_filters += other.post_filters;
-        self.candidate_node_view += other.candidate_node_view;
-        self.candidate_scans += other.candidate_scans;
-        self.candidate_repr_dense += other.candidate_repr_dense;
-        self.candidate_repr_sparse += other.candidate_repr_sparse;
-        self.candidate_dense_blocks += other.candidate_dense_blocks;
-        self.morsels_dispatched += other.morsels_dispatched;
-    }
-
-    /// Absorb the core scan-kernel counters into the engine-level set.
-    pub fn merge_kernel(&mut self, kernel: standoff_core::KernelStats) {
-        self.candidate_repr_dense += kernel.repr_dense;
-        self.candidate_repr_sparse += kernel.repr_sparse;
-        self.candidate_dense_blocks += kernel.dense_blocks;
-        self.morsels_dispatched += kernel.morsels_dispatched;
-    }
-
-    /// Zero every counter.
-    pub fn reset(&mut self) {
-        *self = JoinStats::default();
-    }
-
-    /// Return the current counts and zero them — the "delta since last
-    /// take" primitive profiling runs use so they never inherit stale
-    /// counts.
-    pub fn take_delta(&mut self) -> JoinStats {
-        std::mem::take(self)
-    }
-}
-
 /// Pre-registered handles into an engine's [`MetricsRegistry`], created
 /// once per engine so hot paths never touch the registry's map lock.
 /// Cloning shares the underlying cells (sessions of one shared engine
@@ -210,16 +116,9 @@ pub(crate) struct MetricHandles {
     pub(crate) query_exec_ns: Histogram,
     pub(crate) mounts: Counter,
     pub(crate) mount_ns: Histogram,
-    pub(crate) join_result_sorts_elided: Counter,
-    pub(crate) join_result_sorts: Counter,
-    pub(crate) join_post_filters_elided: Counter,
-    pub(crate) join_post_filters: Counter,
-    pub(crate) join_candidate_node_view: Counter,
-    pub(crate) join_candidate_scans: Counter,
-    pub(crate) join_candidate_repr_dense: Counter,
-    pub(crate) join_candidate_repr_sparse: Counter,
-    pub(crate) join_candidate_dense_blocks: Counter,
-    pub(crate) join_morsels_dispatched: Counter,
+    /// One handle per [`JoinStats::COUNTERS`] row, registered as
+    /// `join.<name>`.
+    join: Vec<Counter>,
     pub(crate) delta_merge_reads: Counter,
 }
 
@@ -230,35 +129,19 @@ impl MetricHandles {
             query_exec_ns: registry.histogram("query.exec_ns"),
             mounts: registry.counter("engine.mounts"),
             mount_ns: registry.histogram("engine.mount_ns"),
-            join_result_sorts_elided: registry.counter("join.result_sorts_elided"),
-            join_result_sorts: registry.counter("join.result_sorts"),
-            join_post_filters_elided: registry.counter("join.post_filters_elided"),
-            join_post_filters: registry.counter("join.post_filters"),
-            join_candidate_node_view: registry.counter("join.candidate_node_view"),
-            join_candidate_scans: registry.counter("join.candidate_scans"),
-            join_candidate_repr_dense: registry.counter("join.candidate_repr_dense"),
-            join_candidate_repr_sparse: registry.counter("join.candidate_repr_sparse"),
-            join_candidate_dense_blocks: registry.counter("join.candidate_dense_blocks"),
-            join_morsels_dispatched: registry.counter("join.morsels_dispatched"),
+            join: JoinStats::COUNTERS
+                .iter()
+                .map(|c| registry.counter(&format!("join.{}", c.name)))
+                .collect(),
             delta_merge_reads: registry.counter("store.delta.merge_reads"),
         }
     }
 
     /// Mirror one join's stat delta into the registry counters.
     pub(crate) fn record_join(&self, stats: &JoinStats) {
-        self.join_result_sorts_elided.add(stats.result_sorts_elided);
-        self.join_result_sorts.add(stats.result_sorts);
-        self.join_post_filters_elided.add(stats.post_filters_elided);
-        self.join_post_filters.add(stats.post_filters);
-        self.join_candidate_node_view.add(stats.candidate_node_view);
-        self.join_candidate_scans.add(stats.candidate_scans);
-        self.join_candidate_repr_dense
-            .add(stats.candidate_repr_dense);
-        self.join_candidate_repr_sparse
-            .add(stats.candidate_repr_sparse);
-        self.join_candidate_dense_blocks
-            .add(stats.candidate_dense_blocks);
-        self.join_morsels_dispatched.add(stats.morsels_dispatched);
+        for (handle, (_, value)) in self.join.iter().zip(stats.counters()) {
+            handle.add(value);
+        }
     }
 }
 
@@ -891,13 +774,6 @@ impl Engine {
         self.state.options.auto_strategy = enabled;
     }
 
-    /// Set the intra-query morsel parallelism budget (see
-    /// [`EngineOptions::threads`]). A run-time switch: results and plans
-    /// are identical at any thread count.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.state.options.threads = threads.max(1);
-    }
-
     /// Install (or clear, with `None`) the governance budget for
     /// subsequent runs on this engine: deadline, result-cardinality and
     /// scratch-memory caps, and cooperative cancellation via
@@ -1155,12 +1031,6 @@ impl Session {
     /// (see [`EngineOptions::profile`]).
     pub fn set_profile(&mut self, enabled: bool) {
         self.state.options.profile = enabled;
-    }
-
-    /// Set this session's intra-query morsel parallelism budget (see
-    /// [`EngineOptions::threads`]).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.state.options.threads = threads.max(1);
     }
 
     /// Install (or clear) the governance budget for subsequent queries

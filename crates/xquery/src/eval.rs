@@ -28,11 +28,11 @@ use std::sync::Arc;
 
 use standoff_algebra::{Item, LlSeq, NameCache, NodeTable, NodeTest, TreeAxis};
 use standoff_core::join::evaluate_standoff_join_with;
-use standoff_core::{IterNode, JoinInput, RegionIndex, RegionSource, StandoffConfig};
+use standoff_core::{IterNode, JoinInput, JoinStats, RegionIndex, RegionSource, StandoffConfig};
 use standoff_xml::{DocId, DocumentBuilder, NodeKind, NodeRef};
 
 use crate::ast::{ArithOp, CompOp};
-use crate::engine::{EngineState, JoinStats};
+use crate::engine::EngineState;
 use crate::error::QueryError;
 use crate::functions;
 use crate::plan::*;
@@ -1098,9 +1098,6 @@ impl<'e> Evaluator<'e> {
         let mut delta_cand_rows: u64 = 0;
         let mut merge_reads: u64 = 0;
         let mut scratch = std::mem::take(&mut self.engine.join_scratch);
-        // Morsel budget for candidate scans, from the session's runtime
-        // options (1 = sequential; results are thread-count invariant).
-        scratch.set_morsel_threads(self.engine.options.threads);
         // Governance handle for the scan/merge kernels, so a deadline
         // or cancellation interrupts the join mid-kernel.
         scratch.set_budget(self.engine.budget.clone());
@@ -1251,10 +1248,10 @@ impl<'e> Evaluator<'e> {
             }
             Ok(())
         })();
-        // Fold the scan-kernel counters (representation choices, dense
-        // blocks, morsels) accumulated inside the join calls into this
-        // operator's stat delta before the scratch goes back.
-        stats.merge_kernel(scratch.take_kernel_stats());
+        // Fold the kernel counters (dense scans, branch-free blocks)
+        // accumulated inside the join calls into this operator's stat
+        // delta before the scratch goes back.
+        stats.merge(scratch.take_stats());
         self.engine.join_scratch = scratch;
         joined?;
         // Merge per-document results: sort by (iter, doc order) with the

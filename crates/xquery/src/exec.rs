@@ -443,8 +443,8 @@ impl Executor {
     }
 
     /// The shared batch driver: fan `queries` out over the workers via
-    /// [`standoff_core::par::scatter`] — the same pull-based,
-    /// order-preserving pool the join morsel kernels use — recording
+    /// [`standoff_core::par::scatter`] — a pull-based,
+    /// order-preserving pool — recording
     /// queue metrics (`executor.*`) into the engine registry per pick.
     /// Returns one result per query in submission order: a panicked
     /// pool worker re-raises on this thread (the callers above convert

@@ -92,34 +92,17 @@ impl AnalyzeCtx<'_> {
         if let Some(j) = &m.join {
             let _ = write!(
                 note,
-                " | join ctx={} cands={} (max {}) node-view={} scan={} sorts={} (elided {}) post={} (elided {})",
-                j.ctx_rows,
-                j.cand_rows,
-                j.cand_max,
-                j.stats.candidate_node_view,
-                j.stats.candidate_scans,
-                j.stats.result_sorts,
-                j.stats.result_sorts_elided,
-                j.stats.post_filters,
-                j.stats.post_filters_elided,
+                " | join ctx={} cands={} (max {})",
+                j.ctx_rows, j.cand_rows, j.cand_max,
             );
-            // Scan-kernel detail: which candidate representation the
-            // scans ran with, branch-free blocks, and morsel dispatch.
-            // Gated on nonzero so gather-only lines render unchanged.
-            if j.stats.candidate_repr_dense
-                + j.stats.candidate_repr_sparse
-                + j.stats.candidate_dense_blocks
-                + j.stats.morsels_dispatched
-                > 0
-            {
-                let _ = write!(
-                    note,
-                    " repr dense={} sparse={} blocks={} morsels={}",
-                    j.stats.candidate_repr_dense,
-                    j.stats.candidate_repr_sparse,
-                    j.stats.candidate_dense_blocks,
-                    j.stats.morsels_dispatched,
-                );
+            // The declared counter set, in declaration order; kernel
+            // detail is shown only where a kernel fired, so gather-only
+            // lines stay short.
+            for (counter, value) in j.stats.counters() {
+                if counter.always || value > 0 {
+                    note.push(' ');
+                    note.push_str(&counter.label.replace("{}", &value.to_string()));
+                }
             }
             // Only an overlay mount can make these nonzero; pure
             // snapshots keep the historical analyze line untouched.
@@ -163,26 +146,16 @@ fn standoff_note(op: &StandoffOp, explicit_candidates: bool) -> String {
     // The candidate-intersection access path: when the estimate pass
     // left cardinalities, the gather-vs-scan decision the index will
     // make at run time ([`standoff_core::index::node_view_preferred`])
-    // is reported here from the same cost rule; on the scan branch, the
-    // candidate representation ([`standoff_core::index::dense_repr_preferred`]
-    // on the estimated count/span) is tagged alongside. The span
-    // estimate ignores retractions, so a borderline overlay query may
-    // print the other tag than the runtime `repr` counters report —
-    // results are identical either way.
+    // is reported here from the same cost rule.
     let access = |count: Option<u64>| match (count, &op.estimate) {
         (Some(c), Some(est)) if est.index.entries > 0 => {
             if standoff_core::index::node_view_preferred(c as usize, est.index.entries) {
-                " [node-view]".to_string()
+                " [node-view]"
             } else {
-                let span = est.candidate_span.unwrap_or(c);
-                if standoff_core::index::dense_repr_preferred(c as usize, span, est.index.entries) {
-                    " [scan] [dense-bitset]".to_string()
-                } else {
-                    " [scan] [sparse-list]".to_string()
-                }
+                " [scan]"
             }
         }
-        _ => String::new(),
+        _ => "",
     };
     let cand = if explicit_candidates {
         "candidates: explicit node sequence ∩ region index".to_string()

@@ -62,10 +62,11 @@ pub mod plan;
 pub mod profile;
 pub mod result;
 
-pub use engine::{Engine, EngineOptions, JoinStats, Session, SharedEngine};
+pub use engine::{Engine, EngineOptions, Session, SharedEngine};
 pub use error::QueryError;
 pub use exec::{CacheStats, Executor, Governance, QueryCache};
 pub use overlay::WritableEngine;
 pub use plan::Plan;
 pub use profile::{JoinExec, OpMetrics, PlanProfile, QueryProfile};
 pub use result::QueryResult;
+pub use standoff_core::JoinStats;

@@ -724,24 +724,6 @@ fn sorted_intersection_count(a: &[u32], b: &[u32]) -> usize {
     n
 }
 
-/// Largest per-document pre-rank span (`last − first + 1`) of `name`'s
-/// element index — the bitset size a dense candidate representation
-/// would build, fed to [`standoff_core::index::dense_repr_preferred`]
-/// at explain time. Retractions are ignored: they can only shrink the
-/// true span, and the tag is advisory (runtime counters are
-/// authoritative).
-fn corpus_name_span(ctx: &PlanContext<'_>, name: &str) -> Option<u64> {
-    let store = ctx.store?;
-    let mut span: u64 = 0;
-    for id in store.doc_ids() {
-        let named = store.doc(id).elements_named(name);
-        if let (Some(&first), Some(&last)) = (named.first(), named.last()) {
-            span = span.max((last - first) as u64 + 1);
-        }
-    }
-    Some(span)
-}
-
 /// Occurrences of `name` contributed by overlay delta documents alone —
 /// the merge-on-read share of a pushdown's candidate sequence. `None`
 /// when the mount has no delta documents at all.
@@ -845,15 +827,10 @@ fn estimate(plan: &mut Plan, ctx: &PlanContext<'_>) {
             .pushdown
             .as_ref()
             .and_then(|name| delta_name_count(ctx, name));
-        let candidate_span = op
-            .pushdown
-            .as_ref()
-            .and_then(|name| corpus_name_span(ctx, name));
         op.estimate = Some(JoinEstimate {
             index: stats,
             candidates,
             delta_candidates,
-            candidate_span,
         });
     });
 }

@@ -155,11 +155,6 @@ pub struct JoinEstimate {
     /// Share of `candidates` contributed by overlay delta documents
     /// (pending inserts). `None` on a pure-snapshot mount.
     pub delta_candidates: Option<u64>,
-    /// Largest per-document pre-rank span (`last − first + 1`) of the
-    /// pushed element name — the bitset size the dense candidate
-    /// representation would have to build, so explain can report the
-    /// same sparse/dense choice the scan kernel will make.
-    pub candidate_span: Option<u64>,
 }
 
 /// One `for`/`let` binding of a compiled FLWOR.

@@ -23,8 +23,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::engine::JoinStats;
 use crate::plan::{Plan, PlanExpr};
+use standoff_core::JoinStats;
 
 /// Measurements of one plan operator across one query execution.
 #[derive(Clone, Debug, Default)]
@@ -143,27 +143,13 @@ impl QueryProfile {
             if let Some(j) = &m.join {
                 out.push_str(&format!(
                     ", \"join\": {{\"ctx_rows\": {}, \"cand_rows\": {}, \"cand_max\": {}, \
-                     \"delta_cand_rows\": {}, \"merge_reads\": {}, \
-                     \"node_view\": {}, \"scans\": {}, \
-                     \"repr_dense\": {}, \"repr_sparse\": {}, \
-                     \"dense_blocks\": {}, \"morsels\": {}, \"result_sorts\": {}, \
-                     \"result_sorts_elided\": {}, \"post_filters\": {}, \"post_filters_elided\": {}}}",
-                    j.ctx_rows,
-                    j.cand_rows,
-                    j.cand_max,
-                    j.delta_cand_rows,
-                    j.merge_reads,
-                    j.stats.candidate_node_view,
-                    j.stats.candidate_scans,
-                    j.stats.candidate_repr_dense,
-                    j.stats.candidate_repr_sparse,
-                    j.stats.candidate_dense_blocks,
-                    j.stats.morsels_dispatched,
-                    j.stats.result_sorts,
-                    j.stats.result_sorts_elided,
-                    j.stats.post_filters,
-                    j.stats.post_filters_elided
+                     \"delta_cand_rows\": {}, \"merge_reads\": {}",
+                    j.ctx_rows, j.cand_rows, j.cand_max, j.delta_cand_rows, j.merge_reads,
                 ));
+                for (counter, value) in j.stats.counters() {
+                    out.push_str(&format!(", \"{}\": {value}", counter.name));
+                }
+                out.push('}');
             }
             if let PlanExpr::StandoffStep { op, .. } | PlanExpr::StandoffFn { op, .. } = expr {
                 if let Some(est) = &op.estimate {

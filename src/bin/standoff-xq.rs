@@ -8,7 +8,7 @@
 //! standoff-xq query [--store SNAPSHOT]... [--load URI=FILE]...
 //!             [--load-bin FILE] (--query Q | --query-file F)
 //!             [--strategy naive|naive-candidates|basic|loop-lifted|auto]
-//!             [--no-pushdown] [--threads N] [--explain] [--time]
+//!             [--no-pushdown] [--explain] [--time]
 //! standoff-xq explain [--store SNAPSHOT]... [--load URI=FILE]...
 //!             [--load-bin FILE] (--query Q | --query-file F)
 //!             [--strategy ...] [--no-pushdown]
@@ -33,13 +33,9 @@
 //! `batch` evaluates many queries against one shared corpus: the engine
 //! is frozen after loading, worker threads each get a session over it,
 //! and results print to stdout in submission order (so output is
-//! byte-identical across `--threads` settings). For `query` (one query,
-//! one session) `--threads N` instead enables **intra-query** morsel
-//! parallelism: dense candidate scans split into pre-range morsels over
-//! N workers, merged back in document order — again byte-identical to
-//! the single-threaded run. `batch`/`stats` pass the same N down to
-//! their worker sessions, so large dense scans inside a batch morsel
-//! too. In the queries file,
+//! byte-identical across `--threads` settings). `--threads` is
+//! inter-query fan-out only: every single query evaluates sequentially.
+//! In the queries file,
 //! lines containing only `%%` separate multi-line queries; without any
 //! `%%` line, every non-empty line that does not start with `#` is one
 //! query. In `%%` mode, `#` comment lines are honored at the start of
@@ -82,14 +78,14 @@ const USAGE: &str = "standoff-xq index <base.xml> -o <snapshot> [--layer NAME=FI
                      standoff-xq query [--store SNAPSHOT [--delta SIDECAR]...]... [--load URI=FILE]... [--load-bin FILE]\n\
                      \x20           (--query Q | --query-file F)\n\
                      \x20           [--strategy naive|naive-candidates|basic|loop-lifted|auto]\n\
-                     \x20           [--no-pushdown] [--threads N] [--explain] [--time] [--profile] [--profile-json]\n\
+                     \x20           [--no-pushdown] [--explain] [--time] [--profile] [--profile-json]\n\
                      standoff-xq explain [--store SNAPSHOT]... [--load URI=FILE]... [--load-bin FILE]\n\
                      \x20           (--query Q | --query-file F) [--strategy ...] [--no-pushdown] [--analyze]\n\
                      standoff-xq batch [--store SNAPSHOT]... [--load URI=FILE]... [--load-bin FILE]\n\
                      \x20           [--strategy ...] [--no-pushdown] [--threads N] [--time]\n\
                      \x20           [--profile] [--profile-json] <queries.txt | ->\n\
                      standoff-xq stats [--store SNAPSHOT]... [--load URI=FILE]... [--load-bin FILE]\n\
-                     \x20           [--strategy ...] [--no-pushdown] [--threads N] [queries.txt | -]\n\
+                     \x20           [--strategy ...] [--no-pushdown] [queries.txt | -]\n\
                      standoff-xq serve [--listen ADDR] [--store SNAPSHOT]... [--strategy ...] [--no-pushdown]\n\
                      \x20           [--threads N] [--deadline-ms N] [--max-results N] [--max-scratch-mb N]\n\
                      \x20           [--queue-cap N] [--read-timeout-ms N]\n\
@@ -935,13 +931,23 @@ impl GovFlags {
     }
 }
 
+/// The value of `--threads N` / `-j N` at `argv[*k]` — the executor's
+/// worker count for `batch` (inter-query fan-out) and `serve`.
+fn threads_value(argv: &[String], k: &mut usize) -> Result<usize, String> {
+    *k += 1;
+    let n = argv.get(*k).ok_or("--threads needs a count")?;
+    n.parse::<usize>()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("bad --threads '{n}', expected a positive integer"))
+}
+
 // ---- query ----
 
 struct QueryArgs {
     corpus: CorpusArgs,
     gov: GovFlags,
     query: String,
-    threads: usize,
     explain: bool,
     time: bool,
     profile: bool,
@@ -953,7 +959,6 @@ fn parse_query_args(argv: &[String]) -> Result<QueryArgs, String> {
     let mut corpus = CorpusArgs::new();
     let mut gov = GovFlags::default();
     let mut query: Option<String> = None;
-    let mut threads = 1usize;
     let mut explain = false;
     let mut time = false;
     let mut profile = false;
@@ -969,14 +974,6 @@ fn parse_query_args(argv: &[String]) -> Result<QueryArgs, String> {
             "--query" | "-q" => {
                 k += 1;
                 query = Some(argv.get(k).ok_or("--query needs an argument")?.clone());
-            }
-            "--threads" | "-j" => {
-                k += 1;
-                let n = argv.get(k).ok_or("--threads needs a count")?;
-                threads =
-                    n.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("bad --threads '{n}', expected a positive integer")
-                    })?;
             }
             "--query-file" => {
                 k += 1;
@@ -1004,7 +1001,6 @@ fn parse_query_args(argv: &[String]) -> Result<QueryArgs, String> {
         corpus,
         gov,
         query,
-        threads,
         explain,
         time,
         profile,
@@ -1017,7 +1013,6 @@ fn cmd_query(argv: &[String]) -> Result<ExitCode, String> {
     let args = parse_query_args(argv)?;
     let load_start = Instant::now();
     let mut engine = args.corpus.build_engine()?;
-    engine.set_threads(args.threads);
     // Under `--deadline-ms`/`--max-results`/`--max-scratch-mb` the one
     // query runs on a budget; over-budget it fails with a clean
     // timeout/limit error and exit code 1, never partial output.
@@ -1088,7 +1083,6 @@ fn cmd_query(argv: &[String]) -> Result<ExitCode, String> {
 fn cmd_explain(argv: &[String]) -> Result<ExitCode, String> {
     let args = parse_query_args(argv)?;
     let mut engine = args.corpus.build_engine()?;
-    engine.set_threads(args.threads);
     // `--analyze` is explain's *executing* mode: run the query with
     // per-operator profiling and print the plan tree with measured
     // calls/rows/time next to the optimizer's estimates.
@@ -1126,14 +1120,7 @@ fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
             continue;
         }
         match argv[k].as_str() {
-            "--threads" | "-j" => {
-                k += 1;
-                let n = argv.get(k).ok_or("--threads needs a count")?;
-                threads =
-                    n.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("bad --threads '{n}', expected a positive integer")
-                    })?;
-            }
+            "--threads" | "-j" => threads = threads_value(argv, &mut k)?,
             "--time" => time = true,
             "--profile" => profile = true,
             "--profile-json" => profile_json = true,
@@ -1169,11 +1156,7 @@ fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
     }
 
     let load_start = Instant::now();
-    let mut engine = corpus.build_engine()?;
-    // Worker sessions inherit the thread count for intra-query morsel
-    // scans; `threads` is a runtime-only option, so this does not fork
-    // the plan-cache epoch.
-    engine.set_threads(threads);
+    let engine = corpus.build_engine()?;
     let load_elapsed = load_start.elapsed();
     // Governed batches give every query its own fresh budget; without
     // governance flags this is exactly `Executor::new`.
@@ -1246,7 +1229,6 @@ fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
 /// results are discarded — this subcommand exists to read the meters.
 fn cmd_stats(argv: &[String]) -> Result<ExitCode, String> {
     let mut corpus = CorpusArgs::new();
-    let mut threads = 1usize;
     let mut queries_path: Option<String> = None;
     let mut k = 0;
     while k < argv.len() {
@@ -1255,14 +1237,6 @@ fn cmd_stats(argv: &[String]) -> Result<ExitCode, String> {
             continue;
         }
         match argv[k].as_str() {
-            "--threads" | "-j" => {
-                k += 1;
-                let n = argv.get(k).ok_or("--threads needs a count")?;
-                threads =
-                    n.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("bad --threads '{n}', expected a positive integer")
-                    })?;
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return Ok(ExitCode::SUCCESS);
@@ -1277,9 +1251,8 @@ fn cmd_stats(argv: &[String]) -> Result<ExitCode, String> {
         }
         k += 1;
     }
-    let mut engine = corpus.build_engine()?;
-    engine.set_threads(threads);
-    let executor = Executor::new(engine.into_shared(), threads);
+    let engine = corpus.build_engine()?;
+    let executor = Executor::new(engine.into_shared(), 1);
     let mut failures = 0usize;
     if let Some(path) = &queries_path {
         let text = if path == "-" {
@@ -1363,14 +1336,7 @@ fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
                 k += 1;
                 listen = argv.get(k).ok_or("--listen needs HOST:PORT")?.clone();
             }
-            "--threads" | "-j" => {
-                k += 1;
-                let n = argv.get(k).ok_or("--threads needs a count")?;
-                threads =
-                    n.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("bad --threads '{n}', expected a positive integer")
-                    })?;
-            }
+            "--threads" | "-j" => threads = threads_value(argv, &mut k)?,
             "--read-timeout-ms" => {
                 k += 1;
                 let n = argv.get(k).ok_or("--read-timeout-ms needs a number")?;
@@ -1400,7 +1366,6 @@ fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
         strategy: corpus.strategy.unwrap_or(EngineOptions::default().strategy),
         auto_strategy: corpus.auto_strategy,
         candidate_pushdown: corpus.pushdown,
-        threads,
         ..EngineOptions::default()
     };
     let opts = ServeOptions {

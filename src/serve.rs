@@ -70,8 +70,11 @@ const DRAIN_WAIT: Duration = Duration::from_secs(5);
 /// much patience slow clients get.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Worker threads per executor (batch fan-out and intra-query
-    /// morsel parallelism alike).
+    /// Executor width only: worker threads an `Executor::run_batch`
+    /// would fan out over. Every request evaluates sequentially on its
+    /// connection thread and the protocol has no batch verb, so the
+    /// value changes nothing a client can observe; `serve --threads N`
+    /// stays accepted because deployed invocations pass it.
     pub threads: usize,
     /// Compile-time engine options (strategy, pushdown) every mounted
     /// corpus is served under.

@@ -102,42 +102,6 @@ fn injected_pool_worker_panic_fails_batch_cleanly_and_pool_recovers() {
     }
 }
 
-#[test]
-fn injected_morsel_panic_fails_only_that_query() {
-    let _guard = chaos_lock();
-    // Dense enough (10k entries > 2 × MORSEL_ENTRIES) that the scan
-    // splits into morsels at threads = 4.
-    let mut xml = String::from("<d>");
-    for k in 0..4 {
-        let lo = k * 5_000;
-        xml.push_str(&format!("<big start=\"{}\" end=\"{}\"/>", lo, lo + 4_999));
-    }
-    for k in 0..10_000 {
-        let lo = k * 2;
-        xml.push_str(&format!("<w start=\"{}\" end=\"{}\"/>", lo, lo + 1));
-    }
-    xml.push_str("</d>");
-    let mut engine = Engine::new();
-    engine.load_document("dense.xml", &xml).unwrap();
-    engine.set_threads(4);
-    let exec = Executor::new(engine.into_shared(), 1);
-
-    let join = r#"count(doc("dense.xml")//big/select-narrow::w)"#;
-    let baseline = exec.run_batch(&[join]);
-    assert_eq!(baseline[0].as_ref().unwrap().as_strings(), ["10000"]);
-
-    // One morsel worker panics mid-scan: that query degrades to an
-    // internal error; the next one (same executor, same session pool)
-    // answers correctly again.
-    fault::inject_times("index.morsel", FaultAction::Panic, 1);
-    let results = exec.run_batch(&[join, join]);
-    fault::clear_all();
-    let failed = results.iter().filter(|r| r.is_err()).count();
-    assert_eq!(failed, 1, "exactly the faulted query fails: {results:?}");
-    let ok: Vec<_> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
-    assert_eq!(ok[0].as_strings(), ["10000"]);
-}
-
 // ---- server chaos ----
 
 #[test]

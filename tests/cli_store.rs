@@ -310,4 +310,22 @@ fn bad_snapshot_and_bad_args_fail_cleanly() {
     let out = bin().args(["query"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("no query"));
+
+    // `--threads` is executor width (`batch`, `serve`); a single query
+    // has nothing to fan out, so the flag is refused, not ignored.
+    for verb in ["query", "stats"] {
+        let out = bin()
+            .args([verb, "--threads", "4", "--query", "1"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{verb} --threads");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(err.contains("unknown argument '--threads'"), "{err}");
+    }
+    let out = bin()
+        .args(["batch", "--threads", "0", "-"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("expected a positive integer"));
 }

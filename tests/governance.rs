@@ -4,9 +4,9 @@
 //! with a **clean, deterministic error** — the recorded trip reason,
 //! not the observation site, picks the [`QueryError`] variant, so the
 //! same over-budget query fails identically across all four StandOff
-//! strategies and any thread count — and a query that finishes under
-//! budget is byte-identical to an ungoverned run (governance must
-//! never change results, only refuse them). The executor half: a full
+//! strategies — and a query that finishes under budget is
+//! byte-identical to an ungoverned run (governance must never change
+//! results, only refuse them). The executor half: a full
 //! admission queue sheds with [`QueryError::Overloaded`] and the
 //! `executor.*` counters make overload visible in `stats` output.
 
@@ -19,14 +19,13 @@ use standoff::xquery::{Engine, Executor, Governance, QueryError};
 
 const SO_URI: &str = "xmark-standoff.xml";
 
-fn engine_with(strategy: StandoffStrategy, threads: usize) -> Engine {
+fn engine_with(strategy: StandoffStrategy) -> Engine {
     let src = generate(&XmarkConfig::with_scale(0.002));
     let so = standoffify(&src, 7);
     let so_xml = standoff::xml::serialize_document(&so.doc, Default::default());
     let mut engine = Engine::new();
     engine.load_document(SO_URI, &so_xml).unwrap();
     engine.set_strategy(strategy);
-    engine.set_threads(threads);
     engine
 }
 
@@ -48,93 +47,80 @@ fn heavy_query() -> String {
     )
 }
 
-const MATRIX_THREADS: [usize; 2] = [1, 4];
-
 #[test]
-fn expired_deadline_is_timeout_across_all_strategies_and_threads() {
+fn expired_deadline_is_timeout_across_all_strategies() {
     for strategy in StandoffStrategy::ALL {
-        for threads in MATRIX_THREADS {
-            let mut engine = engine_with(strategy, threads);
-            engine.set_budget(budget(BudgetLimits {
-                deadline: Some(Duration::ZERO),
-                ..BudgetLimits::default()
-            }));
-            let err = engine.run(&join_query()).unwrap_err();
-            assert_eq!(
-                err,
-                QueryError::Timeout,
-                "[{strategy}/threads={threads}] expired deadline must be a clean Timeout"
-            );
-        }
+        let mut engine = engine_with(strategy);
+        engine.set_budget(budget(BudgetLimits {
+            deadline: Some(Duration::ZERO),
+            ..BudgetLimits::default()
+        }));
+        let err = engine.run(&join_query()).unwrap_err();
+        assert_eq!(
+            err,
+            QueryError::Timeout,
+            "[{strategy}] expired deadline must be a clean Timeout"
+        );
     }
 }
 
 #[test]
-fn mid_flight_deadline_is_timeout_across_all_strategies_and_threads() {
+fn mid_flight_deadline_is_timeout_across_all_strategies() {
     for strategy in StandoffStrategy::ALL {
-        for threads in MATRIX_THREADS {
-            let mut engine = engine_with(strategy, threads);
-            engine.set_budget(budget(BudgetLimits {
-                deadline: Some(Duration::from_millis(1)),
-                ..BudgetLimits::default()
-            }));
-            // Wherever the trip is *observed* — a kernel poll deep in a
-            // merge loop, an operator-boundary check, a morsel worker —
-            // the reported error is the recorded reason: Timeout.
-            let err = engine.run(&heavy_query()).unwrap_err();
-            assert_eq!(
-                err,
-                QueryError::Timeout,
-                "[{strategy}/threads={threads}] mid-flight deadline must be a clean Timeout"
-            );
-        }
+        let mut engine = engine_with(strategy);
+        engine.set_budget(budget(BudgetLimits {
+            deadline: Some(Duration::from_millis(1)),
+            ..BudgetLimits::default()
+        }));
+        // Wherever the trip is *observed* — a kernel poll deep in a
+        // merge loop or an operator-boundary check — the reported
+        // error is the recorded reason: Timeout.
+        let err = engine.run(&heavy_query()).unwrap_err();
+        assert_eq!(
+            err,
+            QueryError::Timeout,
+            "[{strategy}] mid-flight deadline must be a clean Timeout"
+        );
     }
 }
 
 #[test]
-fn result_cap_error_is_identical_across_all_strategies_and_threads() {
+fn result_cap_error_is_identical_across_all_strategies() {
     let mut seen: Option<QueryError> = None;
     for strategy in StandoffStrategy::ALL {
-        for threads in MATRIX_THREADS {
-            let mut engine = engine_with(strategy, threads);
-            engine.set_budget(budget(BudgetLimits {
-                max_results: Some(8),
-                ..BudgetLimits::default()
-            }));
-            let err = engine.run(&join_query()).unwrap_err();
-            assert!(
-                matches!(err, QueryError::ResultLimit(_)),
-                "[{strategy}/threads={threads}] expected ResultLimit, got {err:?}"
-            );
-            // Cardinality is charged at operator boundaries, which are
-            // plan-shaped — so not just the variant but the *message*
-            // agrees across the whole matrix.
-            match &seen {
-                None => seen = Some(err),
-                Some(first) => assert_eq!(
-                    &err, first,
-                    "[{strategy}/threads={threads}] result-cap error diverged"
-                ),
-            }
+        let mut engine = engine_with(strategy);
+        engine.set_budget(budget(BudgetLimits {
+            max_results: Some(8),
+            ..BudgetLimits::default()
+        }));
+        let err = engine.run(&join_query()).unwrap_err();
+        assert!(
+            matches!(err, QueryError::ResultLimit(_)),
+            "[{strategy}] expected ResultLimit, got {err:?}"
+        );
+        // Cardinality is charged at operator boundaries, which are
+        // plan-shaped — so not just the variant but the *message*
+        // agrees across the whole matrix.
+        match &seen {
+            None => seen = Some(err),
+            Some(first) => assert_eq!(&err, first, "[{strategy}] result-cap error diverged"),
         }
     }
 }
 
 #[test]
-fn cancellation_is_clean_across_all_strategies_and_threads() {
+fn cancellation_is_clean_across_all_strategies() {
     for strategy in StandoffStrategy::ALL {
-        for threads in MATRIX_THREADS {
-            let mut engine = engine_with(strategy, threads);
-            let handle = Budget::cancel_token();
-            handle.cancel();
-            engine.set_budget(Some(handle));
-            let err = engine.run(&join_query()).unwrap_err();
-            assert_eq!(
-                err,
-                QueryError::Cancelled,
-                "[{strategy}/threads={threads}] cancelled budget must report Cancelled"
-            );
-        }
+        let mut engine = engine_with(strategy);
+        let handle = Budget::cancel_token();
+        handle.cancel();
+        engine.set_budget(Some(handle));
+        let err = engine.run(&join_query()).unwrap_err();
+        assert_eq!(
+            err,
+            QueryError::Cancelled,
+            "[{strategy}] cancelled budget must report Cancelled"
+        );
     }
 }
 
@@ -143,7 +129,7 @@ fn scratch_cap_refuses_cleanly() {
     // Scratch is what the join *buffers* pin, which depends on the
     // algorithm — so this cap is exercised per strategy, not asserted
     // identical across them.
-    let mut engine = engine_with(StandoffStrategy::LoopLiftedMergeJoin, 1);
+    let mut engine = engine_with(StandoffStrategy::LoopLiftedMergeJoin);
     engine.set_budget(budget(BudgetLimits {
         max_scratch_bytes: Some(1),
         ..BudgetLimits::default()
@@ -153,6 +139,45 @@ fn scratch_cap_refuses_cleanly() {
         err,
         QueryError::ResultLimit("scratch memory cap exceeded".into())
     );
+}
+
+/// Regression: the dense scan's candidate bitset is sized by the
+/// candidates' pre-rank *span*, not by how many of them are annotated,
+/// and the scratch cap did not count it. Here 5 000 unannotated `<w/>`
+/// strewn across 20 000 annotated `<x>` make the bitset (~3 KB) the
+/// only join buffer of any size, so a 2 KB cap must refuse the query —
+/// with the same error whichever merge-join strategy derives the
+/// candidates — while the ungoverned answer is 2.
+#[test]
+fn scratch_cap_sees_the_dense_candidate_bitset() {
+    let mut xml = String::from(r#"<d><s start="0" end="99999"/><w start="1" end="2"/>"#);
+    for k in 0..20_000 {
+        xml.push_str(&format!(r#"<x start="{k}" end="{k}"/>"#));
+        if k % 4 == 0 {
+            xml.push_str("<w/>");
+        }
+    }
+    xml.push_str(r#"<w start="5" end="6"/></d>"#);
+    let query = r#"count(doc("wide.xml")//s/select-narrow::w)"#;
+    for strategy in [
+        StandoffStrategy::LoopLiftedMergeJoin,
+        StandoffStrategy::BasicMergeJoin,
+    ] {
+        let mut engine = Engine::new();
+        engine.load_document("wide.xml", &xml).unwrap();
+        engine.set_strategy(strategy);
+        assert_eq!(engine.run(query).unwrap().as_strings(), ["2"]);
+        assert!(engine.join_stats().candidate_repr_dense > 0, "[{strategy}]");
+        engine.set_budget(budget(BudgetLimits {
+            max_scratch_bytes: Some(2048),
+            ..BudgetLimits::default()
+        }));
+        assert_eq!(
+            engine.run(query).unwrap_err(),
+            QueryError::ResultLimit("scratch memory cap exceeded".into()),
+            "[{strategy}]"
+        );
+    }
 }
 
 #[test]
@@ -168,24 +193,22 @@ fn under_budget_runs_are_byte_identical_to_ungoverned() {
         .chain([join_query()])
         .collect();
     for strategy in StandoffStrategy::ALL {
-        for threads in MATRIX_THREADS {
-            let mut governed = engine_with(strategy, threads);
+        let mut governed = engine_with(strategy);
+        governed.set_budget(budget(generous));
+        let mut plain = engine_with(strategy);
+        for text in &queries {
+            // A fresh budget per query: the caps are per-request.
             governed.set_budget(budget(generous));
-            let mut plain = engine_with(strategy, threads);
-            for text in &queries {
-                // A fresh budget per query: the caps are per-request.
-                governed.set_budget(budget(generous));
-                let g = governed
-                    .run(text)
-                    .unwrap_or_else(|e| panic!("[{strategy}/threads={threads}] {text}: {e}"));
-                let p = plain.run(text).unwrap();
-                assert_eq!(
-                    g.as_serialized(),
-                    p.as_serialized(),
-                    "[{strategy}/threads={threads}] governed result diverged: {text}"
-                );
-                assert_eq!(g.as_strings(), p.as_strings());
-            }
+            let g = governed
+                .run(text)
+                .unwrap_or_else(|e| panic!("[{strategy}] {text}: {e}"));
+            let p = plain.run(text).unwrap();
+            assert_eq!(
+                g.as_serialized(),
+                p.as_serialized(),
+                "[{strategy}] governed result diverged: {text}"
+            );
+            assert_eq!(g.as_strings(), p.as_strings());
         }
     }
 }

@@ -247,10 +247,9 @@ fn xmark_overlay_matches_compaction() {
 }
 
 /// The dense candidate kernel through the overlay seam: a corpus big
-/// and dense enough that the scan picks the bitset representation (and
-/// splits into morsels at `threads = 4`), with retractions that force
-/// the impure post-filter. Overlay and compacted answers must agree
-/// byte-for-byte under every strategy and thread count, and the dense
+/// and dense enough that the intersection takes the bitset scan, with
+/// retractions that force the impure post-filter. Overlay and compacted
+/// answers must agree byte-for-byte under every strategy, and the dense
 /// counters must actually have fired.
 #[test]
 fn dense_kernel_matches_through_overlay() {
@@ -296,40 +295,33 @@ fn dense_kernel_matches_through_overlay() {
     let folded = standoff::store::compact(&set, &delta).unwrap();
     let mut reference: Option<Vec<String>> = None;
     for strategy in STRATEGIES {
-        for threads in [1usize, 4] {
-            let mut overlay = engine_with(strategy);
-            overlay.set_threads(threads);
-            overlay.mount_overlay(set.clone(), &delta).unwrap();
-            let mut compacted = engine_with(strategy);
-            compacted.set_threads(threads);
-            compacted.mount_store(folded.clone()).unwrap();
-            let mut answers = Vec::new();
-            for query in &queries {
-                let a = overlay.run(query).unwrap().as_xml();
-                let b = compacted.run(query).unwrap().as_xml();
-                assert_eq!(
-                    a, b,
-                    "overlay != compacted: {strategy:?} x{threads} {query}"
-                );
-                answers.push(a);
-            }
-            match &reference {
-                None => reference = Some(answers),
-                Some(r) => assert_eq!(&answers, r, "{strategy:?} x{threads} diverged"),
-            }
-            // The dense kernel really ran on the strategies that
-            // materialize candidate entries (the naive nested loops
-            // probe per node and never touch the scan kernel).
-            if matches!(
-                strategy,
-                StandoffStrategy::BasicMergeJoin | StandoffStrategy::LoopLiftedMergeJoin
-            ) {
-                let stats = overlay.join_stats();
-                assert!(
-                    stats.candidate_repr_dense > 0,
-                    "{strategy:?} x{threads}: dense repr never chosen: {stats:?}"
-                );
-            }
+        let mut overlay = engine_with(strategy);
+        overlay.mount_overlay(set.clone(), &delta).unwrap();
+        let mut compacted = engine_with(strategy);
+        compacted.mount_store(folded.clone()).unwrap();
+        let mut answers = Vec::new();
+        for query in &queries {
+            let a = overlay.run(query).unwrap().as_xml();
+            let b = compacted.run(query).unwrap().as_xml();
+            assert_eq!(a, b, "overlay != compacted: {strategy:?} {query}");
+            answers.push(a);
+        }
+        match &reference {
+            None => reference = Some(answers),
+            Some(r) => assert_eq!(&answers, r, "{strategy:?} diverged"),
+        }
+        // The dense kernel really ran on the strategies that
+        // materialize candidate entries (the naive nested loops
+        // probe per node and never touch the scan kernel).
+        if matches!(
+            strategy,
+            StandoffStrategy::BasicMergeJoin | StandoffStrategy::LoopLiftedMergeJoin
+        ) {
+            let stats = overlay.join_stats();
+            assert!(
+                stats.candidate_repr_dense > 0,
+                "{strategy:?}: dense scan never ran: {stats:?}"
+            );
         }
     }
     // 9000 tokens minus 90 retractions, each token inside exactly one big.

@@ -101,36 +101,6 @@ fn all_strategies_agree_on_every_query() {
     }
 }
 
-/// Intra-query morsel parallelism is invisible in the results: every
-/// XMark query (standard and StandOff rewrite, every strategy) returns
-/// byte-identical serialized output at `threads = 4` and `threads = 1`.
-#[test]
-fn morsel_threads_agree_on_every_query() {
-    let src = generate(&XmarkConfig::with_scale(0.002));
-    let so = standoffify(&src, 7);
-    let so_xml = standoff::xml::serialize_document(&so.doc, Default::default());
-
-    for q in XmarkQuery::ALL {
-        for strategy in StandoffStrategy::ALL {
-            let mut outputs: Vec<Vec<String>> = Vec::new();
-            for threads in [1usize, 4] {
-                let mut engine = Engine::with_options(EngineOptions {
-                    strategy,
-                    ..Default::default()
-                });
-                engine.set_threads(threads);
-                engine.add_document(src.clone(), Some(STD_URI));
-                engine.load_document(SO_URI, &so_xml).unwrap();
-                for query in [q.standard(STD_URI), q.standoff(SO_URI)] {
-                    outputs.push(engine.run(&query).unwrap().as_serialized().to_vec());
-                }
-            }
-            assert_eq!(outputs[0], outputs[2], "{q} standard under {strategy}");
-            assert_eq!(outputs[1], outputs[3], "{q} standoff under {strategy}");
-        }
-    }
-}
-
 #[test]
 fn candidate_pushdown_does_not_change_results() {
     let src = generate(&XmarkConfig::with_scale(0.001));
