@@ -15,7 +15,9 @@
 //!
 //! * `descendant`: prune contexts contained in an earlier context of the
 //!   same iteration, then emit each pruned context's `pre+1 ..= pre+size`
-//!   range — results stream out in document order, no sort needed;
+//!   range — results stream out in document order, no sort needed; a
+//!   named element test *skips* through the element-name index instead of
+//!   scanning the range (the name postings are the skip list);
 //! * `following`: the union over a context sequence collapses to a single
 //!   range `(min(pre+size), end]`;
 //! * `preceding`: collapses to `{v : v.pre + v.size < max(pre)}`.
@@ -113,6 +115,12 @@ impl NodeTest {
             name: Some(name.into()),
         }
     }
+
+    /// Is this an element *name* test — the one kind of test the
+    /// element-name index holds postings for?
+    pub fn names_element(&self) -> bool {
+        self.kind == KindTest::Element && self.name.is_some()
+    }
 }
 
 /// The test as written in a path step: the name when one is given, `*`
@@ -203,6 +211,22 @@ fn matches_tree(doc: &Document, pre: u32, test: &NodeTest, name: ResolvedName) -
             matches!(kind, NodeKind::Element | NodeKind::Pi) && doc.name_id(pre) == id
         }
     }
+}
+
+/// First position at or after `from` whose posting is `>= target`: an
+/// exponential probe bracketing a binary search, so advancing the cursor
+/// past `s` postings costs `O(log s)` and not advancing costs one compare.
+#[inline]
+fn gallop(postings: &[u32], from: usize, target: u32) -> usize {
+    let mut step = 1usize;
+    let mut hi = from;
+    while hi < postings.len() && postings[hi] < target {
+        hi += step;
+        step *= 2;
+    }
+    let lo = hi - step / 2; // last probe known `< target` (or `from`)
+    let hi = hi.min(postings.len());
+    lo + postings[lo..hi].partition_point(|&p| p < target)
 }
 
 /// Evaluate a loop-lifted tree-axis step: for every iteration in `ctx`,
@@ -321,6 +345,16 @@ fn step_fragment(
             // context of the same iteration, then emit ranges — the output
             // streams in document order.
             let or_self = axis == TreeAxis::DescendantOrSelf;
+            // Skipping: a named element test is answered from the
+            // element-name index. The pruned contexts are disjoint and
+            // ascending, so one monotone cursor gallops over the postings
+            // and the step costs what it returns, not the ranges it spans.
+            // Every other test has no postings and scans its ranges.
+            let postings = match name {
+                ResolvedName::Id(id) if test.names_element() => Some(doc.element_postings(id)),
+                _ => None,
+            };
+            let mut cursor = 0usize;
             let mut covered_end: Option<u32> = None;
             for n in nodes {
                 let Some(pre) = n.id.pre() else {
@@ -339,9 +373,20 @@ fn step_fragment(
                 let end = pre + doc.size(pre);
                 covered_end = Some(end);
                 let start = if or_self { pre } else { pre + 1 };
-                for v in start..=end {
-                    if matches_tree(doc, v, test, name) {
-                        push_tree(out, v);
+                match postings {
+                    Some(postings) => {
+                        cursor = gallop(postings, cursor, start);
+                        while cursor < postings.len() && postings[cursor] <= end {
+                            push_tree(out, postings[cursor]);
+                            cursor += 1;
+                        }
+                    }
+                    None => {
+                        for v in start..=end {
+                            if matches_tree(doc, v, test, name) {
+                                push_tree(out, v);
+                            }
+                        }
                     }
                 }
             }

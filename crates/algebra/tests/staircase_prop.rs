@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use standoff_algebra::staircase::{ll_step, TreeAxis};
 use standoff_algebra::{NodeTable, NodeTest};
-use standoff_xml::{DocId, Document, DocumentBuilder, NodeKind, NodeRef, Store};
+use standoff_xml::{DocId, Document, DocumentBuilder, NodeId, NodeKind, NodeRef, Store};
 
 /// Build a random tree from a parenthesis-walk: each step either opens a
 /// child (with a name from a tiny alphabet) or closes the current one.
@@ -29,6 +29,38 @@ fn build_tree(walk: &[u8]) -> Document {
             }
             _ => {
                 b.text("t");
+            }
+        }
+    }
+    while depth > 0 {
+        b.end_element();
+        depth -= 1;
+    }
+    b.finish().unwrap()
+}
+
+/// [`build_tree`] plus what a name-index lookup could trip over: every
+/// element carries an attribute (attribute contexts), and processing
+/// instructions share the element alphabet (`<?a?>` is not an `a`).
+fn build_named_tree(walk: &[u8]) -> Document {
+    let mut b = DocumentBuilder::new();
+    b.start_element("root");
+    b.attribute("k", "v");
+    let mut depth = 1;
+    for &op in walk {
+        let name = ["a", "b", "c"][(op as usize / 4) % 3];
+        match op % 4 {
+            0 | 1 => {
+                b.start_element(name);
+                b.attribute("k", "v");
+                depth += 1;
+            }
+            2 if depth > 1 => {
+                b.end_element();
+                depth -= 1;
+            }
+            _ => {
+                b.pi(name, "");
             }
         }
     }
@@ -217,6 +249,76 @@ proptest! {
                         axis.as_str()
                     );
                 }
+            }
+        }
+    }
+
+    /// A named element test on `descendant`/`descendant-or-self` is
+    /// answered from the element-name index. Whatever the context looks
+    /// like — several iterations, nested and repeated nodes in any order,
+    /// attribute nodes — the result is the `is_ancestor` definition, and
+    /// a same-named processing instruction or an absent name adds nothing.
+    #[test]
+    fn named_descendant_steps_equal_the_ancestor_oracle(
+        walk in prop::collection::vec(any::<u8>(), 0..160),
+        picks in prop::collection::vec((0u32..4, any::<u16>(), any::<bool>()), 1..16),
+        name_pick in 0usize..4,
+    ) {
+        let doc = build_named_tree(&walk);
+        let n = doc.node_count() as u32;
+        let attrs = doc.attr_count() as u32;
+        let mut store = Store::new();
+        let doc_id = DocId(0);
+        store.add(doc, None);
+        let doc = store.doc(doc_id);
+
+        // Grouped by iteration only: order and duplicates within a group
+        // are the step's problem.
+        let mut rows: Vec<(u32, NodeRef)> = picks
+            .iter()
+            .map(|&(iter, pick, as_attr)| {
+                let node = if as_attr {
+                    NodeRef::new(doc_id, NodeId::attr(pick as u32 % attrs))
+                } else {
+                    NodeRef::tree(doc_id, pick as u32 % n)
+                };
+                (iter, node)
+            })
+            .collect();
+        rows.sort_by_key(|r| r.0);
+        let table = NodeTable::from_columns(
+            rows.iter().map(|r| r.0).collect(),
+            rows.iter().map(|r| r.1).collect(),
+        );
+
+        let name = ["a", "b", "c", "zzz"][name_pick];
+        for axis in [TreeAxis::Descendant, TreeAxis::DescendantOrSelf] {
+            let out = ll_step(&store, &table, axis, &NodeTest::named(name));
+            for iter in 0..4u32 {
+                let ctx: Vec<u32> = rows
+                    .iter()
+                    .filter(|r| r.0 == iter)
+                    .filter_map(|r| r.1.id.pre())
+                    .collect();
+                let expected: Vec<u32> = (0..n)
+                    .filter(|&v| {
+                        doc.kind(v) == NodeKind::Element
+                            && doc.names().lexical(doc.name_id(v)) == name
+                            && ctx.iter().any(|&c| {
+                                doc.is_ancestor(c, v)
+                                    || (axis == TreeAxis::DescendantOrSelf && c == v)
+                            })
+                    })
+                    .collect();
+                let got: Vec<u32> = out
+                    .group(iter)
+                    .iter()
+                    .map(|r| r.id.pre().unwrap())
+                    .collect();
+                prop_assert_eq!(
+                    &got, &expected,
+                    "{}::{} iteration {} of {:?}", axis.as_str(), name, iter, rows
+                );
             }
         }
     }

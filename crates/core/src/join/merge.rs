@@ -49,13 +49,12 @@ struct ActiveItem {
     ctx_idx: u32,
 }
 
-/// Active item of the wide join: carries the start for the explicit
-/// overlap check.
+/// Active item of the wide join: a context that starts at or before the
+/// current candidate, so `end` alone decides whether it still overlaps.
 #[derive(Clone, Copy, Debug)]
 struct WideActive {
     iter: u32,
     node: u32,
-    start: i64,
     end: i64,
 }
 
@@ -403,12 +402,21 @@ fn insert_active<T: TraceSink>(
 
 /// Loop-lifted `select-wide` merge join: overlap instead of containment.
 ///
-/// Structure mirrors `ll_select_narrow`, with the overlap-specific
-/// differences: a context item becomes relevant as soon as it starts at or
-/// before the candidate's **end** (not its start), and emission requires
-/// `active.start ≤ cand.end ∧ active.end ≥ cand.start` — the first half of
-/// which must be checked explicitly because candidate ends are not
-/// monotone in a start-sorted scan.
+/// A context region overlaps candidate `[s, e]` iff it starts at or
+/// before `e` and ends at or after `s`. The scan splits that set on the
+/// context's start, so every context it touches is a match:
+///
+/// * contexts starting at or before `s` live in the active list (sorted
+///   descending on `end`, at most one item per iteration — the one
+///   reaching furthest right, which overlaps whatever the others would).
+///   Candidate starts are monotone, so items that ended before `s` are
+///   trimmed for good, and everything left overlaps the candidate;
+/// * contexts starting inside `(s, e]` overlap it by construction. They
+///   are matched by a look-ahead over the start-sorted context slice but
+///   not admitted: a wide candidate must not park contexts that later,
+///   narrower candidates would have to walk past.
+///
+/// Total work is O(contexts + candidates + matches).
 pub fn ll_select_wide(context: &[CtxEntry], candidates: &[RegionEntry]) -> Vec<Emission> {
     let mut result = Vec::new();
     ll_select_wide_into(
@@ -437,55 +445,59 @@ pub(crate) fn ll_select_wide_into(
     let budget = scratch.budget.clone();
     let active: &mut Vec<WideActive> = &mut scratch.wide_active;
     active.clear();
-    let mut i = 0usize;
+    let mut i = 0usize; // first context starting after every candidate start so far
 
     for (j, cand) in candidates.iter().enumerate() {
         if tripped(&budget) {
             return;
         }
-        // Add every context item that starts at or before this
-        // candidate's end: it may overlap this or a later candidate.
-        while i < context.len() && context[i].start <= cand.end {
+        // Admit the contexts that start at or before this candidate.
+        while i < context.len() && context[i].start <= cand.start {
             let c = &context[i];
-            // Same-iteration covered contexts cannot add new overlaps.
-            let covered = active
-                .iter()
-                .any(|a| a.iter == c.iter && a.start <= c.start && a.end >= c.end);
-            if !covered {
-                // Supersede same-iter items fully inside the new one.
-                active.retain(|a| !(a.iter == c.iter && a.start >= c.start && a.end <= c.end));
-                let pos = active.partition_point(|a| a.end >= c.end);
-                active.insert(
-                    pos,
-                    WideActive {
-                        iter: c.iter,
-                        node: c.node,
-                        start: c.start,
-                        end: c.end,
-                    },
-                );
-            }
             i += 1;
-        }
-        // Trim items that ended before this candidate starts; candidate
-        // starts are monotone, so they are dead for all later candidates.
-        while let Some(last) = active.last() {
-            if last.end < cand.start {
-                active.pop();
-            } else {
-                break;
+            if c.end < cand.start {
+                continue; // over before this and every later candidate starts
             }
+            // One item per iteration: the earlier one either reaches at
+            // least as far (the new context adds nothing) or is superseded.
+            if let Some(k) = active.iter().position(|a| a.iter == c.iter) {
+                if active[k].end >= c.end {
+                    continue;
+                }
+                active.remove(k);
+            }
+            let pos = active.partition_point(|a| a.end >= c.end);
+            active.insert(
+                pos,
+                WideActive {
+                    iter: c.iter,
+                    node: c.node,
+                    end: c.end,
+                },
+            );
         }
-        // Emit all active items that overlap. end ≥ cand.start holds
-        // after the trim; start ≤ cand.end must be tested per item.
-        for a in active.iter() {
-            if a.start <= cand.end {
+        // Trim items that ended before this candidate starts.
+        while active.last().is_some_and(|a| a.end < cand.start) {
+            active.pop();
+        }
+        // Only the (iter, candidate) pair survives post-processing, so a
+        // run of matches from one iteration is emitted once.
+        let mut last_iter = None;
+        let mut emit = |iter: u32, node: u32| {
+            if last_iter != Some(iter) {
+                last_iter = Some(iter);
                 result.push(Emission {
-                    iter: a.iter,
-                    ctx_node: a.node,
+                    iter,
+                    ctx_node: node,
                     cand_idx: j as u32,
                 });
             }
+        };
+        for a in active.iter() {
+            emit(a.iter, a.node);
+        }
+        for c in context[i..].iter().take_while(|c| c.start <= cand.end) {
+            emit(c.iter, c.node);
         }
     }
 }

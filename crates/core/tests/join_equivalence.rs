@@ -8,7 +8,9 @@
 
 use proptest::prelude::*;
 
-use standoff_core::join::merge::{ll_select_narrow, ll_select_narrow_heap};
+use standoff_core::join::merge::{
+    basic_select_wide, ll_select_narrow, ll_select_narrow_heap, ll_select_wide,
+};
 use standoff_core::join::CtxEntry;
 use standoff_core::{
     evaluate_standoff_join, IterNode, JoinInput, RegionEntry, RegionIndex, StandoffAxis,
@@ -142,8 +144,116 @@ fn run_all_strategies(
     }
 }
 
+/// Region shapes picked to sit on the wide kernel's seams instead of
+/// being spread uniformly: the split between active list and look-ahead
+/// (`start <= cand.start` vs `start` inside the candidate), the end trim,
+/// and the one-item-per-iteration rule.
+fn adversarial_annotations() -> impl Strategy<Value = Vec<GenAnnotation>> {
+    prop::collection::vec((0usize..6, 0i64..60, 0i64..12), 1..14).prop_map(|shapes| {
+        let mut regions: Vec<(i64, i64)> = Vec::new();
+        for (shape, at, len) in shapes {
+            match shape {
+                // One region spanning every other one.
+                0 => regions.push((0, 100)),
+                // Nested: covered by, then superseding, its neighbour.
+                1 => regions.extend([(at, at + len + 4), (at + 1, at + len + 2)]),
+                // Equal starts, different ends.
+                2 => regions.extend([(at, at + len), (at, at + len + 3)]),
+                // Zero width, also sitting on another region's endpoint.
+                3 => regions.extend([(at, at), (at, at + len)]),
+                // Touching but not overlapping, then sharing an endpoint.
+                4 => regions.extend([
+                    (at, at + len),
+                    (at + len + 1, at + 2 * len + 1),
+                    (at + 2 * len + 1, at + 3 * len + 1),
+                ]),
+                _ => regions.push((at, at + len)),
+            }
+        }
+        regions
+            .into_iter()
+            .map(|r| GenAnnotation { regions: vec![r] })
+            .collect()
+    })
+}
+
+/// The shape that made the old wide kernel quadratic: one early candidate
+/// spanning everything, then `n` flat contexts each overlapped by one flat
+/// candidate. Returns the deduplicated `(iter, candidate id)` pairs of
+/// both wide entry points; context `k` runs in iteration `k % iters`.
+fn wide_over_flat(n: u32, iters: u32) -> [Vec<(u32, u32)>; 2] {
+    let context: Vec<CtxEntry> = (0..n)
+        .map(|k| CtxEntry {
+            iter: k % iters,
+            node: k,
+            start: 10 * k as i64,
+            end: 10 * k as i64 + 5,
+        })
+        .collect();
+    // Candidate 0 is the wide one; candidate k + 1 overlaps context k only.
+    let mut candidates = vec![RegionEntry {
+        start: 0,
+        end: 10 * n as i64,
+        id: 0,
+    }];
+    candidates.extend((0..n).map(|k| RegionEntry {
+        start: 10 * k as i64 + 5,
+        end: 10 * k as i64 + 8,
+        id: k + 1,
+    }));
+    [
+        ll_select_wide(&context, &candidates),
+        basic_select_wide(&context, &candidates),
+    ]
+    .map(|emissions| {
+        let mut pairs: Vec<(u32, u32)> = emissions
+            .iter()
+            .map(|e| (e.iter, candidates[e.cand_idx as usize].id))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+    })
+}
+
+/// Exactly the expected pairs at both sizes; the large one is the
+/// regression guard — quadratic work there is ~10⁸ steps, linear ~10⁴.
+#[test]
+fn wide_candidate_over_flat_contexts_is_exact_and_linear() {
+    for (n, iters) in [(10u32, 1u32), (10, 3), (10_000, 1), (10_000, 3)] {
+        let mut expected: Vec<(u32, u32)> = (0..iters.min(n)).map(|iter| (iter, 0)).collect();
+        expected.extend((0..n).map(|k| (k % iters, k + 1)));
+        expected.sort_unstable();
+        // Best of three, so a descheduled run cannot fail the bound.
+        let mut best = std::time::Duration::MAX;
+        for _ in 0..3 {
+            let started = std::time::Instant::now();
+            let [lifted, basic] = wide_over_flat(n, iters);
+            best = best.min(started.elapsed());
+            assert_eq!(lifted, expected, "loop-lifted, n={n} iters={iters}");
+            assert_eq!(basic, expected, "basic, n={n} iters={iters}");
+        }
+        assert!(
+            best < std::time::Duration::from_millis(250),
+            "n={n} iters={iters} took {best:?}: the wide join is superlinear again"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Adversarial geometry, contexts interleaved over three iterations:
+    /// select-wide and reject-wide (and the narrow pair) under the basic
+    /// and loop-lifted merge joins equal the naive oracle.
+    #[test]
+    fn strategies_agree_on_adversarial_geometry(
+        annotations in adversarial_annotations(),
+        ctx in prop::collection::vec((0u32..3, 0usize..64), 0..24),
+        cands in prop::option::of(prop::collection::vec(0usize..64, 0..24)),
+    ) {
+        run_all_strategies(annotations, ctx, cands, false);
+    }
 
     /// Single-region annotations (attribute representation): all
     /// strategies agree on all four axes.

@@ -90,6 +90,15 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 mod tests {
     use super::*;
 
+    /// `store.atomic.before_rename` is a process-wide fault point: the
+    /// test that arms it must not overlap the others, or its injected
+    /// panic lands in their writes.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("standoff-atomic-{tag}-{}", std::process::id()));
@@ -100,6 +109,7 @@ mod tests {
 
     #[test]
     fn replaces_and_cleans_up_temp() {
+        let _serial = serial();
         let dir = temp_dir("ok");
         let target = dir.join("data.txt");
         fs::write(&target, b"old").unwrap();
@@ -112,6 +122,7 @@ mod tests {
 
     #[test]
     fn writer_error_leaves_target_untouched() {
+        let _serial = serial();
         let dir = temp_dir("err");
         let target = dir.join("data.txt");
         fs::write(&target, b"precious").unwrap();
@@ -129,6 +140,7 @@ mod tests {
 
     #[test]
     fn crash_before_rename_leaves_target_untouched() {
+        let _serial = serial();
         let dir = temp_dir("crash");
         let target = dir.join("data.txt");
         fs::write(&target, b"committed state").unwrap();

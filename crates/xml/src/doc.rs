@@ -591,8 +591,15 @@ impl Document {
     pub fn elements_named(&self, name: &str) -> &[u32] {
         self.names
             .get(name)
-            .map(|id| self.elem.lookup(id))
+            .map(|id| self.element_postings(id))
             .unwrap_or(&[])
+    }
+
+    /// [`Document::elements_named`] for an already-resolved name id: the
+    /// postings list a named `descendant` step gallops over.
+    #[inline]
+    pub fn element_postings(&self, id: NameId) -> &[u32] {
+        self.elem.lookup(id)
     }
 
     /// All element pre ranks in document order.

@@ -830,6 +830,44 @@ impl<'e> Evaluator<'e> {
         predicates: &[PlanExpr],
     ) -> Result<LlSeq, QueryError> {
         let ctx = self.context_nodes(input)?;
+        // XPath numbers a step predicate's positions per *context node*:
+        // `p/x[1]` is the first `x` of every `p`. Filtering the whole
+        // iteration's result instead is the same thing when no predicate
+        // can be positional or every iteration holds one context node —
+        // the loop-lifted common case, which keeps the single scan.
+        if predicates.iter().all(crate::optimize::non_positional)
+            || ctx.iters().windows(2).all(|w| w[0] < w[1])
+        {
+            return self.tree_step_in_scope(ctx, axis, test, predicates);
+        }
+        // Otherwise every context row becomes its own iteration of an
+        // intermediate scope; results map back and re-merge per iteration.
+        let map = ctx.iters().to_vec();
+        let n = ctx.len() as u32;
+        let lifted = NodeTable::from_columns((0..n).collect(), ctx.nodes().to_vec());
+        self.frames.push(Frame {
+            n_iters: n,
+            map: Some(map.clone()),
+            vars: HashMap::new(),
+            barrier: false,
+        });
+        let result = self.tree_step_in_scope(lifted, axis, test, predicates);
+        self.frames.pop();
+        let mut nodes =
+            NodeTable::from_llseq(&result?.unrestrict(&map)).expect("a tree step yields nodes");
+        nodes.normalize(&self.engine.store);
+        Ok(nodes.into_llseq())
+    }
+
+    /// One tree step plus its predicates over `ctx`, whose iterations are
+    /// the current scope's; positions count within an iteration's result.
+    fn tree_step_in_scope(
+        &mut self,
+        ctx: NodeTable,
+        axis: TreeAxis,
+        test: &NodeTest,
+        predicates: &[PlanExpr],
+    ) -> Result<LlSeq, QueryError> {
         let (ctx, expanded) = self.expand_delta_contexts(ctx, axis);
         // `test` is plan memory (see `name_cache`), so resolution is
         // memoized per document across re-executions of this step.

@@ -15,6 +15,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use standoff_algebra::TreeAxis;
 use standoff_core::StandoffStrategy;
 
 use crate::plan::*;
@@ -374,12 +375,22 @@ fn explain_expr_body(expr: &PlanExpr, depth: usize, out: &mut String, ctx: Optio
             test,
             predicates,
         } => {
+            // Decided from the plan alone, exactly as the staircase join
+            // decides it: a named element test on a descendant axis is
+            // read off the element-name index, never scanned for.
+            let indexed = matches!(axis, TreeAxis::Descendant | TreeAxis::DescendantOrSelf)
+                && test.names_element();
             line(
                 out,
                 depth,
                 &format!(
-                    "step {}::{test}  [staircase join, loop-lifted]",
-                    axis.as_str()
+                    "step {}::{test}  [staircase join, loop-lifted{}]",
+                    axis.as_str(),
+                    if indexed {
+                        "; answered from element-name index"
+                    } else {
+                        ""
+                    }
                 ),
             );
             explain_step_tail(input.as_deref(), predicates, depth, out, ctx);
@@ -552,7 +563,7 @@ mod tests {
             &EngineOptions::default(),
         );
         assert!(
-            text.starts_with("passes: const-fold → hoist-invariants"),
+            text.starts_with("passes: const-fold → fuse-descendant → hoist-invariants"),
             "{text}"
         );
         assert!(text.contains("hoisted $#h0"), "{text}");

@@ -8,26 +8,38 @@
 //!    logic and conditionals over compile-time constants. Never folds an
 //!    expression whose evaluation could raise a dynamic error (`1 idiv
 //!    0` stays in the plan), so run-time error behavior is unchanged.
-//! 2. **hoist-invariants** — moves loop-invariant, node-identity-free
+//! 2. **fuse-descendant** — rewrites the two steps `//T[p…]` parses to,
+//!    `descendant-or-self::node()/child::T[p…]`, into the single step
+//!    `descendant::T[p…]` whenever every predicate is statically
+//!    non-positional. The fused step never materializes the every-node
+//!    intermediate, and for a named element test the staircase join
+//!    answers it from the element-name index. `//T[1]` is *not*
+//!    `descendant::T[1]` (first `T` child of each parent vs first `T`
+//!    in the subtree), so anything that could be positional keeps the
+//!    literal form. Runs before hoisting so a predicate is judged as
+//!    written, not as a hoisted `$#h` reference.
+//! 3. **hoist-invariants** — moves loop-invariant, node-identity-free
 //!    subexpressions out of FLWOR iteration scopes into per-FLWOR
 //!    hoisted bindings (`$#h0`, `$#h1`, …) that the evaluator computes
 //!    once per surviving host iteration instead of once per inner
 //!    iteration. Runs before the annotation passes so the StandOff
 //!    operators it moves are annotated in their final position.
-//! 3. **strategy-select** — chooses each StandOff operator's join
+//! 4. **strategy-select** — chooses each StandOff operator's join
 //!    strategy. With a fixed engine strategy this confirms the lowering
 //!    annotation; with `auto_strategy` it consults the corpus
 //!    [`IndexStats`] ([`StandoffStrategy::pick_for`]) — per-operator
 //!    strategy from region-count statistics instead of one global
 //!    switch.
-//! 4. **pushdown** — decides element-name candidate pushdown (§4.3) per
+//! 5. **pushdown** — decides element-name candidate pushdown (§4.3) per
 //!    operator: enabled when the engine allows it, the chosen strategy
 //!    consumes candidates, and the step's node test names an element.
 //!    This is the `candidate_pushdown && KindTest::Element` decision
 //!    that used to live inside the evaluator's join, made once at plan
 //!    time. Runs after strategy-select because `naive` (no candidates)
 //!    must never carry a pushdown annotation.
-//! 5. **estimate** — attaches cardinality estimates (region-index
+//! 6. **elide** — proves, per StandOff operator, whether the trailing
+//!    `self::test` post-filter is redundant (see [`elide`]).
+//! 7. **estimate** — attaches cardinality estimates (region-index
 //!    statistics, pushed-candidate counts from the element-name index)
 //!    to every StandOff operator for explain output. Purely
 //!    informational; runs last so it sees final strategies and
@@ -42,6 +54,7 @@
 
 use std::collections::HashSet;
 
+use standoff_algebra::{NodeTest, TreeAxis};
 use standoff_core::StandoffStrategy;
 
 use crate::compile::PlanContext;
@@ -49,9 +62,10 @@ use crate::plan::*;
 
 /// The pass list, in execution order. The `estimate` pass runs only
 /// when the context asks for explain-grade estimates
-/// ([`PlanContext::estimates`]); the other five always run.
-pub const PASSES: [&str; 6] = [
+/// ([`PlanContext::estimates`]); the other six always run.
+pub const PASSES: [&str; 7] = [
     "const-fold",
+    "fuse-descendant",
     "hoist-invariants",
     "strategy-select",
     "pushdown",
@@ -63,11 +77,12 @@ pub const PASSES: [&str; 6] = [
 /// applied, in order.
 pub fn optimize(plan: &mut Plan, ctx: &PlanContext<'_>) -> Vec<&'static str> {
     const_fold(plan);
+    fuse_descendant(plan);
     hoist_invariants(plan);
     strategy_select(plan, ctx);
     pushdown(plan, ctx);
     elide(plan);
-    let mut applied: Vec<&'static str> = PASSES[..5].to_vec();
+    let mut applied: Vec<&'static str> = PASSES[..6].to_vec();
     if ctx.estimates && ctx.store.is_some() {
         estimate(plan, ctx);
         applied.push("estimate");
@@ -214,7 +229,93 @@ fn fold_compare(op: crate::ast::CompOp, x: &Atom, y: &Atom) -> Option<Atom> {
     Some(Atom::Boolean(result))
 }
 
-// ================= pass 2: loop-invariant hoisting =================
+// ================= pass 2: `//T` step fusion =================
+
+fn fuse_descendant(plan: &mut Plan) {
+    plan.for_each_root_mut(|root| root.rewrite_bottom_up(&mut fuse_step));
+}
+
+/// `descendant-or-self::node()/child::T[p…]` → `descendant::T[p…]`, for
+/// any node test `T`, when no predicate can be positional.
+fn fuse_step(e: &mut PlanExpr) {
+    let PlanExpr::TreeStep {
+        input,
+        axis: axis @ TreeAxis::Child,
+        predicates,
+        ..
+    } = e
+    else {
+        return;
+    };
+    if !input.as_deref().is_some_and(is_descendant_or_self_node)
+        || !predicates.iter().all(non_positional)
+    {
+        return;
+    }
+    let Some(PlanExpr::TreeStep { input: below, .. }) = input.take().map(|prefix| *prefix) else {
+        unreachable!("checked above");
+    };
+    *input = below;
+    *axis = TreeAxis::Descendant;
+}
+
+/// The bare `descendant-or-self::node()` step the parser emits for `//`.
+fn is_descendant_or_self_node(e: &PlanExpr) -> bool {
+    matches!(
+        e,
+        PlanExpr::TreeStep {
+            axis: TreeAxis::DescendantOrSelf,
+            test,
+            predicates,
+            ..
+        } if predicates.is_empty() && *test == NodeTest::any_node()
+    )
+}
+
+/// Is this predicate *provably* a filter on the item, never on its
+/// position? It must not mention `position()`/`last()` anywhere, and its
+/// value must be statically boolean or node-valued — a number (or
+/// anything unknown: `$n`, a call, arithmetic) selects by position.
+pub(crate) fn non_positional(p: &PlanExpr) -> bool {
+    let mut reads_position = false;
+    p.visit(&mut |e| {
+        if let PlanExpr::BuiltinCall { name, args } = e {
+            reads_position |= args.is_empty() && matches!(local_name(name), "position" | "last");
+        }
+    });
+    !reads_position && boolean_or_nodes(p)
+}
+
+fn boolean_or_nodes(e: &PlanExpr) -> bool {
+    match e {
+        PlanExpr::Const(Atom::Boolean(_))
+        | PlanExpr::Comparison(..)
+        | PlanExpr::And(..)
+        | PlanExpr::Or(..)
+        | PlanExpr::Quantified { .. }
+        | PlanExpr::TreeStep { .. }
+        | PlanExpr::StandoffStep { .. }
+        | PlanExpr::StandoffFn { .. }
+        | PlanExpr::RootPath
+        | PlanExpr::Union(..)
+        | PlanExpr::Intersect(..)
+        | PlanExpr::Except(..) => true,
+        // `a/b`, `a/f(.)`: one rhs value per lhs item, so the rhs decides.
+        PlanExpr::PathExpr { step, .. } => boolean_or_nodes(step),
+        PlanExpr::Filter { input, .. } => boolean_or_nodes(input),
+        PlanExpr::BuiltinCall { name, .. } => matches!(
+            local_name(name),
+            "not" | "exists" | "empty" | "boolean" | "contains" | "starts-with" | "ends-with"
+        ),
+        _ => false,
+    }
+}
+
+fn local_name(name: &str) -> &str {
+    name.split_once(':').map(|(_, l)| l).unwrap_or(name)
+}
+
+// ================= pass 3: loop-invariant hoisting =================
 
 fn hoist_invariants(plan: &mut Plan) {
     // Which user-defined functions (transitively) construct nodes: calls
@@ -489,9 +590,8 @@ fn scan(
         }
         PlanExpr::BuiltinCall { name, args } => {
             *expensive = true;
-            let local = name.split_once(':').map(|(_, l)| l).unwrap_or(name);
             if args.is_empty() {
-                let implicit = match local {
+                let implicit = match local_name(name) {
                     "position" => Some("fn:position"),
                     "last" => Some("fn:last"),
                     _ => None,
@@ -673,7 +773,7 @@ fn scan_children_with_binders(
     }
 }
 
-// ================= passes 3–5: StandOff operator annotation =================
+// ================= passes 4–7: StandOff operator annotation =================
 
 fn for_each_standoff_op(
     plan: &mut Plan,
@@ -867,6 +967,42 @@ mod tests {
             panic!("expected folded branch, got {:?}", plan.body);
         };
         assert_eq!(s.as_ref(), "yes");
+    }
+
+    /// The step a `//name…` query compiles to: `(axis, has an input
+    /// step below it that is the `//` prefix)`.
+    fn double_slash_step(q: &str) -> (TreeAxis, bool) {
+        let PlanExpr::TreeStep { input, axis, .. } = optimized(q).body else {
+            panic!("expected a tree step for {q}");
+        };
+        let literal = input.as_deref().is_some_and(is_descendant_or_self_node);
+        (axis, literal)
+    }
+
+    #[test]
+    fn fuses_double_slash_unless_a_predicate_may_be_positional() {
+        for q in [
+            "//a",
+            "//*",
+            "//text()",
+            "//a[@k = 1]",
+            "//a[b]",
+            "//a[not(b) and @k]",
+            "//a[b[1]]",
+        ] {
+            assert_eq!(double_slash_step(q), (TreeAxis::Descendant, false), "{q}");
+        }
+        for q in [
+            "//a[1]",
+            "//a[last()]",
+            "//a[position() < 3]",
+            "//a[$n]",
+            "//a[count(b)]",
+            "//a[@k = 1][2]",
+            "//a[b[position() = 1]]",
+        ] {
+            assert_eq!(double_slash_step(q), (TreeAxis::Child, true), "{q}");
+        }
     }
 
     #[test]

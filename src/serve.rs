@@ -61,7 +61,8 @@ const MAX_PAYLOAD: usize = 4 << 20;
 /// Upper bound on the `<len>\n` header line.
 const MAX_HEADER: usize = 32;
 /// Socket poll granularity: reads time out this often so connection
-/// threads notice a drain promptly; it is *not* the client patience.
+/// threads notice a drain promptly, and the accept loop re-checks its
+/// stop flags this often while idle; it is *not* the client patience.
 const POLL: Duration = Duration::from_millis(100);
 /// How long the accept loop waits for connections to finish draining.
 const DRAIN_WAIT: Duration = Duration::from_secs(5);
@@ -283,7 +284,9 @@ impl Server {
                         self.shared.active_conns.fetch_sub(1, Ordering::AcqRel);
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    wait_acceptable(&self.listener, POLL)
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -311,6 +314,46 @@ impl Server {
             .spawn(move || self.run_until(&stop_flag))?;
         Ok(ServerHandle { addr, stop, thread })
     }
+}
+
+/// Block until the listener has a connection to accept or `timeout`
+/// passes, whichever is first — `poll(2)` on the listener fd, declared
+/// by hand so the workspace stays dependency-free. A connecting client
+/// is accepted at once instead of after the rest of a sleep; the caller
+/// re-checks its stop flags after every return, so a signal (which
+/// interrupts the wait) or a `shutdown` verb is still noticed within
+/// `timeout`. Any error is just an early return.
+#[cfg(unix)]
+fn wait_acceptable(listener: &TcpListener, timeout: Duration) {
+    use std::os::fd::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(target_os = "linux")]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x001;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `fd` is one live, correctly laid out `struct pollfd`, the
+    // count passed is 1, and `poll` writes nothing but its `revents`.
+    unsafe { poll(&mut fd, 1, timeout_ms) };
+}
+
+#[cfg(not(unix))]
+fn wait_acceptable(_listener: &TcpListener, timeout: Duration) {
+    thread::sleep(timeout);
 }
 
 struct ConnGuard<'a>(&'a Shared);

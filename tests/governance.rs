@@ -38,12 +38,15 @@ fn join_query() -> String {
     format!(r#"count(select-narrow(doc("{SO_URI}")//open_auction, doc("{SO_URI}")//bidder))"#)
 }
 
-/// The same join repeated enough that a short mid-flight deadline is
-/// guaranteed to trip while kernels are still working.
+/// A join whose context depends on the loop variable, so the optimizer
+/// cannot hoist it out of the loop and every iteration is real work:
+/// ungoverned, the fastest strategy needs well over 100× the mid-flight
+/// deadline below even in a release build (~35 µs per iteration).
 fn heavy_query() -> String {
     format!(
-        r#"for $i in 1 to 1000
-           return count(select-narrow(doc("{SO_URI}")//open_auction, doc("{SO_URI}")//bidder))"#
+        r#"for $i in 1 to 4000
+           return count(select-narrow(doc("{SO_URI}")//open_auction[@id != string($i)],
+                                      doc("{SO_URI}")//bidder))"#
     )
 }
 
@@ -86,13 +89,27 @@ fn mid_flight_deadline_is_timeout_across_all_strategies() {
 
 #[test]
 fn result_cap_error_is_identical_across_all_strategies() {
+    // The cap sits between what the two index-driven `//name` prefixes
+    // produce (24 open auctions + 85 bidders + a row per `doc()` and
+    // `count`) and what the join adds on top (all 85 bidders), so the
+    // trip is observed at the boundary of the join operator — the one
+    // operator each strategy evaluates differently.
+    let cap = BudgetLimits {
+        max_results: Some(150),
+        ..BudgetLimits::default()
+    };
+    let prefixes =
+        format!(r#"count(doc("{SO_URI}")//open_auction) + count(doc("{SO_URI}")//bidder)"#);
     let mut seen: Option<QueryError> = None;
     for strategy in StandoffStrategy::ALL {
         let mut engine = engine_with(strategy);
-        engine.set_budget(budget(BudgetLimits {
-            max_results: Some(8),
-            ..BudgetLimits::default()
-        }));
+        engine.set_budget(budget(cap));
+        assert_eq!(
+            engine.run(&prefixes).unwrap().as_strings(),
+            ["109"],
+            "[{strategy}] the prefixes alone stay under the cap"
+        );
+        engine.set_budget(budget(cap));
         let err = engine.run(&join_query()).unwrap_err();
         assert!(
             matches!(err, QueryError::ResultLimit(_)),

@@ -82,6 +82,22 @@ fn cross_layer_queries() -> Vec<String> {
         format!(r#"layer("{URI}", "tokens")//w"#),
         format!(r#"count(layer("{URI}", "entities")//person)"#),
         format!(r#"for $w in layer("{URI}", "tokens")//w return string($w/@start)"#),
+        // `//name` is one index-driven `descendant::name` step: pending
+        // inserts are reached through the mirrored delta root, and when
+        // the name is the layer root's own the delta root must still
+        // fold away as scaffolding — one root, before and after.
+        format!(r#"count(layer("{URI}", "entities")//entities)"#),
+        format!(r#"count(layer("{URI}", "tokens")//tokens)"#),
+        // A rooted-element context instead of the document node.
+        format!(r#"layer("{URI}", "entities")/entities//person"#),
+        format!(r#"count(layer("{URI}", "tokens")/tokens//w)"#),
+        // Fused with a value predicate: only pending inserts carry `k`.
+        format!(r#"layer("{URI}", "tokens")//w[@k]"#),
+        format!(r#"count(layer("{URI}", "entities")//person[not(@k)])"#),
+        // Positional predicates keep the literal two-step form, numbered
+        // per parent over base children then pending inserts.
+        format!(r#"string(layer("{URI}", "tokens")//w[last()]/@start)"#),
+        format!(r#"layer("{URI}", "entities")//person[1]"#),
     ];
     for axis in [
         "select-narrow",
@@ -241,6 +257,10 @@ fn xmark_overlay_matches_compaction() {
     .collect();
     queries.push(r#"count(doc("xmark#anno")//bold)"#.into());
     queries.push(r#"doc("xmark#anno")//highlight"#.into());
+    queries.push(r#"count(doc("xmark#anno")//site)"#.into());
+    queries.push(r#"doc("xmark#anno")/site//highlight"#.into());
+    queries.push(r#"count(doc("xmark#anno")/site//bold)"#.into());
+    queries.push(r#"doc("xmark#anno")//highlight[@n = "1"]"#.into());
     queries.push(r#"for $h in doc("xmark#anno")//highlight return $h/select-wide::item"#.into());
 
     assert_overlay_equals_compacted(&set, &delta, &queries);
