@@ -282,7 +282,7 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // ---- writable overlay: merge-on-read overhead and compaction ----
+    // ---- writable overlay: merge-on-read overhead ----
     {
         use standoff_store::{DeltaOp, DeltaSet, LayerSet};
         // A base text plus one annotation layer, sized with the corpus
@@ -324,7 +324,7 @@ fn main() {
             })
             .collect();
         let mut delta = DeltaSet::new();
-        delta.apply_all(ops.clone(), &set).unwrap();
+        delta.apply_all(ops, &set).unwrap();
 
         let probe = r#"count(doc("bench://overlay#tokens")//w/select-wide::w)"#;
         // Pure snapshot: the no-delta regression guard — this path must
@@ -338,21 +338,8 @@ fn main() {
         overlay.mount_overlay(set.clone(), &delta).unwrap();
         let ns = median_ns(config.samples, || overlay.run_and_discard(probe).unwrap());
         record("delta_overlay/join_merge_on_read", ns);
-        // Writer-side costs: one apply batch (validate + remount +
-        // generation swap) and one compaction fold.
-        let ns = median_ns(config.samples, || {
-            let mut w = standoff_xquery::WritableEngine::mount(
-                set.clone(),
-                standoff_xquery::EngineOptions::default(),
-            )
-            .unwrap();
-            w.apply(ops.clone()).unwrap()
-        });
-        record("delta_overlay/apply_batch", ns);
-        let ns = median_ns(config.samples, || {
-            standoff_store::compact(&set, &delta).unwrap()
-        });
-        record("delta_overlay/compact", ns);
+        // Writer-side costs (one apply batch, one compaction fold) are
+        // the benchmark ledger's `write_p50_ms` / `store.compact_fold_ms`.
     }
 
     // ---- durability: WAL appends and the v4 checksum tax ----

@@ -245,6 +245,32 @@ impl RegionIndex {
         }
     }
 
+    /// The entries carrying exactly the region `[start, end]`: the equal
+    /// range of that key in the clustered column, so ids come out
+    /// ascending. Two binary searches — this is the lookup that answers
+    /// "which annotations sit at this region?" without touching the
+    /// other rows.
+    pub fn entries_at(&self, start: i64, end: i64) -> &[RegionEntry] {
+        self.entries_at_probed(start, end).0
+    }
+
+    /// [`RegionIndex::entries_at`] plus the number of entries it
+    /// examined: every comparison of the two binary searches and every
+    /// row of the answer. Callers that publish a probe counter feed it
+    /// from here, so the count is measured, not derived.
+    pub fn entries_at_probed(&self, start: i64, end: i64) -> (&[RegionEntry], u64) {
+        let mut probes = 0u64;
+        let lo = self.entries.partition_point(|e| {
+            probes += 1;
+            (e.start, e.end) < (start, end)
+        });
+        let len = self.entries[lo..].partition_point(|e| {
+            probes += 1;
+            (e.start, e.end) == (start, end)
+        });
+        (&self.entries[lo..lo + len], probes + len as u64)
+    }
+
     /// Region count of the annotation at `pre` (0 if not annotated).
     pub fn region_count(&self, pre: u32) -> usize {
         self.regions_of(pre).len()
@@ -748,6 +774,32 @@ mod tests {
     }
 
     #[test]
+    fn entries_at_is_the_equal_range_of_the_region_key() {
+        let doc = parse_document(
+            r#"<d><a start="3" end="5"/><b start="3" end="5"/><c start="3" end="6"/>
+               <e start="2" end="5"/><z start="4" end="4"/><a start="3" end="5"/></d>"#,
+        )
+        .unwrap();
+        let idx = RegionIndex::build(&doc, &StandoffConfig::default()).unwrap();
+        let ids = |s, e| -> Vec<u32> { idx.entries_at(s, e).iter().map(|x| x.id).collect() };
+        let a = doc.elements_named("a");
+        let b = doc.elements_named("b");
+        assert_eq!(ids(3, 5), vec![a[0], b[0], a[1]], "ascending ids");
+        assert_eq!(ids(4, 4), doc.elements_named("z"), "zero-width region");
+        assert_eq!(ids(3, 4), Vec::<u32>::new(), "same start, other end");
+        assert_eq!(ids(0, 1), Vec::<u32>::new(), "before the first entry");
+        assert_eq!(ids(9, 9), Vec::<u32>::new(), "past the last entry");
+        // Every key present in the column finds exactly its own rows.
+        for e in idx.entries() {
+            let (hit, probes) = idx.entries_at_probed(e.start, e.end);
+            assert!(hit.contains(e));
+            assert!(hit.iter().all(|x| (x.start, x.end) == (e.start, e.end)));
+            assert!(probes as usize <= 2 * (idx.len().ilog2() as usize + 2) + hit.len());
+        }
+        assert!(RegionIndex::default().entries_at(0, 0).is_empty());
+    }
+
+    #[test]
     fn annotated_nodes_in_document_order() {
         let (_, idx) = figure1_index();
         let nodes = idx.annotated_nodes();
@@ -908,6 +960,56 @@ mod tests {
         let idx = RegionIndex::build(&doc, &StandoffConfig::default()).unwrap();
         assert!(idx.is_empty());
         assert_eq!(idx.max_regions(), 0);
+    }
+
+    /// `write_slice_le` stages elements through a block; its bytes must
+    /// equal the element-at-a-time encoding at every block boundary.
+    fn assert_block_writes_match<T: Pod + std::fmt::Debug + PartialEq>(make: impl Fn(u32) -> T) {
+        use standoff_xml::column::{write_slice_le, WRITE_BLOCK_BYTES};
+        let block = WRITE_BLOCK_BYTES / T::WIDTH;
+        for len in [0, 1, block - 1, block, block + 1, 3 * block] {
+            let values: Vec<T> = (0..len as u32).map(&make).collect();
+            let mut expect = Vec::new();
+            for &v in &values {
+                v.write_le(&mut expect).unwrap();
+            }
+            let mut got = Vec::new();
+            write_slice_le(&values, &mut got).unwrap();
+            assert_eq!(got.len(), len * T::WIDTH);
+            assert!(got == expect, "len {len} of {}", std::any::type_name::<T>());
+            let back: Vec<T> = got.chunks_exact(T::WIDTH).map(T::read_le).collect();
+            assert_eq!(back, values);
+        }
+    }
+
+    #[test]
+    fn block_writes_equal_per_element_encoding() {
+        assert_block_writes_match(|i| (i.wrapping_mul(40503) >> 3) as u16);
+        assert_block_writes_match(|i| i.wrapping_mul(2654435761));
+        assert_block_writes_match(|i| Region {
+            start: -(i as i64) * 7,
+            end: i as i64 * 1_000_003,
+        });
+        assert_block_writes_match(|i| RegionEntry {
+            start: i as i64 - 5,
+            end: i64::MAX - i as i64,
+            id: !i,
+        });
+        // Entry padding is written as zeros, whatever the block held
+        // before.
+        let entries = vec![
+            RegionEntry {
+                start: -1,
+                end: -1,
+                id: u32::MAX
+            };
+            700
+        ];
+        let mut bytes = Vec::new();
+        standoff_xml::column::write_slice_le(&entries, &mut bytes).unwrap();
+        assert!(bytes
+            .chunks_exact(24)
+            .all(|c| c[..20].iter().all(|&b| b == 0xff) && c[20..] == [0; 4]));
     }
 
     #[test]

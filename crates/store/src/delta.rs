@@ -98,11 +98,9 @@ impl LayerDelta {
         let doc = layer.doc();
         let mut out: Vec<u32> = Vec::new();
         for (name, start, end) in &self.retracts {
-            for &pre in doc.elements_named(name) {
-                if annotation_matches(layer, pre, *start, *end) {
-                    out.push(pre);
-                    out.extend(doc.descendants(pre));
-                }
+            for pre in layer.annotations_at(name, *start, *end) {
+                out.push(pre);
+                out.extend(doc.descendants(pre));
             }
         }
         out.sort_unstable();
@@ -138,9 +136,10 @@ impl LayerDelta {
 ///
 /// All mutation goes through [`DeltaSet::apply`], which validates each
 /// op against the layer set it overlays — unknown layers, base-layer
-/// writes, inverted regions and retracts that match nothing are rejected
-/// *at apply time*, so a `DeltaSet` held by an engine is always
-/// consistent with its mount.
+/// writes, inverted regions, retracts that match nothing and retracts
+/// that would hide a layer's root element are rejected *at apply time*,
+/// so a `DeltaSet` held by an engine is always consistent with its mount
+/// and can always be compacted.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaSet {
     layers: BTreeMap<String, LayerDelta>,
@@ -249,15 +248,22 @@ impl DeltaSet {
                     )));
                 }
                 let (name, start, end) = key;
-                let matched = target
-                    .doc()
-                    .elements_named(&name)
-                    .iter()
-                    .any(|&pre| annotation_matches(target, pre, start, end));
-                if !matched {
+                // Matches come out in ascending pre order, so the layer
+                // root — the first element of the document — can only
+                // ever be the first of them.
+                let Some(first) = target.annotations_at(&name, start, end).next() else {
                     return Err(StoreError::Delta(format!(
                         "retract <{name} {start}..{end}> matches no annotation of \
                          layer {layer:?}"
+                    )));
+                };
+                // Hiding the root hides the whole layer: readers would be
+                // served pending inserts from a document with no visible
+                // root, and no later `compact` could rebuild it.
+                if Some(first) == root_element(target.doc()) {
+                    return Err(StoreError::Delta(format!(
+                        "retract <{name} {start}..{end}> matches the root element of \
+                         layer {layer:?}; a layer's root cannot be retracted"
                     )));
                 }
                 delta.retracts.push((name, start, end));
@@ -352,11 +358,7 @@ fn compact_layer(layer: &Layer, delta: &LayerDelta) -> Result<Layer, StoreError>
     // needs subtree *roots*, not the expanded node set.
     let mut dropped: Vec<u32> = Vec::new();
     for (name, start, end) in delta.retracts() {
-        for &pre in doc.elements_named(name) {
-            if annotation_matches(layer, pre, *start, *end) {
-                dropped.push(pre);
-            }
-        }
+        dropped.extend(layer.annotations_at(name, *start, *end));
     }
     dropped.sort_unstable();
     dropped.dedup();
@@ -436,17 +438,6 @@ fn compact_layer(layer: &Layer, delta: &LayerDelta) -> Result<Layer, StoreError>
     Layer::build(layer.name(), doc, layer.config().clone())
 }
 
-/// Does the annotation element `pre` of `layer` carry the region
-/// `[start, end]`? (Any one region equal — in the attribute
-/// representation annotations have exactly one.)
-fn annotation_matches(layer: &Layer, pre: u32, start: i64, end: i64) -> bool {
-    layer
-        .index()
-        .regions_of(pre)
-        .iter()
-        .any(|r| r.start == start && r.end == end)
-}
-
 fn append_insert(b: &mut DocumentBuilder, a: &DeltaAnnotation, config: &StandoffConfig) {
     b.start_element(&a.name);
     b.attribute(&config.start_name, &a.start.to_string());
@@ -457,10 +448,12 @@ fn append_insert(b: &mut DocumentBuilder, a: &DeltaAnnotation, config: &Standoff
     b.end_element();
 }
 
+fn root_element(doc: &Document) -> Option<u32> {
+    doc.children(0).find(|&c| doc.kind(c) == NodeKind::Element)
+}
+
 fn root_element_name(doc: &Document) -> Option<String> {
-    doc.children(0)
-        .find(|&c| doc.kind(c) == NodeKind::Element)
-        .map(|c| doc.names().lexical(doc.name_id(c)))
+    root_element(doc).map(|c| doc.names().lexical(doc.name_id(c)))
 }
 
 fn check_token(s: &str, what: &str) -> Result<(), StoreError> {
@@ -640,6 +633,33 @@ mod tests {
         assert_eq!(delta.retract_count(), 1);
         // Double retract of the same annotation is rejected.
         assert!(delta.apply(retract("tokens", "w", 0, 4), &set).is_err());
+    }
+
+    #[test]
+    fn retract_matching_the_layer_root_is_rejected() {
+        let base = parse_document("<text>hello world!</text>").unwrap();
+        let mut set = LayerSet::build("mem://root", base, StandoffConfig::default()).unwrap();
+        // The root is itself an annotation, and shares its extent and
+        // name with a nested element.
+        let tokens = parse_document(
+            r#"<tokens start="0" end="12"><w start="0" end="4"/><tokens start="0" end="12"/></tokens>"#,
+        )
+        .unwrap();
+        set.add_layer("tokens", tokens, StandoffConfig::default())
+            .unwrap();
+        let mut delta = DeltaSet::new();
+        delta.apply(insert("tokens", "w", 6, 11), &set).unwrap();
+        let err = delta
+            .apply(retract("tokens", "tokens", 0, 12), &set)
+            .unwrap_err();
+        assert!(matches!(&err, StoreError::Delta(m) if m.contains("root element")));
+        assert_eq!(delta.retract_count(), 0, "nothing recorded");
+        // The delta stays usable: other retracts apply and it compacts.
+        delta.apply(retract("tokens", "w", 0, 4), &set).unwrap();
+        let folded = compact(&set, &delta).unwrap();
+        let tokens = folded.layer("tokens").unwrap();
+        assert_eq!(tokens.doc().elements_named("w").len(), 1);
+        assert_eq!(tokens.doc().elements_named("tokens").len(), 2);
     }
 
     #[test]

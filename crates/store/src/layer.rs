@@ -14,10 +14,11 @@
 //! one copy of the (possibly buffer-backed) column data — mounting is
 //! pointer plumbing, not duplication.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use standoff_core::obs::{Counter, MetricsRegistry};
 use standoff_core::{RegionIndex, StandoffConfig};
-use standoff_xml::Document;
+use standoff_xml::{Document, NodeKind};
 
 use crate::error::StoreError;
 
@@ -100,6 +101,31 @@ impl Layer {
         self.index.annotated_nodes().len()
     }
 
+    /// Pre ranks of the `<name>` annotation elements carrying exactly the
+    /// region `[start, end]`, ascending — the one place the
+    /// region → annotation question is answered, through the region
+    /// index's clustered column ([`RegionIndex::entries_at`]) rather than
+    /// by walking the name's postings. An element whose area has several
+    /// regions matches on any one of them. The entries examined are added
+    /// to the global `store.delta.retract_probes` counter.
+    pub fn annotations_at<'a>(
+        &'a self,
+        name: &str,
+        start: i64,
+        end: i64,
+    ) -> impl Iterator<Item = u32> + 'a {
+        let name_id = self.doc.names().get(name);
+        let (entries, probes) = match name_id {
+            Some(_) => self.index.entries_at_probed(start, end),
+            None => (&[][..], 0),
+        };
+        retract_probes().add(probes);
+        let doc = &self.doc;
+        entries.iter().map(|e| e.id).filter(move |&pre| {
+            doc.kind(pre) == NodeKind::Element && Some(doc.name_id(pre)) == name_id
+        })
+    }
+
     /// Decompose into `(name, config, document, index)`. The document
     /// and index stay shared — an engine mounting them takes references,
     /// not copies.
@@ -116,6 +142,13 @@ impl std::fmt::Debug for Layer {
             .field("annotations", &self.annotation_count())
             .finish()
     }
+}
+
+/// Handle on the global `store.delta.retract_probes` counter (resolved
+/// once: the lookup sits on every retract key of every remount).
+fn retract_probes() -> &'static Counter {
+    static PROBES: OnceLock<Counter> = OnceLock::new();
+    PROBES.get_or_init(|| MetricsRegistry::global().counter("store.delta.retract_probes"))
 }
 
 fn validate_name(name: &str) -> Result<(), StoreError> {

@@ -172,7 +172,9 @@ impl Body<'_> {
     }
 
     /// CRC32 of the exact bytes [`Body::write_to`] would emit, computed
-    /// by streaming the body into a hashing sink (no buffering).
+    /// by streaming the body into a hashing sink — byte sections whole,
+    /// pod columns in `write_slice_le`'s blocks, so the CRC runs its
+    /// 8-byte bulk loop rather than one short update per element.
     fn crc(&self) -> u32 {
         let mut sink = CrcSink(Crc32::new());
         self.write_to(&mut sink).expect("hashing sink cannot fail");

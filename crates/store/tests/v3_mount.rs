@@ -308,3 +308,90 @@ fn payload_flip_is_corrupt_at_materialization_open_stays_lazy() {
         Ok(_) => panic!("corrupted layer must not materialize"),
     }
 }
+
+/// The snapshot writer's column dump before it staged elements through a
+/// block: one `write_le` per element, straight into the sink.
+fn old_loop<T: standoff_xml::column::Pod>(values: &[T]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &v in values {
+        v.write_le(&mut out).unwrap();
+    }
+    out
+}
+
+#[test]
+fn block_written_snapshot_is_byte_identical_to_the_per_element_writer() {
+    // The sample set plus a layer whose columns span several staging
+    // blocks (1 000 entries × 24 B ≈ 3 blocks).
+    let mut set = sample_set();
+    let mut xml = String::from("<toks>");
+    for i in 0..1000 {
+        xml.push_str(&format!(
+            r#"<w n="{i}" start="{}" end="{}"/>"#,
+            3 * i,
+            3 * i + 2
+        ));
+    }
+    xml.push_str("</toks>");
+    set.add_layer(
+        "many",
+        parse_document(&xml).unwrap(),
+        StandoffConfig::default(),
+    )
+    .unwrap();
+    let mut buf = Vec::new();
+    write_snapshot(&set, &mut buf).unwrap();
+
+    // Re-encode every pod column with the old loop into a copy of the
+    // file, and every column's checksum-table entry from those bytes.
+    let mut copy = buf.clone();
+    let table = table_of(&buf);
+    let (_, _, _, sums_off, sums_len) = *table.iter().find(|s| s.0 == 40).expect("checksums");
+    let mut columns = 0;
+    for (k, layer) in set.layers().iter().enumerate() {
+        let doc = layer.doc().storage();
+        let idx = layer.index().storage();
+        for &(tag, _, _, off, len) in table.iter().filter(|s| s.1 == k as u32) {
+            let bytes = match tag {
+                12 => old_loop(doc.size),
+                13 => old_loop(doc.level),
+                14 => old_loop(doc.parent),
+                15 => old_loop(doc.name),
+                17 => old_loop(doc.values.offsets()),
+                18 => old_loop(doc.attr_first),
+                19 => old_loop(doc.attr_owner),
+                20 => old_loop(doc.attr_name),
+                22 => old_loop(doc.attr_values.offsets()),
+                23 => old_loop(&doc.elem.names),
+                24 => old_loop(&doc.elem.offsets),
+                25 => old_loop(&doc.elem.pres),
+                31 => old_loop(idx.entries),
+                32 => old_loop(idx.node_ids),
+                33 => old_loop(idx.node_offsets),
+                34 => old_loop(idx.node_regions),
+                _ => continue, // rendered metadata and raw byte heaps
+            };
+            assert_eq!(bytes.len() as u64, len, "section {tag} of layer {k}");
+            copy[off as usize..(off + len) as usize].copy_from_slice(&bytes);
+            let entry = (0..sums_len as usize / 12)
+                .map(|e| sums_off as usize + 12 * e)
+                .find(|&at| {
+                    copy[at..at + 4] == tag.to_le_bytes()
+                        && copy[at + 4..at + 8] == (k as u32).to_le_bytes()
+                })
+                .expect("checksum entry");
+            copy[entry + 8..entry + 12]
+                .copy_from_slice(&standoff_core::crc32(&bytes).to_le_bytes());
+            columns += 1;
+        }
+    }
+    assert_eq!(columns, 16 * set.len());
+    assert!(
+        copy == buf,
+        "block-staged bytes differ from the per-element writer"
+    );
+
+    let report = Snapshot::from_bytes(buf).unwrap().verify().unwrap();
+    assert!(report.checksummed);
+    assert_eq!(report.layers, set.len());
+}

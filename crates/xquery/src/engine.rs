@@ -214,6 +214,14 @@ impl EngineState {
     fn new(options: EngineOptions) -> Self {
         let metrics = Arc::new(MetricsRegistry::new());
         let handles = MetricHandles::new(&metrics);
+        EngineState::with_metrics(options, metrics, handles)
+    }
+
+    fn with_metrics(
+        options: EngineOptions,
+        metrics: Arc<MetricsRegistry>,
+        handles: MetricHandles,
+    ) -> Self {
         EngineState {
             store: Store::new(),
             options,
@@ -944,6 +952,21 @@ impl SharedEngine {
         SharedEngine {
             core: Arc::new(state),
             generation: self.generation,
+        }
+    }
+
+    /// An empty engine under the same options that keeps feeding *this*
+    /// engine's metrics registry — the next generation of a
+    /// [`crate::WritableEngine`], whose counters must not restart at
+    /// every write.
+    pub(crate) fn successor(&self) -> Engine {
+        Engine {
+            state: EngineState::with_metrics(
+                self.core.options.clone(),
+                Arc::clone(&self.core.metrics),
+                self.core.handles.clone(),
+            ),
+            generation: fresh_generation(),
         }
     }
 
