@@ -433,12 +433,13 @@ impl RegionIndex {
         Ok(())
     }
 
-    /// Deserialize an index written by [`RegionIndex::write_into`].
+    /// Deserialize an index written by [`RegionIndex::write_into`] for a
+    /// document of `node_count` nodes.
     ///
     /// Every structural invariant is re-validated (see
     /// [`RegionIndex::from_storage`]) — so a corrupted snapshot fails
     /// cleanly instead of corrupting join results.
-    pub fn read_from<R: io::Read>(r: &mut R) -> io::Result<RegionIndex> {
+    pub fn read_from<R: io::Read>(r: &mut R, node_count: usize) -> io::Result<RegionIndex> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != INDEX_MAGIC {
@@ -456,13 +457,13 @@ impl RegionIndex {
                 id: wire::read_u32(r)?,
             });
         }
-        let node_count = wire::read_u32(r)? as usize;
-        let mut node_ids = Vec::with_capacity(wire::capacity_hint(node_count));
-        for _ in 0..node_count {
+        let annotated = wire::read_u32(r)? as usize;
+        let mut node_ids = Vec::with_capacity(wire::capacity_hint(annotated));
+        for _ in 0..annotated {
             node_ids.push(wire::read_u32(r)?);
         }
-        let mut node_offsets = Vec::with_capacity(wire::capacity_hint(node_count + 1));
-        for _ in 0..=node_count {
+        let mut node_offsets = Vec::with_capacity(wire::capacity_hint(annotated + 1));
+        for _ in 0..=annotated {
             node_offsets.push(wire::read_u32(r)?);
         }
         let region_total = *node_offsets.last().unwrap_or(&u32::MAX) as usize;
@@ -483,6 +484,7 @@ impl RegionIndex {
             node_offsets.into(),
             node_regions.into(),
             max_regions,
+            node_count,
         )
     }
 
@@ -494,12 +496,19 @@ impl RegionIndex {
     /// is the single trust boundary of both the legacy stream decode and
     /// the SOSN v3 zero-copy mount — mounted indexes are used as-is by
     /// the join executor, never re-checked downstream.
+    ///
+    /// `node_count` is the node count of the document the index
+    /// describes, taken from its already validated columns: annotated
+    /// ids at or beyond it are rejected before anything is sized by an
+    /// id, so the bijection check's scratch is bounded by memory the
+    /// document already occupies, never by a number read from the file.
     pub fn from_storage(
         entries: PodCol<RegionEntry>,
         node_ids: PodCol<u32>,
         node_offsets: PodCol<u32>,
         node_regions: PodCol<Region>,
         max_regions: u32,
+        node_count: usize,
     ) -> io::Result<RegionIndex> {
         if !entries
             .windows(2)
@@ -509,6 +518,12 @@ impl RegionIndex {
         }
         if !node_ids.windows(2).all(|w| w[0] < w[1]) {
             return Err(index_data_err("node ids not strictly ascending"));
+        }
+        if node_ids
+            .last()
+            .is_some_and(|&last| last as usize >= node_count)
+        {
+            return Err(index_data_err("references nodes beyond the document"));
         }
         if node_offsets.len() != node_ids.len() + 1 {
             return Err(index_data_err("region CSR length mismatch"));
@@ -547,25 +562,40 @@ impl RegionIndex {
         if max_regions != found_max {
             return Err(index_data_err("stored max-regions is inconsistent"));
         }
-        let index = RegionIndex {
+        // Entries are unique (strict clustering) and equinumerous with the
+        // node view; membership of each entry closes the bijection. One
+        // pass ranks the annotated ids, then each entry probes its node
+        // once: a node's entries arrive in `(start, end)` order — the
+        // order of its region slice, whose starts strictly increase — so
+        // an entry is a member exactly when it equals the next region its
+        // node has not yet matched.
+        let mut slot_of = vec![u32::MAX; node_count];
+        for (k, &id) in node_ids.iter().enumerate() {
+            slot_of[id as usize] = k as u32;
+        }
+        let mut next: Vec<u32> = node_offsets[..node_ids.len()].to_vec();
+        for e in entries.iter() {
+            let slot = slot_of.get(e.id as usize).copied().unwrap_or(u32::MAX) as usize;
+            let member = next.get(slot).is_some_and(|&at| {
+                at < node_offsets[slot + 1]
+                    && node_regions[at as usize]
+                        == (Region {
+                            start: e.start,
+                            end: e.end,
+                        })
+            });
+            if !member {
+                return Err(index_data_err("entry has no matching node-view region"));
+            }
+            next[slot] += 1;
+        }
+        Ok(RegionIndex {
             entries,
             node_ids,
             node_offsets,
             node_regions,
             max_regions,
-        };
-        // Entries are unique (strict clustering) and equinumerous with the
-        // node view; membership of each entry closes the bijection.
-        for e in index.entries.iter() {
-            let valid = index
-                .regions_of(e.id)
-                .binary_search_by_key(&(e.start, e.end), |r| (r.start, r.end))
-                .is_ok();
-            if !valid {
-                return Err(index_data_err("entry has no matching node-view region"));
-            }
-        }
-        Ok(index)
+        })
     }
 
     /// Borrow the raw columns (the snapshot writer's hook).
@@ -1014,10 +1044,10 @@ mod tests {
 
     #[test]
     fn codec_round_trip() {
-        let (_, idx) = figure1_index();
+        let (doc, idx) = figure1_index();
         let mut buf = Vec::new();
         idx.write_into(&mut buf).unwrap();
-        let loaded = RegionIndex::read_from(&mut buf.as_slice()).unwrap();
+        let loaded = RegionIndex::read_from(&mut buf.as_slice(), doc.node_count()).unwrap();
         assert_eq!(loaded.entries(), idx.entries());
         assert_eq!(loaded.annotated_nodes(), idx.annotated_nodes());
         assert_eq!(loaded.max_regions(), idx.max_regions());
@@ -1038,24 +1068,25 @@ mod tests {
         let idx = RegionIndex::build(&doc, &StandoffConfig::element_repr()).unwrap();
         let mut buf = Vec::new();
         idx.write_into(&mut buf).unwrap();
-        let loaded = RegionIndex::read_from(&mut buf.as_slice()).unwrap();
+        let loaded = RegionIndex::read_from(&mut buf.as_slice(), doc.node_count()).unwrap();
         assert_eq!(loaded.max_regions(), 2);
         assert_eq!(loaded.entries(), idx.entries());
     }
 
     #[test]
     fn codec_rejects_corruption() {
-        let (_, idx) = figure1_index();
+        let (doc, idx) = figure1_index();
+        let nodes = doc.node_count();
         let mut buf = Vec::new();
         idx.write_into(&mut buf).unwrap();
         // Bad magic.
         let mut bad = buf.clone();
         bad[0] = b'X';
-        assert!(RegionIndex::read_from(&mut bad.as_slice()).is_err());
+        assert!(RegionIndex::read_from(&mut bad.as_slice(), nodes).is_err());
         // Truncations must fail, never panic.
         for cut in [0, 4, 8, buf.len() / 2, buf.len() - 1] {
             assert!(
-                RegionIndex::read_from(&mut buf[..cut].to_vec().as_slice()).is_err(),
+                RegionIndex::read_from(&mut buf[..cut].to_vec().as_slice(), nodes).is_err(),
                 "truncation at {cut} must fail"
             );
         }
@@ -1064,7 +1095,7 @@ mod tests {
         for k in 8..buf.len() {
             let mut mutated = buf.clone();
             mutated[k] ^= 0xff;
-            let _ = RegionIndex::read_from(&mut mutated.as_slice());
+            let _ = RegionIndex::read_from(&mut mutated.as_slice(), nodes);
         }
     }
 

@@ -287,14 +287,26 @@ impl DeltaSet {
         Ok(n)
     }
 
-    /// The recorded mutations as a replayable op batch: retracts of
-    /// surviving keys first would be wrong (inserts could collide), so
-    /// ops come out layer by layer, inserts in order, then retracts.
-    /// Replaying them through [`DeltaSet::apply`] against the same base
-    /// reproduces this delta exactly.
+    /// The recorded mutations as a replayable op batch, layer by layer:
+    /// a layer's retracts first, then its inserts in order. A recorded
+    /// retract key always matched the *base* — a retract that hits a
+    /// pending insert cancels it and records nothing — so replayed ahead
+    /// of the inserts every retract finds its annotation again, and a
+    /// later insert at the same key (replace in place) stays pending
+    /// instead of being cancelled by its own predecessor's retract.
+    /// Replaying the batch through [`DeltaSet::apply`] against the same
+    /// base reproduces this delta exactly.
     pub fn to_ops(&self) -> Vec<DeltaOp> {
         let mut out = Vec::new();
         for (layer, delta) in &self.layers {
+            for (name, start, end) in &delta.retracts {
+                out.push(DeltaOp::Retract {
+                    layer: layer.clone(),
+                    name: name.clone(),
+                    start: *start,
+                    end: *end,
+                });
+            }
             for a in &delta.inserts {
                 out.push(DeltaOp::Insert {
                     layer: layer.clone(),
@@ -302,14 +314,6 @@ impl DeltaSet {
                     start: a.start,
                     end: a.end,
                     attrs: a.attrs.clone(),
-                });
-            }
-            for (name, start, end) in &delta.retracts {
-                out.push(DeltaOp::Retract {
-                    layer: layer.clone(),
-                    name: name.clone(),
-                    start: *start,
-                    end: *end,
                 });
             }
         }
@@ -670,6 +674,54 @@ mod tests {
         delta.apply(retract("tokens", "ner", 6, 14), &set).unwrap();
         assert!(delta.is_empty());
         assert_eq!(delta.retract_count(), 0);
+    }
+
+    /// Replace in place — retract an annotation, insert another at the
+    /// same key — must survive `to_ops` → `apply`: replayed insert-first,
+    /// the retract cancelled the pending insert and the old annotation
+    /// came back.
+    #[test]
+    fn to_ops_replays_a_replace_in_place() {
+        let set = sample_set();
+        let mut delta = DeltaSet::new();
+        delta.apply(retract("tokens", "w", 0, 4), &set).unwrap();
+        delta
+            .apply(
+                DeltaOp::Insert {
+                    layer: "tokens".into(),
+                    name: "w".into(),
+                    start: 0,
+                    end: 4,
+                    attrs: vec![("kind".into(), "replaced".into())],
+                },
+                &set,
+            )
+            .unwrap();
+        // A second layer-independent mutation rides along.
+        delta.apply(insert("tokens", "ner", 6, 14), &set).unwrap();
+
+        let mut replayed = DeltaSet::new();
+        replayed.apply_all(delta.to_ops(), &set).unwrap();
+        assert_eq!(replayed.insert_count(), 2);
+        assert_eq!(replayed.retract_count(), 1);
+        assert_eq!(replayed.to_ops(), delta.to_ops());
+        // And through the sidecar text form.
+        let mut from_text = DeltaSet::new();
+        from_text
+            .apply_all(parse_ops(&ops_to_text(&delta.to_ops())).unwrap(), &set)
+            .unwrap();
+        assert_eq!(from_text.to_ops(), delta.to_ops());
+
+        for d in [&delta, &replayed, &from_text] {
+            let folded = compact(&set, d).unwrap();
+            let doc = folded.layer("tokens").unwrap().doc();
+            let kinds: Vec<&str> = doc
+                .elements_named("w")
+                .iter()
+                .map(|&w| doc.attribute(w, "kind").unwrap())
+                .collect();
+            assert_eq!(kinds, ["word", "word", "replaced"]);
+        }
     }
 
     #[test]

@@ -24,15 +24,24 @@
 //! section per *column* — the document's `kind`/`size`/`level`/`parent`/
 //! `name` columns, string-arena heaps and offsets, the attribute table,
 //! the element-name CSR, and the region index's entry/node/CSR/region
-//! columns. [`Snapshot::open`] reads the file into one shared
-//! buffer and walks only the section table plus the tiny
-//! META/LAYER_HDR payloads; a layer's columns become zero-copy typed
+//! columns. [`Snapshot::open`] maps the file read-only (falling back to
+//! reading it where it cannot be mapped) and walks only the section
+//! table plus the tiny META/LAYER_HDR payloads, so opening touches a few
+//! pages whatever the file size; a layer's columns become zero-copy typed
 //! views ([`standoff_xml::column::PodCol`]) the first time the layer is
 //! accessed — documents and region indexes are *realized lazily* and
 //! cached, so `inspect` and single-layer workloads never pay for
 //! untouched siblings. All structural invariants the eager decoders
 //! enforced are re-validated at materialization time (the query
 //! optimizer's post-filter elision relies on them).
+//!
+//! A mapping follows the *inode*, and every writer in this crate
+//! replaces a snapshot by temp file → fsync → rename
+//! ([`crate::atomic`]), never in place: a snapshot opened before a
+//! checkpoint or `compact` keeps answering from the old file for as
+//! long as it lives, and the next `open` sees the new one. Truncating a
+//! mounted file in place from outside is not a categorized error — it
+//! is `SIGBUS` on the next touch of a lost page.
 //!
 //! Alignment padding is an optimization, not an obligation: a misaligned
 //! (or big-endian) mount transparently decodes the affected column into
@@ -43,6 +52,7 @@ use std::io::{self, Write};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use standoff_core::{RegionIndex, StandoffConfig};
 use standoff_xml::column::{write_slice_le, PodCol, SharedBytes, StrArena};
@@ -191,8 +201,9 @@ fn check_crc(
     section: &str,
     layer_label: Option<&str>,
 ) -> Result<(), StoreError> {
-    let computed = crc32(&buf[range]);
     let registry = MetricsRegistry::global();
+    registry.add("store.verify.bytes_hashed", range.len() as u64);
+    let computed = crc32(&buf[range]);
     if computed != expected {
         registry.add("store.verify.failures", 1);
         let what = match layer_label {
@@ -345,6 +356,19 @@ fn write_columnar<W: Write>(set: &LayerSet, w: &mut W, checksums: bool) -> io::R
 
 // ---- mounted snapshot ----
 
+/// The bytes of a snapshot file: a private read-only mapping where the
+/// platform has one, the file read into the heap where it does not or
+/// the map call fails (an empty file cannot be mapped at all — it comes
+/// back as zero heap bytes and fails the header check like any other
+/// truncation).
+fn map_or_read(path: &Path) -> io::Result<SharedBytes> {
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    if let Ok(mapped) = SharedBytes::map_file(&std::fs::File::open(path)?) {
+        return Ok(mapped);
+    }
+    Ok(SharedBytes::from_vec(std::fs::read(path)?))
+}
+
 /// One layer's mount state: header metadata (decoded at open), the
 /// section map, and the lazily realized [`Layer`].
 struct MountLayer {
@@ -415,10 +439,13 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Mount a snapshot file.
+    /// Mount a snapshot file: mapped where the platform allows, read
+    /// into the heap otherwise. Either way nothing beyond the header,
+    /// the section table and the META/LAYER_HDR payloads is touched.
     pub fn open(path: impl AsRef<Path>) -> Result<Snapshot, StoreError> {
-        let bytes = std::fs::read(path)?;
-        Snapshot::mount_bytes(bytes)
+        let started = Instant::now();
+        let buf = map_or_read(path.as_ref())?;
+        Snapshot::mount(buf, started)
     }
 
     /// Mount a snapshot file and eagerly verify everything — every
@@ -443,13 +470,28 @@ impl Snapshot {
     /// surfaces as [`StoreError::Corrupt`] rather than flattened into
     /// `io::Error`.
     pub fn mount_bytes(bytes: Vec<u8>) -> Result<Snapshot, StoreError> {
+        Snapshot::mount(SharedBytes::from_vec(bytes), Instant::now())
+    }
+
+    /// The shared tail of every open path. `started` is when the caller
+    /// began acquiring the bytes, so `store.snapshot_open_ns` covers the
+    /// map or read as well as the header walk.
+    fn mount(buf: SharedBytes, started: Instant) -> Result<Snapshot, StoreError> {
         // Mount timings go to the process-global registry: the store
         // crate has no engine to own a registry, and mounts are rare
         // enough that the global map lookup is immaterial.
-        let started = std::time::Instant::now();
-        let snapshot = Snapshot::from_bytes_inner(bytes)?;
+        let mapped = buf.is_mapped();
+        let snapshot = Snapshot::from_buf(buf)?;
         let registry = MetricsRegistry::global();
         registry.add("store.snapshots_opened", 1);
+        registry.add(
+            if mapped {
+                "store.open.mapped"
+            } else {
+                "store.open.heap"
+            },
+            1,
+        );
         registry.record(
             "store.snapshot_open_ns",
             started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
@@ -457,8 +499,7 @@ impl Snapshot {
         Ok(snapshot)
     }
 
-    fn from_bytes_inner(bytes: Vec<u8>) -> Result<Snapshot, StoreError> {
-        let buf: SharedBytes = Arc::new(bytes);
+    fn from_buf(buf: SharedBytes) -> Result<Snapshot, StoreError> {
         if buf.len() < 8 {
             return Err(bad("truncated header").into());
         }
@@ -499,7 +540,7 @@ impl Snapshot {
             })
             .collect();
         Ok(Snapshot {
-            buf: Arc::new(Vec::new()),
+            buf: SharedBytes::from_vec(Vec::new()),
             version: VERSION_LEGACY,
             uri,
             payload_bytes: info.payload_bytes,
@@ -772,6 +813,17 @@ impl Snapshot {
         !self.checks.is_empty()
     }
 
+    /// What the mounted columns view into: `"mmap"` (the file's pages)
+    /// or `"heap"` (bytes read or handed in; legacy files, which decode
+    /// into owned columns, always say `"heap"`).
+    pub fn backing(&self) -> &'static str {
+        if self.buf.is_mapped() {
+            "mmap"
+        } else {
+            "heap"
+        }
+    }
+
     /// Deep integrity check: recompute every recorded section checksum
     /// (v4), then materialize every layer, which re-runs the full
     /// structural revalidation the lazy mount path applies. Corruption
@@ -869,7 +921,7 @@ impl Snapshot {
         if let Some(layer) = slot.cell.get() {
             return Ok(Arc::clone(layer));
         }
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let layer = Arc::new(self.materialize(slot)?);
         let registry = MetricsRegistry::global();
         registry.add("store.layers_materialized", 1);
@@ -987,6 +1039,7 @@ impl Snapshot {
             PodCol::view(&self.buf, sect(SEC_RIDX_REGIONS).map_err(StoreError::Io)?)
                 .map_err(wrap)?,
             max_regions,
+            doc.node_count(),
         )
         .map_err(wrap)?;
         if index.annotated_nodes().len() as u64 != slot.annotations
@@ -999,15 +1052,8 @@ impl Snapshot {
         // *relies* on join outputs being elements, so a snapshot index
         // annotating any other node kind must fail here — mounted
         // indexes are used as-is, never rebuilt, and nothing downstream
-        // re-checks. (Region validity was checked by `from_storage`;
-        // config/area agreement is the writer's contract.)
-        if let Some(&last) = index.annotated_nodes().last() {
-            if last as usize >= doc.node_count() {
-                return Err(wrap(bad(
-                    "region index references nodes beyond the document",
-                )));
-            }
-        }
+        // re-checks. (Region validity and the id range were checked by
+        // `from_storage`; config/area agreement is the writer's contract.)
         if index
             .annotated_nodes()
             .iter()

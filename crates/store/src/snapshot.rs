@@ -271,20 +271,16 @@ pub(crate) fn read_snapshot_legacy_with_info<R: Read>(
                 let name = read_string(&mut p)?;
                 let config = read_config(&mut p)?;
                 let doc = standoff_xml::read_document(&mut p)?;
-                let index = RegionIndex::read_from(&mut p)?;
+                let index = RegionIndex::read_from(&mut p, doc.node_count())?;
                 // The index must describe this document: every annotated
                 // node is an element of it. The query optimizer's
                 // post-filter elision *relies* on join outputs being
                 // elements, so a snapshot index annotating any other
                 // node kind must fail here — mounted indexes are used
                 // as-is, never rebuilt, and nothing downstream re-checks.
-                // (Region validity was checked by `read_from`;
-                // config/area agreement is the writer's contract.)
-                if let Some(&last) = index.annotated_nodes().last() {
-                    if last as usize >= doc.node_count() {
-                        return Err(bad("region index references nodes beyond the document"));
-                    }
-                }
+                // (Region validity and the id range were checked by
+                // `read_from`; config/area agreement is the writer's
+                // contract.)
                 if index
                     .annotated_nodes()
                     .iter()

@@ -5,9 +5,33 @@
 //! proves the detection guarantee: a flipped payload byte cannot
 //! survive materialization.
 
+use std::path::PathBuf;
+
 use standoff_core::StandoffConfig;
-use standoff_store::{write_snapshot, write_snapshot_legacy, LayerSet, Snapshot, StoreError};
+use standoff_store::{
+    save_snapshot, write_snapshot, write_snapshot_legacy, LayerSet, Snapshot, StoreError,
+};
 use standoff_xml::parse_document;
+
+/// A scratch file path unique to this test process and `tag`.
+fn temp_file(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("standoff-v3-mount-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(tag)
+}
+
+/// What opening (and then deep-verifying) a snapshot comes to, as text:
+/// the error in full, or `"ok"`. Two open paths over the same bytes must
+/// produce the same string.
+fn outcome(opened: Result<Snapshot, StoreError>) -> String {
+    match opened.and_then(|snapshot| snapshot.verify().map(|_| snapshot)) {
+        Ok(snapshot) => {
+            let _ = snapshot.info();
+            "ok".to_string()
+        }
+        Err(e) => format!("{e:?}"),
+    }
+}
 
 fn sample_set() -> LayerSet {
     let base =
@@ -260,23 +284,99 @@ fn single_byte_corruption_never_panics_and_is_always_detected() {
             *b = true; // the section payload
         }
     }
+    let path = temp_file("flip-sweep.snap");
     for k in 0..buf.len() {
         let mut mutated = buf.clone();
         mutated[k] ^= 0xff;
         // Detection: open fails, or the deep verify (checksums + full
-        // materialization) fails. Never a panic either way.
-        let detected = match Snapshot::mount_bytes(mutated) {
-            Err(_) => true,
-            Ok(snapshot) => {
-                let failed = snapshot.verify().is_err();
-                let _ = snapshot.info();
-                failed
-            }
-        };
+        // materialization) fails. Never a panic either way — and the
+        // file-backed open categorizes every flip exactly as the
+        // in-memory one does.
+        std::fs::write(&path, &mutated).unwrap();
+        let from_file = outcome(Snapshot::open(&path));
+        let from_bytes = outcome(Snapshot::mount_bytes(mutated));
+        assert_eq!(from_file, from_bytes, "flip of byte {k}");
         if semantic[k] {
-            assert!(detected, "flip of semantic byte {k} must be detected");
+            assert_ne!(
+                from_bytes, "ok",
+                "flip of semantic byte {k} must be detected"
+            );
         }
     }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Files too short to hold a header or their own section table fail the
+/// same way whether they are opened by path or handed over as bytes —
+/// in particular the empty file, which cannot be mapped at all.
+#[test]
+fn truncated_files_fail_like_truncated_bytes() {
+    let buf = v3_bytes();
+    let table_end = 16 + 24 * table_of(&buf).len();
+    let path = temp_file("truncated.snap");
+    for cut in [0, 7, 8, 15, 16, table_end - 1, table_end, buf.len() - 1] {
+        std::fs::write(&path, &buf[..cut]).unwrap();
+        let from_file = outcome(Snapshot::open(&path));
+        assert_ne!(from_file, "ok", "cut at {cut}");
+        assert_eq!(
+            from_file,
+            outcome(Snapshot::mount_bytes(buf[..cut].to_vec())),
+            "cut at {cut}"
+        );
+    }
+    for (cut, needle) in [(0, "truncated header"), (7, "truncated header")] {
+        std::fs::write(&path, &buf[..cut]).unwrap();
+        let err = Snapshot::open(&path).unwrap_err().to_string();
+        assert!(err.contains(needle), "cut at {cut}: {err}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Readers map, writers rename: a snapshot opened from a path keeps
+/// answering from the file it opened — layers it had not even
+/// materialized yet included — after `save_snapshot` replaces that
+/// path, and the next `open` sees the replacement.
+#[test]
+fn opened_snapshot_outlives_the_replacement_of_its_path() {
+    let path = temp_file("replaced.snap");
+    let before = sample_set();
+    save_snapshot(&before, &path).unwrap();
+    let old = Snapshot::open(&path).unwrap();
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    assert_eq!(old.backing(), "mmap");
+    let old_base = old.layer("base").unwrap();
+
+    let mut after = LayerSet::build(
+        "corpus.xml",
+        parse_document(r#"<doc><seg start="0" end="3"/>new</doc>"#).unwrap(),
+        StandoffConfig::default(),
+    )
+    .unwrap();
+    after
+        .add_layer(
+            "tokens",
+            parse_document(r#"<toks><w start="1" end="2"/></toks>"#).unwrap(),
+            StandoffConfig::default(),
+        )
+        .unwrap();
+    save_snapshot(&after, &path).unwrap();
+
+    // Already materialized, materialized only now, and deep-verified:
+    // all still the old file.
+    assert_eq!(old_base.doc().elements_named("seg").len(), 2);
+    let old_tokens = old.layer("tokens").unwrap();
+    assert_eq!(old_tokens.doc().elements_named("w").len(), 3);
+    assert_eq!(old_tokens.index().annotated_nodes().len(), 3);
+    assert_eq!(old.verify().unwrap().layers, 3);
+
+    let new = Snapshot::open(&path).unwrap();
+    assert_eq!(new.len(), 2);
+    assert_eq!(
+        new.layer("tokens").unwrap().doc().elements_named("w").len(),
+        1
+    );
+    assert_eq!(Snapshot::from_bytes(v3_bytes()).unwrap().backing(), "heap");
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

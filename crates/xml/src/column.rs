@@ -68,14 +68,148 @@ macro_rules! int_pod {
 
 int_pod!(u8, u16, u32, u64, i64);
 
-/// The shared, immutable byte buffer snapshot mounts view into.
+/// The shared, immutable byte buffer snapshot mounts view into: heap
+/// bytes, or a read-only private mapping of a snapshot file. Dereferences
+/// to `[u8]` either way; cloning shares the one buffer (every mounted
+/// column holds a clone), and the last clone to drop frees or unmaps it.
 ///
-/// Deliberately `Arc<Vec<u8>>` rather than `Arc<[u8]>`: converting a
-/// freshly read file into `Arc<[u8]>` would copy the entire payload
-/// again (the slice data must move inline into the Arc allocation),
-/// while wrapping the `Vec` is free — mounting stays one read, zero
-/// copies. The buffer is never mutated after wrapping.
-pub type SharedBytes = Arc<Vec<u8>>;
+/// The heap form wraps the `Vec` it is given — no copy. The mapped form
+/// costs page-table entries for what is touched instead of a read and a
+/// copy of the whole file; it stays valid for as long as nobody rewrites
+/// the file *in place* (see [`SharedBytes::map_file`]).
+#[derive(Clone)]
+pub struct SharedBytes(Arc<Backing>);
+
+enum Backing {
+    Heap(Vec<u8>),
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    Mapped(mapping::Mapping),
+}
+
+impl SharedBytes {
+    /// Wrap owned bytes (no copy).
+    pub fn from_vec(bytes: Vec<u8>) -> SharedBytes {
+        SharedBytes(Arc::new(Backing::Heap(bytes)))
+    }
+
+    /// Map `file` read-only and privately, whole. Fails — the caller
+    /// falls back to reading — for an empty file (a zero-length mapping
+    /// is an error, not an empty buffer) and whenever the kernel refuses.
+    ///
+    /// The mapping tracks the *inode*: replacing the path by rename (what
+    /// every writer in this workspace does) leaves it intact, but a third
+    /// party truncating the file in place turns later reads of the lost
+    /// pages into `SIGBUS`, which no error path can catch.
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    pub fn map_file(file: &std::fs::File) -> io::Result<SharedBytes> {
+        Ok(SharedBytes(Arc::new(Backing::Mapped(
+            mapping::Mapping::of(file)?,
+        ))))
+    }
+
+    /// Is this buffer a file mapping (vs heap bytes)?
+    pub fn is_mapped(&self) -> bool {
+        !matches!(*self.0, Backing::Heap(_))
+    }
+}
+
+impl Deref for SharedBytes {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        match &*self.0 {
+            Backing::Heap(bytes) => bytes,
+            #[cfg(all(unix, target_pointer_width = "64"))]
+            Backing::Mapped(map) => map.bytes(),
+        }
+    }
+}
+
+impl fmt::Debug for SharedBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SharedBytes")
+            .field("len", &self.len())
+            .field("mapped", &self.is_mapped())
+            .finish()
+    }
+}
+
+#[cfg(all(unix, target_pointer_width = "64"))]
+mod mapping {
+    use std::io;
+
+    /// One live `mmap(2)` region, unmapped on drop. Raw libc bindings, like
+    /// the CLI's `signal` and the server's `poll` — the workspace stays
+    /// dependency-free. 64-bit unix only: there `off_t` is `i64` everywhere.
+    pub(super) struct Mapping {
+        ptr: *mut std::ffi::c_void,
+        len: usize,
+    }
+
+    extern "C" {
+        fn mmap(
+            addr: *mut std::ffi::c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            offset: i64,
+        ) -> *mut std::ffi::c_void;
+        fn munmap(addr: *mut std::ffi::c_void, len: usize) -> i32;
+    }
+
+    impl Mapping {
+        pub(super) fn of(file: &std::fs::File) -> io::Result<Mapping> {
+            use std::os::fd::AsRawFd;
+            const PROT_READ: i32 = 1;
+            const MAP_PRIVATE: i32 = 2;
+            let len = usize::try_from(file.metadata()?.len())
+                .ok()
+                .filter(|&len| len > 0)
+                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "nothing to map"))?;
+            // SAFETY: a fresh mapping at a kernel-chosen address aliases no
+            // Rust object; `fd` is open for the duration of the call, and the
+            // result is checked against MAP_FAILED before it is used.
+            let ptr = unsafe {
+                mmap(
+                    std::ptr::null_mut(),
+                    len,
+                    PROT_READ,
+                    MAP_PRIVATE,
+                    file.as_raw_fd(),
+                    0,
+                )
+            };
+            if ptr as isize == -1 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(Mapping { ptr, len })
+        }
+
+        #[inline]
+        pub(super) fn bytes(&self) -> &[u8] {
+            // SAFETY: `ptr..ptr + len` is one live PROT_READ mapping owned by
+            // `self` (unmapped only in `drop`), page-aligned and non-null;
+            // nothing in this process writes through it.
+            unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
+        }
+    }
+
+    impl Drop for Mapping {
+        fn drop(&mut self) {
+            // SAFETY: exactly the region `mmap` returned, unmapped once; no
+            // borrow of `bytes()` can outlive `self`. A failure leaks the
+            // mapping, which `drop` can do nothing about.
+            unsafe { munmap(self.ptr, self.len) };
+        }
+    }
+
+    // SAFETY: the mapping is read-only for its whole life and owned by this
+    // value alone, so sharing or moving it across threads is sharing `&[u8]`.
+    unsafe impl Send for Mapping {}
+    unsafe impl Sync for Mapping {}
+}
 
 /// What keeps a column's storage alive: an owned vector or the shared
 /// mount buffer. Only consulted on clone/introspection — element access
@@ -136,7 +270,7 @@ impl<T: Pod> PodCol<T> {
             Ok(PodCol {
                 ptr: bytes.as_ptr() as *const T,
                 len,
-                keeper: Keeper::View(Arc::clone(buf)),
+                keeper: Keeper::View(buf.clone()),
             })
         } else {
             let mut out = Vec::with_capacity(capacity_hint(len));
@@ -207,7 +341,7 @@ impl<T: Pod> Clone for PodCol<T> {
             Keeper::View(buf) => PodCol {
                 ptr: self.ptr,
                 len: self.len,
-                keeper: Keeper::View(Arc::clone(buf)),
+                keeper: Keeper::View(buf.clone()),
             },
         }
     }
@@ -435,7 +569,7 @@ mod tests {
     use super::*;
 
     fn buf(bytes: &[u8]) -> SharedBytes {
-        Arc::new(bytes.to_vec())
+        SharedBytes::from_vec(bytes.to_vec())
     }
 
     #[test]

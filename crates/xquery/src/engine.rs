@@ -1076,6 +1076,57 @@ mod tests {
     use super::*;
     use crate::compile::config_from_prolog;
 
+    /// A deadline that passes while the fused `[@k = "lit"]` filter is
+    /// walking its rows is the same categorized error the generic
+    /// predicate reports for the same table under the same deadline.
+    /// The table is one node repeated — cheap to build, long to filter —
+    /// so the budget is live when the filter is entered and the only
+    /// place left to notice the deadline is the filter's own poll.
+    #[test]
+    fn deadline_inside_the_attr_filter_is_the_generic_timeout() {
+        use crate::plan::{Atom, PlanExpr};
+        use standoff_algebra::{NodeTest, TreeAxis};
+        use standoff_core::BudgetLimits;
+        use std::time::Duration;
+
+        let mut engine = Engine::new();
+        let doc = engine.load_document("f", r#"<r><x k="a"/></r>"#).unwrap();
+        let x = Item::Node(standoff_xml::NodeRef::tree(doc, 2));
+        let rows = 400_000;
+        let table = LlSeq::from_columns(vec![0; rows], vec![x; rows]);
+        let fused = PlanExpr::AttrEquals {
+            name: "k".into(),
+            value: "a".into(),
+        };
+        let generic = PlanExpr::Comparison(
+            crate::ast::CompOp::Eq,
+            Box::new(PlanExpr::TreeStep {
+                input: None,
+                axis: TreeAxis::Attribute,
+                test: NodeTest::named("k"),
+                predicates: Vec::new(),
+            }),
+            Box::new(PlanExpr::Const(Atom::str("a"))),
+        );
+        let mut filter = |predicate: &PlanExpr, deadline: Option<Duration>| {
+            let input = table.clone();
+            engine.state.budget = deadline.map(|d| {
+                Budget::new(BudgetLimits {
+                    deadline: Some(d),
+                    ..BudgetLimits::default()
+                })
+            });
+            Evaluator::new(&mut engine.state, StandoffConfig::default())
+                .apply_predicate(input, predicate)
+                .map(|kept| kept.len())
+        };
+        assert_eq!(filter(&fused, None), Ok(rows));
+        assert_eq!(filter(&generic, None), Ok(rows));
+        let tight = Some(Duration::from_micros(200));
+        assert_eq!(filter(&fused, tight), Err(QueryError::Timeout));
+        assert_eq!(filter(&generic, tight), filter(&fused, tight));
+    }
+
     #[test]
     fn options_default_to_loop_lifted() {
         let engine = Engine::new();

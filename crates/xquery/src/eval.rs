@@ -181,23 +181,36 @@ impl<'e> Evaluator<'e> {
     // ================= operator dispatch =================
 
     pub fn eval(&mut self, expr: &PlanExpr) -> Result<LlSeq, QueryError> {
+        self.metered(expr, |ev| ev.eval_inner(expr))
+    }
+
+    /// Run one operator — `run` computes `op`'s output — under whatever
+    /// accounting is switched on: governance around it, the per-operator
+    /// profile on top. Every operator goes through here, whichever
+    /// function evaluates it.
+    #[inline]
+    fn metered(
+        &mut self,
+        op: &PlanExpr,
+        run: impl FnOnce(&mut Self) -> Result<LlSeq, QueryError>,
+    ) -> Result<LlSeq, QueryError> {
         if self.profile.is_none() && self.engine.budget.is_none() {
             // Ungoverned, unprofiled: the zero-overhead path every
             // benchmark and plain run takes.
-            return self.eval_inner(expr);
+            return run(self);
         }
         if self.profile.is_none() {
-            return self.eval_governed(expr);
+            return self.governed(run);
         }
         let start = std::time::Instant::now();
         let result = if self.engine.budget.is_none() {
-            self.eval_inner(expr)
+            run(self)
         } else {
-            self.eval_governed(expr)
+            self.governed(run)
         };
         let ns = start.elapsed().as_nanos() as u64;
         if let Some(p) = self.profile.as_deref_mut() {
-            let m = p.op_mut(expr as *const PlanExpr as usize);
+            let m = p.op_mut(op as *const PlanExpr as usize);
             m.calls += 1;
             // Inclusive of children: the renderer shows the hierarchy.
             m.wall_ns += ns;
@@ -208,20 +221,23 @@ impl<'e> Evaluator<'e> {
         result
     }
 
-    /// [`Evaluator::eval_inner`] under a governance budget: check the
-    /// deadline/cancellation flag before descending into the operator,
-    /// and charge its output cardinality afterwards. Operator outputs
-    /// are plan-shaped — identical across join strategies and thread
+    /// One operator under a governance budget: check the
+    /// deadline/cancellation flag before descending into it, and charge
+    /// its output cardinality afterwards. Operator outputs are
+    /// plan-shaped — identical across join strategies and thread
     /// counts — so a result-cardinality cap trips deterministically no
     /// matter how the join was evaluated.
-    fn eval_governed(&mut self, expr: &PlanExpr) -> Result<LlSeq, QueryError> {
+    fn governed(
+        &mut self,
+        run: impl FnOnce(&mut Self) -> Result<LlSeq, QueryError>,
+    ) -> Result<LlSeq, QueryError> {
         let budget = self
             .engine
             .budget
             .clone()
-            .expect("eval_governed requires an installed budget");
+            .expect("governed evaluation requires an installed budget");
         budget.check()?;
-        let result = self.eval_inner(expr)?;
+        let result = run(self)?;
         budget.charge_results(result.len() as u64)?;
         Ok(result)
     }
@@ -295,6 +311,9 @@ impl<'e> Evaluator<'e> {
                 let t = self.eval(input)?;
                 self.apply_predicate(t, predicate)
             }
+            PlanExpr::AttrEquals { .. } => Err(QueryError::internal(
+                "attribute filter evaluated outside a predicate",
+            )),
             PlanExpr::UdfCall { index, name, args } => self.eval_udf_call(*index, name, args),
             PlanExpr::StandoffFn {
                 op,
@@ -911,27 +930,30 @@ impl<'e> Evaluator<'e> {
         let mut expanded = false;
         for (&iter, &node) in ctx.iters().iter().zip(ctx.nodes()) {
             out.push(iter, node);
-            let (Some(pre), Some(delta)) = (node.id.pre(), self.engine.delta_doc_of(node.doc))
-            else {
-                continue;
-            };
-            let doc = self.engine.store.doc(node.doc);
-            // Document node mirrors pre 0; the root element mirrors the
-            // delta root (always pre 1 — delta documents are built with
-            // no leading comments or PIs).
-            let mirrored = if pre == 0 {
-                Some(0)
-            } else if doc.parent(pre) == 0 && doc.kind(pre) == NodeKind::Element {
-                Some(1)
-            } else {
-                None
-            };
-            if let Some(dpre) = mirrored {
-                out.push(iter, NodeRef::tree(delta, dpre));
+            if let Some(mirror) = self.delta_mirror(node) {
+                out.push(iter, mirror);
                 expanded = true;
             }
         }
         (out, expanded)
+    }
+
+    /// The node of a layer's delta document that mirrors `node`, if the
+    /// layer has one and `node` sits at a mirrored position: the
+    /// document node mirrors pre 0, the root element mirrors the delta
+    /// root (always pre 1 — delta documents are built with no leading
+    /// comments or PIs).
+    fn delta_mirror(&self, node: NodeRef) -> Option<NodeRef> {
+        let pre = node.id.pre()?;
+        let delta = self.engine.delta_doc_of(node.doc)?;
+        let doc = self.engine.store.doc(node.doc);
+        if pre == 0 {
+            Some(NodeRef::tree(delta, 0))
+        } else if doc.parent(pre) == 0 && doc.kind(pre) == NodeKind::Element {
+            Some(NodeRef::tree(delta, 1))
+        } else {
+            None
+        }
     }
 
     /// Merge-on-read, navigation half (result side): the delta document's
@@ -1411,6 +1433,9 @@ impl<'e> Evaluator<'e> {
         table: LlSeq,
         predicate: &PlanExpr,
     ) -> Result<LlSeq, QueryError> {
+        if let PlanExpr::AttrEquals { name, value } = predicate {
+            return self.metered(predicate, |ev| ev.filter_attr_equals(table, name, value));
+        }
         let n = table.len() as u32;
         let map = table.iters().to_vec();
         // Positions and group sizes within the input's iterations.
@@ -1473,6 +1498,68 @@ impl<'e> Evaluator<'e> {
             };
             if keep {
                 out.push(table.iters()[k], table.items()[k].clone());
+            }
+        }
+        Ok(out)
+    }
+
+    /// The fused `[@name = "value"]` predicate: keep the rows whose
+    /// element carries that attribute with exactly that value, read
+    /// straight off the owning document's attribute columns. It is what
+    /// the generic frame computes for this shape — the attribute axis
+    /// from each row, atomized, string-compared, existentially — without
+    /// attribute nodes, a boolean column or position/last columns: rows
+    /// that are not elements have no attributes and drop, an atomic row
+    /// is the same dynamic error the attribute step raises, and on an
+    /// overlay mount a layer-root row also sees the attributes of the
+    /// root its delta document mirrors (as `expand_delta_contexts` gives
+    /// the attribute step).
+    fn filter_attr_equals(
+        &self,
+        table: LlSeq,
+        name: &str,
+        value: &str,
+    ) -> Result<LlSeq, QueryError> {
+        let budget = self.engine.budget.as_ref();
+        let store = &self.engine.store;
+        // Rows arrive grouped by document, so one remembered resolution
+        // makes the name lookup once per document.
+        let mut resolved: Option<(DocId, Option<standoff_xml::NameId>)> = None;
+        let mut carries = |node: NodeRef| -> bool {
+            let Some(pre) = node.id.pre() else {
+                return false; // attribute rows have no attributes
+            };
+            let doc = store.doc(node.doc);
+            let id = match resolved {
+                Some((d, id)) if d == node.doc => id,
+                _ => {
+                    let id = doc.names().get(name);
+                    resolved = Some((node.doc, id));
+                    id
+                }
+            };
+            id.is_some_and(|id| {
+                doc.attr_range(pre)
+                    .any(|a| doc.attr_name_id(a) == id && doc.attr_value(a) == value)
+            })
+        };
+        let overlay = self.engine.has_delta_docs();
+        let mut out = LlSeq::empty();
+        for (k, (&iter, item)) in table.iters().iter().zip(table.items()).enumerate() {
+            // Governed like the join kernels: one poll per 64 rows.
+            if k % 64 == 0 {
+                if let Some(why) = budget.and_then(|b| b.poll()) {
+                    return Err(why.into());
+                }
+            }
+            let Item::Node(node) = item else {
+                // Word for word the attribute step's complaint.
+                return Err(QueryError::dynamic(
+                    NodeTable::from_llseq(&table).expect_err("this row is not a node"),
+                ));
+            };
+            if carries(*node) || (overlay && self.delta_mirror(*node).is_some_and(&mut carries)) {
+                out.push(iter, item.clone());
             }
         }
         Ok(out)

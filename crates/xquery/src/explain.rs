@@ -424,6 +424,11 @@ fn explain_expr_body(expr: &PlanExpr, depth: usize, out: &mut String, ctx: Optio
             line(out, depth + 1, "predicate");
             explain_expr_in(predicate, depth + 2, out, ctx);
         }
+        PlanExpr::AttrEquals { name, value } => line(
+            out,
+            depth,
+            &format!("attr-filter @{name} = \"{value}\"  [attribute columns, no predicate frame]"),
+        ),
         PlanExpr::UdfCall { name, args, .. } => {
             line(out, depth, &format!("call {name}({} args)", args.len()));
             for a in args {
@@ -563,7 +568,9 @@ mod tests {
             &EngineOptions::default(),
         );
         assert!(
-            text.starts_with("passes: const-fold → fuse-descendant → hoist-invariants"),
+            text.starts_with(
+                "passes: const-fold → fuse-descendant → fuse-attr-filter → hoist-invariants"
+            ),
             "{text}"
         );
         assert!(text.contains("hoisted $#h0"), "{text}");

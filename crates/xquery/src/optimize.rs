@@ -18,28 +18,33 @@
 //!    in the subtree), so anything that could be positional keeps the
 //!    literal form. Runs before hoisting so a predicate is judged as
 //!    written, not as a hoisted `$#h` reference.
-//! 3. **hoist-invariants** — moves loop-invariant, node-identity-free
+//! 3. **fuse-attr-filter** — rewrites a step or filter predicate of the
+//!    exact shape `attribute::N = "literal"` (general `=`, either
+//!    operand order) into [`PlanExpr::AttrEquals`], which the evaluator
+//!    answers per row from the attribute columns with no predicate
+//!    frame. Any other predicate keeps the generic machinery.
+//! 4. **hoist-invariants** — moves loop-invariant, node-identity-free
 //!    subexpressions out of FLWOR iteration scopes into per-FLWOR
 //!    hoisted bindings (`$#h0`, `$#h1`, …) that the evaluator computes
 //!    once per surviving host iteration instead of once per inner
 //!    iteration. Runs before the annotation passes so the StandOff
 //!    operators it moves are annotated in their final position.
-//! 4. **strategy-select** — chooses each StandOff operator's join
+//! 5. **strategy-select** — chooses each StandOff operator's join
 //!    strategy. With a fixed engine strategy this confirms the lowering
 //!    annotation; with `auto_strategy` it consults the corpus
 //!    [`IndexStats`] ([`StandoffStrategy::pick_for`]) — per-operator
 //!    strategy from region-count statistics instead of one global
 //!    switch.
-//! 5. **pushdown** — decides element-name candidate pushdown (§4.3) per
+//! 6. **pushdown** — decides element-name candidate pushdown (§4.3) per
 //!    operator: enabled when the engine allows it, the chosen strategy
 //!    consumes candidates, and the step's node test names an element.
 //!    This is the `candidate_pushdown && KindTest::Element` decision
 //!    that used to live inside the evaluator's join, made once at plan
 //!    time. Runs after strategy-select because `naive` (no candidates)
 //!    must never carry a pushdown annotation.
-//! 6. **elide** — proves, per StandOff operator, whether the trailing
+//! 7. **elide** — proves, per StandOff operator, whether the trailing
 //!    `self::test` post-filter is redundant (see [`elide`]).
-//! 7. **estimate** — attaches cardinality estimates (region-index
+//! 8. **estimate** — attaches cardinality estimates (region-index
 //!    statistics, pushed-candidate counts from the element-name index)
 //!    to every StandOff operator for explain output. Purely
 //!    informational; runs last so it sees final strategies and
@@ -60,39 +65,67 @@ use standoff_core::StandoffStrategy;
 use crate::compile::PlanContext;
 use crate::plan::*;
 
+/// One optimizer pass: its name as `explain` prints it, and the rewrite.
+pub struct Pass {
+    pub name: &'static str,
+    pub run: fn(&mut Plan, &PlanContext<'_>),
+}
+
 /// The pass list, in execution order. The `estimate` pass runs only
 /// when the context asks for explain-grade estimates
-/// ([`PlanContext::estimates`]); the other six always run.
-pub const PASSES: [&str; 7] = [
-    "const-fold",
-    "fuse-descendant",
-    "hoist-invariants",
-    "strategy-select",
-    "pushdown",
-    "elide",
-    "estimate",
+/// ([`PlanContext::estimates`]); the others always run.
+pub const PASSES: [Pass; 8] = [
+    Pass {
+        name: "const-fold",
+        run: const_fold,
+    },
+    Pass {
+        name: "fuse-descendant",
+        run: fuse_descendant,
+    },
+    Pass {
+        name: "fuse-attr-filter",
+        run: fuse_attr_filter,
+    },
+    Pass {
+        name: "hoist-invariants",
+        run: hoist_invariants,
+    },
+    Pass {
+        name: "strategy-select",
+        run: strategy_select,
+    },
+    Pass {
+        name: "pushdown",
+        run: pushdown,
+    },
+    Pass {
+        name: "elide",
+        run: elide,
+    },
+    Pass {
+        name: ESTIMATE,
+        run: estimate,
+    },
 ];
+
+const ESTIMATE: &str = "estimate";
 
 /// Run the pass list over `plan`; returns the names of the passes
 /// applied, in order.
 pub fn optimize(plan: &mut Plan, ctx: &PlanContext<'_>) -> Vec<&'static str> {
-    const_fold(plan);
-    fuse_descendant(plan);
-    hoist_invariants(plan);
-    strategy_select(plan, ctx);
-    pushdown(plan, ctx);
-    elide(plan);
-    let mut applied: Vec<&'static str> = PASSES[..6].to_vec();
-    if ctx.estimates && ctx.store.is_some() {
-        estimate(plan, ctx);
-        applied.push("estimate");
+    let estimates = ctx.estimates && ctx.store.is_some();
+    let mut applied = Vec::with_capacity(PASSES.len());
+    for pass in PASSES.iter().filter(|p| estimates || p.name != ESTIMATE) {
+        (pass.run)(plan, ctx);
+        applied.push(pass.name);
     }
     applied
 }
 
 // ================= pass 1: constant folding =================
 
-fn const_fold(plan: &mut Plan) {
+fn const_fold(plan: &mut Plan, _: &PlanContext<'_>) {
     plan.for_each_root_mut(|root| root.rewrite_bottom_up(&mut fold_expr));
 }
 
@@ -231,7 +264,7 @@ fn fold_compare(op: crate::ast::CompOp, x: &Atom, y: &Atom) -> Option<Atom> {
 
 // ================= pass 2: `//T` step fusion =================
 
-fn fuse_descendant(plan: &mut Plan) {
+fn fuse_descendant(plan: &mut Plan, _: &PlanContext<'_>) {
     plan.for_each_root_mut(|root| root.rewrite_bottom_up(&mut fuse_step));
 }
 
@@ -290,6 +323,7 @@ fn boolean_or_nodes(e: &PlanExpr) -> bool {
     match e {
         PlanExpr::Const(Atom::Boolean(_))
         | PlanExpr::Comparison(..)
+        | PlanExpr::AttrEquals { .. }
         | PlanExpr::And(..)
         | PlanExpr::Or(..)
         | PlanExpr::Quantified { .. }
@@ -315,9 +349,55 @@ fn local_name(name: &str) -> &str {
     name.split_once(':').map(|(_, l)| l).unwrap_or(name)
 }
 
-// ================= pass 3: loop-invariant hoisting =================
+// ================= pass 3: attribute-equals-literal filter =================
 
-fn hoist_invariants(plan: &mut Plan) {
+fn fuse_attr_filter(plan: &mut Plan, _: &PlanContext<'_>) {
+    plan.for_each_root_mut(|root| {
+        root.rewrite_bottom_up(&mut |e| match e {
+            PlanExpr::TreeStep { predicates, .. } | PlanExpr::StandoffStep { predicates, .. } => {
+                predicates.iter_mut().for_each(fuse_attr_predicate)
+            }
+            PlanExpr::Filter { predicate, .. } => fuse_attr_predicate(predicate),
+            _ => {}
+        })
+    });
+}
+
+/// `attribute::N = "literal"` or `"literal" = attribute::N` →
+/// [`PlanExpr::AttrEquals`]. Exactly that shape: the attribute step
+/// reads the context item, tests a name and has no predicates of its
+/// own; the other operand is a string constant (`@n = 17` compares
+/// numerically and stays generic).
+fn fuse_attr_predicate(p: &mut PlanExpr) {
+    let PlanExpr::Comparison(crate::ast::CompOp::Eq, a, b) = p else {
+        return;
+    };
+    let fused = match (a.as_ref(), b.as_ref()) {
+        (step, PlanExpr::Const(Atom::String(value)))
+        | (PlanExpr::Const(Atom::String(value)), step) => match step {
+            PlanExpr::TreeStep {
+                input: None,
+                axis: TreeAxis::Attribute,
+                test: NodeTest {
+                    name: Some(name), ..
+                },
+                predicates,
+            } if predicates.is_empty() => Some(PlanExpr::AttrEquals {
+                name: name.clone(),
+                value: value.clone(),
+            }),
+            _ => None,
+        },
+        _ => None,
+    };
+    if let Some(fused) = fused {
+        *p = fused;
+    }
+}
+
+// ================= pass 4: loop-invariant hoisting =================
+
+fn hoist_invariants(plan: &mut Plan, _: &PlanContext<'_>) {
     // Which user-defined functions (transitively) construct nodes: calls
     // to them are never hoisted, because collapsing per-iteration
     // construction to one shared node is observable through node
@@ -773,7 +853,7 @@ fn scan_children_with_binders(
     }
 }
 
-// ================= passes 4–7: StandOff operator annotation =================
+// ================= passes 5–8: StandOff operator annotation =================
 
 fn for_each_standoff_op(
     plan: &mut Plan,
@@ -899,7 +979,7 @@ fn pushdown(plan: &mut Plan, ctx: &PlanContext<'_>) {
 ///
 /// Runs after `pushdown` because the name-test case is only sound once
 /// the pushdown decision is final.
-fn elide(plan: &mut Plan) {
+fn elide(plan: &mut Plan, _: &PlanContext<'_>) {
     use standoff_algebra::KindTest;
     for_each_standoff_op(plan, |op, test| {
         op.test_guaranteed = match test {

@@ -273,6 +273,16 @@ pub enum PlanExpr {
         input: Box<PlanExpr>,
         predicate: Box<PlanExpr>,
     },
+    /// The predicate `attribute::name = "value"` (general `=`, either
+    /// operand order), fused by the optimizer's `fuse-attr-filter` pass.
+    /// Only ever sits in predicate position — a step's predicate list or
+    /// a [`PlanExpr::Filter`] — where the evaluator answers it per row
+    /// from the owning document's attribute columns instead of opening
+    /// a predicate frame.
+    AttrEquals {
+        name: String,
+        value: Arc<str>,
+    },
     /// Call of a user-defined function, resolved at compile time.
     UdfCall {
         index: usize,
@@ -316,7 +326,11 @@ impl PlanExpr {
     /// Apply `f` to every direct child expression.
     pub fn for_each_child(&self, mut f: impl FnMut(&PlanExpr)) {
         match self {
-            PlanExpr::Const(_) | PlanExpr::Var(_) | PlanExpr::ContextItem | PlanExpr::RootPath => {}
+            PlanExpr::Const(_)
+            | PlanExpr::Var(_)
+            | PlanExpr::ContextItem
+            | PlanExpr::RootPath
+            | PlanExpr::AttrEquals { .. } => {}
             PlanExpr::Sequence(items) => items.iter().for_each(&mut f),
             PlanExpr::Flwor {
                 hoisted,
@@ -413,7 +427,11 @@ impl PlanExpr {
     /// optimizer's rewrite substrate).
     pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut PlanExpr)) {
         match self {
-            PlanExpr::Const(_) | PlanExpr::Var(_) | PlanExpr::ContextItem | PlanExpr::RootPath => {}
+            PlanExpr::Const(_)
+            | PlanExpr::Var(_)
+            | PlanExpr::ContextItem
+            | PlanExpr::RootPath
+            | PlanExpr::AttrEquals { .. } => {}
             PlanExpr::Sequence(items) => items.iter_mut().for_each(&mut f),
             PlanExpr::Flwor {
                 hoisted,

@@ -205,6 +205,7 @@ pub fn op_kind(expr: &PlanExpr) -> &'static str {
         PlanExpr::PathExpr { .. } => "path",
         PlanExpr::RootPath => "root",
         PlanExpr::Filter { .. } => "filter",
+        PlanExpr::AttrEquals { .. } => "attr-filter",
         PlanExpr::UdfCall { .. } => "udf-call",
         PlanExpr::StandoffFn { .. } => "standoff-join",
         PlanExpr::BuiltinCall { .. } => "builtin-call",

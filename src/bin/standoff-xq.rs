@@ -242,6 +242,13 @@ fn cmd_inspect(argv: &[String]) -> Result<ExitCode, String> {
     println!("  uri:     {}", info.uri);
     println!("  layers:  {}", info.layers.len());
     println!("  payload: {} byte(s)", info.payload_bytes);
+    // How a reader holds this file and which CRC loop verifies it: the
+    // two facts a slow cold start is explained from.
+    match Snapshot::open(path) {
+        Ok(snapshot) => println!("  backing: {}", snapshot.backing()),
+        Err(e) => println!("  backing: does not mount ({e})"),
+    }
+    println!("  crc32:   {}", standoff::core::crc::implementation());
     for layer in &info.layers {
         let opt = |v: Option<u64>| match v {
             Some(v) => v.to_string(),
@@ -571,7 +578,13 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
     let mut findings: Vec<String> = Vec::new();
     let mut notes: Vec<String> = Vec::new();
     let (mut version, mut checksummed, mut layers, mut sections_checked) = (0u32, false, 0, 0);
-    let set = match standoff::store::Snapshot::open_verified(&path) {
+    let mut backing = "none";
+    let verified = Snapshot::open(&path).and_then(|snapshot| {
+        backing = snapshot.backing();
+        let report = snapshot.verify()?;
+        Ok((snapshot, report))
+    });
+    let set = match verified {
         Ok((snapshot, report)) => {
             version = report.version;
             checksummed = report.checksummed;
@@ -593,6 +606,7 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
             None
         }
     };
+    let crc = standoff::core::crc::implementation();
 
     let mut delta_checks: Vec<DeltaCheck> = Vec::new();
     let mut delta = DeltaSet::new();
@@ -711,7 +725,8 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
         };
         println!(
             "{{\"snapshot\":\"{}\",\"version\":{version},\"checksummed\":{checksummed},\
-             \"layers\":{layers},\"sections_checked\":{sections_checked},\"deltas\":[{deltas}],\
+             \"layers\":{layers},\"sections_checked\":{sections_checked},\
+             \"backing\":\"{backing}\",\"crc32\":\"{crc}\",\"deltas\":[{deltas}],\
              \"notes\":[{}],\"findings\":[{}],\"status\":\"{}\"}}",
             json_escape(&path),
             list(&notes),
@@ -720,7 +735,8 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
         );
     } else {
         println!(
-            "# {path}: v{version}, {}, {layers} layer(s), {sections_checked} section checksum(s)",
+            "# {path}: v{version}, {}, {layers} layer(s), {sections_checked} section checksum(s), \
+             backing {backing}, crc32 {crc}",
             if checksummed {
                 "checksummed"
             } else {

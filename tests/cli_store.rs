@@ -329,3 +329,192 @@ fn bad_snapshot_and_bad_args_fail_cleanly() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("expected a positive integer"));
 }
+
+/// Replace an annotation in place — retract it, insert another at the
+/// same key — and read it back through every persisted form: the
+/// checkpointed sidecar (`annotate`), the journal (`annotate
+/// --journal`) folded by a later checkpoint, and the compacted
+/// snapshot. The sidecar used to be written insert-before-retract, so
+/// its replay cancelled the insert and `Alice` came back.
+#[test]
+fn annotate_replace_in_place_survives_sidecar_journal_and_compact() {
+    let (dir, snap) = obs_snapshot("replace");
+    let words = r#"for $w in doc("corpus#tokens")//w return string($w/@word)"#;
+    let query = |args: &[&str]| -> String {
+        let out = bin()
+            .args(["query", "--store"])
+            .args(args)
+            .args(["--query", words])
+            .output()
+            .unwrap();
+        assert_success(&out, "query");
+        String::from_utf8_lossy(&out.stdout).trim().to_string()
+    };
+    let annotate = |sidecar: &str, extra: &[&str], ops: &str| -> String {
+        let ops = write(&dir, "ops.txt", ops);
+        let out = bin()
+            .args(["annotate", "--store", &snap, "--delta", sidecar])
+            .args(extra)
+            .arg(&ops)
+            .output()
+            .unwrap();
+        assert_success(&out, "annotate");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+
+    // One checkpointing batch.
+    let sidecar = dir.join("one.delta").to_string_lossy().into_owned();
+    let report = annotate(
+        &sidecar,
+        &[],
+        "retract tokens w 0 4\ninsert tokens w 0 4 word=ALICE\n",
+    );
+    assert!(
+        report.contains("pending 1 insert(s), 1 retract(s)"),
+        "{report}"
+    );
+    assert_eq!(query(&[&snap, "--delta", &sidecar]), "met Bob ALICE");
+    let compacted = dir.join("one.snap").to_string_lossy().into_owned();
+    let out = bin()
+        .args([
+            "compact", "--store", &snap, "--delta", &sidecar, "-o", &compacted,
+        ])
+        .output()
+        .unwrap();
+    assert_success(&out, "compact");
+    assert_eq!(query(&[&compacted]), "met Bob ALICE");
+
+    // The same two ops as separate journaled batches, then a checkpoint
+    // that folds the journal into the sidecar.
+    let sidecar = dir.join("two.delta").to_string_lossy().into_owned();
+    annotate(&sidecar, &["--journal"], "retract tokens w 0 4\n");
+    annotate(&sidecar, &["--journal"], "insert tokens w 0 4 word=ALICE\n");
+    assert_eq!(query(&[&snap, "--delta", &sidecar]), "met Bob ALICE");
+    annotate(&sidecar, &[], "insert tokens w 13 13 word=dot\n");
+    assert_eq!(query(&[&snap, "--delta", &sidecar]), "met Bob ALICE dot");
+    let out = bin()
+        .args(["verify", &snap, "--delta", &sidecar])
+        .output()
+        .unwrap();
+    assert_success(&out, "verify --delta");
+}
+
+/// `inspect` and `verify` say how the file is held and which CRC loop
+/// checks it, so a slow cold start can be read off the output.
+#[test]
+fn inspect_and_verify_report_backing_and_crc() {
+    let (_dir, snap) = obs_snapshot("backing");
+    let out = bin().args(["inspect", &snap]).output().unwrap();
+    assert_success(&out, "inspect");
+    let report = String::from_utf8_lossy(&out.stdout).into_owned();
+    let backing = if cfg!(all(unix, target_pointer_width = "64")) {
+        "mmap"
+    } else {
+        "heap"
+    };
+    assert!(report.contains(&format!("backing: {backing}")), "{report}");
+    assert!(
+        report.contains("crc32:   pclmulqdq") || report.contains("crc32:   portable"),
+        "{report}"
+    );
+
+    let out = bin().args(["verify", "--json", &snap]).output().unwrap();
+    assert_success(&out, "verify --json");
+    let json = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        json.contains(&format!("\"backing\":\"{backing}\"")),
+        "{json}"
+    );
+    assert!(
+        json.contains("\"crc32\":\"pclmulqdq\"") || json.contains("\"crc32\":\"portable\""),
+        "{json}"
+    );
+
+    // The counters behind the same story.
+    let out = bin().args(["stats", "--store", &snap]).output().unwrap();
+    assert_success(&out, "stats");
+    let stats = String::from_utf8_lossy(&out.stdout).into_owned();
+    let opened = if backing == "mmap" {
+        "\"store.open.mapped\": 1"
+    } else {
+        "\"store.open.heap\": 1"
+    };
+    for needle in [
+        opened,
+        "\"store.verify.bytes_hashed\"",
+        "\"store.snapshot_open_ns\"",
+    ] {
+        assert!(
+            stats.contains(needle),
+            "stats output missing {needle}:\n{stats}"
+        );
+    }
+}
+
+/// Damaged files through the mapped open: a flipped payload byte is a
+/// checksum mismatch for `query --store` and `verify` alike, and a file
+/// cut to 0 or 7 bytes — the empty one cannot even be mapped — is the
+/// categorized truncation error, never a panic or a raw OS error.
+#[test]
+fn damaged_snapshots_fail_categorized_through_the_mapped_open() {
+    let (dir, snap) = obs_snapshot("damage");
+    let good = std::fs::read(&snap).unwrap();
+    let run = |args: &[&str]| -> (bool, String) {
+        let out = bin().args(args).output().unwrap();
+        let text = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(!text.contains("panicked"), "{text}");
+        assert!(!text.contains("os error"), "{text}");
+        (out.status.success(), text)
+    };
+    let count = r#"count(doc("corpus#tokens")//w)"#;
+
+    // The last section of the file is the checksum table; the byte just
+    // before the file's midpoint lies in some layer's column payload or
+    // padding — walk until a flip is detected, then require the category.
+    let mut flipped = good.clone();
+    let at = (good.len() / 2..good.len())
+        .find(|&at| {
+            flipped = good.clone();
+            flipped[at] ^= 0xff;
+            let path = write_bytes(&dir, "probe.snap", &flipped);
+            !run(&["verify", &path]).0
+        })
+        .expect("some flip past the midpoint is detected");
+    let path = write_bytes(&dir, "flipped.snap", &flipped);
+    let (ok, text) = run(&["verify", &path]);
+    assert!(
+        !ok && text.contains("checksum mismatch"),
+        "byte {at}: {text}"
+    );
+    let (ok, text) = run(&["query", "--store", &path, "--query", count]);
+    assert!(
+        !ok && text.contains("checksum mismatch"),
+        "byte {at}: {text}"
+    );
+
+    for cut in [0, 7] {
+        let path = write_bytes(&dir, "cut.snap", &good[..cut]);
+        for args in [
+            vec!["query", "--store", &path, "--query", count],
+            vec!["verify", &path],
+            vec!["inspect", &path],
+        ] {
+            let (ok, text) = run(&args);
+            assert!(!ok, "cut to {cut}: {args:?} succeeded");
+            assert!(
+                text.contains("truncated") || text.contains("failed to fill whole buffer"),
+                "cut to {cut}: {args:?}: {text}"
+            );
+        }
+    }
+}
+
+fn write_bytes(dir: &std::path::Path, name: &str, content: &[u8]) -> String {
+    let path = dir.join(name);
+    std::fs::write(&path, content).unwrap();
+    path.to_string_lossy().into_owned()
+}

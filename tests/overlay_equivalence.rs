@@ -52,6 +52,73 @@ fn assert_overlay_equals_compacted(set: &LayerSet, delta: &DeltaSet, queries: &[
     }
 }
 
+/// The fused `[@a = "lit"]` filter reads attribute columns directly;
+/// over the overlay it must equal both the compacted snapshot and the
+/// generic predicate frame (the unoptimized reference lowering), which
+/// reaches attributes through the merge-on-read tree steps.
+fn assert_attr_filter_three_ways(set: &LayerSet, delta: &DeltaSet) {
+    let folded = standoff::store::compact(set, delta).expect("compaction succeeds");
+    for strategy in STRATEGIES {
+        let mut overlay = engine_with(strategy);
+        overlay
+            .mount_overlay(set.clone(), delta)
+            .expect("overlay mounts");
+        let mut compacted = engine_with(strategy);
+        compacted
+            .mount_store(folded.clone())
+            .expect("compacted snapshot mounts");
+        for query in attr_filter_queries() {
+            assert!(
+                overlay.explain(&query).unwrap().contains("attr-filter @"),
+                "not fused: {query}"
+            );
+            let a = overlay.run(&query).expect("overlay query runs").as_xml();
+            let b = compacted
+                .run(&query)
+                .expect("compacted query runs")
+                .as_xml();
+            assert_eq!(a, b, "overlay != compacted for {strategy:?}: {query}");
+            let c = overlay
+                .run_unoptimized(&query)
+                .expect("reference lowering runs")
+                .as_xml();
+            assert_eq!(
+                a, c,
+                "fused != generic on the overlay, {strategy:?}: {query}"
+            );
+        }
+    }
+}
+
+/// `[@attr = "literal"]` over rows the overlay touches every way it
+/// can: base rows (some retracted), pending inserts (the only carriers
+/// of `k`), join output, and the layer root itself — whose row gains a
+/// delta-root companion under merge-on-read.
+fn attr_filter_queries() -> Vec<String> {
+    let mut q = Vec::new();
+    for (layer, name) in [("tokens", "w"), ("entities", "person")] {
+        let l = format!(r#"layer("{URI}", "{layer}")"#);
+        q.push(format!(r#"{l}//{name}[@k = "0"]"#));
+        q.push(format!(r#"{l}//{name}["1" = @k]"#));
+        q.push(format!(r#"count({l}//{name}[@n = "1"])"#));
+        q.push(format!(r#"count({l}//{name}[@start = "3"])"#));
+        q.push(format!(r#"({l}//{name})[@n = "0"]"#));
+        q.push(format!(
+            r#"count({l}/{layer}[@id = "{layer}-root"]//{name})"#
+        ));
+        q.push(format!(r#"count({l}/*[@id = "{layer}-root"])"#));
+        q.push(format!(r#"count({l}//*[@id = "{layer}-root"])"#));
+        q.push(format!(r#"count({l}/{layer}[@k = "0"])"#));
+    }
+    q.push(format!(
+        r#"for $p in layer("{URI}", "entities")//person return count($p/select-wide::w[@k = "0"])"#
+    ));
+    q.push(format!(
+        r#"count(layer("{URI}", "tokens")//w[@k = "1"]/select-wide::person)"#
+    ));
+    q
+}
+
 // ---- randomized cross-layer corpora ----
 
 /// Random annotation spans (start, end), sorted by start.
@@ -64,7 +131,7 @@ fn spans_strategy(max: usize) -> impl Strategy<Value = Vec<(i64, i64)>> {
 }
 
 fn layer_doc(root: &str, elem: &str, spans: &[(i64, i64)]) -> standoff::xml::Document {
-    let mut xml = format!("<{root}>");
+    let mut xml = format!(r#"<{root} id="{root}-root">"#);
     for (k, (s, e)) in spans.iter().enumerate() {
         xml.push_str(&format!(r#"<{elem} n="{k}" start="{s}" end="{e}"/>"#));
     }
@@ -174,6 +241,7 @@ proptest! {
         }
 
         assert_overlay_equals_compacted(&set, &delta, &cross_layer_queries());
+        assert_attr_filter_three_ways(&set, &delta);
     }
 }
 
