@@ -16,7 +16,7 @@
 use std::io;
 
 use standoff_xml::column::{Pod, PodCol};
-use standoff_xml::{wire, Document, NodeKind};
+use standoff_xml::{Document, NodeKind};
 
 use crate::config::StandoffConfig;
 use crate::error::StandoffError;
@@ -37,7 +37,7 @@ const _: () = assert!(std::mem::size_of::<RegionEntry>() == 24);
 
 // `repr(C)` gives `RegionEntry` a fixed 24-byte layout (4 trailing
 // padding bytes, written as zeros and never read back), so entry columns
-// in SOSN v3 snapshots mount zero-copy on little-endian targets.
+// in SOSN snapshots mount zero-copy on little-endian targets.
 unsafe impl Pod for RegionEntry {
     const WIDTH: usize = 24;
 
@@ -394,108 +394,14 @@ impl RegionIndex {
             + self.node_regions.len() * std::mem::size_of::<Region>()
     }
 
-    // ---- binary persistence (the snapshot hooks of `standoff-store`) ----
-    //
-    // Layout (version 1, little-endian, "SORX" magic):
-    //
-    // ```text
-    // magic "SORX" | u32 version
-    // u32 entry-count  | entry-count × (i64 start, i64 end, u32 id)
-    // u32 node-count   | node-count × u32 node id
-    // (node-count + 1) × u32 CSR offset
-    // region-total × (i64 start, i64 end)     (region-total = last offset)
-    // u32 max-regions
-    // ```
-
-    /// Serialize the index. Loading with [`RegionIndex::read_from`] skips
-    /// [`RegionIndex::build`] entirely — the point of snapshotting.
-    pub fn write_into<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(INDEX_MAGIC)?;
-        wire::write_u32(w, INDEX_VERSION)?;
-        wire::write_u32(w, self.entries.len() as u32)?;
-        for e in self.entries.iter() {
-            wire::write_i64(w, e.start)?;
-            wire::write_i64(w, e.end)?;
-            wire::write_u32(w, e.id)?;
-        }
-        wire::write_u32(w, self.node_ids.len() as u32)?;
-        for &id in self.node_ids.iter() {
-            wire::write_u32(w, id)?;
-        }
-        for &off in self.node_offsets.iter() {
-            wire::write_u32(w, off)?;
-        }
-        for r in self.node_regions.iter() {
-            wire::write_i64(w, r.start)?;
-            wire::write_i64(w, r.end)?;
-        }
-        wire::write_u32(w, self.max_regions)?;
-        Ok(())
-    }
-
-    /// Deserialize an index written by [`RegionIndex::write_into`] for a
-    /// document of `node_count` nodes.
-    ///
-    /// Every structural invariant is re-validated (see
-    /// [`RegionIndex::from_storage`]) — so a corrupted snapshot fails
-    /// cleanly instead of corrupting join results.
-    pub fn read_from<R: io::Read>(r: &mut R, node_count: usize) -> io::Result<RegionIndex> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != INDEX_MAGIC {
-            return Err(index_data_err("not a region index (bad magic)"));
-        }
-        if wire::read_u32(r)? != INDEX_VERSION {
-            return Err(index_data_err("unsupported region-index version"));
-        }
-        let entry_count = wire::read_u32(r)? as usize;
-        let mut entries = Vec::with_capacity(wire::capacity_hint(entry_count));
-        for _ in 0..entry_count {
-            entries.push(RegionEntry {
-                start: wire::read_i64(r)?,
-                end: wire::read_i64(r)?,
-                id: wire::read_u32(r)?,
-            });
-        }
-        let annotated = wire::read_u32(r)? as usize;
-        let mut node_ids = Vec::with_capacity(wire::capacity_hint(annotated));
-        for _ in 0..annotated {
-            node_ids.push(wire::read_u32(r)?);
-        }
-        let mut node_offsets = Vec::with_capacity(wire::capacity_hint(annotated + 1));
-        for _ in 0..=annotated {
-            node_offsets.push(wire::read_u32(r)?);
-        }
-        let region_total = *node_offsets.last().unwrap_or(&u32::MAX) as usize;
-        if region_total != entry_count {
-            return Err(index_data_err("entry count disagrees with region CSR"));
-        }
-        let mut node_regions = Vec::with_capacity(wire::capacity_hint(region_total));
-        for _ in 0..region_total {
-            node_regions.push(Region {
-                start: wire::read_i64(r)?,
-                end: wire::read_i64(r)?,
-            });
-        }
-        let max_regions = wire::read_u32(r)?;
-        RegionIndex::from_storage(
-            entries.into(),
-            node_ids.into(),
-            node_offsets.into(),
-            node_regions.into(),
-            max_regions,
-            node_count,
-        )
-    }
-
     /// Assemble an index from raw (possibly buffer-backed) columns,
     /// re-validating **every** structural invariant: clustering order,
     /// node/CSR consistency, per-annotation region validity (the §3.1
     /// area constraints, checked without allocating), the stored
     /// max-regions statistic, and the entry ↔ node-view bijection. This
-    /// is the single trust boundary of both the legacy stream decode and
-    /// the SOSN v3 zero-copy mount — mounted indexes are used as-is by
-    /// the join executor, never re-checked downstream.
+    /// is the single trust boundary of the snapshot mount — mounted
+    /// indexes are used as-is by the join executor, never re-checked
+    /// downstream.
     ///
     /// `node_count` is the node count of the document the index
     /// describes, taken from its already validated columns: annotated
@@ -735,9 +641,6 @@ fn dense_scan_chunks(
     }
 }
 
-const INDEX_MAGIC: &[u8; 4] = b"SORX";
-const INDEX_VERSION: u32 = 1;
-
 fn index_data_err(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("region index: {msg}"))
 }
@@ -853,8 +756,9 @@ mod tests {
     /// debug-asserted (this test, which runs in CI's debug-assertions
     /// job); for the one caller whose input is externally produced (the
     /// element-name pushdown over snapshot-loaded indexes) the ordering
-    /// is enforced when the snapshot is decoded (SOXD v2 rejects an
-    /// out-of-order element index), so the slice is borrowed as-is.
+    /// is enforced when the snapshot is mounted (`Document::from_storage`
+    /// rejects an out-of-order element index), so the slice is borrowed
+    /// as-is.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "assertion failed")]
@@ -1040,63 +944,6 @@ mod tests {
         assert!(bytes
             .chunks_exact(24)
             .all(|c| c[..20].iter().all(|&b| b == 0xff) && c[20..] == [0; 4]));
-    }
-
-    #[test]
-    fn codec_round_trip() {
-        let (doc, idx) = figure1_index();
-        let mut buf = Vec::new();
-        idx.write_into(&mut buf).unwrap();
-        let loaded = RegionIndex::read_from(&mut buf.as_slice(), doc.node_count()).unwrap();
-        assert_eq!(loaded.entries(), idx.entries());
-        assert_eq!(loaded.annotated_nodes(), idx.annotated_nodes());
-        assert_eq!(loaded.max_regions(), idx.max_regions());
-        for &pre in idx.annotated_nodes() {
-            assert_eq!(loaded.regions_of(pre), idx.regions_of(pre));
-        }
-    }
-
-    #[test]
-    fn codec_multi_region_round_trip() {
-        let doc = parse_document(
-            "<fs><file>\
-               <region><start>0</start><end>9</end></region>\
-               <region><start>100</start><end>199</end></region>\
-             </file></fs>",
-        )
-        .unwrap();
-        let idx = RegionIndex::build(&doc, &StandoffConfig::element_repr()).unwrap();
-        let mut buf = Vec::new();
-        idx.write_into(&mut buf).unwrap();
-        let loaded = RegionIndex::read_from(&mut buf.as_slice(), doc.node_count()).unwrap();
-        assert_eq!(loaded.max_regions(), 2);
-        assert_eq!(loaded.entries(), idx.entries());
-    }
-
-    #[test]
-    fn codec_rejects_corruption() {
-        let (doc, idx) = figure1_index();
-        let nodes = doc.node_count();
-        let mut buf = Vec::new();
-        idx.write_into(&mut buf).unwrap();
-        // Bad magic.
-        let mut bad = buf.clone();
-        bad[0] = b'X';
-        assert!(RegionIndex::read_from(&mut bad.as_slice(), nodes).is_err());
-        // Truncations must fail, never panic.
-        for cut in [0, 4, 8, buf.len() / 2, buf.len() - 1] {
-            assert!(
-                RegionIndex::read_from(&mut buf[..cut].to_vec().as_slice(), nodes).is_err(),
-                "truncation at {cut} must fail"
-            );
-        }
-        // Arbitrary single-byte corruption either fails cleanly or decodes
-        // to a still-valid index — never panics.
-        for k in 8..buf.len() {
-            let mut mutated = buf.clone();
-            mutated[k] ^= 0xff;
-            let _ = RegionIndex::read_from(&mut mutated.as_slice(), nodes);
-        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub struct Region {
 const _: () = assert!(std::mem::size_of::<Region>() == 16);
 
 // A region's memory layout (`repr(C)`: two little-endian `i64`s on LE
-// targets) equals its wire layout, so region columns in SOSN v3 snapshots
+// targets) equals its wire layout, so region columns in SOSN snapshots
 // mount zero-copy. Note the `start ≤ end` invariant is *semantic* — the
 // mount path re-validates it per region (see `RegionIndex::from_storage`).
 unsafe impl standoff_xml::column::Pod for Region {

@@ -70,3 +70,14 @@ impl From<std::io::Error> for StoreError {
         StoreError::Io(e)
     }
 }
+
+/// Flatten into `io::Error` for the `io::Result` entry points: I/O
+/// failures pass through, everything else is `InvalidData`.
+impl From<StoreError> for std::io::Error {
+    fn from(e: StoreError) -> Self {
+        match e {
+            StoreError::Io(e) => e,
+            other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
+        }
+    }
+}

@@ -42,19 +42,8 @@ impl Layer {
         Layer::from_shared(name.to_string(), config, Arc::new(doc), Arc::new(index))
     }
 
-    /// Assemble a layer from prebuilt parts (the snapshot-load path — no
-    /// index construction happens here, that is the point).
-    pub fn from_parts(
-        name: String,
-        config: StandoffConfig,
-        doc: Document,
-        index: RegionIndex,
-    ) -> Result<Layer, StoreError> {
-        Layer::from_shared(name, config, Arc::new(doc), Arc::new(index))
-    }
-
     /// Assemble a layer around already-shared parts (the zero-copy mount
-    /// path).
+    /// path — no index construction happens here, that is the point).
     pub fn from_shared(
         name: String,
         config: StandoffConfig,

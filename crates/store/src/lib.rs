@@ -12,16 +12,16 @@
 //!   [`standoff_core::StandoffConfig`]. Layers share the BLOB coordinate
 //!   space, so the StandOff axes (`select-narrow` & co.) and merge joins
 //!   compose *across* layers.
-//! * [`snapshot`] / [`mount`] — a versioned binary format (no external
-//!   serde) that persists every layer's shredded document, element-name
-//!   CSR and prebuilt region index. The current SOSN v3 format is
-//!   columnar and offset-indexed: [`Snapshot::open`] *mounts* the file
-//!   as one shared buffer, layers materialize lazily on first access as
-//!   zero-copy column views, and `inspect` is a pure header walk. No
-//!   XML parsing, no `RegionIndex::build`, no per-node allocation — the
-//!   cold-start path the ROADMAP asks for. Legacy (version 1) files
-//!   keep loading through the same entry points. The current v4 files
-//!   add a CRC32 per section, verified lazily at materialization.
+//! * [`snapshot`] / [`mount`] — the one binary format (SOSN v4, no
+//!   external serde) that persists every layer's shredded document,
+//!   element-name CSR and prebuilt region index. It is columnar and
+//!   offset-indexed with a CRC32 per section: [`Snapshot::open`]
+//!   *mounts* the file as one shared buffer, layers materialize lazily
+//!   on first access as zero-copy column views (checksums verified
+//!   then), and `inspect` is a pure header walk. No XML parsing, no
+//!   `RegionIndex::build`, no per-node allocation. A file declaring any
+//!   other version is refused by name — snapshots are derived data,
+//!   rebuilt from the layer XML with `standoff-xq index`.
 //! * [`atomic`] / [`wal`] — the durability layer: every in-place
 //!   rewrite goes through write-temp → fsync → rename → fsync(dir), and
 //!   delta batches are journaled to an append-only, per-record
@@ -47,10 +47,8 @@ pub use atomic::{atomic_replace, atomic_write};
 pub use delta::{compact, ops_to_text, parse_ops, DeltaAnnotation, DeltaOp, DeltaSet, LayerDelta};
 pub use error::StoreError;
 pub use layer::{Layer, LayerSet, BASE_LAYER};
-pub use mount::{Snapshot, VerifyReport};
+pub use mount::{write_snapshot, Snapshot, VerifyReport};
 pub use snapshot::{
-    inspect_snapshot, load_snapshot, load_snapshot_with_info, read_snapshot,
-    read_snapshot_with_info, save_snapshot, write_snapshot, write_snapshot_legacy,
-    write_snapshot_unchecksummed, LayerInfo, SectionInfo, SnapshotInfo,
+    load_snapshot, read_snapshot, save_snapshot, LayerInfo, SectionInfo, SnapshotInfo,
 };
 pub use wal::{checkpoint_marker, checkpointed_seq, wal_path, DeltaWal, WalRecord, WalScan};

@@ -1,24 +1,29 @@
-//! SOSN v3/v4: the sectioned, offset-indexed columnar snapshot format
-//! that is *mounted*, not decoded.
+//! SOSN v4: the sectioned, offset-indexed, checksummed columnar
+//! snapshot format that is *mounted*, not decoded — the one binary
+//! format this workspace reads or writes, and the only module that
+//! knows the section-table layout.
 //!
 //! Layout (little-endian):
 //!
 //! ```text
-//! 0   magic "SOSN" | u32 version = 3 or 4 | u32 section-count | u32 reserved
+//! 0   magic "SOSN" | u32 version = 4 | u32 section-count | u32 reserved
 //! 16  section table: section-count × (u32 tag | u32 layer | u64 offset | u64 length)
 //! …   payloads, each padded to 8-byte alignment, in table order
 //! ```
 //!
-//! Version 4 files additionally carry a CHECKSUMS section (tag 40, the
-//! last section): `(u32 tag | u32 layer | u32 crc32)` per *other*
-//! section, covering that section's exact payload bytes. Opening a v4
-//! file verifies only the tiny eagerly-decoded sections (META, layer
-//! headers) plus the checksum table's structure — the lazy-mount hot
-//! path never hashes bulk columns. A layer's column checksums are
-//! verified the first time the layer is materialized; a mismatch is a
-//! categorized [`StoreError::Corrupt`], never a panic. Unchecksummed
-//! v3 files remain fully readable (and writable, for comparison
-//! benchmarks) — they simply skip verification.
+//! The version field is checked before anything else is parsed: a file
+//! that says anything but 4 is refused with an error naming the version
+//! found, the version supported and the remedy (a snapshot is a cache
+//! derived from the layer XML — rebuild it with `standoff-xq index`).
+//! There is no second decoder and no way to open a file unverified.
+//!
+//! The last section is CHECKSUMS (tag 40): `(u32 tag | u32 layer |
+//! u32 crc32)` per *other* section, covering that section's exact
+//! payload bytes. Opening verifies only the tiny eagerly-decoded
+//! sections (META, layer headers) plus the checksum table's structure —
+//! the lazy-mount hot path never hashes bulk columns. A layer's column
+//! checksums are verified the first time the layer is materialized; a
+//! mismatch is a categorized [`StoreError::Corrupt`], never a panic.
 //!
 //! Offsets are absolute file positions. Per-layer payloads are one
 //! section per *column* — the document's `kind`/`size`/`level`/`parent`/
@@ -31,9 +36,9 @@
 //! views ([`standoff_xml::column::PodCol`]) the first time the layer is
 //! accessed — documents and region indexes are *realized lazily* and
 //! cached, so `inspect` and single-layer workloads never pay for
-//! untouched siblings. All structural invariants the eager decoders
-//! enforced are re-validated at materialization time (the query
-//! optimizer's post-filter elision relies on them).
+//! untouched siblings. Every structural invariant is re-validated at
+//! materialization time (the query optimizer's post-filter elision
+//! relies on them).
 //!
 //! A mapping follows the *inode*, and every writer in this crate
 //! replaces a snapshot by temp file → fsync → rename
@@ -48,7 +53,7 @@
 //! owned storage with identical semantics.
 
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -60,10 +65,7 @@ use standoff_xml::{Document, DocumentParts, ElemIndex, KindCol, NameId, NameTabl
 
 use crate::error::StoreError;
 use crate::layer::{Layer, LayerSet, BASE_LAYER};
-use crate::snapshot::{
-    bad, read_config, read_snapshot_legacy_with_info, write_config, LayerInfo, SectionInfo,
-    SnapshotInfo, MAGIC, VERSION_LEGACY, VERSION_V3, VERSION_V4,
-};
+use crate::snapshot::{LayerInfo, SectionInfo, SnapshotInfo};
 
 use standoff_core::crc::{crc32, Crc32};
 
@@ -71,10 +73,61 @@ use standoff_core::obs::MetricsRegistry;
 
 use standoff_xml::wire::{read_string, read_u32, read_u64, read_u8, write_string, write_u32};
 
+const MAGIC: &[u8; 4] = b"SOSN";
+/// The one format version this build reads and writes.
+pub(crate) const VERSION: u32 = 4;
+
+/// A format error; [`StoreError::Io`]'s `Display` supplies the
+/// `snapshot:` prefix.
+fn bad(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+fn write_config<W: Write>(w: &mut W, config: &StandoffConfig) -> io::Result<()> {
+    write_string(w, &config.position_type)?;
+    write_string(w, &config.start_name)?;
+    write_string(w, &config.end_name)?;
+    match &config.region_name {
+        Some(name) => {
+            w.write_all(&[1])?;
+            write_string(w, name)?;
+        }
+        None => w.write_all(&[0])?,
+    }
+    w.write_all(&[config.lenient as u8])
+}
+
+fn read_config<R: Read>(r: &mut R) -> io::Result<StandoffConfig> {
+    let position_type = read_string(r)?;
+    let start_name = read_string(r)?;
+    let end_name = read_string(r)?;
+    let region_name = match read_u8(r)? {
+        0 => None,
+        1 => Some(read_string(r)?),
+        _ => return Err(bad("bad region-name flag")),
+    };
+    let lenient = match read_u8(r)? {
+        0 => false,
+        1 => true,
+        _ => return Err(bad("bad lenient flag")),
+    };
+    let config = StandoffConfig {
+        position_type,
+        start_name,
+        end_name,
+        region_name,
+        lenient,
+    };
+    config
+        .validate()
+        .map_err(|e| bad(&format!("bad layer config: {e}")))?;
+    Ok(config)
+}
+
 // ---- section tags ----
 
-pub(crate) const SEC_META: u32 = 1;
-pub(crate) const SEC_LAYER_HDR: u32 = 3;
+const SEC_META: u32 = 1;
+const SEC_LAYER_HDR: u32 = 3;
 
 const SEC_DOC_META: u32 = 10;
 const SEC_DOC_KIND: u32 = 11;
@@ -97,14 +150,14 @@ const SEC_RIDX_ENTRIES: u32 = 31;
 const SEC_RIDX_NODE_IDS: u32 = 32;
 const SEC_RIDX_NODE_OFF: u32 = 33;
 const SEC_RIDX_REGIONS: u32 = 34;
-/// v4 only: `(u32 tag | u32 layer | u32 crc32)` per other section.
-pub(crate) const SEC_CHECKSUMS: u32 = 40;
+/// `(u32 tag | u32 layer | u32 crc32)` per other section.
+const SEC_CHECKSUMS: u32 = 40;
 /// Bytes per checksum-table entry.
 const CHECKSUM_ENTRY_BYTES: usize = 12;
 
 /// Stable human-readable name of a section tag — what
 /// `standoff-xq inspect` prints next to per-section byte sizes.
-pub(crate) fn section_name(tag: u32) -> &'static str {
+fn section_name(tag: u32) -> &'static str {
     match tag {
         SEC_META => "meta",
         SEC_LAYER_HDR => "layer.header",
@@ -135,9 +188,9 @@ pub(crate) fn section_name(tag: u32) -> &'static str {
 }
 
 /// Fixed-size prelude: magic + version + section count + reserved.
-pub(crate) const HEADER_BYTES: usize = 16;
+const HEADER_BYTES: usize = 16;
 /// Bytes per section-table entry.
-pub(crate) const TABLE_ENTRY_BYTES: usize = 24;
+const TABLE_ENTRY_BYTES: usize = 24;
 
 #[inline]
 fn align8(off: u64) -> u64 {
@@ -232,20 +285,9 @@ impl Write for CrcSink {
     }
 }
 
-/// Serialize a layer set in the v3 columnar format *without* section
-/// checksums — kept for compatibility fixtures and for benchmarking the
-/// checksummed format against its baseline.
-pub fn write_snapshot_v3<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
-    write_columnar(set, w, false)
-}
-
-/// Serialize a layer set in the current (v4) columnar format: v3's
-/// layout plus a trailing CHECKSUMS section with a CRC32 per payload.
-pub fn write_snapshot_v4<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
-    write_columnar(set, w, true)
-}
-
-fn write_columnar<W: Write>(set: &LayerSet, w: &mut W, checksums: bool) -> io::Result<()> {
+/// Serialize a layer set into `w`: one section per column, then a
+/// trailing CHECKSUMS section with a CRC32 per payload.
+pub fn write_snapshot<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
     let mut sections: Vec<(u32, u32, Body<'_>)> = Vec::new();
 
     let mut meta = Vec::new();
@@ -314,21 +356,19 @@ fn write_columnar<W: Write>(set: &LayerSet, w: &mut W, checksums: bool) -> io::R
         sections.push((SEC_RIDX_REGIONS, k, Body::Regions(ridx.node_regions)));
     }
 
-    if checksums {
-        // One CRC32 per section, covering its exact payload bytes; the
-        // checksum section itself is last and not self-covered.
-        let mut payload = Vec::with_capacity(CHECKSUM_ENTRY_BYTES * sections.len());
-        for (tag, layer, body) in &sections {
-            payload.extend_from_slice(&tag.to_le_bytes());
-            payload.extend_from_slice(&layer.to_le_bytes());
-            payload.extend_from_slice(&body.crc().to_le_bytes());
-        }
-        sections.push((SEC_CHECKSUMS, 0, Body::Rendered(payload)));
+    // One CRC32 per section, covering its exact payload bytes; the
+    // checksum section itself is last and not self-covered.
+    let mut payload = Vec::with_capacity(CHECKSUM_ENTRY_BYTES * sections.len());
+    for (tag, layer, body) in &sections {
+        payload.extend_from_slice(&tag.to_le_bytes());
+        payload.extend_from_slice(&layer.to_le_bytes());
+        payload.extend_from_slice(&body.crc().to_le_bytes());
     }
+    sections.push((SEC_CHECKSUMS, 0, Body::Rendered(payload)));
 
     // Lay out: header, table, 8-aligned payloads.
     w.write_all(MAGIC)?;
-    write_u32(w, if checksums { VERSION_V4 } else { VERSION_V3 })?;
+    write_u32(w, VERSION)?;
     write_u32(w, sections.len() as u32)?;
     write_u32(w, 0)?; // reserved (keeps the table 8-aligned)
     let mut cur = (HEADER_BYTES + TABLE_ENTRY_BYTES * sections.len()) as u64;
@@ -369,13 +409,24 @@ fn map_or_read(path: &Path) -> io::Result<SharedBytes> {
     Ok(SharedBytes::from_vec(std::fs::read(path)?))
 }
 
+/// The version field of a snapshot header: the magic, then a u32.
+fn header_version(bytes: &[u8]) -> io::Result<u32> {
+    if bytes.len() < 8 {
+        return Err(bad("truncated header"));
+    }
+    if &bytes[0..4] != MAGIC {
+        return Err(bad("not a standoff snapshot (bad magic)"));
+    }
+    Ok(u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")))
+}
+
 /// One layer's mount state: header metadata (decoded at open), the
 /// section map, and the lazily realized [`Layer`].
 struct MountLayer {
     name: String,
     config: StandoffConfig,
-    /// Declared counts from the layer header (v3) — what `inspect`
-    /// reports without touching payloads.
+    /// Declared counts from the layer header — what `inspect` reports
+    /// without touching payloads.
     nodes: u64,
     attrs: u64,
     annotations: u64,
@@ -383,10 +434,10 @@ struct MountLayer {
     /// Total payload bytes of this layer's sections.
     bytes: u64,
     sections: HashMap<u32, Range<usize>>,
-    /// Per-section byte breakdown for `info()` (v3; empty for legacy).
+    /// Per-section byte breakdown for `info()`.
     section_info: Vec<SectionInfo>,
-    /// v4 only: `(tag, payload range, expected crc)` for every section
-    /// of this layer still unverified at open — checked (once) when the
+    /// `(tag, payload range, expected crc)` for every section of this
+    /// layer still unverified at open — checked (once) when the
     /// layer is materialized.
     checks: Vec<(u32, Range<usize>, u32)>,
     cell: OnceLock<Arc<Layer>>,
@@ -405,10 +456,6 @@ struct SectionCheck {
 /// What [`Snapshot::verify`] / [`Snapshot::open_verified`] report back.
 #[derive(Clone, Debug)]
 pub struct VerifyReport {
-    /// On-disk format version.
-    pub version: u32,
-    /// Whether the file carries section checksums (v4).
-    pub checksummed: bool,
     /// Layers materialized and revalidated.
     pub layers: usize,
     /// Section payloads whose CRC32 was recomputed and matched.
@@ -423,18 +470,12 @@ pub struct VerifyReport {
 /// realizes a layer's document and region index on first access —
 /// zero-copy column views over the shared buffer, fully re-validated —
 /// and caches the result, shared across every subsequent consumer.
-///
-/// Legacy (version 1) snapshot files open through the same type: they
-/// are decoded eagerly by the streaming reader, so every accessor works
-/// identically, just without the lazy/zero-copy economics.
 pub struct Snapshot {
     buf: SharedBytes,
-    version: u32,
     uri: String,
     payload_bytes: u64,
     layers: Vec<MountLayer>,
-    /// v4 only: every section's pending/recorded checksum, for
-    /// [`Snapshot::verify`]. Empty for v3/legacy files.
+    /// Every section's recorded checksum, for [`Snapshot::verify`].
     checks: Vec<SectionCheck>,
 }
 
@@ -458,12 +499,18 @@ impl Snapshot {
         Ok((snapshot, report))
     }
 
+    /// The version field the file at `path` declares, from its first
+    /// eight bytes alone — `None` when those are not a snapshot header.
+    /// What `standoff-xq verify` names a file by that does not mount.
+    pub fn peek_version(path: impl AsRef<Path>) -> io::Result<Option<u32>> {
+        let mut head = Vec::with_capacity(8);
+        std::fs::File::open(path)?.take(8).read_to_end(&mut head)?;
+        Ok(header_version(&head).ok())
+    }
+
     /// Mount a snapshot from in-memory bytes.
     pub fn from_bytes(bytes: Vec<u8>) -> io::Result<Snapshot> {
-        Snapshot::mount_bytes(bytes).map_err(|e| match e {
-            StoreError::Io(io) => io,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        })
+        Snapshot::mount_bytes(bytes).map_err(io::Error::from)
     }
 
     /// [`Snapshot::from_bytes`] with categorized errors — corruption
@@ -499,62 +546,22 @@ impl Snapshot {
         Ok(snapshot)
     }
 
+    /// Check the header — magic, then the version, which refuses every
+    /// value but [`VERSION`] before anything else is parsed — then parse
+    /// and validate the section table and decode only the META and
+    /// LAYER_HDR payloads. The checksum table must exist and cover
+    /// every other section; the eagerly-decoded sections are verified
+    /// now and the rest stashed for lazy verification at
+    /// materialization — bulk columns are never hashed on this path.
     fn from_buf(buf: SharedBytes) -> Result<Snapshot, StoreError> {
-        if buf.len() < 8 {
-            return Err(bad("truncated header").into());
+        let version = header_version(&buf)?;
+        if version != VERSION {
+            return Err(bad(&format!(
+                "unsupported format version {version} (this build reads version {VERSION} \
+                 only); rebuild it from the layer XML with standoff-xq index"
+            ))
+            .into());
         }
-        if &buf[0..4] != MAGIC {
-            return Err(bad("not a standoff snapshot (bad magic)").into());
-        }
-        let version = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-        match version {
-            VERSION_LEGACY => Ok(Snapshot::from_legacy(&buf)?),
-            VERSION_V3 | VERSION_V4 => Snapshot::from_columnar(buf, version),
-            _ => Err(bad("unsupported snapshot version").into()),
-        }
-    }
-
-    /// Legacy files: eager streaming decode; every cell starts filled.
-    fn from_legacy(buf: &SharedBytes) -> io::Result<Snapshot> {
-        let (set, info) = read_snapshot_legacy_with_info(&mut &buf[..])?;
-        let (uri, layers) = set.into_layers();
-        let layers = layers
-            .into_iter()
-            .zip(&info.layers)
-            .map(|(layer, skim)| {
-                let ml = MountLayer {
-                    name: layer.name().to_string(),
-                    config: layer.config().clone(),
-                    nodes: layer.doc().node_count() as u64,
-                    attrs: layer.doc().attr_count() as u64,
-                    annotations: layer.annotation_count() as u64,
-                    entries: layer.index().len() as u64,
-                    bytes: skim.bytes,
-                    sections: HashMap::new(),
-                    section_info: Vec::new(),
-                    checks: Vec::new(),
-                    cell: OnceLock::new(),
-                };
-                let _ = ml.cell.set(Arc::new(layer));
-                ml
-            })
-            .collect();
-        Ok(Snapshot {
-            buf: SharedBytes::from_vec(Vec::new()),
-            version: VERSION_LEGACY,
-            uri,
-            payload_bytes: info.payload_bytes,
-            layers,
-            checks: Vec::new(),
-        })
-    }
-
-    /// v3/v4 files: parse and validate the section table, decode only
-    /// the META and LAYER_HDR payloads. For v4, parse the checksum
-    /// table, verify the eagerly-decoded sections now, and stash the
-    /// rest for lazy verification at materialization — bulk columns are
-    /// never hashed on this path.
-    fn from_columnar(buf: SharedBytes, version: u32) -> Result<Snapshot, StoreError> {
         if buf.len() < HEADER_BYTES {
             return Err(bad("truncated header").into());
         }
@@ -592,14 +599,10 @@ impl Snapshot {
         }
         let payload_bytes: u64 = table.iter().map(|&(_, _, _, l)| l).sum();
 
-        // v4: the checksum table must exist, parse, and cover exactly
-        // the other sections — structural failures here are corruption,
+        // The checksum table must exist, parse, and cover exactly the
+        // other sections — structural failures here are corruption,
         // not format drift.
-        let checks = if version >= VERSION_V4 {
-            Snapshot::parse_checksums(&buf, &table)?
-        } else {
-            Vec::new()
-        };
+        let checks = Snapshot::parse_checksums(&buf, &table)?;
         let expected_crc = |tag: u32, layer: u32| -> Option<u32> {
             checks
                 .iter()
@@ -612,7 +615,7 @@ impl Snapshot {
                 (t == tag && l == layer).then_some(off as usize..(off + len) as usize)
             })
         };
-        // META (verified now for v4 — it is decoded now).
+        // META (verified now — it is decoded now).
         let meta = section(SEC_META, 0).ok_or_else(|| bad("missing META section"))?;
         if table.iter().filter(|&&(t, _, _, _)| t == SEC_META).count() > 1 {
             return Err(bad("duplicate META section").into());
@@ -625,8 +628,8 @@ impl Snapshot {
         let uri = read_string(&mut r)?;
         let layer_count = read_u32(&mut r)? as usize;
 
-        // One LAYER_HDR per layer ordinal, decoded (and, for v4,
-        // verified) now — tiny.
+        // One LAYER_HDR per layer ordinal, decoded and verified now —
+        // tiny.
         let mut layers = Vec::with_capacity(layer_count.min(1 << 16));
         for k in 0..layer_count as u32 {
             let hdr = section(SEC_LAYER_HDR, k)
@@ -691,7 +694,6 @@ impl Snapshot {
         }
         let snapshot = Snapshot {
             buf,
-            version,
             uri,
             payload_bytes,
             layers,
@@ -701,7 +703,7 @@ impl Snapshot {
         Ok(snapshot)
     }
 
-    /// Parse and structurally validate a v4 checksum section against
+    /// Parse and structurally validate the checksum section against
     /// the section table: one entry per non-checksum section, no
     /// duplicates, no strays.
     fn parse_checksums(
@@ -721,7 +723,7 @@ impl Snapshot {
             }
         }
         let range = found.ok_or_else(|| {
-            StoreError::corrupt("section checksums", "v4 file has no checksum section")
+            StoreError::corrupt("section checksums", "file has no checksum section")
         })?;
         let payload = &buf[range];
         if !payload.len().is_multiple_of(CHECKSUM_ENTRY_BYTES) {
@@ -802,20 +804,13 @@ impl Snapshot {
         &self.uri
     }
 
-    /// On-disk format version (1 = legacy sectioned, 3 = columnar,
-    /// 4 = columnar + section checksums).
+    /// On-disk format version — always [`VERSION`]; nothing else mounts.
     pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// Whether this file carries section checksums (v4).
-    pub fn checksummed(&self) -> bool {
-        !self.checks.is_empty()
+        VERSION
     }
 
     /// What the mounted columns view into: `"mmap"` (the file's pages)
-    /// or `"heap"` (bytes read or handed in; legacy files, which decode
-    /// into owned columns, always say `"heap"`).
+    /// or `"heap"` (bytes read or handed in).
     pub fn backing(&self) -> &'static str {
         if self.buf.is_mapped() {
             "mmap"
@@ -824,11 +819,10 @@ impl Snapshot {
         }
     }
 
-    /// Deep integrity check: recompute every recorded section checksum
-    /// (v4), then materialize every layer, which re-runs the full
-    /// structural revalidation the lazy mount path applies. Corruption
-    /// is a categorized [`StoreError::Corrupt`]; v3/legacy files verify
-    /// structure only (they carry no checksums).
+    /// Deep integrity check: recompute every recorded section checksum,
+    /// then materialize every layer, which re-runs the full structural
+    /// revalidation the lazy mount path applies. Corruption is a
+    /// categorized [`StoreError::Corrupt`].
     pub fn verify(&self) -> Result<VerifyReport, StoreError> {
         let mut sections_checked = 0;
         for c in &self.checks {
@@ -854,8 +848,6 @@ impl Snapshot {
             self.layer_at(k)?;
         }
         Ok(VerifyReport {
-            version: self.version,
-            checksummed: !self.checks.is_empty(),
             layers: self.layers.len(),
             sections_checked,
         })
@@ -882,10 +874,10 @@ impl Snapshot {
     }
 
     /// Snapshot statistics from the header walk alone — payloads are
-    /// untouched for v3 files (`standoff-xq inspect`'s backing).
+    /// untouched (`standoff-xq inspect`'s backing).
     pub fn info(&self) -> SnapshotInfo {
         SnapshotInfo {
-            version: self.version,
+            version: VERSION,
             uri: self.uri.clone(),
             payload_bytes: self.payload_bytes,
             layers: self
@@ -894,8 +886,8 @@ impl Snapshot {
                 .map(|l| LayerInfo {
                     name: l.name.clone(),
                     bytes: l.bytes,
-                    nodes: Some(l.nodes),
-                    annotations: Some(l.annotations),
+                    nodes: l.nodes,
+                    annotations: l.annotations,
                     sections: l.section_info.clone(),
                 })
                 .collect(),
@@ -946,7 +938,7 @@ impl Snapshot {
 
     /// Decode + validate one layer from its sections.
     fn materialize(&self, slot: &MountLayer) -> Result<Layer, StoreError> {
-        // v4: the columns are about to become live views — this is the
+        // The columns are about to become live views — this is the
         // moment their checksums are verified (once; the materialized
         // layer is cached). A flipped payload byte stops here as
         // `StoreError::Corrupt`, before any view is built.
@@ -1074,7 +1066,6 @@ impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
             .field("uri", &self.uri)
-            .field("version", &self.version)
             .field(
                 "layers",
                 &self.layers.iter().map(|l| &l.name).collect::<Vec<_>>(),

@@ -91,7 +91,6 @@ pub struct DeltaWal {
     path: PathBuf,
     next_seq: u64,
     end: u64,
-    sync: bool,
 }
 
 /// The journal path belonging to a sidecar: `<sidecar>.wal`.
@@ -267,7 +266,6 @@ impl DeltaWal {
                 path: path.to_path_buf(),
                 next_seq,
                 end,
-                sync: true,
             },
             scan.records,
         ))
@@ -282,12 +280,6 @@ impl DeltaWal {
             Err(e) => return Err(StoreError::Io(e)),
         };
         parse(&bytes, path)
-    }
-
-    /// Disable the per-append fsync (benchmarking the fsync cost; a
-    /// production writer keeps it on).
-    pub fn set_sync(&mut self, sync: bool) {
-        self.sync = sync;
     }
 
     /// Path this journal lives at.
@@ -327,9 +319,7 @@ impl DeltaWal {
         self.file.seek(SeekFrom::Start(self.end))?;
         self.file.write_all(&frame)?;
         fault::point("store.wal.append.before_sync");
-        if self.sync {
-            self.file.sync_all()?;
-        }
+        self.file.sync_all()?;
         fault::point("store.wal.append.after_sync");
         self.end += frame.len() as u64;
         self.next_seq = seq + 1;

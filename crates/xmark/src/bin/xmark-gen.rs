@@ -7,7 +7,7 @@
 //! Writes `xmark-<scale>.xml` (the standard nested document),
 //! `xmark-<scale>-standoff.xml` (the StandOff twin) and
 //! `xmark-<scale>.blob` (the extracted BLOB) into the output directory.
-//! The files can be loaded with `standoff-xq --load`.
+//! The files can be loaded with `standoff-xq query --load`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -394,17 +394,6 @@ impl StrArena {
         builder.finish()
     }
 
-    /// Build an owned arena from a pre-assembled heap and offset column
-    /// (the streamed codec path), validating the slot invariants.
-    pub fn from_parts(heap: Vec<u8>, offsets: Vec<u32>) -> io::Result<StrArena> {
-        let arena = StrArena {
-            heap: PodCol::owned(heap),
-            offsets: PodCol::owned(offsets),
-        };
-        arena.validate()?;
-        Ok(arena)
-    }
-
     /// Mount an arena over `buf`: `heap` is the raw byte range,
     /// `offsets` a `u32` column of `n + 1` entries. All slot invariants
     /// are validated here.

@@ -9,9 +9,9 @@
 //!
 //! Every column is a [`PodCol`]/[`StrArena`]: owned when the document was
 //! parsed or built in memory, a zero-copy view over a snapshot buffer when
-//! it was mounted (see `standoff-store`'s SOSN v3 format). The element-name
+//! it was mounted (see `standoff-store`'s snapshot format). The element-name
 //! index is a CSR over `(name id → element pre ranks)` — persisted by the
-//! codecs and mounted as-is, never rebuilt through a hash map.
+//! snapshot writer and mounted as-is, never rebuilt through a hash map.
 
 use std::fmt;
 use std::io;
@@ -31,7 +31,7 @@ pub struct KindCol {
 
 impl KindCol {
     /// Owned backend (parse/build path — values are valid by type).
-    pub fn from_kinds(kinds: Vec<NodeKind>) -> KindCol {
+    fn from_kinds(kinds: Vec<NodeKind>) -> KindCol {
         KindCol {
             raw: PodCol::owned(kinds.into_iter().map(|k| k as u8).collect()),
         }
@@ -67,7 +67,7 @@ impl KindCol {
         }
     }
 
-    /// The raw byte column (codec/snapshot writers).
+    /// The raw byte column (the snapshot writer's hook).
     pub fn raw_bytes(&self) -> &[u8] {
         &self.raw
     }
@@ -143,23 +143,17 @@ impl ElemIndex {
         }
     }
 
-    /// Number of distinct indexed names.
-    pub fn name_count(&self) -> usize {
-        self.names.len()
-    }
-
     /// The `k`-th `(name id, bucket)` pair, in name-id order.
-    pub fn bucket(&self, k: usize) -> (u32, &[u32]) {
+    fn bucket(&self, k: usize) -> (u32, &[u32]) {
         (
             self.names[k],
             &self.pres[self.offsets[k] as usize..self.offsets[k + 1] as usize],
         )
     }
 
-    /// Validate the index against the node columns — same guarantees the
-    /// eager decoders enforced: ascending distinct names in range,
-    /// non-empty strictly-ascending buckets that agree with the columns,
-    /// and full element coverage.
+    /// Validate the index against the node columns: ascending distinct
+    /// names in range, non-empty strictly-ascending buckets that agree
+    /// with the columns, and full element coverage.
     pub fn validate(&self, kind: &KindCol, name: &[u32], name_count: usize) -> Result<(), String> {
         if self.offsets.len() != self.names.len() + 1 {
             return Err("element index CSR length mismatch".into());
@@ -203,7 +197,7 @@ impl ElemIndex {
 
 /// The raw column storage behind a [`Document`] — each column either
 /// owned or a zero-copy view over a mounted snapshot buffer. Assembled
-/// by codecs and the snapshot mount path, then validated as a whole by
+/// by the snapshot mount path, then validated as a whole by
 /// [`Document::from_storage`].
 pub struct DocumentParts {
     pub uri: Option<String>,
@@ -264,10 +258,9 @@ pub struct Document {
 }
 
 impl Document {
-    /// Internal constructor used by the builder and the legacy (v1)
-    /// document codec: owned columns, element index built by counting
-    /// scan. The caller guarantees column validity (the builder by
-    /// construction, the codec by a follow-up `check_invariants`).
+    /// Internal constructor used by the builder: owned columns, element
+    /// index built by counting scan. The caller guarantees column
+    /// validity (the builder by construction).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_columns(
         uri: Option<String>,
@@ -308,8 +301,8 @@ impl Document {
     /// validating **everything**: column arity, name-id ranges, the
     /// structural pre/size/level invariants, attribute CSR consistency,
     /// and the element-name index's agreement with the columns. This is
-    /// the single trust boundary of the codec v2 read path and the SOSN
-    /// v3 snapshot mount — a corrupted file fails here, cleanly.
+    /// the single trust boundary of the snapshot mount — a corrupted
+    /// file fails here, cleanly.
     pub fn from_storage(parts: DocumentParts) -> Result<Document, String> {
         let n = parts.kind.len();
         if n == 0 {
@@ -359,11 +352,6 @@ impl Document {
         };
         doc.check_invariants()?;
         Ok(doc)
-    }
-
-    /// The element-name index (codec serialization hook).
-    pub(crate) fn elem_index(&self) -> &ElemIndex {
-        &self.elem
     }
 
     /// Borrow the raw column storage (the snapshot writer's hook — each
@@ -842,9 +830,9 @@ mod tests {
     #[test]
     fn elem_index_buckets_are_sorted() {
         let d = sample();
-        let idx = d.elem_index();
+        let idx = &d.elem;
         assert!(idx.names.windows(2).all(|w| w[0] < w[1]));
-        for k in 0..idx.name_count() {
+        for k in 0..idx.names.len() {
             let (_, pres) = idx.bucket(k);
             assert!(pres.windows(2).all(|w| w[0] < w[1]));
         }

@@ -25,7 +25,6 @@
 //! `v` are exactly the pre ranks in `v.pre + 1 ..= v.pre + v.size`.
 
 pub mod builder;
-pub mod codec;
 pub mod column;
 pub mod doc;
 pub mod error;
@@ -37,7 +36,6 @@ pub mod store;
 pub mod wire;
 
 pub use builder::DocumentBuilder;
-pub use codec::{read_document, read_store, write_document, write_store};
 pub use column::{Pod, PodCol, SharedBytes, StrArena, StrArenaBuilder};
 pub use doc::{Document, DocumentParts, DocumentStorageRef, ElemIndex, KindCol};
 pub use error::{ParseError, XmlError};

@@ -93,16 +93,6 @@ impl Store {
         self.by_uri.retain(|_, id| (id.0 as usize) < len);
     }
 
-    /// Consume the store, yielding its documents in id order (used to
-    /// transfer bulk-loaded documents into an engine). Documents still
-    /// shared with a clone of this store are deep-copied.
-    pub fn into_docs(self) -> Vec<Document> {
-        self.docs
-            .into_iter()
-            .map(|d| Arc::try_unwrap(d).unwrap_or_else(|shared| (*shared).clone()))
-            .collect()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.docs.is_empty()
     }

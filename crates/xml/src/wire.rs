@@ -1,6 +1,5 @@
-//! Little-endian wire primitives shared by every binary codec in the
-//! workspace: the document codec here, `standoff-core`'s region-index
-//! codec, and `standoff-store`'s snapshots.
+//! Little-endian wire primitives for the small metadata sections of
+//! `standoff-store`'s snapshots and for this crate's column views.
 //!
 //! Reads are hardened against hostile or corrupted length fields: no
 //! helper allocates more than it has actually read, so a bit-flipped
@@ -9,19 +8,11 @@
 
 use std::io::{self, Read, Write};
 
-pub fn write_u16<W: Write>(w: &mut W, v: u16) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
 pub fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
 pub fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-pub fn write_i64<W: Write>(w: &mut W, v: i64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
@@ -36,12 +27,6 @@ pub fn read_u8<R: Read>(r: &mut R) -> io::Result<u8> {
     Ok(buf[0])
 }
 
-pub fn read_u16<R: Read>(r: &mut R) -> io::Result<u16> {
-    let mut buf = [0u8; 2];
-    r.read_exact(&mut buf)?;
-    Ok(u16::from_le_bytes(buf))
-}
-
 pub fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
     let mut buf = [0u8; 4];
     r.read_exact(&mut buf)?;
@@ -54,15 +39,9 @@ pub fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     Ok(u64::from_le_bytes(buf))
 }
 
-pub fn read_i64<R: Read>(r: &mut R) -> io::Result<i64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(i64::from_le_bytes(buf))
-}
-
 /// Read exactly `len` bytes, growing the buffer as data actually
 /// arrives (never pre-allocating `len`).
-pub fn read_exact_vec<R: Read>(r: &mut R, len: u64) -> io::Result<Vec<u8>> {
+fn read_exact_vec<R: Read>(r: &mut R, len: u64) -> io::Result<Vec<u8>> {
     let mut buf = Vec::with_capacity(capacity_hint(len as usize));
     let got = r.take(len).read_to_end(&mut buf)?;
     if got as u64 != len {
@@ -98,16 +77,12 @@ mod tests {
     #[test]
     fn round_trips() {
         let mut buf = Vec::new();
-        write_u16(&mut buf, 7).unwrap();
         write_u32(&mut buf, 0xDEAD_BEEF).unwrap();
         write_u64(&mut buf, u64::MAX - 1).unwrap();
-        write_i64(&mut buf, -42).unwrap();
         write_string(&mut buf, "héllo").unwrap();
         let r = &mut buf.as_slice();
-        assert_eq!(read_u16(r).unwrap(), 7);
         assert_eq!(read_u32(r).unwrap(), 0xDEAD_BEEF);
         assert_eq!(read_u64(r).unwrap(), u64::MAX - 1);
-        assert_eq!(read_i64(r).unwrap(), -42);
         assert_eq!(read_string(r).unwrap(), "héllo");
     }
 

@@ -198,39 +198,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Binary codec round-trip: byte-identical serialization and equal
-    /// structure for arbitrary documents.
-    #[test]
-    fn binary_codec_round_trip(root in node_strategy()) {
-        let root = match root {
-            e @ Node::Element { .. } => e,
-            Node::Text(t) => Node::Element {
-                name: "wrap".into(),
-                attrs: vec![],
-                children: vec![Node::Text(t)],
-            },
-        };
-        let mut b = DocumentBuilder::new();
-        build(&root, &mut b);
-        let doc = b.finish().unwrap();
-
-        let mut buf = Vec::new();
-        standoff_xml::write_document(&doc, &mut buf).unwrap();
-        let loaded = standoff_xml::read_document(&mut buf.as_slice()).unwrap();
-        loaded.check_invariants().unwrap();
-        prop_assert_eq!(
-            serialize_document(&doc, SerializeOptions::default()),
-            serialize_document(&loaded, SerializeOptions::default())
-        );
-        prop_assert_eq!(doc.node_count(), loaded.node_count());
-        prop_assert_eq!(doc.attr_count(), loaded.attr_count());
-        // Writing the loaded document again is byte-identical.
-        let mut buf2 = Vec::new();
-        standoff_xml::write_document(&loaded, &mut buf2).unwrap();
-        prop_assert_eq!(buf, buf2);
-    }
-}

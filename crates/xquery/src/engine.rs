@@ -568,7 +568,7 @@ impl Engine {
 
     /// Mount every layer of a [`standoff_store::Snapshot`] — the
     /// *prefetch* form of snapshot mounting: all layers are materialized
-    /// up front (zero-copy for v3 files) and shared with the snapshot's
+    /// up front (zero-copy column views) and shared with the snapshot's
     /// layer cache. To mount selectively, materialize layers through
     /// [`standoff_store::Snapshot::layer`] and assemble a
     /// [`standoff_store::LayerSet`] for [`Engine::mount_store`].

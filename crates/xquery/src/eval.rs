@@ -1210,8 +1210,9 @@ impl<'e> Evaluator<'e> {
                     // (§4.3) — always against the *target* layer's document.
                     // The element index is borrowed as-is: builder-produced
                     // indexes are strictly ascending by construction and
-                    // snapshot-loaded ones are validated at decode time
-                    // (SOXD v2), so no copy and no per-execution re-check.
+                    // snapshot-loaded ones are validated when mounted
+                    // (`Document::from_storage`), so no copy and no
+                    // per-execution re-check.
                     let name_candidates: Option<Cow<'_, [u32]>> = if explicit_candidates.is_some() {
                         // Each document is the target of exactly one unit, so
                         // the bucket can be moved out rather than cloned.

@@ -6,21 +6,22 @@
 //!             [--standoff-region N] [--lenient]
 //! standoff-xq inspect <snapshot>
 //! standoff-xq query [--store SNAPSHOT]... [--load URI=FILE]...
-//!             [--load-bin FILE] (--query Q | --query-file F)
+//!             (--query Q | --query-file F)
 //!             [--strategy naive|naive-candidates|basic|loop-lifted|auto]
-//!             [--no-pushdown] [--explain] [--time]
+//!             [--no-pushdown] [--time]
 //! standoff-xq explain [--store SNAPSHOT]... [--load URI=FILE]...
-//!             [--load-bin FILE] (--query Q | --query-file F)
+//!             (--query Q | --query-file F)
 //!             [--strategy ...] [--no-pushdown]
 //! standoff-xq batch [--store SNAPSHOT]... [--load URI=FILE]...
-//!             [--load-bin FILE] [--threads N] [--time] <queries.txt | ->
+//!             [--threads N] [--time] <queries.txt | ->
 //! ```
 //!
 //! `index` bulk-loads a base document plus any number of stand-off
 //! annotation layers, builds every region index once, and writes a binary
 //! snapshot; `query --store` reopens it without parsing or index
-//! construction. Bare flags (no subcommand) behave like `query`, so
-//! pre-store invocations keep working:
+//! construction (`--load URI=FILE` parses an XML file at startup
+//! instead). Every invocation names its subcommand; anything else is a
+//! usage error:
 //!
 //! ```text
 //! standoff-xq index corpus.xml -o corpus.snap --uri corpus \
@@ -47,8 +48,7 @@
 //! the **optimized plan** to stdout — the same plan object `query`
 //! would execute, including per-operator StandOff strategy, candidate
 //! pushdown, and cardinality estimates from the mounted region
-//! indexes. `query --explain` remains as an alias that prints the plan
-//! to stderr before running the query.
+//! indexes.
 //!
 //! All subcommands print diagnostics to stderr and never panic. Exit
 //! codes: **0** success; **1** query failure (parse, compile, or
@@ -63,28 +63,27 @@ use std::time::{Duration, Instant};
 use standoff::core::{StandoffConfig, StandoffStrategy};
 use standoff::serve::{self, ServeMount, ServeOptions, Server};
 use standoff::store::{
-    atomic_write, ops_to_text, parse_ops, save_snapshot, wal_path, write_snapshot_legacy, DeltaSet,
-    DeltaWal, LayerSet, Snapshot,
+    atomic_write, ops_to_text, parse_ops, save_snapshot, wal_path, DeltaSet, DeltaWal, LayerSet,
+    Snapshot,
 };
 use standoff::xquery::{Engine, EngineOptions, Executor, Governance};
 
 const USAGE: &str = "standoff-xq index <base.xml> -o <snapshot> [--layer NAME=FILE]... [--uri URI]\n\
                      \x20           [--standoff-start N] [--standoff-end N] [--standoff-region N] [--lenient]\n\
-                     \x20           [--legacy-format]\n\
                      standoff-xq inspect <snapshot> [--sections]\n\
                      standoff-xq annotate --store SNAPSHOT --delta SIDECAR [--journal] <ops.txt | ->\n\
                      standoff-xq compact --store SNAPSHOT [--delta SIDECAR]... -o <snapshot>\n\
                      standoff-xq verify <snapshot> [--delta SIDECAR]... [--json]\n\
-                     standoff-xq query [--store SNAPSHOT [--delta SIDECAR]...]... [--load URI=FILE]... [--load-bin FILE]\n\
+                     standoff-xq query [--store SNAPSHOT [--delta SIDECAR]...]... [--load URI=FILE]...\n\
                      \x20           (--query Q | --query-file F)\n\
                      \x20           [--strategy naive|naive-candidates|basic|loop-lifted|auto]\n\
-                     \x20           [--no-pushdown] [--explain] [--time] [--profile] [--profile-json]\n\
-                     standoff-xq explain [--store SNAPSHOT]... [--load URI=FILE]... [--load-bin FILE]\n\
+                     \x20           [--no-pushdown] [--time] [--profile] [--profile-json]\n\
+                     standoff-xq explain [--store SNAPSHOT]... [--load URI=FILE]...\n\
                      \x20           (--query Q | --query-file F) [--strategy ...] [--no-pushdown] [--analyze]\n\
-                     standoff-xq batch [--store SNAPSHOT]... [--load URI=FILE]... [--load-bin FILE]\n\
+                     standoff-xq batch [--store SNAPSHOT]... [--load URI=FILE]...\n\
                      \x20           [--strategy ...] [--no-pushdown] [--threads N] [--time]\n\
                      \x20           [--profile] [--profile-json] <queries.txt | ->\n\
-                     standoff-xq stats [--store SNAPSHOT]... [--load URI=FILE]... [--load-bin FILE]\n\
+                     standoff-xq stats [--store SNAPSHOT]... [--load URI=FILE]...\n\
                      \x20           [--strategy ...] [--no-pushdown] [queries.txt | -]\n\
                      standoff-xq serve [--listen ADDR] [--store SNAPSHOT]... [--strategy ...] [--no-pushdown]\n\
                      \x20           [--threads N] [--deadline-ms N] [--max-results N] [--max-scratch-mb N]\n\
@@ -116,8 +115,8 @@ fn main() -> ExitCode {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        // Legacy flag-only form: treat as `query`.
-        _ => cmd_query(&argv),
+        Some(other) => Err(format!("unknown subcommand '{other}'\n{USAGE}")),
+        None => Err(format!("no subcommand given\n{USAGE}")),
     };
     match result {
         Ok(code) => code,
@@ -136,7 +135,6 @@ fn cmd_index(argv: &[String]) -> Result<ExitCode, String> {
     let mut uri: Option<String> = None;
     let mut layers: Vec<(String, String)> = Vec::new();
     let mut config = StandoffConfig::default();
-    let mut legacy = false;
     let mut k = 0;
     while k < argv.len() {
         match argv[k].as_str() {
@@ -170,7 +168,6 @@ fn cmd_index(argv: &[String]) -> Result<ExitCode, String> {
                     Some(argv.get(k).ok_or("--standoff-region needs a name")?.clone());
             }
             "--lenient" => config.lenient = true,
-            "--legacy-format" => legacy = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return Ok(ExitCode::SUCCESS);
@@ -192,23 +189,12 @@ fn cmd_index(argv: &[String]) -> Result<ExitCode, String> {
         set.add_layer(name, doc, config.clone())
             .map_err(|e| format!("{path}: {e}"))?;
     }
-    if legacy {
-        // Version-1 streaming format (compat fixtures, old readers) —
-        // written through the same atomic temp-fsync-rename path as the
-        // current format, so a crash never leaves a torn snapshot.
-        standoff::store::atomic_replace(std::path::Path::new(&out), |w| {
-            write_snapshot_legacy(&set, w)
-        })
-        .map_err(|e| format!("{out}: {e}"))?;
-    } else {
-        save_snapshot(&set, &out).map_err(|e| format!("{out}: {e}"))?;
-    }
+    save_snapshot(&set, &out).map_err(|e| format!("{out}: {e}"))?;
 
     let annotations: usize = set.layers().iter().map(|l| l.annotation_count()).sum();
     eprintln!(
-        "# indexed {} layer(s), {annotations} annotation(s) -> {out} (uri '{uri}', {})",
+        "# indexed {} layer(s), {annotations} annotation(s) -> {out} (uri '{uri}', v4 columnar)",
         set.len(),
-        if legacy { "v1 legacy" } else { "v4 columnar" },
     );
     Ok(ExitCode::SUCCESS)
 }
@@ -230,13 +216,11 @@ fn cmd_inspect(argv: &[String]) -> Result<ExitCode, String> {
     let [path] = paths[..] else {
         return Err(format!("inspect takes exactly one snapshot path\n{USAGE}"));
     };
-    // A pure header walk: v3 files expose uri, layer names and counts in
-    // the section table + layer headers, so no payload is read (let
-    // alone decoded); legacy files are skimmed with seeks. `query
-    // --store` is the integrity-proving path.
-    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let info = standoff::store::inspect_snapshot(&mut std::io::BufReader::new(file))
-        .map_err(|e| format!("{path}: {e}"))?;
+    // A pure header walk: uri, layer names and counts live in the
+    // section table + layer headers, so no payload is read (let alone
+    // decoded). `query --store` is the integrity-proving path.
+    let snapshot = Snapshot::open(path).map_err(|e| format!("{path}: {e}"))?;
+    let info = snapshot.info();
     println!("snapshot {path}");
     println!("  format:  v{}", info.version);
     println!("  uri:     {}", info.uri);
@@ -244,25 +228,13 @@ fn cmd_inspect(argv: &[String]) -> Result<ExitCode, String> {
     println!("  payload: {} byte(s)", info.payload_bytes);
     // How a reader holds this file and which CRC loop verifies it: the
     // two facts a slow cold start is explained from.
-    match Snapshot::open(path) {
-        Ok(snapshot) => println!("  backing: {}", snapshot.backing()),
-        Err(e) => println!("  backing: does not mount ({e})"),
-    }
+    println!("  backing: {}", snapshot.backing());
     println!("  crc32:   {}", standoff::core::crc::implementation());
     for layer in &info.layers {
-        let opt = |v: Option<u64>| match v {
-            Some(v) => v.to_string(),
-            None => "?".to_string(), // legacy skim: counts need a decode
-        };
         println!(
             "  - {:<12} {:>8} byte(s)  {:>7} node(s)  {:>7} annotation(s)",
-            layer.name,
-            layer.bytes,
-            opt(layer.nodes),
-            opt(layer.annotations),
+            layer.name, layer.bytes, layer.nodes, layer.annotations,
         );
-        // Per-section byte breakdown — v3 section tables only; legacy
-        // files store one opaque payload per layer.
         if sections {
             for s in &layer.sections {
                 println!("      {:<22} {:>8} byte(s)", s.name, s.bytes);
@@ -449,7 +421,7 @@ fn cmd_annotate(argv: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `compact`: fold a snapshot plus its delta sidecar(s) into a fresh,
-/// delta-free v3 snapshot. The sidecars are left on disk but no longer
+/// delta-free snapshot. The sidecars are left on disk but no longer
 /// apply to the compacted output (their annotations are baked in).
 fn cmd_compact(argv: &[String]) -> Result<ExitCode, String> {
     let mut store: Option<String> = None;
@@ -538,7 +510,7 @@ struct DeltaCheck {
 /// `verify`: fsck for a snapshot and its delta sidecar(s).
 ///
 /// Deep-checks everything the lazy read path defers: every section
-/// CRC32 (v4), full structural revalidation of every layer, sidecar
+/// CRC32, full structural revalidation of every layer, sidecar
 /// ops parse + replay, WAL scan (per-record CRCs, sequence
 /// monotonicity), checkpoint/WAL consistency, and an overlay mount
 /// proof when sidecars are given. A torn WAL tail is *reported* but
@@ -577,7 +549,11 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
 
     let mut findings: Vec<String> = Vec::new();
     let mut notes: Vec<String> = Vec::new();
-    let (mut version, mut checksummed, mut layers, mut sections_checked) = (0u32, false, 0, 0);
+    // Unreadable is a usage error (wrong path, permissions); readable
+    // but damaged — or of a version this build refuses — is a finding,
+    // under a header line naming the version the file actually declares.
+    let version = Snapshot::peek_version(&path).map_err(|e| format!("{path}: {e}"))?;
+    let (mut layers, mut sections_checked) = (0, 0);
     let mut backing = "none";
     let verified = Snapshot::open(&path).and_then(|snapshot| {
         backing = snapshot.backing();
@@ -586,8 +562,6 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
     });
     let set = match verified {
         Ok((snapshot, report)) => {
-            version = report.version;
-            checksummed = report.checksummed;
             layers = report.layers;
             sections_checked = report.sections_checked;
             match snapshot.to_layer_set() {
@@ -598,9 +572,6 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
                 }
             }
         }
-        // Unreadable is a usage error (wrong path, permissions);
-        // readable-but-damaged is a finding.
-        Err(standoff::store::StoreError::Io(e)) => return Err(format!("{path}: {e}")),
         Err(e) => {
             findings.push(format!("{path}: {e}"));
             None
@@ -724,24 +695,21 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
                 .join(",")
         };
         println!(
-            "{{\"snapshot\":\"{}\",\"version\":{version},\"checksummed\":{checksummed},\
+            "{{\"snapshot\":\"{}\",\"version\":{},\
              \"layers\":{layers},\"sections_checked\":{sections_checked},\
              \"backing\":\"{backing}\",\"crc32\":\"{crc}\",\"deltas\":[{deltas}],\
              \"notes\":[{}],\"findings\":[{}],\"status\":\"{}\"}}",
             json_escape(&path),
+            version.map_or("null".to_string(), |v| v.to_string()),
             list(&notes),
             list(&findings),
             if clean { "clean" } else { "corrupt" },
         );
     } else {
         println!(
-            "# {path}: v{version}, {}, {layers} layer(s), {sections_checked} section checksum(s), \
+            "# {path}: {}, {layers} layer(s), {sections_checked} section checksum(s), \
              backing {backing}, crc32 {crc}",
-            if checksummed {
-                "checksummed"
-            } else {
-                "no checksums (pre-v4)"
-            },
+            version.map_or("unreadable header".to_string(), |v| format!("v{v}")),
         );
         for d in &delta_checks {
             println!(
@@ -782,7 +750,6 @@ struct CorpusArgs {
     /// they follow (a sidecar addresses layers of one snapshot).
     deltas: Vec<(usize, String)>,
     loads: Vec<(String, String)>,
-    load_bins: Vec<String>,
     strategy: Option<StandoffStrategy>,
     /// `--strategy auto`: per-operator selection from index statistics.
     auto_strategy: bool,
@@ -822,11 +789,6 @@ impl CorpusArgs {
                     .split_once('=')
                     .ok_or_else(|| format!("bad --load '{spec}', expected URI=FILE"))?;
                 self.loads.push((uri.to_string(), path.to_string()));
-            }
-            "--load-bin" => {
-                *k += 1;
-                self.load_bins
-                    .push(argv.get(*k).ok_or("--load-bin needs a path")?.clone());
             }
             "--strategy" => {
                 *k += 1;
@@ -881,16 +843,6 @@ impl CorpusArgs {
                 engine
                     .mount_overlay(set, &delta)
                     .map_err(|e| format!("{path}: {e}"))?;
-            }
-        }
-        for path in &self.load_bins {
-            let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            let store = standoff::xml::read_store(&mut std::io::BufReader::new(file))
-                .map_err(|e| format!("{path}: {e}"))?;
-            for doc in store.into_docs() {
-                // Move documents into the engine, keeping their URIs.
-                let doc_uri = doc.uri().map(|u| u.to_string());
-                engine.add_document(doc, doc_uri.as_deref());
             }
         }
         for (uri, path) in &self.loads {
@@ -964,7 +916,6 @@ struct QueryArgs {
     corpus: CorpusArgs,
     gov: GovFlags,
     query: String,
-    explain: bool,
     time: bool,
     profile: bool,
     profile_json: bool,
@@ -975,7 +926,6 @@ fn parse_query_args(argv: &[String]) -> Result<QueryArgs, String> {
     let mut corpus = CorpusArgs::new();
     let mut gov = GovFlags::default();
     let mut query: Option<String> = None;
-    let mut explain = false;
     let mut time = false;
     let mut profile = false;
     let mut profile_json = false;
@@ -999,7 +949,6 @@ fn parse_query_args(argv: &[String]) -> Result<QueryArgs, String> {
                         .map_err(|e| format!("cannot read {path}: {e}"))?,
                 );
             }
-            "--explain" => explain = true,
             "--time" => time = true,
             "--profile" => profile = true,
             "--profile-json" => profile_json = true,
@@ -1017,7 +966,6 @@ fn parse_query_args(argv: &[String]) -> Result<QueryArgs, String> {
         corpus,
         gov,
         query,
-        explain,
         time,
         profile,
         profile_json,
@@ -1034,12 +982,6 @@ fn cmd_query(argv: &[String]) -> Result<ExitCode, String> {
     // timeout/limit error and exit code 1, never partial output.
     engine.set_budget(args.gov.governance().fresh_budget());
     let load_elapsed = load_start.elapsed();
-    if args.explain {
-        eprintln!(
-            "{}",
-            engine.explain(&args.query).map_err(|e| e.to_string())?
-        );
-    }
     // Profiled runs share the execution: one query, result on stdout,
     // measurements on stderr (stdout stays result-clean for pipelines).
     if args.profile || args.profile_json {
@@ -1094,8 +1036,6 @@ fn cmd_query(argv: &[String]) -> Result<ExitCode, String> {
 
 /// First-class plan printer: compile the query against the loaded
 /// corpus and print the optimized plan to stdout without executing it.
-/// (`query --explain` stays as an alias, printing to stderr before the
-/// run.)
 fn cmd_explain(argv: &[String]) -> Result<ExitCode, String> {
     let args = parse_query_args(argv)?;
     let mut engine = args.corpus.build_engine()?;
@@ -1371,8 +1311,8 @@ fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
     // Hot mount/unmount rebuilds engines from retained snapshots, so
     // serving is snapshot-only: loose documents and delta sidecars
     // have no re-mountable identity.
-    if !corpus.loads.is_empty() || !corpus.load_bins.is_empty() || !corpus.deltas.is_empty() {
-        return Err("serve supports --store snapshots only (no --load/--load-bin/--delta)".into());
+    if !corpus.loads.is_empty() || !corpus.deltas.is_empty() {
+        return Err("serve supports --store snapshots only (no --load/--delta)".into());
     }
     let mut mounts = Vec::with_capacity(corpus.stores.len());
     for path in &corpus.stores {

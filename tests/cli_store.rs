@@ -269,9 +269,83 @@ fn inspect_sections_prints_per_section_sizes() {
     assert!(!String::from_utf8_lossy(&out.stdout).contains("doc.kind"));
 }
 
+/// `inspect` reads everything it prints from `Snapshot::info()`; what it
+/// prints for a v4 file — uri, layer names, node and annotation counts,
+/// the `--sections` byte breakdown — is pinned to the output of the
+/// build that still had a separate header skimmer. (The path line and
+/// the platform-dependent `backing`/`crc32` lines are checked above.)
 #[test]
-fn legacy_flag_form_still_works() {
-    let dir = tmp_dir("legacy");
+fn inspect_output_is_unchanged_through_snapshot_info() {
+    let (_dir, snap) = obs_snapshot("inspect-golden");
+    let out = bin()
+        .args(["inspect", &snap, "--sections"])
+        .output()
+        .unwrap();
+    assert_success(&out, "inspect --sections");
+    let report = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert_eq!(report.lines().next(), Some(&*format!("snapshot {snap}")));
+    let pinned: Vec<&str> = report
+        .lines()
+        .skip(1)
+        .filter(|l| !l.starts_with("  backing: ") && !l.starts_with("  crc32:   "))
+        .collect();
+    let golden = include_str!("golden/inspect_sections.txt");
+    assert_eq!(pinned, golden.lines().collect::<Vec<_>>(), "{report}");
+}
+
+/// Regression: `verify` used to describe a file it could not mount with
+/// the zero-initialised placeholders of its report (`v0, no checksums
+/// (pre-v4)`, `"version":0`). The header line and the `--json` report
+/// now carry the version field actually read from the file.
+#[test]
+fn verify_names_the_version_it_read_when_a_file_does_not_mount() {
+    let (dir, snap) = obs_snapshot("verify-header");
+    let good = std::fs::read(&snap).unwrap();
+    // A checksum mismatch in a v4 file, a refused version, not a
+    // snapshot at all: (bytes, header-line version, json version, finding).
+    let mut flipped = good.clone();
+    let at = flipped.windows(5).position(|w| w == b"Alice").unwrap();
+    flipped[at] = b'M';
+    let mut old = good.clone();
+    old[4..8].copy_from_slice(&3u32.to_le_bytes());
+    for (bytes, header, json_version, finding) in [
+        (&flipped[..], "v4", "4", "checksum mismatch"),
+        (
+            &old[..],
+            "v3",
+            "3",
+            "unsupported format version 3 (this build reads version 4 only)",
+        ),
+        (
+            &b"not a snapshot"[..],
+            "unreadable header",
+            "null",
+            "bad magic",
+        ),
+    ] {
+        let path = write_bytes(&dir, "damaged.snap", bytes);
+        let out = bin().args(["verify", &path]).output().unwrap();
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert_eq!(out.status.code(), Some(1), "{text}");
+        assert!(text.starts_with(&format!("# {path}: {header}, ")), "{text}");
+        assert!(text.contains(finding) && !text.contains("pre-v4"), "{text}");
+        let out = bin().args(["verify", &path, "--json"]).output().unwrap();
+        let json = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            json.contains(&format!("\"version\":{json_version},\"layers\":"))
+                && json.contains("\"status\":\"corrupt\"")
+                && !json.contains("checksummed"),
+            "{json}"
+        );
+    }
+}
+
+/// Every invocation names its subcommand: a bare-flag argv (once an
+/// implicit `query`) and an empty one are usage errors — exit 2, usage
+/// text, nothing on stdout — and `query --load` is the one spelling.
+#[test]
+fn missing_subcommand_is_a_usage_error() {
+    let dir = tmp_dir("usage");
     let sample = write(
         &dir,
         "sample.xml",
@@ -280,17 +354,31 @@ fn legacy_flag_form_still_works() {
              <music artist="U2" start="0" end="31"/>
            </sample>"#,
     );
+    let load = format!("sample.xml={sample}");
+    let query = r#"doc("sample.xml")//music/select-wide::shot/@id"#;
+    for args in [vec!["--load", &load, "--query", query], vec![]] {
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("subcommand") && stderr.contains("standoff-xq query ["),
+            "{args:?}: {stderr}"
+        );
+    }
     let out = bin()
-        .args([
-            "--load",
-            &format!("sample.xml={sample}"),
-            "--query",
-            r#"doc("sample.xml")//music/select-wide::shot/@id"#,
-        ])
+        .args(["query", "--load", &load, "--query", query])
         .output()
         .unwrap();
-    assert_success(&out, "legacy query");
+    assert_success(&out, "query --load");
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), r#"id="Intro""#);
+    // The `explain` subcommand is the one way to a plan.
+    let out = bin()
+        .args(["query", "--load", &load, "--query", query, "--explain"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument '--explain'"));
 }
 
 #[test]

@@ -384,7 +384,7 @@ fn snapshot_rewrite_crash_leaves_the_old_snapshot_intact() {
             "{point}: old snapshot bytes changed"
         );
         let (_snap, report) = Snapshot::open_verified(&path).unwrap();
-        assert!(report.checksummed);
+        assert!(report.sections_checked > 0);
     }
     // Without a fault the replace goes through and verifies.
     save_snapshot(&bigger, &path).unwrap();

@@ -461,17 +461,6 @@ fn snapshot_info_reports_v3_sections() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn legacy_snapshot_has_no_section_info() {
-    use standoff::store::{inspect_snapshot, write_snapshot_legacy, LayerSet};
-    let base = standoff::xml::parse_document("<d><a start='0' end='3'/></d>").unwrap();
-    let set = LayerSet::build("corpus", base, StandoffConfig::default()).unwrap();
-    let mut buf = Vec::new();
-    write_snapshot_legacy(&set, &mut buf).unwrap();
-    let info = inspect_snapshot(&mut std::io::Cursor::new(&buf)).unwrap();
-    assert!(info.layers.iter().all(|l| l.sections.is_empty()));
-}
-
 // ---- snapshot JSON -----------------------------------------------------
 
 #[test]

@@ -123,28 +123,3 @@ fn multimedia_temporal_composition() {
         .unwrap();
     assert_eq!(r.as_strings(), ["Intro", "Outro"]);
 }
-
-#[test]
-fn binary_store_cli_pipeline() {
-    // write a store to disk, reopen it, run a query — the --load-bin path.
-    let mut store = standoff::xml::Store::new();
-    store
-        .load("sample.xml", standoff::fixtures::FIGURE1_XML)
-        .unwrap();
-    let path = std::env::temp_dir().join("standoff-test-store.bin");
-    let mut file = std::fs::File::create(&path).unwrap();
-    standoff::xml::write_store(&store, &mut file).unwrap();
-    drop(file);
-
-    let mut reopened = standoff::xml::read_store(&mut std::fs::File::open(&path).unwrap()).unwrap();
-    let mut engine = Engine::new();
-    for doc in std::mem::take(&mut reopened).into_docs() {
-        let uri = doc.uri().map(|u| u.to_string());
-        engine.add_document(doc, uri.as_deref());
-    }
-    let r = engine
-        .run(r#"doc("sample.xml")//music[@artist = "U2"]/select-narrow::shot/@id"#)
-        .unwrap();
-    assert_eq!(r.as_strings(), ["Intro"]);
-    let _ = std::fs::remove_file(&path);
-}

@@ -1,10 +1,14 @@
-//! Snapshot-format integration: the legacy (version 1) and columnar
-//! (version 3/4) formats must be *observably identical* to the query
-//! engine, and the committed legacy fixture must never silently rot —
-//! nor may a damaged copy of it panic the reader.
+//! Snapshot-format integration: a mounted snapshot must be *observably
+//! identical* to the parsed corpus it was written from, and a file that
+//! declares any version but the current one is refused by name at every
+//! entry point — the version field cannot be used to open a file with
+//! its checksums off, and a pre-v4 file is never decoded.
+
+use std::process::Command;
 
 use standoff::core::StandoffConfig;
-use standoff::store::{write_snapshot, write_snapshot_legacy, LayerSet, Snapshot};
+use standoff::serve::{call, ServeMount, ServeOptions, Server};
+use standoff::store::{save_snapshot, write_snapshot, LayerSet, Snapshot, StoreError};
 use standoff::xmark::queries::XmarkQuery;
 use standoff::xmark::{generate, standoffify, XmarkConfig};
 use standoff::xquery::Engine;
@@ -13,7 +17,7 @@ const SO_URI: &str = "xmark-standoff.xml";
 
 /// An XMark StandOff corpus as a two-layer set: the standoffified
 /// document as base plus a re-parsed shadow copy as a sibling layer
-/// (exercises the multi-layer sections of both formats).
+/// (exercises the multi-layer sections of the format).
 fn xmark_set(scale: f64) -> LayerSet {
     let so = standoffify(&generate(&XmarkConfig::with_scale(scale)), 7);
     let shadow_xml = standoff::xml::serialize_document(&so.doc, Default::default());
@@ -55,153 +59,192 @@ fn answers(engine: &mut Engine) -> Vec<String> {
 }
 
 /// The acceptance gate: byte-identical XMark query results across a
-/// direct in-memory mount, a legacy-format round trip, and a v3
-/// round trip.
+/// direct in-memory mount and a snapshot round trip.
 #[test]
-fn v1_and_v3_round_trips_answer_queries_byte_identically() {
+fn parsed_and_v4_round_trip_answer_queries_byte_identically() {
     let set = xmark_set(0.002);
-
-    let mut legacy_bytes = Vec::new();
-    write_snapshot_legacy(&set, &mut legacy_bytes).unwrap();
-    let mut v3_bytes = Vec::new();
-    write_snapshot(&set, &mut v3_bytes).unwrap();
+    let mut bytes = Vec::new();
+    write_snapshot(&set, &mut bytes).unwrap();
 
     let mut direct = Engine::new();
     direct.mount_store(set).unwrap();
     let expected = answers(&mut direct);
     assert!(expected.iter().any(|a| !a.is_empty()));
 
-    for (bytes, what) in [(legacy_bytes, "legacy v1"), (v3_bytes, "v3")] {
-        let snapshot = Snapshot::from_bytes(bytes).unwrap();
-        let mut engine = Engine::new();
-        engine.mount_snapshot(&snapshot).unwrap();
-        assert_eq!(answers(&mut engine), expected, "{what} mount diverges");
-    }
+    let snapshot = Snapshot::from_bytes(bytes).unwrap();
+    let mut engine = Engine::new();
+    engine.mount_snapshot(&snapshot).unwrap();
+    assert_eq!(answers(&mut engine), expected, "snapshot mount diverges");
 }
 
-// ---- committed legacy fixture ----
+// ---- refusal by version ----
 
-/// The sources `tests/fixtures/corpus_v1.snap` was built from (CLI:
-/// `index base.xml -o corpus_v1.snap --legacy-format --uri corpus
-/// --layer tokens=… --layer entities=…`).
-const FIXTURE_BASE: &str = "<text>Alice met Bob</text>";
-const FIXTURE_TOKENS: &str = r#"<tokens><w word="Alice" start="0" end="4"/><w word="met" start="6" end="8"/><w word="Bob" start="10" end="12"/></tokens>"#;
-const FIXTURE_ENTITIES: &str =
-    r#"<entities><person start="0" end="4"/><person start="10" end="12"/></entities>"#;
+const TOKENS: &str = r#"<tokens><w word="Alice" start="0" end="4"/><w word="met" start="6" end="8"/><w word="Bob" start="10" end="12"/></tokens>"#;
+const WORDS: &str = r#"doc("corpus#tokens")//w/@word"#;
+
+fn corpus() -> LayerSet {
+    let base = standoff::xml::parse_document("<text>Alice met Bob</text>").unwrap();
+    let mut set = LayerSet::build("corpus", base, StandoffConfig::default()).unwrap();
+    let tokens = standoff::xml::parse_document(TOKENS).unwrap();
+    set.add_layer("tokens", tokens, StandoffConfig::default())
+        .unwrap();
+    set
+}
+
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("standoff-formats-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn refusal(version: u32) -> String {
+    format!(
+        "unsupported format version {version} (this build reads version 4 only); \
+         rebuild it from the layer XML with standoff-xq index"
+    )
+}
+
+/// Run the CLI; `(exit code, stdout, stderr)`.
+fn cli(args: &[&str]) -> (i32, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_standoff-xq"))
+        .args(args)
+        .output()
+        .unwrap();
+    (
+        out.status.code().expect("exited, not signalled"),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Every way into a snapshot file — `Snapshot::mount_bytes`,
+/// `Snapshot::open`, `standoff-xq verify`, `query --store` and the
+/// server's `mount PATH` verb (against `addr`) — must refuse `path`
+/// with the same message naming `version`.
+fn assert_refused_everywhere(path: &std::path::Path, version: u32, addr: std::net::SocketAddr) {
+    let want = refusal(version);
+    let shown = path.to_str().unwrap();
+    let refused = |opened: Result<Snapshot, StoreError>, how: &str| match opened {
+        Err(e @ StoreError::Io(_)) => assert!(e.to_string().contains(&want), "{how}: {e}"),
+        Err(other) => panic!("{how}: wrong category for version {version}: {other}"),
+        Ok(_) => panic!("{how}: a version-{version} file mounted"),
+    };
+    refused(
+        Snapshot::mount_bytes(std::fs::read(path).unwrap()),
+        "mount_bytes",
+    );
+    refused(Snapshot::open(path), "open");
+
+    let (code, stdout, _) = cli(&["verify", shown]);
+    assert!(
+        code == 1 && stdout.contains(&want) && !stdout.contains(": ok"),
+        "verify, version {version}: exit {code}: {stdout}"
+    );
+    let (code, stdout, stderr) = cli(&["query", "--store", shown, "--query", WORDS]);
+    assert!(
+        code == 2 && stdout.is_empty() && stderr.contains(&want),
+        "query --store, version {version}: exit {code}: {stdout}{stderr}"
+    );
+
+    let reply = call(addr, &format!("mount {shown}")).unwrap();
+    assert!(
+        !reply.ok && reply.body.contains(&want),
+        "serve mount, version {version}: {reply:?}"
+    );
+    // The server keeps serving what it already had.
+    let reply = call(addr, &format!("query\n{WORDS}")).unwrap();
+    assert!(reply.ok && reply.body.contains("Alice"), "{reply:?}");
+}
+
+/// A server over the intact corpus, for the `mount PATH` leg.
+fn serve_corpus() -> standoff::serve::ServerHandle {
+    let mut bytes = Vec::new();
+    write_snapshot(&corpus(), &mut bytes).unwrap();
+    let mount = ServeMount {
+        path: "<mem>".to_string(),
+        snapshot: std::sync::Arc::new(Snapshot::from_bytes(bytes).unwrap()),
+    };
+    Server::bind("127.0.0.1:0", vec![mount], ServeOptions::default())
+        .unwrap()
+        .spawn()
+        .unwrap()
+}
+
+/// Regression (checksum bypass by downgrade): a damaged v4 file whose
+/// header is rewritten to say 3 used to mount *unverified* — `verify`
+/// said `ok` and queries served the damaged bytes. Any version but 4 is
+/// now refused before anything else is parsed; the intact original
+/// still verifies and answers.
+#[test]
+fn downgraded_header_cannot_switch_the_checksums_off() {
+    let dir = temp_dir("downgrade");
+    let good = dir.join("good.snap");
+    save_snapshot(&corpus(), &good).unwrap();
+    let bytes = std::fs::read(&good).unwrap();
+    let server = serve_corpus();
+
+    // One flipped byte inside the attribute-value arena…
+    let mut damaged = bytes.clone();
+    let at = damaged
+        .windows(7)
+        .position(|w| w == b"Alice04")
+        .expect("attribute arena holds word, start, end back to back");
+    damaged[at] = b'M';
+    let flipped = dir.join("flipped.snap");
+    std::fs::write(&flipped, &damaged).unwrap();
+    // …is a checksum mismatch while the header still says 4…
+    let (code, stdout, _) = cli(&["verify", flipped.to_str().unwrap()]);
+    assert!(
+        code == 1 && stdout.contains("checksum mismatch"),
+        "{stdout}"
+    );
+    // …and stays refused under every other version value.
+    for version in [3u32, 1, 2, 5, 0, u32::MAX] {
+        damaged[4..8].copy_from_slice(&version.to_le_bytes());
+        let path = dir.join(format!("says-{version}.snap"));
+        std::fs::write(&path, &damaged).unwrap();
+        assert_refused_everywhere(&path, version, server.addr());
+    }
+
+    // The untouched original verifies and answers.
+    let shown = good.to_str().unwrap();
+    let (code, stdout, _) = cli(&["verify", shown]);
+    assert!(code == 0 && stdout.contains(": ok"), "{stdout}");
+    let (code, stdout, _) = cli(&["query", "--store", shown, "--query", WORDS]);
+    assert_eq!(
+        (code, stdout.trim()),
+        (0, r#"word="Alice" word="met" word="Bob""#)
+    );
+    assert!(Snapshot::mount_bytes(bytes).unwrap().verify().is_ok());
+
+    server.stop().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---- committed version-1 fixture ----
 
 fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/corpus_v1.snap")
 }
 
-fn fixture_queries() -> [&'static str; 4] {
-    [
-        r#"doc("corpus#entities")//person/select-narrow::w/@word"#,
-        r#"count(doc("corpus#tokens")//w)"#,
-        r#"doc("corpus#tokens")//w[@word = "met"]/select-wide::person"#,
-        r#"string(doc("corpus"))"#,
-    ]
-}
-
-/// The committed v1 file must keep loading through the legacy path and
-/// answering queries byte-identically to a freshly built corpus — this
-/// is the test that keeps the legacy reader from rotting.
+/// The committed version-1 file (written by a pre-v4 build) is the
+/// refusal test's input: every entry point names version 1 and the
+/// remedy, and nothing in it is decoded.
 #[test]
-fn committed_v1_fixture_loads_and_answers_queries() {
-    let snapshot = Snapshot::open(fixture_path()).unwrap();
-    assert_eq!(
-        snapshot.version(),
-        1,
-        "fixture must exercise the legacy path"
-    );
-    assert_eq!(
-        snapshot.layer_names().collect::<Vec<_>>(),
-        ["base", "tokens", "entities"]
-    );
-
-    let mut mounted = Engine::new();
-    mounted.mount_snapshot(&snapshot).unwrap();
-
-    // Reference: the same corpus built from the embedded sources.
-    let mut set = LayerSet::build(
-        "corpus",
-        standoff::xml::parse_document(FIXTURE_BASE).unwrap(),
-        StandoffConfig::default(),
-    )
-    .unwrap();
-    for (name, xml) in [("tokens", FIXTURE_TOKENS), ("entities", FIXTURE_ENTITIES)] {
-        set.add_layer(
-            name,
-            standoff::xml::parse_document(xml).unwrap(),
-            StandoffConfig::default(),
-        )
-        .unwrap();
-    }
-    let mut fresh = Engine::new();
-    fresh.mount_store(set).unwrap();
-
-    for q in fixture_queries() {
-        let got = mounted.run(q).unwrap().as_xml();
-        let want = fresh.run(q).unwrap().as_xml();
-        assert_eq!(got, want, "fixture diverges on {q}");
-    }
-    // Pin one answer outright so a coordinated regression in both paths
-    // cannot slip through.
-    assert_eq!(
-        mounted.run(fixture_queries()[0]).unwrap().as_xml(),
-        r#"word="Alice" word="Bob""#
-    );
-}
-
-/// Re-encoding the committed fixture in the current format and
-/// mounting it must answer the same queries identically (the legacy
-/// migration story; the writer now emits v4, checksummed).
-#[test]
-fn committed_v1_fixture_upgrades_to_current_format_losslessly() {
-    let set = Snapshot::open(fixture_path())
-        .unwrap()
-        .to_layer_set()
-        .unwrap();
-    let mut current = Vec::new();
-    write_snapshot(&set, &mut current).unwrap();
-
-    let mut legacy = Engine::new();
-    legacy
-        .mount_snapshot(&Snapshot::open(fixture_path()).unwrap())
-        .unwrap();
-    let upgraded_snapshot = Snapshot::from_bytes(current).unwrap();
-    assert_eq!(upgraded_snapshot.version(), 4);
-    assert!(upgraded_snapshot.checksummed());
-    let mut upgraded = Engine::new();
-    upgraded.mount_snapshot(&upgraded_snapshot).unwrap();
-
-    for q in fixture_queries() {
-        assert_eq!(
-            legacy.run(q).unwrap().as_xml(),
-            upgraded.run(q).unwrap().as_xml(),
-            "v1→v4 upgrade diverges on {q}"
-        );
-    }
+fn committed_v1_fixture_is_refused_by_name() {
+    let server = serve_corpus();
+    assert_refused_everywhere(&fixture_path(), 1, server.addr());
+    server.stop().unwrap();
 }
 
 /// Truncating the committed v1 fixture at *every* byte offset must
-/// produce a clean categorized error from the legacy reader — never a
-/// panic, never a silently short corpus. (The legacy format predates
-/// checksums, so detection is structural: length prefixes, section
-/// bounds, decode validation.)
+/// produce a clean error — never a panic, never a mount.
 #[test]
 fn committed_v1_fixture_truncation_at_every_byte_errors_cleanly() {
     let full = std::fs::read(fixture_path()).unwrap();
-    for cut in 0..full.len() {
+    for cut in 0..=full.len() {
         let result = std::panic::catch_unwind(|| Snapshot::from_bytes(full[..cut].to_vec()));
         let mounted = result.unwrap_or_else(|_| panic!("truncation at {cut} panicked the reader"));
-        // A prefix is never a valid snapshot: either the mount fails,
-        // or (headers intact, payload cut) the lazy layer access does.
-        let ok = match mounted {
-            Err(_) => true,
-            Ok(snapshot) => std::panic::catch_unwind(|| snapshot.to_layer_set())
-                .unwrap_or_else(|_| panic!("truncation at {cut} panicked materialization"))
-                .is_err(),
-        };
-        assert!(ok, "truncation at {cut} was silently accepted");
+        assert!(mounted.is_err(), "truncation at {cut} mounted");
     }
 }
