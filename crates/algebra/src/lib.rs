@@ -30,5 +30,5 @@ pub mod staircase;
 
 pub use item::Item;
 pub use nodeseq::NodeTable;
-pub use sequence::LlSeq;
+pub use sequence::{rows_per_iter, LlSeq};
 pub use staircase::{KindTest, NameCache, NodeTest, TreeAxis};

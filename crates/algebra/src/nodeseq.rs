@@ -7,7 +7,10 @@
 //! columns `iter|node`, grouped by `iter`, with a normalization pass that
 //! sorts by document order and deduplicates within each group.
 
-use standoff_xml::{NodeRef, Store};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use standoff_xml::{DocId, NodeRef, Store};
 
 use crate::item::Item;
 use crate::sequence::LlSeq;
@@ -45,6 +48,40 @@ impl NodeTable {
         NodeTable { iters, nodes }
     }
 
+    /// Build the table from per-document *runs* of tree nodes: `runs`
+    /// ascends by document, and `row` reads a run element's
+    /// `(iter, pre)`, by which every run is sorted and duplicate-free.
+    /// The runs are k-way merged on `(iter, document)` — the whole
+    /// `(iter, document-order)` key, because an iteration's rows of one
+    /// document precede its rows of the next — a group of rows at a
+    /// time, so a single run is copied through as it is and nothing is
+    /// ever sorted.
+    pub fn from_runs<T>(runs: &[(DocId, Vec<T>)], row: impl Fn(&T) -> (u32, u32)) -> Self {
+        debug_assert!(runs.windows(2).all(|w| w[0].0 < w[1].0), "runs not ordered");
+        let mut out = NodeTable::with_capacity(runs.iter().map(|(_, run)| run.len()).sum());
+        // The heap holds every unfinished run's next `(iter, run)`; the
+        // least one contributes its whole group for that iteration.
+        let mut cursors = vec![0usize; runs.len()];
+        let mut heads: BinaryHeap<Reverse<(u32, usize)>> = runs
+            .iter()
+            .enumerate()
+            .filter_map(|(r, (_, run))| run.first().map(|t| Reverse((row(t).0, r))))
+            .collect();
+        while let Some(Reverse((iter, r))) = heads.pop() {
+            let (doc, run) = &runs[r];
+            let from = cursors[r];
+            let group = run[from..].iter().map(&row).take_while(|&(i, _)| i == iter);
+            for (_, pre) in group {
+                out.push(iter, NodeRef::tree(*doc, pre));
+                cursors[r] += 1;
+            }
+            if let Some(next) = run.get(cursors[r]) {
+                heads.push(Reverse((row(next).0, r)));
+            }
+        }
+        out
+    }
+
     #[inline]
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -63,6 +100,11 @@ impl NodeTable {
     #[inline]
     pub fn nodes(&self) -> &[NodeRef] {
         &self.nodes
+    }
+
+    /// The `iter` column alone — all an aggregate like `count` reads.
+    pub fn into_iters(self) -> Vec<u32> {
+        self.iters
     }
 
     /// Push one row; `iter` must be non-decreasing.
@@ -222,6 +264,37 @@ mod tests {
         let before = t.clone();
         t.normalize(&s);
         assert_eq!(t, before);
+    }
+
+    #[test]
+    fn runs_merge_into_iter_then_document_order() {
+        let mut s = Store::new();
+        let a = s.load("a", "<a><b/><c/><d/></a>").unwrap();
+        let b = s.load("b", "<a><b/><c/></a>").unwrap();
+        let c = s.load("c", "<a/>").unwrap();
+        let runs = vec![
+            (a, vec![(0u32, 2u32), (2, 1), (2, 3)]),
+            (b, vec![(0, 1), (1, 2), (2, 2)]),
+            (c, vec![]),
+        ];
+        let merged = NodeTable::from_runs(&runs, |&t| t);
+        // What sorting the concatenation would have produced.
+        let mut sorted = NodeTable::new();
+        let mut rows: Vec<(u32, NodeRef)> = runs
+            .iter()
+            .flat_map(|(doc, run)| run.iter().map(|&(i, pre)| (i, NodeRef::tree(*doc, pre))))
+            .collect();
+        rows.sort_by_key(|&(i, n)| (i, s.order_key(n)));
+        for (i, n) in rows {
+            sorted.push(i, n);
+        }
+        assert_eq!(merged, sorted);
+        assert_eq!(merged.iters(), &[0, 0, 1, 2, 2, 2]);
+        // One run is the table as-is; none is the empty table.
+        let single = NodeTable::from_runs(&runs[..1], |&t| t);
+        assert_eq!(single.iters(), &[0, 2, 2]);
+        assert_eq!(single.nodes()[1], NodeRef::tree(a, 1));
+        assert!(NodeTable::from_runs(&runs[2..], |&t| t).is_empty());
     }
 
     #[test]

@@ -170,13 +170,12 @@ impl LlSeq {
 
     /// `fn:count` per iteration over the whole scope.
     pub fn count_per_iter(&self, n_iters: u32) -> LlSeq {
-        let mut counts = vec![0i64; n_iters as usize];
-        for &iter in &self.iters {
-            counts[iter as usize] += 1;
-        }
         LlSeq {
             iters: (0..n_iters).collect(),
-            items: counts.into_iter().map(Item::Integer).collect(),
+            items: rows_per_iter(&self.iters, n_iters)
+                .into_iter()
+                .map(Item::Integer)
+                .collect(),
         }
     }
 
@@ -236,6 +235,16 @@ impl LlSeq {
     pub fn string_values(&self, store: &Store) -> Vec<String> {
         self.items.iter().map(|i| i.string_value(store)).collect()
     }
+}
+
+/// Rows per iteration of an `iter` column, for all `n_iters` iterations
+/// of the scope (absent iterations count zero).
+pub fn rows_per_iter(iters: &[u32], n_iters: u32) -> Vec<i64> {
+    let mut counts = vec![0i64; n_iters as usize];
+    for &iter in iters {
+        counts[iter as usize] += 1;
+    }
+    counts
 }
 
 /// Iterator over `(iter, items)` groups.

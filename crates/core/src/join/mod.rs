@@ -21,8 +21,19 @@
 //! | `BasicMergeJoin`         | §4.4                                   | one index scan **per iteration** |
 //! | `LoopLiftedMergeJoin`    | §4.5 / Listing 1                       | one index scan **total** |
 //!
+//! A join runs in two phases. The *context* is resolved first, once:
+//! [`JoinScratch::resolve_context`] looks every context node's regions
+//! up and start-sorts them into the scratch's context table — for one
+//! fragment ([`evaluate_standoff_join_with`] does it for its
+//! [`JoinInput`]) or for a whole *join unit* of the query engine, whose
+//! context may span several layers of one corpus. Then each
+//! [`JoinTarget`] — the candidate side: one layer's document, region
+//! source and candidate restriction — is joined against that table by
+//! [`join_resolved`], as many targets as the unit has, without the
+//! context being looked up or sorted again.
+//!
 //! The merge joins derive their candidate entries through one path —
-//! [`JoinInput::candidate_entries_in`] →
+//! [`JoinTarget::candidate_entries_in`] →
 //! [`RegionSource::candidates_into`] →
 //! [`RegionIndex::candidates_into`](crate::index::RegionIndex::candidates_into)
 //! — and every mechanism counter, here and in the query engine above,
@@ -252,43 +263,43 @@ impl<'a> JoinInput<'a> {
         self.ctx_index.unwrap_or(self.index)
     }
 
-    /// Fetch `[start,end]` rows for all context nodes into `out` (cleared
-    /// first) and sort by start — the context-preparation step of §4.4.
-    /// Context nodes that are not area-annotations contribute no rows.
-    /// The overlay retraction check is hoisted out of the per-node loop:
-    /// the pure-snapshot branch fetches regions straight off the index,
-    /// so it compiles to the pre-overlay code.
-    pub fn context_entries_into(&self, out: &mut Vec<CtxEntry>) {
-        out.clear();
-        out.reserve(self.context.len());
-        let ctx_index = self.context_index();
-        if ctx_index.is_pure() {
-            let index = ctx_index.index();
-            for &IterNode { iter, node } in self.context {
-                for r in index.regions_of(node) {
-                    out.push(CtxEntry {
-                        iter,
-                        node,
-                        start: r.start,
-                        end: r.end,
-                    });
-                }
-            }
-        } else {
-            for &IterNode { iter, node } in self.context {
-                for r in ctx_index.regions_of(node) {
-                    out.push(CtxEntry {
-                        iter,
-                        node,
-                        start: r.start,
-                        end: r.end,
-                    });
-                }
-            }
+    /// The candidate side of this input.
+    #[inline]
+    pub fn target(&self) -> JoinTarget<'a> {
+        JoinTarget {
+            doc: self.doc,
+            index: self.index,
+            candidates: self.candidates,
+            iter_domain: self.iter_domain,
         }
-        out.sort_by_key(|c| (c.start, c.end, c.iter, c.node));
     }
 
+    /// The distinct candidate *annotation* nodes, ascending — the universe
+    /// the reject axes complement against.
+    pub fn candidate_universe(&self) -> Vec<u32> {
+        self.target()
+            .candidate_universe_in(&mut Vec::new())
+            .to_vec()
+    }
+}
+
+/// The candidate side of a StandOff join: one document fragment whose
+/// annotations the join emits. A [`JoinInput`] has one; a join unit of
+/// the query engine has one per layer that can answer the step, all
+/// joined against the same resolved context ([`join_resolved`]).
+#[derive(Clone, Copy)]
+pub struct JoinTarget<'a> {
+    /// See [`JoinInput::doc`].
+    pub doc: &'a Document,
+    /// See [`JoinInput::index`].
+    pub index: RegionSource<'a>,
+    /// See [`JoinInput::candidates`].
+    pub candidates: Option<&'a [u32]>,
+    /// See [`JoinInput::iter_domain`].
+    pub iter_domain: &'a [u32],
+}
+
+impl<'a> JoinTarget<'a> {
     /// The candidate region entries in start order: without a candidate
     /// restriction a pure source's own entry table is returned as-is —
     /// no copy of the full index per operator; otherwise the visible
@@ -312,16 +323,10 @@ impl<'a> JoinInput<'a> {
         }
     }
 
-    /// The distinct candidate *annotation* nodes, ascending — the universe
-    /// the reject axes complement against.
-    pub fn candidate_universe(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        out.extend_from_slice(self.candidate_universe_in(&mut Vec::new()));
-        out
-    }
-
-    /// Borrowing form of [`JoinInput::candidate_universe`]: no candidate
-    /// restriction returns a pure source's annotated-node column directly.
+    /// The distinct candidate *annotation* nodes, ascending — the
+    /// universe the reject axes complement against. No candidate
+    /// restriction returns a pure source's annotated-node column
+    /// directly.
     pub fn candidate_universe_in<'s>(&'s self, scratch: &'s mut Vec<u32>) -> &'s [u32]
     where
         'a: 's,
@@ -339,6 +344,13 @@ impl<'a> JoinInput<'a> {
                 scratch
             }
         }
+    }
+
+    /// An explicitly empty candidate sequence: no axis can emit
+    /// anything (the rejects complement within the candidates).
+    #[inline]
+    fn has_no_candidates(&self) -> bool {
+        self.candidates.is_some_and(<[u32]>::is_empty)
     }
 }
 
@@ -361,6 +373,39 @@ pub struct JoinScratch {
 }
 
 impl JoinScratch {
+    /// Resolve a join's context into the scratch's context table, once
+    /// for every target it is then joined into ([`join_resolved`]): the
+    /// regions of every `(iter, node)` row of every part — a part is
+    /// one fragment's rows with the source its areas are looked up in —
+    /// sorted by start (the context-preparation step of §4.4). Rows
+    /// that are not area-annotations contribute nothing.
+    ///
+    /// A context annotation is identified by the *ordinal of its row*
+    /// across all parts, not by its pre rank: two layers of one corpus
+    /// reuse the same pre ranks, and `select-narrow`'s ∀∃ attribution
+    /// over multi-region areas keys on that identity.
+    pub fn resolve_context<'a>(
+        &mut self,
+        parts: impl IntoIterator<Item = (RegionSource<'a>, &'a [IterNode])>,
+    ) {
+        self.ctx.clear();
+        let mut first = 0u32;
+        for (source, rows) in parts {
+            self.ctx.reserve(rows.len());
+            // The overlay retraction check is hoisted out of the per-row
+            // loop: a pure source reads regions straight off the index.
+            if source.is_pure() {
+                let index = source.index();
+                push_context_rows(rows, first, |n| index.regions_of(n), &mut self.ctx);
+            } else {
+                push_context_rows(rows, first, |n| source.regions_of(n), &mut self.ctx);
+            }
+            first += rows.len() as u32;
+        }
+        self.ctx
+            .sort_unstable_by_key(|c| (c.start, c.end, c.iter, c.node));
+    }
+
     /// Install (or clear) the governance handle polled by the scan and
     /// merge kernels. The engine sets this per query; `None` restores
     /// the ungoverned fast path (a hoisted null test per loop round).
@@ -385,6 +430,24 @@ impl JoinScratch {
     /// scans and branch-free blocks), leaving zeros behind.
     pub fn take_stats(&mut self) -> JoinStats {
         self.kernel.stats.take_delta()
+    }
+}
+
+fn push_context_rows<'r>(
+    rows: &[IterNode],
+    first: u32,
+    regions_of: impl Fn(u32) -> &'r [crate::region::Region],
+    out: &mut Vec<CtxEntry>,
+) {
+    for (k, &IterNode { iter, node }) in rows.iter().enumerate() {
+        for r in regions_of(node) {
+            out.push(CtxEntry {
+                iter,
+                node: first + k as u32,
+                start: r.start,
+                end: r.end,
+            });
+        }
     }
 }
 
@@ -420,23 +483,52 @@ pub fn evaluate_standoff_join_with(
     trace: Option<&mut dyn TraceSink>,
     scratch: &mut JoinScratch,
 ) -> Vec<IterNode> {
+    let target = input.target();
+    // Nothing to select from, or nothing to select with: answered
+    // without looking the context up or sorting it.
+    if target.has_no_candidates() {
+        return Vec::new();
+    }
+    if input.context.is_empty() {
+        return finish(axis, Vec::new(), &target, &mut scratch.universe);
+    }
+    scratch.resolve_context([(input.context_index(), input.context)]);
+    join_resolved(axis, strategy, &target, trace, scratch)
+}
+
+/// Join the context last resolved into `scratch`
+/// ([`JoinScratch::resolve_context`]) against one target. Returns
+/// `(iter, node)` pairs of the target's fragment sorted by
+/// `(iter, node)`, like [`evaluate_standoff_join`].
+pub fn join_resolved(
+    axis: StandoffAxis,
+    strategy: StandoffStrategy,
+    target: &JoinTarget<'_>,
+    trace: Option<&mut dyn TraceSink>,
+    scratch: &mut JoinScratch,
+) -> Vec<IterNode> {
+    if target.has_no_candidates() {
+        return Vec::new();
+    }
     // All four axes share one selection core; rejects complement it.
     let select_axis = axis.select_counterpart();
     let budget = scratch.kernel.budget.clone();
+    // Multi-region containment (∀∃) must attribute every match to a
+    // specific context annotation; see merge.rs.
+    let per_annotation = select_axis.is_narrow() && target.index.max_regions() > 1;
     let selected: Vec<IterNode> = match strategy {
+        _ if scratch.ctx.is_empty() => Vec::new(),
         StandoffStrategy::NaiveNoCandidates => {
-            naive::naive_select(select_axis, input, false, budget.as_ref())
+            naive::naive_select(select_axis, &scratch.ctx, target, false, budget.as_ref())
         }
         StandoffStrategy::NaiveWithCandidates => {
-            naive::naive_select(select_axis, input, true, budget.as_ref())
+            naive::naive_select(select_axis, &scratch.ctx, target, true, budget.as_ref())
         }
         StandoffStrategy::BasicMergeJoin => {
             // §4.4/§4.6: the basic algorithm is invoked once per
             // iteration, and every invocation re-derives its candidate
             // sequence from the region index — the "repeated full scans
             // of the region index" that make XMark Q2 blow up.
-            input.context_entries_into(&mut scratch.ctx);
-            let per_annotation = select_axis.is_narrow() && input.index.max_regions() > 1;
             scratch.iters.clear();
             scratch.iters.extend(scratch.ctx.iter().map(|c| c.iter));
             scratch.iters.sort_unstable();
@@ -450,7 +542,7 @@ pub fn evaluate_standoff_join_with(
                     break;
                 }
                 // Re-derived per iteration — the strategy's modeled cost.
-                let cands = input.candidate_entries_in(&mut scratch.kernel, &mut scratch.cands);
+                let cands = target.candidate_entries_in(&mut scratch.kernel, &mut scratch.cands);
                 scratch.single.clear();
                 scratch.single.extend(
                     scratch
@@ -480,15 +572,11 @@ pub fn evaluate_standoff_join_with(
                     e.iter = iter;
                 }
             }
-            let cands = input.candidate_entries_in(&mut scratch.kernel, &mut scratch.cands);
-            post::finalize_select(select_axis, &scratch.emissions, cands, input.index)
+            let cands = target.candidate_entries_in(&mut scratch.kernel, &mut scratch.cands);
+            post::finalize_select(select_axis, &scratch.emissions, cands, target.index)
         }
         StandoffStrategy::LoopLiftedMergeJoin => {
-            input.context_entries_into(&mut scratch.ctx);
-            let cands = input.candidate_entries_in(&mut scratch.kernel, &mut scratch.cands);
-            // Multi-region containment (∀∃) must attribute every match to
-            // a specific context annotation; see merge.rs.
-            let per_annotation = select_axis.is_narrow() && input.index.max_regions() > 1;
+            let cands = target.candidate_entries_in(&mut scratch.kernel, &mut scratch.cands);
             scratch.emissions.clear();
             match select_axis {
                 StandoffAxis::SelectNarrow => merge::ll_select_narrow_into(
@@ -506,7 +594,7 @@ pub fn evaluate_standoff_join_with(
                     &mut scratch.emissions,
                 ),
             }
-            post::finalize_select(select_axis, &scratch.emissions, cands, input.index)
+            post::finalize_select(select_axis, &scratch.emissions, cands, target.index)
         }
     };
     // The merge kernels count their branch-free emission blocks in the
@@ -519,11 +607,22 @@ pub fn evaluate_standoff_join_with(
     if let Some(b) = &budget {
         let _ = b.note_scratch(scratch.approx_bytes());
     }
+    finish(axis, selected, target, &mut scratch.universe)
+}
+
+/// The select result itself, or — for the reject axes — its complement
+/// within the candidate universe, per iteration of the scope.
+fn finish(
+    axis: StandoffAxis,
+    selected: Vec<IterNode>,
+    target: &JoinTarget<'_>,
+    universe: &mut Vec<u32>,
+) -> Vec<IterNode> {
     if axis.is_select() {
         selected
     } else {
-        let universe = input.candidate_universe_in(&mut scratch.universe);
-        post::complement(&selected, universe, input.iter_domain)
+        let universe = target.candidate_universe_in(universe);
+        post::complement(&selected, universe, target.iter_domain)
     }
 }
 
@@ -589,6 +688,79 @@ mod tests {
             scratch.approx_bytes()
         );
         assert_eq!(scratch.take_stats().candidate_repr_dense, 2);
+    }
+
+    /// A join with nothing to select from (`candidates: Some(&[])`) or
+    /// nothing to select with (no context rows) is answered before the
+    /// context is looked up: the scratch's context table keeps whatever
+    /// the previous join left in it, and every axis of every strategy
+    /// still returns the nested loop's answer — also over an empty
+    /// iteration domain.
+    #[test]
+    fn empty_sides_return_before_the_context_is_resolved() {
+        let doc = standoff_xml::parse_document(
+            r#"<d><a start="0" end="9"/><b start="2" end="3"/><b start="20" end="21"/></d>"#,
+        )
+        .unwrap();
+        let index = crate::RegionIndex::build(&doc, &crate::StandoffConfig::default()).unwrap();
+        let (a, bs) = (doc.elements_named("a")[0], doc.elements_named("b"));
+        let context = [IterNode { iter: 0, node: a }];
+        let input = |context, candidates, iter_domain| JoinInput {
+            doc: &doc,
+            index: RegionSource::from_index(&index),
+            ctx_index: None,
+            context,
+            candidates,
+            iter_domain,
+        };
+        let mut scratch = JoinScratch::default();
+        let warm = input(&context[..], Some(bs), &[0][..]);
+        let strategy = StandoffStrategy::LoopLiftedMergeJoin;
+        let narrow = StandoffAxis::SelectNarrow;
+        assert_eq!(
+            evaluate_standoff_join_with(narrow, strategy, &warm, None, &mut scratch).len(),
+            1
+        );
+        let resolved = scratch.ctx.clone();
+        assert_eq!(resolved.len(), 1);
+        let cases = [
+            (
+                "empty candidates",
+                input(&context[..], Some(&[][..]), &[0][..]),
+            ),
+            ("empty context", input(&[][..], Some(bs), &[0][..])),
+            (
+                "empty context, all annotations",
+                input(&[][..], None, &[0, 1][..]),
+            ),
+            ("empty iteration domain", input(&[][..], Some(bs), &[][..])),
+        ];
+        for (what, case) in &cases {
+            // What the nested loop computes: nothing is selected, so the
+            // rejects are the whole universe in every iteration.
+            let universe = case.candidate_universe();
+            let rejected: Vec<IterNode> = case
+                .iter_domain
+                .iter()
+                .flat_map(|&iter| universe.iter().map(move |&node| IterNode { iter, node }))
+                .collect();
+            for axis in StandoffAxis::ALL {
+                let got = evaluate_standoff_join_with(axis, strategy, case, None, &mut scratch);
+                assert_eq!(
+                    scratch.ctx, resolved,
+                    "{what}, {axis}: context table touched"
+                );
+                let expected = if axis.is_select() {
+                    &[][..]
+                } else {
+                    &rejected[..]
+                };
+                assert_eq!(got, expected, "{what}, {axis}");
+                let naive = StandoffStrategy::NaiveNoCandidates;
+                assert_eq!(evaluate_standoff_join(axis, naive, case, None), expected);
+            }
+        }
+        assert_eq!(cases[2].1.candidate_universe().len(), 3);
     }
 
     #[test]

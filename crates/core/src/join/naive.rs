@@ -10,16 +10,18 @@
 
 use standoff_xml::NodeKind;
 
-use crate::join::{IterNode, JoinInput, StandoffAxis};
-use crate::region::Area;
+use crate::join::{CtxEntry, IterNode, JoinTarget, StandoffAxis};
+use crate::region::{Area, Region};
 
-/// Nested-loop evaluation of a select join.
+/// Nested-loop evaluation of a select join over a resolved context
+/// table (`context`, any order): its rows are regrouped into one
+/// [`Area`] per context annotation and compared literally.
 ///
 /// `with_candidates = false` models Figure 2 (`for $p in root($q)//*`):
 /// the inner loop visits **every element of the document**, checking each
-/// for region markup, regardless of any candidate restriction. With
-/// `true` it models Figure 3: the inner loop visits the candidate
-/// sequence only.
+/// for region markup, whatever the candidate restriction (which only
+/// filters what the loop found). With `true` it models Figure 3: the
+/// inner loop visits the candidate sequence only.
 ///
 /// The quadratic inner loop polls `budget` per candidate: these baselines
 /// are exactly the strategies a deadline must be able to interrupt (the
@@ -27,7 +29,8 @@ use crate::region::Area;
 /// and the evaluator surfaces the recorded trip reason.
 pub fn naive_select(
     axis: StandoffAxis,
-    input: &JoinInput<'_>,
+    context: &[CtxEntry],
+    target: &JoinTarget<'_>,
     with_candidates: bool,
     budget: Option<&crate::budget::Budget>,
 ) -> Vec<IterNode> {
@@ -36,28 +39,36 @@ pub fn naive_select(
 
     // The inner node universe, fetched per the strategy.
     let inner: Vec<u32> = if with_candidates {
-        input.candidate_universe()
+        target.candidate_universe_in(&mut Vec::new()).to_vec()
     } else {
         // root($q)//* — every element node, annotated or not; the area
         // check happens (and fails) inside the loop, like the UDF's
         // predicate on @start/@end.
-        (0..input.doc.node_count() as u32)
-            .filter(|&p| input.doc.kind(p) == NodeKind::Element)
+        (0..target.doc.node_count() as u32)
+            .filter(|&p| target.doc.kind(p) == NodeKind::Element)
             .collect()
     };
 
+    // One area per context annotation: the rows sharing `(iter, node)`.
+    let mut rows: Vec<&CtxEntry> = context.iter().collect();
+    rows.sort_unstable_by_key(|c| (c.iter, c.node, c.start, c.end));
     let mut out: Vec<IterNode> = Vec::new();
-    for &IterNode { iter, node } in input.context {
-        let Some(a1) = area_of(input.context_index(), node) else {
-            continue; // context node is not an area-annotation
-        };
+    for annotation in rows.chunk_by(|a, b| (a.iter, a.node) == (b.iter, b.node)) {
+        let iter = annotation[0].iter;
+        let regions = annotation.iter().map(|c| Region {
+            start: c.start,
+            end: c.end,
+        });
+        let a1 = Area::try_new(regions.collect()).expect("index stores valid areas");
         for &cand in &inner {
             if budget.is_some_and(|b| b.poll().is_some()) {
                 return out; // discarded by the evaluator's budget check
             }
-            let Some(a2) = area_of(input.index, cand) else {
-                continue;
-            };
+            let regions = target.index.regions_of(cand);
+            if regions.is_empty() {
+                continue; // not an area-annotation
+            }
+            let a2 = Area::try_new(regions.to_vec()).expect("index stores valid areas");
             let matched = if narrow {
                 a1.contains(&a2)
             } else {
@@ -68,18 +79,14 @@ pub fn naive_select(
             }
         }
     }
+    // Figure 2's loop knows no candidate sequence; where the built-in
+    // function form passes one explicitly it still bounds the answer.
+    if let (false, Some(candidates)) = (with_candidates, target.candidates) {
+        out.retain(|n| candidates.binary_search(&n.node).is_ok());
+    }
     out.sort_unstable();
     out.dedup();
     out
-}
-
-fn area_of(source: crate::source::RegionSource<'_>, pre: u32) -> Option<Area> {
-    let regions = source.regions_of(pre);
-    if regions.is_empty() {
-        None
-    } else {
-        Some(Area::try_new(regions.to_vec()).expect("index stores valid areas"))
-    }
 }
 
 #[cfg(test)]
@@ -87,7 +94,14 @@ mod tests {
     use super::*;
     use crate::config::StandoffConfig;
     use crate::index::RegionIndex;
+    use crate::join::{JoinInput, JoinScratch};
     use standoff_xml::parse_document;
+
+    fn naive(axis: StandoffAxis, input: &JoinInput<'_>, with_candidates: bool) -> Vec<IterNode> {
+        let mut scratch = JoinScratch::default();
+        scratch.resolve_context([(input.context_index(), input.context)]);
+        naive_select(axis, &scratch.ctx, &input.target(), with_candidates, None)
+    }
 
     fn figure1() -> (standoff_xml::Document, RegionIndex) {
         let doc = parse_document(
@@ -129,9 +143,9 @@ mod tests {
             candidates: Some(shots),
             iter_domain: &[0],
         };
-        let narrow = naive_select(StandoffAxis::SelectNarrow, &input, true, None);
+        let narrow = naive(StandoffAxis::SelectNarrow, &input, true);
         assert_eq!(shot_ids(&doc, &narrow), vec!["Intro"]);
-        let wide = naive_select(StandoffAxis::SelectWide, &input, true, None);
+        let wide = naive(StandoffAxis::SelectWide, &input, true);
         assert_eq!(shot_ids(&doc, &wide), vec!["Intro", "Interview"]);
     }
 
@@ -148,7 +162,7 @@ mod tests {
             candidates: None,
             iter_domain: &[0],
         };
-        let wide = naive_select(StandoffAxis::SelectWide, &input, false, None);
+        let wide = naive(StandoffAxis::SelectWide, &input, false);
         // U2 [0,31] overlaps Intro, Interview and itself; <video>/<audio>
         // have no regions and never match.
         assert_eq!(wide.len(), 3);
@@ -170,6 +184,6 @@ mod tests {
             candidates: None,
             iter_domain: &[0],
         };
-        assert!(naive_select(StandoffAxis::SelectWide, &input, false, None).is_empty());
+        assert!(naive(StandoffAxis::SelectWide, &input, false).is_empty());
     }
 }

@@ -28,8 +28,8 @@ macro_rules! join_counters {
         /// `Engine::join_stats` / `Session::join_stats`. They exist so
         /// tests (and curious operators) can assert *mechanism*, not
         /// just timing: that a pushdown-guaranteed step really skipped
-        /// its trailing self-axis pass, that a single-fragment scope
-        /// really skipped the result sort, and which side of the
+        /// its trailing self-axis pass, that a join result was emitted
+        /// directly or merged but never sorted, and which side of the
         /// candidate-intersection cost rule an operator landed on.
         ///
         /// # Reset semantics
@@ -78,12 +78,17 @@ join_counters! {
     candidate_node_view: "node-view={}" always,
     /// Candidate intersections taken as full index scans.
     candidate_scans: "scan={}" always,
-    /// Result merges that had to sort (multi-fragment / multi-layer).
+    /// Join results that had to be sorted. Always zero: every target
+    /// layer's output leaves the kernel `(iter, pre)`-sorted, so a
+    /// result is emitted directly or merged. The name stays because
+    /// dashboards and the benchmark ledger read it.
     result_sorts: "sorts={}" always,
-    /// Result merges skipped because the scope was a single fragment
-    /// (or trivially small) and the join output was already in
-    /// `(iter, document-order)`.
+    /// Join results emitted directly — at most one target layer
+    /// answered, and its output already was `(iter, document-order)`.
     result_sorts_elided: "(elided {})" always,
+    /// Join results that were a k-way merge of several target layers'
+    /// sorted outputs.
+    result_merges: "merges={}" nonzero,
     /// Trailing `self::test` passes executed.
     post_filters: "post={}" always,
     /// Trailing `self::test` passes skipped (plan-guaranteed tests).
@@ -123,9 +128,9 @@ mod tests {
             ..JoinStats::default()
         };
         let pairs: Vec<(&str, u64)> = stats.counters().map(|(c, v)| (c.name, v)).collect();
-        assert_eq!(pairs.len(), 8);
+        assert_eq!(pairs.len(), 9);
         assert_eq!(pairs[0], ("candidate_node_view", 1));
-        assert_eq!(pairs[7], ("candidate_dense_blocks", 8));
+        assert_eq!(pairs[8], ("candidate_dense_blocks", 8));
         let mut sum = stats;
         sum.merge(stats);
         assert_eq!(sum.candidate_dense_blocks, 16);

@@ -57,8 +57,8 @@ pub use crc::{crc32, Crc32};
 pub use error::StandoffError;
 pub use index::{CandidateScratch, IndexStats, RegionEntry, RegionIndex};
 pub use join::{
-    evaluate_standoff_join, evaluate_standoff_join_with, IterNode, JoinCounter, JoinInput,
-    JoinScratch, JoinStats, StandoffAxis, StandoffStrategy,
+    evaluate_standoff_join, evaluate_standoff_join_with, join_resolved, IterNode, JoinCounter,
+    JoinInput, JoinScratch, JoinStats, JoinTarget, StandoffAxis, StandoffStrategy,
 };
 pub use obs::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use region::{Area, Region};

@@ -32,10 +32,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use standoff_core::{IndexStats, StandoffAxis, StandoffConfig};
-use standoff_xml::Store;
 
 use crate::ast::*;
-use crate::engine::EngineOptions;
+use crate::engine::{EngineOptions, EngineState};
 use crate::error::QueryError;
 use crate::optimize;
 use crate::plan::*;
@@ -46,9 +45,10 @@ use crate::plan::*;
 /// can be compiled and explained without a corpus.
 pub struct PlanContext<'a> {
     pub options: &'a EngineOptions,
-    /// The document store, for element-name candidate counts (auto
-    /// strategy selection and estimates).
-    pub store: Option<&'a Store>,
+    /// The corpus compiled against: documents and their element-name
+    /// tables (candidate counts), mounted layer groups (which layers a
+    /// join can reach), overlay retractions and delta documents.
+    pub corpus: Option<&'a EngineState>,
     /// Aggregated statistics of every region index available at compile
     /// time (mounted snapshot indexes and lazily built ones alike).
     pub index_stats: IndexStats,
@@ -56,13 +56,6 @@ pub struct PlanContext<'a> {
     /// Off on execution paths — estimates are only ever read by
     /// explain, and computing them scans the corpus per operator.
     pub estimates: bool,
-    /// Per-document retracted node sets of the mounted overlay (doc id →
-    /// ascending pres), so name-candidate counts exclude hidden nodes.
-    /// `None` when every mounted layer is pure snapshot.
-    pub retracted: Option<&'a HashMap<u32, Arc<Vec<u32>>>>,
-    /// Doc ids of delta insert documents, so estimates can report how
-    /// many candidates the overlay (vs the base snapshot) contributes.
-    pub delta_docs: Option<&'a std::collections::HashSet<u32>>,
 }
 
 impl<'a> PlanContext<'a> {
@@ -71,11 +64,9 @@ impl<'a> PlanContext<'a> {
     pub fn bare(options: &'a EngineOptions) -> PlanContext<'a> {
         PlanContext {
             options,
-            store: None,
+            corpus: None,
             index_stats: IndexStats::default(),
             estimates: false,
-            retracted: None,
-            delta_docs: None,
         }
     }
 }

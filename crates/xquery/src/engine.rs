@@ -23,7 +23,9 @@ use std::time::Instant;
 use standoff_algebra::{Item, LlSeq};
 use standoff_core::join::{JoinScratch, JoinStats};
 use standoff_core::obs::{Counter, Histogram, MetricsRegistry};
-use standoff_core::{Budget, IndexStats, RegionIndex, StandoffConfig, StandoffStrategy};
+use standoff_core::{
+    Budget, IndexStats, RegionIndex, RegionSource, StandoffConfig, StandoffStrategy,
+};
 use standoff_xml::{DocId, Document, Store};
 
 use crate::ast::Query;
@@ -120,6 +122,9 @@ pub(crate) struct MetricHandles {
     /// `join.<name>`.
     join: Vec<Counter>,
     pub(crate) delta_merge_reads: Counter,
+    /// Executions whose join targets were not the layers the plan line
+    /// named (`layers: …; result: …`) — see [`crate::eval`].
+    pub(crate) claim_mismatch_result_merge: Counter,
 }
 
 impl MetricHandles {
@@ -134,6 +139,7 @@ impl MetricHandles {
                 .map(|c| registry.counter(&format!("join.{}", c.name)))
                 .collect(),
             delta_merge_reads: registry.counter("store.delta.merge_reads"),
+            claim_mismatch_result_merge: registry.counter("plan.claim_mismatch.result_merge"),
         }
     }
 
@@ -157,6 +163,54 @@ fn fresh_generation() -> u64 {
 
 fn elapsed_ns(start: Instant) -> u64 {
     start.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// What a StandOff join filters its target layers by.
+pub(crate) enum LayerFilter<'a> {
+    /// Kind tests, `*`, and any join without a pushdown — the
+    /// unoptimized reference lowering among them: no layer is ruled out.
+    Any,
+    /// The pushed-down element name.
+    Name(&'a str),
+    /// The function form's explicit candidate sequence, bucketed per
+    /// document.
+    Candidates(&'a HashMap<DocId, Vec<u32>>),
+}
+
+impl<'a> LayerFilter<'a> {
+    /// The filter of one join operator: its explicit candidate sequence
+    /// (the function form, bucketed per document) when it has one, else
+    /// the plan's pushed-down name.
+    pub(crate) fn of(
+        op: &'a crate::plan::StandoffOp,
+        explicit_candidates: Option<&'a HashMap<DocId, Vec<u32>>>,
+    ) -> LayerFilter<'a> {
+        match (explicit_candidates, &op.pushdown) {
+            (Some(buckets), _) => LayerFilter::Candidates(buckets),
+            (None, Some(name)) => LayerFilter::Name(name),
+            (None, None) => LayerFilter::Any,
+        }
+    }
+}
+
+/// The layers among `members` (one join unit: a mounted layer group, or
+/// a lone document) that can answer a StandOff join — the only place
+/// this is decided. A layer answers a name when its element-name table
+/// holds it, and an explicit candidate sequence when some candidate
+/// lies in it; the evaluator joins into exactly these layers and the
+/// `estimate` pass prints exactly these, so plan and execution cannot
+/// name different ones.
+pub(crate) fn answering_layers(
+    store: &Store,
+    members: &[DocId],
+    filter: &LayerFilter<'_>,
+) -> Vec<DocId> {
+    let answers = |doc: &DocId| match filter {
+        LayerFilter::Any => true,
+        LayerFilter::Name(name) => !store.doc(*doc).elements_named(name).is_empty(),
+        LayerFilter::Candidates(buckets) => buckets.get(doc).is_some_and(|b| !b.is_empty()),
+    };
+    members.iter().copied().filter(answers).collect()
 }
 
 /// The mutable evaluation state behind an engine or session. Cloning
@@ -295,6 +349,17 @@ impl EngineState {
         self.retracted.get(&doc.0).map_or(&[], |v| v.as_slice())
     }
 
+    /// Merge-on-read view over a document's region index: the raw index
+    /// columns minus the overlay's retracted nodes. Pure snapshots keep
+    /// the zero-copy borrow.
+    pub(crate) fn region_source<'a>(
+        &'a self,
+        doc: DocId,
+        index: &'a RegionIndex,
+    ) -> RegionSource<'a> {
+        RegionSource::with_retractions(index, self.retractions_of(doc))
+    }
+
     /// Does any mounted document carry retractions? A single branch that
     /// keeps the pure read path free of per-node retraction checks.
     #[inline]
@@ -329,35 +394,52 @@ impl EngineState {
             .map(|(base, _)| DocId(*base))
     }
 
-    /// The compilation context this state offers the query compiler:
-    /// current options plus statistics of every region index available
-    /// right now (mounted snapshot indexes and lazily built ones).
-    /// Estimates are off — execution paths don't pay for explain-only
-    /// annotations; inspection entry points flip
-    /// [`PlanContext::estimates`] on.
-    pub fn plan_context(&self) -> PlanContext<'_> {
+    /// Every mounted layer group's member documents (base first).
+    pub(crate) fn layer_groups(&self) -> &[Vec<DocId>] {
+        &self.layer_groups
+    }
+
+    /// How `explain` names a mounted layer document: its layer name,
+    /// `name#delta` for the document holding the layer's pending
+    /// inserts. Linear in the number of mounted layers.
+    pub(crate) fn layer_label(&self, doc: DocId) -> String {
+        let name_of = |doc: DocId| {
+            self.layer_lookup
+                .iter()
+                .find(|(_, d)| **d == doc)
+                .map_or("?", |((_, name), _)| name.as_str())
+        };
+        match self.base_doc_of(doc) {
+            Some(base) => format!("{}#delta", name_of(base)),
+            None => name_of(doc).to_string(),
+        }
+    }
+
+    /// Merged statistics of the region indexes of the documents
+    /// `include` keeps, with overlay retractions subtracted per index —
+    /// the optimizer costs the *visible* corpus, not the raw columns.
+    pub(crate) fn index_stats(&self, include: impl Fn(DocId) -> bool) -> IndexStats {
         let mut stats = IndexStats::default();
         for ((doc, _), index) in self.region_cache.iter() {
-            // Overlay retractions are subtracted per index, so the
-            // optimizer costs the *visible* corpus, not the raw columns.
-            let retracted = self.retracted.get(doc).map_or(&[][..], |v| v.as_slice());
-            stats.merge(standoff_core::RegionSource::with_retractions(index, retracted).stats());
+            if include(DocId(*doc)) {
+                stats.merge(self.region_source(DocId(*doc), index).stats());
+            }
         }
+        stats
+    }
+
+    /// The compilation context this state offers the query compiler:
+    /// current options, the corpus itself, and the statistics of every
+    /// region index available right now (mounted snapshot indexes and
+    /// lazily built ones). Estimates are off — execution paths don't
+    /// pay for explain-only annotations; inspection entry points flip
+    /// [`PlanContext::estimates`] on.
+    pub fn plan_context(&self) -> PlanContext<'_> {
         PlanContext {
             options: &self.options,
-            store: Some(&self.store),
-            index_stats: stats,
+            corpus: Some(self),
+            index_stats: self.index_stats(|_| true),
             estimates: false,
-            retracted: if self.retracted.is_empty() {
-                None
-            } else {
-                Some(&self.retracted)
-            },
-            delta_docs: if self.delta_docs.is_empty() {
-                None
-            } else {
-                Some(&self.delta_docs)
-            },
         }
     }
 

@@ -18,21 +18,30 @@
 //! evaluates once per surviving host iteration (after the `where`
 //! restriction) instead of once per inner iteration.
 //!
+//! A StandOff join (`eval_standoff_join`) splits its context into *join
+//! units* — the context documents of one mounted layer group together,
+//! any other document alone — resolves and sorts a unit's context once,
+//! joins it in one kernel call into each layer that can answer the step
+//! (`engine::answering_layers`, the function `explain` names the layers
+//! with), and emits the one `(iter, pre)`-sorted run that comes back,
+//! or merges the several; no result is sorted. Steps hand their node
+//! table to consumers that want nodes — the next step, `count` —
+//! without building items (`eval_step_nodes`).
+//!
 //! Frames form a stack; each non-root frame carries a map from its
 //! iterations to its parent's, so outer variables expand on demand and
 //! results map back when the frame pops.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use standoff_algebra::{Item, LlSeq, NameCache, NodeTable, NodeTest, TreeAxis};
-use standoff_core::join::evaluate_standoff_join_with;
-use standoff_core::{IterNode, JoinInput, JoinStats, RegionIndex, RegionSource, StandoffConfig};
+use standoff_core::join::{join_resolved, JoinScratch, JoinTarget};
+use standoff_core::{IterNode, RegionIndex, StandoffConfig};
 use standoff_xml::{DocId, DocumentBuilder, NodeKind, NodeRef};
 
 use crate::ast::{ArithOp, CompOp};
-use crate::engine::EngineState;
+use crate::engine::{answering_layers, EngineState, LayerFilter};
 use crate::error::QueryError;
 use crate::functions;
 use crate::plan::*;
@@ -49,6 +58,36 @@ fn root_element_pre(doc: &standoff_xml::Document) -> u32 {
         pre += doc.size(pre) + 1;
     }
     0
+}
+
+/// An operator result [`Evaluator::metered`] can account for.
+trait Rows {
+    fn rows(&self) -> usize;
+}
+
+impl Rows for LlSeq {
+    fn rows(&self) -> usize {
+        self.len()
+    }
+}
+
+impl Rows for NodeTable {
+    fn rows(&self) -> usize {
+        self.len()
+    }
+}
+
+/// One join unit of a StandOff join: the context rows that are joined
+/// together, bucketed per document (ascending; rows sorted and
+/// duplicate-free, attributes standing for their owner elements). The
+/// context documents of one mounted layer group form one unit and join
+/// into the group's layers — the multi-layer corpus model of
+/// `standoff-store`, regions share the BLOB coordinate space; any other
+/// document is a unit of its own and joins within itself (§3.3
+/// fragment semantics).
+struct JoinUnit {
+    group: Option<u32>,
+    contexts: Vec<(DocId, Vec<IterNode>)>,
 }
 
 /// One scope of the loop-lifting frame stack.
@@ -189,11 +228,11 @@ impl<'e> Evaluator<'e> {
     /// profile on top. Every operator goes through here, whichever
     /// function evaluates it.
     #[inline]
-    fn metered(
+    fn metered<T: Rows>(
         &mut self,
         op: &PlanExpr,
-        run: impl FnOnce(&mut Self) -> Result<LlSeq, QueryError>,
-    ) -> Result<LlSeq, QueryError> {
+        run: impl FnOnce(&mut Self) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
         if self.profile.is_none() && self.engine.budget.is_none() {
             // Ungoverned, unprofiled: the zero-overhead path every
             // benchmark and plain run takes.
@@ -215,7 +254,7 @@ impl<'e> Evaluator<'e> {
             // Inclusive of children: the renderer shows the hierarchy.
             m.wall_ns += ns;
             if let Ok(t) = &result {
-                m.out_rows += t.len() as u64;
+                m.out_rows += t.rows() as u64;
             }
         }
         result
@@ -227,10 +266,10 @@ impl<'e> Evaluator<'e> {
     /// plan-shaped — identical across join strategies and thread
     /// counts — so a result-cardinality cap trips deterministically no
     /// matter how the join was evaluated.
-    fn governed(
+    fn governed<T: Rows>(
         &mut self,
-        run: impl FnOnce(&mut Self) -> Result<LlSeq, QueryError>,
-    ) -> Result<LlSeq, QueryError> {
+        run: impl FnOnce(&mut Self) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
         let budget = self
             .engine
             .budget
@@ -238,7 +277,7 @@ impl<'e> Evaluator<'e> {
             .expect("governed evaluation requires an installed budget");
         budget.check()?;
         let result = run(self)?;
-        budget.charge_results(result.len() as u64)?;
+        budget.charge_results(result.rows() as u64)?;
         Ok(result)
     }
 
@@ -298,13 +337,14 @@ impl<'e> Evaluator<'e> {
                 op,
                 test,
                 predicates,
-            } => self.eval_standoff_step(
-                input.as_deref(),
-                op,
-                test,
-                predicates,
-                expr as *const PlanExpr as usize,
-            ),
+            } => {
+                let table = self.standoff_step_nodes(expr, input.as_deref(), op, test)?;
+                let mut table = table.into_llseq();
+                for predicate in predicates {
+                    table = self.apply_predicate(table, predicate)?;
+                }
+                Ok(table)
+            }
             PlanExpr::PathExpr { input, step } => self.eval_path_expr(input, step),
             PlanExpr::RootPath => self.eval_root_path(),
             PlanExpr::Filter { input, predicate } => {
@@ -320,15 +360,11 @@ impl<'e> Evaluator<'e> {
                 ctx,
                 candidates,
             } => {
-                let ctx_t = self.eval(ctx)?;
-                let ctx_nodes = NodeTable::from_llseq(&ctx_t).map_err(QueryError::dynamic)?;
-                let cands = match candidates {
-                    Some(c) => {
-                        let t = self.eval(c)?;
-                        Some(NodeTable::from_llseq(&t).map_err(QueryError::dynamic)?)
-                    }
-                    None => None,
-                };
+                let ctx_nodes = self.eval_nodes(ctx)?;
+                let cands = candidates
+                    .as_deref()
+                    .map(|c| self.eval_nodes(c))
+                    .transpose()?;
                 let out = self.eval_standoff_join(
                     &ctx_nodes,
                     op,
@@ -832,13 +868,61 @@ impl<'e> Evaluator<'e> {
     // ================= paths and steps =================
 
     fn context_nodes(&mut self, input: Option<&PlanExpr>) -> Result<NodeTable, QueryError> {
-        let t = match input {
-            Some(e) => self.eval(e)?,
-            None => self
-                .lookup(".")
-                .map_err(|_| QueryError::dynamic("relative path used without a context item"))?,
-        };
-        NodeTable::from_llseq(&t).map_err(QueryError::dynamic)
+        match input {
+            Some(e) => self.eval_nodes(e),
+            None => {
+                let t = self.lookup(".").map_err(|_| {
+                    QueryError::dynamic("relative path used without a context item")
+                })?;
+                NodeTable::from_llseq(&t).map_err(QueryError::dynamic)
+            }
+        }
+    }
+
+    /// Evaluate an operator for a consumer that wants *nodes* — the next
+    /// step of a path, a join's context or candidates — as the node
+    /// table it is.
+    fn eval_nodes(&mut self, expr: &PlanExpr) -> Result<NodeTable, QueryError> {
+        match self.eval_step_nodes(expr) {
+            Some(nodes) => nodes,
+            None => NodeTable::from_llseq(&self.eval(expr)?).map_err(QueryError::dynamic),
+        }
+    }
+
+    /// A step without predicates computes a node table; consumers that
+    /// need nodes — or only their `iter` column, like `count` — take it
+    /// as it is instead of an item table built from it row by row.
+    /// `None` for any other operator.
+    fn eval_step_nodes(&mut self, expr: &PlanExpr) -> Option<Result<NodeTable, QueryError>> {
+        match expr {
+            PlanExpr::TreeStep {
+                input,
+                axis,
+                test,
+                predicates,
+            } if predicates.is_empty() => Some(self.metered(expr, |ev| {
+                let ctx = ev.context_nodes(input.as_deref())?;
+                Ok(ev.tree_step_nodes(ctx, *axis, test))
+            })),
+            PlanExpr::StandoffStep {
+                input,
+                op,
+                test,
+                predicates,
+            } if predicates.is_empty() => Some(self.metered(expr, |ev| {
+                ev.standoff_step_nodes(expr, input.as_deref(), op, test)
+            })),
+            _ => None,
+        }
+    }
+
+    /// The `iter` column of an operator's value — all that `count`,
+    /// `exists` and `empty` need of their argument.
+    fn eval_iters(&mut self, expr: &PlanExpr) -> Result<Vec<u32>, QueryError> {
+        match self.eval_step_nodes(expr) {
+            Some(nodes) => Ok(nodes?.into_iters()),
+            None => Ok(self.eval(expr)?.iters().to_vec()),
+        }
     }
 
     fn eval_tree_step(
@@ -887,6 +971,15 @@ impl<'e> Evaluator<'e> {
         test: &NodeTest,
         predicates: &[PlanExpr],
     ) -> Result<LlSeq, QueryError> {
+        let mut table = self.tree_step_nodes(ctx, axis, test).into_llseq();
+        for predicate in predicates {
+            table = self.apply_predicate(table, predicate)?;
+        }
+        Ok(table)
+    }
+
+    /// One tree step over `ctx`, merge-on-read included.
+    fn tree_step_nodes(&mut self, ctx: NodeTable, axis: TreeAxis, test: &NodeTest) -> NodeTable {
         let (ctx, expanded) = self.expand_delta_contexts(ctx, axis);
         // `test` is plan memory (see `name_cache`), so resolution is
         // memoized per document across re-executions of this step.
@@ -898,12 +991,7 @@ impl<'e> Evaluator<'e> {
             &mut self.name_cache,
         );
         let result = self.filter_retracted(result);
-        let result = self.fold_delta_scaffolding(result, axis, expanded);
-        let mut table = result.into_llseq();
-        for predicate in predicates {
-            table = self.apply_predicate(table, predicate)?;
-        }
-        Ok(table)
+        self.fold_delta_scaffolding(result, axis, expanded)
     }
 
     /// Merge-on-read, navigation half: a mounted overlay keeps a layer's
@@ -1039,21 +1127,16 @@ impl<'e> Evaluator<'e> {
         out
     }
 
-    fn eval_standoff_step(
+    /// A StandOff axis step without its predicates.
+    fn standoff_step_nodes(
         &mut self,
+        expr: &PlanExpr,
         input: Option<&PlanExpr>,
         op: &StandoffOp,
         test: &NodeTest,
-        predicates: &[PlanExpr],
-        prof_key: usize,
-    ) -> Result<LlSeq, QueryError> {
+    ) -> Result<NodeTable, QueryError> {
         let ctx = self.context_nodes(input)?;
-        let result = self.eval_standoff_join(&ctx, op, test, None, prof_key)?;
-        let mut table = result.into_llseq();
-        for predicate in predicates {
-            table = self.apply_predicate(table, predicate)?;
-        }
-        Ok(table)
+        self.eval_standoff_join(&ctx, op, test, None, expr as *const PlanExpr as usize)
     }
 
     /// The StandOff configuration in effect for a document: a mounted
@@ -1066,13 +1149,25 @@ impl<'e> Evaluator<'e> {
             .unwrap_or_else(|| self.config.clone())
     }
 
-    /// Evaluate one StandOff join operator: partition the context per
-    /// document fragment, run the *plan-annotated* join strategy per
-    /// fragment (§4.4), and merge back into document order per
-    /// iteration. Strategy and candidate pushdown come from the
-    /// [`StandoffOp`] — they were decided at plan time, not here. An
-    /// explicit candidate node sequence (the built-in function form,
+    fn region_index_of(&mut self, doc: DocId) -> Result<Arc<RegionIndex>, QueryError> {
+        let config = self.doc_config(doc);
+        self.engine.region_index(doc, &config)
+    }
+
+    /// Evaluate one StandOff join operator under the *plan-annotated*
+    /// strategy and candidate pushdown — decided at plan time, not here;
+    /// an explicit candidate node sequence (the built-in function form,
     /// Figure 3) overrides the name-test pushdown.
+    ///
+    /// The context splits into join units ([`JoinUnit`]). Per unit, the
+    /// context rows of all its documents — a layer and the delta
+    /// document of its pending inserts are two — are resolved to region
+    /// entries and sorted once, and joined in one kernel call into each
+    /// layer that can answer the step ([`answering_layers`]). Every call
+    /// returns its layer's rows `(iter, pre)`-sorted and layers are
+    /// visited in document order, so the result is one such run as it
+    /// is, or a k-way merge of several ([`NodeTable::from_runs`]) —
+    /// never a sort.
     fn eval_standoff_join(
         &mut self,
         ctx: &NodeTable,
@@ -1081,10 +1176,110 @@ impl<'e> Evaluator<'e> {
         explicit_candidates: Option<&NodeTable>,
         prof_key: usize,
     ) -> Result<NodeTable, QueryError> {
-        let axis = op.axis;
-        let strategy = op.strategy;
-        // Bucket context rows per document.
-        let mut buckets: HashMap<DocId, Vec<IterNode>> = HashMap::new();
+        let units = self.join_units(ctx);
+        // Explicit candidates, bucketed per document like the context.
+        let cand_buckets = explicit_candidates.map(|cands| {
+            let mut buckets: HashMap<DocId, Vec<u32>> = HashMap::new();
+            for node in cands.nodes() {
+                if let Some(pre) = node.id.pre() {
+                    buckets.entry(node.doc).or_default().push(pre);
+                }
+            }
+            for list in buckets.values_mut() {
+                list.sort_unstable();
+                list.dedup();
+            }
+            buckets
+        });
+        // What the join did accumulates locally and folds into the
+        // engine at the end: the kernels borrow the engine's store.
+        let mut exec = JoinExec {
+            ctx_rows: ctx.len() as u64,
+            ..JoinExec::default()
+        };
+        let mut scratch = std::mem::take(&mut self.engine.join_scratch);
+        // Governance handle for the scan/merge kernels, so a deadline
+        // or cancellation interrupts the join mid-kernel.
+        scratch.set_budget(self.engine.budget.clone());
+        // One `(iter, pre)`-sorted run per target layer joined, in
+        // document order: units ascend, and so do a unit's layers.
+        let mut runs: Vec<(DocId, Vec<IterNode>)> = Vec::new();
+        let joined = units.iter().try_for_each(|unit| {
+            self.join_unit(
+                unit,
+                op,
+                cand_buckets.as_ref(),
+                &mut scratch,
+                &mut exec,
+                &mut runs,
+            )
+        });
+        // Fold the kernel counters (dense scans, branch-free blocks)
+        // accumulated inside the join calls into this operator's stat
+        // delta before the scratch goes back — on *every* exit, error
+        // paths included: an index build failure must not silently drop
+        // the session's warmed buffer set.
+        exec.stats.merge(scratch.take_stats());
+        self.engine.join_scratch = scratch;
+        joined?;
+        let out = NodeTable::from_runs(&runs, |row| (row.iter, row.node));
+        if runs.len() > 1 {
+            exec.stats.result_merges += 1;
+        } else {
+            exec.stats.result_sorts_elided += 1;
+        }
+        // The runs and the table merged from them are join memory like
+        // the kernel buffers: one scratch cap covers all of it.
+        if let Some(b) = &self.engine.budget {
+            let run_rows: usize = runs.iter().map(|(_, run)| run.capacity()).sum();
+            let held = run_rows * std::mem::size_of::<IterNode>()
+                + out.len() * (std::mem::size_of::<u32>() + std::mem::size_of::<NodeRef>());
+            b.note_scratch(self.engine.join_scratch.approx_bytes() + held as u64)?;
+        }
+        // Post-filter with the node test — unless the plan proved the
+        // test is guaranteed by the join itself (pushed-down name test,
+        // kind-only test over element output): then the §3.2 trailing
+        // `/self::name` step is pure overhead and is elided. The
+        // unoptimized reference lowering never sets the flag and keeps
+        // the literal trailing step.
+        if op.test_guaranteed {
+            exec.stats.post_filters_elided += 1;
+        } else {
+            exec.stats.post_filters += 1;
+        }
+        // Single fold point: engine counters, registry mirror, and —
+        // when profiling — the operator's JoinExec detail.
+        self.engine.handles.record_join(&exec.stats);
+        if exec.merge_reads > 0 {
+            self.engine.handles.delta_merge_reads.add(exec.merge_reads);
+        }
+        self.engine.join_stats.merge(exec.stats);
+        if let Some(p) = self.profile.as_deref_mut() {
+            p.op_mut(prof_key)
+                .join
+                .get_or_insert_with(JoinExec::default)
+                .merge(&exec);
+        }
+        if op.test_guaranteed {
+            return Ok(out);
+        }
+        Ok(standoff_algebra::staircase::ll_step(
+            &self.engine.store,
+            &out,
+            TreeAxis::SelfAxis,
+            test,
+        ))
+    }
+
+    /// Split a join's context into its [`JoinUnit`]s, ascending by
+    /// document.
+    fn join_units(&self, ctx: &NodeTable) -> Vec<JoinUnit> {
+        // Rows arrive grouped by iteration and, within one, by document:
+        // remembering the last bucket makes the map lookup per run of
+        // rows, not per row.
+        let mut buckets: Vec<(DocId, Vec<IterNode>)> = Vec::new();
+        let mut slots: HashMap<DocId, usize> = HashMap::new();
+        let mut last = 0;
         for (&iter, node) in ctx.iters().iter().zip(ctx.nodes()) {
             // Only element nodes can be area-annotations; other context
             // nodes still pin their fragment for the reject domain.
@@ -1096,284 +1291,135 @@ impl<'e> Evaluator<'e> {
                     .doc(node.doc)
                     .attr_owner(node.id.attr_index().expect("attr id")),
             };
-            buckets
-                .entry(node.doc)
-                .or_default()
-                .push(IterNode { iter, node: pre });
+            if buckets.get(last).is_none_or(|(doc, _)| *doc != node.doc) {
+                last = *slots.entry(node.doc).or_insert_with(|| {
+                    buckets.push((node.doc, Vec::new()));
+                    buckets.len() - 1
+                });
+            }
+            buckets[last].1.push(IterNode { iter, node: pre });
         }
-        // Explicit candidates bucketed per document too.
-        let mut cand_buckets: HashMap<DocId, Vec<u32>> = HashMap::new();
-        if let Some(cands) = explicit_candidates {
-            for node in cands.nodes() {
-                if let Some(pre) = node.id.pre() {
-                    cand_buckets.entry(node.doc).or_default().push(pre);
-                }
-            }
-            for list in cand_buckets.values_mut() {
-                list.sort_unstable();
-                list.dedup();
-            }
-        }
-
-        // Group context documents into join units. A mounted layer set
-        // joins across all layers of its group (the multi-layer corpus
-        // model of `standoff-store` — regions share the BLOB coordinate
-        // space); a plain document joins within itself (§3.3 fragment
-        // semantics).
-        let mut docs: Vec<DocId> = buckets.keys().copied().collect();
-        docs.sort();
-        let mut units: Vec<(Vec<DocId>, Vec<DocId>)> = Vec::new(); // (ctx docs, targets)
-        {
-            let mut grouped: HashMap<u32, Vec<DocId>> = HashMap::new();
-            for &doc_id in &docs {
-                match self.engine.layer_group_id(doc_id) {
-                    Some(g) => grouped.entry(g).or_default().push(doc_id),
-                    None => units.push((vec![doc_id], vec![doc_id])),
-                }
-            }
-            let mut group_ids: Vec<u32> = grouped.keys().copied().collect();
-            group_ids.sort_unstable();
-            for g in group_ids {
-                let ctx_docs = grouped.remove(&g).unwrap();
-                units.push((ctx_docs, self.engine.layer_group_members(g).to_vec()));
-            }
-            units.sort_by_key(|(ctx_docs, _)| ctx_docs[0]);
-        }
-
-        // The single-fragment shape — one context document joining into
-        // itself, the classic §3.3 case — lets the merge below skip the
-        // result sort entirely: one join call emits `(iter, node)`-sorted
-        // rows of one document, which *is* `(iter, document-order)`.
-        let single_fragment = units.len() == 1 && units[0].0.len() == 1 && units[0].1.len() == 1;
-        // Join-stat deltas are accumulated locally and folded into the
-        // engine at the end — the loop below holds immutable borrows of
-        // the engine's store. Candidate-set sizes ride along for the
-        // per-operator profile.
-        let mut stats = JoinStats::default();
-        let mut cand_rows: u64 = 0;
-        let mut cand_max: u64 = 0;
-        // Overlay accounting: candidate rows contributed by delta insert
-        // documents, and join calls that read through a merged (non-pure)
-        // region stream or a delta document.
-        let mut delta_cand_rows: u64 = 0;
-        let mut merge_reads: u64 = 0;
-        let mut scratch = std::mem::take(&mut self.engine.join_scratch);
-        // Governance handle for the scan/merge kernels, so a deadline
-        // or cancellation interrupts the join mid-kernel.
-        scratch.set_budget(self.engine.budget.clone());
-
-        let mut rows: Vec<(u32, NodeRef)> = Vec::new();
-        // The unit loop runs inside a closure so the taken scratch is
-        // restored on *every* exit, error paths included — an index
-        // build failure must not silently drop the session's warmed
-        // buffer set.
-        let joined = (|| -> Result<(), QueryError> {
-            for (ctx_docs, targets) in units {
-                // Per-unit chokepoint: between fragments is the coarse
-                // place a governed join re-reads the clock eagerly.
-                if let Some(b) = &self.engine.budget {
-                    b.check()?;
-                }
-                // Sorted, deduplicated context per context document, and the
-                // unit-wide iteration domain (rejects complement over it).
-                let mut contexts: Vec<(DocId, Vec<IterNode>)> = Vec::with_capacity(ctx_docs.len());
-                let mut iter_domain: Vec<u32> = Vec::new();
-                for doc_id in ctx_docs {
-                    let mut context = std::mem::take(buckets.get_mut(&doc_id).unwrap());
-                    context.sort_unstable();
-                    context.dedup();
-                    iter_domain.extend(context.iter().map(|c| c.iter));
-                    contexts.push((doc_id, context));
-                }
-                iter_domain.sort_unstable();
-                iter_domain.dedup();
-
-                for &target in &targets {
-                    let target_config = self.doc_config(target);
-                    let target_index = self.engine.region_index(target, &target_config)?;
-                    // Cross-layer context indexes are fetched up front (the
-                    // lookups need the engine mutably; the join below only
-                    // borrows).
-                    let mut ctx_indexes: Vec<Option<Arc<RegionIndex>>> =
-                        Vec::with_capacity(contexts.len());
-                    for (ctx_doc, _) in &contexts {
-                        ctx_indexes.push(if *ctx_doc != target {
-                            let cfg = self.doc_config(*ctx_doc);
-                            Some(self.engine.region_index(*ctx_doc, &cfg)?)
-                        } else {
-                            None
-                        });
-                    }
-                    let doc = self.engine.store.doc(target);
-                    // Candidate restriction: explicit sequence, or the
-                    // plan's name-test pushdown through the element index
-                    // (§4.3) — always against the *target* layer's document.
-                    // The element index is borrowed as-is: builder-produced
-                    // indexes are strictly ascending by construction and
-                    // snapshot-loaded ones are validated when mounted
-                    // (`Document::from_storage`), so no copy and no
-                    // per-execution re-check.
-                    let name_candidates: Option<Cow<'_, [u32]>> = if explicit_candidates.is_some() {
-                        // Each document is the target of exactly one unit, so
-                        // the bucket can be moved out rather than cloned.
-                        Some(Cow::Owned(cand_buckets.remove(&target).unwrap_or_default()))
-                    } else {
-                        op.pushdown
-                            .as_deref()
-                            .map(|name| Cow::Borrowed(doc.elements_named(name)))
-                    };
-                    if let Some(cands) = &name_candidates {
-                        cand_rows += cands.len() as u64;
-                        cand_max = cand_max.max(cands.len() as u64);
-                        if self.engine.is_delta_doc(target) {
-                            delta_cand_rows += cands.len() as u64;
-                        }
-                        if target_index.prefers_node_view(cands.len()) {
-                            stats.candidate_node_view += 1;
-                        } else {
-                            stats.candidate_scans += 1;
-                        }
-                    }
-                    // Merge-on-read view over the target layer: the raw
-                    // index columns minus the overlay's retracted nodes.
-                    // Pure snapshots keep the zero-copy borrow.
-                    let target_source = RegionSource::with_retractions(
-                        &target_index,
-                        self.engine.retractions_of(target),
-                    );
-                    // A reject over several context layers must complement the
-                    // *union* of their selections, not union their complements.
-                    let multi_ctx_reject = !axis.is_select() && contexts.len() > 1;
-                    let mut selected: Vec<IterNode> = Vec::new();
-                    let mut universe: Option<Vec<u32>> = None;
-                    for ((ctx_doc, context), ctx_index) in contexts.iter().zip(&ctx_indexes) {
-                        let ctx_source = ctx_index.as_deref().map(|idx| {
-                            RegionSource::with_retractions(
-                                idx,
-                                self.engine.retractions_of(*ctx_doc),
-                            )
-                        });
-                        if !target_source.is_pure()
-                            || ctx_source.is_some_and(|s| !s.is_pure())
-                            || self.engine.is_delta_doc(target)
-                            || self.engine.is_delta_doc(*ctx_doc)
-                        {
-                            merge_reads += 1;
-                        }
-                        let input = JoinInput {
-                            doc,
-                            index: target_source,
-                            ctx_index: ctx_source,
-                            context,
-                            candidates: name_candidates.as_deref(),
-                            iter_domain: &iter_domain,
-                        };
-                        let run_axis = if multi_ctx_reject {
-                            axis.select_counterpart()
-                        } else {
-                            axis
-                        };
-                        let result = evaluate_standoff_join_with(
-                            run_axis,
-                            strategy,
-                            &input,
-                            None,
-                            &mut scratch,
-                        );
-                        if multi_ctx_reject {
-                            if universe.is_none() {
-                                universe = Some(input.candidate_universe());
-                            }
-                            selected.extend(result);
-                        } else {
-                            rows.extend(result.into_iter().map(|IterNode { iter, node }| {
-                                (iter, NodeRef::tree(target, node))
-                            }));
-                        }
-                    }
-                    if multi_ctx_reject {
-                        selected.sort_unstable();
-                        selected.dedup();
-                        let universe = universe.unwrap_or_default();
-                        rows.extend(
-                            standoff_core::join::post::complement(
-                                &selected,
-                                &universe,
-                                &iter_domain,
-                            )
-                            .into_iter()
-                            .map(|IterNode { iter, node }| (iter, NodeRef::tree(target, node))),
-                        );
-                    }
-                }
-            }
-            Ok(())
-        })();
-        // Fold the kernel counters (dense scans, branch-free blocks)
-        // accumulated inside the join calls into this operator's stat
-        // delta before the scratch goes back.
-        stats.merge(scratch.take_stats());
-        self.engine.join_scratch = scratch;
-        joined?;
-        // Merge per-document results: sort by (iter, doc order) with the
-        // key computed once per row, dedup (several context layers can
-        // select the same target node). A single-fragment scope skips
-        // both — the one join call already emitted merged output.
-        if single_fragment || rows.len() <= 1 {
-            stats.result_sorts_elided += 1;
-            debug_assert!(rows
-                .windows(2)
-                .all(|w| (w[0].0, self.engine.store.order_key(w[0].1))
-                    < (w[1].0, self.engine.store.order_key(w[1].1))));
-        } else {
-            stats.result_sorts += 1;
-            let store = &self.engine.store;
-            rows.sort_by_cached_key(|(iter, node)| (*iter, store.order_key(*node)));
+        buckets.sort_unstable_by_key(|(doc, _)| *doc);
+        let mut units: Vec<JoinUnit> = Vec::new();
+        for (doc, mut rows) in buckets {
+            rows.sort_unstable();
             rows.dedup();
+            let group = self.engine.layer_group_id(doc);
+            // A mount registers its layers back to back, so the
+            // documents of one group are neighbours here.
+            match units.last_mut() {
+                Some(unit) if group.is_some() && unit.group == group => {
+                    unit.contexts.push((doc, rows))
+                }
+                _ => units.push(JoinUnit {
+                    group,
+                    contexts: vec![(doc, rows)],
+                }),
+            }
         }
-        let mut out = NodeTable::with_capacity(rows.len());
-        for (iter, node) in rows {
-            out.push(iter, node);
+        units
+    }
+
+    /// Join one unit: resolve its context once, then one kernel call per
+    /// answering layer, each appending its run to `runs`.
+    fn join_unit(
+        &mut self,
+        unit: &JoinUnit,
+        op: &StandoffOp,
+        cand_buckets: Option<&HashMap<DocId, Vec<u32>>>,
+        scratch: &mut JoinScratch,
+        exec: &mut JoinExec,
+        runs: &mut Vec<(DocId, Vec<IterNode>)>,
+    ) -> Result<(), QueryError> {
+        // Per-unit chokepoint: between fragments is the coarse place a
+        // governed join re-reads the clock eagerly.
+        if let Some(b) = &self.engine.budget {
+            b.check()?;
         }
-        // Post-filter with the node test — unless the plan proved the
-        // test is guaranteed by the join itself (pushed-down name test,
-        // kind-only test over element output): then the §3.2 trailing
-        // `/self::name` step is pure overhead and is elided. The
-        // unoptimized reference lowering never sets the flag and keeps
-        // the literal trailing step.
-        if op.test_guaranteed {
-            stats.post_filters_elided += 1;
-        } else {
-            stats.post_filters += 1;
+        let lone = [unit.contexts[0].0];
+        let members = match unit.group {
+            Some(g) => self.engine.layer_group_members(g),
+            None => &lone,
+        };
+        let filter = LayerFilter::of(op, cand_buckets);
+        let targets = answering_layers(&self.engine.store, members, &filter);
+        // Plan honesty: an explain-grade plan printed the layers of each
+        // mounted group this join would reach (`layers: …; result: …`,
+        // absent for an explicit candidate sequence); the layers reached
+        // now must be those.
+        let claimed = op.estimate.as_ref().and_then(|est| est.layers.as_ref());
+        if let (Some(g), Some(claimed)) = (unit.group, claimed) {
+            let claim = claimed.iter().find(|c| c.group == g);
+            if claim.map(|c| c.answering.len()) != Some(targets.len()) {
+                self.engine.handles.claim_mismatch_result_merge.inc();
+                debug_assert!(false, "plan claimed {claim:?}, joined {targets:?}");
+            }
         }
-        // Single fold point: engine counters, registry mirror, and —
-        // when profiling — the operator's JoinExec detail.
-        self.engine.handles.record_join(&stats);
-        if merge_reads > 0 {
-            self.engine.handles.delta_merge_reads.add(merge_reads);
+        if targets.is_empty() {
+            return Ok(());
         }
-        self.engine.join_stats.merge(stats);
-        if let Some(p) = self.profile.as_deref_mut() {
-            let j = p
-                .op_mut(prof_key)
-                .join
-                .get_or_insert_with(JoinExec::default);
-            j.ctx_rows += ctx.iters().len() as u64;
-            j.cand_rows += cand_rows;
-            j.cand_max = j.cand_max.max(cand_max);
-            j.delta_cand_rows += delta_cand_rows;
-            j.merge_reads += merge_reads;
-            j.stats.merge(stats);
+        // Index lookups need the engine mutably; the joins only borrow.
+        let ctx_indexes = (unit.contexts.iter())
+            .map(|(doc, _)| self.region_index_of(*doc))
+            .collect::<Result<Vec<_>, _>>()?;
+        let target_indexes = (targets.iter())
+            .map(|&doc| self.region_index_of(doc))
+            .collect::<Result<Vec<_>, _>>()?;
+        let engine = &*self.engine;
+        let contexts = unit.contexts.iter().zip(&ctx_indexes);
+        scratch.resolve_context(
+            contexts.map(|((doc, rows), index)| (engine.region_source(*doc, index), &rows[..])),
+        );
+        // The rejects complement over every iteration of the unit.
+        let mut iter_domain: Vec<u32> = Vec::new();
+        if !op.axis.is_select() {
+            for (_, rows) in &unit.contexts {
+                iter_domain.extend(rows.iter().map(|row| row.iter));
+            }
+            iter_domain.sort_unstable();
+            iter_domain.dedup();
         }
-        if op.test_guaranteed {
-            return Ok(out);
+        let overlaid =
+            |doc: DocId| engine.is_delta_doc(doc) || !engine.retractions_of(doc).is_empty();
+        let overlaid_context = unit.contexts.iter().any(|(doc, _)| overlaid(*doc));
+        for (&target, index) in targets.iter().zip(&target_indexes) {
+            let doc = engine.store.doc(target);
+            // Candidate restriction: explicit sequence, or the plan's
+            // name-test pushdown through the element index (§4.3) —
+            // always against the *target* layer's document. The element
+            // index is borrowed as-is: builder-produced indexes are
+            // strictly ascending by construction and snapshot-loaded
+            // ones are validated when mounted.
+            let candidates: Option<&[u32]> = match cand_buckets {
+                Some(buckets) => Some(buckets.get(&target).map_or(&[], Vec::as_slice)),
+                None => op.pushdown.as_deref().map(|name| doc.elements_named(name)),
+            };
+            if let Some(cands) = candidates {
+                exec.cand_rows += cands.len() as u64;
+                exec.cand_max = exec.cand_max.max(cands.len() as u64);
+                if engine.is_delta_doc(target) {
+                    exec.delta_cand_rows += cands.len() as u64;
+                }
+                if index.prefers_node_view(cands.len()) {
+                    exec.stats.candidate_node_view += 1;
+                } else {
+                    exec.stats.candidate_scans += 1;
+                }
+            }
+            exec.target_joins += 1;
+            if overlaid_context || overlaid(target) {
+                exec.merge_reads += 1;
+            }
+            let input = JoinTarget {
+                doc,
+                index: engine.region_source(target, index),
+                candidates,
+                iter_domain: &iter_domain,
+            };
+            let run = join_resolved(op.axis, op.strategy, &input, None, scratch);
+            runs.push((target, run));
         }
-        Ok(standoff_algebra::staircase::ll_step(
-            &self.engine.store,
-            &out,
-            TreeAxis::SelfAxis,
-            test,
-        ))
+        Ok(())
     }
 
     fn eval_path_expr(&mut self, input: &PlanExpr, step: &PlanExpr) -> Result<LlSeq, QueryError> {
@@ -1633,6 +1679,14 @@ impl<'e> Evaluator<'e> {
                 "false" => return Ok(LlSeq::lifted_const(self.n_iters(), Item::Boolean(false))),
                 _ => {}
             }
+        }
+
+        // Aggregates that need no rows: the argument's `iter` column
+        // answers them, and a step hands that over without building
+        // items.
+        if let ([arg], "count" | "exists" | "empty") = (args, local) {
+            let iters = self.eval_iters(arg)?;
+            return Ok(functions::aggregate_rows(local, self.n_iters(), &iters));
         }
 
         let mut arg_tables = Vec::with_capacity(args.len());

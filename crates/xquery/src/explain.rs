@@ -5,8 +5,10 @@
 //! loop-lifting structure (which operators open new iteration scopes)
 //! and, for StandOff joins, the per-operator plan decisions: the join
 //! algorithm the optimizer selected, whether (and which) element-name
-//! candidate sequence is pushed down, and the cardinality estimate from
-//! the corpus's region-index statistics. The textual shape mirrors how
+//! candidate sequence is pushed down, which layers of a mounted corpus
+//! can answer it and whether their outputs are emitted directly or
+//! merged, and the cardinality estimate from those layers' region-index
+//! statistics. The textual shape mirrors how
 //! Pathfinder plans are usually shown.
 //!
 //! Because the text is generated from the plan rather than the AST, it
@@ -93,8 +95,8 @@ impl AnalyzeCtx<'_> {
         if let Some(j) = &m.join {
             let _ = write!(
                 note,
-                " | join ctx={} cands={} (max {})",
-                j.ctx_rows, j.cand_rows, j.cand_max,
+                " | join ctx={} targets={} cands={} (max {})",
+                j.ctx_rows, j.target_joins, j.cand_rows, j.cand_max,
             );
             // The declared counter set, in declaration order; kernel
             // detail is shown only where a kernel fired, so gather-only
@@ -170,10 +172,36 @@ fn standoff_note(op: &StandoffOp, explicit_candidates: bool) -> String {
         }
     };
     let mut note = format!("{algo}; {cand}");
-    // The result-sort elision is a runtime decision (it needs the actual
-    // fragment count of the scope), so explain states the rule, not a
-    // verdict; JoinStats reports what actually happened.
-    let _ = write!(note, "; sorted-merge: elided for single-fragment scopes");
+    // What will happen to the result, for a context inside a mounted
+    // layer group (a lone document is its own single target): every
+    // answering layer's output leaves the kernel `(iter, pre)`-sorted,
+    // so one is emitted as it is and several are merged. The evaluator
+    // holds each execution against this line (`eval_standoff_join`).
+    if let Some(est) = &op.estimate {
+        match &est.layers {
+            None => note.push_str("; result: one run per layer of the candidate sequence"),
+            Some(groups) => {
+                for (k, g) in groups.iter().enumerate() {
+                    note.push_str(if k == 0 { "; layers: " } else { " | " });
+                    if groups.len() > 1 {
+                        let _ = write!(note, "{}: ", g.uri);
+                    }
+                    let names = if g.answering.is_empty() {
+                        "none".to_string()
+                    } else {
+                        g.answering.join(", ")
+                    };
+                    let _ = write!(note, "{names} ({} of {})", g.answering.len(), g.members);
+                }
+                match groups.iter().map(|g| g.answering.len()).max() {
+                    Some(k) if k > 1 => {
+                        let _ = write!(note, "; result: k-way merge ({k})");
+                    }
+                    _ => note.push_str("; result: direct"),
+                }
+            }
+        }
+    }
     let _ = write!(
         note,
         "; post-filter: {}",

@@ -30,9 +30,6 @@ pub fn call_builtin(
         ("doc", 1) => fn_doc(ev, &args[0])?,
         ("layer", 2) => fn_layer(ev, &args[0], &args[1])?,
         ("root", 1) => fn_root(&args[0])?,
-        ("count", 1) => args[0].count_per_iter(n),
-        ("exists", 1) => per_iter_bool(n, &args[0], |g| !g.is_empty()),
-        ("empty", 1) => per_iter_bool(n, &args[0], |g| g.is_empty()),
         ("not", 1) => {
             let ebv = args[0].effective_boolean(n);
             LlSeq::from_columns(
@@ -326,12 +323,18 @@ pub fn call_builtin(
 
 // ---- helpers ----
 
-fn per_iter_bool(n: u32, table: &LlSeq, f: impl Fn(&[Item]) -> bool) -> LlSeq {
-    let mut items = Vec::with_capacity(n as usize);
-    for iter in 0..n {
-        items.push(Item::Boolean(f(table.group(iter))));
-    }
-    LlSeq::from_columns((0..n).collect(), items)
+/// `count`, `exists` or `empty` of a sequence whose `iter` column is
+/// `iters`, for every one of the scope's `n` iterations. The evaluator
+/// calls this with the column alone (`Evaluator::eval_iters`), so a
+/// counted step never builds its items.
+pub(crate) fn aggregate_rows(name: &str, n: u32, iters: &[u32]) -> LlSeq {
+    let item = |rows: i64| match name {
+        "count" => Item::Integer(rows),
+        "exists" => Item::Boolean(rows > 0),
+        _ => Item::Boolean(rows == 0),
+    };
+    let counts = standoff_algebra::rows_per_iter(iters, n);
+    LlSeq::from_columns((0..n).collect(), counts.into_iter().map(item).collect())
 }
 
 /// Per-iteration mapping producing zero-or-one item per iteration.

@@ -44,9 +44,10 @@
 //!    must never carry a pushdown annotation.
 //! 7. **elide** — proves, per StandOff operator, whether the trailing
 //!    `self::test` post-filter is redundant (see [`elide`]).
-//! 8. **estimate** — attaches cardinality estimates (region-index
-//!    statistics, pushed-candidate counts from the element-name index)
-//!    to every StandOff operator for explain output. Purely
+//! 8. **estimate** — resolves, for every StandOff operator, the layers
+//!    of each mounted group that can answer it (the function execution
+//!    resolves them with) and attaches their region-index statistics
+//!    and the pushed name's candidate counts for explain output. Purely
 //!    informational; runs last so it sees final strategies and
 //!    pushdowns.
 //!
@@ -62,7 +63,10 @@ use std::collections::HashSet;
 use standoff_algebra::{NodeTest, TreeAxis};
 use standoff_core::StandoffStrategy;
 
+use standoff_xml::DocId;
+
 use crate::compile::PlanContext;
+use crate::engine::{answering_layers, LayerFilter};
 use crate::plan::*;
 
 /// One optimizer pass: its name as `explain` prints it, and the rewrite.
@@ -114,7 +118,7 @@ const ESTIMATE: &str = "estimate";
 /// Run the pass list over `plan`; returns the names of the passes
 /// applied, in order.
 pub fn optimize(plan: &mut Plan, ctx: &PlanContext<'_>) -> Vec<&'static str> {
-    let estimates = ctx.estimates && ctx.store.is_some();
+    let estimates = ctx.estimates && ctx.corpus.is_some();
     let mut applied = Vec::with_capacity(PASSES.len());
     for pass in PASSES.iter().filter(|p| estimates || p.name != ESTIMATE) {
         (pass.run)(plan, ctx);
@@ -855,14 +859,17 @@ fn scan_children_with_binders(
 
 // ================= passes 5–8: StandOff operator annotation =================
 
+/// Visit every StandOff join operator with its node test (`None` for
+/// the built-in function form) and whether it takes an explicit
+/// candidate sequence.
 fn for_each_standoff_op(
     plan: &mut Plan,
-    mut f: impl FnMut(&mut StandoffOp, Option<&standoff_algebra::NodeTest>),
+    mut f: impl FnMut(&mut StandoffOp, Option<&standoff_algebra::NodeTest>, bool),
 ) {
     plan.for_each_root_mut(|root| {
         root.rewrite_bottom_up(&mut |e| match e {
-            PlanExpr::StandoffStep { op, test, .. } => f(op, Some(test)),
-            PlanExpr::StandoffFn { op, .. } => f(op, None),
+            PlanExpr::StandoffStep { op, test, .. } => f(op, Some(test), false),
+            PlanExpr::StandoffFn { op, candidates, .. } => f(op, None, candidates.is_some()),
             _ => {}
         })
     });
@@ -874,15 +881,12 @@ fn for_each_standoff_op(
 /// subtracted (both columns are ascending, so a merge-intersection),
 /// while delta insert documents count like any other document.
 fn corpus_name_count(ctx: &PlanContext<'_>, name: &str) -> Option<u64> {
-    let store = ctx.store?;
+    let corpus = ctx.corpus?;
     let mut total: u64 = 0;
-    for id in store.doc_ids() {
-        let named = store.doc(id).elements_named(name);
-        let mut count = named.len() as u64;
-        if let Some(hidden) = ctx.retracted.and_then(|m| m.get(&id.0)) {
-            count -= sorted_intersection_count(named, hidden) as u64;
-        }
-        total += count;
+    for id in corpus.store.doc_ids() {
+        let named = corpus.store.doc(id).elements_named(name);
+        let hidden = corpus.retractions_of(id);
+        total += (named.len() - sorted_intersection_count(named, hidden)) as u64;
     }
     Some(total)
 }
@@ -908,12 +912,12 @@ fn sorted_intersection_count(a: &[u32], b: &[u32]) -> usize {
 /// the merge-on-read share of a pushdown's candidate sequence. `None`
 /// when the mount has no delta documents at all.
 fn delta_name_count(ctx: &PlanContext<'_>, name: &str) -> Option<u64> {
-    let store = ctx.store?;
-    let deltas = ctx.delta_docs?;
+    let corpus = ctx.corpus.filter(|c| c.has_delta_docs())?;
+    let store = &corpus.store;
     Some(
         store
             .doc_ids()
-            .filter(|id| deltas.contains(&id.0))
+            .filter(|&id| corpus.is_delta_doc(id))
             .map(|id| store.doc(id).elements_named(name).len() as u64)
             .sum(),
     )
@@ -922,7 +926,7 @@ fn delta_name_count(ctx: &PlanContext<'_>, name: &str) -> Option<u64> {
 fn strategy_select(plan: &mut Plan, ctx: &PlanContext<'_>) {
     if !ctx.options.auto_strategy {
         let forced = ctx.options.strategy;
-        for_each_standoff_op(plan, |op, _| op.strategy = forced);
+        for_each_standoff_op(plan, |op, _, _| op.strategy = forced);
         return;
     }
     // Per-operator selection: the scan an operator pays is bounded by
@@ -931,7 +935,7 @@ fn strategy_select(plan: &mut Plan, ctx: &PlanContext<'_>) {
     // full region table otherwise — so two steps in one query can get
     // different join algorithms (a rare element name joins per
     // iteration, a corpus-wide one in a single loop-lifted scan).
-    for_each_standoff_op(plan, |op, test| {
+    for_each_standoff_op(plan, |op, test, _| {
         let mut stats = ctx.index_stats;
         if ctx.options.candidate_pushdown {
             if let Some(count) = test
@@ -949,7 +953,7 @@ fn strategy_select(plan: &mut Plan, ctx: &PlanContext<'_>) {
 
 fn pushdown(plan: &mut Plan, ctx: &PlanContext<'_>) {
     let allowed = ctx.options.candidate_pushdown;
-    for_each_standoff_op(plan, |op, test| {
+    for_each_standoff_op(plan, |op, test, _| {
         op.pushdown = match test {
             Some(test)
                 if allowed
@@ -981,7 +985,7 @@ fn pushdown(plan: &mut Plan, ctx: &PlanContext<'_>) {
 /// the pushdown decision is final.
 fn elide(plan: &mut Plan, _: &PlanContext<'_>) {
     use standoff_algebra::KindTest;
-    for_each_standoff_op(plan, |op, test| {
+    for_each_standoff_op(plan, |op, test, _| {
         op.test_guaranteed = match test {
             None => true, // function form: evaluated under `*`
             Some(test) => match (&test.name, test.kind) {
@@ -993,24 +997,49 @@ fn elide(plan: &mut Plan, _: &PlanContext<'_>) {
     });
 }
 
-/// Attach explain-grade cardinality estimates. Gated by the caller
-/// ([`optimize`]): estimates feed explain output only, so execution
-/// paths skip this per-operator corpus scan entirely.
+/// Attach explain-grade estimates: which layers of each mounted group
+/// the join reaches ([`answering_layers`], as execution decides it), the
+/// region statistics of those layers, and the pushed name's candidate
+/// counts. Gated by the caller ([`optimize`]): estimates feed explain
+/// output only, so execution paths skip this per-operator corpus scan
+/// entirely.
 fn estimate(plan: &mut Plan, ctx: &PlanContext<'_>) {
-    let stats = ctx.index_stats;
-    for_each_standoff_op(plan, |op, _| {
-        let candidates = op
-            .pushdown
-            .as_ref()
-            .and_then(|name| corpus_name_count(ctx, name));
-        let delta_candidates = op
-            .pushdown
-            .as_ref()
-            .and_then(|name| delta_name_count(ctx, name));
+    let Some(corpus) = ctx.corpus else { return };
+    for_each_standoff_op(plan, |op, _, explicit_candidates| {
+        // Which layers an explicit candidate sequence reaches is only
+        // known once it is evaluated.
+        let answering: Option<Vec<Vec<DocId>>> = (!explicit_candidates).then(|| {
+            let filter = LayerFilter::of(op, None);
+            let groups = corpus.layer_groups().iter();
+            groups
+                .map(|members| answering_layers(&corpus.store, members, &filter))
+                .collect()
+        });
+        let reached = |doc: DocId| match (&answering, corpus.layer_group_id(doc)) {
+            (Some(answering), Some(g)) => answering[g as usize].contains(&doc),
+            _ => true,
+        };
+        let name = op.pushdown.as_deref();
         op.estimate = Some(JoinEstimate {
-            index: stats,
-            candidates,
-            delta_candidates,
+            index: corpus.index_stats(reached),
+            candidates: name.and_then(|name| corpus_name_count(ctx, name)),
+            delta_candidates: name.and_then(|name| delta_name_count(ctx, name)),
+            layers: answering.map(|answering| {
+                let groups = answering.iter().zip(corpus.layer_groups()).enumerate();
+                groups
+                    .map(|(g, (answering, members))| GroupLayers {
+                        group: g as u32,
+                        uri: corpus
+                            .store
+                            .doc(members[0])
+                            .uri()
+                            .unwrap_or("?")
+                            .to_string(),
+                        answering: answering.iter().map(|&d| corpus.layer_label(d)).collect(),
+                        members: members.len(),
+                    })
+                    .collect()
+            }),
         });
     });
 }

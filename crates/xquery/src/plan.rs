@@ -141,12 +141,14 @@ impl StandoffOp {
     }
 }
 
-/// Estimated cardinalities of one StandOff join, derived from
-/// [`IndexStats`] and the element-name index at optimization time.
-#[derive(Clone, Copy, Debug)]
+/// What the `estimate` pass worked out about one StandOff join from
+/// the corpus the plan was compiled against: which layers it will join
+/// into, and how much they hold.
+#[derive(Clone, Debug)]
 pub struct JoinEstimate {
-    /// Region-index statistics of the corpus the plan was compiled
-    /// against.
+    /// Region-index statistics of the layers the join can reach: the
+    /// answering layers of every mounted group (see `layers`), plus
+    /// every document outside a group.
     pub index: IndexStats,
     /// Estimated candidate count after name-test pushdown (total
     /// occurrences of the pushed element name across the *visible*
@@ -155,6 +157,25 @@ pub struct JoinEstimate {
     /// Share of `candidates` contributed by overlay delta documents
     /// (pending inserts). `None` on a pure-snapshot mount.
     pub delta_candidates: Option<u64>,
+    /// Per mounted layer group, the layers that can answer this join —
+    /// resolved by the function execution resolves them with. `None`
+    /// for the function form with an explicit candidate sequence, whose
+    /// layers are whichever the sequence reaches at run time.
+    pub layers: Option<Vec<GroupLayers>>,
+}
+
+/// The layers of one mounted layer group that can answer a join.
+#[derive(Clone, Debug)]
+pub struct GroupLayers {
+    /// The engine's id of the group.
+    pub group: u32,
+    /// The URI the group is mounted under.
+    pub uri: String,
+    /// Names of the answering layers, in document order (`name#delta`
+    /// is the overlay document of a layer's pending inserts).
+    pub answering: Vec<String>,
+    /// Number of layers in the group.
+    pub members: usize,
 }
 
 /// One `for`/`let` binding of a compiled FLWOR.

@@ -4,7 +4,8 @@
 //! the evaluator records, for every plan operator it executes, wall
 //! time, call count, output cardinality and — for StandOff joins — the
 //! join-level mechanism decisions (context size, candidate-set sizes,
-//! node-view vs. scan access, sort/post-filter elisions). The result is
+//! target layers joined, node-view vs. scan access, direct vs. merged
+//! results, post-filter elisions). The result is
 //! a [`PlanProfile`]: a side table keyed by operator identity, paired
 //! with its [`Plan`] in a [`QueryProfile`].
 //!
@@ -46,20 +47,36 @@ pub struct OpMetrics {
 pub struct JoinExec {
     /// Context rows fed into the join (before per-document bucketing).
     pub ctx_rows: u64,
-    /// Total candidate-set size across all (unit × target) pairs that
-    /// had a candidate restriction.
+    /// Target layers joined into, over all join units: the layers that
+    /// could answer the join — one kernel call each.
+    pub target_joins: u64,
+    /// Total candidate-set size across all targets that had a candidate
+    /// restriction.
     pub cand_rows: u64,
     /// Largest single candidate set seen.
     pub cand_max: u64,
     /// Candidate rows contributed by overlay delta documents (subset of
     /// `cand_rows`); zero on a pure-snapshot mount.
     pub delta_cand_rows: u64,
-    /// Join calls that read through a merged base+delta region stream
+    /// Target joins that read through a merged base+delta region stream
     /// or a delta document — merge-on-read work, vs pure zero-copy.
     pub merge_reads: u64,
     /// The join's fast-path decision counters (same meaning as the
     /// engine-wide [`JoinStats`], restricted to this operator).
     pub stats: JoinStats,
+}
+
+impl JoinExec {
+    /// Fold another evaluation of the same operator into this one.
+    pub(crate) fn merge(&mut self, other: &JoinExec) {
+        self.ctx_rows += other.ctx_rows;
+        self.target_joins += other.target_joins;
+        self.cand_rows += other.cand_rows;
+        self.cand_max = self.cand_max.max(other.cand_max);
+        self.delta_cand_rows += other.delta_cand_rows;
+        self.merge_reads += other.merge_reads;
+        self.stats.merge(other.stats);
+    }
 }
 
 /// Per-operator measurements of one executed plan, keyed by operator
@@ -142,9 +159,14 @@ impl QueryProfile {
             ));
             if let Some(j) = &m.join {
                 out.push_str(&format!(
-                    ", \"join\": {{\"ctx_rows\": {}, \"cand_rows\": {}, \"cand_max\": {}, \
-                     \"delta_cand_rows\": {}, \"merge_reads\": {}",
-                    j.ctx_rows, j.cand_rows, j.cand_max, j.delta_cand_rows, j.merge_reads,
+                    ", \"join\": {{\"ctx_rows\": {}, \"target_joins\": {}, \"cand_rows\": {}, \
+                     \"cand_max\": {}, \"delta_cand_rows\": {}, \"merge_reads\": {}",
+                    j.ctx_rows,
+                    j.target_joins,
+                    j.cand_rows,
+                    j.cand_max,
+                    j.delta_cand_rows,
+                    j.merge_reads,
                 ));
                 for (counter, value) in j.stats.counters() {
                     out.push_str(&format!(", \"{}\": {value}", counter.name));

@@ -2,9 +2,10 @@
 //!
 //! Timing can lie on a loaded CI box; [`JoinStats`] counters cannot.
 //! These tests pin that a pushdown-guaranteed StandOff step really skips
-//! the trailing self-axis pass and the result sort in the single-
-//! fragment case, that the literal paths still run where required (no
-//! pushdown, naive strategies, the unoptimized reference lowering), and
+//! the trailing self-axis pass and never sorts its result (one target
+//! is emitted directly, several merge), that the literal paths still
+//! run where required (no pushdown, naive strategies, the unoptimized
+//! reference lowering), and
 //! that the elided paths stay observably equivalent to the reference on
 //! randomized region workloads across all four axes.
 
@@ -120,10 +121,10 @@ fn candidate_access_path_counters() {
     assert!(stats.candidate_scans > 0, "{stats:?}");
 }
 
-/// Multi-layer joins (context and candidates in sibling layers) still
-/// take the sorting merge — the elision is strictly single-fragment.
+/// A context over several documents yields one sorted run per document:
+/// the result is their merge, still never a sort.
 #[test]
-fn cross_document_context_does_not_elide_sort() {
+fn cross_document_context_merges_its_runs() {
     let mut engine = Engine::new();
     engine
         .load_document(
@@ -145,7 +146,15 @@ fn cross_document_context_does_not_elide_sort() {
         )
         .unwrap();
     let stats = engine.join_stats();
-    assert!(stats.result_sorts > 0, "{stats:?}");
+    assert_eq!(
+        (
+            stats.result_merges,
+            stats.result_sorts,
+            stats.result_sorts_elided
+        ),
+        (1, 0, 0),
+        "{stats:?}"
+    );
 }
 
 /// Generated region workloads × all four axes × pushdown on/off: the

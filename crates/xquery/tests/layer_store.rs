@@ -1,8 +1,10 @@
 //! End-to-end multi-layer store integration: several annotation layers
-//! mounted over one base document, with StandOff axes, builtins and
-//! rejects running *across* layers — under every evaluation strategy.
+//! mounted over one base document — URI resolution, snapshot round
+//! trip, mount conflicts. What the StandOff axes answer *across* layers
+//! is `tests/layer_differential.rs`'s subject (this corpus is one of its
+//! regression seeds).
 
-use standoff_core::{StandoffConfig, StandoffStrategy};
+use standoff_core::StandoffConfig;
 use standoff_store::{read_snapshot, write_snapshot, LayerSet};
 use standoff_xml::parse_document;
 use standoff_xquery::Engine;
@@ -89,126 +91,6 @@ fn doc_resolves_base_and_layers() {
             .as_strings(),
         ["1"]
     );
-}
-
-/// The acceptance query: `entities` narrowed by `tokens`, across layers,
-/// correct under the Basic and Loop-Lifted merge joins (and the naive
-/// oracles).
-#[test]
-fn cross_layer_select_narrow_under_all_strategies() {
-    for strategy in StandoffStrategy::ALL {
-        let mut engine = mounted_engine();
-        engine.set_strategy(strategy);
-        let result = engine
-            .run(r#"doc("corpus#entities")//person/select-narrow::w/@word"#)
-            .unwrap();
-        assert_eq!(result.as_strings(), ["Alice", "Bob"], "strategy {strategy}");
-    }
-}
-
-#[test]
-fn cross_layer_wide_and_reject() {
-    for strategy in StandoffStrategy::ALL {
-        let mut engine = mounted_engine();
-        engine.set_strategy(strategy);
-        // The prepositional phrase overlaps "in" and "Paris".
-        assert_eq!(
-            engine
-                .run(r#"doc("corpus#syntax")//pp/select-wide::w/@word"#)
-                .unwrap()
-                .as_strings(),
-            ["in", "Paris"],
-            "strategy {strategy}"
-        );
-        // Tokens not inside any person annotation.
-        assert_eq!(
-            engine
-                .run(r#"doc("corpus#entities")//person[@id = "alice"]/reject-narrow::w/@word"#)
-                .unwrap()
-                .as_strings(),
-            ["met", "Bob", "in", "Paris", "yesterday"],
-            "strategy {strategy}"
-        );
-    }
-}
-
-/// StandOff steps with an unrestricted node test look across every layer
-/// of the group: the noun phrase [0,4] contains the token "Alice" and the
-/// person annotation "alice".
-#[test]
-fn wildcard_step_spans_all_layers() {
-    for strategy in StandoffStrategy::ALL {
-        let mut engine = mounted_engine();
-        engine.set_strategy(strategy);
-        let result = engine
-            .run(r#"count(doc("corpus#syntax")//np/select-narrow::*)"#)
-            .unwrap();
-        // np[0,4] itself, w "Alice" and person "alice".
-        assert_eq!(result.as_strings(), ["3"], "strategy {strategy}");
-    }
-}
-
-/// The builtin (Alternative 3) form with an explicit cross-layer
-/// candidate sequence.
-#[test]
-fn builtin_with_explicit_cross_layer_candidates() {
-    for strategy in StandoffStrategy::ALL {
-        let mut engine = mounted_engine();
-        engine.set_strategy(strategy);
-        let result = engine
-            .run(
-                r#"select-narrow(doc("corpus#entities")//person,
-                                 layer("corpus", "tokens")//w)/@word"#,
-            )
-            .unwrap();
-        assert_eq!(result.as_strings(), ["Alice", "Bob"], "strategy {strategy}");
-    }
-}
-
-/// A context drawn from several layers at once: rejects must complement
-/// the union of the layers' selections, not union their complements.
-#[test]
-fn multi_layer_context_reject() {
-    for strategy in StandoffStrategy::ALL {
-        let mut engine = mounted_engine();
-        engine.set_strategy(strategy);
-        let result = engine
-            .run(
-                r#"(doc("corpus#entities")//person | doc("corpus#tokens")//w[@word = "met"])
-                   /reject-wide::w/@word"#,
-            )
-            .unwrap();
-        assert_eq!(
-            result.as_strings(),
-            ["in", "Paris", "yesterday"],
-            "strategy {strategy}"
-        );
-    }
-}
-
-/// Tokens inside syntax constituents, FLWOR-composed — the loop-lifted
-/// path (one merge join for all iterations of the for-loop).
-#[test]
-fn loop_lifted_cross_layer_flwor() {
-    for strategy in [
-        StandoffStrategy::BasicMergeJoin,
-        StandoffStrategy::LoopLiftedMergeJoin,
-    ] {
-        let mut engine = mounted_engine();
-        engine.set_strategy(strategy);
-        let result = engine
-            .run(
-                r#"for $c in doc("corpus#syntax")//*[@start]
-                   return count($c/select-narrow::w)"#,
-            )
-            .unwrap();
-        // np:1 (Alice), vp:2 (met, Bob), pp:2 (in, Paris), s:6 (all).
-        assert_eq!(
-            result.as_strings(),
-            ["1", "2", "2", "6"],
-            "strategy {strategy}"
-        );
-    }
 }
 
 /// Mount → snapshot → remount: the reloaded store answers identically

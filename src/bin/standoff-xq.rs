@@ -99,6 +99,12 @@ fn main() -> ExitCode {
     // binary was built with the `fault-inject` feature.
     standoff::core::fault::arm_from_env();
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    // Every one-shot subcommand prints to a pipe the reader may close
+    // early (`inspect --sections | head -1`); the server must outlive
+    // whoever read its ready line.
+    if argv.first().is_some_and(|sub| sub != "serve") {
+        die_quietly_on_closed_pipe();
+    }
     let result = match argv.first().map(String::as_str) {
         Some("index") => cmd_index(&argv[1..]),
         Some("inspect") => cmd_inspect(&argv[1..]),
@@ -125,6 +131,33 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// Restore the default `SIGPIPE` disposition, which the Rust runtime
+/// sets to "ignore": a write to a pipe whose reader went away then ends
+/// the process by that signal, like any Unix filter, where `println!`
+/// would panic on the `EPIPE` — a backtrace and exit status 101,
+/// outside the documented exit codes. Sockets are unaffected (std
+/// sends with `MSG_NOSIGNAL`).
+#[cfg(unix)]
+fn die_quietly_on_closed_pipe() {
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` with `SIG_DFL` installs no handler code; it is
+    // called once, before any other thread exists.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn die_quietly_on_closed_pipe() {}
+
+// Raw libc `signal(2)` binding — the workspace stays dependency-free.
+// `handler` is a `SIG_*` constant or the address of an `extern "C" fn(i32)`.
+#[cfg(unix)]
+extern "C" {
+    fn signal(signum: i32, handler: usize) -> usize;
 }
 
 // ---- index ----
@@ -1245,9 +1278,8 @@ fn cmd_stats(argv: &[String]) -> Result<ExitCode, String> {
 /// and drains when it flips.
 static STOP: AtomicBool = AtomicBool::new(false);
 
-/// Install SIGTERM/SIGINT handlers that set [`STOP`]. Raw libc
-/// `signal(2)` binding — storing to an atomic is async-signal-safe,
-/// and the workspace stays dependency-free.
+/// Install SIGTERM/SIGINT handlers that set [`STOP`] — storing to an
+/// atomic is async-signal-safe.
 #[cfg(unix)]
 fn install_stop_handlers() {
     extern "C" fn on_signal(_signum: i32) {
@@ -1261,14 +1293,12 @@ fn install_stop_handlers() {
             unsafe { _exit(130) }
         }
     }
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> isize;
-    }
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
+    let handler = on_signal as extern "C" fn(i32) as usize;
     unsafe {
-        signal(SIGTERM, on_signal);
-        signal(SIGINT, on_signal);
+        signal(SIGTERM, handler);
+        signal(SIGINT, handler);
     }
 }
 

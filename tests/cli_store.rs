@@ -606,3 +606,51 @@ fn write_bytes(dir: &std::path::Path, name: &str, content: &[u8]) -> String {
     std::fs::write(&path, content).unwrap();
     path.to_string_lossy().into_owned()
 }
+
+/// A reader that goes away (`… | head -1`) ends a one-shot subcommand
+/// quietly: no `panicked … Broken pipe` on stderr, and not exit status
+/// 101, which is outside the documented `0 / 1 / 2`. The read end is
+/// closed before the child can have printed anything, and the `query`
+/// and `batch` outputs exceed any pipe buffer besides.
+#[test]
+fn closed_stdout_pipe_ends_the_process_quietly() {
+    use std::process::Stdio;
+    let dir = tmp_dir("sigpipe");
+    let base = write(&dir, "base.xml", "<text>x</text>");
+    let mut tokens = String::from("<tokens>");
+    for k in 0..6_000 {
+        tokens.push_str(&format!(r#"<w n="{k}" start="{k}" end="{k}"/>"#));
+    }
+    tokens.push_str("</tokens>");
+    let tokens = write(&dir, "tokens.xml", &tokens);
+    let snap = dir.join("corpus.snap").to_string_lossy().into_owned();
+    let layer = format!("tokens={tokens}");
+    let out = bin()
+        .args([
+            "index", &base, "-o", &snap, "--uri", "corpus", "--layer", &layer,
+        ])
+        .output()
+        .unwrap();
+    assert_success(&out, "index");
+    let all_tokens = r#"doc("corpus#tokens")//w"#;
+    let batch = write(&dir, "queries.txt", &format!("{all_tokens}\n").repeat(4));
+    let cases: [&[&str]; 3] = [
+        &["inspect", &snap, "--sections"],
+        &["query", "--store", &snap, "--query", all_tokens],
+        &["batch", "--store", &snap, &batch],
+    ];
+    for args in cases {
+        let mut child = bin()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

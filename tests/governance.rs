@@ -197,6 +197,61 @@ fn scratch_cap_sees_the_dense_candidate_bitset() {
     }
 }
 
+/// The scratch cap covers what a join *returns* as well as what its
+/// kernels buffer: the per-layer runs and the table merged from them.
+/// One `sec` over the whole BLOB overlaps every annotation of a
+/// three-layer store. The kernels reuse one buffer of 12-byte emissions
+/// sized by the largest layer — under 10 bytes per result row even at
+/// twice the length in capacity — while the runs hold 8 and the result
+/// table 12 bytes for every row: a cap of 20 bytes per row is beyond
+/// what the kernels pin and short of the join's real footprint.
+#[test]
+fn scratch_cap_sees_the_join_runs_and_the_merged_result() {
+    use standoff::core::StandoffConfig;
+    use standoff::store::LayerSet;
+    use standoff::xml::parse_document;
+    const PER_LAYER: usize = 3_000;
+    let layer = |root: &str, name: &str| {
+        let mut xml = format!("<{root}>");
+        for k in 0..PER_LAYER {
+            xml.push_str(&format!(r#"<{name} start="{k}" end="{}"/>"#, k + 1));
+        }
+        xml.push_str(&format!("</{root}>"));
+        parse_document(&xml).unwrap()
+    };
+    let base = parse_document(&format!(r#"<doc><sec start="0" end="{PER_LAYER}"/></doc>"#));
+    let config = StandoffConfig::default;
+    let mut set = LayerSet::build("g", base.unwrap(), config()).unwrap();
+    set.add_layer("tokens", layer("tokens", "w"), config())
+        .unwrap();
+    set.add_layer("entities", layer("entities", "e"), config())
+        .unwrap();
+    let mut engine = Engine::new();
+    engine.mount_store(set).unwrap();
+    let query = r#"doc("g")//sec/select-wide::node()"#;
+    let rows = 1 + 2 * PER_LAYER as u64;
+
+    let ungoverned = engine.run(query).unwrap();
+    let roomy = Budget::new(BudgetLimits {
+        max_scratch_bytes: Some(u64::MAX / 2),
+        ..BudgetLimits::default()
+    });
+    engine.set_budget(Some(roomy.clone()));
+    let governed = engine.run(query).unwrap();
+    assert_eq!(governed.len() as u64, rows);
+    assert_eq!(governed.as_serialized(), ungoverned.as_serialized());
+    assert!(roomy.scratch_hwm() > 20 * rows, "{}", roomy.scratch_hwm());
+
+    engine.set_budget(budget(BudgetLimits {
+        max_scratch_bytes: Some(20 * rows),
+        ..BudgetLimits::default()
+    }));
+    assert_eq!(
+        engine.run(query).unwrap_err(),
+        QueryError::ResultLimit("scratch memory cap exceeded".into())
+    );
+}
+
 #[test]
 fn under_budget_runs_are_byte_identical_to_ungoverned() {
     let generous = BudgetLimits {

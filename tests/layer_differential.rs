@@ -1,0 +1,453 @@
+//! Differential test of StandOff joins over mounted layer sets: join
+//! units, answering-layer resolution and the run merge, against one
+//! oracle on generated corpora.
+//!
+//! **Corpora** are layered like an annotation stack — a base document,
+//! `tokens`, multi-region `units` (element representation) and, in half
+//! the cases, `words` — and drawn from a small pool of extents so the
+//! paper's edge geometry is the rule, not the exception: zero-width
+//! regions, identical extents in *different* layers, touching but not
+//! overlapping extents, deep same-extent nesting, and areas of one to
+//! three regions carried through joins on a mounted layer set. The name
+//! `w` lives in two layers, so a name test can have several answering
+//! layers.
+//!
+//! **Queries** are a context × the four axes × {name test, `*`,
+//! `node()`} in step form, flat and per iteration of a `for`, and the
+//! function form with an explicit candidate sequence.
+//!
+//! **Oracle**: `NaiveNoCandidates`, unoptimized lowering, on freshly
+//! parsed documents. **Subject**, byte-identical to it: the default
+//! engine on the pure mount, on an overlay with pending inserts and
+//! retracts (contexts then span a layer and its delta document) under
+//! every strategy that takes candidates, and on the compacted set.
+
+use proptest::prelude::*;
+
+use standoff::core::{StandoffConfig, StandoffStrategy};
+use standoff::store::{compact, DeltaOp, DeltaSet, LayerSet};
+use standoff::xml::{parse_document, serialize_document, SerializeOptions};
+use standoff::xquery::{Engine, EngineOptions};
+
+const URI: &str = "mem://layers";
+const AXES: [&str; 4] = [
+    "select-narrow",
+    "select-wide",
+    "reject-narrow",
+    "reject-wide",
+];
+
+type Extent = (i64, i64);
+
+/// An extent derived from the shared pool: the pooled one itself (so
+/// layers repeat each other's extents), the one touching it on the
+/// right, its zero-width start, or a wider or narrower neighbour.
+fn extent(pool: &[Extent], pick: usize, tweak: u8) -> Extent {
+    let (s, e) = pool[pick % pool.len()];
+    match tweak % 5 {
+        0 => (s, e),
+        1 => (e + 1, e + 1 + (e - s)),
+        2 => (s, s),
+        3 => ((s - 1).max(0), e + 1),
+        _ => ((s + 1).min(e), e),
+    }
+}
+
+/// `<root>` of attribute-representation annotations, then one chain of
+/// `depth` same-extent `<name>` elements nested in each other.
+fn attribute_layer(root: &str, name: &str, extents: &[Extent], chain: (Extent, usize)) -> String {
+    let mut xml = format!("<{root}>");
+    for (k, (s, e)) in extents.iter().enumerate() {
+        xml.push_str(&format!(r#"<{name} n="{k}" start="{s}" end="{e}"/>"#));
+    }
+    let ((s, e), depth) = chain;
+    for d in 0..depth {
+        xml.push_str(&format!(r#"<{name} n="c{d}" start="{s}" end="{e}">"#));
+    }
+    xml.push_str(&format!("</{name}>").repeat(depth));
+    xml.push_str(&format!("</{root}>"));
+    xml
+}
+
+/// `<units>` of element-representation annotations: one to three
+/// `<region>`s each, kept apart as an area requires.
+fn units_layer(units: &[(&str, Vec<Extent>)]) -> String {
+    let mut xml = String::from("<units>");
+    for (k, (name, regions)) in units.iter().enumerate() {
+        let mut regions = regions.clone();
+        regions.sort_unstable();
+        let mut last_end = i64::MIN;
+        xml.push_str(&format!(r#"<{name} n="{k}">"#));
+        for (s, e) in regions {
+            if s > last_end.saturating_add(1) {
+                xml.push_str(&format!(
+                    "<region><start>{s}</start><end>{e}</end></region>"
+                ));
+                last_end = e;
+            }
+        }
+        xml.push_str(&format!("</{name}>"));
+    }
+    xml.push_str("</units>");
+    xml
+}
+
+fn layer_set(layers: &[(&str, String, StandoffConfig)]) -> LayerSet {
+    let (_, base, config) = &layers[0];
+    let mut set = LayerSet::build(URI, parse_document(base).unwrap(), config.clone()).unwrap();
+    for (name, xml, config) in &layers[1..] {
+        set.add_layer(name, parse_document(xml).unwrap(), config.clone())
+            .unwrap();
+    }
+    set
+}
+
+/// The same layers, every document parsed afresh from its serialization.
+fn reparsed(set: &LayerSet) -> LayerSet {
+    let layers: Vec<(&str, String, StandoffConfig)> = (set.layers().iter())
+        .map(|layer| {
+            let xml = serialize_document(layer.doc(), SerializeOptions::default());
+            (layer.name(), xml, layer.config().clone())
+        })
+        .collect();
+    layer_set(&layers)
+}
+
+fn engine(strategy: StandoffStrategy) -> Engine {
+    Engine::with_options(EngineOptions {
+        strategy,
+        ..EngineOptions::default()
+    })
+}
+
+/// The oracle's answers over `set`.
+fn oracle(set: &LayerSet, queries: &[String]) -> Vec<String> {
+    let mut naive = engine(StandoffStrategy::NaiveNoCandidates);
+    naive.mount_store(reparsed(set)).unwrap();
+    let run = |q: &String| naive.run_unoptimized(q).unwrap().as_xml();
+    queries.iter().map(run).collect()
+}
+
+fn agree(what: &str, subject: &mut Engine, queries: &[String], expected: &[String]) {
+    for (query, expected) in queries.iter().zip(expected) {
+        let got = subject.run(query).unwrap().as_xml();
+        assert_eq!(&got, expected, "{what}: {query}");
+    }
+}
+
+/// The property: every subject configuration answers `queries` as the
+/// oracle does — over `set` as it is, and over `set` with `delta`
+/// pending or folded in.
+fn check(set: &LayerSet, delta: &DeltaSet, queries: &[String]) {
+    let default = StandoffStrategy::LoopLiftedMergeJoin;
+    let mut pure = engine(default);
+    pure.mount_store(set.clone()).unwrap();
+    agree("pure mount", &mut pure, queries, &oracle(set, queries));
+
+    let folded = compact(set, delta).unwrap();
+    let expected = oracle(&folded, queries);
+    for strategy in [
+        default,
+        StandoffStrategy::BasicMergeJoin,
+        StandoffStrategy::NaiveWithCandidates,
+    ] {
+        let mut overlay = engine(strategy);
+        overlay.mount_overlay(set.clone(), delta).unwrap();
+        agree(
+            &format!("overlay, {strategy}"),
+            &mut overlay,
+            queries,
+            &expected,
+        );
+    }
+    let mut compacted = engine(default);
+    compacted.mount_store(folded).unwrap();
+    agree("compacted", &mut compacted, queries, &expected);
+}
+
+/// `context` × four axes × `tests` in step form (flat, and per
+/// iteration of a `for`), plus the function form over `candidates`.
+fn join_queries(context: &str, tests: &[&str], candidates: &str) -> Vec<String> {
+    let mut queries = Vec::new();
+    for axis in AXES {
+        for test in tests {
+            queries.push(format!("{context}/{axis}::{test}"));
+            queries.push(format!("for $c in {context} return $c/{axis}::{test}"));
+        }
+        queries.push(format!("{axis}({context}, {candidates})"));
+    }
+    queries
+}
+
+fn layer(name: &str) -> String {
+    format!(r#"layer("{URI}", "{name}")"#)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn layered_joins_match_the_naive_oracle(
+        pool in prop::collection::vec((0i64..30, 0i64..6), 3..7),
+        sections in prop::collection::vec((0usize..8, 0u8..5), 0..4),
+        tokens in prop::collection::vec((0usize..8, 0u8..5), 1..8),
+        words in prop::option::of(prop::collection::vec((0usize..8, 0u8..5), 1..6)),
+        chain in (0usize..8, 0usize..4),
+        units in prop::collection::vec(
+            (any::<bool>(), prop::collection::vec((0usize..8, 0u8..5), 1..4)),
+            1..5,
+        ),
+        inserts in prop::collection::vec((any::<bool>(), 0usize..8, 0u8..5), 0..5),
+        retracts in prop::collection::vec((0usize..3, 0usize..8), 0..5),
+        picks in (0usize..4, 0usize..3),
+    ) {
+        let pool: Vec<Extent> = pool.iter().map(|&(s, len)| (s, s + len)).collect();
+        let at = |picks: &[(usize, u8)]| -> Vec<Extent> {
+            picks.iter().map(|&(p, t)| extent(&pool, p, t)).collect()
+        };
+        let (tokens, sections) = (at(&tokens), at(&sections));
+        let words = words.map(|w| at(&w));
+        let units: Vec<(&str, Vec<Extent>)> = (units.iter())
+            .map(|(as_w, regions)| (if *as_w { "w" } else { "unit" }, at(regions)))
+            .collect();
+        let attrs = StandoffConfig::default();
+        let mut layers = vec![
+            ("base", attribute_layer("doc", "sec", &sections, ((0, 0), 0)), attrs.clone()),
+            ("tokens", attribute_layer("tokens", "w", &tokens, ((0, 0), 0)), attrs.clone()),
+            ("units", units_layer(&units), StandoffConfig::element_repr()),
+        ];
+        if let Some(words) = &words {
+            let chain = (extent(&pool, chain.0, 0), chain.1);
+            layers.push(("words", attribute_layer("words", "word", words, chain), attrs));
+        }
+        let set = layer_set(&layers);
+
+        // Inserts go to the attribute layers; retracts name an existing
+        // annotation by one of its regions. Double retracts are refused
+        // at apply time — skipped.
+        let mut delta = DeltaSet::new();
+        for (k, &(into_words, p, t)) in inserts.iter().enumerate() {
+            let (layer, name) = match (&words, into_words) {
+                (Some(_), true) => ("words", "word"),
+                _ => ("tokens", "w"),
+            };
+            let (start, end) = extent(&pool, p, t);
+            let attrs = vec![("k".into(), k.to_string())];
+            let op = DeltaOp::Insert { layer: layer.into(), name: name.into(), start, end, attrs };
+            delta.apply(op, &set).unwrap();
+        }
+        for &(which, p) in &retracts {
+            let (layer, name, (start, end)) = match (which, &words) {
+                (0, Some(words)) => ("words", "word", words[p % words.len()]),
+                (1, _) => {
+                    let (name, regions) = &units[p % units.len()];
+                    ("units", *name, regions[0])
+                }
+                _ => ("tokens", "w", tokens[p % tokens.len()]),
+            };
+            let op = DeltaOp::Retract { layer: layer.into(), name: name.into(), start, end };
+            let _ = delta.apply(op, &set);
+        }
+
+        let mut contexts = vec![
+            format!("{}//unit", layer("units")),
+            format!("({}//w | {}//*)", layer("tokens"), layer("units")),
+            format!(r#"doc("{URI}")//sec"#),
+        ];
+        // Part of a layer, so the candidate sequence is a restriction
+        // within the layers it reaches, not just a choice of layers.
+        let mut candidates = format!("{}//w | {}//unit", layer("tokens"), layer("units"));
+        if words.is_some() {
+            contexts.push(format!("{}//word", layer("words")));
+            candidates.push_str(&format!(" | {}//word", layer("words")));
+        }
+        let context = &contexts[picks.0 % contexts.len()];
+        let name = ["w", "unit", "word"][picks.1];
+        check(&set, &delta, &join_queries(context, &[name, "*", "node()"], &format!("({candidates})")));
+    }
+}
+
+// ---- regression seeds: fixed inputs of the property above ----
+
+/// BLOB: "Alice met Bob in Paris yesterday" (coordinates are character
+/// offsets into an external text the layers never materialize).
+fn alice_corpus() -> LayerSet {
+    let attrs = StandoffConfig::default;
+    layer_set(&[
+        (
+            "base",
+            r#"<text lang="en">Alice met Bob in Paris yesterday</text>"#.into(),
+            attrs(),
+        ),
+        (
+            "tokens",
+            r#"<tokens><w word="Alice" start="0" end="4"/><w word="met" start="6" end="8"/>
+               <w word="Bob" start="10" end="12"/><w word="in" start="14" end="15"/>
+               <w word="Paris" start="17" end="21"/><w word="yesterday" start="23" end="31"/>
+               </tokens>"#
+                .into(),
+            attrs(),
+        ),
+        (
+            "entities",
+            r#"<entities><person id="alice" start="0" end="4"/>
+               <person id="bob" start="10" end="12"/><place id="paris" start="17" end="21"/>
+               </entities>"#
+                .into(),
+            attrs(),
+        ),
+        (
+            "syntax",
+            r#"<syntax><np start="0" end="4"/><vp start="6" end="12"/>
+               <pp start="14" end="21"/><s start="0" end="31"/></syntax>"#
+                .into(),
+            attrs(),
+        ),
+    ])
+}
+
+/// The hand-checked multi-layer answers: entities narrowed by tokens,
+/// wide and reject across layers, a wildcard step reaching every layer,
+/// the function form with cross-layer candidates, a reject whose
+/// context spans two layers (it complements the *union* of their
+/// selections), and a loop-lifted FLWOR — under every strategy, and
+/// through the differential property.
+#[test]
+fn seed_cross_layer_answers() {
+    let (entities, tokens, syntax) = (layer("entities"), layer("tokens"), layer("syntax"));
+    let cases: [(String, &[&str]); 7] = [
+        (
+            format!("{entities}//person/select-narrow::w/@word"),
+            &["Alice", "Bob"],
+        ),
+        (
+            format!("{syntax}//pp/select-wide::w/@word"),
+            &["in", "Paris"],
+        ),
+        (
+            format!(r#"{entities}//person[@id = "alice"]/reject-narrow::w/@word"#),
+            &["met", "Bob", "in", "Paris", "yesterday"],
+        ),
+        // np[0,4] itself, w "Alice" and person "alice".
+        (format!("count({syntax}//np/select-narrow::*)"), &["3"]),
+        (
+            format!("select-narrow({entities}//person, {tokens}//w)/@word"),
+            &["Alice", "Bob"],
+        ),
+        (
+            format!(r#"({entities}//person | {tokens}//w[@word = "met"])/reject-wide::w/@word"#),
+            &["in", "Paris", "yesterday"],
+        ),
+        // np:1 (Alice), vp:2 (met, Bob), pp:2 (in, Paris), s:6 (all).
+        (
+            format!("for $c in {syntax}//*[@start] return count($c/select-narrow::w)"),
+            &["1", "2", "2", "6"],
+        ),
+    ];
+    for strategy in StandoffStrategy::ALL {
+        let mut engine = engine(strategy);
+        engine.mount_store(alice_corpus()).unwrap();
+        for (query, expected) in &cases {
+            let result = engine.run(query).unwrap();
+            assert_eq!(&result.as_strings(), expected, "{strategy}: {query}");
+        }
+    }
+    let queries: Vec<String> = cases.into_iter().map(|(query, _)| query).collect();
+    check(&alice_corpus(), &DeltaSet::new(), &queries);
+}
+
+/// Identical extents in a layer and in its delta document: `w[5,9]`
+/// exists and is inserted again, so both context documents of the unit
+/// select `word[6,8]` and the two-region `unit` inside them — once
+/// each. (The cross-context `dedup` of the per-document join covered
+/// this; now the one kernel call's post-processing does.)
+#[test]
+fn seed_identical_extents_across_context_documents() {
+    let attrs = StandoffConfig::default;
+    let set = layer_set(&[
+        ("base", "<text/>".into(), attrs()),
+        (
+            "tokens",
+            attribute_layer("tokens", "w", &[(5, 9), (20, 21)], ((0, 0), 0)),
+            attrs(),
+        ),
+        (
+            "words",
+            attribute_layer("words", "word", &[(6, 8), (5, 9)], ((5, 9), 2)),
+            attrs(),
+        ),
+        (
+            "units",
+            units_layer(&[("unit", vec![(6, 6), (8, 8)])]),
+            StandoffConfig::element_repr(),
+        ),
+    ]);
+    let mut delta = DeltaSet::new();
+    let again = DeltaOp::Insert {
+        layer: "tokens".into(),
+        name: "w".into(),
+        start: 5,
+        end: 9,
+        attrs: vec![("k".into(), "0".into())],
+    };
+    delta.apply(again, &set).unwrap();
+    let context = format!("{}//w", layer("tokens"));
+    let mut overlay = engine(StandoffStrategy::LoopLiftedMergeJoin);
+    overlay.mount_overlay(set.clone(), &delta).unwrap();
+    for (test, count) in [("word", "4"), ("unit", "1")] {
+        let narrowed = format!("count({context}/select-narrow::{test})");
+        assert_eq!(overlay.run(&narrowed).unwrap().as_strings(), [count]);
+    }
+    let candidates = format!("({}//word | {}//unit)", layer("words"), layer("units"));
+    check(
+        &set,
+        &delta,
+        &join_queries(&context, &["word", "unit", "*"], &candidates),
+    );
+}
+
+/// A two-region area joined on a mounted layer set. Its regions are
+/// each contained in a *different* context annotation — `w[0,4]` of one
+/// layer, `word[10,14]` of another, both at the same pre rank — so
+/// `select-narrow` must not select it: no single annotation contains
+/// all of it (∀∃), and annotations of different layers stay distinct.
+#[test]
+fn seed_multi_region_area_across_context_layers() {
+    let attrs = StandoffConfig::default;
+    let set = layer_set(&[
+        ("base", "<text/>".into(), attrs()),
+        (
+            "tokens",
+            attribute_layer("tokens", "w", &[(0, 4)], ((0, 0), 0)),
+            attrs(),
+        ),
+        (
+            "words",
+            attribute_layer("words", "word", &[(10, 14)], ((0, 0), 0)),
+            attrs(),
+        ),
+        (
+            "units",
+            units_layer(&[("unit", vec![(0, 4), (10, 14)]), ("unit", vec![(1, 3)])]),
+            StandoffConfig::element_repr(),
+        ),
+    ]);
+    let context = format!("({}//w | {}//word)", layer("tokens"), layer("words"));
+    let mut mounted = engine(StandoffStrategy::LoopLiftedMergeJoin);
+    mounted.mount_store(set.clone()).unwrap();
+    let n = |axis: &str| format!("{context}/{axis}::unit/@n");
+    assert_eq!(
+        mounted.run(&n("select-narrow")).unwrap().as_strings(),
+        ["1"]
+    );
+    assert_eq!(
+        mounted.run(&n("select-wide")).unwrap().as_strings(),
+        ["0", "1"]
+    );
+    let candidates = format!("({}//*)", layer("units"));
+    check(
+        &set,
+        &DeltaSet::new(),
+        &join_queries(&context, &["unit", "node()"], &candidates),
+    );
+}

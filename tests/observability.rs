@@ -314,13 +314,14 @@ fn dense_kernel_counters_fire_and_mirror() {
 /// from the `stats` verb are all there.
 #[test]
 fn stats_dump_join_keys_are_exactly_the_declared_set() {
-    const JOIN_KEYS: [&str; 8] = [
+    const JOIN_KEYS: [&str; 9] = [
         "join.candidate_dense_blocks",
         "join.candidate_node_view",
         "join.candidate_repr_dense",
         "join.candidate_scans",
         "join.post_filters",
         "join.post_filters_elided",
+        "join.result_merges",
         "join.result_sorts",
         "join.result_sorts_elided",
     ];

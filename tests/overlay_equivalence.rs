@@ -141,11 +141,11 @@ fn layer_doc(root: &str, elem: &str, spans: &[(i64, i64)]) -> standoff::xml::Doc
 
 const URI: &str = "mem://prop";
 
-/// Tree navigation, attribute reads, and every join axis across the two
-/// annotation layers (context layer != target layer, so merge-on-read
-/// has to interleave base and delta regions of *both* sides).
+/// Tree navigation and attribute reads over the two annotation layers.
+/// (The join axes across layers, overlay against compacted, are
+/// generated by `tests/layer_differential.rs`.)
 fn cross_layer_queries() -> Vec<String> {
-    let mut q = vec![
+    vec![
         format!(r#"layer("{URI}", "tokens")//w"#),
         format!(r#"count(layer("{URI}", "entities")//person)"#),
         format!(r#"for $w in layer("{URI}", "tokens")//w return string($w/@start)"#),
@@ -165,21 +165,7 @@ fn cross_layer_queries() -> Vec<String> {
         // per parent over base children then pending inserts.
         format!(r#"string(layer("{URI}", "tokens")//w[last()]/@start)"#),
         format!(r#"layer("{URI}", "entities")//person[1]"#),
-    ];
-    for axis in [
-        "select-narrow",
-        "select-wide",
-        "reject-narrow",
-        "reject-wide",
-    ] {
-        q.push(format!(
-            r#"for $p in layer("{URI}", "entities")//person return $p/{axis}::w"#
-        ));
-        q.push(format!(
-            r#"count(layer("{URI}", "tokens")//w/{axis}::person)"#
-        ));
-    }
-    q
+    ]
 }
 
 proptest! {
