@@ -1,7 +1,8 @@
 //! StandOff MergeJoin microbenchmarks and ablations:
 //!
 //! * loop-lifted vs basic (per-iteration) invocation as the iteration
-//!   count grows — the mechanism behind the paper's Q2 blow-up;
+//!   count grows — the mechanism behind the paper's Q2 blow-up — through
+//!   the production entry point, so "basic" is the loop queries run;
 //! * the active-list context-skip optimization (Listing 1 lines 11–18)
 //!   on nested context workloads (`per_annotation = true` disables
 //!   cross-annotation skipping, isolating the optimization's value);
@@ -9,11 +10,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use standoff_core::join::merge::{
-    basic_select_narrow, ll_select_narrow, ll_select_narrow_heap, ll_select_wide,
-};
+use standoff_core::join::merge::{ll_select_narrow, ll_select_wide};
 use standoff_core::join::CtxEntry;
-use standoff_core::RegionEntry;
+use standoff_core::{
+    evaluate_standoff_join, Area, IterNode, JoinInput, RegionEntry, RegionIndex, StandoffAxis,
+    StandoffStrategy,
+};
 
 /// Deterministic synthetic workload: `n_ctx` context regions spread over
 /// `iters` iterations, nested in chains of depth ~4, over `n_cand`
@@ -54,14 +56,47 @@ fn mergejoin(c: &mut Criterion) {
     // Loop-lifted vs basic as iteration count grows (context and
     // candidate sizes fixed): basic re-scans candidates per iteration.
     let mut group = c.benchmark_group("ll_vs_basic");
+    let doc = standoff_xml::parse_document("<d/>").unwrap();
     for iters in [1u32, 16, 256, 1024] {
-        let (context, candidates) = workload(2048, iters, 8192);
-        group.bench_with_input(BenchmarkId::new("loop-lifted", iters), &iters, |b, _| {
-            b.iter(|| ll_select_narrow(&context, &candidates, false, None));
-        });
-        group.bench_with_input(BenchmarkId::new("basic", iters), &iters, |b, _| {
-            b.iter(|| basic_select_narrow(&context, &candidates, false, None));
-        });
+        // The same workload as one region index: context annotations are
+        // nodes 0..n, the candidate restriction is every node after them.
+        let (ctx_rows, cand_rows) = workload(2048, iters, 8192);
+        let n = ctx_rows.len() as u32;
+        let area = |start, end| Area::single(start, end).unwrap();
+        let mut areas: Vec<(u32, Area)> = ctx_rows
+            .iter()
+            .map(|c| (c.node, area(c.start, c.end)))
+            .collect();
+        areas.extend(cand_rows.iter().map(|e| (n + e.id, area(e.start, e.end))));
+        let index = RegionIndex::from_areas(&areas);
+        let mut context: Vec<IterNode> = ctx_rows
+            .iter()
+            .map(|c| IterNode {
+                iter: c.iter,
+                node: c.node,
+            })
+            .collect();
+        context.sort_unstable();
+        let candidates: Vec<u32> = (n..n + cand_rows.len() as u32).collect();
+        let iter_domain: Vec<u32> = (0..iters).collect();
+        let input = JoinInput {
+            doc: &doc,
+            index: (&index).into(),
+            ctx_index: None,
+            context: &context,
+            candidates: Some(&candidates),
+            iter_domain: &iter_domain,
+        };
+        for (label, strategy) in [
+            ("loop-lifted", StandoffStrategy::LoopLiftedMergeJoin),
+            ("basic", StandoffStrategy::BasicMergeJoin),
+        ] {
+            group.bench_with_input(BenchmarkId::new(label, iters), &iters, |b, _| {
+                b.iter(|| {
+                    evaluate_standoff_join(StandoffAxis::SelectNarrow, strategy, &input, None)
+                });
+            });
+        }
     }
     group.finish();
 
@@ -74,21 +109,6 @@ fn mergejoin(c: &mut Criterion) {
     group.bench_function("skip_disabled(per_annotation)", |b| {
         b.iter(|| ll_select_narrow(&context, &candidates, true, None));
     });
-    group.finish();
-
-    // §5 future work: heap-based vs sorted-list active items. The heap
-    // wins when the active list grows long (many simultaneously-open
-    // long regions); the list wins on shallow workloads.
-    let mut group = c.benchmark_group("active_list_heap_vs_list");
-    for (label, n_ctx) in [("shallow", 512usize), ("deep", 8192usize)] {
-        let (context, candidates) = workload(n_ctx, 4, 8192);
-        group.bench_function(BenchmarkId::new("sorted-list", label), |b| {
-            b.iter(|| ll_select_narrow(&context, &candidates, false, None));
-        });
-        group.bench_function(BenchmarkId::new("heap", label), |b| {
-            b.iter(|| ll_select_narrow_heap(&context, &candidates));
-        });
-    }
     group.finish();
 
     // Allocation discipline: many small joins back to back, fresh

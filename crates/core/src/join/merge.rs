@@ -12,8 +12,9 @@
 //! The *loop-lifted* variant (Listing 1) carries an `iter` column through
 //! the merge so that one scan evaluates the step for every iteration of a
 //! for-loop scope. The *basic* variant is the same merge run once per
-//! iteration — the paper's experiments show this re-scanning is what makes
-//! XMark Q2 blow up (Figure 6).
+//! iteration (the loop lives in `join::join_resolved`) — the paper's
+//! experiments show this re-scanning is what makes XMark Q2 blow up
+//! (Figure 6).
 //!
 //! ### Fidelity notes on Listing 1
 //!
@@ -502,151 +503,6 @@ pub(crate) fn ll_select_wide_into(
     }
 }
 
-/// Basic StandOff MergeJoin for `select-narrow` (§4.4): the same merge,
-/// invoked once per iteration — each call re-scans the candidate
-/// sequence, which is exactly the behaviour whose cost Figure 6 exposes
-/// on XMark Q2.
-pub fn basic_select_narrow(
-    context: &[CtxEntry],
-    candidates: &[RegionEntry],
-    per_annotation: bool,
-    trace: Option<&mut dyn TraceSink>,
-) -> Vec<Emission> {
-    match trace {
-        Some(t) => basic_select_narrow_impl(context, candidates, per_annotation, t),
-        None => basic_select_narrow_impl(context, candidates, per_annotation, NoTrace),
-    }
-}
-
-fn basic_select_narrow_impl<T: TraceSink>(
-    context: &[CtxEntry],
-    candidates: &[RegionEntry],
-    per_annotation: bool,
-    mut trace: T,
-) -> Vec<Emission> {
-    let mut scratch = MergeScratch::default();
-    let mut single: Vec<CtxEntry> = Vec::new();
-    let mut result = Vec::new();
-    for iter in distinct_iterations(context) {
-        // The basic algorithm has no iter column: gather this iteration's
-        // context (still start-sorted — the filter is stable), run the
-        // merge on the single sequence, then re-tag the emissions.
-        single.clear();
-        single.extend(
-            context
-                .iter()
-                .filter(|c| c.iter == iter)
-                .map(|c| CtxEntry { iter: 0, ..*c }),
-        );
-        let from = result.len();
-        ll_select_narrow_impl(
-            &single,
-            candidates,
-            per_annotation,
-            &mut trace,
-            &mut scratch,
-            &mut result,
-        );
-        for e in &mut result[from..] {
-            e.iter = iter;
-        }
-    }
-    result.sort_unstable();
-    result
-}
-
-/// Basic StandOff MergeJoin for `select-wide`.
-pub fn basic_select_wide(context: &[CtxEntry], candidates: &[RegionEntry]) -> Vec<Emission> {
-    let mut scratch = MergeScratch::default();
-    let mut single: Vec<CtxEntry> = Vec::new();
-    let mut result = Vec::new();
-    for iter in distinct_iterations(context) {
-        single.clear();
-        single.extend(
-            context
-                .iter()
-                .filter(|c| c.iter == iter)
-                .map(|c| CtxEntry { iter: 0, ..*c }),
-        );
-        let from = result.len();
-        ll_select_wide_into(&single, candidates, &mut scratch, &mut result);
-        for e in &mut result[from..] {
-            e.iter = iter;
-        }
-    }
-    result.sort_unstable();
-    result
-}
-
-/// The distinct iterations present in a context table, ascending. The
-/// basic strategy invokes the merge once per element — the "called for
-/// each iteration" pattern whose repeated index scans Figure 6 exposes.
-fn distinct_iterations(context: &[CtxEntry]) -> Vec<u32> {
-    let mut iters: Vec<u32> = context.iter().map(|c| c.iter).collect();
-    iters.sort_unstable();
-    iters.dedup();
-    iters
-}
-
-/// The paper's §5 future-work variant: "it could be beneficial to
-/// substitute the stack (from which we currently may delete elements in
-/// the middle – so it really is a list) by a heap, in data-distributions
-/// that cause it to grow long."
-///
-/// Active items live in a **min-heap keyed on `end`**: trimming dead
-/// items is `O(log n)` per removal and insertion is `O(log n)` (the
-/// sorted list pays `O(n)` per insert). The trade-offs: the emission scan
-/// loses its sorted-order early exit (it inspects every live item), and
-/// the covered-context skip is dropped (it needed ordered access), so
-/// duplicate emissions can occur — post-processing deduplicates them
-/// anyway. Results are identical to [`ll_select_narrow`] after
-/// finalization; `benches/mergejoin.rs` measures the crossover.
-pub fn ll_select_narrow_heap(context: &[CtxEntry], candidates: &[RegionEntry]) -> Vec<Emission> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    debug_assert!(context.windows(2).all(|w| w[0].start <= w[1].start));
-    debug_assert!(candidates.windows(2).all(|w| w[0].start <= w[1].start));
-    let mut result = Vec::new();
-    if context.is_empty() || candidates.is_empty() {
-        return result;
-    }
-
-    // Min-heap on end: Reverse<(end, iter, node)>.
-    let mut active: BinaryHeap<Reverse<(i64, u32, u32)>> = BinaryHeap::new();
-    let mut i = 0usize;
-
-    for (j, cand) in candidates.iter().enumerate() {
-        // Add every context item starting at or before this candidate.
-        while i < context.len() && context[i].start <= cand.start {
-            let c = &context[i];
-            active.push(Reverse((c.end, c.iter, c.node)));
-            i += 1;
-        }
-        // Trim items that died before this candidate starts (candidate
-        // starts are monotone, so they are dead for good).
-        while let Some(&Reverse((end, _, _))) = active.peek() {
-            if end < cand.start {
-                active.pop();
-            } else {
-                break;
-            }
-        }
-        // Emit all live items containing the candidate (start ≤
-        // cand.start holds by insertion order; end must reach cand.end).
-        for &Reverse((end, iter, node)) in active.iter() {
-            if end >= cand.end {
-                result.push(Emission {
-                    iter,
-                    ctx_node: node,
-                    cand_idx: j as u32,
-                });
-            }
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,76 +668,6 @@ mod tests {
         let context = ctx(&[(0, 40, 60)]);
         let candidates = cands(&[(0, 50), (0, 30)]);
         assert_eq!(wide_pairs(&context, &candidates), vec![(0, 1000)]);
-    }
-
-    #[test]
-    fn basic_equals_loop_lifted_on_multi_iter_input() {
-        let context = ctx(&[
-            (0, 0, 50),
-            (1, 10, 60),
-            (2, 5, 25),
-            (0, 40, 90),
-            (1, 70, 80),
-        ]);
-        let candidates = cands(&[(0, 10), (15, 20), (41, 49), (71, 79), (95, 99)]);
-        let mut a: Vec<(u32, u32)> = basic_select_narrow(&context, &candidates, false, None)
-            .into_iter()
-            .map(|e| (e.iter, candidates[e.cand_idx as usize].id))
-            .collect();
-        a.sort_unstable();
-        a.dedup();
-        assert_eq!(a, narrow_pairs(&context, &candidates));
-
-        let mut w: Vec<(u32, u32)> = basic_select_wide(&context, &candidates)
-            .into_iter()
-            .map(|e| (e.iter, candidates[e.cand_idx as usize].id))
-            .collect();
-        w.sort_unstable();
-        w.dedup();
-        assert_eq!(w, wide_pairs(&context, &candidates));
-    }
-
-    /// Canonical finalize for comparing emission sets across variants.
-    fn pairs(emissions: &[Emission], candidates: &[RegionEntry]) -> Vec<(u32, u32)> {
-        let mut p: Vec<(u32, u32)> = emissions
-            .iter()
-            .map(|e| (e.iter, candidates[e.cand_idx as usize].id))
-            .collect();
-        p.sort_unstable();
-        p.dedup();
-        p
-    }
-
-    #[test]
-    fn heap_variant_equals_list_variant() {
-        let context = ctx(&[
-            (0, 0, 100),
-            (1, 5, 80),
-            (0, 10, 20),
-            (2, 15, 90),
-            (1, 30, 40),
-            (0, 50, 120),
-        ]);
-        let candidates = cands(&[(0, 5), (12, 18), (35, 38), (60, 70), (85, 130), (200, 210)]);
-        assert_eq!(
-            pairs(
-                &ll_select_narrow(&context, &candidates, false, None),
-                &candidates
-            ),
-            pairs(&ll_select_narrow_heap(&context, &candidates), &candidates)
-        );
-    }
-
-    #[test]
-    fn heap_variant_empty_inputs() {
-        let context = ctx(&[(0, 0, 10)]);
-        let candidates = cands(&[(0, 5)]);
-        assert!(ll_select_narrow_heap(&[], &candidates).is_empty());
-        assert!(ll_select_narrow_heap(&context, &[]).is_empty());
-        assert_eq!(
-            pairs(&ll_select_narrow_heap(&context, &candidates), &candidates),
-            vec![(0, 1000)]
-        );
     }
 
     #[test]

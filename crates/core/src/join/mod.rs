@@ -162,26 +162,6 @@ impl StandoffStrategy {
             _ => return None,
         })
     }
-
-    /// Cost-based strategy choice from corpus index statistics — the
-    /// plan-time selection the query optimizer uses when no strategy is
-    /// forced.
-    ///
-    /// Rationale (paper Figure 6): the naive nested loops are never
-    /// asymptotically competitive, so auto-selection only chooses between
-    /// the merge joins. For tiny region tables the loop-lifted variant's
-    /// context-table set-up dominates the scan, so the per-iteration
-    /// basic merge join wins; everywhere else — including the unknown
-    /// case (`entries == 0`, nothing indexed yet) — the single-scan
-    /// loop-lifted join is the safe choice.
-    pub fn pick_for(stats: &crate::index::IndexStats) -> StandoffStrategy {
-        const TINY_INDEX_ENTRIES: u64 = 256;
-        if stats.entries > 0 && stats.entries <= TINY_INDEX_ENTRIES {
-            StandoffStrategy::BasicMergeJoin
-        } else {
-            StandoffStrategy::LoopLiftedMergeJoin
-        }
-    }
 }
 
 impl std::fmt::Display for StandoffStrategy {

@@ -8,9 +8,7 @@
 
 use proptest::prelude::*;
 
-use standoff_core::join::merge::{
-    basic_select_wide, ll_select_narrow, ll_select_narrow_heap, ll_select_wide,
-};
+use standoff_core::join::merge::ll_select_wide;
 use standoff_core::join::CtxEntry;
 use standoff_core::{
     evaluate_standoff_join, IterNode, JoinInput, RegionEntry, RegionIndex, StandoffAxis,
@@ -180,8 +178,8 @@ fn adversarial_annotations() -> impl Strategy<Value = Vec<GenAnnotation>> {
 /// The shape that made the old wide kernel quadratic: one early candidate
 /// spanning everything, then `n` flat contexts each overlapped by one flat
 /// candidate. Returns the deduplicated `(iter, candidate id)` pairs of
-/// both wide entry points; context `k` runs in iteration `k % iters`.
-fn wide_over_flat(n: u32, iters: u32) -> [Vec<(u32, u32)>; 2] {
+/// the wide kernel; context `k` runs in iteration `k % iters`.
+fn wide_over_flat(n: u32, iters: u32) -> Vec<(u32, u32)> {
     let context: Vec<CtxEntry> = (0..n)
         .map(|k| CtxEntry {
             iter: k % iters,
@@ -201,19 +199,13 @@ fn wide_over_flat(n: u32, iters: u32) -> [Vec<(u32, u32)>; 2] {
         end: 10 * k as i64 + 8,
         id: k + 1,
     }));
-    [
-        ll_select_wide(&context, &candidates),
-        basic_select_wide(&context, &candidates),
-    ]
-    .map(|emissions| {
-        let mut pairs: Vec<(u32, u32)> = emissions
-            .iter()
-            .map(|e| (e.iter, candidates[e.cand_idx as usize].id))
-            .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-    })
+    let mut pairs: Vec<(u32, u32)> = ll_select_wide(&context, &candidates)
+        .iter()
+        .map(|e| (e.iter, candidates[e.cand_idx as usize].id))
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
 }
 
 /// Exactly the expected pairs at both sizes; the large one is the
@@ -228,10 +220,9 @@ fn wide_candidate_over_flat_contexts_is_exact_and_linear() {
         let mut best = std::time::Duration::MAX;
         for _ in 0..3 {
             let started = std::time::Instant::now();
-            let [lifted, basic] = wide_over_flat(n, iters);
+            let lifted = wide_over_flat(n, iters);
             best = best.min(started.elapsed());
-            assert_eq!(lifted, expected, "loop-lifted, n={n} iters={iters}");
-            assert_eq!(basic, expected, "basic, n={n} iters={iters}");
+            assert_eq!(lifted, expected, "n={n} iters={iters}");
         }
         assert!(
             best < std::time::Duration::from_millis(250),
@@ -322,55 +313,6 @@ proptest! {
                 prop_assert_eq!(&union, &universe, "select ⊎ reject = candidates (iter {})", iter);
             }
         }
-    }
-
-    /// The §5 heap-based active list yields the same deduplicated
-    /// matches as the sorted-list implementation of Listing 1.
-    #[test]
-    fn heap_active_list_equals_sorted_list(
-        raw_ctx in prop::collection::vec((0u32..4, 0i64..200, 0i64..60), 0..40),
-        raw_cands in prop::collection::vec((0i64..220, 0i64..50), 0..40),
-    ) {
-        let mut context: Vec<CtxEntry> = raw_ctx
-            .iter()
-            .enumerate()
-            .map(|(k, &(iter, start, len))| CtxEntry {
-                iter,
-                node: k as u32,
-                start,
-                end: start + len,
-            })
-            .collect();
-        context.sort_by_key(|c| (c.start, c.end, c.iter, c.node));
-        let mut candidates: Vec<RegionEntry> = raw_cands
-            .iter()
-            .enumerate()
-            .map(|(k, &(start, len))| RegionEntry {
-                start,
-                end: start + len,
-                id: k as u32,
-            })
-            .collect();
-        candidates.sort_by_key(|e| (e.start, e.end, e.id));
-
-        let dedup = |mut v: Vec<(u32, u32)>| {
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let list = dedup(
-            ll_select_narrow(&context, &candidates, false, None)
-                .into_iter()
-                .map(|e| (e.iter, candidates[e.cand_idx as usize].id))
-                .collect(),
-        );
-        let heap = dedup(
-            ll_select_narrow_heap(&context, &candidates)
-                .into_iter()
-                .map(|e| (e.iter, candidates[e.cand_idx as usize].id))
-                .collect(),
-        );
-        prop_assert_eq!(list, heap);
     }
 
     /// Narrow results are always a subset of wide results (containment

@@ -26,9 +26,12 @@
 //!   rewrite goes through write-temp → fsync → rename → fsync(dir), and
 //!   delta batches are journaled to an append-only, per-record
 //!   checksummed `<sidecar>.wal` *before* they become visible, so a
-//!   committed batch survives SIGKILL and recovery replays exactly the
-//!   committed prefix (torn tails are truncated; damaged committed
-//!   records are categorized [`StoreError::Corrupt`]).
+//!   committed batch survives SIGKILL. The sidecar + journal protocol
+//!   lives in [`wal`] and nowhere else: readers call [`recover_delta`],
+//!   writers [`recover_delta_for_write`] and [`DeltaWal::checkpoint`];
+//!   recovery replays exactly the committed prefix (torn tails are
+//!   truncated; damaged committed records are categorized
+//!   [`StoreError::Corrupt`]).
 //!
 //! `standoff_xquery::Engine::mount_snapshot` / `mount_store` mounts the
 //! layers so that `doc("uri")`, `doc("uri#layer")` and
@@ -51,4 +54,7 @@ pub use mount::{write_snapshot, Snapshot, VerifyReport};
 pub use snapshot::{
     load_snapshot, read_snapshot, save_snapshot, LayerInfo, SectionInfo, SnapshotInfo,
 };
-pub use wal::{checkpoint_marker, checkpointed_seq, wal_path, DeltaWal, WalRecord, WalScan};
+pub use wal::{
+    audit_delta, recover_delta, recover_delta_for_write, wal_path, DeltaWal, Recovery,
+    RecoveryError, WalRecord, WalScan,
+};

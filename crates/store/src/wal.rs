@@ -1,11 +1,37 @@
-//! Delta write-ahead log.
+//! Delta write-ahead log, and the one place a pending delta is
+//! recovered, journaled and checkpointed.
 //!
 //! A sidecar (`corpus.delta`) is a *checkpoint*: the full overlay state
 //! as plain-text ops. The WAL (`corpus.delta.wal`) is an append-only
 //! journal of the batches applied *since* that checkpoint. A writer
 //! appends + fsyncs the batch before making it visible, so a batch
-//! whose append returned is durable across SIGKILL; readers replay
-//! checkpoint + journal to reconstruct the committed state.
+//! whose append returned is durable across SIGKILL.
+//!
+//! ## The protocol, and who runs it
+//!
+//! Callers never assemble the steps; they call one of three entry
+//! points and get a [`Recovery`] report back:
+//!
+//! * [`recover_delta`] — every reader: replay the checkpoint, then the
+//!   committed journal records *above the checkpoint's mark*, into a
+//!   [`DeltaSet`]. Read-only: a torn tail is reported and left alone.
+//!   ([`audit_delta`] is the same walk for `verify`: it hands every
+//!   damaged piece to the caller instead of stopping at the first.)
+//! * [`recover_delta_for_write`] — every writer: the same replay, but
+//!   the journal is opened for appending — a torn tail is truncated
+//!   away — and the [`DeltaWal`] it returns is already sequenced above
+//!   the mark, so a journal emptied by an earlier checkpoint can never
+//!   re-issue sequence numbers that readers would skip.
+//! * [`DeltaWal::checkpoint`] — fold: stamp the pending delta's ops
+//!   text with the last journaled `seq`, replace the sidecar atomically,
+//!   *then* truncate the journal.
+//!
+//! The mark exists because that fold has an unavoidable window: the
+//! sidecar rename can land while the truncation hasn't, and replaying
+//! already-folded batches is not idempotent (re-retracts error,
+//! re-inserts duplicate). The stamp is an ops-text comment
+//! (`# wal-checkpoint-seq N`, which `parse_ops` skips); recovery skips
+//! journal records with `seq <= N`.
 //!
 //! ## On-disk format
 //!
@@ -35,18 +61,6 @@
 //!   non-monotonic `seq`, is **corruption** — data that was once
 //!   committed is damaged — and surfaces as
 //!   [`StoreError::Corrupt`], never a silent truncation.
-//!
-//! ## Checkpoint high-water mark
-//!
-//! Folding the journal into a rewritten sidecar has an unavoidable
-//! window: the checkpoint rename can land while the journal truncation
-//! hasn't — and replaying already-folded batches is not idempotent
-//! (re-retracts error, re-inserts duplicate). Checkpoint writers
-//! therefore stamp the sidecar with [`checkpoint_marker`] (an ops-text
-//! comment recording the last folded `seq`), recovery skips journal
-//! records with `seq <=` [`checkpointed_seq`], and writers call
-//! [`DeltaWal::ensure_seq_above`] with that mark so post-checkpoint
-//! batches always sequence above it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -55,7 +69,10 @@ use std::path::{Path, PathBuf};
 use standoff_core::crc::crc32;
 use standoff_core::{fault, MetricsRegistry};
 
+use crate::atomic::atomic_write;
+use crate::delta::{ops_to_text, parse_ops, DeltaOp, DeltaSet};
 use crate::error::StoreError;
+use crate::layer::LayerSet;
 
 const WAL_MAGIC: &[u8; 4] = b"SOWL";
 const WAL_VERSION: u32 = 1;
@@ -88,7 +105,6 @@ pub struct WalScan {
 #[derive(Debug)]
 pub struct DeltaWal {
     file: File,
-    path: PathBuf,
     next_seq: u64,
     end: u64,
 }
@@ -100,17 +116,16 @@ pub fn wal_path(sidecar: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// The sidecar comment line a checkpoint writer prepends to record the
-/// last journal `seq` folded into the checkpoint (`parse_ops` skips
-/// `#` lines, so old readers are unaffected).
-pub fn checkpoint_marker(seq: u64) -> String {
+/// The sidecar comment line a checkpoint starts with: the last journal
+/// `seq` folded into it.
+fn checkpoint_marker(seq: u64) -> String {
     format!("# wal-checkpoint-seq {seq}\n")
 }
 
 /// The checkpoint high-water mark recorded in sidecar ops text, or 0
 /// if none: journal records with `seq` at or below it are already part
 /// of the checkpoint and must not replay again.
-pub fn checkpointed_seq(sidecar_text: &str) -> u64 {
+fn checkpointed_seq(sidecar_text: &str) -> u64 {
     sidecar_text
         .lines()
         .map(str::trim)
@@ -229,6 +244,12 @@ impl DeltaWal {
     /// (metric `store.wal.torn_tail`); complete-but-damaged records are
     /// [`StoreError::Corrupt`].
     pub fn open(path: &Path) -> Result<(DeltaWal, Vec<WalRecord>), StoreError> {
+        DeltaWal::open_scan(path).map(|(wal, scan)| (wal, scan.records))
+    }
+
+    /// [`DeltaWal::open`], keeping the scan: `torn_tail` says whether a
+    /// tail was truncated away.
+    fn open_scan(path: &Path) -> Result<(DeltaWal, WalScan), StoreError> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -263,11 +284,10 @@ impl DeltaWal {
         Ok((
             DeltaWal {
                 file,
-                path: path.to_path_buf(),
                 next_seq,
                 end,
             },
-            scan.records,
+            scan,
         ))
     }
 
@@ -280,26 +300,6 @@ impl DeltaWal {
             Err(e) => return Err(StoreError::Io(e)),
         };
         parse(&bytes, path)
-    }
-
-    /// Path this journal lives at.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The highest sequence number this handle has seen or will reuse
-    /// (0 on an empty journal): the value a checkpoint writer records
-    /// via [`checkpoint_marker`].
-    pub fn last_seq(&self) -> u64 {
-        self.next_seq - 1
-    }
-
-    /// Raise the next sequence number above `seq`. Checkpoint-aware
-    /// writers call this with [`checkpointed_seq`] after opening, so a
-    /// journal truncated by an earlier checkpoint never re-issues
-    /// sequence numbers the checkpoint already covers.
-    pub fn ensure_seq_above(&mut self, seq: u64) {
-        self.next_seq = self.next_seq.max(seq + 1);
     }
 
     /// Append one batch (as sidecar ops text) and fsync it. When this
@@ -327,10 +327,22 @@ impl DeltaWal {
         Ok(seq)
     }
 
-    /// Checkpoint: drop every journaled batch (the caller has folded
-    /// them into the sidecar or a fresh snapshot). Sequence numbers
-    /// keep climbing — a later batch must never reuse a `seq` a
-    /// checkpoint marker already covers.
+    /// Checkpoint the pending `delta` into `sidecar` and drop the
+    /// journal it subsumes: the ops text, stamped with the last `seq`
+    /// this handle issued, replaces the sidecar atomically, *then* the
+    /// journal is truncated. A crash between the two is safe — the
+    /// stamp tells recovery the surviving records are already folded in.
+    pub fn checkpoint(&mut self, sidecar: &Path, delta: &DeltaSet) -> Result<(), StoreError> {
+        let mut text = checkpoint_marker(self.next_seq - 1);
+        text.push_str(&ops_to_text(&delta.to_ops()));
+        atomic_write(sidecar, text.as_bytes())?;
+        self.truncate()
+    }
+
+    /// Drop every journaled batch (the caller has made them durable
+    /// elsewhere — [`DeltaWal::checkpoint`], or a compacted snapshot).
+    /// Sequence numbers keep climbing — a later batch must never reuse
+    /// a `seq` a checkpoint stamp already covers.
     pub fn truncate(&mut self) -> Result<(), StoreError> {
         fault::point("store.wal.truncate.start");
         self.file.set_len(HEADER_BYTES as u64)?;
@@ -339,6 +351,183 @@ impl DeltaWal {
         MetricsRegistry::global().add("store.wal.truncations", 1);
         Ok(())
     }
+}
+
+/// What recovering one sidecar + journal pair found.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Recovery {
+    /// Ops in the checkpoint text.
+    pub checkpoint_ops: usize,
+    /// The checkpoint's mark: the last journal `seq` folded into it
+    /// (0 without a stamp).
+    pub checkpoint_seq: u64,
+    /// Committed journal records above the mark, replayed on top of
+    /// the checkpoint.
+    pub replayed: usize,
+    /// Committed journal records at or below the mark, skipped: a
+    /// checkpoint landed but its truncation didn't.
+    pub skipped: usize,
+    /// The journal ends in a partial append (never committed). Left in
+    /// place by readers, truncated away by [`recover_delta_for_write`].
+    pub torn_tail: bool,
+    /// There is no checkpoint file (yet): the delta is its journal.
+    pub journal_only: bool,
+}
+
+/// A recovery failure and the file, or journal record, it was found in.
+#[derive(Debug)]
+pub struct RecoveryError {
+    /// `corpus.delta`, or `corpus.delta.wal record 3`.
+    pub at: String,
+    pub error: StoreError,
+}
+
+impl std::fmt::Display for RecoveryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.error {
+            StoreError::Io(e) => write!(f, "cannot read {}: {e}", self.at),
+            error => write!(f, "{}: {error}", self.at),
+        }
+    }
+}
+
+impl std::error::Error for RecoveryError {}
+
+fn located(at: impl ToString, error: StoreError) -> RecoveryError {
+    let at = at.to_string();
+    RecoveryError { at, error }
+}
+
+/// Where replayed batches go, and what happens to damage.
+type ApplySink<'a> = &'a mut dyn FnMut(Vec<DeltaOp>) -> Result<(), StoreError>;
+type DamageSink<'a> = &'a mut dyn FnMut(RecoveryError) -> Result<(), RecoveryError>;
+
+/// The read side of the protocol, written once: checkpoint first, then
+/// the journal records above its mark, every batch through `apply` in
+/// commit order. Damage (anything but an unreadable path) goes to
+/// `damage`, which stops the walk by returning the error or lets it go
+/// on by keeping it.
+struct Replay<'a> {
+    apply: ApplySink<'a>,
+    damage: DamageSink<'a>,
+    report: Recovery,
+}
+
+impl Replay<'_> {
+    /// Parse and apply one batch of ops text; returns the ops parsed.
+    fn batch(&mut self, at: impl ToString, text: &str) -> Result<usize, RecoveryError> {
+        let (parsed, outcome) = match parse_ops(text) {
+            Ok(ops) => (ops.len(), (self.apply)(ops)),
+            Err(e) => (0, Err(e)),
+        };
+        if let Err(error) = outcome {
+            (self.damage)(located(at, error))?;
+        }
+        Ok(parsed)
+    }
+
+    /// Replay the checkpoint. A missing file is a journal-only delta
+    /// when `may_be_missing`, an unreadable path otherwise.
+    fn checkpoint(&mut self, sidecar: &Path, may_be_missing: bool) -> Result<(), RecoveryError> {
+        let at = sidecar.display();
+        let bytes = match std::fs::read(sidecar) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound && may_be_missing => {
+                self.report.journal_only = true;
+                return Ok(());
+            }
+            Err(e) => return Err(located(at, StoreError::Io(e))),
+        };
+        match String::from_utf8(bytes) {
+            Ok(text) => {
+                self.report.checkpoint_seq = checkpointed_seq(&text);
+                self.report.checkpoint_ops = self.batch(at, &text)?;
+            }
+            Err(e) => {
+                let detail = format!("ops text is not UTF-8: {}", e.utf8_error());
+                (self.damage)(located(at, StoreError::corrupt("checkpoint", detail)))?
+            }
+        }
+        Ok(())
+    }
+
+    /// Replay the committed journal records above the checkpoint's mark.
+    fn journal(&mut self, wal_file: &Path, scan: &WalScan) -> Result<(), RecoveryError> {
+        self.report.torn_tail = scan.torn_tail;
+        for record in &scan.records {
+            if record.seq <= self.report.checkpoint_seq {
+                self.report.skipped += 1;
+                continue;
+            }
+            self.report.replayed += 1;
+            let at = format!("{} record {}", wal_file.display(), record.seq);
+            self.batch(at, &record.ops)?;
+        }
+        Ok(())
+    }
+}
+
+/// Recover the pending delta a sidecar names — checkpoint, then the
+/// committed journal records above its mark — into `delta`, validating
+/// every op against `set`. Read-only. The sidecar file may be missing
+/// as long as its journal exists (a delta not checkpointed yet).
+/// Several sidecars replay into one `delta` by calling this in order.
+pub fn recover_delta(
+    sidecar: &Path,
+    set: &LayerSet,
+    delta: &mut DeltaSet,
+) -> Result<Recovery, RecoveryError> {
+    audit_delta(
+        sidecar,
+        &mut |ops| delta.apply_all(ops, set).map(drop),
+        &mut Err,
+    )
+}
+
+/// [`recover_delta`] for an fsck: the same walk, but every batch goes
+/// to `apply` and every piece of damage to `damage`, which decides
+/// whether the walk goes on. Only an unreadable sidecar path is
+/// returned directly.
+pub fn audit_delta(
+    sidecar: &Path,
+    apply: ApplySink<'_>,
+    damage: DamageSink<'_>,
+) -> Result<Recovery, RecoveryError> {
+    let wal_file = wal_path(sidecar);
+    let mut replay = Replay {
+        apply,
+        damage,
+        report: Recovery::default(),
+    };
+    replay.checkpoint(sidecar, wal_file.exists())?;
+    match DeltaWal::scan(&wal_file) {
+        Ok(scan) => replay.journal(&wal_file, &scan)?,
+        Err(error) => (replay.damage)(located(wal_file.display(), error))?,
+    }
+    Ok(replay.report)
+}
+
+/// [`recover_delta`] for a writer: the journal is opened (created if
+/// absent) for appending, a torn tail is truncated away, and the handle
+/// returned issues sequence numbers above both the journal's last
+/// record and the checkpoint's mark. A missing sidecar is a new delta.
+pub fn recover_delta_for_write(
+    sidecar: &Path,
+    set: &LayerSet,
+    delta: &mut DeltaSet,
+) -> Result<(DeltaWal, Recovery), RecoveryError> {
+    let wal_file = wal_path(sidecar);
+    let mut replay = Replay {
+        apply: &mut |ops| delta.apply_all(ops, set).map(drop),
+        damage: &mut Err,
+        report: Recovery::default(),
+    };
+    replay.checkpoint(sidecar, true)?;
+    let (mut wal, scan) =
+        DeltaWal::open_scan(&wal_file).map_err(|e| located(wal_file.display(), e))?;
+    replay.journal(&wal_file, &scan)?;
+    wal.next_seq = wal.next_seq.max(replay.report.checkpoint_seq + 1);
+    Ok((wal, replay.report))
 }
 
 #[cfg(test)]
@@ -479,25 +668,6 @@ mod tests {
             checkpointed_seq("insert tokens w 0 5\n# wal-checkpoint-seq 9\n"),
             0
         );
-    }
-
-    #[test]
-    fn ensure_seq_above_prevents_reuse_after_external_checkpoint() {
-        let path = temp_wal("hwm");
-        let (mut wal, _) = DeltaWal::open(&path).unwrap();
-        wal.append("insert tokens w 0 5\n").unwrap();
-        wal.append("insert tokens w 6 9\n").unwrap();
-        drop(wal);
-        // A checkpoint folded seqs 1..=2 and truncated; a *new process*
-        // reopens the empty journal and must sequence above the mark.
-        let (mut wal, recovered) = DeltaWal::open(&path).unwrap();
-        wal.truncate().unwrap();
-        drop((wal, recovered));
-        let (mut wal, recovered) = DeltaWal::open(&path).unwrap();
-        assert!(recovered.is_empty());
-        wal.ensure_seq_above(2);
-        assert_eq!(wal.append("insert tokens w 10 12\n").unwrap(), 3);
-        cleanup(&path);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use standoff_core::{IndexStats, StandoffAxis, StandoffConfig};
+use standoff_core::{StandoffAxis, StandoffConfig};
 
 use crate::ast::*;
 use crate::engine::{EngineOptions, EngineState};
@@ -49,9 +49,6 @@ pub struct PlanContext<'a> {
     /// tables (candidate counts), mounted layer groups (which layers a
     /// join can reach), overlay retractions and delta documents.
     pub corpus: Option<&'a EngineState>,
-    /// Aggregated statistics of every region index available at compile
-    /// time (mounted snapshot indexes and lazily built ones alike).
-    pub index_stats: IndexStats,
     /// Run the `estimate` pass (explain-grade cardinality annotations).
     /// Off on execution paths — estimates are only ever read by
     /// explain, and computing them scans the corpus per operator.
@@ -60,12 +57,11 @@ pub struct PlanContext<'a> {
 
 impl<'a> PlanContext<'a> {
     /// A context with options only — no corpus statistics, no
-    /// estimates; auto strategy selection falls back to its default.
+    /// estimates.
     pub fn bare(options: &'a EngineOptions) -> PlanContext<'a> {
         PlanContext {
             options,
             corpus: None,
-            index_stats: IndexStats::default(),
             estimates: false,
         }
     }

@@ -46,19 +46,13 @@ use crate::result::QueryResult;
 /// the cache-key component that enforces the latter.
 #[derive(Clone, Debug)]
 pub struct EngineOptions {
-    /// How StandOff axis steps and built-ins are evaluated (ignored per
-    /// operator when `auto_strategy` is set).
+    /// How StandOff axis steps and built-ins are evaluated.
     pub strategy: StandoffStrategy,
     /// Push element-name tests down into the region index as candidate
     /// sequences (§4.3). Disabling this is the ablation of §3.3(iii).
     pub candidate_pushdown: bool,
     /// Maximum user-defined function call depth.
     pub recursion_limit: usize,
-    /// Let the optimizer choose each StandOff operator's strategy from
-    /// region-index statistics ([`StandoffStrategy::pick_for`]) instead
-    /// of applying `strategy` globally. Off by default so explicit
-    /// strategy sweeps (the Figure 6 experiment) keep forcing.
-    pub auto_strategy: bool,
     /// Record a per-operator execution profile (wall time, cardinality,
     /// join mechanism decisions — see [`crate::profile`]) for every
     /// query. Off by default; when off the evaluator pays a single
@@ -76,7 +70,6 @@ impl Default for EngineOptions {
             strategy: StandoffStrategy::LoopLiftedMergeJoin,
             candidate_pushdown: true,
             recursion_limit: 64,
-            auto_strategy: false,
             profile: false,
         }
     }
@@ -100,7 +93,6 @@ impl EngineOptions {
         };
         eat(self.strategy as u8);
         eat(self.candidate_pushdown as u8);
-        eat(self.auto_strategy as u8);
         for b in (self.recursion_limit as u64).to_le_bytes() {
             eat(b);
         }
@@ -429,16 +421,13 @@ impl EngineState {
     }
 
     /// The compilation context this state offers the query compiler:
-    /// current options, the corpus itself, and the statistics of every
-    /// region index available right now (mounted snapshot indexes and
-    /// lazily built ones). Estimates are off — execution paths don't
+    /// current options and the corpus itself. Estimates are off — execution paths don't
     /// pay for explain-only annotations; inspection entry points flip
     /// [`PlanContext::estimates`] on.
     pub fn plan_context(&self) -> PlanContext<'_> {
         PlanContext {
             options: &self.options,
             corpus: Some(self),
-            index_stats: self.index_stats(|_| true),
             estimates: false,
         }
     }
@@ -598,54 +587,7 @@ impl Engine {
     ///   steps and the `select-narrow(..)` builtin family join across the
     ///   whole group, so `entities` can be narrowed by `tokens`.
     pub fn mount_store(&mut self, set: standoff_store::LayerSet) -> Result<DocId, QueryError> {
-        let started = Instant::now();
-        let (uri, layers) = set.into_layers();
-        // Check every URI the mount will claim — the bare store URI and
-        // each derived `uri#layer` — before touching any state, so a
-        // mount never silently rebinds an existing registration.
-        let doc_uris: Vec<String> = layers
-            .iter()
-            .enumerate()
-            .map(|(k, layer)| {
-                if k == 0 {
-                    uri.clone()
-                } else {
-                    format!("{uri}#{}", layer.name())
-                }
-            })
-            .collect();
-        for doc_uri in &doc_uris {
-            if self.state.store.by_uri(doc_uri).is_some() {
-                return Err(QueryError::stat(format!(
-                    "cannot mount store: a document is already registered at '{doc_uri}'"
-                )));
-            }
-        }
-        let group_id = self.state.layer_groups.len() as u32;
-        let mut members = Vec::with_capacity(layers.len());
-        for (layer, doc_uri) in layers.into_iter().zip(doc_uris) {
-            let (name, config, doc, index) = layer.into_parts();
-            // The document and index stay shared with the layer set (and,
-            // for mounted snapshots, with the snapshot's layer cache):
-            // mounting is pointer plumbing, not a copy of column data.
-            let id = self.state.store.add_shared(doc, Some(&doc_uri));
-            self.state
-                .region_cache
-                .insert((id.0, config.clone()), index);
-            self.state.layer_configs.insert(id.0, config);
-            self.state.layer_lookup.insert((uri.clone(), name), id);
-            self.state.doc_group.insert(id.0, group_id);
-            members.push(id);
-        }
-        let base = members[0];
-        self.state.layer_groups.push(members);
-        self.generation = fresh_generation();
-        self.state.handles.mounts.inc();
-        self.state
-            .handles
-            .mount_ns
-            .record_duration(started.elapsed());
-        Ok(base)
+        self.mount_overlay(set, &standoff_store::DeltaSet::new())
     }
 
     /// Mount every layer of a [`standoff_store::Snapshot`] — the
@@ -684,16 +626,17 @@ impl Engine {
     ///   joins, tree steps and the optimizer's statistics subtract via
     ///   [`standoff_core::RegionSource`].
     ///
-    /// With an empty delta this *is* `mount_store` — same registrations,
-    /// same zero-copy index sharing, no overlay bookkeeping at all.
+    /// With an empty delta this *is* `mount_store`: a layer without
+    /// pending mutations registers nothing but itself — same
+    /// registrations, same zero-copy index sharing (the document and
+    /// index stay shared with the layer set and, for mounted snapshots,
+    /// with the snapshot's layer cache: mounting is pointer plumbing,
+    /// not a copy of column data).
     pub fn mount_overlay(
         &mut self,
         set: standoff_store::LayerSet,
         delta: &standoff_store::DeltaSet,
     ) -> Result<DocId, QueryError> {
-        if delta.is_empty() {
-            return self.mount_store(set);
-        }
         let started = Instant::now();
         let (uri, layers) = set.into_layers();
         let overlay_err =
@@ -856,12 +799,6 @@ impl Engine {
     /// Enable/disable candidate-sequence pushdown (§4.3 ablation).
     pub fn set_candidate_pushdown(&mut self, enabled: bool) {
         self.state.options.candidate_pushdown = enabled;
-    }
-
-    /// Enable/disable per-operator strategy selection from index
-    /// statistics (see [`EngineOptions::auto_strategy`]).
-    pub fn set_auto_strategy(&mut self, enabled: bool) {
-        self.state.options.auto_strategy = enabled;
     }
 
     /// Install (or clear, with `None`) the governance budget for

@@ -405,20 +405,7 @@ impl Executor {
         &self,
         queries: &[S],
     ) -> Vec<Result<QueryResult, QueryError>> {
-        match guard_panic(
-            || {
-                self.run_batch_impl(queries, false, |exec, session, text| {
-                    exec.run_one(session, text)
-                })
-            },
-            "batch worker pool",
-        ) {
-            Ok(results) => results,
-            // Pool machinery died (per-query panics are already caught
-            // inside run_one): fail the whole batch explicitly rather
-            // than return anything incomplete.
-            Err(e) => queries.iter().map(|_| Err(e.clone())).collect(),
-        }
+        self.run_batch_impl(queries, false, |_, result, _| result)
     }
 
     /// [`Executor::run_batch`] with per-operator profiling: every
@@ -429,32 +416,33 @@ impl Executor {
         &self,
         queries: &[S],
     ) -> Vec<Result<(QueryResult, QueryProfile), QueryError>> {
-        match guard_panic(
-            || {
-                self.run_batch_impl(queries, true, |exec, session, text| {
-                    exec.run_one_profiled(session, text)
-                })
-            },
-            "batch worker pool",
-        ) {
-            Ok(results) => results,
-            Err(e) => queries.iter().map(|_| Err(e.clone())).collect(),
-        }
+        self.run_batch_impl(queries, true, |session, result, plan| {
+            let ops = session.take_last_profile().unwrap_or_default();
+            (result, QueryProfile { plan, ops })
+        })
     }
 
     /// The shared batch driver: fan `queries` out over the workers via
     /// [`standoff_core::par::scatter`] — a pull-based,
     /// order-preserving pool — recording
-    /// queue metrics (`executor.*`) into the engine registry per pick.
-    /// Returns one result per query in submission order: a panicked
-    /// pool worker re-raises on this thread (the callers above convert
-    /// it), so an incomplete result vector can never be observed. Under
-    /// a governing policy every query runs with its own fresh budget.
-    fn run_batch_impl<S, T, F>(&self, queries: &[S], profile: bool, run_fn: F) -> Vec<T>
+    /// queue metrics (`executor.*`) into the engine registry per pick,
+    /// and hand each query that succeeded, with its plan and the session
+    /// it ran in, to `finish`. Returns one result per query in
+    /// submission order: a panicked pool worker re-raises on this
+    /// thread and fails the whole batch explicitly (per-query panics
+    /// are already caught inside `run_one`), so an incomplete result
+    /// vector can never be observed. Under a governing policy every
+    /// query runs with its own fresh budget.
+    fn run_batch_impl<S, T, F>(
+        &self,
+        queries: &[S],
+        profile: bool,
+        finish: F,
+    ) -> Vec<Result<T, QueryError>>
     where
         S: AsRef<str> + Sync,
         T: Send,
-        F: Fn(&Executor, &mut Session, &str) -> T + Sync,
+        F: Fn(&mut Session, QueryResult, Arc<Plan>) -> T + Sync,
     {
         if queries.is_empty() {
             return Vec::new();
@@ -473,23 +461,25 @@ impl Executor {
             queue_wait.record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             queue_depth.record((queries.len() - k - 1) as u64);
         };
-        standoff_core::par::scatter(
-            queries.len(),
-            self.threads,
-            || {
-                let mut session = self.engine.session();
-                session.set_profile(profile);
-                session
-            },
-            |session, k| {
-                picked(k);
-                // Per-query budget under governance: the deadline clock
-                // starts when a worker picks the query up, mirroring the
-                // admission-anchored clock of the serve path.
-                session.set_budget(self.governance.fresh_budget());
-                run_fn(self, session, queries[k].as_ref())
-            },
-        )
+        let run = |session: &mut Session, k: usize| {
+            picked(k);
+            // Per query, because a query that panicked leaves a rebuilt
+            // session behind. The deadline clock starts when a worker
+            // picks the query up, mirroring the admission-anchored
+            // clock of the serve path.
+            session.set_profile(profile);
+            session.set_budget(self.governance.fresh_budget());
+            let (result, plan) = self.run_one(session, queries[k].as_ref())?;
+            Ok(finish(session, result, plan))
+        };
+        let pool = || {
+            let session = || self.engine.session();
+            standoff_core::par::scatter(queries.len(), self.threads, session, run)
+        };
+        match guard_panic(pool, "batch worker pool") {
+            Ok(results) => results,
+            Err(e) => queries.iter().map(|_| Err(e.clone())).collect(),
+        }
     }
 
     /// Evaluate one request under this executor's [`Governance`]: admit
@@ -512,7 +502,7 @@ impl Executor {
         let _permit = self.admit()?;
         let mut session = self.engine.session();
         session.set_budget(budget);
-        self.run_one(&mut session, text)
+        self.run_one(&mut session, text).map(|(result, _)| result)
     }
 
     /// Reserve an admission slot, shedding on a full queue. The permit
@@ -552,7 +542,13 @@ impl Executor {
 
     /// Evaluate one query in an existing session, converting any panic
     /// into [`QueryError::Internal`] and leaving the session clean.
-    fn run_one(&self, session: &mut Session, text: &str) -> Result<QueryResult, QueryError> {
+    /// Returns the executed plan beside the result; a profiling
+    /// session's [`Session::take_last_profile`] belongs to it.
+    fn run_one(
+        &self,
+        session: &mut Session,
+        text: &str,
+    ) -> Result<(QueryResult, Arc<Plan>), QueryError> {
         // Chaos hook, post-admission: a Delay here holds the request's
         // queue slot open so tests can race sheds, unmounts and drains
         // into the window deterministically.
@@ -574,36 +570,7 @@ impl Executor {
         if matches!(result, Err(QueryError::Timeout)) {
             self.gov.timeouts.inc();
         }
-        result
-    }
-
-    /// [`Executor::run_one`] with the session's recorded profile
-    /// attached to the result. The session is assumed to have profiling
-    /// enabled (the batch driver did it); a rebuilt-after-panic session
-    /// re-enables it.
-    fn run_one_profiled(
-        &self,
-        session: &mut Session,
-        text: &str,
-    ) -> Result<(QueryResult, QueryProfile), QueryError> {
-        let plan = self.cache.get_or_compile(text, &self.engine)?;
-        let outcome = guard_panic(|| session.execute_plan(&plan), "query evaluation");
-        let result = match outcome {
-            Ok(result) => {
-                let ops = session.take_last_profile().unwrap_or_default();
-                session.reset();
-                result.map(|r| (r, QueryProfile { plan, ops }))
-            }
-            Err(e) => {
-                *session = self.engine.session();
-                session.set_profile(true);
-                Err(e)
-            }
-        };
-        if matches!(result, Err(QueryError::Timeout)) {
-            self.gov.timeouts.inc();
-        }
-        result
+        result.map(|r| (r, plan))
     }
 }
 

@@ -29,12 +29,8 @@
 //!    once per surviving host iteration instead of once per inner
 //!    iteration. Runs before the annotation passes so the StandOff
 //!    operators it moves are annotated in their final position.
-//! 5. **strategy-select** — chooses each StandOff operator's join
-//!    strategy. With a fixed engine strategy this confirms the lowering
-//!    annotation; with `auto_strategy` it consults the corpus
-//!    [`IndexStats`] ([`StandoffStrategy::pick_for`]) — per-operator
-//!    strategy from region-count statistics instead of one global
-//!    switch.
+//! 5. **strategy-select** — stamps the engine's configured join
+//!    strategy on each StandOff operator.
 //! 6. **pushdown** — decides element-name candidate pushdown (§4.3) per
 //!    operator: enabled when the engine allows it, the chosen strategy
 //!    consumes candidates, and the step's node test names an element.
@@ -924,31 +920,8 @@ fn delta_name_count(ctx: &PlanContext<'_>, name: &str) -> Option<u64> {
 }
 
 fn strategy_select(plan: &mut Plan, ctx: &PlanContext<'_>) {
-    if !ctx.options.auto_strategy {
-        let forced = ctx.options.strategy;
-        for_each_standoff_op(plan, |op, _, _| op.strategy = forced);
-        return;
-    }
-    // Per-operator selection: the scan an operator pays is bounded by
-    // its candidate sequence when a name test will be pushed down
-    // (candidate count × worst-case regions per annotation), and by the
-    // full region table otherwise — so two steps in one query can get
-    // different join algorithms (a rare element name joins per
-    // iteration, a corpus-wide one in a single loop-lifted scan).
-    for_each_standoff_op(plan, |op, test, _| {
-        let mut stats = ctx.index_stats;
-        if ctx.options.candidate_pushdown {
-            if let Some(count) = test
-                .filter(|t| t.kind == standoff_algebra::KindTest::Element)
-                .and_then(|t| t.name.as_deref())
-                .and_then(|name| corpus_name_count(ctx, name))
-            {
-                let scan_bound = count.saturating_mul(stats.max_regions.max(1) as u64);
-                stats.entries = stats.entries.min(scan_bound);
-            }
-        }
-        op.strategy = StandoffStrategy::pick_for(&stats);
-    });
+    let forced = ctx.options.strategy;
+    for_each_standoff_op(plan, |op, _, _| op.strategy = forced);
 }
 
 fn pushdown(plan: &mut Plan, ctx: &PlanContext<'_>) {
@@ -1128,48 +1101,6 @@ mod tests {
             panic!("expected standoff step");
         };
         assert_eq!(op.pushdown, None);
-    }
-
-    /// Auto mode must choose per operator, not per query: in one plan,
-    /// a join against a rare element name (tiny candidate-bounded scan)
-    /// gets the per-iteration basic merge join while a join against a
-    /// corpus-wide name gets the single-scan loop-lifted join.
-    #[test]
-    fn auto_strategy_selects_per_operator() {
-        use crate::engine::Engine;
-        let mut xml = String::from("<d>");
-        for k in 0..300 {
-            xml.push_str(&format!(r#"<w start="{}" end="{}"/>"#, k * 10, k * 10 + 5));
-        }
-        xml.push_str(r#"<place start="0" end="9"/><place start="20" end="29"/></d>"#);
-        let mut engine = Engine::new();
-        let doc = engine.load_document("d.xml", &xml).unwrap();
-        engine
-            .prebuild_region_index(doc, &standoff_core::StandoffConfig::default())
-            .unwrap();
-        engine.set_auto_strategy(true);
-        let plan = engine
-            .compile(
-                r#"(doc("d.xml")//place/select-narrow::w,
-                    doc("d.xml")//w/select-narrow::place)"#,
-            )
-            .unwrap();
-        let mut by_name = std::collections::HashMap::new();
-        plan.visit_exprs(&mut |e| {
-            if let PlanExpr::StandoffStep { op, test, .. } = e {
-                by_name.insert(test.name.clone().unwrap(), op.strategy);
-            }
-        });
-        assert_eq!(
-            by_name["w"],
-            standoff_core::StandoffStrategy::LoopLiftedMergeJoin,
-            "302-entry index, 300 candidates: loop-lifted"
-        );
-        assert_eq!(
-            by_name["place"],
-            standoff_core::StandoffStrategy::BasicMergeJoin,
-            "2-candidate scan bound: per-iteration basic join"
-        );
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! Mutation is copy-on-write at corpus granularity:
 //!
 //! * [`WritableEngine::apply`] validates a whole op batch against the
-//!   mounted set, then remounts base + delta behind a **fresh store
-//!   generation** and swaps the shared handle — either every op of the
-//!   batch lands or none does;
+//!   mounted set, builds the next view (base + delta remounted behind a
+//!   **fresh store generation**), journals the batch if a WAL is
+//!   attached, and only then swaps the shared handle — either every op
+//!   of the batch lands or none does, and nothing is persisted that
+//!   does not mount;
 //! * readers never block and never see a half-applied batch: a
 //!   [`Session`] stamped out before the swap keeps its `Arc`'d corpus
 //!   alive and consistent until dropped, while new sessions (and plan
@@ -42,10 +44,11 @@
 //! With a [`DeltaWal`] attached ([`WritableEngine::set_wal`]), `apply`
 //! journals the validated batch to the write-ahead log — fsync'd —
 //! *before* the swap makes it visible, so a batch that `apply` reported
-//! as committed survives SIGKILL: mount-time recovery replays the WAL
-//! on top of the sidecar checkpoint. [`WritableEngine::truncate_wal`]
-//! resets the journal once the pending delta has been checkpointed
-//! durably elsewhere (sidecar rewrite or compacted snapshot).
+//! as committed survives SIGKILL: recovery
+//! (`standoff_store::recover_delta`) replays the WAL on top of the
+//! sidecar checkpoint. [`WritableEngine::truncate_wal`] resets the
+//! journal once the pending delta has been made durable elsewhere (a
+//! compacted snapshot; a sidecar checkpoint truncates by itself).
 
 use standoff_core::fault;
 use standoff_store::{ops_to_text, DeltaOp, DeltaSet, DeltaWal, LayerSet};
@@ -87,14 +90,10 @@ impl WritableEngine {
     /// the previously attached handle. Once attached, every successful
     /// [`WritableEngine::apply`] journals its batch durably before the
     /// swap; the caller is responsible for having replayed the WAL into
-    /// the mounted delta first (see `DeltaWal::open`).
+    /// the mounted delta first (`standoff_store::recover_delta_for_write`
+    /// does both).
     pub fn set_wal(&mut self, wal: Option<DeltaWal>) -> Option<DeltaWal> {
         std::mem::replace(&mut self.wal, wal)
-    }
-
-    /// The attached write-ahead log, if any.
-    pub fn wal(&self) -> Option<&DeltaWal> {
-        self.wal.as_ref()
     }
 
     /// Reset the attached WAL to its empty (header-only) state. Call
@@ -146,10 +145,13 @@ impl WritableEngine {
     /// remounts under a fresh generation and `apply` returns the number
     /// of ops recorded.
     ///
-    /// With a WAL attached, the validated batch is appended and fsync'd
-    /// *before* the swap: if `apply` returns `Ok`, the batch survives a
-    /// crash; if the process dies between journal and swap, recovery
-    /// replays the batch and converges on the same state.
+    /// The order is validate → build the next view → journal → swap.
+    /// The view every later reader will mount is built *before* the
+    /// batch is persisted, so a batch that cannot mount is never
+    /// journaled. With a WAL attached, the batch is appended and
+    /// fsync'd *before* the swap: if `apply` returns `Ok`, the batch
+    /// survives a crash; if the process dies between journal and swap,
+    /// recovery replays the batch and converges on the same state.
     pub fn apply(&mut self, ops: impl IntoIterator<Item = DeltaOp>) -> Result<usize, QueryError> {
         let batch: Vec<DeltaOp> = ops.into_iter().collect();
         let mut next = self.delta.clone();
@@ -159,12 +161,14 @@ impl WritableEngine {
         if n == 0 {
             return Ok(0);
         }
+        fault::point("engine.apply.build_view");
+        let view = remount(self.shared.successor(), &self.set, &next)?;
         if let Some(wal) = self.wal.as_mut() {
             wal.append(&ops_to_text(&batch))
                 .map_err(|e| QueryError::stat(e.to_string()))?;
         }
         fault::point("engine.apply.before_swap");
-        self.shared = remount(self.shared.successor(), &self.set, &next)?;
+        self.shared = view;
         self.delta = next;
         Ok(n)
     }
@@ -408,7 +412,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("standoff-overlay-wal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let wal_file = dir.join("delta.ops.wal");
+        let sidecar = dir.join("delta.ops");
+        let wal_file = standoff_store::wal_path(&sidecar);
 
         let mut w = writable();
         let (wal, replayed) = DeltaWal::open(&wal_file).unwrap();
@@ -423,17 +428,16 @@ mod tests {
         }])
         .unwrap();
         assert_eq!(w.session().run(ALL_W).unwrap().as_xml(), "4");
-        drop(w);
 
-        // A fresh process (simulated: fresh mount) replays the journal
+        // A fresh process (simulated: fresh mount) recovers the journal
         // and converges on the committed state.
-        let (wal, replayed) = DeltaWal::open(&wal_file).unwrap();
-        assert_eq!(replayed.len(), 1);
-        let mut w2 = writable();
-        for record in &replayed {
-            let ops = standoff_store::parse_ops(&record.ops).unwrap();
-            w2.apply(ops).unwrap();
-        }
+        let (set, mut delta) = (w.layer_set().clone(), DeltaSet::new());
+        drop(w);
+        let (wal, report) =
+            standoff_store::recover_delta_for_write(&sidecar, &set, &mut delta).unwrap();
+        assert_eq!(report.replayed, 1);
+        let mut w2 =
+            WritableEngine::mount_with_delta(set, delta, EngineOptions::default()).unwrap();
         w2.set_wal(Some(wal));
         assert_eq!(w2.session().run(ALL_W).unwrap().as_xml(), "4");
 

@@ -117,6 +117,50 @@ fn snapshot_round_trip_preserves_query_results() {
     }
 }
 
+/// `mount_store` is `mount_overlay` with nothing pending: the same
+/// documents under the same URIs and ids, the same `layer()` lookups,
+/// one layer group (a cross-layer step is planned over the same layers
+/// and answers the same), and no delta documents.
+#[test]
+fn mount_store_is_mount_overlay_with_an_empty_delta() {
+    let mut store = mounted_engine();
+    let mut overlay = Engine::new();
+    overlay
+        .mount_overlay(corpus(), &standoff_store::DeltaSet::new())
+        .unwrap();
+    assert_eq!(store.store().len(), 4);
+    assert_eq!(overlay.store().len(), 4, "no delta documents");
+    for layer in ["base", "tokens", "entities", "syntax"] {
+        let uri = match layer {
+            "base" => "corpus".to_string(),
+            name => format!("corpus#{name}"),
+        };
+        let id = store.store().by_uri(&uri);
+        assert!(id.is_some(), "{uri}");
+        assert_eq!(overlay.store().by_uri(&uri), id, "{uri}");
+        // `layer()` and `doc()` name one node: the union has one member.
+        let same = format!(r#"count(layer("corpus", "{layer}") | doc("{uri}"))"#);
+        for engine in [&mut store, &mut overlay] {
+            assert_eq!(engine.run(&same).unwrap().as_xml(), "1", "{layer}");
+        }
+    }
+    for q in [
+        r#"doc("corpus#entities")//person/select-narrow::w/@word"#,
+        r#"layer("corpus", "syntax")//pp/select-wide::*"#,
+    ] {
+        assert_eq!(
+            overlay.explain(q).unwrap(),
+            store.explain(q).unwrap(),
+            "{q}"
+        );
+        assert_eq!(
+            overlay.run(q).unwrap().as_xml(),
+            store.run(q).unwrap().as_xml(),
+            "{q}"
+        );
+    }
+}
+
 #[test]
 fn mount_conflicts_and_unknown_layers_error() {
     let mut engine = mounted_engine();

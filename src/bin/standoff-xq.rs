@@ -7,7 +7,7 @@
 //! standoff-xq inspect <snapshot>
 //! standoff-xq query [--store SNAPSHOT]... [--load URI=FILE]...
 //!             (--query Q | --query-file F)
-//!             [--strategy naive|naive-candidates|basic|loop-lifted|auto]
+//!             [--strategy naive|naive-candidates|basic|loop-lifted]
 //!             [--no-pushdown] [--time]
 //! standoff-xq explain [--store SNAPSHOT]... [--load URI=FILE]...
 //!             (--query Q | --query-file F)
@@ -56,6 +56,7 @@
 //! **2** usage or corpus-loading errors (bad flags, missing files,
 //! unreadable snapshots).
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -63,10 +64,10 @@ use std::time::{Duration, Instant};
 use standoff::core::{StandoffConfig, StandoffStrategy};
 use standoff::serve::{self, ServeMount, ServeOptions, Server};
 use standoff::store::{
-    atomic_write, ops_to_text, parse_ops, save_snapshot, wal_path, DeltaSet, DeltaWal, LayerSet,
-    Snapshot,
+    audit_delta, parse_ops, recover_delta, recover_delta_for_write, save_snapshot, wal_path,
+    DeltaSet, LayerSet, Snapshot,
 };
-use standoff::xquery::{Engine, EngineOptions, Executor, Governance};
+use standoff::xquery::{Engine, EngineOptions, Executor, Governance, WritableEngine};
 
 const USAGE: &str = "standoff-xq index <base.xml> -o <snapshot> [--layer NAME=FILE]... [--uri URI]\n\
                      \x20           [--standoff-start N] [--standoff-end N] [--standoff-region N] [--lenient]\n\
@@ -76,7 +77,7 @@ const USAGE: &str = "standoff-xq index <base.xml> -o <snapshot> [--layer NAME=FI
                      standoff-xq verify <snapshot> [--delta SIDECAR]... [--json]\n\
                      standoff-xq query [--store SNAPSHOT [--delta SIDECAR]...]... [--load URI=FILE]...\n\
                      \x20           (--query Q | --query-file F)\n\
-                     \x20           [--strategy naive|naive-candidates|basic|loop-lifted|auto]\n\
+                     \x20           [--strategy naive|naive-candidates|basic|loop-lifted]\n\
                      \x20           [--no-pushdown] [--time] [--profile] [--profile-json]\n\
                      standoff-xq explain [--store SNAPSHOT]... [--load URI=FILE]...\n\
                      \x20           (--query Q | --query-file F) [--strategy ...] [--no-pushdown] [--analyze]\n\
@@ -232,6 +233,20 @@ fn cmd_index(argv: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// The contents of `path`, or of stdin for `-`.
+fn read_text_or_stdin(path: &str) -> Result<String, String> {
+    if path == "-" {
+        use std::io::Read;
+        let mut buf = String::new();
+        std::io::stdin()
+            .read_to_string(&mut buf)
+            .map_err(|e| format!("cannot read stdin: {e}"))?;
+        Ok(buf)
+    } else {
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+    }
+}
+
 fn parse_file(path: &str) -> Result<standoff::xml::Document, String> {
     let xml = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     standoff::xml::parse_document(&xml).map_err(|e| format!("{path}: {e}"))
@@ -279,44 +294,19 @@ fn cmd_inspect(argv: &[String]) -> Result<ExitCode, String> {
 
 // ---- annotate / compact ----
 
-/// Replay delta sidecar files against a layer set, in order. Each
-/// sidecar is a checkpoint; batches journaled after it live in
-/// `<sidecar>.wal` and replay on top (read-only scan: the committed
-/// prefix applies, a torn tail from a crashed writer is ignored —
-/// the next writer-mode open truncates it). A sidecar path may name a
-/// not-yet-checkpointed delta (journal-only so far) as long as its WAL
-/// exists.
-fn load_delta(sidecars: &[&String], set: &LayerSet) -> Result<DeltaSet, String> {
+/// Every layer of the snapshot at `path`, materialized.
+fn open_layer_set(path: &str) -> Result<LayerSet, String> {
+    Snapshot::open(path)
+        .and_then(|snapshot| snapshot.to_layer_set())
+        .map_err(|e| format!("{path}: {e}"))
+}
+
+/// Recover delta sidecars (checkpoint + journal each) against a layer
+/// set, in order, into one pending delta.
+fn load_delta<S: AsRef<Path>>(sidecars: &[S], set: &LayerSet) -> Result<DeltaSet, String> {
     let mut delta = DeltaSet::new();
     for path in sidecars {
-        let wal_file = wal_path(std::path::Path::new(path));
-        let have_wal = wal_file.exists();
-        let mut checkpointed = 0;
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                checkpointed = standoff::store::checkpointed_seq(&text);
-                let ops = parse_ops(&text).map_err(|e| format!("{path}: {e}"))?;
-                delta
-                    .apply_all(ops, set)
-                    .map_err(|e| format!("{path}: {e}"))?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound && have_wal => {}
-            Err(e) => return Err(format!("cannot read {path}: {e}")),
-        }
-        if have_wal {
-            let scan =
-                DeltaWal::scan(&wal_file).map_err(|e| format!("{}: {e}", wal_file.display()))?;
-            // Records at or below the checkpoint mark are already part
-            // of the sidecar text (a checkpoint landed but its journal
-            // truncation didn't): replaying them would double-apply.
-            for record in scan.records.iter().filter(|r| r.seq > checkpointed) {
-                let ops = parse_ops(&record.ops)
-                    .map_err(|e| format!("{} record {}: {e}", wal_file.display(), record.seq))?;
-                delta
-                    .apply_all(ops, set)
-                    .map_err(|e| format!("{} record {}: {e}", wal_file.display(), record.seq))?;
-            }
-        }
+        recover_delta(path.as_ref(), set, &mut delta).map_err(|e| e.to_string())?;
     }
     Ok(delta)
 }
@@ -324,17 +314,19 @@ fn load_delta(sidecars: &[&String], set: &LayerSet) -> Result<DeltaSet, String> 
 /// `annotate`: apply a batch of insert/retract ops to a snapshot's
 /// delta sidecar. The snapshot file itself is never touched — the ops
 /// land in the sidecar (and its WAL), which `query`/`stats`/`compact`
-/// replay via `--delta`. The whole batch validates against the snapshot
-/// (and the overlay is proven mountable) before anything is persisted,
-/// so a bad op leaves the sidecar exactly as it was.
+/// replay via `--delta`. It is a `WritableEngine` client: the pending
+/// delta is recovered in writer mode, mounted, and the batch goes
+/// through `apply` — validated against the snapshot and proven
+/// mountable before anything is persisted, so a bad op leaves the
+/// sidecar and its journal exactly as they were.
 ///
-/// Durability: the default mode recovers any journaled batches from
-/// `<sidecar>.wal`, folds them plus the new batch into a fresh
-/// checkpoint, rewrites the sidecar atomically (temp + fsync + rename),
-/// and truncates the WAL. `--journal` instead appends the validated
-/// batch to the WAL only — one fsync'd append, no sidecar rewrite —
-/// which is the fast path for high-frequency writers; the batch is
-/// durable the moment the command exits 0 and survives SIGKILL.
+/// Durability: the default mode checkpoints — recovered journal
+/// batches plus the new one are folded into the sidecar (atomic
+/// rewrite), then the WAL is truncated. `--journal` instead appends the
+/// validated batch to the WAL only — one fsync'd append, no sidecar
+/// rewrite — which is the fast path for high-frequency writers; the
+/// batch is durable the moment the command exits 0 and survives
+/// SIGKILL.
 fn cmd_annotate(argv: &[String]) -> Result<ExitCode, String> {
     let mut store: Option<String> = None;
     let mut sidecar: Option<String> = None;
@@ -370,85 +362,43 @@ fn cmd_annotate(argv: &[String]) -> Result<ExitCode, String> {
     let sidecar = sidecar.ok_or("annotate: no delta sidecar given (--delta)")?;
     let ops_path = ops_path.ok_or("annotate: no ops file given ('-' for stdin)")?;
 
-    let snapshot = Snapshot::open(&store).map_err(|e| format!("{store}: {e}"))?;
-    let set = snapshot
-        .to_layer_set()
-        .map_err(|e| format!("{store}: {e}"))?;
-    // Recover pending state: sidecar checkpoint first (it may not exist
-    // yet), then committed WAL batches on top. Writer-mode open also
-    // truncates any torn tail a crashed writer left behind.
+    let set = open_layer_set(&store)?;
+    let sidecar = Path::new(&sidecar);
     let mut delta = DeltaSet::new();
-    let mut checkpointed = 0;
-    if std::path::Path::new(&sidecar).exists() {
-        let text =
-            std::fs::read_to_string(&sidecar).map_err(|e| format!("cannot read {sidecar}: {e}"))?;
-        checkpointed = standoff::store::checkpointed_seq(&text);
-        let ops = parse_ops(&text).map_err(|e| format!("{sidecar}: {e}"))?;
-        delta
-            .apply_all(ops, &set)
-            .map_err(|e| format!("{sidecar}: {e}"))?;
-    }
-    let wal_file = wal_path(std::path::Path::new(&sidecar));
-    let (mut wal, replayed) =
-        DeltaWal::open(&wal_file).map_err(|e| format!("{}: {e}", wal_file.display()))?;
-    wal.ensure_seq_above(checkpointed);
-    for record in replayed.iter().filter(|r| r.seq > checkpointed) {
-        let ops = parse_ops(&record.ops)
-            .map_err(|e| format!("{} record {}: {e}", wal_file.display(), record.seq))?;
-        delta
-            .apply_all(ops, &set)
-            .map_err(|e| format!("{} record {}: {e}", wal_file.display(), record.seq))?;
-    }
-    let text = if ops_path == "-" {
-        use std::io::Read;
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("cannot read stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(&ops_path).map_err(|e| format!("cannot read {ops_path}: {e}"))?
-    };
+    let (wal, _) = recover_delta_for_write(sidecar, &set, &mut delta).map_err(|e| e.to_string())?;
+    let text = read_text_or_stdin(&ops_path)?;
     let ops = parse_ops(&text).map_err(|e| format!("{ops_path}: {e}"))?;
-    let applied = delta
-        .apply_all(ops.iter().cloned(), &set)
-        .map_err(|e| format!("{ops_path}: {e}"))?;
-    // Prove the overlay mounts — the same validation every later
-    // `--delta` reader will run — before persisting anything.
-    let mut engine = Engine::new();
-    engine
-        .mount_overlay(set, &delta)
+    // `apply` validates the batch and proves the overlay mounts — the
+    // same validation every later `--delta` reader will run — before
+    // anything is persisted.
+    let mut engine = WritableEngine::mount_with_delta(set, delta, EngineOptions::default())
         .map_err(|e| format!("{store}: {e}"))?;
+    // `--journal` is the fast path: `apply` appends the batch to the
+    // WAL — one fsync — and the sidecar waits for the next default-mode
+    // annotate, which checkpoints the whole pending delta.
+    let mut wal = Some(wal);
     if journal {
-        // Fast path: one fsync'd append; the sidecar checkpoint is
-        // rewritten on the next default-mode annotate or compact.
-        if applied > 0 {
-            wal.append(&ops_to_text(&ops))
-                .map_err(|e| format!("{}: {e}", wal_file.display()))?;
+        engine.set_wal(wal.take());
+    }
+    let applied = engine.apply(ops).map_err(|e| format!("{ops_path}: {e}"))?;
+    let pending = format!(
+        "pending {} insert(s), {} retract(s)",
+        engine.delta().insert_count(),
+        engine.delta().retract_count(),
+    );
+    match wal {
+        None => eprintln!(
+            "# journaled {applied} op(s); {pending} -> {}",
+            wal_path(sidecar).display()
+        ),
+        Some(mut wal) => {
+            wal.checkpoint(sidecar, engine.delta())
+                .map_err(|e| format!("cannot write {}: {e}", sidecar.display()))?;
+            eprintln!(
+                "# applied {applied} op(s); {pending} -> {}",
+                sidecar.display()
+            );
         }
-        eprintln!(
-            "# journaled {applied} op(s); pending {} insert(s), {} retract(s) -> {}",
-            delta.insert_count(),
-            delta.retract_count(),
-            wal_file.display(),
-        );
-    } else {
-        // Checkpoint: atomically rewrite the sidecar with the full
-        // pending state (stamped with the journal high-water mark),
-        // then truncate the journal it subsumes. A crash between the
-        // two is safe: the mark tells recovery the surviving journal
-        // records are already folded in.
-        let mut text = standoff::store::checkpoint_marker(wal.last_seq());
-        text.push_str(&ops_to_text(&delta.to_ops()));
-        atomic_write(std::path::Path::new(&sidecar), text.as_bytes())
-            .map_err(|e| format!("cannot write {sidecar}: {e}"))?;
-        wal.truncate()
-            .map_err(|e| format!("{}: {e}", wal_file.display()))?;
-        eprintln!(
-            "# applied {applied} op(s); pending {} insert(s), {} retract(s) -> {sidecar}",
-            delta.insert_count(),
-            delta.retract_count(),
-        );
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -486,12 +436,8 @@ fn cmd_compact(argv: &[String]) -> Result<ExitCode, String> {
     let store = store.ok_or("compact: no snapshot given (--store)")?;
     let out = out.ok_or("compact: no output path (-o)")?;
 
-    let snapshot = Snapshot::open(&store).map_err(|e| format!("{store}: {e}"))?;
-    let set = snapshot
-        .to_layer_set()
-        .map_err(|e| format!("{store}: {e}"))?;
-    let refs: Vec<&String> = sidecars.iter().collect();
-    let delta = load_delta(&refs, &set)?;
+    let set = open_layer_set(&store)?;
+    let delta = load_delta(&sidecars, &set)?;
     let folded = standoff::store::compact(&set, &delta).map_err(|e| format!("{store}: {e}"))?;
     save_snapshot(&folded, &out).map_err(|e| format!("{out}: {e}"))?;
     let annotations: usize = folded.layers().iter().map(|l| l.annotation_count()).sum();
@@ -528,16 +474,6 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Per-sidecar facts gathered by `verify`.
-struct DeltaCheck {
-    path: String,
-    ops: usize,
-    checkpoint_seq: u64,
-    wal_records: usize,
-    wal_skipped: usize,
-    wal_torn_tail: bool,
 }
 
 /// `verify`: fsck for a snapshot and its delta sidecar(s).
@@ -612,84 +548,37 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
     };
     let crc = standoff::core::crc::implementation();
 
-    let mut delta_checks: Vec<DeltaCheck> = Vec::new();
+    // The readers' recovery walk, except that damage is a finding and
+    // the walk goes on; without a mountable snapshot the ops are still
+    // parsed and the journal still scanned, just not replayed.
+    let mut delta_checks = Vec::new();
     let mut delta = DeltaSet::new();
     for sidecar in &sidecars {
-        let wal_file = wal_path(std::path::Path::new(sidecar));
-        let have_wal = wal_file.exists();
-        let mut check = DeltaCheck {
-            path: sidecar.clone(),
-            ops: 0,
-            checkpoint_seq: 0,
-            wal_records: 0,
-            wal_skipped: 0,
-            wal_torn_tail: false,
-        };
-        match std::fs::read_to_string(sidecar) {
-            Ok(text) => {
-                check.checkpoint_seq = standoff::store::checkpointed_seq(&text);
-                match parse_ops(&text) {
-                    Ok(ops) => {
-                        check.ops = ops.len();
-                        if let Some(set) = &set {
-                            if let Err(e) = delta.apply_all(ops, set) {
-                                findings.push(format!("{sidecar}: {e}"));
-                            }
-                        }
-                    }
-                    Err(e) => findings.push(format!("{sidecar}: {e}")),
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound && have_wal => {
-                notes.push(format!("{sidecar}: no checkpoint yet (journal-only delta)"));
-            }
-            Err(e) => return Err(format!("cannot read {sidecar}: {e}")),
+        let report = audit_delta(
+            Path::new(sidecar),
+            &mut |ops| match &set {
+                Some(set) => delta.apply_all(ops, set).map(drop),
+                None => Ok(()),
+            },
+            &mut |damage| {
+                findings.push(damage.to_string());
+                Ok(())
+            },
+        )
+        .map_err(|e| e.to_string())?;
+        if report.journal_only {
+            notes.push(format!("{sidecar}: no checkpoint yet (journal-only delta)"));
         }
-        if have_wal {
-            match DeltaWal::scan(&wal_file) {
-                Ok(scan) => {
-                    check.wal_torn_tail = scan.torn_tail;
-                    if scan.torn_tail {
-                        notes.push(format!(
-                            "{}: torn tail after {} committed record(s) — an append \
-                             died mid-write; the batch was never committed and the \
-                             next writer truncates it",
-                            wal_file.display(),
-                            scan.records.len(),
-                        ));
-                    }
-                    for record in &scan.records {
-                        if record.seq <= check.checkpoint_seq {
-                            // Already folded into the checkpoint (the
-                            // checkpoint landed, its truncation didn't).
-                            check.wal_skipped += 1;
-                            continue;
-                        }
-                        check.wal_records += 1;
-                        match parse_ops(&record.ops) {
-                            Ok(ops) => {
-                                if let Some(set) = &set {
-                                    if let Err(e) = delta.apply_all(ops, set) {
-                                        findings.push(format!(
-                                            "{} record {}: {e}",
-                                            wal_file.display(),
-                                            record.seq
-                                        ));
-                                    }
-                                }
-                            }
-                            Err(e) => findings.push(format!(
-                                "{} record {}: {e}",
-                                wal_file.display(),
-                                record.seq
-                            )),
-                        }
-                    }
-                }
-                Err(e) => findings.push(format!("{}: {e}", wal_file.display())),
-            }
+        if report.torn_tail {
+            notes.push(format!(
+                "{}: torn tail after {} committed record(s) — an append \
+                 died mid-write; the batch was never committed and the \
+                 next writer truncates it",
+                wal_path(Path::new(sidecar)).display(),
+                report.replayed + report.skipped,
+            ));
         }
-        delta_checks.push(check);
+        delta_checks.push((sidecar, report));
     }
     // Overlay mount proof: the merged view every `--delta` reader
     // would build must itself validate.
@@ -706,16 +595,16 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
     if json {
         let deltas = delta_checks
             .iter()
-            .map(|d| {
+            .map(|(path, d)| {
                 format!(
                     "{{\"path\":\"{}\",\"ops\":{},\"checkpoint_seq\":{},\"wal_records\":{},\
                      \"wal_skipped\":{},\"wal_torn_tail\":{}}}",
-                    json_escape(&d.path),
-                    d.ops,
+                    json_escape(path),
+                    d.checkpoint_ops,
                     d.checkpoint_seq,
-                    d.wal_records,
-                    d.wal_skipped,
-                    d.wal_torn_tail,
+                    d.replayed,
+                    d.skipped,
+                    d.torn_tail,
                 )
             })
             .collect::<Vec<_>>()
@@ -744,14 +633,13 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
              backing {backing}, crc32 {crc}",
             version.map_or("unreadable header".to_string(), |v| format!("v{v}")),
         );
-        for d in &delta_checks {
+        for (path, d) in &delta_checks {
             println!(
-                "# {}: {} checkpoint op(s), {} wal record(s), {} already checkpointed{}",
-                d.path,
-                d.ops,
-                d.wal_records,
-                d.wal_skipped,
-                if d.wal_torn_tail { ", torn tail" } else { "" },
+                "# {path}: {} checkpoint op(s), {} wal record(s), {} already checkpointed{}",
+                d.checkpoint_ops,
+                d.replayed,
+                d.skipped,
+                if d.torn_tail { ", torn tail" } else { "" },
             );
         }
         for n in &notes {
@@ -784,8 +672,6 @@ struct CorpusArgs {
     deltas: Vec<(usize, String)>,
     loads: Vec<(String, String)>,
     strategy: Option<StandoffStrategy>,
-    /// `--strategy auto`: per-operator selection from index statistics.
-    auto_strategy: bool,
     pushdown: bool,
 }
 
@@ -826,18 +712,10 @@ impl CorpusArgs {
             "--strategy" => {
                 *k += 1;
                 let name = argv.get(*k).ok_or("--strategy needs a name")?;
-                // Last flag wins, like every other repeated flag: an
-                // explicit strategy after `auto` turns auto off again.
-                if name == "auto" {
-                    self.auto_strategy = true;
-                    self.strategy = None;
-                } else {
-                    self.strategy = Some(
-                        StandoffStrategy::parse(name)
-                            .ok_or_else(|| format!("unknown strategy '{name}'"))?,
-                    );
-                    self.auto_strategy = false;
-                }
+                self.strategy = Some(
+                    StandoffStrategy::parse(name)
+                        .ok_or_else(|| format!("unknown strategy '{name}'"))?,
+                );
             }
             "--no-pushdown" => self.pushdown = false,
             _ => return Ok(false),
@@ -852,10 +730,8 @@ impl CorpusArgs {
         if let Some(strategy) = self.strategy {
             engine.set_strategy(strategy);
         }
-        engine.set_auto_strategy(self.auto_strategy);
         engine.set_candidate_pushdown(self.pushdown);
         for (i, path) in self.stores.iter().enumerate() {
-            let snapshot = Snapshot::open(path).map_err(|e| format!("{path}: {e}"))?;
             let sidecars: Vec<&String> = self
                 .deltas
                 .iter()
@@ -863,15 +739,14 @@ impl CorpusArgs {
                 .map(|(_, p)| p)
                 .collect();
             if sidecars.is_empty() {
+                let snapshot = Snapshot::open(path).map_err(|e| format!("{path}: {e}"))?;
                 engine
                     .mount_snapshot(&snapshot)
                     .map_err(|e| format!("{path}: {e}"))?;
             } else {
-                // Overlay mount: replay the sidecar op log over the
-                // snapshot's layer set and mount base + delta merged.
-                let set = snapshot
-                    .to_layer_set()
-                    .map_err(|e| format!("{path}: {e}"))?;
+                // Overlay mount: recover the sidecars over the snapshot's
+                // layer set and mount base + delta merged.
+                let set = open_layer_set(path)?;
                 let delta = load_delta(&sidecars, &set)?;
                 engine
                     .mount_overlay(set, &delta)
@@ -1128,17 +1003,7 @@ fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
         k += 1;
     }
     let queries_path = queries_path.ok_or("batch: no queries file given ('-' for stdin)")?;
-    let text = if queries_path == "-" {
-        use std::io::Read;
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("cannot read stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(&queries_path)
-            .map_err(|e| format!("cannot read {queries_path}: {e}"))?
-    };
+    let text = read_text_or_stdin(&queries_path)?;
     let queries = split_queries(&text);
     if queries.is_empty() {
         return Err(format!("{queries_path}: no queries found"));
@@ -1244,16 +1109,7 @@ fn cmd_stats(argv: &[String]) -> Result<ExitCode, String> {
     let executor = Executor::new(engine.into_shared(), 1);
     let mut failures = 0usize;
     if let Some(path) = &queries_path {
-        let text = if path == "-" {
-            use std::io::Read;
-            let mut buf = String::new();
-            std::io::stdin()
-                .read_to_string(&mut buf)
-                .map_err(|e| format!("cannot read stdin: {e}"))?;
-            buf
-        } else {
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
-        };
+        let text = read_text_or_stdin(path)?;
         let queries = split_queries(&text);
         for (k, result) in executor.run_batch(&queries).iter().enumerate() {
             if let Err(e) = result {
@@ -1350,7 +1206,6 @@ fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
     }
     let engine_options = EngineOptions {
         strategy: corpus.strategy.unwrap_or(EngineOptions::default().strategy),
-        auto_strategy: corpus.auto_strategy,
         candidate_pushdown: corpus.pushdown,
         ..EngineOptions::default()
     };

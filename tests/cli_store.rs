@@ -416,6 +416,14 @@ fn bad_snapshot_and_bad_args_fail_cleanly() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("expected a positive integer"));
+
+    // A strategy is one of the four the paper compares, named.
+    let out = bin()
+        .args(["query", "--strategy", "auto", "--query", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown strategy 'auto'"));
 }
 
 /// Replace an annotation in place — retract it, insert another at the
@@ -485,6 +493,126 @@ fn annotate_replace_in_place_survives_sidecar_journal_and_compact() {
         .output()
         .unwrap();
     assert_success(&out, "verify --delta");
+}
+
+/// The bytes `annotate` persists, pinned against goldens written by the
+/// build *before* `annotate` became a `WritableEngine` client: two
+/// journaled batches (the `.wal`), a checkpoint that folds them with a
+/// third (the sidecar, stamped with the journal's last sequence number;
+/// the journal back to its 8-byte header), and a journaled batch after
+/// the checkpoint (sequenced above the stamp).
+#[test]
+fn annotate_writes_the_same_sidecar_and_journal_bytes() {
+    let (dir, snap) = obs_snapshot("annotate-golden");
+    let sidecar = dir.join("c.delta");
+    let wal = dir.join("c.delta.wal");
+    let annotate = |extra: &[&str], ops: &str| {
+        let ops = write(&dir, "ops.txt", ops);
+        let out = bin()
+            .args(["annotate", "--store", &snap, "--delta"])
+            .arg(&sidecar)
+            .args(extra)
+            .arg(&ops)
+            .output()
+            .unwrap();
+        assert_success(&out, "annotate");
+    };
+    let journal = ["--journal"];
+    annotate(
+        &journal,
+        "retract tokens w 0 4\ninsert tokens ner 0 4 class=PER\n",
+    );
+    annotate(
+        &journal,
+        "# a comment line\ninsert tokens w 0 4 word=ALICE\n",
+    );
+    assert!(!sidecar.exists(), "--journal never writes the sidecar");
+    assert_eq!(
+        std::fs::read(&wal).unwrap(),
+        include_bytes!("golden/annotate_journal.wal")
+    );
+    annotate(
+        &[],
+        "insert tokens w 13 13 word=dot\nretract tokens w 6 8\n",
+    );
+    assert_eq!(
+        std::fs::read_to_string(&sidecar).unwrap(),
+        include_str!("golden/annotate_checkpoint.delta")
+    );
+    assert_eq!(std::fs::read(&wal).unwrap(), b"SOWL\x01\0\0\0");
+    annotate(&journal, "insert tokens ner 10 12 class=PER\n");
+    assert_eq!(
+        std::fs::read(&wal).unwrap(),
+        include_bytes!("golden/annotate_journal_after_checkpoint.wal")
+    );
+
+    // A refused batch leaves both files exactly as they were.
+    let before = (
+        std::fs::read(&sidecar).unwrap(),
+        std::fs::read(&wal).unwrap(),
+    );
+    for extra in [&journal[..], &[]] {
+        let ops = write(
+            &dir,
+            "bad.txt",
+            "insert tokens w 1 2\nretract tokens w 99 100\n",
+        );
+        let out = bin()
+            .args(["annotate", "--store", &snap, "--delta"])
+            .arg(&sidecar)
+            .args(extra)
+            .arg(&ops)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{extra:?}");
+        let after = (
+            std::fs::read(&sidecar).unwrap(),
+            std::fs::read(&wal).unwrap(),
+        );
+        assert_eq!(after, before, "{extra:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sidecar that exists but cannot be decoded is damage — a finding,
+/// `CORRUPT`, exit 1, like a damaged snapshot — not an unreadable path
+/// (exit 2, which `verify` keeps for usage errors and for a sidecar
+/// that names neither a checkpoint nor a journal).
+#[test]
+fn verify_reports_an_undecodable_sidecar_as_a_finding() {
+    let (dir, snap) = obs_snapshot("verify-sidecar");
+    let sidecar = write_bytes(&dir, "bad.delta", b"insert tokens w 5 5 \xff\xfe\n");
+    let out = bin()
+        .args(["verify", &snap, "--delta", &sidecar])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains(&format!("finding: {sidecar}: corrupt checkpoint")),
+        "{stdout}"
+    );
+    assert!(stdout.contains("CORRUPT (1 finding(s))"), "{stdout}");
+    let out = bin()
+        .args(["verify", &snap, "--delta", &sidecar, "--json"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains(r#""status":"corrupt""#), "{stdout}");
+
+    let missing = dir.join("missing.delta").to_string_lossy().into_owned();
+    let out = bin()
+        .args(["verify", &snap, "--delta", &missing])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("cannot read {missing}")),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `inspect` and `verify` say how the file is held and which CRC loop

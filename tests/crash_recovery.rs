@@ -15,8 +15,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use standoff::core::fault::{self, FaultAction};
 use standoff::core::StandoffConfig;
 use standoff::store::{
-    checkpoint_marker, checkpointed_seq, ops_to_text, parse_ops, save_snapshot, wal_path, DeltaSet,
-    DeltaWal, LayerSet, Snapshot, StoreError,
+    audit_delta, parse_ops, recover_delta, recover_delta_for_write, save_snapshot, wal_path,
+    DeltaSet, DeltaWal, LayerSet, Recovery, Snapshot, StoreError,
 };
 use standoff::xml::parse_document;
 use standoff::xquery::{Engine, EngineOptions, WritableEngine};
@@ -86,8 +86,8 @@ fn answers_after(n: usize) -> Vec<String> {
         .collect()
 }
 
-/// Recover sidecar + WAL the way `standoff-xq` readers do and answer
-/// the probes.
+/// Recover sidecar + WAL through the call every `standoff-xq` reader
+/// makes, and answer the probes.
 fn recovered_answers(set: &LayerSet, sidecar: &Path) -> Result<Vec<String>, String> {
     recovered_answers_to(set, sidecar, &PROBES)
 }
@@ -98,20 +98,7 @@ fn recovered_answers_to(
     probes: &[&str],
 ) -> Result<Vec<String>, String> {
     let mut delta = DeltaSet::new();
-    let mut checkpointed = 0;
-    if sidecar.exists() {
-        let text = std::fs::read_to_string(sidecar).map_err(|e| e.to_string())?;
-        checkpointed = checkpointed_seq(&text);
-        delta
-            .apply_all(parse_ops(&text).map_err(|e| e.to_string())?, set)
-            .map_err(|e| e.to_string())?;
-    }
-    let scan = DeltaWal::scan(&wal_path(sidecar)).map_err(|e| e.to_string())?;
-    for record in scan.records.iter().filter(|r| r.seq > checkpointed) {
-        delta
-            .apply_all(parse_ops(&record.ops).map_err(|e| e.to_string())?, set)
-            .map_err(|e| e.to_string())?;
-    }
+    recover_delta(sidecar, set, &mut delta).map_err(|e| e.to_string())?;
     let mut engine = Engine::new();
     engine
         .mount_overlay(set.clone(), &delta)
@@ -120,6 +107,28 @@ fn recovered_answers_to(
         .iter()
         .map(|q| engine.run(q).unwrap().as_xml())
         .collect())
+}
+
+/// A writer over `sidecar` the way `standoff-xq annotate` builds one:
+/// the pending delta recovered in writer mode and mounted, the journal
+/// handed over separately (attach it to journal, keep it to checkpoint).
+fn writer(set: &LayerSet, sidecar: &Path) -> (WritableEngine, DeltaWal, Recovery) {
+    let mut delta = DeltaSet::new();
+    let (wal, report) = recover_delta_for_write(sidecar, set, &mut delta).unwrap();
+    let engine =
+        WritableEngine::mount_with_delta(set.clone(), delta, EngineOptions::default()).unwrap();
+    (engine, wal, report)
+}
+
+/// Run the real checkpoint and die where its journal truncation would
+/// start: the sidecar has landed, the folded records are still on disk.
+fn checkpoint_without_truncation(wal: &mut DeltaWal, sidecar: &Path, delta: &DeltaSet) {
+    fault::inject_times("store.wal.truncate.start", FaultAction::Panic, 1);
+    let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        wal.checkpoint(sidecar, delta)
+    }));
+    fault::clear_all();
+    assert!(crashed.is_err(), "armed fault point must fire");
 }
 
 /// Truncate the journal at every byte offset: recovery must yield the
@@ -256,30 +265,152 @@ fn crash_between_checkpoint_and_truncation_does_not_double_apply() {
     let sidecar = dir.join("corpus.delta");
     let set = corpus();
 
-    let (mut wal, _) = DeltaWal::open(&wal_path(&sidecar)).unwrap();
-    let mut delta = DeltaSet::new();
+    let (mut w, wal, _) = writer(&set, &sidecar);
+    w.set_wal(Some(wal));
     for batch in &BATCHES[..2] {
-        delta.apply_all(parse_ops(batch).unwrap(), &set).unwrap();
-        wal.append(batch).unwrap();
+        w.apply(parse_ops(batch).unwrap()).unwrap();
     }
-    // Checkpoint lands (marker stamped), truncation never happens —
-    // the crash window. Both journal records survive on disk.
-    let mut text = checkpoint_marker(wal.last_seq());
-    text.push_str(&ops_to_text(&delta.to_ops()));
-    std::fs::write(&sidecar, &text).unwrap();
-    drop(wal);
+    // Checkpoint lands (stamped), truncation never happens — the crash
+    // window. Both journal records survive on disk.
+    let mut wal = w.set_wal(None).unwrap();
+    checkpoint_without_truncation(&mut wal, &sidecar, w.delta());
+    drop((w, wal));
+    assert_eq!(
+        DeltaWal::scan(&wal_path(&sidecar)).unwrap().records.len(),
+        2
+    );
 
     let got = recovered_answers(&set, &sidecar).unwrap();
-    assert_eq!(got, answers_after(2), "marker must suppress the replay");
+    assert_eq!(got, answers_after(2), "the stamp must suppress the replay");
 
     // And a post-crash writer sequences above the mark, so its fresh
     // batch replays while the folded ones stay suppressed.
-    let (mut wal, _) = DeltaWal::open(&wal_path(&sidecar)).unwrap();
-    wal.ensure_seq_above(checkpointed_seq(&text));
-    wal.append(BATCHES[2]).unwrap();
-    drop(wal);
+    let (mut w, wal, report) = writer(&set, &sidecar);
+    assert_eq!(
+        (report.checkpoint_seq, report.skipped, report.replayed),
+        (2, 2, 0)
+    );
+    w.set_wal(Some(wal));
+    w.apply(parse_ops(BATCHES[2]).unwrap()).unwrap();
+    drop(w);
     let got = recovered_answers(&set, &sidecar).unwrap();
     assert_eq!(got, answers_after(3));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The bug the writer-mode open exists to rule out: a checkpoint folds
+/// the journal and truncates it, the process exits, and a *new* writer
+/// reopens a journal whose last record says nothing about the sequence
+/// numbers already used. Its batch must land above the checkpoint's
+/// mark — without the caller touching sequence numbers — or every
+/// reader would skip it as already folded.
+#[test]
+fn writer_reopened_after_a_checkpoint_journals_what_readers_recover() {
+    let _guard = crash_lock();
+    let dir = temp_dir("reopen");
+    let sidecar = dir.join("corpus.delta");
+    let set = corpus();
+
+    let (mut w, wal, report) = writer(&set, &sidecar);
+    assert!(report.journal_only, "nothing on disk yet: {report:?}");
+    w.set_wal(Some(wal));
+    for batch in &BATCHES[..2] {
+        w.apply(parse_ops(batch).unwrap()).unwrap();
+    }
+    let mut wal = w.set_wal(None).unwrap();
+    wal.checkpoint(&sidecar, w.delta()).unwrap();
+    drop((w, wal));
+    assert_eq!(std::fs::metadata(wal_path(&sidecar)).unwrap().len(), 8);
+
+    let (mut w, wal, report) = writer(&set, &sidecar);
+    let expected = Recovery {
+        checkpoint_ops: 3,
+        checkpoint_seq: 2,
+        ..Recovery::default()
+    };
+    assert_eq!(report, expected);
+    w.set_wal(Some(wal));
+    w.apply(parse_ops(BATCHES[2]).unwrap()).unwrap();
+    drop(w);
+
+    let scan = DeltaWal::scan(&wal_path(&sidecar)).unwrap();
+    assert_eq!(scan.records[0].seq, 3, "sequenced above the mark");
+    let got = recovered_answers(&set, &sidecar).unwrap();
+    assert_eq!(got, answers_after(3), "the reopened writer's batch replays");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `apply` builds the view every later reader will mount *before* it
+/// journals: a writer that dies there has persisted nothing, and — if
+/// it survives the panic — still answers from the old generation.
+#[test]
+fn crash_inside_the_view_build_journals_nothing() {
+    let _guard = crash_lock();
+    let dir = temp_dir("view-build");
+    let sidecar = dir.join("corpus.delta");
+    let set = corpus();
+
+    let (mut w, wal, _) = writer(&set, &sidecar);
+    w.set_wal(Some(wal));
+    w.apply(parse_ops(BATCHES[0]).unwrap()).unwrap();
+    let generation = w.generation();
+    let journal = std::fs::read(wal_path(&sidecar)).unwrap();
+
+    fault::inject_times("engine.apply.build_view", FaultAction::Panic, 1);
+    let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        w.apply(parse_ops(BATCHES[1]).unwrap())
+    }));
+    fault::clear_all();
+    assert!(crashed.is_err(), "armed fault point must fire");
+
+    assert_eq!(std::fs::read(wal_path(&sidecar)).unwrap(), journal);
+    assert_eq!(w.generation(), generation);
+    let mut session = w.session();
+    let live: Vec<String> = PROBES
+        .iter()
+        .map(|q| session.run(q).unwrap().as_xml())
+        .collect();
+    assert_eq!(live, answers_after(1));
+    assert_eq!(recovered_answers(&set, &sidecar).unwrap(), answers_after(1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Recovery says *where* it failed, and a reader refuses a sidecar path
+/// that names neither a checkpoint nor a journal (a typo must not read
+/// as an empty delta). The fsck walk sees the same damage and goes on.
+#[test]
+fn recovery_errors_are_located() {
+    let _guard = crash_lock();
+    let dir = temp_dir("located");
+    let sidecar = dir.join("corpus.delta");
+    let wal_file = wal_path(&sidecar);
+    let set = corpus();
+    let mut delta = DeltaSet::new();
+
+    let err = recover_delta(&sidecar, &set, &mut delta).unwrap_err();
+    assert!(matches!(err.error, StoreError::Io(_)), "{err}");
+    assert!(err.to_string().starts_with("cannot read "), "{err}");
+
+    let (mut wal, _) = DeltaWal::open(&wal_file).unwrap();
+    wal.append("retract tokens w 7 9\n").unwrap();
+    let record = format!("{} record 1", wal_file.display());
+    let err = recover_delta(&sidecar, &set, &mut delta).unwrap_err();
+    assert_eq!(err.at, record);
+
+    std::fs::write(&sidecar, b"insert tokens w 5 5 \xff\xfe\n").unwrap();
+    let err = recover_delta(&sidecar, &set, &mut delta).unwrap_err();
+    assert_eq!(err.at, sidecar.display().to_string());
+    assert!(matches!(err.error, StoreError::Corrupt { .. }), "{err}");
+
+    let mut damage = Vec::new();
+    let mut apply = |ops| delta.apply_all(ops, &set).map(drop);
+    let report = audit_delta(&sidecar, &mut apply, &mut |e| {
+        damage.push(e.at);
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(report.replayed, 1, "the walk went on into the journal");
+    assert_eq!(damage, [sidecar.display().to_string(), record]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -308,8 +439,7 @@ fn replace_in_place_survives_checkpoint_and_recovery() {
             .collect()
     };
 
-    let mut w = WritableEngine::mount(set.clone(), EngineOptions::default()).unwrap();
-    let (wal, _) = DeltaWal::open(&wal_path(&sidecar)).unwrap();
+    let (mut w, wal, _) = writer(&set, &sidecar);
     w.set_wal(Some(wal));
     w.apply(parse_ops("retract tokens w 0 4\n").unwrap())
         .unwrap();
@@ -323,12 +453,12 @@ fn replace_in_place_survives_checkpoint_and_recovery() {
     assert_eq!(recover(&set), live, "journal replay");
 
     // Checkpoint: the sidecar is the pending delta as `to_ops` text.
-    let mut text = checkpoint_marker(w.wal().unwrap().last_seq());
-    text.push_str(&ops_to_text(&w.delta().to_ops()));
-    std::fs::write(&sidecar, &text).unwrap();
+    let mut wal = w.set_wal(None).unwrap();
+    checkpoint_without_truncation(&mut wal, &sidecar, w.delta());
     assert_eq!(recover(&set), live, "checkpoint, journal not yet truncated");
-    w.truncate_wal().unwrap();
+    wal.checkpoint(&sidecar, w.delta()).unwrap();
     assert_eq!(recover(&set), live, "checkpoint alone");
+    w.set_wal(Some(wal));
 
     // A later batch journals on top of the checkpoint.
     w.apply(parse_ops("insert tokens w 20 22 word=dot\n").unwrap())

@@ -118,19 +118,3 @@ fn feature_queries_match_reference_across_all_strategies_and_pushdown() {
         }
     }
 }
-
-/// Auto strategy selection changes only the join algorithm, never the
-/// answer: results under `auto_strategy` equal the forced-strategy
-/// reference.
-#[test]
-fn auto_strategy_agrees_with_reference() {
-    let mut auto_engine = engine_with(StandoffStrategy::LoopLiftedMergeJoin, true);
-    auto_engine.set_auto_strategy(true);
-    let mut fixed = engine_with(StandoffStrategy::LoopLiftedMergeJoin, true);
-    for q in XmarkQuery::ALL {
-        let text = q.standoff(SO_URI);
-        let a = auto_engine.run(&text).unwrap();
-        let b = fixed.run(&text).unwrap();
-        assert_eq!(a.as_serialized(), b.as_serialized(), "{text}");
-    }
-}
