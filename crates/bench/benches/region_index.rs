@@ -62,11 +62,64 @@ fn region_index(c: &mut Criterion) {
                 let mut scratch = CandidateScratch::default();
                 let mut out = Vec::new();
                 b.iter(|| {
-                    synthetic.dense_scan_candidates(cands, &mut scratch, &mut out);
+                    synthetic.dense_scan_candidates(cands, 0..n, &mut scratch, &mut out);
                     out.len()
                 });
             },
         );
+    }
+    group.finish();
+
+    // The candidate rule's calibration: every kernel forced over reaches
+    // of 0.01 %, 1 %, 25 % and 100 % of a 50k-entry table, centred in it,
+    // at C ∈ {64, 4 000, 50 000} candidates (half of them unannotated, so
+    // no set covers the table and borrowing is off the table), next to
+    // the entry point that chooses. The crossovers visible here are the
+    // ones `candidate_kernel`'s costs must reproduce.
+    let mut group = c.benchmark_group("region_index/reach");
+    group.sample_size(50);
+    {
+        let n = 50_000usize;
+        let pairs: Vec<(u32, standoff_core::Area)> = (0..n)
+            .map(|k| {
+                let s = k as i64 * 10;
+                (2 * k as u32, standoff_core::Area::single(s, s + 8).unwrap())
+            })
+            .collect();
+        let synthetic = standoff_core::RegionIndex::from_areas(&pairs);
+        for reach_len in [5usize, 500, 12_500, 50_000] {
+            let from = 10 * (n - reach_len) as i64 / 2;
+            let reach = synthetic.reach(from, from + 10 * reach_len as i64 - 1);
+            assert_eq!(reach.len(), reach_len);
+            for count in [64u32, 4_000, 50_000] {
+                let stride = 2 * n as u32 / count;
+                let cands: Vec<u32> = (0..count).map(|k| k * stride + k % 2).collect();
+                let id = |kernel: &str| format!("{kernel}/R{reach_len}/C{count}");
+                let mut scratch = CandidateScratch::default();
+                let mut out = Vec::new();
+                group.bench_function(id("adaptive"), |b| {
+                    b.iter(|| {
+                        synthetic.candidates_in(Some(&cands), reach.clone(), &mut scratch, &mut out)
+                    })
+                });
+                group.bench_function(id("gather"), |b| {
+                    b.iter(|| synthetic.gather_candidates(&cands, reach.clone(), &mut out))
+                });
+                group.bench_function(id("scan"), |b| {
+                    b.iter(|| {
+                        synthetic.dense_scan_candidates(
+                            &cands,
+                            reach.clone(),
+                            &mut scratch,
+                            &mut out,
+                        )
+                    })
+                });
+                group.bench_function(id("probe"), |b| {
+                    b.iter(|| synthetic.probe_candidates(&cands, reach.clone(), &scratch, &mut out))
+                });
+            }
+        }
     }
     group.finish();
 
@@ -87,11 +140,12 @@ fn region_index(c: &mut Criterion) {
         let synthetic = standoff_core::RegionIndex::from_areas(&pairs);
         let dense: Vec<u32> = (0..25_000u32).map(|k| k * 2).collect();
         let retracted: Vec<u32> = (0..250u32).map(|k| k * 200).collect();
+        let whole = 0..synthetic.len();
         group.bench_function("candidates_dense_raw_index", |b| {
             let mut scratch = CandidateScratch::default();
             let mut out = Vec::new();
             b.iter(|| {
-                synthetic.candidates_into(&dense, &mut scratch, &mut out);
+                synthetic.candidates_in(Some(&dense), whole.clone(), &mut scratch, &mut out);
                 out.len()
             });
         });
@@ -100,8 +154,10 @@ fn region_index(c: &mut Criterion) {
             let mut scratch = CandidateScratch::default();
             let mut out = Vec::new();
             b.iter(|| {
-                source.candidates_into(&dense, &mut scratch, &mut out);
-                out.len()
+                let whole = whole.clone();
+                source
+                    .candidates_in(Some(&dense), whole, &mut scratch, &mut out)
+                    .len()
             });
         });
         group.bench_function("candidates_dense_retracting_source", |b| {
@@ -109,8 +165,10 @@ fn region_index(c: &mut Criterion) {
             let mut scratch = CandidateScratch::default();
             let mut out = Vec::new();
             b.iter(|| {
-                source.candidates_into(&dense, &mut scratch, &mut out);
-                out.len()
+                let whole = whole.clone();
+                source
+                    .candidates_in(Some(&dense), whole, &mut scratch, &mut out)
+                    .len()
             });
         });
     }

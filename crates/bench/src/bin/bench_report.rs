@@ -146,34 +146,43 @@ fn main() {
     }
 
     // ---- kernel crossover (dense_scaling) ----
-    // Both kernels forced over the same 50k-entry index at several
-    // candidate densities, next to the entry point that chooses between
-    // them. The crossover visible here is what calibrates
-    // `node_view_preferred` — the adaptive row should track the cheaper
-    // kernel row at every density.
+    // The kernels forced over the whole of the same 50k-entry index at
+    // several candidate densities, next to the entry point that chooses
+    // among them. The crossover visible here is what calibrates
+    // `candidate_kernel` at full reach — the adaptive row should track
+    // the cheapest kernel row at every density (the reach-bounded
+    // crossovers are `benches/region_index.rs`'s `reach` group).
     {
         let index = synthetic_index(50_000);
+        let whole = 0..index.len();
         for count in [64usize, 1_000, 5_000, 25_000] {
             let stride = (50_000 / count) as u32;
             let cands: Vec<u32> = (0..count as u32).map(|k| k * stride).collect();
             let ns = median_ns(config.samples, || index.candidates_for(&cands));
             record(&format!("dense_scaling/adaptive_{count}"), ns);
+            // Fresh buffers per run, like the allocating adaptive row.
             let ns = median_ns(config.samples, || {
-                let mut out = Vec::new();
-                index.dense_scan_candidates(&cands, &mut CandidateScratch::default(), &mut out);
+                let (mut scratch, mut out) = (CandidateScratch::default(), Vec::new());
+                index.dense_scan_candidates(&cands, whole.clone(), &mut scratch, &mut out);
                 out
             });
             record(&format!("dense_scaling/dense_{count}"), ns);
             let ns = median_ns(config.samples, || {
                 let mut out = Vec::new();
-                index.gather_candidates(&cands, &mut out);
+                index.gather_candidates(&cands, whole.clone(), &mut out);
                 out
             });
             record(&format!("dense_scaling/gather_{count}"), ns);
+            let ns = median_ns(config.samples, || {
+                let (scratch, mut out) = (CandidateScratch::default(), Vec::new());
+                index.probe_candidates(&cands, whole.clone(), &scratch, &mut out);
+                out
+            });
+            record(&format!("dense_scaling/probe_{count}"), ns);
         }
-        // The one regime the deleted sparse-list scan used to take:
-        // far more candidate elements than index entries (C ≫ E), where
-        // the scan now pays an O(C) bitset fill for a one-block pass.
+        // Far more candidate elements than index entries (C ≫ E): the
+        // probe's regime, where a scan would pay an O(C) bitset fill for
+        // a one-block pass.
         let tiny = synthetic_index(64);
         let many: Vec<u32> = (0..50_000u32).collect();
         let ns = median_ns(config.samples, || tiny.candidates_for(&many));

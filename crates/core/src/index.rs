@@ -8,12 +8,16 @@
 //! element-name index feeds into StandOff steps with name tests.
 //!
 //! That intersection is one operation with one entry point,
-//! [`RegionIndex::candidates_into`], which makes one decision
-//! ([`node_view_preferred`]) between two sequential kernels: a gather
-//! through the node view for selective candidate sets and a branch-free
-//! bitset scan of the clustered table for broad ones.
+//! [`RegionIndex::candidates_in`], bounded by a *reach* — the slice of
+//! the clustered table a join's context can contain
+//! ([`RegionIndex::reach`]; the whole table when it is not bounded) — and
+//! one decision ([`candidate_kernel`]) among four derivations: borrow
+//! the reach as it is, gather through the node view, a branch-free bitset
+//! scan of the reach, or a probe of each reach entry against the sorted
+//! candidates.
 
 use std::io;
+use std::ops::Range;
 
 use standoff_xml::column::{Pod, PodCol};
 use standoff_xml::{Document, NodeKind};
@@ -286,65 +290,122 @@ impl RegionIndex {
         }
     }
 
+    /// The *reach* of a context extent `[from, to]` — first context
+    /// start, largest context end: the entries whose start lies inside
+    /// it, found by two partition points on the start-clustered table.
+    /// Every region a `select-narrow` over that context can contain is
+    /// one of them; the rest of the table need not be read.
+    pub fn reach(&self, from: i64, to: i64) -> Range<usize> {
+        let lo = self.entries.partition_point(|e| e.start < from);
+        let hi = lo + self.entries[lo..].partition_point(|e| e.start <= to);
+        lo..hi
+    }
+
     /// Candidate-sequence intersection (§4.3): restrict the index to the
     /// given candidate node ids (sorted ascending), *preserving the start
     /// ordering* of the region index. This is how an element-name test is
     /// pushed down into a StandOff step.
     ///
-    /// The allocating convenience over [`RegionIndex::candidates_into`].
+    /// The allocating convenience over [`RegionIndex::candidates_in`],
+    /// over the whole table.
     pub fn candidates_for(&self, sorted_node_pres: &[u32]) -> Vec<RegionEntry> {
         let mut out = Vec::new();
-        self.candidates_into(sorted_node_pres, &mut CandidateScratch::default(), &mut out);
-        out
-    }
-
-    /// The candidate intersection into a reusable buffer: one decision
-    /// ([`node_view_preferred`]) between two kernels. Selective candidate
-    /// sets walk the CSR node view ([`RegionIndex::gather_candidates`]),
-    /// never touching the full entries table; broad ones take one
-    /// branch-free pass over the start-clustered table
-    /// ([`RegionIndex::dense_scan_candidates`]). The crossover mirrors
-    /// MonetDB's choice between positional gather and scan. `scratch`
-    /// carries the reusable bitset, the governance budget and the kernel
-    /// counters, so the join hot path allocates nothing per call.
-    pub fn candidates_into(
-        &self,
-        sorted_node_pres: &[u32],
-        scratch: &mut CandidateScratch,
-        out: &mut Vec<RegionEntry>,
-    ) {
-        if self.prefers_node_view(sorted_node_pres.len()) {
-            self.gather_candidates(sorted_node_pres, out);
-        } else {
-            self.dense_scan_candidates(sorted_node_pres, scratch, out);
+        let whole = 0..self.len();
+        let mut scratch = CandidateScratch::default();
+        match self.candidates_in(
+            Some(sorted_node_pres),
+            whole.clone(),
+            &mut scratch,
+            &mut out,
+        ) {
+            CandidateKernel::Borrowed => self.entries[whole].to_vec(),
+            _ => out,
         }
     }
 
-    /// Would [`RegionIndex::candidates_into`] take the node-view gather
-    /// kernel for a candidate set of this size? Exposed so the query
-    /// planner's explain output and runtime statistics can report the
-    /// same decision the index makes.
-    #[inline]
-    pub fn prefers_node_view(&self, candidate_count: usize) -> bool {
-        node_view_preferred(candidate_count, self.entries.len() as u64)
+    /// The candidate intersection within `reach` (a range
+    /// [`RegionIndex::reach`] returned, or the whole table — never one
+    /// that splits a run of equal starts): one decision
+    /// ([`candidate_kernel`]) among four derivations, counted in
+    /// `scratch.stats` where it is made. `candidates: None` means no
+    /// restriction. Every kernel but [`CandidateKernel::Borrowed`]
+    /// writes into `out` (cleared first); a borrowing derivation leaves
+    /// `out` alone — its entries are `&self.entries()[reach]`. `scratch`
+    /// carries the reusable bitset, the governance budget and the
+    /// counters, so the join hot path allocates nothing per call.
+    pub fn candidates_in(
+        &self,
+        candidates: Option<&[u32]>,
+        reach: Range<usize>,
+        scratch: &mut CandidateScratch,
+        out: &mut Vec<RegionEntry>,
+    ) -> CandidateKernel {
+        let reach_len = reach.len();
+        scratch.stats.candidate_reach_entries += reach_len as u64;
+        let kernel = candidate_kernel(
+            candidates.map(<[u32]>::len),
+            self.entries.len() as u64,
+            reach_len as u64,
+            || candidates == Some(&self.node_ids[..]),
+        );
+        let stats = &mut scratch.stats;
+        match kernel {
+            CandidateKernel::Borrowed => stats.candidate_borrowed += 1,
+            CandidateKernel::NodeView => stats.candidate_node_view += 1,
+            CandidateKernel::Scan => stats.candidate_scans += 1,
+            CandidateKernel::Probe => stats.candidate_probes += 1,
+        }
+        let cands = candidates.unwrap_or_default();
+        match kernel {
+            CandidateKernel::Borrowed => {}
+            CandidateKernel::NodeView => self.gather_candidates(cands, reach, out),
+            CandidateKernel::Scan => self.dense_scan_candidates(cands, reach, scratch, out),
+            CandidateKernel::Probe => self.probe_candidates(cands, reach, scratch, out),
+        }
+        kernel
     }
 
     /// The gather kernel: fetch each candidate's regions through the CSR
-    /// node view into `out` (cleared first), restoring the
-    /// `(start, end, id)` clustering only when the gathered runs
-    /// actually violate it. Public so benches and the property suite
-    /// can run it on inputs the cost rule would send to the scan.
-    pub fn gather_candidates(&self, sorted_node_pres: &[u32], out: &mut Vec<RegionEntry>) {
+    /// node view — one galloping cursor over the node ids, both lists
+    /// ascending — into `out` (cleared first), keeping those inside
+    /// `reach` and restoring the `(start, end, id)` clustering only when
+    /// the gathered runs actually violate it. The kernels are public so
+    /// benches and the property suite can run each of them on inputs the
+    /// cost rule would send elsewhere.
+    pub fn gather_candidates(
+        &self,
+        sorted_node_pres: &[u32],
+        reach: Range<usize>,
+        out: &mut Vec<RegionEntry>,
+    ) {
         debug_assert!(sorted_node_pres.windows(2).all(|w| w[0] < w[1]));
         out.clear();
+        if reach.is_empty() {
+            return;
+        }
+        // The reach as a start interval: it never splits a run of equal
+        // starts, so the interval holds exactly its entries.
+        let e = &self.entries;
+        debug_assert!(reach.start == 0 || e[reach.start - 1].start < e[reach.start].start);
+        debug_assert!(reach.end == e.len() || e[reach.end - 1].start < e[reach.end].start);
+        let (from, to) = (e[reach.start].start, e[reach.end - 1].start);
         out.reserve(sorted_node_pres.len());
         let mut sorted = true;
-        let mut last = (i64::MIN, i64::MIN, 0u32);
+        let mut prev = (i64::MIN, i64::MIN, 0u32);
+        let mut slot = 0;
         for &pre in sorted_node_pres {
-            for r in self.regions_of(pre) {
+            slot = crate::join::merge::gallop(&self.node_ids, slot, |&id| id < pre);
+            if self.node_ids.get(slot) != Some(&pre) {
+                continue;
+            }
+            let regions = self.node_offsets[slot] as usize..self.node_offsets[slot + 1] as usize;
+            for r in &self.node_regions[regions] {
+                if r.start < from || r.start > to {
+                    continue;
+                }
                 let key = (r.start, r.end, pre);
-                sorted &= last < key;
-                last = key;
+                sorted &= prev < key;
+                prev = key;
                 out.push(RegionEntry {
                     start: r.start,
                     end: r.end,
@@ -363,26 +424,59 @@ impl RegionIndex {
     }
 
     /// The scan kernel: build the candidate bitset in `scratch`, then one
-    /// chunked branch-free pass over the start-clustered table into
-    /// `out` (cleared first), which therefore needs no re-sort. Polls
-    /// `scratch.budget` once per 64-entry block. Public for the same
-    /// reason as [`RegionIndex::gather_candidates`].
+    /// chunked branch-free pass over the reach into `out` (cleared
+    /// first), which therefore needs no re-sort. Polls `scratch.budget`
+    /// once per 64-entry block.
     pub fn dense_scan_candidates(
         &self,
         sorted_node_pres: &[u32],
+        reach: Range<usize>,
         scratch: &mut CandidateScratch,
         out: &mut Vec<RegionEntry>,
     ) {
         debug_assert!(sorted_node_pres.windows(2).all(|w| w[0] < w[1]));
         out.clear();
-        if sorted_node_pres.is_empty() || self.entries.is_empty() {
+        if sorted_node_pres.is_empty() || reach.is_empty() {
             return;
         }
         scratch.dense.fill(sorted_node_pres);
         scratch.stats.candidate_repr_dense += 1;
-        // The kernel visits every 64-entry block exactly once.
-        scratch.stats.candidate_dense_blocks += self.entries.len().div_ceil(SCAN_CHUNK) as u64;
-        dense_scan_chunks(&self.entries, &scratch.dense, scratch.budget.as_ref(), out);
+        // The kernel visits every 64-entry block of the reach once.
+        scratch.stats.candidate_dense_blocks += reach.len().div_ceil(SCAN_CHUNK) as u64;
+        dense_scan_chunks(
+            &self.entries[reach],
+            &scratch.dense,
+            scratch.budget.as_ref(),
+            out,
+        );
+    }
+
+    /// The probe kernel: each entry of the reach looks its id up in the
+    /// sorted candidates — no bitset, no pass over the candidates — into
+    /// `out` (cleared first), in clustered order. Polls
+    /// `scratch.budget` once per 64 entries, like the scan.
+    pub fn probe_candidates(
+        &self,
+        sorted_node_pres: &[u32],
+        reach: Range<usize>,
+        scratch: &CandidateScratch,
+        out: &mut Vec<RegionEntry>,
+    ) {
+        debug_assert!(sorted_node_pres.windows(2).all(|w| w[0] < w[1]));
+        out.clear();
+        if sorted_node_pres.is_empty() {
+            return;
+        }
+        for chunk in self.entries[reach].chunks(SCAN_CHUNK) {
+            if scratch.budget.as_ref().is_some_and(|b| b.poll().is_some()) {
+                return;
+            }
+            out.extend(
+                chunk
+                    .iter()
+                    .filter(|e| sorted_node_pres.binary_search(&e.id).is_ok()),
+            );
+        }
     }
 
     /// Memory footprint estimate in bytes (used by the bench harness to
@@ -523,22 +617,114 @@ impl RegionIndex {
     }
 }
 
-/// The one cost rule of the candidate intersection: walking the node
-/// view costs ~`C log C` (gather plus the worst-case re-sort), the dense
-/// scan costs one pass over all `E` entries plus building the bitset —
-/// gather wins while `C log C < E`. A free function so the planner can
-/// evaluate the rule from statistics alone, without an index at hand.
+/// The four derivations of a join's candidate entries, one of which
+/// [`candidate_kernel`] picks per derivation.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum CandidateKernel {
+    /// The reach slice itself: no restriction, or the candidates are
+    /// exactly the index's annotated nodes.
+    Borrowed,
+    /// Each candidate's regions gathered through the CSR node view.
+    NodeView,
+    /// A candidate bitset, then one branch-free pass over the reach.
+    Scan,
+    /// Each reach entry's id binary-searched in the candidates.
+    Probe,
+}
+
+impl CandidateKernel {
+    /// The name `explain` prints in its access bracket.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            CandidateKernel::Borrowed => "borrowed",
+            CandidateKernel::NodeView => "node-view",
+            CandidateKernel::Scan => "scan",
+            CandidateKernel::Probe => "probe",
+        }
+    }
+}
+
+/// The one cost rule of the candidate intersection, over `C =
+/// candidates` (`None`: no restriction), `E = entries` in the index and
+/// `R = reach` entries a derivation may read, counted in memory touches:
 ///
-/// Calibration (bench-report `dense_scaling` group, 50k-entry table):
-/// the measured gather/scan break-even sits between C = 4 000 and
-/// C = 5 000 candidates — gather wins 2.3× at C = 1 000, ties at
-/// C = 4 000, loses 1.4–1.7× from C = 5 000 — and the rule flips at
-/// C ≈ 4 100, inside the measured bracket. No fudge factor needed.
-#[inline]
-pub fn node_view_preferred(candidate_count: usize, index_entries: u64) -> bool {
-    let c = candidate_count;
-    let gather_cost = (c as u64) * (usize::BITS - (c | 1).leading_zeros()) as u64;
-    gather_cost < index_entries
+/// | kernel    | cost |
+/// |-----------|------|
+/// | borrowed  | 0, once the candidates are proven to be every annotated node (`covers`, `C` comparisons) |
+/// | node-view | `C · (2·log₂(E/C) + 4)` — per candidate a gallop over the `E/C` node ids since the last one, then the id it lands on, its two CSR offsets and its region |
+/// | scan      | `C + R` — one bitset write per candidate, one read per reach entry |
+/// | probe     | `R · (log₂C + 1)` — per reach entry the entry and a binary search of the candidates |
+///
+/// The cheapest of the last three wins unless it costs more than the
+/// `C` comparisons that prove a borrow, in which case `covers` is asked
+/// (lazily — a point context never pays for it). `explain` passes
+/// `R = E`, a join at full reach. A free function so the planner
+/// evaluates the same rule from statistics, without an index at hand.
+///
+/// Calibration (every kernel forced over reaches centred in a
+/// 50k-entry table, half the candidates unannotated — the `reach` group
+/// of `benches/region_index.rs` on a denser grid, medians of 25 runs,
+/// twice), measured break-evens against where the rule flips, no fudge
+/// factor:
+///
+/// * node-view → scan at full reach: gather wins at C = 4 000 (86–89
+///   vs 130–158 µs), loses at 6 000 (107 vs 100); the rule flips at
+///   C ≈ 5 270.
+///   At R = 12 500: wins at 500, loses at 1 000; flips at ≈ 850.
+/// * probe → scan as the reach widens: C = 50 000 probes win at
+///   R = 3 000 (79 vs 95 µs), lose at 5 000; the rule flips at
+///   R ≈ 3 200. C = 4 000: win at 200, lose at 500; flips at ≈ 335.
+/// * Outside a bracket, all within 1.32× of the faster kernel: at
+///   C = 64 the probe still wins at R = 20 where the rule scans (flips
+///   at R ≈ 11 — 50 ns, the scan's fixed bitset cost); at R = 5 000
+///   gather → scan is measured between C = 64 and 250, the rule flips
+///   at ≈ 280; at C = 16 000 probe → scan between R = 500 and 1 000,
+///   the rule flips at ≈ 1 150. Over the 143-point grid (R 5 – 50 000,
+///   C 64 – 50 000) the rule picks the fastest kernel at 138.
+pub fn candidate_kernel(
+    candidates: Option<usize>,
+    entries: u64,
+    reach: u64,
+    covers: impl FnOnce() -> bool,
+) -> CandidateKernel {
+    let Some(c) = candidates else {
+        return CandidateKernel::Borrowed;
+    };
+    debug_assert!(reach <= entries);
+    // Costs in 1/256ths of a touch, so the logarithms keep a fraction.
+    let (c, e, r) = (c as u64, entries, reach);
+    let (cost, kernel) = [
+        (
+            c * (2 * log2_256(e).saturating_sub(log2_256(c)) + 4 * 256),
+            CandidateKernel::NodeView,
+        ),
+        ((c + r) * 256, CandidateKernel::Scan),
+        (r * (log2_256(c) + 256), CandidateKernel::Probe),
+    ]
+    .into_iter()
+    .min_by_key(|&(cost, _)| cost)
+    .expect("three kernels");
+    if cost > c * 256 && covers() {
+        CandidateKernel::Borrowed
+    } else {
+        kernel
+    }
+}
+
+/// `log₂ n` in 1/256ths (0 for `n ≤ 1`): the integer part, then the
+/// linear interpolation to the next power of two (Mitchell's
+/// approximation, under 0.09 low) — monotone, and without the libm a
+/// floating-point logarithm would link into every binary.
+fn log2_256(n: u64) -> u64 {
+    let n = n.max(1);
+    let k = u64::from(n.ilog2());
+    let rest = n - (1 << k);
+    let frac = if k >= 8 {
+        rest >> (k - 8)
+    } else {
+        rest << (8 - k)
+    };
+    (k << 8) + frac
 }
 
 /// A u64-block bitset over the candidate pre range `[base, base + span)`.
@@ -581,14 +767,15 @@ impl DenseCandidates {
     }
 }
 
-/// Caller-owned scratch for [`RegionIndex::candidates_into`]: the
+/// Caller-owned scratch for [`RegionIndex::candidates_in`]: the
 /// reusable candidate bitset, the governance budget, and the kernel
 /// counters. Lives inside the executor's `JoinScratch` so the join hot
 /// path allocates nothing per iteration.
 #[derive(Clone, Debug, Default)]
 pub struct CandidateScratch {
-    /// `candidate_repr_dense` and `candidate_dense_blocks` accumulate
-    /// here until the executor takes them.
+    /// Every derivation's kernel choice, its reach and the scan's
+    /// `candidate_repr_dense`/`candidate_dense_blocks` accumulate here
+    /// until the executor takes them.
     pub stats: JoinStats,
     /// Cooperative evaluation budget, polled once per 64-entry kernel
     /// chunk. `None` (the default) keeps the kernel budget-free apart
@@ -817,11 +1004,21 @@ mod tests {
             (9, Area::single(300, 310).unwrap()),
             (11, Area::single(400, 410).unwrap()),
         ];
-        let idx = RegionIndex::from_areas(&pairs);
+        // Filler rows, so that gathering three candidates is cheaper
+        // than reading the table.
+        let filler = (0..50).map(|k| {
+            (
+                13 + k,
+                Area::single(1000 + 10 * k as i64, 1005 + 10 * k as i64).unwrap(),
+            )
+        });
+        let idx = RegionIndex::from_areas(&pairs.into_iter().chain(filler).collect::<Vec<_>>());
         let cands = vec![3, 5, 7];
-        assert!(
-            idx.prefers_node_view(cands.len()),
-            "3 candidates over a 7-entry table must take the node view"
+        let whole = idx.len() as u64;
+        assert_eq!(
+            candidate_kernel(Some(cands.len()), whole, whole, || false),
+            CandidateKernel::NodeView,
+            "3 candidates over a 57-entry table must take the node view"
         );
         let got = idx.candidates_for(&cands);
         assert_eq!(got.len(), 5);
@@ -833,10 +1030,11 @@ mod tests {
         assert_eq!(got, definitional(&idx, &cands), "paths must agree");
     }
 
-    /// Both access paths agree on every candidate subset of a mixed
-    /// index, through the reusable-buffer entry point.
+    /// The entry point equals the definition restricted to the extent, on
+    /// every candidate subset of a mixed index and extents around its
+    /// starts.
     #[test]
-    fn candidates_into_agrees_with_scan_for_all_subsets() {
+    fn candidates_in_agrees_with_the_definition_for_all_subsets_and_extents() {
         let (doc, idx) = figure1_index();
         let all: Vec<u32> = idx.annotated_nodes().to_vec();
         let mut buf = Vec::new();
@@ -848,28 +1046,86 @@ mod tests {
                 .filter(|(k, _)| mask & (1 << k) != 0)
                 .map(|(_, &p)| p)
                 .collect();
-            idx.candidates_into(&subset, &mut scratch, &mut buf);
-            assert_eq!(buf, definitional(&idx, &subset), "mask {mask:#b}");
+            // Extents on, between and past the starts 0, 0, 8, 52, 64.
+            let edges = [0, 1, 8, 9, 52, 64, 65];
+            for (k, &from) in edges.iter().enumerate() {
+                for &to in &edges[k..] {
+                    let reach = idx.reach(from, to);
+                    let kernel =
+                        idx.candidates_in(Some(&subset), reach.clone(), &mut scratch, &mut buf);
+                    let got = match kernel {
+                        CandidateKernel::Borrowed => &idx.entries()[reach],
+                        _ => &buf[..],
+                    };
+                    let want: Vec<RegionEntry> = definitional(&idx, &subset)
+                        .into_iter()
+                        .filter(|e| (from..=to).contains(&e.start))
+                        .collect();
+                    assert_eq!(got, want, "mask {mask:#b}, extent [{from}, {to}]");
+                }
+            }
+            assert_eq!(idx.candidates_for(&subset), definitional(&idx, &subset));
         }
         // Unannotated candidates simply contribute nothing.
         let video = doc.elements_named("video")[0];
-        idx.candidates_into(&[video], &mut scratch, &mut buf);
-        assert!(buf.is_empty());
+        assert!(idx.candidates_for(&[video]).is_empty());
     }
 
-    /// The cost rule: tiny candidate sets gather, huge ones scan.
+    /// The reach of an extent: exactly the entries starting inside it.
     #[test]
-    fn cost_rule_crossover() {
-        assert!(node_view_preferred(1, 2));
-        assert!(node_view_preferred(64, 100_000));
-        assert!(!node_view_preferred(50_000, 100_000));
-        assert!(!node_view_preferred(0, 0), "empty index: scan is free");
-        let pairs: Vec<(u32, Area)> = (0..1000)
-            .map(|k| (k, Area::single(k as i64 * 10, k as i64 * 10 + 5).unwrap()))
-            .collect();
-        let idx = RegionIndex::from_areas(&pairs);
-        assert!(idx.prefers_node_view(8));
-        assert!(!idx.prefers_node_view(900));
+    fn reach_is_the_entries_starting_inside_the_extent() {
+        let (_, idx) = figure1_index(); // starts 0, 0, 8, 52, 64
+        assert_eq!(idx.reach(0, 94), 0..5);
+        assert_eq!(idx.reach(0, 0), 0..2);
+        assert_eq!(idx.reach(1, 8), 2..3);
+        assert_eq!(idx.reach(9, 51), 3..3);
+        assert_eq!(idx.reach(52, 64), 3..5);
+        assert_eq!(idx.reach(95, 200), 5..5);
+        assert!(RegionIndex::default().reach(0, 9).is_empty());
+    }
+
+    #[test]
+    fn log2_256_is_monotone_and_exact_at_powers_of_two() {
+        assert_eq!((log2_256(0), log2_256(1), log2_256(2)), (0, 0, 256));
+        assert_eq!(log2_256(3), 256 + 128);
+        assert_eq!(log2_256(1 << 40), 40 * 256);
+        assert_eq!(log2_256(u64::MAX), 63 * 256 + 255);
+        let mut last = 0;
+        for n in (1..100_000u64).chain([1 << 33, (1 << 33) + 1, 1 << 62]) {
+            let l = log2_256(n);
+            assert!(l >= last, "{n}");
+            assert!(((n as f64).log2() * 256.0 - l as f64) < 0.09 * 256.0, "{n}");
+            last = l;
+        }
+    }
+
+    /// The cost rule: unrestricted or covering candidates borrow, tiny
+    /// sets gather, broad ones scan, a narrow reach probes — and the
+    /// coverage proof is only asked for when nothing cheaper exists.
+    #[test]
+    fn cost_rule_picks_each_kernel() {
+        use CandidateKernel::*;
+        let never = || -> bool { panic!("coverage asked for") };
+        assert_eq!(candidate_kernel(None, 100, 100, never), Borrowed);
+        assert_eq!(candidate_kernel(Some(1), 100, 100, || false), NodeView);
+        assert_eq!(
+            candidate_kernel(Some(64), 100_000, 100_000, || false),
+            NodeView
+        );
+        assert_eq!(
+            candidate_kernel(Some(64), 100_000, 100_000, || true),
+            Borrowed
+        );
+        assert_eq!(
+            candidate_kernel(Some(50_000), 100_000, 100_000, || false),
+            Scan
+        );
+        assert_eq!(
+            candidate_kernel(Some(50_000), 100_000, 100_000, || true),
+            Borrowed
+        );
+        assert_eq!(candidate_kernel(Some(50_000), 100_000, 5, never), Probe);
+        assert_eq!(candidate_kernel(Some(0), 0, 0, never), NodeView);
     }
 
     #[test]

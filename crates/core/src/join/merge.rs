@@ -321,20 +321,28 @@ fn ll_select_narrow_impl<T: TraceSink>(
 }
 
 /// First position at or after `from` whose candidate starts at or after
-/// `target` — exponential probe bracketing a binary search, so the
-/// common no-skip case costs a single comparison and a run of `s`
-/// skippable candidates costs `O(log s)` instead of `s` steps.
+/// `target` ([`gallop`]).
 #[inline]
 fn gallop_starts(candidates: &[RegionEntry], from: usize, target: i64) -> usize {
+    gallop(candidates, from, |c| c.start < target)
+}
+
+/// First position at or after `from` whose item is not `before` (which
+/// must hold on a prefix of `items[from..]`) — exponential probe
+/// bracketing a binary search, so the common no-skip case costs a single
+/// comparison and a run of `s` skippable items costs `O(log s)` instead
+/// of `s` steps.
+#[inline]
+pub(crate) fn gallop<T>(items: &[T], from: usize, before: impl Fn(&T) -> bool) -> usize {
     let mut step = 1usize;
     let mut hi = from;
-    while hi < candidates.len() && candidates[hi].start < target {
+    while hi < items.len() && before(&items[hi]) {
         hi += step;
         step *= 2;
     }
-    let lo = hi - step / 2; // last probe known `< target` (or `from`)
-    let hi = hi.min(candidates.len());
-    lo + candidates[lo..hi].partition_point(|c| c.start < target)
+    let lo = hi - step / 2; // last probe known `before` (or `from`)
+    let hi = hi.min(items.len());
+    lo + items[lo..hi].partition_point(before)
 }
 
 /// The branch-free emission kernel of the single-active fast path: for

@@ -34,10 +34,17 @@
 //!
 //! The merge joins derive their candidate entries through one path —
 //! [`JoinTarget::candidate_entries_in`] →
-//! [`RegionSource::candidates_into`] →
-//! [`RegionIndex::candidates_into`](crate::index::RegionIndex::candidates_into)
-//! — and every mechanism counter, here and in the query engine above,
-//! is a field of the one [`JoinStats`] declaration.
+//! [`RegionSource::candidates_in`] →
+//! [`RegionIndex::candidates_in`](crate::index::RegionIndex::candidates_in)
+//! — over a *reach* of the target's start-clustered table: the loop-lifted
+//! `select-narrow` (and the select half of `reject-narrow`) reads only
+//! the entries starting inside its context's extent
+//! ([`RegionIndex::reach`](crate::index::RegionIndex::reach)), every other
+//! derivation the whole table. Inside the reach one cost rule
+//! ([`candidate_kernel`](crate::index::candidate_kernel)) borrows, gathers,
+//! scans or probes, and counts its choice. Every mechanism counter, here
+//! and in the query engine above, is a field of the one [`JoinStats`]
+//! declaration.
 
 pub mod merge;
 pub mod naive;
@@ -45,6 +52,8 @@ pub mod post;
 mod stats;
 
 pub use stats::{JoinCounter, JoinStats};
+
+use std::ops::Range;
 
 use standoff_xml::Document;
 
@@ -280,27 +289,21 @@ pub struct JoinTarget<'a> {
 }
 
 impl<'a> JoinTarget<'a> {
-    /// The candidate region entries in start order: without a candidate
-    /// restriction a pure source's own entry table is returned as-is —
-    /// no copy of the full index per operator; otherwise the visible
-    /// stream, or its intersection with the candidate node sequence
-    /// (§4.3, [`RegionSource::candidates_into`]), is materialized into
-    /// `buf`.
+    /// The candidate region entries inside `reach` (a range of the
+    /// target index's clustered table), in start order
+    /// ([`RegionSource::candidates_in`]): borrowed from the index when
+    /// nothing restricts them, otherwise derived into `buf`.
     pub fn candidate_entries_in<'s>(
         &'s self,
+        reach: Range<usize>,
         kernel: &mut CandidateScratch,
         buf: &'s mut Vec<RegionEntry>,
     ) -> &'s [RegionEntry]
     where
         'a: 's,
     {
-        match self.candidates {
-            None => self.index.entries_in(buf),
-            Some(nodes) => {
-                self.index.candidates_into(nodes, kernel, buf);
-                buf
-            }
-        }
+        self.index
+            .candidates_in(self.candidates, reach, kernel, buf)
     }
 
     /// The distinct candidate *annotation* nodes, ascending — the
@@ -342,6 +345,8 @@ impl<'a> JoinTarget<'a> {
 #[derive(Debug, Default)]
 pub struct JoinScratch {
     ctx: Vec<CtxEntry>,
+    /// The resolved context's extent: its first start and largest end.
+    extent: (i64, i64),
     cands: Vec<RegionEntry>,
     emissions: Vec<Emission>,
     iters: Vec<u32>,
@@ -357,8 +362,10 @@ impl JoinScratch {
     /// for every target it is then joined into ([`join_resolved`]): the
     /// regions of every `(iter, node)` row of every part — a part is
     /// one fragment's rows with the source its areas are looked up in —
-    /// sorted by start (the context-preparation step of §4.4). Rows
-    /// that are not area-annotations contribute nothing.
+    /// sorted by start (the context-preparation step of §4.4), and its
+    /// extent — first start, largest end — noted for the loop-lifted
+    /// narrow join's reach. Rows that are not area-annotations contribute
+    /// nothing.
     ///
     /// A context annotation is identified by the *ordinal of its row*
     /// across all parts, not by its pre rank: two layers of one corpus
@@ -384,6 +391,8 @@ impl JoinScratch {
         }
         self.ctx
             .sort_unstable_by_key(|c| (c.start, c.end, c.iter, c.node));
+        let to = self.ctx.iter().map(|c| c.end).max();
+        self.extent = (self.ctx.first().map_or(0, |c| c.start), to.unwrap_or(-1));
     }
 
     /// Install (or clear) the governance handle polled by the scan and
@@ -496,6 +505,7 @@ pub fn join_resolved(
     // Multi-region containment (∀∃) must attribute every match to a
     // specific context annotation; see merge.rs.
     let per_annotation = select_axis.is_narrow() && target.index.max_regions() > 1;
+    let whole = 0..target.index.index().len();
     let selected: Vec<IterNode> = match strategy {
         _ if scratch.ctx.is_empty() => Vec::new(),
         StandoffStrategy::NaiveNoCandidates => {
@@ -521,8 +531,13 @@ pub fn join_resolved(
                 if budget.as_ref().is_some_and(|b| b.check().is_err()) {
                     break;
                 }
-                // Re-derived per iteration — the strategy's modeled cost.
-                let cands = target.candidate_entries_in(&mut scratch.kernel, &mut scratch.cands);
+                // Re-derived per iteration, over the whole table — the
+                // strategy's modeled cost.
+                let cands = target.candidate_entries_in(
+                    whole.clone(),
+                    &mut scratch.kernel,
+                    &mut scratch.cands,
+                );
                 scratch.single.clear();
                 scratch.single.extend(
                     scratch
@@ -552,11 +567,22 @@ pub fn join_resolved(
                     e.iter = iter;
                 }
             }
-            let cands = target.candidate_entries_in(&mut scratch.kernel, &mut scratch.cands);
+            let cands = target.candidate_entries_in(whole, &mut scratch.kernel, &mut scratch.cands);
             post::finalize_select(select_axis, &scratch.emissions, cands, target.index)
         }
         StandoffStrategy::LoopLiftedMergeJoin => {
-            let cands = target.candidate_entries_in(&mut scratch.kernel, &mut scratch.cands);
+            // A region contained in some context region starts inside the
+            // context's extent: the narrow join reads only that reach of
+            // the table. (Bounding the wide join would need the index's
+            // largest extent; it reads the whole table.)
+            let reach = match select_axis {
+                StandoffAxis::SelectNarrow => {
+                    let (from, to) = scratch.extent;
+                    target.index.index().reach(from, to)
+                }
+                _ => whole,
+            };
+            let cands = target.candidate_entries_in(reach, &mut scratch.kernel, &mut scratch.cands);
             scratch.emissions.clear();
             match select_axis {
                 StandoffAxis::SelectNarrow => merge::ll_select_narrow_into(
@@ -639,7 +665,9 @@ mod tests {
         let index = crate::RegionIndex::from_areas(&[
             (1, Area::single(0, 9).unwrap()),
             (2, Area::single(2, 3).unwrap()),
-            (far, Area::single(4, 5).unwrap()),
+            (4, Area::single(4, 5).unwrap()),
+            (5, Area::single(6, 7).unwrap()),
+            (far, Area::single(8, 8).unwrap()),
         ]);
         let context = [IterNode { iter: 0, node: 1 }];
         let mut scratch = JoinScratch::default();
@@ -652,15 +680,16 @@ mod tests {
                 candidates: Some(candidates),
                 iter_domain: &[0],
             };
-            assert!(!index.prefers_node_view(candidates.len()), "must scan");
+            let kernel = crate::index::candidate_kernel(Some(candidates.len()), 5, 5, || false);
+            assert_eq!(kernel, crate::index::CandidateKernel::Scan, "must scan");
             let strategy = StandoffStrategy::LoopLiftedMergeJoin;
             evaluate_standoff_join_with(StandoffAxis::SelectNarrow, strategy, &input, None, scratch)
         };
         // Narrow span: a one-word bitset.
-        assert_eq!(run(&[1, 2, 3], &mut scratch).len(), 2);
+        assert_eq!(run(&[1, 2, 3, 4], &mut scratch).len(), 3);
         let narrow = scratch.approx_bytes();
         // Same candidate count over a million-rank span.
-        assert_eq!(run(&[1, 2, far], &mut scratch).len(), 3);
+        assert_eq!(run(&[1, 2, 4, far], &mut scratch).len(), 4);
         let bitset = (far as u64).div_ceil(64) * 8;
         assert!(
             narrow < 1024 && scratch.approx_bytes() >= bitset,

@@ -74,9 +74,9 @@ macro_rules! join_counters {
 }
 
 join_counters! {
-    /// Candidate intersections taken through the node view (gather).
+    /// Candidate derivations taken through the node view (gather).
     candidate_node_view: "node-view={}" always,
-    /// Candidate intersections taken as full index scans.
+    /// Candidate derivations taken as bitset scans of their reach.
     candidate_scans: "scan={}" always,
     /// Join results that had to be sorted. Always zero: every target
     /// layer's output leaves the kernel `(iter, pre)`-sorted, so a
@@ -100,6 +100,16 @@ join_counters! {
     /// 64-entry blocks processed by the branch-free kernels (dense
     /// candidate scans + the merge join's single-active emission runs).
     candidate_dense_blocks: "blocks={}" nonzero,
+    /// Candidate derivations that borrowed their reach of the index:
+    /// no restriction, or candidates that are every annotated node.
+    candidate_borrowed: "borrowed={}" nonzero,
+    /// Candidate derivations that probed each reach entry against the
+    /// sorted candidates.
+    candidate_probes: "probes={}" nonzero,
+    /// Index entries inside the reaches of all candidate derivations,
+    /// summed. `{E}` in the label stands for the entries of the target
+    /// layers the operator joined (the analyze detail's `reach=R of E`).
+    candidate_reach_entries: "reach={} of {E}" nonzero,
 }
 
 impl JoinStats {
@@ -128,9 +138,10 @@ mod tests {
             ..JoinStats::default()
         };
         let pairs: Vec<(&str, u64)> = stats.counters().map(|(c, v)| (c.name, v)).collect();
-        assert_eq!(pairs.len(), 9);
+        assert_eq!(pairs.len(), 12);
         assert_eq!(pairs[0], ("candidate_node_view", 1));
         assert_eq!(pairs[8], ("candidate_dense_blocks", 8));
+        assert_eq!(pairs[11], ("candidate_reach_entries", 0));
         let mut sum = stats;
         sum.merge(stats);
         assert_eq!(sum.candidate_dense_blocks, 16);

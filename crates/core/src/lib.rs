@@ -55,7 +55,7 @@ pub use budget::{Budget, BudgetExceeded, BudgetLimits};
 pub use config::{RegionRepr, StandoffConfig};
 pub use crc::{crc32, Crc32};
 pub use error::StandoffError;
-pub use index::{CandidateScratch, IndexStats, RegionEntry, RegionIndex};
+pub use index::{CandidateKernel, CandidateScratch, IndexStats, RegionEntry, RegionIndex};
 pub use join::{
     evaluate_standoff_join, evaluate_standoff_join_with, join_resolved, IterNode, JoinCounter,
     JoinInput, JoinScratch, JoinStats, JoinTarget, StandoffAxis, StandoffStrategy,

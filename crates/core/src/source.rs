@@ -21,7 +21,9 @@
 //! `RegionSource`, and the engine's existing multi-document join
 //! machinery merges the streams in document order.
 
-use crate::index::{CandidateScratch, IndexStats, RegionEntry, RegionIndex};
+use std::ops::Range;
+
+use crate::index::{CandidateKernel, CandidateScratch, IndexStats, RegionEntry, RegionIndex};
 use crate::region::Region;
 
 /// A region index plus an optional retraction set, presented as one
@@ -108,42 +110,42 @@ impl<'a> RegionSource<'a> {
         self.index.max_regions()
     }
 
-    /// The visible `start|end|id` entry stream in `(start, end, id)`
-    /// order. Pure sources return the index's own column — no copy;
-    /// otherwise the filtered stream is materialized into `scratch`.
-    pub fn entries_in<'s>(&self, scratch: &'s mut Vec<RegionEntry>) -> &'s [RegionEntry]
+    /// The visible entries of the candidate nodes (strictly ascending pre
+    /// ranks; `None`: every annotation) inside `reach`, in entry order —
+    /// the candidate-driven access path of §4.3, minus anything
+    /// retracted. A pure source runs the exact index derivation
+    /// ([`RegionIndex::candidates_in`]) and a borrowing one returns the
+    /// index's own column — no copy. With retractions, the filter is one
+    /// post-pass over the derivation's output (or over the reach, when
+    /// it borrowed), never a per-entry check inside the kernels; `out`
+    /// holds whatever had to be materialized.
+    pub fn candidates_in<'s>(
+        &self,
+        candidates: Option<&[u32]>,
+        reach: Range<usize>,
+        scratch: &mut CandidateScratch,
+        out: &'s mut Vec<RegionEntry>,
+    ) -> &'s [RegionEntry]
     where
         'a: 's,
     {
-        if self.is_pure() {
-            return self.index.entries();
-        }
-        scratch.clear();
-        scratch.extend(
-            self.index
-                .entries()
-                .iter()
-                .filter(|e| !self.is_retracted(e.id))
-                .copied(),
-        );
-        scratch
-    }
-
-    /// Entries of the candidate nodes (strictly ascending pre ranks),
-    /// in entry order, into `out` (cleared first) — the candidate-driven
-    /// access path of §4.3, minus anything retracted. The retraction
-    /// filter is a single post-pass gated on `is_pure()`, never a
-    /// per-entry check inside the scan kernel, so the pure-snapshot path
-    /// runs the exact index kernel ([`RegionIndex::candidates_into`]).
-    pub fn candidates_into(
-        &self,
-        candidates: &[u32],
-        scratch: &mut CandidateScratch,
-        out: &mut Vec<RegionEntry>,
-    ) {
-        self.index.candidates_into(candidates, scratch, out);
-        if !self.is_pure() {
-            out.retain(|e| !self.is_retracted(e.id));
+        let kernel = self
+            .index
+            .candidates_in(candidates, reach.clone(), scratch, out);
+        let visible = |e: &RegionEntry| !self.is_retracted(e.id);
+        match kernel {
+            CandidateKernel::Borrowed if self.is_pure() => &self.index.entries()[reach],
+            CandidateKernel::Borrowed => {
+                out.clear();
+                out.extend(self.index.entries()[reach].iter().filter(|e| visible(e)));
+                out
+            }
+            _ => {
+                if !self.is_pure() {
+                    out.retain(visible);
+                }
+                out
+            }
         }
     }
 
@@ -212,10 +214,16 @@ mod tests {
         let idx = index();
         let src = RegionSource::from_index(&idx);
         assert!(src.is_pure());
+        let mut kernel = CandidateScratch::default();
         let mut scratch = Vec::new();
-        let entries = src.entries_in(&mut scratch);
-        assert!(std::ptr::eq(entries.as_ptr(), idx.entries().as_ptr()));
+        // No restriction, and a restriction to every annotated node.
+        for cands in [None, Some(idx.annotated_nodes())] {
+            let entries = src.candidates_in(cands, 0..idx.len(), &mut kernel, &mut scratch);
+            assert!(std::ptr::eq(entries.as_ptr(), idx.entries().as_ptr()));
+            assert_eq!(entries.len(), idx.len());
+        }
         assert!(scratch.is_empty(), "pure path must not materialize");
+        assert_eq!(kernel.stats.candidate_borrowed, 2);
         let mut nodes = Vec::new();
         let annotated = src.annotated_nodes_in(&mut nodes);
         assert!(std::ptr::eq(
@@ -235,18 +243,22 @@ mod tests {
         assert_eq!(src.region_count(4), 0);
         assert_eq!(src.regions_of(2), idx.regions_of(2));
 
+        let mut kernel = CandidateScratch::default();
         let mut scratch = Vec::new();
-        let entries = src.entries_in(&mut scratch);
+        let entries = src.candidates_in(None, 0..idx.len(), &mut kernel, &mut scratch);
         assert_eq!(entries.len(), 2);
         assert!(entries.iter().all(|e| e.id != 4));
 
         let mut nodes = Vec::new();
         assert_eq!(src.annotated_nodes_in(&mut nodes), &[2, 6]);
 
+        // Inside a reach only: [5, 14] and [10, 19] start in [5, 10].
         let mut cands = Vec::new();
-        src.candidates_into(&[2, 4, 6], &mut CandidateScratch::default(), &mut cands);
-        assert!(cands.iter().all(|e| e.id != 4));
-        assert_eq!(cands.len(), 2);
+        let reach = idx.reach(5, 10);
+        let got = src.candidates_in(Some(&[2, 4, 6][..]), reach, &mut kernel, &mut cands);
+        assert_eq!(got.iter().map(|e| e.id).collect::<Vec<_>>(), [6]);
+        let got = src.candidates_in(Some(&[2, 4, 6][..]), 0..3, &mut kernel, &mut cands);
+        assert_eq!(got.iter().map(|e| e.id).collect::<Vec<_>>(), [2, 6]);
     }
 
     #[test]

@@ -1,42 +1,66 @@
 //! Property tests for the region index: the candidate intersection's
-//! single entry point and both of its kernels (node-view gather, dense
-//! bitset scan) must agree with the §4.3 definition, and the index must
+//! single entry point and every kernel its rule can choose (borrowed
+//! reach, node-view gather, dense bitset scan, probe) must agree with
+//! the §4.3 definition restricted to the reach, and the index must
 //! faithfully represent the annotations it was built from.
+
+use std::ops::Range;
 
 use proptest::prelude::*;
 
-use standoff_core::{Area, CandidateScratch, Region, RegionEntry, RegionIndex, StandoffConfig};
+use standoff_core::index::candidate_kernel;
+use standoff_core::{
+    Area, CandidateKernel, CandidateScratch, Region, RegionEntry, RegionIndex, StandoffConfig,
+};
 use standoff_xml::DocumentBuilder;
 
 /// The oracle, by definition: the start-clustered table filtered by
-/// candidate membership. Shares no code with either kernel.
-fn oracle(index: &RegionIndex, candidates: &[u32]) -> Vec<RegionEntry> {
+/// candidate membership, then cut to the reach by position. Shares no
+/// code with any kernel.
+fn oracle(index: &RegionIndex, candidates: &[u32], reach: Range<usize>) -> Vec<RegionEntry> {
     index
         .entries()
         .iter()
-        .filter(|e| candidates.binary_search(&e.id).is_ok())
-        .copied()
+        .enumerate()
+        .filter(|(k, e)| reach.contains(k) && candidates.binary_search(&e.id).is_ok())
+        .map(|(_, e)| *e)
         .collect()
 }
 
-/// Entry point and both kernels against the oracle; returns the kernel
-/// counters the entry point accumulated.
-fn assert_all_agree(index: &RegionIndex, candidates: &[u32]) -> CandidateScratch {
-    let want = oracle(index, candidates);
+/// The entry point and every kernel against the oracle; returns the
+/// kernel the entry point chose and the counters it accumulated.
+fn assert_all_agree(
+    index: &RegionIndex,
+    candidates: &[u32],
+    reach: Range<usize>,
+) -> (CandidateKernel, CandidateScratch) {
+    let want = oracle(index, candidates, reach.clone());
     let mut scratch = CandidateScratch::default();
     let mut got = vec![RegionEntry {
         start: -1,
         end: -1,
         id: 0,
     }]; // must be cleared
-    index.candidates_into(candidates, &mut scratch, &mut got);
-    assert_eq!(got, want, "entry point");
-    assert_eq!(index.candidates_for(candidates), want, "allocating form");
-    index.gather_candidates(candidates, &mut got);
+    let kernel = index.candidates_in(Some(candidates), reach.clone(), &mut scratch, &mut got);
+    let chosen = match kernel {
+        CandidateKernel::Borrowed => &index.entries()[reach.clone()],
+        _ => &got[..],
+    };
+    assert_eq!(chosen, want, "entry point ({kernel:?})");
+    if candidates == index.annotated_nodes() {
+        assert_eq!(&index.entries()[reach.clone()], want, "borrowed reach");
+    }
+    if reach == (0..index.len()) {
+        assert_eq!(index.candidates_for(candidates), want, "allocating form");
+    }
+    index.gather_candidates(candidates, reach.clone(), &mut got);
     assert_eq!(got, want, "gather kernel");
-    index.dense_scan_candidates(candidates, &mut CandidateScratch::default(), &mut got);
+    let mut fresh = CandidateScratch::default();
+    index.dense_scan_candidates(candidates, reach.clone(), &mut fresh, &mut got);
     assert_eq!(got, want, "dense scan kernel");
-    scratch
+    index.probe_candidates(candidates, reach, &fresh, &mut got);
+    assert_eq!(got, want, "probe kernel");
+    (kernel, scratch)
 }
 
 /// Random single/multi-region annotations with controlled geometry.
@@ -80,15 +104,18 @@ fn build_index(annotations: &[Vec<(i64, i64)>]) -> (Vec<u32>, RegionIndex) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The entry point and both kernels equal the oracle for every
-    /// table size (empty and one-entry tables included) and every
-    /// candidate set drawn from annotated *and* unannotated pre ranks —
-    /// so cases land on both sides of the `node_view_preferred`
-    /// boundary and reach `C > E`.
+    /// The entry point and every kernel equal the oracle for every
+    /// table size (empty and one-entry tables included), every reach —
+    /// the whole table or the entries starting inside an extent — and
+    /// every candidate set drawn from annotated *and* unannotated pre
+    /// ranks, or all annotated ones: so cases land on every side of the
+    /// rule's boundaries and reach `C > E`.
     #[test]
     fn entry_point_and_kernels_match_the_oracle(
         annotations in annotations_strategy(),
         picks in prop::collection::vec(any::<u16>(), 0..160),
+        covering in any::<bool>(),
+        extent in prop::option::of((0i64..560, 0i64..200)),
     ) {
         let (pres, index) = build_index(&annotations);
         // Even ranks up to 2·n are annotated; odd ones and the tail
@@ -97,7 +124,14 @@ proptest! {
         let mut candidates: Vec<u32> = picks.iter().map(|&p| p as u32 % universe).collect();
         candidates.sort_unstable();
         candidates.dedup();
-        assert_all_agree(&index, &candidates);
+        if covering {
+            candidates = pres;
+        }
+        let reach = match extent {
+            Some((from, len)) => index.reach(from, from + len),
+            None => 0..index.len(),
+        };
+        assert_all_agree(&index, &candidates, reach);
     }
 
     /// Index round-trip: every annotation's regions come back through
@@ -158,52 +192,78 @@ fn uniform_index(n: i64) -> (Vec<u32>, RegionIndex) {
     (doc.elements_named("a").to_vec(), index)
 }
 
-/// Deterministic check that the one decision really dispatches to both
-/// kernels, and that the candidate counts adjacent to the crossover land
-/// on opposite sides of it with identical answers.
+/// Deterministic check that the one decision really dispatches to every
+/// kernel, counts each choice, and that the inputs adjacent to a
+/// crossover land on opposite sides of it with identical answers.
 #[test]
-fn both_kernels_execute_around_the_crossover() {
+fn every_kernel_is_chosen_and_agrees() {
     let (all, index) = uniform_index(2000);
+    let whole = 0..index.len();
+    let e = index.len() as u64;
+    let but_one = &all[1..];
+
+    // Every annotated node: the reach itself, borrowed.
+    let (kernel, scratch) = assert_all_agree(&index, &all, whole.clone());
+    assert_eq!(kernel, CandidateKernel::Borrowed);
+    assert_eq!(scratch.stats.candidate_borrowed, 1);
+    assert_eq!(scratch.stats.candidate_repr_dense, 0);
+    assert_eq!(scratch.stats.candidate_reach_entries, e);
 
     // Selective: 3 nodes → gather kernel, no scan counters.
     let few = [all[10], all[500], all[1999]];
-    assert!(index.prefers_node_view(few.len()));
-    let scratch = assert_all_agree(&index, &few);
+    let (kernel, scratch) = assert_all_agree(&index, &few, whole.clone());
+    assert_eq!(kernel, CandidateKernel::NodeView);
+    assert_eq!(scratch.stats.candidate_node_view, 1);
     assert_eq!(scratch.stats.candidate_repr_dense, 0);
     assert_eq!(scratch.stats.candidate_dense_blocks, 0);
 
-    // Broad: everything → dense scan kernel; equals the full index.
-    assert!(!index.prefers_node_view(all.len()));
-    let scratch = assert_all_agree(&index, &all);
-    assert_eq!(index.candidates_for(&all), index.entries());
+    // Broad but not covering → dense scan of the whole table.
+    let (kernel, scratch) = assert_all_agree(&index, but_one, whole.clone());
+    assert_eq!(kernel, CandidateKernel::Scan);
+    assert_eq!(scratch.stats.candidate_scans, 1);
     assert_eq!(scratch.stats.candidate_repr_dense, 1);
     assert_eq!(scratch.stats.candidate_dense_blocks, 2000u64.div_ceil(64));
 
-    // The last gather-side count and the first scan-side count.
+    // The same candidates over a point's reach → probe, no bitset.
+    let point = index.reach(300, 312); // starts 300, 303, …, 312
+    assert_eq!(point.len(), 5);
+    let (kernel, scratch) = assert_all_agree(&index, but_one, point);
+    assert_eq!(kernel, CandidateKernel::Probe);
+    assert_eq!(scratch.stats.candidate_probes, 1);
+    assert_eq!(scratch.stats.candidate_repr_dense, 0);
+    assert_eq!(scratch.stats.candidate_reach_entries, 5);
+
+    // Node view → scan at full reach: the last gather-side count and
+    // the first scan-side count.
+    let rule = |c: usize, r: usize| candidate_kernel(Some(c), e, r as u64, || false);
     let last_gather = (1..all.len())
         .rev()
-        .find(|&c| index.prefers_node_view(c))
+        .find(|&c| rule(c, all.len()) == CandidateKernel::NodeView)
         .unwrap();
-    assert!(!index.prefers_node_view(last_gather + 1));
+    assert_eq!(rule(last_gather + 1, all.len()), CandidateKernel::Scan);
     let spread: Vec<u32> = all.iter().step_by(7).copied().collect();
     assert!(spread.len() > last_gather);
-    assert_eq!(
-        assert_all_agree(&index, &spread[..last_gather])
-            .stats
-            .candidate_repr_dense,
-        0
-    );
-    assert_eq!(
-        assert_all_agree(&index, &spread[..last_gather + 1])
-            .stats
-            .candidate_repr_dense,
-        1
-    );
+    let (kernel, _) = assert_all_agree(&index, &spread[..last_gather], whole.clone());
+    assert_eq!(kernel, CandidateKernel::NodeView);
+    let (kernel, _) = assert_all_agree(&index, &spread[..last_gather + 1], whole);
+    assert_eq!(kernel, CandidateKernel::Scan);
+
+    // Probe → scan as the reach widens around the same candidates.
+    let last_probe = (1..all.len())
+        .rev()
+        .find(|&r| rule(but_one.len(), r) == CandidateKernel::Probe)
+        .unwrap();
+    assert_eq!(rule(but_one.len(), last_probe + 1), CandidateKernel::Scan);
+    let reach_of = |r: usize| 100..100 + r;
+    let (kernel, _) = assert_all_agree(&index, but_one, reach_of(last_probe));
+    assert_eq!(kernel, CandidateKernel::Probe);
+    let (kernel, _) = assert_all_agree(&index, but_one, reach_of(last_probe + 1));
+    assert_eq!(kernel, CandidateKernel::Scan);
 }
 
 /// The degenerate tables: no entries, one entry, and far more candidate
-/// elements than entries (`C ≫ E`, where the scan pays an `O(C)` bitset
-/// fill for a one-block pass).
+/// elements than entries (`C ≫ E`, where a probe per entry beats the
+/// scan's `O(C)` bitset fill for a one-block pass).
 #[test]
 fn empty_single_entry_and_oversubscribed_tables() {
     let many: Vec<u32> = (0..50_000).collect();
@@ -211,24 +271,24 @@ fn empty_single_entry_and_oversubscribed_tables() {
     let (_, empty) = uniform_index(0);
     assert!(empty.is_empty());
     for cands in [&[][..], &[7][..], &many[..]] {
-        let scratch = assert_all_agree(&empty, cands);
+        let (_, scratch) = assert_all_agree(&empty, cands, 0..0);
         assert_eq!(scratch.stats.candidate_repr_dense, 0, "nothing to scan");
     }
 
     let (one, single) = uniform_index(1);
     assert_eq!(single.len(), 1);
-    assert_all_agree(&single, &[]);
+    assert_all_agree(&single, &[], 0..1);
     assert_eq!(single.candidates_for(&one), single.entries());
-    assert_all_agree(&single, &one);
-    assert_all_agree(&single, &[one[0] + 1]);
-    let scratch = assert_all_agree(&single, &many);
-    assert_eq!(scratch.stats.candidate_repr_dense, 1);
-    assert_eq!(scratch.stats.candidate_dense_blocks, 1);
+    assert_all_agree(&single, &one, 0..1);
+    assert_all_agree(&single, &[one[0] + 1], 0..1);
+    let (kernel, scratch) = assert_all_agree(&single, &many, 0..1);
+    assert_eq!(kernel, CandidateKernel::Probe);
+    assert_eq!(scratch.stats.candidate_repr_dense, 0);
 
     let (_, small) = uniform_index(64);
-    assert!(!small.prefers_node_view(many.len()));
     assert_eq!(small.candidates_for(&many), small.entries());
-    assert_all_agree(&small, &many);
+    let (kernel, _) = assert_all_agree(&small, &many, 0..64);
+    assert_eq!(kernel, CandidateKernel::Probe);
 }
 
 // ---- mount-time revalidation: the entry ↔ node-view bijection ----

@@ -9,10 +9,10 @@
 use proptest::prelude::*;
 
 use standoff_core::join::merge::ll_select_wide;
-use standoff_core::join::CtxEntry;
+use standoff_core::join::{evaluate_standoff_join_with, CtxEntry, JoinScratch};
 use standoff_core::{
-    evaluate_standoff_join, IterNode, JoinInput, RegionEntry, RegionIndex, StandoffAxis,
-    StandoffStrategy,
+    evaluate_standoff_join, IterNode, JoinInput, JoinStats, RegionEntry, RegionIndex, RegionSource,
+    StandoffAxis, StandoffStrategy,
 };
 use standoff_xml::DocumentBuilder;
 
@@ -46,12 +46,24 @@ fn annotation_strategy(max_pos: i64, multi: bool) -> impl Strategy<Value = GenAn
 /// Build a flat document `<doc><a .../><a .../>...</doc>` whose elements
 /// carry the generated areas, and the matching region index.
 fn build(annotations: &[GenAnnotation], multi: bool) -> (standoff_xml::Document, RegionIndex) {
+    let named: Vec<(&str, Vec<(i64, i64)>)> = annotations
+        .iter()
+        .map(|a| ("a", a.regions.clone()))
+        .collect();
+    build_named(&named, multi)
+}
+
+/// [`build`] with a name per element: `<doc><name .../>...</doc>`.
+fn build_named(
+    annotations: &[(&str, Vec<(i64, i64)>)],
+    multi: bool,
+) -> (standoff_xml::Document, RegionIndex) {
     let mut b = DocumentBuilder::new();
     b.start_element("doc");
-    for a in annotations {
-        b.start_element("a");
+    for (name, regions) in annotations {
+        b.start_element(name);
         if multi {
-            for &(s, e) in &a.regions {
+            for &(s, e) in regions {
                 b.start_element("region");
                 b.start_element("start");
                 b.text(&s.to_string());
@@ -62,7 +74,7 @@ fn build(annotations: &[GenAnnotation], multi: bool) -> (standoff_xml::Document,
                 b.end_element();
             }
         } else {
-            let (s, e) = a.regions[0];
+            let (s, e) = regions[0];
             b.attribute("start", &s.to_string());
             b.attribute("end", &e.to_string());
         }
@@ -77,6 +89,41 @@ fn build(annotations: &[GenAnnotation], multi: bool) -> (standoff_xml::Document,
     };
     let index = RegionIndex::build(&doc, &config).unwrap();
     (doc, index)
+}
+
+/// Every axis under every other strategy equals the naive oracle on
+/// `input`. Returns the candidate-kernel counters of the loop-lifted
+/// runs, so a case can assert which derivation it exercised.
+fn assert_strategies_agree(input: &JoinInput<'_>, what: &dyn std::fmt::Debug) -> JoinStats {
+    let mut lifted = JoinScratch::default();
+    for axis in StandoffAxis::ALL {
+        let oracle =
+            evaluate_standoff_join(axis, StandoffStrategy::NaiveWithCandidates, input, None);
+        for strategy in [
+            StandoffStrategy::NaiveNoCandidates,
+            StandoffStrategy::BasicMergeJoin,
+            StandoffStrategy::LoopLiftedMergeJoin,
+        ] {
+            // The no-candidates baseline ignores the candidate
+            // restriction by design; only compare when none is set.
+            if strategy == StandoffStrategy::NaiveNoCandidates && input.candidates.is_some() {
+                continue;
+            }
+            let got = match strategy {
+                StandoffStrategy::LoopLiftedMergeJoin => {
+                    evaluate_standoff_join_with(axis, strategy, input, None, &mut lifted)
+                }
+                _ => evaluate_standoff_join(axis, strategy, input, None),
+            };
+            assert_eq!(
+                got, oracle,
+                "{axis} under {strategy} diverges from the naive oracle\n{what:?}\n\
+                 context: {:?}\ncandidates: {:?}",
+                input.context, input.candidates
+            );
+        }
+    }
+    lifted.take_stats()
 }
 
 fn run_all_strategies(
@@ -118,28 +165,63 @@ fn run_all_strategies(
         candidates: candidates.as_deref(),
         iter_domain: &iter_domain,
     };
+    assert_strategies_agree(&input, &annotations);
+}
 
-    for axis in StandoffAxis::ALL {
-        let oracle =
-            evaluate_standoff_join(axis, StandoffStrategy::NaiveWithCandidates, &input, None);
-        for strategy in [
-            StandoffStrategy::NaiveNoCandidates,
-            StandoffStrategy::BasicMergeJoin,
-            StandoffStrategy::LoopLiftedMergeJoin,
-        ] {
-            // The no-candidates baseline ignores the candidate
-            // restriction by design; only compare when none is set.
-            if strategy == StandoffStrategy::NaiveNoCandidates && candidates.is_some() {
-                continue;
-            }
-            let got = evaluate_standoff_join(axis, strategy, &input, None);
-            assert_eq!(
-                got, oracle,
-                "{axis} under {strategy} diverges from the naive oracle\n\
-                 annotations: {annotations:?}\ncontext: {context:?}\ncandidates: {candidates:?}"
-            );
-        }
+/// A dense layer of `n` single-region `a` annotations (starts about
+/// three apart, widths 0–4) plus 1–3 point contexts `c` of width ≤ 5
+/// clustered within 30 positions — drawn from `seed`. Returns the
+/// document, its index and the contexts' pre ranks.
+fn point_contexts_over_dense_layer(
+    seed: u64,
+    n: usize,
+    contexts: usize,
+) -> (standoff_xml::Document, RegionIndex, Vec<u32>) {
+    let mut state = seed | 1;
+    let mut next = |bound: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % bound
+    };
+    let mut annotations: Vec<(&str, Vec<(i64, i64)>)> = (0..n)
+        .map(|k| {
+            let start = 3 * k as i64 + next(3) as i64;
+            ("a", vec![(start, start + next(5) as i64)])
+        })
+        .collect();
+    let base = next(3 * n as u64) as i64;
+    for _ in 0..contexts {
+        let start = base + next(30) as i64;
+        annotations.push(("c", vec![(start, start + next(6) as i64)]));
     }
+    let (doc, index) = build_named(&annotations, false);
+    let cs = doc.elements_named("c").to_vec();
+    (doc, index, cs)
+}
+
+/// The reach's edges around a context extent `[from, to]` (`from ≥ 10`):
+/// candidates starting at the first context start and ending at the
+/// largest context end, zero-width ones on either edge and just outside
+/// it, and two-region areas with one region inside the reach and one
+/// outside — next to the contexts themselves.
+fn edge_shapes(from: i64, to: i64, extra: &[(i64, i64)]) -> Vec<(&'static str, Vec<(i64, i64)>)> {
+    let mut shapes: Vec<(&str, Vec<(i64, i64)>)> = vec![
+        ("a", vec![(from, from + 1)]),
+        ("a", vec![(from, to)]),
+        ("a", vec![((to - 1).max(from), to)]),
+        ("a", vec![(from, from)]),
+        ("a", vec![(to, to)]),
+        ("a", vec![(from - 1, from - 1)]),
+        ("a", vec![(to + 1, to + 1)]),
+        ("a", vec![(from - 1, to)]),
+        ("a", vec![(from, to + 1)]),
+        ("a", vec![(from, from), (to + 5, to + 6)]),
+        ("a", vec![(from - 8, from - 7), (to, to)]),
+        ("a", vec![(from - 8, from - 7), (to + 5, to + 6)]),
+    ];
+    shapes.extend(extra.iter().map(|&(s, len)| ("a", vec![(s, s + len)])));
+    shapes
 }
 
 /// Region shapes picked to sit on the wide kernel's seams instead of
@@ -400,5 +482,120 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A candidate sequence that is every annotation of the document:
+    /// the derivation borrows the index's own entries instead of
+    /// intersecting, and every strategy still equals the oracle.
+    #[test]
+    fn covering_candidates_borrow_the_index(
+        annotations in prop::collection::vec(annotation_strategy(120, false), 2..24),
+        ctx in prop::collection::vec((0u32..3, 0usize..24), 1..12),
+    ) {
+        // (One annotation is a one-id proof: probing it is as cheap.)
+        let (doc, index) = build(&annotations, false);
+        let nodes = doc.elements_named("a");
+        prop_assert_eq!(nodes, index.annotated_nodes());
+        let mut context: Vec<IterNode> = ctx
+            .iter()
+            .map(|&(iter, k)| IterNode { iter, node: nodes[k % nodes.len()] })
+            .collect();
+        context.sort_unstable();
+        context.dedup();
+        let input = JoinInput {
+            doc: &doc,
+            index: (&index).into(),
+            ctx_index: None,
+            context: &context,
+            candidates: Some(nodes),
+            iter_domain: &[0, 1, 2],
+        };
+        let stats = assert_strategies_agree(&input, &annotations);
+        // The wide axes read the whole table: proving coverage is
+        // cheaper than any intersection of it.
+        prop_assert!(stats.candidate_borrowed > 0, "{:?}", stats);
+    }
+
+    /// One to three point contexts of width ≤ 5 over a layer of ≥ 2 000
+    /// annotations: the narrow joins' reach holds a handful of entries,
+    /// so the derivation probes them against the candidates instead of
+    /// building a bitset over 2 000 ids — and answers like the oracle.
+    #[test]
+    fn point_contexts_over_a_dense_layer_probe(
+        seed in any::<u64>(),
+        n in 2_000usize..2_400,
+        contexts in 1usize..=3,
+        skip in 2usize..9,
+    ) {
+        let (doc, index, cs) = point_contexts_over_dense_layer(seed, n, contexts);
+        let context: Vec<IterNode> = (cs.iter().enumerate())
+            .map(|(k, &node)| IterNode { iter: k as u32, node })
+            .collect();
+        // Most of the layer, never all of it.
+        let candidates: Vec<u32> = (doc.elements_named("a").iter())
+            .enumerate()
+            .filter(|(k, _)| k % skip != 0)
+            .map(|(_, &a)| a)
+            .collect();
+        let input = JoinInput {
+            doc: &doc,
+            index: (&index).into(),
+            ctx_index: None,
+            context: &context,
+            candidates: Some(&candidates),
+            iter_domain: &[0, 1, 2],
+        };
+        let stats = assert_strategies_agree(&input, &seed);
+        prop_assert!(stats.candidate_probes > 0, "{:?}", stats);
+    }
+
+    /// The reach's boundaries, over multi-region areas: candidates on
+    /// and just past either edge of the context extent, zero-width ones,
+    /// areas with one region inside the reach and one outside, under
+    /// retractions inside and outside it — every strategy, every axis,
+    /// with and without a candidate restriction.
+    #[test]
+    fn reach_edges_match_the_oracle(
+        from in 10i64..60,
+        first in 0i64..15,
+        second in prop::option::of((0i64..20, 0i64..15)),
+        extra in prop::collection::vec((0i64..100, 0i64..12), 0..12),
+        retract in prop::collection::vec(any::<bool>(), 0..32),
+        restrict in prop::option::of(prop::collection::vec(any::<bool>(), 0..32)),
+    ) {
+        let mut contexts = vec![("c", vec![(from, from + first)])];
+        if let Some((offset, width)) = second {
+            contexts.push(("c", vec![(from + offset, from + offset + width)]));
+        }
+        let to = contexts.iter().map(|(_, r)| r[0].1).max().unwrap();
+        let mut shapes = edge_shapes(from, to, &extra);
+        shapes.extend(contexts);
+        let (doc, index) = build_named(&shapes, true);
+        let annotated = index.annotated_nodes();
+        let pick = |mask: &[bool]| -> Vec<u32> {
+            (annotated.iter().zip(mask))
+                .filter(|(_, &on)| on)
+                .map(|(&pre, _)| pre)
+                .collect()
+        };
+        let retracted = pick(&retract);
+        let candidates = restrict.map(|mask| pick(&mask));
+        let context: Vec<IterNode> = (doc.elements_named("c").iter())
+            .enumerate()
+            .map(|(k, &node)| IterNode { iter: k as u32 % 2, node })
+            .collect();
+        let input = JoinInput {
+            doc: &doc,
+            index: RegionSource::with_retractions(&index, &retracted),
+            ctx_index: None,
+            context: &context,
+            candidates: candidates.as_deref(),
+            iter_domain: &[0, 1],
+        };
+        assert_strategies_agree(&input, &shapes);
     }
 }

@@ -420,6 +420,24 @@ impl EngineState {
         stats
     }
 
+    /// Are `name`'s elements exactly the annotated nodes of every
+    /// `include`d document that holds the name (and of at least one)?
+    /// The borrow condition of the candidate rule, as the `estimate`
+    /// pass reports it.
+    pub(crate) fn name_covers(&self, name: &str, include: impl Fn(DocId) -> bool) -> bool {
+        let mut any = false;
+        for ((doc, _), index) in self.region_cache.iter() {
+            let named = self.store.doc(DocId(*doc)).elements_named(name);
+            if include(DocId(*doc)) && !named.is_empty() {
+                if named != index.annotated_nodes() {
+                    return false;
+                }
+                any = true;
+            }
+        }
+        any
+    }
+
     /// The compilation context this state offers the query compiler:
     /// current options and the corpus itself. Estimates are off — execution paths don't
     /// pay for explain-only annotations; inspection entry points flip

@@ -1400,13 +1400,9 @@ impl<'e> Evaluator<'e> {
                 if engine.is_delta_doc(target) {
                     exec.delta_cand_rows += cands.len() as u64;
                 }
-                if index.prefers_node_view(cands.len()) {
-                    exec.stats.candidate_node_view += 1;
-                } else {
-                    exec.stats.candidate_scans += 1;
-                }
             }
             exec.target_joins += 1;
+            exec.target_entries += index.len() as u64;
             if overlaid_context || overlaid(target) {
                 exec.merge_reads += 1;
             }

@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use standoff_algebra::TreeAxis;
+use standoff_core::index::candidate_kernel;
 use standoff_core::StandoffStrategy;
 
 use crate::plan::*;
@@ -104,7 +105,8 @@ impl AnalyzeCtx<'_> {
             for (counter, value) in j.stats.counters() {
                 if counter.always || value > 0 {
                     note.push(' ');
-                    note.push_str(&counter.label.replace("{}", &value.to_string()));
+                    let label = counter.label.replace("{E}", &j.target_entries.to_string());
+                    note.push_str(&label.replace("{}", &value.to_string()));
                 }
             }
             // Only an overlay mount can make these nonzero; pure
@@ -146,19 +148,21 @@ fn standoff_note(op: &StandoffOp, explicit_candidates: bool) -> String {
             "loop-lifted StandOff MergeJoin, single index scan"
         }
     };
-    // The candidate-intersection access path: when the estimate pass
-    // left cardinalities, the gather-vs-scan decision the index will
-    // make at run time ([`standoff_core::index::node_view_preferred`])
-    // is reported here from the same cost rule.
+    // The candidate-derivation kernel: when the estimate pass left
+    // cardinalities, the choice the index makes at run time
+    // ([`standoff_core::index::candidate_kernel`]) at full reach. The
+    // loop-lifted narrow joins read only their context's reach, where
+    // the same rule may pick a cheaper kernel.
     let access = |count: Option<u64>| match (count, &op.estimate) {
         (Some(c), Some(est)) if est.index.entries > 0 => {
-            if standoff_core::index::node_view_preferred(c as usize, est.index.entries) {
-                " [node-view]"
-            } else {
-                " [scan]"
-            }
+            let e = est.index.entries;
+            let kernel = candidate_kernel(Some(c as usize), e, e, || est.covering);
+            let bounded =
+                op.strategy == StandoffStrategy::LoopLiftedMergeJoin && op.axis.is_narrow();
+            let reach = if bounded { " ≤ context reach" } else { "" };
+            format!(" [{}{reach}]", kernel.as_str())
         }
-        _ => "",
+        _ => String::new(),
     };
     let cand = if explicit_candidates {
         "candidates: explicit node sequence ∩ region index".to_string()

@@ -996,6 +996,7 @@ fn estimate(plan: &mut Plan, ctx: &PlanContext<'_>) {
         op.estimate = Some(JoinEstimate {
             index: corpus.index_stats(reached),
             candidates: name.and_then(|name| corpus_name_count(ctx, name)),
+            covering: name.is_some_and(|name| corpus.name_covers(name, reached)),
             delta_candidates: name.and_then(|name| delta_name_count(ctx, name)),
             layers: answering.map(|answering| {
                 let groups = answering.iter().zip(corpus.layer_groups()).enumerate();

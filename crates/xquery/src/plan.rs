@@ -154,6 +154,10 @@ pub struct JoinEstimate {
     /// occurrences of the pushed element name across the *visible*
     /// corpus — overlay retractions already subtracted).
     pub candidates: Option<u64>,
+    /// The pushed name's elements are exactly the annotated nodes of
+    /// every reached layer that holds it — the candidate rule's borrow
+    /// condition.
+    pub covering: bool,
     /// Share of `candidates` contributed by overlay delta documents
     /// (pending inserts). `None` on a pure-snapshot mount.
     pub delta_candidates: Option<u64>,

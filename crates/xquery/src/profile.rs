@@ -4,10 +4,10 @@
 //! the evaluator records, for every plan operator it executes, wall
 //! time, call count, output cardinality and — for StandOff joins — the
 //! join-level mechanism decisions (context size, candidate-set sizes,
-//! target layers joined, node-view vs. scan access, direct vs. merged
-//! results, post-filter elisions). The result is
-//! a [`PlanProfile`]: a side table keyed by operator identity, paired
-//! with its [`Plan`] in a [`QueryProfile`].
+//! target layers joined, the candidate kernels chosen and the reach
+//! they read, direct vs. merged results, post-filter elisions). The
+//! result is a [`PlanProfile`]: a side table keyed by operator identity,
+//! paired with its [`Plan`] in a [`QueryProfile`].
 //!
 //! # Operator ids
 //!
@@ -50,6 +50,9 @@ pub struct JoinExec {
     /// Target layers joined into, over all join units: the layers that
     /// could answer the join — one kernel call each.
     pub target_joins: u64,
+    /// Region entries of those target layers, summed over target joins
+    /// — the `E` of the analyze detail's `reach=R of E`.
+    pub target_entries: u64,
     /// Total candidate-set size across all targets that had a candidate
     /// restriction.
     pub cand_rows: u64,
@@ -71,6 +74,7 @@ impl JoinExec {
     pub(crate) fn merge(&mut self, other: &JoinExec) {
         self.ctx_rows += other.ctx_rows;
         self.target_joins += other.target_joins;
+        self.target_entries += other.target_entries;
         self.cand_rows += other.cand_rows;
         self.cand_max = self.cand_max.max(other.cand_max);
         self.delta_cand_rows += other.delta_cand_rows;

@@ -68,8 +68,10 @@ fn standoff_step_with_pushdown_and_estimates() {
 }
 
 /// A rare pushed-down name (1 `place` across the corpus): the estimate
-/// predicts the node-view candidate gather, and the pushed name test is
-/// plan-guaranteed so the post-filter annotation reads `elided`.
+/// names the sparse-candidate kernel the rule picks — over this 6-entry
+/// corpus one probe per entry undercuts the node-view gather, the sparse
+/// path of larger tables — and the pushed name test is plan-guaranteed
+/// so the post-filter annotation reads `elided`.
 #[test]
 fn sparse_pushdown_node_view_access() {
     let engine = corpus();

@@ -14,7 +14,9 @@
 //!
 //! **Queries** are a context × the four axes × {name test, `*`,
 //! `node()`} in step form, flat and per iteration of a `for`, and the
-//! function form with an explicit candidate sequence.
+//! function form with an explicit candidate sequence. A second property
+//! puts point contexts over a dense token layer, where the narrow joins
+//! read only the few entries inside the contexts' reach.
 //!
 //! **Oracle**: `NaiveNoCandidates`, unoptimized lowering, on freshly
 //! parsed documents. **Subject**, byte-identical to it: the default
@@ -264,6 +266,48 @@ proptest! {
         let context = &contexts[picks.0 % contexts.len()];
         let name = ["w", "unit", "word"][picks.1];
         check(&set, &delta, &join_queries(context, &[name, "*", "node()"], &format!("({candidates})")));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One to three point spans of width ≤ 5 over a dense token layer —
+    /// 400 to 800 adjacent `w`, every annotation of the layer — so the
+    /// loop-lifted narrow joins derive `w` from the handful of token
+    /// entries inside the spans' reach, with pending inserts and
+    /// retracts inside and outside it.
+    #[test]
+    fn point_contexts_over_a_dense_layer(
+        n in 400i64..800,
+        points in prop::collection::vec((0i64..30, 0i64..6), 1..=3),
+        inserts in prop::collection::vec((0i64..70, 0i64..4), 0..4),
+        retracts in prop::collection::vec(0i64..40, 0..4),
+    ) {
+        // Tokens `[2k, 2k + 1]`; the spans sit from the middle, `n`, on.
+        let tokens: Vec<Extent> = (0..n).map(|k| (2 * k, 2 * k + 1)).collect();
+        let spans: Vec<Extent> = points.iter().map(|&(at, len)| (n + at, n + at + len)).collect();
+        let attrs = StandoffConfig::default();
+        let set = layer_set(&[
+            ("base", "<text/>".into(), attrs.clone()),
+            ("tokens", attribute_layer("tokens", "w", &tokens, ((0, 0), 0)), attrs.clone()),
+            ("spans", attribute_layer("spans", "pt", &spans, ((0, 0), 0)), attrs),
+        ]);
+        let mut delta = DeltaSet::new();
+        for (k, &(at, len)) in inserts.iter().enumerate() {
+            let start = n - 20 + at;
+            let attrs = vec![("k".into(), k.to_string())];
+            let op = DeltaOp::Insert { layer: "tokens".into(), name: "w".into(), start, end: start + len, attrs };
+            delta.apply(op, &set).unwrap();
+        }
+        for &r in &retracts {
+            let (start, end) = tokens[(n / 2 - 10 + r) as usize];
+            let op = DeltaOp::Retract { layer: "tokens".into(), name: "w".into(), start, end };
+            let _ = delta.apply(op, &set);
+        }
+        let context = format!("{}//pt", layer("spans"));
+        let candidates = format!("({}//w)", layer("tokens"));
+        check(&set, &delta, &join_queries(&context, &["w", "*", "node()"], &candidates));
     }
 }
 

@@ -239,12 +239,12 @@ fn entity_tokens_over_sixteen_pending_batches_is_one_kernel_call() {
     assert!(json.contains(r#""target_joins": 1,"#), "{json}");
     assert!(json.contains(r#""merge_reads": 1,"#), "{json}");
     let stats = overlay.join_stats();
+    let derivations = stats.candidate_borrowed
+        + stats.candidate_node_view
+        + stats.candidate_scans
+        + stats.candidate_probes;
     assert_eq!(
-        (
-            stats.candidate_node_view + stats.candidate_scans,
-            stats.result_sorts,
-            stats.result_merges
-        ),
+        (derivations, stats.result_sorts, stats.result_merges),
         (1, 0, 0),
         "{stats:?}"
     );

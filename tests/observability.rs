@@ -9,6 +9,7 @@
 
 use standoff::core::obs::MetricsRegistry;
 use standoff::core::StandoffConfig;
+use standoff::store::LayerSet;
 use standoff::xmark::queries::XmarkQuery;
 use standoff::xmark::{generate, standoffify, XmarkConfig};
 use standoff::xquery::{Engine, Executor, JoinStats, QueryCache};
@@ -314,9 +315,12 @@ fn dense_kernel_counters_fire_and_mirror() {
 /// from the `stats` verb are all there.
 #[test]
 fn stats_dump_join_keys_are_exactly_the_declared_set() {
-    const JOIN_KEYS: [&str; 9] = [
+    const JOIN_KEYS: [&str; 12] = [
+        "join.candidate_borrowed",
         "join.candidate_dense_blocks",
         "join.candidate_node_view",
+        "join.candidate_probes",
+        "join.candidate_reach_entries",
         "join.candidate_repr_dense",
         "join.candidate_scans",
         "join.post_filters",
@@ -351,6 +355,45 @@ fn stats_dump_join_keys_are_exactly_the_declared_set() {
     ] {
         assert!(snap.counters.contains_key(name), "stats dump lacks {name}");
     }
+}
+
+/// A point context reads only its reach: one `<small>` span over a
+/// mounted 20 000-token layer derives its `w` candidates from the few
+/// token entries starting inside `[4, 9]` — the loop-lifted narrow join
+/// probes them instead of scanning (or copying) the layer's whole
+/// entry table, which the parent did (20 000 entries, one dense scan).
+#[test]
+fn point_context_reads_only_its_reach() {
+    let uri = "mem://reach";
+    let base = standoff::xml::parse_document(&format!("<text>{}</text>", "ab".repeat(20_000)));
+    let mut set = LayerSet::build(uri, base.unwrap(), StandoffConfig::default()).unwrap();
+    let mut tokens = String::from("<tokens>");
+    for k in 0..20_000 {
+        tokens.push_str(&format!(r#"<w start="{}" end="{}"/>"#, 2 * k, 2 * k + 1));
+    }
+    tokens.push_str("</tokens>");
+    for (name, xml) in [
+        ("tokens", tokens),
+        (
+            "spans",
+            r#"<spans><small start="4" end="9"/></spans>"#.into(),
+        ),
+    ] {
+        let doc = standoff::xml::parse_document(&xml).unwrap();
+        set.add_layer(name, doc, StandoffConfig::default()).unwrap();
+    }
+    let mut engine = Engine::new();
+    engine.mount_store(set).unwrap();
+    let query = format!(r#"count(layer("{uri}", "spans")//small/select-narrow::w)"#);
+    assert_eq!(engine.run(&query).unwrap().as_strings(), ["3"]);
+    let counters = engine.metrics().snapshot().counters;
+    let reach = counters.get("join.candidate_reach_entries").copied();
+    assert!(
+        reach.is_some_and(|r| (1..=64).contains(&r)),
+        "reach entries {reach:?}"
+    );
+    assert_eq!(counters["join.candidate_repr_dense"], 0);
+    assert_eq!(counters["join.candidate_probes"], 1);
 }
 
 /// A selective pushdown must keep taking the gather kernel: the dense

@@ -331,9 +331,19 @@ fn dense_kernel_matches_through_overlay() {
     let base = parse_document(&format!("<text>{base_text}</text>")).unwrap();
     let mut set = LayerSet::build(URI, base, StandoffConfig::default()).unwrap();
     let token_spans: Vec<(i64, i64)> = (0..9_000).map(|k| (k * 2, k * 2 + 1)).collect();
+    // A `<p>` beside every 10th token: `w` is not every annotation of
+    // the layer, so its candidates are intersected, not borrowed.
+    let mut tokens = String::from("<tokens>");
+    for (k, (s, e)) in token_spans.iter().enumerate() {
+        tokens.push_str(&format!(r#"<w n="{k}" start="{s}" end="{e}"/>"#));
+        if k % 10 == 0 {
+            tokens.push_str(&format!(r#"<p start="{s}" end="{e}"/>"#));
+        }
+    }
+    tokens.push_str("</tokens>");
     set.add_layer(
         "tokens",
-        layer_doc("tokens", "w", &token_spans),
+        parse_document(&tokens).unwrap(),
         StandoffConfig::default(),
     )
     .unwrap();
