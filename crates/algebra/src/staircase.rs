@@ -233,7 +233,7 @@ fn gallop(postings: &[u32], from: usize, target: u32) -> usize {
 /// compute the axis result of its context node sequence. The result is
 /// duplicate-free and in document order per iteration.
 pub fn ll_step(store: &Store, ctx: &NodeTable, axis: TreeAxis, test: &NodeTest) -> NodeTable {
-    ll_step_impl(store, ctx, axis, test, None)
+    ll_step_impl(store, ctx, axis, test, None, |_| true)
 }
 
 /// [`ll_step`] with a [`NameCache`] memoizing per-document name-test
@@ -246,7 +246,22 @@ pub fn ll_step_cached(
     test: &NodeTest,
     cache: &mut NameCache,
 ) -> NodeTable {
-    ll_step_impl(store, ctx, axis, test, Some(cache))
+    ll_step_impl(store, ctx, axis, test, Some(cache), |_| true)
+}
+
+/// [`ll_step_cached`] keeping only the rows `keep` accepts, tested as
+/// the step emits them: a row filter fused into the walk, so a row it
+/// drops is never stored or ordered. `keep` must be a function of the
+/// node alone.
+pub fn ll_step_where(
+    store: &Store,
+    ctx: &NodeTable,
+    axis: TreeAxis,
+    test: &NodeTest,
+    cache: &mut NameCache,
+    keep: impl FnMut(NodeRef) -> bool,
+) -> NodeTable {
+    ll_step_impl(store, ctx, axis, test, Some(cache), keep)
 }
 
 fn ll_step_impl(
@@ -255,6 +270,7 @@ fn ll_step_impl(
     axis: TreeAxis,
     test: &NodeTest,
     mut cache: Option<&mut NameCache>,
+    mut keep: impl FnMut(NodeRef) -> bool,
 ) -> NodeTable {
     let mut ctx = ctx.clone();
     ctx.normalize(store);
@@ -276,6 +292,7 @@ fn ll_step_impl(
                 axis,
                 test,
                 cache.as_deref_mut(),
+                &mut keep,
                 &mut out,
             );
             k = j;
@@ -296,6 +313,7 @@ fn step_fragment(
     axis: TreeAxis,
     test: &NodeTest,
     cache: Option<&mut NameCache>,
+    keep: &mut impl FnMut(NodeRef) -> bool,
     out: &mut NodeTable,
 ) {
     let doc = store.doc(doc_id);
@@ -306,9 +324,15 @@ fn step_fragment(
     if name == ResolvedName::NoMatch && axis != TreeAxis::Attribute {
         return;
     }
-    let push_tree = |out: &mut NodeTable, pre: u32| {
-        out.push(iter, NodeRef::tree(doc_id, pre));
-    };
+    // Every row leaves through here, past the caller's filter.
+    macro_rules! emit {
+        ($node:expr) => {{
+            let node = $node;
+            if keep(node) {
+                out.push(iter, node);
+            }
+        }};
+    }
 
     match axis {
         TreeAxis::SelfAxis => {
@@ -316,14 +340,14 @@ fn step_fragment(
                 match n.id.pre() {
                     Some(pre) => {
                         if matches_tree(doc, pre, test, name) {
-                            push_tree(out, pre);
+                            emit!(NodeRef::tree(doc_id, pre));
                         }
                     }
                     None => {
                         // Attribute self: only node() matches (attributes
                         // are not the principal node kind of tree axes).
                         if test.kind == KindTest::AnyKind && test.name.is_none() {
-                            out.push(iter, *n);
+                            emit!(*n);
                         }
                     }
                 }
@@ -334,7 +358,7 @@ fn step_fragment(
                 if let Some(pre) = n.id.pre() {
                     for c in doc.children(pre) {
                         if matches_tree(doc, c, test, name) {
-                            push_tree(out, c);
+                            emit!(NodeRef::tree(doc_id, c));
                         }
                     }
                 }
@@ -361,7 +385,7 @@ fn step_fragment(
                     // Attribute context: descendant-or-self::node() is the
                     // attribute itself.
                     if or_self && test.kind == KindTest::AnyKind && test.name.is_none() {
-                        out.push(iter, *n);
+                        emit!(*n);
                     }
                     continue;
                 };
@@ -377,14 +401,14 @@ fn step_fragment(
                     Some(postings) => {
                         cursor = gallop(postings, cursor, start);
                         while cursor < postings.len() && postings[cursor] <= end {
-                            push_tree(out, postings[cursor]);
+                            emit!(NodeRef::tree(doc_id, postings[cursor]));
                             cursor += 1;
                         }
                     }
                     None => {
                         for v in start..=end {
                             if matches_tree(doc, v, test, name) {
-                                push_tree(out, v);
+                                emit!(NodeRef::tree(doc_id, v));
                             }
                         }
                     }
@@ -406,7 +430,7 @@ fn step_fragment(
                 };
                 if let Some(p) = parent {
                     if matches_tree(doc, p, test, name) {
-                        push_tree(out, p);
+                        emit!(NodeRef::tree(doc_id, p));
                     }
                 }
             }
@@ -420,7 +444,7 @@ fn step_fragment(
                 let mut cur = match n.id.attr_index() {
                     Some(a) => {
                         if or_self && test.kind == KindTest::AnyKind && test.name.is_none() {
-                            out.push(iter, *n);
+                            emit!(*n);
                         }
                         Some(doc.attr_owner(a))
                     }
@@ -440,7 +464,7 @@ fn step_fragment(
                         break;
                     }
                     if matches_tree(doc, pre, test, name) {
-                        push_tree(out, pre);
+                        emit!(NodeRef::tree(doc_id, pre));
                     }
                     cur = if pre == 0 {
                         None
@@ -456,7 +480,7 @@ fn step_fragment(
                     let mut cur = doc.next_sibling(pre);
                     while let Some(s) = cur {
                         if matches_tree(doc, s, test, name) {
-                            push_tree(out, s);
+                            emit!(NodeRef::tree(doc_id, s));
                         }
                         cur = doc.next_sibling(s);
                     }
@@ -474,7 +498,7 @@ fn step_fragment(
                             break;
                         }
                         if matches_tree(doc, s, test, name) {
-                            push_tree(out, s);
+                            emit!(NodeRef::tree(doc_id, s));
                         }
                     }
                 }
@@ -497,7 +521,7 @@ fn step_fragment(
                 let end = doc.node_count() as u32 - 1;
                 for v in start..=end {
                     if matches_tree(doc, v, test, name) {
-                        push_tree(out, v);
+                        emit!(NodeRef::tree(doc_id, v));
                     }
                 }
             }
@@ -514,7 +538,7 @@ fn step_fragment(
             if let Some(cmax) = cmax {
                 for v in 1..cmax {
                     if v + doc.size(v) < cmax && matches_tree(doc, v, test, name) {
-                        push_tree(out, v);
+                        emit!(NodeRef::tree(doc_id, v));
                     }
                 }
             }
@@ -541,7 +565,7 @@ fn step_fragment(
                             ResolvedName::NoMatch => false,
                         };
                         if ok {
-                            out.push(iter, NodeRef::new(doc_id, NodeId::attr(a)));
+                            emit!(NodeRef::new(doc_id, NodeId::attr(a)));
                         }
                     }
                 }

@@ -33,10 +33,14 @@
 //!   truncated; damaged committed records are categorized
 //!   [`StoreError::Corrupt`]).
 //!
-//! `standoff_xquery::Engine::mount_snapshot` / `mount_store` mounts the
-//! layers so that `doc("uri")`, `doc("uri#layer")` and
-//! `layer("uri", "name")` resolve to the stored layers, with all region
-//! indices pre-installed (shared, not copied).
+//! `standoff_xquery::Engine::mount_snapshot` registers every layer of a
+//! snapshot from its header and its [`Catalog`] (names, per-name element
+//! counts) alone, so that `doc("uri")`, `doc("uri#layer")` and
+//! `layer("uri", "name")` resolve to the stored layers; a layer is
+//! materialized the first time a query dereferences it, and its region
+//! index is the snapshot's own (shared, not copied).
+//! `Engine::mount_store` registers the layers of an assembled
+//! [`LayerSet`] the same way, already materialized.
 
 pub mod atomic;
 pub mod delta;
@@ -50,7 +54,7 @@ pub use atomic::{atomic_replace, atomic_write};
 pub use delta::{compact, ops_to_text, parse_ops, DeltaAnnotation, DeltaOp, DeltaSet, LayerDelta};
 pub use error::StoreError;
 pub use layer::{Layer, LayerSet, BASE_LAYER};
-pub use mount::{write_snapshot, Snapshot, VerifyReport};
+pub use mount::{write_snapshot, Catalog, Snapshot, VerifyReport};
 pub use snapshot::{
     load_snapshot, read_snapshot, save_snapshot, LayerInfo, SectionInfo, SnapshotInfo,
 };

@@ -56,8 +56,8 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::ops::Range;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use standoff_core::{RegionIndex, StandoffConfig};
 use standoff_xml::column::{write_slice_le, PodCol, SharedBytes, StrArena};
@@ -420,6 +420,24 @@ fn header_version(bytes: &[u8]) -> io::Result<u32> {
     Ok(u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")))
 }
 
+/// DOC_META: the document's URI and its name table.
+fn read_doc_meta(mut r: &[u8]) -> io::Result<(Option<String>, NameTable)> {
+    let uri = if read_u8(&mut r)? == 1 {
+        Some(read_string(&mut r)?)
+    } else {
+        None
+    };
+    let name_count = read_u32(&mut r)? as usize;
+    let mut names = NameTable::new();
+    for k in 0..name_count {
+        let lexical = read_string(&mut r)?;
+        if names.intern(&lexical).0 as usize != k {
+            return Err(bad("duplicate name in name table"));
+        }
+    }
+    Ok((uri, names))
+}
+
 /// One layer's mount state: header metadata (decoded at open), the
 /// section map, and the lazily realized [`Layer`].
 struct MountLayer {
@@ -440,7 +458,47 @@ struct MountLayer {
     /// layer still unverified at open — checked (once) when the
     /// layer is materialized.
     checks: Vec<(u32, Range<usize>, u32)>,
+    /// The layer's catalog, read once (see [`Snapshot::catalog`]).
+    catalog: OnceLock<Arc<Catalog>>,
     cell: OnceLock<Arc<Layer>>,
+    /// Held while the layer materializes, so concurrent first accesses
+    /// do the work once.
+    loading: Mutex<()>,
+}
+
+/// What a layer answers before it is materialized: its name and
+/// configuration, its document's URI, and how many elements carry each
+/// name — read from the tiny `doc.meta`, `doc.elem-names` and
+/// `doc.elem-offsets` sections, each checksummed first. A query engine
+/// decides from this which layers a plan reaches.
+#[derive(Clone, Debug)]
+pub struct Catalog {
+    name: String,
+    config: StandoffConfig,
+    uri: Option<String>,
+    counts: HashMap<String, usize>,
+}
+
+impl Catalog {
+    /// The layer's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The configuration the layer's index was built under.
+    pub fn config(&self) -> &StandoffConfig {
+        &self.config
+    }
+
+    /// The layer document's own URI.
+    pub fn uri(&self) -> Option<&str> {
+        self.uri.as_deref()
+    }
+
+    /// Elements named `name` in the layer document.
+    pub fn name_count(&self, name: &str) -> usize {
+        self.counts.get(name).copied().unwrap_or(0)
+    }
 }
 
 /// A pending checksum verification: section identity, payload range,
@@ -466,11 +524,21 @@ pub struct VerifyReport {
 /// and per-layer lazily materialized [`Layer`]s.
 ///
 /// Opening walks only the header, section table and the tiny
-/// META/LAYER_HDR payloads. [`Snapshot::layer`] (or any engine mount)
-/// realizes a layer's document and region index on first access —
-/// zero-copy column views over the shared buffer, fully re-validated —
-/// and caches the result, shared across every subsequent consumer.
+/// META/LAYER_HDR payloads. [`Snapshot::layer`] (or a query reaching the
+/// layer through an engine mount) realizes a layer's document and
+/// region index on first access — zero-copy column views over the
+/// shared buffer, fully re-validated — and caches the result, shared
+/// across every subsequent consumer.
+///
+/// A `Snapshot` is a shared handle: cloning it is one atomic increment,
+/// and every clone sees the same layer cache. A query engine keeps one
+/// and materializes layers through it as plans reach them.
+#[derive(Clone)]
 pub struct Snapshot {
+    inner: Arc<Mounted>,
+}
+
+struct Mounted {
     buf: SharedBytes,
     uri: String,
     payload_bytes: u64,
@@ -689,15 +757,19 @@ impl Snapshot {
                 sections,
                 section_info,
                 checks: lazy_checks,
+                catalog: OnceLock::new(),
                 cell: OnceLock::new(),
+                loading: Mutex::new(()),
             });
         }
         let snapshot = Snapshot {
-            buf,
-            uri,
-            payload_bytes,
-            layers,
-            checks,
+            inner: Arc::new(Mounted {
+                buf,
+                uri,
+                payload_bytes,
+                layers,
+                checks,
+            }),
         };
         snapshot.validate_names()?;
         Ok(snapshot)
@@ -785,14 +857,19 @@ impl Snapshot {
     }
 
     fn validate_names(&self) -> io::Result<()> {
-        if self.layers.first().is_none_or(|l| l.name != BASE_LAYER) {
+        if self
+            .inner
+            .layers
+            .first()
+            .is_none_or(|l| l.name != BASE_LAYER)
+        {
             // LayerSet semantics hinge on layers[0] being the base; a
             // reordered (hand-edited) snapshot must not silently swap
             // what the bare store URI resolves to.
             return Err(bad("first layer section is not the base layer"));
         }
-        for (k, layer) in self.layers.iter().enumerate() {
-            if self.layers[..k].iter().any(|l| l.name == layer.name) {
+        for (k, layer) in self.inner.layers.iter().enumerate() {
+            if self.inner.layers[..k].iter().any(|l| l.name == layer.name) {
                 return Err(bad(&format!("duplicate layer {:?}", layer.name)));
             }
         }
@@ -801,7 +878,7 @@ impl Snapshot {
 
     /// The store URI this snapshot mounts under.
     pub fn uri(&self) -> &str {
-        &self.uri
+        &self.inner.uri
     }
 
     /// On-disk format version — always [`VERSION`]; nothing else mounts.
@@ -812,7 +889,7 @@ impl Snapshot {
     /// What the mounted columns view into: `"mmap"` (the file's pages)
     /// or `"heap"` (bytes read or handed in).
     pub fn backing(&self) -> &'static str {
-        if self.buf.is_mapped() {
+        if self.inner.buf.is_mapped() {
             "mmap"
         } else {
             "heap"
@@ -825,10 +902,10 @@ impl Snapshot {
     /// categorized [`StoreError::Corrupt`].
     pub fn verify(&self) -> Result<VerifyReport, StoreError> {
         let mut sections_checked = 0;
-        for c in &self.checks {
+        for c in &self.inner.checks {
             let layer_name = usize::try_from(c.layer)
                 .ok()
-                .and_then(|k| self.layers.get(k))
+                .and_then(|k| self.inner.layers.get(k))
                 .map(|l| l.name.as_str());
             let label = match (c.tag, layer_name) {
                 (SEC_META, _) => None,
@@ -836,7 +913,7 @@ impl Snapshot {
                 (_, None) => Some(c.layer.to_string()),
             };
             check_crc(
-                &self.buf,
+                &self.inner.buf,
                 c.range.clone(),
                 c.crc,
                 section_name(c.tag),
@@ -844,33 +921,36 @@ impl Snapshot {
             )?;
             sections_checked += 1;
         }
-        for k in 0..self.layers.len() {
+        for k in 0..self.inner.layers.len() {
             self.layer_at(k)?;
         }
         Ok(VerifyReport {
-            layers: self.layers.len(),
+            layers: self.inner.layers.len(),
             sections_checked,
         })
     }
 
     /// Number of layers (including the base).
     pub fn len(&self) -> usize {
-        self.layers.len()
+        self.inner.layers.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
+        self.inner.layers.is_empty()
     }
 
     /// Layer names, base first.
     pub fn layer_names(&self) -> impl Iterator<Item = &str> {
-        self.layers.iter().map(|l| l.name.as_str())
+        self.inner.layers.iter().map(|l| l.name.as_str())
     }
 
     /// Has layer `k` been materialized yet? (Benches and tests assert
     /// laziness as mechanism with this.)
     pub fn is_materialized(&self, k: usize) -> bool {
-        self.layers.get(k).is_some_and(|l| l.cell.get().is_some())
+        self.inner
+            .layers
+            .get(k)
+            .is_some_and(|l| l.cell.get().is_some())
     }
 
     /// Snapshot statistics from the header walk alone — payloads are
@@ -878,9 +958,10 @@ impl Snapshot {
     pub fn info(&self) -> SnapshotInfo {
         SnapshotInfo {
             version: VERSION,
-            uri: self.uri.clone(),
-            payload_bytes: self.payload_bytes,
+            uri: self.inner.uri.clone(),
+            payload_bytes: self.inner.payload_bytes,
             layers: self
+                .inner
                 .layers
                 .iter()
                 .map(|l| LayerInfo {
@@ -897,6 +978,7 @@ impl Snapshot {
     /// The layer named `name`, materializing it on first access.
     pub fn layer(&self, name: &str) -> Result<Arc<Layer>, StoreError> {
         let k = self
+            .inner
             .layers
             .iter()
             .position(|l| l.name == name)
@@ -906,34 +988,117 @@ impl Snapshot {
 
     /// The `k`-th layer (base first), materializing it on first access.
     pub fn layer_at(&self, k: usize) -> Result<Arc<Layer>, StoreError> {
-        let slot = self
-            .layers
-            .get(k)
-            .ok_or_else(|| StoreError::BadLayerName(format!("<layer {k}>")))?;
+        self.load_layer(k).map(|(layer, _)| layer)
+    }
+
+    /// [`Snapshot::layer_at`], also reporting how long *this* call spent
+    /// materializing the layer: `None` when it was already cached. Of
+    /// concurrent first accesses one does the work, the rest wait for
+    /// it, so a layer is checksummed and revalidated once per snapshot.
+    pub fn load_layer(&self, k: usize) -> Result<(Arc<Layer>, Option<Duration>), StoreError> {
+        let slot = self.slot(k)?;
         if let Some(layer) = slot.cell.get() {
-            return Ok(Arc::clone(layer));
+            return Ok((Arc::clone(layer), None));
+        }
+        let _loading = slot.loading.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(layer) = slot.cell.get() {
+            return Ok((Arc::clone(layer), None));
         }
         let started = Instant::now();
         let layer = Arc::new(self.materialize(slot)?);
+        let took = started.elapsed();
         let registry = MetricsRegistry::global();
         registry.add("store.layers_materialized", 1);
+        registry.add(&format!("store.layers_materialized.{}", slot.name), 1);
         registry.record(
             "store.layer_materialize_ns",
-            started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+            took.as_nanos().min(u64::MAX as u128) as u64,
         );
-        // A racing sibling may have won; either value is equivalent.
-        Ok(Arc::clone(slot.cell.get_or_init(|| layer)))
+        Ok((Arc::clone(slot.cell.get_or_init(|| layer)), Some(took)))
     }
 
-    /// Realize every layer and assemble an eager [`LayerSet`] — the
-    /// prefetch path `Engine::mount_store` consumes. Layers stay shared
-    /// with this snapshot's cache (cloning a [`Layer`] clones two `Arc`s).
+    /// The `k`-th layer's [`Catalog`], without materializing the layer.
+    /// The three sections it is read from are checksummed before use;
+    /// the result is cached.
+    pub fn catalog(&self, k: usize) -> Result<Arc<Catalog>, StoreError> {
+        let slot = self.slot(k)?;
+        if let Some(catalog) = slot.catalog.get() {
+            return Ok(Arc::clone(catalog));
+        }
+        let section = |tag: u32| -> Result<&[u8], StoreError> {
+            let (_, range, expected) = slot
+                .checks
+                .iter()
+                .find(|(t, _, _)| *t == tag)
+                .ok_or_else(|| bad(&format!("layer {:?}: missing section {tag}", slot.name)))?;
+            check_crc(
+                &self.inner.buf,
+                range.clone(),
+                *expected,
+                section_name(tag),
+                Some(&slot.name),
+            )?;
+            Ok(&self.inner.buf[range.clone()])
+        };
+        let wrap = |e: io::Error| -> StoreError {
+            StoreError::Io(io::Error::new(
+                e.kind(),
+                format!("layer {:?}: {e}", slot.name),
+            ))
+        };
+        let (uri, names) = read_doc_meta(section(SEC_DOC_META)?).map_err(wrap)?;
+        let words = |bytes: &[u8]| -> io::Result<Vec<u32>> {
+            if !bytes.len().is_multiple_of(4) {
+                return Err(bad("element index column is not a whole number of u32s"));
+            }
+            Ok(bytes
+                .chunks_exact(4)
+                .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
+                .collect())
+        };
+        let ids = words(section(SEC_DOC_ELEM_NAMES)?).map_err(wrap)?;
+        let offsets = words(section(SEC_DOC_ELEM_OFF)?).map_err(wrap)?;
+        // The same shape `ElemIndex::validate` demands at
+        // materialization, so the counts are the ones the document
+        // will report.
+        if offsets.len() != ids.len() + 1
+            || offsets[0] != 0
+            || offsets.windows(2).any(|w| w[0] >= w[1])
+            || ids.windows(2).any(|w| w[0] >= w[1])
+            || ids.last().is_some_and(|&id| id as usize >= names.len())
+        {
+            return Err(wrap(bad("malformed element-name index")));
+        }
+        let counts = ids
+            .iter()
+            .zip(offsets.windows(2))
+            .map(|(&id, w)| (names.lexical(NameId(id)), (w[1] - w[0]) as usize))
+            .collect();
+        let catalog = Arc::new(Catalog {
+            name: slot.name.clone(),
+            config: slot.config.clone(),
+            uri,
+            counts,
+        });
+        Ok(Arc::clone(slot.catalog.get_or_init(|| catalog)))
+    }
+
+    fn slot(&self, k: usize) -> Result<&MountLayer, StoreError> {
+        self.inner
+            .layers
+            .get(k)
+            .ok_or_else(|| StoreError::BadLayerName(format!("<layer {k}>")))
+    }
+
+    /// Realize every layer and assemble an eager [`LayerSet`] — what an
+    /// overlay mount and the writers consume. Layers stay shared with
+    /// this snapshot's cache (cloning a [`Layer`] clones two `Arc`s).
     pub fn to_layer_set(&self) -> Result<LayerSet, StoreError> {
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for k in 0..self.layers.len() {
+        let mut layers = Vec::with_capacity(self.inner.layers.len());
+        for k in 0..self.inner.layers.len() {
             layers.push((*self.layer_at(k)?).clone());
         }
-        LayerSet::from_layers(&self.uri, layers)
+        LayerSet::from_layers(&self.inner.uri, layers)
     }
 
     /// Decode + validate one layer from its sections.
@@ -944,7 +1109,7 @@ impl Snapshot {
         // `StoreError::Corrupt`, before any view is built.
         for (tag, range, expected) in &slot.checks {
             check_crc(
-                &self.buf,
+                &self.inner.buf,
                 range.clone(),
                 *expected,
                 section_name(*tag),
@@ -964,33 +1129,22 @@ impl Snapshot {
             ))
         };
 
-        // DOC_META: uri + name table.
-        let mut r = &self.buf[sect(SEC_DOC_META).map_err(StoreError::Io)?];
-        let uri = if read_u8(&mut r).map_err(wrap)? == 1 {
-            Some(read_string(&mut r).map_err(wrap)?)
-        } else {
-            None
-        };
-        let name_count = read_u32(&mut r).map_err(wrap)? as usize;
-        let mut names = NameTable::new();
-        for k in 0..name_count {
-            let lexical = read_string(&mut r).map_err(wrap)?;
-            if names.intern(&lexical).0 as usize != k {
-                return Err(wrap(bad("duplicate name in name table")));
-            }
-        }
+        let (uri, names) =
+            read_doc_meta(&self.inner.buf[sect(SEC_DOC_META).map_err(StoreError::Io)?])
+                .map_err(wrap)?;
 
-        let kind =
-            KindCol::view(&self.buf, sect(SEC_DOC_KIND).map_err(StoreError::Io)?).map_err(wrap)?;
-        let col = |tag: u32| -> io::Result<PodCol<u32>> { PodCol::view(&self.buf, sect(tag)?) };
+        let kind = KindCol::view(&self.inner.buf, sect(SEC_DOC_KIND).map_err(StoreError::Io)?)
+            .map_err(wrap)?;
+        let col =
+            |tag: u32| -> io::Result<PodCol<u32>> { PodCol::view(&self.inner.buf, sect(tag)?) };
         let values = StrArena::view(
-            &self.buf,
+            &self.inner.buf,
             sect(SEC_DOC_VAL_HEAP).map_err(StoreError::Io)?,
             sect(SEC_DOC_VAL_OFF).map_err(StoreError::Io)?,
         )
         .map_err(wrap)?;
         let attr_values = StrArena::view(
-            &self.buf,
+            &self.inner.buf,
             sect(SEC_DOC_ATTR_VAL_HEAP).map_err(StoreError::Io)?,
             sect(SEC_DOC_ATTR_VAL_OFF).map_err(StoreError::Io)?,
         )
@@ -1000,8 +1154,11 @@ impl Snapshot {
             names,
             kind,
             size: col(SEC_DOC_SIZE).map_err(wrap)?,
-            level: PodCol::view(&self.buf, sect(SEC_DOC_LEVEL).map_err(StoreError::Io)?)
-                .map_err(wrap)?,
+            level: PodCol::view(
+                &self.inner.buf,
+                sect(SEC_DOC_LEVEL).map_err(StoreError::Io)?,
+            )
+            .map_err(wrap)?,
             parent: col(SEC_DOC_PARENT).map_err(wrap)?,
             name: col(SEC_DOC_NAME).map_err(wrap)?,
             values,
@@ -1021,15 +1178,21 @@ impl Snapshot {
         }
 
         // Region index columns.
-        let mut r = &self.buf[sect(SEC_RIDX_META).map_err(StoreError::Io)?];
+        let mut r = &self.inner.buf[sect(SEC_RIDX_META).map_err(StoreError::Io)?];
         let max_regions = read_u32(&mut r).map_err(wrap)?;
         let index = RegionIndex::from_storage(
-            PodCol::view(&self.buf, sect(SEC_RIDX_ENTRIES).map_err(StoreError::Io)?)
-                .map_err(wrap)?,
+            PodCol::view(
+                &self.inner.buf,
+                sect(SEC_RIDX_ENTRIES).map_err(StoreError::Io)?,
+            )
+            .map_err(wrap)?,
             col(SEC_RIDX_NODE_IDS).map_err(wrap)?,
             col(SEC_RIDX_NODE_OFF).map_err(wrap)?,
-            PodCol::view(&self.buf, sect(SEC_RIDX_REGIONS).map_err(StoreError::Io)?)
-                .map_err(wrap)?,
+            PodCol::view(
+                &self.inner.buf,
+                sect(SEC_RIDX_REGIONS).map_err(StoreError::Io)?,
+            )
+            .map_err(wrap)?,
             max_regions,
             doc.node_count(),
         )
@@ -1065,14 +1228,19 @@ impl Snapshot {
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
-            .field("uri", &self.uri)
+            .field("uri", &self.inner.uri)
             .field(
                 "layers",
-                &self.layers.iter().map(|l| &l.name).collect::<Vec<_>>(),
+                &self
+                    .inner
+                    .layers
+                    .iter()
+                    .map(|l| &l.name)
+                    .collect::<Vec<_>>(),
             )
             .field(
                 "materialized",
-                &(0..self.layers.len())
+                &(0..self.inner.layers.len())
                     .filter(|&k| self.is_materialized(k))
                     .count(),
             )

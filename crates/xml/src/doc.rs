@@ -662,13 +662,16 @@ impl Document {
             if parent >= pre {
                 return Err(format!("node {pre} has parent {parent} >= itself"));
             }
-            if !self.is_ancestor(parent, pre) {
+            // Subtree ends are summed in u64: a hostile `size` column
+            // must fail here, not wrap past the parent's end.
+            let end = |p: u32| p as u64 + self.size(p) as u64;
+            if pre as u64 > end(parent) {
                 return Err(format!("node {pre} outside parent {parent} region"));
             }
             if self.level(pre) != self.level(parent) + 1 {
                 return Err(format!("node {pre} level inconsistent with parent"));
             }
-            if pre + self.size(pre) > parent + self.size(parent) {
+            if end(pre) > end(parent) {
                 return Err(format!("node {pre} subtree leaks out of parent"));
             }
         }
@@ -753,6 +756,37 @@ mod tests {
     #[test]
     fn invariants_hold() {
         sample().check_invariants().unwrap();
+    }
+
+    /// A two-node document whose `size` column says `[1, u32::MAX]`:
+    /// the element's subtree end does not fit in u32. Validation must
+    /// refuse it in every build profile — neither panic on the overflow
+    /// (debug) nor wrap it into an accepted document (release).
+    #[test]
+    fn hostile_size_column_is_refused_not_wrapped() {
+        let mut b = DocumentBuilder::new();
+        b.start_element("a");
+        b.end_element();
+        let d = b.finish().unwrap();
+        assert_eq!(d.node_count(), 2);
+        let parts = crate::DocumentParts {
+            uri: None,
+            names: d.names.clone(),
+            kind: d.kind.clone(),
+            size: crate::PodCol::owned(vec![1, u32::MAX]),
+            level: d.level.clone(),
+            parent: d.parent.clone(),
+            name: d.name.clone(),
+            values: d.values.clone(),
+            attr_first: d.attr_first.clone(),
+            attr_owner: d.attr_owner.clone(),
+            attr_name: d.attr_name.clone(),
+            attr_values: d.attr_values.clone(),
+            elem: d.elem.clone(),
+        };
+        let err = crate::Document::from_storage(parts)
+            .expect_err("a subtree past the end of the document was accepted");
+        assert!(err.contains("leaks out of parent"), "{err}");
     }
 
     #[test]

@@ -43,4 +43,4 @@ pub use name::{NameId, NameTable, QName};
 pub use node::{DocId, NodeId, NodeKind, NodeRef};
 pub use parser::{parse_document, ParseOptions};
 pub use serialize::{serialize_document, serialize_node, SerializeOptions};
-pub use store::Store;
+pub use store::{DocSource, Store};

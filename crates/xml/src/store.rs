@@ -7,12 +7,36 @@
 //! region index.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::doc::Document;
 use crate::error::ParseError;
 use crate::node::{DocId, NodeId, NodeRef};
 use crate::parser::{parse_with_options, ParseOptions};
+
+/// A document registered before its columns are read: a snapshot layer
+/// that is checksummed and revalidated the first time a query
+/// dereferences it. Until then the store answers what it can from the
+/// source's catalog — the document's URI and how many elements carry a
+/// name — without materializing anything.
+pub trait DocSource: Send + Sync {
+    /// The document, materialized on the first call and shared by every
+    /// later one (and by every other holder of the source).
+    fn load(&self) -> Result<Arc<Document>, String>;
+    /// The document's own URI, as [`Document::uri`] will report it.
+    fn uri(&self) -> Option<&str>;
+    /// Elements named `name`: `elements_named(name).len()` of the
+    /// document once loaded.
+    fn name_count(&self, name: &str) -> usize;
+}
+
+/// One registered document: the document itself once known, and for a
+/// lazily registered one the source that materializes it.
+#[derive(Clone)]
+struct Slot {
+    doc: OnceLock<Arc<Document>>,
+    source: Option<Arc<dyn DocSource>>,
+}
 
 /// A collection of documents.
 ///
@@ -22,9 +46,14 @@ use crate::parser::{parse_with_options, ParseOptions};
 /// worker thread its own store view of one immutable corpus: per-thread
 /// clones append session-constructed documents locally without touching
 /// the shared base documents.
+///
+/// A document registered through [`Store::add_source`] is materialized
+/// on first dereference. [`Store::try_doc`] is that dereference with an
+/// error path; [`Store::doc`] assumes the caller reached the document
+/// through one (every node reference into it did).
 #[derive(Default, Clone)]
 pub struct Store {
-    docs: Vec<Arc<Document>>,
+    docs: Vec<Slot>,
     by_uri: HashMap<String, DocId>,
 }
 
@@ -44,11 +73,32 @@ impl Store {
     /// Add a document that is already shared (its URI registration, if
     /// any, must match the document's own `uri()`).
     pub fn add_shared(&mut self, doc: Arc<Document>, uri: Option<&str>) -> DocId {
+        self.push(
+            Slot {
+                doc: OnceLock::from(doc),
+                source: None,
+            },
+            uri,
+        )
+    }
+
+    /// Register a document that materializes on first dereference.
+    pub fn add_source(&mut self, source: Arc<dyn DocSource>, uri: Option<&str>) -> DocId {
+        self.push(
+            Slot {
+                doc: OnceLock::new(),
+                source: Some(source),
+            },
+            uri,
+        )
+    }
+
+    fn push(&mut self, slot: Slot, uri: Option<&str>) -> DocId {
         let id = DocId(self.docs.len() as u32);
         if let Some(uri) = uri {
             self.by_uri.insert(uri.to_string(), id);
         }
-        self.docs.push(doc);
+        self.docs.push(slot);
         id
     }
 
@@ -74,10 +124,51 @@ impl Store {
     }
 
     /// Access a document by id. Panics on stale ids (ids are never
-    /// invalidated; a panic indicates a cross-store mixup).
+    /// invalidated; a panic indicates a cross-store mixup), and on a
+    /// lazily registered document that fails to materialize — callers
+    /// that can be first to reach one go through [`Store::try_doc`].
     #[inline]
     pub fn doc(&self, id: DocId) -> &Document {
-        self.docs[id.0 as usize].as_ref()
+        match self.docs[id.0 as usize].doc.get() {
+            Some(doc) => doc,
+            None => self.doc_cold(id),
+        }
+    }
+
+    #[cold]
+    fn doc_cold(&self, id: DocId) -> &Document {
+        self.try_doc(id)
+            .unwrap_or_else(|e| panic!("document {} failed to materialize: {e}", id.0))
+    }
+
+    /// Access a document by id, materializing a lazily registered one
+    /// on first use — the dereference with an error path.
+    pub fn try_doc(&self, id: DocId) -> Result<&Document, String> {
+        let slot = &self.docs[id.0 as usize];
+        if let Some(doc) = slot.doc.get() {
+            return Ok(doc);
+        }
+        let source = slot.source.as_ref().expect("an empty slot has a source");
+        let doc = source.load()?;
+        Ok(slot.doc.get_or_init(|| doc))
+    }
+
+    /// `doc(id).elements_named(name).len()`, answered by a lazily
+    /// registered document's source without materializing it.
+    pub fn name_count(&self, id: DocId, name: &str) -> usize {
+        match &self.docs[id.0 as usize].source {
+            Some(source) => source.name_count(name),
+            None => self.doc(id).elements_named(name).len(),
+        }
+    }
+
+    /// `doc(id).uri()`, without materializing the document.
+    pub fn doc_uri(&self, id: DocId) -> Option<&str> {
+        let slot = &self.docs[id.0 as usize];
+        match slot.doc.get() {
+            Some(doc) => doc.uri(),
+            None => slot.source.as_ref().and_then(|s| s.uri()),
+        }
     }
 
     /// Number of documents in the store.

@@ -26,7 +26,8 @@ use standoff_core::obs::{Counter, Histogram, MetricsRegistry};
 use standoff_core::{
     Budget, IndexStats, RegionIndex, RegionSource, StandoffConfig, StandoffStrategy,
 };
-use standoff_xml::{DocId, Document, Store};
+use standoff_store::{Catalog, DeltaSet, Layer, LayerSet, Snapshot};
+use standoff_xml::{DocId, DocSource, Document, NodeKind, NodeRef, Store};
 
 use crate::ast::Query;
 use crate::compile::{self, PlanContext};
@@ -110,6 +111,8 @@ pub(crate) struct MetricHandles {
     pub(crate) query_exec_ns: Histogram,
     pub(crate) mounts: Counter,
     pub(crate) mount_ns: Histogram,
+    /// One record per snapshot layer this engine materialized.
+    snapshot_materialize_ns: Histogram,
     /// One handle per [`JoinStats::COUNTERS`] row, registered as
     /// `join.<name>`.
     join: Vec<Counter>,
@@ -126,6 +129,7 @@ impl MetricHandles {
             query_exec_ns: registry.histogram("query.exec_ns"),
             mounts: registry.counter("engine.mounts"),
             mount_ns: registry.histogram("engine.mount_ns"),
+            snapshot_materialize_ns: registry.histogram("engine.snapshot_materialize_ns"),
             join: JoinStats::COUNTERS
                 .iter()
                 .map(|c| registry.counter(&format!("join.{}", c.name)))
@@ -151,10 +155,6 @@ static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
 
 fn fresh_generation() -> u64 {
     NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
-}
-
-fn elapsed_ns(start: Instant) -> u64 {
-    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// What a StandOff join filters its target layers by.
@@ -188,10 +188,12 @@ impl<'a> LayerFilter<'a> {
 /// The layers among `members` (one join unit: a mounted layer group, or
 /// a lone document) that can answer a StandOff join — the only place
 /// this is decided. A layer answers a name when its element-name table
-/// holds it, and an explicit candidate sequence when some candidate
-/// lies in it; the evaluator joins into exactly these layers and the
-/// `estimate` pass prints exactly these, so plan and execution cannot
-/// name different ones.
+/// holds it — read from the layer's catalog while it is not
+/// materialized, so a layer without the name is never loaded — and an
+/// explicit candidate sequence when some candidate lies in it; the
+/// evaluator joins into exactly these layers (materializing them) and
+/// the `estimate` pass prints exactly these, so plan and execution
+/// cannot name different ones.
 pub(crate) fn answering_layers(
     store: &Store,
     members: &[DocId],
@@ -199,10 +201,104 @@ pub(crate) fn answering_layers(
 ) -> Vec<DocId> {
     let answers = |doc: &DocId| match filter {
         LayerFilter::Any => true,
-        LayerFilter::Name(name) => !store.doc(*doc).elements_named(name).is_empty(),
+        LayerFilter::Name(name) => store.name_count(*doc, name) > 0,
         LayerFilter::Candidates(buckets) => buckets.get(doc).is_some_and(|b| !b.is_empty()),
     };
     members.iter().copied().filter(answers).collect()
+}
+
+/// A mounted layer document: its configuration, and its document and
+/// region index — whole, or in a [`Snapshot`] that materializes them the
+/// first time a plan dereferences the layer. The store registers it as
+/// the document's [`DocSource`], so `doc()`, `layer()`, the joins and
+/// the statistics all reach a layer through the same slot, and every
+/// session and `serve` thread shares the snapshot's one cache.
+pub(crate) struct MountedLayer {
+    /// The registration URI (`uri`, `uri#layer`), for error text.
+    label: String,
+    body: LayerBody,
+    /// The mounting engine's `engine.snapshot_materialize_ns`.
+    materialize_ns: Histogram,
+}
+
+enum LayerBody {
+    Ready(Arc<Layer>),
+    Snapshot {
+        snapshot: Snapshot,
+        k: usize,
+        catalog: Arc<Catalog>,
+    },
+}
+
+impl LayerBody {
+    fn name(&self) -> &str {
+        match self {
+            LayerBody::Ready(layer) => layer.name(),
+            LayerBody::Snapshot { catalog, .. } => catalog.name(),
+        }
+    }
+
+    fn config(&self) -> &StandoffConfig {
+        match self {
+            LayerBody::Ready(layer) => layer.config(),
+            LayerBody::Snapshot { catalog, .. } => catalog.config(),
+        }
+    }
+}
+
+impl MountedLayer {
+    /// The configuration the layer's index was built under.
+    fn config(&self) -> &StandoffConfig {
+        self.body.config()
+    }
+
+    /// The layer, materializing a snapshot layer on first use.
+    fn layer(&self) -> Result<Arc<Layer>, String> {
+        match &self.body {
+            LayerBody::Ready(layer) => Ok(Arc::clone(layer)),
+            LayerBody::Snapshot { snapshot, k, .. } => {
+                let (layer, took) = snapshot
+                    .load_layer(*k)
+                    .map_err(|e| format!("cannot materialize '{}': {e}", self.label))?;
+                if let Some(took) = took {
+                    self.materialize_ns.record_duration(took);
+                }
+                Ok(layer)
+            }
+        }
+    }
+
+    /// The layer's region index, materializing the layer on first use.
+    pub(crate) fn index(&self) -> Result<Arc<RegionIndex>, QueryError> {
+        self.layer()
+            .map(|layer| layer.index_arc())
+            .map_err(QueryError::dynamic)
+    }
+
+    /// A snapshot layer that has been materialized.
+    fn is_materialized_snapshot(&self) -> bool {
+        matches!(&self.body, LayerBody::Snapshot { snapshot, k, .. } if snapshot.is_materialized(*k))
+    }
+}
+
+impl DocSource for MountedLayer {
+    fn load(&self) -> Result<Arc<Document>, String> {
+        self.layer().map(|layer| layer.doc_arc())
+    }
+
+    fn uri(&self) -> Option<&str> {
+        match &self.body {
+            LayerBody::Ready(layer) => layer.doc().uri(),
+            LayerBody::Snapshot { catalog, .. } => catalog.uri(),
+        }
+    }
+
+    fn name_count(&self, name: &str) -> usize {
+        match &self.body {
+            LayerBody::Ready(layer) => layer.doc().elements_named(name).len(),
+            LayerBody::Snapshot { catalog, .. } => catalog.name_count(name),
+        }
+    }
 }
 
 /// The mutable evaluation state behind an engine or session. Cloning
@@ -218,8 +314,10 @@ pub struct EngineState {
     layer_groups: Vec<Vec<DocId>>,
     /// Document id → its layer group, for mounted documents.
     doc_group: HashMap<u32, u32>,
-    /// The configuration each mounted layer's index was built under.
-    layer_configs: HashMap<u32, StandoffConfig>,
+    /// Mounted layer documents (delta documents included): the
+    /// configuration each index was built under, and the index itself,
+    /// materialized on first dereference.
+    layers: HashMap<u32, Arc<MountedLayer>>,
     /// `(store uri, layer name)` → document, for the `layer()` builtin.
     layer_lookup: HashMap<(String, String), DocId>,
     /// Overlay retractions: document id → strictly ascending,
@@ -274,7 +372,7 @@ impl EngineState {
             region_cache: HashMap::new(),
             layer_groups: Vec::new(),
             doc_group: HashMap::new(),
-            layer_configs: HashMap::new(),
+            layers: HashMap::new(),
             layer_lookup: HashMap::new(),
             retracted: HashMap::new(),
             delta_of: HashMap::new(),
@@ -289,13 +387,18 @@ impl EngineState {
         }
     }
 
-    /// The region index of a document under a configuration, built on
-    /// first use and cached (documents are immutable).
+    /// The region index of a document under a configuration: a mounted
+    /// layer's own index under the layer's configuration (materializing
+    /// the layer on first use), otherwise built on first use and cached
+    /// (documents are immutable).
     pub fn region_index(
         &mut self,
         doc: DocId,
         config: &StandoffConfig,
     ) -> Result<Arc<RegionIndex>, QueryError> {
+        if let Some(layer) = self.layers.get(&doc.0).filter(|l| l.config() == config) {
+            return layer.index();
+        }
         let key = (doc.0, config.clone());
         if let Some(idx) = self.region_cache.get(&key) {
             return Ok(Arc::clone(idx));
@@ -322,9 +425,9 @@ impl EngineState {
         &self.layer_groups[group as usize]
     }
 
-    /// The configuration a mounted layer's index was registered under.
-    pub(crate) fn layer_config(&self, doc: DocId) -> Option<&StandoffConfig> {
-        self.layer_configs.get(&doc.0)
+    /// The mounted layer a document is, if any.
+    pub(crate) fn mounted_layer(&self, doc: DocId) -> Option<&MountedLayer> {
+        self.layers.get(&doc.0).map(|layer| &**layer)
     }
 
     /// Resolve `layer("uri", "name")` to a mounted layer document.
@@ -376,6 +479,24 @@ impl EngineState {
         !self.delta_docs.is_empty()
     }
 
+    /// The node of a layer's delta document that mirrors `node`, if the
+    /// layer has one and `node` sits at a mirrored position: the
+    /// document node mirrors pre 0, the root element mirrors the delta
+    /// root (always pre 1 — delta documents are built with no leading
+    /// comments or PIs).
+    pub(crate) fn delta_mirror(&self, node: NodeRef) -> Option<NodeRef> {
+        let pre = node.id.pre()?;
+        let delta = self.delta_doc_of(node.doc)?;
+        let doc = self.store.doc(node.doc);
+        if pre == 0 {
+            Some(NodeRef::tree(delta, 0))
+        } else if doc.parent(pre) == 0 && doc.kind(pre) == NodeKind::Element {
+            Some(NodeRef::tree(delta, 1))
+        } else {
+            None
+        }
+    }
+
     /// The layer document a delta document overlays (inverse of
     /// [`Self::delta_doc_of`]). Linear in the number of overlaid layers,
     /// which is small and only walked on overlay mounts.
@@ -407,15 +528,28 @@ impl EngineState {
         }
     }
 
+    /// The region indexes of the documents `include` keeps: every
+    /// mounted layer's (materialized now — the `estimate` pass includes
+    /// only layers the plan reaches) and every index built so far. A
+    /// layer that fails to materialize is left out; the query that
+    /// reaches it reports the failure.
+    fn indexes(&self, include: impl Fn(DocId) -> bool) -> Vec<(DocId, Arc<RegionIndex>)> {
+        let layers = (self.layers.iter())
+            .filter(|(&doc, _)| include(DocId(doc)))
+            .filter_map(|(&doc, layer)| Some((DocId(doc), layer.index().ok()?)));
+        let built = (self.region_cache.iter())
+            .filter(|((doc, _), _)| include(DocId(*doc)))
+            .map(|((doc, _), index)| (DocId(*doc), Arc::clone(index)));
+        layers.chain(built).collect()
+    }
+
     /// Merged statistics of the region indexes of the documents
     /// `include` keeps, with overlay retractions subtracted per index —
     /// the optimizer costs the *visible* corpus, not the raw columns.
     pub(crate) fn index_stats(&self, include: impl Fn(DocId) -> bool) -> IndexStats {
         let mut stats = IndexStats::default();
-        for ((doc, _), index) in self.region_cache.iter() {
-            if include(DocId(*doc)) {
-                stats.merge(self.region_source(DocId(*doc), index).stats());
-            }
+        for (doc, index) in self.indexes(include) {
+            stats.merge(self.region_source(doc, &index).stats());
         }
         stats
     }
@@ -423,19 +557,14 @@ impl EngineState {
     /// Are `name`'s elements exactly the annotated nodes of every
     /// `include`d document that holds the name (and of at least one)?
     /// The borrow condition of the candidate rule, as the `estimate`
-    /// pass reports it.
+    /// pass reports it. Which documents hold the name comes from the
+    /// catalog, so no other layer is materialized.
     pub(crate) fn name_covers(&self, name: &str, include: impl Fn(DocId) -> bool) -> bool {
-        let mut any = false;
-        for ((doc, _), index) in self.region_cache.iter() {
-            let named = self.store.doc(DocId(*doc)).elements_named(name);
-            if include(DocId(*doc)) && !named.is_empty() {
-                if named != index.annotated_nodes() {
-                    return false;
-                }
-                any = true;
-            }
-        }
-        any
+        let holders = self.indexes(|doc| include(doc) && self.store.name_count(doc, name) > 0);
+        !holders.is_empty()
+            && (holders.iter()).all(|(doc, index)| {
+                self.store.doc(*doc).elements_named(name) == index.annotated_nodes()
+            })
     }
 
     /// The compilation context this state offers the query compiler:
@@ -598,34 +727,39 @@ impl Engine {
     ///   resolves to it;
     /// * every other layer registers under `uri#name` (also reachable via
     ///   the `layer("uri", "name")` builtin);
-    /// * each layer's prebuilt region index is installed in the engine's
-    ///   cache under the layer's own configuration — the snapshot's
-    ///   indices are used as-is, never rebuilt;
+    /// * each layer's prebuilt region index is used under the layer's
+    ///   own configuration — the layer set's indices are used as-is,
+    ///   never rebuilt;
     /// * all layers of the set form one *layer group*: StandOff axis
     ///   steps and the `select-narrow(..)` builtin family join across the
     ///   whole group, so `entities` can be narrowed by `tokens`.
-    pub fn mount_store(&mut self, set: standoff_store::LayerSet) -> Result<DocId, QueryError> {
-        self.mount_overlay(set, &standoff_store::DeltaSet::new())
+    pub fn mount_store(&mut self, set: LayerSet) -> Result<DocId, QueryError> {
+        self.mount_overlay(set, &DeltaSet::new())
     }
 
-    /// Mount every layer of a [`standoff_store::Snapshot`] — the
-    /// *prefetch* form of snapshot mounting: all layers are materialized
-    /// up front (zero-copy column views) and shared with the snapshot's
-    /// layer cache. To mount selectively, materialize layers through
-    /// [`standoff_store::Snapshot::layer`] and assemble a
-    /// [`standoff_store::LayerSet`] for [`Engine::mount_store`].
-    pub fn mount_snapshot(
-        &mut self,
-        snapshot: &standoff_store::Snapshot,
-    ) -> Result<DocId, QueryError> {
-        let started = Instant::now();
-        let set = snapshot
-            .to_layer_set()
+    /// Mount every layer of a [`Snapshot`], registered exactly as
+    /// [`Engine::mount_store`] registers a layer set — but from the
+    /// snapshot's header and each layer's [`Catalog`] alone. A layer is
+    /// materialized (checksummed, revalidated, shared with the
+    /// snapshot's cache) the first time a query dereferences it:
+    /// `doc()`/`layer()` resolving to it, a StandOff join whose name the
+    /// layer's catalog holds, or a `*`/`node()` join, which reaches every
+    /// layer. A layer no plan reaches is never read, and a damaged one
+    /// fails only the queries that reach it, with the snapshot's
+    /// categorized error. The engine keeps a clone of the handle.
+    pub fn mount_snapshot(&mut self, snapshot: &Snapshot) -> Result<DocId, QueryError> {
+        let bodies = (0..snapshot.len())
+            .map(|k| {
+                let catalog = snapshot.catalog(k)?;
+                Ok(LayerBody::Snapshot {
+                    snapshot: snapshot.clone(),
+                    k,
+                    catalog,
+                })
+            })
+            .collect::<Result<Vec<_>, standoff_store::StoreError>>()
             .map_err(|e| QueryError::stat(format!("cannot mount snapshot: {e}")))?;
-        self.state
-            .metrics
-            .record("engine.snapshot_materialize_ns", elapsed_ns(started));
-        self.mount_store(set)
+        self.mount_layers(snapshot.uri(), bodies, &DeltaSet::new())
     }
 
     /// Mount a layer set together with a pending [`DeltaSet`] overlay —
@@ -650,36 +784,54 @@ impl Engine {
     /// index stay shared with the layer set and, for mounted snapshots,
     /// with the snapshot's layer cache: mounting is pointer plumbing,
     /// not a copy of column data).
-    pub fn mount_overlay(
+    pub fn mount_overlay(&mut self, set: LayerSet, delta: &DeltaSet) -> Result<DocId, QueryError> {
+        let (uri, layers) = set.into_layers();
+        let bodies = layers
+            .into_iter()
+            .map(|layer| LayerBody::Ready(Arc::new(layer)))
+            .collect();
+        self.mount_layers(&uri, bodies, delta)
+    }
+
+    /// The one registration path of every mount.
+    fn mount_layers(
         &mut self,
-        set: standoff_store::LayerSet,
-        delta: &standoff_store::DeltaSet,
+        uri: &str,
+        bodies: Vec<LayerBody>,
+        delta: &DeltaSet,
     ) -> Result<DocId, QueryError> {
         let started = Instant::now();
-        let (uri, layers) = set.into_layers();
-        let overlay_err =
-            |e: standoff_store::StoreError| QueryError::stat(format!("cannot mount overlay: {e}"));
-        // Per layer: registration URI, hidden pres, and the materialized
-        // insert document (if any) with its derived URI. Prepared fully
-        // before any state is touched so a failed mount changes nothing.
-        let mut prepared = Vec::with_capacity(layers.len());
-        for (k, layer) in layers.iter().enumerate() {
+        let overlay_err = |e: String| QueryError::stat(format!("cannot mount overlay: {e}"));
+        // Per layer: the mounted layer, its registration URI, hidden
+        // pres, and the materialized insert document (if any) with its
+        // derived URI. Prepared fully before any state is touched so a
+        // failed mount changes nothing.
+        let mut prepared = Vec::with_capacity(bodies.len());
+        for (k, body) in bodies.into_iter().enumerate() {
             let doc_uri = if k == 0 {
-                uri.clone()
+                uri.to_string()
             } else {
-                format!("{uri}#{}", layer.name())
+                format!("{uri}#{}", body.name())
             };
-            let (retracted, insert_doc) = match delta.layer_delta(layer.name()) {
-                Some(d) => (
-                    d.retracted_pres(layer),
-                    d.insert_doc(layer).map_err(overlay_err)?,
-                ),
+            let layer = Arc::new(MountedLayer {
+                label: doc_uri.clone(),
+                body,
+                materialize_ns: self.state.handles.snapshot_materialize_ns.clone(),
+            });
+            let (retracted, insert_doc) = match delta.layer_delta(layer.body.name()) {
+                Some(d) => {
+                    let whole = layer.layer().map_err(overlay_err)?;
+                    let insert_doc = d
+                        .insert_doc(&whole)
+                        .map_err(|e| overlay_err(e.to_string()))?;
+                    (d.retracted_pres(&whole), insert_doc)
+                }
                 None => (Vec::new(), None),
             };
             let delta_uri = insert_doc.as_ref().map(|_| format!("{doc_uri}#delta"));
-            prepared.push((doc_uri, retracted, insert_doc, delta_uri));
+            prepared.push((layer, doc_uri, retracted, insert_doc, delta_uri));
         }
-        for (doc_uri, _, _, delta_uri) in &prepared {
+        for (_, doc_uri, _, _, delta_uri) in &prepared {
             for u in std::iter::once(doc_uri).chain(delta_uri.as_ref()) {
                 if self.state.store.by_uri(u).is_some() {
                     return Err(QueryError::stat(format!(
@@ -689,37 +841,45 @@ impl Engine {
             }
         }
         let group_id = self.state.layer_groups.len() as u32;
-        let mut members = Vec::with_capacity(layers.len());
-        for (layer, (doc_uri, retracted, insert_doc, delta_uri)) in layers.into_iter().zip(prepared)
-        {
-            let (name, config, doc, index) = layer.into_parts();
-            let id = self.state.store.add_shared(doc, Some(&doc_uri));
+        let mut members = Vec::with_capacity(prepared.len());
+        for (layer, doc_uri, retracted, insert_doc, delta_uri) in prepared {
+            let id = self.state.store.add_source(layer.clone(), Some(&doc_uri));
+            let name = layer.body.name().to_string();
             self.state
-                .region_cache
-                .insert((id.0, config.clone()), index);
-            self.state.layer_configs.insert(id.0, config.clone());
-            self.state.layer_lookup.insert((uri.clone(), name), id);
+                .layer_lookup
+                .insert((uri.to_string(), name.clone()), id);
             self.state.doc_group.insert(id.0, group_id);
             members.push(id);
             if !retracted.is_empty() {
                 self.state.retracted.insert(id.0, Arc::new(retracted));
             }
             if let Some(ddoc) = insert_doc {
-                let dindex = standoff_core::RegionIndex::build(&ddoc, &config)
-                    .map_err(|e| QueryError::stat(format!("cannot mount overlay: {e}")))?;
+                let dindex = RegionIndex::build(&ddoc, layer.config())
+                    .map_err(|e| overlay_err(e.to_string()))?;
+                let dlayer = Layer::from_shared(
+                    name.clone(),
+                    layer.config().clone(),
+                    Arc::new(ddoc),
+                    Arc::new(dindex),
+                )
+                .map_err(|e| overlay_err(e.to_string()))?;
+                let delta_uri = delta_uri.expect("an insert document has a URI");
+                let dlayer = Arc::new(MountedLayer {
+                    label: delta_uri.clone(),
+                    body: LayerBody::Ready(Arc::new(dlayer)),
+                    materialize_ns: layer.materialize_ns.clone(),
+                });
                 let did = self
                     .state
                     .store
-                    .add_shared(Arc::new(ddoc), delta_uri.as_deref());
-                self.state
-                    .region_cache
-                    .insert((did.0, config.clone()), Arc::new(dindex));
-                self.state.layer_configs.insert(did.0, config);
+                    .add_source(dlayer.clone(), Some(&delta_uri));
+                self.state.layers.insert(did.0, dlayer);
                 self.state.doc_group.insert(did.0, group_id);
                 self.state.delta_of.insert(id.0, did);
                 self.state.delta_docs.insert(did.0);
                 members.push(did);
             }
+            self.state.layers.insert(id.0, layer);
         }
         let base = members[0];
         self.state.layer_groups.push(members);
@@ -730,6 +890,19 @@ impl Engine {
             .mount_ns
             .record_duration(started.elapsed());
         Ok(base)
+    }
+
+    /// Registration URIs (`uri`, `uri#layer`) of the snapshot layers
+    /// materialized so far, in mount order.
+    pub fn materialized_layers(&self) -> Vec<String> {
+        let mut docs: Vec<u32> = (self.state.layers.iter())
+            .filter(|(_, layer)| layer.is_materialized_snapshot())
+            .map(|(&doc, _)| doc)
+            .collect();
+        docs.sort_unstable();
+        docs.into_iter()
+            .map(|doc| self.state.layers[&doc].label.clone())
+            .collect()
     }
 
     /// The underlying document store (documents, constructed results).

@@ -77,6 +77,61 @@ impl Rows for NodeTable {
     }
 }
 
+/// The fused `[@name = "value"]` predicate on one node row: does the
+/// row's element carry that attribute with exactly that value, read
+/// straight off the owning document's attribute columns? It is what the
+/// generic frame computes for this shape — the attribute axis from the
+/// row, atomized, string-compared, existentially — without attribute
+/// nodes, a boolean column or position/last columns: rows that are not
+/// elements have no attributes and drop, and on an overlay mount a
+/// layer-root row also sees the attributes of the root its delta
+/// document mirrors (as `expand_delta_contexts` gives the attribute
+/// step).
+struct AttrTest<'a> {
+    engine: &'a EngineState,
+    name: &'a str,
+    value: &'a str,
+    /// Rows arrive grouped by document, so one remembered resolution
+    /// makes the name lookup once per document.
+    resolved: Option<(DocId, Option<standoff_xml::NameId>)>,
+}
+
+impl<'a> AttrTest<'a> {
+    fn new(engine: &'a EngineState, name: &'a str, value: &'a str) -> Self {
+        AttrTest {
+            engine,
+            name,
+            value,
+            resolved: None,
+        }
+    }
+
+    fn keeps(&mut self, node: NodeRef) -> bool {
+        self.carries(node)
+            || (self.engine.has_delta_docs()
+                && (self.engine.delta_mirror(node)).is_some_and(|mirror| self.carries(mirror)))
+    }
+
+    fn carries(&mut self, node: NodeRef) -> bool {
+        let Some(pre) = node.id.pre() else {
+            return false; // attribute rows have no attributes
+        };
+        let doc = self.engine.store.doc(node.doc);
+        let id = match self.resolved {
+            Some((d, id)) if d == node.doc => id,
+            _ => {
+                let id = doc.names().get(self.name);
+                self.resolved = Some((node.doc, id));
+                id
+            }
+        };
+        id.is_some_and(|id| {
+            doc.attr_range(pre)
+                .any(|a| doc.attr_name_id(a) == id && doc.attr_value(a) == self.value)
+        })
+    }
+}
+
 /// One join unit of a StandOff join: the context rows that are joined
 /// together, bucketed per document (ascending; rows sorted and
 /// duplicate-free, attributes standing for their owner elements). The
@@ -338,12 +393,8 @@ impl<'e> Evaluator<'e> {
                 test,
                 predicates,
             } => {
-                let table = self.standoff_step_nodes(expr, input.as_deref(), op, test)?;
-                let mut table = table.into_llseq();
-                for predicate in predicates {
-                    table = self.apply_predicate(table, predicate)?;
-                }
-                Ok(table)
+                let nodes = self.standoff_step_nodes(expr, input.as_deref(), op, test)?;
+                self.apply_step_predicates(nodes, predicates)
             }
             PlanExpr::PathExpr { input, step } => self.eval_path_expr(input, step),
             PlanExpr::RootPath => self.eval_root_path(),
@@ -902,7 +953,7 @@ impl<'e> Evaluator<'e> {
                 predicates,
             } if predicates.is_empty() => Some(self.metered(expr, |ev| {
                 let ctx = ev.context_nodes(input.as_deref())?;
-                Ok(ev.tree_step_nodes(ctx, *axis, test))
+                Ok(ev.tree_step_nodes(ctx, *axis, test, None))
             })),
             PlanExpr::StandoffStep {
                 input,
@@ -971,25 +1022,67 @@ impl<'e> Evaluator<'e> {
         test: &NodeTest,
         predicates: &[PlanExpr],
     ) -> Result<LlSeq, QueryError> {
-        let mut table = self.tree_step_nodes(ctx, axis, test).into_llseq();
-        for predicate in predicates {
+        // A leading `[@a = "v"]` is tested as the step emits each row,
+        // so the rows it drops are never stored or ordered — on every
+        // axis but the upward ones, whose overlay scaffolding rows are
+        // remapped to other nodes after the walk.
+        use TreeAxis as A;
+        if let [first @ PlanExpr::AttrEquals { name, value }, rest @ ..] = predicates {
+            if !matches!(axis, A::Parent | A::Ancestor | A::AncestorOrSelf) {
+                let nodes = self.metered(first, |ev| {
+                    Ok(ev.tree_step_nodes(ctx, axis, test, Some((name, value))))
+                })?;
+                return self.apply_step_predicates(nodes, rest);
+            }
+        }
+        let nodes = self.tree_step_nodes(ctx, axis, test, None);
+        self.apply_step_predicates(nodes, predicates)
+    }
+
+    /// A step's predicates over its node table. Leading `[@a = "v"]`
+    /// filters drop rows while they are still node rows, so only the
+    /// rows they keep become items for the predicates after them.
+    fn apply_step_predicates(
+        &mut self,
+        mut nodes: NodeTable,
+        predicates: &[PlanExpr],
+    ) -> Result<LlSeq, QueryError> {
+        let mut rest = predicates;
+        while let [predicate @ PlanExpr::AttrEquals { name, value }, tail @ ..] = rest {
+            nodes = self.metered(predicate, |ev| ev.filter_attr_nodes(nodes, name, value))?;
+            rest = tail;
+        }
+        let mut table = nodes.into_llseq();
+        for predicate in rest {
             table = self.apply_predicate(table, predicate)?;
         }
         Ok(table)
     }
 
-    /// One tree step over `ctx`, merge-on-read included.
-    fn tree_step_nodes(&mut self, ctx: NodeTable, axis: TreeAxis, test: &NodeTest) -> NodeTable {
+    /// One tree step over `ctx`, merge-on-read included, keeping only
+    /// the rows that carry attribute `attr.0` = `attr.1` when asked to.
+    fn tree_step_nodes(
+        &mut self,
+        ctx: NodeTable,
+        axis: TreeAxis,
+        test: &NodeTest,
+        attr: Option<(&str, &str)>,
+    ) -> NodeTable {
+        use standoff_algebra::staircase::{ll_step_cached, ll_step_where};
         let (ctx, expanded) = self.expand_delta_contexts(ctx, axis);
         // `test` is plan memory (see `name_cache`), so resolution is
         // memoized per document across re-executions of this step.
-        let result = standoff_algebra::staircase::ll_step_cached(
-            &self.engine.store,
-            &ctx,
-            axis,
-            test,
-            &mut self.name_cache,
-        );
+        let engine = &*self.engine;
+        let cache = &mut self.name_cache;
+        let result = match attr {
+            Some((name, value)) => {
+                let mut attr = AttrTest::new(engine, name, value);
+                ll_step_where(&engine.store, &ctx, axis, test, cache, |node| {
+                    attr.keeps(node)
+                })
+            }
+            None => ll_step_cached(&engine.store, &ctx, axis, test, cache),
+        };
         let result = self.filter_retracted(result);
         self.fold_delta_scaffolding(result, axis, expanded)
     }
@@ -1018,30 +1111,12 @@ impl<'e> Evaluator<'e> {
         let mut expanded = false;
         for (&iter, &node) in ctx.iters().iter().zip(ctx.nodes()) {
             out.push(iter, node);
-            if let Some(mirror) = self.delta_mirror(node) {
+            if let Some(mirror) = self.engine.delta_mirror(node) {
                 out.push(iter, mirror);
                 expanded = true;
             }
         }
         (out, expanded)
-    }
-
-    /// The node of a layer's delta document that mirrors `node`, if the
-    /// layer has one and `node` sits at a mirrored position: the
-    /// document node mirrors pre 0, the root element mirrors the delta
-    /// root (always pre 1 — delta documents are built with no leading
-    /// comments or PIs).
-    fn delta_mirror(&self, node: NodeRef) -> Option<NodeRef> {
-        let pre = node.id.pre()?;
-        let delta = self.engine.delta_doc_of(node.doc)?;
-        let doc = self.engine.store.doc(node.doc);
-        if pre == 0 {
-            Some(NodeRef::tree(delta, 0))
-        } else if doc.parent(pre) == 0 && doc.kind(pre) == NodeKind::Element {
-            Some(NodeRef::tree(delta, 1))
-        } else {
-            None
-        }
     }
 
     /// Merge-on-read, navigation half (result side): the delta document's
@@ -1139,18 +1214,15 @@ impl<'e> Evaluator<'e> {
         self.eval_standoff_join(&ctx, op, test, None, expr as *const PlanExpr as usize)
     }
 
-    /// The StandOff configuration in effect for a document: a mounted
-    /// layer keeps the configuration its snapshot index was built under;
-    /// anything else uses the query prolog's `standoff-*` options.
-    fn doc_config(&self, doc: DocId) -> StandoffConfig {
-        self.engine
-            .layer_config(doc)
-            .cloned()
-            .unwrap_or_else(|| self.config.clone())
-    }
-
+    /// The region index of a document: a mounted layer's own index,
+    /// under the configuration it was built with (materializing the
+    /// layer on first use); anything else is indexed under the query
+    /// prolog's `standoff-*` options.
     fn region_index_of(&mut self, doc: DocId) -> Result<Arc<RegionIndex>, QueryError> {
-        let config = self.doc_config(doc);
+        if let Some(layer) = self.engine.mounted_layer(doc) {
+            return layer.index();
+        }
+        let config = self.config.clone();
         self.engine.region_index(doc, &config)
     }
 
@@ -1477,7 +1549,12 @@ impl<'e> Evaluator<'e> {
         predicate: &PlanExpr,
     ) -> Result<LlSeq, QueryError> {
         if let PlanExpr::AttrEquals { name, value } = predicate {
-            return self.metered(predicate, |ev| ev.filter_attr_equals(table, name, value));
+            return self.metered(predicate, |ev| {
+                // An atomic row is word for word the attribute step's
+                // complaint.
+                let nodes = NodeTable::from_llseq(&table).map_err(QueryError::dynamic)?;
+                Ok(ev.filter_attr_nodes(nodes, name, value)?.into_llseq())
+            });
         }
         let n = table.len() as u32;
         let map = table.iters().to_vec();
@@ -1546,63 +1623,26 @@ impl<'e> Evaluator<'e> {
         Ok(out)
     }
 
-    /// The fused `[@name = "value"]` predicate: keep the rows whose
-    /// element carries that attribute with exactly that value, read
-    /// straight off the owning document's attribute columns. It is what
-    /// the generic frame computes for this shape — the attribute axis
-    /// from each row, atomized, string-compared, existentially — without
-    /// attribute nodes, a boolean column or position/last columns: rows
-    /// that are not elements have no attributes and drop, an atomic row
-    /// is the same dynamic error the attribute step raises, and on an
-    /// overlay mount a layer-root row also sees the attributes of the
-    /// root its delta document mirrors (as `expand_delta_contexts` gives
-    /// the attribute step).
-    fn filter_attr_equals(
+    /// The fused `[@name = "value"]` predicate over node rows (see
+    /// [`AttrTest`]), polling the budget like the join kernels.
+    fn filter_attr_nodes(
         &self,
-        table: LlSeq,
+        table: NodeTable,
         name: &str,
         value: &str,
-    ) -> Result<LlSeq, QueryError> {
+    ) -> Result<NodeTable, QueryError> {
         let budget = self.engine.budget.as_ref();
-        let store = &self.engine.store;
-        // Rows arrive grouped by document, so one remembered resolution
-        // makes the name lookup once per document.
-        let mut resolved: Option<(DocId, Option<standoff_xml::NameId>)> = None;
-        let mut carries = |node: NodeRef| -> bool {
-            let Some(pre) = node.id.pre() else {
-                return false; // attribute rows have no attributes
-            };
-            let doc = store.doc(node.doc);
-            let id = match resolved {
-                Some((d, id)) if d == node.doc => id,
-                _ => {
-                    let id = doc.names().get(name);
-                    resolved = Some((node.doc, id));
-                    id
-                }
-            };
-            id.is_some_and(|id| {
-                doc.attr_range(pre)
-                    .any(|a| doc.attr_name_id(a) == id && doc.attr_value(a) == value)
-            })
-        };
-        let overlay = self.engine.has_delta_docs();
-        let mut out = LlSeq::empty();
-        for (k, (&iter, item)) in table.iters().iter().zip(table.items()).enumerate() {
+        let mut attr = AttrTest::new(self.engine, name, value);
+        let mut out = NodeTable::new();
+        for (k, (&iter, &node)) in table.iters().iter().zip(table.nodes()).enumerate() {
             // Governed like the join kernels: one poll per 64 rows.
             if k % 64 == 0 {
                 if let Some(why) = budget.and_then(|b| b.poll()) {
                     return Err(why.into());
                 }
             }
-            let Item::Node(node) = item else {
-                // Word for word the attribute step's complaint.
-                return Err(QueryError::dynamic(
-                    NodeTable::from_llseq(&table).expect_err("this row is not a node"),
-                ));
-            };
-            if carries(*node) || (overlay && self.delta_mirror(*node).is_some_and(&mut carries)) {
-                out.push(iter, item.clone());
+            if attr.keeps(node) {
+                out.push(iter, node);
             }
         }
         Ok(out)

@@ -417,6 +417,12 @@ fn fn_doc(ev: &mut Evaluator<'_>, uris: &LlSeq) -> Result<LlSeq, QueryError> {
             .store
             .by_uri(&uri)
             .ok_or_else(|| QueryError::dynamic(format!("document '{uri}' not found")))?;
+        // A mounted layer materializes here, the first time a query
+        // resolves it — computed URIs included.
+        ev.engine
+            .store
+            .try_doc(doc_id)
+            .map_err(QueryError::dynamic)?;
         out.push(iter, Item::Node(NodeRef::tree(doc_id, 0)));
         // Overlay mount: the layer's pending inserts live in a sibling
         // delta document, but it is *not* a second root — tree steps
@@ -443,6 +449,10 @@ fn fn_layer(ev: &mut Evaluator<'_>, uris: &LlSeq, names: &LlSeq) -> Result<LlSeq
         let doc_id = ev.engine.layer_doc(&uri, &name).ok_or_else(|| {
             QueryError::dynamic(format!("no layer '{name}' mounted under '{uri}'"))
         })?;
+        ev.engine
+            .store
+            .try_doc(doc_id)
+            .map_err(QueryError::dynamic)?;
         out.push(iter, Item::Node(NodeRef::tree(doc_id, 0)));
         // Merge-on-read: a mutated layer's inserts ride in its sibling
         // delta document (see `Engine::mount_overlay`). Tree steps merge

@@ -880,9 +880,15 @@ fn corpus_name_count(ctx: &PlanContext<'_>, name: &str) -> Option<u64> {
     let corpus = ctx.corpus?;
     let mut total: u64 = 0;
     for id in corpus.store.doc_ids() {
-        let named = corpus.store.doc(id).elements_named(name);
+        // Read off the catalog: counting a name loads no layer. A
+        // layer with retractions is an overlay's, always materialized.
         let hidden = corpus.retractions_of(id);
-        total += (named.len() - sorted_intersection_count(named, hidden)) as u64;
+        total += if hidden.is_empty() {
+            corpus.store.name_count(id, name)
+        } else {
+            let named = corpus.store.doc(id).elements_named(name);
+            named.len() - sorted_intersection_count(named, hidden)
+        } as u64;
     }
     Some(total)
 }
@@ -1003,12 +1009,7 @@ fn estimate(plan: &mut Plan, ctx: &PlanContext<'_>) {
                 groups
                     .map(|(g, (answering, members))| GroupLayers {
                         group: g as u32,
-                        uri: corpus
-                            .store
-                            .doc(members[0])
-                            .uri()
-                            .unwrap_or("?")
-                            .to_string(),
+                        uri: corpus.store.doc_uri(members[0]).unwrap_or("?").to_string(),
                         answering: answering.iter().map(|&d| corpus.layer_label(d)).collect(),
                         members: members.len(),
                     })

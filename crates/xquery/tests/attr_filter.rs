@@ -217,3 +217,148 @@ fn an_atomic_context_item_is_the_same_dynamic_error() {
         assert!(err.contains("expected node sequence"), "{q}: {err}");
     }
 }
+
+/// `[@k = "a"]` leading the predicates of every kind of step. Downward
+/// and sideways tree steps test it as they emit rows, upward ones and
+/// StandOff steps on their node table before any row becomes an item;
+/// all of it must be the generic predicate's answer.
+#[test]
+fn a_leading_filter_drops_node_rows_on_every_step_shape() {
+    let shared = corpus();
+    for q in [
+        r#"doc("f")/r/p/x[@k = "a"]"#,
+        r#"doc("f")//x[@k = "a"]"#,
+        r#"doc("f")//p/descendant-or-self::*[@k = "a"]"#,
+        r#"doc("f")//x/self::x[@k = "a"]"#,
+        r#"doc("f")//x/following-sibling::*[@k = "a"]"#,
+        r#"doc("f")//x/following::*[@k = "a"]"#,
+        r#"doc("f")//x/preceding::*[@k = "a"]"#,
+        r#"doc("f")//x/preceding-sibling::*[@k = "a"]"#,
+        r#"doc("f")//x/@k[@k = "a"]"#,
+        r#"doc("f")//x/parent::*[@k = "a"]"#,
+        r#"doc("f")//x/ancestor::*[@k = "a"]"#,
+        r#"doc("f")//x/ancestor-or-self::*[@k = "a"]"#,
+        r#"doc("f")//y/select-narrow::*[@k = "a"]"#,
+        r#"doc("f")//x/select-wide::y[@k = "a"]"#,
+        r#"doc("f")//y/reject-narrow::x[@k = "a"]"#,
+        r#"doc("f")//y/reject-wide::x[@k = "a"]"#,
+        r#"doc("f")//x[@k = "a"][1]"#,
+        r#"doc("f")//x[@k = "a"][@j = "a"]"#,
+        r#"doc("f")//y/select-narrow::x[@k = "a"][last()]"#,
+    ] {
+        let plan = plan_text(&shared, q);
+        assert!(plan.contains("attr-filter @"), "not fused: {q}\n{plan}");
+        same(&shared, &format!("{q}/@n")).unwrap();
+        same(&shared, &format!("count({q})")).unwrap();
+    }
+    let ns = |q: &str| {
+        same(
+            &shared,
+            &format!(r#"string-join(for $e in {q} return string($e/@n), " ")"#),
+        )
+        .unwrap()
+    };
+    assert_eq!(ns(r#"doc("f")//x/following::*[@k = "a"]"#), "4 8");
+    assert_eq!(ns(r#"doc("f")//x/ancestor::*[@k = "a"]"#), "");
+    assert_eq!(ns(r#"doc("f")//y/reject-wide::x[@k = "a"]"#), "8");
+}
+
+/// A filter that is not the first predicate filters items, as before.
+#[test]
+fn a_later_filter_keeps_the_generic_path() {
+    let shared = corpus();
+    for (q, expect) in [
+        (r#"doc("f")//x[1][@k = "a"]/@n"#, r#"n="1" n="8""#),
+        (r#"doc("f")//x[@j][@k = "a"]/@n"#, r#"n="8""#),
+        (
+            r#"doc("f")//y/select-narrow::x[2][@k = "b"]/@n"#,
+            r#"n="2""#,
+        ),
+        (r#"count(doc("f")//x[position() < 3][@k = "b"])"#, "1"),
+    ] {
+        assert!(plan_text(&shared, q).contains("attr-filter @"), "{q}");
+        assert_eq!(same(&shared, q).as_deref(), Ok(expect), "{q}");
+    }
+}
+
+/// One table holding rows of several documents: the name is resolved
+/// per document, and each document's own attribute columns decide.
+#[test]
+fn rows_from_several_documents_are_filtered_by_their_own_columns() {
+    let mut engine = Engine::new();
+    engine.load_document("f", FIXTURE).unwrap();
+    // `k` is interned at a different id here than in `f`.
+    engine
+        .load_document(
+            "g",
+            r#"<r j="z" k="a"><x n="21" k="a" start="0" end="3"/><x n="22" k="b" start="1" end="2"/><y n="23" j="a" k="a" start="0" end="9"/></r>"#,
+        )
+        .unwrap();
+    let shared = engine.into_shared();
+    let ns = |q: &str| {
+        same(
+            &shared,
+            &format!(r#"string-join(for $e in {q} return string($e/@n), " ")"#),
+        )
+        .unwrap()
+    };
+    assert_eq!(ns(r#"(doc("f"), doc("g"))//x[@k = "a"]"#), "1 8 21");
+    assert_eq!(ns(r#"(doc("g")//x, doc("f")//x)[@k = "a"]"#), "21 1 8");
+    assert_eq!(ns(r#"(doc("f"), doc("g"))//*[@j = "a"]"#), "7 8 23");
+    assert_eq!(
+        ns(r#"(doc("f"), doc("g"))//y/select-narrow::x[@k = "a"]"#),
+        "1 21"
+    );
+    assert_eq!(
+        same(
+            &shared,
+            r#"for $d in (doc("f"), doc("g")) return count($d//x[@k = "a"])"#
+        )
+        .unwrap(),
+        "2 1"
+    );
+}
+
+/// Over an overlay mount: pending inserts are rows of the layer's delta
+/// document, retracted rows are gone, and a layer-root row is tested
+/// together with the delta root that mirrors it.
+#[test]
+fn an_overlay_mount_filters_like_the_generic_predicate() {
+    use standoff_core::StandoffConfig;
+    use standoff_store::{parse_ops, DeltaSet, LayerSet};
+
+    let base =
+        standoff_xml::parse_document(r#"<text start="0" end="12">Alice met Bob</text>"#).unwrap();
+    let mut set = LayerSet::build("c", base, StandoffConfig::default()).unwrap();
+    let tokens = standoff_xml::parse_document(
+        r#"<tokens k="root"><w k="a" start="0" end="4"/><w k="b" start="6" end="8"/><w k="a" start="6" end="12"/></tokens>"#,
+    )
+    .unwrap();
+    set.add_layer("tokens", tokens, StandoffConfig::default())
+        .unwrap();
+    let mut delta = DeltaSet::new();
+    let ops = parse_ops("insert tokens w 10 12 k=a\nretract tokens w 6 12\n").unwrap();
+    delta.apply_all(ops, &set).unwrap();
+    let mut engine = Engine::new();
+    engine.mount_overlay(set, &delta).unwrap();
+    let shared = engine.into_shared();
+    for (q, expect) in [
+        (r#"count(layer("c", "tokens")//w[@k = "a"])"#, "2"),
+        (
+            r#"layer("c", "tokens")//w[@k = "a"]/@start"#,
+            r#"start="0" start="10""#,
+        ),
+        (r#"count(doc("c")/text/select-narrow::w[@k = "a"])"#, "2"),
+        (r#"count(layer("c", "tokens")/tokens[@k = "root"])"#, "1"),
+        (r#"count(layer("c", "tokens")/*[@k = "root"])"#, "1"),
+        (r#"count(layer("c", "tokens")//*[@k = "root"])"#, "1"),
+        (
+            r#"count(layer("c", "tokens")//w/parent::*[@k = "root"])"#,
+            "1",
+        ),
+        (r#"count((layer("c", "tokens")//*)[@k = "root"])"#, "1"),
+    ] {
+        assert!(plan_text(&shared, q).contains("attr-filter @"), "{q}");
+        assert_eq!(same(&shared, q).as_deref(), Ok(expect), "{q}");
+    }
+}

@@ -100,10 +100,11 @@ impl Default for ServeOptions {
 }
 
 /// One mounted snapshot: the path it came from (display only) and the
-/// open, `Arc`-shared snapshot itself.
+/// open snapshot itself — a shared handle, so every executor rebuilt
+/// over it shares the layers already materialized.
 pub struct ServeMount {
     pub path: String,
-    pub snapshot: Arc<Snapshot>,
+    pub snapshot: Snapshot,
 }
 
 impl ServeMount {
@@ -113,7 +114,7 @@ impl ServeMount {
             Snapshot::open(path).map_err(|e| ServeError::Mount(format!("{path}: {e}")))?;
         Ok(ServeMount {
             path: path.to_string(),
-            snapshot: Arc::new(snapshot),
+            snapshot,
         })
     }
 

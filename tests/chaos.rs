@@ -48,7 +48,7 @@ fn corpus_mount(uri: &str) -> ServeMount {
     write_snapshot(&corpus_set(uri), &mut bytes).unwrap();
     ServeMount {
         path: "<mem>".to_string(),
-        snapshot: std::sync::Arc::new(Snapshot::from_bytes(bytes).unwrap()),
+        snapshot: Snapshot::from_bytes(bytes).unwrap(),
     }
 }
 

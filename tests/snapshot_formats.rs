@@ -2,16 +2,19 @@
 //! identical* to the parsed corpus it was written from, and a file that
 //! declares any version but the current one is refused by name at every
 //! entry point — the version field cannot be used to open a file with
-//! its checksums off, and a pre-v4 file is never decoded.
+//! its checksums off, and a pre-v4 file is never decoded. A mounted
+//! snapshot materializes only the layers a query reaches, and damage in
+//! a layer fails exactly the queries that reach it.
 
 use std::process::Command;
+use std::sync::{Arc, Barrier};
 
-use standoff::core::StandoffConfig;
+use standoff::core::{crc32, MetricsRegistry, StandoffConfig};
 use standoff::serve::{call, ServeMount, ServeOptions, Server};
 use standoff::store::{save_snapshot, write_snapshot, LayerSet, Snapshot, StoreError};
 use standoff::xmark::queries::XmarkQuery;
 use standoff::xmark::{generate, standoffify, XmarkConfig};
-use standoff::xquery::Engine;
+use standoff::xquery::{Engine, QueryError};
 
 const SO_URI: &str = "xmark-standoff.xml";
 
@@ -162,7 +165,7 @@ fn serve_corpus() -> standoff::serve::ServerHandle {
     write_snapshot(&corpus(), &mut bytes).unwrap();
     let mount = ServeMount {
         path: "<mem>".to_string(),
-        snapshot: std::sync::Arc::new(Snapshot::from_bytes(bytes).unwrap()),
+        snapshot: Snapshot::from_bytes(bytes).unwrap(),
     };
     Server::bind("127.0.0.1:0", vec![mount], ServeOptions::default())
         .unwrap()
@@ -247,4 +250,297 @@ fn committed_v1_fixture_truncation_at_every_byte_errors_cleanly() {
         let mounted = result.unwrap_or_else(|_| panic!("truncation at {cut} panicked the reader"));
         assert!(mounted.is_err(), "truncation at {cut} mounted");
     }
+}
+
+// ---- lazy layers ----
+
+const COLD_URI: &str = "cold";
+
+/// Three layers in the shape of the cold-query benchmark: the XMark
+/// StandOff document as base, one `w` per BLOB word as `tokens`, and an
+/// `entity` over every twentieth word as `entities`.
+fn cold_bytes() -> Vec<u8> {
+    let so = standoffify(&generate(&XmarkConfig::with_scale(0.002)), 7);
+    let (mut tokens, mut entities) = (String::from("<tokens>"), String::from("<entities>"));
+    let (mut start, mut k) = (None, 0);
+    for (i, b) in so.blob.bytes().chain([b' ']).enumerate() {
+        match (b.is_ascii_whitespace(), start) {
+            (false, None) => start = Some(i),
+            (true, Some(s)) => {
+                let end = i - 1;
+                tokens.push_str(&format!(r#"<w n="{}" start="{s}" end="{end}"/>"#, k % 97));
+                if k % 20 == 0 {
+                    entities.push_str(&format!(r#"<entity start="{s}" end="{end}"/>"#));
+                }
+                k += 1;
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    tokens.push_str("</tokens>");
+    entities.push_str("</entities>");
+    let mut set = LayerSet::build(COLD_URI, so.doc, StandoffConfig::default()).unwrap();
+    for (name, xml) in [("tokens", tokens), ("entities", entities)] {
+        let doc = standoff::xml::parse_document(&xml).unwrap();
+        set.add_layer(name, doc, StandoffConfig::default()).unwrap();
+    }
+    let mut bytes = Vec::new();
+    write_snapshot(&set, &mut bytes).unwrap();
+    bytes
+}
+
+/// Mount `bytes` lazily, run `q`, and name the layers it materialized.
+fn reached(bytes: &[u8], q: &str) -> Vec<String> {
+    let snapshot = Snapshot::from_bytes(bytes.to_vec()).unwrap();
+    let mut engine = Engine::new();
+    engine.mount_snapshot(&snapshot).unwrap();
+    assert!(
+        (0..snapshot.len()).all(|k| !snapshot.is_materialized(k)),
+        "mounting materialized a layer"
+    );
+    engine.run(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+    let names = snapshot.layer_names().map(str::to_string);
+    (names.enumerate())
+        .filter(|(k, _)| snapshot.is_materialized(*k))
+        .map(|(_, name)| name)
+        .collect()
+}
+
+#[test]
+fn a_cold_query_materializes_only_the_layers_it_reaches() {
+    let bytes = cold_bytes();
+    let q = |text: &str| text.replace("URI", COLD_URI);
+    assert_eq!(
+        reached(&bytes, &XmarkQuery::Q1.standoff(COLD_URI)),
+        ["base"]
+    );
+    assert_eq!(
+        reached(&bytes, &q(r#"count(doc("URI")//person/select-narrow::w)"#)),
+        ["base", "tokens"]
+    );
+    assert_eq!(
+        reached(
+            &bytes,
+            &q(r#"count(doc("URI")//person/select-wide::node())"#)
+        ),
+        ["base", "tokens", "entities"]
+    );
+    assert_eq!(
+        reached(&bytes, &q(r#"count(doc(concat("URI#", "tokens"))//w)"#)),
+        ["tokens"]
+    );
+    assert_eq!(
+        reached(&bytes, &q(r#"count(layer("URI", "entities")//entity)"#)),
+        ["entities"]
+    );
+}
+
+/// `shadow` re-parses the base document, so its catalog holds every
+/// name base does: a join on one of them reaches both layers.
+#[test]
+fn a_layer_whose_catalog_holds_the_name_is_materialized() {
+    let mut bytes = Vec::new();
+    write_snapshot(&xmark_set(0.002), &mut bytes).unwrap();
+    let q1 = XmarkQuery::Q1.standoff(SO_URI);
+    assert_eq!(reached(&bytes, &q1), ["base", "shadow"]);
+    assert_eq!(
+        reached(&bytes, &format!(r#"count(doc("{SO_URI}#shadow")//item)"#)),
+        ["shadow"]
+    );
+}
+
+/// Every query answers byte-identically through a lazy mount and an
+/// eager `mount_store(to_layer_set())` of the same bytes.
+#[test]
+fn lazy_and_eager_mounts_answer_byte_identically() {
+    let mut bytes = Vec::new();
+    write_snapshot(&xmark_set(0.002), &mut bytes).unwrap();
+    let mut eager = Engine::new();
+    let set = Snapshot::from_bytes(bytes.clone()).unwrap().to_layer_set();
+    eager.mount_store(set.unwrap()).unwrap();
+    for q in queries() {
+        let mut lazy = Engine::new();
+        lazy.mount_snapshot(&Snapshot::from_bytes(bytes.clone()).unwrap())
+            .unwrap();
+        assert_eq!(
+            lazy.run(&q).unwrap().as_xml(),
+            eager.run(&q).unwrap().as_xml(),
+            "{q}"
+        );
+    }
+}
+
+// ---- damage behind a lazy mount ----
+
+/// The payload range of section `tag` of layer `layer`, from the
+/// section table (16-byte header, then 24-byte entries `tag | layer |
+/// offset | length`).
+fn section(bytes: &[u8], tag: u32, layer: u32) -> std::ops::Range<usize> {
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let long = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    (0..word(8) as usize)
+        .map(|k| 16 + 24 * k)
+        .find(|&e| word(e) == tag && word(e + 4) == layer)
+        .map(|e| long(e + 8)..long(e + 8) + long(e + 16))
+        .expect("section present")
+}
+
+/// Rewrite the checksum-table entry of section `tag` of `layer` to
+/// match its (edited) payload: the damage then passes every checksum
+/// and only validation can catch it.
+fn reseal(bytes: &mut [u8], tag: u32, layer: u32) {
+    let crc = crc32(&bytes[section(bytes, tag, layer)]);
+    let table = section(bytes, 40, 0);
+    let entry = (table.clone().step_by(12))
+        .find(|&e| {
+            bytes[e..e + 4] == tag.to_le_bytes() && bytes[e + 4..e + 8] == layer.to_le_bytes()
+        })
+        .expect("checksum entry present");
+    bytes[entry + 8..entry + 12].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Mount `bytes` through the mapped open and the in-memory one.
+fn both_mounts(dir: &std::path::Path, bytes: &[u8]) -> [Snapshot; 2] {
+    let path = dir.join("damaged.snap");
+    std::fs::write(&path, bytes).unwrap();
+    [
+        Snapshot::open(&path).unwrap(),
+        Snapshot::mount_bytes(bytes.to_vec()).unwrap(),
+    ]
+}
+
+/// The answer (or error text) of `q` over a lazy mount of `snapshot`.
+fn answer(snapshot: &Snapshot, q: &str) -> Result<String, QueryError> {
+    let mut engine = Engine::new();
+    engine.mount_snapshot(snapshot).unwrap();
+    engine.run(q).map(|r| r.as_xml())
+}
+
+/// A `size` column whose last entry is `u32::MAX` (the subtree end
+/// overflows u32), resealed so its checksum matches: materializing the
+/// layer is a categorized refusal through both opens, never a panic and
+/// never a mounted document.
+#[test]
+fn a_resealed_hostile_size_column_is_refused() {
+    let dir = temp_dir("hostile-size");
+    let mut bytes = Vec::new();
+    write_snapshot(&corpus(), &mut bytes).unwrap();
+    let size = section(&bytes, 12, 0);
+    bytes[size.end - 4..size.end].copy_from_slice(&u32::MAX.to_le_bytes());
+    reseal(&mut bytes, 12, 0);
+    for snapshot in both_mounts(&dir, &bytes) {
+        match snapshot.layer_at(0) {
+            Err(e @ StoreError::Io(_)) => {
+                assert!(e.to_string().contains("leaks out of parent"), "{e}")
+            }
+            Err(other) => panic!("wrong category: {other}"),
+            Ok(_) => panic!("a hostile size column mounted"),
+        }
+        assert!(snapshot.verify().is_err());
+        let err = answer(&snapshot, r#"string(doc("corpus"))"#).unwrap_err();
+        assert!(err.to_string().contains("leaks out of parent"), "{err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One flipped byte in the `tokens` layer: queries that never reach it
+/// answer, `verify` still fails, and every query that reaches it — by
+/// `doc()`, by a join from base, in a server — fails with the same
+/// categorized checksum error through both opens.
+#[test]
+fn damage_in_an_unreached_layer_fails_only_the_queries_that_reach_it() {
+    let dir = temp_dir("unreached");
+    let mut bytes = Vec::new();
+    write_snapshot(&corpus(), &mut bytes).unwrap();
+    let at = bytes
+        .windows(7)
+        .position(|w| w == b"Alice04")
+        .expect("the tokens attribute arena holds word, start, end back to back");
+    bytes[at] = b'M';
+    let mut texts = Vec::new();
+    for snapshot in both_mounts(&dir, &bytes) {
+        assert_eq!(
+            answer(&snapshot, r#"string(doc("corpus"))"#).unwrap(),
+            "Alice met Bob"
+        );
+        assert!(!snapshot.is_materialized(1));
+        assert!(matches!(snapshot.verify(), Err(StoreError::Corrupt { .. })));
+        for q in [WORDS, r#"count(doc("corpus")/text/select-narrow::w)"#] {
+            match answer(&snapshot, q) {
+                Err(QueryError::Dynamic(text)) => texts.push(text),
+                other => panic!("{q}: {other:?}"),
+            }
+        }
+    }
+    assert!(
+        texts[0].contains("corrupt section doc.attr-value-heap (layer tokens): checksum mismatch"),
+        "{}",
+        texts[0]
+    );
+    assert!(texts.iter().all(|t| *t == texts[0]), "{texts:?}");
+
+    let mount = ServeMount {
+        path: "<mem>".to_string(),
+        snapshot: Snapshot::mount_bytes(bytes).unwrap(),
+    };
+    let server = Server::bind("127.0.0.1:0", vec![mount], ServeOptions::default())
+        .unwrap()
+        .spawn()
+        .unwrap();
+    for _ in 0..2 {
+        let reply = call(server.addr(), &format!("query\n{WORDS}")).unwrap();
+        assert!(!reply.ok && reply.body.contains(&texts[0]), "{reply:?}");
+        let reply = call(server.addr(), "query\nstring(doc(\"corpus\"))").unwrap();
+        assert!(
+            reply.ok && reply.body.contains("Alice met Bob"),
+            "{reply:?}"
+        );
+    }
+    server.stop().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sessions of one shared engine that reach a layer at the same moment
+/// materialize it once: the snapshot's cache is the only cache.
+#[test]
+fn concurrent_sessions_materialize_a_layer_once() {
+    // A layer name no other test uses, so the global per-layer counter
+    // counts this test's materializations alone.
+    let base = standoff::xml::parse_document("<text>Alice met Bob</text>").unwrap();
+    let mut set = LayerSet::build("once", base, StandoffConfig::default()).unwrap();
+    let tokens = standoff::xml::parse_document(TOKENS).unwrap();
+    set.add_layer("once-only", tokens, StandoffConfig::default())
+        .unwrap();
+    let mut bytes = Vec::new();
+    write_snapshot(&set, &mut bytes).unwrap();
+    let snapshot = Snapshot::from_bytes(bytes).unwrap();
+    let mut engine = Engine::new();
+    engine.mount_snapshot(&snapshot).unwrap();
+    let shared = engine.into_shared();
+    let threads = 8;
+    let gate = Arc::new(Barrier::new(threads));
+    let answers: Vec<String> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let (shared, gate) = (shared.clone(), Arc::clone(&gate));
+                scope.spawn(move || {
+                    let mut session = shared.session();
+                    gate.wait();
+                    let q = r#"count(doc("once#once-only")//w)"#;
+                    session.run(q).unwrap().as_xml()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert!(answers.iter().all(|a| a == "3"), "{answers:?}");
+    assert!(snapshot.is_materialized(1) && !snapshot.is_materialized(0));
+    let global = MetricsRegistry::global().snapshot();
+    assert_eq!(
+        global.counters.get("store.layers_materialized.once-only"),
+        Some(&1)
+    );
+    let local = shared.metrics().snapshot();
+    assert_eq!(local.histograms["engine.snapshot_materialize_ns"].count, 1);
 }
