@@ -492,102 +492,94 @@ impl RegionIndex {
     /// re-validating **every** structural invariant: clustering order,
     /// node/CSR consistency, per-annotation region validity (the §3.1
     /// area constraints, checked without allocating), the stored
-    /// max-regions statistic, and the entry ↔ node-view bijection. This
-    /// is the single trust boundary of the snapshot mount — mounted
-    /// indexes are used as-is by the join executor, never re-checked
-    /// downstream.
+    /// max-regions statistic, the entry ↔ node-view bijection, and that
+    /// every annotated node is an element. This is the single trust
+    /// boundary of the snapshot mount — mounted indexes are used as-is by
+    /// the join executor (whose post-filter elision relies on join
+    /// outputs being elements), never re-checked downstream.
     ///
-    /// `node_count` is the node count of the document the index
-    /// describes, taken from its already validated columns: annotated
-    /// ids at or beyond it are rejected before anything is sized by an
-    /// id, so the bijection check's scratch is bounded by memory the
-    /// document already occupies, never by a number read from the file.
+    /// `kinds` is the already validated node-kind column of the document
+    /// the index describes (one [`NodeKind`] byte per node): annotated ids
+    /// at or beyond its length are rejected before any is used as an
+    /// index. Nothing is allocated: one fold per node-view column, then
+    /// one walk over the entries, which reads the regions.
     pub fn from_storage(
         entries: PodCol<RegionEntry>,
         node_ids: PodCol<u32>,
         node_offsets: PodCol<u32>,
         node_regions: PodCol<Region>,
         max_regions: u32,
-        node_count: usize,
+        kinds: &[u8],
     ) -> io::Result<RegionIndex> {
-        if !entries
-            .windows(2)
-            .all(|w| (w[0].start, w[0].end, w[0].id) < (w[1].start, w[1].end, w[1].id))
-        {
-            return Err(index_data_err("entries not clustered on (start, end, id)"));
-        }
-        if !node_ids.windows(2).all(|w| w[0] < w[1]) {
-            return Err(index_data_err("node ids not strictly ascending"));
-        }
-        if node_ids
-            .last()
-            .is_some_and(|&last| last as usize >= node_count)
-        {
-            return Err(index_data_err("references nodes beyond the document"));
-        }
-        if node_offsets.len() != node_ids.len() + 1 {
-            return Err(index_data_err("region CSR length mismatch"));
-        }
-        if node_offsets[0] != 0 || !node_offsets.windows(2).all(|w| w[0] < w[1]) {
-            // Strictly increasing: every annotated node has ≥ 1 region.
-            return Err(index_data_err("region CSR offsets not increasing from 0"));
-        }
-        if *node_offsets.last().unwrap() as usize != entries.len()
-            || node_regions.len() != entries.len()
-        {
-            return Err(index_data_err("entry count disagrees with region CSR"));
-        }
-        if node_regions.iter().any(|r| r.start > r.end) {
-            return Err(index_data_err("bad region: start > end"));
-        }
-        let mut found_max = 0u32;
-        for k in 0..node_ids.len() {
-            let slice = &node_regions[node_offsets[k] as usize..node_offsets[k + 1] as usize];
-            // The §3.1 area constraints, allocation-free: sorted by
-            // start, pairwise non-overlapping and non-touching.
-            if !slice.windows(2).all(|w| w[0].start < w[1].start) {
-                return Err(index_data_err("node regions not sorted by start"));
+        let key = |e: &RegionEntry| (e.start, e.end, e.id);
+        // A failure is named by the first broken invariant in the order
+        // documented above, so an unclustered table is named as such.
+        let clustering = || index_data_err("entries not clustered on (start, end, id)");
+        let named = |failure: io::Error| {
+            if entries.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+                failure
+            } else {
+                clustering()
             }
-            if !slice
-                .windows(2)
-                .all(|w| w[1].start > w[0].end.saturating_add(1))
-            {
-                return Err(index_data_err(&format!(
-                    "node {} regions invalid: regions overlap or touch",
-                    node_ids[k]
-                )));
-            }
-            found_max = found_max.max(slice.len() as u32);
-        }
-        if max_regions != found_max {
-            return Err(index_data_err("stored max-regions is inconsistent"));
-        }
-        // Entries are unique (strict clustering) and equinumerous with the
-        // node view; membership of each entry closes the bijection. One
-        // pass ranks the annotated ids, then each entry probes its node
-        // once: a node's entries arrive in `(start, end)` order — the
-        // order of its region slice, whose starts strictly increase — so
-        // an entry is a member exactly when it equals the next region its
-        // node has not yet matched.
-        let mut slot_of = vec![u32::MAX; node_count];
-        for (k, &id) in node_ids.iter().enumerate() {
-            slot_of[id as usize] = k as u32;
-        }
-        let mut next: Vec<u32> = node_offsets[..node_ids.len()].to_vec();
+        };
+        check_node_view(
+            &node_ids,
+            &node_offsets,
+            &node_regions,
+            max_regions,
+            entries.len(),
+            kinds.len(),
+        )
+        .map_err(named)?;
+        // The entries, in one walk: clustering, start ≤ end, membership
+        // and kinds. Strictly clustered entries are unique, and a member
+        // maps to the one node-view region equal to it, so no two entries
+        // share a region; with equal counts that closes the bijection,
+        // and every region is as well-formed as the entry equal to it.
+        // Each entry's node is found from the previous entry's ([`seek`]);
+        // with one region per node the checked offsets, strictly
+        // increasing from 0 in steps of at most one, are the identity, so
+        // the node's slot is its region's.
+        let single = max_regions == 1;
+        let (mut sorted, mut ordered, mut elements) = (true, true, true);
+        let mut prev = None;
+        let mut slot = 0;
         for e in entries.iter() {
-            let slot = slot_of.get(e.id as usize).copied().unwrap_or(u32::MAX) as usize;
-            let member = next.get(slot).is_some_and(|&at| {
-                at < node_offsets[slot + 1]
-                    && node_regions[at as usize]
-                        == (Region {
-                            start: e.start,
-                            end: e.end,
-                        })
+            sorted &= prev < Some(key(e));
+            prev = Some(key(e));
+            ordered &= e.start <= e.end;
+            let region = Region {
+                start: e.start,
+                end: e.end,
+            };
+            let member = seek(&node_ids, slot, e.id).is_some_and(|at| {
+                slot = at;
+                if single {
+                    return node_regions[at] == region;
+                }
+                let regions =
+                    &node_regions[node_offsets[at] as usize..node_offsets[at + 1] as usize];
+                regions
+                    .binary_search_by_key(&e.start, |r| r.start)
+                    .is_ok_and(|k| regions[k] == region)
             });
             if !member {
-                return Err(index_data_err("entry has no matching node-view region"));
+                let failure = index_data_err("entry has no matching node-view region");
+                return Err(named(after_regions(&node_regions, failure)));
             }
-            next[slot] += 1;
+            elements &= kinds[e.id as usize] == NodeKind::Element as u8;
+        }
+        if !sorted {
+            return Err(clustering());
+        }
+        if !ordered {
+            return Err(index_data_err("bad region: start > end"));
+        }
+        if !elements {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "region index annotates a non-element node",
+            ));
         }
         Ok(RegionIndex {
             entries,
@@ -826,6 +818,98 @@ fn dense_scan_chunks(
             }
         }
     }
+}
+
+/// The node view's checks in the order [`RegionIndex::from_storage`]
+/// documents them, each a branch-free pass over one column: ascending
+/// ids inside the document, a CSR of non-empty runs from 0 covering
+/// every entry, each node's area valid (§3.1: sorted by start, neither
+/// overlapping nor touching — only nodes with two or more regions have
+/// an area to check), and the true max-regions statistic. Regions with
+/// start > end are left to the entry walk ([`after_regions`]).
+fn check_node_view(
+    node_ids: &[u32],
+    node_offsets: &[u32],
+    node_regions: &[Region],
+    max_regions: u32,
+    entries: usize,
+    node_count: usize,
+) -> io::Result<()> {
+    if !node_ids.windows(2).fold(true, |ok, w| ok & (w[0] < w[1])) {
+        return Err(index_data_err("node ids not strictly ascending"));
+    }
+    if node_ids.last().is_some_and(|&id| id as usize >= node_count) {
+        return Err(index_data_err("references nodes beyond the document"));
+    }
+    if node_offsets.len() != node_ids.len() + 1 {
+        return Err(index_data_err("region CSR length mismatch"));
+    }
+    // Strictly increasing: every annotated node has ≥ 1 region.
+    let (increasing, found_max) = node_offsets
+        .windows(2)
+        .fold((node_offsets[0] == 0, 0u32), |(ok, max), w| {
+            (ok & (w[0] < w[1]), max.max(w[1].wrapping_sub(w[0])))
+        });
+    if !increasing {
+        return Err(index_data_err("region CSR offsets not increasing from 0"));
+    }
+    if *node_offsets.last().unwrap() as usize != entries || node_regions.len() != entries {
+        return Err(index_data_err("entry count disagrees with region CSR"));
+    }
+    // A node with one region has no area to check.
+    if found_max > 1 {
+        for (k, run) in node_offsets.windows(2).enumerate() {
+            let area = &node_regions[run[0] as usize..run[1] as usize];
+            if !area.windows(2).all(|w| w[0].start < w[1].start) {
+                let failure = index_data_err("node regions not sorted by start");
+                return Err(after_regions(node_regions, failure));
+            }
+            if !area
+                .windows(2)
+                .all(|w| w[1].start > w[0].end.saturating_add(1))
+            {
+                let failure = index_data_err(&format!(
+                    "node {} regions invalid: regions overlap or touch",
+                    node_ids[k]
+                ));
+                return Err(after_regions(node_regions, failure));
+            }
+        }
+    }
+    if max_regions != found_max {
+        let failure = index_data_err("stored max-regions is inconsistent");
+        return Err(after_regions(node_regions, failure));
+    }
+    Ok(())
+}
+
+/// `failure`, unless a region has start > end, which the documented
+/// order names first. Asked only on a failure: on success the entry
+/// walk has checked every entry, and every region equals one of them.
+#[cold]
+fn after_regions(node_regions: &[Region], failure: io::Error) -> io::Error {
+    if node_regions.iter().any(|r| r.start > r.end) {
+        index_data_err("bad region: start > end")
+    } else {
+        failure
+    }
+}
+
+/// The slot of `id` in the ascending `ids`, if there is one, searched
+/// from `from`, the previous answer. Ids ascend strictly, so the slot
+/// lies at most `|id − ids[from]|` slots away — exactly that far when
+/// every id in between is annotated, the common case, which costs one
+/// probe and no unpredictable branch. Otherwise a binary search of that
+/// bracket.
+fn seek(ids: &[u32], from: usize, id: u32) -> Option<usize> {
+    let &at = ids.get(from)?;
+    let dense = (from as i64 + id as i64 - at as i64).clamp(0, ids.len() as i64 - 1) as usize;
+    if ids[dense] == id {
+        return Some(dense);
+    }
+    let bracket = if id > at { from..dense } else { dense..from };
+    let k = bracket.start + ids[bracket].partition_point(|&x| x < id);
+    (ids[k] == id).then_some(k)
 }
 
 fn index_data_err(msg: &str) -> io::Error {

@@ -12,7 +12,7 @@ use standoff_core::index::candidate_kernel;
 use standoff_core::{
     Area, CandidateKernel, CandidateScratch, Region, RegionEntry, RegionIndex, StandoffConfig,
 };
-use standoff_xml::DocumentBuilder;
+use standoff_xml::{DocumentBuilder, NodeKind};
 
 /// The oracle, by definition: the start-clustered table filtered by
 /// candidate membership, then cut to the reach by position. Shares no
@@ -82,7 +82,27 @@ fn annotations_strategy() -> impl Strategy<Value = Vec<Vec<(i64, i64)>>> {
     )
 }
 
+/// Single-region layouts with same-start nesting: each group opens
+/// `depth` annotations at one start, outermost (longest) first, so the
+/// start-clustered table lists them innermost first — against id order.
+fn nested_single_strategy() -> impl Strategy<Value = Vec<Vec<(i64, i64)>>> {
+    prop::collection::vec((0i64..300, 0i64..30, 1i64..4), 0..30).prop_map(|groups| {
+        groups
+            .into_iter()
+            .flat_map(|(start, len, depth)| {
+                (0..depth).map(move |j| vec![(start, start + len + depth - 1 - j)])
+            })
+            .collect()
+    })
+}
+
 fn build_index(annotations: &[Vec<(i64, i64)>]) -> (Vec<u32>, RegionIndex) {
+    build_index_strided(annotations, 2)
+}
+
+/// Annotation `k` at pre rank `(k + 1) · stride`: gaps when `stride > 1`,
+/// every id in a run annotated when it is 1.
+fn build_index_strided(annotations: &[Vec<(i64, i64)>], stride: u32) -> (Vec<u32>, RegionIndex) {
     let pairs: Vec<(u32, Area)> = annotations
         .iter()
         .enumerate()
@@ -93,8 +113,7 @@ fn build_index(annotations: &[Vec<(i64, i64)>]) -> (Vec<u32>, RegionIndex) {
                     .collect(),
             )
             .unwrap();
-            // Synthetic pre ranks: 2, 4, 6, ... (gaps on purpose).
-            ((k as u32 + 1) * 2, area)
+            ((k as u32 + 1) * stride, area)
         })
         .collect();
     let pres = pairs.iter().map(|p| p.0).collect();
@@ -316,14 +335,14 @@ impl RawIndex {
         }
     }
 
-    fn mount(&self, node_count: usize) -> std::io::Result<RegionIndex> {
+    fn mount(&self, kinds: &[u8]) -> std::io::Result<RegionIndex> {
         RegionIndex::from_storage(
             self.entries.clone().into(),
             self.node_ids.clone().into(),
             self.node_offsets.clone().into(),
             self.node_regions.clone().into(),
             self.max_regions,
-            node_count,
+            kinds,
         )
     }
 
@@ -332,11 +351,18 @@ impl RawIndex {
     }
 }
 
+/// A document of `node_count` elements (every annotated id an element).
+fn elements(node_count: usize) -> Vec<u8> {
+    vec![NodeKind::Element as u8; node_count]
+}
+
 /// The oracle: the validation `from_storage` ran before its bijection
-/// check became one linear pass — every structural check, then one
-/// binary search of the node view *per entry*. Kept here, and only
-/// here, to pin the accept set.
-fn accepted_by_per_entry_search(raw: &RawIndex, node_count: usize) -> bool {
+/// check became one linear pass — every structural check in turn, then
+/// one binary search of the node view *per entry*, then the kind of
+/// every annotated node. Kept here, and only here, to pin the accept
+/// set and, for what it refuses, the message of the first check broken.
+fn accepted_by_per_entry_search(raw: &RawIndex, kinds: &[u8]) -> Result<(), String> {
+    let node_count = kinds.len();
     let RawIndex {
         entries,
         node_ids,
@@ -344,43 +370,69 @@ fn accepted_by_per_entry_search(raw: &RawIndex, node_count: usize) -> bool {
         node_regions,
         max_regions,
     } = raw;
-    let clustered = entries
+    let refuse = |msg: &str| Err(format!("region index: {msg}"));
+    if !entries
         .windows(2)
-        .all(|w| (w[0].start, w[0].end, w[0].id) < (w[1].start, w[1].end, w[1].id));
-    if !clustered
-        || !node_ids.windows(2).all(|w| w[0] < w[1])
-        || node_ids.last().is_some_and(|&id| id as usize >= node_count)
-        || node_offsets.len() != node_ids.len() + 1
-        || node_offsets[0] != 0
-        || !node_offsets.windows(2).all(|w| w[0] < w[1])
-        || *node_offsets.last().unwrap() as usize != entries.len()
-        || node_regions.len() != entries.len()
-        || node_regions.iter().any(|r| r.start > r.end)
+        .all(|w| (w[0].start, w[0].end, w[0].id) < (w[1].start, w[1].end, w[1].id))
     {
-        return false;
+        return refuse("entries not clustered on (start, end, id)");
+    }
+    if !node_ids.windows(2).all(|w| w[0] < w[1]) {
+        return refuse("node ids not strictly ascending");
+    }
+    if node_ids.last().is_some_and(|&id| id as usize >= node_count) {
+        return refuse("references nodes beyond the document");
+    }
+    if node_offsets.len() != node_ids.len() + 1 {
+        return refuse("region CSR length mismatch");
+    }
+    if node_offsets[0] != 0 || !node_offsets.windows(2).all(|w| w[0] < w[1]) {
+        return refuse("region CSR offsets not increasing from 0");
+    }
+    if *node_offsets.last().unwrap() as usize != entries.len()
+        || node_regions.len() != entries.len()
+    {
+        return refuse("entry count disagrees with region CSR");
+    }
+    if node_regions.iter().any(|r| r.start > r.end) {
+        return refuse("bad region: start > end");
     }
     let slice_of = |k: usize| &node_regions[node_offsets[k] as usize..node_offsets[k + 1] as usize];
     let mut found_max = 0;
-    for k in 0..node_ids.len() {
+    for (k, &id) in node_ids.iter().enumerate() {
         let slice = slice_of(k);
+        if !slice.windows(2).all(|w| w[0].start < w[1].start) {
+            return refuse("node regions not sorted by start");
+        }
         if !slice
             .windows(2)
-            .all(|w| w[0].start < w[1].start && w[1].start > w[0].end.saturating_add(1))
+            .all(|w| w[1].start > w[0].end.saturating_add(1))
         {
-            return false;
+            return refuse(&format!(
+                "node {id} regions invalid: regions overlap or touch"
+            ));
         }
         found_max = found_max.max(slice.len() as u32);
     }
     if *max_regions != found_max {
-        return false;
+        return refuse("stored max-regions is inconsistent");
     }
-    entries.iter().all(|e| {
+    if !entries.iter().all(|e| {
         node_ids.binary_search(&e.id).is_ok_and(|k| {
             slice_of(k)
                 .binary_search_by_key(&(e.start, e.end), |r| (r.start, r.end))
                 .is_ok()
         })
-    })
+    }) {
+        return refuse("entry has no matching node-view region");
+    }
+    if !node_ids
+        .iter()
+        .all(|&id| kinds[id as usize] == NodeKind::Element as u8)
+    {
+        return Err("region index annotates a non-element node".into());
+    }
+    Ok(())
 }
 
 /// One way to damage (or not) a valid index. Picks are reduced modulo
@@ -408,9 +460,25 @@ enum Damage {
     /// Swap the regions of two entries (ids stay): accepted exactly
     /// when both belong to the same node.
     SwapRegions { a: usize, b: usize },
+    /// Move node-view region `at`'s start `by` past its end, and every
+    /// entry with the same region too when `entry` holds.
+    Invert { at: usize, by: i64, entry: bool },
+    /// Raise the stored max-regions statistic by one.
+    MaxRegionsLie,
+    /// One damage, then another: which check names the pair pins the
+    /// order the checks run in.
+    Both(Box<Damage>, Box<Damage>),
 }
 
 fn damage_strategy() -> impl Strategy<Value = Damage> {
+    let one = one_damage_strategy();
+    prop_oneof![
+        one.clone(),
+        (one.clone(), one).prop_map(|(a, b)| Damage::Both(Box::new(a), Box::new(b))),
+    ]
+}
+
+fn one_damage_strategy() -> prop::strategy::BoxedStrategy<Damage> {
     let at = || 0usize..10_000;
     prop_oneof![
         Just(Damage::None),
@@ -421,7 +489,11 @@ fn damage_strategy() -> impl Strategy<Value = Damage> {
         (at(), at()).prop_map(|(at, from)| Damage::CopyNodeRegion { at, from }),
         (at(), any::<bool>()).prop_map(|(at, rename)| Damage::ShiftId { at, rename }),
         (at(), at()).prop_map(|(a, b)| Damage::SwapRegions { a, b }),
+        (at(), prop_oneof![Just(1i64), Just(500)], any::<bool>())
+            .prop_map(|(at, by, entry)| Damage::Invert { at, by, entry }),
+        Just(Damage::MaxRegionsLie),
     ]
+    .boxed()
 }
 
 fn apply_damage(raw: &mut RawIndex, damage: &Damage) {
@@ -431,6 +503,10 @@ fn apply_damage(raw: &mut RawIndex, damage: &Damage) {
     }
     match *damage {
         Damage::None => {}
+        Damage::Both(ref first, ref then) => {
+            apply_damage(raw, first);
+            apply_damage(raw, then);
+        }
         Damage::Reassign { at, id } => {
             raw.entries[at % n].id = id;
             raw.recluster();
@@ -470,6 +546,25 @@ fn apply_damage(raw: &mut RawIndex, damage: &Damage) {
             (raw.entries[b].start, raw.entries[b].end) = (ra.start, ra.end);
             raw.recluster();
         }
+        Damage::Invert { at, by, entry } => {
+            let r = raw.node_regions[at % n];
+            let inverted = Region {
+                start: r.end + by,
+                end: r.end,
+            };
+            raw.node_regions[at % n] = inverted;
+            if entry {
+                for e in raw
+                    .entries
+                    .iter_mut()
+                    .filter(|e| (e.start, e.end) == (r.start, r.end))
+                {
+                    e.start = inverted.start;
+                }
+                raw.recluster();
+            }
+        }
+        Damage::MaxRegionsLie => raw.max_regions += 1,
     }
 }
 
@@ -477,43 +572,51 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The linear bijection check accepts and rejects exactly what the
-    /// per-entry binary search did, over multi-region areas, sparse ids
-    /// and every kind of damage above — including documents too short
-    /// for the ids the index names.
+    /// per-entry binary search did, naming the same first broken check,
+    /// over multi-region areas, single-region layouts with same-start
+    /// nesting (the node cursor steps back), ids with gaps and without,
+    /// and every kind of damage above — including documents too short for
+    /// the ids the index names and annotated nodes that are not elements.
     #[test]
     fn linear_bijection_check_has_the_old_accept_set(
-        annotations in annotations_strategy(),
+        annotations in prop_oneof![annotations_strategy(), nested_single_strategy()],
+        stride in 1u32..3,
         damage in damage_strategy(),
         short_by in 0usize..4,
+        text_at in prop::option::of(0usize..160),
     ) {
-        let (pres, index) = build_index(&annotations);
+        let (pres, index) = build_index_strided(&annotations, stride);
         let mut raw = RawIndex::of(&index);
         apply_damage(&mut raw, &damage);
         // Usually a document that holds every id (with slack for a
         // shifted one); sometimes one that ends before the last.
         let full = pres.last().map_or(0, |&p| p as usize) + 3;
         let node_count = if short_by == 3 { full.saturating_sub(4) } else { full };
-        let accepted = accepted_by_per_entry_search(&raw, node_count);
-        if matches!(damage, Damage::None) && short_by != 3 {
-            prop_assert!(accepted, "an undamaged index must mount");
+        let mut kinds = elements(node_count);
+        if let Some(k) = text_at.filter(|&k| k < node_count) {
+            kinds[k] = NodeKind::Text as u8;
         }
-        match raw.mount(node_count) {
+        let oracle = accepted_by_per_entry_search(&raw, &kinds);
+        if matches!(damage, Damage::None) && short_by != 3 && text_at.is_none() {
+            prop_assert!(oracle.is_ok(), "an undamaged index must mount");
+        }
+        match raw.mount(&kinds) {
             Ok(mounted) => {
-                prop_assert!(accepted, "accepted what the oracle rejects: {damage:?}");
+                prop_assert!(oracle.is_ok(), "accepted what the oracle rejects: {damage:?}");
                 prop_assert_eq!(mounted.entries(), &raw.entries[..]);
             }
             Err(e) => {
-                prop_assert!(!accepted, "rejected what the oracle accepts: {damage:?}: {e}");
                 prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                prop_assert_eq!(Err(e.to_string()), oracle, "{:?}", damage);
             }
         }
     }
 }
 
 /// A hostile node-id column — ascending, ending just below `u32::MAX` —
-/// is refused as invalid data before anything is sized by an id: the
-/// scratch of the bijection check is bounded by the document's node
-/// count, so this returns promptly instead of asking for 16 GiB.
+/// is refused as invalid data before any id is used as an index: ids
+/// are bounded by the document's node count, and the bijection check
+/// allocates nothing, so this returns promptly.
 #[test]
 fn hostile_node_ids_are_rejected_without_a_large_allocation() {
     let id = u32::MAX - 1;
@@ -536,21 +639,31 @@ fn hostile_node_ids_are_rejected_without_a_large_allocation() {
         max_regions: 1,
     };
     for node_count in [0, 3, 1000] {
-        let err = raw.mount(node_count).unwrap_err();
+        let err = raw.mount(&elements(node_count)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         assert!(err.to_string().contains("beyond the document"), "{err}");
-        assert!(!accepted_by_per_entry_search(&raw, node_count));
+        assert!(accepted_by_per_entry_search(&raw, &elements(node_count)).is_err());
     }
     // An entry naming a node beyond the document (while the node view
     // stays in range) is a bijection failure, not an out-of-bounds probe.
     let mut stray = raw.clone();
     stray.node_ids[1] = 4;
-    let err = stray.mount(10).unwrap_err();
+    let err = stray.mount(&elements(10)).unwrap_err();
     assert!(
         err.to_string().contains("no matching node-view region"),
         "{err}"
     );
-    // The same columns over a document that really is that large would
-    // be fine — which is exactly why the bound must come from outside.
-    assert!(accepted_by_per_entry_search(&raw, u32::MAX as usize));
+    // The same shape over a document that really holds its ids is fine
+    // — which is exactly why the bound must come from outside — as long
+    // as every annotated node is an element.
+    let mut near = raw.clone();
+    near.node_ids[1] = 9;
+    near.entries[1].id = 9;
+    assert!(near.mount(&elements(10)).is_ok());
+    assert!(accepted_by_per_entry_search(&near, &elements(10)).is_ok());
+    let mut kinds = elements(10);
+    kinds[9] = NodeKind::Text as u8;
+    let err = near.mount(&kinds).unwrap_err();
+    assert!(err.to_string().contains("non-element"), "{err}");
+    assert!(accepted_by_per_entry_search(&near, &kinds).is_err());
 }

@@ -24,6 +24,11 @@
 //! the lazy-mount hot path never hashes bulk columns. A layer's column
 //! checksums are verified the first time the layer is materialized; a
 //! mismatch is a categorized [`StoreError::Corrupt`], never a panic.
+//! Each section is hashed once per mount: open, a layer's catalog,
+//! materialization and [`Snapshot::verify`] share one record of which
+//! sections already matched. A layer's checksums are all checked before
+//! any of its structure is, so a flipped payload byte is always reported
+//! as its section's checksum mismatch, never as a structural error.
 //!
 //! Offsets are absolute file positions. Per-layer payloads are one
 //! section per *column* — the document's `kind`/`size`/`level`/`parent`/
@@ -56,12 +61,13 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::ops::Range;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use standoff_core::{RegionIndex, StandoffConfig};
 use standoff_xml::column::{write_slice_le, PodCol, SharedBytes, StrArena};
-use standoff_xml::{Document, DocumentParts, ElemIndex, KindCol, NameId, NameTable, NodeKind};
+use standoff_xml::{Document, DocumentParts, ElemIndex, KindCol, NameId, NameTable};
 
 use crate::error::StoreError;
 use crate::layer::{Layer, LayerSet, BASE_LAYER};
@@ -246,29 +252,40 @@ impl Body<'_> {
 }
 
 /// Recompute one section's CRC32 and compare against the recorded
-/// value. `layer_label` is a layer ordinal or name for the error text.
+/// value — unless this mount already has: a section is hashed at most
+/// once per [`Snapshot`], whichever of open, [`Snapshot::catalog`],
+/// materialization or [`Snapshot::verify`] reaches it first.
+/// `layer_label` is a layer ordinal or name for the error text.
 fn check_crc(
     buf: &[u8],
-    range: Range<usize>,
-    expected: u32,
-    section: &str,
+    check: &SectionCheck,
     layer_label: Option<&str>,
 ) -> Result<(), StoreError> {
+    // Acquire pairs with the Release below: a set flag means the bytes
+    // were hashed and matched.
+    if check.verified.load(Ordering::Acquire) {
+        return Ok(());
+    }
     let registry = MetricsRegistry::global();
-    registry.add("store.verify.bytes_hashed", range.len() as u64);
-    let computed = crc32(&buf[range]);
-    if computed != expected {
+    registry.add("store.verify.bytes_hashed", check.range.len() as u64);
+    let computed = crc32(&buf[check.range.clone()]);
+    if computed != check.crc {
         registry.add("store.verify.failures", 1);
+        let section = section_name(check.tag);
         let what = match layer_label {
             Some(layer) => format!("section {section} (layer {layer})"),
             None => format!("section {section}"),
         };
         return Err(StoreError::corrupt(
             what,
-            format!("checksum mismatch: stored {expected:#010x}, computed {computed:#010x}"),
+            format!(
+                "checksum mismatch: stored {:#010x}, computed {computed:#010x}",
+                check.crc
+            ),
         ));
     }
     registry.add("store.verify.sections_checked", 1);
+    check.verified.store(true, Ordering::Release);
     Ok(())
 }
 
@@ -454,10 +471,10 @@ struct MountLayer {
     sections: HashMap<u32, Range<usize>>,
     /// Per-section byte breakdown for `info()`.
     section_info: Vec<SectionInfo>,
-    /// `(tag, payload range, expected crc)` for every section of this
-    /// layer still unverified at open — checked (once) when the
-    /// layer is materialized.
-    checks: Vec<(u32, Range<usize>, u32)>,
+    /// Positions in [`Mounted::checks`] of every section of this layer
+    /// still unverified at open — checked when the layer's catalog is
+    /// read or the layer is materialized.
+    checks: Vec<usize>,
     /// The layer's catalog, read once (see [`Snapshot::catalog`]).
     catalog: OnceLock<Arc<Catalog>>,
     cell: OnceLock<Arc<Layer>>,
@@ -501,14 +518,15 @@ impl Catalog {
     }
 }
 
-/// A pending checksum verification: section identity, payload range,
-/// recorded CRC32.
-#[derive(Clone, Debug)]
+/// A section's checksum verification: section identity, payload range,
+/// recorded CRC32, and whether this mount has hashed it yet.
+#[derive(Debug)]
 struct SectionCheck {
     tag: u32,
     layer: u32,
     range: Range<usize>,
     crc: u32,
+    verified: AtomicBool,
 }
 
 /// What [`Snapshot::verify`] / [`Snapshot::open_verified`] report back.
@@ -671,11 +689,8 @@ impl Snapshot {
         // other sections — structural failures here are corruption,
         // not format drift.
         let checks = Snapshot::parse_checksums(&buf, &table)?;
-        let expected_crc = |tag: u32, layer: u32| -> Option<u32> {
-            checks
-                .iter()
-                .find(|c| c.tag == tag && c.layer == layer)
-                .map(|c| c.crc)
+        let check_of = |tag: u32, layer: u32| -> Option<usize> {
+            checks.iter().position(|c| c.tag == tag && c.layer == layer)
         };
 
         let section = |tag: u32, layer: u32| -> Option<Range<usize>> {
@@ -688,8 +703,8 @@ impl Snapshot {
         if table.iter().filter(|&&(t, _, _, _)| t == SEC_META).count() > 1 {
             return Err(bad("duplicate META section").into());
         }
-        if let Some(crc) = expected_crc(SEC_META, 0) {
-            check_crc(&buf, meta.clone(), crc, "meta", None)?;
+        if let Some(c) = check_of(SEC_META, 0) {
+            check_crc(&buf, &checks[c], None)?;
         }
         let meta_bytes = &buf[meta];
         let mut r = meta_bytes;
@@ -702,14 +717,8 @@ impl Snapshot {
         for k in 0..layer_count as u32 {
             let hdr = section(SEC_LAYER_HDR, k)
                 .ok_or_else(|| bad(&format!("missing header for layer {k}")))?;
-            if let Some(crc) = expected_crc(SEC_LAYER_HDR, k) {
-                check_crc(
-                    &buf,
-                    hdr.clone(),
-                    crc,
-                    "layer.header",
-                    Some(&format!("{k}")),
-                )?;
+            if let Some(c) = check_of(SEC_LAYER_HDR, k) {
+                check_crc(&buf, &checks[c], Some(&format!("{k}")))?;
             }
             let mut r = &buf[hdr];
             let name = read_string(&mut r)?;
@@ -733,9 +742,7 @@ impl Snapshot {
                         }
                         // LAYER_HDR was verified above; everything else
                         // is deferred to materialization.
-                        if let Some(crc) = expected_crc(tag, k) {
-                            lazy_checks.push((tag, range, crc));
-                        }
+                        lazy_checks.extend(check_of(tag, k));
                     }
                     section_info.push(SectionInfo {
                         tag,
@@ -835,6 +842,7 @@ impl Snapshot {
                 layer,
                 range: off as usize..(off + len) as usize,
                 crc,
+                verified: AtomicBool::new(false),
             });
         }
         // Every non-checksum section must be covered, or corruption
@@ -896,8 +904,10 @@ impl Snapshot {
         }
     }
 
-    /// Deep integrity check: recompute every recorded section checksum,
-    /// then materialize every layer, which re-runs the full structural
+    /// Deep integrity check: every recorded section checksum holds —
+    /// each section hashed once per mount, so what open, a catalog or a
+    /// materialized layer already checked is not hashed again — then
+    /// every layer materializes, which re-runs the full structural
     /// revalidation the lazy mount path applies. Corruption is a
     /// categorized [`StoreError::Corrupt`].
     pub fn verify(&self) -> Result<VerifyReport, StoreError> {
@@ -912,13 +922,7 @@ impl Snapshot {
                 (_, Some(name)) => Some(name.to_string()),
                 (_, None) => Some(c.layer.to_string()),
             };
-            check_crc(
-                &self.inner.buf,
-                c.range.clone(),
-                c.crc,
-                section_name(c.tag),
-                label.as_deref(),
-            )?;
+            check_crc(&self.inner.buf, c, label.as_deref())?;
             sections_checked += 1;
         }
         for k in 0..self.inner.layers.len() {
@@ -1010,10 +1014,9 @@ impl Snapshot {
         let registry = MetricsRegistry::global();
         registry.add("store.layers_materialized", 1);
         registry.add(&format!("store.layers_materialized.{}", slot.name), 1);
-        registry.record(
-            "store.layer_materialize_ns",
-            took.as_nanos().min(u64::MAX as u128) as u64,
-        );
+        let ns = took.as_nanos().min(u64::MAX as u128) as u64;
+        registry.record("store.layer_materialize_ns", ns);
+        registry.record(&format!("store.layer_materialize_ns.{}", slot.name), ns);
         Ok((Arc::clone(slot.cell.get_or_init(|| layer)), Some(took)))
     }
 
@@ -1026,19 +1029,14 @@ impl Snapshot {
             return Ok(Arc::clone(catalog));
         }
         let section = |tag: u32| -> Result<&[u8], StoreError> {
-            let (_, range, expected) = slot
+            let check = slot
                 .checks
                 .iter()
-                .find(|(t, _, _)| *t == tag)
+                .map(|&c| &self.inner.checks[c])
+                .find(|c| c.tag == tag)
                 .ok_or_else(|| bad(&format!("layer {:?}: missing section {tag}", slot.name)))?;
-            check_crc(
-                &self.inner.buf,
-                range.clone(),
-                *expected,
-                section_name(tag),
-                Some(&slot.name),
-            )?;
-            Ok(&self.inner.buf[range.clone()])
+            check_crc(&self.inner.buf, check, Some(&slot.name))?;
+            Ok(&self.inner.buf[check.range.clone()])
         };
         let wrap = |e: io::Error| -> StoreError {
             StoreError::Io(io::Error::new(
@@ -1104,17 +1102,11 @@ impl Snapshot {
     /// Decode + validate one layer from its sections.
     fn materialize(&self, slot: &MountLayer) -> Result<Layer, StoreError> {
         // The columns are about to become live views — this is the
-        // moment their checksums are verified (once; the materialized
-        // layer is cached). A flipped payload byte stops here as
+        // moment their checksums are verified (those the catalog or
+        // `verify` has not already). A flipped payload byte stops here as
         // `StoreError::Corrupt`, before any view is built.
-        for (tag, range, expected) in &slot.checks {
-            check_crc(
-                &self.inner.buf,
-                range.clone(),
-                *expected,
-                section_name(*tag),
-                Some(&slot.name),
-            )?;
+        for &c in &slot.checks {
+            check_crc(&self.inner.buf, &self.inner.checks[c], Some(&slot.name))?;
         }
         let sect = |tag: u32| -> io::Result<Range<usize>> {
             slot.sections
@@ -1177,7 +1169,9 @@ impl Snapshot {
             return Err(wrap(bad("layer header disagrees with document columns")));
         }
 
-        // Region index columns.
+        // Region index columns. `from_storage` also refuses an index
+        // annotating any node but an element of this document, so that
+        // refusal comes before the header check below.
         let mut r = &self.inner.buf[sect(SEC_RIDX_META).map_err(StoreError::Io)?];
         let max_regions = read_u32(&mut r).map_err(wrap)?;
         let index = RegionIndex::from_storage(
@@ -1194,27 +1188,13 @@ impl Snapshot {
             )
             .map_err(wrap)?,
             max_regions,
-            doc.node_count(),
+            doc.storage().kind_bytes,
         )
         .map_err(wrap)?;
         if index.annotated_nodes().len() as u64 != slot.annotations
             || index.len() as u64 != slot.entries
         {
             return Err(wrap(bad("layer header disagrees with region index")));
-        }
-        // The index must describe this document: every annotated node is
-        // an element of it. The query optimizer's post-filter elision
-        // *relies* on join outputs being elements, so a snapshot index
-        // annotating any other node kind must fail here — mounted
-        // indexes are used as-is, never rebuilt, and nothing downstream
-        // re-checks. (Region validity and the id range were checked by
-        // `from_storage`; config/area agreement is the writer's contract.)
-        if index
-            .annotated_nodes()
-            .iter()
-            .any(|&pre| doc.kind(pre) != NodeKind::Element)
-        {
-            return Err(wrap(bad("region index annotates a non-element node")));
         }
         Layer::from_shared(
             slot.name.clone(),

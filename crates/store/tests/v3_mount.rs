@@ -70,6 +70,18 @@ fn table_of(buf: &[u8]) -> Vec<(u32, u32, usize, u64, u64)> {
         .collect()
 }
 
+/// What opening a snapshot and then materializing each of its layers
+/// through [`Snapshot::layer_at`] — the lazy path a query takes — comes
+/// to, as text: the first error in full, or `"ok"`.
+fn lazy_outcome(opened: Result<Snapshot, StoreError>) -> String {
+    let layers =
+        |snapshot: Snapshot| (0..snapshot.len()).try_for_each(|k| snapshot.layer_at(k).map(drop));
+    match opened.and_then(layers) {
+        Ok(()) => "ok".to_string(),
+        Err(e) => format!("{e:?}"),
+    }
+}
+
 /// Opening or materializing the tampered bytes must fail — never panic,
 /// never silently succeed.
 fn assert_rejected(bytes: Vec<u8>, what: &str) {
@@ -248,23 +260,53 @@ fn single_byte_corruption_never_panics_and_is_always_detected() {
             *b = true; // the section payload
         }
     }
+    // The checksummed payload bytes, by the name of their section: a
+    // flip there is that section's checksum mismatch before anything
+    // else is checked.
+    let info = Snapshot::from_bytes(buf.clone()).unwrap().info();
+    let mut payload: Vec<Option<&str>> = vec![None; buf.len()];
+    for &(tag, layer, _, off, len) in &table {
+        let name = match tag {
+            1 => Some("meta"),
+            40 => None,
+            _ => info.layers[layer as usize]
+                .sections
+                .iter()
+                .find(|s| s.tag == tag)
+                .map(|s| s.name),
+        };
+        payload[off as usize..(off + len) as usize].fill(name);
+    }
     let path = temp_file("flip-sweep.snap");
     for k in 0..buf.len() {
         let mut mutated = buf.clone();
         mutated[k] ^= 0xff;
         // Detection: open fails, or the deep verify (checksums + full
-        // materialization) fails. Never a panic either way — and the
+        // materialization) fails, or materializing every layer the way
+        // a query does fails. Never a panic either way — and the
         // file-backed open categorizes every flip exactly as the
         // in-memory one does.
         std::fs::write(&path, &mutated).unwrap();
         let from_file = outcome(Snapshot::open(&path));
+        let lazy_from_file = lazy_outcome(Snapshot::open(&path));
+        let lazy_from_bytes = lazy_outcome(Snapshot::mount_bytes(mutated.clone()));
         let from_bytes = outcome(Snapshot::mount_bytes(mutated));
         assert_eq!(from_file, from_bytes, "flip of byte {k}");
+        assert_eq!(lazy_from_file, lazy_from_bytes, "flip of byte {k}, lazily");
         if semantic[k] {
             assert_ne!(
                 from_bytes, "ok",
                 "flip of semantic byte {k} must be detected"
             );
+        }
+        if let Some(name) = payload[k] {
+            for seen in [&from_bytes, &lazy_from_bytes] {
+                assert!(
+                    seen.starts_with(&format!("Corrupt {{ section: \"section {name}"))
+                        && seen.contains("checksum mismatch"),
+                    "flip of byte {k} in section {name}: {seen}"
+                );
+            }
         }
     }
     let _ = std::fs::remove_file(&path);

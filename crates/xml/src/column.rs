@@ -417,11 +417,20 @@ impl StrArena {
         if self.offsets[0] != 0 {
             return Err(bad_data("string arena offsets do not start at 0"));
         }
-        if !self.offsets.windows(2).all(|w| w[0] <= w[1]) {
+        // One branch-free pass; the last offset then bounds them all.
+        if !self
+            .offsets
+            .windows(2)
+            .fold(true, |ok, w| ok & (w[0] <= w[1]))
+        {
             return Err(bad_data("string arena offsets not monotone"));
         }
         if *self.offsets.last().unwrap() as usize != self.heap.len() {
             return Err(bad_data("string arena offsets do not cover the heap"));
+        }
+        // Every offset into an ASCII heap is a char boundary.
+        if self.heap.is_ascii() {
+            return Ok(());
         }
         let text = std::str::from_utf8(&self.heap)
             .map_err(|_| bad_data("string arena heap is not UTF-8"))?;

@@ -37,10 +37,10 @@ impl KindCol {
         }
     }
 
-    /// Mount a kind column, validating every byte.
+    /// Mount a kind column, validating every byte (a branch-free fold).
     pub fn view(buf: &SharedBytes, range: Range<usize>) -> io::Result<KindCol> {
-        let raw = PodCol::view(buf, range)?;
-        if raw.iter().any(|&b| b > NodeKind::Pi as u8) {
+        let raw: PodCol<u8> = PodCol::view(buf, range)?;
+        if raw.iter().fold(0, |m, &b| m.max(b)) > NodeKind::Pi as u8 {
             return Err(crate::wire::bad_data("invalid node kind in kind column"));
         }
         Ok(KindCol { raw })
@@ -74,10 +74,6 @@ impl KindCol {
 
     pub fn is_view(&self) -> bool {
         self.raw.is_view()
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = NodeKind> + '_ {
-        (0..self.len()).map(|i| self.get(i))
     }
 }
 
@@ -153,8 +149,15 @@ impl ElemIndex {
 
     /// Validate the index against the node columns: ascending distinct
     /// names in range, non-empty strictly-ascending buckets that agree
-    /// with the columns, and full element coverage.
-    pub fn validate(&self, kind: &KindCol, name: &[u32], name_count: usize) -> Result<(), String> {
+    /// with the columns, and full coverage of the columns' `elements`
+    /// elements.
+    pub(crate) fn validate(
+        &self,
+        kind: &KindCol,
+        name: &[u32],
+        name_count: usize,
+        elements: usize,
+    ) -> Result<(), String> {
         if self.offsets.len() != self.names.len() + 1 {
             return Err("element index CSR length mismatch".into());
         }
@@ -172,22 +175,20 @@ impl ElemIndex {
         if self.names.last().is_some_and(|&n| n as usize >= name_count) {
             return Err("indexed name id out of range".into());
         }
-        let n = kind.len();
+        let element = Some(&(NodeKind::Element as u8));
         for k in 0..self.names.len() {
             let (id, pres) = self.bucket(k);
-            for &pre in pres {
-                if pre as usize >= n
-                    || kind.get(pre as usize) != NodeKind::Element
-                    || name[pre as usize] != id
-                {
-                    return Err("element index disagrees with node columns".into());
-                }
+            // Branch-free: every entry an element named `id`, ascending.
+            if !pres.iter().fold(true, |ok, &pre| {
+                let pre = pre as usize;
+                ok & (kind.raw.get(pre) == element) & (name.get(pre) == Some(&id))
+            }) {
+                return Err("element index disagrees with node columns".into());
             }
-            if !pres.windows(2).all(|w| w[0] < w[1]) {
+            if !pres.windows(2).fold(true, |ok, w| ok & (w[0] < w[1])) {
                 return Err("element index not in document order".into());
             }
         }
-        let elements = kind.iter().filter(|&k| k == NodeKind::Element).count();
         if self.pres.len() != elements {
             return Err("element index does not cover all elements".into());
         }
@@ -298,11 +299,14 @@ impl Document {
     }
 
     /// Assemble a document from raw (possibly buffer-backed) storage,
-    /// validating **everything**: column arity, name-id ranges, the
-    /// structural pre/size/level invariants, attribute CSR consistency,
-    /// and the element-name index's agreement with the columns. This is
-    /// the single trust boundary of the snapshot mount — a corrupted
-    /// file fails here, cleanly.
+    /// validating **everything** (the node kinds were checked by
+    /// [`KindCol::view`]): column arity, name-id ranges, the structural
+    /// pre/size/level invariants, attribute CSR consistency, and the
+    /// element-name index's agreement with the columns. This is the single
+    /// trust boundary of the snapshot mount — a corrupted file fails here,
+    /// cleanly. Each column is read once: name ids by branch-free folds,
+    /// the element index against the columns, then the structural rules
+    /// by one pre-order pass.
     pub fn from_storage(parts: DocumentParts) -> Result<Document, String> {
         let n = parts.kind.len();
         if n == 0 {
@@ -323,18 +327,6 @@ impl Document {
         if parts.attr_owner.len() != a || parts.attr_values.len() != a {
             return Err("attribute column lengths disagree".into());
         }
-        let name_count = parts.names.len();
-        for &id in parts.name.iter() {
-            if id != NameId::NONE.0 && id as usize >= name_count {
-                return Err("name id out of range".into());
-            }
-        }
-        for &id in parts.attr_name.iter() {
-            if id as usize >= name_count {
-                return Err("attribute name out of range".into());
-            }
-        }
-        parts.elem.validate(&parts.kind, &parts.name, name_count)?;
         let doc = Document {
             uri: parts.uri,
             names: parts.names,
@@ -350,7 +342,19 @@ impl Document {
             attr_values: parts.attr_values,
             elem: parts.elem,
         };
-        doc.check_invariants()?;
+        // Column-wise folds, branch-free. `NameId::NONE` wraps to 0, every other id to itself + 1.
+        let limit = u32::try_from(doc.names.len()).unwrap_or(u32::MAX);
+        if doc.name.iter().fold(0, |m, &id| m.max(id.wrapping_add(1))) > limit {
+            return Err("name id out of range".into());
+        }
+        if !doc.attr_name.is_empty() && doc.attr_name.iter().fold(0, |m, &id| m.max(id)) >= limit {
+            return Err("attribute name out of range".into());
+        }
+        let kind = doc.kind.raw_bytes();
+        let elements = kind.iter().filter(|&&k| k == NodeKind::Element as u8);
+        doc.elem
+            .validate(&doc.kind, &doc.name, doc.names.len(), elements.count())?;
+        doc.check_structure()?;
         Ok(doc)
     }
 
@@ -643,10 +647,22 @@ impl Document {
     /// builds): sizes nest properly, levels and parents are consistent,
     /// attribute CSR is monotone.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let n = self.node_count();
-        if n == 0 {
+        if self.node_count() == 0 {
             return Err("document has no nodes".into());
         }
+        if self.attr_first.len() != self.node_count() + 1 {
+            return Err("attr_first length mismatch".into());
+        }
+        self.check_structure()
+    }
+
+    /// The structural rules in order, each column read once: one
+    /// pre-order pass for the parent/size/level rules, one over the
+    /// attribute runs. Needs a non-empty document and `attr_first` to
+    /// hold `node_count + 1` entries; nothing else is assumed, so hostile
+    /// columns cannot make it index out of bounds.
+    fn check_structure(&self) -> Result<(), String> {
+        let n = self.node_count();
         if self.kind(0) != NodeKind::Document {
             return Err("pre 0 is not the document node".into());
         }
@@ -657,45 +673,75 @@ impl Document {
                 n - 1
             ));
         }
-        for pre in 1..n as u32 {
-            let parent = self.parent(pre);
-            if parent >= pre {
-                return Err(format!("node {pre} has parent {parent} >= itself"));
-            }
-            // Subtree ends are summed in u64: a hostile `size` column
-            // must fail here, not wrap past the parent's end.
-            let end = |p: u32| p as u64 + self.size(p) as u64;
-            if pre as u64 > end(parent) {
-                return Err(format!("node {pre} outside parent {parent} region"));
-            }
-            if self.level(pre) != self.level(parent) + 1 {
-                return Err(format!("node {pre} level inconsistent with parent"));
-            }
-            if end(pre) > end(parent) {
-                return Err(format!("node {pre} subtree leaks out of parent"));
+        let (size, level, parent) = (&self.size[..n], &self.level[..n], &self.parent[..n]);
+        for pre in 1..n {
+            // The rules of `node_error`, without branches: a parent at or
+            // after the node fails it, so any in-bounds row stands in.
+            let up = parent[pre] as usize;
+            let p = if up < pre { up } else { 0 };
+            let end = |p: usize| p as u64 + size[p] as u64;
+            if (up >= pre)
+                | (pre as u64 > end(p))
+                | (level[pre] as u32 != level[p] as u32 + 1)
+                | (end(pre) > end(p))
+            {
+                return Err(self.node_error(pre as u32));
             }
         }
-        if self.attr_first.len() != n + 1 {
-            return Err("attr_first length mismatch".into());
+        // With owners non-decreasing from run 0, a run whose first and
+        // last attribute name its node holds only that node's.
+        let (attr_first, owner) = (&self.attr_first[..=n], &self.attr_owner[..]);
+        let mut owners_match = (attr_first[0] == 0 || owner.is_empty())
+            && owner.windows(2).fold(true, |ok, w| ok & (w[0] <= w[1]));
+        let mut monotone = true;
+        for (pre, run) in attr_first.windows(2).enumerate() {
+            let (lo, hi) = (run[0] as usize, run[1] as usize);
+            monotone &= lo <= hi;
+            let owns = |i: usize| owner.get(i) == Some(&(pre as u32));
+            owners_match &= lo >= hi || (owns(lo) && owns(hi - 1));
         }
-        for w in self.attr_first.windows(2) {
-            if w[0] > w[1] {
-                return Err("attr_first not monotone".into());
-            }
+        if !monotone {
+            return Err("attr_first not monotone".into());
         }
-        if *self.attr_first.last().unwrap() as usize != self.attr_name.len() {
+        if attr_first[n] as usize != owner.len() {
             return Err("attr_first does not cover attribute table".into());
         }
+        if owners_match {
+            return Ok(());
+        }
+        // Monotone and covering, so the runs partition the table: the
+        // first attribute outside its owner's run is named.
         for (i, &owner) in self.attr_owner.iter().enumerate() {
             if owner as usize >= n {
                 return Err(format!("attribute {i} owner out of range"));
             }
-            let r = self.attr_range(owner);
-            if !(r.start <= i as u32 && (i as u32) < r.end) {
+            if !self.attr_range(owner).contains(&(i as u32)) {
                 return Err(format!("attribute {i} owner CSR mismatch"));
             }
         }
-        Ok(())
+        unreachable!("a run holds an attribute of another node")
+    }
+
+    /// The rule node `pre` (≥ 1) breaks: its parent comes before it, it
+    /// lies inside its parent's subtree one level down, and its own
+    /// subtree ends inside its parent's. Only asked of a node
+    /// [`Document::check_structure`] found breaking one.
+    #[cold]
+    fn node_error(&self, pre: u32) -> String {
+        let parent = self.parent(pre);
+        if parent >= pre {
+            return format!("node {pre} has parent {parent} >= itself");
+        }
+        // Subtree ends are summed in u64: a hostile `size` column must
+        // fail here, not wrap past the parent's end.
+        let end = |p: u32| p as u64 + self.size(p) as u64;
+        if pre as u64 > end(parent) {
+            return format!("node {pre} outside parent {parent} region");
+        }
+        if self.level(pre) as u32 != self.level(parent) as u32 + 1 {
+            return format!("node {pre} level inconsistent with parent");
+        }
+        format!("node {pre} subtree leaks out of parent")
     }
 }
 
@@ -870,7 +916,7 @@ mod tests {
             let (_, pres) = idx.bucket(k);
             assert!(pres.windows(2).all(|w| w[0] < w[1]));
         }
-        idx.validate(&d.kind, &d.name, d.names.len()).unwrap();
+        idx.validate(&d.kind, &d.name, d.names.len(), 4).unwrap();
     }
 
     #[test]

@@ -444,6 +444,123 @@ fn a_resealed_hostile_size_column_is_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One mutation per structural check of a layer's columns, each
+/// resealed so every checksum passes: through both mounts the layer is
+/// refused, as invalid data, with the message that check has always
+/// given, and `verify` fails. Where two columns are damaged, the check
+/// that has always run first names the layer. The tokens carry a
+/// non-ASCII value so the string arena has a character to split.
+#[test]
+fn resealed_hostile_structures_are_refused_by_their_checks() {
+    let dir = temp_dir("hostile-table");
+    let base = standoff::xml::parse_document("<text>Ålice met Bob</text>").unwrap();
+    let mut set = LayerSet::build("corpus", base, StandoffConfig::default()).unwrap();
+    let tokens = r#"<tokens><w word="Ålice" start="0" end="5"/><w word="met" start="7" end="9"/><w word="Bob" start="11" end="13"/></tokens>"#;
+    set.add_layer(
+        "tokens",
+        standoff::xml::parse_document(tokens).unwrap(),
+        StandoffConfig::default(),
+    )
+    .unwrap();
+    let mut clean = Vec::new();
+    write_snapshot(&set, &mut clean).unwrap();
+    // Column words and 24-byte region entries, little-endian.
+    let put =
+        |col: &mut [u8], k: usize, v: u32| col[4 * k..4 * k + 4].copy_from_slice(&v.to_le_bytes());
+    type Edit<'a> = &'a dyn Fn(&mut [u8]);
+    let swap: Edit = &|col| {
+        let (first, rest) = col.split_at_mut(24);
+        first.swap_with_slice(&mut rest[..24]);
+    };
+    let max_lie: Edit = &|col| put(col, 0, 2);
+    let kind_5: Edit = &|col| col[2] = 5;
+    let owner: Edit = &|col| put(col, 1, 3);
+    let split: Edit = &|col| put(col, 1, 1);
+    // What is damaged, the damaged columns, the refusal.
+    type Case<'a> = (&'a str, &'a [(u32, Edit<'a>)], &'a str);
+    let cases: [Case; 11] = [
+        (
+            "two swapped entries",
+            &[(31, swap)],
+            "region index: entries not clustered on (start, end, id)",
+        ),
+        (
+            "an entry id moved to another node",
+            &[(31, &|col| col.copy_within(24 + 16..24 + 20, 16))],
+            "region index: entry has no matching node-view region",
+        ),
+        (
+            "a duplicate entry",
+            &[(31, &|col| col.copy_within(0..24, 24))],
+            "region index: entries not clustered on (start, end, id)",
+        ),
+        (
+            "a max-regions lie",
+            &[(30, max_lie)],
+            "region index: stored max-regions is inconsistent",
+        ),
+        (
+            "non-identity node offsets under one region per node",
+            &[(33, &|col| put(col, 1, 2))],
+            "region index: region CSR offsets not increasing from 0",
+        ),
+        (
+            "a kind byte of 5",
+            &[(11, kind_5)],
+            "invalid node kind in kind column",
+        ),
+        (
+            "an attribute owner mismatch",
+            &[(19, owner)],
+            "attribute 1 owner CSR mismatch",
+        ),
+        (
+            "a non-ASCII arena slot split mid-character",
+            &[(22, split)],
+            "string arena slot splits a UTF-8 character",
+        ),
+        (
+            "a kind byte of 5 and a split arena slot",
+            &[(11, kind_5), (22, split)],
+            "invalid node kind in kind column",
+        ),
+        (
+            "a kind byte of 5 and an attribute owner mismatch",
+            &[(11, kind_5), (19, owner)],
+            "invalid node kind in kind column",
+        ),
+        (
+            "two swapped entries and a max-regions lie",
+            &[(31, swap), (30, max_lie)],
+            "region index: entries not clustered on (start, end, id)",
+        ),
+    ];
+    for (what, edits, message) in cases {
+        let mut bytes = clean.clone();
+        for &(tag, edit) in edits {
+            let column = section(&bytes, tag, 1);
+            edit(&mut bytes[column]);
+            reseal(&mut bytes, tag, 1);
+        }
+        for snapshot in both_mounts(&dir, &bytes) {
+            snapshot.layer("base").expect("the base layer is untouched");
+            match snapshot.layer("tokens") {
+                Err(e @ StoreError::Io(_)) => {
+                    assert_eq!(
+                        e.to_string(),
+                        format!("snapshot: layer \"tokens\": {message}"),
+                        "{what}"
+                    )
+                }
+                Err(other) => panic!("{what}: wrong category: {other}"),
+                Ok(_) => panic!("{what}: a hostile layer mounted"),
+            }
+            assert!(snapshot.verify().is_err(), "{what}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// One flipped byte in the `tokens` layer: queries that never reach it
 /// answer, `verify` still fails, and every query that reaches it — by
 /// `doc()`, by a join from base, in a server — fails with the same
