@@ -81,7 +81,7 @@ fn mergejoin(c: &mut Criterion) {
         let iter_domain: Vec<u32> = (0..iters).collect();
         let input = JoinInput {
             doc: &doc,
-            index: (&index).into(),
+            index: &index,
             ctx_index: None,
             context: &context,
             candidates: Some(&candidates),
@@ -133,7 +133,7 @@ fn mergejoin(c: &mut Criterion) {
         let iter_domain: Vec<u32> = (0..32).collect();
         let input = standoff_core::JoinInput {
             doc: &doc,
-            index: (&index).into(),
+            index: &index,
             ctx_index: None,
             context: &context,
             candidates: Some(&cands),

@@ -123,57 +123,6 @@ fn region_index(c: &mut Criterion) {
     }
     group.finish();
 
-    // Regression guard for the overlay seam: a dense candidate set
-    // pulled through a *pure* RegionSource must cost the same as the
-    // raw-index scan — no per-entry retraction check may leak into the
-    // snapshot-only path (the PR-7 regression). A source with
-    // retractions is benched alongside so the post-pass cost stays an
-    // explicit, separate number.
-    let mut group = c.benchmark_group("region_index/dense_pure_source");
-    {
-        let pairs: Vec<(u32, standoff_core::Area)> = (0..50_000)
-            .map(|k| {
-                let s = k as i64 * 10;
-                (k as u32, standoff_core::Area::single(s, s + 8).unwrap())
-            })
-            .collect();
-        let synthetic = standoff_core::RegionIndex::from_areas(&pairs);
-        let dense: Vec<u32> = (0..25_000u32).map(|k| k * 2).collect();
-        let retracted: Vec<u32> = (0..250u32).map(|k| k * 200).collect();
-        let whole = 0..synthetic.len();
-        group.bench_function("candidates_dense_raw_index", |b| {
-            let mut scratch = CandidateScratch::default();
-            let mut out = Vec::new();
-            b.iter(|| {
-                synthetic.candidates_in(Some(&dense), whole.clone(), &mut scratch, &mut out);
-                out.len()
-            });
-        });
-        group.bench_function("candidates_dense_pure_source", |b| {
-            let source = standoff_core::RegionSource::from_index(&synthetic);
-            let mut scratch = CandidateScratch::default();
-            let mut out = Vec::new();
-            b.iter(|| {
-                let whole = whole.clone();
-                source
-                    .candidates_in(Some(&dense), whole, &mut scratch, &mut out)
-                    .len()
-            });
-        });
-        group.bench_function("candidates_dense_retracting_source", |b| {
-            let source = standoff_core::RegionSource::with_retractions(&synthetic, &retracted);
-            let mut scratch = CandidateScratch::default();
-            let mut out = Vec::new();
-            b.iter(|| {
-                let whole = whole.clone();
-                source
-                    .candidates_in(Some(&dense), whole, &mut scratch, &mut out)
-                    .len()
-            });
-        });
-    }
-    group.finish();
-
     // Pushdown ablation: select-narrow from <open_auction> contexts to
     // <increase> candidates, with and without the candidate restriction.
     let auctions = so.doc.elements_named("open_auction").to_vec();
@@ -187,7 +136,7 @@ fn region_index(c: &mut Criterion) {
         b.iter(|| {
             let input = JoinInput {
                 doc: &so.doc,
-                index: (&index).into(),
+                index: &index,
                 ctx_index: None,
                 context: &context,
                 candidates: Some(&increases),
@@ -205,7 +154,7 @@ fn region_index(c: &mut Criterion) {
         b.iter(|| {
             let input = JoinInput {
                 doc: &so.doc,
-                index: (&index).into(),
+                index: &index,
                 ctx_index: None,
                 context: &context,
                 candidates: None,

@@ -133,7 +133,7 @@ fn main() {
 
         let input = JoinInput {
             doc: so_doc,
-            index: (&index).into(),
+            index: &index,
             ctx_index: None,
             context: &so_ctx,
             candidates: Some(&candidates),

@@ -20,7 +20,7 @@ use std::io;
 use std::ops::Range;
 
 use standoff_xml::column::{Pod, PodCol};
-use standoff_xml::{Document, NodeKind};
+use standoff_xml::{Document, NodeKind, Renumbering};
 
 use crate::config::StandoffConfig;
 use crate::error::StandoffError;
@@ -186,6 +186,76 @@ impl RegionIndex {
             }
         }
         Ok(accum.finish())
+    }
+
+    /// The index of [`Document::splice`]'s copy of this index's document,
+    /// without re-reading it: the annotations `moved` dropped are gone,
+    /// the kept ones move with their nodes, and `added` — single-region
+    /// annotations on the appended elements, ascending — join them. It
+    /// is what [`RegionIndex::build`] makes of the copy, since a splice
+    /// appends after every element of the document: the node view is
+    /// copied run by run, the clustered column is renumbered in one pass
+    /// with the added entries merged in.
+    pub fn renumbered(&self, moved: &Renumbering, added: &[(u32, Region)]) -> RegionIndex {
+        let mut node_ids = Vec::with_capacity(self.node_ids.len() + added.len());
+        let mut node_offsets = Vec::with_capacity(self.node_offsets.len() + added.len());
+        let mut node_regions = Vec::with_capacity(self.node_regions.len() + added.len());
+        node_offsets.push(0);
+        let mut max_regions = 0;
+        for (old, to) in moved.runs() {
+            let lo = self.node_ids.partition_point(|&id| id < old.start);
+            let hi = self.node_ids.partition_point(|&id| id < old.end);
+            if lo == hi {
+                continue;
+            }
+            node_ids.extend(self.node_ids[lo..hi].iter().map(|&id| id - old.start + to));
+            let offsets = &self.node_offsets[lo..=hi];
+            let base = node_regions.len() as u32;
+            node_offsets.extend(offsets[1..].iter().map(|&o| o - offsets[0] + base));
+            max_regions = (offsets.windows(2)).fold(max_regions, |m, w| m.max(w[1] - w[0]));
+            node_regions.extend_from_slice(
+                &self.node_regions[offsets[0] as usize..offsets[hi - lo] as usize],
+            );
+        }
+        let mut fresh: Vec<RegionEntry> = Vec::with_capacity(added.len());
+        for &(id, r) in added {
+            debug_assert!(node_ids.last().is_none_or(|&last| last < id));
+            node_regions.push(r);
+            node_ids.push(id);
+            node_offsets.push(node_regions.len() as u32);
+            max_regions = max_regions.max(1);
+            fresh.push(RegionEntry {
+                start: r.start,
+                end: r.end,
+                id,
+            });
+        }
+        fresh.sort_unstable_by_key(|e| (e.start, e.end, e.id));
+        // Each added entry follows every kept one with its region or a
+        // smaller one; the kept stretches in between are renumbered.
+        let mut entries = Vec::with_capacity(self.entries.len() + added.len());
+        let keep = |entries: &mut Vec<RegionEntry>, kept: &[RegionEntry]| {
+            entries.extend(kept.iter().filter_map(|e| {
+                let id = moved.get(e.id)?;
+                Some(RegionEntry { id, ..*e })
+            }))
+        };
+        let mut from = 0;
+        for f in fresh {
+            let upto = from
+                + self.entries[from..].partition_point(|e| (e.start, e.end) <= (f.start, f.end));
+            keep(&mut entries, &self.entries[from..upto]);
+            entries.push(f);
+            from = upto;
+        }
+        keep(&mut entries, &self.entries[from..]);
+        RegionIndex {
+            entries: entries.into(),
+            node_ids: node_ids.into(),
+            node_offsets: node_offsets.into(),
+            node_regions: node_regions.into(),
+            max_regions,
+        }
     }
 
     /// Build directly from `(pre, area)` pairs (synthetic workloads and

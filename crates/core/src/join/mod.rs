@@ -28,14 +28,13 @@
 //! [`JoinInput`]) or for a whole *join unit* of the query engine, whose
 //! context may span several layers of one corpus. Then each
 //! [`JoinTarget`] — the candidate side: one layer's document, region
-//! source and candidate restriction — is joined against that table by
+//! index and candidate restriction — is joined against that table by
 //! [`join_resolved`], as many targets as the unit has, without the
 //! context being looked up or sorted again.
 //!
 //! The merge joins derive their candidate entries through one path —
 //! [`JoinTarget::candidate_entries_in`] →
-//! [`RegionSource::candidates_in`] →
-//! [`RegionIndex::candidates_in`](crate::index::RegionIndex::candidates_in)
+//! [`RegionIndex::candidates_in`]
 //! — over a *reach* of the target's start-clustered table: the loop-lifted
 //! `select-narrow` (and the select half of `reject-narrow`) reads only
 //! the entries starting inside its context's extent
@@ -57,8 +56,7 @@ use std::ops::Range;
 
 use standoff_xml::Document;
 
-use crate::index::{CandidateScratch, RegionEntry};
-use crate::source::RegionSource;
+use crate::index::{CandidateKernel, CandidateScratch, RegionEntry, RegionIndex};
 use crate::trace::TraceSink;
 
 /// The four StandOff joins, proposed as XPath axis steps (§3.3).
@@ -217,19 +215,16 @@ pub struct JoinInput<'a> {
     /// The *candidate-side* document: StandOff steps emit nodes of this
     /// fragment.
     pub doc: &'a Document,
-    /// The candidate-side region source (a [`RegionIndex`]
-    /// plus any overlay retractions, presented as one merged stream).
-    ///
-    /// [`RegionIndex`]: crate::index::RegionIndex
-    pub index: RegionSource<'a>,
-    /// Region source the *context* nodes' areas are looked up in. `None`
+    /// The candidate-side region index.
+    pub index: &'a RegionIndex,
+    /// Region index the *context* nodes' areas are looked up in. `None`
     /// means the context lives in the same fragment as the candidates
     /// (the classic single-document join). `Some` is the multi-layer
     /// case of `standoff-store`: context annotations from one layer
     /// joined against the candidate annotations of a sibling layer over
     /// the same BLOB — regions share the coordinate space, so the merge
     /// joins run unchanged.
-    pub ctx_index: Option<RegionSource<'a>>,
+    pub ctx_index: Option<&'a RegionIndex>,
     /// Context `(iter, node)` pairs, grouped by ascending iter, document
     /// order within each iteration. Node ids refer to the context
     /// fragment (which is `doc` unless `ctx_index` is set).
@@ -245,10 +240,10 @@ pub struct JoinInput<'a> {
 }
 
 impl<'a> JoinInput<'a> {
-    /// The source context-node areas are fetched from (see
+    /// The index context-node areas are fetched from (see
     /// [`JoinInput::ctx_index`]).
     #[inline]
-    pub fn context_index(&self) -> RegionSource<'a> {
+    pub fn context_index(&self) -> &'a RegionIndex {
         self.ctx_index.unwrap_or(self.index)
     }
 
@@ -281,7 +276,7 @@ pub struct JoinTarget<'a> {
     /// See [`JoinInput::doc`].
     pub doc: &'a Document,
     /// See [`JoinInput::index`].
-    pub index: RegionSource<'a>,
+    pub index: &'a RegionIndex,
     /// See [`JoinInput::candidates`].
     pub candidates: Option<&'a [u32]>,
     /// See [`JoinInput::iter_domain`].
@@ -291,7 +286,7 @@ pub struct JoinTarget<'a> {
 impl<'a> JoinTarget<'a> {
     /// The candidate region entries inside `reach` (a range of the
     /// target index's clustered table), in start order
-    /// ([`RegionSource::candidates_in`]): borrowed from the index when
+    /// ([`RegionIndex::candidates_in`]): borrowed from the index when
     /// nothing restricts them, otherwise derived into `buf`.
     pub fn candidate_entries_in<'s>(
         &'s self,
@@ -302,20 +297,24 @@ impl<'a> JoinTarget<'a> {
     where
         'a: 's,
     {
-        self.index
-            .candidates_in(self.candidates, reach, kernel, buf)
+        let chosen = self
+            .index
+            .candidates_in(self.candidates, reach.clone(), kernel, buf);
+        match chosen {
+            CandidateKernel::Borrowed => &self.index.entries()[reach],
+            _ => buf,
+        }
     }
 
     /// The distinct candidate *annotation* nodes, ascending — the
     /// universe the reject axes complement against. No candidate
-    /// restriction returns a pure source's annotated-node column
-    /// directly.
+    /// restriction returns the index's annotated-node column directly.
     pub fn candidate_universe_in<'s>(&'s self, scratch: &'s mut Vec<u32>) -> &'s [u32]
     where
         'a: 's,
     {
         match self.candidates {
-            None => self.index.annotated_nodes_in(scratch),
+            None => self.index.annotated_nodes(),
             Some(nodes) => {
                 scratch.clear();
                 scratch.extend(
@@ -361,7 +360,7 @@ impl JoinScratch {
     /// Resolve a join's context into the scratch's context table, once
     /// for every target it is then joined into ([`join_resolved`]): the
     /// regions of every `(iter, node)` row of every part — a part is
-    /// one fragment's rows with the source its areas are looked up in —
+    /// one fragment's rows with the index its areas are looked up in —
     /// sorted by start (the context-preparation step of §4.4), and its
     /// extent — first start, largest end — noted for the loop-lifted
     /// narrow join's reach. Rows that are not area-annotations contribute
@@ -373,19 +372,21 @@ impl JoinScratch {
     /// over multi-region areas keys on that identity.
     pub fn resolve_context<'a>(
         &mut self,
-        parts: impl IntoIterator<Item = (RegionSource<'a>, &'a [IterNode])>,
+        parts: impl IntoIterator<Item = (&'a RegionIndex, &'a [IterNode])>,
     ) {
         self.ctx.clear();
         let mut first = 0u32;
-        for (source, rows) in parts {
+        for (index, rows) in parts {
             self.ctx.reserve(rows.len());
-            // The overlay retraction check is hoisted out of the per-row
-            // loop: a pure source reads regions straight off the index.
-            if source.is_pure() {
-                let index = source.index();
-                push_context_rows(rows, first, |n| index.regions_of(n), &mut self.ctx);
-            } else {
-                push_context_rows(rows, first, |n| source.regions_of(n), &mut self.ctx);
+            for (k, &IterNode { iter, node }) in rows.iter().enumerate() {
+                for r in index.regions_of(node) {
+                    self.ctx.push(CtxEntry {
+                        iter,
+                        node: first + k as u32,
+                        start: r.start,
+                        end: r.end,
+                    });
+                }
             }
             first += rows.len() as u32;
         }
@@ -419,24 +420,6 @@ impl JoinScratch {
     /// scans and branch-free blocks), leaving zeros behind.
     pub fn take_stats(&mut self) -> JoinStats {
         self.kernel.stats.take_delta()
-    }
-}
-
-fn push_context_rows<'r>(
-    rows: &[IterNode],
-    first: u32,
-    regions_of: impl Fn(u32) -> &'r [crate::region::Region],
-    out: &mut Vec<CtxEntry>,
-) {
-    for (k, &IterNode { iter, node }) in rows.iter().enumerate() {
-        for r in regions_of(node) {
-            out.push(CtxEntry {
-                iter,
-                node: first + k as u32,
-                start: r.start,
-                end: r.end,
-            });
-        }
     }
 }
 
@@ -505,7 +488,7 @@ pub fn join_resolved(
     // Multi-region containment (∀∃) must attribute every match to a
     // specific context annotation; see merge.rs.
     let per_annotation = select_axis.is_narrow() && target.index.max_regions() > 1;
-    let whole = 0..target.index.index().len();
+    let whole = 0..target.index.len();
     let selected: Vec<IterNode> = match strategy {
         _ if scratch.ctx.is_empty() => Vec::new(),
         StandoffStrategy::NaiveNoCandidates => {
@@ -578,7 +561,7 @@ pub fn join_resolved(
             let reach = match select_axis {
                 StandoffAxis::SelectNarrow => {
                     let (from, to) = scratch.extent;
-                    target.index.index().reach(from, to)
+                    target.index.reach(from, to)
                 }
                 _ => whole,
             };
@@ -674,7 +657,7 @@ mod tests {
         let run = |candidates: &[u32], scratch: &mut JoinScratch| {
             let input = JoinInput {
                 doc: &doc,
-                index: RegionSource::from_index(&index),
+                index: &index,
                 ctx_index: None,
                 context: &context,
                 candidates: Some(candidates),
@@ -716,7 +699,7 @@ mod tests {
         let context = [IterNode { iter: 0, node: a }];
         let input = |context, candidates, iter_domain| JoinInput {
             doc: &doc,
-            index: RegionSource::from_index(&index),
+            index: &index,
             ctx_index: None,
             context,
             candidates,

@@ -137,7 +137,7 @@ mod tests {
         let ctx = [IterNode { iter: 0, node: u2 }];
         let input = JoinInput {
             doc: &doc,
-            index: (&index).into(),
+            index: &index,
             ctx_index: None,
             context: &ctx,
             candidates: Some(shots),
@@ -156,7 +156,7 @@ mod tests {
         let ctx = [IterNode { iter: 0, node: u2 }];
         let input = JoinInput {
             doc: &doc,
-            index: (&index).into(),
+            index: &index,
             ctx_index: None,
             context: &ctx,
             candidates: None,
@@ -178,7 +178,7 @@ mod tests {
         }];
         let input = JoinInput {
             doc: &doc,
-            index: (&index).into(),
+            index: &index,
             ctx_index: None,
             context: &ctx,
             candidates: None,

@@ -13,21 +13,20 @@
 //! * The reject axes are complements of their select counterparts over
 //!   the candidate universe, computed per iteration of the scope.
 
-use crate::index::RegionEntry;
+use crate::index::{RegionEntry, RegionIndex};
 use crate::join::{Emission, IterNode, StandoffAxis};
-use crate::source::RegionSource;
 
 /// Turn raw emissions into the select-join result: `(iter, node)` pairs,
 /// sorted and duplicate-free (document order per iteration).
 ///
-/// `index` is the candidate-side region source; the candidate entries
-/// were drawn from its visible stream, so every referenced annotation is
-/// un-retracted and its full region set is available for the ∀∃ check.
+/// `index` is the candidate-side region index the candidate entries were
+/// drawn from, so every referenced annotation's full region set is
+/// available for the ∀∃ check.
 pub fn finalize_select(
     axis: StandoffAxis,
     emissions: &[Emission],
     candidates: &[RegionEntry],
-    index: RegionSource<'_>,
+    index: &RegionIndex,
 ) -> Vec<IterNode> {
     debug_assert!(axis.is_select());
     // Fast path: every annotation is a single region (always true in the
@@ -146,12 +145,7 @@ mod tests {
                 cand_idx: 0,
             }, // duplicate via other ctx
         ];
-        let out = finalize_select(
-            StandoffAxis::SelectNarrow,
-            &emissions,
-            &cands,
-            (&index).into(),
-        );
+        let out = finalize_select(StandoffAxis::SelectNarrow, &emissions, &cands, &index);
         assert_eq!(
             out,
             vec![IterNode { iter: 0, node: 5 }, IterNode { iter: 1, node: 9 }]
@@ -185,7 +179,7 @@ mod tests {
             },
         ];
         assert_eq!(
-            finalize_select(StandoffAxis::SelectNarrow, &both, &cands, (&index).into()),
+            finalize_select(StandoffAxis::SelectNarrow, &both, &cands, &index),
             vec![IterNode { iter: 0, node: 7 }]
         );
 
@@ -203,9 +197,7 @@ mod tests {
                 cand_idx: 1,
             },
         ];
-        assert!(
-            finalize_select(StandoffAxis::SelectNarrow, &split, &cands, (&index).into()).is_empty()
-        );
+        assert!(finalize_select(StandoffAxis::SelectNarrow, &split, &cands, &index).is_empty());
 
         // Wide stays ∃∃: one region match suffices.
         let one = vec![Emission {
@@ -214,7 +206,7 @@ mod tests {
             cand_idx: 1,
         }];
         assert_eq!(
-            finalize_select(StandoffAxis::SelectWide, &one, &cands, (&index).into()),
+            finalize_select(StandoffAxis::SelectWide, &one, &cands, &index),
             vec![IterNode { iter: 0, node: 7 }]
         );
     }

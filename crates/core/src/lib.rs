@@ -33,7 +33,6 @@ pub mod join;
 pub mod obs;
 pub mod par;
 pub mod region;
-pub mod source;
 pub mod trace;
 
 /// Named fault points for chaos testing (see [`fault::point`]).
@@ -62,5 +61,4 @@ pub use join::{
 };
 pub use obs::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use region::{Area, Region};
-pub use source::RegionSource;
 pub use trace::{NoTrace, TraceEvent, TraceSink, VecTrace};

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use standoff_core::join::merge::ll_select_wide;
 use standoff_core::join::{evaluate_standoff_join_with, CtxEntry, JoinScratch};
 use standoff_core::{
-    evaluate_standoff_join, IterNode, JoinInput, JoinStats, RegionEntry, RegionIndex, RegionSource,
-    StandoffAxis, StandoffStrategy,
+    evaluate_standoff_join, IterNode, JoinInput, JoinStats, RegionEntry, RegionIndex, StandoffAxis,
+    StandoffStrategy,
 };
 use standoff_xml::DocumentBuilder;
 
@@ -159,7 +159,7 @@ fn run_all_strategies(
     let iter_domain = [0, 1, 2];
     let input = JoinInput {
         doc: &doc,
-        index: (&index).into(),
+        index: &index,
         ctx_index: None,
         context: &context,
         candidates: candidates.as_deref(),
@@ -369,7 +369,7 @@ proptest! {
         let iter_domain = [0, 1];
         let input = JoinInput {
             doc: &doc,
-            index: (&index).into(),
+            index: &index,
             ctx_index: None,
             context: &context,
             candidates: None,
@@ -415,7 +415,7 @@ proptest! {
         let iter_domain = [0, 1];
         let input = JoinInput {
             doc: &doc,
-            index: (&index).into(),
+            index: &index,
             ctx_index: None,
             context: &context,
             candidates: None,
@@ -466,7 +466,7 @@ proptest! {
                 for with_cands in [true, false] {
                     let input = JoinInput {
                         doc: &doc,
-                        index: (&index).into(),
+                        index: &index,
                         ctx_index: None,
                         context: &context,
                         candidates: if with_cands { candidates.as_deref() } else { None },
@@ -508,7 +508,7 @@ proptest! {
         context.dedup();
         let input = JoinInput {
             doc: &doc,
-            index: (&index).into(),
+            index: &index,
             ctx_index: None,
             context: &context,
             candidates: Some(nodes),
@@ -543,7 +543,7 @@ proptest! {
             .collect();
         let input = JoinInput {
             doc: &doc,
-            index: (&index).into(),
+            index: &index,
             ctx_index: None,
             context: &context,
             candidates: Some(&candidates),
@@ -555,16 +555,14 @@ proptest! {
 
     /// The reach's boundaries, over multi-region areas: candidates on
     /// and just past either edge of the context extent, zero-width ones,
-    /// areas with one region inside the reach and one outside, under
-    /// retractions inside and outside it — every strategy, every axis,
-    /// with and without a candidate restriction.
+    /// areas with one region inside the reach and one outside — every
+    /// strategy, every axis, with and without a candidate restriction.
     #[test]
     fn reach_edges_match_the_oracle(
         from in 10i64..60,
         first in 0i64..15,
         second in prop::option::of((0i64..20, 0i64..15)),
         extra in prop::collection::vec((0i64..100, 0i64..12), 0..12),
-        retract in prop::collection::vec(any::<bool>(), 0..32),
         restrict in prop::option::of(prop::collection::vec(any::<bool>(), 0..32)),
     ) {
         let mut contexts = vec![("c", vec![(from, from + first)])];
@@ -582,7 +580,6 @@ proptest! {
                 .map(|(&pre, _)| pre)
                 .collect()
         };
-        let retracted = pick(&retract);
         let candidates = restrict.map(|mask| pick(&mask));
         let context: Vec<IterNode> = (doc.elements_named("c").iter())
             .enumerate()
@@ -590,7 +587,7 @@ proptest! {
             .collect();
         let input = JoinInput {
             doc: &doc,
-            index: RegionSource::with_retractions(&index, &retracted),
+            index: &index,
             ctx_index: None,
             context: &context,
             candidates: candidates.as_deref(),

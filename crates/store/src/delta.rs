@@ -1,35 +1,34 @@
-//! Writable overlay deltas over immutable layer sets.
+//! Writable deltas over immutable layer sets.
 //!
 //! A [`LayerSet`] (and a fortiori a mounted SOSN snapshot) is immutable:
 //! its documents are shredded, its region indexes are clustered columns.
-//! Mutation is layered *on top* as a [`DeltaSet`] — per annotation layer,
-//! a list of **inserted** annotations (new stand-off elements over the
-//! same BLOB) and a list of **retracted** ones (existing annotations
-//! hidden from every read). Readers merge base and delta on the fly
-//! (merge-on-read); [`compact`] folds the delta down into a fresh,
-//! delta-free `LayerSet` that can be written out as a new snapshot.
+//! Mutation is recorded *beside* it as a [`DeltaSet`] — per annotation
+//! layer, a list of **inserted** annotations (new stand-off elements
+//! over the same BLOB) and a list of **retracted** ones (existing
+//! annotations to hide). The delta is the durable truth: it is what the
+//! sidecar and the write-ahead log hold. What readers see is its
+//! compaction — [`compact`] folds a whole delta into a fresh, delta-free
+//! `LayerSet`, and [`fold`] folds one more batch into such a compacted
+//! view, so a writer never serves anything but a compacted layer set:
 //!
-//! Two invariants make merge-on-read and compaction observably
-//! equivalent:
-//!
-//! * inserted annotations materialize as a small sibling document per
-//!   layer ([`LayerDelta::insert_doc`]) whose elements carry the same
-//!   `start`/`end` attributes the layer's [`StandoffConfig`] prescribes —
-//!   compaction appends exactly those elements to the layer root, in
-//!   insertion order;
-//! * a retraction hides the **whole subtree** of every matching
-//!   annotation element ([`LayerDelta::retracted_pres`]) — compaction
-//!   drops the same subtrees from the rebuilt document.
+//! * an insert becomes an empty element carrying the `start`/`end`
+//!   attributes the layer's [`standoff_core::StandoffConfig`] prescribes,
+//!   appended to the layer root in insertion order — the pending inserts
+//!   are always the root's last children;
+//! * a retraction drops the **whole subtree** of every matching
+//!   annotation element.
 //!
 //! Deltas target annotation layers only: the base layer is the document
 //! under annotation, not an annotation set, and rewriting it would
 //! invalidate every region of every layer above it.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
-use standoff_core::{MetricsRegistry, Region, StandoffConfig};
-use standoff_xml::{Document, DocumentBuilder, NodeKind};
+use standoff_core::{MetricsRegistry, Region};
+use standoff_xml::{Document, NewElement, NodeKind};
 
 use crate::error::StoreError;
 use crate::layer::{Layer, LayerSet};
@@ -88,47 +87,6 @@ impl LayerDelta {
 
     pub fn is_empty(&self) -> bool {
         self.inserts.is_empty() && self.retracts.is_empty()
-    }
-
-    /// All pres of `layer`'s document hidden by this delta: every node of
-    /// every matching annotation element's subtree. Sorted ascending,
-    /// duplicate-free — the exact shape [`standoff_core::RegionSource`]
-    /// expects.
-    pub fn retracted_pres(&self, layer: &Layer) -> Vec<u32> {
-        let doc = layer.doc();
-        let mut out: Vec<u32> = Vec::new();
-        for (name, start, end) in &self.retracts {
-            for pre in layer.annotations_at(name, *start, *end) {
-                out.push(pre);
-                out.extend(doc.descendants(pre));
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Materialize the pending inserts as a standalone document: the
-    /// layer root's element name wrapping one empty element per insert,
-    /// region markup first, in insertion order. `None` when there is
-    /// nothing to insert (retract-only deltas need no sibling document).
-    pub fn insert_doc(&self, layer: &Layer) -> Result<Option<Document>, StoreError> {
-        if self.inserts.is_empty() {
-            return Ok(None);
-        }
-        let config = layer.config();
-        let root_name = root_element_name(layer.doc())
-            .ok_or_else(|| StoreError::Delta("layer document has no root element".into()))?;
-        let mut b = DocumentBuilder::new();
-        b.start_element(&root_name);
-        for a in &self.inserts {
-            append_insert(&mut b, a, config);
-        }
-        b.end_element();
-        let doc = b
-            .finish()
-            .map_err(|e| StoreError::Delta(format!("insert document: {e}")))?;
-        Ok(Some(doc))
     }
 }
 
@@ -334,20 +292,14 @@ impl DeltaSet {
 }
 
 /// Fold `delta` into `set`: every layer with pending mutations is
-/// rebuilt — matching retracted subtrees dropped, inserts appended to
-/// the layer root in insertion order — and re-validated through
-/// [`Layer::build`]; untouched layers are shared as-is (`Arc` clones).
-/// Records the `store.compact_ns` histogram.
+/// copied — matching retracted subtrees dropped, inserts appended to
+/// the layer root in insertion order; untouched layers are shared as-is
+/// (`Arc` clones). It is [`fold`] of the delta's replayable ops into
+/// the set with nothing pending, and records the `store.compact_ns`
+/// histogram (not `store.fold_ns`).
 pub fn compact(set: &LayerSet, delta: &DeltaSet) -> Result<LayerSet, StoreError> {
     let started = Instant::now();
-    let mut layers: Vec<Layer> = Vec::with_capacity(set.len());
-    for layer in set.layers() {
-        match delta.layer_delta(layer.name()) {
-            None => layers.push(layer.clone()),
-            Some(d) => layers.push(compact_layer(layer, d)?),
-        }
-    }
-    let out = LayerSet::from_layers(set.uri(), layers)?;
+    let out = fold_ops(set, &DeltaSet::new(), &delta.to_ops())?;
     MetricsRegistry::global().record(
         "store.compact_ns",
         started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
@@ -355,109 +307,190 @@ pub fn compact(set: &LayerSet, delta: &DeltaSet) -> Result<LayerSet, StoreError>
     Ok(out)
 }
 
-fn compact_layer(layer: &Layer, delta: &LayerDelta) -> Result<Layer, StoreError> {
+/// Fold one accepted batch into a compacted view: `view` is
+/// `compact(checkpoint, pending)`, and `batch` is what
+/// [`DeltaSet::apply_all`] just accepted on top of `pending` against
+/// the checkpoint. The result is `compact(checkpoint, pending + batch)`,
+/// built from the view alone — so a writer keeps its readers on a
+/// compacted layer set without replaying what is pending.
+///
+/// A compacted layer keeps its pending inserts as the last children of
+/// its root, in insertion order. A batch insert appends one more; a
+/// retract either cancels pending inserts with its key (drops them from
+/// that tail, as [`DeltaSet::apply`] drops them from the delta) or
+/// hides the annotations the view holds at the key, whole subtrees —
+/// the base annotations the checkpoint holds there, minus any already
+/// hidden with an enclosing subtree. Each touched layer is spliced
+/// once, column by column ([`Document::splice`]), so a batch costs a
+/// copy of the layers it touches, whatever is pending; the others are
+/// shared. Records the `store.fold_ns` histogram (per batch: a whole
+/// delta's [`compact`] records `store.compact_ns` instead).
+pub fn fold(
+    view: &LayerSet,
+    pending: &DeltaSet,
+    batch: &[DeltaOp],
+) -> Result<LayerSet, StoreError> {
+    let started = Instant::now();
+    let out = fold_ops(view, pending, batch)?;
+    MetricsRegistry::global().record(
+        "store.fold_ns",
+        started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+    );
+    Ok(out)
+}
+
+fn fold_ops(
+    view: &LayerSet,
+    pending: &DeltaSet,
+    batch: &[DeltaOp],
+) -> Result<LayerSet, StoreError> {
+    let mut layers: Vec<Layer> = Vec::with_capacity(view.len());
+    for layer in view.layers() {
+        let ops: Vec<&DeltaOp> = (batch.iter())
+            .filter(|op| op_layer(op) == layer.name())
+            .collect();
+        if ops.is_empty() {
+            layers.push(layer.clone());
+            continue;
+        }
+        let old = pending
+            .layer_delta(layer.name())
+            .map_or(&[][..], |d| d.inserts());
+        layers.push(fold_layer(layer, old, &ops)?);
+    }
+    LayerSet::from_layers(view.uri(), layers)
+}
+
+fn op_layer(op: &DeltaOp) -> &str {
+    match op {
+        DeltaOp::Insert { layer, .. } | DeltaOp::Retract { layer, .. } => layer,
+    }
+}
+
+/// One layer of [`fold`]: `old` are the layer's pending inserts, the
+/// last `old.len()` children of its root.
+fn fold_layer(
+    layer: &Layer,
+    old: &[DeltaAnnotation],
+    ops: &[&DeltaOp],
+) -> Result<Layer, StoreError> {
     let doc = layer.doc();
-    // Element pres whose subtrees the rebuild skips. Matching is
-    // re-derived here (not taken from `retracted_pres`) because the copy
-    // needs subtree *roots*, not the expanded node set.
+    let root = root_element(doc)
+        .ok_or_else(|| StoreError::Delta("layer document has no root element".into()))?;
+    // Pending inserts are empty elements, so as the root's last children
+    // they hold the last pre ranks of its subtree.
+    let end = root + doc.size(root);
+    let first = (end + 1).checked_sub(old.len() as u32).filter(|&first| {
+        first > root
+            && (first..=end).all(|pre| {
+                doc.kind(pre) == NodeKind::Element && doc.size(pre) == 0 && doc.parent(pre) == root
+            })
+    });
+    let Some(first) = first else {
+        return Err(StoreError::Delta(format!(
+            "layer {:?} does not end in its {} pending inserts",
+            layer.name(),
+            old.len()
+        )));
+    };
+    // The insert tail after the batch: a pending insert keeps its pre,
+    // a batch insert has none yet.
+    let mut tail: Vec<(Option<u32>, Cow<DeltaAnnotation>)> = (first..=end)
+        .zip(old)
+        .map(|(pre, a)| (Some(pre), Cow::Borrowed(a)))
+        .collect();
+    // Element pres whose subtrees the copy leaves out.
     let mut dropped: Vec<u32> = Vec::new();
-    for (name, start, end) in delta.retracts() {
-        dropped.extend(layer.annotations_at(name, *start, *end));
+    for op in ops {
+        match op {
+            DeltaOp::Insert {
+                name,
+                start,
+                end,
+                attrs,
+                ..
+            } => {
+                let a = DeltaAnnotation {
+                    name: name.clone(),
+                    start: *start,
+                    end: *end,
+                    attrs: attrs.clone(),
+                };
+                tail.push((None, Cow::Owned(a)));
+            }
+            DeltaOp::Retract {
+                name, start, end, ..
+            } => {
+                let before = tail.len();
+                tail.retain(|(pre, a)| {
+                    let cancel = a.name == *name && a.start == *start && a.end == *end;
+                    if cancel {
+                        dropped.extend(*pre);
+                    }
+                    !cancel
+                });
+                if tail.len() == before {
+                    dropped.extend(layer.annotations_at(name, *start, *end));
+                }
+            }
+        }
     }
     dropped.sort_unstable();
     dropped.dedup();
-
-    let root = root_element_name(doc)
-        .ok_or_else(|| StoreError::Delta("layer document has no root element".into()))?;
-    let mut b = DocumentBuilder::with_capacity(doc.node_count());
-    if let Some(uri) = doc.uri() {
-        b.uri(uri);
-    }
-    let mut inserted_at_root = false;
-    // Walk the old document's tree nodes in pre order with an explicit
-    // end-stack (the builder wants explicit end_element calls), skipping
-    // dropped subtrees whole.
-    let mut open: Vec<u32> = Vec::new();
-    let mut pre: u32 = 1; // 0 is the document node
-    let last = doc.node_count() as u32 - 1;
-    while pre <= last {
-        while let Some(&top) = open.last() {
-            if pre > top + doc.size(top) {
-                // Closing the root element? Append the inserts first —
-                // that is where compaction and the merge-on-read sibling
-                // document agree to put them.
-                if open.len() == 1 && !inserted_at_root {
-                    for a in delta.inserts() {
-                        append_insert(&mut b, a, layer.config());
-                    }
-                    inserted_at_root = true;
-                }
-                b.end_element();
-                open.pop();
-            } else {
-                break;
-            }
-        }
-        if dropped.binary_search(&pre).is_ok() {
-            pre += doc.size(pre) + 1;
-            continue;
-        }
-        match doc.kind(pre) {
-            NodeKind::Element => {
-                let name = doc.names().lexical(doc.name_id(pre));
-                b.start_element(&name);
-                for attr in doc.attributes(pre) {
-                    let a = attr.attr_index().expect("attribute node");
-                    b.attribute(&doc.names().lexical(doc.attr_name_id(a)), doc.attr_value(a));
-                }
-                open.push(pre);
-            }
-            NodeKind::Text => {
-                b.text(doc.value(pre));
-            }
-            NodeKind::Comment => {
-                b.comment(doc.value(pre));
-            }
-            NodeKind::Pi => {
-                b.pi(&doc.names().lexical(doc.name_id(pre)), doc.value(pre));
-            }
-            NodeKind::Document => unreachable!("document node inside the tree"),
-        }
-        pre += 1;
-    }
-    while let Some(top) = open.pop() {
-        if open.is_empty() && !inserted_at_root {
-            for a in delta.inserts() {
-                append_insert(&mut b, a, layer.config());
-            }
-            inserted_at_root = true;
-        }
-        let _ = top;
-        b.end_element();
-    }
-    debug_assert!(inserted_at_root || delta.inserts().is_empty() || root.is_empty());
-    let doc = b
-        .finish()
-        .map_err(|e| StoreError::Delta(format!("compacted document: {e}")))?;
-    Layer::build(layer.name(), doc, layer.config().clone())
+    let appended: Vec<&DeltaAnnotation> = (tail.iter())
+        .filter(|(pre, _)| pre.is_none())
+        .map(|(_, a)| a.as_ref())
+        .collect();
+    splice_layer(layer, &dropped, &appended)
 }
 
-fn append_insert(b: &mut DocumentBuilder, a: &DeltaAnnotation, config: &StandoffConfig) {
-    b.start_element(&a.name);
-    b.attribute(&config.start_name, &a.start.to_string());
-    b.attribute(&config.end_name, &a.end.to_string());
-    for (k, v) in &a.attrs {
-        b.attribute(k, v);
-    }
-    b.end_element();
+/// Splice `layer` ([`Document::splice`]): the subtrees rooted at
+/// `dropped` (ascending) go, `appended` become new last children of its
+/// root. The copy's region index is derived from the layer's
+/// ([`standoff_core::RegionIndex::renumbered`]): the kept annotations'
+/// areas are unchanged, only their pre ranks move. Debug builds check
+/// the copy ([`Layer::check`]).
+fn splice_layer(
+    layer: &Layer,
+    dropped: &[u32],
+    appended: &[&DeltaAnnotation],
+) -> Result<Layer, StoreError> {
+    let config = layer.config();
+    let elements: Vec<NewElement> = (appended.iter())
+        .map(|a| NewElement {
+            name: a.name.clone(),
+            attrs: [
+                (config.start_name.clone(), a.start.to_string()),
+                (config.end_name.clone(), a.end.to_string()),
+            ]
+            .into_iter()
+            .chain(a.attrs.iter().cloned())
+            .collect(),
+        })
+        .collect();
+    let (folded, moved) = (layer.doc())
+        .splice(dropped, &elements)
+        .map_err(|e| StoreError::Delta(format!("compacted document: {e}")))?;
+    let added = (moved.added().zip(appended))
+        .map(|(pre, a)| {
+            let region = Region::new(a.start, a.end)
+                .map_err(|e| StoreError::Delta(format!("insert: {e}")))?;
+            Ok((pre, region))
+        })
+        .collect::<Result<Vec<_>, StoreError>>()?;
+    let index = layer.index().renumbered(&moved, &added);
+    let folded = Layer::from_shared(
+        layer.name().to_string(),
+        config.clone(),
+        Arc::new(folded),
+        Arc::new(index),
+    )?;
+    debug_assert_eq!(folded.check().map_err(|e| e.to_string()), Ok(()));
+    Ok(folded)
 }
 
 fn root_element(doc: &Document) -> Option<u32> {
     doc.children(0).find(|&c| doc.kind(c) == NodeKind::Element)
-}
-
-fn root_element_name(doc: &Document) -> Option<String> {
-    root_element(doc).map(|c| doc.names().lexical(doc.name_id(c)))
 }
 
 fn check_token(s: &str, what: &str) -> Result<(), StoreError> {
@@ -572,6 +605,7 @@ pub fn ops_to_text(ops: &[DeltaOp]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use standoff_core::StandoffConfig;
     use standoff_xml::parse_document;
 
     fn sample_set() -> LayerSet {
@@ -724,25 +758,56 @@ mod tests {
         }
     }
 
+    /// Batch by batch, [`fold`] reaches what [`compact`] makes of the
+    /// whole delta — across a retract of a nested annotation whose
+    /// enclosing subtree went first, a replace in place, and a retract
+    /// that cancels a pending insert while a base annotation with the
+    /// same key stays.
     #[test]
-    fn retracted_pres_cover_whole_subtrees() {
-        let base = parse_document("<t>abcdef</t>").unwrap();
-        let mut set = LayerSet::build("mem://sub", base, StandoffConfig::default()).unwrap();
+    fn folding_batches_equals_compacting_the_delta() {
+        let base = parse_document("<t>abcdefghij</t>").unwrap();
+        let mut set = LayerSet::build("mem://fold", base, StandoffConfig::default()).unwrap();
         let spans = parse_document(
-            r#"<spans><s start="0" end="2"><note>n</note></s><s start="3" end="5"/></spans>"#,
+            r#"<spans><s start="0" end="2"><s start="1" end="1"/></s><s start="3" end="5"/><s start="6" end="7"/></spans>"#,
         )
         .unwrap();
         set.add_layer("spans", spans, StandoffConfig::default())
             .unwrap();
-        let mut delta = DeltaSet::new();
-        delta.apply(retract("spans", "s", 0, 2), &set).unwrap();
-        let layer = set.layer("spans").unwrap();
-        let hidden = delta.layer_delta("spans").unwrap().retracted_pres(layer);
-        let s = layer.doc().elements_named("s")[0];
-        let mut expect: Vec<u32> = vec![s];
-        expect.extend(layer.doc().descendants(s));
-        assert_eq!(hidden, expect);
-        assert!(hidden.len() >= 3, "element, child element, text");
+        let batches = [
+            vec![insert("spans", "s", 8, 9), insert("spans", "s", 3, 5)],
+            vec![insert("spans", "ner", 4, 4)],
+            vec![retract("spans", "s", 0, 2), retract("spans", "s", 6, 7)],
+            vec![retract("spans", "ner", 4, 4)],
+            vec![retract("spans", "s", 1, 1), insert("spans", "s", 6, 7)],
+            vec![retract("spans", "s", 3, 5), insert("spans", "s", 2, 2)],
+            vec![retract("spans", "s", 8, 9)],
+        ];
+        let xml = |set: &LayerSet| {
+            let doc = set.layer("spans").unwrap().doc();
+            standoff_xml::serialize_document(doc, Default::default())
+        };
+        let (mut delta, mut view) = (DeltaSet::new(), set.clone());
+        for batch in &batches {
+            let mut next = delta.clone();
+            next.apply_all(batch.iter().cloned(), &set).unwrap();
+            view = fold(&view, &delta, batch).unwrap();
+            delta = next;
+            assert_eq!(xml(&view), xml(&compact(&set, &delta).unwrap()));
+        }
+        // The base `s[3,5]` outlived the cancel of its pending twin.
+        assert_eq!(
+            xml(&view),
+            r#"<spans><s start="3" end="5"/><s start="6" end="7"/><s start="2" end="2"/></spans>"#
+        );
+        assert_eq!(view.layer("spans").unwrap().annotation_count(), 3);
+        // `ner` lost its last element but keeps its name id; the view
+        // still writes, verifies and mounts as a snapshot.
+        let path = std::env::temp_dir().join(format!("standoff-fold-{}.snap", std::process::id()));
+        crate::save_snapshot(&view, &path).unwrap();
+        let mounted = crate::Snapshot::open(&path).unwrap();
+        mounted.verify().unwrap();
+        assert_eq!(xml(&mounted.to_layer_set().unwrap()), xml(&view));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -777,7 +842,7 @@ mod tests {
         // Inserts land after the surviving originals, as root children.
         let last_w = tokens.doc().elements_named("w")[1];
         assert!(ner[0] > last_w);
-        // The rebuilt layer re-validated: index covers 2 + 1 annotations.
+        // The spliced layer's index covers 2 + 1 annotations.
         assert_eq!(tokens.annotation_count(), 3);
     }
 
@@ -810,32 +875,5 @@ mod tests {
         assert!(parse_ops("insert tokens w 0\n").is_err());
         assert!(parse_ops("frobnicate tokens w 0 4\n").is_err());
         assert!(parse_ops("retract tokens w 0 4 extra\n").is_err());
-    }
-
-    #[test]
-    fn insert_doc_mirrors_compaction_shape() {
-        let set = sample_set();
-        let mut delta = DeltaSet::new();
-        delta.apply(insert("tokens", "ner", 6, 14), &set).unwrap();
-        let layer = set.layer("tokens").unwrap();
-        let doc = delta
-            .layer_delta("tokens")
-            .unwrap()
-            .insert_doc(layer)
-            .unwrap()
-            .unwrap();
-        // Root carries the layer root's name; one child per insert.
-        let roots = doc.elements_named("tokens");
-        assert_eq!(roots.len(), 1);
-        assert_eq!(doc.elements_named("ner").len(), 1);
-        // Retract-only deltas need no sibling document.
-        let mut d2 = DeltaSet::new();
-        d2.apply(retract("tokens", "w", 0, 4), &set).unwrap();
-        assert!(d2
-            .layer_delta("tokens")
-            .unwrap()
-            .insert_doc(layer)
-            .unwrap()
-            .is_none());
     }
 }

@@ -115,6 +115,33 @@ impl Layer {
         })
     }
 
+    /// Re-derive what the layer holds from its document alone: the
+    /// document's structural invariants hold, and the region index built
+    /// from scratch equals the one the layer carries. The deep check of
+    /// a layer a fold assembled without re-reading its document.
+    pub fn check(&self) -> Result<(), StoreError> {
+        let failed = |detail: String| StoreError::Delta(format!("layer {:?}: {detail}", self.name));
+        self.doc.check_invariants().map_err(failed)?;
+        let built = RegionIndex::build(&self.doc, &self.config)?;
+        let (a, b) = (self.index.storage(), built.storage());
+        if (
+            a.entries,
+            a.node_ids,
+            a.node_offsets,
+            a.node_regions,
+            a.max_regions,
+        ) != (
+            b.entries,
+            b.node_ids,
+            b.node_offsets,
+            b.node_regions,
+            b.max_regions,
+        ) {
+            return Err(failed("region index disagrees with the document".into()));
+        }
+        Ok(())
+    }
+
     /// Decompose into `(name, config, document, index)`. The document
     /// and index stay shared — an engine mounting them takes references,
     /// not copies.
@@ -320,5 +347,18 @@ mod tests {
             StandoffConfig::default(),
         );
         assert!(matches!(r, Err(StoreError::Index(_))));
+    }
+
+    #[test]
+    fn check_rederives_the_index_from_the_document() {
+        let config = StandoffConfig::default;
+        let built = Layer::build("w", doc(r#"<d><w start="0" end="4"/></d>"#), config()).unwrap();
+        assert!(built.check().is_ok());
+        let other =
+            RegionIndex::build(&doc(r#"<d><w start="0" end="5"/></d>"#), &config()).unwrap();
+        let (name, config, doc, _) = built.into_parts();
+        let mismatched = Layer::from_shared(name, config, doc, Arc::new(other)).unwrap();
+        let err = mismatched.check().unwrap_err().to_string();
+        assert!(err.contains("region index disagrees"), "{err}");
     }
 }

@@ -22,6 +22,9 @@
 //!   `RegionIndex::build`, no per-node allocation. A file declaring any
 //!   other version is refused by name — snapshots are derived data,
 //!   rebuilt from the layer XML with `standoff-xq index`.
+//! * [`delta`] — pending mutations ([`DeltaSet`]) and the one fold that
+//!   turns them into a compacted layer set ([`compact`] for a whole
+//!   delta, [`fold`] for one more batch over a compacted view).
 //! * [`atomic`] / [`wal`] — the durability layer: every in-place
 //!   rewrite goes through write-temp → fsync → rename → fsync(dir), and
 //!   delta batches are journaled to an append-only, per-record
@@ -51,7 +54,9 @@ pub mod snapshot;
 pub mod wal;
 
 pub use atomic::{atomic_replace, atomic_write};
-pub use delta::{compact, ops_to_text, parse_ops, DeltaAnnotation, DeltaOp, DeltaSet, LayerDelta};
+pub use delta::{
+    compact, fold, ops_to_text, parse_ops, DeltaAnnotation, DeltaOp, DeltaSet, LayerDelta,
+};
 pub use error::StoreError;
 pub use layer::{Layer, LayerSet, BASE_LAYER};
 pub use mount::{write_snapshot, Catalog, Snapshot, VerifyReport};

@@ -1088,8 +1088,8 @@ impl Snapshot {
             .ok_or_else(|| StoreError::BadLayerName(format!("<layer {k}>")))
     }
 
-    /// Realize every layer and assemble an eager [`LayerSet`] — what an
-    /// overlay mount and the writers consume. Layers stay shared with
+    /// Realize every layer and assemble an eager [`LayerSet`] — what a
+    /// pending delta is folded into, and what the writers consume. Layers stay shared with
     /// this snapshot's cache (cloning a [`Layer`] clones two `Arc`s).
     pub fn to_layer_set(&self) -> Result<LayerSet, StoreError> {
         let mut layers = Vec::with_capacity(self.inner.layers.len());

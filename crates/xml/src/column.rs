@@ -516,6 +516,23 @@ impl StrArenaBuilder {
         self.bump_last_offset();
     }
 
+    /// Pre-size the heap for an expected byte count.
+    pub fn reserve_bytes(&mut self, bytes: usize) {
+        self.heap.reserve(bytes);
+    }
+
+    /// Append slots `slots` of `arena`, in order: one copy of their
+    /// bytes, their offsets shifted.
+    pub fn extend_from(&mut self, arena: &StrArena, slots: Range<usize>) {
+        let offsets = &arena.offsets[slots.start..=slots.end];
+        let (lo, hi) = (offsets[0] as usize, offsets[offsets.len() - 1] as usize);
+        let base = u32::try_from(self.heap.len() + (hi - lo))
+            .expect("document string data exceeds the 4 GiB per-document bound")
+            - (hi - lo) as u32;
+        self.heap.extend_from_slice(&arena.heap[lo..hi]);
+        (self.offsets).extend(offsets[1..].iter().map(|&off| off - lo as u32 + base));
+    }
+
     /// Extend the most recently pushed slot in place (text-node merging
     /// in the document builder — the last slot's bytes are the heap
     /// tail, so appending is just growing it).

@@ -21,6 +21,10 @@ use crate::column::{PodCol, SharedBytes, StrArena};
 use crate::name::{NameId, NameTable};
 use crate::node::{NodeId, NodeKind};
 
+mod splice;
+
+pub use splice::{NewElement, Renumbering};
+
 /// The node-kind column: a validated `u8` column. View construction
 /// rejects any byte that is not a [`NodeKind`] discriminant, so `get`
 /// can reinterpret without a per-access check.

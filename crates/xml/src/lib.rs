@@ -37,7 +37,9 @@ pub mod wire;
 
 pub use builder::DocumentBuilder;
 pub use column::{Pod, PodCol, SharedBytes, StrArena, StrArenaBuilder};
-pub use doc::{Document, DocumentParts, DocumentStorageRef, ElemIndex, KindCol};
+pub use doc::{
+    Document, DocumentParts, DocumentStorageRef, ElemIndex, KindCol, NewElement, Renumbering,
+};
 pub use error::{ParseError, XmlError};
 pub use name::{NameId, NameTable, QName};
 pub use node::{DocId, NodeId, NodeKind, NodeRef};

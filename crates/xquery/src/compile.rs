@@ -46,8 +46,8 @@ use crate::plan::*;
 pub struct PlanContext<'a> {
     pub options: &'a EngineOptions,
     /// The corpus compiled against: documents and their element-name
-    /// tables (candidate counts), mounted layer groups (which layers a
-    /// join can reach), overlay retractions and delta documents.
+    /// tables (candidate counts) and mounted layer groups (which layers
+    /// a join can reach).
     pub corpus: Option<&'a EngineState>,
     /// Run the `estimate` pass (explain-grade cardinality annotations).
     /// Off on execution paths — estimates are only ever read by

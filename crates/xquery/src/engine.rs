@@ -23,11 +23,9 @@ use std::time::Instant;
 use standoff_algebra::{Item, LlSeq};
 use standoff_core::join::{JoinScratch, JoinStats};
 use standoff_core::obs::{Counter, Histogram, MetricsRegistry};
-use standoff_core::{
-    Budget, IndexStats, RegionIndex, RegionSource, StandoffConfig, StandoffStrategy,
-};
-use standoff_store::{Catalog, DeltaSet, Layer, LayerSet, Snapshot};
-use standoff_xml::{DocId, DocSource, Document, NodeKind, NodeRef, Store};
+use standoff_core::{Budget, IndexStats, RegionIndex, StandoffConfig, StandoffStrategy};
+use standoff_store::{Catalog, Layer, LayerSet, Snapshot};
+use standoff_xml::{DocId, DocSource, Document, Store};
 
 use crate::ast::Query;
 use crate::compile::{self, PlanContext};
@@ -116,7 +114,6 @@ pub(crate) struct MetricHandles {
     /// One handle per [`JoinStats::COUNTERS`] row, registered as
     /// `join.<name>`.
     join: Vec<Counter>,
-    pub(crate) delta_merge_reads: Counter,
     /// Executions whose join targets were not the layers the plan line
     /// named (`layers: …; result: …`) — see [`crate::eval`].
     pub(crate) claim_mismatch_result_merge: Counter,
@@ -134,7 +131,6 @@ impl MetricHandles {
                 .iter()
                 .map(|c| registry.counter(&format!("join.{}", c.name)))
                 .collect(),
-            delta_merge_reads: registry.counter("store.delta.merge_reads"),
             claim_mismatch_result_merge: registry.counter("plan.claim_mismatch.result_merge"),
         }
     }
@@ -314,21 +310,11 @@ pub struct EngineState {
     layer_groups: Vec<Vec<DocId>>,
     /// Document id → its layer group, for mounted documents.
     doc_group: HashMap<u32, u32>,
-    /// Mounted layer documents (delta documents included): the
-    /// configuration each index was built under, and the index itself,
-    /// materialized on first dereference.
+    /// Mounted layer documents: the configuration each index was built
+    /// under, and the index itself, materialized on first dereference.
     layers: HashMap<u32, Arc<MountedLayer>>,
     /// `(store uri, layer name)` → document, for the `layer()` builtin.
     layer_lookup: HashMap<(String, String), DocId>,
-    /// Overlay retractions: document id → strictly ascending,
-    /// subtree-expanded pre ranks hidden by a mounted delta. Empty on
-    /// pure corpora — the zero-cost common case.
-    retracted: HashMap<u32, Arc<Vec<u32>>>,
-    /// Parent layer document → the delta document carrying its pending
-    /// inserts (mounted as an extra member of the same layer group).
-    delta_of: HashMap<u32, DocId>,
-    /// Document ids that *are* delta documents.
-    delta_docs: std::collections::HashSet<u32>,
     /// Values for `declare variable $x external` declarations.
     externals: HashMap<String, Vec<Item>>,
     /// Reusable buffers for the StandOff join hot path; lives on the
@@ -374,9 +360,6 @@ impl EngineState {
             doc_group: HashMap::new(),
             layers: HashMap::new(),
             layer_lookup: HashMap::new(),
-            retracted: HashMap::new(),
-            delta_of: HashMap::new(),
-            delta_docs: std::collections::HashSet::new(),
             externals: HashMap::new(),
             join_scratch: JoinScratch::default(),
             join_stats: JoinStats::default(),
@@ -437,95 +420,18 @@ impl EngineState {
             .copied()
     }
 
-    /// Overlay retractions of a document: strictly ascending,
-    /// subtree-expanded pre ranks hidden until the next compaction.
-    /// Empty for pure (non-overlay) documents.
-    pub(crate) fn retractions_of(&self, doc: DocId) -> &[u32] {
-        self.retracted.get(&doc.0).map_or(&[], |v| v.as_slice())
-    }
-
-    /// Merge-on-read view over a document's region index: the raw index
-    /// columns minus the overlay's retracted nodes. Pure snapshots keep
-    /// the zero-copy borrow.
-    pub(crate) fn region_source<'a>(
-        &'a self,
-        doc: DocId,
-        index: &'a RegionIndex,
-    ) -> RegionSource<'a> {
-        RegionSource::with_retractions(index, self.retractions_of(doc))
-    }
-
-    /// Does any mounted document carry retractions? A single branch that
-    /// keeps the pure read path free of per-node retraction checks.
-    #[inline]
-    pub(crate) fn has_retractions(&self) -> bool {
-        !self.retracted.is_empty()
-    }
-
-    /// Is `doc` a mounted delta document (pending overlay inserts)?
-    pub(crate) fn is_delta_doc(&self, doc: DocId) -> bool {
-        self.delta_docs.contains(&doc.0)
-    }
-
-    /// The delta document mounted over a layer document, if any.
-    pub(crate) fn delta_doc_of(&self, doc: DocId) -> Option<DocId> {
-        self.delta_of.get(&doc.0).copied()
-    }
-
-    /// Does any mounted document carry a delta companion? The pure-mount
-    /// fast-path branch for tree-step context expansion.
-    #[inline]
-    pub(crate) fn has_delta_docs(&self) -> bool {
-        !self.delta_docs.is_empty()
-    }
-
-    /// The node of a layer's delta document that mirrors `node`, if the
-    /// layer has one and `node` sits at a mirrored position: the
-    /// document node mirrors pre 0, the root element mirrors the delta
-    /// root (always pre 1 — delta documents are built with no leading
-    /// comments or PIs).
-    pub(crate) fn delta_mirror(&self, node: NodeRef) -> Option<NodeRef> {
-        let pre = node.id.pre()?;
-        let delta = self.delta_doc_of(node.doc)?;
-        let doc = self.store.doc(node.doc);
-        if pre == 0 {
-            Some(NodeRef::tree(delta, 0))
-        } else if doc.parent(pre) == 0 && doc.kind(pre) == NodeKind::Element {
-            Some(NodeRef::tree(delta, 1))
-        } else {
-            None
-        }
-    }
-
-    /// The layer document a delta document overlays (inverse of
-    /// [`Self::delta_doc_of`]). Linear in the number of overlaid layers,
-    /// which is small and only walked on overlay mounts.
-    pub(crate) fn base_doc_of(&self, delta: DocId) -> Option<DocId> {
-        self.delta_of
-            .iter()
-            .find(|(_, d)| **d == delta)
-            .map(|(base, _)| DocId(*base))
-    }
-
     /// Every mounted layer group's member documents (base first).
     pub(crate) fn layer_groups(&self) -> &[Vec<DocId>] {
         &self.layer_groups
     }
 
-    /// How `explain` names a mounted layer document: its layer name,
-    /// `name#delta` for the document holding the layer's pending
-    /// inserts. Linear in the number of mounted layers.
+    /// How `explain` names a mounted layer document: its layer name.
+    /// Linear in the number of mounted layers.
     pub(crate) fn layer_label(&self, doc: DocId) -> String {
-        let name_of = |doc: DocId| {
-            self.layer_lookup
-                .iter()
-                .find(|(_, d)| **d == doc)
-                .map_or("?", |((_, name), _)| name.as_str())
-        };
-        match self.base_doc_of(doc) {
-            Some(base) => format!("{}#delta", name_of(base)),
-            None => name_of(doc).to_string(),
-        }
+        (self.layer_lookup.iter())
+            .find(|(_, d)| **d == doc)
+            .map_or("?", |((_, name), _)| name.as_str())
+            .to_string()
     }
 
     /// The region indexes of the documents `include` keeps: every
@@ -544,12 +450,11 @@ impl EngineState {
     }
 
     /// Merged statistics of the region indexes of the documents
-    /// `include` keeps, with overlay retractions subtracted per index —
-    /// the optimizer costs the *visible* corpus, not the raw columns.
+    /// `include` keeps.
     pub(crate) fn index_stats(&self, include: impl Fn(DocId) -> bool) -> IndexStats {
         let mut stats = IndexStats::default();
-        for (doc, index) in self.indexes(include) {
-            stats.merge(self.region_source(doc, &index).stats());
+        for (_, index) in self.indexes(include) {
+            stats.merge(index.stats());
         }
         stats
     }
@@ -733,8 +638,19 @@ impl Engine {
     /// * all layers of the set form one *layer group*: StandOff axis
     ///   steps and the `select-narrow(..)` builtin family join across the
     ///   whole group, so `entities` can be narrowed by `tokens`.
+    ///
+    /// A writer's pending delta is mounted the same way, folded in: see
+    /// [`crate::WritableEngine`] and `standoff_store::compact`. The
+    /// documents and indexes stay shared with the layer set (and, for a
+    /// set materialized from a snapshot, with the snapshot's layer
+    /// cache): mounting is pointer plumbing, not a copy of column data.
     pub fn mount_store(&mut self, set: LayerSet) -> Result<DocId, QueryError> {
-        self.mount_overlay(set, &DeltaSet::new())
+        let (uri, layers) = set.into_layers();
+        let bodies = layers
+            .into_iter()
+            .map(|layer| LayerBody::Ready(Arc::new(layer)))
+            .collect();
+        self.mount_layers(&uri, bodies)
     }
 
     /// Mount every layer of a [`Snapshot`], registered exactly as
@@ -759,127 +675,41 @@ impl Engine {
             })
             .collect::<Result<Vec<_>, standoff_store::StoreError>>()
             .map_err(|e| QueryError::stat(format!("cannot mount snapshot: {e}")))?;
-        self.mount_layers(snapshot.uri(), bodies, &DeltaSet::new())
-    }
-
-    /// Mount a layer set together with a pending [`DeltaSet`] overlay —
-    /// the merge-on-read mount behind [`crate::WritableEngine`].
-    ///
-    /// The base and annotation layers register exactly as in
-    /// [`Engine::mount_store`]. On top of that, per mutated layer:
-    ///
-    /// * pending **inserts** materialize as a small sibling document
-    ///   (`uri#layer#delta`) mounted into the same layer group,
-    ///   *immediately after* its parent layer — document ids drive
-    ///   cross-document order, and compaction appends inserts at the end
-    ///   of the parent's root, so adjacency keeps the merged stream and
-    ///   the compacted snapshot in the same document order;
-    /// * pending **retracts** become the layer's hidden-pre set, which
-    ///   joins, tree steps and the optimizer's statistics subtract via
-    ///   [`standoff_core::RegionSource`].
-    ///
-    /// With an empty delta this *is* `mount_store`: a layer without
-    /// pending mutations registers nothing but itself — same
-    /// registrations, same zero-copy index sharing (the document and
-    /// index stay shared with the layer set and, for mounted snapshots,
-    /// with the snapshot's layer cache: mounting is pointer plumbing,
-    /// not a copy of column data).
-    pub fn mount_overlay(&mut self, set: LayerSet, delta: &DeltaSet) -> Result<DocId, QueryError> {
-        let (uri, layers) = set.into_layers();
-        let bodies = layers
-            .into_iter()
-            .map(|layer| LayerBody::Ready(Arc::new(layer)))
-            .collect();
-        self.mount_layers(&uri, bodies, delta)
+        self.mount_layers(snapshot.uri(), bodies)
     }
 
     /// The one registration path of every mount.
-    fn mount_layers(
-        &mut self,
-        uri: &str,
-        bodies: Vec<LayerBody>,
-        delta: &DeltaSet,
-    ) -> Result<DocId, QueryError> {
+    fn mount_layers(&mut self, uri: &str, bodies: Vec<LayerBody>) -> Result<DocId, QueryError> {
         let started = Instant::now();
-        let overlay_err = |e: String| QueryError::stat(format!("cannot mount overlay: {e}"));
-        // Per layer: the mounted layer, its registration URI, hidden
-        // pres, and the materialized insert document (if any) with its
-        // derived URI. Prepared fully before any state is touched so a
-        // failed mount changes nothing.
-        let mut prepared = Vec::with_capacity(bodies.len());
+        let registered = |k: usize, body: &LayerBody| match k {
+            0 => uri.to_string(),
+            _ => format!("{uri}#{}", body.name()),
+        };
+        // Checked before any state is touched, so a failed mount changes
+        // nothing.
+        for (k, body) in bodies.iter().enumerate() {
+            let doc_uri = registered(k, body);
+            if self.state.store.by_uri(&doc_uri).is_some() {
+                return Err(QueryError::stat(format!(
+                    "cannot mount store: a document is already registered at '{doc_uri}'"
+                )));
+            }
+        }
+        let group_id = self.state.layer_groups.len() as u32;
+        let mut members = Vec::with_capacity(bodies.len());
         for (k, body) in bodies.into_iter().enumerate() {
-            let doc_uri = if k == 0 {
-                uri.to_string()
-            } else {
-                format!("{uri}#{}", body.name())
-            };
+            let doc_uri = registered(k, &body);
+            let name = body.name().to_string();
             let layer = Arc::new(MountedLayer {
                 label: doc_uri.clone(),
                 body,
                 materialize_ns: self.state.handles.snapshot_materialize_ns.clone(),
             });
-            let (retracted, insert_doc) = match delta.layer_delta(layer.body.name()) {
-                Some(d) => {
-                    let whole = layer.layer().map_err(overlay_err)?;
-                    let insert_doc = d
-                        .insert_doc(&whole)
-                        .map_err(|e| overlay_err(e.to_string()))?;
-                    (d.retracted_pres(&whole), insert_doc)
-                }
-                None => (Vec::new(), None),
-            };
-            let delta_uri = insert_doc.as_ref().map(|_| format!("{doc_uri}#delta"));
-            prepared.push((layer, doc_uri, retracted, insert_doc, delta_uri));
-        }
-        for (_, doc_uri, _, _, delta_uri) in &prepared {
-            for u in std::iter::once(doc_uri).chain(delta_uri.as_ref()) {
-                if self.state.store.by_uri(u).is_some() {
-                    return Err(QueryError::stat(format!(
-                        "cannot mount store: a document is already registered at '{u}'"
-                    )));
-                }
-            }
-        }
-        let group_id = self.state.layer_groups.len() as u32;
-        let mut members = Vec::with_capacity(prepared.len());
-        for (layer, doc_uri, retracted, insert_doc, delta_uri) in prepared {
             let id = self.state.store.add_source(layer.clone(), Some(&doc_uri));
-            let name = layer.body.name().to_string();
-            self.state
-                .layer_lookup
-                .insert((uri.to_string(), name.clone()), id);
+            self.state.layer_lookup.insert((uri.to_string(), name), id);
             self.state.doc_group.insert(id.0, group_id);
-            members.push(id);
-            if !retracted.is_empty() {
-                self.state.retracted.insert(id.0, Arc::new(retracted));
-            }
-            if let Some(ddoc) = insert_doc {
-                let dindex = RegionIndex::build(&ddoc, layer.config())
-                    .map_err(|e| overlay_err(e.to_string()))?;
-                let dlayer = Layer::from_shared(
-                    name.clone(),
-                    layer.config().clone(),
-                    Arc::new(ddoc),
-                    Arc::new(dindex),
-                )
-                .map_err(|e| overlay_err(e.to_string()))?;
-                let delta_uri = delta_uri.expect("an insert document has a URI");
-                let dlayer = Arc::new(MountedLayer {
-                    label: delta_uri.clone(),
-                    body: LayerBody::Ready(Arc::new(dlayer)),
-                    materialize_ns: layer.materialize_ns.clone(),
-                });
-                let did = self
-                    .state
-                    .store
-                    .add_source(dlayer.clone(), Some(&delta_uri));
-                self.state.layers.insert(did.0, dlayer);
-                self.state.doc_group.insert(did.0, group_id);
-                self.state.delta_of.insert(id.0, did);
-                self.state.delta_docs.insert(did.0);
-                members.push(did);
-            }
             self.state.layers.insert(id.0, layer);
+            members.push(id);
         }
         let base = members[0];
         self.state.layer_groups.push(members);

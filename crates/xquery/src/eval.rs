@@ -47,19 +47,6 @@ use crate::functions;
 use crate::plan::*;
 use crate::profile::{JoinExec, PlanProfile};
 
-/// Pre rank of a document's root *element* (skipping any leading
-/// comments or processing instructions at document level).
-fn root_element_pre(doc: &standoff_xml::Document) -> u32 {
-    let mut pre = 1u32;
-    while (pre as usize) < doc.node_count() {
-        if doc.kind(pre) == NodeKind::Element && doc.parent(pre) == 0 {
-            return pre;
-        }
-        pre += doc.size(pre) + 1;
-    }
-    0
-}
-
 /// An operator result [`Evaluator::metered`] can account for.
 trait Rows {
     fn rows(&self) -> usize;
@@ -83,10 +70,7 @@ impl Rows for NodeTable {
 /// generic frame computes for this shape — the attribute axis from the
 /// row, atomized, string-compared, existentially — without attribute
 /// nodes, a boolean column or position/last columns: rows that are not
-/// elements have no attributes and drop, and on an overlay mount a
-/// layer-root row also sees the attributes of the root its delta
-/// document mirrors (as `expand_delta_contexts` gives the attribute
-/// step).
+/// elements have no attributes and drop.
 struct AttrTest<'a> {
     engine: &'a EngineState,
     name: &'a str,
@@ -107,12 +91,6 @@ impl<'a> AttrTest<'a> {
     }
 
     fn keeps(&mut self, node: NodeRef) -> bool {
-        self.carries(node)
-            || (self.engine.has_delta_docs()
-                && (self.engine.delta_mirror(node)).is_some_and(|mirror| self.carries(mirror)))
-    }
-
-    fn carries(&mut self, node: NodeRef) -> bool {
         let Some(pre) = node.id.pre() else {
             return false; // attribute rows have no attributes
         };
@@ -1023,17 +1001,12 @@ impl<'e> Evaluator<'e> {
         predicates: &[PlanExpr],
     ) -> Result<LlSeq, QueryError> {
         // A leading `[@a = "v"]` is tested as the step emits each row,
-        // so the rows it drops are never stored or ordered — on every
-        // axis but the upward ones, whose overlay scaffolding rows are
-        // remapped to other nodes after the walk.
-        use TreeAxis as A;
+        // so the rows it drops are never stored or ordered.
         if let [first @ PlanExpr::AttrEquals { name, value }, rest @ ..] = predicates {
-            if !matches!(axis, A::Parent | A::Ancestor | A::AncestorOrSelf) {
-                let nodes = self.metered(first, |ev| {
-                    Ok(ev.tree_step_nodes(ctx, axis, test, Some((name, value))))
-                })?;
-                return self.apply_step_predicates(nodes, rest);
-            }
+            let nodes = self.metered(first, |ev| {
+                Ok(ev.tree_step_nodes(ctx, axis, test, Some((name, value))))
+            })?;
+            return self.apply_step_predicates(nodes, rest);
         }
         let nodes = self.tree_step_nodes(ctx, axis, test, None);
         self.apply_step_predicates(nodes, predicates)
@@ -1059,8 +1032,8 @@ impl<'e> Evaluator<'e> {
         Ok(table)
     }
 
-    /// One tree step over `ctx`, merge-on-read included, keeping only
-    /// the rows that carry attribute `attr.0` = `attr.1` when asked to.
+    /// One tree step over `ctx`, keeping only the rows that carry
+    /// attribute `attr.0` = `attr.1` when asked to.
     fn tree_step_nodes(
         &mut self,
         ctx: NodeTable,
@@ -1069,12 +1042,11 @@ impl<'e> Evaluator<'e> {
         attr: Option<(&str, &str)>,
     ) -> NodeTable {
         use standoff_algebra::staircase::{ll_step_cached, ll_step_where};
-        let (ctx, expanded) = self.expand_delta_contexts(ctx, axis);
         // `test` is plan memory (see `name_cache`), so resolution is
         // memoized per document across re-executions of this step.
         let engine = &*self.engine;
         let cache = &mut self.name_cache;
-        let result = match attr {
+        match attr {
             Some((name, value)) => {
                 let mut attr = AttrTest::new(engine, name, value);
                 ll_step_where(&engine.store, &ctx, axis, test, cache, |node| {
@@ -1082,124 +1054,7 @@ impl<'e> Evaluator<'e> {
                 })
             }
             None => ll_step_cached(&engine.store, &ctx, axis, test, cache),
-        };
-        let result = self.filter_retracted(result);
-        self.fold_delta_scaffolding(result, axis, expanded)
-    }
-
-    /// Merge-on-read, navigation half: a mounted overlay keeps a layer's
-    /// pending inserts in a sibling *delta document* whose root mirrors
-    /// the layer root (see [`crate::Engine::mount_overlay`]). For the
-    /// downward axes, every context row sitting at a position the delta
-    /// document mirrors — the document node and the root element — gains
-    /// a companion row at the mirrored position, so one `ll_step` scan
-    /// walks base and delta as a single logical tree. Documents without
-    /// a delta (and upward/sibling axes, where the companion could only
-    /// produce scaffolding) pass through untouched; the whole expansion
-    /// is one branch on pure mounts.
-    fn expand_delta_contexts(&self, ctx: NodeTable, axis: TreeAxis) -> (NodeTable, bool) {
-        use TreeAxis as A;
-        if !self.engine.has_delta_docs()
-            || !matches!(
-                axis,
-                A::Child | A::Descendant | A::DescendantOrSelf | A::Attribute
-            )
-        {
-            return (ctx, false);
         }
-        let mut out = NodeTable::with_capacity(ctx.len());
-        let mut expanded = false;
-        for (&iter, &node) in ctx.iters().iter().zip(ctx.nodes()) {
-            out.push(iter, node);
-            if let Some(mirror) = self.engine.delta_mirror(node) {
-                out.push(iter, mirror);
-                expanded = true;
-            }
-        }
-        (out, expanded)
-    }
-
-    /// Merge-on-read, navigation half (result side): the delta document's
-    /// document node and root element are scaffolding — the *logical*
-    /// document has exactly one root, the base layer's. Upward axes remap
-    /// them to their base originals (the parent of a pending insert is
-    /// the layer root, exactly as after compaction); every other axis
-    /// drops them. When anything changed, one `normalize` pass restores
-    /// per-iteration document order and collapses remap duplicates —
-    /// delta documents mount id-adjacent after their base, so the merged
-    /// order equals the compacted snapshot's. No-op on pure mounts.
-    fn fold_delta_scaffolding(
-        &self,
-        table: NodeTable,
-        axis: TreeAxis,
-        expanded: bool,
-    ) -> NodeTable {
-        use TreeAxis as A;
-        if !self.engine.has_delta_docs() {
-            return table;
-        }
-        let upward = matches!(axis, A::Parent | A::Ancestor | A::AncestorOrSelf);
-        let mut out = NodeTable::with_capacity(table.len());
-        let mut changed = expanded;
-        for (&iter, &node) in table.iters().iter().zip(table.nodes()) {
-            let scaffold = node
-                .id
-                .pre()
-                .is_some_and(|pre| pre <= 1 && self.engine.is_delta_doc(node.doc));
-            if !scaffold {
-                out.push(iter, node);
-                continue;
-            }
-            changed = true;
-            if upward {
-                let base = self
-                    .engine
-                    .base_doc_of(node.doc)
-                    .expect("delta documents always overlay a base layer");
-                let pre = node.id.pre().unwrap();
-                let mapped = if pre == 0 {
-                    0
-                } else {
-                    root_element_pre(self.engine.store.doc(base))
-                };
-                out.push(iter, NodeRef::tree(base, mapped));
-            }
-        }
-        if changed {
-            out.normalize(&self.engine.store);
-        }
-        out
-    }
-
-    /// Drop rows the mounted overlay has retracted: any node inside a
-    /// retracted annotation subtree, and any attribute whose owner is.
-    /// Every tree-navigation axis funnels through [`eval_tree_step`], so
-    /// this one filter makes `//name`, `count(..)` and predicate steps
-    /// agree with the merge-on-read joins. Free on pure mounts — a
-    /// single branch when no retraction exists anywhere.
-    fn filter_retracted(&self, table: NodeTable) -> NodeTable {
-        if !self.engine.has_retractions() {
-            return table;
-        }
-        let mut out = NodeTable::with_capacity(table.len());
-        for (&iter, &node) in table.iters().iter().zip(table.nodes()) {
-            let hidden = {
-                let hidden_pres = self.engine.retractions_of(node.doc);
-                if hidden_pres.is_empty() {
-                    false
-                } else {
-                    let pre = node.id.pre().unwrap_or_else(|| {
-                        let a = node.id.attr_index().expect("tree node or attribute");
-                        self.engine.store.doc(node.doc).attr_owner(a)
-                    });
-                    hidden_pres.binary_search(&pre).is_ok()
-                }
-            };
-            if !hidden {
-                out.push(iter, node);
-            }
-        }
-        out
     }
 
     /// A StandOff axis step without its predicates.
@@ -1232,9 +1087,8 @@ impl<'e> Evaluator<'e> {
     /// Figure 3) overrides the name-test pushdown.
     ///
     /// The context splits into join units ([`JoinUnit`]). Per unit, the
-    /// context rows of all its documents — a layer and the delta
-    /// document of its pending inserts are two — are resolved to region
-    /// entries and sorted once, and joined in one kernel call into each
+    /// context rows of all its documents are resolved to region entries
+    /// and sorted once, and joined in one kernel call into each
     /// layer that can answer the step ([`answering_layers`]). Every call
     /// returns its layer's rows `(iter, pre)`-sorted and layers are
     /// visited in document order, so the result is one such run as it
@@ -1322,9 +1176,6 @@ impl<'e> Evaluator<'e> {
         // Single fold point: engine counters, registry mirror, and —
         // when profiling — the operator's JoinExec detail.
         self.engine.handles.record_join(&exec.stats);
-        if exec.merge_reads > 0 {
-            self.engine.handles.delta_merge_reads.add(exec.merge_reads);
-        }
         self.engine.join_stats.merge(exec.stats);
         if let Some(p) = self.profile.as_deref_mut() {
             p.op_mut(prof_key)
@@ -1439,9 +1290,7 @@ impl<'e> Evaluator<'e> {
             .collect::<Result<Vec<_>, _>>()?;
         let engine = &*self.engine;
         let contexts = unit.contexts.iter().zip(&ctx_indexes);
-        scratch.resolve_context(
-            contexts.map(|((doc, rows), index)| (engine.region_source(*doc, index), &rows[..])),
-        );
+        scratch.resolve_context(contexts.map(|((_, rows), index)| (&**index, &rows[..])));
         // The rejects complement over every iteration of the unit.
         let mut iter_domain: Vec<u32> = Vec::new();
         if !op.axis.is_select() {
@@ -1451,9 +1300,6 @@ impl<'e> Evaluator<'e> {
             iter_domain.sort_unstable();
             iter_domain.dedup();
         }
-        let overlaid =
-            |doc: DocId| engine.is_delta_doc(doc) || !engine.retractions_of(doc).is_empty();
-        let overlaid_context = unit.contexts.iter().any(|(doc, _)| overlaid(*doc));
         for (&target, index) in targets.iter().zip(&target_indexes) {
             let doc = engine.store.doc(target);
             // Candidate restriction: explicit sequence, or the plan's
@@ -1469,18 +1315,12 @@ impl<'e> Evaluator<'e> {
             if let Some(cands) = candidates {
                 exec.cand_rows += cands.len() as u64;
                 exec.cand_max = exec.cand_max.max(cands.len() as u64);
-                if engine.is_delta_doc(target) {
-                    exec.delta_cand_rows += cands.len() as u64;
-                }
             }
             exec.target_joins += 1;
             exec.target_entries += index.len() as u64;
-            if overlaid_context || overlaid(target) {
-                exec.merge_reads += 1;
-            }
             let input = JoinTarget {
                 doc,
-                index: engine.region_source(target, index),
+                index,
                 candidates,
                 iter_domain: &iter_domain,
             };

@@ -109,15 +109,6 @@ impl AnalyzeCtx<'_> {
                     note.push_str(&label.replace("{}", &value.to_string()));
                 }
             }
-            // Only an overlay mount can make these nonzero; pure
-            // snapshots keep the historical analyze line untouched.
-            if j.merge_reads > 0 || j.delta_cand_rows > 0 {
-                let _ = write!(
-                    note,
-                    " delta-cands={} merge-reads={}",
-                    j.delta_cand_rows, j.merge_reads
-                );
-            }
         }
         Some(note)
     }
@@ -224,12 +215,6 @@ fn standoff_note(op: &StandoffOp, explicit_candidates: bool) -> String {
         );
         if let Some(c) = est.candidates {
             let _ = write!(note, ", ≈{c} candidate(s)");
-        }
-        // Overlay mounts only: how much of the candidate stream is
-        // merge-on-read delta vs base snapshot. Pure mounts render
-        // byte-identically to before (the estimate is `None`).
-        if let Some(d) = est.delta_candidates.filter(|&d| d > 0) {
-            let _ = write!(note, ", {d} from delta overlay");
         }
         if est.index.max_regions > 1 {
             let _ = write!(note, ", ≤{} region(s)/annotation", est.index.max_regions);

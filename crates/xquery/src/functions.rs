@@ -424,10 +424,6 @@ fn fn_doc(ev: &mut Evaluator<'_>, uris: &LlSeq) -> Result<LlSeq, QueryError> {
             .try_doc(doc_id)
             .map_err(QueryError::dynamic)?;
         out.push(iter, Item::Node(NodeRef::tree(doc_id, 0)));
-        // Overlay mount: the layer's pending inserts live in a sibling
-        // delta document, but it is *not* a second root — tree steps
-        // expand into it on the fly (see `Evaluator::eval_tree_step`),
-        // so the caller sees exactly one document, as after compaction.
     }
     Ok(out)
 }
@@ -454,10 +450,6 @@ fn fn_layer(ev: &mut Evaluator<'_>, uris: &LlSeq, names: &LlSeq) -> Result<LlSeq
             .try_doc(doc_id)
             .map_err(QueryError::dynamic)?;
         out.push(iter, Item::Node(NodeRef::tree(doc_id, 0)));
-        // Merge-on-read: a mutated layer's inserts ride in its sibling
-        // delta document (see `Engine::mount_overlay`). Tree steps merge
-        // it in on the fly; returning only the base root keeps `/site`
-        // style child steps from binding the same logical root twice.
     }
     Ok(out)
 }

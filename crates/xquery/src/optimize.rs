@@ -872,55 +872,15 @@ fn for_each_standoff_op(
 }
 
 /// Total occurrences of an element name across the corpus — the size
-/// of the candidate sequence a pushdown of `name` would produce. Under
-/// an overlay mount this is the *visible* count: retracted nodes are
-/// subtracted (both columns are ascending, so a merge-intersection),
-/// while delta insert documents count like any other document.
+/// of the candidate sequence a pushdown of `name` would produce. Read
+/// off the catalog: counting a name loads no layer.
 fn corpus_name_count(ctx: &PlanContext<'_>, name: &str) -> Option<u64> {
     let corpus = ctx.corpus?;
-    let mut total: u64 = 0;
-    for id in corpus.store.doc_ids() {
-        // Read off the catalog: counting a name loads no layer. A
-        // layer with retractions is an overlay's, always materialized.
-        let hidden = corpus.retractions_of(id);
-        total += if hidden.is_empty() {
-            corpus.store.name_count(id, name)
-        } else {
-            let named = corpus.store.doc(id).elements_named(name);
-            named.len() - sorted_intersection_count(named, hidden)
-        } as u64;
-    }
-    Some(total)
-}
-
-/// `|a ∩ b|` for two ascending slices.
-fn sorted_intersection_count(a: &[u32], b: &[u32]) -> usize {
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
-}
-
-/// Occurrences of `name` contributed by overlay delta documents alone —
-/// the merge-on-read share of a pushdown's candidate sequence. `None`
-/// when the mount has no delta documents at all.
-fn delta_name_count(ctx: &PlanContext<'_>, name: &str) -> Option<u64> {
-    let corpus = ctx.corpus.filter(|c| c.has_delta_docs())?;
     let store = &corpus.store;
     Some(
         store
             .doc_ids()
-            .filter(|&id| corpus.is_delta_doc(id))
-            .map(|id| store.doc(id).elements_named(name).len() as u64)
+            .map(|id| store.name_count(id, name) as u64)
             .sum(),
     )
 }
@@ -1003,7 +963,6 @@ fn estimate(plan: &mut Plan, ctx: &PlanContext<'_>) {
             index: corpus.index_stats(reached),
             candidates: name.and_then(|name| corpus_name_count(ctx, name)),
             covering: name.is_some_and(|name| corpus.name_covers(name, reached)),
-            delta_candidates: name.and_then(|name| delta_name_count(ctx, name)),
             layers: answering.map(|answering| {
                 let groups = answering.iter().zip(corpus.layer_groups()).enumerate();
                 groups

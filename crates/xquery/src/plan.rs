@@ -151,16 +151,12 @@ pub struct JoinEstimate {
     /// every document outside a group.
     pub index: IndexStats,
     /// Estimated candidate count after name-test pushdown (total
-    /// occurrences of the pushed element name across the *visible*
-    /// corpus — overlay retractions already subtracted).
+    /// occurrences of the pushed element name across the corpus).
     pub candidates: Option<u64>,
     /// The pushed name's elements are exactly the annotated nodes of
     /// every reached layer that holds it — the candidate rule's borrow
     /// condition.
     pub covering: bool,
-    /// Share of `candidates` contributed by overlay delta documents
-    /// (pending inserts). `None` on a pure-snapshot mount.
-    pub delta_candidates: Option<u64>,
     /// Per mounted layer group, the layers that can answer this join —
     /// resolved by the function execution resolves them with. `None`
     /// for the function form with an explicit candidate sequence, whose
@@ -175,8 +171,7 @@ pub struct GroupLayers {
     pub group: u32,
     /// The URI the group is mounted under.
     pub uri: String,
-    /// Names of the answering layers, in document order (`name#delta`
-    /// is the overlay document of a layer's pending inserts).
+    /// Names of the answering layers, in document order.
     pub answering: Vec<String>,
     /// Number of layers in the group.
     pub members: usize,

@@ -58,12 +58,6 @@ pub struct JoinExec {
     pub cand_rows: u64,
     /// Largest single candidate set seen.
     pub cand_max: u64,
-    /// Candidate rows contributed by overlay delta documents (subset of
-    /// `cand_rows`); zero on a pure-snapshot mount.
-    pub delta_cand_rows: u64,
-    /// Target joins that read through a merged base+delta region stream
-    /// or a delta document — merge-on-read work, vs pure zero-copy.
-    pub merge_reads: u64,
     /// The join's fast-path decision counters (same meaning as the
     /// engine-wide [`JoinStats`], restricted to this operator).
     pub stats: JoinStats,
@@ -77,8 +71,6 @@ impl JoinExec {
         self.target_entries += other.target_entries;
         self.cand_rows += other.cand_rows;
         self.cand_max = self.cand_max.max(other.cand_max);
-        self.delta_cand_rows += other.delta_cand_rows;
-        self.merge_reads += other.merge_reads;
         self.stats.merge(other.stats);
     }
 }
@@ -164,13 +156,8 @@ impl QueryProfile {
             if let Some(j) = &m.join {
                 out.push_str(&format!(
                     ", \"join\": {{\"ctx_rows\": {}, \"target_joins\": {}, \"cand_rows\": {}, \
-                     \"cand_max\": {}, \"delta_cand_rows\": {}, \"merge_reads\": {}",
-                    j.ctx_rows,
-                    j.target_joins,
-                    j.cand_rows,
-                    j.cand_max,
-                    j.delta_cand_rows,
-                    j.merge_reads,
+                     \"cand_max\": {}",
+                    j.ctx_rows, j.target_joins, j.cand_rows, j.cand_max,
                 ));
                 for (counter, value) in j.stats.counters() {
                     out.push_str(&format!(", \"{}\": {value}", counter.name));

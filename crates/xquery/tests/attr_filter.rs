@@ -319,13 +319,12 @@ fn rows_from_several_documents_are_filtered_by_their_own_columns() {
     );
 }
 
-/// Over an overlay mount: pending inserts are rows of the layer's delta
-/// document, retracted rows are gone, and a layer-root row is tested
-/// together with the delta root that mirrors it.
+/// Through a writer: pending inserts are rows of the layer, retracted
+/// rows are gone, and the layer root is tested once.
 #[test]
-fn an_overlay_mount_filters_like_the_generic_predicate() {
+fn a_writer_filters_like_the_generic_predicate() {
     use standoff_core::StandoffConfig;
-    use standoff_store::{parse_ops, DeltaSet, LayerSet};
+    use standoff_store::{parse_ops, LayerSet};
 
     let base =
         standoff_xml::parse_document(r#"<text start="0" end="12">Alice met Bob</text>"#).unwrap();
@@ -336,12 +335,11 @@ fn an_overlay_mount_filters_like_the_generic_predicate() {
     .unwrap();
     set.add_layer("tokens", tokens, StandoffConfig::default())
         .unwrap();
-    let mut delta = DeltaSet::new();
-    let ops = parse_ops("insert tokens w 10 12 k=a\nretract tokens w 6 12\n").unwrap();
-    delta.apply_all(ops, &set).unwrap();
-    let mut engine = Engine::new();
-    engine.mount_overlay(set, &delta).unwrap();
-    let shared = engine.into_shared();
+    let mut writer = standoff_xquery::WritableEngine::mount(set, Default::default()).unwrap();
+    for ops in ["insert tokens w 10 12 k=a\n", "retract tokens w 6 12\n"] {
+        writer.apply(parse_ops(ops).unwrap()).unwrap();
+    }
+    let shared = writer.shared();
     for (q, expect) in [
         (r#"count(layer("c", "tokens")//w[@k = "a"])"#, "2"),
         (

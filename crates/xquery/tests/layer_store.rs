@@ -117,19 +117,16 @@ fn snapshot_round_trip_preserves_query_results() {
     }
 }
 
-/// `mount_store` is `mount_overlay` with nothing pending: the same
-/// documents under the same URIs and ids, the same `layer()` lookups,
-/// one layer group (a cross-layer step is planned over the same layers
-/// and answers the same), and no delta documents.
+/// A writer with nothing pending mounts exactly what `mount_store`
+/// mounts: the same documents under the same URIs and ids, the same
+/// `layer()` lookups, and the same answers, a cross-layer step included.
 #[test]
-fn mount_store_is_mount_overlay_with_an_empty_delta() {
+fn a_writer_with_nothing_pending_mounts_the_store() {
     let mut store = mounted_engine();
-    let mut overlay = Engine::new();
-    overlay
-        .mount_overlay(corpus(), &standoff_store::DeltaSet::new())
-        .unwrap();
+    let writer = standoff_xquery::WritableEngine::mount(corpus(), Default::default()).unwrap();
+    let mut session = writer.session();
     assert_eq!(store.store().len(), 4);
-    assert_eq!(overlay.store().len(), 4, "no delta documents");
+    assert_eq!(writer.shared().store().len(), 4);
     for layer in ["base", "tokens", "entities", "syntax"] {
         let uri = match layer {
             "base" => "corpus".to_string(),
@@ -137,24 +134,18 @@ fn mount_store_is_mount_overlay_with_an_empty_delta() {
         };
         let id = store.store().by_uri(&uri);
         assert!(id.is_some(), "{uri}");
-        assert_eq!(overlay.store().by_uri(&uri), id, "{uri}");
+        assert_eq!(writer.shared().store().by_uri(&uri), id, "{uri}");
         // `layer()` and `doc()` name one node: the union has one member.
         let same = format!(r#"count(layer("corpus", "{layer}") | doc("{uri}"))"#);
-        for engine in [&mut store, &mut overlay] {
-            assert_eq!(engine.run(&same).unwrap().as_xml(), "1", "{layer}");
-        }
+        assert_eq!(store.run(&same).unwrap().as_xml(), "1", "{layer}");
+        assert_eq!(session.run(&same).unwrap().as_xml(), "1", "{layer}");
     }
     for q in [
         r#"doc("corpus#entities")//person/select-narrow::w/@word"#,
         r#"layer("corpus", "syntax")//pp/select-wide::*"#,
     ] {
         assert_eq!(
-            overlay.explain(q).unwrap(),
-            store.explain(q).unwrap(),
-            "{q}"
-        );
-        assert_eq!(
-            overlay.run(q).unwrap().as_xml(),
+            session.run(q).unwrap().as_xml(),
             store.run(q).unwrap().as_xml(),
             "{q}"
         );

@@ -10,7 +10,8 @@
 //! 1. mount a corpus with empty annotation layers,
 //! 2. apply tokenizer output as a batch of delta inserts,
 //! 3. apply NER output — including a *retraction* fixing a token,
-//! 4. query the merged base + delta view (cross-layer StandOff join),
+//! 4. query the view — the delta folded in — with a cross-layer
+//!    StandOff join,
 //! 5. compact into a delta-free snapshot and show the answers agree.
 //!
 //! Run with: `cargo run --example pipeline`
@@ -103,10 +104,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         engine.generation()
     );
 
-    // Stage 3: query the merged view — which tokens does each entity
-    // cover? A cross-layer StandOff join: entity regions from one
-    // layer's delta select token regions split between another layer's
-    // base and delta documents.
+    // Stage 3: query the view — which tokens does each entity cover? A
+    // cross-layer StandOff join: entity regions inserted into one layer
+    // select token regions of another, checkpointed and pending alike.
     let join = format!(
         r#"for $e in layer("{URI}", "entities")//entity
            return <hit class="{{string($e/@class)}}">{{count($e/select-wide::w)}}</hit>"#
@@ -114,9 +114,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let merged = engine.session().run(&join)?.as_xml();
     println!("join over overlay:   {merged}");
 
-    // Stage 4: compact. The deltas fold into a fresh snapshot, pending
-    // state clears, and every answer is byte-identical — compaction is
-    // invisible to queries.
+    // Stage 4: compact. The view becomes the checkpoint, pending state
+    // clears, and every answer is byte-identical — readers were already
+    // querying the compaction.
     let folded = engine.compact()?;
     let compacted = engine.session().run(&join)?.as_xml();
     println!("join after compact:  {compacted}");

@@ -64,8 +64,8 @@ use std::time::{Duration, Instant};
 use standoff::core::{StandoffConfig, StandoffStrategy};
 use standoff::serve::{self, ServeMount, ServeOptions, Server};
 use standoff::store::{
-    audit_delta, parse_ops, recover_delta, recover_delta_for_write, save_snapshot, wal_path,
-    DeltaSet, LayerSet, Snapshot,
+    audit_delta, compact, parse_ops, recover_delta, recover_delta_for_write, save_snapshot,
+    wal_path, DeltaSet, LayerSet, Snapshot,
 };
 use standoff::xquery::{Engine, EngineOptions, Executor, Governance, WritableEngine};
 
@@ -368,8 +368,8 @@ fn cmd_annotate(argv: &[String]) -> Result<ExitCode, String> {
     let (wal, _) = recover_delta_for_write(sidecar, &set, &mut delta).map_err(|e| e.to_string())?;
     let text = read_text_or_stdin(&ops_path)?;
     let ops = parse_ops(&text).map_err(|e| format!("{ops_path}: {e}"))?;
-    // `apply` validates the batch and proves the overlay mounts — the
-    // same validation every later `--delta` reader will run — before
+    // `apply` validates the batch and proves its compacted view mounts
+    // — the same fold every later `--delta` reader runs — before
     // anything is persisted.
     let mut engine = WritableEngine::mount_with_delta(set, delta, EngineOptions::default())
         .map_err(|e| format!("{store}: {e}"))?;
@@ -438,7 +438,7 @@ fn cmd_compact(argv: &[String]) -> Result<ExitCode, String> {
 
     let set = open_layer_set(&store)?;
     let delta = load_delta(&sidecars, &set)?;
-    let folded = standoff::store::compact(&set, &delta).map_err(|e| format!("{store}: {e}"))?;
+    let folded = compact(&set, &delta).map_err(|e| format!("{store}: {e}"))?;
     save_snapshot(&folded, &out).map_err(|e| format!("{out}: {e}"))?;
     let annotations: usize = folded.layers().iter().map(|l| l.annotation_count()).sum();
     let compact_ns = standoff::core::MetricsRegistry::global()
@@ -481,8 +481,8 @@ fn json_escape(s: &str) -> String {
 /// Deep-checks everything the lazy read path defers: every section
 /// CRC32, full structural revalidation of every layer, sidecar
 /// ops parse + replay, WAL scan (per-record CRCs, sequence
-/// monotonicity), checkpoint/WAL consistency, and an overlay mount
-/// proof when sidecars are given. A torn WAL tail is *reported* but
+/// monotonicity), checkpoint/WAL consistency, and a proof that the
+/// compacted view readers mount builds, when sidecars are given. A torn WAL tail is *reported* but
 /// clean — it is an uncommitted append, not data loss.
 ///
 /// Exit codes: **0** everything verifiable is intact; **1** corruption
@@ -580,13 +580,18 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
         }
         delta_checks.push((sidecar, report));
     }
-    // Overlay mount proof: the merged view every `--delta` reader
-    // would build must itself validate.
+    // Fold proof: the compacted view every `--delta` reader mounts
+    // must itself validate — each folded layer re-derived from its
+    // document, which the fold itself skips.
     if let Some(set) = set {
         if !sidecars.is_empty() && findings.is_empty() {
-            let mut engine = Engine::new();
-            if let Err(e) = engine.mount_overlay(set, &delta) {
-                findings.push(format!("overlay mount: {e}"));
+            let checked = compact(&set, &delta).and_then(|view| {
+                (delta.layer_names().into_iter())
+                    .filter_map(|name| view.layer(name))
+                    .try_for_each(|layer| layer.check())
+            });
+            if let Err(e) = checked {
+                findings.push(format!("compacted view: {e}"));
             }
         }
     }
@@ -744,12 +749,13 @@ impl CorpusArgs {
                     .mount_snapshot(&snapshot)
                     .map_err(|e| format!("{path}: {e}"))?;
             } else {
-                // Overlay mount: recover the sidecars over the snapshot's
-                // layer set and mount base + delta merged.
+                // Recover the sidecars over the snapshot's layer set and
+                // mount the delta folded in.
                 let set = open_layer_set(path)?;
                 let delta = load_delta(&sidecars, &set)?;
+                let view = compact(&set, &delta).map_err(|e| format!("{path}: {e}"))?;
                 engine
-                    .mount_overlay(set, &delta)
+                    .mount_store(view)
                     .map_err(|e| format!("{path}: {e}"))?;
             }
         }

@@ -15,8 +15,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use standoff::core::fault::{self, FaultAction};
 use standoff::core::StandoffConfig;
 use standoff::store::{
-    audit_delta, parse_ops, recover_delta, recover_delta_for_write, save_snapshot, wal_path,
-    DeltaSet, DeltaWal, LayerSet, Recovery, Snapshot, StoreError,
+    audit_delta, compact, parse_ops, recover_delta, recover_delta_for_write, save_snapshot,
+    wal_path, DeltaSet, DeltaWal, LayerSet, Recovery, Snapshot, StoreError,
 };
 use standoff::xml::parse_document;
 use standoff::xquery::{Engine, EngineOptions, WritableEngine};
@@ -79,7 +79,7 @@ fn answers_after(n: usize) -> Vec<String> {
         delta.apply_all(parse_ops(batch).unwrap(), &set).unwrap();
     }
     let mut engine = Engine::new();
-    engine.mount_overlay(set, &delta).unwrap();
+    engine.mount_store(compact(&set, &delta).unwrap()).unwrap();
     PROBES
         .iter()
         .map(|q| engine.run(q).unwrap().as_xml())
@@ -99,10 +99,9 @@ fn recovered_answers_to(
 ) -> Result<Vec<String>, String> {
     let mut delta = DeltaSet::new();
     recover_delta(sidecar, set, &mut delta).map_err(|e| e.to_string())?;
+    let view = compact(set, &delta).map_err(|e| e.to_string())?;
     let mut engine = Engine::new();
-    engine
-        .mount_overlay(set.clone(), &delta)
-        .map_err(|e| e.to_string())?;
+    engine.mount_store(view).map_err(|e| e.to_string())?;
     Ok(probes
         .iter()
         .map(|q| engine.run(q).unwrap().as_xml())

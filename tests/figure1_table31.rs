@@ -77,7 +77,7 @@ fn table31_via_core_join_api() {
     let context = [IterNode { iter: 0, node: u2 }];
     let input = JoinInput {
         doc: &doc,
-        index: (&index).into(),
+        index: &index,
         ctx_index: None,
         context: &context,
         candidates: Some(shots),

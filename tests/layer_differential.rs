@@ -14,22 +14,25 @@
 //!
 //! **Queries** are a context × the four axes × {name test, `*`,
 //! `node()`} in step form, flat and per iteration of a `for`, and the
-//! function form with an explicit candidate sequence. A second property
-//! puts point contexts over a dense token layer, where the narrow joins
-//! read only the few entries inside the contexts' reach.
+//! function form with an explicit candidate sequence; then tree
+//! navigation from the same context along the horizontal and upward
+//! axes, and whole layers serialized. A second property puts point
+//! contexts over a dense token layer, where the narrow joins read only
+//! the few entries inside the contexts' reach.
 //!
 //! **Oracle**: `NaiveNoCandidates`, unoptimized lowering, on freshly
 //! parsed documents. **Subject**, byte-identical to it: the default
-//! engine on the pure mount, on an overlay with pending inserts and
-//! retracts (contexts then span a layer and its delta document) under
-//! every strategy that takes candidates, and on the compacted set.
+//! engine on the pure mount; a `WritableEngine` that received the
+//! pending inserts and retracts one batch per op — retracts of pending
+//! inserts among them — under every strategy that takes candidates; and
+//! the set compacted in one go.
 
 use proptest::prelude::*;
 
 use standoff::core::{StandoffConfig, StandoffStrategy};
 use standoff::store::{compact, DeltaOp, DeltaSet, LayerSet};
 use standoff::xml::{parse_document, serialize_document, SerializeOptions};
-use standoff::xquery::{Engine, EngineOptions};
+use standoff::xquery::{Engine, EngineOptions, QueryError, QueryResult, WritableEngine};
 
 const URI: &str = "mem://layers";
 const AXES: [&str; 4] = [
@@ -115,11 +118,15 @@ fn reparsed(set: &LayerSet) -> LayerSet {
     layer_set(&layers)
 }
 
-fn engine(strategy: StandoffStrategy) -> Engine {
-    Engine::with_options(EngineOptions {
+fn options(strategy: StandoffStrategy) -> EngineOptions {
+    EngineOptions {
         strategy,
         ..EngineOptions::default()
-    })
+    }
+}
+
+fn engine(strategy: StandoffStrategy) -> Engine {
+    Engine::with_options(options(strategy))
 }
 
 /// The oracle's answers over `set`.
@@ -130,41 +137,65 @@ fn oracle(set: &LayerSet, queries: &[String]) -> Vec<String> {
     queries.iter().map(run).collect()
 }
 
-fn agree(what: &str, subject: &mut Engine, queries: &[String], expected: &[String]) {
+fn agree(
+    what: &str,
+    mut run: impl FnMut(&str) -> Result<QueryResult, QueryError>,
+    queries: &[String],
+    expected: &[String],
+) {
     for (query, expected) in queries.iter().zip(expected) {
-        let got = subject.run(query).unwrap().as_xml();
+        let got = run(query).unwrap().as_xml();
         assert_eq!(&got, expected, "{what}: {query}");
     }
 }
 
+/// A writer over `set` that received `ops` one batch per op.
+fn writer(set: &LayerSet, ops: &[DeltaOp], strategy: StandoffStrategy) -> WritableEngine {
+    let mut writer = WritableEngine::mount(set.clone(), options(strategy)).unwrap();
+    for op in ops {
+        assert_eq!(writer.apply([op.clone()]).unwrap(), 1, "{op:?}");
+    }
+    writer
+}
+
+/// `op` against `set`, recorded in `delta` and kept in `ops` when the
+/// delta accepts it (a double retract, say, is refused).
+fn accept(set: &LayerSet, delta: &mut DeltaSet, ops: &mut Vec<DeltaOp>, op: DeltaOp) {
+    if delta.apply(op.clone(), set).is_ok() {
+        ops.push(op);
+    }
+}
+
 /// The property: every subject configuration answers `queries` as the
-/// oracle does — over `set` as it is, and over `set` with `delta`
+/// oracle does — over `set` as it is, and over `set` with `ops`
 /// pending or folded in.
-fn check(set: &LayerSet, delta: &DeltaSet, queries: &[String]) {
+fn check(set: &LayerSet, ops: &[DeltaOp], queries: &[String]) {
     let default = StandoffStrategy::LoopLiftedMergeJoin;
     let mut pure = engine(default);
     pure.mount_store(set.clone()).unwrap();
-    agree("pure mount", &mut pure, queries, &oracle(set, queries));
+    agree(
+        "pure mount",
+        |q| pure.run(q),
+        queries,
+        &oracle(set, queries),
+    );
 
-    let folded = compact(set, delta).unwrap();
+    let mut delta = DeltaSet::new();
+    delta.apply_all(ops.iter().cloned(), set).unwrap();
+    let folded = compact(set, &delta).unwrap();
     let expected = oracle(&folded, queries);
     for strategy in [
         default,
         StandoffStrategy::BasicMergeJoin,
         StandoffStrategy::NaiveWithCandidates,
     ] {
-        let mut overlay = engine(strategy);
-        overlay.mount_overlay(set.clone(), delta).unwrap();
-        agree(
-            &format!("overlay, {strategy}"),
-            &mut overlay,
-            queries,
-            &expected,
-        );
+        let mut session = writer(set, ops, strategy).session();
+        let what = format!("writer, {strategy}");
+        agree(&what, |q| session.run(q), queries, &expected);
     }
     let mut compacted = engine(default);
     compacted.mount_store(folded).unwrap();
-    agree("compacted", &mut compacted, queries, &expected);
+    agree("compacted", |q| compacted.run(q), queries, &expected);
 }
 
 /// `context` × four axes × `tests` in step form (flat, and per
@@ -178,6 +209,27 @@ fn join_queries(context: &str, tests: &[&str], candidates: &str) -> Vec<String> 
         }
         queries.push(format!("{axis}({context}, {candidates})"));
     }
+    queries
+}
+
+/// Tree navigation from `context` along the axes that leave its
+/// subtree, and the given layers serialized whole.
+fn tree_queries(context: &str, layers: &[&str]) -> Vec<String> {
+    let mut queries: Vec<String> = [
+        "following-sibling::*",
+        "preceding-sibling::node()",
+        "following::*",
+        "preceding::*",
+        "..",
+        "ancestor-or-self::*",
+    ]
+    .iter()
+    .map(|axis| format!("{context}/{axis}"))
+    .collect();
+    queries.push(format!(
+        "for $c in {context} return count($c/following-sibling::*)"
+    ));
+    queries.extend(layers.iter().map(|name| layer(name)));
     queries
 }
 
@@ -200,7 +252,7 @@ proptest! {
             1..5,
         ),
         inserts in prop::collection::vec((any::<bool>(), 0usize..8, 0u8..5), 0..5),
-        retracts in prop::collection::vec((0usize..3, 0usize..8), 0..5),
+        retracts in prop::collection::vec((0usize..4, 0usize..8), 0..5),
         picks in (0usize..4, 0usize..3),
     ) {
         let pool: Vec<Extent> = pool.iter().map(|&(s, len)| (s, s + len)).collect();
@@ -225,18 +277,20 @@ proptest! {
         let set = layer_set(&layers);
 
         // Inserts go to the attribute layers; retracts name an existing
-        // annotation by one of its regions. Double retracts are refused
-        // at apply time — skipped.
-        let mut delta = DeltaSet::new();
+        // annotation by one of its regions, or a pending insert. Double
+        // retracts are refused at apply time — skipped.
+        let (mut delta, mut ops) = (DeltaSet::new(), Vec::new());
+        let mut inserted = Vec::new();
         for (k, &(into_words, p, t)) in inserts.iter().enumerate() {
             let (layer, name) = match (&words, into_words) {
                 (Some(_), true) => ("words", "word"),
                 _ => ("tokens", "w"),
             };
             let (start, end) = extent(&pool, p, t);
+            inserted.push((layer, name, (start, end)));
             let attrs = vec![("k".into(), k.to_string())];
             let op = DeltaOp::Insert { layer: layer.into(), name: name.into(), start, end, attrs };
-            delta.apply(op, &set).unwrap();
+            accept(&set, &mut delta, &mut ops, op);
         }
         for &(which, p) in &retracts {
             let (layer, name, (start, end)) = match (which, &words) {
@@ -245,10 +299,11 @@ proptest! {
                     let (name, regions) = &units[p % units.len()];
                     ("units", *name, regions[0])
                 }
+                (3, _) if !inserted.is_empty() => inserted[p % inserted.len()],
                 _ => ("tokens", "w", tokens[p % tokens.len()]),
             };
             let op = DeltaOp::Retract { layer: layer.into(), name: name.into(), start, end };
-            let _ = delta.apply(op, &set);
+            accept(&set, &mut delta, &mut ops, op);
         }
 
         let mut contexts = vec![
@@ -265,7 +320,9 @@ proptest! {
         }
         let context = &contexts[picks.0 % contexts.len()];
         let name = ["w", "unit", "word"][picks.1];
-        check(&set, &delta, &join_queries(context, &[name, "*", "node()"], &format!("({candidates})")));
+        let mut queries = join_queries(context, &[name, "*", "node()"], &format!("({candidates})"));
+        queries.extend(tree_queries(context, &["tokens", "units"]));
+        check(&set, &ops, &queries);
     }
 }
 
@@ -293,21 +350,21 @@ proptest! {
             ("tokens", attribute_layer("tokens", "w", &tokens, ((0, 0), 0)), attrs.clone()),
             ("spans", attribute_layer("spans", "pt", &spans, ((0, 0), 0)), attrs),
         ]);
-        let mut delta = DeltaSet::new();
+        let (mut delta, mut ops) = (DeltaSet::new(), Vec::new());
         for (k, &(at, len)) in inserts.iter().enumerate() {
             let start = n - 20 + at;
             let attrs = vec![("k".into(), k.to_string())];
             let op = DeltaOp::Insert { layer: "tokens".into(), name: "w".into(), start, end: start + len, attrs };
-            delta.apply(op, &set).unwrap();
+            accept(&set, &mut delta, &mut ops, op);
         }
         for &r in &retracts {
             let (start, end) = tokens[(n / 2 - 10 + r) as usize];
             let op = DeltaOp::Retract { layer: "tokens".into(), name: "w".into(), start, end };
-            let _ = delta.apply(op, &set);
+            accept(&set, &mut delta, &mut ops, op);
         }
         let context = format!("{}//pt", layer("spans"));
         let candidates = format!("({}//w)", layer("tokens"));
-        check(&set, &delta, &join_queries(&context, &["w", "*", "node()"], &candidates));
+        check(&set, &ops, &join_queries(&context, &["w", "*", "node()"], &candidates));
     }
 }
 
@@ -397,14 +454,12 @@ fn seed_cross_layer_answers() {
         }
     }
     let queries: Vec<String> = cases.into_iter().map(|(query, _)| query).collect();
-    check(&alice_corpus(), &DeltaSet::new(), &queries);
+    check(&alice_corpus(), &[], &queries);
 }
 
-/// Identical extents in a layer and in its delta document: `w[5,9]`
-/// exists and is inserted again, so both context documents of the unit
-/// select `word[6,8]` and the two-region `unit` inside them — once
-/// each. (The cross-context `dedup` of the per-document join covered
-/// this; now the one kernel call's post-processing does.)
+/// Identical extents inside one layer: `w[5,9]` exists and is inserted
+/// again, so both context annotations select `word[6,8]` and the
+/// two-region `unit` inside them — once each.
 #[test]
 fn seed_identical_extents_across_context_documents() {
     let attrs = StandoffConfig::default;
@@ -426,26 +481,23 @@ fn seed_identical_extents_across_context_documents() {
             StandoffConfig::element_repr(),
         ),
     ]);
-    let mut delta = DeltaSet::new();
-    let again = DeltaOp::Insert {
+    let again = [DeltaOp::Insert {
         layer: "tokens".into(),
         name: "w".into(),
         start: 5,
         end: 9,
         attrs: vec![("k".into(), "0".into())],
-    };
-    delta.apply(again, &set).unwrap();
+    }];
     let context = format!("{}//w", layer("tokens"));
-    let mut overlay = engine(StandoffStrategy::LoopLiftedMergeJoin);
-    overlay.mount_overlay(set.clone(), &delta).unwrap();
+    let mut session = writer(&set, &again, StandoffStrategy::LoopLiftedMergeJoin).session();
     for (test, count) in [("word", "4"), ("unit", "1")] {
         let narrowed = format!("count({context}/select-narrow::{test})");
-        assert_eq!(overlay.run(&narrowed).unwrap().as_strings(), [count]);
+        assert_eq!(session.run(&narrowed).unwrap().as_strings(), [count]);
     }
     let candidates = format!("({}//word | {}//unit)", layer("words"), layer("units"));
     check(
         &set,
-        &delta,
+        &again,
         &join_queries(&context, &["word", "unit", "*"], &candidates),
     );
 }
@@ -491,7 +543,7 @@ fn seed_multi_region_area_across_context_layers() {
     let candidates = format!("({}//*)", layer("units"));
     check(
         &set,
-        &DeltaSet::new(),
+        &[],
         &join_queries(&context, &["unit", "node()"], &candidates),
     );
 }

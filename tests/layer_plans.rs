@@ -6,11 +6,11 @@
 //! and never sorts.
 
 use standoff::core::StandoffConfig;
-use standoff::store::{DeltaOp, DeltaSet, LayerSet};
+use standoff::store::{compact, DeltaOp, LayerSet};
 use standoff::xmark::queries::XmarkQuery;
 use standoff::xmark::{generate, standoffify, XmarkConfig};
 use standoff::xml::parse_document;
-use standoff::xquery::Engine;
+use standoff::xquery::{Engine, EngineOptions, WritableEngine};
 
 const MISMATCHES: &str = "plan.claim_mismatch.result_merge";
 
@@ -52,28 +52,38 @@ fn three_layers() -> (LayerSet, Vec<(i64, i64)>) {
     (set, spans)
 }
 
-/// `batches` write batches of the `annotate_rw` shape: each inserts
-/// sixteen `kind="new"` entities and retracts sixteen seed ones.
-fn pending(set: &LayerSet, spans: &[(i64, i64)], batches: usize) -> DeltaSet {
-    let mut delta = DeltaSet::new();
-    for (k, &(start, end)) in spans.iter().take(16 * batches).enumerate() {
-        let retract = DeltaOp::Retract {
-            layer: "entities".into(),
-            name: "entity".into(),
-            start,
-            end,
-        };
-        delta.apply(retract, set).unwrap();
-        let insert = DeltaOp::Insert {
-            layer: "entities".into(),
-            name: "entity".into(),
-            start: start + 1,
-            end: end + 1,
-            attrs: vec![("kind".into(), "new".into()), ("k".into(), k.to_string())],
-        };
-        delta.apply(insert, set).unwrap();
+/// A writer over `set` after `batches` write batches of the
+/// `annotate_rw` shape: each retracts sixteen seed entities and inserts
+/// sixteen `kind="new"` ones.
+fn pending(set: &LayerSet, spans: &[(i64, i64)], batches: usize) -> WritableEngine {
+    let mut writer = WritableEngine::mount(set.clone(), EngineOptions::default()).unwrap();
+    let spans: Vec<(i64, i64)> = spans.iter().copied().take(16 * batches).collect();
+    for (b, batch) in spans.chunks(16).enumerate() {
+        let ops = batch.iter().enumerate().flat_map(|(j, &(start, end))| {
+            let retract = DeltaOp::Retract {
+                layer: "entities".into(),
+                name: "entity".into(),
+                start,
+                end,
+            };
+            let k = (16 * b + j).to_string();
+            let insert = DeltaOp::Insert {
+                layer: "entities".into(),
+                name: "entity".into(),
+                start: start + 1,
+                end: end + 1,
+                attrs: vec![("kind".into(), "new".into()), ("k".into(), k)],
+            };
+            [retract, insert]
+        });
+        writer.apply(ops).unwrap();
     }
-    delta
+    writer
+}
+
+/// What readers of the writer mount: its pending delta, folded in.
+fn view(mut writer: WritableEngine) -> LayerSet {
+    writer.compact().unwrap()
 }
 
 /// The benchmark's nineteen request classes (`benchmark/src/classes.rs`).
@@ -153,14 +163,14 @@ fn golden_texts(engine: &mut Engine) -> Vec<String> {
 
 /// Every `result:` claim an explain line makes holds when the query
 /// runs: the explain goldens' queries and the benchmark's class texts,
-/// on a pure mount and over sixteen pending batches. A broken claim
-/// also fails the evaluator's `debug_assert!` on the spot.
+/// on a pure mount and on the view of sixteen pending batches. A broken
+/// claim also fails the evaluator's `debug_assert!` on the spot.
 #[test]
 fn result_claims_hold_for_the_goldens_and_the_benchmark_classes() {
     let (set, spans) = three_layers();
-    for delta in [DeltaSet::new(), pending(&set, &spans, 16)] {
+    for mounted in [set.clone(), view(pending(&set, &spans, 16))] {
         let mut engine = Engine::new();
-        engine.mount_overlay(set.clone(), &delta).unwrap();
+        engine.mount_store(mounted).unwrap();
         let mut queries = golden_texts(&mut engine);
         queries.extend(class_texts());
         for query in &queries {
@@ -207,37 +217,35 @@ fn plan_line_names_the_answering_layers() {
     );
     assert!(all.contains(" merges=1"), "{all}");
 
-    // A layer's pending inserts are one more (small) run of the merge.
+    // A layer's pending inserts are part of the layer: one run, as
+    // after any compaction.
     let mut overlay = Engine::new();
-    overlay
-        .mount_overlay(set.clone(), &pending(&set, &spans, 1))
-        .unwrap();
-    let two = overlay
+    overlay.mount_store(view(pending(&set, &spans, 1))).unwrap();
+    let one = overlay
         .explain_analyze(r#"count(doc("xmark")//description/select-wide::entity)"#)
         .unwrap();
-    let claim = "layers: entities, entities#delta (2 of 4); result: k-way merge (2)";
-    assert!(two.contains(claim), "{two}");
+    let claim = "layers: entities (1 of 3); result: direct";
+    assert!(one.contains(claim), "{one}");
     assert!(
-        two.contains("targets=2 ") && two.contains(" merges=1"),
-        "{two}"
+        one.contains("targets=1 ") && one.contains("sorts=0 (elided 1)"),
+        "{one}"
     );
 }
 
-/// `entity_tokens` over sixteen pending batches: the context spans the
-/// entity layer and its delta document, the group has four members, and
-/// one of them holds `w` — one kernel call, where joining every context
-/// document into every member made eight.
+/// `entity_tokens` over sixteen pending batches: the context is the
+/// entity layer alone, and one layer of the group holds `w` — one
+/// kernel call, exactly as on the compacted snapshot.
 #[test]
 fn entity_tokens_over_sixteen_pending_batches_is_one_kernel_call() {
     let (set, spans) = three_layers();
-    let delta = pending(&set, &spans, 16);
+    let writer = pending(&set, &spans, 16);
+    let folded = compact(&set, writer.delta()).unwrap();
     let query = r#"count(doc("xmark#entities")//entity/select-narrow::w)"#;
     let mut overlay = Engine::new();
-    overlay.mount_overlay(set.clone(), &delta).unwrap();
+    overlay.mount_store(view(writer)).unwrap();
     let (answer, profile) = overlay.run_profiled(query).unwrap();
     let json = profile.to_json();
     assert!(json.contains(r#""target_joins": 1,"#), "{json}");
-    assert!(json.contains(r#""merge_reads": 1,"#), "{json}");
     let stats = overlay.join_stats();
     let derivations = stats.candidate_borrowed
         + stats.candidate_node_view
@@ -249,7 +257,6 @@ fn entity_tokens_over_sixteen_pending_batches_is_one_kernel_call() {
         "{stats:?}"
     );
     let mut compacted = Engine::new();
-    let folded = standoff::store::compact(&set, &delta).unwrap();
     compacted.mount_store(folded).unwrap();
     assert_eq!(answer.as_xml(), compacted.run(query).unwrap().as_xml());
 }

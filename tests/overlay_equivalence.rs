@@ -1,20 +1,22 @@
-//! Merge-on-read equivalence: a corpus mounted as *base + delta
-//! overlay* must answer every query **byte-identically** to the same
-//! corpus after [`standoff::store::compact`] folded the delta into a
-//! fresh snapshot. This is the contract that makes compaction a pure
-//! space/speed optimization — callers can compact (or not) without any
-//! observable change.
+//! Fold equivalence: a `WritableEngine` that received a delta batch by
+//! batch — each batch folded into the view its readers mount — must
+//! answer every query **byte-identically** to the same corpus after
+//! [`standoff::store::compact`] folded the whole delta in one go, and
+//! its view must *be* that compaction, document for document. This is
+//! the contract that makes the pending delta invisible to readers: they
+//! always query a compacted layer set.
 //!
-//! Coverage: randomized cross-layer corpora and delta batches
-//! (proptest), the XMark §4.6 workload with a hand-built delta, and all
+//! Coverage: randomized cross-layer corpora with interleaved insert,
+//! retract, cancel and replace batches (proptest), the XMark §4.6
+//! workload with a hand-built delta, a dense candidate kernel, and all
 //! four join strategies on both sides of every comparison.
 
 use proptest::prelude::*;
 
 use standoff::core::{StandoffConfig, StandoffStrategy};
 use standoff::store::{DeltaOp, DeltaSet, LayerSet};
-use standoff::xml::parse_document;
-use standoff::xquery::{Engine, EngineOptions};
+use standoff::xml::{parse_document, serialize_document, SerializeOptions};
+use standoff::xquery::{Engine, EngineOptions, WritableEngine};
 
 const STRATEGIES: [StandoffStrategy; 4] = [
     StandoffStrategy::NaiveNoCandidates,
@@ -23,77 +25,91 @@ const STRATEGIES: [StandoffStrategy; 4] = [
     StandoffStrategy::LoopLiftedMergeJoin,
 ];
 
-fn engine_with(strategy: StandoffStrategy) -> Engine {
-    Engine::with_options(EngineOptions {
+fn options(strategy: StandoffStrategy) -> EngineOptions {
+    EngineOptions {
         strategy,
         ..EngineOptions::default()
-    })
+    }
 }
 
-/// Run `queries` against (set + delta, merge-on-read) and against
-/// compact(set, delta), under every strategy, and demand byte-identical
-/// serialized answers.
-fn assert_overlay_equals_compacted(set: &LayerSet, delta: &DeltaSet, queries: &[String]) {
-    let folded = standoff::store::compact(set, delta).expect("compaction succeeds");
+/// Every layer of `set`, serialized.
+fn serialized(set: &LayerSet) -> Vec<String> {
+    (set.layers().iter())
+        .map(|layer| serialize_document(layer.doc(), SerializeOptions::default()))
+        .collect()
+}
+
+/// The two sides of every comparison under `strategy`: a writer that
+/// received `batches` one `apply` each, and an engine over `folded`,
+/// `compact(set, all of them)`.
+fn both_sides(
+    set: &LayerSet,
+    batches: &[Vec<DeltaOp>],
+    strategy: StandoffStrategy,
+) -> (WritableEngine, Engine, LayerSet) {
+    let mut writer = WritableEngine::mount(set.clone(), options(strategy)).unwrap();
+    let mut delta = DeltaSet::new();
+    for batch in batches {
+        writer
+            .apply(batch.clone())
+            .expect("an accepted batch applies");
+        delta.apply_all(batch.iter().cloned(), set).unwrap();
+    }
+    let folded = standoff::store::compact(set, &delta).expect("compaction succeeds");
+    let mut compacted = Engine::with_options(options(strategy));
+    compacted
+        .mount_store(folded.clone())
+        .expect("compacted snapshot mounts");
+    (writer, compacted, folded)
+}
+
+/// Run `queries` through the writer and against the compaction, under
+/// every strategy, and demand byte-identical serialized answers — and
+/// a view that serializes as the compaction does.
+fn assert_writer_equals_compacted(set: &LayerSet, batches: &[Vec<DeltaOp>], queries: &[String]) {
     for strategy in STRATEGIES {
-        let mut overlay = engine_with(strategy);
-        overlay
-            .mount_overlay(set.clone(), delta)
-            .expect("overlay mounts");
-        let mut compacted = engine_with(strategy);
-        compacted
-            .mount_store(folded.clone())
-            .expect("compacted snapshot mounts");
+        let (mut writer, mut compacted, folded) = both_sides(set, batches, strategy);
+        let mut session = writer.session();
         for query in queries {
-            let a = overlay.run(query).expect("overlay query runs").as_xml();
+            let a = session.run(query).expect("writer query runs").as_xml();
             let b = compacted.run(query).expect("compacted query runs").as_xml();
-            assert_eq!(a, b, "overlay != compacted for {strategy:?}: {query}");
+            assert_eq!(a, b, "writer != compacted for {strategy:?}: {query}");
         }
+        let view = writer.compact().unwrap();
+        assert_eq!(serialized(&view), serialized(&folded), "{strategy:?}");
     }
 }
 
 /// The fused `[@a = "lit"]` filter reads attribute columns directly;
-/// over the overlay it must equal both the compacted snapshot and the
-/// generic predicate frame (the unoptimized reference lowering), which
-/// reaches attributes through the merge-on-read tree steps.
-fn assert_attr_filter_three_ways(set: &LayerSet, delta: &DeltaSet) {
-    let folded = standoff::store::compact(set, delta).expect("compaction succeeds");
+/// through the writer it must equal both the compacted snapshot and
+/// the generic predicate frame (the unoptimized reference lowering).
+fn assert_attr_filter_three_ways(set: &LayerSet, batches: &[Vec<DeltaOp>]) {
     for strategy in STRATEGIES {
-        let mut overlay = engine_with(strategy);
-        overlay
-            .mount_overlay(set.clone(), delta)
-            .expect("overlay mounts");
-        let mut compacted = engine_with(strategy);
-        compacted
-            .mount_store(folded.clone())
-            .expect("compacted snapshot mounts");
+        let (writer, mut compacted, _) = both_sides(set, batches, strategy);
+        let mut session = writer.session();
         for query in attr_filter_queries() {
             assert!(
-                overlay.explain(&query).unwrap().contains("attr-filter @"),
+                compacted.explain(&query).unwrap().contains("attr-filter @"),
                 "not fused: {query}"
             );
-            let a = overlay.run(&query).expect("overlay query runs").as_xml();
+            let a = session.run(&query).expect("writer query runs").as_xml();
             let b = compacted
                 .run(&query)
                 .expect("compacted query runs")
                 .as_xml();
-            assert_eq!(a, b, "overlay != compacted for {strategy:?}: {query}");
-            let c = overlay
+            assert_eq!(a, b, "writer != compacted for {strategy:?}: {query}");
+            let c = compacted
                 .run_unoptimized(&query)
                 .expect("reference lowering runs")
                 .as_xml();
-            assert_eq!(
-                a, c,
-                "fused != generic on the overlay, {strategy:?}: {query}"
-            );
+            assert_eq!(a, c, "fused != generic, {strategy:?}: {query}");
         }
     }
 }
 
-/// `[@attr = "literal"]` over rows the overlay touches every way it
-/// can: base rows (some retracted), pending inserts (the only carriers
-/// of `k`), join output, and the layer root itself — whose row gains a
-/// delta-root companion under merge-on-read.
+/// `[@attr = "literal"]` over rows a delta touches every way it can:
+/// base rows (some retracted), pending inserts (the only carriers of
+/// `k`), join output, and the layer root itself.
 fn attr_filter_queries() -> Vec<String> {
     let mut q = Vec::new();
     for (layer, name) in [("tokens", "w"), ("entities", "person")] {
@@ -141,18 +157,21 @@ fn layer_doc(root: &str, elem: &str, spans: &[(i64, i64)]) -> standoff::xml::Doc
 
 const URI: &str = "mem://prop";
 
-/// Tree navigation and attribute reads over the two annotation layers.
-/// (The join axes across layers, overlay against compacted, are
-/// generated by `tests/layer_differential.rs`.)
+/// Tree navigation, serialization and attribute reads over the two
+/// annotation layers. (The join axes across layers, writer against
+/// compacted, are generated by `tests/layer_differential.rs`.)
 fn cross_layer_queries() -> Vec<String> {
     vec![
         format!(r#"layer("{URI}", "tokens")//w"#),
         format!(r#"count(layer("{URI}", "entities")//person)"#),
         format!(r#"for $w in layer("{URI}", "tokens")//w return string($w/@start)"#),
-        // `//name` is one index-driven `descendant::name` step: pending
-        // inserts are reached through the mirrored delta root, and when
-        // the name is the layer root's own the delta root must still
-        // fold away as scaffolding — one root, before and after.
+        // Whole layers, pending inserts included.
+        format!(r#"layer("{URI}", "tokens")"#),
+        format!(r#"layer("{URI}", "entities")"#),
+        // Horizontal axes from and to pending inserts.
+        format!(r#"layer("{URI}", "tokens")//w[@k]/preceding-sibling::w[1]"#),
+        format!(r#"for $w in layer("{URI}", "tokens")//w return count($w/following::*)"#),
+        format!(r#"layer("{URI}", "entities")//person[@k]/../@id"#),
         format!(r#"count(layer("{URI}", "entities")//entities)"#),
         format!(r#"count(layer("{URI}", "tokens")//tokens)"#),
         // A rooted-element context instead of the document node.
@@ -168,18 +187,32 @@ fn cross_layer_queries() -> Vec<String> {
     ]
 }
 
+/// Cut `ops` into consecutive batches of the sizes in `cuts`, cycled.
+fn batches_of(ops: Vec<DeltaOp>, cuts: &[usize]) -> Vec<Vec<DeltaOp>> {
+    let mut out = Vec::new();
+    let mut ops = ops.into_iter().peekable();
+    for &cut in cuts.iter().cycle() {
+        if ops.peek().is_none() {
+            break;
+        }
+        out.push(ops.by_ref().take(cut.max(1)).collect());
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Arbitrary two-layer corpora with arbitrary (valid) insert and
-    /// retract batches: querying through the overlay is byte-identical
-    /// to querying the compacted snapshot.
+    /// Arbitrary two-layer corpora with an arbitrary (valid) sequence of
+    /// inserts, base retracts, retracts of pending inserts and inserts
+    /// that replace a retracted annotation in place, cut into batches:
+    /// the writer's reads and view equal the compacted snapshot's.
     #[test]
     fn overlay_matches_compaction(
         token_spans in spans_strategy(14),
         entity_spans in spans_strategy(8),
-        inserts in prop::collection::vec((0i64..120, 1i64..25, 0usize..2), 0..6),
-        retract_picks in prop::collection::vec(0usize..64, 0..6),
+        picks in prop::collection::vec((0u8..4, 0i64..120, 1i64..25, 0usize..64), 0..12),
+        cuts in prop::collection::vec(1usize..4, 1..4),
     ) {
         let base = parse_document(
             "<text>the quick brown fox jumps over the lazy dog again and again</text>",
@@ -195,47 +228,55 @@ proptest! {
         )
         .unwrap();
 
-        // Valid-by-construction delta: inserts go to alternating layers;
-        // retracts pick from the spans we just indexed. Duplicate picks
-        // double-retract, which `apply` rejects — skip those.
-        let mut delta = DeltaSet::new();
-        for (k, (s, l, layer_pick)) in inserts.iter().enumerate() {
-            let (layer, name) = if *layer_pick == 0 { ("tokens", "w") } else { ("entities", "person") };
-            delta.apply(
-                DeltaOp::Insert {
-                    layer: layer.into(),
-                    name: name.into(),
-                    start: *s,
-                    end: s + l,
-                    attrs: vec![("k".into(), k.to_string())],
-                },
-                &set,
-            )
-            .unwrap();
-        }
-        for pick in &retract_picks {
+        // Valid by construction: every op the delta refuses (a double
+        // retract, say) is left out of the batches.
+        let (mut delta, mut ops) = (DeltaSet::new(), Vec::new());
+        let mut inserted: Vec<(&str, &str, i64, i64)> = Vec::new();
+        for (k, &(kind, s, l, pick)) in picks.iter().enumerate() {
             let (layer, name, spans): (&str, &str, &[(i64, i64)]) = if pick % 2 == 0 {
                 ("tokens", "w", &token_spans)
             } else {
                 ("entities", "person", &entity_spans)
             };
-            let (s, e) = spans[(pick / 2) % spans.len()];
-            let _ = delta.apply(
-                DeltaOp::Retract { layer: layer.into(), name: name.into(), start: s, end: e },
-                &set,
-            );
+            let (bs, be) = spans[(pick / 2) % spans.len()];
+            let insert = |start, end| DeltaOp::Insert {
+                layer: layer.into(),
+                name: name.into(),
+                start,
+                end,
+                attrs: vec![("k".into(), k.to_string())],
+            };
+            let retract = |(layer, name, start, end): (&str, &str, i64, i64)| DeltaOp::Retract {
+                layer: layer.into(),
+                name: name.into(),
+                start,
+                end,
+            };
+            let op = match kind {
+                0 => insert(s, s + l),
+                1 => retract((layer, name, bs, be)),
+                2 if !inserted.is_empty() => retract(inserted[pick % inserted.len()]),
+                _ => insert(bs, be),
+            };
+            if delta.apply(op.clone(), &set).is_ok() {
+                if let DeltaOp::Insert { start, end, .. } = &op {
+                    inserted.push((layer, name, *start, *end));
+                }
+                ops.push(op);
+            }
         }
+        let batches = batches_of(ops, &cuts);
 
-        assert_overlay_equals_compacted(&set, &delta, &cross_layer_queries());
-        assert_attr_filter_three_ways(&set, &delta);
+        assert_writer_equals_compacted(&set, &batches, &cross_layer_queries());
+        assert_attr_filter_three_ways(&set, &batches);
     }
 }
 
 // ---- the XMark workload ----
 
 /// XMark Q1/Q2/Q6/Q7 (the paper's §4.6 rewrites) over a standoffified
-/// XMark corpus mounted as an annotation layer, with a delta that
-/// retracts real annotations and inserts new ones: overlay and
+/// XMark corpus mounted as an annotation layer, with batches that
+/// retract real annotations and insert new ones: the writer and the
 /// compacted snapshot agree byte-for-byte under all four strategies.
 #[test]
 fn xmark_overlay_matches_compaction() {
@@ -264,42 +305,34 @@ fn xmark_overlay_matches_compaction() {
         }
         (start.unwrap(), end.unwrap())
     };
-    let mut delta = DeltaSet::new();
+    let mut retracts = Vec::new();
     for (name, take) in [("bold", 2usize), ("emph", 2), ("increase", 1)] {
         for &pre in doc.elements_named(name).iter().take(take) {
             let (s, e) = region_of(pre);
-            delta
-                .apply(
-                    DeltaOp::Retract {
-                        layer: "anno".into(),
-                        name: name.into(),
-                        start: s,
-                        end: e,
-                    },
-                    &set,
-                )
-                .unwrap();
+            retracts.push(DeltaOp::Retract {
+                layer: "anno".into(),
+                name: name.into(),
+                start: s,
+                end: e,
+            });
         }
     }
+    let mut inserts = Vec::new();
     for (k, &pre) in doc.elements_named("name").iter().take(3).enumerate() {
         let (s, e) = region_of(pre);
-        delta
-            .apply(
-                DeltaOp::Insert {
-                    layer: "anno".into(),
-                    name: "highlight".into(),
-                    start: s,
-                    end: e,
-                    attrs: vec![("n".into(), k.to_string())],
-                },
-                &set,
-            )
-            .unwrap();
+        inserts.push(DeltaOp::Insert {
+            layer: "anno".into(),
+            name: "highlight".into(),
+            start: s,
+            end: e,
+            attrs: vec![("n".into(), k.to_string())],
+        });
     }
-    assert!(delta.insert_count() > 0 && delta.retract_count() > 0);
+    assert!(!inserts.is_empty() && !retracts.is_empty());
+    let batches = [inserts[..1].to_vec(), retracts, inserts[1..].to_vec()];
 
     // The standoff rewrites address the annotation layer by its mounted
-    // URI (`base-uri#layer`); add overlay-sensitive probes on top.
+    // URI (`base-uri#layer`); add delta-sensitive probes on top.
     let mut queries: Vec<String> = [
         XmarkQuery::Q1,
         XmarkQuery::Q2,
@@ -317,14 +350,14 @@ fn xmark_overlay_matches_compaction() {
     queries.push(r#"doc("xmark#anno")//highlight[@n = "1"]"#.into());
     queries.push(r#"for $h in doc("xmark#anno")//highlight return $h/select-wide::item"#.into());
 
-    assert_overlay_equals_compacted(&set, &delta, &queries);
+    assert_writer_equals_compacted(&set, &batches, &queries);
 }
 
-/// The dense candidate kernel through the overlay seam: a corpus big
-/// and dense enough that the intersection takes the bitset scan, with
-/// retractions that force the impure post-filter. Overlay and compacted
-/// answers must agree byte-for-byte under every strategy, and the dense
-/// counters must actually have fired.
+/// The dense candidate kernel through a writer: a corpus big and dense
+/// enough that the intersection takes the bitset scan, with retractions
+/// folded into the scanned layer. Writer and compacted answers must
+/// agree byte-for-byte under every strategy, and the dense counters
+/// must actually have fired.
 #[test]
 fn dense_kernel_matches_through_overlay() {
     let base_text: String = "x".repeat(20_000);
@@ -355,39 +388,30 @@ fn dense_kernel_matches_through_overlay() {
     )
     .unwrap();
 
-    // Retract every 100th token: the overlay read path must subtract
-    // them *after* the dense scan, never per entry.
-    let mut delta = DeltaSet::new();
-    for &(s, e) in token_spans.iter().step_by(100) {
-        delta
-            .apply(
-                DeltaOp::Retract {
-                    layer: "tokens".into(),
-                    name: "w".into(),
-                    start: s,
-                    end: e,
-                },
-                &set,
-            )
-            .unwrap();
-    }
+    // Retract every 100th token, in two batches.
+    let retracts: Vec<DeltaOp> = (token_spans.iter().step_by(100))
+        .map(|&(s, e)| DeltaOp::Retract {
+            layer: "tokens".into(),
+            name: "w".into(),
+            start: s,
+            end: e,
+        })
+        .collect();
+    let batches = [retracts[..45].to_vec(), retracts[45..].to_vec()];
 
     let queries = [
         format!(r#"count(layer("{URI}", "spans")//big/select-narrow::w)"#),
         format!(r#"layer("{URI}", "spans")//big[@n = "2"]/select-narrow::w"#),
     ];
-    let folded = standoff::store::compact(&set, &delta).unwrap();
     let mut reference: Option<Vec<String>> = None;
     for strategy in STRATEGIES {
-        let mut overlay = engine_with(strategy);
-        overlay.mount_overlay(set.clone(), &delta).unwrap();
-        let mut compacted = engine_with(strategy);
-        compacted.mount_store(folded.clone()).unwrap();
+        let (writer, mut compacted, _) = both_sides(&set, &batches, strategy);
+        let mut session = writer.session();
         let mut answers = Vec::new();
         for query in &queries {
-            let a = overlay.run(query).unwrap().as_xml();
+            let a = session.run(query).unwrap().as_xml();
             let b = compacted.run(query).unwrap().as_xml();
-            assert_eq!(a, b, "overlay != compacted: {strategy:?} {query}");
+            assert_eq!(a, b, "writer != compacted: {strategy:?} {query}");
             answers.push(a);
         }
         match &reference {
@@ -401,7 +425,7 @@ fn dense_kernel_matches_through_overlay() {
             strategy,
             StandoffStrategy::BasicMergeJoin | StandoffStrategy::LoopLiftedMergeJoin
         ) {
-            let stats = overlay.join_stats();
+            let stats = session.join_stats();
             assert!(
                 stats.candidate_repr_dense > 0,
                 "{strategy:?}: dense scan never ran: {stats:?}"
@@ -416,21 +440,14 @@ fn dense_kernel_matches_through_overlay() {
     );
 }
 
-// ---- documented divergence pin ----
+// ---- whole documents ----
 
-/// Pins the divergence documented since the overlay work landed (see
-/// README "Writable layers" and "Durability"): pending inserts are
-/// *query-visible* through the merge-on-read overlay, but serializing
-/// a whole overlaid document **root** omits them — the inserts live in
-/// sibling delta documents, and root serialization walks only the base
-/// tree. Compaction folds them in, so `compact` first for
-/// full-document output.
-///
-/// If this test fails because the overlay serialization started
-/// *including* the insert, the divergence has been fixed: delete this
-/// pin and the README caveat together.
+/// Serializing an overlaid layer's root includes its pending inserts,
+/// exactly as the compacted snapshot's does. (This used to be a pinned
+/// divergence: merge-on-read kept the inserts in a sibling document
+/// that root serialization never walked.)
 #[test]
-fn overlaid_root_serialization_omits_pending_inserts_divergence_pin() {
+fn overlaid_root_serialization_includes_pending_inserts() {
     let base = parse_document("<text>Alice met Bob</text>").unwrap();
     let mut set = LayerSet::build("mem://pin", base, StandoffConfig::default()).unwrap();
     let tokens = parse_document(
@@ -439,49 +456,20 @@ fn overlaid_root_serialization_omits_pending_inserts_divergence_pin() {
     .unwrap();
     set.add_layer("tokens", tokens, StandoffConfig::default())
         .unwrap();
-    let mut delta = DeltaSet::new();
-    delta
-        .apply(
-            DeltaOp::Insert {
-                layer: "tokens".into(),
-                name: "ner".into(),
-                start: 0,
-                end: 4,
-                attrs: vec![("class".into(), "PER".into())],
-            },
-            &set,
-        )
-        .unwrap();
-
-    let mut overlay = Engine::new();
-    overlay.mount_overlay(set.clone(), &delta).unwrap();
-    // The insert is fully query-visible through the overlay...
+    let ner = DeltaOp::Insert {
+        layer: "tokens".into(),
+        name: "ner".into(),
+        start: 0,
+        end: 4,
+        attrs: vec![("class".into(), "PER".into())],
+    };
+    let (writer, mut compacted, _) =
+        both_sides(&set, &[vec![ner]], StandoffStrategy::LoopLiftedMergeJoin);
+    let root = r#"layer("mem://pin", "tokens")"#;
+    let overlaid_root = writer.session().run(root).unwrap().as_xml();
     assert_eq!(
-        overlay
-            .run(r#"count(layer("mem://pin", "tokens")//ner)"#)
-            .unwrap()
-            .as_xml(),
-        "1"
+        overlaid_root,
+        r#"<tokens><w start="0" end="4"/><w start="6" end="8"/><w start="10" end="12"/><ner start="0" end="4" class="PER"/></tokens>"#
     );
-    // ...but the serialized document root omits it (the divergence).
-    let overlaid_root = overlay
-        .run(r#"layer("mem://pin", "tokens")"#)
-        .unwrap()
-        .as_xml();
-    assert!(
-        !overlaid_root.contains("<ner"),
-        "divergence fixed? overlaid root now serializes pending inserts: {overlaid_root}"
-    );
-    // Compaction is the documented way to get full-document output.
-    let folded = standoff::store::compact(&set, &delta).unwrap();
-    let mut compacted = Engine::new();
-    compacted.mount_store(folded).unwrap();
-    let compacted_root = compacted
-        .run(r#"layer("mem://pin", "tokens")"#)
-        .unwrap()
-        .as_xml();
-    assert!(
-        compacted_root.contains("<ner"),
-        "compacted root must include the folded insert: {compacted_root}"
-    );
+    assert_eq!(overlaid_root, compacted.run(root).unwrap().as_xml());
 }
