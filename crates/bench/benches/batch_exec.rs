@@ -1,5 +1,5 @@
 //! Batch executor throughput: one shared XMark StandOff corpus, a
-//! ≥100-query batch, swept over worker-thread counts and AST-cache
+//! ≥100-query batch, swept over worker-thread counts and plan-cache
 //! temperature.
 //!
 //! What the sweep shows:
@@ -75,7 +75,7 @@ fn batch_exec(c: &mut Criterion) {
     // only on first sight of each distinct text.
     group.bench_with_input(BenchmarkId::new("cache", "cold"), &batch, |b, batch| {
         b.iter(|| {
-            // Fresh executor per run: empty AST cache, every query
+            // Fresh executor per run: empty plan cache, every query
             // parses.
             let exec = Executor::new(shared.clone(), 1);
             exec.run_batch(batch).len()

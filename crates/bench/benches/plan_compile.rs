@@ -1,10 +1,10 @@
-//! Query compilation cost: parse → lower → optimize, and the
+//! Query compilation cost: parse → resolve → optimize, and the
 //! plan-cache temperatures that amortize it.
 //!
 //! What the sweep shows:
 //!
 //! * `compile/<query>` — full execution-path pipeline cost per query
-//!   shape (parse + 1:1 lowering + the optimizer passes; explain-only
+//!   shape (parse + resolve + the optimizer passes; explain-only
 //!   estimates are skipped on this path). This is the latency a cache
 //!   miss adds to a query.
 //! * `cache/cold-vs-warm` — a repeat-heavy batch through a fresh

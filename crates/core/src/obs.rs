@@ -22,7 +22,7 @@
 //! * **Scoped or global.** Engines own their own registry (shared by
 //!   all sessions of a `SharedEngine`), so tests stay isolated; code
 //!   with no natural owner (snapshot mounting deep inside the store)
-//!   records into the process-wide [`global`] registry.
+//!   records into the process-wide [`MetricsRegistry::global`] registry.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -386,7 +386,9 @@ impl MetricsSnapshot {
     }
 }
 
-fn escape_json(s: &str) -> String {
+/// Escape `s` for use inside a JSON string literal: quotes,
+/// backslashes and control characters.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

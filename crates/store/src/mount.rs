@@ -889,7 +889,7 @@ impl Snapshot {
         &self.inner.uri
     }
 
-    /// On-disk format version — always [`VERSION`]; nothing else mounts.
+    /// On-disk format version — always `VERSION`; nothing else mounts.
     pub fn version(&self) -> u32 {
         VERSION
     }

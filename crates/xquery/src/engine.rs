@@ -27,7 +27,6 @@ use standoff_core::{Budget, IndexStats, RegionIndex, StandoffConfig, StandoffStr
 use standoff_store::{Catalog, Layer, LayerSet, Snapshot};
 use standoff_xml::{DocId, DocSource, Document, Store};
 
-use crate::ast::Query;
 use crate::compile::{self, PlanContext};
 use crate::error::QueryError;
 use crate::eval::Evaluator;
@@ -156,7 +155,7 @@ fn fresh_generation() -> u64 {
 /// What a StandOff join filters its target layers by.
 pub(crate) enum LayerFilter<'a> {
     /// Kind tests, `*`, and any join without a pushdown — the
-    /// unoptimized reference lowering among them: no layer is ruled out.
+    /// unoptimized reference plan among them: no layer is ruled out.
     Any,
     /// The pushed-down element name.
     Name(&'a str),
@@ -484,15 +483,9 @@ impl EngineState {
         }
     }
 
-    /// Compile a parsed query against this state (lower + optimize).
-    pub fn compile(&self, query: &Query) -> Result<Plan, QueryError> {
-        compile::compile(query, &self.plan_context())
-    }
-
-    /// Compile and evaluate a previously parsed query against this
-    /// state.
-    pub fn execute(&mut self, query: &Query) -> Result<QueryResult, QueryError> {
-        let plan = self.compile(query)?;
+    /// Parse, compile and evaluate a query against this state.
+    fn run(&mut self, query: &str) -> Result<QueryResult, QueryError> {
+        let plan = compile::compile(parse_query(query)?, &self.plan_context())?;
         self.execute_plan(&plan)
     }
 
@@ -846,8 +839,10 @@ impl Engine {
         Ok(())
     }
 
-    /// Parse a query without running it.
-    pub fn parse(&self, query: &str) -> Result<Query, QueryError> {
+    /// Parse a query into its unresolved plan without running it. The
+    /// plan is not executable until [`compile::compile`] resolves it:
+    /// its calls are still by name and its prolog options unchecked.
+    pub fn parse(&self, query: &str) -> Result<Plan, QueryError> {
         parse_query(query)
     }
 
@@ -858,7 +853,7 @@ impl Engine {
         let parsed = parse_query(query)?;
         let mut ctx = self.state.plan_context();
         ctx.estimates = true;
-        compile::compile(&parsed, &ctx)
+        compile::compile(parsed, &ctx)
     }
 
     /// Render the optimized plan of a query under the engine's current
@@ -872,17 +867,16 @@ impl Engine {
     /// Parse, compile, optimize and evaluate a query; returns the
     /// materialized result sequence.
     pub fn run(&mut self, query: &str) -> Result<QueryResult, QueryError> {
-        let parsed = parse_query(query)?;
-        self.execute(&parsed)
+        self.state.run(query)
     }
 
-    /// Evaluate a query through the *unoptimized* direct-AST lowering —
-    /// the reference path the `plan_equivalence` suite holds the
-    /// optimizer against. Not a production entry point.
+    /// Evaluate a query through the *unoptimized* resolved plan — the
+    /// reference path the `plan_equivalence` suite holds the optimizer
+    /// against. Not a production entry point.
     #[doc(hidden)]
     pub fn run_unoptimized(&mut self, query: &str) -> Result<QueryResult, QueryError> {
-        let parsed = parse_query(query)?;
-        let plan = compile::lower(&parsed, &self.state.plan_context())?;
+        let mut plan = parse_query(query)?;
+        compile::resolve(&mut plan, &self.state.plan_context())?;
         self.state.execute_plan(&plan)
     }
 
@@ -891,17 +885,11 @@ impl Engine {
     /// so repeated runs neither pay serialization costs nor accumulate
     /// constructed results in the store.
     pub fn run_and_discard(&mut self, query: &str) -> Result<usize, QueryError> {
-        let parsed = parse_query(query)?;
         let docs_before = self.state.store.len();
-        let result = self.state.execute(&parsed);
+        let result = self.state.run(query);
         self.state.store.truncate(docs_before);
         self.state.drop_cache_from(docs_before);
         result.map(|r| r.len())
-    }
-
-    /// Evaluate a previously parsed query.
-    pub fn execute(&mut self, query: &Query) -> Result<QueryResult, QueryError> {
-        self.state.execute(query)
     }
 
     /// The engine's current store-generation stamp: changes whenever a
@@ -1015,8 +1003,7 @@ impl SharedEngine {
     /// path, so explain-only estimate annotations are skipped; use
     /// [`Engine::compile`]/[`Engine::explain`] for inspection.
     pub fn compile(&self, query: &str) -> Result<Plan, QueryError> {
-        let parsed = parse_query(query)?;
-        self.core.compile(&parsed)
+        compile::compile(parse_query(query)?, &self.core.plan_context())
     }
 }
 
@@ -1036,13 +1023,7 @@ pub struct Session {
 impl Session {
     /// Parse and evaluate a query.
     pub fn run(&mut self, query: &str) -> Result<QueryResult, QueryError> {
-        let parsed = parse_query(query)?;
-        self.execute(&parsed)
-    }
-
-    /// Compile and evaluate a previously parsed query.
-    pub fn execute(&mut self, query: &Query) -> Result<QueryResult, QueryError> {
-        self.state.execute(query)
+        self.state.run(query)
     }
 
     /// Evaluate a previously compiled plan (the batch executor's hot
@@ -1114,7 +1095,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::config_from_prolog;
+    use crate::compile::config_from_options;
 
     /// A deadline that passes while the fused `[@k = "lit"]` filter is
     /// walking its rows is the same categorized error the generic
@@ -1139,7 +1120,7 @@ mod tests {
             value: "a".into(),
         };
         let generic = PlanExpr::Comparison(
-            crate::ast::CompOp::Eq,
+            crate::plan::CompOp::Eq,
             Box::new(PlanExpr::TreeStep {
                 input: None,
                 axis: TreeAxis::Attribute,
@@ -1179,15 +1160,15 @@ mod tests {
 
     #[test]
     fn prolog_standoff_options() {
-        let prolog = crate::parser::parse_query(
+        let options = crate::parser::parse_query(
             r#"declare option standoff-start "from";
                declare option standoff-end "to";
                declare option standoff-region "span";
                1"#,
         )
         .unwrap()
-        .prolog;
-        let config = config_from_prolog(&prolog).unwrap();
+        .options;
+        let config = config_from_options(&options).unwrap();
         assert_eq!(config.start_name, "from");
         assert_eq!(config.end_name, "to");
         assert_eq!(config.region_name.as_deref(), Some("span"));
@@ -1195,10 +1176,11 @@ mod tests {
 
     #[test]
     fn invalid_standoff_type_rejected() {
-        let prolog = crate::parser::parse_query(r#"declare option standoff-type "xs:duration"; 1"#)
-            .unwrap()
-            .prolog;
-        assert!(config_from_prolog(&prolog).is_err());
+        let options =
+            crate::parser::parse_query(r#"declare option standoff-type "xs:duration"; 1"#)
+                .unwrap()
+                .options;
+        assert!(config_from_options(&options).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The loop-lifted plan executor.
 //!
-//! The evaluator runs **compiled plans** ([`crate::plan`]) — never the
-//! surface AST. Every plan operator is evaluated **once per scope**,
+//! The evaluator runs **compiled plans** ([`crate::plan`]). Every plan
+//! operator is evaluated **once per scope**,
 //! producing an `iter|pos|item` table ([`LlSeq`]) that holds its value
 //! for *all* iterations of the enclosing for-loops simultaneously —
 //! Pathfinder's loop-lifting (paper §4.1) realized as a direct plan
@@ -40,7 +40,6 @@ use standoff_core::join::{join_resolved, JoinScratch, JoinTarget};
 use standoff_core::{IterNode, RegionIndex, StandoffConfig};
 use standoff_xml::{DocId, DocumentBuilder, NodeKind, NodeRef};
 
-use crate::ast::{ArithOp, CompOp};
 use crate::engine::{answering_layers, EngineState, LayerFilter};
 use crate::error::QueryError;
 use crate::functions;
@@ -1166,7 +1165,7 @@ impl<'e> Evaluator<'e> {
         // test is guaranteed by the join itself (pushed-down name test,
         // kind-only test over element output): then the §3.2 trailing
         // `/self::name` step is pure overhead and is elided. The
-        // unoptimized reference lowering never sets the flag and keeps
+        // unoptimized reference plan never sets the flag and keeps
         // the literal trailing step.
         if op.test_guaranteed {
             exec.stats.post_filters_elided += 1;
@@ -1569,8 +1568,12 @@ impl<'e> Evaluator<'e> {
         for a in args {
             arg_tables.push(self.eval(a)?);
         }
-        functions::call_builtin(self, local, arg_tables)?
-            .ok_or_else(|| QueryError::stat(format!("unknown function {name}()")))
+        let arity = arg_tables.len();
+        functions::call_builtin(self, local, arg_tables)?.ok_or_else(|| {
+            QueryError::stat(format!(
+                "unknown function {name}() with {arity} argument(s)"
+            ))
+        })
     }
 
     // ================= constructors =================

@@ -11,7 +11,7 @@
 //! statistics. The textual shape mirrors how
 //! Pathfinder plans are usually shown.
 //!
-//! Because the text is generated from the plan rather than the AST, it
+//! Because the text is generated from the plan that executes, it
 //! cannot drift from execution: what explain prints *is* what runs.
 
 use std::collections::HashMap;
@@ -530,8 +530,7 @@ mod tests {
     use crate::parser::parse_query;
 
     fn explain_with(q: &str, options: &EngineOptions) -> String {
-        let parsed = parse_query(q).unwrap();
-        let plan = compile(&parsed, &PlanContext::bare(options)).unwrap();
+        let plan = compile(parse_query(q).unwrap(), &PlanContext::bare(options)).unwrap();
         explain_plan(&plan)
     }
 

@@ -4,13 +4,15 @@
 //! **StandOff XPath axes** of Alink et al. (XIME-P/SIGMOD 2006) — the role
 //! MonetDB/XQuery with the Pathfinder compiler plays in the paper.
 //!
-//! Queries are **compiled**: `parse` ([`ast`]) → `lower` ([`compile`])
-//! → `optimize` ([`optimize`], an ordered pass list: constant folding,
-//! loop-invariant hoisting, per-operator strategy selection, candidate
-//! pushdown, cardinality estimates) → `execute` ([`eval`] over the
-//! [`plan`] IR). [`explain`] renders the same plan object that
-//! executes, and the batch executor ([`exec`]) caches compiled plans
-//! keyed on `(query text, store generation, options fingerprint)`.
+//! Queries are **compiled**, and a query is one tree from start to
+//! finish — the [`plan`] IR: `parse` ([`parser`] builds the plan) →
+//! `resolve` ([`compile`]: prolog options, function calls, join
+//! strategy) → `optimize` ([`optimize`], an ordered pass list: constant
+//! folding, loop-invariant hoisting, per-operator strategy selection,
+//! candidate pushdown, cardinality estimates) → `execute` ([`eval`]).
+//! [`explain`] renders the same plan object that executes, and the
+//! batch executor ([`exec`]) caches compiled plans keyed on `(query
+//! text, store generation, options fingerprint)`.
 //!
 //! The engine evaluates every plan operator *once per scope* on
 //! `iter|pos|item` tables (see `standoff-algebra`), never once per
@@ -46,7 +48,6 @@
 //! assert_eq!(result.as_strings(), ["2"]);
 //! ```
 
-pub mod ast;
 pub mod compile;
 pub mod engine;
 pub mod error;

@@ -1,5 +1,5 @@
 //! The plan optimizer: an ordered list of rewrite passes over the
-//! lowered plan.
+//! resolved plan.
 //!
 //! Pass order is fixed and guaranteed; each pass runs exactly once, and
 //! later passes see the operator placement earlier passes produced:
@@ -39,7 +39,8 @@
 //!    time. Runs after strategy-select because `naive` (no candidates)
 //!    must never carry a pushdown annotation.
 //! 7. **elide** — proves, per StandOff operator, whether the trailing
-//!    `self::test` post-filter is redundant (see [`elide`]).
+//!    `self::test` post-filter is redundant (the `elide` function
+//!    states the rules).
 //! 8. **estimate** — resolves, for every StandOff operator, the layers
 //!    of each mounted group that can answer it (the function execution
 //!    resolves them with) and attaches their region-index statistics
@@ -130,7 +131,6 @@ fn const_fold(plan: &mut Plan, _: &PlanContext<'_>) {
 }
 
 fn fold_expr(e: &mut PlanExpr) {
-    use crate::ast::CompOp;
     let folded: Option<Atom> = match e {
         PlanExpr::Neg(inner) => match const_of(inner) {
             Some(Atom::Integer(i)) => Some(Atom::Integer(i.wrapping_neg())),
@@ -193,8 +193,8 @@ fn const_of(e: &PlanExpr) -> Option<&Atom> {
 /// exactly. Returns `None` — leaving the operator in the plan — whenever
 /// evaluation could raise a dynamic error (division by integer zero) or
 /// involves non-numeric operands.
-fn fold_arith(op: crate::ast::ArithOp, x: &Atom, y: &Atom) -> Option<Atom> {
-    use crate::ast::ArithOp::*;
+fn fold_arith(op: ArithOp, x: &Atom, y: &Atom) -> Option<Atom> {
+    use ArithOp::*;
     if let (Atom::Integer(a), Atom::Integer(b)) = (x, y) {
         let (a, b) = (*a, *b);
         return match op {
@@ -238,9 +238,9 @@ fn number_of(a: &Atom) -> Option<f64> {
 /// Fold a comparison of two constants, conservatively: both numeric
 /// (mirrors `Item::general_compare`'s numeric arm) or both strings
 /// (codepoint comparison). Mixed or boolean operands defer to run time.
-fn fold_compare(op: crate::ast::CompOp, x: &Atom, y: &Atom) -> Option<Atom> {
-    use crate::ast::CompOp::*;
+fn fold_compare(op: CompOp, x: &Atom, y: &Atom) -> Option<Atom> {
     use std::cmp::Ordering;
+    use CompOp::*;
     let ord: Option<Ordering> = match (x, y) {
         (Atom::Integer(a), Atom::Integer(b)) => Some(a.cmp(b)),
         (Atom::String(a), Atom::String(b)) => Some(a.as_ref().cmp(b.as_ref())),
@@ -369,7 +369,7 @@ fn fuse_attr_filter(plan: &mut Plan, _: &PlanContext<'_>) {
 /// own; the other operand is a string constant (`@n = 17` compares
 /// numerically and stays generic).
 fn fuse_attr_predicate(p: &mut PlanExpr) {
-    let PlanExpr::Comparison(crate::ast::CompOp::Eq, a, b) = p else {
+    let PlanExpr::Comparison(CompOp::Eq, a, b) = p else {
         return;
     };
     let fused = match (a.as_ref(), b.as_ref()) {
@@ -959,7 +959,7 @@ fn estimate(plan: &mut Plan, ctx: &PlanContext<'_>) {
             _ => true,
         };
         let name = op.pushdown.as_deref();
-        op.estimate = Some(JoinEstimate {
+        op.estimate = Some(Box::new(JoinEstimate {
             index: corpus.index_stats(reached),
             candidates: name.and_then(|name| corpus_name_count(ctx, name)),
             covering: name.is_some_and(|name| corpus.name_covers(name, reached)),
@@ -974,7 +974,7 @@ fn estimate(plan: &mut Plan, ctx: &PlanContext<'_>) {
                     })
                     .collect()
             }),
-        });
+        }));
     });
 }
 
@@ -986,9 +986,8 @@ mod tests {
     use crate::parser::parse_query;
 
     fn optimized(q: &str) -> Plan {
-        let parsed = parse_query(q).unwrap();
         let options = EngineOptions::default();
-        compile(&parsed, &PlanContext::bare(&options)).unwrap()
+        compile(parse_query(q).unwrap(), &PlanContext::bare(&options)).unwrap()
     }
 
     #[test]
@@ -1071,7 +1070,7 @@ mod tests {
             strategy: standoff_core::StandoffStrategy::NaiveNoCandidates,
             ..EngineOptions::default()
         };
-        let plan = compile(&parsed, &PlanContext::bare(&options)).unwrap();
+        let plan = compile(parsed, &PlanContext::bare(&options)).unwrap();
         let PlanExpr::StandoffStep { op, .. } = &plan.body else {
             panic!("expected standoff step");
         };

@@ -8,28 +8,103 @@
 //! * direct element constructors switch the parser into raw mode at a `<`
 //!   that is directly followed by a name in operand position; enclosed
 //!   `{ expr }` blocks recursively re-enter token mode.
+//!
+//! The parser builds the plan IR ([`crate::plan`]) directly: literals
+//! are constants, steps are tree or StandOff steps, and every call is a
+//! [`PlanExpr::BuiltinCall`] until [`crate::compile::resolve`] binds it.
+
+use std::sync::Arc;
 
 use standoff_algebra::{KindTest, NodeTest, TreeAxis};
+use standoff_core::{StandoffAxis, StandoffConfig, StandoffStrategy};
 
-use crate::ast::*;
 use crate::error::QueryError;
 use crate::lexer::{Lexer, Token, TokenKind};
+use crate::plan::*;
 
-/// Parse a complete query (prolog + body).
-pub fn parse_query(input: &str) -> Result<Query, QueryError> {
+/// Parse a complete query (prolog + body) into an unresolved plan.
+pub fn parse_query(input: &str) -> Result<Plan, QueryError> {
     let mut p = Parser::new(input)?;
-    let prolog = p.parse_prolog()?;
-    let body = p.parse_expr()?;
+    let mut plan = Plan {
+        options: Vec::new(),
+        config: StandoffConfig::default(),
+        externals: Vec::new(),
+        globals: Vec::new(),
+        functions: Vec::new(),
+        body: PlanExpr::empty(),
+        passes: Vec::new(),
+    };
+    p.parse_prolog(&mut plan)?;
+    plan.body = p.parse_expr()?;
     p.expect_eof()?;
-    Ok(Query { prolog, body })
+    Ok(plan)
 }
 
-/// Parse a single expression (no prolog).
-pub fn parse_expr_str(input: &str) -> Result<Expr, QueryError> {
-    let mut p = Parser::new(input)?;
-    let e = p.parse_expr()?;
-    p.expect_eof()?;
-    Ok(e)
+/// An axis in a path step: the thirteen XPath tree axes or one of the
+/// paper's four StandOff axes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Axis {
+    Tree(TreeAxis),
+    Standoff(StandoffAxis),
+}
+
+impl Axis {
+    fn parse(name: &str) -> Option<Axis> {
+        if let Some(s) = StandoffAxis::parse(name) {
+            return Some(Axis::Standoff(s));
+        }
+        let t = match name {
+            "child" => TreeAxis::Child,
+            "descendant" => TreeAxis::Descendant,
+            "descendant-or-self" => TreeAxis::DescendantOrSelf,
+            "self" => TreeAxis::SelfAxis,
+            "parent" => TreeAxis::Parent,
+            "ancestor" => TreeAxis::Ancestor,
+            "ancestor-or-self" => TreeAxis::AncestorOrSelf,
+            "following-sibling" => TreeAxis::FollowingSibling,
+            "preceding-sibling" => TreeAxis::PrecedingSibling,
+            "following" => TreeAxis::Following,
+            "preceding" => TreeAxis::Preceding,
+            "attribute" => TreeAxis::Attribute,
+            _ => return None,
+        };
+        Some(Axis::Tree(t))
+    }
+}
+
+/// The step `input/axis::test[predicates]`; a StandOff step carries the
+/// placeholder strategy until the resolve step stamps the engine's.
+fn axis_step(
+    input: Option<PlanExpr>,
+    axis: Axis,
+    test: NodeTest,
+    predicates: Vec<PlanExpr>,
+) -> PlanExpr {
+    let input = input.map(Box::new);
+    match axis {
+        Axis::Tree(axis) => PlanExpr::TreeStep {
+            input,
+            axis,
+            test,
+            predicates,
+        },
+        Axis::Standoff(axis) => PlanExpr::StandoffStep {
+            input,
+            op: StandoffOp::new(axis, StandoffStrategy::LoopLiftedMergeJoin),
+            test,
+            predicates,
+        },
+    }
+}
+
+/// `input/descendant-or-self::node()` — what `//` abbreviates.
+fn descendant_or_self(input: PlanExpr) -> PlanExpr {
+    axis_step(
+        Some(input),
+        Axis::Tree(TreeAxis::DescendantOrSelf),
+        NodeTest::any_node(),
+        Vec::new(),
+    )
 }
 
 /// Maximum expression / constructor nesting depth. The parser is
@@ -177,8 +252,7 @@ impl<'a> Parser<'a> {
 
     // ----- prolog -----
 
-    fn parse_prolog(&mut self) -> Result<Prolog, QueryError> {
-        let mut prolog = Prolog::default();
+    fn parse_prolog(&mut self, plan: &mut Plan) -> Result<(), QueryError> {
         while self.current.kind.is_name("declare") {
             let next = match self.peek()? {
                 TokenKind::Name(n) => Some(n.clone()),
@@ -191,17 +265,18 @@ impl<'a> Parser<'a> {
                         self.advance()?; // option
                         let name = self.expect_name("option name")?;
                         let value = self.expect_string("option value")?;
-                        prolog.options.push((name, value));
+                        plan.options.push((name, value));
                     }
                     "namespace" | "module" => {
                         self.advance()?;
                         self.advance()?;
                         // `declare module namespace p = "uri"` also occurs.
+                        // Names are compared lexically, so the binding is
+                        // checked for form and dropped.
                         let _ = self.eat_keyword("namespace")?;
-                        let prefix = self.expect_name("namespace prefix")?;
+                        self.expect_name("namespace prefix")?;
                         self.expect(&TokenKind::Eq, "'='")?;
-                        let uri = self.expect_string("namespace URI")?;
-                        prolog.namespaces.push((prefix, uri));
+                        self.expect_string("namespace URI")?;
                     }
                     "variable" => {
                         self.advance()?;
@@ -209,18 +284,18 @@ impl<'a> Parser<'a> {
                         let var = self.expect_variable()?;
                         self.skip_type_annotation()?;
                         if self.eat_keyword("external")? {
-                            prolog.external_variables.push(var);
+                            plan.externals.push(var);
                         } else {
                             self.expect(&TokenKind::ColonEq, "':='")?;
                             let value = self.parse_expr_single()?;
-                            prolog.variables.push((var, value));
+                            plan.globals.push((var, value));
                         }
                     }
                     "function" => {
                         self.advance()?;
                         self.advance()?;
                         let decl = self.parse_function_decl()?;
-                        prolog.functions.push(decl);
+                        plan.functions.push(Arc::new(decl));
                     }
                     "boundary-space" | "ordering" | "construction" | "copy-namespaces"
                     | "default" | "base-uri" => {
@@ -243,10 +318,10 @@ impl<'a> Parser<'a> {
             // Figure 2/3 listings omit it.
             let _ = self.eat(&TokenKind::Semicolon)?;
         }
-        Ok(prolog)
+        Ok(())
     }
 
-    fn parse_function_decl(&mut self) -> Result<FunctionDecl, QueryError> {
+    fn parse_function_decl(&mut self) -> Result<PlanFunction, QueryError> {
         let name = self.expect_name("function name")?;
         self.expect(&TokenKind::LParen, "'('")?;
         let mut params = Vec::new();
@@ -265,7 +340,7 @@ impl<'a> Parser<'a> {
         self.expect(&TokenKind::LBrace, "'{'")?;
         let body = self.parse_expr()?;
         self.expect(&TokenKind::RBrace, "'}'")?;
-        Ok(FunctionDecl { name, params, body })
+        Ok(PlanFunction { name, params, body })
     }
 
     /// `as xs:anyNode*` etc. — parsed and discarded (the engine is
@@ -286,7 +361,7 @@ impl<'a> Parser<'a> {
 
     // ----- expressions -----
 
-    fn parse_expr(&mut self) -> Result<Expr, QueryError> {
+    fn parse_expr(&mut self) -> Result<PlanExpr, QueryError> {
         let first = self.parse_expr_single()?;
         if self.current.kind != TokenKind::Comma {
             return Ok(first);
@@ -295,17 +370,17 @@ impl<'a> Parser<'a> {
         while self.eat(&TokenKind::Comma)? {
             items.push(self.parse_expr_single()?);
         }
-        Ok(Expr::Sequence(items))
+        Ok(PlanExpr::Sequence(items))
     }
 
-    fn parse_expr_single(&mut self) -> Result<Expr, QueryError> {
+    fn parse_expr_single(&mut self) -> Result<PlanExpr, QueryError> {
         self.enter_nested()?;
         let result = self.parse_expr_single_inner();
         self.leave_nested();
         result
     }
 
-    fn parse_expr_single_inner(&mut self) -> Result<Expr, QueryError> {
+    fn parse_expr_single_inner(&mut self) -> Result<PlanExpr, QueryError> {
         // Contextual keywords: only treat as control flow when the next
         // token fits (otherwise they are path steps).
         if (self.current.kind.is_name("for") || self.current.kind.is_name("let"))
@@ -321,10 +396,10 @@ impl<'a> Parser<'a> {
         if self.current.kind.is_name("if") && *self.peek()? == TokenKind::LParen {
             return self.parse_if();
         }
-        self.parse_or()
+        self.parse_binary(0)
     }
 
-    fn parse_flwor(&mut self) -> Result<Expr, QueryError> {
+    fn parse_flwor(&mut self) -> Result<PlanExpr, QueryError> {
         let mut clauses = Vec::new();
         loop {
             if self.current.kind.is_name("for") && matches!(self.peek()?, TokenKind::Variable(_)) {
@@ -339,7 +414,7 @@ impl<'a> Parser<'a> {
                     };
                     self.expect_keyword("in")?;
                     let seq = self.parse_expr_single()?;
-                    clauses.push(FlworClause::For { var, at, seq });
+                    clauses.push(PlanClause::For { var, at, seq });
                     if !self.eat(&TokenKind::Comma)? {
                         break;
                     }
@@ -353,7 +428,7 @@ impl<'a> Parser<'a> {
                     self.skip_type_annotation()?;
                     self.expect(&TokenKind::ColonEq, "':='")?;
                     let value = self.parse_expr_single()?;
-                    clauses.push(FlworClause::Let { var, value });
+                    clauses.push(PlanClause::Let { var, value });
                     if !self.eat(&TokenKind::Comma)? {
                         break;
                     }
@@ -383,7 +458,7 @@ impl<'a> Parser<'a> {
                 if self.eat_keyword("empty")? {
                     let _ = self.eat_keyword("greatest")? || self.eat_keyword("least")?;
                 }
-                order_by.push(OrderKey { expr, descending });
+                order_by.push(PlanOrderKey { expr, descending });
                 if !self.eat(&TokenKind::Comma)? {
                     break;
                 }
@@ -391,7 +466,8 @@ impl<'a> Parser<'a> {
         }
         self.expect_keyword("return")?;
         let return_clause = Box::new(self.parse_expr_single()?);
-        Ok(Expr::Flwor {
+        Ok(PlanExpr::Flwor {
+            hoisted: Vec::new(),
             clauses,
             where_clause,
             order_by,
@@ -399,7 +475,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn parse_quantified(&mut self) -> Result<Expr, QueryError> {
+    fn parse_quantified(&mut self) -> Result<PlanExpr, QueryError> {
         let every = self.current.kind.is_name("every");
         self.advance()?;
         let mut bindings = Vec::new();
@@ -415,14 +491,14 @@ impl<'a> Parser<'a> {
         }
         self.expect_keyword("satisfies")?;
         let satisfies = Box::new(self.parse_expr_single()?);
-        Ok(Expr::Quantified {
+        Ok(PlanExpr::Quantified {
             every,
             bindings,
             satisfies,
         })
     }
 
-    fn parse_if(&mut self) -> Result<Expr, QueryError> {
+    fn parse_if(&mut self) -> Result<PlanExpr, QueryError> {
         self.advance()?; // if
         self.expect(&TokenKind::LParen, "'('")?;
         let cond = Box::new(self.parse_expr()?);
@@ -431,122 +507,59 @@ impl<'a> Parser<'a> {
         let then_branch = Box::new(self.parse_expr_single()?);
         self.expect_keyword("else")?;
         let else_branch = Box::new(self.parse_expr_single()?);
-        Ok(Expr::IfThenElse {
+        Ok(PlanExpr::IfThenElse {
             cond,
             then_branch,
             else_branch,
         })
     }
 
-    fn parse_or(&mut self) -> Result<Expr, QueryError> {
-        let mut left = self.parse_and()?;
-        while self.current.kind.is_name("or") && !self.next_starts_operand_boundary()? {
-            self.advance()?;
-            let right = self.parse_and()?;
-            left = Expr::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn parse_and(&mut self) -> Result<Expr, QueryError> {
-        let mut left = self.parse_comparison()?;
-        while self.current.kind.is_name("and") && !self.next_starts_operand_boundary()? {
-            self.advance()?;
-            let right = self.parse_comparison()?;
-            left = Expr::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    /// Heuristic to keep `or`/`and` usable as element names in paths:
-    /// those are parsed as steps elsewhere; in operator position the
-    /// keyword is always an operator, so this returns false.
-    fn next_starts_operand_boundary(&mut self) -> Result<bool, QueryError> {
-        Ok(false)
-    }
-
-    fn parse_comparison(&mut self) -> Result<Expr, QueryError> {
-        let left = self.parse_range()?;
-        let op = match &self.current.kind {
-            TokenKind::Eq => Some(CompOp::Eq),
-            TokenKind::Ne => Some(CompOp::Ne),
-            TokenKind::Lt => Some(CompOp::Lt),
-            TokenKind::Le => Some(CompOp::Le),
-            TokenKind::Gt => Some(CompOp::Gt),
-            TokenKind::Ge => Some(CompOp::Ge),
-            TokenKind::Name(n) => match n.as_str() {
-                "eq" => Some(CompOp::ValEq),
-                "ne" => Some(CompOp::ValNe),
-                "lt" => Some(CompOp::ValLt),
-                "le" => Some(CompOp::ValLe),
-                "gt" => Some(CompOp::ValGt),
-                "ge" => Some(CompOp::ValGe),
-                "is" => Some(CompOp::Is),
-                _ => None,
-            },
-            _ => None,
-        };
-        match op {
-            None => Ok(left),
-            Some(op) => {
-                self.advance()?;
-                let right = self.parse_range()?;
-                Ok(Expr::Comparison(op, Box::new(left), Box::new(right)))
-            }
-        }
-    }
-
-    fn parse_range(&mut self) -> Result<Expr, QueryError> {
-        let left = self.parse_additive()?;
-        if self.current.kind.is_name("to") {
-            self.advance()?;
-            let right = self.parse_additive()?;
-            Ok(Expr::Range(Box::new(left), Box::new(right)))
+    /// The binary operators by precedence climbing: `parse_binary(p)`
+    /// parses an operand and then every operator that binds at least as
+    /// tightly as `p`. Comparisons and ranges do not chain (`1 = 2 = 3`
+    /// stops at the second `=`), and the operand of anything looser than
+    /// unary minus may carry signs.
+    fn parse_binary(&mut self, min: u8) -> Result<PlanExpr, QueryError> {
+        let mut left = if min <= UNARY {
+            self.parse_unary()?
         } else {
-            Ok(left)
-        }
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr, QueryError> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = match self.current.kind {
-                TokenKind::Plus => ArithOp::Add,
-                TokenKind::Minus => ArithOp::Sub,
-                _ => break,
-            };
+            self.parse_path()?
+        };
+        let mut limit = u8::MAX;
+        while let Some((prec, op)) = binary_op(&self.current.kind) {
+            if prec < min || prec > limit {
+                break;
+            }
             self.advance()?;
-            let right = self.parse_multiplicative()?;
-            left = Expr::Arith(op, Box::new(left), Box::new(right));
+            let right = Box::new(self.parse_binary(prec + 1)?);
+            let left_box = Box::new(left);
+            left = match op {
+                BinOp::Or => PlanExpr::Or(left_box, right),
+                BinOp::And => PlanExpr::And(left_box, right),
+                BinOp::Comp(op) => PlanExpr::Comparison(op, left_box, right),
+                BinOp::Range => PlanExpr::Range(left_box, right),
+                BinOp::Arith(op) => PlanExpr::Arith(op, left_box, right),
+                BinOp::Union => PlanExpr::Union(left_box, right),
+                BinOp::Intersect => PlanExpr::Intersect(left_box, right),
+                BinOp::Except => PlanExpr::Except(left_box, right),
+            };
+            limit = if matches!(op, BinOp::Comp(_) | BinOp::Range) {
+                prec - 1
+            } else {
+                prec
+            };
         }
         Ok(left)
     }
 
-    fn parse_multiplicative(&mut self) -> Result<Expr, QueryError> {
-        let mut left = self.parse_unary()?;
-        loop {
-            let op = match &self.current.kind {
-                TokenKind::Star => ArithOp::Mul,
-                TokenKind::Name(n) if n == "div" => ArithOp::Div,
-                TokenKind::Name(n) if n == "idiv" => ArithOp::IDiv,
-                TokenKind::Name(n) if n == "mod" => ArithOp::Mod,
-                _ => break,
-            };
-            self.advance()?;
-            let right = self.parse_unary()?;
-            left = Expr::Arith(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn parse_unary(&mut self) -> Result<Expr, QueryError> {
+    fn parse_unary(&mut self) -> Result<PlanExpr, QueryError> {
         // `----1` recurses per sign without passing parse_expr_single,
         // so it carries its own depth guard.
         if self.eat(&TokenKind::Minus)? {
             self.enter_nested()?;
             let inner = self.parse_unary();
             self.leave_nested();
-            return Ok(Expr::Neg(Box::new(inner?)));
+            return Ok(PlanExpr::Neg(Box::new(inner?)));
         }
         if self.eat(&TokenKind::Plus)? {
             self.enter_nested()?;
@@ -554,59 +567,24 @@ impl<'a> Parser<'a> {
             self.leave_nested();
             return inner;
         }
-        self.parse_union()
-    }
-
-    fn parse_union(&mut self) -> Result<Expr, QueryError> {
-        let mut left = self.parse_intersect_except()?;
-        while self.current.kind == TokenKind::Pipe || self.current.kind.is_name("union") {
-            self.advance()?;
-            let right = self.parse_intersect_except()?;
-            left = Expr::Union(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn parse_intersect_except(&mut self) -> Result<Expr, QueryError> {
-        let mut left = self.parse_path()?;
-        loop {
-            if self.current.kind.is_name("intersect") {
-                self.advance()?;
-                let right = self.parse_path()?;
-                left = Expr::Intersect(Box::new(left), Box::new(right));
-            } else if self.current.kind.is_name("except") {
-                self.advance()?;
-                let right = self.parse_path()?;
-                left = Expr::Except(Box::new(left), Box::new(right));
-            } else {
-                return Ok(left);
-            }
-        }
+        self.parse_binary(UNARY + 1)
     }
 
     // ----- paths -----
 
-    fn parse_path(&mut self) -> Result<Expr, QueryError> {
+    fn parse_path(&mut self) -> Result<PlanExpr, QueryError> {
         match self.current.kind {
             TokenKind::Slash => {
                 self.advance()?;
                 if self.starts_step() {
-                    let root = Expr::RootPath(None);
-                    self.parse_relative_path(root)
+                    self.parse_relative_path(PlanExpr::RootPath)
                 } else {
-                    Ok(Expr::RootPath(None))
+                    Ok(PlanExpr::RootPath)
                 }
             }
             TokenKind::DoubleSlash => {
                 self.advance()?;
-                let root = Expr::RootPath(None);
-                let dos = Expr::Step {
-                    input: Some(Box::new(root)),
-                    axis: Axis::Tree(TreeAxis::DescendantOrSelf),
-                    test: NodeTest::any_node(),
-                    predicates: Vec::new(),
-                };
-                self.parse_relative_path(dos)
+                self.parse_relative_path(descendant_or_self(PlanExpr::RootPath))
             }
             _ => {
                 let first = self.parse_step_expr(None)?;
@@ -629,12 +607,12 @@ impl<'a> Parser<'a> {
         )
     }
 
-    fn parse_relative_path(&mut self, input: Expr) -> Result<Expr, QueryError> {
+    fn parse_relative_path(&mut self, input: PlanExpr) -> Result<PlanExpr, QueryError> {
         let first = self.parse_step_expr(Some(input))?;
         self.parse_relative_path_continue(first)
     }
 
-    fn parse_relative_path_continue(&mut self, mut left: Expr) -> Result<Expr, QueryError> {
+    fn parse_relative_path_continue(&mut self, mut left: PlanExpr) -> Result<PlanExpr, QueryError> {
         loop {
             match self.current.kind {
                 TokenKind::Slash => {
@@ -643,13 +621,7 @@ impl<'a> Parser<'a> {
                 }
                 TokenKind::DoubleSlash => {
                     self.advance()?;
-                    let dos = Expr::Step {
-                        input: Some(Box::new(left)),
-                        axis: Axis::Tree(TreeAxis::DescendantOrSelf),
-                        test: NodeTest::any_node(),
-                        predicates: Vec::new(),
-                    };
-                    left = self.parse_step_expr(Some(dos))?;
+                    left = self.parse_step_expr(Some(descendant_or_self(left)))?;
                 }
                 _ => return Ok(left),
             }
@@ -659,7 +631,7 @@ impl<'a> Parser<'a> {
     /// One step of a path: an axis step, or a postfix (primary +
     /// predicates) expression. `input` is the expression the step applies
     /// to (`None` → context item).
-    fn parse_step_expr(&mut self, input: Option<Expr>) -> Result<Expr, QueryError> {
+    fn parse_step_expr(&mut self, input: Option<PlanExpr>) -> Result<PlanExpr, QueryError> {
         // Abbreviations and axis steps.
         let cur = self.current.kind.clone();
         let step = match &cur {
@@ -707,12 +679,7 @@ impl<'a> Parser<'a> {
         match step {
             Some((axis, test)) => {
                 let predicates = self.parse_predicates()?;
-                Ok(Expr::Step {
-                    input: input.map(Box::new),
-                    axis,
-                    test,
-                    predicates,
-                })
+                Ok(axis_step(input, axis, test, predicates))
             }
             None => {
                 // Postfix expression: primary + predicates.
@@ -722,14 +689,14 @@ impl<'a> Parser<'a> {
                     self.advance()?;
                     let predicate = self.parse_expr()?;
                     self.expect(&TokenKind::RBracket, "']'")?;
-                    expr = Expr::Filter {
+                    expr = PlanExpr::Filter {
                         input: Box::new(expr),
                         predicate: Box::new(predicate),
                     };
                 }
                 match input {
                     None => Ok(expr),
-                    Some(input) => Ok(Expr::PathExpr {
+                    Some(input) => Ok(PlanExpr::PathExpr {
                         input: Box::new(input),
                         step: Box::new(expr),
                     }),
@@ -738,7 +705,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_predicates(&mut self) -> Result<Vec<Expr>, QueryError> {
+    fn parse_predicates(&mut self) -> Result<Vec<PlanExpr>, QueryError> {
         let mut predicates = Vec::new();
         while self.eat(&TokenKind::LBracket)? {
             predicates.push(self.parse_expr()?);
@@ -795,37 +762,37 @@ impl<'a> Parser<'a> {
 
     // ----- primaries -----
 
-    fn parse_primary(&mut self) -> Result<Expr, QueryError> {
+    fn parse_primary(&mut self) -> Result<PlanExpr, QueryError> {
         let cur = self.current.kind.clone();
         match &cur {
             TokenKind::Integer(i) => {
                 let i = *i;
                 self.advance()?;
-                Ok(Expr::IntLit(i))
+                Ok(PlanExpr::Const(Atom::Integer(i)))
             }
             TokenKind::Double(d) => {
                 let d = *d;
                 self.advance()?;
-                Ok(Expr::DoubleLit(d))
+                Ok(PlanExpr::Const(Atom::Double(d)))
             }
             TokenKind::Str(s) => {
-                let s = s.clone();
+                let s = Atom::str(s);
                 self.advance()?;
-                Ok(Expr::StringLit(s))
+                Ok(PlanExpr::Const(s))
             }
             TokenKind::Variable(v) => {
                 let v = v.clone();
                 self.advance()?;
-                Ok(Expr::VarRef(v))
+                Ok(PlanExpr::Var(v))
             }
             TokenKind::Dot => {
                 self.advance()?;
-                Ok(Expr::ContextItem)
+                Ok(PlanExpr::ContextItem)
             }
             TokenKind::LParen => {
                 self.advance()?;
                 if self.eat(&TokenKind::RParen)? {
-                    return Ok(Expr::empty());
+                    return Ok(PlanExpr::empty());
                 }
                 let e = self.parse_expr()?;
                 self.expect(&TokenKind::RParen, "')'")?;
@@ -845,7 +812,7 @@ impl<'a> Parser<'a> {
                     }
                 }
                 self.expect(&TokenKind::RParen, "')'")?;
-                Ok(Expr::FunctionCall { name, args })
+                Ok(PlanExpr::BuiltinCall { name, args })
             }
             TokenKind::Lt => {
                 // Direct constructor: `<` directly followed by a name
@@ -870,21 +837,21 @@ impl<'a> Parser<'a> {
 
     /// Parse a direct constructor starting at the `<` at `start`. On
     /// return, the token stream is repositioned after the constructor.
-    fn parse_constructor_raw(&mut self, start: usize) -> Result<Expr, QueryError> {
+    fn parse_constructor_raw(&mut self, start: usize) -> Result<PlanExpr, QueryError> {
         let mut pos = start;
         let elem = self.raw_element(&mut pos)?;
         // Re-sync the token stream after the constructor text.
         self.lexer.seek(pos);
         self.peeked = None;
         self.advance()?;
-        Ok(Expr::Constructor(elem))
+        Ok(PlanExpr::Constructor(elem))
     }
 
     fn raw_err(&self, msg: impl Into<String>, pos: usize) -> QueryError {
         QueryError::parse(msg, self.input, pos)
     }
 
-    fn raw_element(&mut self, pos: &mut usize) -> Result<ElementConstructor, QueryError> {
+    fn raw_element(&mut self, pos: &mut usize) -> Result<PlanConstructor, QueryError> {
         // Nested direct constructors (`<a><a>…`) recurse here without
         // passing parse_expr_single — same stack-exhaustion guard.
         self.enter_nested()?;
@@ -893,7 +860,7 @@ impl<'a> Parser<'a> {
         result
     }
 
-    fn raw_element_inner(&mut self, pos: &mut usize) -> Result<ElementConstructor, QueryError> {
+    fn raw_element_inner(&mut self, pos: &mut usize) -> Result<PlanConstructor, QueryError> {
         let bytes = self.input.as_bytes();
         debug_assert_eq!(bytes.get(*pos), Some(&b'<'));
         *pos += 1;
@@ -908,7 +875,7 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'/') if bytes.get(*pos + 1) == Some(&b'>') => {
                     *pos += 2;
-                    return Ok(ElementConstructor {
+                    return Ok(PlanConstructor {
                         name,
                         attributes,
                         content: Vec::new(),
@@ -965,7 +932,7 @@ impl<'a> Parser<'a> {
                     } else {
                         flush_text(&mut text, &mut content);
                         let child = self.raw_element(pos)?;
-                        content.push(ConstructorContent::Element(Box::new(child)));
+                        content.push(PlanContent::Element(Box::new(child)));
                     }
                 }
                 Some(b'{') => {
@@ -975,7 +942,7 @@ impl<'a> Parser<'a> {
                     } else {
                         flush_text(&mut text, &mut content);
                         let expr = self.raw_enclosed_expr(pos)?;
-                        content.push(ConstructorContent::Enclosed(expr));
+                        content.push(PlanContent::Enclosed(expr));
                     }
                 }
                 Some(b'}') => {
@@ -1004,7 +971,7 @@ impl<'a> Parser<'a> {
             }
         }
         flush_text(&mut text, &mut content);
-        Ok(ElementConstructor {
+        Ok(PlanConstructor {
             name,
             attributes,
             content,
@@ -1012,7 +979,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Attribute value: quoted string with `{expr}` interpolation.
-    fn raw_attr_value(&mut self, pos: &mut usize) -> Result<Vec<ConstructorContent>, QueryError> {
+    fn raw_attr_value(&mut self, pos: &mut usize) -> Result<Vec<PlanContent>, QueryError> {
         let bytes = self.input.as_bytes();
         let quote = match bytes.get(*pos) {
             Some(q @ (b'"' | b'\'')) => *q,
@@ -1040,7 +1007,7 @@ impl<'a> Parser<'a> {
                     } else {
                         flush_text(&mut text, &mut parts);
                         let expr = self.raw_enclosed_expr(pos)?;
-                        parts.push(ConstructorContent::Enclosed(expr));
+                        parts.push(PlanContent::Enclosed(expr));
                     }
                 }
                 Some(b'}') if bytes.get(*pos + 1) == Some(&b'}') => {
@@ -1065,7 +1032,7 @@ impl<'a> Parser<'a> {
             }
         }
         if !text.is_empty() {
-            parts.push(ConstructorContent::Text(text));
+            parts.push(PlanContent::Text(text));
         }
         Ok(parts)
     }
@@ -1081,7 +1048,7 @@ impl<'a> Parser<'a> {
     }
 
     /// `{ expr }` inside a constructor: hop back into token mode.
-    fn raw_enclosed_expr(&mut self, pos: &mut usize) -> Result<Expr, QueryError> {
+    fn raw_enclosed_expr(&mut self, pos: &mut usize) -> Result<PlanExpr, QueryError> {
         debug_assert_eq!(self.input.as_bytes().get(*pos), Some(&b'{'));
         self.lexer.seek(*pos + 1);
         self.peeked = None;
@@ -1122,12 +1089,67 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Unary minus and plus bind between the multiplicative operators and
+/// union (see [`binary_op`]).
+const UNARY: u8 = 7;
+
+#[derive(Clone, Copy)]
+enum BinOp {
+    Or,
+    And,
+    Comp(CompOp),
+    Range,
+    Arith(ArithOp),
+    Union,
+    Intersect,
+    Except,
+}
+
+/// The binary operator a token in operator position spells, with its
+/// precedence (higher binds tighter).
+fn binary_op(kind: &TokenKind) -> Option<(u8, BinOp)> {
+    let comp = |op| Some((3, BinOp::Comp(op)));
+    let arith = |prec, op| Some((prec, BinOp::Arith(op)));
+    match kind {
+        TokenKind::Eq => comp(CompOp::Eq),
+        TokenKind::Ne => comp(CompOp::Ne),
+        TokenKind::Lt => comp(CompOp::Lt),
+        TokenKind::Le => comp(CompOp::Le),
+        TokenKind::Gt => comp(CompOp::Gt),
+        TokenKind::Ge => comp(CompOp::Ge),
+        TokenKind::Plus => arith(5, ArithOp::Add),
+        TokenKind::Minus => arith(5, ArithOp::Sub),
+        TokenKind::Star => arith(6, ArithOp::Mul),
+        TokenKind::Pipe => Some((8, BinOp::Union)),
+        TokenKind::Name(n) => match n.as_str() {
+            "or" => Some((1, BinOp::Or)),
+            "and" => Some((2, BinOp::And)),
+            "eq" => comp(CompOp::ValEq),
+            "ne" => comp(CompOp::ValNe),
+            "lt" => comp(CompOp::ValLt),
+            "le" => comp(CompOp::ValLe),
+            "gt" => comp(CompOp::ValGt),
+            "ge" => comp(CompOp::ValGe),
+            "is" => comp(CompOp::Is),
+            "to" => Some((4, BinOp::Range)),
+            "div" => arith(6, ArithOp::Div),
+            "idiv" => arith(6, ArithOp::IDiv),
+            "mod" => arith(6, ArithOp::Mod),
+            "union" => Some((8, BinOp::Union)),
+            "intersect" => Some((9, BinOp::Intersect)),
+            "except" => Some((9, BinOp::Except)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// Boundary whitespace handling: whitespace-only literal text between
 /// constructor parts is dropped (XQuery's default `boundary-space strip`).
-fn flush_text(text: &mut String, content: &mut Vec<ConstructorContent>) {
+fn flush_text(text: &mut String, content: &mut Vec<PlanContent>) {
     if !text.is_empty() {
         if !text.chars().all(char::is_whitespace) {
-            content.push(ConstructorContent::Text(std::mem::take(text)));
+            content.push(PlanContent::Text(std::mem::take(text)));
         } else {
             text.clear();
         }
@@ -1165,52 +1187,49 @@ fn kind_test_of(name: &str) -> Option<KindTest> {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Expr {
-        parse_expr_str(s).unwrap()
+    fn parse(s: &str) -> PlanExpr {
+        parse_query(s).unwrap().body
     }
 
     #[test]
     fn literals_and_sequences() {
-        assert!(matches!(parse("42"), Expr::IntLit(42)));
-        assert!(matches!(parse("()"), Expr::Sequence(v) if v.is_empty()));
-        assert!(matches!(parse("(1, 2, 3)"), Expr::Sequence(v) if v.len() == 3));
-        assert!(matches!(parse(r#""hi""#), Expr::StringLit(s) if s == "hi"));
+        assert!(matches!(parse("42"), PlanExpr::Const(Atom::Integer(42))));
+        assert!(matches!(parse("()"), PlanExpr::Sequence(v) if v.is_empty()));
+        assert!(matches!(parse("(1, 2, 3)"), PlanExpr::Sequence(v) if v.len() == 3));
+        assert!(matches!(parse(r#""hi""#), PlanExpr::Const(Atom::String(s)) if &*s == "hi"));
     }
 
     #[test]
     fn path_with_standoff_axis() {
         let e = parse("//music/select-narrow::shot");
-        let Expr::Step { axis, test, .. } = &e else {
+        let PlanExpr::StandoffStep { op, test, .. } = &e else {
             panic!("expected step, got {e:?}");
         };
-        assert_eq!(
-            *axis,
-            Axis::Standoff(standoff_core::StandoffAxis::SelectNarrow)
-        );
+        assert_eq!(op.axis, StandoffAxis::SelectNarrow);
         assert_eq!(test.name.as_deref(), Some("shot"));
     }
 
     #[test]
     fn abbreviated_attribute_step() {
         let e = parse("$b/@id");
-        let Expr::Step {
+        let PlanExpr::TreeStep {
             axis, test, input, ..
         } = &e
         else {
             panic!("{e:?}")
         };
-        assert_eq!(*axis, Axis::Tree(TreeAxis::Attribute));
+        assert_eq!(*axis, TreeAxis::Attribute);
         assert_eq!(test.name.as_deref(), Some("id"));
-        assert!(matches!(input.as_deref(), Some(Expr::VarRef(v)) if v == "b"));
+        assert!(matches!(input.as_deref(), Some(PlanExpr::Var(v)) if v == "b"));
     }
 
     #[test]
     fn predicates_parse() {
         let e = parse("//person[@id = \"person0\"]/name");
-        let Expr::Step { input, .. } = &e else {
+        let PlanExpr::TreeStep { input, .. } = &e else {
             panic!("{e:?}")
         };
-        let Some(Expr::Step { predicates, .. }) = input.as_deref() else {
+        let Some(PlanExpr::TreeStep { predicates, .. }) = input.as_deref() else {
             panic!("{input:?}")
         };
         assert_eq!(predicates.len(), 1);
@@ -1219,10 +1238,10 @@ mod tests {
     #[test]
     fn positional_predicate() {
         let e = parse("$b/bidder[1]");
-        let Expr::Step { predicates, .. } = &e else {
+        let PlanExpr::TreeStep { predicates, .. } = &e else {
             panic!("{e:?}")
         };
-        assert!(matches!(predicates[0], Expr::IntLit(1)));
+        assert!(matches!(predicates[0], PlanExpr::Const(Atom::Integer(1))));
     }
 
     #[test]
@@ -1237,7 +1256,7 @@ mod tests {
                } </increase>"#,
         )
         .unwrap();
-        let Expr::Flwor {
+        let PlanExpr::Flwor {
             clauses,
             return_clause,
             ..
@@ -1246,7 +1265,7 @@ mod tests {
             panic!("{:?}", q.body)
         };
         assert_eq!(clauses.len(), 1);
-        assert!(matches!(return_clause.as_ref(), Expr::Constructor(_)));
+        assert!(matches!(return_clause.as_ref(), PlanExpr::Constructor(_)));
     }
 
     #[test]
@@ -1266,9 +1285,15 @@ mod tests {
                select-narrow(//music)/self::shot"#,
         )
         .unwrap();
-        assert_eq!(q.prolog.namespaces.len(), 1);
-        assert_eq!(q.prolog.functions.len(), 1);
-        assert_eq!(q.prolog.functions[0].params, vec!["input"]);
+        assert_eq!(q.functions.len(), 1);
+        assert_eq!(q.functions[0].params, vec!["input"]);
+        // The call stays by-name until the resolve step binds it.
+        let PlanExpr::TreeStep { input, .. } = &q.body else {
+            panic!("{:?}", q.body)
+        };
+        assert!(
+            matches!(input.as_deref(), Some(PlanExpr::BuiltinCall { name, .. }) if name == "select-narrow")
+        );
     }
 
     #[test]
@@ -1280,7 +1305,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            q.prolog.options,
+            q.options,
             vec![
                 ("standoff-start".to_string(), "from".to_string()),
                 ("standoff-end".to_string(), "to".to_string())
@@ -1291,20 +1316,20 @@ mod tests {
     #[test]
     fn constructor_with_enclosed_exprs() {
         let e = parse(r#"<result count="{1 + 2}">text {3 * 4} more</result>"#);
-        let Expr::Constructor(c) = &e else {
+        let PlanExpr::Constructor(c) = &e else {
             panic!("{e:?}")
         };
         assert_eq!(c.name, "result");
         assert_eq!(c.attributes.len(), 1);
         assert_eq!(c.content.len(), 3);
-        assert!(matches!(&c.content[0], ConstructorContent::Text(t) if t == "text "));
-        assert!(matches!(&c.content[1], ConstructorContent::Enclosed(_)));
+        assert!(matches!(&c.content[0], PlanContent::Text(t) if t == "text "));
+        assert!(matches!(&c.content[1], PlanContent::Enclosed(_)));
     }
 
     #[test]
     fn nested_constructors() {
         let e = parse("<a><b>{ 1 }</b><c/></a>");
-        let Expr::Constructor(c) = &e else {
+        let PlanExpr::Constructor(c) = &e else {
             panic!("{e:?}")
         };
         assert_eq!(c.content.len(), 2);
@@ -1313,10 +1338,10 @@ mod tests {
     #[test]
     fn constructor_brace_escapes() {
         let e = parse("<a>{{literal}}</a>");
-        let Expr::Constructor(c) = &e else {
+        let PlanExpr::Constructor(c) = &e else {
             panic!("{e:?}")
         };
-        assert!(matches!(&c.content[0], ConstructorContent::Text(t) if t == "{literal}"));
+        assert!(matches!(&c.content[0], PlanContent::Text(t) if t == "{literal}"));
     }
 
     #[test]
@@ -1324,33 +1349,33 @@ mod tests {
         // `$a < $b` is a comparison; `<b/>` is a constructor.
         assert!(matches!(
             parse("$a < $b"),
-            Expr::Comparison(CompOp::Lt, _, _)
+            PlanExpr::Comparison(CompOp::Lt, _, _)
         ));
-        assert!(matches!(parse("<b/>"), Expr::Constructor(_)));
+        assert!(matches!(parse("<b/>"), PlanExpr::Constructor(_)));
     }
 
     #[test]
     fn arithmetic_precedence() {
         let e = parse("1 + 2 * 3");
-        let Expr::Arith(ArithOp::Add, _, rhs) = &e else {
+        let PlanExpr::Arith(ArithOp::Add, _, rhs) = &e else {
             panic!("{e:?}")
         };
-        assert!(matches!(rhs.as_ref(), Expr::Arith(ArithOp::Mul, _, _)));
+        assert!(matches!(rhs.as_ref(), PlanExpr::Arith(ArithOp::Mul, _, _)));
     }
 
     #[test]
     fn if_and_quantified() {
         assert!(matches!(
             parse("if (1) then 2 else 3"),
-            Expr::IfThenElse { .. }
+            PlanExpr::IfThenElse { .. }
         ));
         assert!(matches!(
             parse("some $x in (1,2) satisfies $x = 2"),
-            Expr::Quantified { every: false, .. }
+            PlanExpr::Quantified { every: false, .. }
         ));
         assert!(matches!(
             parse("every $x in (1,2) satisfies $x > 0"),
-            Expr::Quantified { every: true, .. }
+            PlanExpr::Quantified { every: true, .. }
         ));
     }
 
@@ -1359,39 +1384,39 @@ mod tests {
         // `for`, `if`, `return` are legal name tests when not followed by
         // their grammatical continuations.
         let e = parse("/for/if/return");
-        assert!(matches!(e, Expr::Step { .. }));
+        assert!(matches!(e, PlanExpr::TreeStep { .. }));
     }
 
     #[test]
     fn double_slash_desugars() {
         let e = parse("//a");
-        let Expr::Step { input, .. } = &e else {
+        let PlanExpr::TreeStep { input, .. } = &e else {
             panic!("{e:?}")
         };
-        let Some(Expr::Step { axis, .. }) = input.as_deref() else {
+        let Some(PlanExpr::TreeStep { axis, .. }) = input.as_deref() else {
             panic!("{input:?}")
         };
-        assert_eq!(*axis, Axis::Tree(TreeAxis::DescendantOrSelf));
+        assert_eq!(*axis, TreeAxis::DescendantOrSelf);
     }
 
     #[test]
     fn union_expression() {
-        assert!(matches!(parse("a | b"), Expr::Union(_, _)));
+        assert!(matches!(parse("a | b"), PlanExpr::Union(_, _)));
     }
 
     #[test]
     fn range_expression() {
-        assert!(matches!(parse("1 to 10"), Expr::Range(_, _)));
+        assert!(matches!(parse("1 to 10"), PlanExpr::Range(_, _)));
     }
 
     #[test]
     fn trailing_garbage_rejected() {
-        assert!(parse_expr_str("1 1").is_err());
+        assert!(parse_query("1 1").is_err());
     }
 
     #[test]
     fn error_positions() {
-        let e = parse_expr_str("1 +\n  ]").unwrap_err();
+        let e = parse_query("1 +\n  ]").unwrap_err();
         let QueryError::Parse { line, .. } = e else {
             panic!("{e:?}")
         };
@@ -1402,18 +1427,18 @@ mod tests {
     fn value_comparisons() {
         assert!(matches!(
             parse("1 eq 2"),
-            Expr::Comparison(CompOp::ValEq, _, _)
+            PlanExpr::Comparison(CompOp::ValEq, _, _)
         ));
         assert!(matches!(
             parse("$a is $b"),
-            Expr::Comparison(CompOp::Is, _, _)
+            PlanExpr::Comparison(CompOp::Is, _, _)
         ));
     }
 
     #[test]
     fn order_by_clause() {
         let e = parse("for $x in (3,1,2) order by $x descending return $x");
-        let Expr::Flwor { order_by, .. } = &e else {
+        let PlanExpr::Flwor { order_by, .. } = &e else {
             panic!("{e:?}")
         };
         assert_eq!(order_by.len(), 1);
@@ -1423,7 +1448,7 @@ mod tests {
     #[test]
     fn let_clause_and_multiple_bindings() {
         let e = parse("for $x in (1,2), $y in (3,4) let $z := ($x, $y) return $z");
-        let Expr::Flwor { clauses, .. } = &e else {
+        let PlanExpr::Flwor { clauses, .. } = &e else {
             panic!("{e:?}")
         };
         assert_eq!(clauses.len(), 3);
@@ -1432,12 +1457,12 @@ mod tests {
     #[test]
     fn kind_tests() {
         let e = parse("a/text()");
-        let Expr::Step { test, .. } = &e else {
+        let PlanExpr::TreeStep { test, .. } = &e else {
             panic!("{e:?}")
         };
         assert_eq!(test.kind, KindTest::Text);
         let e = parse("a/node()");
-        let Expr::Step { test, .. } = &e else {
+        let PlanExpr::TreeStep { test, .. } = &e else {
             panic!("{e:?}")
         };
         assert_eq!(test.kind, KindTest::AnyKind);
@@ -1446,6 +1471,6 @@ mod tests {
     #[test]
     fn filter_on_parenthesized_expr() {
         let e = parse("(1, 2, 3)[2]");
-        assert!(matches!(e, Expr::Filter { .. }));
+        assert!(matches!(e, PlanExpr::Filter { .. }));
     }
 }

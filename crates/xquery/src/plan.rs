@@ -1,9 +1,10 @@
 //! The compiled query plan — the algebraic IR between parsing and
 //! execution.
 //!
-//! A [`Plan`] is what the engine actually runs: the parsed AST
-//! ([`crate::ast`]) is *lowered* into this IR by [`crate::compile`] and
-//! then rewritten by the ordered pass list in [`crate::optimize`]. The
+//! A [`Plan`] is the one tree a query becomes: [`crate::parser`] builds
+//! it directly, [`crate::compile`] resolves it in place (prolog
+//! configuration, function calls, join strategy) and then hands it to
+//! the ordered pass list in [`crate::optimize`]. The
 //! paper's architecture (XQuery compiled by Pathfinder into an algebra
 //! over loop-lifted tables, §3.2/§4.3) makes strategy choice and
 //! candidate pushdown *plan-time* decisions; this IR encodes them the
@@ -30,15 +31,45 @@ use std::sync::Arc;
 use standoff_algebra::{Item, NodeTest, TreeAxis};
 use standoff_core::{IndexStats, StandoffAxis, StandoffConfig, StandoffStrategy};
 
-use crate::ast::{ArithOp, CompOp};
+/// General (existential, type-coercing) vs value (singleton) comparison.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum CompOp {
+    // general
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+    // value
+    ValEq,
+    ValNe,
+    ValLt,
+    ValLe,
+    ValGt,
+    ValGe,
+    // node identity
+    Is,
+}
 
-/// A fully compiled, optimized, executable query.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ArithOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    IDiv,
+    Mod,
+}
+
+/// A query: as parsed, then resolved and optimized into what executes.
 #[derive(Clone, Debug)]
 pub struct Plan {
     /// `declare option` pairs from the prolog (kept for explain output).
     pub options: Vec<(String, String)>,
     /// The StandOff configuration extracted from the prolog's
-    /// `standoff-*` options, validated at compile time.
+    /// `standoff-*` options, validated by the resolve step (the default
+    /// until then).
     pub config: StandoffConfig,
     /// Names of `declare variable $x external` declarations; values are
     /// bound through `Engine::bind_external` before execution.
@@ -49,8 +80,8 @@ pub struct Plan {
     pub functions: Vec<Arc<PlanFunction>>,
     /// The query body.
     pub body: PlanExpr,
-    /// Names of the optimizer passes applied, in order (empty for the
-    /// unoptimized reference lowering).
+    /// Names of the optimizer passes applied, in order (empty for a
+    /// parsed or merely resolved plan).
     pub passes: Vec<&'static str>,
 }
 
@@ -118,18 +149,18 @@ pub struct StandoffOp {
     /// and a pushed-down name test restricts them to that name — so the
     /// evaluator skips the trailing `self::test` post-filter (§3.2's
     /// closing step) entirely. Set by the optimizer's `elide` pass; the
-    /// unoptimized reference lowering leaves it `false` and keeps the
+    /// unoptimized reference path leaves it `false` and keeps the
     /// literal behavior.
     pub test_guaranteed: bool,
     /// Optimizer cardinality estimate, when corpus statistics were
     /// available at compile time.
-    pub estimate: Option<JoinEstimate>,
+    pub estimate: Option<Box<JoinEstimate>>,
 }
 
 impl StandoffOp {
     /// An operator with the given axis and strategy, no pushdown, no
-    /// post-filter elision and no estimate — the state lowering produces
-    /// before the optimizer runs.
+    /// post-filter elision and no estimate — the state the parser and
+    /// the resolve step leave it in before the optimizer runs.
     pub fn new(axis: StandoffAxis, strategy: StandoffStrategy) -> StandoffOp {
         StandoffOp {
             axis,
@@ -214,18 +245,16 @@ pub struct PlanConstructor {
     pub content: Vec<PlanContent>,
 }
 
-/// Compiled expressions — the operators the evaluator executes.
-///
-/// Differences from the surface AST ([`crate::ast::Expr`]):
+/// Plan expressions — the operators the evaluator executes.
 ///
 /// * literals (and folded subtrees) are [`PlanExpr::Const`];
-/// * path steps split into tree-axis staircase joins
-///   ([`PlanExpr::TreeStep`]) and annotated StandOff joins
-///   ([`PlanExpr::StandoffStep`]);
-/// * function calls are resolved: [`PlanExpr::UdfCall`] (index into the
-///   plan's function table), [`PlanExpr::StandoffFn`] (the paper's
-///   Figure 3 built-in join form, annotated like a step), or
-///   [`PlanExpr::BuiltinCall`] (library dispatch by name);
+/// * path steps are tree-axis staircase joins ([`PlanExpr::TreeStep`])
+///   or annotated StandOff joins ([`PlanExpr::StandoffStep`]);
+/// * every call parses to [`PlanExpr::BuiltinCall`]; the resolve step
+///   turns it into [`PlanExpr::UdfCall`] (index into the plan's
+///   function table), [`PlanExpr::StandoffFn`] (the paper's Figure 3
+///   built-in join form, annotated like a step) or a constant, or
+///   leaves it a library call dispatched by name;
 /// * FLWORs carry optimizer-hoisted loop-invariant bindings.
 #[derive(Clone, Debug)]
 pub enum PlanExpr {
@@ -303,7 +332,7 @@ pub enum PlanExpr {
         name: String,
         value: Arc<str>,
     },
-    /// Call of a user-defined function, resolved at compile time.
+    /// Call of a user-defined function, resolved by the resolve step.
     UdfCall {
         index: usize,
         name: String,
@@ -318,8 +347,8 @@ pub enum PlanExpr {
         ctx: Box<PlanExpr>,
         candidates: Option<Box<PlanExpr>>,
     },
-    /// Built-in library function, dispatched by (local) name at run
-    /// time, exactly as the interpreter did.
+    /// A function call as parsed; after resolution, a built-in library
+    /// function dispatched by (local) name at run time.
     BuiltinCall {
         name: String,
         args: Vec<PlanExpr>,

@@ -7,7 +7,7 @@
 //! identical, and `explain` must show the operator exactly where the
 //! shape matches.
 
-use standoff_xquery::compile::{lower, PlanContext};
+use standoff_xquery::compile::{resolve, PlanContext};
 use standoff_xquery::explain::explain_plan;
 use standoff_xquery::optimize::PASSES;
 use standoff_xquery::parser::parse_query;
@@ -47,9 +47,9 @@ fn fused(shared: &SharedEngine, q: &str) -> Answer {
 }
 
 fn generic(shared: &SharedEngine, q: &str) -> Answer {
-    let parsed = parse_query(q).map_err(|e| e.to_string())?;
+    let mut plan = parse_query(q).map_err(|e| e.to_string())?;
     let ctx = PlanContext::bare(shared.options());
-    let mut plan = lower(&parsed, &ctx).map_err(|e| e.to_string())?;
+    resolve(&mut plan, &ctx).map_err(|e| e.to_string())?;
     for pass in PASSES.iter().filter(|p| p.name != PASS) {
         (pass.run)(&mut plan, &ctx);
     }

@@ -283,7 +283,7 @@ fn value_predicates_fuse_and_agree_with_the_oracle() {
         assert!(is_fused(&plan), "{query} must fuse:\n{plan}");
         let want = per_parent(&chain);
         assert_eq!(answer(&mut e, query), want, "{query}");
-        // The literal lowering is the same query.
+        // The unoptimized plan, literal two steps, is the same query.
         let literal = e.run_unoptimized(query).unwrap();
         assert_eq!(ns(&e, &literal), want, "unoptimized {query}");
     }

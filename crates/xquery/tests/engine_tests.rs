@@ -2,7 +2,7 @@
 //! queries, and strategy equivalence at the query level.
 
 use standoff_core::StandoffStrategy;
-use standoff_xquery::{Engine, EngineOptions};
+use standoff_xquery::{Engine, EngineOptions, QueryError};
 
 /// The Figure 1 multimedia document (time positions in seconds).
 const FIGURE1: &str = r#"<sample>
@@ -530,6 +530,97 @@ fn unknown_function_is_static_error() {
     let mut e = Engine::new();
     let err = e.run("frobnicate(1)").unwrap_err();
     assert!(err.to_string().contains("unknown function"), "{err}");
+}
+
+/// The call-resolution rules, through both the optimized pipeline and
+/// the unoptimized resolved plan: `Ok` is the serialized answer, `Err`
+/// a fragment of the static error.
+#[test]
+fn call_resolution_rules() {
+    let cases: &[(&str, Result<&str, &str>)] = &[
+        // A later duplicate declaration wins.
+        (
+            "declare function f($x) { 1 }; declare function f($x) { 2 }; f(0)",
+            Ok("2"),
+        ),
+        // Function bodies bind late: g() calls h(), declared after it.
+        (
+            "declare function g() { h() }; declare function h() { 5 }; g()",
+            Ok("5"),
+        ),
+        // `local:f` and `f` name the same function, both ways round.
+        (
+            "declare function local:f() { 1 }; declare function g() { 2 }; f() + local:g()",
+            Ok("3"),
+        ),
+        // A UDF shadows a library built-in.
+        (
+            "declare function local:count($x) { 42 }; count((1, 2))",
+            Ok("42"),
+        ),
+        // ...but never the context built-ins.
+        (
+            "declare function position() { 99 }; (4, 5, 6)[position() = 3]",
+            Ok("6"),
+        ),
+        // The prefixed StandOff function form is the join.
+        (
+            r#"fn:select-narrow(doc("d.xml")//w[@start = 0])"#,
+            Ok(r#"<w start="0" end="9"/><w start="3" end="5"/>"#),
+        ),
+        // UDF arity is checked when the call runs, not before.
+        (
+            "declare function f($x) { $x }; if (1 = 2) then f() else 9",
+            Ok("9"),
+        ),
+        (
+            "declare function f($x) { $x }; if (1 = 1) then f() else 9",
+            Err("function f() expects 1 argument(s), got 0"),
+        ),
+        // A built-in called with the wrong arity names the count.
+        (
+            "count(1, 2)",
+            Err("unknown function count() with 2 argument(s)"),
+        ),
+        (
+            "count()",
+            Err("unknown function count() with 0 argument(s)"),
+        ),
+        (
+            "string-length()",
+            Err("unknown function string-length() with 0 argument(s)"),
+        ),
+        (
+            "select-narrow(1, 2, 3)",
+            Err("unknown function select-narrow() with 3 argument(s)"),
+        ),
+    ];
+    let mut e = Engine::new();
+    e.load_document(
+        "d.xml",
+        r#"<a><w start="0" end="9"/><w start="3" end="5"/></a>"#,
+    )
+    .unwrap();
+    for (q, expected) in cases {
+        for unoptimized in [false, true] {
+            let got = if unoptimized {
+                e.run_unoptimized(q)
+            } else {
+                e.run(q)
+            };
+            match (got, expected) {
+                (Ok(r), Ok(want)) => {
+                    assert_eq!(r.as_xml(), *want, "{q} (unoptimized: {unoptimized})")
+                }
+                (Err(err @ QueryError::Static(_)), Err(want)) => {
+                    assert!(err.to_string().contains(want), "{q}: {err}")
+                }
+                (got, _) => panic!("{q} (unoptimized: {unoptimized}): {got:?}"),
+            }
+        }
+    }
+    let plan = e.explain(r#"fn:select-narrow(doc("d.xml")//w)"#).unwrap();
+    assert!(plan.contains("StandOff MergeJoin"), "{plan}");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! the trailing self-axis pass and never sorts its result (one target
 //! is emitted directly, several merge), that the literal paths still
 //! run where required (no pushdown, naive strategies, the unoptimized
-//! reference lowering), and
+//! reference plan), and
 //! that the elided paths stay observably equivalent to the reference on
 //! randomized region workloads across all four axes.
 
@@ -77,7 +77,7 @@ fn no_pushdown_keeps_post_filter() {
     assert_eq!(stats.post_filters_elided, 0, "{stats:?}");
 }
 
-/// The unoptimized reference lowering never sets the elision flag: it
+/// The unoptimized reference plan never sets the elision flag: it
 /// keeps the literal trailing self-step, and still agrees byte-for-byte.
 #[test]
 fn reference_path_keeps_literal_post_filter() {
@@ -160,7 +160,7 @@ fn cross_document_context_merges_its_runs() {
 /// Generated region workloads × all four axes × pushdown on/off: the
 /// optimized pipeline (sort elision, post-filter elision, node-view
 /// candidates, shared scratch) agrees byte-for-byte with both the
-/// unoptimized reference lowering and the naive-with-candidates oracle
+/// unoptimized reference plan and the naive-with-candidates oracle
 /// strategy.
 fn doc_xml(regions: &[(u8, i64, i64)]) -> String {
     let mut xml = String::from("<doc>");

@@ -61,6 +61,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use standoff::core::obs::escape_json;
 use standoff::core::{StandoffConfig, StandoffStrategy};
 use standoff::serve::{self, ServeMount, ServeOptions, Server};
 use standoff::store::{
@@ -458,24 +459,6 @@ fn cmd_compact(argv: &[String]) -> Result<ExitCode, String> {
 
 // ---- verify ----
 
-/// Minimal JSON string escape for the `verify --json` report (paths
-/// and error messages may carry quotes or backslashes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// `verify`: fsck for a snapshot and its delta sidecar(s).
 ///
 /// Deep-checks everything the lazy read path defers: every section
@@ -604,7 +587,7 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
                 format!(
                     "{{\"path\":\"{}\",\"ops\":{},\"checkpoint_seq\":{},\"wal_records\":{},\
                      \"wal_skipped\":{},\"wal_torn_tail\":{}}}",
-                    json_escape(path),
+                    escape_json(path),
                     d.checkpoint_ops,
                     d.checkpoint_seq,
                     d.replayed,
@@ -617,7 +600,7 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
         let list = |items: &[String]| {
             items
                 .iter()
-                .map(|f| format!("\"{}\"", json_escape(f)))
+                .map(|f| format!("\"{}\"", escape_json(f)))
                 .collect::<Vec<_>>()
                 .join(",")
         };
@@ -626,7 +609,7 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
              \"layers\":{layers},\"sections_checked\":{sections_checked},\
              \"backing\":\"{backing}\",\"crc32\":\"{crc}\",\"deltas\":[{deltas}],\
              \"notes\":[{}],\"findings\":[{}],\"status\":\"{}\"}}",
-            json_escape(&path),
+            escape_json(&path),
             version.map_or("null".to_string(), |v| v.to_string()),
             list(&notes),
             list(&findings),

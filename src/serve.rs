@@ -1,5 +1,5 @@
 //! `standoff-xq serve` — a long-lived TCP query service over governed
-//! [`Executor`]s.
+//! [`Executor`](crate::xquery::Executor)s.
 //!
 //! The protocol is deliberately dependency-free: length-prefixed UTF-8
 //! frames over one TCP connection, many requests per connection.
@@ -27,8 +27,8 @@
 //! `dynamic`, `internal`, `proto`.
 //!
 //! Governance: every `query` runs through
-//! [`Executor::run_governed_with`] — admission control sheds on a full
-//! queue, and a per-request [`Budget`] enforces the deadline and
+//! [`Executor::run_governed_with`](crate::xquery::Executor::run_governed_with) — admission control sheds on a full
+//! queue, and a per-request [`Budget`](crate::core::Budget) enforces the deadline and
 //! result/scratch caps. The server keeps a clone of each in-flight
 //! budget so a drain (SIGTERM or the `shutdown` verb) can cancel
 //! running queries cooperatively instead of abandoning their threads.

@@ -20,7 +20,7 @@
 //! contexts over a dense token layer, where the narrow joins read only
 //! the few entries inside the contexts' reach.
 //!
-//! **Oracle**: `NaiveNoCandidates`, unoptimized lowering, on freshly
+//! **Oracle**: `NaiveNoCandidates`, unoptimized resolved plan, on freshly
 //! parsed documents. **Subject**, byte-identical to it: the default
 //! engine on the pure mount; a `WritableEngine` that received the
 //! pending inserts and retracts one batch per op — retracts of pending

@@ -82,7 +82,7 @@ fn assert_writer_equals_compacted(set: &LayerSet, batches: &[Vec<DeltaOp>], quer
 
 /// The fused `[@a = "lit"]` filter reads attribute columns directly;
 /// through the writer it must equal both the compacted snapshot and
-/// the generic predicate frame (the unoptimized reference lowering).
+/// the generic predicate frame (the unoptimized reference plan).
 fn assert_attr_filter_three_ways(set: &LayerSet, batches: &[Vec<DeltaOp>]) {
     for strategy in STRATEGIES {
         let (writer, mut compacted, _) = both_sides(set, batches, strategy);
@@ -100,7 +100,7 @@ fn assert_attr_filter_three_ways(set: &LayerSet, batches: &[Vec<DeltaOp>]) {
             assert_eq!(a, b, "writer != compacted for {strategy:?}: {query}");
             let c = compacted
                 .run_unoptimized(&query)
-                .expect("reference lowering runs")
+                .expect("reference plan runs")
                 .as_xml();
             assert_eq!(a, c, "fused != generic, {strategy:?}: {query}");
         }

@@ -1,12 +1,12 @@
-//! Plan/AST equivalence: the optimized compilation pipeline must be
-//! observably identical to the direct-AST reference path.
+//! Optimizer equivalence: the optimized compilation pipeline must be
+//! observably identical to the unoptimized reference path.
 //!
-//! Every query runs twice — through `Engine::run` (parse → lower →
+//! Every query runs twice — through `Engine::run` (parse → resolve →
 //! **optimize** → execute) and through the `#[doc(hidden)]`
-//! `Engine::run_unoptimized` reference (parse → lower → execute, a 1:1
-//! transliteration of the AST with no constant folding, no hoisting, no
-//! pushdown annotation) — and the serialized results must be
-//! byte-identical. The sweep covers the full XMark workload (standard
+//! `Engine::run_unoptimized` reference (parse → resolve → execute: the
+//! parsed plan with calls bound and strategies stamped, but no constant
+//! folding, no hoisting, no pushdown annotation) — and the serialized
+//! results must be byte-identical. The sweep covers the full XMark workload (standard
 //! *and* StandOff rewrites, plus the Figure 2/3 UDF baselines) under
 //! **all four StandOff strategies × candidate pushdown on/off**, so an
 //! optimizer pass that changes results anywhere in that matrix fails
