@@ -39,12 +39,6 @@ impl Item {
         Item::Untyped(Arc::from(s.as_ref()))
     }
 
-    /// Is this a node item?
-    #[inline]
-    pub fn is_node(&self) -> bool {
-        matches!(self, Item::Node(_))
-    }
-
     #[inline]
     pub fn as_node(&self) -> Option<NodeRef> {
         match self {

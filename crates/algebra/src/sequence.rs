@@ -10,8 +10,6 @@
 //! `$z := ($x,$y)` is the single table
 //! `iter|pos|item = 1|1|twenty, 1|2|one, 2|1|twenty, 2|2|two, ...`.
 
-use standoff_xml::Store;
-
 use crate::item::Item;
 
 /// A loop-lifted sequence: for each iteration, an ordered item sequence.
@@ -229,11 +227,6 @@ impl LlSeq {
     /// single-iteration scope).
     pub fn into_items(self) -> Vec<Item> {
         self.items
-    }
-
-    /// String values of all items in row order.
-    pub fn string_values(&self, store: &Store) -> Vec<String> {
-        self.items.iter().map(|i| i.string_value(store)).collect()
     }
 }
 

@@ -549,15 +549,6 @@ impl RegionIndex {
         }
     }
 
-    /// Memory footprint estimate in bytes (used by the bench harness to
-    /// report index sizes alongside document sizes).
-    pub fn memory_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<RegionEntry>()
-            + self.node_ids.len() * 4
-            + self.node_offsets.len() * 4
-            + self.node_regions.len() * std::mem::size_of::<Region>()
-    }
-
     /// Assemble an index from raw (possibly buffer-backed) columns,
     /// re-validating **every** structural invariant: clustering order,
     /// node/CSR consistency, per-annotation region validity (the §3.1

@@ -465,12 +465,6 @@ impl Document {
         }
     }
 
-    /// Kind of a node id; attributes report as `None` (they have no
-    /// [`NodeKind`]; callers branch on [`NodeId::is_attr`] first).
-    pub fn tree_kind(&self, id: NodeId) -> Option<NodeKind> {
-        id.pre().map(|p| self.kind(p))
-    }
-
     /// Raw value column of the tree node at `pre` (text/comment/PI content).
     #[inline]
     pub fn value(&self, pre: u32) -> &str {
@@ -514,13 +508,6 @@ impl Document {
         self.attr_range(pre)
             .find(|&a| self.attr_name[a as usize] == name_id.0)
             .map(|a| self.attr_values.get(a as usize))
-    }
-
-    /// Attribute node id of element `pre` with name id `name_id`.
-    pub fn attribute_by_id(&self, pre: u32, name_id: NameId) -> Option<NodeId> {
-        self.attr_range(pre)
-            .find(|&a| self.attr_name[a as usize] == name_id.0)
-            .map(NodeId::attr)
     }
 
     // ----- navigation -----

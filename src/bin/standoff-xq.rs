@@ -1,20 +1,10 @@
 //! `standoff-xq` — command-line StandOff XQuery runner and store tool.
 //!
-//! ```text
-//! standoff-xq index <base.xml> -o <snapshot> [--layer NAME=FILE]...
-//!             [--uri URI] [--standoff-start N] [--standoff-end N]
-//!             [--standoff-region N] [--lenient]
-//! standoff-xq inspect <snapshot>
-//! standoff-xq query [--store SNAPSHOT]... [--load URI=FILE]...
-//!             (--query Q | --query-file F)
-//!             [--strategy naive|naive-candidates|basic|loop-lifted]
-//!             [--no-pushdown] [--time]
-//! standoff-xq explain [--store SNAPSHOT]... [--load URI=FILE]...
-//!             (--query Q | --query-file F)
-//!             [--strategy ...] [--no-pushdown]
-//! standoff-xq batch [--store SNAPSHOT]... [--load URI=FILE]...
-//!             [--threads N] [--time] <queries.txt | ->
-//! ```
+//! The subcommands and their flags are listed once, in `USAGE`, which
+//! `standoff-xq --help` and every `<subcommand> --help` print. Each
+//! subcommand declares its flags once, as a table the one argument
+//! parser reads; a flag a subcommand does not read is refused, not
+//! ignored.
 //!
 //! `index` bulk-loads a base document plus any number of stand-off
 //! annotation layers, builds every region index once, and writes a binary
@@ -92,7 +82,7 @@ const USAGE: &str = "standoff-xq index <base.xml> -o <snapshot> [--layer NAME=FI
                      \x20           [--queue-cap N] [--read-timeout-ms N]\n\
                      standoff-xq call ADDR VERB [ARG...] [--retries N]   (verbs: ping, query Q, stats,\n\
                      \x20           mount PATH, unmount URI, mounts, shutdown)\n\
-                     governance (query/batch too): --deadline-ms N --max-results N --max-scratch-mb N\n\
+                     governance (query/explain/batch too): --deadline-ms N --max-results N --max-scratch-mb N\n\
                      exit codes: 0 success, 1 query failure (verify: corruption), 2 usage/corpus error";
 
 fn main() -> ExitCode {
@@ -162,69 +152,177 @@ extern "C" {
     fn signal(signum: i32, handler: usize) -> usize;
 }
 
+// ---- arguments ----
+
+/// A flag a subcommand reads: its spellings (the first names it in
+/// [`Args`] and in errors) and, for a flag that takes a value, the noun
+/// of its "needs …" error; `None` marks a switch.
+struct Flag(&'static [&'static str], Option<&'static str>);
+
+const STORE: Flag = Flag(&["--store"], Some("a path"));
+const DELTA: Flag = Flag(&["--delta"], Some("a path"));
+const OUT: Flag = Flag(&["-o", "--out"], Some("a path"));
+const THREADS: Flag = Flag(&["--threads", "-j"], Some("a count"));
+const CORPUS: &[Flag] = &[
+    STORE,
+    DELTA,
+    Flag(&["--load"], Some("URI=FILE")),
+    Flag(&["--strategy"], Some("a name")),
+    Flag(&["--no-pushdown"], None),
+];
+const GOVERNANCE: &[Flag] = &[
+    Flag(&["--deadline-ms"], Some("a number")),
+    Flag(&["--max-results"], Some("a number")),
+    Flag(&["--max-scratch-mb"], Some("a number")),
+    Flag(&["--queue-cap"], Some("a number")),
+];
+const QUERY_TEXT: &[Flag] = &[
+    Flag(&["--query", "-q"], Some("an argument")),
+    Flag(&["--query-file"], Some("a path")),
+];
+const REPORTS: &[Flag] = &[
+    Flag(&["--time"], None),
+    Flag(&["--profile"], None),
+    Flag(&["--profile-json"], None),
+];
+
+/// What a subcommand takes besides its flags.
+enum Operands {
+    Zero,
+    /// At most one; a second is refused with this text, or as an
+    /// unknown argument without one.
+    One(Option<&'static str>),
+    /// Any number, and every token that is not a flag is one — `-h` and
+    /// other leading dashes included, since `call`'s query text may
+    /// start with `-`.
+    Any,
+}
+
+/// An argv read against a subcommand's flags: each flag given, in argv
+/// order and under its first spelling (a switch with an empty value),
+/// and the operands.
+#[derive(Default)]
+struct Args<'a> {
+    flags: Vec<(&'static str, &'a str)>,
+    operands: Vec<&'a str>,
+}
+
+/// Read `argv` against the flag tables `groups`, in order: `--help` or
+/// `-h` prints [`USAGE`] and exits 0, a valued flag takes the next
+/// token whatever it is, and any other token is an operand or an error.
+fn parse<'a>(argv: &'a [String], groups: &[&[Flag]], takes: Operands) -> Result<Args<'a>, String> {
+    let mut args = Args::default();
+    let mut tokens = argv.iter().map(String::as_str);
+    while let Some(token) = tokens.next() {
+        let mut flags = groups.iter().copied().flatten();
+        if let Some(&Flag([name, ..], noun)) = flags.find(|f| f.0.contains(&token)) {
+            let value = match noun {
+                Some(noun) => tokens
+                    .next()
+                    .ok_or_else(|| format!("{name} needs {noun}"))?,
+                None => "",
+            };
+            args.flags.push((name, value));
+            continue;
+        }
+        if token == "--help" || token == "-h" && !matches!(takes, Operands::Any) {
+            println!("{USAGE}");
+            std::process::exit(0);
+        }
+        let dashed = token.starts_with('-') && token != "-";
+        match takes {
+            Operands::Any => args.operands.push(token),
+            Operands::One(_) if !dashed && args.operands.is_empty() => args.operands.push(token),
+            Operands::One(Some(too_many)) if !dashed => return Err(format!("{too_many}\n{USAGE}")),
+            _ => return Err(format!("unknown argument '{token}'\n{USAGE}")),
+        }
+    }
+    Ok(args)
+}
+
+impl<'a> Args<'a> {
+    fn operand(&self) -> Option<&'a str> {
+        self.operands.first().copied()
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(flag, _)| *flag == name)
+    }
+
+    /// Every value of the flag `name`, in argv order.
+    fn all<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.flags
+            .iter()
+            .filter(move |(flag, _)| *flag == name)
+            .map(|(_, value)| *value)
+    }
+
+    /// The value of the flag `name`; a repeated flag overrides.
+    fn last(&self, name: &str) -> Option<&'a str> {
+        self.all(name).last()
+    }
+
+    /// The value of the integer flag `name`, every occurrence checked to
+    /// be at least `min`.
+    fn int<T: TryFrom<u64>>(&self, name: &str, min: u64) -> Result<Option<T>, String> {
+        let kind = if min == 0 { "non-negative" } else { "positive" };
+        self.all(name).try_fold(None, |_, value| {
+            let n = value
+                .parse()
+                .ok()
+                .filter(|&n| n >= min)
+                .and_then(|n| T::try_from(n).ok());
+            n.map(Some)
+                .ok_or_else(|| format!("bad {name} '{value}', expected a {kind} integer"))
+        })
+    }
+}
+
+/// `spec` split at its first `=`, for a flag of the form `A=B`.
+fn pair<'a>(flag: &str, spec: &'a str, form: &str) -> Result<(&'a str, &'a str), String> {
+    spec.split_once('=')
+        .ok_or_else(|| format!("bad {flag} '{spec}', expected {form}"))
+}
+
 // ---- index ----
 
 fn cmd_index(argv: &[String]) -> Result<ExitCode, String> {
-    let mut base: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut uri: Option<String> = None;
-    let mut layers: Vec<(String, String)> = Vec::new();
+    let flags = [
+        OUT,
+        Flag(&["--uri"], Some("a value")),
+        Flag(&["--layer"], Some("NAME=FILE")),
+        Flag(&["--standoff-start"], Some("a name")),
+        Flag(&["--standoff-end"], Some("a name")),
+        Flag(&["--standoff-region"], Some("a name")),
+        Flag(&["--lenient"], None),
+    ];
+    let args = parse(argv, &[&flags], Operands::One(None))?;
+    let layers = args
+        .all("--layer")
+        .map(|spec| pair("--layer", spec, "NAME=FILE"))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut config = StandoffConfig::default();
-    let mut k = 0;
-    while k < argv.len() {
-        match argv[k].as_str() {
-            "-o" | "--out" => {
-                k += 1;
-                out = Some(argv.get(k).ok_or("-o needs a path")?.clone());
-            }
-            "--uri" => {
-                k += 1;
-                uri = Some(argv.get(k).ok_or("--uri needs a value")?.clone());
-            }
-            "--layer" => {
-                k += 1;
-                let spec = argv.get(k).ok_or("--layer needs NAME=FILE")?;
-                let (name, path) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad --layer '{spec}', expected NAME=FILE"))?;
-                layers.push((name.to_string(), path.to_string()));
-            }
-            "--standoff-start" => {
-                k += 1;
-                config.start_name = argv.get(k).ok_or("--standoff-start needs a name")?.clone();
-            }
-            "--standoff-end" => {
-                k += 1;
-                config.end_name = argv.get(k).ok_or("--standoff-end needs a name")?.clone();
-            }
-            "--standoff-region" => {
-                k += 1;
-                config.region_name =
-                    Some(argv.get(k).ok_or("--standoff-region needs a name")?.clone());
-            }
-            "--lenient" => config.lenient = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            other if !other.starts_with('-') && base.is_none() => base = Some(other.to_string()),
-            other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
-        }
-        k += 1;
+    if let Some(name) = args.last("--standoff-start") {
+        config.start_name = name.to_string();
     }
-    let base = base.ok_or("index: no base document given")?;
-    let out = out.ok_or("index: no output path (-o)")?;
-    let uri = uri.unwrap_or_else(|| base.clone());
+    if let Some(name) = args.last("--standoff-end") {
+        config.end_name = name.to_string();
+    }
+    config.region_name = args.last("--standoff-region").map(String::from);
+    config.lenient = args.has("--lenient");
+    let base = args.operand().ok_or("index: no base document given")?;
+    let out = args.last("-o").ok_or("index: no output path (-o)")?;
+    let uri = args.last("--uri").unwrap_or(base);
 
-    let base_doc = parse_file(&base)?;
+    let base_doc = parse_file(base)?;
     let mut set =
-        LayerSet::build(&uri, base_doc, config.clone()).map_err(|e| format!("{base}: {e}"))?;
-    for (name, path) in &layers {
+        LayerSet::build(uri, base_doc, config.clone()).map_err(|e| format!("{base}: {e}"))?;
+    for (name, path) in layers {
         let doc = parse_file(path)?;
         set.add_layer(name, doc, config.clone())
             .map_err(|e| format!("{path}: {e}"))?;
     }
-    save_snapshot(&set, &out).map_err(|e| format!("{out}: {e}"))?;
+    save_snapshot(&set, out).map_err(|e| format!("{out}: {e}"))?;
 
     let annotations: usize = set.layers().iter().map(|l| l.annotation_count()).sum();
     eprintln!(
@@ -256,15 +354,11 @@ fn parse_file(path: &str) -> Result<standoff::xml::Document, String> {
 // ---- inspect ----
 
 fn cmd_inspect(argv: &[String]) -> Result<ExitCode, String> {
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return Ok(ExitCode::SUCCESS);
-    }
-    let sections = argv.iter().any(|a| a == "--sections");
-    let paths: Vec<&String> = argv.iter().filter(|a| *a != "--sections").collect();
-    let [path] = paths[..] else {
-        return Err(format!("inspect takes exactly one snapshot path\n{USAGE}"));
-    };
+    const ONE_PATH: &str = "inspect takes exactly one snapshot path";
+    let flags = [Flag(&["--sections"], None)];
+    let args = parse(argv, &[&flags], Operands::One(Some(ONE_PATH)))?;
+    let path = args.operand().ok_or(format!("{ONE_PATH}\n{USAGE}"))?;
+    let sections = args.has("--sections");
     // A pure header walk: uri, layer names and counts live in the
     // section table + layer headers, so no payload is read (let alone
     // decoded). `query --store` is the integrity-proving path.
@@ -329,45 +423,24 @@ fn load_delta<S: AsRef<Path>>(sidecars: &[S], set: &LayerSet) -> Result<DeltaSet
 /// batch is durable the moment the command exits 0 and survives
 /// SIGKILL.
 fn cmd_annotate(argv: &[String]) -> Result<ExitCode, String> {
-    let mut store: Option<String> = None;
-    let mut sidecar: Option<String> = None;
-    let mut ops_path: Option<String> = None;
-    let mut journal = false;
-    let mut k = 0;
-    while k < argv.len() {
-        match argv[k].as_str() {
-            "--store" => {
-                k += 1;
-                store = Some(argv.get(k).ok_or("--store needs a path")?.clone());
-            }
-            "--delta" => {
-                k += 1;
-                sidecar = Some(argv.get(k).ok_or("--delta needs a path")?.clone());
-            }
-            "--journal" => journal = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            other if !other.starts_with('-') || other == "-" => {
-                if ops_path.is_some() {
-                    return Err(format!("annotate takes exactly one ops file\n{USAGE}"));
-                }
-                ops_path = Some(other.to_string());
-            }
-            other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
-        }
-        k += 1;
-    }
-    let store = store.ok_or("annotate: no snapshot given (--store)")?;
-    let sidecar = sidecar.ok_or("annotate: no delta sidecar given (--delta)")?;
-    let ops_path = ops_path.ok_or("annotate: no ops file given ('-' for stdin)")?;
+    let flags = [STORE, DELTA, Flag(&["--journal"], None)];
+    let one = Some("annotate takes exactly one ops file");
+    let args = parse(argv, &[&flags], Operands::One(one))?;
+    let store = args
+        .last("--store")
+        .ok_or("annotate: no snapshot given (--store)")?;
+    let sidecar = args
+        .last("--delta")
+        .ok_or("annotate: no delta sidecar given (--delta)")?;
+    let ops_path = args
+        .operand()
+        .ok_or("annotate: no ops file given ('-' for stdin)")?;
 
-    let set = open_layer_set(&store)?;
-    let sidecar = Path::new(&sidecar);
+    let set = open_layer_set(store)?;
+    let sidecar = Path::new(sidecar);
     let mut delta = DeltaSet::new();
     let (wal, _) = recover_delta_for_write(sidecar, &set, &mut delta).map_err(|e| e.to_string())?;
-    let text = read_text_or_stdin(&ops_path)?;
+    let text = read_text_or_stdin(ops_path)?;
     let ops = parse_ops(&text).map_err(|e| format!("{ops_path}: {e}"))?;
     // `apply` validates the batch and proves its compacted view mounts
     // — the same fold every later `--delta` reader runs — before
@@ -378,7 +451,7 @@ fn cmd_annotate(argv: &[String]) -> Result<ExitCode, String> {
     // WAL — one fsync — and the sidecar waits for the next default-mode
     // annotate, which checkpoints the whole pending delta.
     let mut wal = Some(wal);
-    if journal {
+    if args.has("--journal") {
         engine.set_wal(wal.take());
     }
     let applied = engine.apply(ops).map_err(|e| format!("{ops_path}: {e}"))?;
@@ -408,39 +481,17 @@ fn cmd_annotate(argv: &[String]) -> Result<ExitCode, String> {
 /// delta-free snapshot. The sidecars are left on disk but no longer
 /// apply to the compacted output (their annotations are baked in).
 fn cmd_compact(argv: &[String]) -> Result<ExitCode, String> {
-    let mut store: Option<String> = None;
-    let mut sidecars: Vec<String> = Vec::new();
-    let mut out: Option<String> = None;
-    let mut k = 0;
-    while k < argv.len() {
-        match argv[k].as_str() {
-            "--store" => {
-                k += 1;
-                store = Some(argv.get(k).ok_or("--store needs a path")?.clone());
-            }
-            "--delta" => {
-                k += 1;
-                sidecars.push(argv.get(k).ok_or("--delta needs a path")?.clone());
-            }
-            "-o" | "--out" => {
-                k += 1;
-                out = Some(argv.get(k).ok_or("-o needs a path")?.clone());
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
-        }
-        k += 1;
-    }
-    let store = store.ok_or("compact: no snapshot given (--store)")?;
-    let out = out.ok_or("compact: no output path (-o)")?;
+    let args = parse(argv, &[&[STORE, DELTA, OUT]], Operands::Zero)?;
+    let store = args
+        .last("--store")
+        .ok_or("compact: no snapshot given (--store)")?;
+    let out = args.last("-o").ok_or("compact: no output path (-o)")?;
 
-    let set = open_layer_set(&store)?;
+    let set = open_layer_set(store)?;
+    let sidecars: Vec<&str> = args.all("--delta").collect();
     let delta = load_delta(&sidecars, &set)?;
     let folded = compact(&set, &delta).map_err(|e| format!("{store}: {e}"))?;
-    save_snapshot(&folded, &out).map_err(|e| format!("{out}: {e}"))?;
+    save_snapshot(&folded, out).map_err(|e| format!("{out}: {e}"))?;
     let annotations: usize = folded.layers().iter().map(|l| l.annotation_count()).sum();
     let compact_ns = standoff::core::MetricsRegistry::global()
         .histogram("store.compact_ns")
@@ -472,42 +523,24 @@ fn cmd_compact(argv: &[String]) -> Result<ExitCode, String> {
 /// or invariant violations (each finding listed); **2** usage errors
 /// or unreadable paths.
 fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
-    let mut json = false;
-    let mut path: Option<String> = None;
-    let mut sidecars: Vec<String> = Vec::new();
-    let mut k = 0;
-    while k < argv.len() {
-        match argv[k].as_str() {
-            "--json" => json = true,
-            "--delta" => {
-                k += 1;
-                sidecars.push(argv.get(k).ok_or("--delta needs a path")?.clone());
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            other if !other.starts_with('-') => {
-                if path.is_some() {
-                    return Err(format!("verify takes exactly one snapshot path\n{USAGE}"));
-                }
-                path = Some(other.to_string());
-            }
-            other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
-        }
-        k += 1;
-    }
-    let path = path.ok_or("verify: no snapshot given")?;
+    let one = Some("verify takes exactly one snapshot path");
+    let args = parse(
+        argv,
+        &[&[Flag(&["--json"], None), DELTA]],
+        Operands::One(one),
+    )?;
+    let path = args.operand().ok_or("verify: no snapshot given")?;
+    let sidecars: Vec<&str> = args.all("--delta").collect();
 
     let mut findings: Vec<String> = Vec::new();
     let mut notes: Vec<String> = Vec::new();
     // Unreadable is a usage error (wrong path, permissions); readable
     // but damaged — or of a version this build refuses — is a finding,
     // under a header line naming the version the file actually declares.
-    let version = Snapshot::peek_version(&path).map_err(|e| format!("{path}: {e}"))?;
+    let version = Snapshot::peek_version(path).map_err(|e| format!("{path}: {e}"))?;
     let (mut layers, mut sections_checked) = (0, 0);
     let mut backing = "none";
-    let verified = Snapshot::open(&path).and_then(|snapshot| {
+    let verified = Snapshot::open(path).and_then(|snapshot| {
         backing = snapshot.backing();
         let report = snapshot.verify()?;
         Ok((snapshot, report))
@@ -580,7 +613,7 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
     }
 
     let clean = findings.is_empty();
-    if json {
+    if args.has("--json") {
         let deltas = delta_checks
             .iter()
             .map(|(path, d)| {
@@ -609,7 +642,7 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
              \"layers\":{layers},\"sections_checked\":{sections_checked},\
              \"backing\":\"{backing}\",\"crc32\":\"{crc}\",\"deltas\":[{deltas}],\
              \"notes\":[{}],\"findings\":[{}],\"status\":\"{}\"}}",
-            escape_json(&path),
+            escape_json(path),
             version.map_or("null".to_string(), |v| v.to_string()),
             list(&notes),
             list(&findings),
@@ -642,90 +675,48 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
             println!("{path}: CORRUPT ({} finding(s))", findings.len());
         }
     }
-    Ok(if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(ExitCode::from(u8::from(!clean)))
 }
 
-// ---- shared corpus flags (query + batch) ----
+// ---- shared corpus and governance flags ----
 
-/// The corpus-shaping flags `query` and `batch` have in common.
+/// The corpus flags of `query`, `explain`, `batch`, `stats` and `serve`.
 #[derive(Default)]
-struct CorpusArgs {
-    stores: Vec<String>,
-    /// `--delta SIDECAR` overlays, keyed by the index of the `--store`
-    /// they follow (a sidecar addresses layers of one snapshot).
-    deltas: Vec<(usize, String)>,
-    loads: Vec<(String, String)>,
-    strategy: Option<StandoffStrategy>,
-    pushdown: bool,
+struct CorpusArgs<'a> {
+    /// Each `--store` snapshot with the `--delta` sidecars that follow
+    /// it (a sidecar addresses layers of one snapshot).
+    stores: Vec<(&'a str, Vec<&'a str>)>,
+    loads: Vec<(&'a str, &'a str)>,
+    options: EngineOptions,
 }
 
-impl CorpusArgs {
-    fn new() -> CorpusArgs {
-        CorpusArgs {
-            pushdown: true,
-            ..CorpusArgs::default()
-        }
-    }
-
-    /// Try to consume the flag at `argv[*k]` (and its value). Returns
-    /// whether the flag was one of ours; `*k` is left on the last
-    /// consumed token either way.
-    fn try_consume(&mut self, argv: &[String], k: &mut usize) -> Result<bool, String> {
-        match argv[*k].as_str() {
-            "--store" => {
-                *k += 1;
-                self.stores
-                    .push(argv.get(*k).ok_or("--store needs a path")?.clone());
-            }
-            "--delta" => {
-                *k += 1;
-                let path = argv.get(*k).ok_or("--delta needs a path")?.clone();
-                if self.stores.is_empty() {
-                    return Err("--delta must follow the --store it overlays".to_string());
+impl<'a> CorpusArgs<'a> {
+    fn new(args: &Args<'a>) -> Result<CorpusArgs<'a>, String> {
+        let mut corpus = CorpusArgs::default();
+        for &(flag, value) in &args.flags {
+            match flag {
+                "--store" => corpus.stores.push((value, Vec::new())),
+                "--delta" => match corpus.stores.last_mut() {
+                    Some((_, sidecars)) => sidecars.push(value),
+                    None => return Err("--delta must follow the --store it overlays".into()),
+                },
+                "--load" => corpus.loads.push(pair(flag, value, "URI=FILE")?),
+                "--strategy" => {
+                    corpus.options.strategy = StandoffStrategy::parse(value)
+                        .ok_or_else(|| format!("unknown strategy '{value}'"))?
                 }
-                self.deltas.push((self.stores.len() - 1, path));
+                "--no-pushdown" => corpus.options.candidate_pushdown = false,
+                _ => {}
             }
-            "--load" => {
-                *k += 1;
-                let spec = argv.get(*k).ok_or("--load needs URI=FILE")?;
-                let (uri, path) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad --load '{spec}', expected URI=FILE"))?;
-                self.loads.push((uri.to_string(), path.to_string()));
-            }
-            "--strategy" => {
-                *k += 1;
-                let name = argv.get(*k).ok_or("--strategy needs a name")?;
-                self.strategy = Some(
-                    StandoffStrategy::parse(name)
-                        .ok_or_else(|| format!("unknown strategy '{name}'"))?,
-                );
-            }
-            "--no-pushdown" => self.pushdown = false,
-            _ => return Ok(false),
         }
-        Ok(true)
+        Ok(corpus)
     }
 
     /// Build an engine with every snapshot mounted and every document
     /// loaded. All I/O and parse failures surface as diagnostics.
     fn build_engine(&self) -> Result<Engine, String> {
-        let mut engine = Engine::new();
-        if let Some(strategy) = self.strategy {
-            engine.set_strategy(strategy);
-        }
-        engine.set_candidate_pushdown(self.pushdown);
-        for (i, path) in self.stores.iter().enumerate() {
-            let sidecars: Vec<&String> = self
-                .deltas
-                .iter()
-                .filter(|(store, _)| *store == i)
-                .map(|(_, p)| p)
-                .collect();
+        let mut engine = Engine::with_options(self.options.clone());
+        for (path, sidecars) in &self.stores {
             if sidecars.is_empty() {
                 let snapshot = Snapshot::open(path).map_err(|e| format!("{path}: {e}"))?;
                 engine
@@ -735,7 +726,7 @@ impl CorpusArgs {
                 // Recover the sidecars over the snapshot's layer set and
                 // mount the delta folded in.
                 let set = open_layer_set(path)?;
-                let delta = load_delta(&sidecars, &set)?;
+                let delta = load_delta(sidecars, &set)?;
                 let view = compact(&set, &delta).map_err(|e| format!("{path}: {e}"))?;
                 engine
                     .mount_store(view)
@@ -753,170 +744,86 @@ impl CorpusArgs {
     }
 }
 
-// ---- resource-governance flags (query + batch + serve) ----
-
-/// Per-request resource caps, shared by `query`, `batch` and `serve`.
-#[derive(Clone, Copy, Default)]
-struct GovFlags {
-    deadline_ms: Option<u64>,
-    max_results: Option<u64>,
-    max_scratch_mb: Option<u64>,
-    queue_cap: Option<usize>,
-}
-
-impl GovFlags {
-    /// Try to consume the flag at `argv[*k]` (and its value), like
-    /// [`CorpusArgs::try_consume`].
-    fn try_consume(&mut self, argv: &[String], k: &mut usize) -> Result<bool, String> {
-        fn value(argv: &[String], k: &mut usize, flag: &str) -> Result<u64, String> {
-            *k += 1;
-            let v = argv
-                .get(*k)
-                .ok_or_else(|| format!("{flag} needs a number"))?;
-            v.parse::<u64>()
-                .map_err(|_| format!("bad {flag} '{v}', expected a non-negative integer"))
-        }
-        match argv[*k].as_str() {
-            "--deadline-ms" => self.deadline_ms = Some(value(argv, k, "--deadline-ms")?),
-            "--max-results" => self.max_results = Some(value(argv, k, "--max-results")?),
-            "--max-scratch-mb" => self.max_scratch_mb = Some(value(argv, k, "--max-scratch-mb")?),
-            "--queue-cap" => self.queue_cap = Some(value(argv, k, "--queue-cap")? as usize),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    fn governance(&self) -> Governance {
-        Governance {
-            queue_cap: self.queue_cap,
-            deadline: self.deadline_ms.map(Duration::from_millis),
-            max_results: self.max_results,
-            max_scratch_bytes: self.max_scratch_mb.map(|mb| mb * 1024 * 1024),
-        }
-    }
-}
-
-/// The value of `--threads N` / `-j N` at `argv[*k]` — the executor's
-/// worker count for `batch` (inter-query fan-out) and `serve`.
-fn threads_value(argv: &[String], k: &mut usize) -> Result<usize, String> {
-    *k += 1;
-    let n = argv.get(*k).ok_or("--threads needs a count")?;
-    n.parse::<usize>()
-        .ok()
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| format!("bad --threads '{n}', expected a positive integer"))
-}
-
-// ---- query ----
-
-struct QueryArgs {
-    corpus: CorpusArgs,
-    gov: GovFlags,
-    query: String,
-    time: bool,
-    profile: bool,
-    profile_json: bool,
-    analyze: bool,
-}
-
-fn parse_query_args(argv: &[String]) -> Result<QueryArgs, String> {
-    let mut corpus = CorpusArgs::new();
-    let mut gov = GovFlags::default();
-    let mut query: Option<String> = None;
-    let mut time = false;
-    let mut profile = false;
-    let mut profile_json = false;
-    let mut analyze = false;
-    let mut k = 0;
-    while k < argv.len() {
-        if corpus.try_consume(argv, &mut k)? || gov.try_consume(argv, &mut k)? {
-            k += 1;
-            continue;
-        }
-        match argv[k].as_str() {
-            "--query" | "-q" => {
-                k += 1;
-                query = Some(argv.get(k).ok_or("--query needs an argument")?.clone());
-            }
-            "--query-file" => {
-                k += 1;
-                let path = argv.get(k).ok_or("--query-file needs a path")?;
-                query = Some(
-                    std::fs::read_to_string(path)
-                        .map_err(|e| format!("cannot read {path}: {e}"))?,
-                );
-            }
-            "--time" => time = true,
-            "--profile" => profile = true,
-            "--profile-json" => profile_json = true,
-            "--analyze" => analyze = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
-        }
-        k += 1;
-    }
-    let query = query.ok_or("no query given (--query or --query-file)")?;
-    Ok(QueryArgs {
-        corpus,
-        gov,
-        query,
-        time,
-        profile,
-        profile_json,
-        analyze,
+/// The per-request resource caps of `query`, `explain`, `batch` and
+/// `serve`.
+fn governance(args: &Args) -> Result<Governance, String> {
+    Ok(Governance {
+        deadline: args.int("--deadline-ms", 0)?.map(Duration::from_millis),
+        max_results: args.int("--max-results", 0)?,
+        max_scratch_bytes: args
+            .int::<u64>("--max-scratch-mb", 0)?
+            .map(|mb| mb * 1024 * 1024),
+        queue_cap: args.int("--queue-cap", 0)?,
     })
 }
 
-fn cmd_query(argv: &[String]) -> Result<ExitCode, String> {
-    let args = parse_query_args(argv)?;
+// ---- query / explain ----
+
+/// What `query` and `explain` share: the query text, and an engine with
+/// the corpus mounted and the caps installed, built in the returned
+/// time. Under `--deadline-ms`/`--max-results`/`--max-scratch-mb` the
+/// one query runs on a budget; over budget it fails with a clean
+/// timeout/limit error and exit code 1, never partial output.
+fn governed_query(args: &Args) -> Result<(Engine, String, Duration), String> {
+    let corpus = CorpusArgs::new(args)?;
+    let governance = governance(args)?;
+    let mut query = None;
+    for &(flag, value) in &args.flags {
+        match flag {
+            "--query" => query = Some(value.to_string()),
+            "--query-file" => {
+                let text = std::fs::read_to_string(value);
+                query = Some(text.map_err(|e| format!("cannot read {value}: {e}"))?);
+            }
+            _ => {}
+        }
+    }
+    let query = query.ok_or("no query given (--query or --query-file)")?;
     let load_start = Instant::now();
-    let mut engine = args.corpus.build_engine()?;
-    // Under `--deadline-ms`/`--max-results`/`--max-scratch-mb` the one
-    // query runs on a budget; over-budget it fails with a clean
-    // timeout/limit error and exit code 1, never partial output.
-    engine.set_budget(args.gov.governance().fresh_budget());
-    let load_elapsed = load_start.elapsed();
-    // Profiled runs share the execution: one query, result on stdout,
-    // measurements on stderr (stdout stays result-clean for pipelines).
-    if args.profile || args.profile_json {
-        let start = Instant::now();
-        return match engine.run_profiled(&args.query) {
-            Ok((result, profile)) => {
-                if args.profile {
-                    eprint!("{}", profile.render());
-                }
-                if args.profile_json {
-                    eprintln!("{}", profile.to_json());
-                }
-                if args.time {
-                    eprintln!("{}", time_line(&engine, &result, start, load_elapsed));
-                }
-                println!("{}", result.as_xml());
-                Ok(ExitCode::SUCCESS)
-            }
-            Err(e) => {
-                eprintln!("standoff-xq: {e}");
-                Ok(ExitCode::FAILURE)
-            }
-        };
-    }
+    let mut engine = corpus.build_engine()?;
+    engine.set_budget(governance.fresh_budget());
+    Ok((engine, query, load_start.elapsed()))
+}
+
+fn cmd_query(argv: &[String]) -> Result<ExitCode, String> {
+    let groups = [CORPUS, GOVERNANCE, QUERY_TEXT, REPORTS];
+    let args = parse(argv, &groups, Operands::Zero)?;
+    let (mut engine, query, load) = governed_query(&args)?;
+    let (profile, profile_json) = (args.has("--profile"), args.has("--profile-json"));
+    // A profiled run is the same execution: the result still goes to
+    // stdout, the measurements to stderr (stdout stays result-clean for
+    // pipelines).
     let start = Instant::now();
-    match engine.run(&args.query) {
-        Ok(result) => {
-            if args.time {
-                eprintln!("{}", time_line(&engine, &result, start, load_elapsed));
-            }
-            println!("{}", result.as_xml());
-            Ok(ExitCode::SUCCESS)
+    let outcome = if profile || profile_json {
+        engine
+            .run_profiled(&query)
+            .map(|(result, prof)| (result, Some(prof)))
+    } else {
+        engine.run(&query).map(|result| (result, None))
+    };
+    let (result, prof) = match outcome {
+        Ok(outcome) => outcome,
+        Err(e) => return Ok(query_failed(e)),
+    };
+    if let Some(prof) = prof {
+        if profile {
+            eprint!("{}", prof.render());
         }
-        Err(e) => {
-            eprintln!("standoff-xq: {e}");
-            Ok(ExitCode::FAILURE)
+        if profile_json {
+            eprintln!("{}", prof.to_json());
         }
     }
+    if args.has("--time") {
+        eprintln!("{}", time_line(&engine, &result, start, load));
+    }
+    println!("{}", result.as_xml());
+    Ok(ExitCode::SUCCESS)
+}
+
+/// A failed query: its error on stderr, exit code 1.
+fn query_failed(e: impl std::fmt::Display) -> ExitCode {
+    eprintln!("standoff-xq: {e}");
+    ExitCode::FAILURE
 }
 
 /// `query --time`'s line. Layers materialize when the query first
@@ -943,70 +850,43 @@ fn time_line(
     )
 }
 
-// ---- explain ----
-
 /// First-class plan printer: compile the query against the loaded
 /// corpus and print the optimized plan to stdout without executing it.
+/// `--analyze` is explain's *executing* mode, governed like `query`: run
+/// the query with per-operator profiling and print the plan tree with
+/// measured calls/rows/time next to the optimizer's estimates.
 fn cmd_explain(argv: &[String]) -> Result<ExitCode, String> {
-    let args = parse_query_args(argv)?;
-    let mut engine = args.corpus.build_engine()?;
-    // `--analyze` is explain's *executing* mode: run the query with
-    // per-operator profiling and print the plan tree with measured
-    // calls/rows/time next to the optimizer's estimates.
-    let rendered = if args.analyze {
-        engine.explain_analyze(&args.query)
+    let analyze = [Flag(&["--analyze"], None)];
+    let groups = [CORPUS, GOVERNANCE, QUERY_TEXT, &analyze];
+    let args = parse(argv, &groups, Operands::Zero)?;
+    let (mut engine, query, _) = governed_query(&args)?;
+    let rendered = if args.has("--analyze") {
+        engine.explain_analyze(&query)
     } else {
-        engine.explain(&args.query)
+        engine.explain(&query)
     };
     match rendered {
         Ok(plan) => {
             print!("{plan}");
             Ok(ExitCode::SUCCESS)
         }
-        Err(e) => {
-            eprintln!("standoff-xq: {e}");
-            Ok(ExitCode::FAILURE)
-        }
+        Err(e) => Ok(query_failed(e)),
     }
 }
 
 // ---- batch ----
 
 fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
-    let mut corpus = CorpusArgs::new();
-    let mut gov = GovFlags::default();
-    let mut threads = 1usize;
-    let mut time = false;
-    let mut profile = false;
-    let mut profile_json = false;
-    let mut queries_path: Option<String> = None;
-    let mut k = 0;
-    while k < argv.len() {
-        if corpus.try_consume(argv, &mut k)? || gov.try_consume(argv, &mut k)? {
-            k += 1;
-            continue;
-        }
-        match argv[k].as_str() {
-            "--threads" | "-j" => threads = threads_value(argv, &mut k)?,
-            "--time" => time = true,
-            "--profile" => profile = true,
-            "--profile-json" => profile_json = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            other if !other.starts_with('-') || other == "-" => {
-                if queries_path.is_some() {
-                    return Err(format!("batch takes exactly one queries file\n{USAGE}"));
-                }
-                queries_path = Some(other.to_string());
-            }
-            other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
-        }
-        k += 1;
-    }
-    let queries_path = queries_path.ok_or("batch: no queries file given ('-' for stdin)")?;
-    let text = read_text_or_stdin(&queries_path)?;
+    let groups = [CORPUS, GOVERNANCE, &[THREADS], REPORTS];
+    let one = Some("batch takes exactly one queries file");
+    let args = parse(argv, &groups, Operands::One(one))?;
+    let corpus = CorpusArgs::new(&args)?;
+    let governance = governance(&args)?;
+    let threads = args.int("--threads", 1)?.unwrap_or(1);
+    let queries_path = args
+        .operand()
+        .ok_or("batch: no queries file given ('-' for stdin)")?;
+    let text = read_text_or_stdin(queries_path)?;
     let queries = split_queries(&text);
     if queries.is_empty() {
         return Err(format!("{queries_path}: no queries found"));
@@ -1017,17 +897,18 @@ fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
     let load_elapsed = load_start.elapsed();
     // Governed batches give every query its own fresh budget; without
     // governance flags this is exactly `Executor::new`.
-    let executor = Executor::governed(engine.into_shared(), threads, gov.governance());
+    let executor = Executor::governed(engine.into_shared(), threads, governance);
 
+    let (profile, profile_json) = (args.has("--profile"), args.has("--profile-json"));
     let start = Instant::now();
     // Profiled batches run the same scheduler; results print to stdout
     // as usual, per-query profiles to stderr keyed by submission index.
     let results = if profile || profile_json {
-        let profiled = executor.run_batch_profiled(&queries);
-        let mut results = Vec::with_capacity(profiled.len());
-        for (k, r) in profiled.into_iter().enumerate() {
-            match r {
-                Ok((result, prof)) => {
+        let profiled = executor.run_batch_profiled(&queries).into_iter();
+        profiled
+            .enumerate()
+            .map(|(k, outcome)| {
+                outcome.map(|(result, prof)| {
                     if profile {
                         eprintln!("# query {k}");
                         eprint!("{}", prof.render());
@@ -1035,12 +916,10 @@ fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
                     if profile_json {
                         eprintln!("{}", prof.to_json());
                     }
-                    results.push(Ok(result));
-                }
-                Err(e) => results.push(Err(e)),
-            }
-        }
-        results
+                    result
+                })
+            })
+            .collect()
     } else {
         executor.run_batch(&queries)
     };
@@ -1056,7 +935,7 @@ fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
             }
         }
     }
-    if time {
+    if args.has("--time") {
         let cache = executor.cache();
         eprintln!(
             "# {} quer{} in {:?} on {} thread(s) ({} failed; plan cache {} hit(s) / {} miss(es); load {:?})",
@@ -1070,11 +949,7 @@ fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
             load_elapsed,
         );
     }
-    Ok(if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(ExitCode::from(u8::from(failures > 0)))
 }
 
 // ---- stats ----
@@ -1085,33 +960,12 @@ fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
 /// process-global one (store mount/materialization timings). Query
 /// results are discarded — this subcommand exists to read the meters.
 fn cmd_stats(argv: &[String]) -> Result<ExitCode, String> {
-    let mut corpus = CorpusArgs::new();
-    let mut queries_path: Option<String> = None;
-    let mut k = 0;
-    while k < argv.len() {
-        if corpus.try_consume(argv, &mut k)? {
-            k += 1;
-            continue;
-        }
-        match argv[k].as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            other if !other.starts_with('-') || other == "-" => {
-                if queries_path.is_some() {
-                    return Err(format!("stats takes at most one queries file\n{USAGE}"));
-                }
-                queries_path = Some(other.to_string());
-            }
-            other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
-        }
-        k += 1;
-    }
-    let engine = corpus.build_engine()?;
+    let one = Some("stats takes at most one queries file");
+    let args = parse(argv, &[CORPUS], Operands::One(one))?;
+    let engine = CorpusArgs::new(&args)?.build_engine()?;
     let executor = Executor::new(engine.into_shared(), 1);
     let mut failures = 0usize;
-    if let Some(path) = &queries_path {
+    if let Some(path) = args.operand() {
         let text = read_text_or_stdin(path)?;
         let queries = split_queries(&text);
         for (k, result) in executor.run_batch(&queries).iter().enumerate() {
@@ -1124,11 +978,7 @@ fn cmd_stats(argv: &[String]) -> Result<ExitCode, String> {
     let mut snapshot = executor.metrics_snapshot();
     snapshot.merge(&standoff::core::MetricsRegistry::global().snapshot());
     println!("{}", snapshot.to_json());
-    Ok(if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(ExitCode::from(u8::from(failures > 0)))
 }
 
 // ---- serve ----
@@ -1165,60 +1015,34 @@ fn install_stop_handlers() {
 fn install_stop_handlers() {}
 
 fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
-    let mut corpus = CorpusArgs::new();
-    let mut gov = GovFlags::default();
-    let mut listen = "127.0.0.1:7878".to_string();
-    let mut threads = 1usize;
-    let mut read_timeout_ms = 10_000u64;
-    let mut k = 0;
-    while k < argv.len() {
-        if corpus.try_consume(argv, &mut k)? || gov.try_consume(argv, &mut k)? {
-            k += 1;
-            continue;
-        }
-        match argv[k].as_str() {
-            "--listen" => {
-                k += 1;
-                listen = argv.get(k).ok_or("--listen needs HOST:PORT")?.clone();
-            }
-            "--threads" | "-j" => threads = threads_value(argv, &mut k)?,
-            "--read-timeout-ms" => {
-                k += 1;
-                let n = argv.get(k).ok_or("--read-timeout-ms needs a number")?;
-                read_timeout_ms = n
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad --read-timeout-ms '{n}'"))?;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
-        }
-        k += 1;
-    }
+    let flags = [
+        Flag(&["--listen"], Some("HOST:PORT")),
+        THREADS,
+        Flag(&["--read-timeout-ms"], Some("a number")),
+    ];
+    let args = parse(argv, &[CORPUS, GOVERNANCE, &flags], Operands::Zero)?;
+    let corpus = CorpusArgs::new(&args)?;
+    let governance = governance(&args)?;
+    let threads = args.int("--threads", 1)?.unwrap_or(1);
+    let read_timeout_ms: u64 = args.int("--read-timeout-ms", 0)?.unwrap_or(10_000);
+    let listen = args.last("--listen").unwrap_or("127.0.0.1:7878");
     // Hot mount/unmount rebuilds engines from retained snapshots, so
     // serving is snapshot-only: loose documents and delta sidecars
     // have no re-mountable identity.
-    if !corpus.loads.is_empty() || !corpus.deltas.is_empty() {
+    if !corpus.loads.is_empty() || corpus.stores.iter().any(|(_, deltas)| !deltas.is_empty()) {
         return Err("serve supports --store snapshots only (no --load/--delta)".into());
     }
     let mut mounts = Vec::with_capacity(corpus.stores.len());
-    for path in &corpus.stores {
+    for (path, _) in &corpus.stores {
         mounts.push(ServeMount::open(path).map_err(|e| e.to_string())?);
     }
-    let engine_options = EngineOptions {
-        strategy: corpus.strategy.unwrap_or(EngineOptions::default().strategy),
-        candidate_pushdown: corpus.pushdown,
-        ..EngineOptions::default()
-    };
     let opts = ServeOptions {
         threads,
-        engine: engine_options,
-        governance: gov.governance(),
+        engine: corpus.options,
+        governance,
         read_timeout: Duration::from_millis(read_timeout_ms.max(1)),
     };
-    let server = Server::bind(&listen, mounts, opts).map_err(|e| format!("{listen}: {e}"))?;
+    let server = Server::bind(listen, mounts, opts).map_err(|e| format!("{listen}: {e}"))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     install_stop_handlers();
     // The ready line goes to stdout so wrappers can wait for it; all
@@ -1255,48 +1079,26 @@ fn is_transient_connect_error(e: &std::io::Error) -> bool {
 /// exponential backoff, `--retries` times (default 3; 0 disables).
 /// Other failures (timeouts, protocol errors) surface immediately.
 fn cmd_call(argv: &[String]) -> Result<ExitCode, String> {
-    if argv.iter().any(|a| a == "--help") {
-        println!("{USAGE}");
-        return Ok(ExitCode::SUCCESS);
-    }
-    let mut retries = 3u32;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut k = 0;
-    while k < argv.len() {
-        match argv[k].as_str() {
-            "--retries" => {
-                k += 1;
-                let v = argv.get(k).ok_or("--retries needs a count")?;
-                retries = v
-                    .parse::<u32>()
-                    .map_err(|_| format!("bad --retries '{v}', expected a non-negative integer"))?;
-            }
-            _ => positional.push(&argv[k]),
-        }
-        k += 1;
-    }
-    let addr = positional
-        .first()
-        .ok_or_else(|| format!("call needs ADDR\n{USAGE}"))?;
-    let verb = positional
-        .get(1)
-        .ok_or_else(|| format!("call needs a VERB\n{USAGE}"))?;
-    let rest = positional[2..]
-        .iter()
-        .map(|s| s.as_str())
-        .collect::<Vec<_>>()
-        .join(" ");
+    let flags = [Flag(&["--retries"], Some("a count"))];
+    let args = parse(argv, &[&flags], Operands::Any)?;
+    let retries: u32 = args.int("--retries", 0)?.unwrap_or(3);
+    let (addr, verb) = match args.operands[..] {
+        [] => return Err(format!("call needs ADDR\n{USAGE}")),
+        [_] => return Err(format!("call needs a VERB\n{USAGE}")),
+        [addr, verb, ..] => (addr, verb),
+    };
+    let rest = args.operands[2..].join(" ");
     // `query` carries its text in the body; every other verb is a
     // single `verb arg` line.
-    let payload = match (verb.as_str(), rest.is_empty()) {
+    let payload = match (verb, rest.is_empty()) {
         ("query", true) => return Err("call ... query needs the query text".into()),
         ("query", false) => format!("query\n{rest}"),
-        (_, true) => (*verb).clone(),
+        (_, true) => verb.to_string(),
         (_, false) => format!("{verb} {rest}"),
     };
     let mut attempt = 0;
     let reply = loop {
-        match serve::call(addr.as_str(), &payload) {
+        match serve::call(addr, &payload) {
             Ok(reply) => break reply,
             Err(e) if attempt < retries && is_transient_connect_error(&e) => {
                 // 100ms, 200ms, 400ms, ... capped at 2s.

@@ -399,16 +399,26 @@ fn bad_snapshot_and_bad_args_fail_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("no query"));
 
-    // `--threads` is executor width (`batch`, `serve`); a single query
-    // has nothing to fan out, so the flag is refused, not ignored.
-    for verb in ["query", "stats"] {
-        let out = bin()
-            .args([verb, "--threads", "4", "--query", "1"])
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(2), "{verb} --threads");
+    // A flag a subcommand does not read is refused, not ignored:
+    // `--threads` is executor width (`batch`, `serve`) and a single query
+    // has nothing to fan out; `--analyze` is `explain`'s; and `explain`
+    // prints a plan, so it has no timing or profile to report.
+    for args in [
+        &["query", "--threads", "4"][..],
+        &["stats", "--threads", "4"],
+        &["query", "--analyze"],
+        &["explain", "--time"],
+        &["explain", "--profile"],
+        &["explain", "--profile-json"],
+    ] {
+        let out = bin().args(args).args(["--query", "1"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr).into_owned();
-        assert!(err.contains("unknown argument '--threads'"), "{err}");
+        assert!(
+            err.contains(&format!("unknown argument '{}'", args[1])),
+            "{err}"
+        );
     }
     let out = bin()
         .args(["batch", "--threads", "0", "-"])
@@ -424,6 +434,47 @@ fn bad_snapshot_and_bad_args_fail_cleanly() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown strategy 'auto'"));
+}
+
+/// `explain --analyze` executes its query, so it runs under the same
+/// caps as `query`: over the result cap it fails with the same limit
+/// error, exit code 1, and prints no plan.
+#[test]
+fn explain_analyze_is_governed_like_query() {
+    let dir = tmp_dir("governed-explain");
+    let doc = write(&dir, "d.xml", "<d><b/><b/></d>");
+    let load = format!("d={doc}");
+    for verb in [&["query"][..], &["explain", "--analyze"]] {
+        let out = bin()
+            .args(verb)
+            .args(["--load", &load, "--max-results", "1"])
+            .args(["-q", r#"count(doc("d")//b)"#])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{verb:?}");
+        assert!(out.stdout.is_empty(), "{verb:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            err, "standoff-xq: resource limit: result cardinality cap exceeded\n",
+            "{verb:?}"
+        );
+    }
+    // Under a cap it does not reach, the plan prints with its actuals.
+    let out = bin()
+        .args([
+            "explain",
+            "--analyze",
+            "--load",
+            &load,
+            "--max-results",
+            "100",
+        ])
+        .args(["-q", r#"count(doc("d")//b)"#])
+        .output()
+        .unwrap();
+    assert_success(&out, "explain --analyze under a cap");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("result: 1 item(s)"));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Replace an annotation in place — retract it, insert another at the
