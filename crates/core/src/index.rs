@@ -115,6 +115,10 @@ pub struct RegionIndex {
     /// Largest region count of any single annotation (1 ⇒ the fast
     /// single-region post-processing path applies).
     max_regions: u32,
+    /// An upper bound on `end − start` over the entries, derived where
+    /// the index is built, renumbered or mounted and never stored: the
+    /// loop-lifted wide join's reach ([`RegionIndex::wide_reach`]).
+    max_extent: i64,
 }
 
 /// Borrowed raw columns of a [`RegionIndex`] — the snapshot writer's
@@ -162,12 +166,14 @@ impl IndexAccum {
 
     fn finish(mut self) -> RegionIndex {
         self.entries.sort_by_key(|e| (e.start, e.end, e.id));
+        let max_extent = max_extent(&self.entries);
         RegionIndex {
             entries: self.entries.into(),
             node_ids: self.node_ids.into(),
             node_offsets: self.node_offsets.into(),
             node_regions: self.node_regions.into(),
             max_regions: self.max_regions,
+            max_extent,
         }
     }
 }
@@ -195,7 +201,9 @@ impl RegionIndex {
     /// is what [`RegionIndex::build`] makes of the copy, since a splice
     /// appends after every element of the document: the node view is
     /// copied run by run, the clustered column is renumbered in one pass
-    /// with the added entries merged in.
+    /// with the added entries merged in. The extent bound only grows
+    /// with the added regions: a dropped annotation may leave it high,
+    /// which keeps the wide reach exact, only wider.
     pub fn renumbered(&self, moved: &Renumbering, added: &[(u32, Region)]) -> RegionIndex {
         let mut node_ids = Vec::with_capacity(self.node_ids.len() + added.len());
         let mut node_offsets = Vec::with_capacity(self.node_offsets.len() + added.len());
@@ -231,6 +239,7 @@ impl RegionIndex {
             });
         }
         fresh.sort_unstable_by_key(|e| (e.start, e.end, e.id));
+        let max_extent = self.max_extent.max(max_extent(&fresh));
         // Each added entry follows every kept one with its region or a
         // smaller one; the kept stretches in between are renumbered.
         let mut entries = Vec::with_capacity(self.entries.len() + added.len());
@@ -255,6 +264,7 @@ impl RegionIndex {
             node_offsets: node_offsets.into(),
             node_regions: node_regions.into(),
             max_regions,
+            max_extent,
         }
     }
 
@@ -296,6 +306,14 @@ impl RegionIndex {
     #[inline]
     pub fn max_regions(&self) -> u32 {
         self.max_regions
+    }
+
+    /// An upper bound on any entry's `end − start` (0 for an empty
+    /// index): exact after a build or a mount, possibly high after a
+    /// [`RegionIndex::renumbered`] that dropped the widest entry.
+    #[inline]
+    pub fn max_extent(&self) -> i64 {
+        self.max_extent
     }
 
     /// This index's summary statistics (see [`IndexStats`]).
@@ -369,6 +387,17 @@ impl RegionIndex {
         let lo = self.entries.partition_point(|e| e.start < from);
         let hi = lo + self.entries[lo..].partition_point(|e| e.start <= to);
         lo..hi
+    }
+
+    /// The reach of a context extent `[from, to]` for the overlap axes:
+    /// an entry overlapping a context region starts at or before the
+    /// context's end and at most [`RegionIndex::max_extent`] before its
+    /// start, so every region a `select-wide` over that context can
+    /// overlap starts inside `[from − max_extent, to]`. A layer of short
+    /// annotations (tokens, entities) shrinks to its context's stretch;
+    /// one whose root spans the text stays whole.
+    pub fn wide_reach(&self, from: i64, to: i64) -> Range<usize> {
+        self.reach(from.saturating_sub(self.max_extent), to)
     }
 
     /// Candidate-sequence intersection (§4.3): restrict the index to the
@@ -605,10 +634,12 @@ impl RegionIndex {
         let (mut sorted, mut ordered, mut elements) = (true, true, true);
         let mut prev = None;
         let mut slot = 0;
+        let mut max_extent = 0;
         for e in entries.iter() {
             sorted &= prev < Some(key(e));
             prev = Some(key(e));
             ordered &= e.start <= e.end;
+            max_extent = max_extent.max(e.end.saturating_sub(e.start));
             let region = Region {
                 start: e.start,
                 end: e.end,
@@ -648,6 +679,7 @@ impl RegionIndex {
             node_offsets,
             node_regions,
             max_regions,
+            max_extent,
         })
     }
 
@@ -973,6 +1005,12 @@ fn seek(ids: &[u32], from: usize, id: u32) -> Option<usize> {
     (ids[k] == id).then_some(k)
 }
 
+/// The largest `end − start` among `entries` (0 when there are none),
+/// saturating: regions may span any `i64`s.
+fn max_extent(entries: &[RegionEntry]) -> i64 {
+    (entries.iter()).fold(0, |m, e| m.max(e.end.saturating_sub(e.start)))
+}
+
 fn index_data_err(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("region index: {msg}"))
 }
@@ -1227,6 +1265,47 @@ mod tests {
         assert_eq!(idx.reach(52, 64), 3..5);
         assert_eq!(idx.reach(95, 200), 5..5);
         assert!(RegionIndex::default().reach(0, 9).is_empty());
+    }
+
+    /// The wide reach widens the extent left by the largest entry
+    /// extent — exact after a build or a mount, kept (high, never low)
+    /// when a splice drops the widest entry, raised when one adds a
+    /// wider one.
+    #[test]
+    fn wide_reach_widens_by_the_largest_extent() {
+        let (doc, idx) = figure1_index(); // starts 0, 0, 8, 52, 64; widest 8..64
+        assert_eq!(idx.max_extent(), 56);
+        assert_eq!(idx.wide_reach(64, 64), 2..5, "starting exactly 56 before");
+        assert_eq!(idx.wide_reach(65, 65), 3..5, "one further out");
+        assert_eq!(idx.wide_reach(70, 80), 3..5);
+        assert_eq!(idx.wide_reach(0, 94), 0..5);
+        assert_eq!(RegionIndex::default().max_extent(), 0);
+        assert!(RegionIndex::default().wide_reach(i64::MIN, 9).is_empty());
+
+        let s = idx.storage();
+        let kinds = vec![NodeKind::Element as u8; doc.node_count()];
+        let mounted = RegionIndex::from_storage(
+            s.entries.to_vec().into(),
+            s.node_ids.to_vec().into(),
+            s.node_offsets.to_vec().into(),
+            s.node_regions.to_vec().into(),
+            s.max_regions,
+            &kinds,
+        )
+        .unwrap();
+        assert_eq!(mounted.max_extent(), 56);
+
+        let interview = doc.elements_named("shot")[1];
+        let (_, moved) = doc.splice(&[interview], &[]).unwrap();
+        let dropped = idx.renumbered(&moved, &[]);
+        assert_eq!((dropped.len(), dropped.max_extent()), (4, 56));
+        let shot = standoff_xml::NewElement {
+            name: "shot".into(),
+            attrs: Vec::new(),
+        };
+        let (_, moved) = doc.splice(&[], &[shot]).unwrap();
+        let added = [(moved.added().start, Region::new(1, 100).unwrap())];
+        assert_eq!(idx.renumbered(&moved, &added).max_extent(), 99);
     }
 
     #[test]

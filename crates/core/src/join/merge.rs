@@ -91,6 +91,10 @@ fn tripped(budget: &Option<crate::budget::Budget>) -> bool {
     budget.as_ref().is_some_and(|b| b.poll().is_some())
 }
 
+/// Candidates per budget poll inside a merge loop — the 64-entry chunk
+/// [`Budget::poll`](crate::budget::Budget::poll) is priced for.
+const POLL_BLOCK: usize = 64;
+
 /// Loop-lifted `select-narrow` merge join — Listing 1.
 ///
 /// `context` must be sorted ascending on `start`; `candidates` is the
@@ -162,6 +166,7 @@ fn ll_select_narrow_impl<T: TraceSink>(
     active.clear();
     let mut i = 0usize; // iterates over context
     let mut j = 0usize; // iterates over candidates
+    let mut poll_at = 0usize; // next candidate position that polls
 
     // line 8: seed the list with the first context item.
     insert_active(active, &context[0], 0, per_annotation, &mut trace, 8);
@@ -213,11 +218,16 @@ fn ll_select_narrow_impl<T: TraceSink>(
         // lines 26-36: analyze candidates until the next context item
         // must enter the list (or the active list drains). Each round is
         // one candidate (general path) or one galloped emission run (fast
-        // path), so the budget poll below bounds ungoverned work without
-        // adding a data-dependent branch inside the 64-wide match masks.
+        // path); the budget is polled once the rounds have consumed a
+        // block of candidates since the last poll, so governed work is
+        // bounded without a poll per candidate and without a
+        // data-dependent branch inside the 64-wide match masks.
         while j < candidates.len() && candidates[j].start < next_start {
-            if tripped(&budget) {
-                return;
+            if j >= poll_at {
+                if tripped(&budget) {
+                    return;
+                }
+                poll_at = j + POLL_BLOCK;
             }
             // Branch-free fast path for the dominant shape (flat layouts
             // keep exactly one item active): the run of candidates this
@@ -425,7 +435,9 @@ fn insert_active<T: TraceSink>(
 ///   not admitted: a wide candidate must not park contexts that later,
 ///   narrower candidates would have to walk past.
 ///
-/// Total work is O(contexts + candidates + matches).
+/// Total work is O(contexts + candidates + matches) over the reach: the
+/// loop-lifted caller passes only the entries that start inside its
+/// context's extent widened by the index's largest extent.
 pub fn ll_select_wide(context: &[CtxEntry], candidates: &[RegionEntry]) -> Vec<Emission> {
     let mut result = Vec::new();
     ll_select_wide_into(
@@ -457,7 +469,7 @@ pub(crate) fn ll_select_wide_into(
     let mut i = 0usize; // first context starting after every candidate start so far
 
     for (j, cand) in candidates.iter().enumerate() {
-        if tripped(&budget) {
+        if j % POLL_BLOCK == 0 && tripped(&budget) {
             return;
         }
         // Admit the contexts that start at or before this candidate.
@@ -676,6 +688,53 @@ mod tests {
         let context = ctx(&[(0, 40, 60)]);
         let candidates = cands(&[(0, 50), (0, 30)]);
         assert_eq!(wide_pairs(&context, &candidates), vec![(0, 1000)]);
+    }
+
+    /// Both kernels poll once per 64-candidate block — the wide one in
+    /// its candidate loop, the narrow one in its multi-active path (two
+    /// iterations keep two items active). A cancelled budget is seen at
+    /// the first block boundary; an expired deadline at the first clock
+    /// read, which [`Budget::poll`](crate::budget::Budget::poll) makes
+    /// once per `POLL_STRIDE` polls — so within that many blocks, not at
+    /// the end of the scan.
+    #[test]
+    fn a_tripped_budget_stops_the_kernels_within_its_poll_blocks() {
+        use crate::budget::{Budget, BudgetLimits, POLL_STRIDE};
+        let context = ctx(&[(0, 0, 1_000_000), (1, 0, 1_000_000)]);
+        let spans: Vec<(i64, i64)> = (0..20_000).map(|k| (10 * k, 10 * k + 5)).collect();
+        let candidates = cands(&spans);
+        let scratch = |budget| MergeScratch {
+            budget,
+            ..MergeScratch::default()
+        };
+        let wide = |budget: Option<Budget>| {
+            let mut out = Vec::new();
+            ll_select_wide_into(&context, &candidates, &mut scratch(budget), &mut out);
+            out.len()
+        };
+        let narrow = |budget: Option<Budget>| {
+            let mut out = Vec::new();
+            let mut s = scratch(budget);
+            ll_select_narrow_into(&context, &candidates, false, None, &mut s, &mut out);
+            out.len()
+        };
+        let cancelled = || {
+            let b = Budget::cancel_token();
+            b.cancel();
+            Some(b)
+        };
+        let expired = || {
+            Some(Budget::new(BudgetLimits {
+                deadline: Some(std::time::Duration::ZERO),
+                ..BudgetLimits::default()
+            }))
+        };
+        assert_eq!((wide(None), narrow(None)), (40_000, 40_000));
+        // Two emissions (one per iteration) per candidate.
+        let block = 2 * POLL_BLOCK;
+        assert!(wide(cancelled()) <= block && narrow(cancelled()) <= block);
+        let stride = block * POLL_STRIDE as usize;
+        assert!(wide(expired()) <= stride && narrow(expired()) <= stride);
     }
 
     #[test]

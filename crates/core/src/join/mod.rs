@@ -38,8 +38,11 @@
 //! — over a *reach* of the target's start-clustered table: the loop-lifted
 //! `select-narrow` (and the select half of `reject-narrow`) reads only
 //! the entries starting inside its context's extent
-//! ([`RegionIndex::reach`](crate::index::RegionIndex::reach)), every other
-//! derivation the whole table. Inside the reach one cost rule
+//! ([`RegionIndex::reach`](crate::index::RegionIndex::reach)), the
+//! loop-lifted overlap axes that extent widened left by the index's
+//! largest entry extent
+//! ([`RegionIndex::wide_reach`](crate::index::RegionIndex::wide_reach)),
+//! and the basic strategy the whole table. Inside the reach one cost rule
 //! ([`candidate_kernel`](crate::index::candidate_kernel)) borrows, gathers,
 //! scans or probes, and counts its choice. Every mechanism counter, here
 //! and in the query engine above, is a field of the one [`JoinStats`]
@@ -363,7 +366,7 @@ impl JoinScratch {
     /// one fragment's rows with the index its areas are looked up in —
     /// sorted by start (the context-preparation step of §4.4), and its
     /// extent — first start, largest end — noted for the loop-lifted
-    /// narrow join's reach. Rows that are not area-annotations contribute
+    /// joins' reach. Rows that are not area-annotations contribute
     /// nothing.
     ///
     /// A context annotation is identified by the *ordinal of its row*
@@ -488,7 +491,6 @@ pub fn join_resolved(
     // Multi-region containment (∀∃) must attribute every match to a
     // specific context annotation; see merge.rs.
     let per_annotation = select_axis.is_narrow() && target.index.max_regions() > 1;
-    let whole = 0..target.index.len();
     let selected: Vec<IterNode> = match strategy {
         _ if scratch.ctx.is_empty() => Vec::new(),
         StandoffStrategy::NaiveNoCandidates => {
@@ -502,6 +504,7 @@ pub fn join_resolved(
             // iteration, and every invocation re-derives its candidate
             // sequence from the region index — the "repeated full scans
             // of the region index" that make XMark Q2 blow up.
+            let whole = 0..target.index.len();
             scratch.iters.clear();
             scratch.iters.extend(scratch.ctx.iter().map(|c| c.iter));
             scratch.iters.sort_unstable();
@@ -555,15 +558,13 @@ pub fn join_resolved(
         }
         StandoffStrategy::LoopLiftedMergeJoin => {
             // A region contained in some context region starts inside the
-            // context's extent: the narrow join reads only that reach of
-            // the table. (Bounding the wide join would need the index's
-            // largest extent; it reads the whole table.)
+            // context's extent, one overlapping it at most the index's
+            // largest extent before: each join reads only that reach of
+            // the table.
+            let (from, to) = scratch.extent;
             let reach = match select_axis {
-                StandoffAxis::SelectNarrow => {
-                    let (from, to) = scratch.extent;
-                    target.index.reach(from, to)
-                }
-                _ => whole,
+                StandoffAxis::SelectNarrow => target.index.reach(from, to),
+                _ => target.index.wide_reach(from, to),
             };
             let cands = target.candidate_entries_in(reach, &mut scratch.kernel, &mut scratch.cands);
             scratch.emissions.clear();

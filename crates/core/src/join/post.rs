@@ -3,7 +3,8 @@
 //! and in document order per iter").
 //!
 //! * In the single-region (attribute) mode, a region match *is* an
-//!   annotation match: map entries to node ids, deduplicate, sort.
+//!   annotation match: map entries to node ids, then put them in
+//!   document order (`document_order`) — usually without a sort.
 //! * In the multi-region (element) mode, `select-narrow`'s ∀∃ semantics
 //!   require every region of a candidate annotation to be contained in
 //!   the *same* context annotation: group emissions by
@@ -33,16 +34,14 @@ pub fn finalize_select(
     // attribute representation), or overlap semantics (∃∃) — any region
     // match selects its annotation.
     if index.max_regions() <= 1 || axis == StandoffAxis::SelectWide {
-        let mut out: Vec<IterNode> = emissions
+        let out = emissions
             .iter()
             .map(|e| IterNode {
                 iter: e.iter,
                 node: candidates[e.cand_idx as usize].id,
             })
             .collect();
-        out.sort_unstable();
-        out.dedup();
-        return out;
+        return document_order(out);
     }
 
     // Multi-region containment: a candidate annotation is selected in an
@@ -80,9 +79,61 @@ pub fn finalize_select(
         }
         k = run;
     }
-    out.sort_unstable();
-    out.dedup();
-    out
+    document_order(out)
+}
+
+/// `rows` sorted on `(iter, node)` and duplicate-free, by the first rule
+/// that applies:
+///
+/// 1. already sorted — a flat layer's start order is its document
+///    order: deduplicate only;
+/// 2. one iteration whose id range `[lo, hi]` is at most 64 × the rows
+///    — a nested layer, whose start order puts a parent before the
+///    children that share its start: set a bit per row over the range
+///    and read the bits back, one pass each way over a bitset no bigger
+///    than the rows;
+/// 3. anything else: a comparison sort.
+fn document_order(mut rows: Vec<IterNode>) -> Vec<IterNode> {
+    let Some(&first) = rows.first() else {
+        return rows;
+    };
+    let (mut sorted, mut one_iter) = (true, true);
+    let (mut lo, mut hi) = (first.node, first.node);
+    let mut prev = first;
+    for &r in &rows[1..] {
+        sorted &= prev <= r;
+        one_iter &= r.iter == first.iter;
+        lo = lo.min(r.node);
+        hi = hi.max(r.node);
+        prev = r;
+    }
+    if sorted {
+        rows.dedup();
+        return rows;
+    }
+    let span = (hi - lo) as usize + 1;
+    if one_iter && span / 64 <= rows.len() {
+        let mut words = vec![0u64; span.div_ceil(64)];
+        for r in &rows {
+            let off = (r.node - lo) as usize;
+            words[off / 64] |= 1 << (off % 64);
+        }
+        rows.clear();
+        for (w, mut bits) in words.into_iter().enumerate() {
+            while bits != 0 {
+                let node = lo + (w * 64) as u32 + bits.trailing_zeros();
+                rows.push(IterNode {
+                    iter: first.iter,
+                    node,
+                });
+                bits &= bits - 1;
+            }
+        }
+        return rows;
+    }
+    rows.sort_unstable();
+    rows.dedup();
+    rows
 }
 
 /// Complement a select result against the candidate universe, per
@@ -209,6 +260,46 @@ mod tests {
             finalize_select(StandoffAxis::SelectWide, &one, &cands, &index),
             vec![IterNode { iter: 0, node: 7 }]
         );
+    }
+
+    /// Each of `document_order`'s three rules — sorted input, one
+    /// iteration over a dense id range, anything else — answers like a
+    /// sort with deduplication.
+    #[test]
+    fn document_order_is_sort_and_dedup_by_every_rule() {
+        let rows = |pairs: &[(u32, u32)]| -> Vec<IterNode> {
+            (pairs.iter())
+                .map(|&(iter, node)| IterNode { iter, node })
+                .collect()
+        };
+        let cases: [&[(u32, u32)]; 7] = [
+            &[],
+            &[(0, 7)],
+            // Already sorted: deduplicated only.
+            &[(0, 3), (0, 3), (0, 5), (1, 2), (1, 2)],
+            // One iteration, a dense range: the bitset, across words.
+            &[
+                (4, 70),
+                (4, 2),
+                (4, 70),
+                (4, 64),
+                (4, 3),
+                (4, 127),
+                (4, 128),
+            ],
+            // One iteration, too sparse for a bitset.
+            &[(0, 9), (0, 2), (0, 1_000_000)],
+            // Several iterations.
+            &[(1, 2), (0, 5), (1, 1), (0, 5)],
+            // The widest id range.
+            &[(2, u32::MAX), (2, 0)],
+        ];
+        for case in cases {
+            let mut expected = rows(case);
+            expected.sort_unstable();
+            expected.dedup();
+            assert_eq!(document_order(rows(case)), expected, "{case:?}");
+        }
     }
 
     #[test]

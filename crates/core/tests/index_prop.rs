@@ -178,6 +178,11 @@ proptest! {
         // max_regions is the true maximum.
         let max = annotations.iter().map(|rs| rs.len()).max().unwrap_or(0);
         prop_assert_eq!(index.max_regions() as usize, max);
+        // So is max_extent, and a mount derives the same one.
+        let widest = entries.iter().map(|e| e.end - e.start).max().unwrap_or(0);
+        prop_assert_eq!(index.max_extent(), widest);
+        let kinds = elements(pres.last().map_or(0, |&p| p as usize + 1));
+        prop_assert_eq!(RawIndex::of(&index).mount(&kinds).unwrap().max_extent(), widest);
     }
 
     /// Unknown nodes have no regions; annotated nodes are reported in

@@ -497,12 +497,19 @@ proptest! {
         ctx in prop::collection::vec((0u32..3, 0usize..24), 1..12),
     ) {
         // (One annotation is a one-id proof: probing it is as cheap.)
+        // The last annotation spans every other one and joins the
+        // context: from its first start, widened or not, every join's
+        // reach is the whole table.
+        let mut annotations = annotations;
+        annotations.push(GenAnnotation { regions: vec![(0, 150)] });
         let (doc, index) = build(&annotations, false);
         let nodes = doc.elements_named("a");
         prop_assert_eq!(nodes, index.annotated_nodes());
+        let spanning = IterNode { iter: 0, node: *nodes.last().unwrap() };
         let mut context: Vec<IterNode> = ctx
             .iter()
             .map(|&(iter, k)| IterNode { iter, node: nodes[k % nodes.len()] })
+            .chain([spanning])
             .collect();
         context.sort_unstable();
         context.dedup();
@@ -515,8 +522,9 @@ proptest! {
             iter_domain: &[0, 1, 2],
         };
         let stats = assert_strategies_agree(&input, &annotations);
-        // The wide axes read the whole table: proving coverage is
-        // cheaper than any intersection of it.
+        // At full reach, proving coverage is cheaper than any
+        // intersection of the table.
+        prop_assert_eq!(index.wide_reach(0, 150), 0..index.len());
         prop_assert!(stats.candidate_borrowed > 0, "{:?}", stats);
     }
 
@@ -551,6 +559,71 @@ proptest! {
         };
         let stats = assert_strategies_agree(&input, &seed);
         prop_assert!(stats.candidate_probes > 0, "{:?}", stats);
+    }
+
+    /// The wide reach's left boundary, `from − max_extent`, where `M =
+    /// max_extent` is drawn and held by a region ending exactly at the
+    /// first context start: a region one byte further out (it ends just
+    /// before the context), zero-width regions on and beside both
+    /// boundaries, and two-region areas with one region left of the
+    /// reach — every strategy, every axis (both wide ones among them),
+    /// with and without a candidate restriction.
+    #[test]
+    fn wide_reach_edges_match_the_oracle(
+        from in 60i64..90,
+        first in 0i64..15,
+        m in 16i64..30,
+        second in prop::option::of((0i64..20, 0i64..15)),
+        extra in prop::collection::vec((0i64..160, 0i64..16), 0..12),
+        restrict in prop::option::of(prop::collection::vec(any::<bool>(), 0..40)),
+    ) {
+        let mut contexts = vec![("c", vec![(from, from + first)])];
+        if let Some((offset, width)) = second {
+            contexts.push(("c", vec![(from + offset, from + offset + width)]));
+        }
+        let to = contexts.iter().map(|(_, r)| r[0].1).max().unwrap();
+        let left = from - m;
+        let mut shapes: Vec<(&str, Vec<(i64, i64)>)> = vec![
+            ("a", vec![(left, from)]),
+            ("a", vec![(left - 1, from - 1)]),
+            ("a", vec![(left, left)]),
+            ("a", vec![(left - 1, left - 1)]),
+            ("a", vec![(from, from)]),
+            ("a", vec![(from - 1, from - 1)]),
+            ("a", vec![(to, to)]),
+            ("a", vec![(to + 1, to + 1)]),
+            ("a", vec![(left - 9, left - 5), (from + 1, from + 2)]),
+            ("a", vec![(left - 9, left - 5), (to, to + 3)]),
+            ("a", vec![(left - 9, left - 5), (to + 2, to + 3)]),
+            ("a", vec![(left - 3, left - 2), (from - 3, from - 1)]),
+        ];
+        shapes.extend(extra.iter().map(|&(s, len)| ("a", vec![(s, s + len)])));
+        shapes.extend(contexts);
+        let (doc, index) = build_named(&shapes, true);
+        prop_assert_eq!(index.max_extent(), m);
+        let reach = index.wide_reach(from, to);
+        prop_assert!(index.entries()[reach.clone()].iter().all(|e| e.start >= left));
+        prop_assert!(index.entries()[..reach.start].iter().all(|e| e.start < left));
+        let annotated = index.annotated_nodes();
+        let candidates = restrict.map(|mask| -> Vec<u32> {
+            (annotated.iter().zip(mask))
+                .filter(|&(_, on)| on)
+                .map(|(&pre, _)| pre)
+                .collect()
+        });
+        let context: Vec<IterNode> = (doc.elements_named("c").iter())
+            .enumerate()
+            .map(|(k, &node)| IterNode { iter: k as u32 % 2, node })
+            .collect();
+        let input = JoinInput {
+            doc: &doc,
+            index: &index,
+            ctx_index: None,
+            context: &context,
+            candidates: candidates.as_deref(),
+            iter_domain: &[0, 1],
+        };
+        assert_strategies_agree(&input, &shapes);
     }
 
     /// The reach's boundaries, over multi-region areas: candidates on

@@ -142,14 +142,14 @@ fn standoff_note(op: &StandoffOp, explicit_candidates: bool) -> String {
     // The candidate-derivation kernel: when the estimate pass left
     // cardinalities, the choice the index makes at run time
     // ([`standoff_core::index::candidate_kernel`]) at full reach. The
-    // loop-lifted narrow joins read only their context's reach, where
-    // the same rule may pick a cheaper kernel.
+    // loop-lifted joins read only their context's reach (widened by the
+    // largest entry extent for the overlap axes), where the same rule
+    // may pick a cheaper kernel.
     let access = |count: Option<u64>| match (count, &op.estimate) {
         (Some(c), Some(est)) if est.index.entries > 0 => {
             let e = est.index.entries;
             let kernel = candidate_kernel(Some(c as usize), e, e, || est.covering);
-            let bounded =
-                op.strategy == StandoffStrategy::LoopLiftedMergeJoin && op.axis.is_narrow();
+            let bounded = op.strategy == StandoffStrategy::LoopLiftedMergeJoin;
             let reach = if bounded { " ≤ context reach" } else { "" };
             format!(" [{}{reach}]", kernel.as_str())
         }

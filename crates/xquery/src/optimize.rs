@@ -29,19 +29,17 @@
 //!    once per surviving host iteration instead of once per inner
 //!    iteration. Runs before the annotation passes so the StandOff
 //!    operators it moves are annotated in their final position.
-//! 5. **strategy-select** — stamps the engine's configured join
-//!    strategy on each StandOff operator.
-//! 6. **pushdown** — decides element-name candidate pushdown (§4.3) per
-//!    operator: enabled when the engine allows it, the chosen strategy
-//!    consumes candidates, and the step's node test names an element.
-//!    This is the `candidate_pushdown && KindTest::Element` decision
-//!    that used to live inside the evaluator's join, made once at plan
-//!    time. Runs after strategy-select because `naive` (no candidates)
-//!    must never carry a pushdown annotation.
-//! 7. **elide** — proves, per StandOff operator, whether the trailing
+//! 5. **pushdown** — decides element-name candidate pushdown (§4.3) per
+//!    operator: enabled when the engine allows it, the operator's
+//!    strategy (stamped by `compile::resolve`) consumes candidates, and
+//!    the step's node test names an element. This is the
+//!    `candidate_pushdown && KindTest::Element` decision that used to
+//!    live inside the evaluator's join, made once at plan time. `naive`
+//!    (no candidates) never carries a pushdown annotation.
+//! 6. **elide** — proves, per StandOff operator, whether the trailing
 //!    `self::test` post-filter is redundant (the `elide` function
 //!    states the rules).
-//! 8. **estimate** — resolves, for every StandOff operator, the layers
+//! 7. **estimate** — resolves, for every StandOff operator, the layers
 //!    of each mounted group that can answer it (the function execution
 //!    resolves them with) and attaches their region-index statistics
 //!    and the pushed name's candidate counts for explain output. Purely
@@ -75,7 +73,7 @@ pub struct Pass {
 /// The pass list, in execution order. The `estimate` pass runs only
 /// when the context asks for explain-grade estimates
 /// ([`PlanContext::estimates`]); the others always run.
-pub const PASSES: [Pass; 8] = [
+pub const PASSES: [Pass; 7] = [
     Pass {
         name: "const-fold",
         run: const_fold,
@@ -91,10 +89,6 @@ pub const PASSES: [Pass; 8] = [
     Pass {
         name: "hoist-invariants",
         run: hoist_invariants,
-    },
-    Pass {
-        name: "strategy-select",
-        run: strategy_select,
     },
     Pass {
         name: "pushdown",
@@ -853,7 +847,7 @@ fn scan_children_with_binders(
     }
 }
 
-// ================= passes 5–8: StandOff operator annotation =================
+// ================= passes 5–7: StandOff operator annotation =================
 
 /// Visit every StandOff join operator with its node test (`None` for
 /// the built-in function form) and whether it takes an explicit
@@ -883,11 +877,6 @@ fn corpus_name_count(ctx: &PlanContext<'_>, name: &str) -> Option<u64> {
             .map(|id| store.name_count(id, name) as u64)
             .sum(),
     )
-}
-
-fn strategy_select(plan: &mut Plan, ctx: &PlanContext<'_>) {
-    let forced = ctx.options.strategy;
-    for_each_standoff_op(plan, |op, _, _| op.strategy = forced);
 }
 
 fn pushdown(plan: &mut Plan, ctx: &PlanContext<'_>) {

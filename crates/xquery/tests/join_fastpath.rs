@@ -99,17 +99,21 @@ fn reference_path_keeps_literal_post_filter() {
 /// intersection at all.
 #[test]
 fn candidate_access_path_counters() {
-    // 1 `place` candidate over a 301-entry index: node view.
+    // 1 `place` candidate over a 301-entry index: node view. The
+    // `place` spans every `w`, so the wide reach of a context at the
+    // table's right end — widened left by that extent — is the whole
+    // table.
     let mut xml = String::from("<doc>");
     for k in 0..300 {
         xml.push_str(&format!(r#"<w start="{}" end="{}"/>"#, k * 10, k * 10 + 5));
     }
-    xml.push_str(r#"<place start="0" end="95"/></doc>"#);
+    xml.push_str(r#"<place start="0" end="2995"/></doc>"#);
     let mut engine = region_engine(&xml, EngineOptions::default());
     engine
-        .run(r#"count(doc("d.xml")//w[1]/select-wide::place)"#)
+        .run(r#"count(doc("d.xml")//w[300]/select-wide::place)"#)
         .unwrap();
     let stats = engine.join_stats();
+    assert_eq!(stats.candidate_reach_entries, 301, "{stats:?}");
     assert!(stats.candidate_node_view > 0, "{stats:?}");
 
     // 300 `w` candidates over the same index: scan.

@@ -252,6 +252,54 @@ fn scratch_cap_sees_the_join_runs_and_the_merged_result() {
     );
 }
 
+/// A deadline reaches inside the wide kernel, which polls once per
+/// 64-candidate block: a `select-wide` self-join of a generated dense
+/// layer — every `w` overlaps the next hundred — fails with `Timeout`
+/// (the `timeout` category `serve` replies with) under a 1 ms deadline,
+/// whichever merge-join strategy runs it, and answers ungoverned.
+#[test]
+fn deadline_interrupts_select_wide_over_a_dense_layer() {
+    use standoff::core::StandoffConfig;
+    use standoff::store::LayerSet;
+    use standoff::xml::parse_document;
+    const TOKENS: usize = 30_000;
+    let mut tokens = String::from("<tokens>");
+    for k in 0..TOKENS {
+        tokens.push_str(&format!(r#"<w start="{k}" end="{}"/>"#, k + 100));
+    }
+    tokens.push_str("</tokens>");
+    let base = parse_document(&format!(r#"<doc><sec start="0" end="{TOKENS}"/></doc>"#));
+    let mut set = LayerSet::build("g", base.unwrap(), StandoffConfig::default()).unwrap();
+    set.add_layer(
+        "tokens",
+        parse_document(&tokens).unwrap(),
+        StandoffConfig::default(),
+    )
+    .unwrap();
+    let query = r#"count(layer("g", "tokens")//w/select-wide::w)"#;
+    for strategy in [
+        StandoffStrategy::LoopLiftedMergeJoin,
+        StandoffStrategy::BasicMergeJoin,
+    ] {
+        let mut engine = Engine::new();
+        engine.mount_store(set.clone()).unwrap();
+        engine.set_strategy(strategy);
+        assert_eq!(
+            engine.run(query).unwrap().as_strings(),
+            [TOKENS.to_string()]
+        );
+        engine.set_budget(budget(BudgetLimits {
+            deadline: Some(Duration::from_millis(1)),
+            ..BudgetLimits::default()
+        }));
+        assert_eq!(
+            engine.run(query).unwrap_err(),
+            QueryError::Timeout,
+            "[{strategy}]"
+        );
+    }
+}
+
 #[test]
 fn under_budget_runs_are_byte_identical_to_ungoverned() {
     let generous = BudgetLimits {

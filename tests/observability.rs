@@ -396,15 +396,20 @@ fn point_context_reads_only_its_reach() {
     assert_eq!(counters["join.candidate_probes"], 1);
 }
 
-/// A selective pushdown must keep taking the gather kernel: the dense
-/// counters stay at zero.
+/// A selective pushdown over a wide reach must keep taking the gather
+/// kernel: the dense counters stay at zero. (The context sits mid-table:
+/// widened left by the `big` extent, its reach holds 2 501 entries. At
+/// the table's left edge the reach would be two entries, where a
+/// one-word bitset scan is what the cost rule rightly picks.)
 #[test]
 fn sparse_pushdown_leaves_dense_counters_at_zero() {
     let mut engine = dense_corpus();
     engine
-        .run(r#"doc("dense.xml")//w[@start = 0]/select-wide::big"#)
+        .run(r#"doc("dense.xml")//w[@start = 10000]/select-wide::big"#)
         .unwrap();
     let stats = engine.join_stats();
+    assert_eq!(stats.candidate_reach_entries, 2_501, "{stats:?}");
+    assert_eq!(stats.candidate_node_view, 1, "{stats:?}");
     assert_eq!(stats.candidate_repr_dense, 0, "{stats:?}");
     assert_eq!(stats.candidate_dense_blocks, 0, "{stats:?}");
 }

@@ -473,3 +473,72 @@ fn overlaid_root_serialization_includes_pending_inserts() {
     );
     assert_eq!(overlaid_root, compacted.run(root).unwrap().as_xml());
 }
+
+// ---- the wide reach over a folded layer ----
+
+/// An inserted entity longer than any seed widens the layer's extent
+/// bound, so a `select-wide` from a context that starts past the
+/// entity's start — outside every seed's reach — still finds it: through
+/// the writer, after `compact`, and from the compacted snapshot mounted
+/// from disk, under every strategy. Retracting it again leaves the
+/// bound high (never low) and the answer exact.
+#[test]
+fn long_insert_widens_the_wide_reach() {
+    let base = parse_document(&format!("<text>{}</text>", "x".repeat(200))).unwrap();
+    let mut set = LayerSet::build("mem://wide", base, StandoffConfig::default()).unwrap();
+    let token_spans: Vec<(i64, i64)> = (0..50).map(|k| (4 * k, 4 * k + 2)).collect();
+    set.add_layer(
+        "tokens",
+        layer_doc("tokens", "w", &token_spans),
+        StandoffConfig::default(),
+    )
+    .unwrap();
+    set.add_layer(
+        "entities",
+        layer_doc("entities", "person", &[(0, 3), (20, 24), (180, 183)]),
+        StandoffConfig::default(),
+    )
+    .unwrap();
+    let long = (10, 150);
+    let insert = DeltaOp::Insert {
+        layer: "entities".into(),
+        name: "person".into(),
+        start: long.0,
+        end: long.1,
+        attrs: vec![("n".into(), "long".into())],
+    };
+    let retract = DeltaOp::Retract {
+        layer: "entities".into(),
+        name: "person".into(),
+        start: long.0,
+        end: long.1,
+    };
+    // Token [100, 102] starts 90 past the entity, far beyond the seeds'
+    // widest extent of 4.
+    let query = r#"layer("mem://wide", "tokens")//w[@start = "100"]/select-wide::person/@n"#;
+    let dir = std::env::temp_dir().join(format!("standoff-wide-reach-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for strategy in STRATEGIES {
+        let mut writer = WritableEngine::mount(set.clone(), options(strategy)).unwrap();
+        assert_eq!(
+            writer.session().run(query).unwrap().as_xml(),
+            "",
+            "{strategy:?}"
+        );
+        writer.apply([insert.clone()]).unwrap();
+        let found = r#"n="long""#;
+        assert_eq!(writer.session().run(query).unwrap().as_xml(), found);
+        let compacted = writer.compact().unwrap();
+        assert_eq!(writer.session().run(query).unwrap().as_xml(), found);
+        let path = dir.join(format!("{strategy:?}.snap"));
+        standoff::store::save_snapshot(&compacted, &path).unwrap();
+        let mut mounted = Engine::with_options(options(strategy));
+        mounted
+            .mount_snapshot(&standoff::store::Snapshot::open(&path).unwrap())
+            .unwrap();
+        assert_eq!(mounted.run(query).unwrap().as_xml(), found);
+        writer.apply([retract.clone()]).unwrap();
+        assert_eq!(writer.session().run(query).unwrap().as_xml(), "");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
