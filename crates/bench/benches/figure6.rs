@@ -1,8 +1,8 @@
 //! Criterion form of the Figure 6 sweep: XMark Q1/Q2/Q6/Q7 under the
-//! paper's variant columns at two document sizes. The `figure6` binary
-//! prints the full paper-style table with DNF handling over the whole
-//! size ladder; this bench gives statistically robust per-cell numbers
-//! for regression tracking.
+//! paper's variant columns at two document sizes, per-cell times for
+//! regression tracking. The sweep's shape is asserted on work counters
+//! by `tests/paper_shapes.rs`; its ratios are `figure6.*` rows of the
+//! `benchmark/` ledger.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -10,8 +10,7 @@ use standoff_bench::{prepare_workload, Figure6Variant, SO_URI};
 use standoff_xmark::queries::XmarkQuery;
 
 fn figure6(c: &mut Criterion) {
-    // Two sizes keep `cargo bench` under a few minutes; the binary
-    // harness covers the full ladder and the DNF columns.
+    // Two sizes keep `cargo bench` under a few minutes.
     for scale in [0.001, 0.005] {
         let mut w = prepare_workload(scale);
         let mb = w.standard_bytes as f64 / 1e6;
@@ -24,8 +23,8 @@ fn figure6(c: &mut Criterion) {
                 Figure6Variant::LoopLifted,
             ] {
                 // The quadratic UDF at the larger size on the loop-heavy
-                // queries costs minutes per criterion cell; the binary
-                // harness (with its DNF cutoff) covers those.
+                // queries costs minutes per criterion cell; the growth
+                // it shows is the shape test's nested-loop slope.
                 if variant == Figure6Variant::UdfWithCandidates
                     && scale > 0.002
                     && matches!(query, XmarkQuery::Q2 | XmarkQuery::Q7)

@@ -74,8 +74,9 @@ fn region_index(c: &mut Criterion) {
     // of 0.01 %, 1 %, 25 % and 100 % of a 50k-entry table, centred in it,
     // at C ∈ {64, 4 000, 50 000} candidates (half of them unannotated, so
     // no set covers the table and borrowing is off the table), next to
-    // the entry point that chooses. The crossovers visible here are the
-    // ones `candidate_kernel`'s costs must reproduce.
+    // the entry point that chooses, plus one C ≫ E table. The crossovers
+    // visible here are the ones `candidate_kernel`'s costs must
+    // reproduce.
     let mut group = c.benchmark_group("region_index/reach");
     group.sample_size(50);
     {
@@ -120,6 +121,21 @@ fn region_index(c: &mut Criterion) {
                 });
             }
         }
+        // Far more candidate elements than index entries (C ≫ E): the
+        // probe's regime, where a scan would pay an O(C) bitset fill for
+        // a one-block pass.
+        let tiny = standoff_core::RegionIndex::from_areas(&pairs[..64]);
+        let many: Vec<u32> = (0..n as u32).collect();
+        let (mut scratch, mut out) = (CandidateScratch::default(), Vec::new());
+        group.bench_function("adaptive/oversubscribed/E64/C50000", |b| {
+            b.iter(|| tiny.candidates_in(Some(&many), 0..64, &mut scratch, &mut out))
+        });
+        group.bench_function("scan/oversubscribed/E64/C50000", |b| {
+            b.iter(|| tiny.dense_scan_candidates(&many, 0..64, &mut scratch, &mut out))
+        });
+        group.bench_function("probe/oversubscribed/E64/C50000", |b| {
+            b.iter(|| tiny.probe_candidates(&many, 0..64, &scratch, &mut out))
+        });
     }
     group.finish();
 

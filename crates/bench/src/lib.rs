@@ -1,13 +1,10 @@
-//! Shared harness utilities for regenerating the paper's tables and
-//! figures.
+//! Shared workloads of the criterion benches.
 //!
 //! The paper's Figure 6 sweeps XMark document size × evaluation strategy
-//! for queries Q1, Q2, Q6 and Q7 and reports seconds (log scale) with
-//! DNF (> 1 hour) marks. This crate generates the workloads, runs the
-//! sweep with a configurable DNF cutoff, and prints paper-style tables
-//! (also emitted as markdown for EXPERIMENTS.md).
-
-use std::time::{Duration, Instant};
+//! for queries Q1, Q2, Q6 and Q7. `benches/figure6.rs` times those cells;
+//! the shape of the sweep is asserted on work counters by the root
+//! package's `tests/paper_shapes.rs`, and its ratios are rows of the
+//! `benchmark/` ledger.
 
 use standoff_core::{StandoffConfig, StandoffStrategy};
 use standoff_xmark::queries::XmarkQuery;
@@ -18,14 +15,9 @@ use standoff_xquery::Engine;
 /// an engine, with its standard twin for staircase comparisons.
 pub struct Workload {
     pub engine: Engine,
-    pub scale: f64,
     /// Serialized size of the *standard* document in bytes (the paper's
     /// x-axis unit).
     pub standard_bytes: usize,
-    /// Serialized size of the StandOff twin.
-    pub standoff_bytes: usize,
-    /// Number of region-index entries (= element count).
-    pub regions: usize,
 }
 
 /// URI of the standard document inside a [`Workload`] engine.
@@ -39,8 +31,6 @@ pub fn prepare_workload(scale: f64) -> Workload {
     let src = generate(&XmarkConfig::with_scale(scale));
     let so = standoffify(&src, 7);
     let standard_bytes = serialized_size(&src);
-    let standoff_bytes = serialized_size(&so.doc);
-    let regions = so.doc.all_elements().len();
 
     let mut engine = Engine::new();
     engine.add_document(src, Some(STD_URI));
@@ -50,79 +40,7 @@ pub fn prepare_workload(scale: f64) -> Workload {
         .expect("standoff workload builds a valid index");
     Workload {
         engine,
-        scale,
         standard_bytes,
-        standoff_bytes,
-        regions,
-    }
-}
-
-/// Outcome of one measured cell.
-#[derive(Clone, Copy, Debug)]
-pub enum Measurement {
-    /// Wall-clock seconds of the best run.
-    Seconds(f64),
-    /// Did not finish within the cutoff.
-    Dnf,
-    /// Skipped because a smaller size already DNF'd.
-    SkippedAfterDnf,
-}
-
-impl Measurement {
-    pub fn render(&self) -> String {
-        match self {
-            Measurement::Seconds(s) if *s < 0.01 => format!("{:.4}", s),
-            Measurement::Seconds(s) => format!("{s:.3}"),
-            Measurement::Dnf | Measurement::SkippedAfterDnf => "DNF".to_string(),
-        }
-    }
-
-    pub fn is_dnf(&self) -> bool {
-        !matches!(self, Measurement::Seconds(_))
-    }
-
-    pub fn seconds(&self) -> Option<f64> {
-        match self {
-            Measurement::Seconds(s) => Some(*s),
-            _ => None,
-        }
-    }
-}
-
-/// Run a query once and time it.
-pub fn time_query(engine: &mut Engine, query: &str) -> Duration {
-    let start = Instant::now();
-    let n = engine
-        .run_and_discard(query)
-        .unwrap_or_else(|e| panic!("benchmark query failed: {e}\n{query}"));
-    let elapsed = start.elapsed();
-    std::hint::black_box(n);
-    elapsed
-}
-
-/// Time a query under a strategy with a DNF cutoff: the best of up to
-/// `repeats` runs, stopping early once the cutoff is exceeded.
-pub fn measure(
-    engine: &mut Engine,
-    strategy: StandoffStrategy,
-    query: &str,
-    cutoff: Duration,
-    repeats: usize,
-) -> Measurement {
-    engine.set_strategy(strategy);
-    let mut best: Option<Duration> = None;
-    for _ in 0..repeats.max(1) {
-        let t = time_query(engine, query);
-        best = Some(best.map_or(t, |b| b.min(t)));
-        if t > cutoff {
-            break;
-        }
-    }
-    let best = best.unwrap();
-    if best > cutoff {
-        Measurement::Dnf
-    } else {
-        Measurement::Seconds(best.as_secs_f64())
     }
 }
 
@@ -145,16 +63,6 @@ pub enum Figure6Variant {
 }
 
 impl Figure6Variant {
-    /// Paper-legend label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Figure6Variant::UdfNoCandidates => "XQuery Function (no candidates)",
-            Figure6Variant::UdfWithCandidates => "XQuery Function with Candidate Sequence",
-            Figure6Variant::BasicMergeJoin => "Basic StandOff MergeJoin",
-            Figure6Variant::LoopLifted => "Loop-Lifted StandOff MergeJoin",
-        }
-    }
-
     /// The query text this variant executes.
     pub fn query_text(self, query: XmarkQuery, uri: &str) -> String {
         match self {
@@ -174,140 +82,22 @@ impl Figure6Variant {
     }
 }
 
-/// The variant columns of Figure 6, in the paper's order.
-pub fn figure6_variants(include_naive: bool) -> Vec<Figure6Variant> {
-    let mut v = Vec::new();
-    if include_naive {
-        v.push(Figure6Variant::UdfNoCandidates);
-    }
-    v.extend([
-        Figure6Variant::UdfWithCandidates,
-        Figure6Variant::BasicMergeJoin,
-        Figure6Variant::LoopLifted,
-    ]);
-    v
-}
-
-/// The default size ladder. The paper uses 11/55/110/550/1100 MB (×5, ×2,
-/// ×5, ×2); these scales keep the same ratios at laptop-friendly sizes.
-pub const DEFAULT_SCALES: [f64; 5] = [0.001, 0.005, 0.01, 0.05, 0.1];
-
-/// One Figure 6 panel: a query measured over all sizes × variants.
-pub struct Panel {
-    pub query: XmarkQuery,
-    pub sizes_mb: Vec<f64>,
-    pub rows: Vec<(Figure6Variant, Vec<Measurement>)>,
-}
-
-/// Run the Figure 6 sweep for one query over prepared workloads.
-/// A variant that DNFs at some size skips all larger sizes (the paper
-/// ran a 1-hour cutoff per cell; we do not burn time re-proving blowups).
-pub fn run_panel(
-    workloads: &mut [Workload],
-    query: XmarkQuery,
-    variants: &[Figure6Variant],
-    cutoff: Duration,
-    repeats: usize,
-) -> Panel {
-    let sizes_mb = workloads
-        .iter()
-        .map(|w| w.standard_bytes as f64 / 1e6)
-        .collect();
-    let mut rows = Vec::new();
-    for &variant in variants {
-        let mut cells = Vec::new();
-        let mut dnfed = false;
-        for w in workloads.iter_mut() {
-            if dnfed {
-                cells.push(Measurement::SkippedAfterDnf);
-                continue;
-            }
-            let m = measure(
-                &mut w.engine,
-                variant.strategy(),
-                &variant.query_text(query, SO_URI),
-                cutoff,
-                repeats,
-            );
-            dnfed = m.is_dnf();
-            cells.push(m);
-        }
-        rows.push((variant, cells));
-    }
-    Panel {
-        query,
-        sizes_mb,
-        rows,
-    }
-}
-
-impl Panel {
-    /// Render as a markdown table (used for EXPERIMENTS.md and stdout).
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("### XMark {} (seconds)\n\n", self.query));
-        out.push_str("| strategy |");
-        for mb in &self.sizes_mb {
-            out.push_str(&format!(" {mb:.2} MB |"));
-        }
-        out.push('\n');
-        out.push_str("|---|");
-        for _ in &self.sizes_mb {
-            out.push_str("---|");
-        }
-        out.push('\n');
-        for (variant, cells) in &self.rows {
-            out.push_str(&format!("| {} |", variant.label()));
-            for c in cells {
-                out.push_str(&format!(" {} |", c.render()));
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn workload_preparation() {
-        let w = prepare_workload(0.001);
+        let mut w = prepare_workload(0.001);
         assert!(w.standard_bytes > 10_000);
-        assert!(w.regions > 100);
+        for uri in [STD_URI, SO_URI] {
+            let count = w.engine.run(&format!(r#"count(doc("{uri}")//*)"#)).unwrap();
+            assert!(count.as_strings()[0].parse::<usize>().unwrap() > 100);
+        }
     }
 
     #[test]
-    fn measurement_rendering() {
-        assert_eq!(Measurement::Seconds(1.5).render(), "1.500");
-        assert_eq!(Measurement::Seconds(0.0012).render(), "0.0012");
-        assert_eq!(Measurement::Dnf.render(), "DNF");
-        assert!(Measurement::Dnf.is_dnf());
-        assert_eq!(Measurement::Seconds(2.0).seconds(), Some(2.0));
-    }
-
-    #[test]
-    fn tiny_panel_runs() {
-        let mut workloads = vec![prepare_workload(0.001)];
-        let panel = run_panel(
-            &mut workloads,
-            XmarkQuery::Q6,
-            &[Figure6Variant::LoopLifted],
-            Duration::from_secs(30),
-            1,
-        );
-        assert_eq!(panel.rows.len(), 1);
-        assert!(panel.rows[0].1[0].seconds().is_some());
-        let md = panel.to_markdown();
-        assert!(md.contains("XMark Q6"));
-        assert!(md.contains("Loop-Lifted"));
-    }
-
-    #[test]
-    fn variant_list_shapes() {
-        assert_eq!(figure6_variants(false).len(), 3);
-        assert_eq!(figure6_variants(true).len(), 4);
+    fn variant_query_texts() {
         assert!(Figure6Variant::UdfWithCandidates
             .query_text(XmarkQuery::Q6, "u")
             .contains("declare function sn"));

@@ -493,11 +493,15 @@ pub fn join_resolved(
     let per_annotation = select_axis.is_narrow() && target.index.max_regions() > 1;
     let selected: Vec<IterNode> = match strategy {
         _ if scratch.ctx.is_empty() => Vec::new(),
-        StandoffStrategy::NaiveNoCandidates => {
-            naive::naive_select(select_axis, &scratch.ctx, target, false, budget.as_ref())
-        }
-        StandoffStrategy::NaiveWithCandidates => {
-            naive::naive_select(select_axis, &scratch.ctx, target, true, budget.as_ref())
+        StandoffStrategy::NaiveNoCandidates | StandoffStrategy::NaiveWithCandidates => {
+            naive::naive_select(
+                select_axis,
+                &scratch.ctx,
+                target,
+                strategy == StandoffStrategy::NaiveWithCandidates,
+                budget.as_ref(),
+                &mut scratch.kernel.stats,
+            )
         }
         StandoffStrategy::BasicMergeJoin => {
             // §4.4/§4.6: the basic algorithm is invoked once per

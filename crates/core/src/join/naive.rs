@@ -10,7 +10,7 @@
 
 use standoff_xml::NodeKind;
 
-use crate::join::{CtxEntry, IterNode, JoinTarget, StandoffAxis};
+use crate::join::{CtxEntry, IterNode, JoinStats, JoinTarget, StandoffAxis};
 use crate::region::{Area, Region};
 
 /// Nested-loop evaluation of a select join over a resolved context
@@ -26,13 +26,15 @@ use crate::region::{Area, Region};
 /// The quadratic inner loop polls `budget` per candidate: these baselines
 /// are exactly the strategies a deadline must be able to interrupt (the
 /// paper's Figure 6 DNF bars), so a governed query bails out mid-product
-/// and the evaluator surfaces the recorded trip reason.
+/// and the evaluator surfaces the recorded trip reason. Every pair it
+/// compares is counted in `stats.naive_pairs`.
 pub fn naive_select(
     axis: StandoffAxis,
     context: &[CtxEntry],
     target: &JoinTarget<'_>,
     with_candidates: bool,
     budget: Option<&crate::budget::Budget>,
+    stats: &mut JoinStats,
 ) -> Vec<IterNode> {
     debug_assert!(axis.is_select());
     let narrow = axis.is_narrow();
@@ -64,6 +66,7 @@ pub fn naive_select(
             if budget.is_some_and(|b| b.poll().is_some()) {
                 return out; // discarded by the evaluator's budget check
             }
+            stats.naive_pairs += 1;
             let regions = target.index.regions_of(cand);
             if regions.is_empty() {
                 continue; // not an area-annotation
@@ -100,7 +103,14 @@ mod tests {
     fn naive(axis: StandoffAxis, input: &JoinInput<'_>, with_candidates: bool) -> Vec<IterNode> {
         let mut scratch = JoinScratch::default();
         scratch.resolve_context([(input.context_index(), input.context)]);
-        naive_select(axis, &scratch.ctx, &input.target(), with_candidates, None)
+        naive_select(
+            axis,
+            &scratch.ctx,
+            &input.target(),
+            with_candidates,
+            None,
+            &mut scratch.kernel.stats,
+        )
     }
 
     fn figure1() -> (standoff_xml::Document, RegionIndex) {

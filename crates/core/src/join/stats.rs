@@ -110,6 +110,10 @@ join_counters! {
     /// summed. `{E}` in the label stands for the entries of the target
     /// layers the operator joined (the analyze detail's `reach=R of E`).
     candidate_reach_entries: "reach={} of {E}" nonzero,
+    /// Context annotation × inner node pairs the nested-loop strategies
+    /// compared (Figures 2 and 3): their work, as the reach entries are
+    /// the merge joins'.
+    naive_pairs: "pairs={}" nonzero,
 }
 
 impl JoinStats {
@@ -138,10 +142,11 @@ mod tests {
             ..JoinStats::default()
         };
         let pairs: Vec<(&str, u64)> = stats.counters().map(|(c, v)| (c.name, v)).collect();
-        assert_eq!(pairs.len(), 12);
+        assert_eq!(pairs.len(), 13);
         assert_eq!(pairs[0], ("candidate_node_view", 1));
         assert_eq!(pairs[8], ("candidate_dense_blocks", 8));
         assert_eq!(pairs[11], ("candidate_reach_entries", 0));
+        assert_eq!(pairs[12], ("naive_pairs", 0));
         let mut sum = stats;
         sum.merge(stats);
         assert_eq!(sum.candidate_dense_blocks, 16);

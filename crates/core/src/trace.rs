@@ -4,8 +4,7 @@
 //! context/candidate input, step by step, with the pseudo-code line
 //! numbers of each action. The merge join accepts an optional
 //! [`TraceSink`] and reports exactly those actions, so the figure can be
-//! regenerated (and asserted) verbatim — see `tests/figure4_trace.rs` and
-//! the `figure4` harness binary.
+//! regenerated (and asserted) verbatim — see `tests/figure4_trace.rs`.
 
 /// One algorithm action, tagged with the Listing 1 line numbers it
 /// corresponds to.

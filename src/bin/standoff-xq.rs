@@ -70,11 +70,14 @@ const USAGE: &str = "standoff-xq index <base.xml> -o <snapshot> [--layer NAME=FI
                      \x20           (--query Q | --query-file F)\n\
                      \x20           [--strategy naive|naive-candidates|basic|loop-lifted]\n\
                      \x20           [--no-pushdown] [--time] [--profile] [--profile-json]\n\
+                     \x20           [--deadline-ms N] [--max-results N] [--max-scratch-mb N]\n\
                      standoff-xq explain [--store SNAPSHOT]... [--load URI=FILE]...\n\
                      \x20           (--query Q | --query-file F) [--strategy ...] [--no-pushdown] [--analyze]\n\
+                     \x20           [--deadline-ms N] [--max-results N] [--max-scratch-mb N]\n\
                      standoff-xq batch [--store SNAPSHOT]... [--load URI=FILE]...\n\
                      \x20           [--strategy ...] [--no-pushdown] [--threads N] [--time]\n\
-                     \x20           [--profile] [--profile-json] <queries.txt | ->\n\
+                     \x20           [--profile] [--profile-json] [--deadline-ms N] [--max-results N]\n\
+                     \x20           [--max-scratch-mb N] [--queue-cap N] <queries.txt | ->\n\
                      standoff-xq stats [--store SNAPSHOT]... [--load URI=FILE]...\n\
                      \x20           [--strategy ...] [--no-pushdown] [queries.txt | -]\n\
                      standoff-xq serve [--listen ADDR] [--store SNAPSHOT]... [--strategy ...] [--no-pushdown]\n\
@@ -82,7 +85,6 @@ const USAGE: &str = "standoff-xq index <base.xml> -o <snapshot> [--layer NAME=FI
                      \x20           [--queue-cap N] [--read-timeout-ms N]\n\
                      standoff-xq call ADDR VERB [ARG...] [--retries N]   (verbs: ping, query Q, stats,\n\
                      \x20           mount PATH, unmount URI, mounts, shutdown)\n\
-                     governance (query/explain/batch too): --deadline-ms N --max-results N --max-scratch-mb N\n\
                      exit codes: 0 success, 1 query failure (verify: corruption), 2 usage/corpus error";
 
 fn main() -> ExitCode {
@@ -174,8 +176,9 @@ const GOVERNANCE: &[Flag] = &[
     Flag(&["--deadline-ms"], Some("a number")),
     Flag(&["--max-results"], Some("a number")),
     Flag(&["--max-scratch-mb"], Some("a number")),
-    Flag(&["--queue-cap"], Some("a number")),
 ];
+/// The admission queue's cap: only `batch` and `serve` queue requests.
+const QUEUE: &[Flag] = &[Flag(&["--queue-cap"], Some("a number"))];
 const QUERY_TEXT: &[Flag] = &[
     Flag(&["--query", "-q"], Some("an argument")),
     Flag(&["--query-file"], Some("a path")),
@@ -745,7 +748,7 @@ impl<'a> CorpusArgs<'a> {
 }
 
 /// The per-request resource caps of `query`, `explain`, `batch` and
-/// `serve`.
+/// `serve`, and the queue cap of the last two.
 fn governance(args: &Args) -> Result<Governance, String> {
     Ok(Governance {
         deadline: args.int("--deadline-ms", 0)?.map(Duration::from_millis),
@@ -877,7 +880,7 @@ fn cmd_explain(argv: &[String]) -> Result<ExitCode, String> {
 // ---- batch ----
 
 fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
-    let groups = [CORPUS, GOVERNANCE, &[THREADS], REPORTS];
+    let groups = [CORPUS, GOVERNANCE, QUEUE, &[THREADS], REPORTS];
     let one = Some("batch takes exactly one queries file");
     let args = parse(argv, &groups, Operands::One(one))?;
     let corpus = CorpusArgs::new(&args)?;
@@ -1020,7 +1023,7 @@ fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
         THREADS,
         Flag(&["--read-timeout-ms"], Some("a number")),
     ];
-    let args = parse(argv, &[CORPUS, GOVERNANCE, &flags], Operands::Zero)?;
+    let args = parse(argv, &[CORPUS, GOVERNANCE, QUEUE, &flags], Operands::Zero)?;
     let corpus = CorpusArgs::new(&args)?;
     let governance = governance(&args)?;
     let threads = args.int("--threads", 1)?.unwrap_or(1);

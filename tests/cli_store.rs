@@ -401,11 +401,14 @@ fn bad_snapshot_and_bad_args_fail_cleanly() {
 
     // A flag a subcommand does not read is refused, not ignored:
     // `--threads` is executor width (`batch`, `serve`) and a single query
-    // has nothing to fan out; `--analyze` is `explain`'s; and `explain`
-    // prints a plan, so it has no timing or profile to report.
+    // has nothing to fan out, nor a queue to cap; `--analyze` is
+    // `explain`'s; and `explain` prints a plan, so it has no timing or
+    // profile to report.
     for args in [
         &["query", "--threads", "4"][..],
         &["stats", "--threads", "4"],
+        &["query", "--queue-cap", "4"],
+        &["explain", "--queue-cap", "4"],
         &["query", "--analyze"],
         &["explain", "--time"],
         &["explain", "--profile"],

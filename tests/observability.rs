@@ -315,7 +315,7 @@ fn dense_kernel_counters_fire_and_mirror() {
 /// from the `stats` verb are all there.
 #[test]
 fn stats_dump_join_keys_are_exactly_the_declared_set() {
-    const JOIN_KEYS: [&str; 12] = [
+    const JOIN_KEYS: [&str; 13] = [
         "join.candidate_borrowed",
         "join.candidate_dense_blocks",
         "join.candidate_node_view",
@@ -323,6 +323,7 @@ fn stats_dump_join_keys_are_exactly_the_declared_set() {
         "join.candidate_reach_entries",
         "join.candidate_repr_dense",
         "join.candidate_scans",
+        "join.naive_pairs",
         "join.post_filters",
         "join.post_filters_elided",
         "join.result_merges",
