@@ -593,7 +593,7 @@ pub fn join_resolved(
     };
     // The merge kernels count their branch-free emission blocks in the
     // merge scratch; fold them into the per-join kernel counters so
-    // `join_stats()` reports one `candidate_dense_blocks` total.
+    // `stats` reports one `join.candidate_dense_blocks` total.
     scratch.kernel.stats.candidate_dense_blocks += scratch.merge.take_blocks();
     // Charge what the join buffers now pin against any scratch-memory
     // cap. A trip is recorded in the budget flag; the evaluator's next

@@ -23,28 +23,21 @@ macro_rules! join_counters {
     (@show always) => { true };
     (@show nonzero) => { false };
     ($($(#[$doc:meta])* $field:ident: $label:literal $show:ident,)*) => {
-        /// Counters of the StandOff join executor's fast-path decisions,
-        /// kept on the engine state and readable through
-        /// `Engine::join_stats` / `Session::join_stats`. They exist so
-        /// tests (and curious operators) can assert *mechanism*, not
-        /// just timing: that a pushdown-guaranteed step really skipped
-        /// its trailing self-axis pass, that a join result was emitted
-        /// directly or merged but never sorted, and which side of the
-        /// candidate-intersection cost rule an operator landed on.
+        /// Counters of the StandOff join executor's fast-path decisions.
+        /// They exist so tests (and curious operators) can assert
+        /// *mechanism*, not just timing: that a pushdown-guaranteed step
+        /// really skipped its trailing self-axis pass, that a join result
+        /// was emitted directly or merged but never sorted, and which
+        /// side of the candidate-intersection cost rule an operator
+        /// landed on.
         ///
-        /// # Reset semantics
+        /// # Where they accumulate
         ///
-        /// The counters are **cumulative per engine / per session**,
-        /// never per query: every query run on the same engine or
-        /// session adds to them. A fresh session from
-        /// `SharedEngine::session` starts at zero — it does *not*
-        /// inherit counts accumulated before the engine was frozen. To
-        /// meter a single query (or any window), either call
-        /// `reset_join_stats` first or use `take_join_stats`, which
-        /// returns the counts since the last take/reset and zeroes them
-        /// in one step. The same events are also mirrored into the
-        /// engine's metrics registry under `join.*` names, where they
-        /// accumulate engine-wide across all sessions.
+        /// One join's counts fold into two places: the engine's metrics
+        /// registry under `join.<name>` (cumulative engine-wide, shared
+        /// by every session; what `stats` prints), and — when profiling
+        /// — the operator's entry of the query profile. To meter one
+        /// query, take the delta of two registry snapshots around it.
         #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
         pub struct JoinStats {
             $($(#[$doc])* pub $field: u64,)*
@@ -117,11 +110,6 @@ join_counters! {
 }
 
 impl JoinStats {
-    /// Zero every counter.
-    pub fn reset(&mut self) {
-        *self = JoinStats::default();
-    }
-
     /// Return the current counts and zero them — the "delta since last
     /// take" primitive profiling runs use so they never inherit stale
     /// counts.

@@ -84,12 +84,6 @@ impl Region {
         // Saturating: positions may sit at the i64 boundary.
         other.start == self.end.saturating_add(1) || self.start == other.end.saturating_add(1)
     }
-
-    /// Number of positions covered (inclusive width — never zero).
-    #[inline]
-    pub fn width(&self) -> u64 {
-        (self.end - self.start) as u64 + 1
-    }
 }
 
 impl fmt::Display for Region {
@@ -113,8 +107,6 @@ impl fmt::Display for Region {
 /// // A read dangling into the intron overlaps but is not contained.
 /// let dangling = Area::single(190, 230)?;
 /// assert!(gene.overlaps(&dangling) && !gene.contains(&dangling));
-/// // The introns are the gaps of the exonic area.
-/// assert_eq!(gene.gaps().unwrap().regions(), &[Region::new(200, 299)?]);
 /// # Ok::<(), standoff_core::StandoffError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -145,26 +137,6 @@ impl Area {
             }
         }
         Ok(Area { regions })
-    }
-
-    /// Build an area from arbitrary regions by sorting and coalescing
-    /// overlapping or touching ones. Useful for synthetic workload
-    /// generation; parsed annotations use the strict [`Area::try_new`].
-    pub fn normalized(mut regions: Vec<Region>) -> Result<Area, StandoffError> {
-        if regions.is_empty() {
-            return Err(StandoffError::EmptyArea);
-        }
-        regions.sort();
-        let mut out: Vec<Region> = Vec::with_capacity(regions.len());
-        for r in regions {
-            match out.last_mut() {
-                Some(last) if last.overlaps(&r) || last.touches(&r) => {
-                    last.end = last.end.max(r.end);
-                }
-                _ => out.push(r),
-            }
-        }
-        Ok(Area { regions: out })
     }
 
     /// The regions, sorted by start.
@@ -238,104 +210,6 @@ impl Area {
             }
         }
         false
-    }
-
-    /// Total number of positions covered by the area.
-    pub fn covered(&self) -> u64 {
-        self.regions.iter().map(Region::width).sum()
-    }
-
-    /// Set union of the covered positions (coalescing adjacency).
-    pub fn union(&self, other: &Area) -> Area {
-        let mut all: Vec<Region> = self
-            .regions
-            .iter()
-            .chain(other.regions.iter())
-            .copied()
-            .collect();
-        all.sort();
-        Area::normalized(all).expect("non-empty by construction")
-    }
-
-    /// Set intersection of the covered positions; `None` when disjoint.
-    pub fn intersection(&self, other: &Area) -> Option<Area> {
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.regions.len() && j < other.regions.len() {
-            let (r1, r2) = (&self.regions[i], &other.regions[j]);
-            let lo = r1.start.max(r2.start);
-            let hi = r1.end.min(r2.end);
-            if lo <= hi {
-                out.push(Region { start: lo, end: hi });
-            }
-            if r1.end < r2.end {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        if out.is_empty() {
-            None
-        } else {
-            // Pieces are disjoint but may touch (e.g. intersecting with
-            // two adjacent-in-other pieces); normalize coalesces.
-            Some(Area::normalized(out).expect("non-empty"))
-        }
-    }
-
-    /// Set difference (`self \ other`) of the covered positions; `None`
-    /// when nothing remains.
-    pub fn difference(&self, other: &Area) -> Option<Area> {
-        let mut out: Vec<Region> = Vec::new();
-        let mut j = 0;
-        for r1 in &self.regions {
-            let mut cur = r1.start;
-            // Walk the subtrahend pieces overlapping r1.
-            while j < other.regions.len() && other.regions[j].end < r1.start {
-                j += 1;
-            }
-            let mut k = j;
-            while k < other.regions.len() && other.regions[k].start <= r1.end {
-                let r2 = &other.regions[k];
-                if r2.start > cur {
-                    out.push(Region {
-                        start: cur,
-                        end: r2.start - 1,
-                    });
-                }
-                cur = cur.max(r2.end.saturating_add(1));
-                k += 1;
-            }
-            if cur <= r1.end {
-                out.push(Region {
-                    start: cur,
-                    end: r1.end,
-                });
-            }
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(Area::normalized(out).expect("non-empty"))
-        }
-    }
-
-    /// The gaps between this area's regions (empty for contiguous areas):
-    /// the positions "inside" the annotation's bounding range but not
-    /// covered — e.g. the unallocated space between a carved file's
-    /// fragments, or a gene's introns.
-    pub fn gaps(&self) -> Option<Area> {
-        if self.regions.len() < 2 {
-            return None;
-        }
-        let mut out = Vec::with_capacity(self.regions.len() - 1);
-        for w in self.regions.windows(2) {
-            out.push(Region {
-                start: w[0].end + 1,
-                end: w[1].start - 1,
-            });
-        }
-        Some(Area { regions: out })
     }
 }
 
@@ -416,13 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn normalized_coalesces() {
-        let r = |s, e| Region::new(s, e).unwrap();
-        let a = Area::normalized(vec![r(6, 9), r(0, 5), r(20, 30)]).unwrap();
-        assert_eq!(a.regions(), &[r(0, 9), r(20, 30)]);
-    }
-
-    #[test]
     fn multi_region_containment_is_forall_exists() {
         // a1 = [0,10] + [20,30]
         let a1 = area(&[(0, 10), (20, 30)]);
@@ -471,69 +338,5 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(area(&[(1, 2), (4, 9)]).to_string(), "[1,2]+[4,9]");
-    }
-
-    #[test]
-    fn covered_counts_positions() {
-        assert_eq!(area(&[(0, 9)]).covered(), 10);
-        assert_eq!(area(&[(0, 9), (20, 24)]).covered(), 15);
-    }
-
-    #[test]
-    fn union_coalesces() {
-        let a = area(&[(0, 10), (40, 50)]);
-        let b = area(&[(5, 20), (22, 30)]);
-        assert_eq!(a.union(&b), area(&[(0, 20), (22, 30), (40, 50)]));
-        // Union is commutative.
-        assert_eq!(a.union(&b), b.union(&a));
-        // Touching pieces coalesce: [0,10] ∪ [11,20] = [0,20].
-        let c = area(&[(11, 20)]);
-        assert_eq!(area(&[(0, 10)]).union(&c), area(&[(0, 20)]));
-    }
-
-    #[test]
-    fn intersection_cases() {
-        let a = area(&[(0, 10), (20, 30)]);
-        assert_eq!(
-            a.intersection(&area(&[(5, 25)])),
-            Some(area(&[(5, 10), (20, 25)]))
-        );
-        assert_eq!(a.intersection(&area(&[(12, 18)])), None);
-        assert_eq!(a.intersection(&a), Some(a.clone()));
-    }
-
-    #[test]
-    fn difference_cases() {
-        let a = area(&[(0, 10), (20, 30)]);
-        // Punch a hole in the first region, clip the second.
-        assert_eq!(
-            a.difference(&area(&[(3, 5), (25, 40)])),
-            Some(area(&[(0, 2), (6, 10), (20, 24)]))
-        );
-        assert_eq!(a.difference(&a), None, "difference with self is empty");
-        assert_eq!(
-            a.difference(&area(&[(100, 200)])),
-            Some(a.clone()),
-            "disjoint subtrahend changes nothing"
-        );
-    }
-
-    #[test]
-    fn difference_and_intersection_partition() {
-        // a = (a ∩ b) ⊎ (a \ b) position-wise.
-        let a = area(&[(0, 50), (70, 90)]);
-        let b = area(&[(10, 75)]);
-        let inter = a.intersection(&b).unwrap();
-        let diff = a.difference(&b).unwrap();
-        assert_eq!(inter.covered() + diff.covered(), a.covered());
-        assert!(inter.intersection(&diff).is_none());
-        assert_eq!(inter.union(&diff), a);
-    }
-
-    #[test]
-    fn gaps_are_the_introns() {
-        let gene = area(&[(100, 199), (300, 449), (600, 699)]);
-        assert_eq!(gene.gaps(), Some(area(&[(200, 299), (450, 599)])));
-        assert_eq!(area(&[(0, 10)]).gaps(), None);
     }
 }

@@ -49,8 +49,6 @@ pub struct EngineOptions {
     /// Push element-name tests down into the region index as candidate
     /// sequences (§4.3). Disabling this is the ablation of §3.3(iii).
     pub candidate_pushdown: bool,
-    /// Maximum user-defined function call depth.
-    pub recursion_limit: usize,
     /// Record a per-operator execution profile (wall time, cardinality,
     /// join mechanism decisions — see [`crate::profile`]) for every
     /// query. Off by default; when off the evaluator pays a single
@@ -67,7 +65,6 @@ impl Default for EngineOptions {
         EngineOptions {
             strategy: StandoffStrategy::LoopLiftedMergeJoin,
             candidate_pushdown: true,
-            recursion_limit: 64,
             profile: false,
         }
     }
@@ -91,9 +88,6 @@ impl EngineOptions {
         };
         eat(self.strategy as u8);
         eat(self.candidate_pushdown as u8);
-        for b in (self.recursion_limit as u64).to_le_bytes() {
-            eat(b);
-        }
         hash
     }
 }
@@ -320,8 +314,6 @@ pub struct EngineState {
     /// state so batch sessions reuse one allocation set across queries
     /// (cloning a state starts the clone with cold, empty scratch).
     pub(crate) join_scratch: JoinScratch,
-    /// Fast-path decision counters (see [`JoinStats`]).
-    pub(crate) join_stats: JoinStats,
     /// The engine's metrics registry. Shared (not cloned) across every
     /// session of a [`SharedEngine`], so counters accumulate
     /// engine-wide while tests with private engines stay isolated.
@@ -361,7 +353,6 @@ impl EngineState {
             layer_lookup: HashMap::new(),
             externals: HashMap::new(),
             join_scratch: JoinScratch::default(),
-            join_stats: JoinStats::default(),
             metrics,
             handles,
             last_profile: None,
@@ -513,11 +504,10 @@ impl EngineState {
             external_values.push((name.clone(), items));
         }
         let profiling = self.options.profile;
-        let mut evaluator = Evaluator::new(self, plan.config.clone());
+        let mut evaluator = Evaluator::new(self, plan.config.clone(), plan.functions.clone());
         if profiling {
             evaluator.enable_profiling();
         }
-        evaluator.functions = plan.functions.clone();
         for (name, items) in external_values {
             evaluator.bind(&name, LlSeq::for_iter(0, items));
         }
@@ -738,24 +728,6 @@ impl Engine {
         &self.state.options
     }
 
-    /// Counters of the join executor's fast-path decisions accumulated
-    /// by queries run on this engine — cumulative since creation or the
-    /// last reset/take (see [`JoinStats`] for the full semantics).
-    pub fn join_stats(&self) -> JoinStats {
-        self.state.join_stats
-    }
-
-    /// Reset the [`JoinStats`] counters to zero.
-    pub fn reset_join_stats(&mut self) {
-        self.state.join_stats.reset();
-    }
-
-    /// The [`JoinStats`] accumulated since the last take/reset, zeroing
-    /// the counters (see [`JoinStats::take_delta`]).
-    pub fn take_join_stats(&mut self) -> JoinStats {
-        self.state.join_stats.take_delta()
-    }
-
     /// The engine's metrics registry: join mechanism counters, query
     /// execution timings, mount timings. Shared with every [`Session`]
     /// stamped out after [`Engine::into_shared`].
@@ -928,12 +900,10 @@ impl SharedEngine {
     ///
     /// The session clone costs a pointer copy per shared document plus
     /// the (small) URI / layer maps — no document or index data is
-    /// copied. The session's [`JoinStats`] start at zero (it does not
-    /// inherit counts accumulated before the freeze); its metrics
-    /// registry is *shared* with the engine and every sibling session.
+    /// copied. Its metrics registry — the `join.*` counters among them —
+    /// is *shared* with the engine and every sibling session.
     pub fn session(&self) -> Session {
         let mut state = self.core.as_ref().clone();
-        state.join_stats.reset();
         state.last_profile = None;
         // Governance is per request, never inherited: a budget frozen
         // into the shared core must not govern (or cancel) every
@@ -1046,25 +1016,6 @@ impl Session {
         &self.state.store
     }
 
-    /// Counters of the join executor's fast-path decisions accumulated
-    /// by queries run in this session — cumulative since session
-    /// creation or the last reset/take; a fresh session always starts
-    /// at zero (see [`JoinStats`]).
-    pub fn join_stats(&self) -> JoinStats {
-        self.state.join_stats
-    }
-
-    /// Reset the [`JoinStats`] counters to zero.
-    pub fn reset_join_stats(&mut self) {
-        self.state.join_stats.reset();
-    }
-
-    /// The [`JoinStats`] accumulated since the last take/reset, zeroing
-    /// the counters (see [`JoinStats::take_delta`]).
-    pub fn take_join_stats(&mut self) -> JoinStats {
-        self.state.join_stats.take_delta()
-    }
-
     /// The metrics registry — shared with the engine this session came
     /// from and all of its sibling sessions.
     pub fn metrics(&self) -> &MetricsRegistry {
@@ -1137,7 +1088,7 @@ mod tests {
                     ..BudgetLimits::default()
                 })
             });
-            Evaluator::new(&mut engine.state, StandoffConfig::default())
+            Evaluator::new(&mut engine.state, StandoffConfig::default(), Vec::new())
                 .apply_predicate(input, predicate)
                 .map(|kept| kept.len())
         };

@@ -1,0 +1,336 @@
+//! Paths, tree steps and predicates: the `.` a relative path reads, the
+//! per-context-node scope of a positional tree-step predicate, the
+//! generic predicate scope (`.`, `position()`, `last()`), and the fused
+//! `[@name = "value"]` filter that needs no scope at all.
+
+use standoff_algebra::{Item, LlSeq, NodeTable, NodeTest, TreeAxis};
+use standoff_xml::{DocId, NodeRef};
+
+use super::{positions, Evaluator, Frame};
+use crate::engine::EngineState;
+use crate::error::QueryError;
+use crate::plan::PlanExpr;
+
+/// The fused `[@name = "value"]` predicate on one node row: does the
+/// row's element carry that attribute with exactly that value, read
+/// straight off the owning document's attribute columns? It is what the
+/// generic frame computes for this shape — the attribute axis from the
+/// row, atomized, string-compared, existentially — without attribute
+/// nodes, a boolean column or position/last columns: rows that are not
+/// elements have no attributes and drop.
+struct AttrTest<'a> {
+    engine: &'a EngineState,
+    name: &'a str,
+    value: &'a str,
+    /// Rows arrive grouped by document, so one remembered resolution
+    /// makes the name lookup once per document.
+    resolved: Option<(DocId, Option<standoff_xml::NameId>)>,
+}
+
+impl<'a> AttrTest<'a> {
+    fn new(engine: &'a EngineState, name: &'a str, value: &'a str) -> Self {
+        AttrTest {
+            engine,
+            name,
+            value,
+            resolved: None,
+        }
+    }
+
+    fn keeps(&mut self, node: NodeRef) -> bool {
+        let Some(pre) = node.id.pre() else {
+            return false; // attribute rows have no attributes
+        };
+        let doc = self.engine.store.doc(node.doc);
+        let id = match self.resolved {
+            Some((d, id)) if d == node.doc => id,
+            _ => {
+                let id = doc.names().get(self.name);
+                self.resolved = Some((node.doc, id));
+                id
+            }
+        };
+        id.is_some_and(|id| {
+            doc.attr_range(pre)
+                .any(|a| doc.attr_name_id(a) == id && doc.attr_value(a) == self.value)
+        })
+    }
+}
+
+impl Evaluator<'_> {
+    pub(super) fn context_nodes(
+        &mut self,
+        input: Option<&PlanExpr>,
+    ) -> Result<NodeTable, QueryError> {
+        match input {
+            Some(e) => self.eval_nodes(e),
+            None => {
+                let t = self.lookup(".").map_err(|_| {
+                    QueryError::dynamic("relative path used without a context item")
+                })?;
+                NodeTable::from_llseq(&t).map_err(QueryError::dynamic)
+            }
+        }
+    }
+
+    /// Evaluate an operator for a consumer that wants *nodes* — the next
+    /// step of a path, a join's context or candidates — as the node
+    /// table it is.
+    pub(super) fn eval_nodes(&mut self, expr: &PlanExpr) -> Result<NodeTable, QueryError> {
+        match self.eval_step_nodes(expr) {
+            Some(nodes) => nodes,
+            None => NodeTable::from_llseq(&self.eval(expr)?).map_err(QueryError::dynamic),
+        }
+    }
+
+    /// A step without predicates computes a node table; consumers that
+    /// need nodes — or only their `iter` column, like `count` — take it
+    /// as it is instead of an item table built from it row by row.
+    /// `None` for any other operator.
+    fn eval_step_nodes(&mut self, expr: &PlanExpr) -> Option<Result<NodeTable, QueryError>> {
+        match expr {
+            PlanExpr::TreeStep {
+                input,
+                axis,
+                test,
+                predicates,
+            } if predicates.is_empty() => Some(self.metered(expr, |ev| {
+                let ctx = ev.context_nodes(input.as_deref())?;
+                Ok(ev.tree_step_nodes(ctx, *axis, test, None))
+            })),
+            PlanExpr::StandoffStep {
+                input,
+                op,
+                test,
+                predicates,
+            } if predicates.is_empty() => Some(self.metered(expr, |ev| {
+                ev.standoff_step_nodes(expr, input.as_deref(), op, test)
+            })),
+            _ => None,
+        }
+    }
+
+    /// The `iter` column of an operator's value — all that `count`,
+    /// `exists` and `empty` need of their argument.
+    pub(super) fn eval_iters(&mut self, expr: &PlanExpr) -> Result<Vec<u32>, QueryError> {
+        match self.eval_step_nodes(expr) {
+            Some(nodes) => Ok(nodes?.into_iters()),
+            None => Ok(self.eval(expr)?.iters().to_vec()),
+        }
+    }
+
+    pub(super) fn eval_tree_step(
+        &mut self,
+        input: Option<&PlanExpr>,
+        axis: TreeAxis,
+        test: &NodeTest,
+        predicates: &[PlanExpr],
+    ) -> Result<LlSeq, QueryError> {
+        let ctx = self.context_nodes(input)?;
+        // XPath numbers a tree step predicate's positions per *context
+        // node*: `p/x[1]` is the first `x` of every `p`. Filtering the
+        // whole iteration's result instead is the same thing when no
+        // predicate can be positional or every iteration holds one
+        // context node — the loop-lifted common case, which keeps the
+        // single scan.
+        if predicates.iter().all(crate::optimize::non_positional)
+            || ctx.iters().windows(2).all(|w| w[0] < w[1])
+        {
+            return self.tree_step_in_scope(ctx, axis, test, predicates);
+        }
+        // Otherwise every context row becomes its own iteration of an
+        // intermediate scope; results map back and re-merge per iteration.
+        let lifted = NodeTable::from_columns((0..ctx.len() as u32).collect(), ctx.nodes().to_vec());
+        let result = self.scoped(Frame::per_row(ctx.iters()), |ev| {
+            ev.tree_step_in_scope(lifted, axis, test, predicates)
+        })?;
+        let mut nodes = NodeTable::from_llseq(&result.unrestrict(ctx.iters()))
+            .expect("a tree step yields nodes");
+        nodes.normalize(&self.engine.store);
+        Ok(nodes.into_llseq())
+    }
+
+    /// One tree step plus its predicates over `ctx`, whose iterations are
+    /// the current scope's; positions count within an iteration's result.
+    fn tree_step_in_scope(
+        &mut self,
+        ctx: NodeTable,
+        axis: TreeAxis,
+        test: &NodeTest,
+        predicates: &[PlanExpr],
+    ) -> Result<LlSeq, QueryError> {
+        // A leading `[@a = "v"]` is tested as the step emits each row,
+        // so the rows it drops are never stored or ordered.
+        if let [first @ PlanExpr::AttrEquals { name, value }, rest @ ..] = predicates {
+            let nodes = self.metered(first, |ev| {
+                Ok(ev.tree_step_nodes(ctx, axis, test, Some((name, value))))
+            })?;
+            return self.apply_step_predicates(nodes, rest);
+        }
+        let nodes = self.tree_step_nodes(ctx, axis, test, None);
+        self.apply_step_predicates(nodes, predicates)
+    }
+
+    /// A step's predicates over its node table. Leading `[@a = "v"]`
+    /// filters drop rows while they are still node rows, so only the
+    /// rows they keep become items for the predicates after them.
+    pub(super) fn apply_step_predicates(
+        &mut self,
+        mut nodes: NodeTable,
+        predicates: &[PlanExpr],
+    ) -> Result<LlSeq, QueryError> {
+        let mut rest = predicates;
+        while let [predicate @ PlanExpr::AttrEquals { name, value }, tail @ ..] = rest {
+            nodes = self.metered(predicate, |ev| ev.filter_attr_nodes(nodes, name, value))?;
+            rest = tail;
+        }
+        let mut table = nodes.into_llseq();
+        for predicate in rest {
+            table = self.apply_predicate(table, predicate)?;
+        }
+        Ok(table)
+    }
+
+    /// One tree step over `ctx`, keeping only the rows that carry
+    /// attribute `attr.0` = `attr.1` when asked to.
+    fn tree_step_nodes(
+        &mut self,
+        ctx: NodeTable,
+        axis: TreeAxis,
+        test: &NodeTest,
+        attr: Option<(&str, &str)>,
+    ) -> NodeTable {
+        use standoff_algebra::staircase::{ll_step_cached, ll_step_where};
+        // `test` is plan memory (see `name_cache`), so resolution is
+        // memoized per document across re-executions of this step.
+        let engine = &*self.engine;
+        let cache = &mut self.name_cache;
+        match attr {
+            Some((name, value)) => {
+                let mut attr = AttrTest::new(engine, name, value);
+                ll_step_where(&engine.store, &ctx, axis, test, cache, |node| {
+                    attr.keeps(node)
+                })
+            }
+            None => ll_step_cached(&engine.store, &ctx, axis, test, cache),
+        }
+    }
+
+    pub(super) fn eval_path_expr(
+        &mut self,
+        input: &PlanExpr,
+        step: &PlanExpr,
+    ) -> Result<LlSeq, QueryError> {
+        let t = self.eval(input)?;
+        // Scope over the rows of the input; "." bound per row.
+        let frame = Frame::per_row(t.iters()).binding(".", t.items().to_vec());
+        let r = self
+            .scoped(frame, |ev| ev.eval(step))?
+            .unrestrict(t.iters());
+        // Node results get document order + dedup; atom results keep
+        // sequence order (XQuery 3.0 relaxation — simple-map-like).
+        match NodeTable::from_llseq(&r) {
+            Ok(mut nodes) => {
+                nodes.normalize(&self.engine.store);
+                Ok(nodes.into_llseq())
+            }
+            Err(_) => Ok(r),
+        }
+    }
+
+    pub(super) fn eval_root_path(&mut self) -> Result<LlSeq, QueryError> {
+        let ctx = self
+            .lookup(".")
+            .map_err(|_| QueryError::dynamic("'/' used without a context item (use doc(...))"))?;
+        let mut out = LlSeq::empty();
+        for (iter, items) in ctx.groups() {
+            let mut last: Option<NodeRef> = None;
+            for item in items {
+                let node = item
+                    .as_node()
+                    .ok_or_else(|| QueryError::dynamic("'/' on a non-node context item"))?;
+                let root = NodeRef::tree(node.doc, 0);
+                if last != Some(root) {
+                    out.push(iter, Item::Node(root));
+                    last = Some(root);
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Apply one predicate to a sequence: positional if the predicate
+    /// value is numeric, boolean otherwise (XPath 2.0 semantics).
+    pub(crate) fn apply_predicate(
+        &mut self,
+        table: LlSeq,
+        predicate: &PlanExpr,
+    ) -> Result<LlSeq, QueryError> {
+        if let PlanExpr::AttrEquals { name, value } = predicate {
+            return self.metered(predicate, |ev| {
+                // An atomic row is word for word the attribute step's
+                // complaint.
+                let nodes = NodeTable::from_llseq(&table).map_err(QueryError::dynamic)?;
+                Ok(ev.filter_attr_nodes(nodes, name, value)?.into_llseq())
+            });
+        }
+        // Positions and group sizes within the input's iterations: a
+        // row's `last()` is the position of its run's final row.
+        let iters = table.iters();
+        let positions = positions(iters);
+        let mut lasts = positions.clone();
+        for k in (1..lasts.len()).rev() {
+            if iters[k - 1] == iters[k] {
+                lasts[k - 1] = lasts[k];
+            }
+        }
+        let integers = |column: &[i64]| column.iter().map(|&p| Item::Integer(p)).collect();
+        let frame = Frame::per_row(iters)
+            .binding(".", table.items().to_vec())
+            .binding("fn:position", integers(&positions))
+            .binding("fn:last", integers(&lasts));
+        let cond = self.scoped(frame, |ev| ev.eval(predicate))?;
+
+        let mut out = LlSeq::empty();
+        for (k, &position) in positions.iter().enumerate() {
+            let keep = match cond.group(k as u32) {
+                [] => false,
+                [Item::Integer(i)] => *i == position,
+                [Item::Double(d)] => *d == position as f64,
+                [other] => other.effective_boolean(),
+                // Multi-item predicate values: EBV (relaxed as in
+                // LlSeq::effective_boolean).
+                [_, ..] => true,
+            };
+            if keep {
+                out.push(iters[k], table.items()[k].clone());
+            }
+        }
+        Ok(out)
+    }
+
+    /// The fused `[@name = "value"]` predicate over node rows (see
+    /// [`AttrTest`]), polling the budget like the join kernels.
+    fn filter_attr_nodes(
+        &self,
+        table: NodeTable,
+        name: &str,
+        value: &str,
+    ) -> Result<NodeTable, QueryError> {
+        let budget = self.engine.budget.as_ref();
+        let mut attr = AttrTest::new(self.engine, name, value);
+        let mut out = NodeTable::new();
+        for (k, (&iter, &node)) in table.iters().iter().zip(table.nodes()).enumerate() {
+            // Governed like the join kernels: one poll per 64 rows.
+            if k % 64 == 0 {
+                if let Some(why) = budget.and_then(|b| b.poll()) {
+                    return Err(why.into());
+                }
+            }
+            if attr.keeps(node) {
+                out.push(iter, node);
+            }
+        }
+        Ok(out)
+    }
+}

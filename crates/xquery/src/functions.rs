@@ -15,20 +15,20 @@
 use standoff_algebra::{Item, LlSeq};
 use standoff_xml::{NodeRef, SerializeOptions};
 
+use crate::engine::EngineState;
 use crate::error::QueryError;
-use crate::eval::{int_value, Evaluator};
 
 /// Invoke a built-in by local name. Returns `Ok(None)` when the name is
 /// not a built-in (caller reports the unknown-function error).
-pub fn call_builtin(
-    ev: &mut Evaluator<'_>,
+pub(crate) fn call_builtin(
+    engine: &EngineState,
+    n: u32,
     name: &str,
     args: Vec<LlSeq>,
 ) -> Result<Option<LlSeq>, QueryError> {
-    let n = ev.n_iters();
     let result = match (name, args.len()) {
-        ("doc", 1) => fn_doc(ev, &args[0])?,
-        ("layer", 2) => fn_layer(ev, &args[0], &args[1])?,
+        ("doc", 1) => fn_doc(engine, n, &args[0])?,
+        ("layer", 2) => fn_layer(engine, n, &args[0], &args[1])?,
         ("root", 1) => fn_root(&args[0])?,
         ("not", 1) => {
             let ebv = args[0].effective_boolean(n);
@@ -44,28 +44,28 @@ pub fn call_builtin(
                 ebv.into_iter().map(Item::Boolean).collect(),
             )
         }
-        ("string", 1) => per_iter_map(ev, n, &args[0], |ev, g| {
+        ("string", 1) => per_iter_map(engine, n, &args[0], |engine, g| {
             Some(Item::str(match g.first() {
-                Some(item) => item.string_value(&ev.engine.store),
+                Some(item) => item.string_value(&engine.store),
                 None => String::new(),
             }))
         }),
         ("data", 1) => {
-            let store = &ev.engine.store;
+            let store = &engine.store;
             args[0].map_items(|i| i.atomize(store))
         }
-        ("number", 1) => per_iter_map(ev, n, &args[0], |ev, g| {
+        ("number", 1) => per_iter_map(engine, n, &args[0], |engine, g| {
             Some(Item::Double(match g.first() {
-                Some(item) => item.as_number(&ev.engine.store).unwrap_or(f64::NAN),
+                Some(item) => item.as_number(&engine.store).unwrap_or(f64::NAN),
                 None => f64::NAN,
             }))
         }),
         ("name", 1) | ("local-name", 1) => {
             let local_only = name == "local-name";
-            per_iter_map(ev, n, &args[0], move |ev, g| {
+            per_iter_map(engine, n, &args[0], move |engine, g| {
                 let text = match g.first() {
                     Some(Item::Node(node)) => {
-                        let full = ev.engine.store.node_name(*node);
+                        let full = engine.store.node_name(*node);
                         if local_only {
                             full.split(':').next_back().unwrap_or("").to_string()
                         } else {
@@ -77,24 +77,24 @@ pub fn call_builtin(
                 Some(Item::str(text))
             })
         }
-        ("string-length", 1) => per_iter_map(ev, n, &args[0], |ev, g| {
+        ("string-length", 1) => per_iter_map(engine, n, &args[0], |engine, g| {
             let len = g
                 .first()
-                .map(|i| i.string_value(&ev.engine.store).chars().count())
+                .map(|i| i.string_value(&engine.store).chars().count())
                 .unwrap_or(0);
             Some(Item::Integer(len as i64))
         }),
-        ("normalize-space", 1) => per_iter_map(ev, n, &args[0], |ev, g| {
+        ("normalize-space", 1) => per_iter_map(engine, n, &args[0], |engine, g| {
             let s = g
                 .first()
-                .map(|i| i.string_value(&ev.engine.store))
+                .map(|i| i.string_value(&engine.store))
                 .unwrap_or_default();
             Some(Item::str(
                 s.split_whitespace().collect::<Vec<_>>().join(" "),
             ))
         }),
-        ("upper-case", 1) => string_unary(ev, n, &args[0], |s| s.to_uppercase()),
-        ("lower-case", 1) => string_unary(ev, n, &args[0], |s| s.to_lowercase()),
+        ("upper-case", 1) => string_unary(engine, n, &args[0], |s| s.to_uppercase()),
+        ("lower-case", 1) => string_unary(engine, n, &args[0], |s| s.to_lowercase()),
         ("concat", _) if args.len() >= 2 => {
             let mut iters = Vec::with_capacity(n as usize);
             let mut items = Vec::with_capacity(n as usize);
@@ -102,7 +102,7 @@ pub fn call_builtin(
                 let mut s = String::new();
                 for a in &args {
                     if let Some(item) = a.group(iter).first() {
-                        s.push_str(&item.string_value(&ev.engine.store));
+                        s.push_str(&item.string_value(&engine.store));
                     }
                 }
                 iters.push(iter);
@@ -110,13 +110,13 @@ pub fn call_builtin(
             }
             LlSeq::from_columns(iters, items)
         }
-        ("contains", 2) => string_binary(ev, n, &args[0], &args[1], |a, b| {
+        ("contains", 2) => string_binary(engine, n, &args[0], &args[1], |a, b| {
             Item::Boolean(a.contains(b))
         }),
-        ("starts-with", 2) => string_binary(ev, n, &args[0], &args[1], |a, b| {
+        ("starts-with", 2) => string_binary(engine, n, &args[0], &args[1], |a, b| {
             Item::Boolean(a.starts_with(b))
         }),
-        ("ends-with", 2) => string_binary(ev, n, &args[0], &args[1], |a, b| {
+        ("ends-with", 2) => string_binary(engine, n, &args[0], &args[1], |a, b| {
             Item::Boolean(a.ends_with(b))
         }),
         ("string-join", 2) => {
@@ -126,12 +126,12 @@ pub fn call_builtin(
                 let sep = args[1]
                     .group(iter)
                     .first()
-                    .map(|i| i.string_value(&ev.engine.store))
+                    .map(|i| i.string_value(&engine.store))
                     .unwrap_or_default();
                 let joined = args[0]
                     .group(iter)
                     .iter()
-                    .map(|i| i.string_value(&ev.engine.store))
+                    .map(|i| i.string_value(&engine.store))
                     .collect::<Vec<_>>()
                     .join(&sep);
                 iters.push(iter);
@@ -139,11 +139,11 @@ pub fn call_builtin(
             }
             LlSeq::from_columns(iters, items)
         }
-        ("substring", 2) | ("substring", 3) => fn_substring(ev, n, &args)?,
-        ("substring-before", 2) => string_binary(ev, n, &args[0], &args[1], |a, b| {
+        ("substring", 2) | ("substring", 3) => fn_substring(engine, n, &args)?,
+        ("substring-before", 2) => string_binary(engine, n, &args[0], &args[1], |a, b| {
             Item::str(a.find(b).map(|k| &a[..k]).unwrap_or(""))
         }),
-        ("substring-after", 2) => string_binary(ev, n, &args[0], &args[1], |a, b| {
+        ("substring-after", 2) => string_binary(engine, n, &args[0], &args[1], |a, b| {
             Item::str(a.find(b).map(|k| &a[k + b.len()..]).unwrap_or(""))
         }),
         ("translate", 3) => {
@@ -153,19 +153,19 @@ pub fn call_builtin(
                 let s = args[0]
                     .group(iter)
                     .first()
-                    .map(|i| i.string_value(&ev.engine.store))
+                    .map(|i| i.string_value(&engine.store))
                     .unwrap_or_default();
                 let from: Vec<char> = args[1]
                     .group(iter)
                     .first()
-                    .map(|i| i.string_value(&ev.engine.store))
+                    .map(|i| i.string_value(&engine.store))
                     .unwrap_or_default()
                     .chars()
                     .collect();
                 let to: Vec<char> = args[2]
                     .group(iter)
                     .first()
-                    .map(|i| i.string_value(&ev.engine.store))
+                    .map(|i| i.string_value(&engine.store))
                     .unwrap_or_default()
                     .chars()
                     .collect();
@@ -187,22 +187,22 @@ pub fn call_builtin(
             let mut out = LlSeq::empty();
             for iter in 0..n {
                 if let Some(item) = args[0].group(iter).first() {
-                    for tok in item.string_value(&ev.engine.store).split_whitespace() {
+                    for tok in item.string_value(&engine.store).split_whitespace() {
                         out.push(iter, Item::str(tok));
                     }
                 }
             }
             out
         }
-        ("sum", 1) => per_iter_map(ev, n, &args[0], |ev, g| {
+        ("sum", 1) => per_iter_map(engine, n, &args[0], |engine, g| {
             let mut all_int = true;
             let mut total = 0f64;
             for item in g {
-                match item.atomize(&ev.engine.store) {
+                match item.atomize(&engine.store) {
                     Item::Integer(i) => total += i as f64,
                     other => {
                         all_int = false;
-                        total += other.as_number(&ev.engine.store).unwrap_or(f64::NAN);
+                        total += other.as_number(&engine.store).unwrap_or(f64::NAN);
                     }
                 }
             }
@@ -212,20 +212,20 @@ pub fn call_builtin(
                 Item::Double(total)
             })
         }),
-        ("avg", 1) => per_iter_map(ev, n, &args[0], |ev, g| {
+        ("avg", 1) => per_iter_map(engine, n, &args[0], |engine, g| {
             if g.is_empty() {
                 return None;
             }
             let total: f64 = g
                 .iter()
-                .map(|i| i.as_number(&ev.engine.store).unwrap_or(f64::NAN))
+                .map(|i| i.as_number(&engine.store).unwrap_or(f64::NAN))
                 .sum();
             Some(Item::Double(total / g.len() as f64))
         }),
         ("max", 1) | ("min", 1) => {
             let want_max = name == "max";
-            per_iter_map(ev, n, &args[0], move |ev, g| {
-                let store = &ev.engine.store;
+            per_iter_map(engine, n, &args[0], move |engine, g| {
+                let store = &engine.store;
                 g.iter().map(|i| i.atomize(store)).reduce(|best, x| {
                     let keep_x = matches!(
                         x.general_compare(&best, store),
@@ -241,15 +241,15 @@ pub fn call_builtin(
                 })
             })
         }
-        ("abs", 1) => numeric_unary(ev, n, &args[0], |v| v.abs()),
-        ("floor", 1) => numeric_unary(ev, n, &args[0], f64::floor),
-        ("ceiling", 1) => numeric_unary(ev, n, &args[0], f64::ceil),
-        ("round", 1) => numeric_unary(ev, n, &args[0], |v| {
+        ("abs", 1) => numeric_unary(engine, n, &args[0], |v| v.abs()),
+        ("floor", 1) => numeric_unary(engine, n, &args[0], f64::floor),
+        ("ceiling", 1) => numeric_unary(engine, n, &args[0], f64::ceil),
+        ("round", 1) => numeric_unary(engine, n, &args[0], |v| {
             // XPath rounds half towards positive infinity.
             (v + 0.5).floor()
         }),
         ("distinct-values", 1) => {
-            let store = &ev.engine.store;
+            let store = &engine.store;
             let mut out = LlSeq::empty();
             for (iter, items) in args[0].groups() {
                 let mut seen: Vec<Item> = Vec::new();
@@ -275,7 +275,7 @@ pub fn call_builtin(
             }
             out
         }
-        ("subsequence", 2) | ("subsequence", 3) => fn_subsequence(ev, n, &args)?,
+        ("subsequence", 2) | ("subsequence", 3) => fn_subsequence(engine, n, &args)?,
         ("zero-or-one", 1) => {
             for (_, items) in args[0].groups() {
                 if items.len() > 1 {
@@ -302,16 +302,16 @@ pub fn call_builtin(
             }
             table
         }
-        ("serialize", 1) => per_iter_map(ev, n, &args[0], |ev, g| {
+        ("serialize", 1) => per_iter_map(engine, n, &args[0], |engine, g| {
             let mut s = String::new();
             for item in g {
                 match item {
                     Item::Node(node) => s.push_str(&standoff_xml::serialize_node(
-                        ev.engine.store.doc(node.doc),
+                        engine.store.doc(node.doc),
                         node.id,
                         SerializeOptions::default(),
                     )),
-                    atom => s.push_str(&atom.string_value(&ev.engine.store)),
+                    atom => s.push_str(&atom.string_value(&engine.store)),
                 }
             }
             Some(Item::str(s))
@@ -339,15 +339,15 @@ pub(crate) fn aggregate_rows(name: &str, n: u32, iters: &[u32]) -> LlSeq {
 
 /// Per-iteration mapping producing zero-or-one item per iteration.
 fn per_iter_map(
-    ev: &Evaluator<'_>,
+    engine: &EngineState,
     n: u32,
     table: &LlSeq,
-    f: impl Fn(&Evaluator<'_>, &[Item]) -> Option<Item>,
+    f: impl Fn(&EngineState, &[Item]) -> Option<Item>,
 ) -> LlSeq {
     let mut iters = Vec::with_capacity(n as usize);
     let mut items = Vec::with_capacity(n as usize);
     for iter in 0..n {
-        if let Some(item) = f(ev, table.group(iter)) {
+        if let Some(item) = f(engine, table.group(iter)) {
             iters.push(iter);
             items.push(item);
         }
@@ -355,18 +355,18 @@ fn per_iter_map(
     LlSeq::from_columns(iters, items)
 }
 
-fn string_unary(ev: &Evaluator<'_>, n: u32, table: &LlSeq, f: impl Fn(&str) -> String) -> LlSeq {
-    per_iter_map(ev, n, table, |ev, g| {
+fn string_unary(engine: &EngineState, n: u32, table: &LlSeq, f: impl Fn(&str) -> String) -> LlSeq {
+    per_iter_map(engine, n, table, |engine, g| {
         let s = g
             .first()
-            .map(|i| i.string_value(&ev.engine.store))
+            .map(|i| i.string_value(&engine.store))
             .unwrap_or_default();
         Some(Item::str(f(&s)))
     })
 }
 
 fn string_binary(
-    ev: &Evaluator<'_>,
+    engine: &EngineState,
     n: u32,
     a: &LlSeq,
     b: &LlSeq,
@@ -378,12 +378,12 @@ fn string_binary(
         let x = a
             .group(iter)
             .first()
-            .map(|i| i.string_value(&ev.engine.store))
+            .map(|i| i.string_value(&engine.store))
             .unwrap_or_default();
         let y = b
             .group(iter)
             .first()
-            .map(|i| i.string_value(&ev.engine.store))
+            .map(|i| i.string_value(&engine.store))
             .unwrap_or_default();
         iters.push(iter);
         items.push(f(&x, &y));
@@ -391,12 +391,12 @@ fn string_binary(
     LlSeq::from_columns(iters, items)
 }
 
-fn numeric_unary(ev: &Evaluator<'_>, n: u32, table: &LlSeq, f: impl Fn(f64) -> f64) -> LlSeq {
-    per_iter_map(ev, n, table, |ev, g| {
+fn numeric_unary(engine: &EngineState, n: u32, table: &LlSeq, f: impl Fn(f64) -> f64) -> LlSeq {
+    per_iter_map(engine, n, table, |engine, g| {
         let item = g.first()?;
-        let v = item.as_number(&ev.engine.store)?;
+        let v = item.as_number(&engine.store)?;
         let r = f(v);
-        Some(match item.atomize(&ev.engine.store) {
+        Some(match item.atomize(&engine.store) {
             Item::Integer(_) => Item::Integer(r as i64),
             _ if r.fract() == 0.0 && r.abs() < 1e15 => Item::Integer(r as i64),
             _ => Item::Double(r),
@@ -404,25 +404,20 @@ fn numeric_unary(ev: &Evaluator<'_>, n: u32, table: &LlSeq, f: impl Fn(f64) -> f
     })
 }
 
-fn fn_doc(ev: &mut Evaluator<'_>, uris: &LlSeq) -> Result<LlSeq, QueryError> {
-    let n = ev.n_iters();
+fn fn_doc(engine: &EngineState, n: u32, uris: &LlSeq) -> Result<LlSeq, QueryError> {
     let mut out = LlSeq::empty();
     for iter in 0..n {
         let Some(item) = uris.group(iter).first() else {
             continue;
         };
-        let uri = item.string_value(&ev.engine.store);
-        let doc_id = ev
-            .engine
+        let uri = item.string_value(&engine.store);
+        let doc_id = engine
             .store
             .by_uri(&uri)
             .ok_or_else(|| QueryError::dynamic(format!("document '{uri}' not found")))?;
         // A mounted layer materializes here, the first time a query
         // resolves it — computed URIs included.
-        ev.engine
-            .store
-            .try_doc(doc_id)
-            .map_err(QueryError::dynamic)?;
+        engine.store.try_doc(doc_id).map_err(QueryError::dynamic)?;
         out.push(iter, Item::Node(NodeRef::tree(doc_id, 0)));
     }
     Ok(out)
@@ -431,8 +426,12 @@ fn fn_doc(ev: &mut Evaluator<'_>, uris: &LlSeq) -> Result<LlSeq, QueryError> {
 /// `layer($uri, $name)` — root of a named annotation layer of a mounted
 /// store (see `Engine::mount_store`). `layer("corpus", "base")` is the
 /// base layer, i.e. the same node as `doc("corpus")`.
-fn fn_layer(ev: &mut Evaluator<'_>, uris: &LlSeq, names: &LlSeq) -> Result<LlSeq, QueryError> {
-    let n = ev.n_iters();
+fn fn_layer(
+    engine: &EngineState,
+    n: u32,
+    uris: &LlSeq,
+    names: &LlSeq,
+) -> Result<LlSeq, QueryError> {
     let mut out = LlSeq::empty();
     for iter in 0..n {
         let (Some(uri_item), Some(name_item)) =
@@ -440,15 +439,12 @@ fn fn_layer(ev: &mut Evaluator<'_>, uris: &LlSeq, names: &LlSeq) -> Result<LlSeq
         else {
             continue;
         };
-        let uri = uri_item.string_value(&ev.engine.store);
-        let name = name_item.string_value(&ev.engine.store);
-        let doc_id = ev.engine.layer_doc(&uri, &name).ok_or_else(|| {
+        let uri = uri_item.string_value(&engine.store);
+        let name = name_item.string_value(&engine.store);
+        let doc_id = engine.layer_doc(&uri, &name).ok_or_else(|| {
             QueryError::dynamic(format!("no layer '{name}' mounted under '{uri}'"))
         })?;
-        ev.engine
-            .store
-            .try_doc(doc_id)
-            .map_err(QueryError::dynamic)?;
+        engine.store.try_doc(doc_id).map_err(QueryError::dynamic)?;
         out.push(iter, Item::Node(NodeRef::tree(doc_id, 0)));
     }
     Ok(out)
@@ -472,25 +468,25 @@ fn fn_root(nodes: &LlSeq) -> Result<LlSeq, QueryError> {
     Ok(out)
 }
 
-fn fn_substring(ev: &Evaluator<'_>, n: u32, args: &[LlSeq]) -> Result<LlSeq, QueryError> {
+fn fn_substring(engine: &EngineState, n: u32, args: &[LlSeq]) -> Result<LlSeq, QueryError> {
     let mut iters = Vec::new();
     let mut items = Vec::new();
     for iter in 0..n {
         let s = args[0]
             .group(iter)
             .first()
-            .map(|i| i.string_value(&ev.engine.store))
+            .map(|i| i.string_value(&engine.store))
             .unwrap_or_default();
         let Some(start_item) = args[1].group(iter).first() else {
             continue;
         };
         let start = start_item
-            .as_number(&ev.engine.store)
+            .as_number(&engine.store)
             .ok_or_else(|| QueryError::dynamic("substring(): start is not a number"))?;
         let len = match args.get(2) {
             Some(a) => match a.group(iter).first() {
                 Some(item) => item
-                    .as_number(&ev.engine.store)
+                    .as_number(&engine.store)
                     .ok_or_else(|| QueryError::dynamic("substring(): length is not a number"))?,
                 None => 0.0,
             },
@@ -515,17 +511,17 @@ fn fn_substring(ev: &Evaluator<'_>, n: u32, args: &[LlSeq]) -> Result<LlSeq, Que
     Ok(LlSeq::from_columns(iters, items))
 }
 
-fn fn_subsequence(ev: &Evaluator<'_>, n: u32, args: &[LlSeq]) -> Result<LlSeq, QueryError> {
+fn fn_subsequence(engine: &EngineState, n: u32, args: &[LlSeq]) -> Result<LlSeq, QueryError> {
     let mut out = LlSeq::empty();
     for iter in 0..n {
         let items = args[0].group(iter);
         let Some(start_item) = args[1].group(iter).first() else {
             continue;
         };
-        let start = int_value(start_item, &ev.engine.store)?;
+        let start = int_value(start_item, &engine.store)?;
         let len = match args.get(2) {
             Some(a) => match a.group(iter).first() {
-                Some(item) => int_value(item, &ev.engine.store)?,
+                Some(item) => int_value(item, &engine.store)?,
                 None => 0,
             },
             None => i64::MAX,
@@ -538,4 +534,18 @@ fn fn_subsequence(ev: &Evaluator<'_>, n: u32, args: &[LlSeq]) -> Result<LlSeq, Q
         }
     }
     Ok(out)
+}
+
+/// An item as an integer: integers, integral doubles, and strings that
+/// parse as one.
+pub(crate) fn int_value(item: &Item, store: &standoff_xml::Store) -> Result<i64, QueryError> {
+    match item.atomize(store) {
+        Item::Integer(i) => Ok(i),
+        Item::Double(d) if d.fract() == 0.0 => Ok(d as i64),
+        Item::Untyped(s) | Item::String(s) => s
+            .trim()
+            .parse()
+            .map_err(|_| QueryError::dynamic(format!("'{s}' is not an integer"))),
+        other => Err(QueryError::dynamic(format!("'{other}' is not an integer"))),
+    }
 }

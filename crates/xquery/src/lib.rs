@@ -9,7 +9,12 @@
 //! `resolve` ([`compile`]: prolog options, function calls, join
 //! strategy) → `optimize` ([`optimize`], an ordered pass list: constant
 //! folding, loop-invariant hoisting, per-operator strategy selection,
-//! candidate pushdown, cardinality estimates) → `execute` ([`eval`]).
+//! candidate pushdown, cardinality estimates) → `execute` (the
+//! crate-private `eval`: one module per operator family — paths, tree
+//! steps and predicates; StandOff joins; FLWOR, quantifiers and calls;
+//! constructors; value operators — over one frame stack whose scopes
+//! are opened in one place; built-ins live in the crate-private
+//! `functions`).
 //! [`explain`] renders the same plan object that executes, and the
 //! batch executor ([`exec`]) caches compiled plans keyed on `(query
 //! text, store generation, options fingerprint)`.
@@ -51,10 +56,10 @@
 pub mod compile;
 pub mod engine;
 pub mod error;
-pub mod eval;
+mod eval;
 pub mod exec;
 pub mod explain;
-pub mod functions;
+mod functions;
 pub mod lexer;
 pub mod optimize;
 pub mod overlay;

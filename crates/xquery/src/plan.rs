@@ -20,7 +20,7 @@
 //! * FLWOR operators carry the loop-invariant bindings the optimizer
 //!   hoisted out of their iteration scope.
 //!
-//! The same plan object drives both the evaluator ([`crate::eval`]) and
+//! The same plan object drives both the evaluator (the `eval` module) and
 //! the `explain` renderer ([`crate::explain`]) — what explain prints is
 //! by construction what executes. Plans are immutable after compilation
 //! and `Send + Sync`, so the batch executor shares them across worker

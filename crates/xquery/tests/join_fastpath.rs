@@ -1,6 +1,7 @@
 //! The join hot path's fast-path *mechanisms*, asserted directly.
 //!
-//! Timing can lie on a loaded CI box; [`JoinStats`] counters cannot.
+//! Timing can lie on a loaded CI box; the `join.*` counters of the
+//! engine's metrics registry (what `stats` prints) cannot.
 //! These tests pin that a pushdown-guaranteed StandOff step really skips
 //! the trailing self-axis pass and never sorts its result (one target
 //! is emitted directly, several merge), that the literal paths still
@@ -8,6 +9,8 @@
 //! reference plan), and
 //! that the elided paths stay observably equivalent to the reference on
 //! randomized region workloads across all four axes.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
@@ -18,6 +21,17 @@ fn region_engine(xml: &str, options: EngineOptions) -> Engine {
     let mut engine = Engine::with_options(options);
     engine.load_document("d.xml", xml).unwrap();
     engine
+}
+
+/// The `join.*` counters `run` adds to the engine's metrics registry,
+/// keyed by counter name.
+fn join_delta(engine: &mut Engine, run: impl FnOnce(&mut Engine)) -> BTreeMap<String, u64> {
+    let before = engine.metrics().snapshot();
+    run(engine);
+    let delta = engine.metrics().snapshot().delta(&before);
+    (delta.counters.into_iter())
+        .filter_map(|(name, n)| Some((name.strip_prefix("join.")?.to_string(), n)))
+        .collect()
 }
 
 const FIXTURE: &str = r#"<doc>
@@ -31,15 +45,16 @@ const FIXTURE: &str = r#"<doc>
 #[test]
 fn pushdown_guaranteed_step_elides_post_filter_and_sort() {
     let mut engine = region_engine(FIXTURE, EngineOptions::default());
-    let result = engine
-        .run(r#"count(doc("d.xml")//place/select-narrow::w)"#)
-        .unwrap();
-    assert_eq!(result.as_strings(), ["4"]);
-    let stats = engine.join_stats();
-    assert!(stats.post_filters_elided > 0, "{stats:?}");
-    assert_eq!(stats.post_filters, 0, "{stats:?}");
-    assert!(stats.result_sorts_elided > 0, "{stats:?}");
-    assert_eq!(stats.result_sorts, 0, "{stats:?}");
+    let stats = join_delta(&mut engine, |engine| {
+        let result = engine
+            .run(r#"count(doc("d.xml")//place/select-narrow::w)"#)
+            .unwrap();
+        assert_eq!(result.as_strings(), ["4"]);
+    });
+    assert!(stats["post_filters_elided"] > 0, "{stats:?}");
+    assert_eq!(stats["post_filters"], 0, "{stats:?}");
+    assert!(stats["result_sorts_elided"] > 0, "{stats:?}");
+    assert_eq!(stats["result_sorts"], 0, "{stats:?}");
 }
 
 /// A kind-only test (`node()`, `*`) is guaranteed too — join output is
@@ -48,12 +63,13 @@ fn pushdown_guaranteed_step_elides_post_filter_and_sort() {
 fn kind_only_tests_elide_post_filter() {
     for test in ["node()", "*"] {
         let mut engine = region_engine(FIXTURE, EngineOptions::default());
-        engine
-            .run(&format!(r#"doc("d.xml")//place/select-wide::{test}"#))
-            .unwrap();
-        let stats = engine.join_stats();
-        assert!(stats.post_filters_elided > 0, "{test}: {stats:?}");
-        assert_eq!(stats.post_filters, 0, "{test}: {stats:?}");
+        let stats = join_delta(&mut engine, |engine| {
+            engine
+                .run(&format!(r#"doc("d.xml")//place/select-wide::{test}"#))
+                .unwrap();
+        });
+        assert!(stats["post_filters_elided"] > 0, "{test}: {stats:?}");
+        assert_eq!(stats["post_filters"], 0, "{test}: {stats:?}");
     }
 }
 
@@ -68,13 +84,14 @@ fn no_pushdown_keeps_post_filter() {
             ..EngineOptions::default()
         },
     );
-    let with_filter = engine
-        .run(r#"count(doc("d.xml")//place/select-narrow::w)"#)
-        .unwrap();
-    assert_eq!(with_filter.as_strings(), ["4"]);
-    let stats = engine.join_stats();
-    assert!(stats.post_filters > 0, "{stats:?}");
-    assert_eq!(stats.post_filters_elided, 0, "{stats:?}");
+    let stats = join_delta(&mut engine, |engine| {
+        let with_filter = engine
+            .run(r#"count(doc("d.xml")//place/select-narrow::w)"#)
+            .unwrap();
+        assert_eq!(with_filter.as_strings(), ["4"]);
+    });
+    assert!(stats["post_filters"] > 0, "{stats:?}");
+    assert_eq!(stats["post_filters_elided"], 0, "{stats:?}");
 }
 
 /// The unoptimized reference plan never sets the elision flag: it
@@ -83,15 +100,19 @@ fn no_pushdown_keeps_post_filter() {
 fn reference_path_keeps_literal_post_filter() {
     let mut engine = region_engine(FIXTURE, EngineOptions::default());
     let query = r#"doc("d.xml")//place/select-narrow::w"#;
-    let optimized = engine.run(query).unwrap();
-    let stats_opt = engine.join_stats();
-    engine.reset_join_stats();
-    let reference = engine.run_unoptimized(query).unwrap();
-    let stats_ref = engine.join_stats();
-    assert_eq!(optimized.as_serialized(), reference.as_serialized());
-    assert_eq!(stats_opt.post_filters, 0);
-    assert!(stats_ref.post_filters > 0, "{stats_ref:?}");
-    assert_eq!(stats_ref.post_filters_elided, 0, "{stats_ref:?}");
+    let mut optimized = None;
+    let stats_opt = join_delta(&mut engine, |e| optimized = Some(e.run(query).unwrap()));
+    let mut reference = None;
+    let stats_ref = join_delta(&mut engine, |e| {
+        reference = Some(e.run_unoptimized(query).unwrap())
+    });
+    assert_eq!(
+        optimized.unwrap().as_serialized(),
+        reference.unwrap().as_serialized()
+    );
+    assert_eq!(stats_opt["post_filters"], 0);
+    assert!(stats_ref["post_filters"] > 0, "{stats_ref:?}");
+    assert_eq!(stats_ref["post_filters_elided"], 0, "{stats_ref:?}");
 }
 
 /// The candidate-intersection path counters reflect the cost model:
@@ -109,20 +130,21 @@ fn candidate_access_path_counters() {
     }
     xml.push_str(r#"<place start="0" end="2995"/></doc>"#);
     let mut engine = region_engine(&xml, EngineOptions::default());
-    engine
-        .run(r#"count(doc("d.xml")//w[300]/select-wide::place)"#)
-        .unwrap();
-    let stats = engine.join_stats();
-    assert_eq!(stats.candidate_reach_entries, 301, "{stats:?}");
-    assert!(stats.candidate_node_view > 0, "{stats:?}");
+    let stats = join_delta(&mut engine, |engine| {
+        engine
+            .run(r#"count(doc("d.xml")//w[300]/select-wide::place)"#)
+            .unwrap();
+    });
+    assert_eq!(stats["candidate_reach_entries"], 301, "{stats:?}");
+    assert!(stats["candidate_node_view"] > 0, "{stats:?}");
 
     // 300 `w` candidates over the same index: scan.
-    engine.reset_join_stats();
-    engine
-        .run(r#"count(doc("d.xml")//place/select-wide::w)"#)
-        .unwrap();
-    let stats = engine.join_stats();
-    assert!(stats.candidate_scans > 0, "{stats:?}");
+    let stats = join_delta(&mut engine, |engine| {
+        engine
+            .run(r#"count(doc("d.xml")//place/select-wide::w)"#)
+            .unwrap();
+    });
+    assert!(stats["candidate_scans"] > 0, "{stats:?}");
 }
 
 /// A context over several documents yields one sorted run per document:
@@ -143,18 +165,19 @@ fn cross_document_context_merges_its_runs() {
         )
         .unwrap();
     // Two documents in one context sequence → two join units.
-    engine
-        .run(
-            r#"count((doc("tokens.xml")//w, doc("entities.xml")//place)
-                 /select-wide::node())"#,
-        )
-        .unwrap();
-    let stats = engine.join_stats();
+    let stats = join_delta(&mut engine, |engine| {
+        engine
+            .run(
+                r#"count((doc("tokens.xml")//w, doc("entities.xml")//place)
+                     /select-wide::node())"#,
+            )
+            .unwrap();
+    });
     assert_eq!(
         (
-            stats.result_merges,
-            stats.result_sorts,
-            stats.result_sorts_elided
+            stats["result_merges"],
+            stats["result_sorts"],
+            stats["result_sorts_elided"]
         ),
         (1, 0, 0),
         "{stats:?}"
@@ -213,9 +236,9 @@ proptest! {
             }
         }
         // The fast engine really exercised the elision branches.
-        let stats = fast.join_stats();
-        prop_assert!(stats.post_filters_elided > 0, "{:?}", stats);
-        prop_assert!(stats.result_sorts_elided > 0, "{:?}", stats);
+        let stats = fast.metrics().snapshot().counters;
+        prop_assert!(stats["join.post_filters_elided"] > 0, "{:?}", stats);
+        prop_assert!(stats["join.result_sorts_elided"] > 0, "{:?}", stats);
     }
 }
 

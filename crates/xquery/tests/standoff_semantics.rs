@@ -237,3 +237,36 @@ fn attribute_context_contributes_owner() {
         .unwrap();
     assert_eq!(r.as_strings(), ["1"]);
 }
+
+/// A StandOff step is a join over each iteration's whole context
+/// *sequence* (§3.1; `reject-*` is the anti-join of that sequence), so a
+/// positional predicate on it counts within the iteration's join result
+/// — not per context node, as on a tree step. Per context node takes a
+/// `for` around the step.
+#[test]
+fn positional_predicates_count_within_the_iterations_join_result() {
+    let mut e = Engine::new();
+    e.load_document(
+        "d",
+        r#"<d><p start="0" end="9"/><p start="20" end="29"/>
+             <w start="1" end="2"/><w start="3" end="4"/>
+             <w start="21" end="22"/><w start="23" end="24"/>
+             <w start="40" end="41"/><w start="50" end="51"/></d>"#,
+    )
+    .unwrap();
+    let starts = |e: &mut Engine, steps: &str| {
+        let query = format!(r#"for $w in {steps} return string($w/@start)"#);
+        e.run(&query).unwrap().as_strings().to_vec()
+    };
+    for strategy in StandoffStrategy::ALL {
+        e.set_strategy(strategy);
+        let narrow = r#"doc("d")//p/select-narrow::w"#;
+        assert_eq!(starts(&mut e, &format!("{narrow}[1]")), ["1"], "{strategy}");
+        let last = format!("{narrow}[last()]");
+        assert_eq!(starts(&mut e, &last), ["23"], "{strategy}");
+        let reject = r#"doc("d")//p/reject-narrow::w[1]"#;
+        assert_eq!(starts(&mut e, reject), ["40"], "{strategy}");
+        let per_p = r#"(for $p in doc("d")//p return $p/select-narrow::w[1])"#;
+        assert_eq!(starts(&mut e, per_p), ["1", "21"], "{strategy}");
+    }
+}

@@ -184,7 +184,8 @@ fn scratch_cap_sees_the_dense_candidate_bitset() {
         engine.load_document("wide.xml", &xml).unwrap();
         engine.set_strategy(strategy);
         assert_eq!(engine.run(query).unwrap().as_strings(), ["2"]);
-        assert!(engine.join_stats().candidate_repr_dense > 0, "[{strategy}]");
+        let joins = engine.metrics().snapshot().counters;
+        assert!(joins["join.candidate_repr_dense"] > 0, "[{strategy}]");
         engine.set_budget(budget(BudgetLimits {
             max_scratch_bytes: Some(2048),
             ..BudgetLimits::default()

@@ -246,13 +246,17 @@ fn entity_tokens_over_sixteen_pending_batches_is_one_kernel_call() {
     let (answer, profile) = overlay.run_profiled(query).unwrap();
     let json = profile.to_json();
     assert!(json.contains(r#""target_joins": 1,"#), "{json}");
-    let stats = overlay.join_stats();
-    let derivations = stats.candidate_borrowed
-        + stats.candidate_node_view
-        + stats.candidate_scans
-        + stats.candidate_probes;
+    let stats = overlay.metrics().snapshot().counters;
+    let derivations = stats["join.candidate_borrowed"]
+        + stats["join.candidate_node_view"]
+        + stats["join.candidate_scans"]
+        + stats["join.candidate_probes"];
     assert_eq!(
-        (derivations, stats.result_sorts, stats.result_merges),
+        (
+            derivations,
+            stats["join.result_sorts"],
+            stats["join.result_merges"]
+        ),
         (1, 0, 0),
         "{stats:?}"
     );

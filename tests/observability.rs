@@ -1,13 +1,16 @@
 //! The observability subsystem, end to end: per-operator profiling and
 //! `explain analyze`, the metrics registry counters the engine/executor/
-//! store feed, `JoinStats` reset semantics, plan-cache statistics, and
+//! store feed, metering join counters by snapshot delta, plan-cache
+//! statistics, and
 //! snapshot section introspection.
 //!
 //! The golden cases use `QueryProfile::render_redacted()` (times print
 //! as `~`) so the snapshots are deterministic; regenerate intentional
 //! changes with `BLESS=1 cargo test --test observability`.
 
-use standoff::core::obs::MetricsRegistry;
+use std::collections::BTreeMap;
+
+use standoff::core::obs::{MetricsRegistry, MetricsSnapshot};
 use standoff::core::StandoffConfig;
 use standoff::store::LayerSet;
 use standoff::xmark::queries::XmarkQuery;
@@ -175,57 +178,38 @@ fn profile_captures_join_cardinalities() {
     );
 }
 
-// ---- JoinStats reset semantics -----------------------------------------
+// ---- join counters: cumulative, metered by delta ----------------------
 
+/// The registry's `join.*` counters (what `stats` prints) accumulate
+/// across runs; a snapshot delta is the per-query window — zero over a
+/// window that ran nothing, one run's counts over a window of one.
 #[test]
 fn join_stats_accumulate_and_reset() {
     let mut engine = corpus();
     let query = r#"doc("entities.xml")//place/select-narrow::w"#;
+    let snapshot = |engine: &Engine| engine.metrics().snapshot();
+    let joins = |window: MetricsSnapshot| -> BTreeMap<String, u64> {
+        (window.counters.into_iter())
+            .filter(|(name, _)| name.starts_with("join."))
+            .collect()
+    };
+    let start = snapshot(&engine);
 
     engine.run(query).unwrap();
-    let after_one = engine.join_stats();
-    assert_ne!(after_one, JoinStats::default(), "join ran");
+    let after_one = snapshot(&engine);
+    let one = joins(after_one.delta(&start));
+    assert!(one["join.post_filters_elided"] > 0, "join ran: {one:?}");
 
     // Cumulative: a second run doubles every counter.
     engine.run(query).unwrap();
-    let after_two = engine.join_stats();
-    assert_eq!(after_two.result_sorts, 2 * after_one.result_sorts);
-    assert_eq!(
-        after_two.post_filters_elided,
-        2 * after_one.post_filters_elided
-    );
-
-    // take_delta: returns the accumulation and zeroes the counters.
-    let taken = engine.take_join_stats();
-    assert_eq!(taken, after_two);
-    assert_eq!(engine.join_stats(), JoinStats::default());
-
-    // reset: back to zero regardless of accumulated state.
-    engine.run(query).unwrap();
-    engine.reset_join_stats();
-    assert_eq!(engine.join_stats(), JoinStats::default());
-}
-
-/// A fresh `Session` starts with zeroed stats even when the engine had
-/// accumulated some before `into_shared()`.
-#[test]
-fn fresh_session_starts_with_zero_join_stats() {
-    let mut engine = corpus();
-    engine
-        .run(r#"doc("entities.xml")//place/select-narrow::w"#)
-        .unwrap();
-    assert_ne!(engine.join_stats(), JoinStats::default());
-
-    let shared = engine.into_shared();
-    let mut session = shared.session();
-    assert_eq!(session.join_stats(), JoinStats::default());
-
-    session
-        .run(r#"doc("entities.xml")//place/select-narrow::w"#)
-        .unwrap();
-    assert_ne!(session.join_stats(), JoinStats::default());
-    // ...and its sibling session is unaffected.
-    assert_eq!(shared.session().join_stats(), JoinStats::default());
+    let after_two = snapshot(&engine);
+    let two = joins(after_two.delta(&start));
+    assert!(one.iter().all(|(name, &n)| two[name] == 2 * n), "{two:?}");
+    // A window of one run reads that run's counts...
+    assert_eq!(joins(after_two.delta(&after_one)), one);
+    // ...and a window that ran nothing reads zero.
+    let idle = joins(snapshot(&engine).delta(&after_two));
+    assert!(idle.values().all(|&n| n == 0), "{idle:?}");
 }
 
 // ---- registry counters -------------------------------------------------
@@ -240,25 +224,6 @@ fn engine_metrics_count_query_executions() {
     let exec_ns = &snap.histograms["query.exec_ns"];
     assert_eq!(exec_ns.count, 2);
     assert!(exec_ns.sum > 0, "wall time was recorded");
-}
-
-#[test]
-fn join_metrics_mirror_join_stats() {
-    let mut engine = corpus();
-    engine
-        .run(r#"doc("entities.xml")//place/select-narrow::w"#)
-        .unwrap();
-    let stats = engine.join_stats();
-    let snap = engine.metrics().snapshot();
-    assert_eq!(snap.counters["join.result_sorts"], stats.result_sorts);
-    assert_eq!(
-        snap.counters["join.post_filters_elided"],
-        stats.post_filters_elided
-    );
-    assert_eq!(
-        snap.counters["join.candidate_node_view"] + snap.counters["join.candidate_scans"],
-        stats.candidate_node_view + stats.candidate_scans
-    );
 }
 
 /// A corpus dense enough that a `w` pushdown takes the bitset scan:
@@ -283,16 +248,23 @@ fn dense_corpus() -> Engine {
     engine
 }
 
-/// The dense-kernel counters fire on a dense pushdown, and every
-/// declared join counter mirrors into the metrics registry under its
-/// `join.<name>` key.
+/// The dense-kernel counters fire on a dense pushdown, and the two
+/// sinks of every declared join counter agree: the profile's
+/// per-operator detail sums to the registry's `join.<name>`.
 #[test]
 fn dense_kernel_counters_fire_and_mirror() {
     let query = r#"count(doc("dense.xml")//big/select-narrow::w)"#;
 
     let mut engine = dense_corpus();
-    assert_eq!(engine.run(query).unwrap().as_strings(), ["10000"]);
-    let stats = engine.join_stats();
+    let (result, profile) = engine.run_profiled(query).unwrap();
+    assert_eq!(result.as_strings(), ["10000"]);
+    // The profile's per-operator join detail, summed over the plan.
+    let mut stats = JoinStats::default();
+    profile.plan.visit_exprs(&mut |expr| {
+        if let Some(join) = profile.ops.get(expr).and_then(|m| m.join.as_ref()) {
+            stats.merge(join.stats);
+        }
+    });
     assert!(stats.candidate_repr_dense > 0, "dense scan ran: {stats:?}");
     assert!(
         stats.candidate_dense_blocks > 0,
@@ -408,11 +380,11 @@ fn sparse_pushdown_leaves_dense_counters_at_zero() {
     engine
         .run(r#"doc("dense.xml")//w[@start = 10000]/select-wide::big"#)
         .unwrap();
-    let stats = engine.join_stats();
-    assert_eq!(stats.candidate_reach_entries, 2_501, "{stats:?}");
-    assert_eq!(stats.candidate_node_view, 1, "{stats:?}");
-    assert_eq!(stats.candidate_repr_dense, 0, "{stats:?}");
-    assert_eq!(stats.candidate_dense_blocks, 0, "{stats:?}");
+    let stats = engine.metrics().snapshot().counters;
+    assert_eq!(stats["join.candidate_reach_entries"], 2_501, "{stats:?}");
+    assert_eq!(stats["join.candidate_node_view"], 1, "{stats:?}");
+    assert_eq!(stats["join.candidate_repr_dense"], 0, "{stats:?}");
+    assert_eq!(stats["join.candidate_dense_blocks"], 0, "{stats:?}");
 }
 
 #[test]

@@ -407,6 +407,7 @@ fn dense_kernel_matches_through_overlay() {
     for strategy in STRATEGIES {
         let (writer, mut compacted, _) = both_sides(&set, &batches, strategy);
         let mut session = writer.session();
+        let before = session.metrics().snapshot();
         let mut answers = Vec::new();
         for query in &queries {
             let a = session.run(query).unwrap().as_xml();
@@ -425,9 +426,9 @@ fn dense_kernel_matches_through_overlay() {
             strategy,
             StandoffStrategy::BasicMergeJoin | StandoffStrategy::LoopLiftedMergeJoin
         ) {
-            let stats = session.join_stats();
+            let stats = session.metrics().snapshot().delta(&before).counters;
             assert!(
-                stats.candidate_repr_dense > 0,
+                stats["join.candidate_repr_dense"] > 0,
                 "{strategy:?}: dense scan never ran: {stats:?}"
             );
         }

@@ -56,11 +56,12 @@ fn q2_join_work_has_the_paper_shapes() {
         let mut answers = Vec::new();
         for (k, &(strategy, ..)) in BANDS.iter().enumerate() {
             engine.set_strategy(strategy);
-            engine.reset_join_stats();
+            let before = engine.metrics().snapshot();
             let result = engine.run(&query).unwrap();
             answers.push(result.as_serialized().to_vec());
-            let stats = engine.take_join_stats();
-            work[k].push((scale, stats.candidate_reach_entries + stats.naive_pairs));
+            let joins = engine.metrics().snapshot().delta(&before).counters;
+            let pairs = joins["join.candidate_reach_entries"] + joins["join.naive_pairs"];
+            work[k].push((scale, pairs));
         }
         assert!(
             answers.iter().all(|a| *a == answers[0]),
