@@ -2,11 +2,12 @@
 //! paper's variant columns at two document sizes, per-cell times for
 //! regression tracking. The sweep's shape is asserted on work counters
 //! by `tests/paper_shapes.rs`; its ratios are `figure6.*` rows of the
-//! `benchmark/` ledger.
+//! `benchmark/` ledger. Each cell times the plan of
+//! [`standoff_bench::figure6_plan`], which keeps the join under `count`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use standoff_bench::{prepare_workload, Figure6Variant, SO_URI};
+use standoff_bench::{figure6_plan, prepare_workload, Figure6Variant, SO_URI};
 use standoff_xmark::queries::XmarkQuery;
 
 fn figure6(c: &mut Criterion) {
@@ -32,7 +33,7 @@ fn figure6(c: &mut Criterion) {
                     continue;
                 }
                 w.engine.set_strategy(variant.strategy());
-                let q = variant.query_text(query, SO_URI);
+                let plan = figure6_plan(&w.engine, &variant.query_text(query, SO_URI)).unwrap();
                 let label = match variant {
                     Figure6Variant::UdfNoCandidates => "udf-no-candidates",
                     Figure6Variant::UdfWithCandidates => "udf-candidates",
@@ -40,7 +41,7 @@ fn figure6(c: &mut Criterion) {
                     Figure6Variant::LoopLifted => "loop-lifted",
                 };
                 group.bench_function(BenchmarkId::new(query.id(), label), |b| {
-                    b.iter(|| w.engine.run_and_discard(&q).unwrap());
+                    b.iter(|| w.engine.execute_and_discard(&plan).unwrap());
                 });
             }
         }

@@ -5,11 +5,18 @@
 //! the shape of the sweep is asserted on work counters by the root
 //! package's `tests/paper_shapes.rs`, and its ratios are rows of the
 //! `benchmark/` ledger.
+//!
+//! Figure 6 times the StandOff *join*. Q6 and Q7 count their steps, and
+//! the production pass list answers a loop-lifted `count(…)` from the
+//! index without joining, so every cell runs the plan of
+//! [`figure6_plan`]: every optimizer pass but `fuse-count`.
 
 use standoff_core::{StandoffConfig, StandoffStrategy};
 use standoff_xmark::queries::XmarkQuery;
 use standoff_xmark::{generate, serialized_size, standoffify, XmarkConfig};
-use standoff_xquery::Engine;
+use standoff_xquery::compile::{resolve, PlanContext};
+use standoff_xquery::optimize::PASSES;
+use standoff_xquery::{Engine, Plan, QueryError};
 
 /// A prepared benchmark workload: one StandOff XMark document loaded into
 /// an engine, with its standard twin for staircase comparisons.
@@ -42,6 +49,20 @@ pub fn prepare_workload(scale: f64) -> Workload {
         engine,
         standard_bytes,
     }
+}
+
+/// `query` compiled under `engine`'s options through every optimizer
+/// pass but `fuse-count`, so its StandOff steps join even under
+/// `count(…)`: the plan a Figure 6 cell times.
+pub fn figure6_plan(engine: &Engine, query: &str) -> Result<Plan, QueryError> {
+    let mut plan = engine.parse(query)?;
+    let ctx = PlanContext::bare(engine.options());
+    resolve(&mut plan, &ctx)?;
+    for pass in PASSES.iter().filter(|p| p.name != "fuse-count") {
+        (pass.run)(&mut plan, &ctx);
+        plan.passes.push(pass.name);
+    }
+    Ok(plan)
 }
 
 /// One column of Figure 6: how the StandOff steps of a query are
@@ -94,6 +115,25 @@ mod tests {
             let count = w.engine.run(&format!(r#"count(doc("{uri}")//*)"#)).unwrap();
             assert!(count.as_strings()[0].parse::<usize>().unwrap() > 100);
         }
+    }
+
+    /// The loop-lifted Q6 cell joins: no operator of its plan is
+    /// counted from the index, and it answers as the production plan.
+    #[test]
+    fn figure6_plans_keep_the_join() {
+        let mut w = prepare_workload(0.001);
+        let q = Figure6Variant::LoopLifted.query_text(XmarkQuery::Q6, SO_URI);
+        let plan = figure6_plan(&w.engine, &q).unwrap();
+        assert!(plan.passes.contains(&"elide") && !plan.passes.contains(&"fuse-count"));
+        let mut counted = false;
+        plan.visit_exprs(&mut |e| {
+            if let standoff_xquery::plan::PlanExpr::StandoffStep { op, .. } = e {
+                counted |= op.count_from_index;
+            }
+        });
+        assert!(!counted);
+        let joined = w.engine.execute_and_discard(&plan).unwrap();
+        assert_eq!(joined, w.engine.run_and_discard(&q).unwrap());
     }
 
     #[test]

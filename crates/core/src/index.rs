@@ -330,11 +330,29 @@ impl RegionIndex {
     /// annotated).
     pub fn regions_of(&self, pre: u32) -> &[Region] {
         match self.node_ids.binary_search(&pre) {
-            Ok(k) => {
-                &self.node_regions[self.node_offsets[k] as usize..self.node_offsets[k + 1] as usize]
-            }
+            Ok(k) => self.regions_at(k),
             Err(_) => &[],
         }
+    }
+
+    /// [`RegionIndex::regions_of`] for pre ranks that mostly ascend, as a
+    /// context's rows do within an iteration: `cursor` is the node-view
+    /// position the previous lookup left, and the search gallops forward
+    /// from it — from the front when `pre` lies behind it.
+    pub fn regions_from(&self, pre: u32, cursor: &mut usize) -> &[Region] {
+        if *cursor > 0 && self.node_ids[*cursor - 1] >= pre {
+            *cursor = 0;
+        }
+        *cursor = crate::join::merge::gallop(&self.node_ids, *cursor, |&id| id < pre);
+        match self.node_ids.get(*cursor) {
+            Some(&id) if id == pre => self.regions_at(*cursor),
+            _ => &[],
+        }
+    }
+
+    /// The regions of the `k`-th annotated node.
+    fn regions_at(&self, k: usize) -> &[Region] {
+        &self.node_regions[self.node_offsets[k] as usize..self.node_offsets[k + 1] as usize]
     }
 
     /// The entries carrying exactly the region `[start, end]`: the equal
@@ -1074,6 +1092,26 @@ mod tests {
         let video = doc.elements_named("video")[0];
         assert_eq!(idx.regions_of(video), &[]);
         assert_eq!(idx.area_of(video), None);
+    }
+
+    /// The cursor lookup answers like the binary search for any order of
+    /// pre ranks: ascending runs, repeats, steps back, unannotated and
+    /// out-of-range ranks.
+    #[test]
+    fn cursor_lookups_match_regions_of() {
+        let (doc, idx) = figure1_index();
+        let last = doc.node_count() as u32 + 3;
+        let mut order: Vec<u32> = (0..last).collect();
+        order.extend((0..last).rev());
+        order.extend([4, 4, 2, 7, 1, last, 0, 5]);
+        let mut cursor = 0;
+        for pre in order {
+            assert_eq!(
+                idx.regions_from(pre, &mut cursor),
+                idx.regions_of(pre),
+                "{pre}"
+            );
+        }
     }
 
     #[test]

@@ -93,7 +93,7 @@ fn tripped(budget: &Option<crate::budget::Budget>) -> bool {
 
 /// Candidates per budget poll inside a merge loop — the 64-entry chunk
 /// [`Budget::poll`](crate::budget::Budget::poll) is priced for.
-const POLL_BLOCK: usize = 64;
+pub(crate) const POLL_BLOCK: usize = 64;
 
 /// Loop-lifted `select-narrow` merge join — Listing 1.
 ///
@@ -333,7 +333,7 @@ fn ll_select_narrow_impl<T: TraceSink>(
 /// First position at or after `from` whose candidate starts at or after
 /// `target` ([`gallop`]).
 #[inline]
-fn gallop_starts(candidates: &[RegionEntry], from: usize, target: i64) -> usize {
+pub(crate) fn gallop_starts(candidates: &[RegionEntry], from: usize, target: i64) -> usize {
     gallop(candidates, from, |c| c.start < target)
 }
 

@@ -30,7 +30,10 @@
 //! [`JoinTarget`] — the candidate side: one layer's document, region
 //! index and candidate restriction — is joined against that table by
 //! [`join_resolved`], as many targets as the unit has, without the
-//! context being looked up or sorted again.
+//! context being looked up or sorted again. A consumer that only counts
+//! the rows — `count`, `exists`, `empty` under loop-lifting — calls
+//! [`count_resolved`] instead, which adds per-iteration counts from the
+//! index without producing rows.
 //!
 //! The merge joins derive their candidate entries through one path —
 //! [`JoinTarget::candidate_entries_in`] →
@@ -48,6 +51,7 @@
 //! and in the query engine above, is a field of the one [`JoinStats`]
 //! declaration.
 
+mod count;
 pub mod merge;
 pub mod naive;
 pub mod post;
@@ -354,6 +358,8 @@ pub struct JoinScratch {
     iters: Vec<u32>,
     single: Vec<CtxEntry>,
     universe: Vec<u32>,
+    /// Per-iteration select counts of [`count_resolved`].
+    selected: Vec<(u32, u64)>,
     merge: merge::MergeScratch,
     /// Candidate-kernel state: dense bitset, budget, counters.
     kernel: CandidateScratch,
@@ -381,8 +387,9 @@ impl JoinScratch {
         let mut first = 0u32;
         for (index, rows) in parts {
             self.ctx.reserve(rows.len());
+            let mut cursor = 0;
             for (k, &IterNode { iter, node }) in rows.iter().enumerate() {
-                for r in index.regions_of(node) {
+                for r in index.regions_from(node, &mut cursor) {
                     self.ctx.push(CtxEntry {
                         iter,
                         node: first + k as u32,
@@ -416,6 +423,7 @@ impl JoinScratch {
             + self.emissions.capacity() * std::mem::size_of::<Emission>()
             + self.single.capacity() * std::mem::size_of::<CtxEntry>()
             + (self.iters.capacity() + self.universe.capacity()) * std::mem::size_of::<u32>()
+            + self.selected.capacity() * std::mem::size_of::<(u32, u64)>()
             + self.kernel.approx_bytes()) as u64
     }
 
@@ -602,6 +610,78 @@ pub fn join_resolved(
         let _ = b.note_scratch(scratch.approx_bytes());
     }
     finish(axis, selected, target, &mut scratch.universe)
+}
+
+/// Count, per iteration, the rows the loop-lifted [`join_resolved`]
+/// returns for one target, adding each iteration's count to
+/// `counts[iter]` (`counts` spans every iteration of the scope).
+///
+/// When every candidate annotation is one region, the rows are never
+/// produced: the candidates are derived as the join derives them, over
+/// the same reach, and counted by interval arithmetic on the
+/// start-clustered table (`count.rs`); a reject axis counts its
+/// iteration's candidate universe minus the select count. Returns
+/// `true` then. A target with multi-region annotations runs the join
+/// and counts its rows, returning `false`. A tripped budget leaves the
+/// counts partial, as the join leaves its rows; the caller surfaces it.
+pub fn count_resolved(
+    axis: StandoffAxis,
+    target: &JoinTarget<'_>,
+    scratch: &mut JoinScratch,
+    counts: &mut [u64],
+) -> bool {
+    if target.index.max_regions() > 1 {
+        let strategy = StandoffStrategy::LoopLiftedMergeJoin;
+        for row in join_resolved(axis, strategy, target, None, scratch) {
+            counts[row.iter as usize] += 1;
+        }
+        return false;
+    }
+    if target.has_no_candidates() {
+        return true;
+    }
+    let select_axis = axis.select_counterpart();
+    let budget = scratch.kernel.budget.clone();
+    let mut selected = std::mem::take(&mut scratch.selected);
+    selected.clear();
+    if !scratch.ctx.is_empty() {
+        let (from, to) = scratch.extent;
+        let reach = match select_axis {
+            StandoffAxis::SelectNarrow => target.index.reach(from, to),
+            _ => target.index.wide_reach(from, to),
+        };
+        let cands = target.candidate_entries_in(reach, &mut scratch.kernel, &mut scratch.cands);
+        // The context table is start-sorted across iterations; the
+        // sweep takes one iteration at a time.
+        scratch.single.clear();
+        scratch.single.extend_from_slice(&scratch.ctx);
+        scratch.single.sort_by_key(|c| c.iter);
+        count::select_counts(
+            select_axis,
+            &scratch.single,
+            cands,
+            target.index.max_extent(),
+            budget.as_ref(),
+            &mut selected,
+        );
+    }
+    if let Some(b) = &budget {
+        let _ = b.note_scratch(scratch.approx_bytes());
+    }
+    if axis.is_select() {
+        for &(iter, n) in &selected {
+            counts[iter as usize] += n;
+        }
+    } else {
+        let universe = target.candidate_universe_in(&mut scratch.universe).len() as u64;
+        let mut taken = selected.iter().peekable();
+        for &iter in target.iter_domain {
+            let n = taken.next_if(|&&(i, _)| i == iter).map_or(0, |&(_, n)| n);
+            counts[iter as usize] += universe - n;
+        }
+    }
+    scratch.selected = selected;
+    true
 }
 
 /// The select result itself, or — for the reject axes — its complement

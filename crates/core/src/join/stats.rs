@@ -107,6 +107,9 @@ join_counters! {
     /// compared (Figures 2 and 3): their work, as the reach entries are
     /// the merge joins'.
     naive_pairs: "pairs={}" nonzero,
+    /// Target layers a `count`, `exists` or `empty` was answered for
+    /// from the index, without producing the join's rows.
+    counts_from_index: "from-index={}" nonzero,
 }
 
 impl JoinStats {
@@ -130,11 +133,12 @@ mod tests {
             ..JoinStats::default()
         };
         let pairs: Vec<(&str, u64)> = stats.counters().map(|(c, v)| (c.name, v)).collect();
-        assert_eq!(pairs.len(), 13);
+        assert_eq!(pairs.len(), 14);
         assert_eq!(pairs[0], ("candidate_node_view", 1));
         assert_eq!(pairs[8], ("candidate_dense_blocks", 8));
         assert_eq!(pairs[11], ("candidate_reach_entries", 0));
         assert_eq!(pairs[12], ("naive_pairs", 0));
+        assert_eq!(pairs[13], ("counts_from_index", 0));
         let mut sum = stats;
         sum.merge(stats);
         assert_eq!(sum.candidate_dense_blocks, 16);

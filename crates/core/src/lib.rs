@@ -56,8 +56,8 @@ pub use crc::{crc32, Crc32};
 pub use error::StandoffError;
 pub use index::{CandidateKernel, CandidateScratch, IndexStats, RegionEntry, RegionIndex};
 pub use join::{
-    evaluate_standoff_join, evaluate_standoff_join_with, join_resolved, IterNode, JoinCounter,
-    JoinInput, JoinScratch, JoinStats, JoinTarget, StandoffAxis, StandoffStrategy,
+    count_resolved, evaluate_standoff_join, evaluate_standoff_join_with, join_resolved, IterNode,
+    JoinCounter, JoinInput, JoinScratch, JoinStats, JoinTarget, StandoffAxis, StandoffStrategy,
 };
 pub use obs::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use region::{Area, Region};

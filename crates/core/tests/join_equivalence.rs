@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use standoff_core::join::merge::ll_select_wide;
-use standoff_core::join::{evaluate_standoff_join_with, CtxEntry, JoinScratch};
+use standoff_core::join::{count_resolved, evaluate_standoff_join_with, CtxEntry, JoinScratch};
 use standoff_core::{
     evaluate_standoff_join, IterNode, JoinInput, JoinStats, RegionEntry, RegionIndex, StandoffAxis,
     StandoffStrategy,
@@ -122,6 +122,23 @@ fn assert_strategies_agree(input: &JoinInput<'_>, what: &dyn std::fmt::Debug) ->
                 input.context, input.candidates
             );
         }
+        // The counted form adds, per iteration, the oracle's row count.
+        let iters = input.context.iter().map(|r| r.iter);
+        let n = iters.chain(input.iter_domain.iter().copied()).max();
+        let mut expected = vec![0u64; n.map_or(0, |n| n as usize + 1)];
+        for row in &oracle {
+            expected[row.iter as usize] += 1;
+        }
+        let mut counts = vec![0u64; expected.len()];
+        lifted.resolve_context([(input.context_index(), input.context)]);
+        let from_index = count_resolved(axis, &input.target(), &mut lifted, &mut counts);
+        assert_eq!(from_index, input.index.max_regions() <= 1);
+        assert_eq!(
+            counts, expected,
+            "{axis} counted diverges from the naive oracle\n{what:?}\n\
+             context: {:?}\ncandidates: {:?}",
+            input.context, input.candidates
+        );
     }
     lifted.take_stats()
 }

@@ -110,6 +110,9 @@ pub(crate) struct MetricHandles {
     /// Executions whose join targets were not the layers the plan line
     /// named (`layers: …; result: …`) — see [`crate::eval`].
     pub(crate) claim_mismatch_result_merge: Counter,
+    /// Target layers a plan line said were counted from the index
+    /// (`count: from index`) that fell back to counting join rows.
+    pub(crate) claim_mismatch_count: Counter,
 }
 
 impl MetricHandles {
@@ -125,6 +128,7 @@ impl MetricHandles {
                 .map(|c| registry.counter(&format!("join.{}", c.name)))
                 .collect(),
             claim_mismatch_result_merge: registry.counter("plan.claim_mismatch.result_merge"),
+            claim_mismatch_count: registry.counter("plan.claim_mismatch.count"),
         }
     }
 
@@ -857,8 +861,15 @@ impl Engine {
     /// so repeated runs neither pay serialization costs nor accumulate
     /// constructed results in the store.
     pub fn run_and_discard(&mut self, query: &str) -> Result<usize, QueryError> {
+        let plan = compile::compile(parse_query(query)?, &self.state.plan_context())?;
+        self.execute_and_discard(&plan)
+    }
+
+    /// [`Engine::run_and_discard`] for a plan compiled elsewhere — a
+    /// harness that times the plan of a filtered pass list, say.
+    pub fn execute_and_discard(&mut self, plan: &Plan) -> Result<usize, QueryError> {
         let docs_before = self.state.store.len();
-        let result = self.state.run(query);
+        let result = self.state.execute_plan(plan);
         self.state.store.truncate(docs_before);
         self.state.drop_cache_from(docs_before);
         result.map(|r| r.len())

@@ -326,12 +326,22 @@ impl Evaluator<'_> {
             }
         }
 
-        // Aggregates that need no rows: the argument's `iter` column
-        // answers them, and a step hands that over without building
-        // items.
+        // Aggregates that need no rows: a StandOff operator the plan
+        // stamped counts them from the index; otherwise the argument's
+        // `iter` column answers them, and a step hands that over without
+        // building items.
         if let ([arg], "count" | "exists" | "empty") = (args, local) {
-            let iters = self.eval_iters(arg)?;
-            return Ok(functions::aggregate_rows(local, self.n_iters(), &iters));
+            let counts = match self.eval_counts(arg) {
+                Some(counts) => counts?,
+                None => {
+                    let mut counts = vec![0u64; self.n_iters() as usize];
+                    for iter in self.eval_iters(arg)? {
+                        counts[iter as usize] += 1;
+                    }
+                    counts
+                }
+            };
+            return Ok(functions::aggregate_rows(local, &counts));
         }
 
         let mut arg_tables = Vec::with_capacity(args.len());

@@ -67,6 +67,14 @@ impl Rows for NodeTable {
     }
 }
 
+/// Per-iteration row counts of an operator counted from the index: it
+/// stands for as many rows as it counted.
+impl Rows for Vec<u64> {
+    fn rows(&self) -> usize {
+        self.iter().sum::<u64>() as usize
+    }
+}
+
 /// One scope of the loop-lifting frame stack.
 struct Frame {
     /// Number of iterations of this scope.

@@ -1,11 +1,12 @@
 //! StandOff joins: the axis steps and the function form, split into
-//! join units and joined one kernel call per answering layer.
+//! join units and joined — or, under a stamped `count`, counted — one
+//! kernel call per answering layer.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use standoff_algebra::{LlSeq, NodeTable, NodeTest, TreeAxis};
-use standoff_core::join::{join_resolved, JoinScratch, JoinTarget};
+use standoff_core::join::{count_resolved, join_resolved, JoinScratch, JoinTarget};
 use standoff_core::{IterNode, RegionIndex};
 use standoff_xml::{DocId, NodeRef};
 
@@ -26,6 +27,15 @@ use crate::profile::JoinExec;
 struct JoinUnit {
     group: Option<u32>,
     contexts: Vec<(DocId, Vec<IterNode>)>,
+}
+
+/// Where a join delivers each target layer: its `(iter, pre)`-sorted
+/// run, or — for an operator stamped `count_from_index` — its rows'
+/// count per iteration of the scope, added up across targets (nodes of
+/// different layers are distinct).
+enum JoinSink<'a> {
+    Runs(&'a mut Vec<(DocId, Vec<IterNode>)>),
+    Counts(&'a mut [u64]),
 }
 
 impl Evaluator<'_> {
@@ -77,19 +87,44 @@ impl Evaluator<'_> {
         self.engine.region_index(doc, &config)
     }
 
+    /// A StandOff operator the plan stamped `count_from_index`, as its
+    /// row count per iteration of the scope — metered like the operator
+    /// it stands for, so governance charges the rows it counted. `None`
+    /// for any other operator.
+    pub(super) fn eval_counts(&mut self, expr: &PlanExpr) -> Option<Result<Vec<u64>, QueryError>> {
+        let key = expr as *const PlanExpr as usize;
+        match expr {
+            PlanExpr::StandoffStep { input, op, .. } if op.count_from_index => {
+                Some(self.metered(expr, |ev| {
+                    let ctx = ev.context_nodes(input.as_deref())?;
+                    ev.count_standoff_join(&ctx, op, None, key)
+                }))
+            }
+            PlanExpr::StandoffFn {
+                op,
+                ctx,
+                candidates,
+            } if op.count_from_index => Some(self.metered(expr, |ev| {
+                let ctx_nodes = ev.eval_nodes(ctx)?;
+                let cands = candidates
+                    .as_deref()
+                    .map(|c| ev.eval_nodes(c))
+                    .transpose()?;
+                ev.count_standoff_join(&ctx_nodes, op, cands.as_ref(), key)
+            })),
+            _ => None,
+        }
+    }
+
     /// Evaluate one StandOff join operator under the *plan-annotated*
     /// strategy and candidate pushdown — decided at plan time, not here;
     /// an explicit candidate node sequence (the built-in function form,
     /// Figure 3) overrides the name-test pushdown.
     ///
-    /// The context splits into join units ([`JoinUnit`]). Per unit, the
-    /// context rows of all its documents are resolved to region entries
-    /// and sorted once, and joined in one kernel call into each
-    /// layer that can answer the step ([`answering_layers`]). Every call
-    /// returns its layer's rows `(iter, pre)`-sorted and layers are
-    /// visited in document order, so the result is one such run as it
-    /// is, or a k-way merge of several ([`NodeTable::from_runs`]) —
-    /// never a sort.
+    /// Every answering layer's join returns its rows `(iter, pre)`-sorted
+    /// and layers are visited in document order ([`Self::join_targets`]),
+    /// so the result is one such run as it is, or a k-way merge of
+    /// several ([`NodeTable::from_runs`]) — never a sort.
     fn eval_standoff_join(
         &mut self,
         ctx: &NodeTable,
@@ -98,6 +133,79 @@ impl Evaluator<'_> {
         explicit_candidates: Option<&NodeTable>,
         prof_key: usize,
     ) -> Result<NodeTable, QueryError> {
+        let mut runs: Vec<(DocId, Vec<IterNode>)> = Vec::new();
+        let mut exec =
+            self.join_targets(ctx, op, explicit_candidates, &mut JoinSink::Runs(&mut runs))?;
+        let out = NodeTable::from_runs(&runs, |row| (row.iter, row.node));
+        if runs.len() > 1 {
+            exec.stats.result_merges += 1;
+        } else {
+            exec.stats.result_sorts_elided += 1;
+        }
+        // The runs and the table merged from them are join memory like
+        // the kernel buffers: one scratch cap covers all of it.
+        if let Some(b) = &self.engine.budget {
+            let run_rows: usize = runs.iter().map(|(_, run)| run.capacity()).sum();
+            let held = run_rows * std::mem::size_of::<IterNode>()
+                + out.len() * (std::mem::size_of::<u32>() + std::mem::size_of::<NodeRef>());
+            b.note_scratch(self.engine.join_scratch.approx_bytes() + held as u64)?;
+        }
+        self.record_join(op, exec, prof_key);
+        // Post-filter with the node test — unless the plan proved the
+        // test is guaranteed by the join itself (pushed-down name test,
+        // kind-only test over element output): then the §3.2 trailing
+        // `/self::name` step is pure overhead and is elided. The
+        // unoptimized reference plan never sets the flag and keeps
+        // the literal trailing step.
+        if op.test_guaranteed {
+            return Ok(out);
+        }
+        Ok(standoff_algebra::staircase::ll_step(
+            &self.engine.store,
+            &out,
+            TreeAxis::SelfAxis,
+            test,
+        ))
+    }
+
+    /// [`Self::eval_standoff_join`] for an operator stamped
+    /// `count_from_index`: per iteration of the scope, how many rows the
+    /// join would return. No rows are assembled, so neither a result
+    /// merge nor an elided sort is counted.
+    fn count_standoff_join(
+        &mut self,
+        ctx: &NodeTable,
+        op: &StandoffOp,
+        explicit_candidates: Option<&NodeTable>,
+        prof_key: usize,
+    ) -> Result<Vec<u64>, QueryError> {
+        let mut counts = vec![0u64; self.n_iters() as usize];
+        let exec = self.join_targets(
+            ctx,
+            op,
+            explicit_candidates,
+            &mut JoinSink::Counts(&mut counts),
+        )?;
+        if let Some(b) = &self.engine.budget {
+            let held = counts.capacity() * std::mem::size_of::<u64>();
+            b.note_scratch(self.engine.join_scratch.approx_bytes() + held as u64)?;
+        }
+        self.record_join(op, exec, prof_key);
+        Ok(counts)
+    }
+
+    /// Split the context into join units ([`JoinUnit`]). Per unit, the
+    /// context rows of all its documents are resolved to region entries
+    /// and sorted once, then joined in one kernel call into each layer
+    /// that can answer the step ([`answering_layers`]), delivering into
+    /// `sink`. Returns what the join did, for [`Self::record_join`].
+    fn join_targets(
+        &mut self,
+        ctx: &NodeTable,
+        op: &StandoffOp,
+        explicit_candidates: Option<&NodeTable>,
+        sink: &mut JoinSink<'_>,
+    ) -> Result<JoinExec, QueryError> {
         let units = self.join_units(ctx);
         // Explicit candidates, bucketed per document like the context.
         let cand_buckets = explicit_candidates.map(|cands| {
@@ -123,9 +231,6 @@ impl Evaluator<'_> {
         // Governance handle for the scan/merge kernels, so a deadline
         // or cancellation interrupts the join mid-kernel.
         scratch.set_budget(self.engine.budget.clone());
-        // One `(iter, pre)`-sorted run per target layer joined, in
-        // document order: units ascend, and so do a unit's layers.
-        let mut runs: Vec<(DocId, Vec<IterNode>)> = Vec::new();
         let joined = units.iter().try_for_each(|unit| {
             self.join_unit(
                 unit,
@@ -133,7 +238,7 @@ impl Evaluator<'_> {
                 cand_buckets.as_ref(),
                 &mut scratch,
                 &mut exec,
-                &mut runs,
+                sink,
             )
         });
         // Fold the kernel counters (dense scans, branch-free blocks)
@@ -144,33 +249,18 @@ impl Evaluator<'_> {
         exec.stats.merge(scratch.take_stats());
         self.engine.join_scratch = scratch;
         joined?;
-        let out = NodeTable::from_runs(&runs, |row| (row.iter, row.node));
-        if runs.len() > 1 {
-            exec.stats.result_merges += 1;
-        } else {
-            exec.stats.result_sorts_elided += 1;
-        }
-        // The runs and the table merged from them are join memory like
-        // the kernel buffers: one scratch cap covers all of it.
-        if let Some(b) = &self.engine.budget {
-            let run_rows: usize = runs.iter().map(|(_, run)| run.capacity()).sum();
-            let held = run_rows * std::mem::size_of::<IterNode>()
-                + out.len() * (std::mem::size_of::<u32>() + std::mem::size_of::<NodeRef>());
-            b.note_scratch(self.engine.join_scratch.approx_bytes() + held as u64)?;
-        }
-        // Post-filter with the node test — unless the plan proved the
-        // test is guaranteed by the join itself (pushed-down name test,
-        // kind-only test over element output): then the §3.2 trailing
-        // `/self::name` step is pure overhead and is elided. The
-        // unoptimized reference plan never sets the flag and keeps
-        // the literal trailing step.
+        Ok(exec)
+    }
+
+    /// The single fold point of one join's counters: the registry's
+    /// `join.*` counters and — when profiling — the operator's
+    /// [`JoinExec`] detail.
+    fn record_join(&mut self, op: &StandoffOp, mut exec: JoinExec, prof_key: usize) {
         if op.test_guaranteed {
             exec.stats.post_filters_elided += 1;
         } else {
             exec.stats.post_filters += 1;
         }
-        // Single fold point: the registry's `join.*` counters and —
-        // when profiling — the operator's JoinExec detail.
         self.engine.handles.record_join(&exec.stats);
         if let Some(p) = self.profile.as_deref_mut() {
             p.op_mut(prof_key)
@@ -178,15 +268,6 @@ impl Evaluator<'_> {
                 .get_or_insert_with(JoinExec::default)
                 .merge(&exec);
         }
-        if op.test_guaranteed {
-            return Ok(out);
-        }
-        Ok(standoff_algebra::staircase::ll_step(
-            &self.engine.store,
-            &out,
-            TreeAxis::SelfAxis,
-            test,
-        ))
     }
 
     /// Split a join's context into its [`JoinUnit`]s, ascending by
@@ -239,7 +320,7 @@ impl Evaluator<'_> {
     }
 
     /// Join one unit: resolve its context once, then one kernel call per
-    /// answering layer, each appending its run to `runs`.
+    /// answering layer, each delivering into `sink`.
     fn join_unit(
         &mut self,
         unit: &JoinUnit,
@@ -247,7 +328,7 @@ impl Evaluator<'_> {
         cand_buckets: Option<&HashMap<DocId, Vec<u32>>>,
         scratch: &mut JoinScratch,
         exec: &mut JoinExec,
-        runs: &mut Vec<(DocId, Vec<IterNode>)>,
+        sink: &mut JoinSink<'_>,
     ) -> Result<(), QueryError> {
         // Per-unit chokepoint: between fragments is the coarse place a
         // governed join re-reads the clock eagerly.
@@ -319,8 +400,22 @@ impl Evaluator<'_> {
                 candidates,
                 iter_domain: &iter_domain,
             };
-            let run = join_resolved(op.axis, op.strategy, &input, None, scratch);
-            runs.push((target, run));
+            match sink {
+                JoinSink::Runs(runs) => {
+                    let run = join_resolved(op.axis, op.strategy, &input, None, scratch);
+                    runs.push((target, run));
+                }
+                JoinSink::Counts(counts) => {
+                    if count_resolved(op.axis, &input, scratch, counts) {
+                        exec.stats.counts_from_index += 1;
+                    } else if op.claims_index_count() {
+                        // The plan said `count: from index`, but this
+                        // layer's annotations are multi-region now: a
+                        // write reshaped it after the plan was made.
+                        engine.handles.claim_mismatch_count.inc();
+                    }
+                }
+            }
         }
         Ok(())
     }

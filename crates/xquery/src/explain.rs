@@ -170,31 +170,35 @@ fn standoff_note(op: &StandoffOp, explicit_candidates: bool) -> String {
     // What will happen to the result, for a context inside a mounted
     // layer group (a lone document is its own single target): every
     // answering layer's output leaves the kernel `(iter, pre)`-sorted,
-    // so one is emitted as it is and several are merged. The evaluator
-    // holds each execution against this line (`eval_standoff_join`).
+    // so one is emitted as it is and several are merged. An operator
+    // only counted is answered from the index where its layers hold
+    // single-region annotations, and by counting the join's rows
+    // elsewhere. The evaluator holds each execution against this line
+    // (`eval_standoff_join`, `count_standoff_join`).
     if let Some(est) = &op.estimate {
-        match &est.layers {
-            None => note.push_str("; result: one run per layer of the candidate sequence"),
-            Some(groups) => {
-                for (k, g) in groups.iter().enumerate() {
-                    note.push_str(if k == 0 { "; layers: " } else { " | " });
-                    if groups.len() > 1 {
-                        let _ = write!(note, "{}: ", g.uri);
-                    }
-                    let names = if g.answering.is_empty() {
-                        "none".to_string()
-                    } else {
-                        g.answering.join(", ")
-                    };
-                    let _ = write!(note, "{names} ({} of {})", g.answering.len(), g.members);
-                }
-                match groups.iter().map(|g| g.answering.len()).max() {
-                    Some(k) if k > 1 => {
-                        let _ = write!(note, "; result: k-way merge ({k})");
-                    }
-                    _ => note.push_str("; result: direct"),
-                }
+        for (k, g) in est.layers.iter().flatten().enumerate() {
+            note.push_str(if k == 0 { "; layers: " } else { " | " });
+            if est.layers.as_ref().is_some_and(|groups| groups.len() > 1) {
+                let _ = write!(note, "{}: ", g.uri);
             }
+            let names = if g.answering.is_empty() {
+                "none".to_string()
+            } else {
+                g.answering.join(", ")
+            };
+            let _ = write!(note, "{names} ({} of {})", g.answering.len(), g.members);
+        }
+        let widest = (est.layers.iter().flatten())
+            .map(|g| g.answering.len())
+            .max();
+        match (&est.layers, widest) {
+            _ if op.claims_index_count() => note.push_str("; count: from index"),
+            _ if op.count_from_index => note.push_str("; count: from join rows"),
+            (None, _) => note.push_str("; result: one run per layer of the candidate sequence"),
+            (Some(_), Some(k)) if k > 1 => {
+                let _ = write!(note, "; result: k-way merge ({k})");
+            }
+            _ => note.push_str("; result: direct"),
         }
     }
     let _ = write!(

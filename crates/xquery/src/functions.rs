@@ -323,18 +323,20 @@ pub(crate) fn call_builtin(
 
 // ---- helpers ----
 
-/// `count`, `exists` or `empty` of a sequence whose `iter` column is
-/// `iters`, for every one of the scope's `n` iterations. The evaluator
-/// calls this with the column alone (`Evaluator::eval_iters`), so a
-/// counted step never builds its items.
-pub(crate) fn aggregate_rows(name: &str, n: u32, iters: &[u32]) -> LlSeq {
-    let item = |rows: i64| match name {
-        "count" => Item::Integer(rows),
+/// `count`, `exists` or `empty` of a sequence with `counts[i]` rows in
+/// iteration `i`, for every iteration of the scope. The evaluator takes
+/// the counts from an argument's `iter` column
+/// (`Evaluator::eval_iters`), or from the index for an operator the
+/// plan stamped `count_from_index`, so a counted step never builds its
+/// items.
+pub(crate) fn aggregate_rows(name: &str, counts: &[u64]) -> LlSeq {
+    let item = |&rows: &u64| match name {
+        "count" => Item::Integer(rows as i64),
         "exists" => Item::Boolean(rows > 0),
         _ => Item::Boolean(rows == 0),
     };
-    let counts = standoff_algebra::rows_per_iter(iters, n);
-    LlSeq::from_columns((0..n).collect(), counts.into_iter().map(item).collect())
+    let n = counts.len() as u32;
+    LlSeq::from_columns((0..n).collect(), counts.iter().map(item).collect())
 }
 
 /// Per-iteration mapping producing zero-or-one item per iteration.

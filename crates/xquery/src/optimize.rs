@@ -39,7 +39,14 @@
 //! 6. **elide** — proves, per StandOff operator, whether the trailing
 //!    `self::test` post-filter is redundant (the `elide` function
 //!    states the rules).
-//! 7. **estimate** — resolves, for every StandOff operator, the layers
+//! 7. **fuse-count** — stamps a StandOff operator that is the sole
+//!    argument of `count`, `exists` or `empty`, runs the loop-lifted
+//!    merge join, has no predicates and a guaranteed node test
+//!    ([`StandoffOp::count_from_index`]): the evaluator then counts its
+//!    rows per iteration from the index instead of producing them — an
+//!    aggregate under loop-lifting is a grouping on `iter` (§4.5). Runs
+//!    after `elide`, whose guarantee it reads.
+//! 8. **estimate** — resolves, for every StandOff operator, the layers
 //!    of each mounted group that can answer it (the function execution
 //!    resolves them with) and attaches their region-index statistics
 //!    and the pushed name's candidate counts for explain output. Purely
@@ -73,7 +80,7 @@ pub struct Pass {
 /// The pass list, in execution order. The `estimate` pass runs only
 /// when the context asks for explain-grade estimates
 /// ([`PlanContext::estimates`]); the others always run.
-pub const PASSES: [Pass; 7] = [
+pub const PASSES: [Pass; 8] = [
     Pass {
         name: "const-fold",
         run: const_fold,
@@ -97,6 +104,10 @@ pub const PASSES: [Pass; 7] = [
     Pass {
         name: "elide",
         run: elide,
+    },
+    Pass {
+        name: "fuse-count",
+        run: fuse_count,
     },
     Pass {
         name: ESTIMATE,
@@ -847,7 +858,7 @@ fn scan_children_with_binders(
     }
 }
 
-// ================= passes 5–7: StandOff operator annotation =================
+// ================= passes 5–8: StandOff operator annotation =================
 
 /// Visit every StandOff join operator with its node test (`None` for
 /// the built-in function form) and whether it takes an explicit
@@ -922,6 +933,28 @@ fn elide(plan: &mut Plan, _: &PlanContext<'_>) {
                 _ => false,
             },
         };
+    });
+}
+
+/// Stamp [`StandoffOp::count_from_index`] on every operator whose rows
+/// only `count`, `exists` or `empty` read: their sole argument, under
+/// the loop-lifted strategy, with no predicate and no post-filter to
+/// run on the rows.
+fn fuse_count(plan: &mut Plan, _: &PlanContext<'_>) {
+    plan.for_each_root_mut(|root| {
+        root.rewrite_bottom_up(&mut |e| {
+            let PlanExpr::BuiltinCall { name, args } = e else {
+                return;
+            };
+            let op = match args.as_mut_slice() {
+                [PlanExpr::StandoffStep { op, predicates, .. }] if predicates.is_empty() => op,
+                [PlanExpr::StandoffFn { op, .. }] => op,
+                _ => return,
+            };
+            op.count_from_index = matches!(local_name(name), "count" | "exists" | "empty")
+                && op.strategy == StandoffStrategy::LoopLiftedMergeJoin
+                && op.test_guaranteed;
+        })
     });
 }
 
@@ -1050,6 +1083,47 @@ mod tests {
             panic!("expected standoff step");
         };
         assert_eq!(op.pushdown, None);
+    }
+
+    /// The operator `count`, `exists` or `empty` reads, if the plan
+    /// body is one such call over a StandOff operator.
+    fn counted(q: &str, strategy: StandoffStrategy) -> bool {
+        let options = EngineOptions {
+            strategy,
+            ..EngineOptions::default()
+        };
+        let plan = compile(parse_query(q).unwrap(), &PlanContext::bare(&options)).unwrap();
+        let PlanExpr::BuiltinCall { args, .. } = &plan.body else {
+            panic!("expected a call, got {:?}", plan.body);
+        };
+        match &args[..] {
+            [PlanExpr::StandoffStep { op, .. } | PlanExpr::StandoffFn { op, .. }] => {
+                op.count_from_index
+            }
+            other => panic!("expected a StandOff operator, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stamps_counts_only_where_rows_go_unread() {
+        let ll = StandoffStrategy::LoopLiftedMergeJoin;
+        for q in [
+            "count(//a/select-narrow::b)",
+            "exists(//a/reject-wide::*)",
+            "fn:empty(//a/select-wide::node())",
+            "count(select-narrow(//a, //b))",
+        ] {
+            assert!(counted(q, ll), "{q}");
+        }
+        for q in [
+            "count(//a/select-narrow::b[@k])",
+            "count(//a/select-narrow::text())",
+            "string(//a/select-narrow::b)",
+        ] {
+            assert!(!counted(q, ll), "{q}");
+        }
+        let basic = StandoffStrategy::BasicMergeJoin;
+        assert!(!counted("count(//a/select-narrow::b)", basic));
     }
 
     #[test]

@@ -152,6 +152,13 @@ pub struct StandoffOp {
     /// unoptimized reference path leaves it `false` and keeps the
     /// literal behavior.
     pub test_guaranteed: bool,
+    /// The operator is the sole argument of `count`, `exists` or
+    /// `empty`, so only its row count per iteration is needed: the
+    /// evaluator counts it from the index instead of joining
+    /// ([`standoff_core::count_resolved`]). Set by the optimizer's
+    /// `fuse-count` pass on loop-lifted, predicate-free operators whose
+    /// node test is guaranteed.
+    pub count_from_index: bool,
     /// Optimizer cardinality estimate, when corpus statistics were
     /// available at compile time.
     pub estimate: Option<Box<JoinEstimate>>,
@@ -167,8 +174,17 @@ impl StandoffOp {
             strategy,
             pushdown: None,
             test_guaranteed: false,
+            count_from_index: false,
             estimate: None,
         }
+    }
+
+    /// Does the plan line say `count: from index`? It does for a
+    /// counted operator whose estimate found no multi-region annotation
+    /// in the layers it reaches; the evaluator counts each target that
+    /// then falls back to the join as a broken claim.
+    pub fn claims_index_count(&self) -> bool {
+        self.count_from_index && (self.estimate.as_ref()).is_some_and(|e| e.index.max_regions <= 1)
     }
 }
 

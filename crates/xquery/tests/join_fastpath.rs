@@ -41,15 +41,17 @@ const FIXTURE: &str = r#"<doc>
 </doc>"#;
 
 /// A pushdown-guaranteed step: no trailing self-axis pass, no result
-/// sort — asserted via the runtime counters, not timing.
+/// sort — asserted via the runtime counters, not timing. The step is
+/// bare: under `count(…)` its rows would be counted from the index, not
+/// assembled.
 #[test]
 fn pushdown_guaranteed_step_elides_post_filter_and_sort() {
     let mut engine = region_engine(FIXTURE, EngineOptions::default());
     let stats = join_delta(&mut engine, |engine| {
         let result = engine
-            .run(r#"count(doc("d.xml")//place/select-narrow::w)"#)
+            .run(r#"doc("d.xml")//place/select-narrow::w"#)
             .unwrap();
-        assert_eq!(result.as_strings(), ["4"]);
+        assert_eq!(result.len(), 4);
     });
     assert!(stats["post_filters_elided"] > 0, "{stats:?}");
     assert_eq!(stats["post_filters"], 0, "{stats:?}");
@@ -148,7 +150,9 @@ fn candidate_access_path_counters() {
 }
 
 /// A context over several documents yields one sorted run per document:
-/// the result is their merge, still never a sort.
+/// the result is their merge, still never a sort. Counted, the same two
+/// units assemble no rows: nothing is merged, each target is counted
+/// from the index.
 #[test]
 fn cross_document_context_merges_its_runs() {
     let mut engine = Engine::new();
@@ -165,13 +169,9 @@ fn cross_document_context_merges_its_runs() {
         )
         .unwrap();
     // Two documents in one context sequence → two join units.
+    let step = r#"(doc("tokens.xml")//w, doc("entities.xml")//place)/select-wide::node()"#;
     let stats = join_delta(&mut engine, |engine| {
-        engine
-            .run(
-                r#"count((doc("tokens.xml")//w, doc("entities.xml")//place)
-                     /select-wide::node())"#,
-            )
-            .unwrap();
+        assert_eq!(engine.run(step).unwrap().len(), 3);
     });
     assert_eq!(
         (
@@ -180,6 +180,19 @@ fn cross_document_context_merges_its_runs() {
             stats["result_sorts_elided"]
         ),
         (1, 0, 0),
+        "{stats:?}"
+    );
+    let stats = join_delta(&mut engine, |engine| {
+        let counted = engine.run(&format!("count({step})")).unwrap();
+        assert_eq!(counted.as_strings(), ["3"]);
+    });
+    assert_eq!(
+        (
+            stats["result_merges"],
+            stats["result_sorts_elided"],
+            stats["counts_from_index"]
+        ),
+        (0, 0, 2),
         "{stats:?}"
     );
 }

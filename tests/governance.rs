@@ -125,6 +125,52 @@ fn result_cap_error_is_identical_across_all_strategies() {
     }
 }
 
+/// A counted step is charged the rows it counted, at its own operator
+/// boundary, so a result cap trips on it exactly as on the join it
+/// replaces: the same `ResultLimit` through the production pass list
+/// and through that list without `fuse-count`. The cap sits above the
+/// prefix (a `doc()` and one `s`) and below the fifty `w` rows.
+#[test]
+fn counted_step_trips_the_result_cap_like_the_join() {
+    use standoff::xquery::compile::{resolve, PlanContext};
+    use standoff::xquery::optimize::PASSES;
+    let mut xml = String::from(r#"<d><s start="0" end="999"/>"#);
+    for k in 0..50 {
+        xml.push_str(&format!(r#"<w start="{}" end="{}"/>"#, 10 * k, 10 * k + 5));
+    }
+    xml.push_str("</d>");
+    let query = r#"count(doc("c.xml")//s/select-narrow::w)"#;
+    let mut engine = Engine::new();
+    engine.load_document("c.xml", &xml).unwrap();
+    assert_eq!(engine.run(query).unwrap().as_strings(), ["50"]);
+    let counted = engine.metrics().snapshot().counters["join.counts_from_index"];
+    assert_eq!(counted, 1);
+
+    let cap = BudgetLimits {
+        max_results: Some(20),
+        ..BudgetLimits::default()
+    };
+    engine.set_budget(budget(cap));
+    let production = engine.run(query).unwrap_err();
+    assert!(
+        matches!(production, QueryError::ResultLimit(_)),
+        "{production:?}"
+    );
+
+    let mut plan = engine.parse(query).unwrap();
+    let ctx = PlanContext::bare(engine.options());
+    resolve(&mut plan, &ctx).unwrap();
+    for pass in PASSES.iter().filter(|p| p.name != "fuse-count") {
+        (pass.run)(&mut plan, &ctx);
+    }
+    engine.set_budget(None);
+    assert_eq!(engine.execute_and_discard(&plan).unwrap(), 1);
+    engine.set_budget(budget(cap));
+    assert_eq!(engine.execute_and_discard(&plan).unwrap_err(), production);
+    let counters = engine.metrics().snapshot().counters;
+    assert_eq!(counters["join.counts_from_index"], 2, "{counters:?}");
+}
+
 #[test]
 fn cancellation_is_clean_across_all_strategies() {
     for strategy in StandoffStrategy::ALL {
@@ -257,7 +303,9 @@ fn scratch_cap_sees_the_join_runs_and_the_merged_result() {
 /// 64-candidate block: a `select-wide` self-join of a generated dense
 /// layer — every `w` overlaps the next hundred — fails with `Timeout`
 /// (the `timeout` category `serve` replies with) under a 1 ms deadline,
-/// whichever merge-join strategy runs it, and answers ungoverned.
+/// whichever merge-join strategy runs it, and answers ungoverned. The
+/// step is bare: under `count(…)` the loop-lifted join would be counted
+/// from the index, inside the deadline.
 #[test]
 fn deadline_interrupts_select_wide_over_a_dense_layer() {
     use standoff::core::StandoffConfig;
@@ -277,7 +325,7 @@ fn deadline_interrupts_select_wide_over_a_dense_layer() {
         StandoffConfig::default(),
     )
     .unwrap();
-    let query = r#"count(layer("g", "tokens")//w/select-wide::w)"#;
+    let query = r#"layer("g", "tokens")//w/select-wide::w"#;
     for strategy in [
         StandoffStrategy::LoopLiftedMergeJoin,
         StandoffStrategy::BasicMergeJoin,
@@ -285,10 +333,7 @@ fn deadline_interrupts_select_wide_over_a_dense_layer() {
         let mut engine = Engine::new();
         engine.mount_store(set.clone()).unwrap();
         engine.set_strategy(strategy);
-        assert_eq!(
-            engine.run(query).unwrap().as_strings(),
-            [TOKENS.to_string()]
-        );
+        assert_eq!(engine.run(query).unwrap().len(), TOKENS);
         engine.set_budget(budget(BudgetLimits {
             deadline: Some(Duration::from_millis(1)),
             ..BudgetLimits::default()

@@ -14,7 +14,8 @@
 //!
 //! **Queries** are a context × the four axes × {name test, `*`,
 //! `node()`} in step form, flat and per iteration of a `for`, and the
-//! function form with an explicit candidate sequence; then tree
+//! function form with an explicit candidate sequence, each also under
+//! `count`, `exists` and `empty`; then tree
 //! navigation from the same context along the horizontal and upward
 //! axes, and whole layers serialized. A second property puts point
 //! contexts over a dense token layer, where the narrow joins read only
@@ -25,14 +26,20 @@
 //! engine on the pure mount; a `WritableEngine` that received the
 //! pending inserts and retracts one batch per op — retracts of pending
 //! inserts among them — under every strategy that takes candidates; and
-//! the set compacted in one go.
+//! the set compacted in one go. The pure mount and the loop-lifted
+//! writer answer twice: through the production pass list, which counts
+//! an aggregated step from the index, and through that list without
+//! `fuse-count`, which joins and counts the rows.
 
 use proptest::prelude::*;
 
 use standoff::core::{StandoffConfig, StandoffStrategy};
 use standoff::store::{compact, DeltaOp, DeltaSet, LayerSet};
 use standoff::xml::{parse_document, serialize_document, SerializeOptions};
-use standoff::xquery::{Engine, EngineOptions, QueryError, QueryResult, WritableEngine};
+use standoff::xquery::compile::{resolve, PlanContext};
+use standoff::xquery::optimize::PASSES;
+use standoff::xquery::parser::parse_query;
+use standoff::xquery::{Engine, EngineOptions, QueryError, QueryResult, Session, WritableEngine};
 
 const URI: &str = "mem://layers";
 const AXES: [&str; 4] = [
@@ -149,6 +156,19 @@ fn agree(
     }
 }
 
+/// `query` through every optimizer pass but `fuse-count`: an aggregated
+/// StandOff step joins and its rows are counted.
+fn without_fuse_count(session: &mut Session, query: &str) -> Result<QueryResult, QueryError> {
+    let mut plan = parse_query(query)?;
+    let options = options(StandoffStrategy::LoopLiftedMergeJoin);
+    let ctx = PlanContext::bare(&options);
+    resolve(&mut plan, &ctx)?;
+    for pass in PASSES.iter().filter(|p| p.name != "fuse-count") {
+        (pass.run)(&mut plan, &ctx);
+    }
+    session.execute_plan(&plan)
+}
+
 /// A writer over `set` that received `ops` one batch per op.
 fn writer(set: &LayerSet, ops: &[DeltaOp], strategy: StandoffStrategy) -> WritableEngine {
     let mut writer = WritableEngine::mount(set.clone(), options(strategy)).unwrap();
@@ -173,11 +193,16 @@ fn check(set: &LayerSet, ops: &[DeltaOp], queries: &[String]) {
     let default = StandoffStrategy::LoopLiftedMergeJoin;
     let mut pure = engine(default);
     pure.mount_store(set.clone()).unwrap();
+    let pure = pure.into_shared();
+    let expected = oracle(set, queries);
+    let mut session = pure.session();
+    agree("pure mount", |q| session.run(q), queries, &expected);
+    let what = "pure mount, without fuse-count";
     agree(
-        "pure mount",
-        |q| pure.run(q),
+        what,
+        |q| without_fuse_count(&mut session, q),
         queries,
-        &oracle(set, queries),
+        &expected,
     );
 
     let mut delta = DeltaSet::new();
@@ -192,6 +217,15 @@ fn check(set: &LayerSet, ops: &[DeltaOp], queries: &[String]) {
         let mut session = writer(set, ops, strategy).session();
         let what = format!("writer, {strategy}");
         agree(&what, |q| session.run(q), queries, &expected);
+        if strategy == default {
+            let what = "writer, without fuse-count";
+            agree(
+                what,
+                |q| without_fuse_count(&mut session, q),
+                queries,
+                &expected,
+            );
+        }
     }
     let mut compacted = engine(default);
     compacted.mount_store(folded).unwrap();
@@ -199,15 +233,33 @@ fn check(set: &LayerSet, ops: &[DeltaOp], queries: &[String]) {
 }
 
 /// `context` × four axes × `tests` in step form (flat, and per
-/// iteration of a `for`), plus the function form over `candidates`.
+/// iteration of a `for`), plus the function form over `candidates` —
+/// each also under `count`, `exists` and `empty`, flat and per
+/// iteration.
 fn join_queries(context: &str, tests: &[&str], candidates: &str) -> Vec<String> {
+    let aggregates = |step: &str, per_iteration: &str| {
+        format!(
+            "(count({step}), exists({step}), empty({step}), \
+             for $c in {context} return (count({per_iteration}), empty({per_iteration})))"
+        )
+    };
     let mut queries = Vec::new();
     for axis in AXES {
         for test in tests {
             queries.push(format!("{context}/{axis}::{test}"));
             queries.push(format!("for $c in {context} return $c/{axis}::{test}"));
+            let (flat, each) = (
+                format!("{context}/{axis}::{test}"),
+                format!("$c/{axis}::{test}"),
+            );
+            queries.push(aggregates(&flat, &each));
         }
         queries.push(format!("{axis}({context}, {candidates})"));
+        let (flat, each) = (
+            format!("{axis}({context}, {candidates})"),
+            format!("{axis}($c, {candidates})"),
+        );
+        queries.push(aggregates(&flat, &each));
     }
     queries
 }
@@ -545,5 +597,93 @@ fn seed_multi_region_area_across_context_layers() {
         &set,
         &[],
         &join_queries(&context, &["unit", "node()"], &candidates),
+    );
+}
+
+/// The geometry the counted joins do arithmetic on. `tokens` has
+/// `max_extent` 4; the contexts are `[10, 20]`, then `[40, 50]` and
+/// `[44, 56]` — overlapping, not nested — and `[60, 61]` after a gap
+/// shorter than the extent. Around `[10, 20]` (`M = 20`) tokens start at
+/// `M − 4 − 1`, `M − 4` (ending exactly at `M`) and `M − 4 + 1` (one
+/// ending past `M`, one at it). The tokens layer also holds an
+/// unannotated `w` and an annotated `x`, so a name test and `node()`
+/// have different candidates; `units` holds two-region `w`s, whose
+/// counts fall back to the join. Counted from the index or joined, per
+/// iteration or flat, pure or written, every answer is the oracle's.
+#[test]
+fn seed_counted_edges_at_the_max_extent() {
+    let attrs = StandoffConfig::default;
+    let tokens = [
+        (15, 19),
+        (16, 20),
+        (17, 21),
+        (17, 20),
+        (20, 20),
+        (21, 24),
+        (30, 34),
+        (36, 40),
+        (45, 49),
+        (48, 52),
+        (53, 57),
+        (57, 60),
+        (58, 59),
+    ];
+    let mut xml = String::from("<tokens><w/>");
+    for (s, e) in tokens {
+        xml.push_str(&format!(r#"<w start="{s}" end="{e}"/>"#));
+    }
+    xml.push_str(r#"<x start="12" end="13"/><w/></tokens>"#);
+    let set = layer_set(&[
+        ("base", "<text/>".into(), attrs()),
+        ("tokens", xml, attrs()),
+        (
+            "spans",
+            attribute_layer(
+                "spans",
+                "pt",
+                &[(10, 20), (40, 50), (44, 56), (60, 61)],
+                ((0, 0), 0),
+            ),
+            attrs(),
+        ),
+        (
+            "units",
+            units_layer(&[
+                ("w", vec![(11, 12), (45, 46)]),
+                ("w", vec![(11, 12), (14, 15)]),
+            ]),
+            StandoffConfig::element_repr(),
+        ),
+    ]);
+    let context = format!("{}//pt", layer("spans"));
+    let mut mounted = engine(StandoffStrategy::LoopLiftedMergeJoin);
+    mounted.mount_store(set.clone()).unwrap();
+    for (axis, expected) in [("select-narrow", "7"), ("select-wide", "12")] {
+        let query = format!("count({context}/{axis}::w)");
+        assert_eq!(mounted.run(&query).unwrap().as_strings(), [expected]);
+    }
+    let stats = mounted.metrics().snapshot().counters;
+    assert_eq!(stats["join.counts_from_index"], 2, "{stats:?}");
+    // A wider token widens the extent; a retract drops one at the edge.
+    let ops = [
+        DeltaOp::Insert {
+            layer: "tokens".into(),
+            name: "w".into(),
+            start: 2,
+            end: 12,
+            attrs: vec![("k".into(), "0".into())],
+        },
+        DeltaOp::Retract {
+            layer: "tokens".into(),
+            name: "w".into(),
+            start: 16,
+            end: 20,
+        },
+    ];
+    let candidates = format!("({}//w | {}//x)", layer("tokens"), layer("units"));
+    check(
+        &set,
+        &ops,
+        &join_queries(&context, &["w", "x", "node()"], &candidates),
     );
 }

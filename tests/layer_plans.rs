@@ -13,6 +13,7 @@ use standoff::xml::parse_document;
 use standoff::xquery::{Engine, EngineOptions, WritableEngine};
 
 const MISMATCHES: &str = "plan.claim_mismatch.result_merge";
+const COUNT_MISMATCHES: &str = "plan.claim_mismatch.count";
 
 /// XMark as the base layer, one `w` per BLOB word, one `entity` over
 /// three words out of every twenty. Returns the entity regions too.
@@ -161,10 +162,12 @@ fn golden_texts(engine: &mut Engine) -> Vec<String> {
     .collect()
 }
 
-/// Every `result:` claim an explain line makes holds when the query
-/// runs: the explain goldens' queries and the benchmark's class texts,
-/// on a pure mount and on the view of sixteen pending batches. A broken
-/// claim also fails the evaluator's `debug_assert!` on the spot.
+/// Every `result:` and `count:` claim an explain line makes holds when
+/// the query runs: the explain goldens' queries and the benchmark's
+/// class texts — each `count(…)` class also as its bare step, whose
+/// rows are assembled — on a pure mount and on the view of sixteen
+/// pending batches. A broken `result:` claim also fails the evaluator's
+/// `debug_assert!` on the spot.
 #[test]
 fn result_claims_hold_for_the_goldens_and_the_benchmark_classes() {
     let (set, spans) = three_layers();
@@ -172,21 +175,32 @@ fn result_claims_hold_for_the_goldens_and_the_benchmark_classes() {
         let mut engine = Engine::new();
         engine.mount_store(mounted).unwrap();
         let mut queries = golden_texts(&mut engine);
-        queries.extend(class_texts());
+        for class in class_texts() {
+            let bare = class
+                .strip_prefix("count(")
+                .and_then(|q| q.strip_suffix(')'));
+            queries.extend(bare.map(String::from));
+            queries.push(class);
+        }
         for query in &queries {
             let text = engine.explain_analyze(query).unwrap();
             let joins = text.matches("StandOff MergeJoin").count();
-            assert_eq!(text.matches("; result: ").count(), joins, "{text}");
+            let claims = text.matches("; result: ").count() + text.matches("; count: ").count();
+            assert_eq!(claims, joins, "{text}");
             assert!(!text.contains("sorts=1"), "{text}");
         }
         let counters = engine.metrics().snapshot().counters;
         assert_eq!(counters[MISMATCHES], 0);
+        assert_eq!(counters[COUNT_MISMATCHES], 0);
         assert_eq!(counters["join.result_sorts"], 0);
+        assert!(counters["join.counts_from_index"] > 0);
     }
 }
 
 /// The plan line names the layers and counts their entries, not the
-/// group's; the analyze actuals beside it agree.
+/// group's; the analyze actuals beside it agree. Under `count(…)` the
+/// same line says the rows are counted from the index, and none are
+/// assembled.
 #[test]
 fn plan_line_names_the_answering_layers() {
     let (set, spans) = three_layers();
@@ -195,7 +209,7 @@ fn plan_line_names_the_answering_layers() {
     engine.mount_store(set.clone()).unwrap();
 
     let one = engine
-        .explain_analyze(r#"count(doc("xmark")//description/select-narrow::w)"#)
+        .explain_analyze(r#"doc("xmark")//description/select-narrow::w"#)
         .unwrap();
     let claim = format!(
         "layers: tokens (1 of 3); result: direct; post-filter: elided; est: {token_entries} region entries"
@@ -205,9 +219,20 @@ fn plan_line_names_the_answering_layers() {
         one.contains("targets=1 ") && one.contains("sorts=0 (elided 1)"),
         "{one}"
     );
+    let counted = engine
+        .explain_analyze(r#"count(doc("xmark")//description/select-narrow::w)"#)
+        .unwrap();
+    let claim = "layers: tokens (1 of 3); count: from index; post-filter: elided";
+    assert!(counted.contains(claim), "{counted}");
+    assert!(
+        counted.contains("targets=1 ")
+            && counted.contains("sorts=0 (elided 0)")
+            && counted.contains(" from-index=1"),
+        "{counted}"
+    );
 
     let all = engine
-        .explain_analyze(r#"count(doc("xmark")//open_auction/select-wide::node())"#)
+        .explain_analyze(r#"doc("xmark")//open_auction/select-wide::node()"#)
         .unwrap();
     let claim = "layers: base, tokens, entities (3 of 3); result: k-way merge (3)";
     assert!(all.contains(claim), "{all}");
@@ -222,7 +247,7 @@ fn plan_line_names_the_answering_layers() {
     let mut overlay = Engine::new();
     overlay.mount_store(view(pending(&set, &spans, 1))).unwrap();
     let one = overlay
-        .explain_analyze(r#"count(doc("xmark")//description/select-wide::entity)"#)
+        .explain_analyze(r#"doc("xmark")//description/select-wide::entity"#)
         .unwrap();
     let claim = "layers: entities (1 of 3); result: direct";
     assert!(one.contains(claim), "{one}");

@@ -287,7 +287,7 @@ fn dense_kernel_counters_fire_and_mirror() {
 /// from the `stats` verb are all there.
 #[test]
 fn stats_dump_join_keys_are_exactly_the_declared_set() {
-    const JOIN_KEYS: [&str; 13] = [
+    const JOIN_KEYS: [&str; 14] = [
         "join.candidate_borrowed",
         "join.candidate_dense_blocks",
         "join.candidate_node_view",
@@ -295,6 +295,7 @@ fn stats_dump_join_keys_are_exactly_the_declared_set() {
         "join.candidate_reach_entries",
         "join.candidate_repr_dense",
         "join.candidate_scans",
+        "join.counts_from_index",
         "join.naive_pairs",
         "join.post_filters",
         "join.post_filters_elided",
