@@ -13,11 +13,19 @@
 //! * `cache/cold-vs-warm` — identical batch with a fresh parsed-query
 //!   cache per run vs a pre-warmed one; the difference is pure parser
 //!   time, the saving a repeated-query service keeps.
+//!
+//! The `construct` group splits XMark Q2's return clause at scale 0.01
+//! into its two costs: `build` evaluates one `<increase>` constructor
+//! over the `bidder[1]/increase` nodes Q2 copies (bound as an external,
+//! so no join runs; counted, so nothing is serialized) and drops the
+//! fragments; `serialize` writes Q2's built elements into one buffer, as
+//! a query result does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use standoff_bench::{prepare_workload, SO_URI};
 use standoff_xmark::queries::XmarkQuery;
+use standoff_xml::SerializeOptions;
 use standoff_xquery::{Executor, SharedEngine};
 
 /// A 120-query batch over the StandOff XMark document: the paper's
@@ -90,5 +98,48 @@ fn batch_exec(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, batch_exec);
+fn construct(c: &mut Criterion) {
+    let mut engine = prepare_workload(0.01).engine;
+    let increases = format!(
+        r#"for $b in doc("{SO_URI}")//open_auction
+           return $b/select-narrow::bidder[1]/select-narrow::increase"#
+    );
+    let items = engine.run(&increases).unwrap().items().to_vec();
+    engine.bind_external("inc", items);
+    let return_clause = engine
+        .compile(
+            "declare variable $inc external;
+             count(for $i in $inc return <increase>{ $i }</increase>)",
+        )
+        .unwrap();
+
+    let built = engine.run(&XmarkQuery::Q2.standoff(SO_URI)).unwrap();
+    let roots = built.items().to_vec();
+
+    let mut group = c.benchmark_group("construct");
+    group.sample_size(20);
+    group.bench_function("build", |b| {
+        b.iter(|| engine.execute_and_discard(&return_clause).unwrap());
+    });
+    let store = engine.store();
+    group.bench_function("serialize", |b| {
+        b.iter(|| {
+            let mut out = String::new();
+            for item in &roots {
+                let node = item.as_node().expect("Q2 returns elements");
+                let doc = store.doc(node.doc);
+                standoff_xml::serialize_node_into(
+                    doc,
+                    node.id,
+                    SerializeOptions::default(),
+                    &mut out,
+                );
+            }
+            out.len()
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, batch_exec, construct);
 criterion_main!(benches);

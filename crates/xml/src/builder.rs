@@ -4,9 +4,15 @@
 //! level encoding incrementally: `size` is back-patched when an element is
 //! closed. Attribute insertion is only legal directly after
 //! `start_element`, mirroring the shredding order of a streaming parser.
+//!
+//! One builder makes one document ([`DocumentBuilder::finish`]) or, for
+//! an element constructor's iterations, many fragments over one shared
+//! arena ([`DocumentBuilder::end_fragment`],
+//! [`DocumentBuilder::finish_fragments`]).
 
-use crate::column::StrArenaBuilder;
-use crate::doc::Document;
+use std::sync::Arc;
+
+use crate::doc::{Columns, Document, ElemColumns, FragmentMarks};
 use crate::error::XmlError;
 use crate::name::{NameId, NameTable};
 use crate::node::NodeKind;
@@ -25,21 +31,33 @@ use crate::node::NodeKind;
 /// ```
 pub struct DocumentBuilder {
     names: NameTable,
-    kind: Vec<NodeKind>,
-    size: Vec<u32>,
-    level: Vec<u16>,
-    parent: Vec<u32>,
-    name: Vec<NameId>,
-    value: StrArenaBuilder,
-    attr_first: Vec<u32>,
-    attr_owner: Vec<u32>,
-    attr_name: Vec<NameId>,
-    attr_value: StrArenaBuilder,
-    /// Stack of open element pre ranks (document node at bottom).
+    cols: Columns,
+    /// Stack of open element rows (the fragment's document node at
+    /// bottom).
     open: Vec<u32>,
     /// True while attributes may still be appended to the last element.
     attrs_open: bool,
+    /// The last element's first attribute.
+    attrs_start: usize,
     uri: Option<String>,
+    /// First node row and first attribute of the fragment under
+    /// construction; its pre ranks count from `first_node`.
+    first_node: u32,
+    first_attr: u32,
+    /// Fragments closed by [`DocumentBuilder::end_fragment`], and their
+    /// element-name indexes.
+    marks: Vec<FragmentMarks>,
+    elem: ElemColumns,
+}
+
+/// The fragments of one [`DocumentBuilder`], each its own document, all
+/// viewing one shared buffer (see [`DocumentBuilder::finish_fragments`]).
+pub struct Fragments {
+    /// One document per fragment, in the order they were closed, shared
+    /// as a [`crate::Store`] holds them.
+    pub documents: Vec<Arc<Document>>,
+    /// Size of the buffer they share.
+    pub arena_bytes: usize,
 }
 
 impl Default for DocumentBuilder {
@@ -52,36 +70,31 @@ impl DocumentBuilder {
     pub fn new() -> Self {
         let mut b = DocumentBuilder {
             names: NameTable::new(),
-            kind: Vec::new(),
-            size: Vec::new(),
-            level: Vec::new(),
-            parent: Vec::new(),
-            name: Vec::new(),
-            value: StrArenaBuilder::new(),
-            attr_first: Vec::new(),
-            attr_owner: Vec::new(),
-            attr_name: Vec::new(),
-            attr_value: StrArenaBuilder::new(),
+            cols: Columns::default(),
             open: Vec::new(),
             attrs_open: false,
+            attrs_start: 0,
             uri: None,
+            first_node: 0,
+            first_attr: 0,
+            marks: Vec::new(),
+            elem: ElemColumns::default(),
         };
-        // Document node at pre 0.
-        b.push_node(NodeKind::Document, NameId::NONE, "");
-        b.open.push(0);
+        b.open_document_node();
         b
     }
 
     /// Pre-size the columns for an expected node count (bulk loads).
     pub fn with_capacity(nodes: usize) -> Self {
         let mut b = Self::new();
-        b.kind.reserve(nodes);
-        b.size.reserve(nodes);
-        b.level.reserve(nodes);
-        b.parent.reserve(nodes);
-        b.name.reserve(nodes);
-        b.value.reserve(nodes);
-        b.attr_first.reserve(nodes + 1);
+        let cols = &mut b.cols;
+        cols.kind.reserve(nodes);
+        cols.size.reserve(nodes);
+        cols.level.reserve(nodes);
+        cols.parent.reserve(nodes);
+        cols.name.reserve(nodes);
+        cols.values.reserve(nodes);
+        cols.attr_first.reserve(nodes + 1);
         b
     }
 
@@ -91,44 +104,82 @@ impl DocumentBuilder {
         self
     }
 
+    /// The document node of a new fragment, at the current row.
+    fn open_document_node(&mut self) {
+        self.first_node = self.cols.kind.len() as u32;
+        self.first_attr = self.cols.attr_owner.len() as u32;
+        let pre = self.push_node(NodeKind::Document, NameId::NONE, "");
+        self.open.push(pre);
+    }
+
     fn push_node(&mut self, kind: NodeKind, name: NameId, value: &str) -> u32 {
-        let pre = self.kind.len() as u32;
+        let cols = &mut self.cols;
+        let row = cols.kind.len() as u32;
         let (parent, level) = match self.open.last() {
-            Some(&p) => (p, self.level[p as usize] + 1),
+            Some(&p) => (p - self.first_node, cols.level[p as usize] + 1),
             None => (0, 0),
         };
-        self.kind.push(kind);
-        self.size.push(0);
-        self.level.push(level);
-        self.parent.push(parent);
-        self.name.push(name);
-        self.value.push(value);
-        self.attr_first.push(self.attr_name.len() as u32);
-        pre
+        cols.kind.push(kind as u8);
+        cols.size.push(0);
+        cols.level.push(level);
+        cols.parent.push(parent);
+        cols.name.push(name.0);
+        cols.values.push(value);
+        (cols.attr_first).push(cols.attr_owner.len() as u32 - self.first_attr);
+        row
+    }
+
+    /// Intern a lexical QName in the builder's name table, for the
+    /// `*_named` methods.
+    pub fn intern(&mut self, lexical: &str) -> NameId {
+        self.names.intern(lexical)
     }
 
     /// Open a new element. Returns its pre rank.
     pub fn start_element(&mut self, name: &str) -> u32 {
-        let name_id = self.names.intern(name);
-        let pre = self.push_node(NodeKind::Element, name_id, "");
-        self.open.push(pre);
+        let name = self.names.intern(name);
+        self.start_element_named(name)
+    }
+
+    /// [`DocumentBuilder::start_element`] with an interned name.
+    pub fn start_element_named(&mut self, name: NameId) -> u32 {
+        let row = self.push_node(NodeKind::Element, name, "");
+        self.open.push(row);
         self.attrs_open = true;
-        pre
+        self.attrs_start = self.cols.attr_owner.len();
+        row - self.first_node
     }
 
     /// Add an attribute to the most recently opened element. Must be called
     /// before any child content is appended.
     pub fn attribute(&mut self, name: &str, value: &str) -> &mut Self {
+        let name = self.names.intern(name);
+        self.attribute_named(name, value)
+    }
+
+    /// [`DocumentBuilder::attribute`] with an interned name.
+    pub fn attribute_named(&mut self, name: NameId, value: &str) -> &mut Self {
         assert!(
             self.attrs_open,
             "attribute() must directly follow start_element()"
         );
         let owner = *self.open.last().expect("an element is open");
-        let name_id = self.names.intern(name);
-        self.attr_owner.push(owner);
-        self.attr_name.push(name_id);
-        self.attr_value.push(value);
+        self.cols.attr_owner.push(owner - self.first_node);
+        self.cols.attr_name.push(name.0);
+        self.cols.attr_values.push(value);
         self
+    }
+
+    /// May an attribute still be added — is the most recently opened
+    /// element still without content?
+    pub fn accepts_attributes(&self) -> bool {
+        self.attrs_open
+    }
+
+    /// Does the most recently opened element, while it still accepts
+    /// attributes, already carry one named `name`?
+    pub fn has_attribute(&self, name: NameId) -> bool {
+        self.attrs_open && self.cols.attr_name[self.attrs_start..].contains(&name.0)
     }
 
     /// Append a text node (empty strings are skipped; adjacent text nodes
@@ -139,16 +190,15 @@ impl DocumentBuilder {
         }
         self.attrs_open = false;
         // Merge with a directly preceding text sibling.
-        if let Some(&last_kind) = self.kind.last() {
-            let last_pre = self.kind.len() as u32 - 1;
-            if last_kind == NodeKind::Text
-                && self.parent[last_pre as usize] == *self.open.last().unwrap()
-            {
-                // The text node being merged into is the last slot of
-                // the value arena: append in place.
-                self.value.append_to_last(content);
-                return self;
-            }
+        let open = *self.open.last().unwrap();
+        let cols = &mut self.cols;
+        if cols.kind.last() == Some(&(NodeKind::Text as u8))
+            && *cols.parent.last().unwrap() == open - self.first_node
+        {
+            // The text node being merged into is the last slot of the
+            // value arena: append in place.
+            cols.values.append_to_last(content);
+            return self;
         }
         self.push_node(NodeKind::Text, NameId::NONE, content);
         self
@@ -163,17 +213,22 @@ impl DocumentBuilder {
 
     /// Append a processing-instruction node.
     pub fn pi(&mut self, target: &str, content: &str) -> &mut Self {
+        let target = self.names.intern(target);
+        self.pi_named(target, content)
+    }
+
+    /// [`DocumentBuilder::pi`] with an interned target.
+    pub fn pi_named(&mut self, target: NameId, content: &str) -> &mut Self {
         self.attrs_open = false;
-        let name_id = self.names.intern(target);
-        self.push_node(NodeKind::Pi, name_id, content);
+        self.push_node(NodeKind::Pi, target, content);
         self
     }
 
     /// Close the most recently opened element, back-patching its size.
     pub fn end_element(&mut self) -> &mut Self {
         assert!(self.open.len() > 1, "no element is open");
-        let pre = self.open.pop().unwrap();
-        self.size[pre as usize] = self.kind.len() as u32 - 1 - pre;
+        let row = self.open.pop().unwrap();
+        self.cols.size[row as usize] = self.cols.kind.len() as u32 - 1 - row;
         self.attrs_open = false;
         self
     }
@@ -187,43 +242,76 @@ impl DocumentBuilder {
         self.end_element()
     }
 
-    /// Number of tree nodes appended so far (including the document node).
+    /// Number of tree nodes of the document (or fragment) under
+    /// construction so far, its document node included.
     pub fn node_count(&self) -> usize {
-        self.kind.len()
+        self.cols.kind.len() - self.first_node as usize
     }
 
-    /// Finish the document. Fails if elements are still open or the
-    /// document is empty.
-    pub fn finish(mut self) -> Result<Document, XmlError> {
+    /// Close the document node of the fragment under construction. Fails
+    /// if elements are still open or the fragment is empty.
+    fn close_document_node(&mut self) -> Result<(), XmlError> {
         if self.open.len() != 1 {
             return Err(XmlError::Builder(format!(
                 "{} element(s) still open",
                 self.open.len() - 1
             )));
         }
-        if self.kind.len() == 1 {
+        if self.node_count() == 1 {
             return Err(XmlError::Builder("document has no content".into()));
         }
-        // Close the document node.
-        self.size[0] = self.kind.len() as u32 - 1;
+        let cols = &mut self.cols;
+        cols.size[self.first_node as usize] = cols.kind.len() as u32 - 1 - self.first_node;
         // CSR terminator.
-        self.attr_first.push(self.attr_name.len() as u32);
-        let doc = Document::from_columns(
-            self.uri,
-            self.names,
-            self.kind,
-            self.size,
-            self.level,
-            self.parent,
-            self.name,
-            self.value.finish(),
-            self.attr_first,
-            self.attr_owner,
-            self.attr_name,
-            self.attr_value.finish(),
-        );
-        debug_assert_eq!(doc.check_invariants(), Ok(()));
-        Ok(doc)
+        (cols.attr_first).push(cols.attr_owner.len() as u32 - self.first_attr);
+        self.open.clear();
+        Ok(())
+    }
+
+    /// Close the fragment under construction — it becomes one document
+    /// of [`DocumentBuilder::finish_fragments`] — and start the next,
+    /// which gets its own document node and pre ranks from 0 but shares
+    /// this builder's columns and name table. Fails like
+    /// [`DocumentBuilder::finish`] on an unfinished or empty fragment.
+    pub fn end_fragment(&mut self) -> Result<(), XmlError> {
+        self.close_document_node()?;
+        self.elem
+            .index_fragment(&self.cols, self.first_node as usize);
+        self.marks.push(FragmentMarks::of(&self.cols, &self.elem));
+        self.cols.values.start_segment();
+        self.cols.attr_values.start_segment();
+        self.open_document_node();
+        Ok(())
+    }
+
+    /// Finish the fragments closed by [`DocumentBuilder::end_fragment`]:
+    /// one document each, in order, all of them zero-copy views into
+    /// one packed buffer. Fails if the fragment opened after the last
+    /// `end_fragment` has content.
+    pub fn finish_fragments(self) -> Result<Fragments, XmlError> {
+        if self.node_count() != 1 || self.open.len() != 1 {
+            return Err(XmlError::Builder("last fragment not ended".into()));
+        }
+        let (documents, arena_bytes) =
+            (self.cols).into_fragments(&self.elem, &self.marks, Arc::new(self.names));
+        Ok(Fragments {
+            documents,
+            arena_bytes,
+        })
+    }
+
+    /// Finish the document: the one-fragment case, its columns owned.
+    /// Fails if elements are still open, the document is empty, or
+    /// fragments were ended (those finish with
+    /// [`DocumentBuilder::finish_fragments`]).
+    pub fn finish(mut self) -> Result<Document, XmlError> {
+        if !self.marks.is_empty() {
+            return Err(XmlError::Builder(
+                "fragments were ended: use finish_fragments()".into(),
+            ));
+        }
+        self.close_document_node()?;
+        Ok(self.cols.into_document(self.uri, Arc::new(self.names)))
     }
 }
 
@@ -318,5 +406,70 @@ mod tests {
         assert_eq!(d.kind(3), crate::NodeKind::Pi);
         assert_eq!(d.node_name(crate::NodeId::tree(3)), "target");
         assert_eq!(d.value(3), "data");
+    }
+
+    #[test]
+    fn fragments_share_one_arena_and_number_from_zero() {
+        let mut b = DocumentBuilder::new();
+        for k in 0..3 {
+            b.start_element("a");
+            b.attribute("k", &k.to_string());
+            b.text("t");
+            b.text(if k == 1 { "&" } else { "" });
+            b.start_element("x:b");
+            b.end_element();
+            b.end_element();
+            b.end_fragment().unwrap();
+        }
+        let fragments = b.finish_fragments().unwrap();
+        assert_eq!(fragments.documents.len(), 3);
+        assert!(fragments.arena_bytes > 0);
+        for (k, d) in fragments.documents.iter().enumerate() {
+            d.check_invariants().unwrap();
+            assert!(d.is_mounted(), "fragments view the arena");
+            assert_eq!(d.node_count(), 4);
+            assert_eq!(d.attribute(1, "k"), Some(k.to_string().as_str()));
+            assert_eq!(d.elements_named("x:b"), &[3]);
+            assert_eq!(d.elements_named("a"), &[1]);
+            let text = if k == 1 { "t&amp;" } else { "t" };
+            assert_eq!(
+                crate::serialize_document(d, Default::default()),
+                format!("<a k=\"{k}\">{text}<x:b/></a>")
+            );
+        }
+    }
+
+    #[test]
+    fn fragment_protocol_errors() {
+        let mut b = DocumentBuilder::new();
+        assert!(b.end_fragment().is_err(), "an empty fragment");
+        b.start_element("a");
+        assert!(b.end_fragment().is_err(), "an open element");
+        b.end_element();
+        b.end_fragment().unwrap();
+        b.start_element("b");
+        b.end_element();
+        assert!(b.finish_fragments().is_err(), "a fragment not ended");
+
+        let mut b = DocumentBuilder::new();
+        b.start_element("a");
+        b.end_element();
+        b.end_fragment().unwrap();
+        assert!(b.finish().is_err(), "finish() after end_fragment()");
+        let none = DocumentBuilder::new().finish_fragments().unwrap();
+        assert!(none.documents.is_empty());
+    }
+
+    #[test]
+    fn attribute_checks_see_the_open_element_only() {
+        let mut b = DocumentBuilder::new();
+        b.start_element("a");
+        let k = b.intern("k");
+        b.attribute_named(k, "1");
+        assert!(b.accepts_attributes() && b.has_attribute(k));
+        b.start_element("b");
+        assert!(!b.has_attribute(k), "the parent's attribute");
+        b.text("x");
+        assert!(!b.accepts_attributes());
     }
 }

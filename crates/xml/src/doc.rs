@@ -16,13 +16,16 @@
 use std::fmt;
 use std::io;
 use std::ops::Range;
+use std::sync::Arc;
 
-use crate::column::{PodCol, SharedBytes, StrArena};
+use crate::column::{PodCol, SharedBytes, StrArena, StrArenaBuilder};
 use crate::name::{NameId, NameTable};
 use crate::node::{NodeId, NodeKind};
 
+mod arena;
 mod splice;
 
+pub(crate) use arena::{ElemColumns, FragmentMarks};
 pub use splice::{NewElement, Renumbering};
 
 /// The node-kind column: a validated `u8` column. View construction
@@ -34,13 +37,6 @@ pub struct KindCol {
 }
 
 impl KindCol {
-    /// Owned backend (parse/build path — values are valid by type).
-    fn from_kinds(kinds: Vec<NodeKind>) -> KindCol {
-        KindCol {
-            raw: PodCol::owned(kinds.into_iter().map(|k| k as u8).collect()),
-        }
-    }
-
     /// Mount a kind column, validating every byte (a branch-free fold).
     pub fn view(buf: &SharedBytes, range: Range<usize>) -> io::Result<KindCol> {
         let raw: PodCol<u8> = PodCol::view(buf, range)?;
@@ -237,6 +233,55 @@ pub struct DocumentStorageRef<'a> {
     pub elem: &'a ElemIndex,
 }
 
+/// Owned node and attribute columns under construction — what the
+/// builder appends to and [`Document::splice`] copies into. Pre ranks
+/// in `parent`, `attr_owner` and `attr_first` are local to the document
+/// (or fragment) a row belongs to.
+#[derive(Default)]
+pub(crate) struct Columns {
+    pub(crate) kind: Vec<u8>,
+    pub(crate) size: Vec<u32>,
+    pub(crate) level: Vec<u16>,
+    pub(crate) parent: Vec<u32>,
+    pub(crate) name: Vec<u32>,
+    pub(crate) values: StrArenaBuilder,
+    pub(crate) attr_first: Vec<u32>,
+    pub(crate) attr_owner: Vec<u32>,
+    pub(crate) attr_name: Vec<u32>,
+    pub(crate) attr_values: StrArenaBuilder,
+}
+
+impl Columns {
+    /// One document over these columns, owned, its element index built
+    /// by a counting scan. The caller guarantees a well-formed encoding
+    /// with the `attr_first` terminator pushed.
+    pub(crate) fn into_document(self, uri: Option<String>, names: Arc<NameTable>) -> Document {
+        debug_assert_eq!(self.attr_first.len(), self.kind.len() + 1);
+        let kind = KindCol {
+            raw: PodCol::owned(self.kind),
+        };
+        let elem = ElemIndex::build(&kind, &self.name, names.len());
+        let doc = Document {
+            uri,
+            names,
+            kind,
+            size: self.size.into(),
+            level: self.level.into(),
+            parent: self.parent.into(),
+            name: self.name.into(),
+            values: self.values.finish(),
+            attr_first: self.attr_first.into(),
+            attr_owner: self.attr_owner.into(),
+            attr_name: self.attr_name.into(),
+            attr_values: self.attr_values.finish(),
+            elem,
+            arena: None,
+        };
+        debug_assert_eq!(doc.check_invariants(), Ok(()));
+        doc
+    }
+}
+
 /// A single shredded XML document (fragment).
 ///
 /// Construct with [`crate::DocumentBuilder`] or [`crate::parse_document`];
@@ -245,7 +290,10 @@ pub struct DocumentStorageRef<'a> {
 #[derive(Clone)]
 pub struct Document {
     uri: Option<String>,
-    names: NameTable,
+    /// Shared by every fragment of one constructor arena (see
+    /// [`crate::DocumentBuilder::end_fragment`]); a parsed or mounted
+    /// document holds its own.
+    names: Arc<NameTable>,
     // --- tree node columns, indexed by pre rank ---
     kind: KindCol,
     size: PodCol<u32>,
@@ -260,48 +308,13 @@ pub struct Document {
     attr_values: StrArena,
     // --- element name index: CSR name -> pre ranks in document order ---
     elem: ElemIndex,
+    /// The constructor arena a fragment's columns view, held once for all
+    /// of them (see `doc/arena.rs`); `None` for parsed, built and mounted
+    /// documents, whose columns keep their own storage.
+    arena: Option<SharedBytes>,
 }
 
 impl Document {
-    /// Internal constructor used by the builder: owned columns, element
-    /// index built by counting scan. The caller guarantees column
-    /// validity (the builder by construction).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_columns(
-        uri: Option<String>,
-        names: NameTable,
-        kind: Vec<NodeKind>,
-        size: Vec<u32>,
-        level: Vec<u16>,
-        parent: Vec<u32>,
-        name: Vec<NameId>,
-        values: StrArena,
-        attr_first: Vec<u32>,
-        attr_owner: Vec<u32>,
-        attr_name: Vec<NameId>,
-        attr_values: StrArena,
-    ) -> Self {
-        debug_assert_eq!(attr_first.len(), kind.len() + 1);
-        let kind = KindCol::from_kinds(kind);
-        let name: Vec<u32> = name.into_iter().map(|id| id.0).collect();
-        let elem = ElemIndex::build(&kind, &name, names.len());
-        Document {
-            uri,
-            names,
-            kind,
-            size: size.into(),
-            level: level.into(),
-            parent: parent.into(),
-            name: name.into(),
-            values,
-            attr_first: attr_first.into(),
-            attr_owner: attr_owner.into(),
-            attr_name: PodCol::owned(attr_name.into_iter().map(|id| id.0).collect()),
-            attr_values,
-            elem,
-        }
-    }
-
     /// Assemble a document from raw (possibly buffer-backed) storage,
     /// validating **everything** (the node kinds were checked by
     /// [`KindCol::view`]): column arity, name-id ranges, the structural
@@ -333,7 +346,7 @@ impl Document {
         }
         let doc = Document {
             uri: parts.uri,
-            names: parts.names,
+            names: Arc::new(parts.names),
             kind: parts.kind,
             size: parts.size,
             level: parts.level,
@@ -345,6 +358,7 @@ impl Document {
             attr_name: parts.attr_name,
             attr_values: parts.attr_values,
             elem: parts.elem,
+            arena: None,
         };
         // Column-wise folds, branch-free. `NameId::NONE` wraps to 0, every other id to itself + 1.
         let limit = u32::try_from(doc.names.len()).unwrap_or(u32::MAX);
@@ -382,8 +396,9 @@ impl Document {
     }
 
     /// Are the bulk node columns zero-copy views over a mounted snapshot
-    /// buffer (vs owned vectors)? Benches and tests use this to assert
-    /// the mount path actually mounted.
+    /// buffer — or over a constructor arena, for a fragment — (vs owned
+    /// vectors)? Benches and tests use this to assert the mount path
+    /// actually mounted.
     pub fn is_mounted(&self) -> bool {
         self.kind.is_view() && self.size.is_view() && self.values.is_view()
     }
@@ -743,6 +758,7 @@ impl fmt::Debug for Document {
             .field("nodes", &self.node_count())
             .field("attrs", &self.attr_count())
             .field("mounted", &self.is_mounted())
+            .field("fragment", &self.arena.is_some())
             .finish()
     }
 }
@@ -808,7 +824,7 @@ mod tests {
         assert_eq!(d.node_count(), 2);
         let parts = crate::DocumentParts {
             uri: None,
-            names: d.names.clone(),
+            names: (*d.names).clone(),
             kind: d.kind.clone(),
             size: crate::PodCol::owned(vec![1, u32::MAX]),
             level: d.level.clone(),

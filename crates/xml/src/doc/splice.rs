@@ -5,9 +5,10 @@
 //! re-interning or builder bookkeeping.
 
 use std::ops::Range;
+use std::sync::Arc;
 
-use super::{Document, ElemIndex, KindCol};
-use crate::column::{PodCol, StrArenaBuilder};
+use super::{Columns, Document};
+use crate::column::StrArenaBuilder;
 use crate::node::NodeKind;
 
 /// An empty element [`Document::splice`] appends to the root element.
@@ -100,7 +101,7 @@ impl Document {
         let moved = Renumbering { runs, added };
 
         let mut out = Columns::with_capacity(self, to as usize);
-        let mut names = self.names.clone();
+        let mut names = (*self.names).clone();
         let mut runs = moved.runs.iter().peekable();
         while let Some(&(first, end, to)) = runs.next_if(|r| r.0 < at) {
             out.copy(self, &moved, first..end, to);
@@ -143,42 +144,9 @@ impl Document {
         }
         resize(root, k as i64);
 
-        let kind = KindCol {
-            raw: PodCol::owned(out.kind),
-        };
-        let elem = ElemIndex::build(&kind, &out.name, names.len());
-        let doc = Document {
-            uri: self.uri.clone(),
-            names,
-            kind,
-            size: out.size.into(),
-            level: out.level.into(),
-            parent: out.parent.into(),
-            name: out.name.into(),
-            values: out.values.finish(),
-            attr_first: out.attr_first.into(),
-            attr_owner: out.attr_owner.into(),
-            attr_name: out.attr_name.into(),
-            attr_values: out.attr_values.finish(),
-            elem,
-        };
-        debug_assert_eq!(doc.check_invariants(), Ok(()));
+        let doc = out.into_document(self.uri.clone(), Arc::new(names));
         Ok((doc, moved))
     }
-}
-
-/// The columns [`Document::splice`] fills.
-struct Columns {
-    kind: Vec<u8>,
-    size: Vec<u32>,
-    level: Vec<u16>,
-    parent: Vec<u32>,
-    name: Vec<u32>,
-    values: StrArenaBuilder,
-    attr_first: Vec<u32>,
-    attr_owner: Vec<u32>,
-    attr_name: Vec<u32>,
-    attr_values: StrArenaBuilder,
 }
 
 impl Columns {

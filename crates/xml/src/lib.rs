@@ -11,12 +11,15 @@
 //! * [`Document`] — a single XML fragment stored columnar: one row per node
 //!   in pre-order, with `size` (descendant count), `level` (depth), `parent`,
 //!   `kind`, `name` and `value` columns, plus a CSR-encoded attribute table.
-//! * [`NameTable`] — QName interning shared per document.
+//! * [`NameTable`] — QName interning shared per document (or per
+//!   constructor arena of fragments).
 //! * [`parse_document`] — a hand-written, allocation-conscious
 //!   XML parser (elements, attributes, text, CDATA, comments, PIs, entity
 //!   references, DOCTYPE skipping).
-//! * [`DocumentBuilder`] — programmatic document construction.
-//! * [`serialize`] — document/subtree serialization with escaping.
+//! * [`DocumentBuilder`] — programmatic document construction: one
+//!   document, or many fragments over one packed arena.
+//! * [`serialize`] — document/subtree serialization with escaping, into
+//!   a caller's buffer.
 //! * [`Store`] — a collection of documents addressed by URI; nodes across the
 //!   store are identified by [`NodeRef`] (document id + node id).
 //!
@@ -35,7 +38,7 @@ pub mod serialize;
 pub mod store;
 pub mod wire;
 
-pub use builder::DocumentBuilder;
+pub use builder::{DocumentBuilder, Fragments};
 pub use column::{Pod, PodCol, SharedBytes, StrArena, StrArenaBuilder};
 pub use doc::{
     Document, DocumentParts, DocumentStorageRef, ElemIndex, KindCol, NewElement, Renumbering,
@@ -44,5 +47,5 @@ pub use error::{ParseError, XmlError};
 pub use name::{NameId, NameTable, QName};
 pub use node::{DocId, NodeId, NodeKind, NodeRef};
 pub use parser::{parse_document, ParseOptions};
-pub use serialize::{serialize_document, serialize_node, SerializeOptions};
+pub use serialize::{serialize_document, serialize_node, serialize_node_into, SerializeOptions};
 pub use store::{DocSource, Store};

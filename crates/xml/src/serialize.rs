@@ -2,11 +2,13 @@
 //!
 //! Serialization walks the pre/size encoding linearly with an explicit
 //! end-tag stack — no recursion, so arbitrarily deep documents serialize in
-//! `O(n)` without stack growth.
-
-use std::fmt::Write as _;
+//! `O(n)` without stack growth. Everything is written into one caller's
+//! buffer: names are pushed as their prefix and local part straight from
+//! the name table, and character data is escaped in place, so a node
+//! costs no allocation of its own ([`serialize_node_into`]).
 
 use crate::doc::Document;
+use crate::name::NameId;
 use crate::node::{NodeId, NodeKind};
 
 /// Serialization configuration.
@@ -26,168 +28,208 @@ pub fn serialize_document(doc: &Document, options: SerializeOptions) -> String {
 /// serializes all its children; for attributes, the `name="value"` form.
 pub fn serialize_node(doc: &Document, node: NodeId, options: SerializeOptions) -> String {
     let mut out = String::new();
+    serialize_node_into(doc, node, options, &mut out);
+    out
+}
+
+/// [`serialize_node`], appended to `out`. Indentation is laid out as if
+/// the node's markup started a buffer of its own.
+pub fn serialize_node_into(
+    doc: &Document,
+    node: NodeId,
+    options: SerializeOptions,
+    out: &mut String,
+) {
+    let mut w = Writer {
+        doc,
+        options,
+        out,
+        start: 0,
+    };
+    w.start = w.out.len();
     if let Some(a) = node.attr_index() {
-        let name = doc.names().lexical(doc.attr_name_id(a));
-        let _ = write!(out, "{name}=\"{}\"", escape_attr(doc.attr_value(a)));
-        return out;
+        w.attribute(a);
+        return;
     }
     let root_pre = node.pre().expect("tree node");
     match doc.kind(root_pre) {
         NodeKind::Document => {
             for child in doc.children(root_pre) {
-                serialize_subtree(doc, child, options, &mut out);
+                w.subtree(child);
                 if options.indent {
-                    out.push('\n');
+                    w.out.push('\n');
                 }
             }
         }
-        _ => serialize_subtree(doc, root_pre, options, &mut out),
-    }
-    out
-}
-
-/// Non-recursive subtree serializer.
-fn serialize_subtree(doc: &Document, root: u32, options: SerializeOptions, out: &mut String) {
-    // Stack of (pre, name) of elements whose end tag is still pending.
-    let mut open: Vec<(u32, String)> = Vec::new();
-    let end = root + doc.size(root);
-    let base_level = doc.level(root);
-    let mut pre = root;
-    while pre <= end {
-        // Close elements whose subtree we have left.
-        while let Some(&(open_pre, _)) = open.last() {
-            if pre > open_pre + doc.size(open_pre) {
-                let (open_pre, name) = open.pop().unwrap();
-                close_tag(doc, open_pre, &name, options, base_level, out);
-            } else {
-                break;
-            }
-        }
-        match doc.kind(pre) {
-            NodeKind::Element => {
-                let name = doc.names().lexical(doc.name_id(pre));
-                if options.indent {
-                    indent(doc, pre, base_level, out);
-                }
-                out.push('<');
-                out.push_str(&name);
-                for a in doc.attr_range(pre) {
-                    let an = doc.names().lexical(doc.attr_name_id(a));
-                    let _ = write!(out, " {an}=\"{}\"", escape_attr(doc.attr_value(a)));
-                }
-                if doc.size(pre) == 0 {
-                    out.push_str("/>");
-                } else {
-                    out.push('>');
-                    open.push((pre, name));
-                }
-            }
-            NodeKind::Text => out.push_str(&escape_text(doc.value(pre))),
-            NodeKind::Comment => {
-                if options.indent {
-                    indent(doc, pre, base_level, out);
-                }
-                let _ = write!(out, "<!--{}-->", doc.value(pre));
-            }
-            NodeKind::Pi => {
-                if options.indent {
-                    indent(doc, pre, base_level, out);
-                }
-                let name = doc.names().lexical(doc.name_id(pre));
-                if doc.value(pre).is_empty() {
-                    let _ = write!(out, "<?{name}?>");
-                } else {
-                    let _ = write!(out, "<?{name} {}?>", doc.value(pre));
-                }
-            }
-            NodeKind::Document => {}
-        }
-        pre += 1;
-    }
-    while let Some((open_pre, name)) = open.pop() {
-        close_tag(doc, open_pre, &name, options, base_level, out);
+        _ => w.subtree(root_pre),
     }
 }
 
-fn close_tag(
-    doc: &Document,
-    open_pre: u32,
-    name: &str,
+/// One serialization into a caller's buffer, whose markup for this call
+/// starts at `start`.
+struct Writer<'a> {
+    doc: &'a Document,
     options: SerializeOptions,
-    base_level: u16,
-    out: &mut String,
-) {
-    // Indent the close tag only if the element has element/comment/PI
-    // children (mixed text content stays inline).
-    if options.indent
-        && doc
-            .children(open_pre)
-            .any(|c| doc.kind(c) != NodeKind::Text)
-    {
-        let _ = write!(
-            out,
-            "\n{:width$}",
-            "",
-            width = ((doc.level(open_pre) - base_level) as usize) * 2
-        );
-    }
-    let _ = write!(out, "</{name}>");
+    out: &'a mut String,
+    start: usize,
 }
 
-fn indent(doc: &Document, pre: u32, base_level: u16, out: &mut String) {
-    // Only break before a node whose parent has non-text children
-    // (i.e. we're in "element content").
-    if !out.is_empty() && !out.ends_with('\n') {
-        let parent = doc.parent(pre);
-        if doc.kind(parent) != NodeKind::Document
-            && doc.children(parent).any(|c| doc.kind(c) == NodeKind::Text)
-        {
-            return; // mixed content: stay inline
+impl Writer<'_> {
+    fn name(&mut self, id: NameId) {
+        if let Some(q) = self.doc.names().resolve(id) {
+            if let Some(prefix) = &q.prefix {
+                self.out.push_str(prefix);
+                self.out.push(':');
+            }
+            self.out.push_str(&q.local);
         }
-        out.push('\n');
     }
-    if out.ends_with('\n') || out.is_empty() {
-        let _ = write!(
-            out,
-            "{:width$}",
-            "",
-            width = ((doc.level(pre).saturating_sub(base_level)) as usize) * 2
-        );
+
+    /// `name="value"`.
+    fn attribute(&mut self, a: u32) {
+        self.name(self.doc.attr_name_id(a));
+        self.out.push_str("=\"");
+        push_escaped(self.out, self.doc.attr_value(a), true);
+        self.out.push('"');
     }
+
+    /// Non-recursive subtree serializer.
+    fn subtree(&mut self, root: u32) {
+        let doc = self.doc;
+        // Elements whose end tag is still pending.
+        let mut open: Vec<u32> = Vec::new();
+        let end = root + doc.size(root);
+        let base_level = doc.level(root);
+        let mut pre = root;
+        while pre <= end {
+            // Close elements whose subtree we have left.
+            while let Some(&open_pre) = open.last() {
+                if pre > open_pre + doc.size(open_pre) {
+                    open.pop();
+                    self.close_tag(open_pre, base_level);
+                } else {
+                    break;
+                }
+            }
+            match doc.kind(pre) {
+                NodeKind::Element => {
+                    if self.options.indent {
+                        self.indent(pre, base_level);
+                    }
+                    self.out.push('<');
+                    self.name(doc.name_id(pre));
+                    for a in doc.attr_range(pre) {
+                        self.out.push(' ');
+                        self.attribute(a);
+                    }
+                    if doc.size(pre) == 0 {
+                        self.out.push_str("/>");
+                    } else {
+                        self.out.push('>');
+                        open.push(pre);
+                    }
+                }
+                NodeKind::Text => push_escaped(self.out, doc.value(pre), false),
+                NodeKind::Comment => {
+                    if self.options.indent {
+                        self.indent(pre, base_level);
+                    }
+                    self.out.push_str("<!--");
+                    self.out.push_str(doc.value(pre));
+                    self.out.push_str("-->");
+                }
+                NodeKind::Pi => {
+                    if self.options.indent {
+                        self.indent(pre, base_level);
+                    }
+                    self.out.push_str("<?");
+                    self.name(doc.name_id(pre));
+                    if !doc.value(pre).is_empty() {
+                        self.out.push(' ');
+                        self.out.push_str(doc.value(pre));
+                    }
+                    self.out.push_str("?>");
+                }
+                NodeKind::Document => {}
+            }
+            pre += 1;
+        }
+        while let Some(open_pre) = open.pop() {
+            self.close_tag(open_pre, base_level);
+        }
+    }
+
+    fn close_tag(&mut self, open_pre: u32, base_level: u16) {
+        let doc = self.doc;
+        // Indent the close tag only if the element has element/comment/PI
+        // children (mixed text content stays inline).
+        if self.options.indent
+            && doc
+                .children(open_pre)
+                .any(|c| doc.kind(c) != NodeKind::Text)
+        {
+            self.out.push('\n');
+            self.spaces(doc.level(open_pre) - base_level);
+        }
+        self.out.push_str("</");
+        self.name(doc.name_id(open_pre));
+        self.out.push('>');
+    }
+
+    fn indent(&mut self, pre: u32, base_level: u16) {
+        let doc = self.doc;
+        let fresh = |out: &String, start: usize| out.len() == start || out.ends_with('\n');
+        // Only break before a node whose parent has non-text children
+        // (i.e. we're in "element content").
+        if !fresh(self.out, self.start) {
+            let parent = doc.parent(pre);
+            if doc.kind(parent) != NodeKind::Document
+                && doc.children(parent).any(|c| doc.kind(c) == NodeKind::Text)
+            {
+                return; // mixed content: stay inline
+            }
+            self.out.push('\n');
+        }
+        if fresh(self.out, self.start) {
+            self.spaces(doc.level(pre).saturating_sub(base_level));
+        }
+    }
+
+    /// Two spaces per level.
+    fn spaces(&mut self, levels: u16) {
+        self.out
+            .extend(std::iter::repeat_n(' ', levels as usize * 2));
+    }
+}
+
+/// Append `s` to `out`, escaping `<`, `>` and `&` — and `"` when it is
+/// an attribute value: unescaped runs are copied whole.
+fn push_escaped(out: &mut String, s: &str, attr: bool) {
+    let mut rest = s;
+    while let Some(at) = rest.find(|c| matches!(c, '<' | '>' | '&') || (attr && c == '"')) {
+        out.push_str(&rest[..at]);
+        out.push_str(match rest.as_bytes()[at] {
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'&' => "&amp;",
+            _ => "&quot;",
+        });
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
 }
 
 /// Escape character data for text content.
 pub fn escape_text(s: &str) -> String {
-    if !s.contains(['<', '>', '&']) {
-        return s.to_string();
-    }
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            _ => out.push(c),
-        }
-    }
+    let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s, false);
     out
 }
 
 /// Escape character data for attribute values (double-quoted).
 pub fn escape_attr(s: &str) -> String {
-    if !s.contains(['<', '>', '&', '"']) {
-        return s.to_string();
-    }
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
+    let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s, true);
     out
 }
 
@@ -276,5 +318,25 @@ mod tests {
         assert_eq!(out.len(), xml.len() - 3);
         let re = parse_document(&out).unwrap();
         assert_eq!(re.node_count(), doc.node_count());
+    }
+
+    #[test]
+    fn serialize_into_appends_and_indents_from_its_start() {
+        let doc = parse_document("<a><b><c/></b></a>").unwrap();
+        let pretty = SerializeOptions { indent: true };
+        let mut out = String::from("prefix>");
+        serialize_node_into(&doc, doc.root(), pretty, &mut out);
+        assert_eq!(out, format!("prefix>{}", serialize_document(&doc, pretty)));
+        let b = crate::NodeId::tree(doc.elements_named("b")[0]);
+        let mut out = String::from("<x/>");
+        serialize_node_into(&doc, b, SerializeOptions::default(), &mut out);
+        assert_eq!(out, "<x/><b><c/></b>");
+    }
+
+    #[test]
+    fn escaping_in_place_matches_the_entities() {
+        assert_eq!(escape_text("a<b>&\"c"), "a&lt;b&gt;&amp;\"c");
+        assert_eq!(escape_attr("a<b>&\"c"), "a&lt;b&gt;&amp;&quot;c");
+        assert_eq!(escape_attr("héllo"), "héllo");
     }
 }

@@ -113,6 +113,10 @@ pub(crate) struct MetricHandles {
     /// Target layers a plan line said were counted from the index
     /// (`count: from index`) that fell back to counting join rows.
     pub(crate) claim_mismatch_count: Counter,
+    /// Fragments element constructors built, and the bytes of the
+    /// arenas holding them.
+    construct_fragments: Counter,
+    construct_arena_bytes: Counter,
 }
 
 impl MetricHandles {
@@ -129,6 +133,8 @@ impl MetricHandles {
                 .collect(),
             claim_mismatch_result_merge: registry.counter("plan.claim_mismatch.result_merge"),
             claim_mismatch_count: registry.counter("plan.claim_mismatch.count"),
+            construct_fragments: registry.counter("construct.fragments"),
+            construct_arena_bytes: registry.counter("construct.arena_bytes"),
         }
     }
 
@@ -333,6 +339,9 @@ pub struct EngineState {
     /// fingerprint (a governed and an ungoverned run share compiled
     /// plans), and cleared when a session is stamped out.
     pub(crate) budget: Option<Budget>,
+    /// The fragment arenas this state's constructed documents live in:
+    /// `(first document id, bytes)`, in creation order.
+    arenas: Vec<(usize, u64)>,
 }
 
 impl EngineState {
@@ -361,6 +370,7 @@ impl EngineState {
             handles,
             last_profile: None,
             budget: None,
+            arenas: Vec::new(),
         }
     }
 
@@ -385,11 +395,30 @@ impl EngineState {
         Ok(index)
     }
 
-    /// Invalidate cache entries for documents with id ≥ `len` (paired
-    /// with [`standoff_xml::Store::truncate`]).
-    pub(crate) fn drop_cache_from(&mut self, len: usize) {
+    /// Drop the documents with id ≥ `len` — the ones queries
+    /// constructed — with their cached indexes and their arenas' bytes.
+    pub(crate) fn drop_constructed(&mut self, len: usize) {
+        self.store.truncate(len);
         self.region_cache
             .retain(|(doc, _), _| (*doc as usize) < len);
+        self.arenas.retain(|&(first, _)| first < len);
+    }
+
+    /// Account for one constructor evaluation: `fragments` new documents,
+    /// the last ones in the store, in one arena of `bytes`. Every arena
+    /// this state holds counts against the scratch cap.
+    pub(crate) fn note_constructed(
+        &mut self,
+        fragments: u64,
+        bytes: u64,
+    ) -> Result<(), QueryError> {
+        self.handles.construct_fragments.add(fragments);
+        self.handles.construct_arena_bytes.add(bytes);
+        (self.arenas).push((self.store.len() - fragments as usize, bytes));
+        if let Some(b) = &self.budget {
+            b.note_scratch(self.arenas.iter().map(|&(_, bytes)| bytes).sum())?;
+        }
+        Ok(())
     }
 
     /// The layer group a mounted document belongs to, if any.
@@ -870,8 +899,7 @@ impl Engine {
     pub fn execute_and_discard(&mut self, plan: &Plan) -> Result<usize, QueryError> {
         let docs_before = self.state.store.len();
         let result = self.state.execute_plan(plan);
-        self.state.store.truncate(docs_before);
-        self.state.drop_cache_from(docs_before);
+        self.state.drop_constructed(docs_before);
         result.map(|r| r.len())
     }
 
@@ -1018,8 +1046,7 @@ impl Session {
     /// between queries to keep long-lived worker sessions from
     /// accumulating constructed results.
     pub fn reset(&mut self) {
-        self.state.store.truncate(self.base_docs);
-        self.state.drop_cache_from(self.base_docs);
+        self.state.drop_constructed(self.base_docs);
     }
 
     /// The session's store view (shared base + session-local documents).

@@ -1,32 +1,115 @@
 //! Direct element constructors: every enclosed expression evaluated
-//! once per scope, then one new document per iteration.
+//! once per scope, then one new fragment per iteration — all of one
+//! evaluation's fragments built into one arena (one builder, one name
+//! table, one packed buffer; see [`DocumentBuilder::end_fragment`]).
+
+use std::collections::HashMap;
 
 use standoff_algebra::{Item, LlSeq};
-use standoff_xml::{DocumentBuilder, NodeKind, NodeRef};
+use standoff_xml::{Document, DocumentBuilder, NameId, NameTable, NodeKind, NodeRef};
 
 use super::Evaluator;
 use crate::error::QueryError;
-use crate::plan::{PlanConstructor, PlanContent};
+use crate::plan::{PlanConstructor, PlanContent, PlanExpr};
+
+/// One constructor evaluation's fragment arena under construction.
+struct Arena {
+    builder: DocumentBuilder,
+    /// Per source name table, its ids mapped to the arena's
+    /// (`NameId::NONE` until first used), so copied content is interned
+    /// once per distinct name, not once per node — and once for all the
+    /// fragments of another arena, which share one table.
+    names: HashMap<*const NameTable, Vec<NameId>>,
+}
+
+impl Arena {
+    /// The map of source name table `table`.
+    fn memo<'a>(&'a mut self, table: &'a NameTable) -> (&'a mut DocumentBuilder, Names<'a>) {
+        let ids = (self.names.entry(table as *const NameTable))
+            .or_insert_with(|| vec![NameId::NONE; table.len()]);
+        (&mut self.builder, Names { table, ids })
+    }
+}
+
+/// A source name table's ids, mapped into an arena's name table.
+struct Names<'a> {
+    table: &'a NameTable,
+    ids: &'a mut Vec<NameId>,
+}
+
+impl Names<'_> {
+    fn get(&mut self, builder: &mut DocumentBuilder, id: NameId) -> NameId {
+        let slot = &mut self.ids[id.0 as usize];
+        if slot.is_none() {
+            *slot = builder.intern(&self.table.lexical(id));
+        }
+        *slot
+    }
+}
+
+/// Add an attribute to the element under construction, refusing one
+/// after other content (XQTY0024) and a second one of the same name
+/// (XQDY0025) instead of building malformed markup.
+fn add_attribute(
+    builder: &mut DocumentBuilder,
+    name: NameId,
+    lexical: impl FnOnce() -> String,
+    value: &str,
+) -> Result<(), QueryError> {
+    if !builder.accepts_attributes() {
+        return Err(QueryError::dynamic(format!(
+            "type error XQTY0024: attribute '{}' follows other content of a constructed element",
+            lexical()
+        )));
+    }
+    if builder.has_attribute(name) {
+        return Err(QueryError::dynamic(format!(
+            "XQDY0025: attribute '{}' appears twice on a constructed element",
+            lexical()
+        )));
+    }
+    builder.attribute_named(name, value);
+    Ok(())
+}
 
 impl Evaluator<'_> {
-    pub(super) fn eval_constructor(&mut self, c: &PlanConstructor) -> Result<LlSeq, QueryError> {
+    pub(super) fn eval_constructor(
+        &mut self,
+        expr: &PlanExpr,
+        c: &PlanConstructor,
+    ) -> Result<LlSeq, QueryError> {
         // Evaluate every enclosed expression once (loop-lifted), then
         // assemble one element per iteration.
         let mut tables: Vec<LlSeq> = Vec::new();
         self.eval_constructor_exprs(c, &mut tables)?;
         let n = self.n_iters();
-        let mut out = LlSeq::empty();
-        for iter in 0..n {
-            let mut builder = DocumentBuilder::new();
-            let mut cursor = 0usize;
-            self.build_element(c, iter, &tables, &mut cursor, &mut builder)?;
-            let doc = builder
-                .finish()
-                .map_err(|e| QueryError::dynamic(format!("constructor failed: {e}")))?;
-            let doc_id = self.engine.store.add(doc, None);
-            out.push(iter, Item::Node(NodeRef::tree(doc_id, 1)));
+        if n == 0 {
+            return Ok(LlSeq::empty());
         }
-        Ok(out)
+        let mut arena = Arena {
+            builder: DocumentBuilder::new(),
+            names: HashMap::new(),
+        };
+        for iter in 0..n {
+            let mut cursor = 0usize;
+            self.build_element(c, iter, &tables, &mut cursor, &mut arena)?;
+            arena.builder.end_fragment().map_err(constructor_failed)?;
+        }
+        let fragments = arena
+            .builder
+            .finish_fragments()
+            .map_err(constructor_failed)?;
+        let items = (fragments.documents.into_iter())
+            .map(|doc| Item::Node(NodeRef::tree(self.engine.store.add_shared(doc, None), 1)))
+            .collect();
+        let bytes = fragments.arena_bytes as u64;
+        if let Some(p) = self.profile.as_deref_mut() {
+            let m = p.op_mut(expr as *const PlanExpr as usize);
+            m.fragments += n as u64;
+            m.arena_bytes += bytes;
+        }
+        self.engine.note_constructed(n as u64, bytes)?;
+        Ok(LlSeq::from_columns((0..n).collect(), items))
     }
 
     /// Depth-first evaluation of all enclosed expressions of a constructor
@@ -65,9 +148,9 @@ impl Evaluator<'_> {
         iter: u32,
         tables: &[LlSeq],
         cursor: &mut usize,
-        builder: &mut DocumentBuilder,
+        arena: &mut Arena,
     ) -> Result<(), QueryError> {
-        builder.start_element(&c.name);
+        arena.builder.start_element(&c.name);
         for (attr_name, parts) in &c.attributes {
             let mut value = String::new();
             for part in parts {
@@ -88,15 +171,16 @@ impl Evaluator<'_> {
                     PlanContent::Element(_) => unreachable!("no elements in attributes"),
                 }
             }
-            builder.attribute(attr_name, &value);
+            let name = arena.builder.intern(attr_name);
+            add_attribute(&mut arena.builder, name, || attr_name.clone(), &value)?;
         }
         for part in &c.content {
             match part {
                 PlanContent::Text(t) => {
-                    builder.text(t);
+                    arena.builder.text(t);
                 }
                 PlanContent::Element(child) => {
-                    self.build_element(child, iter, tables, cursor, builder)?;
+                    self.build_element(child, iter, tables, cursor, arena)?;
                 }
                 PlanContent::Enclosed(_) => {
                     let t = &tables[*cursor];
@@ -105,15 +189,15 @@ impl Evaluator<'_> {
                     for item in t.group(iter) {
                         match item {
                             Item::Node(node) => {
-                                self.copy_node(*node, builder)?;
+                                self.copy_node(*node, arena)?;
                                 pending_atom = false;
                             }
                             atom => {
                                 // Adjacent atoms joined with a space.
                                 if pending_atom {
-                                    builder.text(" ");
+                                    arena.builder.text(" ");
                                 }
-                                builder.text(&atom.string_value(&self.engine.store));
+                                (arena.builder).text(&atom.string_value(&self.engine.store));
                                 pending_atom = true;
                             }
                         }
@@ -121,87 +205,75 @@ impl Evaluator<'_> {
                 }
             }
         }
-        builder.end_element();
+        arena.builder.end_element();
         Ok(())
     }
 
-    /// Deep-copy a node into the builder (XQuery constructor content copy
+    /// Deep-copy a node into the arena (XQuery constructor content copy
     /// semantics). Attribute nodes become attributes when they arrive
     /// before any other content of the element under construction.
-    fn copy_node(&self, node: NodeRef, builder: &mut DocumentBuilder) -> Result<(), QueryError> {
+    fn copy_node(&self, node: NodeRef, arena: &mut Arena) -> Result<(), QueryError> {
         let doc = self.engine.store.doc(node.doc);
+        let (builder, mut names) = arena.memo(doc.names());
         if let Some(a) = node.id.attr_index() {
-            let name = doc.names().lexical(doc.attr_name_id(a));
-            builder.attribute(&name, doc.attr_value(a));
-            return Ok(());
+            let name = names.get(builder, doc.attr_name_id(a));
+            let lexical = || doc.names().lexical(doc.attr_name_id(a));
+            return add_attribute(builder, name, lexical, doc.attr_value(a));
         }
         let root = node.id.pre().expect("tree node");
-        match doc.kind(root) {
-            NodeKind::Document => {
-                for child in doc.children(root) {
-                    self.copy_node(NodeRef::tree(node.doc, child), builder)?;
-                }
-                return Ok(());
+        if doc.kind(root) == NodeKind::Document {
+            for child in doc.children(root) {
+                copy_subtree(doc, child, builder, &mut names);
             }
-            NodeKind::Text => {
-                builder.text(doc.value(root));
-                return Ok(());
-            }
-            NodeKind::Comment => {
-                builder.comment(doc.value(root));
-                return Ok(());
-            }
-            NodeKind::Pi => {
-                let name = doc.names().lexical(doc.name_id(root));
-                builder.pi(&name, doc.value(root));
-                return Ok(());
-            }
-            NodeKind::Element => {}
-        }
-        // Non-recursive subtree copy via an explicit end-stack.
-        let end = root + doc.size(root);
-        let mut open: Vec<u32> = Vec::new();
-        let mut pre = root;
-        while pre <= end {
-            while let Some(&top) = open.last() {
-                if pre > top + doc.size(top) {
-                    builder.end_element();
-                    open.pop();
-                } else {
-                    break;
-                }
-            }
-            match doc.kind(pre) {
-                NodeKind::Element => {
-                    let name = doc.names().lexical(doc.name_id(pre));
-                    builder.start_element(&name);
-                    for a in doc.attr_range(pre) {
-                        let an = doc.names().lexical(doc.attr_name_id(a));
-                        builder.attribute(&an, doc.attr_value(a));
-                    }
-                    if doc.size(pre) == 0 {
-                        builder.end_element();
-                    } else {
-                        open.push(pre);
-                    }
-                }
-                NodeKind::Text => {
-                    builder.text(doc.value(pre));
-                }
-                NodeKind::Comment => {
-                    builder.comment(doc.value(pre));
-                }
-                NodeKind::Pi => {
-                    let name = doc.names().lexical(doc.name_id(pre));
-                    builder.pi(&name, doc.value(pre));
-                }
-                NodeKind::Document => {}
-            }
-            pre += 1;
-        }
-        while open.pop().is_some() {
-            builder.end_element();
+        } else {
+            copy_subtree(doc, root, builder, &mut names);
         }
         Ok(())
     }
+}
+
+/// Copy the subtree of `doc` rooted at `root` (not the document node)
+/// into `builder`, non-recursively via an explicit end-stack.
+fn copy_subtree(doc: &Document, root: u32, builder: &mut DocumentBuilder, names: &mut Names<'_>) {
+    let end = root + doc.size(root);
+    let mut open: Vec<u32> = Vec::new();
+    for pre in root..=end {
+        while open.last().is_some_and(|&top| pre > top + doc.size(top)) {
+            builder.end_element();
+            open.pop();
+        }
+        match doc.kind(pre) {
+            NodeKind::Element => {
+                let name = names.get(builder, doc.name_id(pre));
+                builder.start_element_named(name);
+                for a in doc.attr_range(pre) {
+                    let name = names.get(builder, doc.attr_name_id(a));
+                    builder.attribute_named(name, doc.attr_value(a));
+                }
+                if doc.size(pre) == 0 {
+                    builder.end_element();
+                } else {
+                    open.push(pre);
+                }
+            }
+            NodeKind::Text => {
+                builder.text(doc.value(pre));
+            }
+            NodeKind::Comment => {
+                builder.comment(doc.value(pre));
+            }
+            NodeKind::Pi => {
+                let target = names.get(builder, doc.name_id(pre));
+                builder.pi_named(target, doc.value(pre));
+            }
+            NodeKind::Document => {}
+        }
+    }
+    while open.pop().is_some() {
+        builder.end_element();
+    }
+}
+
+fn constructor_failed(e: standoff_xml::XmlError) -> QueryError {
+    QueryError::internal(format!("constructor failed: {e}"))
 }

@@ -403,7 +403,7 @@ impl<'e> Evaluator<'e> {
                 candidates,
             } => self.eval_standoff_fn(expr, op, ctx, candidates.as_deref()),
             PlanExpr::BuiltinCall { name, args } => self.eval_builtin_call(name, args),
-            PlanExpr::Constructor(c) => self.eval_constructor(c),
+            PlanExpr::Constructor(c) => self.eval_constructor(expr, c),
         }
     }
 }

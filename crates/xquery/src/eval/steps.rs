@@ -1,15 +1,80 @@
 //! Paths, tree steps and predicates: the `.` a relative path reads, the
 //! per-context-node scope of a positional tree-step predicate, the
-//! generic predicate scope (`.`, `position()`, `last()`), and the fused
-//! `[@name = "value"]` filter that needs no scope at all.
+//! generic predicate scope (`.`, `position()`, `last()`), and the two
+//! predicates that need no scope at all — the fused `[@name = "value"]`
+//! filter and a pick by rank (`[k]`, `[last()]`).
 
 use standoff_algebra::{Item, LlSeq, NodeTable, NodeTest, TreeAxis};
 use standoff_xml::{DocId, NodeRef};
 
-use super::{positions, Evaluator, Frame};
+use super::{positions, Evaluator, Frame, Rows};
 use crate::engine::EngineState;
 use crate::error::QueryError;
-use crate::plan::PlanExpr;
+use crate::plan::{Atom, PlanExpr};
+
+/// A predicate that keeps one row by its position in each iteration's
+/// run: `[k]` for a constant integer `k`, or `[last()]`. Under
+/// loop-lifting position is a property of the run (§4.5), so the pick
+/// is one pass over the `iter` column — no per-row scope, no position
+/// or last columns.
+#[derive(Clone, Copy)]
+enum Rank {
+    Nth(i64),
+    Last,
+}
+
+impl Rank {
+    fn of(predicate: &PlanExpr) -> Option<Rank> {
+        match predicate {
+            PlanExpr::Const(Atom::Integer(k)) => Some(Rank::Nth(*k)),
+            // Resolved like `eval_builtin_call`: by local name, never a UDF.
+            PlanExpr::BuiltinCall { name, args }
+                if args.is_empty()
+                    && name.split_once(':').map_or(name.as_str(), |(_, l)| l) == "last" =>
+            {
+                Some(Rank::Last)
+            }
+            _ => None,
+        }
+    }
+
+    /// The rows kept of a table with columns `iters` and `values`: the
+    /// rank-th row of every run of equal iterations that has one.
+    fn pick<V: Clone>(self, iters: &[u32], values: &[V]) -> (Vec<u32>, Vec<V>) {
+        let (mut kept_iters, mut kept) = (Vec::new(), Vec::new());
+        let mut start = 0;
+        while start < iters.len() {
+            let run = (iters[start..].iter())
+                .take_while(|&&i| i == iters[start])
+                .count();
+            let row = match self {
+                Rank::Nth(k) => (k >= 1 && k as usize <= run).then(|| start + k as usize - 1),
+                Rank::Last => Some(start + run - 1),
+            };
+            if let Some(row) = row {
+                kept_iters.push(iters[row]);
+                kept.push(values[row].clone());
+            }
+            start += run;
+        }
+        (kept_iters, kept)
+    }
+}
+
+/// A pick by rank's output, metered as the predicate it replaces: that
+/// operator yields one value per input row (the constant `k`, or each
+/// row's `last()`), so governance charges — and the profile counts —
+/// the input's rows.
+struct Picked<T> {
+    table: T,
+    positions: usize,
+}
+
+impl<T> Rows for Picked<T> {
+    fn rows(&self) -> usize {
+        self.positions
+    }
+}
 
 /// The fused `[@name = "value"]` predicate on one node row: does the
 /// row's element carry that attribute with exactly that value, read
@@ -180,8 +245,17 @@ impl Evaluator<'_> {
         predicates: &[PlanExpr],
     ) -> Result<LlSeq, QueryError> {
         let mut rest = predicates;
-        while let [predicate @ PlanExpr::AttrEquals { name, value }, tail @ ..] = rest {
-            nodes = self.metered(predicate, |ev| ev.filter_attr_nodes(nodes, name, value))?;
+        while let [predicate, tail @ ..] = rest {
+            nodes = match (predicate, Rank::of(predicate)) {
+                (PlanExpr::AttrEquals { name, value }, _) => {
+                    self.metered(predicate, |ev| ev.filter_attr_nodes(nodes, name, value))?
+                }
+                (_, Some(rank)) => {
+                    let (iters, values) = (nodes.iters(), nodes.nodes());
+                    self.pick_by_rank(predicate, rank, iters, values, NodeTable::from_columns)?
+                }
+                _ => break,
+            };
             rest = tail;
         }
         let mut table = nodes.into_llseq();
@@ -274,6 +348,10 @@ impl Evaluator<'_> {
                 Ok(ev.filter_attr_nodes(nodes, name, value)?.into_llseq())
             });
         }
+        if let Some(rank) = Rank::of(predicate) {
+            let (iters, items) = (table.iters(), table.items());
+            return self.pick_by_rank(predicate, rank, iters, items, LlSeq::from_columns);
+        }
         // Positions and group sizes within the input's iterations: a
         // row's `last()` is the position of its run's final row.
         let iters = table.iters();
@@ -307,6 +385,26 @@ impl Evaluator<'_> {
             }
         }
         Ok(out)
+    }
+
+    /// `predicate`, a pick by `rank`, over a table with columns `iters`
+    /// and `values`; `table` makes the output table from the kept rows.
+    fn pick_by_rank<V: Clone, T>(
+        &mut self,
+        predicate: &PlanExpr,
+        rank: Rank,
+        iters: &[u32],
+        values: &[V],
+        table: impl FnOnce(Vec<u32>, Vec<V>) -> T,
+    ) -> Result<T, QueryError> {
+        let picked = self.metered(predicate, |_| {
+            let (kept_iters, kept) = rank.pick(iters, values);
+            Ok(Picked {
+                table: table(kept_iters, kept),
+                positions: iters.len(),
+            })
+        })?;
+        Ok(picked.table)
     }
 
     /// The fused `[@name = "value"]` predicate over node rows (see

@@ -93,6 +93,9 @@ impl AnalyzeCtx<'_> {
             "  -- actual #{id}: calls={} rows={} time={time}",
             m.calls, m.out_rows
         );
+        if let PlanExpr::Constructor(_) = expr {
+            let _ = write!(note, " fragments={} arena={}", m.fragments, m.arena_bytes);
+        }
         if let Some(j) = &m.join {
             let _ = write!(
                 note,

@@ -40,6 +40,10 @@ pub struct OpMetrics {
     pub out_rows: u64,
     /// StandOff-join mechanism details, for join operators only.
     pub join: Option<JoinExec>,
+    /// Fragments a constructor built (one per iteration), and the bytes
+    /// of the arenas it packed them into. Zero for other operators.
+    pub fragments: u64,
+    pub arena_bytes: u64,
 }
 
 /// Join-level execution detail of one StandOff join operator.
@@ -163,6 +167,12 @@ impl QueryProfile {
                     out.push_str(&format!(", \"{}\": {value}", counter.name));
                 }
                 out.push('}');
+            }
+            if let PlanExpr::Constructor(_) = expr {
+                out.push_str(&format!(
+                    ", \"construct\": {{\"fragments\": {}, \"arena_bytes\": {}}}",
+                    m.fragments, m.arena_bytes
+                ));
             }
             if let PlanExpr::StandoffStep { op, .. } | PlanExpr::StandoffFn { op, .. } = expr {
                 if let Some(est) = &op.estimate {

@@ -1,5 +1,7 @@
 //! Materialized query results.
 
+use std::ops::Range;
+
 use standoff_algebra::Item;
 use standoff_xml::{SerializeOptions, Store};
 
@@ -10,28 +12,46 @@ pub struct QueryResult {
     items: Vec<Item>,
     /// String value of each item.
     strings: Vec<String>,
-    /// Serialized form of each item (XML markup for nodes).
-    serialized: Vec<String>,
+    /// The whole sequence serialized, as [`QueryResult::as_xml`] returns it.
+    xml: String,
+    /// Each item's serialized form within `xml` (separators excluded).
+    spans: Vec<Range<usize>>,
 }
 
 impl QueryResult {
     pub(crate) fn new(items: Vec<Item>, store: &Store) -> QueryResult {
-        let strings = items.iter().map(|i| i.string_value(store)).collect();
-        let serialized = items
-            .iter()
-            .map(|i| match i {
-                Item::Node(node) => standoff_xml::serialize_node(
+        let mut strings = Vec::with_capacity(items.len());
+        let mut spans = Vec::with_capacity(items.len());
+        let mut xml = String::new();
+        let mut prev_needs_sep = false;
+        for item in &items {
+            let string = item.string_value(store);
+            let needs_sep = match item {
+                Item::Node(node) => node.id.is_attr(),
+                _ => true,
+            };
+            if prev_needs_sep && needs_sep {
+                xml.push(' ');
+            }
+            let start = xml.len();
+            match item {
+                Item::Node(node) => standoff_xml::serialize_node_into(
                     store.doc(node.doc),
                     node.id,
                     SerializeOptions::default(),
+                    &mut xml,
                 ),
-                atom => atom.string_value(store),
-            })
-            .collect();
+                _ => xml.push_str(&string),
+            }
+            spans.push(start..xml.len());
+            strings.push(string);
+            prev_needs_sep = needs_sep;
+        }
         QueryResult {
             items,
             strings,
-            serialized,
+            xml,
+            spans,
         }
     }
 
@@ -55,29 +75,20 @@ impl QueryResult {
     }
 
     /// Serialized form of each item (markup for nodes, lexical form for
-    /// atoms).
-    pub fn as_serialized(&self) -> &[String] {
-        &self.serialized
+    /// atoms): copies of the item's slice of [`QueryResult::as_xml`]'s
+    /// buffer.
+    pub fn as_serialized(&self) -> Vec<String> {
+        (self.spans.iter())
+            .map(|span| self.xml[span.clone()].to_string())
+            .collect()
     }
 
     /// The whole sequence serialized: element markup concatenated,
     /// adjacent atoms — and adjacent attribute nodes, which have no
-    /// self-delimiting markup — separated by a single space.
+    /// self-delimiting markup — separated by a single space. Serialized
+    /// once, when the result was made; this is a copy of that buffer.
     pub fn as_xml(&self) -> String {
-        let mut out = String::new();
-        let mut prev_needs_sep = false;
-        for (item, ser) in self.items.iter().zip(&self.serialized) {
-            let needs_sep = match item {
-                Item::Node(node) => node.id.is_attr(),
-                _ => true,
-            };
-            if prev_needs_sep && needs_sep {
-                out.push(' ');
-            }
-            out.push_str(ser);
-            prev_needs_sep = needs_sep;
-        }
-        out
+        self.xml.clone()
     }
 
     /// Convenience for tests: single-item result as string.

@@ -1,8 +1,10 @@
-//! Deeper evaluator coverage: constructors with attribute-node content,
-//! multi-key ordering, positional variables under restriction, and path
-//! expressions with non-step right-hand sides.
+//! Deeper evaluator coverage: constructors with attribute-node content
+//! (and the errors that content can raise), multi-key ordering,
+//! positional variables under restriction, positional predicates picked
+//! by rank, and path expressions with non-step right-hand sides.
 
-use standoff_xquery::Engine;
+use proptest::prelude::*;
+use standoff_xquery::{Engine, QueryError};
 
 fn run(e: &mut Engine, q: &str) -> Vec<String> {
     e.run(q)
@@ -176,4 +178,125 @@ fn standoff_join_on_constructed_document() {
                   </track>
         return $d/span[@id = "host"]/select-narrow::span/@id"#;
     assert_eq!(run(&mut e, q), ["host", "in"]);
+}
+
+/// An attribute node after other content of a constructed element is a
+/// type error (XQTY0024), not a builder panic.
+#[test]
+fn attribute_after_content_is_xqty0024() {
+    let mut e = Engine::new();
+    e.load_document("x", r#"<entities><entity kind="seed"/></entities>"#)
+        .unwrap();
+    for q in [
+        r#"<a>{"x"}{doc("x")/entities/entity[1]/@kind}</a>"#,
+        r#"<a><b/>{doc("x")//entity/@kind}</a>"#,
+        r#"<a>text{doc("x")//entity/@kind}</a>"#,
+    ] {
+        match e.run(q) {
+            Err(QueryError::Dynamic(m)) => {
+                assert!(
+                    m.contains("type error") && m.contains("XQTY0024"),
+                    "{q}: {m}"
+                )
+            }
+            other => panic!("{q}: expected a type error, got {other:?}"),
+        }
+    }
+    // Before any other content the attribute still joins the element.
+    assert_eq!(
+        e.run(r#"<a>{doc("x")//entity/@kind}{"x"}</a>"#)
+            .unwrap()
+            .as_xml(),
+        r#"<a kind="seed">x</a>"#
+    );
+}
+
+/// Two attributes of one name on a constructed element are a dynamic
+/// error (XQDY0025) — copied twice, or a literal one copied again —
+/// never markup with a repeated attribute.
+#[test]
+fn duplicate_attribute_is_xqdy0025() {
+    let mut e = Engine::new();
+    e.load_document("x", r#"<entities><entity kind="seed" id="e1"/></entities>"#)
+        .unwrap();
+    for q in [
+        r#"let $e := doc("x")//entity return <a>{$e/@kind, $e/@kind}</a>"#,
+        r#"<a kind="lit">{doc("x")//entity/@kind}</a>"#,
+        r#"for $i in (1, 2) return <a>{doc("x")//entity/@*}{doc("x")//entity/@id}</a>"#,
+    ] {
+        match e.run(q) {
+            Err(QueryError::Dynamic(m)) => assert!(m.contains("XQDY0025"), "{q}: {m}"),
+            other => panic!("{q}: expected XQDY0025, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        e.run(r#"<a id="x">{doc("x")//entity/@kind}</a>"#)
+            .unwrap()
+            .as_xml(),
+        r#"<a id="x" kind="seed"/>"#
+    );
+}
+
+/// `<d>` with a `<p>` per group holding its `<x>` children, each
+/// element carrying a region; plus top-level `<x>`s.
+fn rank_doc(groups: &[Vec<(i64, i64)>], loose: &[(i64, i64)]) -> String {
+    let mut xml = String::from("<d>");
+    for (k, group) in groups.iter().enumerate() {
+        let lo = group.iter().map(|r| r.0).min().unwrap_or(0);
+        let hi = group.iter().map(|r| r.0 + r.1).max().unwrap_or(0);
+        xml.push_str(&format!(r#"<p n="{k}" start="{lo}" end="{hi}">"#));
+        for (j, &(start, len)) in group.iter().enumerate() {
+            let end = start + len;
+            xml.push_str(&format!(r#"<x n="{k}.{j}" start="{start}" end="{end}"/>"#));
+        }
+        xml.push_str("</p>");
+    }
+    for (j, &(start, len)) in loose.iter().enumerate() {
+        let end = start + len;
+        xml.push_str(&format!(r#"<x n="l{j}" start="{start}" end="{end}"/>"#));
+    }
+    xml.push_str("</d>");
+    xml
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// A pick by rank (`[k]`, `[last()]`) answers what the generic
+    /// predicate scope answers for `[position() = k]` and
+    /// `[position() = last()]`, over tree steps, StandOff steps,
+    /// filtered sequences and per-iteration tables.
+    #[test]
+    fn rank_predicates_match_the_generic_scope(
+        groups in prop::collection::vec(prop::collection::vec((0i64..60, 0i64..20), 0..5), 0..5),
+        loose in prop::collection::vec((0i64..60, 0i64..20), 0..6),
+        k in 0i64..5,
+    ) {
+        let mut e = Engine::new();
+        e.load_document("d.xml", &rank_doc(&groups, &loose)).unwrap();
+        let paths = [
+            r#"doc("d.xml")//p/x{}"#,
+            r#"doc("d.xml")//x{}"#,
+            r#"(doc("d.xml")//x){}"#,
+            r#"doc("d.xml")//p/select-narrow::x{}"#,
+            r#"doc("d.xml")//p/select-wide::x{}"#,
+            r#"doc("d.xml")//p/reject-narrow::x{}"#,
+            r#"for $p in doc("d.xml")//p return $p/select-wide::x{}"#,
+            r#"for $p in doc("d.xml")//p return ($p/x){}"#,
+            r#"for $p in doc("d.xml")//p return (1 to count($p/x)){}"#,
+        ];
+        let pairs = [
+            (format!("[{k}]"), format!("[position() = {k}]")),
+            ("[last()]".to_string(), "[position() = last()]".to_string()),
+        ];
+        for path in paths {
+            for (rank, generic) in &pairs {
+                let fast = path.replace("{}", rank);
+                let slow = path.replace("{}", generic);
+                let a = e.run(&fast).unwrap();
+                let b = e.run(&slow).unwrap();
+                prop_assert_eq!(a.as_xml(), b.as_xml(), "{} vs {}", fast, slow);
+            }
+        }
+    }
 }

@@ -299,6 +299,36 @@ fn scratch_cap_sees_the_join_runs_and_the_merged_result() {
     );
 }
 
+/// The scratch cap sees what element constructors build: every
+/// fragment arena the query's constructed elements live in counts. Five
+/// thousand small rows pack into arenas of well over 64 KiB, so that
+/// cap refuses the query; without a cap — and under a roomy one — it
+/// answers, identically.
+#[test]
+fn constructor_output_trips_the_scratch_cap() {
+    let query = r#"for $i in 1 to 5000 return <row n="{$i}"><cell>text {$i}</cell></row>"#;
+    let mut engine = Engine::new();
+    let plain = engine.run(query).unwrap();
+    assert_eq!(plain.len(), 5000);
+    let roomy = Budget::new(BudgetLimits {
+        max_scratch_bytes: Some(u64::MAX / 2),
+        ..BudgetLimits::default()
+    });
+    engine.set_budget(Some(roomy.clone()));
+    assert_eq!(engine.run(query).unwrap().as_xml(), plain.as_xml());
+    assert!(roomy.scratch_hwm() > 64 * 1024, "{}", roomy.scratch_hwm());
+
+    let mut engine = Engine::new();
+    engine.set_budget(budget(BudgetLimits {
+        max_scratch_bytes: Some(64 * 1024),
+        ..BudgetLimits::default()
+    }));
+    assert_eq!(
+        engine.run(query).unwrap_err(),
+        QueryError::ResultLimit("scratch memory cap exceeded".into())
+    );
+}
+
 /// A deadline reaches inside the wide kernel, which polls once per
 /// 64-candidate block: a `select-wide` self-join of a generated dense
 /// layer — every `w` overlaps the next hundred — fails with `Timeout`
