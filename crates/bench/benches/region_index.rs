@@ -1,13 +1,14 @@
 //! Region-index microbenchmarks (paper §4.3) and the candidate-pushdown
 //! ablation (§3.3(iii)): index construction, candidate-sequence
-//! intersection at varying selectivity, and the effect of pushdown on a
-//! full join.
+//! intersection at varying selectivity, a name's posting against the
+//! per-join gather it replaces, and the effect of pushdown on a full
+//! join.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use standoff_core::{
-    evaluate_standoff_join, CandidateScratch, IterNode, JoinInput, RegionIndex, StandoffAxis,
-    StandoffConfig, StandoffStrategy,
+    evaluate_standoff_join, IterNode, JoinInput, RegionIndex, StandoffAxis, StandoffConfig,
+    StandoffStrategy,
 };
 use standoff_xmark::{generate, standoffify, XmarkConfig};
 
@@ -34,10 +35,9 @@ fn region_index(c: &mut Criterion) {
     group.finish();
 
     // Sparse-pushdown scaling: a fixed 64-candidate set against indexes
-    // an order of magnitude apart in size. The node-view path must cost
-    // (roughly) the same on both — candidate-count scaling — while the
-    // forced scan kernel grows with the index. This is the
-    // "no longer Θ(|index|)" acceptance measurement.
+    // an order of magnitude apart in size. The node-view gather must
+    // cost (roughly) the same on both — candidate-count scaling, not
+    // Θ(|index|).
     let mut group = c.benchmark_group("region_index/sparse_scaling");
     for n in [10_000usize, 100_000] {
         let pairs: Vec<(u32, standoff_core::Area)> = (0..n)
@@ -49,92 +49,40 @@ fn region_index(c: &mut Criterion) {
         let synthetic = standoff_core::RegionIndex::from_areas(&pairs);
         let sparse: Vec<u32> = (0..64u32).map(|k| k * (n as u32 / 64)).collect();
         group.bench_with_input(
-            BenchmarkId::new("adaptive_64_cands", n),
+            BenchmarkId::new("gather_64_cands", n),
             &sparse,
             |b, cands| {
                 b.iter(|| synthetic.candidates_for(cands));
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("forced_scan_64_cands", n),
-            &sparse,
-            |b, cands| {
-                let mut scratch = CandidateScratch::default();
-                let mut out = Vec::new();
-                b.iter(|| {
-                    synthetic.dense_scan_candidates(cands, 0..n, &mut scratch, &mut out);
-                    out.len()
-                });
-            },
-        );
     }
     group.finish();
 
-    // The candidate rule's calibration: every kernel forced over reaches
-    // of 0.01 %, 1 %, 25 % and 100 % of a 50k-entry table, centred in it,
-    // at C ∈ {64, 4 000, 50 000} candidates (half of them unannotated, so
-    // no set covers the table and borrowing is off the table), next to
-    // the entry point that chooses, plus one C ≫ E table. The crossovers
-    // visible here are the ones `candidate_kernel`'s costs must
-    // reproduce.
-    let mut group = c.benchmark_group("region_index/reach");
-    group.sample_size(50);
-    {
-        let n = 50_000usize;
-        let pairs: Vec<(u32, standoff_core::Area)> = (0..n)
-            .map(|k| {
-                let s = k as i64 * 10;
-                (2 * k as u32, standoff_core::Area::single(s, s + 8).unwrap())
+    // What a join over a pushed name pays for its candidates inside a
+    // reach of a tenth of the table: the node-view gather every join
+    // paid before postings (and an explicit candidate sequence still
+    // pays), against the cached posting's two partition points.
+    let mut group = c.benchmark_group("region_index/posting");
+    let (from, to) = {
+        let e = index.entries();
+        (e[e.len() * 4 / 10].start, e[e.len() / 2].start)
+    };
+    let reach = index.reach(from, to);
+    for name in ["person", "bidder", "incategory"] {
+        let id = so.doc.names().get(name).unwrap();
+        let nodes = so.doc.elements_named(name);
+        let mut out = Vec::new();
+        group.bench_function(format!("gather/{name}"), |b| {
+            b.iter(|| {
+                index.gather_candidates(nodes, reach.clone(), &mut out);
+                out.len()
             })
-            .collect();
-        let synthetic = standoff_core::RegionIndex::from_areas(&pairs);
-        for reach_len in [5usize, 500, 12_500, 50_000] {
-            let from = 10 * (n - reach_len) as i64 / 2;
-            let reach = synthetic.reach(from, from + 10 * reach_len as i64 - 1);
-            assert_eq!(reach.len(), reach_len);
-            for count in [64u32, 4_000, 50_000] {
-                let stride = 2 * n as u32 / count;
-                let cands: Vec<u32> = (0..count).map(|k| k * stride + k % 2).collect();
-                let id = |kernel: &str| format!("{kernel}/R{reach_len}/C{count}");
-                let mut scratch = CandidateScratch::default();
-                let mut out = Vec::new();
-                group.bench_function(id("adaptive"), |b| {
-                    b.iter(|| {
-                        synthetic.candidates_in(Some(&cands), reach.clone(), &mut scratch, &mut out)
-                    })
-                });
-                group.bench_function(id("gather"), |b| {
-                    b.iter(|| synthetic.gather_candidates(&cands, reach.clone(), &mut out))
-                });
-                group.bench_function(id("scan"), |b| {
-                    b.iter(|| {
-                        synthetic.dense_scan_candidates(
-                            &cands,
-                            reach.clone(),
-                            &mut scratch,
-                            &mut out,
-                        )
-                    })
-                });
-                group.bench_function(id("probe"), |b| {
-                    b.iter(|| synthetic.probe_candidates(&cands, reach.clone(), &scratch, &mut out))
-                });
-            }
-        }
-        // Far more candidate elements than index entries (C ≫ E): the
-        // probe's regime, where a scan would pay an O(C) bitset fill for
-        // a one-block pass.
-        let tiny = standoff_core::RegionIndex::from_areas(&pairs[..64]);
-        let many: Vec<u32> = (0..n as u32).collect();
-        let (mut scratch, mut out) = (CandidateScratch::default(), Vec::new());
-        group.bench_function("adaptive/oversubscribed/E64/C50000", |b| {
-            b.iter(|| tiny.candidates_in(Some(&many), 0..64, &mut scratch, &mut out))
         });
-        group.bench_function("scan/oversubscribed/E64/C50000", |b| {
-            b.iter(|| tiny.dense_scan_candidates(&many, 0..64, &mut scratch, &mut out))
-        });
-        group.bench_function("probe/oversubscribed/E64/C50000", |b| {
-            b.iter(|| tiny.probe_candidates(&many, 0..64, &scratch, &mut out))
+        group.bench_function(format!("posting/{name}"), |b| {
+            b.iter(|| {
+                let posting = index.posting(&so.doc, id, None).unwrap().unwrap();
+                posting.table.reach(from, to).len()
+            })
         });
     }
     group.finish();

@@ -2,7 +2,7 @@
 //!
 //! A [`Budget`] is a small, cloneable handle (an `Arc` around atomics)
 //! that a host installs before evaluation and that every long-running
-//! loop in the engine polls cooperatively: the candidate scan kernels,
+//! loop in the engine polls cooperatively: the posting derivations,
 //! the merge-join emission loops, the naive baselines' nested loops,
 //! and the evaluator's operator dispatch. It enforces three caps —
 //!
@@ -23,8 +23,8 @@
 //!   kernels hoist one `Option` test out of their loops;
 //! * inside kernels, [`Budget::poll`] is the only call allowed: one
 //!   relaxed atomic fetch-add per 64-entry chunk, consulting the clock
-//!   only every [`POLL_STRIDE`] polls, so the branch-free dense scan
-//!   stays branch-free (the chunk loop gains one predictable branch);
+//!   only every [`POLL_STRIDE`] polls, so a block loop gains one
+//!   predictable branch;
 //! * the clock is read eagerly only at coarse chokepoints
 //!   ([`Budget::check`]): once per evaluated operator and per join
 //!   unit.

@@ -7,24 +7,26 @@
 //! context-region fetch and the candidate-sequence intersection that the
 //! element-name index feeds into StandOff steps with name tests.
 //!
-//! That intersection is one operation with one entry point,
-//! [`RegionIndex::candidates_in`], bounded by a *reach* — the slice of
-//! the clustered table a join's context can contain
-//! ([`RegionIndex::reach`]; the whole table when it is not bounded) — and
-//! one decision ([`candidate_kernel`]) among four derivations: borrow
-//! the reach as it is, gather through the node view, a branch-free bitset
-//! scan of the reach, or a probe of each reach entry against the sorted
-//! candidates.
+//! A join reads a *reach* of a start-clustered [`Table`] — the slice its
+//! context can contain ([`Table::reach`], [`Table::wide_reach`]). For a
+//! pushed element name that table is the name's *posting*
+//! ([`RegionIndex::posting`]): the candidate intersection, derived once
+//! per name through the node view and kept in the index, or the whole
+//! table when the name's elements are every annotated node. An explicit
+//! candidate sequence is intersected per join, through the node view
+//! ([`RegionIndex::gather_candidates`]) or by borrowing when it covers.
 
 use std::io;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use standoff_xml::column::{Pod, PodCol};
-use standoff_xml::{Document, NodeKind, Renumbering};
+use standoff_xml::{Document, NameId, NodeKind, Renumbering};
 
+use crate::budget::{Budget, BudgetExceeded};
 use crate::config::StandoffConfig;
 use crate::error::StandoffError;
-use crate::join::JoinStats;
+use crate::join::merge::POLL_BLOCK;
 use crate::region::{Area, Region};
 
 /// One row of the region index.
@@ -119,6 +121,11 @@ pub struct RegionIndex {
     /// the index is built, renumbered or mounted and never stored: the
     /// loop-lifted wide join's reach ([`RegionIndex::wide_reach`]).
     max_extent: i64,
+    /// One slot per element name of the indexed document, holding the
+    /// name's posting once a join has derived it
+    /// ([`RegionIndex::posting`]). Never stored: a built, renumbered or
+    /// mounted index starts with none.
+    postings: OnceLock<Box<[OnceLock<NamePosting>]>>,
 }
 
 /// Borrowed raw columns of a [`RegionIndex`] — the snapshot writer's
@@ -174,6 +181,7 @@ impl IndexAccum {
             node_regions: self.node_regions.into(),
             max_regions: self.max_regions,
             max_extent,
+            postings: OnceLock::new(),
         }
     }
 }
@@ -265,6 +273,7 @@ impl RegionIndex {
             node_regions: node_regions.into(),
             max_regions,
             max_extent,
+            postings: OnceLock::new(),
         }
     }
 
@@ -402,9 +411,7 @@ impl RegionIndex {
     /// Every region a `select-narrow` over that context can contain is
     /// one of them; the rest of the table need not be read.
     pub fn reach(&self, from: i64, to: i64) -> Range<usize> {
-        let lo = self.entries.partition_point(|e| e.start < from);
-        let hi = lo + self.entries[lo..].partition_point(|e| e.start <= to);
-        lo..hi
+        self.table().reach(from, to)
     }
 
     /// The reach of a context extent `[from, to]` for the overlap axes:
@@ -415,7 +422,7 @@ impl RegionIndex {
     /// annotations (tokens, entities) shrinks to its context's stretch;
     /// one whose root spans the text stays whole.
     pub fn wide_reach(&self, from: i64, to: i64) -> Range<usize> {
-        self.reach(from.saturating_sub(self.max_extent), to)
+        self.table().wide_reach(from, to)
     }
 
     /// Candidate-sequence intersection (§4.3): restrict the index to the
@@ -423,82 +430,49 @@ impl RegionIndex {
     /// ordering* of the region index. This is how an element-name test is
     /// pushed down into a StandOff step.
     ///
-    /// The allocating convenience over [`RegionIndex::candidates_in`],
-    /// over the whole table.
+    /// The allocating form, over the whole table: candidates that are
+    /// every annotated node copy the table, any others are gathered
+    /// through the node view ([`RegionIndex::gather_candidates`]).
     pub fn candidates_for(&self, sorted_node_pres: &[u32]) -> Vec<RegionEntry> {
+        if sorted_node_pres == &self.node_ids[..] {
+            return self.entries.to_vec();
+        }
         let mut out = Vec::new();
-        let whole = 0..self.len();
-        let mut scratch = CandidateScratch::default();
-        match self.candidates_in(
-            Some(sorted_node_pres),
-            whole.clone(),
-            &mut scratch,
-            &mut out,
-        ) {
-            CandidateKernel::Borrowed => self.entries[whole].to_vec(),
-            _ => out,
-        }
+        self.gather_candidates(sorted_node_pres, 0..self.len(), &mut out);
+        out
     }
 
-    /// The candidate intersection within `reach` (a range
-    /// [`RegionIndex::reach`] returned, or the whole table — never one
-    /// that splits a run of equal starts): one decision
-    /// ([`candidate_kernel`]) among four derivations, counted in
-    /// `scratch.stats` where it is made. `candidates: None` means no
-    /// restriction. Every kernel but [`CandidateKernel::Borrowed`]
-    /// writes into `out` (cleared first); a borrowing derivation leaves
-    /// `out` alone — its entries are `&self.entries()[reach]`. `scratch`
-    /// carries the reusable bitset, the governance budget and the
-    /// counters, so the join hot path allocates nothing per call.
-    pub fn candidates_in(
-        &self,
-        candidates: Option<&[u32]>,
-        reach: Range<usize>,
-        scratch: &mut CandidateScratch,
-        out: &mut Vec<RegionEntry>,
-    ) -> CandidateKernel {
-        let reach_len = reach.len();
-        scratch.stats.candidate_reach_entries += reach_len as u64;
-        let kernel = candidate_kernel(
-            candidates.map(<[u32]>::len),
-            self.entries.len() as u64,
-            reach_len as u64,
-            || candidates == Some(&self.node_ids[..]),
-        );
-        let stats = &mut scratch.stats;
-        match kernel {
-            CandidateKernel::Borrowed => stats.candidate_borrowed += 1,
-            CandidateKernel::NodeView => stats.candidate_node_view += 1,
-            CandidateKernel::Scan => stats.candidate_scans += 1,
-            CandidateKernel::Probe => stats.candidate_probes += 1,
-        }
-        let cands = candidates.unwrap_or_default();
-        match kernel {
-            CandidateKernel::Borrowed => {}
-            CandidateKernel::NodeView => self.gather_candidates(cands, reach, out),
-            CandidateKernel::Scan => self.dense_scan_candidates(cands, reach, scratch, out),
-            CandidateKernel::Probe => self.probe_candidates(cands, reach, scratch, out),
-        }
-        kernel
-    }
-
-    /// The gather kernel: fetch each candidate's regions through the CSR
-    /// node view — one galloping cursor over the node ids, both lists
-    /// ascending — into `out` (cleared first), keeping those inside
-    /// `reach` and restoring the `(start, end, id)` clustering only when
-    /// the gathered runs actually violate it. The kernels are public so
-    /// benches and the property suite can run each of them on inputs the
-    /// cost rule would send elsewhere.
+    /// The node-view derivation: fetch each candidate's regions through
+    /// the CSR node view — one galloping cursor over the node ids, both
+    /// lists ascending — into `out` (cleared first), keeping those inside
+    /// `reach` (a range [`RegionIndex::reach`] returned, or the whole
+    /// table — never one that splits a run of equal starts) and
+    /// restoring the `(start, end, id)` clustering only when the
+    /// gathered runs actually violate it.
     pub fn gather_candidates(
         &self,
         sorted_node_pres: &[u32],
         reach: Range<usize>,
         out: &mut Vec<RegionEntry>,
     ) {
+        let gathered = self.gather(sorted_node_pres, reach, None, out);
+        debug_assert!(gathered.is_ok(), "no budget, no trip");
+    }
+
+    /// [`RegionIndex::gather_candidates`], polling `budget` once per
+    /// [`POLL_BLOCK`] candidates. Returns how many candidates are
+    /// annotated.
+    fn gather(
+        &self,
+        sorted_node_pres: &[u32],
+        reach: Range<usize>,
+        budget: Option<&Budget>,
+        out: &mut Vec<RegionEntry>,
+    ) -> Result<usize, BudgetExceeded> {
         debug_assert!(sorted_node_pres.windows(2).all(|w| w[0] < w[1]));
         out.clear();
         if reach.is_empty() {
-            return;
+            return Ok(0);
         }
         // The reach as a start interval: it never splits a run of equal
         // starts, so the interval holds exactly its entries.
@@ -509,12 +483,18 @@ impl RegionIndex {
         out.reserve(sorted_node_pres.len());
         let mut sorted = true;
         let mut prev = (i64::MIN, i64::MIN, 0u32);
-        let mut slot = 0;
-        for &pre in sorted_node_pres {
+        let (mut slot, mut annotated) = (0, 0);
+        for (k, &pre) in sorted_node_pres.iter().enumerate() {
+            if k % POLL_BLOCK == 0 {
+                if let Some(why) = budget.and_then(Budget::poll) {
+                    return Err(why);
+                }
+            }
             slot = crate::join::merge::gallop(&self.node_ids, slot, |&id| id < pre);
             if self.node_ids.get(slot) != Some(&pre) {
                 continue;
             }
+            annotated += 1;
             let regions = self.node_offsets[slot] as usize..self.node_offsets[slot + 1] as usize;
             for r in &self.node_regions[regions] {
                 if r.start < from || r.start > to {
@@ -538,61 +518,94 @@ impl RegionIndex {
         if !sorted {
             out.sort_unstable_by_key(|e| (e.start, e.end, e.id));
         }
+        Ok(annotated)
     }
 
-    /// The scan kernel: build the candidate bitset in `scratch`, then one
-    /// chunked branch-free pass over the reach into `out` (cleared
-    /// first), which therefore needs no re-sort. Polls `scratch.budget`
-    /// once per 64-entry block.
-    pub fn dense_scan_candidates(
+    /// The posting of element name `name` of `doc`, the document this
+    /// index describes: the entries of its elements
+    /// ([`Document::element_postings`]) in the table's `(start, end,
+    /// id)` order, with their own extent bound — or, for a name whose
+    /// elements are exactly the annotated nodes, the whole table,
+    /// borrowed. Derived by the node-view gather on the first call for
+    /// the name and kept in the index, so every later join over the
+    /// name reads two partition points and its own entries. A derivation
+    /// polls `budget` once per block of candidates; a trip publishes
+    /// nothing, and the next call derives again.
+    ///
+    /// `doc` must be the document the index was built from: its name
+    /// table sizes the slots on the first call, and a name outside them
+    /// is `None`, which leaves the derivation to the caller. Every published
+    /// posting adds its bytes to the `index.posting_bytes` counter of
+    /// the process-wide registry: engine memory, bounded by 24 bytes
+    /// per entry of the index, shared by every request that reads it.
+    pub fn posting(
         &self,
-        sorted_node_pres: &[u32],
-        reach: Range<usize>,
-        scratch: &mut CandidateScratch,
-        out: &mut Vec<RegionEntry>,
-    ) {
-        debug_assert!(sorted_node_pres.windows(2).all(|w| w[0] < w[1]));
-        out.clear();
-        if sorted_node_pres.is_empty() || reach.is_empty() {
-            return;
-        }
-        scratch.dense.fill(sorted_node_pres);
-        scratch.stats.candidate_repr_dense += 1;
-        // The kernel visits every 64-entry block of the reach once.
-        scratch.stats.candidate_dense_blocks += reach.len().div_ceil(SCAN_CHUNK) as u64;
-        dense_scan_chunks(
-            &self.entries[reach],
-            &scratch.dense,
-            scratch.budget.as_ref(),
-            out,
-        );
-    }
-
-    /// The probe kernel: each entry of the reach looks its id up in the
-    /// sorted candidates — no bitset, no pass over the candidates — into
-    /// `out` (cleared first), in clustered order. Polls
-    /// `scratch.budget` once per 64 entries, like the scan.
-    pub fn probe_candidates(
-        &self,
-        sorted_node_pres: &[u32],
-        reach: Range<usize>,
-        scratch: &CandidateScratch,
-        out: &mut Vec<RegionEntry>,
-    ) {
-        debug_assert!(sorted_node_pres.windows(2).all(|w| w[0] < w[1]));
-        out.clear();
-        if sorted_node_pres.is_empty() {
-            return;
-        }
-        for chunk in self.entries[reach].chunks(SCAN_CHUNK) {
-            if scratch.budget.as_ref().is_some_and(|b| b.poll().is_some()) {
-                return;
+        doc: &Document,
+        name: NameId,
+        budget: Option<&Budget>,
+    ) -> Result<Option<Posting<'_>>, BudgetExceeded> {
+        let slots = self
+            .postings
+            .get_or_init(|| (0..doc.names().len()).map(|_| OnceLock::new()).collect());
+        let Some(slot) = slots.get(name.0 as usize) else {
+            return Ok(None);
+        };
+        let built = match slot.get() {
+            Some(built) => built,
+            None => {
+                let built = self.derive_posting(doc.element_postings(name), budget)?;
+                let bytes = built.bytes();
+                if slot.set(built).is_ok() {
+                    crate::obs::MetricsRegistry::global().add("index.posting_bytes", bytes);
+                }
+                slot.get().expect("published above or by a racing thread")
             }
-            out.extend(
-                chunk
-                    .iter()
-                    .filter(|e| sorted_node_pres.binary_search(&e.id).is_ok()),
-            );
+        };
+        Ok(Some(match built {
+            NamePosting::Covering => Posting {
+                table: self.table(),
+                covering: true,
+                annotated: self.node_ids.len(),
+            },
+            NamePosting::Entries {
+                entries,
+                max_extent,
+                annotated,
+            } => Posting {
+                table: Table {
+                    entries,
+                    max_extent: *max_extent,
+                },
+                covering: false,
+                annotated: *annotated,
+            },
+        }))
+    }
+
+    /// The posting of the elements `nodes`, before it is published.
+    fn derive_posting(
+        &self,
+        nodes: &[u32],
+        budget: Option<&Budget>,
+    ) -> Result<NamePosting, BudgetExceeded> {
+        if nodes == &self.node_ids[..] {
+            return Ok(NamePosting::Covering);
+        }
+        let mut entries = Vec::new();
+        let annotated = self.gather(nodes, 0..self.len(), budget, &mut entries)?;
+        Ok(NamePosting::Entries {
+            max_extent: max_extent(&entries),
+            entries: entries.into_boxed_slice(),
+            annotated,
+        })
+    }
+
+    /// The whole table with the index's extent bound.
+    #[inline]
+    pub fn table(&self) -> Table<'_> {
+        Table {
+            entries: &self.entries,
+            max_extent: self.max_extent,
         }
     }
 
@@ -698,6 +711,7 @@ impl RegionIndex {
             node_regions,
             max_regions,
             max_extent,
+            postings: OnceLock::new(),
         })
     }
 
@@ -720,213 +734,60 @@ impl RegionIndex {
     }
 }
 
-/// The four derivations of a join's candidate entries, one of which
-/// [`candidate_kernel`] picks per derivation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CandidateKernel {
-    /// The reach slice itself: no restriction, or the candidates are
-    /// exactly the index's annotated nodes.
-    Borrowed,
-    /// Each candidate's regions gathered through the CSR node view.
-    NodeView,
-    /// A candidate bitset, then one branch-free pass over the reach.
-    Scan,
-    /// Each reach entry's id binary-searched in the candidates.
-    Probe,
+/// A start-clustered run of region entries with an upper bound on
+/// their `end − start`: what a join reads its reach of — a whole index
+/// ([`RegionIndex::table`]) or one name's posting.
+#[derive(Clone, Copy, Debug)]
+pub struct Table<'a> {
+    pub entries: &'a [RegionEntry],
+    pub max_extent: i64,
 }
 
-impl CandidateKernel {
-    /// The name `explain` prints in its access bracket.
-    pub fn as_str(self) -> &'static str {
+impl Table<'_> {
+    /// The entries whose start lies inside `[from, to]`
+    /// ([`RegionIndex::reach`]).
+    pub fn reach(&self, from: i64, to: i64) -> Range<usize> {
+        let lo = self.entries.partition_point(|e| e.start < from);
+        let hi = lo + self.entries[lo..].partition_point(|e| e.start <= to);
+        lo..hi
+    }
+
+    /// The entries that can overlap `[from, to]`
+    /// ([`RegionIndex::wide_reach`]), by this table's own extent bound.
+    pub fn wide_reach(&self, from: i64, to: i64) -> Range<usize> {
+        self.reach(from.saturating_sub(self.max_extent), to)
+    }
+}
+
+/// A pushed name's candidate entries ([`RegionIndex::posting`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Posting<'a> {
+    /// The name's entries with their own extent bound; the index's own
+    /// table when `covering`.
+    pub table: Table<'a>,
+    /// The name's elements are exactly the index's annotated nodes.
+    pub covering: bool,
+    /// How many of the name's elements are annotated.
+    pub annotated: usize,
+}
+
+/// One cached posting slot's content.
+#[derive(Clone, Debug)]
+enum NamePosting {
+    /// The name covers the index: its posting is the table.
+    Covering,
+    Entries {
+        entries: Box<[RegionEntry]>,
+        max_extent: i64,
+        annotated: usize,
+    },
+}
+
+impl NamePosting {
+    fn bytes(&self) -> u64 {
         match self {
-            CandidateKernel::Borrowed => "borrowed",
-            CandidateKernel::NodeView => "node-view",
-            CandidateKernel::Scan => "scan",
-            CandidateKernel::Probe => "probe",
-        }
-    }
-}
-
-/// The one cost rule of the candidate intersection, over `C =
-/// candidates` (`None`: no restriction), `E = entries` in the index and
-/// `R = reach` entries a derivation may read, counted in memory touches:
-///
-/// | kernel    | cost |
-/// |-----------|------|
-/// | borrowed  | 0, once the candidates are proven to be every annotated node (`covers`, `C` comparisons) |
-/// | node-view | `C · (2·log₂(E/C) + 4)` — per candidate a gallop over the `E/C` node ids since the last one, then the id it lands on, its two CSR offsets and its region |
-/// | scan      | `C + R` — one bitset write per candidate, one read per reach entry |
-/// | probe     | `R · (log₂C + 1)` — per reach entry the entry and a binary search of the candidates |
-///
-/// The cheapest of the last three wins unless it costs more than the
-/// `C` comparisons that prove a borrow, in which case `covers` is asked
-/// (lazily — a point context never pays for it). `explain` passes
-/// `R = E`, a join at full reach. A free function so the planner
-/// evaluates the same rule from statistics, without an index at hand.
-///
-/// Calibration (every kernel forced over reaches centred in a
-/// 50k-entry table, half the candidates unannotated — the `reach` group
-/// of `benches/region_index.rs` on a denser grid, medians of 25 runs,
-/// twice), measured break-evens against where the rule flips, no fudge
-/// factor:
-///
-/// * node-view → scan at full reach: gather wins at C = 4 000 (86–89
-///   vs 130–158 µs), loses at 6 000 (107 vs 100); the rule flips at
-///   C ≈ 5 270.
-///   At R = 12 500: wins at 500, loses at 1 000; flips at ≈ 850.
-/// * probe → scan as the reach widens: C = 50 000 probes win at
-///   R = 3 000 (79 vs 95 µs), lose at 5 000; the rule flips at
-///   R ≈ 3 200. C = 4 000: win at 200, lose at 500; flips at ≈ 335.
-/// * Outside a bracket, all within 1.32× of the faster kernel: at
-///   C = 64 the probe still wins at R = 20 where the rule scans (flips
-///   at R ≈ 11 — 50 ns, the scan's fixed bitset cost); at R = 5 000
-///   gather → scan is measured between C = 64 and 250, the rule flips
-///   at ≈ 280; at C = 16 000 probe → scan between R = 500 and 1 000,
-///   the rule flips at ≈ 1 150. Over the 143-point grid (R 5 – 50 000,
-///   C 64 – 50 000) the rule picks the fastest kernel at 138.
-pub fn candidate_kernel(
-    candidates: Option<usize>,
-    entries: u64,
-    reach: u64,
-    covers: impl FnOnce() -> bool,
-) -> CandidateKernel {
-    let Some(c) = candidates else {
-        return CandidateKernel::Borrowed;
-    };
-    debug_assert!(reach <= entries);
-    // Costs in 1/256ths of a touch, so the logarithms keep a fraction.
-    let (c, e, r) = (c as u64, entries, reach);
-    let (cost, kernel) = [
-        (
-            c * (2 * log2_256(e).saturating_sub(log2_256(c)) + 4 * 256),
-            CandidateKernel::NodeView,
-        ),
-        ((c + r) * 256, CandidateKernel::Scan),
-        (r * (log2_256(c) + 256), CandidateKernel::Probe),
-    ]
-    .into_iter()
-    .min_by_key(|&(cost, _)| cost)
-    .expect("three kernels");
-    if cost > c * 256 && covers() {
-        CandidateKernel::Borrowed
-    } else {
-        kernel
-    }
-}
-
-/// `log₂ n` in 1/256ths (0 for `n ≤ 1`): the integer part, then the
-/// linear interpolation to the next power of two (Mitchell's
-/// approximation, under 0.09 low) — monotone, and without the libm a
-/// floating-point logarithm would link into every binary.
-fn log2_256(n: u64) -> u64 {
-    let n = n.max(1);
-    let k = u64::from(n.ilog2());
-    let rest = n - (1 << k);
-    let frac = if k >= 8 {
-        rest >> (k - 8)
-    } else {
-        rest << (8 - k)
-    };
-    (k << 8) + frac
-}
-
-/// A u64-block bitset over the candidate pre range `[base, base + span)`.
-/// Offsets outside the span test negative without branching: the word
-/// index is clamped and the in-range flag is folded into the bit.
-#[derive(Clone, Debug, Default)]
-struct DenseCandidates {
-    base: u32,
-    span: u64,
-    words: Vec<u64>,
-}
-
-impl DenseCandidates {
-    /// (Re)build the bitset from a strictly ascending id list, reusing
-    /// the word buffer. `sorted` must be non-empty.
-    fn fill(&mut self, sorted: &[u32]) {
-        debug_assert!(!sorted.is_empty());
-        let base = sorted[0];
-        let span = (*sorted.last().unwrap() - base) as u64 + 1;
-        let words = span.div_ceil(64) as usize;
-        self.words.clear();
-        self.words.resize(words, 0);
-        self.base = base;
-        self.span = span;
-        for &id in sorted {
-            let off = id - base;
-            self.words[(off >> 6) as usize] |= 1u64 << (off & 63);
-        }
-    }
-
-    /// Branch-free membership test: clamped word load, bit shift, and an
-    /// in-range mask — no data-dependent branches, so the chunked scan
-    /// loop autovectorizes.
-    #[inline(always)]
-    fn contains(&self, id: u32) -> bool {
-        let off = id.wrapping_sub(self.base) as u64;
-        let w = ((off >> 6) as usize).min(self.words.len().saturating_sub(1));
-        let bit = (self.words[w] >> (off & 63)) & 1;
-        (bit & (off < self.span) as u64) != 0
-    }
-}
-
-/// Caller-owned scratch for [`RegionIndex::candidates_in`]: the
-/// reusable candidate bitset, the governance budget, and the kernel
-/// counters. Lives inside the executor's `JoinScratch` so the join hot
-/// path allocates nothing per iteration.
-#[derive(Clone, Debug, Default)]
-pub struct CandidateScratch {
-    /// Every derivation's kernel choice, its reach and the scan's
-    /// `candidate_repr_dense`/`candidate_dense_blocks` accumulate here
-    /// until the executor takes them.
-    pub stats: JoinStats,
-    /// Cooperative evaluation budget, polled once per 64-entry kernel
-    /// chunk. `None` (the default) keeps the kernel budget-free apart
-    /// from one hoisted `Option` test.
-    pub budget: Option<crate::budget::Budget>,
-    dense: DenseCandidates,
-}
-
-impl CandidateScratch {
-    /// Bytes pinned by the bitset's word buffer (capacity, not length).
-    pub fn approx_bytes(&self) -> usize {
-        self.dense.words.capacity() * std::mem::size_of::<u64>()
-    }
-}
-
-/// Kernel block width: one u64 of match bits per block.
-const SCAN_CHUNK: usize = 64;
-
-/// The chunked, branch-free scan loop. For each 64-entry block it
-/// computes a match bitmask with a data-independent inner loop (the
-/// bitset's membership test is a clamped load + bit test, so the block
-/// compiles to straight-line autovectorizable code), then materializes:
-/// an all-ones mask copies the whole block with `extend_from_slice`,
-/// otherwise set bits are popped in order.
-fn dense_scan_chunks(
-    entries: &[RegionEntry],
-    bits: &DenseCandidates,
-    budget: Option<&crate::budget::Budget>,
-    out: &mut Vec<RegionEntry>,
-) {
-    for chunk in entries.chunks(SCAN_CHUNK) {
-        // One predictable branch per 64-entry block; the block body
-        // below stays branch-free. A tripped budget abandons the scan —
-        // partial output is discarded with the query.
-        if budget.is_some_and(|b| b.poll().is_some()) {
-            return;
-        }
-        let mut mask = 0u64;
-        for (k, e) in chunk.iter().enumerate() {
-            mask |= (bits.contains(e.id) as u64) << k;
-        }
-        if chunk.len() == SCAN_CHUNK && mask == u64::MAX {
-            out.extend_from_slice(chunk);
-        } else {
-            while mask != 0 {
-                out.push(chunk[mask.trailing_zeros() as usize]);
-                mask &= mask - 1;
-            }
+            NamePosting::Covering => 0,
+            NamePosting::Entries { entries, .. } => std::mem::size_of_val(&**entries) as u64,
         }
     }
 }
@@ -1196,8 +1057,8 @@ mod tests {
         assert_eq!(got.len(), 5); // 3 shots + 2 music annotations
     }
 
-    /// The inverted (node-view) path must fire for sparse candidate sets
-    /// and still return `(start, end, id)`-clustered entries — including
+    /// The node-view gather must return `(start, end, id)`-clustered
+    /// entries — including
     /// for multi-region annotations, whose runs arrive per node and only
     /// coincidentally in start order.
     #[test]
@@ -1225,8 +1086,7 @@ mod tests {
             (9, Area::single(300, 310).unwrap()),
             (11, Area::single(400, 410).unwrap()),
         ];
-        // Filler rows, so that gathering three candidates is cheaper
-        // than reading the table.
+        // Filler rows: the candidates are a minority of the table.
         let filler = (0..50).map(|k| {
             (
                 13 + k,
@@ -1235,12 +1095,6 @@ mod tests {
         });
         let idx = RegionIndex::from_areas(&pairs.into_iter().chain(filler).collect::<Vec<_>>());
         let cands = vec![3, 5, 7];
-        let whole = idx.len() as u64;
-        assert_eq!(
-            candidate_kernel(Some(cands.len()), whole, whole, || false),
-            CandidateKernel::NodeView,
-            "3 candidates over a 57-entry table must take the node view"
-        );
         let got = idx.candidates_for(&cands);
         assert_eq!(got.len(), 5);
         assert!(
@@ -1251,15 +1105,14 @@ mod tests {
         assert_eq!(got, definitional(&idx, &cands), "paths must agree");
     }
 
-    /// The entry point equals the definition restricted to the extent, on
-    /// every candidate subset of a mixed index and extents around its
-    /// starts.
+    /// The node-view gather equals the definition restricted to the
+    /// extent, on every candidate subset of a mixed index and extents
+    /// around its starts.
     #[test]
-    fn candidates_in_agrees_with_the_definition_for_all_subsets_and_extents() {
+    fn gather_agrees_with_the_definition_for_all_subsets_and_extents() {
         let (doc, idx) = figure1_index();
         let all: Vec<u32> = idx.annotated_nodes().to_vec();
         let mut buf = Vec::new();
-        let mut scratch = CandidateScratch::default();
         for mask in 0u32..(1 << all.len()) {
             let subset: Vec<u32> = all
                 .iter()
@@ -1271,18 +1124,12 @@ mod tests {
             let edges = [0, 1, 8, 9, 52, 64, 65];
             for (k, &from) in edges.iter().enumerate() {
                 for &to in &edges[k..] {
-                    let reach = idx.reach(from, to);
-                    let kernel =
-                        idx.candidates_in(Some(&subset), reach.clone(), &mut scratch, &mut buf);
-                    let got = match kernel {
-                        CandidateKernel::Borrowed => &idx.entries()[reach],
-                        _ => &buf[..],
-                    };
+                    idx.gather_candidates(&subset, idx.reach(from, to), &mut buf);
                     let want: Vec<RegionEntry> = definitional(&idx, &subset)
                         .into_iter()
                         .filter(|e| (from..=to).contains(&e.start))
                         .collect();
-                    assert_eq!(got, want, "mask {mask:#b}, extent [{from}, {to}]");
+                    assert_eq!(buf, want, "mask {mask:#b}, extent [{from}, {to}]");
                 }
             }
             assert_eq!(idx.candidates_for(&subset), definitional(&idx, &subset));
@@ -1344,50 +1191,6 @@ mod tests {
         let (_, moved) = doc.splice(&[], &[shot]).unwrap();
         let added = [(moved.added().start, Region::new(1, 100).unwrap())];
         assert_eq!(idx.renumbered(&moved, &added).max_extent(), 99);
-    }
-
-    #[test]
-    fn log2_256_is_monotone_and_exact_at_powers_of_two() {
-        assert_eq!((log2_256(0), log2_256(1), log2_256(2)), (0, 0, 256));
-        assert_eq!(log2_256(3), 256 + 128);
-        assert_eq!(log2_256(1 << 40), 40 * 256);
-        assert_eq!(log2_256(u64::MAX), 63 * 256 + 255);
-        let mut last = 0;
-        for n in (1..100_000u64).chain([1 << 33, (1 << 33) + 1, 1 << 62]) {
-            let l = log2_256(n);
-            assert!(l >= last, "{n}");
-            assert!(((n as f64).log2() * 256.0 - l as f64) < 0.09 * 256.0, "{n}");
-            last = l;
-        }
-    }
-
-    /// The cost rule: unrestricted or covering candidates borrow, tiny
-    /// sets gather, broad ones scan, a narrow reach probes — and the
-    /// coverage proof is only asked for when nothing cheaper exists.
-    #[test]
-    fn cost_rule_picks_each_kernel() {
-        use CandidateKernel::*;
-        let never = || -> bool { panic!("coverage asked for") };
-        assert_eq!(candidate_kernel(None, 100, 100, never), Borrowed);
-        assert_eq!(candidate_kernel(Some(1), 100, 100, || false), NodeView);
-        assert_eq!(
-            candidate_kernel(Some(64), 100_000, 100_000, || false),
-            NodeView
-        );
-        assert_eq!(
-            candidate_kernel(Some(64), 100_000, 100_000, || true),
-            Borrowed
-        );
-        assert_eq!(
-            candidate_kernel(Some(50_000), 100_000, 100_000, || false),
-            Scan
-        );
-        assert_eq!(
-            candidate_kernel(Some(50_000), 100_000, 100_000, || true),
-            Borrowed
-        );
-        assert_eq!(candidate_kernel(Some(50_000), 100_000, 5, never), Probe);
-        assert_eq!(candidate_kernel(Some(0), 0, 0, never), NodeView);
     }
 
     #[test]

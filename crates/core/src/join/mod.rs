@@ -35,21 +35,19 @@
 //! [`count_resolved`] instead, which adds per-iteration counts from the
 //! index without producing rows.
 //!
-//! The merge joins derive their candidate entries through one path —
-//! [`JoinTarget::candidate_entries_in`] →
-//! [`RegionIndex::candidates_in`]
-//! — over a *reach* of the target's start-clustered table: the loop-lifted
-//! `select-narrow` (and the select half of `reject-narrow`) reads only
-//! the entries starting inside its context's extent
-//! ([`RegionIndex::reach`](crate::index::RegionIndex::reach)), the
-//! loop-lifted overlap axes that extent widened left by the index's
-//! largest entry extent
-//! ([`RegionIndex::wide_reach`](crate::index::RegionIndex::wide_reach)),
-//! and the basic strategy the whole table. Inside the reach one cost rule
-//! ([`candidate_kernel`](crate::index::candidate_kernel)) borrows, gathers,
-//! scans or probes, and counts its choice. Every mechanism counter, here
-//! and in the query engine above, is a field of the one [`JoinStats`]
-//! declaration.
+//! The merge joins read their candidate entries through one path,
+//! [`JoinTarget::candidate_entries_in`], over a *reach* of the target's
+//! start-clustered [`Table`]: the loop-lifted `select-narrow` (and the
+//! select half of `reject-narrow`) reads only the entries starting
+//! inside its context's extent ([`Table::reach`]), the loop-lifted
+//! overlap axes that extent widened left by the table's largest entry
+//! extent ([`Table::wide_reach`]), and the basic strategy the whole
+//! table. A pushed name's table is its posting
+//! ([`RegionIndex::posting`]), so its reach holds only candidates and is
+//! borrowed as it is; so is the index's own table when nothing restricts
+//! it. Only an explicit candidate sequence is intersected per join,
+//! through the node view. Every mechanism counter, here and in the query
+//! engine above, is a field of the one [`JoinStats`] declaration.
 
 mod count;
 pub mod merge;
@@ -63,7 +61,8 @@ use std::ops::Range;
 
 use standoff_xml::Document;
 
-use crate::index::{CandidateKernel, CandidateScratch, RegionEntry, RegionIndex};
+use crate::budget::Budget;
+use crate::index::{Posting, RegionEntry, RegionIndex, Table};
 use crate::trace::TraceSink;
 
 /// The four StandOff joins, proposed as XPath axis steps (§3.3).
@@ -261,6 +260,7 @@ impl<'a> JoinInput<'a> {
             doc: self.doc,
             index: self.index,
             candidates: self.candidates,
+            posting: None,
             iter_domain: self.iter_domain,
         }
     }
@@ -286,43 +286,62 @@ pub struct JoinTarget<'a> {
     pub index: &'a RegionIndex,
     /// See [`JoinInput::candidates`].
     pub candidates: Option<&'a [u32]>,
+    /// The entries of `candidates` when they are a pushed name's
+    /// elements: the name's posting ([`RegionIndex::posting`]). `None`
+    /// for an explicit candidate sequence, which is intersected with the
+    /// index per join.
+    pub posting: Option<Posting<'a>>,
     /// See [`JoinInput::iter_domain`].
     pub iter_domain: &'a [u32],
 }
 
 impl<'a> JoinTarget<'a> {
-    /// The candidate region entries inside `reach` (a range of the
-    /// target index's clustered table), in start order
-    /// ([`RegionIndex::candidates_in`]): borrowed from the index when
-    /// nothing restricts them, otherwise derived into `buf`.
+    /// The start-clustered table the join reads its reach of: the
+    /// posting, or the whole index.
+    #[inline]
+    pub fn table(&self) -> Table<'a> {
+        self.posting.map_or(self.index.table(), |p| p.table)
+    }
+
+    /// The candidate entries inside `reach`, a range of
+    /// [`JoinTarget::table`], in start order: the table's own slice,
+    /// borrowed, unless an explicit candidate sequence that is not every
+    /// annotated node restricts it — then gathered through the node view
+    /// into `buf`. Counts the derivation and its reach in `stats`.
     pub fn candidate_entries_in<'s>(
         &'s self,
         reach: Range<usize>,
-        kernel: &mut CandidateScratch,
+        stats: &mut JoinStats,
         buf: &'s mut Vec<RegionEntry>,
     ) -> &'s [RegionEntry]
     where
         'a: 's,
     {
-        let chosen = self
-            .index
-            .candidates_in(self.candidates, reach.clone(), kernel, buf);
-        match chosen {
-            CandidateKernel::Borrowed => &self.index.entries()[reach],
-            _ => buf,
+        stats.candidate_reach_entries += reach.len() as u64;
+        match (self.posting, self.candidates) {
+            (Some(p), _) if !p.covering => stats.candidate_posting += 1,
+            (None, Some(nodes)) if nodes != self.index.annotated_nodes() => {
+                stats.candidate_node_view += 1;
+                self.index.gather_candidates(nodes, reach, buf);
+                return buf;
+            }
+            _ => stats.candidate_borrowed += 1,
         }
+        &self.table().entries[reach]
     }
 
     /// The distinct candidate *annotation* nodes, ascending — the
     /// universe the reject axes complement against. No candidate
-    /// restriction returns the index's annotated-node column directly.
+    /// restriction returns the index's annotated-node column, and a
+    /// posting whose elements are all annotated the elements themselves.
     pub fn candidate_universe_in<'s>(&'s self, scratch: &'s mut Vec<u32>) -> &'s [u32]
     where
         'a: 's,
     {
-        match self.candidates {
-            None => self.index.annotated_nodes(),
-            Some(nodes) => {
+        match (self.candidates, self.posting) {
+            (None, _) => self.index.annotated_nodes(),
+            (Some(nodes), Some(p)) if p.annotated == nodes.len() => nodes,
+            (Some(nodes), _) => {
                 scratch.clear();
                 scratch.extend(
                     nodes
@@ -361,8 +380,11 @@ pub struct JoinScratch {
     /// Per-iteration select counts of [`count_resolved`].
     selected: Vec<(u32, u64)>,
     merge: merge::MergeScratch,
-    /// Candidate-kernel state: dense bitset, budget, counters.
-    kernel: CandidateScratch,
+    /// The counters every join accumulates until the executor takes
+    /// them.
+    stats: JoinStats,
+    /// Cooperative evaluation budget, polled by the kernels.
+    budget: Option<Budget>,
 }
 
 impl JoinScratch {
@@ -406,31 +428,31 @@ impl JoinScratch {
         self.extent = (self.ctx.first().map_or(0, |c| c.start), to.unwrap_or(-1));
     }
 
-    /// Install (or clear) the governance handle polled by the scan and
-    /// merge kernels. The engine sets this per query; `None` restores
-    /// the ungoverned fast path (a hoisted null test per loop round).
-    pub fn set_budget(&mut self, budget: Option<crate::budget::Budget>) {
-        self.kernel.budget = budget.clone();
+    /// Install (or clear) the governance handle polled by the merge
+    /// kernels. The engine sets this per query; `None` restores the
+    /// ungoverned fast path (a hoisted null test per loop round).
+    pub fn set_budget(&mut self, budget: Option<Budget>) {
+        self.budget = budget.clone();
         self.merge.budget = budget;
     }
 
     /// Approximate bytes pinned by the join buffers — the number charged
     /// against a query's scratch-memory cap after each join. Capacities,
-    /// not lengths: what the allocator actually holds.
+    /// not lengths: what the allocator actually holds. Postings are not
+    /// among them: they belong to the index and outlive the request.
     pub fn approx_bytes(&self) -> u64 {
         (self.ctx.capacity() * std::mem::size_of::<CtxEntry>()
             + self.cands.capacity() * std::mem::size_of::<RegionEntry>()
             + self.emissions.capacity() * std::mem::size_of::<Emission>()
             + self.single.capacity() * std::mem::size_of::<CtxEntry>()
             + (self.iters.capacity() + self.universe.capacity()) * std::mem::size_of::<u32>()
-            + self.selected.capacity() * std::mem::size_of::<(u32, u64)>()
-            + self.kernel.approx_bytes()) as u64
+            + self.selected.capacity() * std::mem::size_of::<(u32, u64)>()) as u64
     }
 
-    /// Take the kernel counters accumulated since the last take (dense
-    /// scans and branch-free blocks), leaving zeros behind.
+    /// Take the counters accumulated since the last take, leaving zeros
+    /// behind.
     pub fn take_stats(&mut self) -> JoinStats {
-        self.kernel.stats.take_delta()
+        self.stats.take_delta()
     }
 }
 
@@ -495,7 +517,7 @@ pub fn join_resolved(
     }
     // All four axes share one selection core; rejects complement it.
     let select_axis = axis.select_counterpart();
-    let budget = scratch.kernel.budget.clone();
+    let budget = scratch.budget.clone();
     // Multi-region containment (∀∃) must attribute every match to a
     // specific context annotation; see merge.rs.
     let per_annotation = select_axis.is_narrow() && target.index.max_regions() > 1;
@@ -508,15 +530,15 @@ pub fn join_resolved(
                 target,
                 strategy == StandoffStrategy::NaiveWithCandidates,
                 budget.as_ref(),
-                &mut scratch.kernel.stats,
+                &mut scratch.stats,
             )
         }
         StandoffStrategy::BasicMergeJoin => {
             // §4.4/§4.6: the basic algorithm is invoked once per
-            // iteration, and every invocation re-derives its candidate
-            // sequence from the region index — the "repeated full scans
-            // of the region index" that make XMark Q2 blow up.
-            let whole = 0..target.index.len();
+            // iteration, and every invocation re-reads its candidate
+            // sequence in full — the "repeated full scans of the region
+            // index" that make XMark Q2 blow up.
+            let whole = 0..target.table().entries.len();
             scratch.iters.clear();
             scratch.iters.extend(scratch.ctx.iter().map(|c| c.iter));
             scratch.iters.sort_unstable();
@@ -533,7 +555,7 @@ pub fn join_resolved(
                 // strategy's modeled cost.
                 let cands = target.candidate_entries_in(
                     whole.clone(),
-                    &mut scratch.kernel,
+                    &mut scratch.stats,
                     &mut scratch.cands,
                 );
                 scratch.single.clear();
@@ -565,20 +587,17 @@ pub fn join_resolved(
                     e.iter = iter;
                 }
             }
-            let cands = target.candidate_entries_in(whole, &mut scratch.kernel, &mut scratch.cands);
-            post::finalize_select(select_axis, &scratch.emissions, cands, target.index)
+            let cands = target.candidate_entries_in(whole, &mut scratch.stats, &mut scratch.cands);
+            let stats = &mut scratch.stats;
+            post::finalize_select(select_axis, &scratch.emissions, cands, target.index, stats)
         }
         StandoffStrategy::LoopLiftedMergeJoin => {
             // A region contained in some context region starts inside the
-            // context's extent, one overlapping it at most the index's
+            // context's extent, one overlapping it at most the table's
             // largest extent before: each join reads only that reach of
             // the table.
-            let (from, to) = scratch.extent;
-            let reach = match select_axis {
-                StandoffAxis::SelectNarrow => target.index.reach(from, to),
-                _ => target.index.wide_reach(from, to),
-            };
-            let cands = target.candidate_entries_in(reach, &mut scratch.kernel, &mut scratch.cands);
+            let reach = reach_of(select_axis, target, scratch.extent);
+            let cands = target.candidate_entries_in(reach, &mut scratch.stats, &mut scratch.cands);
             scratch.emissions.clear();
             match select_axis {
                 StandoffAxis::SelectNarrow => merge::ll_select_narrow_into(
@@ -596,13 +615,13 @@ pub fn join_resolved(
                     &mut scratch.emissions,
                 ),
             }
-            post::finalize_select(select_axis, &scratch.emissions, cands, target.index)
+            let stats = &mut scratch.stats;
+            post::finalize_select(select_axis, &scratch.emissions, cands, target.index, stats)
         }
     };
     // The merge kernels count their branch-free emission blocks in the
-    // merge scratch; fold them into the per-join kernel counters so
-    // `stats` reports one `join.candidate_dense_blocks` total.
-    scratch.kernel.stats.candidate_dense_blocks += scratch.merge.take_blocks();
+    // merge scratch; fold them into the join counters.
+    scratch.stats.candidate_dense_blocks += scratch.merge.take_blocks();
     // Charge what the join buffers now pin against any scratch-memory
     // cap. A trip is recorded in the budget flag; the evaluator's next
     // check surfaces it, so the partial result below is never emitted.
@@ -641,16 +660,12 @@ pub fn count_resolved(
         return true;
     }
     let select_axis = axis.select_counterpart();
-    let budget = scratch.kernel.budget.clone();
+    let budget = scratch.budget.clone();
     let mut selected = std::mem::take(&mut scratch.selected);
     selected.clear();
     if !scratch.ctx.is_empty() {
-        let (from, to) = scratch.extent;
-        let reach = match select_axis {
-            StandoffAxis::SelectNarrow => target.index.reach(from, to),
-            _ => target.index.wide_reach(from, to),
-        };
-        let cands = target.candidate_entries_in(reach, &mut scratch.kernel, &mut scratch.cands);
+        let reach = reach_of(select_axis, target, scratch.extent);
+        let cands = target.candidate_entries_in(reach, &mut scratch.stats, &mut scratch.cands);
         // The context table is start-sorted across iterations; the
         // sweep takes one iteration at a time.
         scratch.single.clear();
@@ -660,7 +675,7 @@ pub fn count_resolved(
             select_axis,
             &scratch.single,
             cands,
-            target.index.max_extent(),
+            target.table().max_extent,
             budget.as_ref(),
             &mut selected,
         );
@@ -682,6 +697,15 @@ pub fn count_resolved(
     }
     scratch.selected = selected;
     true
+}
+
+/// The reach of the loop-lifted select `axis` over a context extent
+/// `(from, to)` in the target's table.
+fn reach_of(axis: StandoffAxis, target: &JoinTarget<'_>, (from, to): (i64, i64)) -> Range<usize> {
+    match axis {
+        StandoffAxis::SelectNarrow => target.table().reach(from, to),
+        _ => target.table().wide_reach(from, to),
+    }
 }
 
 /// The select result itself, or — for the reject axes — its complement
@@ -721,50 +745,6 @@ mod tests {
             StandoffStrategy::parse("ll"),
             Some(StandoffStrategy::LoopLiftedMergeJoin)
         );
-    }
-
-    /// Regression: the dense bitset's word buffer is the scan side's
-    /// only allocation, and the scratch-memory cap could not see it.
-    #[test]
-    fn approx_bytes_charges_the_dense_bitset() {
-        use crate::region::Area;
-        let doc = standoff_xml::parse_document("<a/>").unwrap();
-        let far = 1_000_000u32;
-        let index = crate::RegionIndex::from_areas(&[
-            (1, Area::single(0, 9).unwrap()),
-            (2, Area::single(2, 3).unwrap()),
-            (4, Area::single(4, 5).unwrap()),
-            (5, Area::single(6, 7).unwrap()),
-            (far, Area::single(8, 8).unwrap()),
-        ]);
-        let context = [IterNode { iter: 0, node: 1 }];
-        let mut scratch = JoinScratch::default();
-        let run = |candidates: &[u32], scratch: &mut JoinScratch| {
-            let input = JoinInput {
-                doc: &doc,
-                index: &index,
-                ctx_index: None,
-                context: &context,
-                candidates: Some(candidates),
-                iter_domain: &[0],
-            };
-            let kernel = crate::index::candidate_kernel(Some(candidates.len()), 5, 5, || false);
-            assert_eq!(kernel, crate::index::CandidateKernel::Scan, "must scan");
-            let strategy = StandoffStrategy::LoopLiftedMergeJoin;
-            evaluate_standoff_join_with(StandoffAxis::SelectNarrow, strategy, &input, None, scratch)
-        };
-        // Narrow span: a one-word bitset.
-        assert_eq!(run(&[1, 2, 3, 4], &mut scratch).len(), 3);
-        let narrow = scratch.approx_bytes();
-        // Same candidate count over a million-rank span.
-        assert_eq!(run(&[1, 2, 4, far], &mut scratch).len(), 4);
-        let bitset = (far as u64).div_ceil(64) * 8;
-        assert!(
-            narrow < 1024 && scratch.approx_bytes() >= bitset,
-            "{narrow} -> {} must grow by the {bitset}-byte bitset",
-            scratch.approx_bytes()
-        );
-        assert_eq!(scratch.take_stats().candidate_repr_dense, 2);
     }
 
     /// A join with nothing to select from (`candidates: Some(&[])`) or

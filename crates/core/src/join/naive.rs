@@ -109,7 +109,7 @@ mod tests {
             &input.target(),
             with_candidates,
             None,
-            &mut scratch.kernel.stats,
+            &mut scratch.stats,
         )
     }
 

@@ -15,19 +15,21 @@
 //!   the candidate universe, computed per iteration of the scope.
 
 use crate::index::{RegionEntry, RegionIndex};
-use crate::join::{Emission, IterNode, StandoffAxis};
+use crate::join::{Emission, IterNode, JoinStats, StandoffAxis};
 
 /// Turn raw emissions into the select-join result: `(iter, node)` pairs,
 /// sorted and duplicate-free (document order per iteration).
 ///
 /// `index` is the candidate-side region index the candidate entries were
 /// drawn from, so every referenced annotation's full region set is
-/// available for the ∀∃ check.
+/// available for the ∀∃ check. A result that had to be reordered counts
+/// in `stats.result_sorts`.
 pub fn finalize_select(
     axis: StandoffAxis,
     emissions: &[Emission],
     candidates: &[RegionEntry],
     index: &RegionIndex,
+    stats: &mut JoinStats,
 ) -> Vec<IterNode> {
     debug_assert!(axis.is_select());
     // Fast path: every annotation is a single region (always true in the
@@ -41,7 +43,7 @@ pub fn finalize_select(
                 node: candidates[e.cand_idx as usize].id,
             })
             .collect();
-        return document_order(out);
+        return document_order(out, stats);
     }
 
     // Multi-region containment: a candidate annotation is selected in an
@@ -79,7 +81,7 @@ pub fn finalize_select(
         }
         k = run;
     }
-    document_order(out)
+    document_order(out, stats)
 }
 
 /// `rows` sorted on `(iter, node)` and duplicate-free, by the first rule
@@ -93,7 +95,9 @@ pub fn finalize_select(
 ///    and read the bits back, one pass each way over a bitset no bigger
 ///    than the rows;
 /// 3. anything else: a comparison sort.
-fn document_order(mut rows: Vec<IterNode>) -> Vec<IterNode> {
+///
+/// Rules 2 and 3 reorder the rows and count in `stats.result_sorts`.
+fn document_order(mut rows: Vec<IterNode>, stats: &mut JoinStats) -> Vec<IterNode> {
     let Some(&first) = rows.first() else {
         return rows;
     };
@@ -111,6 +115,7 @@ fn document_order(mut rows: Vec<IterNode>) -> Vec<IterNode> {
         rows.dedup();
         return rows;
     }
+    stats.result_sorts += 1;
     let span = (hi - lo) as usize + 1;
     if one_iter && span / 64 <= rows.len() {
         let mut words = vec![0u64; span.div_ceil(64)];
@@ -196,11 +201,19 @@ mod tests {
                 cand_idx: 0,
             }, // duplicate via other ctx
         ];
-        let out = finalize_select(StandoffAxis::SelectNarrow, &emissions, &cands, &index);
+        let mut stats = JoinStats::default();
+        let out = finalize_select(
+            StandoffAxis::SelectNarrow,
+            &emissions,
+            &cands,
+            &index,
+            &mut stats,
+        );
         assert_eq!(
             out,
             vec![IterNode { iter: 0, node: 5 }, IterNode { iter: 1, node: 9 }]
         );
+        assert_eq!(stats.result_sorts, 1, "the rows arrived out of order");
     }
 
     #[test]
@@ -230,7 +243,13 @@ mod tests {
             },
         ];
         assert_eq!(
-            finalize_select(StandoffAxis::SelectNarrow, &both, &cands, &index),
+            finalize_select(
+                StandoffAxis::SelectNarrow,
+                &both,
+                &cands,
+                &index,
+                &mut JoinStats::default()
+            ),
             vec![IterNode { iter: 0, node: 7 }]
         );
 
@@ -248,7 +267,14 @@ mod tests {
                 cand_idx: 1,
             },
         ];
-        assert!(finalize_select(StandoffAxis::SelectNarrow, &split, &cands, &index).is_empty());
+        assert!(finalize_select(
+            StandoffAxis::SelectNarrow,
+            &split,
+            &cands,
+            &index,
+            &mut JoinStats::default()
+        )
+        .is_empty());
 
         // Wide stays ∃∃: one region match suffices.
         let one = vec![Emission {
@@ -257,7 +283,13 @@ mod tests {
             cand_idx: 1,
         }];
         assert_eq!(
-            finalize_select(StandoffAxis::SelectWide, &one, &cands, &index),
+            finalize_select(
+                StandoffAxis::SelectWide,
+                &one,
+                &cands,
+                &index,
+                &mut JoinStats::default()
+            ),
             vec![IterNode { iter: 0, node: 7 }]
         );
     }
@@ -296,9 +328,12 @@ mod tests {
         ];
         for case in cases {
             let mut expected = rows(case);
+            let reordered = !expected.windows(2).all(|w| w[0] <= w[1]);
             expected.sort_unstable();
             expected.dedup();
-            assert_eq!(document_order(rows(case)), expected, "{case:?}");
+            let mut stats = JoinStats::default();
+            assert_eq!(document_order(rows(case), &mut stats), expected, "{case:?}");
+            assert_eq!(stats.result_sorts, u64::from(reordered), "{case:?}");
         }
     }
 

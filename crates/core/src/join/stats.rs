@@ -27,9 +27,8 @@ macro_rules! join_counters {
         /// They exist so tests (and curious operators) can assert
         /// *mechanism*, not just timing: that a pushdown-guaranteed step
         /// really skipped its trailing self-axis pass, that a join result
-        /// was emitted directly or merged but never sorted, and which
-        /// side of the candidate-intersection cost rule an operator
-        /// landed on.
+        /// was emitted directly, merged or put in document order, and
+        /// how an operator derived its candidates.
         ///
         /// # Where they accumulate
         ///
@@ -67,17 +66,19 @@ macro_rules! join_counters {
 }
 
 join_counters! {
-    /// Candidate derivations taken through the node view (gather).
+    /// Explicit candidate sequences intersected with their reach through
+    /// the node view (gather), one per derivation.
     candidate_node_view: "node-view={}" always,
-    /// Candidate derivations taken as bitset scans of their reach.
-    candidate_scans: "scan={}" always,
-    /// Join results that had to be sorted. Always zero: every target
-    /// layer's output leaves the kernel `(iter, pre)`-sorted, so a
-    /// result is emitted directly or merged. The name stays because
-    /// dashboards and the benchmark ledger read it.
+    /// Candidate derivations that read their reach of a pushed name's
+    /// posting ([`RegionIndex::posting`](crate::RegionIndex::posting)).
+    candidate_posting: "posting={}" always,
+    /// Join results that [`post`](crate::join::post) put in document
+    /// order — by its bitset pass or by a comparison sort — because the
+    /// target layer's start order is not its document order (nested
+    /// annotations, or one iteration's rows spread across others').
     result_sorts: "sorts={}" always,
-    /// Join results emitted directly — at most one target layer
-    /// answered, and its output already was `(iter, document-order)`.
+    /// Join results emitted as they left the kernel: no target layer's
+    /// rows were reordered and at most one layer answered.
     result_sorts_elided: "(elided {})" always,
     /// Join results that were a k-way merge of several target layers'
     /// sorted outputs.
@@ -86,22 +87,20 @@ join_counters! {
     post_filters: "post={}" always,
     /// Trailing `self::test` passes skipped (plan-guaranteed tests).
     post_filters_elided: "(elided {})" always,
-    /// Dense-bitset scan kernel invocations (one per scan-path
-    /// intersection that had candidates and entries to intersect; the
-    /// basic strategy re-derives per iteration, so it counts each).
+    /// Always zero: the bitset scan kernel it counted is gone, since a
+    /// pushed name reads its posting. The key stays because the
+    /// benchmark ledger reads it.
     candidate_repr_dense: "repr dense={}" nonzero,
-    /// 64-entry blocks processed by the branch-free kernels (dense
-    /// candidate scans + the merge join's single-active emission runs).
+    /// 64-entry blocks the merge join emitted branch-free (its
+    /// single-active emission runs).
     candidate_dense_blocks: "blocks={}" nonzero,
     /// Candidate derivations that borrowed their reach of the index:
     /// no restriction, or candidates that are every annotated node.
     candidate_borrowed: "borrowed={}" nonzero,
-    /// Candidate derivations that probed each reach entry against the
-    /// sorted candidates.
-    candidate_probes: "probes={}" nonzero,
-    /// Index entries inside the reaches of all candidate derivations,
-    /// summed. `{E}` in the label stands for the entries of the target
-    /// layers the operator joined (the analyze detail's `reach=R of E`).
+    /// Entries inside the reaches of all candidate derivations, summed:
+    /// of the posting where a name is pushed, of the index otherwise.
+    /// `{E}` in the label stands for the entries of the target layers
+    /// the operator joined (the analyze detail's `reach=R of E`).
     candidate_reach_entries: "reach={} of {E}" nonzero,
     /// Context annotation × inner node pairs the nested-loop strategies
     /// compared (Figures 2 and 3): their work, as the reach entries are
@@ -133,12 +132,13 @@ mod tests {
             ..JoinStats::default()
         };
         let pairs: Vec<(&str, u64)> = stats.counters().map(|(c, v)| (c.name, v)).collect();
-        assert_eq!(pairs.len(), 14);
+        assert_eq!(pairs.len(), 13);
         assert_eq!(pairs[0], ("candidate_node_view", 1));
+        assert_eq!(pairs[1], ("candidate_posting", 0));
         assert_eq!(pairs[8], ("candidate_dense_blocks", 8));
-        assert_eq!(pairs[11], ("candidate_reach_entries", 0));
-        assert_eq!(pairs[12], ("naive_pairs", 0));
-        assert_eq!(pairs[13], ("counts_from_index", 0));
+        assert_eq!(pairs[10], ("candidate_reach_entries", 0));
+        assert_eq!(pairs[11], ("naive_pairs", 0));
+        assert_eq!(pairs[12], ("counts_from_index", 0));
         let mut sum = stats;
         sum.merge(stats);
         assert_eq!(sum.candidate_dense_blocks, 16);

@@ -54,7 +54,7 @@ pub use budget::{Budget, BudgetExceeded, BudgetLimits};
 pub use config::{RegionRepr, StandoffConfig};
 pub use crc::{crc32, Crc32};
 pub use error::StandoffError;
-pub use index::{CandidateKernel, CandidateScratch, IndexStats, RegionEntry, RegionIndex};
+pub use index::{IndexStats, Posting, RegionEntry, RegionIndex, Table};
 pub use join::{
     count_resolved, evaluate_standoff_join, evaluate_standoff_join_with, join_resolved, IterNode,
     JoinCounter, JoinInput, JoinScratch, JoinStats, JoinTarget, StandoffAxis, StandoffStrategy,

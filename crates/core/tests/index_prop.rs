@@ -1,22 +1,19 @@
-//! Property tests for the region index: the candidate intersection's
-//! single entry point and every kernel its rule can choose (borrowed
-//! reach, node-view gather, dense bitset scan, probe) must agree with
-//! the §4.3 definition restricted to the reach, and the index must
-//! faithfully represent the annotations it was built from.
+//! Property tests for the region index: the candidate intersection —
+//! the node-view gather an explicit candidate sequence takes, and a
+//! pushed name's posting — must agree with the §4.3 definition
+//! restricted to the reach, and the index must faithfully represent the
+//! annotations it was built from.
 
 use std::ops::Range;
 
 use proptest::prelude::*;
 
-use standoff_core::index::candidate_kernel;
-use standoff_core::{
-    Area, CandidateKernel, CandidateScratch, Region, RegionEntry, RegionIndex, StandoffConfig,
-};
+use standoff_core::{Area, Region, RegionEntry, RegionIndex, StandoffConfig};
 use standoff_xml::{DocumentBuilder, NodeKind};
 
 /// The oracle, by definition: the start-clustered table filtered by
 /// candidate membership, then cut to the reach by position. Shares no
-/// code with any kernel.
+/// code with any derivation.
 fn oracle(index: &RegionIndex, candidates: &[u32], reach: Range<usize>) -> Vec<RegionEntry> {
     index
         .entries()
@@ -27,40 +24,22 @@ fn oracle(index: &RegionIndex, candidates: &[u32], reach: Range<usize>) -> Vec<R
         .collect()
 }
 
-/// The entry point and every kernel against the oracle; returns the
-/// kernel the entry point chose and the counters it accumulated.
-fn assert_all_agree(
-    index: &RegionIndex,
-    candidates: &[u32],
-    reach: Range<usize>,
-) -> (CandidateKernel, CandidateScratch) {
+/// The gather and the allocating form against the oracle.
+fn assert_all_agree(index: &RegionIndex, candidates: &[u32], reach: Range<usize>) {
     let want = oracle(index, candidates, reach.clone());
-    let mut scratch = CandidateScratch::default();
     let mut got = vec![RegionEntry {
         start: -1,
         end: -1,
         id: 0,
     }]; // must be cleared
-    let kernel = index.candidates_in(Some(candidates), reach.clone(), &mut scratch, &mut got);
-    let chosen = match kernel {
-        CandidateKernel::Borrowed => &index.entries()[reach.clone()],
-        _ => &got[..],
-    };
-    assert_eq!(chosen, want, "entry point ({kernel:?})");
     if candidates == index.annotated_nodes() {
         assert_eq!(&index.entries()[reach.clone()], want, "borrowed reach");
     }
     if reach == (0..index.len()) {
         assert_eq!(index.candidates_for(candidates), want, "allocating form");
     }
-    index.gather_candidates(candidates, reach.clone(), &mut got);
-    assert_eq!(got, want, "gather kernel");
-    let mut fresh = CandidateScratch::default();
-    index.dense_scan_candidates(candidates, reach.clone(), &mut fresh, &mut got);
-    assert_eq!(got, want, "dense scan kernel");
-    index.probe_candidates(candidates, reach, &fresh, &mut got);
-    assert_eq!(got, want, "probe kernel");
-    (kernel, scratch)
+    index.gather_candidates(candidates, reach, &mut got);
+    assert_eq!(got, want, "gather");
 }
 
 /// Random single/multi-region annotations with controlled geometry.
@@ -123,14 +102,13 @@ fn build_index_strided(annotations: &[Vec<(i64, i64)>], stride: u32) -> (Vec<u32
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The entry point and every kernel equal the oracle for every
-    /// table size (empty and one-entry tables included), every reach —
-    /// the whole table or the entries starting inside an extent — and
-    /// every candidate set drawn from annotated *and* unannotated pre
-    /// ranks, or all annotated ones: so cases land on every side of the
-    /// rule's boundaries and reach `C > E`.
+    /// The gather equals the oracle for every table size (empty and
+    /// one-entry tables included), every reach — the whole table or the
+    /// entries starting inside an extent — and every candidate set
+    /// drawn from annotated *and* unannotated pre ranks, or all
+    /// annotated ones, reaching `C > E`.
     #[test]
-    fn entry_point_and_kernels_match_the_oracle(
+    fn gather_matches_the_oracle(
         annotations in annotations_strategy(),
         picks in prop::collection::vec(any::<u16>(), 0..160),
         covering in any::<bool>(),
@@ -151,6 +129,51 @@ proptest! {
             None => 0..index.len(),
         };
         assert_all_agree(&index, &candidates, reach);
+    }
+
+    /// A name's posting, cut to the reach of an extent, equals the
+    /// node-view derivation of the name's elements over the index's
+    /// reach of the same extent, byte for byte; its extent bound holds
+    /// for every entry; and the wide reach over the posting keeps every
+    /// entry the index's wide reach would. Over generated documents of
+    /// three names, some elements unannotated, in both region
+    /// representations (multi-region areas in the element one).
+    #[test]
+    fn postings_equal_the_node_view_over_every_reach(
+        elements in prop::collection::vec(
+            (0usize..3, prop::option::of(prop::collection::vec((0i64..400, 0i64..30), 1..3))),
+            0..60,
+        ),
+        multi in any::<bool>(),
+        extents in prop::collection::vec((0i64..440, 0i64..120), 1..6),
+    ) {
+        let (doc, index) = named_document(&elements, multi);
+        for name in ["a", "b", "c"] {
+            let Some(id) = doc.names().get(name) else { continue };
+            let nodes = doc.element_postings(id);
+            let posting = index.posting(&doc, id, None).unwrap().unwrap();
+            let table = posting.table;
+            prop_assert_eq!(posting.covering, nodes == index.annotated_nodes());
+            prop_assert!(table.entries.iter().all(|e| e.end - e.start <= table.max_extent));
+            let annotated = nodes.iter().filter(|&&n| index.region_count(n) > 0).count();
+            prop_assert_eq!(posting.annotated, annotated);
+            let mut gathered = Vec::new();
+            for &(from, len) in &extents {
+                let to = from + len;
+                index.gather_candidates(nodes, index.reach(from, to), &mut gathered);
+                prop_assert_eq!(&table.entries[table.reach(from, to)], &gathered[..]);
+                index.gather_candidates(nodes, index.wide_reach(from, to), &mut gathered);
+                let wide = &table.entries[table.wide_reach(from, to)];
+                // Its own bound is tighter: it may start later, never
+                // drop an entry that can overlap.
+                prop_assert!(gathered
+                    .iter()
+                    .filter(|e| e.end >= from)
+                    .all(|e| wide.contains(e)));
+            }
+            let again = index.posting(&doc, id, None).unwrap().unwrap();
+            prop_assert!(std::ptr::eq(again.table.entries, table.entries));
+        }
     }
 
     /// Index round-trip: every annotation's regions come back through
@@ -200,119 +223,136 @@ proptest! {
     }
 }
 
-/// `n` single-region annotations `<a start end/>` under one root.
-fn uniform_index(n: i64) -> (Vec<u32>, RegionIndex) {
+/// One generated element: its name's index into `["a", "b", "c"]` and
+/// its `(start, length)` regions, if it is annotated.
+type GenElement = (usize, Option<Vec<(i64, i64)>>);
+
+/// A document of elements named `a`, `b` or `c` (by the index in each
+/// pair) under one root, each with the given regions or none — as
+/// attributes (the first region only) or, with `multi`, as `region`
+/// children — and its region index.
+fn named_document(elements: &[GenElement], multi: bool) -> (standoff_xml::Document, RegionIndex) {
     let mut b = DocumentBuilder::new();
     b.start_element("d");
-    for k in 0..n {
-        b.start_element("a");
-        b.attribute("start", &(k * 3).to_string());
-        b.attribute("end", &(k * 3 + 1).to_string());
+    for (name, regions) in elements {
+        b.start_element(["a", "b", "c"][*name]);
+        let mut regions: Vec<(i64, i64)> =
+            regions.iter().flatten().map(|&(s, l)| (s, s + l)).collect();
+        if !multi {
+            regions.truncate(1);
+        }
+        regions.sort_unstable();
+        regions.dedup_by(|next, kept| next.0 <= kept.1 + 1);
+        for &(s, e) in &regions {
+            if multi {
+                b.start_element("region");
+                b.start_element("start");
+                b.text(&s.to_string());
+                b.end_element();
+                b.start_element("end");
+                b.text(&e.to_string());
+                b.end_element();
+                b.end_element();
+            } else {
+                b.attribute("start", &s.to_string());
+                b.attribute("end", &e.to_string());
+            }
+        }
         b.end_element();
     }
     b.end_element();
     let doc = b.finish().unwrap();
-    let index = RegionIndex::build(&doc, &StandoffConfig::default()).unwrap();
-    (doc.elements_named("a").to_vec(), index)
-}
-
-/// Deterministic check that the one decision really dispatches to every
-/// kernel, counts each choice, and that the inputs adjacent to a
-/// crossover land on opposite sides of it with identical answers.
-#[test]
-fn every_kernel_is_chosen_and_agrees() {
-    let (all, index) = uniform_index(2000);
-    let whole = 0..index.len();
-    let e = index.len() as u64;
-    let but_one = &all[1..];
-
-    // Every annotated node: the reach itself, borrowed.
-    let (kernel, scratch) = assert_all_agree(&index, &all, whole.clone());
-    assert_eq!(kernel, CandidateKernel::Borrowed);
-    assert_eq!(scratch.stats.candidate_borrowed, 1);
-    assert_eq!(scratch.stats.candidate_repr_dense, 0);
-    assert_eq!(scratch.stats.candidate_reach_entries, e);
-
-    // Selective: 3 nodes → gather kernel, no scan counters.
-    let few = [all[10], all[500], all[1999]];
-    let (kernel, scratch) = assert_all_agree(&index, &few, whole.clone());
-    assert_eq!(kernel, CandidateKernel::NodeView);
-    assert_eq!(scratch.stats.candidate_node_view, 1);
-    assert_eq!(scratch.stats.candidate_repr_dense, 0);
-    assert_eq!(scratch.stats.candidate_dense_blocks, 0);
-
-    // Broad but not covering → dense scan of the whole table.
-    let (kernel, scratch) = assert_all_agree(&index, but_one, whole.clone());
-    assert_eq!(kernel, CandidateKernel::Scan);
-    assert_eq!(scratch.stats.candidate_scans, 1);
-    assert_eq!(scratch.stats.candidate_repr_dense, 1);
-    assert_eq!(scratch.stats.candidate_dense_blocks, 2000u64.div_ceil(64));
-
-    // The same candidates over a point's reach → probe, no bitset.
-    let point = index.reach(300, 312); // starts 300, 303, …, 312
-    assert_eq!(point.len(), 5);
-    let (kernel, scratch) = assert_all_agree(&index, but_one, point);
-    assert_eq!(kernel, CandidateKernel::Probe);
-    assert_eq!(scratch.stats.candidate_probes, 1);
-    assert_eq!(scratch.stats.candidate_repr_dense, 0);
-    assert_eq!(scratch.stats.candidate_reach_entries, 5);
-
-    // Node view → scan at full reach: the last gather-side count and
-    // the first scan-side count.
-    let rule = |c: usize, r: usize| candidate_kernel(Some(c), e, r as u64, || false);
-    let last_gather = (1..all.len())
-        .rev()
-        .find(|&c| rule(c, all.len()) == CandidateKernel::NodeView)
-        .unwrap();
-    assert_eq!(rule(last_gather + 1, all.len()), CandidateKernel::Scan);
-    let spread: Vec<u32> = all.iter().step_by(7).copied().collect();
-    assert!(spread.len() > last_gather);
-    let (kernel, _) = assert_all_agree(&index, &spread[..last_gather], whole.clone());
-    assert_eq!(kernel, CandidateKernel::NodeView);
-    let (kernel, _) = assert_all_agree(&index, &spread[..last_gather + 1], whole);
-    assert_eq!(kernel, CandidateKernel::Scan);
-
-    // Probe → scan as the reach widens around the same candidates.
-    let last_probe = (1..all.len())
-        .rev()
-        .find(|&r| rule(but_one.len(), r) == CandidateKernel::Probe)
-        .unwrap();
-    assert_eq!(rule(but_one.len(), last_probe + 1), CandidateKernel::Scan);
-    let reach_of = |r: usize| 100..100 + r;
-    let (kernel, _) = assert_all_agree(&index, but_one, reach_of(last_probe));
-    assert_eq!(kernel, CandidateKernel::Probe);
-    let (kernel, _) = assert_all_agree(&index, but_one, reach_of(last_probe + 1));
-    assert_eq!(kernel, CandidateKernel::Scan);
+    let config = if multi {
+        StandoffConfig::element_repr()
+    } else {
+        StandoffConfig::default()
+    };
+    let index = RegionIndex::build(&doc, &config).unwrap();
+    (doc, index)
 }
 
 /// The degenerate tables: no entries, one entry, and far more candidate
-/// elements than entries (`C ≫ E`, where a probe per entry beats the
-/// scan's `O(C)` bitset fill for a one-block pass).
+/// elements than entries.
 #[test]
 fn empty_single_entry_and_oversubscribed_tables() {
     let many: Vec<u32> = (0..50_000).collect();
+    let single = |n: i64| {
+        let areas: Vec<(u32, Area)> = (0..n)
+            .map(|k| (k as u32 + 1, Area::single(k * 3, k * 3 + 1).unwrap()))
+            .collect();
+        RegionIndex::from_areas(&areas)
+    };
 
-    let (_, empty) = uniform_index(0);
+    let empty = single(0);
     assert!(empty.is_empty());
     for cands in [&[][..], &[7][..], &many[..]] {
-        let (_, scratch) = assert_all_agree(&empty, cands, 0..0);
-        assert_eq!(scratch.stats.candidate_repr_dense, 0, "nothing to scan");
+        assert_all_agree(&empty, cands, 0..0);
     }
 
-    let (one, single) = uniform_index(1);
-    assert_eq!(single.len(), 1);
-    assert_all_agree(&single, &[], 0..1);
-    assert_eq!(single.candidates_for(&one), single.entries());
-    assert_all_agree(&single, &one, 0..1);
-    assert_all_agree(&single, &[one[0] + 1], 0..1);
-    let (kernel, scratch) = assert_all_agree(&single, &many, 0..1);
-    assert_eq!(kernel, CandidateKernel::Probe);
-    assert_eq!(scratch.stats.candidate_repr_dense, 0);
+    let one = single(1);
+    assert_eq!(one.len(), 1);
+    assert_all_agree(&one, &[], 0..1);
+    assert_eq!(one.candidates_for(&[1]), one.entries());
+    assert_all_agree(&one, &[1], 0..1);
+    assert_all_agree(&one, &[2], 0..1);
+    assert_all_agree(&one, &many, 0..1);
 
-    let (_, small) = uniform_index(64);
+    let small = single(64);
     assert_eq!(small.candidates_for(&many), small.entries());
-    let (kernel, _) = assert_all_agree(&small, &many, 0..64);
-    assert_eq!(kernel, CandidateKernel::Probe);
+    assert_all_agree(&small, &many, 0..64);
+}
+
+/// A name's posting is its definitional intersection with its own
+/// extent bound, cached after the first call; a covering name borrows
+/// the table; a tripped derivation publishes nothing.
+#[test]
+fn postings_are_derived_once_and_cover_by_borrowing() {
+    use standoff_core::{Budget, BudgetExceeded};
+    use standoff_xml::{parse_document, NameId};
+    let doc = parse_document(
+        r#"<sample><video><shot start="0" end="8"/><shot start="8" end="64"/>
+           <shot start="64" end="94"/></video><audio><music start="0" end="31"/>
+           <music start="52" end="94"/></audio></sample>"#,
+    )
+    .unwrap();
+    let idx = RegionIndex::build(&doc, &StandoffConfig::default()).unwrap();
+    let shot = doc.names().get("shot").unwrap();
+    let p = idx.posting(&doc, shot, None).unwrap().unwrap();
+    let shots = doc.elements_named("shot");
+    assert_eq!(p.table.entries, oracle(&idx, shots, 0..idx.len()));
+    assert_eq!(
+        (p.covering, p.annotated, p.table.max_extent),
+        (false, 3, 56)
+    );
+    let again = idx.posting(&doc, shot, None).unwrap().unwrap();
+    assert!(std::ptr::eq(p.table.entries, again.table.entries), "cached");
+    // `video` has no regions: an empty posting.
+    let video = doc.names().get("video").unwrap();
+    let empty = idx.posting(&doc, video, None).unwrap().unwrap();
+    assert_eq!((empty.table.entries.len(), empty.annotated), (0, 0));
+    // A name outside the document's table is not cached.
+    assert!(idx.posting(&doc, NameId(999), None).unwrap().is_none());
+
+    let doc = parse_document(r#"<d><w start="0" end="4"/><x start="6" end="9"/></d>"#).unwrap();
+    let idx = RegionIndex::build(&doc, &StandoffConfig::default()).unwrap();
+    let (w, x) = (doc.names().get("w").unwrap(), doc.names().get("x").unwrap());
+    let tripped = Budget::cancel_token();
+    tripped.cancel();
+    let err = idx.posting(&doc, w, Some(&tripped)).unwrap_err();
+    assert_eq!(err, BudgetExceeded::Cancelled);
+    let w = idx.posting(&doc, w, None).unwrap().unwrap();
+    assert_eq!(w.table.entries, &idx.entries()[..1], "nothing partial kept");
+    // `x` alone is not every annotation either.
+    assert!(!idx.posting(&doc, x, None).unwrap().unwrap().covering);
+    let whole = parse_document(r#"<d><w start="0" end="4"/><w start="6" end="9"/></d>"#).unwrap();
+    let idx = RegionIndex::build(&whole, &StandoffConfig::default()).unwrap();
+    let w = whole.names().get("w").unwrap();
+    let covering = idx.posting(&whole, w, None).unwrap().unwrap();
+    assert!(covering.covering);
+    assert!(
+        std::ptr::eq(covering.table.entries, idx.entries()),
+        "borrowed"
+    );
 }
 
 // ---- mount-time revalidation: the entry ↔ node-view bijection ----

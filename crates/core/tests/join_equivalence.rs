@@ -546,11 +546,11 @@ proptest! {
     }
 
     /// One to three point contexts of width ≤ 5 over a layer of ≥ 2 000
-    /// annotations: the narrow joins' reach holds a handful of entries,
-    /// so the derivation probes them against the candidates instead of
-    /// building a bitset over 2 000 ids — and answers like the oracle.
+    /// annotations, most of them explicit candidates: the narrow joins
+    /// gather the candidates' entries inside a reach of a handful — and
+    /// answer like the oracle.
     #[test]
-    fn point_contexts_over_a_dense_layer_probe(
+    fn point_contexts_over_a_dense_layer_gather(
         seed in any::<u64>(),
         n in 2_000usize..2_400,
         contexts in 1usize..=3,
@@ -575,7 +575,7 @@ proptest! {
             iter_domain: &[0, 1, 2],
         };
         let stats = assert_strategies_agree(&input, &seed);
-        prop_assert!(stats.candidate_probes > 0, "{:?}", stats);
+        prop_assert!(stats.candidate_node_view > 0, "{:?}", stats);
     }
 
     /// The wide reach's left boundary, `from − max_extent`, where `M =

@@ -457,26 +457,52 @@ impl EngineState {
             .to_string()
     }
 
+    /// The region index of every loaded document — one in the store
+    /// with a URI that is not a mounted layer — under `config`, the
+    /// plan's prolog configuration, obtained as a join obtains it: from
+    /// the cache, or built now for the caller (the query that joins the
+    /// document builds and caches its own). A document that fails to
+    /// index is left out; the query that reaches it reports the failure.
+    pub(crate) fn loaded_indexes(&self, config: &StandoffConfig) -> Vec<(DocId, Arc<RegionIndex>)> {
+        (self.store.doc_ids())
+            .filter(|doc| !self.layers.contains_key(&doc.0) && self.store.doc_uri(*doc).is_some())
+            .filter_map(|doc| {
+                let index = match self.region_cache.get(&(doc.0, config.clone())) {
+                    Some(index) => Arc::clone(index),
+                    None => Arc::new(RegionIndex::build(self.store.doc(doc), config).ok()?),
+                };
+                Some((doc, index))
+            })
+            .collect()
+    }
+
     /// The region indexes of the documents `include` keeps: every
     /// mounted layer's (materialized now — the `estimate` pass includes
-    /// only layers the plan reaches) and every index built so far. A
-    /// layer that fails to materialize is left out; the query that
-    /// reaches it reports the failure.
-    fn indexes(&self, include: impl Fn(DocId) -> bool) -> Vec<(DocId, Arc<RegionIndex>)> {
+    /// only layers the plan reaches) and the `loaded` ones
+    /// ([`EngineState::loaded_indexes`]). A layer that fails to
+    /// materialize is left out; the query that reaches it reports the
+    /// failure.
+    fn indexes(
+        &self,
+        include: impl Fn(DocId) -> bool,
+        loaded: &[(DocId, Arc<RegionIndex>)],
+    ) -> Vec<(DocId, Arc<RegionIndex>)> {
         let layers = (self.layers.iter())
             .filter(|(&doc, _)| include(DocId(doc)))
             .filter_map(|(&doc, layer)| Some((DocId(doc), layer.index().ok()?)));
-        let built = (self.region_cache.iter())
-            .filter(|((doc, _), _)| include(DocId(*doc)))
-            .map(|((doc, _), index)| (DocId(*doc), Arc::clone(index)));
-        layers.chain(built).collect()
+        let loaded = (loaded.iter()).filter(|(doc, _)| include(*doc)).cloned();
+        layers.chain(loaded).collect()
     }
 
     /// Merged statistics of the region indexes of the documents
-    /// `include` keeps.
-    pub(crate) fn index_stats(&self, include: impl Fn(DocId) -> bool) -> IndexStats {
+    /// `include` keeps ([`EngineState::indexes`]).
+    pub(crate) fn index_stats(
+        &self,
+        include: impl Fn(DocId) -> bool,
+        loaded: &[(DocId, Arc<RegionIndex>)],
+    ) -> IndexStats {
         let mut stats = IndexStats::default();
-        for (_, index) in self.indexes(include) {
+        for (_, index) in self.indexes(include, loaded) {
             stats.merge(index.stats());
         }
         stats
@@ -484,11 +510,20 @@ impl EngineState {
 
     /// Are `name`'s elements exactly the annotated nodes of every
     /// `include`d document that holds the name (and of at least one)?
-    /// The borrow condition of the candidate rule, as the `estimate`
-    /// pass reports it. Which documents hold the name comes from the
-    /// catalog, so no other layer is materialized.
-    pub(crate) fn name_covers(&self, name: &str, include: impl Fn(DocId) -> bool) -> bool {
-        let holders = self.indexes(|doc| include(doc) && self.store.name_count(doc, name) > 0);
+    /// The condition under which a join borrows the table instead of
+    /// the name's posting, as the `estimate` pass reports it. Which
+    /// documents hold the name comes from the catalog, so no other layer
+    /// is materialized.
+    pub(crate) fn name_covers(
+        &self,
+        name: &str,
+        include: impl Fn(DocId) -> bool,
+        loaded: &[(DocId, Arc<RegionIndex>)],
+    ) -> bool {
+        let holders = self.indexes(
+            |doc| include(doc) && self.store.name_count(doc, name) > 0,
+            loaded,
+        );
         !holders.is_empty()
             && (holders.iter()).all(|(doc, index)| {
                 self.store.doc(*doc).elements_named(name) == index.annotated_nodes()

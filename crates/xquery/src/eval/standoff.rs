@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use standoff_algebra::{LlSeq, NodeTable, NodeTest, TreeAxis};
 use standoff_core::join::{count_resolved, join_resolved, JoinScratch, JoinTarget};
-use standoff_core::{IterNode, RegionIndex};
+use standoff_core::{IterNode, RegionIndex, StandoffStrategy};
 use standoff_xml::{DocId, NodeRef};
 
 use super::Evaluator;
@@ -139,7 +139,7 @@ impl Evaluator<'_> {
         let out = NodeTable::from_runs(&runs, |row| (row.iter, row.node));
         if runs.len() > 1 {
             exec.stats.result_merges += 1;
-        } else {
+        } else if exec.stats.result_sorts == 0 {
             exec.stats.result_sorts_elided += 1;
         }
         // The runs and the table merged from them are join memory like
@@ -228,8 +228,9 @@ impl Evaluator<'_> {
             ..JoinExec::default()
         };
         let mut scratch = std::mem::take(&mut self.engine.join_scratch);
-        // Governance handle for the scan/merge kernels, so a deadline
-        // or cancellation interrupts the join mid-kernel.
+        // Governance handle for the posting derivations and the merge
+        // kernels, so a deadline or cancellation interrupts the join
+        // mid-kernel.
         scratch.set_budget(self.engine.budget.clone());
         let joined = units.iter().try_for_each(|unit| {
             self.join_unit(
@@ -241,11 +242,10 @@ impl Evaluator<'_> {
                 sink,
             )
         });
-        // Fold the kernel counters (dense scans, branch-free blocks)
-        // accumulated inside the join calls into this operator's stat
-        // delta before the scratch goes back — on *every* exit, error
-        // paths included: an index build failure must not silently drop
-        // the session's warmed buffer set.
+        // Fold the join counters accumulated inside the join calls into
+        // this operator's stat delta before the scratch goes back — on
+        // *every* exit, error paths included: an index build failure
+        // must not silently drop the session's warmed buffer set.
         exec.stats.merge(scratch.take_stats());
         self.engine.join_scratch = scratch;
         joined?;
@@ -376,17 +376,38 @@ impl Evaluator<'_> {
             iter_domain.sort_unstable();
             iter_domain.dedup();
         }
+        // Only the merge joins read candidate entries; the nested loops
+        // walk the candidate nodes.
+        let merge = matches!(
+            op.strategy,
+            StandoffStrategy::BasicMergeJoin | StandoffStrategy::LoopLiftedMergeJoin
+        );
         for (&target, index) in targets.iter().zip(&target_indexes) {
             let doc = engine.store.doc(target);
             // Candidate restriction: explicit sequence, or the plan's
             // name-test pushdown through the element index (§4.3) —
-            // always against the *target* layer's document. The element
-            // index is borrowed as-is: builder-produced indexes are
-            // strictly ascending by construction and snapshot-loaded
-            // ones are validated when mounted.
-            let candidates: Option<&[u32]> = match cand_buckets {
-                Some(buckets) => Some(buckets.get(&target).map_or(&[], Vec::as_slice)),
-                None => op.pushdown.as_deref().map(|name| doc.elements_named(name)),
+            // always against the *target* layer's document, whose index
+            // keeps the name's posting. The element index is borrowed
+            // as-is: builder-produced indexes are strictly ascending by
+            // construction and snapshot-loaded ones are validated when
+            // mounted.
+            let (candidates, posting) = match (cand_buckets, op.pushdown.as_deref()) {
+                (Some(buckets), _) => (
+                    Some(buckets.get(&target).map_or(&[][..], Vec::as_slice)),
+                    None,
+                ),
+                (None, Some(name)) => {
+                    let id = doc.names().get(name);
+                    let nodes = id.map_or(&[][..], |id| doc.element_postings(id));
+                    let posting = match id {
+                        Some(id) if merge && !nodes.is_empty() => {
+                            index.posting(doc, id, engine.budget.as_ref())?
+                        }
+                        _ => None,
+                    };
+                    (Some(nodes), posting)
+                }
+                (None, None) => (None, None),
             };
             if let Some(cands) = candidates {
                 exec.cand_rows += cands.len() as u64;
@@ -398,6 +419,7 @@ impl Evaluator<'_> {
                 doc,
                 index,
                 candidates,
+                posting,
                 iter_domain: &iter_domain,
             };
             match sink {

@@ -18,7 +18,6 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use standoff_algebra::TreeAxis;
-use standoff_core::index::candidate_kernel;
 use standoff_core::StandoffStrategy;
 
 use crate::plan::*;
@@ -142,19 +141,22 @@ fn standoff_note(op: &StandoffOp, explicit_candidates: bool) -> String {
             "loop-lifted StandOff MergeJoin, single index scan"
         }
     };
-    // The candidate-derivation kernel: when the estimate pass left
-    // cardinalities, the choice the index makes at run time
-    // ([`standoff_core::index::candidate_kernel`]) at full reach. The
-    // loop-lifted joins read only their context's reach (widened by the
-    // largest entry extent for the overlap axes), where the same rule
-    // may pick a cheaper kernel.
-    let access = |count: Option<u64>| match (count, &op.estimate) {
-        (Some(c), Some(est)) if est.index.entries > 0 => {
-            let e = est.index.entries;
-            let kernel = candidate_kernel(Some(c as usize), e, e, || est.covering);
+    // Where a merge join reads a pushed name's candidates, when the
+    // estimate pass found the name in a non-empty index: the name's
+    // posting, or — when its elements are every annotated node — the
+    // table itself, borrowed ([`standoff_core::RegionIndex::posting`]).
+    // The loop-lifted joins read only their context's reach of it
+    // (widened by its largest entry extent for the overlap axes).
+    let access = |count: Option<u64>| match (count, &op.estimate, op.strategy) {
+        (
+            Some(_),
+            Some(est),
+            StandoffStrategy::BasicMergeJoin | StandoffStrategy::LoopLiftedMergeJoin,
+        ) if est.index.entries > 0 => {
+            let source = if est.covering { "borrowed" } else { "posting" };
             let bounded = op.strategy == StandoffStrategy::LoopLiftedMergeJoin;
             let reach = if bounded { " ≤ context reach" } else { "" };
-            format!(" [{}{reach}]", kernel.as_str())
+            format!(" [{source}{reach}]")
         }
         _ => String::new(),
     };

@@ -966,7 +966,12 @@ fn fuse_count(plan: &mut Plan, _: &PlanContext<'_>) {
 /// entirely.
 fn estimate(plan: &mut Plan, ctx: &PlanContext<'_>) {
     let Some(corpus) = ctx.corpus else { return };
+    let config = plan.config.clone();
+    // The loaded documents' indexes, once per plan: the first StandOff
+    // operator obtains them.
+    let mut loaded = None;
     for_each_standoff_op(plan, |op, _, explicit_candidates| {
+        let loaded: &[_] = loaded.get_or_insert_with(|| corpus.loaded_indexes(&config));
         // Which layers an explicit candidate sequence reaches is only
         // known once it is evaluated.
         let answering: Option<Vec<Vec<DocId>>> = (!explicit_candidates).then(|| {
@@ -982,9 +987,9 @@ fn estimate(plan: &mut Plan, ctx: &PlanContext<'_>) {
         };
         let name = op.pushdown.as_deref();
         op.estimate = Some(Box::new(JoinEstimate {
-            index: corpus.index_stats(reached),
+            index: corpus.index_stats(reached, loaded),
             candidates: name.and_then(|name| corpus_name_count(ctx, name)),
-            covering: name.is_some_and(|name| corpus.name_covers(name, reached)),
+            covering: name.is_some_and(|name| corpus.name_covers(name, reached, loaded)),
             layers: answering.map(|answering| {
                 let groups = answering.iter().zip(corpus.layer_groups()).enumerate();
                 groups

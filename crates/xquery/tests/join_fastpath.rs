@@ -3,8 +3,9 @@
 //! Timing can lie on a loaded CI box; the `join.*` counters of the
 //! engine's metrics registry (what `stats` prints) cannot.
 //! These tests pin that a pushdown-guaranteed StandOff step really skips
-//! the trailing self-axis pass and never sorts its result (one target
-//! is emitted directly, several merge), that the literal paths still
+//! the trailing self-axis pass, that its result is counted as sorted
+//! exactly when it had to be put in document order (one target is
+//! emitted directly, several merge), that the literal paths still
 //! run where required (no pushdown, naive strategies, the unoptimized
 //! reference plan), and
 //! that the elided paths stay observably equivalent to the reference on
@@ -117,15 +118,14 @@ fn reference_path_keeps_literal_post_filter() {
     assert_eq!(stats_ref["post_filters_elided"], 0, "{stats_ref:?}");
 }
 
-/// The candidate-intersection path counters reflect the cost model:
-/// sparse pushdown takes the node view, no pushdown takes no
-/// intersection at all.
+/// The candidate counters name the source each join read: a pushed
+/// name its posting — whose reach holds only that name's entries —, an
+/// explicit candidate sequence the node view over the index's reach.
 #[test]
 fn candidate_access_path_counters() {
-    // 1 `place` candidate over a 301-entry index: node view. The
-    // `place` spans every `w`, so the wide reach of a context at the
-    // table's right end — widened left by that extent — is the whole
-    // table.
+    // 1 `place` over a 301-entry index. The `place` spans every `w`, so
+    // the index's wide reach of a context at the table's right end is
+    // the whole table, while the posting's is its one entry.
     let mut xml = String::from("<doc>");
     for k in 0..300 {
         xml.push_str(&format!(r#"<w start="{}" end="{}"/>"#, k * 10, k * 10 + 5));
@@ -137,20 +137,66 @@ fn candidate_access_path_counters() {
             .run(r#"count(doc("d.xml")//w[300]/select-wide::place)"#)
             .unwrap();
     });
-    assert_eq!(stats["candidate_reach_entries"], 301, "{stats:?}");
-    assert!(stats["candidate_node_view"] > 0, "{stats:?}");
+    assert_eq!(stats["candidate_reach_entries"], 1, "{stats:?}");
+    assert_eq!(stats["candidate_posting"], 1, "{stats:?}");
+    assert_eq!(stats["candidate_node_view"], 0, "{stats:?}");
 
-    // 300 `w` candidates over the same index: scan.
+    // 300 `w` over the same index: their posting too, read in full.
     let stats = join_delta(&mut engine, |engine| {
         engine
             .run(r#"count(doc("d.xml")//place/select-wide::w)"#)
             .unwrap();
     });
-    assert!(stats["candidate_scans"] > 0, "{stats:?}");
+    assert_eq!(
+        (stats["candidate_posting"], stats["candidate_reach_entries"]),
+        (1, 300),
+        "{stats:?}"
+    );
+
+    // The function form's explicit candidates: the node view, over the
+    // index's own (whole) wide reach.
+    let stats = join_delta(&mut engine, |engine| {
+        engine
+            .run(r#"count(select-wide(doc("d.xml")//w[300], doc("d.xml")//place))"#)
+            .unwrap();
+    });
+    assert_eq!(
+        (
+            stats["candidate_node_view"],
+            stats["candidate_reach_entries"]
+        ),
+        (1, 301),
+        "{stats:?}"
+    );
+}
+
+/// StandOff XMark's start order is not its document order: Q2's
+/// `bidder` step, whose rows span many iterations, must put them in
+/// document order, and says so.
+#[test]
+fn xmark_q2_bidder_step_counts_its_sort() {
+    use standoff_xmark::queries::XmarkQuery;
+    use standoff_xmark::{generate, standoffify, XmarkConfig};
+    let so = standoffify(&generate(&XmarkConfig::with_scale(0.002)), 7);
+    let mut engine = Engine::new();
+    engine.add_document(so.doc, Some("xmark.xml"));
+    let text = engine
+        .explain_analyze(&XmarkQuery::Q2.standoff("xmark.xml"))
+        .unwrap();
+    let line = (text.lines())
+        .find(|l| l.contains("select-narrow::bidder"))
+        .unwrap_or_else(|| panic!("no bidder step: {text}"));
+    let sorts: u64 = line
+        .split_once(" sorts=")
+        .and_then(|(_, rest)| rest.split(' ').next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no sorts count: {line}"));
+    assert!(sorts >= 1, "{line}");
+    assert!(line.contains("(elided 0)"), "{line}");
 }
 
 /// A context over several documents yields one sorted run per document:
-/// the result is their merge, still never a sort. Counted, the same two
+/// the result is their merge; each run left its kernel in document
+/// order, so nothing was sorted. Counted, the same two
 /// units assemble no rows: nothing is merged, each target is counted
 /// from the index.
 #[test]
@@ -248,10 +294,16 @@ proptest! {
                     "loop-lifted vs naive oracle: {}", query);
             }
         }
-        // The fast engine really exercised the elision branches.
+        // The fast engine really exercised the post-filter elision, and
+        // accounted for every join's result: one target each, so it was
+        // either put in document order or emitted as it left the kernel.
         let stats = fast.metrics().snapshot().counters;
         prop_assert!(stats["join.post_filters_elided"] > 0, "{:?}", stats);
-        prop_assert!(stats["join.result_sorts_elided"] > 0, "{:?}", stats);
+        prop_assert_eq!(
+            stats["join.result_sorts"] + stats["join.result_sorts_elided"],
+            stats["query.executions"],
+            "{:?}", stats
+        );
     }
 }
 

@@ -74,6 +74,28 @@ fn four_threads_match_one_thread_bytewise() {
     }
 }
 
+/// Four workers start on an engine whose postings are all cold, each
+/// on a query pushing the same names, so they race to derive and
+/// publish the same postings; every answer equals the one a single
+/// thread gives on another cold engine, byte for byte.
+#[test]
+fn four_threads_racing_for_cold_postings_match_one_thread() {
+    let queries: Vec<String> = (0..16)
+        .map(|k| match k % 4 {
+            0 => XmarkQuery::Q2.standoff(SO_URI),
+            1 => XmarkQuery::Q6.standoff(SO_URI),
+            2 => format!(r#"count(doc("{SO_URI}")//open_auction/select-narrow::bidder)"#),
+            _ => format!(r#"doc("{SO_URI}")//bidder[{k}]/select-narrow::increase"#),
+        })
+        .collect();
+    let one = Executor::new(xmark_shared(), 1).run_batch(&queries);
+    let four = Executor::new(xmark_shared(), 4).run_batch(&queries);
+    for (k, (a, b)) in one.iter().zip(&four).enumerate() {
+        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+        assert_eq!(a.as_xml(), b.as_xml(), "query {k} diverged");
+    }
+}
+
 // ---- CLI ----
 
 fn bin() -> Command {

@@ -204,23 +204,23 @@ fn scratch_cap_refuses_cleanly() {
     );
 }
 
-/// Regression: the dense scan's candidate bitset is sized by the
-/// candidates' pre-rank *span*, not by how many of them are annotated,
-/// and the scratch cap did not count it. Here 5 000 unannotated `<w/>`
-/// strewn across 20 000 annotated `<x>` make the bitset (~3 KB) the
-/// only join buffer of any size, so a 2 KB cap must refuse the query —
-/// with the same error whichever merge-join strategy derives the
-/// candidates — while the ungoverned answer is 2.
+/// A deadline that trips while a join derives a name's posting is a
+/// timeout, and the derivation publishes nothing: the next, ungoverned
+/// query derives the posting again and gets the full answer. The layer
+/// interleaves 200 000 `w` with as many `x`, so `w` is not every
+/// annotation and its posting is gathered — at a rate that takes far
+/// longer than the 1 ms deadline — under both merge joins.
 #[test]
-fn scratch_cap_sees_the_dense_candidate_bitset() {
-    let mut xml = String::from(r#"<d><s start="0" end="99999"/><w start="1" end="2"/>"#);
-    for k in 0..20_000 {
-        xml.push_str(&format!(r#"<x start="{k}" end="{k}"/>"#));
-        if k % 4 == 0 {
-            xml.push_str("<w/>");
-        }
+fn deadline_in_a_posting_build_caches_nothing() {
+    const N: usize = 200_000;
+    let mut xml = String::with_capacity(64 * N);
+    xml.push_str(r#"<d><s start="0" end="99999999"/>"#);
+    for k in 0..N {
+        xml.push_str(&format!(
+            r#"<w start="{k}" end="{k}"/><x start="{k}" end="{k}"/>"#
+        ));
     }
-    xml.push_str(r#"<w start="5" end="6"/></d>"#);
+    xml.push_str("</d>");
     let query = r#"count(doc("wide.xml")//s/select-narrow::w)"#;
     for strategy in [
         StandoffStrategy::LoopLiftedMergeJoin,
@@ -229,18 +229,20 @@ fn scratch_cap_sees_the_dense_candidate_bitset() {
         let mut engine = Engine::new();
         engine.load_document("wide.xml", &xml).unwrap();
         engine.set_strategy(strategy);
-        assert_eq!(engine.run(query).unwrap().as_strings(), ["2"]);
-        let joins = engine.metrics().snapshot().counters;
-        assert!(joins["join.candidate_repr_dense"] > 0, "[{strategy}]");
         engine.set_budget(budget(BudgetLimits {
-            max_scratch_bytes: Some(2048),
+            deadline: Some(Duration::from_millis(1)),
             ..BudgetLimits::default()
         }));
         assert_eq!(
             engine.run(query).unwrap_err(),
-            QueryError::ResultLimit("scratch memory cap exceeded".into()),
+            QueryError::Timeout,
             "[{strategy}]"
         );
+        engine.set_budget(None);
+        let before = engine.metrics().snapshot();
+        assert_eq!(engine.run(query).unwrap().as_strings(), [N.to_string()]);
+        let joins = engine.metrics().snapshot().delta(&before).counters;
+        assert!(joins["join.candidate_posting"] > 0, "[{strategy}]");
     }
 }
 

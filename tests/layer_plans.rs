@@ -2,8 +2,9 @@
 //! happens: on a three-layer store of the benchmark's shape (XMark base,
 //! `tokens`, `entities`) the plan line names the layers that can answer
 //! the step and says whether their outputs are emitted directly or
-//! merged; execution joins into exactly those layers, once per unit,
-//! and never sorts.
+//! merged; execution joins into exactly those layers, once per unit.
+//! Only the XMark base layer, whose start order is not its document
+//! order, ever has its rows put in document order.
 
 use standoff::core::StandoffConfig;
 use standoff::store::{compact, DeltaOp, LayerSet};
@@ -167,11 +168,17 @@ fn golden_texts(engine: &mut Engine) -> Vec<String> {
 /// class texts — each `count(…)` class also as its bare step, whose
 /// rows are assembled — on a pure mount and on the view of sixteen
 /// pending batches. A broken `result:` claim also fails the evaluator's
-/// `debug_assert!` on the spot.
+/// `debug_assert!` on the spot. The `sorts=` counts add up to the
+/// registry's, and on the pure mount only the base layer's rows are
+/// ever put in document order (the view's inserted entities follow the
+/// layer's other elements in document order, wherever they start).
 #[test]
 fn result_claims_hold_for_the_goldens_and_the_benchmark_classes() {
     let (set, spans) = three_layers();
-    for mounted in [set.clone(), view(pending(&set, &spans, 16))] {
+    for (pure, mounted) in [
+        (true, set.clone()),
+        (false, view(pending(&set, &spans, 16))),
+    ] {
         let mut engine = Engine::new();
         engine.mount_store(mounted).unwrap();
         let mut queries = golden_texts(&mut engine);
@@ -182,17 +189,28 @@ fn result_claims_hold_for_the_goldens_and_the_benchmark_classes() {
             queries.extend(bare.map(String::from));
             queries.push(class);
         }
+        let mut sorts = 0;
         for query in &queries {
             let text = engine.explain_analyze(query).unwrap();
             let joins = text.matches("StandOff MergeJoin").count();
             let claims = text.matches("; result: ").count() + text.matches("; count: ").count();
             assert_eq!(claims, joins, "{text}");
-            assert!(!text.contains("sorts=1"), "{text}");
+            for line in text.lines().filter(|l| l.contains(" sorts=")) {
+                let n: u64 = (line.split_once(" sorts=").unwrap().1)
+                    .split(' ')
+                    .next()
+                    .and_then(|n| n.parse().ok())
+                    .unwrap();
+                // A flat layer's start order is its document order.
+                assert!(!pure || n == 0 || line.contains("layers: base"), "{line}");
+                sorts += n;
+            }
         }
         let counters = engine.metrics().snapshot().counters;
         assert_eq!(counters[MISMATCHES], 0);
         assert_eq!(counters[COUNT_MISMATCHES], 0);
-        assert_eq!(counters["join.result_sorts"], 0);
+        assert_eq!(counters["join.result_sorts"], sorts);
+        assert!(sorts > 0, "Q2's steps over the base layer reorder");
         assert!(counters["join.counts_from_index"] > 0);
     }
 }
@@ -236,14 +254,16 @@ fn plan_line_names_the_answering_layers() {
         .unwrap();
     let claim = "layers: base, tokens, entities (3 of 3); result: k-way merge (3)";
     assert!(all.contains(claim), "{all}");
+    // The base layer's rows are put in document order before the merge.
     assert!(
-        all.contains("targets=3 ") && all.contains("sorts=0 (elided 0)"),
+        all.contains("targets=3 ") && all.contains("sorts=1 (elided 0)"),
         "{all}"
     );
     assert!(all.contains(" merges=1"), "{all}");
 
     // A layer's pending inserts are part of the layer: one run, as
-    // after any compaction.
+    // after any compaction. They follow every other element in
+    // document order, so the run is put in document order.
     let mut overlay = Engine::new();
     overlay.mount_store(view(pending(&set, &spans, 1))).unwrap();
     let one = overlay
@@ -252,7 +272,7 @@ fn plan_line_names_the_answering_layers() {
     let claim = "layers: entities (1 of 3); result: direct";
     assert!(one.contains(claim), "{one}");
     assert!(
-        one.contains("targets=1 ") && one.contains("sorts=0 (elided 1)"),
+        one.contains("targets=1 ") && one.contains("sorts=1 (elided 0)"),
         "{one}"
     );
 }
@@ -274,8 +294,7 @@ fn entity_tokens_over_sixteen_pending_batches_is_one_kernel_call() {
     let stats = overlay.metrics().snapshot().counters;
     let derivations = stats["join.candidate_borrowed"]
         + stats["join.candidate_node_view"]
-        + stats["join.candidate_scans"]
-        + stats["join.candidate_probes"];
+        + stats["join.candidate_posting"];
     assert_eq!(
         (
             derivations,
@@ -288,4 +307,85 @@ fn entity_tokens_over_sixteen_pending_batches_is_one_kernel_call() {
     let mut compacted = Engine::new();
     compacted.mount_store(folded).unwrap();
     assert_eq!(answer.as_xml(), compacted.run(query).unwrap().as_xml());
+}
+
+/// `explain` reads the index a join reads: under `--load` the document
+/// is indexed under the query's prolog, as under `--store` it is the
+/// mounted layer's. So one document prints the same access bracket and
+/// the same entry count either way, and a `--load` document of
+/// two-region annotations explains `count(…)` as counted from the
+/// join's rows, which is what execution does.
+#[test]
+fn explain_under_load_reads_the_index_execution_reads() {
+    let xq = || std::process::Command::new(env!("CARGO_BIN_EXE_standoff-xq"));
+    let dir = std::env::temp_dir().join(format!("standoff-explain-load-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let so = standoffify(&generate(&XmarkConfig::with_scale(0.002)), 7);
+    let xml = dir.join("xmark.xml");
+    std::fs::write(
+        &xml,
+        standoff::xml::serialize_document(&so.doc, Default::default()),
+    )
+    .unwrap();
+    let snap = dir.join("xmark.snap");
+    let run = |cmd: &mut std::process::Command| {
+        let out = cmd.output().unwrap();
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stdout}{stderr}");
+        stdout
+    };
+    run(xq()
+        .arg("index")
+        .arg(&xml)
+        .arg("-o")
+        .arg(&snap)
+        .args(["--uri", "xmark"]));
+    let query = r#"doc("xmark")//open_auction/select-narrow::bidder"#;
+    let bracket = |plan: &str| {
+        let line = plan
+            .lines()
+            .find(|l| l.contains("select-narrow::bidder"))
+            .unwrap();
+        let from = line.find("region index [").unwrap();
+        let to = from + line[from..].find(']').unwrap();
+        let est = line.split_once("est: ").unwrap().1;
+        (line[from..=to].to_string(), est.to_string())
+    };
+    let load = format!("xmark={}", xml.display());
+    let loaded = run(xq().args(["explain", "--load", &load, "-q", query]));
+    let stored = run(xq()
+        .arg("explain")
+        .arg("--store")
+        .arg(&snap)
+        .args(["-q", query]));
+    assert_eq!(bracket(&loaded), bracket(&stored), "{loaded}{stored}");
+    assert_eq!(bracket(&loaded).0, "region index [posting ≤ context reach]");
+    assert!(!bracket(&loaded).1.starts_with("0 "), "{loaded}");
+
+    let r = |s: i64, e: i64| format!("<region><start>{s}</start><end>{e}</end></region>");
+    let tr = format!(
+        "<site><description>{}</description><description>{}</description>\
+         <w>{}{}</w><w>{}{}</w><w>{}</w></site>",
+        r(0, 12),
+        r(14, 20),
+        r(0, 4),
+        r(6, 8),
+        r(10, 12),
+        r(14, 16),
+        r(14, 20)
+    );
+    let tr_path = dir.join("tr.xml");
+    std::fs::write(&tr_path, tr).unwrap();
+    let load = format!("tr={}", tr_path.display());
+    let query = r#"declare option standoff-region "region";
+        count(doc("tr")//description/select-narrow::w)"#;
+    let plan = run(xq().args(["explain", "--load", &load, "--analyze", "-q", query]));
+    assert!(plan.contains("; count: from join rows;"), "{plan}");
+    assert!(!plan.contains("from-index="), "{plan}");
+    assert_eq!(
+        run(xq().args(["query", "--load", &load, "-q", query])).trim(),
+        "2"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -226,9 +226,8 @@ fn engine_metrics_count_query_executions() {
     assert!(exec_ns.sum > 0, "wall time was recorded");
 }
 
-/// A corpus dense enough that a `w` pushdown takes the bitset scan:
-/// one document holding a few wide `big` spans over 10k adjacent `w`
-/// tokens.
+/// One document holding a few wide `big` spans over 10k adjacent `w`
+/// tokens: a pushed `w` reads most of the table through its posting.
 fn dense_corpus() -> Engine {
     let mut xml = String::from("<d>");
     for k in 0..4 {
@@ -248,11 +247,11 @@ fn dense_corpus() -> Engine {
     engine
 }
 
-/// The dense-kernel counters fire on a dense pushdown, and the two
-/// sinks of every declared join counter agree: the profile's
-/// per-operator detail sums to the registry's `join.<name>`.
+/// The posting counters fire on a dense pushdown, and the two sinks of
+/// every declared join counter agree: the profile's per-operator detail
+/// sums to the registry's `join.<name>`.
 #[test]
-fn dense_kernel_counters_fire_and_mirror() {
+fn posting_counters_fire_and_mirror() {
     let query = r#"count(doc("dense.xml")//big/select-narrow::w)"#;
 
     let mut engine = dense_corpus();
@@ -265,11 +264,9 @@ fn dense_kernel_counters_fire_and_mirror() {
             stats.merge(join.stats);
         }
     });
-    assert!(stats.candidate_repr_dense > 0, "dense scan ran: {stats:?}");
-    assert!(
-        stats.candidate_dense_blocks > 0,
-        "blocks counted: {stats:?}"
-    );
+    assert!(stats.candidate_posting > 0, "posting read: {stats:?}");
+    assert_eq!(stats.candidate_reach_entries, 10_000, "{stats:?}");
+    assert_eq!(stats.candidate_repr_dense, 0, "{stats:?}");
     let snap = engine.metrics().snapshot();
     for (counter, value) in stats.counters() {
         assert_eq!(
@@ -287,14 +284,13 @@ fn dense_kernel_counters_fire_and_mirror() {
 /// from the `stats` verb are all there.
 #[test]
 fn stats_dump_join_keys_are_exactly_the_declared_set() {
-    const JOIN_KEYS: [&str; 14] = [
+    const JOIN_KEYS: [&str; 13] = [
         "join.candidate_borrowed",
         "join.candidate_dense_blocks",
         "join.candidate_node_view",
-        "join.candidate_probes",
+        "join.candidate_posting",
         "join.candidate_reach_entries",
         "join.candidate_repr_dense",
-        "join.candidate_scans",
         "join.counts_from_index",
         "join.naive_pairs",
         "join.post_filters",
@@ -333,9 +329,9 @@ fn stats_dump_join_keys_are_exactly_the_declared_set() {
 
 /// A point context reads only its reach: one `<small>` span over a
 /// mounted 20 000-token layer derives its `w` candidates from the few
-/// token entries starting inside `[4, 9]` — the loop-lifted narrow join
-/// probes them instead of scanning (or copying) the layer's whole
-/// entry table, which the parent did (20 000 entries, one dense scan).
+/// token entries starting inside `[4, 9]`. Every annotation of the
+/// layer is a `w`, so the loop-lifted narrow join borrows that reach of
+/// the table — no posting is built for a covering name.
 #[test]
 fn point_context_reads_only_its_reach() {
     let uri = "mem://reach";
@@ -367,14 +363,15 @@ fn point_context_reads_only_its_reach() {
         "reach entries {reach:?}"
     );
     assert_eq!(counters["join.candidate_repr_dense"], 0);
-    assert_eq!(counters["join.candidate_probes"], 1);
+    assert_eq!(counters["join.candidate_borrowed"], 1);
+    assert_eq!(counters["join.candidate_posting"], 0);
 }
 
-/// A selective pushdown over a wide reach must keep taking the gather
-/// kernel: the dense counters stay at zero. (The context sits mid-table:
-/// widened left by the `big` extent, its reach holds 2 501 entries. At
-/// the table's left edge the reach would be two entries, where a
-/// one-word bitset scan is what the cost rule rightly picks.)
+/// A selective pushdown over a wide reach reads its name's posting, by
+/// the posting's own extent bound: the dense counters stay at zero.
+/// (The context sits mid-table: widened left by the `big` extent, the
+/// table's reach would hold 2 501 entries; the four-entry `big` posting
+/// holds one that can overlap it.)
 #[test]
 fn sparse_pushdown_leaves_dense_counters_at_zero() {
     let mut engine = dense_corpus();
@@ -382,8 +379,9 @@ fn sparse_pushdown_leaves_dense_counters_at_zero() {
         .run(r#"doc("dense.xml")//w[@start = 10000]/select-wide::big"#)
         .unwrap();
     let stats = engine.metrics().snapshot().counters;
-    assert_eq!(stats["join.candidate_reach_entries"], 2_501, "{stats:?}");
-    assert_eq!(stats["join.candidate_node_view"], 1, "{stats:?}");
+    assert_eq!(stats["join.candidate_reach_entries"], 1, "{stats:?}");
+    assert_eq!(stats["join.candidate_posting"], 1, "{stats:?}");
+    assert_eq!(stats["join.candidate_node_view"], 0, "{stats:?}");
     assert_eq!(stats["join.candidate_repr_dense"], 0, "{stats:?}");
     assert_eq!(stats["join.candidate_dense_blocks"], 0, "{stats:?}");
 }

@@ -8,7 +8,7 @@
 //!
 //! Coverage: randomized cross-layer corpora with interleaved insert,
 //! retract, cancel and replace batches (proptest), the XMark §4.6
-//! workload with a hand-built delta, a dense candidate kernel, and all
+//! workload with a hand-built delta, a name's posting, and all
 //! four join strategies on both sides of every comparison.
 
 use proptest::prelude::*;
@@ -353,11 +353,11 @@ fn xmark_overlay_matches_compaction() {
     assert_writer_equals_compacted(&set, &batches, &queries);
 }
 
-/// The dense candidate kernel through a writer: a corpus big and dense
-/// enough that the intersection takes the bitset scan, with retractions
-/// folded into the scanned layer. Writer and compacted answers must
-/// agree byte-for-byte under every strategy, and the dense counters
-/// must actually have fired.
+/// A pushed name's posting through a writer: a corpus big and dense
+/// enough that most of a layer is one name, with retractions folded into
+/// that layer. Writer and compacted answers must agree byte-for-byte
+/// under every strategy, and the merge joins must actually have read
+/// the name's posting.
 #[test]
 fn dense_kernel_matches_through_overlay() {
     let base_text: String = "x".repeat(20_000);
@@ -419,17 +419,17 @@ fn dense_kernel_matches_through_overlay() {
             None => reference = Some(answers),
             Some(r) => assert_eq!(&answers, r, "{strategy:?} diverged"),
         }
-        // The dense kernel really ran on the strategies that
-        // materialize candidate entries (the naive nested loops
-        // probe per node and never touch the scan kernel).
+        // The posting was read on the strategies that materialize
+        // candidate entries (the naive nested loops walk the candidate
+        // nodes and never read it).
         if matches!(
             strategy,
             StandoffStrategy::BasicMergeJoin | StandoffStrategy::LoopLiftedMergeJoin
         ) {
             let stats = session.metrics().snapshot().delta(&before).counters;
             assert!(
-                stats["join.candidate_repr_dense"] > 0,
-                "{strategy:?}: dense scan never ran: {stats:?}"
+                stats["join.candidate_posting"] > 0,
+                "{strategy:?}: no posting was read: {stats:?}"
             );
         }
     }
@@ -437,8 +437,80 @@ fn dense_kernel_matches_through_overlay() {
     assert_eq!(
         reference.unwrap()[0],
         (9_000 - 90).to_string(),
-        "retractions visible through the dense path"
+        "retractions visible through the posting"
     );
+}
+
+/// A posting is kept by the index of the layer it was derived from, so
+/// one built before an `apply` never answers after it: a `w` inserted
+/// inside the context is seen by the next query, and a retracted one is
+/// gone, under both merge joins.
+#[test]
+fn a_posting_built_before_an_apply_never_answers_after_it() {
+    let base = parse_document(&format!("<text>{}</text>", "x".repeat(400))).unwrap();
+    let mut set = LayerSet::build("mem://posting", base, StandoffConfig::default()).unwrap();
+    let mut tokens = String::from("<tokens>");
+    for k in 0..100 {
+        let (s, e) = (4 * k, 4 * k + 2);
+        tokens.push_str(&format!(
+            r#"<w n="{k}" start="{s}" end="{e}"/><p start="{s}" end="{e}"/>"#
+        ));
+    }
+    tokens.push_str("</tokens>");
+    let tokens = parse_document(&tokens).unwrap();
+    set.add_layer("tokens", tokens, StandoffConfig::default())
+        .unwrap();
+    set.add_layer(
+        "spans",
+        layer_doc("spans", "big", &[(0, 99), (200, 299)]),
+        StandoffConfig::default(),
+    )
+    .unwrap();
+    let count = r#"count(layer("mem://posting", "spans")//big/select-narrow::w)"#;
+    let last = r#"layer("mem://posting", "spans")//big/select-narrow::w[last()]/@n"#;
+    let insert = DeltaOp::Insert {
+        layer: "tokens".into(),
+        name: "w".into(),
+        start: 297,
+        end: 298,
+        attrs: vec![("n".into(), "new".into())],
+    };
+    let retract = DeltaOp::Retract {
+        layer: "tokens".into(),
+        name: "w".into(),
+        start: 296,
+        end: 298,
+    };
+    for strategy in [
+        StandoffStrategy::BasicMergeJoin,
+        StandoffStrategy::LoopLiftedMergeJoin,
+    ] {
+        let mut writer = WritableEngine::mount(set.clone(), options(strategy)).unwrap();
+        let mut session = writer.session();
+        assert_eq!(session.run(count).unwrap().as_strings(), ["50"]);
+        assert_eq!(session.run(last).unwrap().as_xml(), r#"n="74""#);
+        let stats = session.metrics().snapshot().counters;
+        assert!(
+            stats["join.candidate_posting"] > 0,
+            "{strategy:?}: {stats:?}"
+        );
+        writer.apply([insert.clone()]).unwrap();
+        let mut session = writer.session();
+        assert_eq!(
+            session.run(count).unwrap().as_strings(),
+            ["51"],
+            "{strategy:?}"
+        );
+        assert_eq!(session.run(last).unwrap().as_xml(), r#"n="new""#);
+        writer.apply([retract.clone()]).unwrap();
+        let mut session = writer.session();
+        assert_eq!(
+            session.run(count).unwrap().as_strings(),
+            ["50"],
+            "{strategy:?}"
+        );
+        assert_eq!(session.run(last).unwrap().as_xml(), r#"n="new""#);
+    }
 }
 
 // ---- whole documents ----
