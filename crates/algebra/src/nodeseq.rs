@@ -49,7 +49,8 @@ impl NodeTable {
     }
 
     /// Build the table from per-document *runs* of tree nodes: `runs`
-    /// ascends by document, and `row` reads a run element's
+    /// ascends by document — a container document's fragments give one
+    /// run each, in pre order — and `row` reads a run element's
     /// `(iter, pre)`, by which every run is sorted and duplicate-free.
     /// The runs are k-way merged on `(iter, document)` — the whole
     /// `(iter, document-order)` key, because an iteration's rows of one
@@ -57,7 +58,10 @@ impl NodeTable {
     /// time, so a single run is copied through as it is and nothing is
     /// ever sorted.
     pub fn from_runs<T>(runs: &[(DocId, Vec<T>)], row: impl Fn(&T) -> (u32, u32)) -> Self {
-        debug_assert!(runs.windows(2).all(|w| w[0].0 < w[1].0), "runs not ordered");
+        debug_assert!(
+            runs.windows(2).all(|w| w[0].0 <= w[1].0),
+            "runs not ordered"
+        );
         let mut out = NodeTable::with_capacity(runs.iter().map(|(_, run)| run.len()).sum());
         // The heap holds every unfinished run's next `(iter, run)`; the
         // least one contributes its whole group for that iteration.
@@ -132,26 +136,10 @@ impl NodeTable {
     /// paper's Figure 2 applies ("a final self-axis step `/.` ensures
     /// unique results in document order").
     pub fn normalize(&mut self, store: &Store) {
+        if self.is_normalized(store) {
+            return;
+        }
         let n = self.len();
-        if n < 2 {
-            return;
-        }
-        // Already normalized? One ordered scan to check (the common case
-        // for staircase-join output, which emits in order).
-        let mut sorted = true;
-        for k in 1..n {
-            if self.iters[k] == self.iters[k - 1] {
-                let a = store.order_key(self.nodes[k - 1]);
-                let b = store.order_key(self.nodes[k]);
-                if a >= b {
-                    sorted = false;
-                    break;
-                }
-            }
-        }
-        if sorted {
-            return;
-        }
         // Sort an index permutation per (iter, order-key), then rebuild.
         let mut idx: Vec<u32> = (0..n as u32).collect();
         idx.sort_by_key(|&k| {
@@ -171,6 +159,15 @@ impl NodeTable {
         }
         self.iters = iters;
         self.nodes = nodes;
+    }
+
+    /// Is every iteration group already in document order and
+    /// duplicate-free? One ordered scan.
+    pub fn is_normalized(&self, store: &Store) -> bool {
+        (1..self.len()).all(|k| {
+            self.iters[k] != self.iters[k - 1]
+                || store.order_key(self.nodes[k - 1]) < store.order_key(self.nodes[k])
+        })
     }
 
     /// Convert into the generic item table.

@@ -22,9 +22,17 @@
 //!   range `(min(pre+size), end]`;
 //! * `preceding`: collapses to `{v : v.pre + v.size < max(pre)}`.
 //!
+//! A step runs once per *fragment* of the context: a constructor's
+//! container document holds one fragment per iteration (`standoff-xml`'s
+//! `doc/arena.rs`), and every axis stops at its fragment `[f, f +
+//! size(f)]` — `end` above is the fragment's last row, and a fragment's
+//! document node `f` has neither parent nor siblings.
+//!
 //! The paper's StandOff MergeJoin (in `standoff-core`) is the analogue of
 //! this join for *overlapping* region annotations, where these tree
 //! shortcuts no longer hold.
+
+use std::borrow::Cow;
 
 use standoff_xml::{DocId, Document, NameId, NodeId, NodeKind, NodeRef, Store};
 
@@ -272,21 +280,32 @@ fn ll_step_impl(
     mut cache: Option<&mut NameCache>,
     mut keep: impl FnMut(NodeRef) -> bool,
 ) -> NodeTable {
-    let mut ctx = ctx.clone();
-    ctx.normalize(store);
-    let mut out = NodeTable::new();
+    let ctx = if ctx.is_normalized(store) {
+        Cow::Borrowed(ctx)
+    } else {
+        let mut ctx = ctx.clone();
+        ctx.normalize(store);
+        Cow::Owned(ctx)
+    };
+    let mut out = Emitted {
+        table: NodeTable::new(),
+        last: None,
+        in_order: true,
+    };
     for (iter, nodes) in ctx.groups() {
-        // Nodes are sorted by (doc, order); process per-document runs.
+        // Nodes are sorted by (doc, order); process per-fragment runs.
         let mut k = 0;
         while k < nodes.len() {
             let doc_id = nodes[k].doc;
-            let mut j = k;
-            while j < nodes.len() && nodes[j].doc == doc_id {
+            let doc = store.doc(doc_id);
+            let root = doc.fragment_root(owner_pre(doc, nodes[k]));
+            let end = root + doc.size(root);
+            let mut j = k + 1;
+            while j < nodes.len() && nodes[j].doc == doc_id && owner_pre(doc, nodes[j]) <= end {
                 j += 1;
             }
             step_fragment(
-                store,
-                doc_id,
+                (doc, doc_id, root),
                 iter,
                 &nodes[k..j],
                 axis,
@@ -298,25 +317,56 @@ fn ll_step_impl(
             k = j;
         }
     }
-    out.normalize(store);
-    out
+    // Most axes emit in document order: only a step that did not is
+    // sorted.
+    let mut table = out.table;
+    if !out.in_order {
+        table.normalize(store);
+    }
+    table
+}
+
+/// The pre rank a context node stands at: its own, or its owner's.
+#[inline]
+fn owner_pre(doc: &Document, node: NodeRef) -> u32 {
+    match node.id.pre() {
+        Some(pre) => pre,
+        None => doc.attr_owner(node.id.attr_index().expect("attr id")),
+    }
+}
+
+/// A step's output table, and whether its rows arrived in document
+/// order, duplicate-free, per iteration.
+struct Emitted {
+    table: NodeTable,
+    last: Option<(u32, DocId, (u32, u32))>,
+    in_order: bool,
+}
+
+impl Emitted {
+    #[inline]
+    fn push(&mut self, doc: &Document, iter: u32, node: NodeRef) {
+        let key = (iter, node.doc, doc.order_key(node.id));
+        self.in_order &= self.last.is_none_or(|last| last < key);
+        self.last = Some(key);
+        self.table.push(iter, node);
+    }
 }
 
 /// Evaluate one axis step for the context nodes of a single iteration and
-/// a single document fragment (`nodes` sorted in document order).
+/// a single document fragment, whose document node is row `root`
+/// (`nodes` sorted in document order).
 #[allow(clippy::too_many_arguments)]
 fn step_fragment(
-    store: &Store,
-    doc_id: DocId,
+    (doc, doc_id, root): (&Document, DocId, u32),
     iter: u32,
     nodes: &[NodeRef],
     axis: TreeAxis,
     test: &NodeTest,
     cache: Option<&mut NameCache>,
     keep: &mut impl FnMut(NodeRef) -> bool,
-    out: &mut NodeTable,
+    out: &mut Emitted,
 ) {
-    let doc = store.doc(doc_id);
     let name = match cache {
         Some(c) => c.resolve(doc, doc_id, test),
         None => resolve_name(doc, test),
@@ -329,7 +379,7 @@ fn step_fragment(
         ($node:expr) => {{
             let node = $node;
             if keep(node) {
-                out.push(iter, node);
+                out.push(doc, iter, node);
             }
         }};
     }
@@ -421,7 +471,7 @@ fn step_fragment(
                     Some(a) => Some(doc.attr_owner(a)),
                     None => {
                         let pre = n.id.pre().unwrap();
-                        if pre == 0 {
+                        if pre == root {
                             None
                         } else {
                             Some(doc.parent(pre))
@@ -452,7 +502,7 @@ fn step_fragment(
                         let pre = n.id.pre().unwrap();
                         if or_self {
                             Some(pre)
-                        } else if pre == 0 {
+                        } else if pre == root {
                             None
                         } else {
                             Some(doc.parent(pre))
@@ -466,7 +516,7 @@ fn step_fragment(
                     if matches_tree(doc, pre, test, name) {
                         emit!(NodeRef::tree(doc_id, pre));
                     }
-                    cur = if pre == 0 {
+                    cur = if pre == root {
                         None
                     } else {
                         Some(doc.parent(pre))
@@ -490,7 +540,7 @@ fn step_fragment(
         TreeAxis::PrecedingSibling => {
             for n in nodes {
                 if let Some(pre) = n.id.pre() {
-                    if pre == 0 {
+                    if pre == root {
                         continue;
                     }
                     for s in doc.children(doc.parent(pre)) {
@@ -518,7 +568,7 @@ fn step_fragment(
                 })
                 .min();
             if let Some(start) = start {
-                let end = doc.node_count() as u32 - 1;
+                let end = root + doc.size(root);
                 for v in start..=end {
                     if matches_tree(doc, v, test, name) {
                         emit!(NodeRef::tree(doc_id, v));
@@ -536,7 +586,7 @@ fn step_fragment(
                 })
                 .max();
             if let Some(cmax) = cmax {
-                for v in 1..cmax {
+                for v in root + 1..cmax {
                     if v + doc.size(v) < cmax && matches_tree(doc, v, test, name) {
                         emit!(NodeRef::tree(doc_id, v));
                     }

@@ -19,7 +19,9 @@
 //! over the `bidder[1]/increase` nodes Q2 copies (bound as an external,
 //! so no join runs; counted, so nothing is serialized) and drops the
 //! fragments; `serialize` writes Q2's built elements into one buffer, as
-//! a query result does.
+//! a query result does. `build_600` is `build` at the size of Q2 over
+//! XMark 0.05: 600 fragments of one evaluation, each copying one
+//! `increase` (the bound nodes, cycled) — one container document.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -105,11 +107,19 @@ fn construct(c: &mut Criterion) {
            return $b/select-narrow::bidder[1]/select-narrow::increase"#
     );
     let items = engine.run(&increases).unwrap().items().to_vec();
+    let cycled = items.iter().cycle().take(600).cloned().collect();
     engine.bind_external("inc", items);
+    engine.bind_external("inc600", cycled);
     let return_clause = engine
         .compile(
             "declare variable $inc external;
              count(for $i in $inc return <increase>{ $i }</increase>)",
+        )
+        .unwrap();
+    let return_600 = engine
+        .compile(
+            "declare variable $inc600 external;
+             count(for $i in $inc600 return <increase>{ $i }</increase>)",
         )
         .unwrap();
 
@@ -120,6 +130,9 @@ fn construct(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("build", |b| {
         b.iter(|| engine.execute_and_discard(&return_clause).unwrap());
+    });
+    group.bench_function("build_600", |b| {
+        b.iter(|| engine.execute_and_discard(&return_600).unwrap());
     });
     let store = engine.store();
     group.bench_function("serialize", |b| {

@@ -375,7 +375,13 @@ pub struct JoinScratch {
     cands: Vec<RegionEntry>,
     emissions: Vec<Emission>,
     iters: Vec<u32>,
+    /// A second context table: the sort's gather target, a
+    /// per-iteration view of the context.
     single: Vec<CtxEntry>,
+    /// The context sort's radix keys, and their other half.
+    keys: [Vec<u64>; 2],
+    /// Bucket bounds of a counting pass on `iter`.
+    buckets: Vec<u32>,
     universe: Vec<u32>,
     /// Per-iteration select counts of [`count_resolved`].
     selected: Vec<(u32, u64)>,
@@ -422,8 +428,7 @@ impl JoinScratch {
             }
             first += rows.len() as u32;
         }
-        self.ctx
-            .sort_unstable_by_key(|c| (c.start, c.end, c.iter, c.node));
+        sort_context(&mut self.ctx, &mut self.single, &mut self.keys);
         let to = self.ctx.iter().map(|c| c.end).max();
         self.extent = (self.ctx.first().map_or(0, |c| c.start), to.unwrap_or(-1));
     }
@@ -445,14 +450,78 @@ impl JoinScratch {
             + self.cands.capacity() * std::mem::size_of::<RegionEntry>()
             + self.emissions.capacity() * std::mem::size_of::<Emission>()
             + self.single.capacity() * std::mem::size_of::<CtxEntry>()
-            + (self.iters.capacity() + self.universe.capacity()) * std::mem::size_of::<u32>()
-            + self.selected.capacity() * std::mem::size_of::<(u32, u64)>()) as u64
+            + (self.iters.capacity() + self.buckets.capacity() + self.universe.capacity())
+                * std::mem::size_of::<u32>()
+            + self.selected.capacity() * std::mem::size_of::<(u32, u64)>()
+            + (self.keys[0].capacity() + self.keys[1].capacity()) * std::mem::size_of::<u64>())
+            as u64
     }
 
     /// Take the counters accumulated since the last take, leaving zeros
     /// behind.
     pub fn take_stats(&mut self) -> JoinStats {
         self.stats.take_delta()
+    }
+}
+
+/// Bits of `start` one pass of [`sort_context`] orders on.
+const RADIX_BITS: u32 = 11;
+
+/// Fewest rows [`sort_context`] radix-sorts: below it, zeroing and
+/// summing the passes' 2 048-bucket histograms costs more than a
+/// comparison sort.
+const RADIX_MIN_ROWS: usize = 256;
+
+/// Sort a context table on `(start, end, iter, node)`. Rows out of
+/// start order take a stable LSD radix sort of `(start − first start,
+/// row)` keys, [`RADIX_BITS`] a pass over the bits the starts' span
+/// needs, and one gather of the rows in key order through `tmp`; then
+/// each run of equal starts — its rows in the order they were resolved
+/// — is ordered on the rest of the key. Fewer than [`RADIX_MIN_ROWS`]
+/// rows, or a span of 2³² or more, take a comparison sort.
+fn sort_context(ctx: &mut Vec<CtxEntry>, tmp: &mut Vec<CtxEntry>, keys: &mut [Vec<u64>; 2]) {
+    if !ctx.is_sorted_by_key(|c| c.start) {
+        let min = ctx.iter().map(|c| c.start).min().unwrap_or(0);
+        let span = ctx.iter().map(|c| c.start.wrapping_sub(min) as u64).max();
+        let span = span.unwrap_or(0);
+        if ctx.len() < RADIX_MIN_ROWS || span >> 32 != 0 || ctx.len() > u32::MAX as usize {
+            ctx.sort_unstable_by_key(|c| (c.start, c.end, c.iter, c.node));
+            return;
+        }
+        let [keys, spare] = keys;
+        keys.clear();
+        keys.extend(
+            (ctx.iter().enumerate())
+                .map(|(row, c)| (c.start.wrapping_sub(min) as u64) << 32 | row as u64),
+        );
+        let digit = |key: u64, shift: u32| (key >> shift & ((1 << RADIX_BITS) - 1)) as usize;
+        let mut shift = 32;
+        while shift < u64::BITS && span >> (shift - 32) != 0 {
+            let mut offsets = [0u32; (1 << RADIX_BITS) + 1];
+            for &key in keys.iter() {
+                offsets[digit(key, shift) + 1] += 1;
+            }
+            for k in 1..offsets.len() {
+                offsets[k] += offsets[k - 1];
+            }
+            spare.clear();
+            spare.resize(keys.len(), 0);
+            for &key in keys.iter() {
+                let slot = &mut offsets[digit(key, shift)];
+                spare[*slot as usize] = key;
+                *slot += 1;
+            }
+            std::mem::swap(keys, spare);
+            shift += RADIX_BITS;
+        }
+        tmp.clear();
+        tmp.extend(keys.iter().map(|&key| ctx[key as u32 as usize]));
+        std::mem::swap(ctx, tmp);
+    }
+    for run in ctx.chunk_by_mut(|a, b| a.start == b.start) {
+        if run.len() > 1 {
+            run.sort_unstable_by_key(|c| (c.end, c.iter, c.node));
+        }
     }
 }
 
@@ -667,10 +736,10 @@ pub fn count_resolved(
         let reach = reach_of(select_axis, target, scratch.extent);
         let cands = target.candidate_entries_in(reach, &mut scratch.stats, &mut scratch.cands);
         // The context table is start-sorted across iterations; the
-        // sweep takes one iteration at a time.
-        scratch.single.clear();
-        scratch.single.extend_from_slice(&scratch.ctx);
-        scratch.single.sort_by_key(|c| c.iter);
+        // sweep takes one iteration at a time, each in start order.
+        let iters = (0, counts.len().saturating_sub(1) as u32);
+        let (ctx, buckets) = (&scratch.ctx, &mut scratch.buckets);
+        post::group_by_iter(ctx, |c| c.iter, iters, buckets, &mut scratch.single);
         count::select_counts(
             select_axis,
             &scratch.single,
@@ -818,6 +887,46 @@ mod tests {
             }
         }
         assert_eq!(cases[2].1.candidate_universe().len(), 3);
+    }
+
+    /// The radix context sort orders like the four-field comparison
+    /// sort: equal starts, negative starts, a span wider than one pass,
+    /// input already in start order, and a span too wide for the keys.
+    #[test]
+    fn context_sort_is_the_comparison_sort() {
+        let mut seed = 7u64;
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            seed >> 33
+        };
+        let cases: Vec<Vec<CtxEntry>> = [1i64, 5, 3_000, 1 << 40]
+            .iter()
+            .map(|&spread| {
+                (0..500)
+                    .map(|k| {
+                        let start = (next() as i64 % spread) - spread / 2;
+                        CtxEntry {
+                            iter: next() as u32 % 4,
+                            node: k,
+                            start,
+                            end: start + (next() % 9) as i64,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut ascending = cases[2].clone();
+        ascending.sort_by_key(|c| c.start);
+        let (mut tmp, mut keys) = (Vec::new(), [Vec::new(), Vec::new()]);
+        for case in cases.iter().chain([&ascending]) {
+            let mut expected = case.clone();
+            expected.sort_unstable_by_key(|c| (c.start, c.end, c.iter, c.node));
+            let mut got = case.clone();
+            sort_context(&mut got, &mut tmp, &mut keys);
+            assert_eq!(got, expected);
+        }
     }
 
     #[test]

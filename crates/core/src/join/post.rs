@@ -84,6 +84,36 @@ pub fn finalize_select(
     document_order(out, stats)
 }
 
+/// Stable counting sort of `rows` on their iteration, every one of which
+/// lies in `[lo, hi]`, into `out`: each iteration's rows keep their
+/// order. `offsets` is scratch for the `hi − lo + 2` bucket bounds.
+pub(crate) fn group_by_iter<T: Copy>(
+    rows: &[T],
+    iter: impl Fn(&T) -> u32,
+    (lo, hi): (u32, u32),
+    offsets: &mut Vec<u32>,
+    out: &mut Vec<T>,
+) {
+    out.clear();
+    let Some(&first) = rows.first() else {
+        return;
+    };
+    offsets.clear();
+    offsets.resize((hi - lo) as usize + 2, 0);
+    for r in rows {
+        offsets[(iter(r) - lo) as usize + 1] += 1;
+    }
+    for k in 1..offsets.len() {
+        offsets[k] += offsets[k - 1];
+    }
+    out.resize(rows.len(), first);
+    for r in rows {
+        let slot = &mut offsets[(iter(r) - lo) as usize];
+        out[*slot as usize] = *r;
+        *slot += 1;
+    }
+}
+
 /// `rows` sorted on `(iter, node)` and duplicate-free, by the first rule
 /// that applies:
 ///
@@ -94,21 +124,27 @@ pub fn finalize_select(
 ///    children that share its start: set a bit per row over the range
 ///    and read the bits back, one pass each way over a bitset no bigger
 ///    than the rows;
-/// 3. anything else: a comparison sort.
+/// 3. several iterations whose range is at most twice the rows — a
+///    loop-lifted join, whose start order interleaves the iterations: a
+///    counting pass on `iter`, then a sort of only the iterations whose
+///    rows are out of order;
+/// 4. anything else: a comparison sort.
 ///
-/// Rules 2 and 3 reorder the rows and count in `stats.result_sorts`.
+/// Rules 2–4 reorder the rows and count in `stats.result_sorts`.
 fn document_order(mut rows: Vec<IterNode>, stats: &mut JoinStats) -> Vec<IterNode> {
     let Some(&first) = rows.first() else {
         return rows;
     };
-    let (mut sorted, mut one_iter) = (true, true);
+    let mut sorted = true;
     let (mut lo, mut hi) = (first.node, first.node);
+    let (mut lo_iter, mut hi_iter) = (first.iter, first.iter);
     let mut prev = first;
     for &r in &rows[1..] {
         sorted &= prev <= r;
-        one_iter &= r.iter == first.iter;
         lo = lo.min(r.node);
         hi = hi.max(r.node);
+        lo_iter = lo_iter.min(r.iter);
+        hi_iter = hi_iter.max(r.iter);
         prev = r;
     }
     if sorted {
@@ -116,6 +152,7 @@ fn document_order(mut rows: Vec<IterNode>, stats: &mut JoinStats) -> Vec<IterNod
         return rows;
     }
     stats.result_sorts += 1;
+    let one_iter = lo_iter == hi_iter;
     let span = (hi - lo) as usize + 1;
     if one_iter && span / 64 <= rows.len() {
         let mut words = vec![0u64; span.div_ceil(64)];
@@ -135,6 +172,18 @@ fn document_order(mut rows: Vec<IterNode>, stats: &mut JoinStats) -> Vec<IterNod
             }
         }
         return rows;
+    }
+    if !one_iter && (hi_iter - lo_iter) as usize / 2 < rows.len() {
+        let mut grouped = Vec::new();
+        let iters = (lo_iter, hi_iter);
+        group_by_iter(&rows, |r| r.iter, iters, &mut Vec::new(), &mut grouped);
+        for run in grouped.chunk_by_mut(|a, b| a.iter == b.iter) {
+            if !run.is_sorted() {
+                run.sort_unstable();
+            }
+        }
+        grouped.dedup();
+        return grouped;
     }
     rows.sort_unstable();
     rows.dedup();
@@ -294,9 +343,9 @@ mod tests {
         );
     }
 
-    /// Each of `document_order`'s three rules — sorted input, one
-    /// iteration over a dense id range, anything else — answers like a
-    /// sort with deduplication.
+    /// Each of `document_order`'s four rules — sorted input, one
+    /// iteration over a dense id range, several dense iterations,
+    /// anything else — answers like a sort with deduplication.
     #[test]
     fn document_order_is_sort_and_dedup_by_every_rule() {
         let rows = |pairs: &[(u32, u32)]| -> Vec<IterNode> {
@@ -304,7 +353,7 @@ mod tests {
                 .map(|&(iter, node)| IterNode { iter, node })
                 .collect()
         };
-        let cases: [&[(u32, u32)]; 7] = [
+        let cases: [&[(u32, u32)]; 9] = [
             &[],
             &[(0, 7)],
             // Already sorted: deduplicated only.
@@ -321,8 +370,12 @@ mod tests {
             ],
             // One iteration, too sparse for a bitset.
             &[(0, 9), (0, 2), (0, 1_000_000)],
-            // Several iterations.
+            // Several iterations, one of them out of order.
             &[(1, 2), (0, 5), (1, 1), (0, 5)],
+            // Several iterations, each in order, interleaved.
+            &[(2, 4), (0, 1), (2, 9), (1, 3), (0, 8), (1, 3)],
+            // Several iterations, too sparse for a counting pass.
+            &[(9, 1), (0, 2), (4_000_000, 3)],
             // The widest id range.
             &[(2, u32::MAX), (2, 0)],
         ];

@@ -6,13 +6,13 @@
 //! `start_element`, mirroring the shredding order of a streaming parser.
 //!
 //! One builder makes one document ([`DocumentBuilder::finish`]) or, for
-//! an element constructor's iterations, many fragments over one shared
-//! arena ([`DocumentBuilder::end_fragment`],
-//! [`DocumentBuilder::finish_fragments`]).
+//! an element constructor's iterations, the container of many fragments
+//! ([`DocumentBuilder::end_fragment`],
+//! [`DocumentBuilder::finish_container`]).
 
 use std::sync::Arc;
 
-use crate::doc::{Columns, Document, ElemColumns, FragmentMarks};
+use crate::doc::{Columns, Document};
 use crate::error::XmlError;
 use crate::name::{NameId, NameTable};
 use crate::node::NodeKind;
@@ -40,24 +40,11 @@ pub struct DocumentBuilder {
     /// The last element's first attribute.
     attrs_start: usize,
     uri: Option<String>,
-    /// First node row and first attribute of the fragment under
-    /// construction; its pre ranks count from `first_node`.
+    /// The document-node row of the fragment under construction.
     first_node: u32,
-    first_attr: u32,
-    /// Fragments closed by [`DocumentBuilder::end_fragment`], and their
-    /// element-name indexes.
-    marks: Vec<FragmentMarks>,
-    elem: ElemColumns,
-}
-
-/// The fragments of one [`DocumentBuilder`], each its own document, all
-/// viewing one shared buffer (see [`DocumentBuilder::finish_fragments`]).
-pub struct Fragments {
-    /// One document per fragment, in the order they were closed, shared
-    /// as a [`crate::Store`] holds them.
-    pub documents: Vec<Arc<Document>>,
-    /// Size of the buffer they share.
-    pub arena_bytes: usize,
+    /// The document-node rows of the fragments closed by
+    /// [`DocumentBuilder::end_fragment`].
+    fragment_starts: Vec<u32>,
 }
 
 impl Default for DocumentBuilder {
@@ -76,9 +63,7 @@ impl DocumentBuilder {
             attrs_start: 0,
             uri: None,
             first_node: 0,
-            first_attr: 0,
-            marks: Vec::new(),
-            elem: ElemColumns::default(),
+            fragment_starts: Vec::new(),
         };
         b.open_document_node();
         b
@@ -107,7 +92,6 @@ impl DocumentBuilder {
     /// The document node of a new fragment, at the current row.
     fn open_document_node(&mut self) {
         self.first_node = self.cols.kind.len() as u32;
-        self.first_attr = self.cols.attr_owner.len() as u32;
         let pre = self.push_node(NodeKind::Document, NameId::NONE, "");
         self.open.push(pre);
     }
@@ -115,9 +99,10 @@ impl DocumentBuilder {
     fn push_node(&mut self, kind: NodeKind, name: NameId, value: &str) -> u32 {
         let cols = &mut self.cols;
         let row = cols.kind.len() as u32;
+        // A document node is its own parent.
         let (parent, level) = match self.open.last() {
-            Some(&p) => (p - self.first_node, cols.level[p as usize] + 1),
-            None => (0, 0),
+            Some(&p) => (p, cols.level[p as usize] + 1),
+            None => (row, 0),
         };
         cols.kind.push(kind as u8);
         cols.size.push(0);
@@ -125,7 +110,7 @@ impl DocumentBuilder {
         cols.parent.push(parent);
         cols.name.push(name.0);
         cols.values.push(value);
-        (cols.attr_first).push(cols.attr_owner.len() as u32 - self.first_attr);
+        (cols.attr_first).push(cols.attr_owner.len() as u32);
         row
     }
 
@@ -135,7 +120,8 @@ impl DocumentBuilder {
         self.names.intern(lexical)
     }
 
-    /// Open a new element. Returns its pre rank.
+    /// Open a new element. Returns its pre rank (container-wide once
+    /// fragments were ended).
     pub fn start_element(&mut self, name: &str) -> u32 {
         let name = self.names.intern(name);
         self.start_element_named(name)
@@ -147,7 +133,7 @@ impl DocumentBuilder {
         self.open.push(row);
         self.attrs_open = true;
         self.attrs_start = self.cols.attr_owner.len();
-        row - self.first_node
+        row
     }
 
     /// Add an attribute to the most recently opened element. Must be called
@@ -164,7 +150,7 @@ impl DocumentBuilder {
             "attribute() must directly follow start_element()"
         );
         let owner = *self.open.last().expect("an element is open");
-        self.cols.attr_owner.push(owner - self.first_node);
+        self.cols.attr_owner.push(owner);
         self.cols.attr_name.push(name.0);
         self.cols.attr_values.push(value);
         self
@@ -192,8 +178,7 @@ impl DocumentBuilder {
         // Merge with a directly preceding text sibling.
         let open = *self.open.last().unwrap();
         let cols = &mut self.cols;
-        if cols.kind.last() == Some(&(NodeKind::Text as u8))
-            && *cols.parent.last().unwrap() == open - self.first_node
+        if cols.kind.last() == Some(&(NodeKind::Text as u8)) && *cols.parent.last().unwrap() == open
         {
             // The text node being merged into is the last slot of the
             // value arena: append in place.
@@ -262,56 +247,62 @@ impl DocumentBuilder {
         }
         let cols = &mut self.cols;
         cols.size[self.first_node as usize] = cols.kind.len() as u32 - 1 - self.first_node;
-        // CSR terminator.
-        (cols.attr_first).push(cols.attr_owner.len() as u32 - self.first_attr);
         self.open.clear();
         Ok(())
     }
 
-    /// Close the fragment under construction — it becomes one document
-    /// of [`DocumentBuilder::finish_fragments`] — and start the next,
-    /// which gets its own document node and pre ranks from 0 but shares
-    /// this builder's columns and name table. Fails like
-    /// [`DocumentBuilder::finish`] on an unfinished or empty fragment.
+    /// Close the fragment under construction — it becomes one fragment
+    /// of [`DocumentBuilder::finish_container`] — and start the next,
+    /// whose document node is the next row of the same columns. Fails
+    /// like [`DocumentBuilder::finish`] on an unfinished or empty
+    /// fragment.
     pub fn end_fragment(&mut self) -> Result<(), XmlError> {
         self.close_document_node()?;
-        self.elem
-            .index_fragment(&self.cols, self.first_node as usize);
-        self.marks.push(FragmentMarks::of(&self.cols, &self.elem));
-        self.cols.values.start_segment();
-        self.cols.attr_values.start_segment();
+        self.fragment_starts.push(self.first_node);
         self.open_document_node();
         Ok(())
     }
 
-    /// Finish the fragments closed by [`DocumentBuilder::end_fragment`]:
-    /// one document each, in order, all of them zero-copy views into
-    /// one packed buffer. Fails if the fragment opened after the last
-    /// `end_fragment` has content.
-    pub fn finish_fragments(self) -> Result<Fragments, XmlError> {
+    /// Finish the fragments closed by [`DocumentBuilder::end_fragment`]
+    /// as one container document (`doc/arena.rs`), their document nodes
+    /// its level-0 rows, in order. Returns it with the approximate bytes
+    /// of its columns. Fails if the fragment opened after the last
+    /// `end_fragment` has content, or if no fragment was ended.
+    pub fn finish_container(mut self) -> Result<(Document, usize), XmlError> {
         if self.node_count() != 1 || self.open.len() != 1 {
             return Err(XmlError::Builder("last fragment not ended".into()));
         }
-        let (documents, arena_bytes) =
-            (self.cols).into_fragments(&self.elem, &self.marks, Arc::new(self.names));
-        Ok(Fragments {
-            documents,
-            arena_bytes,
-        })
+        if self.fragment_starts.is_empty() {
+            return Err(XmlError::Builder("no fragment was ended".into()));
+        }
+        self.cols.pop_document_node();
+        // CSR terminator.
+        (self.cols.attr_first).push(self.cols.attr_owner.len() as u32);
+        let bytes = self.cols.bytes();
+        let mut starts = self.fragment_starts;
+        if starts.len() == 1 {
+            starts.clear(); // one fragment is a plain document
+        }
+        let doc = self.cols.into_document(None, Arc::new(self.names), starts);
+        Ok((doc, bytes))
     }
 
     /// Finish the document: the one-fragment case, its columns owned.
     /// Fails if elements are still open, the document is empty, or
     /// fragments were ended (those finish with
-    /// [`DocumentBuilder::finish_fragments`]).
+    /// [`DocumentBuilder::finish_container`]).
     pub fn finish(mut self) -> Result<Document, XmlError> {
-        if !self.marks.is_empty() {
+        if !self.fragment_starts.is_empty() {
             return Err(XmlError::Builder(
-                "fragments were ended: use finish_fragments()".into(),
+                "fragments were ended: use finish_container()".into(),
             ));
         }
         self.close_document_node()?;
-        Ok(self.cols.into_document(self.uri, Arc::new(self.names)))
+        // CSR terminator.
+        (self.cols.attr_first).push(self.cols.attr_owner.len() as u32);
+        Ok(self
+            .cols
+            .into_document(self.uri, Arc::new(self.names), Vec::new()))
     }
 }
 
@@ -409,7 +400,7 @@ mod tests {
     }
 
     #[test]
-    fn fragments_share_one_arena_and_number_from_zero() {
+    fn fragments_are_rows_of_one_container() {
         let mut b = DocumentBuilder::new();
         for k in 0..3 {
             b.start_element("a");
@@ -421,19 +412,21 @@ mod tests {
             b.end_element();
             b.end_fragment().unwrap();
         }
-        let fragments = b.finish_fragments().unwrap();
-        assert_eq!(fragments.documents.len(), 3);
-        assert!(fragments.arena_bytes > 0);
-        for (k, d) in fragments.documents.iter().enumerate() {
-            d.check_invariants().unwrap();
-            assert!(d.is_mounted(), "fragments view the arena");
-            assert_eq!(d.node_count(), 4);
-            assert_eq!(d.attribute(1, "k"), Some(k.to_string().as_str()));
-            assert_eq!(d.elements_named("x:b"), &[3]);
-            assert_eq!(d.elements_named("a"), &[1]);
+        let (d, bytes) = b.finish_container().unwrap();
+        d.check_invariants().unwrap();
+        assert!(bytes > 0);
+        assert_eq!(d.node_count(), 12);
+        assert_eq!(d.fragment_starts(), &[0, 4, 8]);
+        assert_eq!(d.elements_named("x:b"), &[3, 7, 11]);
+        assert_eq!(d.elements_named("a"), &[1, 5, 9]);
+        for (k, &f) in d.fragment_starts().iter().enumerate() {
+            assert_eq!((d.level(f), d.parent(f), d.size(f)), (0, f, 3));
+            assert_eq!(d.fragment_root(f + 3), f);
+            assert_eq!(d.next_sibling(f), None);
+            assert_eq!(d.attribute(f + 1, "k"), Some(k.to_string().as_str()));
             let text = if k == 1 { "t&amp;" } else { "t" };
             assert_eq!(
-                crate::serialize_document(d, Default::default()),
+                crate::serialize_node(&d, crate::NodeId::tree(f), Default::default()),
                 format!("<a k=\"{k}\">{text}<x:b/></a>")
             );
         }
@@ -449,15 +442,24 @@ mod tests {
         b.end_fragment().unwrap();
         b.start_element("b");
         b.end_element();
-        assert!(b.finish_fragments().is_err(), "a fragment not ended");
+        assert!(b.finish_container().is_err(), "a fragment not ended");
 
         let mut b = DocumentBuilder::new();
         b.start_element("a");
         b.end_element();
         b.end_fragment().unwrap();
         assert!(b.finish().is_err(), "finish() after end_fragment()");
-        let none = DocumentBuilder::new().finish_fragments().unwrap();
-        assert!(none.documents.is_empty());
+        assert!(
+            DocumentBuilder::new().finish_container().is_err(),
+            "no fragment"
+        );
+
+        let mut b = DocumentBuilder::new();
+        b.start_element("a");
+        b.end_element();
+        b.end_fragment().unwrap();
+        let (one, _) = b.finish_container().unwrap();
+        assert!(!one.is_container(), "one fragment is a plain document");
     }
 
     #[test]

@@ -211,18 +211,12 @@ mod mapping {
     unsafe impl Sync for Mapping {}
 }
 
-/// What keeps a column's storage alive: an owned vector, the shared
-/// mount buffer, or the column's owner. Only consulted on
-/// clone/introspection — element access goes through the cached
-/// `(ptr, len)` pair and never branches on this.
+/// What keeps a column's storage alive: an owned vector or the shared
+/// mount buffer. Only consulted on clone/introspection — element access
+/// goes through the cached `(ptr, len)` pair and never branches on this.
 enum Keeper<T: Pod> {
     Owned(Vec<T>),
     View(SharedBytes),
-    /// A view into a buffer the column's owner holds for it: a fragment
-    /// of a constructor arena keeps its arena once for all its columns
-    /// instead of one reference count per column (see
-    /// [`PodCol::view_held`]).
-    Held,
 }
 
 /// A column of `T`: owned, or a zero-copy view over a mounted buffer.
@@ -263,15 +257,6 @@ impl<T: Pod> PodCol<T> {
     /// this is zero-copy; otherwise the elements are decoded into an
     /// owned column (same values, no format obligation).
     pub fn view(buf: &SharedBytes, range: Range<usize>) -> io::Result<Self> {
-        PodCol::view_kept(buf, range, || Keeper::View(buf.clone()))
-    }
-
-    /// The view of `range`, kept alive by `keeper` when zero-copy.
-    fn view_kept(
-        buf: &SharedBytes,
-        range: Range<usize>,
-        keeper: impl FnOnce() -> Keeper<T>,
-    ) -> io::Result<Self> {
         let bytes = buf
             .get(range)
             .ok_or_else(|| bad_data("column range outside buffer"))?;
@@ -285,7 +270,7 @@ impl<T: Pod> PodCol<T> {
             Ok(PodCol {
                 ptr: bytes.as_ptr() as *const T,
                 len,
-                keeper: keeper(),
+                keeper: Keeper::View(buf.clone()),
             })
         } else {
             let mut out = Vec::with_capacity(capacity_hint(len));
@@ -294,18 +279,6 @@ impl<T: Pod> PodCol<T> {
             }
             Ok(PodCol::owned(out))
         }
-    }
-
-    /// [`PodCol::view`] without a reference on `buf`: the column does
-    /// not keep the buffer alive, its owner does.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold a clone of `buf` for as long as the column —
-    /// or any borrow of its elements — lives. Cloning the column copies
-    /// its elements, so a clone never depends on the holder.
-    pub(crate) unsafe fn view_held(buf: &SharedBytes, range: Range<usize>) -> io::Result<Self> {
-        PodCol::view_kept(buf, range, || Keeper::Held)
     }
 
     /// Is this column a zero-copy view (vs an owned vector)? Exposed so
@@ -365,8 +338,6 @@ impl<T: Pod> Clone for PodCol<T> {
             // An owned clone gets its own heap buffer, so its cached
             // pointer must be recomputed (PodCol::owned does).
             Keeper::Owned(v) => PodCol::owned(v.clone()),
-            // The holder of the buffer is not cloned along: copy.
-            Keeper::Held => PodCol::owned(self.to_vec()),
             Keeper::View(buf) => PodCol {
                 ptr: self.ptr,
                 len: self.len,
@@ -437,14 +408,6 @@ impl StrArena {
         };
         arena.validate()?;
         Ok(arena)
-    }
-
-    /// An arena over columns whose offsets the caller built (a packed
-    /// constructor arena): validated in debug builds only.
-    pub(crate) fn from_parts(heap: PodCol<u8>, offsets: PodCol<u32>) -> StrArena {
-        let arena = StrArena { heap, offsets };
-        debug_assert!(arena.validate().is_ok());
-        arena
     }
 
     fn validate(&self) -> io::Result<()> {
@@ -522,17 +485,10 @@ impl StrArena {
 /// Incremental [`StrArena`] construction (the document-builder /
 /// parser backend): strings append straight into the heap — no
 /// per-string `Box` allocation, ever.
-///
-/// The heap may hold several *segments*, one per fragment of a
-/// constructor arena: each has its own offset run starting at 0, so a
-/// segment's heap bytes and offsets are a whole [`StrArena`] on their
-/// own.
 #[derive(Clone, Debug)]
 pub struct StrArenaBuilder {
     pub(crate) heap: Vec<u8>,
     pub(crate) offsets: Vec<u32>,
-    /// Heap position where the current segment starts.
-    base: usize,
 }
 
 impl Default for StrArenaBuilder {
@@ -540,7 +496,6 @@ impl Default for StrArenaBuilder {
         StrArenaBuilder {
             heap: Vec::new(),
             offsets: vec![0],
-            base: 0,
         }
     }
 }
@@ -571,7 +526,7 @@ impl StrArenaBuilder {
     pub fn extend_from(&mut self, arena: &StrArena, slots: Range<usize>) {
         let offsets = &arena.offsets[slots.start..=slots.end];
         let (lo, hi) = (offsets[0] as usize, offsets[offsets.len() - 1] as usize);
-        let base = u32::try_from(self.heap.len() - self.base + (hi - lo))
+        let base = u32::try_from(self.heap.len() + (hi - lo))
             .expect("document string data exceeds the 4 GiB per-document bound")
             - (hi - lo) as u32;
         self.heap.extend_from_slice(&arena.heap[lo..hi]);
@@ -593,21 +548,21 @@ impl StrArenaBuilder {
         // data is bounded at 4 GiB (the same u32 bound node counts and
         // pre ranks already live under). Checked here, where the heap
         // grows, so it can never truncate silently.
-        let off = u32::try_from(self.heap.len() - self.base)
+        let off = u32::try_from(self.heap.len())
             .expect("document string data exceeds the 4 GiB per-document bound");
         self.offsets.push(off);
     }
 
-    /// Close the current segment and open the next, empty one: later
-    /// slots are numbered from 0 again, their offsets relative to where
-    /// the new segment's bytes start.
-    pub(crate) fn start_segment(&mut self) {
-        self.base = self.heap.len();
-        self.offsets.push(0);
+    /// Drop the last slot, which must be empty.
+    pub(crate) fn pop_empty(&mut self) {
+        self.offsets.pop();
+        debug_assert_eq!(
+            self.offsets.last().map(|&o| o as usize),
+            Some(self.heap.len())
+        );
     }
 
-    /// Number of slot offsets pushed so far, segment starts included
-    /// (one more than the slot count of a one-segment builder).
+    /// Number of slots pushed so far.
     pub fn len(&self) -> usize {
         self.offsets.len() - 1
     }
@@ -616,9 +571,7 @@ impl StrArenaBuilder {
         self.len() == 0
     }
 
-    /// The arena of a builder that holds one segment.
     pub fn finish(self) -> StrArena {
-        debug_assert_eq!(self.base, 0, "a segmented builder is packed, not finished");
         StrArena {
             heap: PodCol::owned(self.heap),
             offsets: PodCol::owned(self.offsets),
@@ -664,19 +617,6 @@ mod tests {
         }
         let cloned = col.clone();
         assert_eq!(&*cloned, &*col);
-    }
-
-    #[test]
-    fn held_view_clones_into_an_owned_copy() {
-        let b = buf(&[1, 0, 0, 0, 2, 0, 0, 0]);
-        // SAFETY: `b` outlives the column.
-        let col: PodCol<u32> = unsafe { PodCol::view_held(&b, 0..8) }.unwrap();
-        assert_eq!(&*col, &[1, 2]);
-        let copy = col.clone();
-        drop(col);
-        drop(b);
-        assert_eq!(&*copy, &[1, 2]);
-        assert!(!copy.is_view(), "a clone does not depend on the holder");
     }
 
     #[test]

@@ -25,7 +25,6 @@ use crate::node::{NodeId, NodeKind};
 mod arena;
 mod splice;
 
-pub(crate) use arena::{ElemColumns, FragmentMarks};
 pub use splice::{NewElement, Renumbering};
 
 /// The node-kind column: a validated `u8` column. View construction
@@ -234,9 +233,7 @@ pub struct DocumentStorageRef<'a> {
 }
 
 /// Owned node and attribute columns under construction — what the
-/// builder appends to and [`Document::splice`] copies into. Pre ranks
-/// in `parent`, `attr_owner` and `attr_first` are local to the document
-/// (or fragment) a row belongs to.
+/// builder appends to and [`Document::splice`] copies into.
 #[derive(Default)]
 pub(crate) struct Columns {
     pub(crate) kind: Vec<u8>,
@@ -253,9 +250,16 @@ pub(crate) struct Columns {
 
 impl Columns {
     /// One document over these columns, owned, its element index built
-    /// by a counting scan. The caller guarantees a well-formed encoding
+    /// by a counting scan; `fragment_starts` lists its level-0 rows when
+    /// it is a container of several fragments (`doc/arena.rs`), and is
+    /// empty otherwise. The caller guarantees a well-formed encoding
     /// with the `attr_first` terminator pushed.
-    pub(crate) fn into_document(self, uri: Option<String>, names: Arc<NameTable>) -> Document {
+    pub(crate) fn into_document(
+        self,
+        uri: Option<String>,
+        names: Arc<NameTable>,
+        fragment_starts: Vec<u32>,
+    ) -> Document {
         debug_assert_eq!(self.attr_first.len(), self.kind.len() + 1);
         let kind = KindCol {
             raw: PodCol::owned(self.kind),
@@ -275,14 +279,15 @@ impl Columns {
             attr_name: self.attr_name.into(),
             attr_values: self.attr_values.finish(),
             elem,
-            arena: None,
+            fragment_starts,
         };
         debug_assert_eq!(doc.check_invariants(), Ok(()));
         doc
     }
 }
 
-/// A single shredded XML document (fragment).
+/// A single shredded XML document, or the container of one constructor
+/// evaluation's fragments (`doc/arena.rs`).
 ///
 /// Construct with [`crate::DocumentBuilder`] or [`crate::parse_document`];
 /// this type is immutable after construction (annotation databases in the
@@ -290,9 +295,6 @@ impl Columns {
 #[derive(Clone)]
 pub struct Document {
     uri: Option<String>,
-    /// Shared by every fragment of one constructor arena (see
-    /// [`crate::DocumentBuilder::end_fragment`]); a parsed or mounted
-    /// document holds its own.
     names: Arc<NameTable>,
     // --- tree node columns, indexed by pre rank ---
     kind: KindCol,
@@ -308,10 +310,9 @@ pub struct Document {
     attr_values: StrArena,
     // --- element name index: CSR name -> pre ranks in document order ---
     elem: ElemIndex,
-    /// The constructor arena a fragment's columns view, held once for all
-    /// of them (see `doc/arena.rs`); `None` for parsed, built and mounted
-    /// documents, whose columns keep their own storage.
-    arena: Option<SharedBytes>,
+    /// A container's level-0 rows, ascending (see `doc/arena.rs`);
+    /// empty for a document of one tree.
+    fragment_starts: Vec<u32>,
 }
 
 impl Document {
@@ -358,7 +359,7 @@ impl Document {
             attr_name: parts.attr_name,
             attr_values: parts.attr_values,
             elem: parts.elem,
-            arena: None,
+            fragment_starts: Vec::new(),
         };
         // Column-wise folds, branch-free. `NameId::NONE` wraps to 0, every other id to itself + 1.
         let limit = u32::try_from(doc.names.len()).unwrap_or(u32::MAX);
@@ -396,8 +397,7 @@ impl Document {
     }
 
     /// Are the bulk node columns zero-copy views over a mounted snapshot
-    /// buffer — or over a constructor arena, for a fragment — (vs owned
-    /// vectors)? Benches and tests use this to assert the mount path
+    /// buffer (vs owned vectors)? Benches and tests use this to assert the mount path
     /// actually mounted.
     pub fn is_mounted(&self) -> bool {
         self.kind.is_view() && self.size.is_view() && self.values.is_view()
@@ -424,7 +424,8 @@ impl Document {
         self.attr_name.len()
     }
 
-    /// The document node (root of the fragment).
+    /// The document node (root of the first fragment; see
+    /// [`Document::fragment_root`] for a container's others).
     #[inline]
     pub fn root(&self) -> NodeId {
         NodeId::tree(0)
@@ -454,7 +455,7 @@ impl Document {
         self.level[pre as usize]
     }
 
-    /// Parent pre rank of the tree node at `pre` (the document node is its
+    /// Parent pre rank of the tree node at `pre` (a document node is its
     /// own parent).
     #[inline]
     pub fn parent(&self, pre: u32) -> u32 {
@@ -540,7 +541,7 @@ impl Document {
     /// Next sibling of the node at `pre`, if any.
     #[inline]
     pub fn next_sibling(&self, pre: u32) -> Option<u32> {
-        if pre == 0 {
+        if self.level(pre) == 0 {
             return None; // document node
         }
         let parent = self.parent(pre);
@@ -663,35 +664,48 @@ impl Document {
     }
 
     /// The structural rules in order, each column read once: one
-    /// pre-order pass for the parent/size/level rules, one over the
-    /// attribute runs. Needs a non-empty document and `attr_first` to
-    /// hold `node_count + 1` entries; nothing else is assumed, so hostile
-    /// columns cannot make it index out of bounds.
+    /// pre-order pass per fragment for the parent/size/level rules, one
+    /// over the attribute runs. Needs a non-empty document and
+    /// `attr_first` to hold `node_count + 1` entries; nothing else is
+    /// assumed, so hostile columns cannot make it index out of bounds.
     fn check_structure(&self) -> Result<(), String> {
         let n = self.node_count();
-        if self.kind(0) != NodeKind::Document {
-            return Err("pre 0 is not the document node".into());
-        }
-        if self.size(0) as usize != n - 1 {
-            return Err(format!(
-                "document node size {} != node count - 1 ({})",
-                self.size(0),
-                n - 1
-            ));
-        }
         let (size, level, parent) = (&self.size[..n], &self.level[..n], &self.parent[..n]);
-        for pre in 1..n {
-            // The rules of `node_error`, without branches: a parent at or
-            // after the node fails it, so any in-bounds row stands in.
-            let up = parent[pre] as usize;
-            let p = if up < pre { up } else { 0 };
-            let end = |p: usize| p as u64 + size[p] as u64;
-            if (up >= pre)
-                | (pre as u64 > end(p))
-                | (level[pre] as u32 != level[p] as u32 + 1)
-                | (end(pre) > end(p))
+        let starts = self.fragment_starts();
+        let ends = starts[1..].iter().map(|&s| s as usize).chain([n]);
+        for (&root, next) in starts.iter().zip(ends) {
+            let root = root as usize;
+            if root >= next {
+                return Err("fragment starts not ascending".into());
+            }
+            if self.kind(root as u32) != NodeKind::Document
+                || level[root] != 0
+                || parent[root] as usize != root
             {
-                return Err(self.node_error(pre as u32));
+                return Err(format!("fragment start {root} is not a document node"));
+            }
+            if root + size[root] as usize != next - 1 {
+                return Err(format!(
+                    "document node size {} != node count - 1 ({})",
+                    size[root],
+                    next - 1 - root
+                ));
+            }
+            // Bounded by the fragment, so the loop needs no bounds checks.
+            let (size, level, parent) = (&size[..next], &level[..next], &parent[..next]);
+            for pre in root + 1..next {
+                // The rules of `node_error`, without branches: a parent at or
+                // after the node fails it, so any in-bounds row stands in.
+                let up = parent[pre] as usize;
+                let p = if up < pre { up } else { root };
+                let end = |p: usize| p as u64 + size[p] as u64;
+                if (up >= pre)
+                    | (pre as u64 > end(p))
+                    | (level[pre] as u32 != level[p] as u32 + 1)
+                    | (end(pre) > end(p))
+                {
+                    return Err(self.node_error(pre as u32));
+                }
             }
         }
         // With owners non-decreasing from run 0, a run whose first and
@@ -758,7 +772,7 @@ impl fmt::Debug for Document {
             .field("nodes", &self.node_count())
             .field("attrs", &self.attr_count())
             .field("mounted", &self.is_mounted())
-            .field("fragment", &self.arena.is_some())
+            .field("fragments", &self.fragment_starts().len())
             .finish()
     }
 }

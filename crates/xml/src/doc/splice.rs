@@ -144,7 +144,7 @@ impl Document {
         }
         resize(root, k as i64);
 
-        let doc = out.into_document(self.uri.clone(), Arc::new(names));
+        let doc = out.into_document(self.uri.clone(), Arc::new(names), Vec::new());
         Ok((doc, moved))
     }
 }

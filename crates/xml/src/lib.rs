@@ -38,7 +38,7 @@ pub mod serialize;
 pub mod store;
 pub mod wire;
 
-pub use builder::{DocumentBuilder, Fragments};
+pub use builder::DocumentBuilder;
 pub use column::{Pod, PodCol, SharedBytes, StrArena, StrArenaBuilder};
 pub use doc::{
     Document, DocumentParts, DocumentStorageRef, ElemIndex, KindCol, NewElement, Renumbering,

@@ -198,6 +198,18 @@ impl Store {
         NodeRef::new(id, NodeId::tree(0))
     }
 
+    /// The document node of the fragment `node` lies in (`fn:root`, and
+    /// what `/` starts from): its document's root, or — in a
+    /// constructor's container — its own fragment's.
+    pub fn fragment_root(&self, node: NodeRef) -> NodeRef {
+        let doc = self.doc(node.doc);
+        let pre = match node.id.attr_index() {
+            Some(a) => doc.attr_owner(a),
+            None => node.id.pre().expect("tree id"),
+        };
+        NodeRef::tree(node.doc, doc.fragment_root(pre))
+    }
+
     /// String value of a node reference.
     pub fn string_value(&self, node: NodeRef) -> String {
         self.doc(node.doc).string_value(node.id)

@@ -113,9 +113,11 @@ pub(crate) struct MetricHandles {
     /// Target layers a plan line said were counted from the index
     /// (`count: from index`) that fell back to counting join rows.
     pub(crate) claim_mismatch_count: Counter,
-    /// Fragments element constructors built, and the bytes of the
-    /// arenas holding them.
+    /// Fragments element constructors built, the container documents
+    /// holding them (one per constructor evaluation) and those
+    /// containers' bytes.
     construct_fragments: Counter,
+    construct_documents: Counter,
     construct_arena_bytes: Counter,
 }
 
@@ -134,6 +136,7 @@ impl MetricHandles {
             claim_mismatch_result_merge: registry.counter("plan.claim_mismatch.result_merge"),
             claim_mismatch_count: registry.counter("plan.claim_mismatch.count"),
             construct_fragments: registry.counter("construct.fragments"),
+            construct_documents: registry.counter("construct.documents"),
             construct_arena_bytes: registry.counter("construct.arena_bytes"),
         }
     }
@@ -339,9 +342,9 @@ pub struct EngineState {
     /// fingerprint (a governed and an ungoverned run share compiled
     /// plans), and cleared when a session is stamped out.
     pub(crate) budget: Option<Budget>,
-    /// The fragment arenas this state's constructed documents live in:
-    /// `(first document id, bytes)`, in creation order.
-    arenas: Vec<(usize, u64)>,
+    /// The containers this state's constructors built: `(document id,
+    /// bytes)`, in creation order.
+    containers: Vec<(usize, u64)>,
 }
 
 impl EngineState {
@@ -370,7 +373,7 @@ impl EngineState {
             handles,
             last_profile: None,
             budget: None,
-            arenas: Vec::new(),
+            containers: Vec::new(),
         }
     }
 
@@ -395,28 +398,29 @@ impl EngineState {
         Ok(index)
     }
 
-    /// Drop the documents with id ≥ `len` — the ones queries
-    /// constructed — with their cached indexes and their arenas' bytes.
+    /// Drop the documents with id ≥ `len` — the containers queries
+    /// constructed — with their cached indexes and their bytes.
     pub(crate) fn drop_constructed(&mut self, len: usize) {
         self.store.truncate(len);
         self.region_cache
             .retain(|(doc, _), _| (*doc as usize) < len);
-        self.arenas.retain(|&(first, _)| first < len);
+        self.containers.retain(|&(doc, _)| doc < len);
     }
 
-    /// Account for one constructor evaluation: `fragments` new documents,
-    /// the last ones in the store, in one arena of `bytes`. Every arena
-    /// this state holds counts against the scratch cap.
+    /// Account for one constructor evaluation: `fragments` fragments in
+    /// one container of `bytes`, the last document in the store. Every
+    /// container this state holds counts against the scratch cap.
     pub(crate) fn note_constructed(
         &mut self,
         fragments: u64,
         bytes: u64,
     ) -> Result<(), QueryError> {
         self.handles.construct_fragments.add(fragments);
+        self.handles.construct_documents.inc();
         self.handles.construct_arena_bytes.add(bytes);
-        (self.arenas).push((self.store.len() - fragments as usize, bytes));
+        (self.containers).push((self.store.len() - 1, bytes));
         if let Some(b) = &self.budget {
-            b.note_scratch(self.arenas.iter().map(|&(_, bytes)| bytes).sum())?;
+            b.note_scratch(self.containers.iter().map(|&(_, bytes)| bytes).sum())?;
         }
         Ok(())
     }

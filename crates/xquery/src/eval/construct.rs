@@ -1,7 +1,8 @@
 //! Direct element constructors: every enclosed expression evaluated
 //! once per scope, then one new fragment per iteration — all of one
-//! evaluation's fragments built into one arena (one builder, one name
-//! table, one packed buffer; see [`DocumentBuilder::end_fragment`]).
+//! evaluation's fragments rows of one container document (one builder,
+//! one name table, one store document; see
+//! [`DocumentBuilder::finish_container`]).
 
 use std::collections::HashMap;
 
@@ -12,17 +13,17 @@ use super::Evaluator;
 use crate::error::QueryError;
 use crate::plan::{PlanConstructor, PlanContent, PlanExpr};
 
-/// One constructor evaluation's fragment arena under construction.
-struct Arena {
+/// One constructor evaluation's container under construction.
+struct Container {
     builder: DocumentBuilder,
-    /// Per source name table, its ids mapped to the arena's
+    /// Per source name table, its ids mapped to the container's
     /// (`NameId::NONE` until first used), so copied content is interned
     /// once per distinct name, not once per node — and once for all the
-    /// fragments of another arena, which share one table.
+    /// fragments of another container, which share one table.
     names: HashMap<*const NameTable, Vec<NameId>>,
 }
 
-impl Arena {
+impl Container {
     /// The map of source name table `table`.
     fn memo<'a>(&'a mut self, table: &'a NameTable) -> (&'a mut DocumentBuilder, Names<'a>) {
         let ids = (self.names.entry(table as *const NameTable))
@@ -31,7 +32,7 @@ impl Arena {
     }
 }
 
-/// A source name table's ids, mapped into an arena's name table.
+/// A source name table's ids, mapped into a container's name table.
 struct Names<'a> {
     table: &'a NameTable,
     ids: &'a mut Vec<NameId>,
@@ -86,23 +87,28 @@ impl Evaluator<'_> {
         if n == 0 {
             return Ok(LlSeq::empty());
         }
-        let mut arena = Arena {
+        let mut building = Container {
             builder: DocumentBuilder::new(),
             names: HashMap::new(),
         };
         for iter in 0..n {
             let mut cursor = 0usize;
-            self.build_element(c, iter, &tables, &mut cursor, &mut arena)?;
-            arena.builder.end_fragment().map_err(constructor_failed)?;
+            self.build_element(c, iter, &tables, &mut cursor, &mut building)?;
+            building
+                .builder
+                .end_fragment()
+                .map_err(constructor_failed)?;
         }
-        let fragments = arena
-            .builder
-            .finish_fragments()
+        let (container, bytes) = (building.builder)
+            .finish_container()
             .map_err(constructor_failed)?;
-        let items = (fragments.documents.into_iter())
-            .map(|doc| Item::Node(NodeRef::tree(self.engine.store.add_shared(doc, None), 1)))
+        let doc = self.engine.store.add(container, None);
+        // Iteration `k`'s element is the row after fragment `k`'s
+        // document node.
+        let items = (self.engine.store.doc(doc).fragment_starts().iter())
+            .map(|&f| Item::Node(NodeRef::tree(doc, f + 1)))
             .collect();
-        let bytes = fragments.arena_bytes as u64;
+        let bytes = bytes as u64;
         if let Some(p) = self.profile.as_deref_mut() {
             let m = p.op_mut(expr as *const PlanExpr as usize);
             m.fragments += n as u64;
@@ -148,9 +154,9 @@ impl Evaluator<'_> {
         iter: u32,
         tables: &[LlSeq],
         cursor: &mut usize,
-        arena: &mut Arena,
+        container: &mut Container,
     ) -> Result<(), QueryError> {
-        arena.builder.start_element(&c.name);
+        container.builder.start_element(&c.name);
         for (attr_name, parts) in &c.attributes {
             let mut value = String::new();
             for part in parts {
@@ -171,16 +177,16 @@ impl Evaluator<'_> {
                     PlanContent::Element(_) => unreachable!("no elements in attributes"),
                 }
             }
-            let name = arena.builder.intern(attr_name);
-            add_attribute(&mut arena.builder, name, || attr_name.clone(), &value)?;
+            let name = container.builder.intern(attr_name);
+            add_attribute(&mut container.builder, name, || attr_name.clone(), &value)?;
         }
         for part in &c.content {
             match part {
                 PlanContent::Text(t) => {
-                    arena.builder.text(t);
+                    container.builder.text(t);
                 }
                 PlanContent::Element(child) => {
-                    self.build_element(child, iter, tables, cursor, arena)?;
+                    self.build_element(child, iter, tables, cursor, container)?;
                 }
                 PlanContent::Enclosed(_) => {
                     let t = &tables[*cursor];
@@ -189,15 +195,15 @@ impl Evaluator<'_> {
                     for item in t.group(iter) {
                         match item {
                             Item::Node(node) => {
-                                self.copy_node(*node, arena)?;
+                                self.copy_node(*node, container)?;
                                 pending_atom = false;
                             }
                             atom => {
                                 // Adjacent atoms joined with a space.
                                 if pending_atom {
-                                    arena.builder.text(" ");
+                                    container.builder.text(" ");
                                 }
-                                (arena.builder).text(&atom.string_value(&self.engine.store));
+                                (container.builder).text(&atom.string_value(&self.engine.store));
                                 pending_atom = true;
                             }
                         }
@@ -205,16 +211,16 @@ impl Evaluator<'_> {
                 }
             }
         }
-        arena.builder.end_element();
+        container.builder.end_element();
         Ok(())
     }
 
-    /// Deep-copy a node into the arena (XQuery constructor content copy
+    /// Deep-copy a node into the container (XQuery constructor content copy
     /// semantics). Attribute nodes become attributes when they arrive
     /// before any other content of the element under construction.
-    fn copy_node(&self, node: NodeRef, arena: &mut Arena) -> Result<(), QueryError> {
+    fn copy_node(&self, node: NodeRef, container: &mut Container) -> Result<(), QueryError> {
         let doc = self.engine.store.doc(node.doc);
-        let (builder, mut names) = arena.memo(doc.names());
+        let (builder, mut names) = container.memo(doc.names());
         if let Some(a) = node.id.attr_index() {
             let name = names.get(builder, doc.attr_name_id(a));
             let lexical = || doc.names().lexical(doc.attr_name_id(a));

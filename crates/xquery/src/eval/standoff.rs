@@ -22,11 +22,22 @@ use crate::profile::JoinExec;
 /// context documents of one mounted layer group form one unit and join
 /// into the group's layers — the multi-layer corpus model of
 /// `standoff-store`, regions share the BLOB coordinate space; any other
-/// document is a unit of its own and joins within itself (§3.3
-/// fragment semantics).
+/// document is a unit of its own and joins within itself, and each
+/// fragment of a constructor's container is one too (§3.3 fragment
+/// semantics).
 struct JoinUnit {
     group: Option<u32>,
+    /// The pre range `[f, f + size(f)]` of the container fragment this
+    /// unit is; its candidates are that range's.
+    fragment: Option<(u32, u32)>,
     contexts: Vec<(DocId, Vec<IterNode>)>,
+}
+
+/// The part of the ascending `nodes` inside the pre range `[from, to]`.
+fn within(nodes: &[u32], (from, to): (u32, u32)) -> &[u32] {
+    let lo = nodes.partition_point(|&n| n < from);
+    let hi = nodes.partition_point(|&n| n <= to);
+    &nodes[lo..hi]
 }
 
 /// Where a join delivers each target layer: its `(iter, pre)`-sorted
@@ -303,6 +314,24 @@ impl Evaluator<'_> {
         for (doc, mut rows) in buckets {
             rows.sort_unstable();
             rows.dedup();
+            let d = self.engine.store.doc(doc);
+            if d.is_container() {
+                // One unit per fragment, in pre order.
+                let mut parts: Vec<(u32, Vec<IterNode>)> = Vec::new();
+                for row in rows {
+                    let root = d.fragment_root(row.node);
+                    match parts.binary_search_by_key(&root, |(f, _)| *f) {
+                        Ok(k) => parts[k].1.push(row),
+                        Err(k) => parts.insert(k, (root, vec![row])),
+                    }
+                }
+                units.extend(parts.into_iter().map(|(root, rows)| JoinUnit {
+                    group: None,
+                    fragment: Some((root, root + d.size(root))),
+                    contexts: vec![(doc, rows)],
+                }));
+                continue;
+            }
             let group = self.engine.layer_group_id(doc);
             // A mount registers its layers back to back, so the
             // documents of one group are neighbours here.
@@ -312,6 +341,7 @@ impl Evaluator<'_> {
                 }
                 _ => units.push(JoinUnit {
                     group,
+                    fragment: None,
                     contexts: vec![(doc, rows)],
                 }),
             }
@@ -390,7 +420,9 @@ impl Evaluator<'_> {
             // keeps the name's posting. The element index is borrowed
             // as-is: builder-produced indexes are strictly ascending by
             // construction and snapshot-loaded ones are validated when
-            // mounted.
+            // mounted. A container fragment's candidates are the slice
+            // of its pre range, read through the node view: a posting
+            // holds every fragment's entries.
             let (candidates, posting) = match (cand_buckets, op.pushdown.as_deref()) {
                 (Some(buckets), _) => (
                     Some(buckets.get(&target).map_or(&[][..], Vec::as_slice)),
@@ -400,7 +432,7 @@ impl Evaluator<'_> {
                     let id = doc.names().get(name);
                     let nodes = id.map_or(&[][..], |id| doc.element_postings(id));
                     let posting = match id {
-                        Some(id) if merge && !nodes.is_empty() => {
+                        Some(id) if merge && !nodes.is_empty() && unit.fragment.is_none() => {
                             index.posting(doc, id, engine.budget.as_ref())?
                         }
                         _ => None,
@@ -408,6 +440,10 @@ impl Evaluator<'_> {
                     (Some(nodes), posting)
                 }
                 (None, None) => (None, None),
+            };
+            let candidates = match unit.fragment {
+                Some(range) => Some(within(candidates.unwrap_or(index.annotated_nodes()), range)),
+                None => candidates,
             };
             if let Some(cands) = candidates {
                 exec.cand_rows += cands.len() as u64;

@@ -323,7 +323,7 @@ impl Evaluator<'_> {
                 let node = item
                     .as_node()
                     .ok_or_else(|| QueryError::dynamic("'/' on a non-node context item"))?;
-                let root = NodeRef::tree(node.doc, 0);
+                let root = self.engine.store.fragment_root(node);
                 if last != Some(root) {
                     out.push(iter, Item::Node(root));
                     last = Some(root);

@@ -29,7 +29,7 @@ pub(crate) fn call_builtin(
     let result = match (name, args.len()) {
         ("doc", 1) => fn_doc(engine, n, &args[0])?,
         ("layer", 2) => fn_layer(engine, n, &args[0], &args[1])?,
-        ("root", 1) => fn_root(&args[0])?,
+        ("root", 1) => fn_root(engine, &args[0])?,
         ("not", 1) => {
             let ebv = args[0].effective_boolean(n);
             LlSeq::from_columns(
@@ -452,7 +452,7 @@ fn fn_layer(
     Ok(out)
 }
 
-fn fn_root(nodes: &LlSeq) -> Result<LlSeq, QueryError> {
+fn fn_root(engine: &EngineState, nodes: &LlSeq) -> Result<LlSeq, QueryError> {
     let mut out = LlSeq::empty();
     for (iter, items) in nodes.groups() {
         let mut last: Option<NodeRef> = None;
@@ -460,7 +460,7 @@ fn fn_root(nodes: &LlSeq) -> Result<LlSeq, QueryError> {
             let node = item
                 .as_node()
                 .ok_or_else(|| QueryError::dynamic("root() requires nodes"))?;
-            let root = NodeRef::tree(node.doc, 0);
+            let root = engine.store.fragment_root(node);
             if last != Some(root) {
                 out.push(iter, Item::Node(root));
                 last = Some(root);

@@ -41,7 +41,7 @@ pub struct OpMetrics {
     /// StandOff-join mechanism details, for join operators only.
     pub join: Option<JoinExec>,
     /// Fragments a constructor built (one per iteration), and the bytes
-    /// of the arenas it packed them into. Zero for other operators.
+    /// of the containers holding them. Zero for other operators.
     pub fragments: u64,
     pub arena_bytes: u64,
 }

@@ -119,6 +119,45 @@ const CASES: &[(&str, &str)] = &[
     ),
 ];
 
+/// Several fragments from one constructor evaluation: three `<x>`s (or
+/// `<r>`s) built by one `for`, whose axes, roots, document order and
+/// StandOff joins must each stay inside their own fragment.
+const MULTI_FRAGMENT_CASES: &[(&str, &str)] = &[
+    (
+        "multi_following_preceding",
+        r#"let $s := for $i in (1, 2, 3) return <x n="{$i}"><b n="{$i}"/></x> return (count($s[1]/b/following::*), count($s[2]/b/preceding::*), count($s/b/following::*), count($s/preceding::node()), $s[2]/following::*)"#,
+    ),
+    (
+        "multi_descendants_of_second_root",
+        r#"let $s := for $i in (1, 2, 3) return <x n="{$i}"><b n="{$i}"/>t{$i}</x> return (root($s[2])//b/@n/string(.), root($s[2])/descendant::node())"#,
+    ),
+    (
+        "multi_root_of_third",
+        r#"let $s := for $i in (1, 2, 3) return <x n="{$i}"><b n="{$i}"/></x> return (root($s[3]/b), $s[3]/b/(/)/*/@n/string(.), count($s/b/(/)))"#,
+    ),
+    (
+        "multi_parent_count",
+        "count((for $i in (1, 2, 3) return <a/>)/..)",
+    ),
+    (
+        "multi_ancestors_stop",
+        r#"let $s := for $i in (1, 2, 3) return <x n="{$i}"><b/></x> return (count($s[2]/b/ancestor::node()), $s/b/ancestor::*/@n/string(.))"#,
+    ),
+    (
+        "multi_is_and_order",
+        r#"let $s := for $i in (1, 2, 3) return <x n="{$i}"><b n="{$i * 10}"/></x> return ($s[1] is $s[1], $s[1] is $s[2], root($s[1]) is root($s[2]), root($s[2]) is root($s[2]/b), ($s[3] | $s[1]/b | $s[2] | $s[2]/b | $s[1])/@n/string(.), ($s[3], $s[1]/b, $s[2])/./@n/string(.))"#,
+    ),
+    (
+        "multi_siblings_stop",
+        "let $s := for $i in (1, 2, 3) return <x/> return (count($s/following-sibling::node()), count($s/preceding-sibling::node()))",
+    ),
+];
+
+/// A StandOff join whose regions overlap across the fragments of one
+/// evaluation: each `<e>` contains only the *other* fragment's `<w>`, so
+/// a join that leaked across fragments would select both.
+const MULTI_FRAGMENT_JOIN: &str = r#"let $s := for $i in (1, 2) return <r n="{$i}"><e start="{($i - 1) * 5}" end="{$i * 5 - 1}"/><w start="{(2 - $i) * 5}" end="{(2 - $i) * 5 + 3}"/><v start="{($i - 1) * 5 + 1}" end="{($i - 1) * 5 + 2}"/></r> return (count($s/e/select-narrow::w), count($s/e/select-wide::*), $s/e/reject-narrow::w/../@n/string(.), $s/e/reject-wide::*/name(.), for $r in $s return count($r/e/select-narrow::*), select-narrow($s/e, $s/v)/../@n/string(.), $s/e/select-narrow::v/../@n/string(.))"#;
+
 fn engine(options: EngineOptions) -> Engine {
     let mut engine = Engine::with_options(options);
     engine.load_document("d", DOC).unwrap();
@@ -162,6 +201,17 @@ fn constructed_fragments_match_golden() {
         e.load_document("xmark-standoff.xml", &so_xml).unwrap();
         let q = XmarkQuery::Q2.standoff("xmark-standoff.xml");
         render(&mut out, &format!("xmark_q2_{strategy}"), &mut e, &q);
+    }
+    for (name, query) in MULTI_FRAGMENT_CASES {
+        render(&mut out, name, &mut e, query);
+    }
+    for strategy in StandoffStrategy::ALL {
+        let mut e = engine(EngineOptions {
+            strategy,
+            ..Default::default()
+        });
+        let name = format!("multi_standoff_join_{strategy}");
+        render(&mut out, &name, &mut e, MULTI_FRAGMENT_JOIN);
     }
 
     let path = format!(
