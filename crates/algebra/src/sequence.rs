@@ -199,14 +199,15 @@ impl LlSeq {
         (out, mapping)
     }
 
-    /// Re-label iterations through `mapping[new] = old`, producing a table
-    /// back in the outer numbering (inverse of [`LlSeq::restrict`]).
-    pub fn unrestrict(&self, mapping: &[u32]) -> LlSeq {
-        let mut out = LlSeq::empty();
-        for (&iter, item) in self.iters.iter().zip(&self.items) {
-            out.push(mapping[iter as usize], item.clone());
+    /// Re-label iterations through `mapping[new] = old` (monotone),
+    /// producing a table back in the outer numbering (inverse of
+    /// [`LlSeq::restrict`]). The items stay where they are.
+    pub fn unrestrict(mut self, mapping: &[u32]) -> LlSeq {
+        for iter in &mut self.iters {
+            *iter = mapping[*iter as usize];
         }
-        out
+        debug_assert!(self.iters.is_sorted(), "mapping not monotone");
+        self
     }
 
     /// Expand into a new scope: `map[new_iter] = old_iter` (monotone).

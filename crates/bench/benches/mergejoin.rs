@@ -6,16 +6,25 @@
 //! * the active-list context-skip optimization (Listing 1 lines 11–18)
 //!   on nested context workloads (`per_annotation = true` disables
 //!   cross-annotation skipping, isolating the optimization's value);
-//! * select-narrow vs select-wide merge cores.
+//! * select-narrow vs select-wide merge cores;
+//! * the two stages of the heavy loop-lifted counts over XMark 0.05
+//!   (seed 7) and a token layer of one `w` per BLOB word, each timed
+//!   alone: `join/resolve_context` looks up and sorts the 2 224
+//!   `description` rows, `count/desc_tokens` counts the tokens inside
+//!   them (`count(//description/select-narrow::w)`), and
+//!   `count/wide_node` the base-layer nodes overlapping the
+//!   `open_auction`s (`count(//open_auction/select-wide::node())`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use standoff_core::join::merge::{ll_select_narrow, ll_select_wide};
-use standoff_core::join::CtxEntry;
+use standoff_core::join::{count_resolved, CtxEntry, JoinScratch, JoinTarget};
 use standoff_core::{
     evaluate_standoff_join, Area, IterNode, JoinInput, RegionEntry, RegionIndex, StandoffAxis,
-    StandoffStrategy,
+    StandoffConfig, StandoffStrategy,
 };
+use standoff_xmark::{generate, standoffify, XmarkConfig};
+use standoff_xml::{Document, DocumentBuilder};
 
 /// Deterministic synthetic workload: `n_ctx` context regions spread over
 /// `iters` iterations, nested in chains of depth ~4, over `n_cand`
@@ -180,5 +189,98 @@ fn mergejoin(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, mergejoin);
+/// A token layer over `blob`: one `w` per maximal run of
+/// non-whitespace bytes, with its inclusive span.
+fn token_layer(blob: &str) -> Document {
+    let mut b = DocumentBuilder::new();
+    b.start_element("tokens");
+    let mut word = |start: usize, end: usize| {
+        b.start_element("w");
+        b.attribute("start", &start.to_string());
+        b.attribute("end", &(end - 1).to_string());
+        b.end_element();
+    };
+    let mut start = None;
+    for (i, byte) in blob.bytes().enumerate() {
+        match (byte.is_ascii_whitespace(), start) {
+            (false, None) => start = Some(i),
+            (true, Some(s)) => {
+                word(s, i);
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    if let Some(s) = start {
+        word(s, blob.len());
+    }
+    b.end_element();
+    b.finish().expect("a well-formed token layer")
+}
+
+fn scan_layers(c: &mut Criterion) {
+    if !c.is_enabled() {
+        return; // no corpus to build outside `cargo bench`
+    }
+    let so = standoffify(&generate(&XmarkConfig::with_scale(0.05)), 7);
+    let config = StandoffConfig::default();
+    let base = RegionIndex::build(&so.doc, &config).unwrap();
+    let tokens_doc = token_layer(&so.blob);
+    let tokens = RegionIndex::build(&tokens_doc, &config).unwrap();
+    let rows = |name| -> Vec<IterNode> {
+        (so.doc.elements_named(name).iter())
+            .map(|&node| IterNode { iter: 0, node })
+            .collect()
+    };
+    let (descriptions, auctions) = (rows("description"), rows("open_auction"));
+    let mut scratch = JoinScratch::default();
+
+    let mut group = c.benchmark_group("join");
+    group.sample_size(500);
+    group.bench_function("resolve_context", |b| {
+        b.iter(|| scratch.resolve_context([(&base, &descriptions[..])]));
+    });
+    group.finish();
+
+    // The targets the engine joins: `w`'s posting (every token), and
+    // the whole base index for `node()`.
+    let w = tokens_doc.names().get("w").unwrap();
+    let desc_tokens = JoinTarget {
+        doc: &tokens_doc,
+        index: &tokens,
+        candidates: Some(tokens_doc.elements_named("w")),
+        posting: tokens.posting(&tokens_doc, w, None).unwrap(),
+        iter_domain: &[0],
+    };
+    let wide_node = JoinTarget {
+        doc: &so.doc,
+        index: &base,
+        candidates: None,
+        posting: None,
+        iter_domain: &[0],
+    };
+    let mut group = c.benchmark_group("count");
+    group.sample_size(500);
+    for (name, axis, context, target) in [
+        (
+            "desc_tokens",
+            StandoffAxis::SelectNarrow,
+            &descriptions,
+            &desc_tokens,
+        ),
+        ("wide_node", StandoffAxis::SelectWide, &auctions, &wide_node),
+    ] {
+        scratch.resolve_context([(&base, &context[..])]);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut count = [0u64];
+                count_resolved(axis, target, &mut scratch, &mut count);
+                count[0]
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, mergejoin, scan_layers);
 criterion_main!(benches);

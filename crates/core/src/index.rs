@@ -5,7 +5,11 @@
 //! rank (MonetDB/XQuery's node identifier). Non-contiguous areas repeat
 //! the same id in several entries. A second, node-ordered view supports
 //! context-region fetch and the candidate-sequence intersection that the
-//! element-name index feeds into StandOff steps with name tests.
+//! element-name index feeds into StandOff steps with name tests. A node
+//! finds its regions in one probe of that view: annotated pre ranks
+//! ascend strictly, so a node's slot is at most its distance from the
+//! first annotated rank — exactly that when the ranks are contiguous
+//! ([`RegionIndex::regions_of`]).
 //!
 //! A join reads a *reach* of a start-clustered [`Table`] — the slice its
 //! context can contain ([`Table::reach`], [`Table::wide_reach`]). For a
@@ -15,6 +19,11 @@
 //! table when the name's elements are every annotated node. An explicit
 //! candidate sequence is intersected per join, through the node view
 //! ([`RegionIndex::gather_candidates`]) or by borrowing when it covers.
+//!
+//! The loop-lifted count sweeps read a table through its *keys*: the
+//! entries' starts as one contiguous column and the largest end of each
+//! 64-row block. They are derived, never stored: a posting's with the
+//! posting, the index's own on the first sweep that reads it.
 
 use std::io;
 use std::ops::Range;
@@ -126,6 +135,9 @@ pub struct RegionIndex {
     /// ([`RegionIndex::posting`]). Never stored: a built, renumbered or
     /// mounted index starts with none.
     postings: OnceLock<Box<[OnceLock<NamePosting>]>>,
+    /// The entries' sweep keys, derived by the first count sweep that
+    /// reads the whole table (`Table::keys`). Never stored.
+    keys: OnceLock<Keys>,
 }
 
 /// Borrowed raw columns of a [`RegionIndex`] — the snapshot writer's
@@ -182,6 +194,7 @@ impl IndexAccum {
             max_regions: self.max_regions,
             max_extent,
             postings: OnceLock::new(),
+            keys: OnceLock::new(),
         }
     }
 }
@@ -274,6 +287,7 @@ impl RegionIndex {
             max_regions,
             max_extent,
             postings: OnceLock::new(),
+            keys: OnceLock::new(),
         }
     }
 
@@ -336,30 +350,20 @@ impl RegionIndex {
     }
 
     /// The regions of the annotation at `pre` (empty slice if `pre` is not
-    /// annotated).
+    /// annotated), found in one probe of the node view where the
+    /// annotated pre ranks are contiguous: `pre`'s slot is at most
+    /// `pre − node_ids[0]`, and is that when every rank in between is
+    /// annotated.
+    #[inline]
     pub fn regions_of(&self, pre: u32) -> &[Region] {
-        match self.node_ids.binary_search(&pre) {
-            Ok(k) => self.regions_at(k),
-            Err(_) => &[],
-        }
-    }
-
-    /// [`RegionIndex::regions_of`] for pre ranks that mostly ascend, as a
-    /// context's rows do within an iteration: `cursor` is the node-view
-    /// position the previous lookup left, and the search gallops forward
-    /// from it — from the front when `pre` lies behind it.
-    pub fn regions_from(&self, pre: u32, cursor: &mut usize) -> &[Region] {
-        if *cursor > 0 && self.node_ids[*cursor - 1] >= pre {
-            *cursor = 0;
-        }
-        *cursor = crate::join::merge::gallop(&self.node_ids, *cursor, |&id| id < pre);
-        match self.node_ids.get(*cursor) {
-            Some(&id) if id == pre => self.regions_at(*cursor),
-            _ => &[],
+        match seek(&self.node_ids, 0, pre) {
+            Some(k) => self.regions_at(k),
+            None => &[],
         }
     }
 
     /// The regions of the `k`-th annotated node.
+    #[inline]
     fn regions_at(&self, k: usize) -> &[Region] {
         &self.node_regions[self.node_offsets[k] as usize..self.node_offsets[k + 1] as usize]
     }
@@ -528,16 +532,18 @@ impl RegionIndex {
     /// elements are exactly the annotated nodes, the whole table,
     /// borrowed. Derived by the node-view gather on the first call for
     /// the name and kept in the index, so every later join over the
-    /// name reads two partition points and its own entries. A derivation
-    /// polls `budget` once per block of candidates; a trip publishes
-    /// nothing, and the next call derives again.
+    /// name reads two partition points and its own entries. The
+    /// posting's sweep keys are derived with it. A derivation polls
+    /// `budget` once per block of candidates; a trip publishes nothing,
+    /// and the next call derives again.
     ///
     /// `doc` must be the document the index was built from: its name
     /// table sizes the slots on the first call, and a name outside them
     /// is `None`, which leaves the derivation to the caller. Every published
     /// posting adds its bytes to the `index.posting_bytes` counter of
-    /// the process-wide registry: engine memory, bounded by 24 bytes
-    /// per entry of the index, shared by every request that reads it.
+    /// the process-wide registry, and its keys' to `index.key_bytes`:
+    /// engine memory, bounded by 24 and 8⅛ bytes per entry of the index,
+    /// shared by every request that reads it.
     pub fn posting(
         &self,
         doc: &Document,
@@ -554,9 +560,11 @@ impl RegionIndex {
             Some(built) => built,
             None => {
                 let built = self.derive_posting(doc.element_postings(name), budget)?;
-                let bytes = built.bytes();
+                let (bytes, key_bytes) = built.bytes();
                 if slot.set(built).is_ok() {
-                    crate::obs::MetricsRegistry::global().add("index.posting_bytes", bytes);
+                    let metrics = crate::obs::MetricsRegistry::global();
+                    metrics.add("index.posting_bytes", bytes);
+                    metrics.add("index.key_bytes", key_bytes);
                 }
                 slot.get().expect("published above or by a racing thread")
             }
@@ -571,10 +579,12 @@ impl RegionIndex {
                 entries,
                 max_extent,
                 annotated,
+                keys,
             } => Posting {
                 table: Table {
                     entries,
                     max_extent: *max_extent,
+                    keys,
                 },
                 covering: false,
                 annotated: *annotated,
@@ -595,6 +605,7 @@ impl RegionIndex {
         let annotated = self.gather(nodes, 0..self.len(), budget, &mut entries)?;
         Ok(NamePosting::Entries {
             max_extent: max_extent(&entries),
+            keys: OnceLock::from(Keys::of(&entries)),
             entries: entries.into_boxed_slice(),
             annotated,
         })
@@ -606,6 +617,7 @@ impl RegionIndex {
         Table {
             entries: &self.entries,
             max_extent: self.max_extent,
+            keys: &self.keys,
         }
     }
 
@@ -712,6 +724,7 @@ impl RegionIndex {
             max_regions,
             max_extent,
             postings: OnceLock::new(),
+            keys: OnceLock::new(),
         })
     }
 
@@ -741,9 +754,12 @@ impl RegionIndex {
 pub struct Table<'a> {
     pub entries: &'a [RegionEntry],
     pub max_extent: i64,
+    /// The entries' keys: derived with a posting, on first use for the
+    /// index's own table.
+    keys: &'a OnceLock<Keys>,
 }
 
-impl Table<'_> {
+impl<'a> Table<'a> {
     /// The entries whose start lies inside `[from, to]`
     /// ([`RegionIndex::reach`]).
     pub fn reach(&self, from: i64, to: i64) -> Range<usize> {
@@ -756,6 +772,66 @@ impl Table<'_> {
     /// ([`RegionIndex::wide_reach`]), by this table's own extent bound.
     pub fn wide_reach(&self, from: i64, to: i64) -> Range<usize> {
         self.reach(from.saturating_sub(self.max_extent), to)
+    }
+
+    /// The table's [`Keys`], row for row. A posting's exist with it; the
+    /// index's own are derived by the first call and kept with the
+    /// index, their bytes added to the `index.key_bytes` counter of the
+    /// process-wide registry.
+    pub(crate) fn keys(&self) -> &'a Keys {
+        if let Some(keys) = self.keys.get() {
+            return keys;
+        }
+        let built = Keys::of(self.entries);
+        let bytes = built.bytes();
+        if self.keys.set(built).is_ok() {
+            crate::obs::MetricsRegistry::global().add("index.key_bytes", bytes);
+        }
+        self.keys
+            .get()
+            .expect("published above or by a racing thread")
+    }
+}
+
+/// Rows per block of [`Keys::block_ends`].
+pub(crate) const KEY_BLOCK: usize = 64;
+
+/// What a count sweep reads of a start-clustered run of entries instead
+/// of its 24-byte rows: the starts as one contiguous column, to seek on,
+/// and the largest end of each [`KEY_BLOCK`]-row block, so a run of rows
+/// that all end before a point is counted without being read.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Keys {
+    /// `starts[k]` is row `k`'s start.
+    pub(crate) starts: Vec<i64>,
+    /// `block_ends[b]` is the largest end of rows `[64·b, 64·b + 64)`.
+    pub(crate) block_ends: Vec<i64>,
+}
+
+impl Keys {
+    /// The keys of `entries`.
+    pub(crate) fn of(entries: &[RegionEntry]) -> Keys {
+        let mut keys = Keys::default();
+        keys.fill(entries);
+        keys
+    }
+
+    /// Replace the keys with those of `entries`, reusing the columns.
+    pub(crate) fn fill(&mut self, entries: &[RegionEntry]) {
+        self.starts.clear();
+        self.starts.reserve(entries.len());
+        self.block_ends.clear();
+        for block in entries.chunks(KEY_BLOCK) {
+            self.starts.extend(block.iter().map(|e| e.start));
+            let end = block.iter().fold(i64::MIN, |m, e| m.max(e.end));
+            self.block_ends.push(end);
+        }
+    }
+
+    /// Bytes the two columns hold.
+    fn bytes(&self) -> u64 {
+        std::mem::size_of_val(&self.starts[..]) as u64
+            + std::mem::size_of_val(&self.block_ends[..]) as u64
     }
 }
 
@@ -780,14 +856,20 @@ enum NamePosting {
         entries: Box<[RegionEntry]>,
         max_extent: i64,
         annotated: usize,
+        /// Derived with the entries, so always set.
+        keys: OnceLock<Keys>,
     },
 }
 
 impl NamePosting {
-    fn bytes(&self) -> u64 {
+    /// The bytes of its entries and of their keys.
+    fn bytes(&self) -> (u64, u64) {
         match self {
-            NamePosting::Covering => 0,
-            NamePosting::Entries { entries, .. } => std::mem::size_of_val(&**entries) as u64,
+            NamePosting::Covering => (0, 0),
+            NamePosting::Entries { entries, keys, .. } => (
+                std::mem::size_of_val(&**entries) as u64,
+                keys.get().map_or(0, Keys::bytes),
+            ),
         }
     }
 }
@@ -868,11 +950,11 @@ fn after_regions(node_regions: &[Region], failure: io::Error) -> io::Error {
 }
 
 /// The slot of `id` in the ascending `ids`, if there is one, searched
-/// from `from`, the previous answer. Ids ascend strictly, so the slot
-/// lies at most `|id − ids[from]|` slots away — exactly that far when
-/// every id in between is annotated, the common case, which costs one
-/// probe and no unpredictable branch. Otherwise a binary search of that
-/// bracket.
+/// from `from`: a previous answer, or 0. Ids ascend strictly, so the
+/// slot lies at most `|id − ids[from]|` slots away — exactly that far
+/// when every id in between is annotated, the common case, which costs
+/// one probe and no unpredictable branch. Otherwise a binary search of
+/// that bracket.
 fn seek(ids: &[u32], from: usize, id: u32) -> Option<usize> {
     let &at = ids.get(from)?;
     let dense = (from as i64 + id as i64 - at as i64).clamp(0, ids.len() as i64 - 1) as usize;
@@ -955,24 +1037,20 @@ mod tests {
         assert_eq!(idx.area_of(video), None);
     }
 
-    /// The cursor lookup answers like the binary search for any order of
-    /// pre ranks: ascending runs, repeats, steps back, unannotated and
-    /// out-of-range ranks.
+    /// The one-probe lookup answers like a binary search of the node
+    /// ids for every pre rank: annotated, between them, before the first
+    /// and past the last.
     #[test]
-    fn cursor_lookups_match_regions_of() {
+    fn one_probe_lookups_match_the_binary_search() {
         let (doc, idx) = figure1_index();
-        let last = doc.node_count() as u32 + 3;
-        let mut order: Vec<u32> = (0..last).collect();
-        order.extend((0..last).rev());
-        order.extend([4, 4, 2, 7, 1, last, 0, 5]);
-        let mut cursor = 0;
-        for pre in order {
-            assert_eq!(
-                idx.regions_from(pre, &mut cursor),
-                idx.regions_of(pre),
-                "{pre}"
-            );
+        for pre in 0..doc.node_count() as u32 + 3 {
+            let want = match idx.annotated_nodes().binary_search(&pre) {
+                Ok(k) => idx.storage().node_regions[k..=k].to_vec(),
+                Err(_) => Vec::new(),
+            };
+            assert_eq!(idx.regions_of(pre), want, "{pre}");
         }
+        assert!(RegionIndex::default().regions_of(0).is_empty());
     }
 
     #[test]

@@ -19,17 +19,33 @@
 //!   entry starting in the gap before `a` overlaps iff it ends at or
 //!   after `a`, which only those starting at or after `a − w` can.
 //!
-//! Every boundary is found by seeking forward from the previous one —
-//! a short in-order scan, then a gallop — so an iteration costs its
-//! contexts times a logarithm of the entries between them, plus the
-//! entries within `w` of a boundary.
+//! The sweep reads the candidates' [`Keys`], not their rows: every
+//! boundary is found by seeking forward on the start column from the
+//! previous one — a short in-order scan, then a gallop — and rows are
+//! read only for the ends of the `(M − w, M]` tail and of a gap's head,
+//! where a [`KEY_BLOCK`]-row block whose largest end is before `a` is
+//! counted whole without reading it. An iteration costs its contexts
+//! times a logarithm of the entries between them, plus the entries
+//! within `w` of a boundary.
 //!
 //! [`RegionIndex::max_extent`]: crate::index::RegionIndex::max_extent
 
+use std::ops::Range;
+
 use crate::budget::Budget;
-use crate::index::RegionEntry;
-use crate::join::merge::{gallop_starts, POLL_BLOCK};
+use crate::index::{Keys, RegionEntry, KEY_BLOCK};
+use crate::join::merge::{gallop, POLL_BLOCK};
 use crate::join::{CtxEntry, StandoffAxis};
+
+/// The candidates a count sweeps: the entries `reach` of a
+/// start-clustered run of `rows` with that run's `keys`, position for
+/// position — a table with its own keys, or a buffer with keys derived
+/// from it.
+pub(crate) struct Candidates<'a> {
+    pub rows: &'a [RegionEntry],
+    pub keys: &'a Keys,
+    pub reach: Range<usize>,
+}
 
 /// For each iteration of `context`, the number of `candidates` the
 /// select axis `axis` keeps, appended to `out` as `(iter, count)`.
@@ -42,7 +58,7 @@ use crate::join::{CtxEntry, StandoffAxis};
 pub(crate) fn select_counts(
     axis: StandoffAxis,
     context: &[CtxEntry],
-    candidates: &[RegionEntry],
+    candidates: &Candidates<'_>,
     max_extent: i64,
     budget: Option<&Budget>,
     out: &mut Vec<(u32, u64)>,
@@ -51,7 +67,8 @@ pub(crate) fn select_counts(
     debug_assert!(context
         .windows(2)
         .all(|w| (w[0].iter, w[0].start) <= (w[1].iter, w[1].start)));
-    debug_assert!(candidates.windows(2).all(|w| w[0].start <= w[1].start));
+    debug_assert_eq!(candidates.keys.starts.len(), candidates.rows.len());
+    debug_assert!(candidates.keys.starts.is_sorted());
     let mut seen = 0usize;
     let mut tripped = || {
         seen += 1;
@@ -78,18 +95,19 @@ pub(crate) fn select_counts(
 /// sorted on start); `None` when `tripped` fired.
 fn contained(
     context: &[CtxEntry],
-    candidates: &[RegionEntry],
+    candidates: &Candidates<'_>,
     max_extent: i64,
     tripped: &mut impl FnMut() -> bool,
 ) -> Option<u64> {
+    let starts = &candidates.keys.starts[..candidates.reach.end];
     let mut count = 0u64;
-    let mut at = 0usize;
-    let mut reach = i64::MIN; // M: the largest end of the contexts so far
+    let mut at = candidates.reach.start;
+    let mut m = i64::MIN; // M: the largest end of the contexts so far
     for (k, c) in context.iter().enumerate() {
         if tripped() {
             return None;
         }
-        reach = reach.max(c.end);
+        m = m.max(c.end);
         // The step [c.start, next) of M: contexts sharing a start join
         // it before it is counted.
         let next = context.get(k + 1).map_or(i64::MAX, |d| d.start);
@@ -98,12 +116,15 @@ fn contained(
         }
         // The entries starting in [c.start, min(M, next − 1)]: all
         // contained but those of the last `w` that end past M.
-        at = seek(candidates, at, c.start);
-        let past = seek(candidates, at, reach.saturating_add(1).min(next));
-        let sure = reach.saturating_sub(max_extent);
-        let tail = candidates[at..past].iter().rev();
-        let out = (tail.take_while(|e| e.start > sure))
-            .filter(|e| e.end > reach)
+        at = seek(starts, at, c.start);
+        let past = seek(starts, at, m.saturating_add(1).min(next));
+        let sure = m.saturating_sub(max_extent);
+        let tail = past
+            - (starts[at..past].iter().rev())
+                .take_while(|&&s| s > sure)
+                .count();
+        let out = (candidates.rows[tail..past].iter())
+            .filter(|e| e.end > m)
             .count();
         count += (past - at - out) as u64;
         at = past;
@@ -115,12 +136,13 @@ fn contained(
 /// sorted on start); `None` when `tripped` fired.
 fn overlapping(
     context: &[CtxEntry],
-    candidates: &[RegionEntry],
+    candidates: &Candidates<'_>,
     max_extent: i64,
     tripped: &mut impl FnMut() -> bool,
 ) -> Option<u64> {
+    let starts = &candidates.keys.starts[..candidates.reach.end];
     let mut count = 0u64;
-    let mut at = 0usize;
+    let mut at = candidates.reach.start;
     let mut gap = i64::MIN; // first position after the last covered interval
     let mut k = 0usize;
     while k < context.len() {
@@ -135,13 +157,11 @@ fn overlapping(
             k += 1;
         }
         // The entries starting in [max(gap, a − w), b]: all overlapping
-        // but those of the gap that end before `a`.
-        at = seek(candidates, at, gap.max(a.saturating_sub(max_extent)));
-        let past = seek(candidates, at, b.saturating_add(1));
-        let head = candidates[at..past].iter();
-        let out = (head.take_while(|e| e.start < a))
-            .filter(|e| e.end < a)
-            .count();
+        // but those of the gap's head that end before `a`.
+        at = seek(starts, at, gap.max(a.saturating_sub(max_extent)));
+        let inside = seek(starts, at, a);
+        let past = seek(starts, inside, b.saturating_add(1));
+        let out = ended_before(candidates, at..inside, a);
         count += (past - at - out) as u64;
         at = past;
         gap = b.saturating_add(1);
@@ -149,31 +169,53 @@ fn overlapping(
     Some(count)
 }
 
-/// Entries a seek steps through in order before it gallops.
+/// How many of the candidates `rows` end before `a`: a [`KEY_BLOCK`]
+/// block whose largest end is before `a` counts whole, unread.
+fn ended_before(candidates: &Candidates<'_>, rows: Range<usize>, a: i64) -> usize {
+    let mut out = 0;
+    let mut at = rows.start;
+    while at < rows.end {
+        let block = at / KEY_BLOCK;
+        let to = ((block + 1) * KEY_BLOCK).min(rows.end);
+        out += if candidates.keys.block_ends[block] < a {
+            to - at
+        } else {
+            (candidates.rows[at..to].iter())
+                .filter(|e| e.end < a)
+                .count()
+        };
+        at = to;
+    }
+    out
+}
+
+/// Starts a seek steps through in order before it gallops.
 const SCAN: usize = 64;
 
-/// First position at or after `from` whose candidate starts at or after
+/// First position at or after `from` whose start is at or after
 /// `target`. Between the boundaries of a dense layer's contexts lie
 /// tens of entries, so the first [`SCAN`] are stepped through eight at a
-/// time, in memory order, before galloping ([`gallop_starts`]): probing
-/// ahead and back across a short run reads the same cache lines out of
-/// order, and the sweep is bound by those reads.
-fn seek(candidates: &[RegionEntry], from: usize, target: i64) -> usize {
+/// time — one cache line of starts — in memory order, before galloping
+/// ([`gallop`]): probing ahead and back across a short run reads the
+/// same cache lines out of order, and the sweep is bound by those reads.
+fn seek(starts: &[i64], from: usize, target: i64) -> usize {
     let mut at = from;
     for _ in 0..SCAN / 8 {
-        let end = (at + 8).min(candidates.len());
-        let block = &candidates[at..end];
-        if end - at < 8 || block[7].start >= target {
-            return at + block.partition_point(|e| e.start < target);
+        let end = (at + 8).min(starts.len());
+        let block = &starts[at..end];
+        if end - at < 8 || block[7] >= target {
+            return at + block.partition_point(|&s| s < target);
         }
         at = end;
     }
-    gallop_starts(candidates, at, target)
+    gallop(starts, at, |&s| s < target)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::{RegionIndex, Table};
+    use crate::region::Area;
 
     fn ctx(rows: &[(u32, i64, i64)]) -> Vec<CtxEntry> {
         let mut v: Vec<CtxEntry> = (rows.iter().enumerate())
@@ -239,24 +281,126 @@ mod tests {
         candidates: &[RegionEntry],
         max_extent: i64,
     ) -> Vec<(u32, u64)> {
+        let keys = Keys::of(candidates);
+        let candidates = Candidates {
+            rows: candidates,
+            keys: &keys,
+            reach: 0..candidates.len(),
+        };
         let mut out = Vec::new();
         assert!(select_counts(
-            axis, context, candidates, max_extent, None, &mut out
+            axis,
+            context,
+            &candidates,
+            max_extent,
+            None,
+            &mut out
         ));
         out
     }
 
-    fn agree(context: &[CtxEntry], candidates: &[RegionEntry]) {
+    /// Every way a count gets its candidates agrees with the nested loop
+    /// over the `spans`, for both select axes and loose extent bounds:
+    /// the keys of the index's own table over the context's reach, the
+    /// keys of a name's posting in an index that also holds `fillers`,
+    /// keys derived for a copy of the reach (the scratch of a short
+    /// reach) and for the node-view gather of the spans' nodes from that
+    /// index.
+    fn agree(context: &[CtxEntry], spans: &[(i64, i64)], fillers: &[(i64, i64)]) {
+        let mut b = standoff_xml::DocumentBuilder::new();
+        b.start_element("d");
+        // Candidates and fillers interleave in document order.
+        let (mut c_left, mut x_left) = (spans.len(), fillers.len());
+        while c_left + x_left > 0 {
+            if c_left >= x_left {
+                c_left -= 1;
+                b.start_element("c");
+            } else {
+                x_left -= 1;
+                b.start_element("x");
+            }
+            b.end_element();
+        }
+        b.end_element();
+        let doc = b.finish().unwrap();
+        let (cs, xs) = (doc.elements_named("c"), doc.elements_named("x"));
+        let areas = |pres: &[u32], spans: &[(i64, i64)]| -> Vec<(u32, Area)> {
+            (pres.iter().zip(spans))
+                .map(|(&pre, &(s, e))| (pre, Area::single(s, e).unwrap()))
+                .collect()
+        };
+        let own = RegionIndex::from_areas(&areas(cs, spans));
+        let mut all = areas(cs, spans);
+        all.extend(areas(xs, fillers));
+        all.sort_by_key(|(pre, _)| *pre);
+        let mixed = RegionIndex::from_areas(&all);
+        // No candidates, no name `c`: its posting is empty.
+        let posting =
+            (doc.names().get("c")).map(|name| mixed.posting(&doc, name, None).unwrap().unwrap());
+        assert!(posting.is_none_or(|p| fillers.is_empty() || !p.covering));
+        let posting = posting.map_or(own.table(), |p| p.table);
+        let from = context.iter().map(|c| c.start).min().unwrap();
+        let to = context.iter().map(|c| c.end).max().unwrap();
         for axis in [StandoffAxis::SelectNarrow, StandoffAxis::SelectWide] {
-            let expected = brute(axis, context, candidates);
-            // The extent bound may be loose: only its being an upper
-            // bound matters.
-            for slack in [0, 1, 7] {
-                let got = counts(axis, context, candidates, extent(candidates) + slack);
-                assert_eq!(
-                    got, expected,
-                    "{axis}, slack {slack}: {context:?} {candidates:?}"
-                );
+            let expected = brute(axis, context, own.entries());
+            let reach = |t: &Table| match axis {
+                StandoffAxis::SelectNarrow => t.reach(from, to),
+                _ => t.wide_reach(from, to),
+            };
+            let table = own.table();
+            let slice = &table.entries[reach(&table)];
+            let mut gathered = Vec::new();
+            mixed.gather_candidates(cs, reach(&mixed.table()), &mut gathered);
+            let (slice_keys, gathered_keys) = (Keys::of(slice), Keys::of(&gathered));
+            let paths = [
+                (
+                    "table",
+                    table.entries,
+                    table.keys(),
+                    reach(&table),
+                    own.max_extent(),
+                ),
+                (
+                    "posting",
+                    posting.entries,
+                    posting.keys(),
+                    reach(&posting),
+                    posting.max_extent,
+                ),
+                (
+                    "scratch",
+                    slice,
+                    &slice_keys,
+                    0..slice.len(),
+                    own.max_extent(),
+                ),
+                (
+                    "gathered",
+                    &gathered[..],
+                    &gathered_keys,
+                    0..gathered.len(),
+                    mixed.max_extent(),
+                ),
+            ];
+            for (what, rows, keys, reach, bound) in paths {
+                let candidates = Candidates { rows, keys, reach };
+                // The extent bound may be loose: only its being an
+                // upper bound matters.
+                for slack in [0, 1, 7] {
+                    let mut got = Vec::new();
+                    assert!(select_counts(
+                        axis,
+                        context,
+                        &candidates,
+                        bound + slack,
+                        None,
+                        &mut got
+                    ));
+                    assert_eq!(
+                        got, expected,
+                        "{axis} via {what}, slack {slack}: {context:?} {spans:?} {fillers:?}"
+                    );
+                }
             }
         }
     }
@@ -265,7 +409,7 @@ mod tests {
     fn edges_at_the_running_maximum_end() {
         // Context [10, 20], extent 4: M − w = 16.
         let context = ctx(&[(0, 10, 20)]);
-        let candidates = cands(&[
+        let spans = [
             (10, 14), // start at x, contained
             (15, 19), // M − w − 1: contained without a check
             (16, 20), // M − w, ends exactly at M
@@ -275,7 +419,8 @@ mod tests {
             (21, 21), // after M
             (6, 10),  // before the context, touching it
             (5, 9),   // before the context, in the gap
-        ]);
+        ];
+        let candidates = cands(&spans);
         assert_eq!(extent(&candidates), 4);
         assert_eq!(
             counts(StandoffAxis::SelectNarrow, &context, &candidates, 4),
@@ -285,25 +430,26 @@ mod tests {
             counts(StandoffAxis::SelectWide, &context, &candidates, 4),
             [(0, 7)]
         );
-        agree(&context, &candidates);
+        agree(&context, &spans, &[]);
+        agree(&context, &spans, &[(12, 13), (0, 30)]);
     }
 
     #[test]
     fn overlapping_contexts_count_a_node_once() {
         // Overlapping, not nested, and a nested one; two iterations.
         let context = ctx(&[(0, 0, 20), (0, 10, 30), (0, 12, 14), (1, 10, 30)]);
-        let candidates = cands(&[(2, 8), (12, 18), (15, 25), (22, 28), (5, 25), (29, 31)]);
+        let spans = [(2, 8), (12, 18), (15, 25), (22, 28), (5, 25), (29, 31)];
         assert_eq!(
-            counts(StandoffAxis::SelectNarrow, &context, &candidates, 20),
+            counts(StandoffAxis::SelectNarrow, &context, &cands(&spans), 20),
             [(0, 4), (1, 3)]
         );
-        agree(&context, &candidates);
+        agree(&context, &spans, &[(13, 13)]);
     }
 
     #[test]
     fn gaps_shorter_than_the_extent() {
         let context = ctx(&[(0, 0, 4), (0, 6, 9), (0, 11, 12), (2, 40, 41)]);
-        let candidates = cands(&[
+        let spans = [
             (1, 7),
             (3, 5),
             (5, 5),
@@ -311,8 +457,26 @@ mod tests {
             (10, 10),
             (12, 20),
             (30, 39),
-        ]);
-        agree(&context, &candidates);
+        ];
+        agree(&context, &spans, &[(2, 3), (8, 9)]);
+    }
+
+    /// A gap head of many blocks, most ending before the covered
+    /// interval and counted unread, one holding an entry that reaches
+    /// into it, under a reach that starts mid-block.
+    #[test]
+    fn gap_head_blocks_are_skipped_whole() {
+        let mut spans: Vec<(i64, i64)> = (0..500).map(|k| (k, k)).collect();
+        spans.push((130, 1000)); // in the third block, ends inside [a, b]
+        let context = ctx(&[(0, 600, 610), (1, 700, 700)]);
+        let candidates = cands(&spans);
+        let expected = brute(StandoffAxis::SelectWide, &context, &candidates);
+        assert_eq!(expected, [(0, 1), (1, 1)]);
+        assert_eq!(
+            counts(StandoffAxis::SelectWide, &context, &candidates, 870),
+            expected
+        );
+        agree(&context, &spans, &[(-40, -40), (650, 651)]);
     }
 
     #[test]
@@ -324,22 +488,31 @@ mod tests {
             seed ^= seed << 17;
             (seed % m) as i64
         };
-        for _ in 0..400 {
-            let n_ctx = 1 + next(6) as usize;
-            let n_cand = next(30) as usize;
+        for round in 0..400 {
+            // Every fourth round has up to 300 candidates over ~400
+            // positions, so a block holds ~85 positions and an entry
+            // hundreds long spans several blocks; starts go negative.
+            let wide = round % 4 == 0;
+            let (n_cand, room) = if wide {
+                (next(301), 400)
+            } else {
+                (next(30), 80)
+            };
+            let n_ctx = 1 + next(8) as usize;
             let rows: Vec<(u32, i64, i64)> = (0..n_ctx)
                 .map(|_| {
-                    let s = next(60);
-                    (next(3) as u32, s, s + next(25))
+                    let s = next(room as u64 + 20) - 20;
+                    (next(3) as u32, s, s + next(room as u64 / 3))
                 })
                 .collect();
-            let spans: Vec<(i64, i64)> = (0..n_cand)
-                .map(|_| {
-                    let s = next(80) - 10;
-                    (s, s + next(12))
-                })
-                .collect();
-            agree(&ctx(&rows), &cands(&spans));
+            let n_fill = next(20) as usize;
+            let mut span = |long: bool| {
+                let s = next(room as u64 + 10) - 50;
+                (s, s + if long { next(room as u64) } else { next(12) })
+            };
+            let spans: Vec<(i64, i64)> = (0..n_cand as usize).map(|k| span(k % 37 == 5)).collect();
+            let fillers: Vec<(i64, i64)> = (0..n_fill).map(|_| span(false)).collect();
+            agree(&ctx(&rows), &spans, &fillers);
         }
     }
 
@@ -348,6 +521,12 @@ mod tests {
         let rows: Vec<(u32, i64, i64)> = (0..1000).map(|k| (0, 10 * k, 10 * k + 5)).collect();
         let context = ctx(&rows);
         let candidates = cands(&[(0, 1)]);
+        let keys = Keys::of(&candidates);
+        let candidates = Candidates {
+            rows: &candidates,
+            keys: &keys,
+            reach: 0..1,
+        };
         let budget = Budget::cancel_token();
         budget.cancel();
         for axis in [StandoffAxis::SelectNarrow, StandoffAxis::SelectWide] {

@@ -62,7 +62,7 @@ use std::ops::Range;
 use standoff_xml::Document;
 
 use crate::budget::Budget;
-use crate::index::{Posting, RegionEntry, RegionIndex, Table};
+use crate::index::{Keys, Posting, RegionEntry, RegionIndex, Table, KEY_BLOCK};
 use crate::trace::TraceSink;
 
 /// The four StandOff joins, proposed as XPath axis steps (§3.3).
@@ -317,17 +317,33 @@ impl<'a> JoinTarget<'a> {
     where
         'a: 's,
     {
+        if self.gather_in(reach.clone(), stats, buf) {
+            buf
+        } else {
+            &self.table().entries[reach]
+        }
+    }
+
+    /// Derive the candidate entries inside `reach` as
+    /// [`JoinTarget::candidate_entries_in`] does: `true` when they were
+    /// gathered into `buf`, `false` when they are the table's own slice.
+    fn gather_in(
+        &self,
+        reach: Range<usize>,
+        stats: &mut JoinStats,
+        buf: &mut Vec<RegionEntry>,
+    ) -> bool {
         stats.candidate_reach_entries += reach.len() as u64;
         match (self.posting, self.candidates) {
             (Some(p), _) if !p.covering => stats.candidate_posting += 1,
             (None, Some(nodes)) if nodes != self.index.annotated_nodes() => {
                 stats.candidate_node_view += 1;
                 self.index.gather_candidates(nodes, reach, buf);
-                return buf;
+                return true;
             }
             _ => stats.candidate_borrowed += 1,
         }
-        &self.table().entries[reach]
+        false
     }
 
     /// The distinct candidate *annotation* nodes, ascending — the
@@ -373,6 +389,8 @@ pub struct JoinScratch {
     /// The resolved context's extent: its first start and largest end.
     extent: (i64, i64),
     cands: Vec<RegionEntry>,
+    /// The keys a count sweep derives for `cands` or a short reach.
+    cand_keys: Keys,
     emissions: Vec<Emission>,
     iters: Vec<u32>,
     /// A second context table: the sort's gather target, a
@@ -397,10 +415,11 @@ impl JoinScratch {
     /// Resolve a join's context into the scratch's context table, once
     /// for every target it is then joined into ([`join_resolved`]): the
     /// regions of every `(iter, node)` row of every part — a part is
-    /// one fragment's rows with the index its areas are looked up in —
-    /// sorted by start (the context-preparation step of §4.4), and its
-    /// extent — first start, largest end — noted for the loop-lifted
-    /// joins' reach. Rows that are not area-annotations contribute
+    /// one fragment's rows with the index its areas are looked up in,
+    /// each row in one probe of its node view
+    /// ([`RegionIndex::regions_of`]) — sorted by start (the
+    /// context-preparation step of §4.4), and its extent — first start,
+    /// largest end — noted for the loop-lifted joins' reach. Rows that are not area-annotations contribute
     /// nothing.
     ///
     /// A context annotation is identified by the *ordinal of its row*
@@ -415,9 +434,8 @@ impl JoinScratch {
         let mut first = 0u32;
         for (index, rows) in parts {
             self.ctx.reserve(rows.len());
-            let mut cursor = 0;
             for (k, &IterNode { iter, node }) in rows.iter().enumerate() {
-                for r in index.regions_from(node, &mut cursor) {
+                for r in index.regions_of(node) {
                     self.ctx.push(CtxEntry {
                         iter,
                         node: first + k as u32,
@@ -453,8 +471,9 @@ impl JoinScratch {
             + (self.iters.capacity() + self.buckets.capacity() + self.universe.capacity())
                 * std::mem::size_of::<u32>()
             + self.selected.capacity() * std::mem::size_of::<(u32, u64)>()
-            + (self.keys[0].capacity() + self.keys[1].capacity()) * std::mem::size_of::<u64>())
-            as u64
+            + (self.keys[0].capacity() + self.keys[1].capacity()) * std::mem::size_of::<u64>()
+            + (self.cand_keys.starts.capacity() + self.cand_keys.block_ends.capacity())
+                * std::mem::size_of::<i64>()) as u64
     }
 
     /// Take the counters accumulated since the last take, leaving zeros
@@ -733,8 +752,31 @@ pub fn count_resolved(
     let mut selected = std::mem::take(&mut scratch.selected);
     selected.clear();
     if !scratch.ctx.is_empty() {
+        let table = target.table();
         let reach = reach_of(select_axis, target, scratch.extent);
-        let cands = target.candidate_entries_in(reach, &mut scratch.stats, &mut scratch.cands);
+        // The sweep reads keys: the table's own over a long reach, or
+        // keys derived into the scratch for a gathered buffer or a
+        // short reach, so a point context derives nothing.
+        let gathered = target.gather_in(reach.clone(), &mut scratch.stats, &mut scratch.cands);
+        let candidates = if gathered || reach.len() <= KEY_BLOCK {
+            let rows = if gathered {
+                &scratch.cands[..]
+            } else {
+                &table.entries[reach]
+            };
+            scratch.cand_keys.fill(rows);
+            count::Candidates {
+                rows,
+                keys: &scratch.cand_keys,
+                reach: 0..rows.len(),
+            }
+        } else {
+            count::Candidates {
+                rows: table.entries,
+                keys: table.keys(),
+                reach,
+            }
+        };
         // The context table is start-sorted across iterations; the
         // sweep takes one iteration at a time, each in start order.
         let iters = (0, counts.len().saturating_sub(1) as u32);
@@ -743,8 +785,8 @@ pub fn count_resolved(
         count::select_counts(
             select_axis,
             &scratch.single,
-            cands,
-            target.table().max_extent,
+            &candidates,
+            table.max_extent,
             budget.as_ref(),
             &mut selected,
         );

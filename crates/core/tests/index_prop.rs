@@ -9,7 +9,7 @@ use std::ops::Range;
 use proptest::prelude::*;
 
 use standoff_core::{Area, Region, RegionEntry, RegionIndex, StandoffConfig};
-use standoff_xml::{DocumentBuilder, NodeKind};
+use standoff_xml::{DocumentBuilder, NewElement, NodeKind};
 
 /// The oracle, by definition: the start-clustered table filtered by
 /// candidate membership, then cut to the reach by position. Shares no
@@ -353,6 +353,80 @@ fn postings_are_derived_once_and_cover_by_borrowing() {
         std::ptr::eq(covering.table.entries, idx.entries()),
         "borrowed"
     );
+}
+
+/// `index.regions_of` — the one-probe node-view lookup — against a
+/// binary search of the stored node ids, for every pre rank of `order`
+/// in that order.
+fn assert_lookups_match(index: &RegionIndex, order: &[u32]) -> Result<(), TestCaseError> {
+    let s = index.storage();
+    for &pre in order {
+        let want: &[Region] = match s.node_ids.binary_search(&pre) {
+            Ok(k) => &s.node_regions[s.node_offsets[k] as usize..s.node_offsets[k + 1] as usize],
+            Err(_) => &[],
+        };
+        prop_assert_eq!(index.regions_of(pre), want, "pre {}", pre);
+        prop_assert_eq!(index.region_count(pre), want.len());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-probe lookup finds what the binary search finds on a
+    /// dense index (every element annotated) and a sparse one (every
+    /// `stride`-th), on its mount, and on its renumbering after retracts
+    /// and appends — for every pre rank in ascending and descending
+    /// order, then drawn in any order: before the first annotated rank,
+    /// past the last, between them, and not annotated.
+    #[test]
+    fn one_probe_lookup_matches_the_binary_search(
+        annotations in annotations_strategy(),
+        stride in 1usize..4,
+        retract in prop::collection::vec(any::<bool>(), 0..120),
+        appended in 0usize..4,
+        probes in prop::collection::vec(any::<u16>(), 0..64),
+    ) {
+        let n = annotations.len() * stride;
+        let mut b = DocumentBuilder::new();
+        b.start_element("d");
+        for _ in 0..n {
+            b.start_element("a");
+            b.end_element();
+        }
+        b.end_element();
+        let doc = b.finish().unwrap();
+        let elements_a = doc.elements_named("a");
+        let pairs: Vec<(u32, Area)> = (annotations.iter().enumerate())
+            .map(|(k, rs)| {
+                let regions = rs.iter().map(|&(s, e)| Region::new(s, e).unwrap());
+                (elements_a[k * stride], Area::try_new(regions.collect()).unwrap())
+            })
+            .collect();
+        let index = RegionIndex::from_areas(&pairs);
+        let mounted = RawIndex::of(&index).mount(&elements(doc.node_count())).unwrap();
+        let dropped: Vec<u32> = (elements_a.iter().zip(&retract))
+            .filter(|(_, &r)| r)
+            .map(|(&pre, _)| pre)
+            .collect();
+        let new = NewElement {
+            name: "a".into(),
+            attrs: Vec::new(),
+        };
+        let (spliced, moved) = doc.splice(&dropped, &vec![new; appended]).unwrap();
+        let added: Vec<(u32, Region)> = (moved.added())
+            .map(|pre| (pre, Region::new(pre as i64, pre as i64 + 3).unwrap()))
+            .collect();
+        let renumbered = index.renumbered(&moved, &added);
+        let last = spliced.node_count().max(doc.node_count()) as u32 + 3;
+        let mut order: Vec<u32> = (0..last).chain((0..last).rev()).collect();
+        order.extend(probes.iter().map(|&p| p as u32 % (last + 5)));
+        order.push(u32::MAX);
+        for index in [&index, &mounted, &renumbered] {
+            assert_lookups_match(index, &order)?;
+        }
+    }
 }
 
 // ---- mount-time revalidation: the entry ↔ node-view bijection ----

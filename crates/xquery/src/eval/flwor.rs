@@ -124,19 +124,23 @@ impl Evaluator<'_> {
             }
         }
 
-        // Ranks for order-by (identity without one).
         let n = self.n_iters();
-        let rank: Vec<u32> = if tail.order_by.is_empty() {
-            (0..n).collect()
-        } else {
-            self.order_by_ranks(tail.order_by)?
+        let rank = match tail.order_by {
+            [] => None,
+            keys => Some(self.order_by_ranks(keys)?),
         };
 
         let body = self.eval(tail.return_clause)?;
 
-        // Map the body back through all frames pushed by this FLWOR,
-        // reordering iterations by rank within each host iteration.
+        // Map the body back through all frames pushed by this FLWOR.
+        // Each maps its iterations monotonically, so without `order by`
+        // relabeling keeps the body's rows in host order.
         let host = self.iters_at(tail.host);
+        let Some(rank) = rank else {
+            debug_assert!(host.is_sorted(), "FLWOR frames map monotonically");
+            return Ok(body.unrestrict(&host));
+        };
+        // With it, iterations reorder by rank within each host iteration.
         let mut order: Vec<u32> = (0..n).collect();
         order.sort_by_key(|&k| (host[k as usize], rank[k as usize], k));
         let mut out = LlSeq::empty();

@@ -93,6 +93,89 @@ fn nested_flwor_with_let_of_sequences() {
     assert_eq!(run(&mut e, q), ["30", "60"]);
 }
 
+/// A FLWOR without `order by` relabels its body's rows into the host
+/// numbering: every case here must read the same optimized, where
+/// loop-invariant bindings are hoisted, and unoptimized.
+fn run_both(e: &mut Engine, q: &str) -> Vec<String> {
+    let optimized = run(e, q);
+    let plain = e.run_unoptimized(q).unwrap().as_strings().to_vec();
+    assert_eq!(optimized, plain, "{q}");
+    optimized
+}
+
+#[test]
+fn nested_flwors_with_where_restrict_their_scopes() {
+    let mut e = Engine::new();
+    let q = r#"
+        for $x in (1, 2, 3, 4)
+        where $x mod 2 = 0
+        return for $y in (10, 20, 30) where $y > $x * 5 return $x + $y"#;
+    assert_eq!(run_both(&mut e, q), ["22", "32", "34"]);
+    let q = r#"
+        for $x in (1, 2, 3)
+        return (for $y in (1, 2, 3) where $y >= $x return $y, "|")"#;
+    assert_eq!(
+        run_both(&mut e, q),
+        ["1", "2", "3", "|", "2", "3", "|", "3", "|"]
+    );
+    // Three levels, the middle one restricted, inside an outer `where`.
+    let q = r#"
+        for $a in (1, 2, 3)
+        where $a != 2
+        return for $b in (1, 2, 3)
+               where $b != $a
+               return for $c in ("x", "y") return concat($a, $b, $c)"#;
+    assert_eq!(
+        run_both(&mut e, q),
+        ["12x", "12y", "13x", "13y", "31x", "31y", "32x", "32y"]
+    );
+}
+
+#[test]
+fn hoisted_bindings_relabel_with_the_body() {
+    let mut e = Engine::new();
+    e.load_document("d.xml", r#"<d><p n="1"/><p n="2"/><p n="3"/></d>"#)
+        .unwrap();
+    let q = r#"for $x in (1, 2, 3) where $x > 1 return count(doc("d.xml")//p) + $x"#;
+    assert!(e.explain(q).unwrap().contains("hoisted"), "{q}");
+    assert_eq!(run_both(&mut e, q), ["5", "6"]);
+    let q = r#"
+        for $x in (1, 2)
+        return for $y in (1, 2, 3)
+               where $y != $x
+               return (doc("d.xml")//p[@n = $y]/@n, count(doc("d.xml")//p))"#;
+    assert_eq!(
+        run_both(&mut e, q),
+        ["2", "3", "3", "3", "1", "3", "3", "3"]
+    );
+}
+
+#[test]
+fn empty_iterations_return_nothing_in_place() {
+    let mut e = Engine::new();
+    let q = r#"for $x in (1, 2, 3, 4) return if ($x mod 2 = 0) then () else ($x, $x * 10)"#;
+    assert_eq!(run_both(&mut e, q), ["1", "10", "3", "30"]);
+    let q = r#"for $x in (1, 2, 3) return for $y in () return $y"#;
+    assert!(run_both(&mut e, q).is_empty());
+    let q = r#"for $x in (1, 2) where $x > 5 return $x"#;
+    assert!(run_both(&mut e, q).is_empty());
+    let q = r#"count(for $x in (1, 2, 3) return ())"#;
+    assert_eq!(run_both(&mut e, q), ["0"]);
+    let q = r#"for $x in (1, 2, 3) return (for $y in (1 to $x) where $y > 1 return $y, "/")"#;
+    assert_eq!(run_both(&mut e, q), ["/", "2", "/", "2", "3", "/"]);
+}
+
+#[test]
+fn order_by_still_reorders_within_each_host_iteration() {
+    let mut e = Engine::new();
+    let q = r#"for $x in (3, 1, 2) order by $x return $x"#;
+    assert_eq!(run_both(&mut e, q), ["1", "2", "3"]);
+    let q = r#"
+        for $g in (1, 2)
+        return for $x in (3, 1, 2) where $x != $g order by $x descending return $g * 10 + $x"#;
+    assert_eq!(run_both(&mut e, q), ["13", "12", "23", "21"]);
+}
+
 #[test]
 fn path_expr_with_function_rhs() {
     let mut e = Engine::new();
