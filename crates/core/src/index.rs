@@ -5,11 +5,13 @@
 //! rank (MonetDB/XQuery's node identifier). Non-contiguous areas repeat
 //! the same id in several entries. A second, node-ordered view supports
 //! context-region fetch and the candidate-sequence intersection that the
-//! element-name index feeds into StandOff steps with name tests. A node
-//! finds its regions in one probe of that view: annotated pre ranks
-//! ascend strictly, so a node's slot is at most its distance from the
-//! first annotated rank — exactly that when the ranks are contiguous
-//! ([`RegionIndex::regions_of`]).
+//! element-name index feeds into StandOff steps with name tests. The
+//! view is a function of the entries: it is derived from them in one
+//! pass wherever an index is built, renumbered or mounted, and never
+//! stored (`NodeView`). A node finds its regions in one probe of
+//! that view: annotated pre ranks ascend strictly, so a node's slot is
+//! at most its distance from the first annotated rank — exactly that
+//! when the ranks are contiguous ([`RegionIndex::regions_of`]).
 //!
 //! A join reads a *reach* of a start-clustered [`Table`] — the slice its
 //! context can contain ([`Table::reach`], [`Table::wide_reach`]). For a
@@ -49,6 +51,19 @@ pub struct RegionEntry {
 }
 
 const _: () = assert!(std::mem::size_of::<RegionEntry>() == 24);
+
+impl RegionEntry {
+    /// The entry's region, in place: `RegionEntry` and [`Region`] are
+    /// both `repr(C)`, and an entry begins with a region's two `i64`s.
+    #[inline]
+    pub fn region(&self) -> &Region {
+        // Safety: `repr(C)` lays `start` and `end` out first in both
+        // types, at the same offsets and with the same alignment, so the
+        // first 16 bytes of an entry are a valid `Region` for as long as
+        // the entry is borrowed.
+        unsafe { &*(self as *const RegionEntry as *const Region) }
+    }
+}
 
 // `repr(C)` gives `RegionEntry` a fixed 24-byte layout (4 trailing
 // padding bytes, written as zeros and never read back), so entry columns
@@ -117,18 +132,27 @@ pub struct RegionIndex {
     /// All region entries, sorted by `(start, end, id)` — the clustering
     /// the merge joins scan.
     entries: PodCol<RegionEntry>,
-    /// Annotated node pre ranks, sorted (document order).
-    node_ids: PodCol<u32>,
-    /// CSR offsets into `node_regions`, parallel to `node_ids` (+1).
-    node_offsets: PodCol<u32>,
-    /// Regions per node, each node's slice sorted by start.
-    node_regions: PodCol<Region>,
+    /// Do the entries' ids ascend? Then entry `k` is the `k`-th
+    /// annotated node's one region.
+    ascending: bool,
+    /// Annotated nodes.
+    annotated: usize,
+    /// The smallest annotated rank, and one past the largest.
+    node_span: (u32, usize),
+    /// The node view, derived from the entries the first time it is
+    /// read — at once for a multi-region index, whose area rules only it
+    /// can check. Never stored.
+    view: OnceLock<NodeView>,
+    /// The annotated ranks as one column, for a view that does not hold
+    /// them ([`NodeView::Entries`]): built by the first
+    /// [`RegionIndex::annotated_nodes`].
+    ids: OnceLock<Vec<u32>>,
     /// Largest region count of any single annotation (1 ⇒ the fast
     /// single-region post-processing path applies).
     max_regions: u32,
-    /// An upper bound on `end − start` over the entries, derived where
-    /// the index is built, renumbered or mounted and never stored: the
-    /// loop-lifted wide join's reach ([`RegionIndex::wide_reach`]).
+    /// The largest `end − start` over the entries, derived with the node
+    /// view: the loop-lifted wide join's reach
+    /// ([`RegionIndex::wide_reach`]).
     max_extent: i64,
     /// One slot per element name of the indexed document, holding the
     /// name's posting once a join has derived it
@@ -140,35 +164,41 @@ pub struct RegionIndex {
     keys: OnceLock<Keys>,
 }
 
+/// The node-ordered view of an index: the annotated pre ranks,
+/// ascending, and where each one's regions are — as little as the
+/// entries leave to store.
+#[derive(Clone, Debug)]
+enum NodeView {
+    /// The entries' ids ascend, so start order is node order: node `k`
+    /// is entry `k`'s id, and that entry is its one region.
+    Entries,
+    /// Node `k` is `ids[k]`, its one region `regions[k]`.
+    One { ids: Vec<u32>, regions: Vec<Region> },
+    /// Node `k` is `ids[k]`, its regions `regions[offsets[k]..offsets[k +
+    /// 1]]`, sorted by start.
+    Areas {
+        ids: Vec<u32>,
+        offsets: Vec<u32>,
+        regions: Vec<Region>,
+    },
+}
+
 /// Borrowed raw columns of a [`RegionIndex`] — the snapshot writer's
-/// view of the index (each slice is dumped as one aligned section).
+/// view of the index: the entries (dumped as one aligned section) and
+/// the max-regions statistic. The node view is derived, never stored.
 pub struct RegionIndexStorage<'a> {
     pub entries: &'a [RegionEntry],
-    pub node_ids: &'a [u32],
-    pub node_offsets: &'a [u32],
-    pub node_regions: &'a [Region],
     pub max_regions: u32,
 }
 
 /// Accumulates `(pre, area)` pushes, then finalizes into the clustered
-/// column form (the build-time backend; mounts skip this entirely).
+/// column form (the build-time backend).
 #[derive(Default)]
 struct IndexAccum {
     entries: Vec<RegionEntry>,
-    node_ids: Vec<u32>,
-    node_offsets: Vec<u32>,
-    node_regions: Vec<Region>,
-    max_regions: u32,
 }
 
 impl IndexAccum {
-    fn new() -> IndexAccum {
-        IndexAccum {
-            node_offsets: vec![0],
-            ..Default::default()
-        }
-    }
-
     fn push_area(&mut self, pre: u32, area: &Area) {
         for r in area.regions() {
             self.entries.push(RegionEntry {
@@ -176,26 +206,16 @@ impl IndexAccum {
                 end: r.end,
                 id: pre,
             });
-            self.node_regions.push(*r);
         }
-        self.node_ids.push(pre);
-        self.node_offsets.push(self.node_regions.len() as u32);
-        self.max_regions = self.max_regions.max(area.region_count() as u32);
     }
 
-    fn finish(mut self) -> RegionIndex {
-        self.entries.sort_by_key(|e| (e.start, e.end, e.id));
-        let max_extent = max_extent(&self.entries);
-        RegionIndex {
-            entries: self.entries.into(),
-            node_ids: self.node_ids.into(),
-            node_offsets: self.node_offsets.into(),
-            node_regions: self.node_regions.into(),
-            max_regions: self.max_regions,
-            max_extent,
-            postings: OnceLock::new(),
-            keys: OnceLock::new(),
-        }
+    /// Cluster the entries and derive the node view from them, the way
+    /// a mount does.
+    fn finish(mut self, kinds: Option<&[u8]>) -> RegionIndex {
+        self.entries
+            .sort_unstable_by_key(|e| (e.start, e.end, e.id));
+        RegionIndex::derive(self.entries.into(), None, kinds)
+            .expect("pushed areas are valid annotations of elements")
     }
 }
 
@@ -203,7 +223,7 @@ impl RegionIndex {
     /// Build the index for one document under a configuration.
     pub fn build(doc: &Document, config: &StandoffConfig) -> Result<RegionIndex, StandoffError> {
         config.validate()?;
-        let mut accum = IndexAccum::new();
+        let mut accum = IndexAccum::default();
         for pre in 0..doc.node_count() as u32 {
             if doc.kind(pre) != NodeKind::Element {
                 continue;
@@ -212,7 +232,7 @@ impl RegionIndex {
                 accum.push_area(pre, &area);
             }
         }
-        Ok(accum.finish())
+        Ok(accum.finish(Some(doc.kinds())))
     }
 
     /// The index of [`Document::splice`]'s copy of this index's document,
@@ -220,47 +240,19 @@ impl RegionIndex {
     /// the kept ones move with their nodes, and `added` — single-region
     /// annotations on the appended elements, ascending — join them. It
     /// is what [`RegionIndex::build`] makes of the copy, since a splice
-    /// appends after every element of the document: the node view is
-    /// copied run by run, the clustered column is renumbered in one pass
-    /// with the added entries merged in. The extent bound only grows
-    /// with the added regions: a dropped annotation may leave it high,
-    /// which keeps the wide reach exact, only wider.
+    /// appends after every element of the document: the clustered column
+    /// is renumbered in one pass with the added entries merged in, and
+    /// the node view is derived from it as a mount derives it.
     pub fn renumbered(&self, moved: &Renumbering, added: &[(u32, Region)]) -> RegionIndex {
-        let mut node_ids = Vec::with_capacity(self.node_ids.len() + added.len());
-        let mut node_offsets = Vec::with_capacity(self.node_offsets.len() + added.len());
-        let mut node_regions = Vec::with_capacity(self.node_regions.len() + added.len());
-        node_offsets.push(0);
-        let mut max_regions = 0;
-        for (old, to) in moved.runs() {
-            let lo = self.node_ids.partition_point(|&id| id < old.start);
-            let hi = self.node_ids.partition_point(|&id| id < old.end);
-            if lo == hi {
-                continue;
-            }
-            node_ids.extend(self.node_ids[lo..hi].iter().map(|&id| id - old.start + to));
-            let offsets = &self.node_offsets[lo..=hi];
-            let base = node_regions.len() as u32;
-            node_offsets.extend(offsets[1..].iter().map(|&o| o - offsets[0] + base));
-            max_regions = (offsets.windows(2)).fold(max_regions, |m, w| m.max(w[1] - w[0]));
-            node_regions.extend_from_slice(
-                &self.node_regions[offsets[0] as usize..offsets[hi - lo] as usize],
-            );
-        }
-        let mut fresh: Vec<RegionEntry> = Vec::with_capacity(added.len());
-        for &(id, r) in added {
-            debug_assert!(node_ids.last().is_none_or(|&last| last < id));
-            node_regions.push(r);
-            node_ids.push(id);
-            node_offsets.push(node_regions.len() as u32);
-            max_regions = max_regions.max(1);
-            fresh.push(RegionEntry {
+        let mut fresh: Vec<RegionEntry> = (added.iter())
+            .map(|&(id, r)| RegionEntry {
                 start: r.start,
                 end: r.end,
                 id,
-            });
-        }
+            })
+            .collect();
+        debug_assert!(fresh.windows(2).all(|w| w[0].id < w[1].id));
         fresh.sort_unstable_by_key(|e| (e.start, e.end, e.id));
-        let max_extent = self.max_extent.max(max_extent(&fresh));
         // Each added entry follows every kept one with its region or a
         // smaller one; the kept stretches in between are renumbered.
         let mut entries = Vec::with_capacity(self.entries.len() + added.len());
@@ -279,27 +271,19 @@ impl RegionIndex {
             from = upto;
         }
         keep(&mut entries, &self.entries[from..]);
-        RegionIndex {
-            entries: entries.into(),
-            node_ids: node_ids.into(),
-            node_offsets: node_offsets.into(),
-            node_regions: node_regions.into(),
-            max_regions,
-            max_extent,
-            postings: OnceLock::new(),
-            keys: OnceLock::new(),
-        }
+        RegionIndex::derive(entries.into(), None, None)
+            .expect("a renumbering keeps the index well-formed")
     }
 
     /// Build directly from `(pre, area)` pairs (synthetic workloads and
     /// tests). Pairs must be in ascending pre order.
     pub fn from_areas(pairs: &[(u32, Area)]) -> RegionIndex {
-        let mut accum = IndexAccum::new();
+        debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut accum = IndexAccum::default();
         for (pre, area) in pairs {
-            debug_assert!(accum.node_ids.last().is_none_or(|&last| last < *pre));
             accum.push_area(*pre, area);
         }
-        accum.finish()
+        accum.finish(None)
     }
 
     /// All entries, clustered on start.
@@ -320,9 +304,61 @@ impl RegionIndex {
     }
 
     /// Annotated node pre ranks in document order.
-    #[inline]
     pub fn annotated_nodes(&self) -> &[u32] {
-        &self.node_ids
+        match self.view() {
+            NodeView::One { ids, .. } | NodeView::Areas { ids, .. } => ids,
+            NodeView::Entries => self
+                .ids
+                .get_or_init(|| self.entries.iter().map(|e| e.id).collect()),
+        }
+    }
+
+    /// Are `sorted_node_pres` exactly the annotated nodes? Asked of the
+    /// entries themselves when their ids ascend, so no view is derived
+    /// for it.
+    pub fn covers(&self, sorted_node_pres: &[u32]) -> bool {
+        if sorted_node_pres.len() != self.annotated {
+            return false;
+        }
+        if self.ascending {
+            return (self.entries.iter().zip(sorted_node_pres)).all(|(e, &pre)| e.id == pre);
+        }
+        sorted_node_pres == self.annotated_nodes()
+    }
+
+    /// The node view, derived on first use.
+    #[inline]
+    fn view(&self) -> &NodeView {
+        self.view.get_or_init(|| {
+            if self.ascending {
+                return NodeView::Entries;
+            }
+            let (first, bound) = self.node_span;
+            if self.max_regions == 1 && bound - first as usize == self.entries.len() {
+                // Distinct ids filling their span: each entry's slot is
+                // its id's distance from the first, so no count per rank.
+                let mut regions = vec![Region { start: 0, end: 0 }; self.entries.len()];
+                for e in self.entries.iter() {
+                    regions[(e.id - first) as usize] = *e.region();
+                }
+                let ids = (first..bound as u32).collect();
+                return NodeView::One { ids, regions };
+            }
+            let derived = node_view(&self.entries, bound);
+            derived.expect("the entries were checked").view
+        })
+    }
+
+    /// The slot of `pre` in `view`, this index's, searched from `from`: a
+    /// previous answer, or 0.
+    #[inline]
+    fn slot_of(&self, view: &NodeView, from: usize, pre: u32) -> Option<usize> {
+        match view {
+            NodeView::Entries => seek(&self.entries, |e| e.id, from, pre),
+            NodeView::One { ids, .. } | NodeView::Areas { ids, .. } => {
+                seek(ids, |&id| id, from, pre)
+            }
+        }
     }
 
     /// Largest per-annotation region count.
@@ -331,9 +367,7 @@ impl RegionIndex {
         self.max_regions
     }
 
-    /// An upper bound on any entry's `end − start` (0 for an empty
-    /// index): exact after a build or a mount, possibly high after a
-    /// [`RegionIndex::renumbered`] that dropped the widest entry.
+    /// The largest `end − start` of any entry (0 for an empty index).
     #[inline]
     pub fn max_extent(&self) -> i64 {
         self.max_extent
@@ -344,7 +378,7 @@ impl RegionIndex {
         IndexStats {
             indexes: 1,
             entries: self.entries.len() as u64,
-            annotated: self.node_ids.len() as u64,
+            annotated: self.annotated as u64,
             max_regions: self.max_regions,
         }
     }
@@ -356,16 +390,23 @@ impl RegionIndex {
     /// annotated.
     #[inline]
     pub fn regions_of(&self, pre: u32) -> &[Region] {
-        match seek(&self.node_ids, 0, pre) {
-            Some(k) => self.regions_at(k),
+        let view = self.view();
+        match self.slot_of(view, 0, pre) {
+            Some(k) => self.regions_at(view, k),
             None => &[],
         }
     }
 
-    /// The regions of the `k`-th annotated node.
+    /// The regions of the `k`-th annotated node of `view`, this index's.
     #[inline]
-    fn regions_at(&self, k: usize) -> &[Region] {
-        &self.node_regions[self.node_offsets[k] as usize..self.node_offsets[k + 1] as usize]
+    fn regions_at<'a>(&'a self, view: &'a NodeView, k: usize) -> &'a [Region] {
+        match view {
+            NodeView::Entries => std::slice::from_ref(self.entries[k].region()),
+            NodeView::One { regions, .. } => std::slice::from_ref(&regions[k]),
+            NodeView::Areas {
+                offsets, regions, ..
+            } => &regions[offsets[k] as usize..offsets[k + 1] as usize],
+        }
     }
 
     /// The entries carrying exactly the region `[start, end]`: the equal
@@ -438,7 +479,7 @@ impl RegionIndex {
     /// every annotated node copy the table, any others are gathered
     /// through the node view ([`RegionIndex::gather_candidates`]).
     pub fn candidates_for(&self, sorted_node_pres: &[u32]) -> Vec<RegionEntry> {
-        if sorted_node_pres == &self.node_ids[..] {
+        if self.covers(sorted_node_pres) {
             return self.entries.to_vec();
         }
         let mut out = Vec::new();
@@ -488,19 +529,19 @@ impl RegionIndex {
         let mut sorted = true;
         let mut prev = (i64::MIN, i64::MIN, 0u32);
         let (mut slot, mut annotated) = (0, 0);
+        let view = self.view();
         for (k, &pre) in sorted_node_pres.iter().enumerate() {
             if k % POLL_BLOCK == 0 {
                 if let Some(why) = budget.and_then(Budget::poll) {
                     return Err(why);
                 }
             }
-            slot = crate::join::merge::gallop(&self.node_ids, slot, |&id| id < pre);
-            if self.node_ids.get(slot) != Some(&pre) {
+            let Some(found) = self.slot_of(view, slot, pre) else {
                 continue;
-            }
+            };
+            slot = found;
             annotated += 1;
-            let regions = self.node_offsets[slot] as usize..self.node_offsets[slot + 1] as usize;
-            for r in &self.node_regions[regions] {
+            for r in self.regions_at(view, slot) {
                 if r.start < from || r.start > to {
                     continue;
                 }
@@ -573,7 +614,7 @@ impl RegionIndex {
             NamePosting::Covering => Posting {
                 table: self.table(),
                 covering: true,
-                annotated: self.node_ids.len(),
+                annotated: self.annotated,
             },
             NamePosting::Entries {
                 entries,
@@ -598,7 +639,7 @@ impl RegionIndex {
         nodes: &[u32],
         budget: Option<&Budget>,
     ) -> Result<NamePosting, BudgetExceeded> {
-        if nodes == &self.node_ids[..] {
+        if self.covers(nodes) {
             return Ok(NamePosting::Covering);
         }
         let mut entries = Vec::new();
@@ -621,94 +662,88 @@ impl RegionIndex {
         }
     }
 
-    /// Assemble an index from raw (possibly buffer-backed) columns,
-    /// re-validating **every** structural invariant: clustering order,
-    /// node/CSR consistency, per-annotation region validity (the §3.1
-    /// area constraints, checked without allocating), the stored
-    /// max-regions statistic, the entry ↔ node-view bijection, and that
-    /// every annotated node is an element. This is the single trust
+    /// Assemble an index from its (possibly buffer-backed) entry column
+    /// and stored max-regions statistic, deriving the node view in one
+    /// pass and re-validating **every** structural invariant as it goes:
+    /// clustering order, `start ≤ end`, annotated ids inside the document
+    /// and naming elements, the §3.1 area rules of every multi-region
+    /// annotation, and the statistic itself. This is the single trust
     /// boundary of the snapshot mount — mounted indexes are used as-is by
     /// the join executor (whose post-filter elision relies on join
-    /// outputs being elements), never re-checked downstream.
+    /// outputs being elements), never re-checked downstream. Strictly
+    /// clustered entries are unique, so no annotation names one region
+    /// twice.
     ///
     /// `kinds` is the already validated node-kind column of the document
-    /// the index describes (one [`NodeKind`] byte per node): annotated ids
-    /// at or beyond its length are rejected before any is used as an
-    /// index. Nothing is allocated: one fold per node-view column, then
-    /// one walk over the entries, which reads the regions.
+    /// the index describes (one [`NodeKind`] byte per node): an annotated
+    /// id at or beyond its length is rejected before any is used as an
+    /// index.
     pub fn from_storage(
         entries: PodCol<RegionEntry>,
-        node_ids: PodCol<u32>,
-        node_offsets: PodCol<u32>,
-        node_regions: PodCol<Region>,
         max_regions: u32,
         kinds: &[u8],
     ) -> io::Result<RegionIndex> {
-        let key = |e: &RegionEntry| (e.start, e.end, e.id);
-        // A failure is named by the first broken invariant in the order
-        // documented above, so an unclustered table is named as such.
-        let clustering = || index_data_err("entries not clustered on (start, end, id)");
-        let named = |failure: io::Error| {
-            if entries.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
-                failure
-            } else {
-                clustering()
+        RegionIndex::derive(entries, Some(max_regions), Some(kinds))
+    }
+
+    /// The one derivation of the node view from clustered entries, for
+    /// build, renumbering and mount alike: one walk over the entries
+    /// checks them and finds whether their ids ascend — then the view is
+    /// the entries themselves. Otherwise a bit per rank shows whether an
+    /// id repeats; only then — or when `stored` claims more than one
+    /// region per node — is the view derived at once (by a count per
+    /// rank that places every region in its node's slot), to check the
+    /// areas and count the regions, and else on first use. A failure is
+    /// named by the first broken rule in the order
+    /// [`RegionIndex::from_storage`] lists them; `stored`, when given, is
+    /// the max-regions statistic the result must reproduce, and `kinds`,
+    /// when given, the node kinds every id must name an element in.
+    fn derive(
+        entries: PodCol<RegionEntry>,
+        stored: Option<u32>,
+        kinds: Option<&[u8]>,
+    ) -> io::Result<RegionIndex> {
+        let node_count = kinds.map_or(usize::MAX, <[u8]>::len);
+        // One branch-free pass: each entry against its predecessor, its
+        // own region and id, and the kind of the node it names.
+        let e: &[RegionEntry] = &entries;
+        let element = NodeKind::Element as u8;
+        let mut walk = Walk::default();
+        let mut prev: Option<RegionEntry> = None;
+        for e in e {
+            if let Some(a) = prev {
+                walk.sorted &= (a.start < e.start)
+                    | ((a.start == e.start)
+                        & ((a.end < e.end) | ((a.end == e.end) & (a.id < e.id))));
+                walk.ascending &= a.id < e.id;
             }
-        };
-        check_node_view(
-            &node_ids,
-            &node_offsets,
-            &node_regions,
-            max_regions,
-            entries.len(),
-            kinds.len(),
-        )
-        .map_err(named)?;
-        // The entries, in one walk: clustering, start ≤ end, membership
-        // and kinds. Strictly clustered entries are unique, and a member
-        // maps to the one node-view region equal to it, so no two entries
-        // share a region; with equal counts that closes the bijection,
-        // and every region is as well-formed as the entry equal to it.
-        // Each entry's node is found from the previous entry's ([`seek`]);
-        // with one region per node the checked offsets, strictly
-        // increasing from 0 in steps of at most one, are the identity, so
-        // the node's slot is its region's.
-        let single = max_regions == 1;
-        let (mut sorted, mut ordered, mut elements) = (true, true, true);
-        let mut prev = None;
-        let mut slot = 0;
-        let mut max_extent = 0;
-        for e in entries.iter() {
-            sorted &= prev < Some(key(e));
-            prev = Some(key(e));
-            ordered &= e.start <= e.end;
-            max_extent = max_extent.max(e.end.saturating_sub(e.start));
-            let region = Region {
-                start: e.start,
-                end: e.end,
-            };
-            let member = seek(&node_ids, slot, e.id).is_some_and(|at| {
-                slot = at;
-                if single {
-                    return node_regions[at] == region;
-                }
-                let regions =
-                    &node_regions[node_offsets[at] as usize..node_offsets[at + 1] as usize];
-                regions
-                    .binary_search_by_key(&e.start, |r| r.start)
-                    .is_ok_and(|k| regions[k] == region)
-            });
-            if !member {
-                let failure = index_data_err("entry has no matching node-view region");
-                return Err(named(after_regions(&node_regions, failure)));
+            walk.ordered &= e.start <= e.end;
+            walk.max_extent = walk.max_extent.max(e.end.saturating_sub(e.start));
+            (walk.min_id, walk.max_id) = (walk.min_id.min(e.id), walk.max_id.max(e.id));
+            if let Some(kinds) = kinds {
+                walk.elements &= kinds.get(e.id as usize) == Some(&element);
             }
-            elements &= kinds[e.id as usize] == NodeKind::Element as u8;
+            prev = Some(*e);
         }
+        let Walk {
+            sorted,
+            ascending,
+            ordered,
+            elements,
+            max_extent,
+            min_id,
+            max_id,
+        } = walk;
+        let inside = e.is_empty() || (max_id as usize) < node_count;
+        let elements = elements || !inside;
         if !sorted {
-            return Err(clustering());
+            return Err(index_data_err("entries not clustered on (start, end, id)"));
         }
         if !ordered {
             return Err(index_data_err("bad region: start > end"));
+        }
+        if !inside {
+            return Err(index_data_err("references nodes beyond the document"));
         }
         if !elements {
             return Err(io::Error::new(
@@ -716,11 +751,30 @@ impl RegionIndex {
                 "region index annotates a non-element node",
             ));
         }
+        let node_span = match e.is_empty() {
+            true => (0, 0),
+            false => (min_id, max_id as usize + 1),
+        };
+        let node_bound = node_span.1;
+        let view = OnceLock::new();
+        let single = ascending || (stored.is_none_or(|m| m <= 1) && distinct_ids(e, node_bound));
+        let (annotated, max_regions) = if single {
+            (e.len(), u32::from(!e.is_empty()))
+        } else {
+            let derived = node_view(e, node_bound)?;
+            let _ = view.set(derived.view);
+            (derived.annotated, derived.max_regions)
+        };
+        if stored.is_some_and(|stored| stored != max_regions) {
+            return Err(index_data_err("stored max-regions is inconsistent"));
+        }
         Ok(RegionIndex {
             entries,
-            node_ids,
-            node_offsets,
-            node_regions,
+            ascending,
+            annotated,
+            node_span,
+            view,
+            ids: OnceLock::new(),
             max_regions,
             max_extent,
             postings: OnceLock::new(),
@@ -732,18 +786,15 @@ impl RegionIndex {
     pub fn storage(&self) -> RegionIndexStorage<'_> {
         RegionIndexStorage {
             entries: &self.entries,
-            node_ids: &self.node_ids,
-            node_offsets: &self.node_offsets,
-            node_regions: &self.node_regions,
             max_regions: self.max_regions,
         }
     }
 
-    /// Are the bulk columns zero-copy views over a mounted snapshot
+    /// Is the entry column a zero-copy view over a mounted snapshot
     /// buffer? Benches and tests use this to assert the mount path
     /// actually mounted.
     pub fn is_mounted(&self) -> bool {
-        self.entries.is_view() && self.node_regions.is_view()
+        self.entries.is_view()
     }
 }
 
@@ -874,96 +925,136 @@ impl NamePosting {
     }
 }
 
-/// The node view's checks in the order [`RegionIndex::from_storage`]
-/// documents them, each a branch-free pass over one column: ascending
-/// ids inside the document, a CSR of non-empty runs from 0 covering
-/// every entry, each node's area valid (§3.1: sorted by start, neither
-/// overlapping nor touching — only nodes with two or more regions have
-/// an area to check), and the true max-regions statistic. Regions with
-/// start > end are left to the entry walk ([`after_regions`]).
-fn check_node_view(
-    node_ids: &[u32],
-    node_offsets: &[u32],
-    node_regions: &[Region],
-    max_regions: u32,
-    entries: usize,
-    node_count: usize,
-) -> io::Result<()> {
-    if !node_ids.windows(2).fold(true, |ok, w| ok & (w[0] < w[1])) {
-        return Err(index_data_err("node ids not strictly ascending"));
+/// The node view of checked, clustered entries whose ids, all below
+/// `node_bound`, do not ascend: a count per rank, turned into each
+/// annotated node's slot, then every entry's region placed into its
+/// node's run — in start order, since the entries are. Each run of two
+/// or more regions must be a §3.1 area: sorted by start, neither
+/// overlapping nor touching.
+fn node_view(entries: &[RegionEntry], node_bound: usize) -> io::Result<Derived> {
+    let mut slot = vec![0u32; node_bound];
+    for e in entries {
+        slot[e.id as usize] += 1;
     }
-    if node_ids.last().is_some_and(|&id| id as usize >= node_count) {
-        return Err(index_data_err("references nodes beyond the document"));
-    }
-    if node_offsets.len() != node_ids.len() + 1 {
-        return Err(index_data_err("region CSR length mismatch"));
-    }
-    // Strictly increasing: every annotated node has ≥ 1 region.
-    let (increasing, found_max) = node_offsets
-        .windows(2)
-        .fold((node_offsets[0] == 0, 0u32), |(ok, max), w| {
-            (ok & (w[0] < w[1]), max.max(w[1].wrapping_sub(w[0])))
-        });
-    if !increasing {
-        return Err(index_data_err("region CSR offsets not increasing from 0"));
-    }
-    if *node_offsets.last().unwrap() as usize != entries || node_regions.len() != entries {
-        return Err(index_data_err("entry count disagrees with region CSR"));
-    }
-    // A node with one region has no area to check.
-    if found_max > 1 {
-        for (k, run) in node_offsets.windows(2).enumerate() {
-            let area = &node_regions[run[0] as usize..run[1] as usize];
-            if !area.windows(2).all(|w| w[0].start < w[1].start) {
-                let failure = index_data_err("node regions not sorted by start");
-                return Err(after_regions(node_regions, failure));
-            }
-            if !area
-                .windows(2)
-                .all(|w| w[1].start > w[0].end.saturating_add(1))
-            {
-                let failure = index_data_err(&format!(
-                    "node {} regions invalid: regions overlap or touch",
-                    node_ids[k]
-                ));
-                return Err(after_regions(node_regions, failure));
+    let max_regions = slot.iter().fold(0, |m, &c| m.max(c));
+    let mut ids = Vec::with_capacity(entries.len());
+    let mut regions = vec![Region { start: 0, end: 0 }; entries.len()];
+    if max_regions == 1 {
+        // One region per node: slot `k` of the `k`-th annotated rank.
+        for (pre, at) in slot.iter_mut().enumerate() {
+            if *at > 0 {
+                *at = ids.len() as u32;
+                ids.push(pre as u32);
             }
         }
+        for e in entries {
+            regions[slot[e.id as usize] as usize] = *e.region();
+        }
+        return Ok(Derived {
+            annotated: ids.len(),
+            view: NodeView::One { ids, regions },
+            max_regions,
+        });
     }
-    if max_regions != found_max {
-        let failure = index_data_err("stored max-regions is inconsistent");
-        return Err(after_regions(node_regions, failure));
+    let mut offsets = Vec::with_capacity(entries.len() + 1);
+    offsets.push(0u32);
+    for (pre, count) in slot.iter_mut().enumerate() {
+        if *count > 0 {
+            ids.push(pre as u32);
+            let at = *offsets.last().expect("starts at 0");
+            offsets.push(at + *count);
+            *count = at;
+        }
     }
-    Ok(())
+    // `slot[id]` is now the next free position of node `id`'s run.
+    for e in entries {
+        let at = &mut slot[e.id as usize];
+        regions[*at as usize] = *e.region();
+        *at += 1;
+    }
+    for (k, run) in offsets.windows(2).enumerate() {
+        let area = &regions[run[0] as usize..run[1] as usize];
+        if !area
+            .windows(2)
+            .all(|w| w[1].start > w[0].end.saturating_add(1))
+        {
+            return Err(index_data_err(&format!(
+                "node {} regions invalid: regions overlap or touch",
+                ids[k]
+            )));
+        }
+    }
+    Ok(Derived {
+        annotated: ids.len(),
+        view: NodeView::Areas {
+            ids,
+            offsets,
+            regions,
+        },
+        max_regions,
+    })
 }
 
-/// `failure`, unless a region has start > end, which the documented
-/// order names first. Asked only on a failure: on success the entry
-/// walk has checked every entry, and every region equals one of them.
-#[cold]
-fn after_regions(node_regions: &[Region], failure: io::Error) -> io::Error {
-    if node_regions.iter().any(|r| r.start > r.end) {
-        index_data_err("bad region: start > end")
-    } else {
-        failure
+/// What one walk over the entries found ([`RegionIndex::derive`]).
+struct Walk {
+    sorted: bool,
+    ascending: bool,
+    ordered: bool,
+    elements: bool,
+    max_extent: i64,
+    min_id: u32,
+    max_id: u32,
+}
+
+impl Default for Walk {
+    fn default() -> Walk {
+        Walk {
+            sorted: true,
+            ascending: true,
+            ordered: true,
+            elements: true,
+            max_extent: 0,
+            min_id: u32::MAX,
+            max_id: 0,
+        }
     }
 }
 
-/// The slot of `id` in the ascending `ids`, if there is one, searched
+/// A derived node view, its node count and the largest region count
+/// it found.
+struct Derived {
+    view: NodeView,
+    annotated: usize,
+    max_regions: u32,
+}
+
+/// Do the ids of `entries`, all below `node_bound`, differ pairwise? One
+/// bit per rank, so a mount checks it in an eighth of a byte per node.
+fn distinct_ids(entries: &[RegionEntry], node_bound: usize) -> bool {
+    let mut seen = vec![0u64; node_bound.div_ceil(64)];
+    entries.iter().fold(true, |fresh, e| {
+        let (word, bit) = (e.id as usize / 64, 1u64 << (e.id % 64));
+        let first = seen[word] & bit == 0;
+        seen[word] |= bit;
+        fresh & first
+    })
+}
+
+/// The slot of `id` among the ascending `key`s of `ids`, if there is one, searched
 /// from `from`: a previous answer, or 0. Ids ascend strictly, so the
 /// slot lies at most `|id − ids[from]|` slots away — exactly that far
 /// when every id in between is annotated, the common case, which costs
 /// one probe and no unpredictable branch. Otherwise a binary search of
 /// that bracket.
-fn seek(ids: &[u32], from: usize, id: u32) -> Option<usize> {
-    let &at = ids.get(from)?;
+fn seek<T>(ids: &[T], key: impl Fn(&T) -> u32, from: usize, id: u32) -> Option<usize> {
+    let at = key(ids.get(from)?);
     let dense = (from as i64 + id as i64 - at as i64).clamp(0, ids.len() as i64 - 1) as usize;
-    if ids[dense] == id {
+    if key(&ids[dense]) == id {
         return Some(dense);
     }
     let bracket = if id > at { from..dense } else { dense..from };
-    let k = bracket.start + ids[bracket].partition_point(|&x| x < id);
-    (ids[k] == id).then_some(k)
+    let k = bracket.start + ids[bracket].partition_point(|x| key(x) < id);
+    (key(&ids[k]) == id).then_some(k)
 }
 
 /// The largest `end − start` among `entries` (0 when there are none),
@@ -1044,10 +1135,10 @@ mod tests {
     fn one_probe_lookups_match_the_binary_search() {
         let (doc, idx) = figure1_index();
         for pre in 0..doc.node_count() as u32 + 3 {
-            let want = match idx.annotated_nodes().binary_search(&pre) {
-                Ok(k) => idx.storage().node_regions[k..=k].to_vec(),
-                Err(_) => Vec::new(),
-            };
+            let want: Vec<Region> = (idx.entries().iter())
+                .filter(|e| e.id == pre)
+                .map(|e| *e.region())
+                .collect();
             assert_eq!(idx.regions_of(pre), want, "{pre}");
         }
         assert!(RegionIndex::default().regions_of(0).is_empty());
@@ -1231,9 +1322,8 @@ mod tests {
     }
 
     /// The wide reach widens the extent left by the largest entry
-    /// extent — exact after a build or a mount, kept (high, never low)
-    /// when a splice drops the widest entry, raised when one adds a
-    /// wider one.
+    /// extent — exact after a build, a mount and a splice, which drops
+    /// it with the widest entry and raises it with a wider one.
     #[test]
     fn wide_reach_widens_by_the_largest_extent() {
         let (doc, idx) = figure1_index(); // starts 0, 0, 8, 52, 64; widest 8..64
@@ -1247,21 +1337,14 @@ mod tests {
 
         let s = idx.storage();
         let kinds = vec![NodeKind::Element as u8; doc.node_count()];
-        let mounted = RegionIndex::from_storage(
-            s.entries.to_vec().into(),
-            s.node_ids.to_vec().into(),
-            s.node_offsets.to_vec().into(),
-            s.node_regions.to_vec().into(),
-            s.max_regions,
-            &kinds,
-        )
-        .unwrap();
+        let mounted =
+            RegionIndex::from_storage(s.entries.to_vec().into(), s.max_regions, &kinds).unwrap();
         assert_eq!(mounted.max_extent(), 56);
 
         let interview = doc.elements_named("shot")[1];
         let (_, moved) = doc.splice(&[interview], &[]).unwrap();
         let dropped = idx.renumbered(&moved, &[]);
-        assert_eq!((dropped.len(), dropped.max_extent()), (4, 56));
+        assert_eq!((dropped.len(), dropped.max_extent()), (4, 42));
         let shot = standoff_xml::NewElement {
             name: "shot".into(),
             attrs: Vec::new(),

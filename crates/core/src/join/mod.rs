@@ -336,7 +336,7 @@ impl<'a> JoinTarget<'a> {
         stats.candidate_reach_entries += reach.len() as u64;
         match (self.posting, self.candidates) {
             (Some(p), _) if !p.covering => stats.candidate_posting += 1,
-            (None, Some(nodes)) if nodes != self.index.annotated_nodes() => {
+            (None, Some(nodes)) if !self.index.covers(nodes) => {
                 stats.candidate_node_view += 1;
                 self.index.gather_candidates(nodes, reach, buf);
                 return true;

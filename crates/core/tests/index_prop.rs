@@ -205,7 +205,7 @@ proptest! {
         let widest = entries.iter().map(|e| e.end - e.start).max().unwrap_or(0);
         prop_assert_eq!(index.max_extent(), widest);
         let kinds = elements(pres.last().map_or(0, |&p| p as usize + 1));
-        prop_assert_eq!(RawIndex::of(&index).mount(&kinds).unwrap().max_extent(), widest);
+        prop_assert_eq!(mount(&index, &kinds).unwrap().max_extent(), widest);
     }
 
     /// Unknown nodes have no regions; annotated nodes are reported in
@@ -355,17 +355,15 @@ fn postings_are_derived_once_and_cover_by_borrowing() {
     );
 }
 
-/// `index.regions_of` — the one-probe node-view lookup — against a
-/// binary search of the stored node ids, for every pre rank of `order`
-/// in that order.
+/// `index.regions_of` — the one-probe node-view lookup — against the
+/// entries carrying each pre rank of `order`, in that order.
 fn assert_lookups_match(index: &RegionIndex, order: &[u32]) -> Result<(), TestCaseError> {
-    let s = index.storage();
     for &pre in order {
-        let want: &[Region] = match s.node_ids.binary_search(&pre) {
-            Ok(k) => &s.node_regions[s.node_offsets[k] as usize..s.node_offsets[k + 1] as usize],
-            Err(_) => &[],
-        };
-        prop_assert_eq!(index.regions_of(pre), want, "pre {}", pre);
+        let want: Vec<Region> = (index.entries().iter())
+            .filter(|e| e.id == pre)
+            .map(|e| *e.region())
+            .collect();
+        prop_assert_eq!(index.regions_of(pre), &want[..], "pre {}", pre);
         prop_assert_eq!(index.region_count(pre), want.len());
     }
     Ok(())
@@ -405,7 +403,7 @@ proptest! {
             })
             .collect();
         let index = RegionIndex::from_areas(&pairs);
-        let mounted = RawIndex::of(&index).mount(&elements(doc.node_count())).unwrap();
+        let mounted = mount(&index, &elements(doc.node_count())).unwrap();
         let dropped: Vec<u32> = (elements_a.iter().zip(&retract))
             .filter(|(_, &r)| r)
             .map(|(&pre, _)| pre)
@@ -429,45 +427,13 @@ proptest! {
     }
 }
 
-// ---- mount-time revalidation: the entry ↔ node-view bijection ----
+// ---- mount-time derivation of the node view ----
 
-/// The raw columns `RegionIndex::from_storage` takes, owned so a test
-/// can damage them.
-#[derive(Clone, Debug)]
-struct RawIndex {
-    entries: Vec<RegionEntry>,
-    node_ids: Vec<u32>,
-    node_offsets: Vec<u32>,
-    node_regions: Vec<Region>,
-    max_regions: u32,
-}
-
-impl RawIndex {
-    fn of(index: &RegionIndex) -> RawIndex {
-        let s = index.storage();
-        RawIndex {
-            entries: s.entries.to_vec(),
-            node_ids: s.node_ids.to_vec(),
-            node_offsets: s.node_offsets.to_vec(),
-            node_regions: s.node_regions.to_vec(),
-            max_regions: s.max_regions,
-        }
-    }
-
-    fn mount(&self, kinds: &[u8]) -> std::io::Result<RegionIndex> {
-        RegionIndex::from_storage(
-            self.entries.clone().into(),
-            self.node_ids.clone().into(),
-            self.node_offsets.clone().into(),
-            self.node_regions.clone().into(),
-            self.max_regions,
-            kinds,
-        )
-    }
-
-    fn recluster(&mut self) {
-        self.entries.sort_by_key(|e| (e.start, e.end, e.id));
-    }
+/// What a snapshot mount makes of `index`'s stored columns over a
+/// document of the node kinds `kinds`.
+fn mount(index: &RegionIndex, kinds: &[u8]) -> std::io::Result<RegionIndex> {
+    let s = index.storage();
+    RegionIndex::from_storage(s.entries.to_vec().into(), s.max_regions, kinds)
 }
 
 /// A document of `node_count` elements (every annotated id an element).
@@ -475,117 +441,146 @@ fn elements(node_count: usize) -> Vec<u8> {
     vec![NodeKind::Element as u8; node_count]
 }
 
-/// The oracle: the validation `from_storage` ran before its bijection
-/// check became one linear pass — every structural check in turn, then
-/// one binary search of the node view *per entry*, then the kind of
-/// every annotated node. Kept here, and only here, to pin the accept
-/// set and, for what it refuses, the message of the first check broken.
-fn accepted_by_per_entry_search(raw: &RawIndex, kinds: &[u8]) -> Result<(), String> {
-    let node_count = kinds.len();
-    let RawIndex {
-        entries,
-        node_ids,
-        node_offsets,
-        node_regions,
-        max_regions,
-    } = raw;
-    let refuse = |msg: &str| Err(format!("region index: {msg}"));
-    if !entries
-        .windows(2)
-        .all(|w| (w[0].start, w[0].end, w[0].id) < (w[1].start, w[1].end, w[1].id))
-    {
-        return refuse("entries not clustered on (start, end, id)");
-    }
-    if !node_ids.windows(2).all(|w| w[0] < w[1]) {
-        return refuse("node ids not strictly ascending");
-    }
-    if node_ids.last().is_some_and(|&id| id as usize >= node_count) {
-        return refuse("references nodes beyond the document");
-    }
-    if node_offsets.len() != node_ids.len() + 1 {
-        return refuse("region CSR length mismatch");
-    }
-    if node_offsets[0] != 0 || !node_offsets.windows(2).all(|w| w[0] < w[1]) {
-        return refuse("region CSR offsets not increasing from 0");
-    }
-    if *node_offsets.last().unwrap() as usize != entries.len()
-        || node_regions.len() != entries.len()
-    {
-        return refuse("entry count disagrees with region CSR");
-    }
-    if node_regions.iter().any(|r| r.start > r.end) {
-        return refuse("bad region: start > end");
-    }
-    let slice_of = |k: usize| &node_regions[node_offsets[k] as usize..node_offsets[k + 1] as usize];
-    let mut found_max = 0;
-    for (k, &id) in node_ids.iter().enumerate() {
-        let slice = slice_of(k);
-        if !slice.windows(2).all(|w| w[0].start < w[1].start) {
-            return refuse("node regions not sorted by start");
-        }
-        if !slice
-            .windows(2)
-            .all(|w| w[1].start > w[0].end.saturating_add(1))
-        {
-            return refuse(&format!(
-                "node {id} regions invalid: regions overlap or touch"
-            ));
-        }
-        found_max = found_max.max(slice.len() as u32);
-    }
-    if *max_regions != found_max {
-        return refuse("stored max-regions is inconsistent");
-    }
-    if !entries.iter().all(|e| {
-        node_ids.binary_search(&e.id).is_ok_and(|k| {
-            slice_of(k)
-                .binary_search_by_key(&(e.start, e.end), |r| (r.start, r.end))
-                .is_ok()
+/// A generated layer: `(start, length)` regions per element, each
+/// annotated when its rank is a multiple of `stride`, in start order
+/// when `sorted` (id order is then start order) and as drawn otherwise,
+/// with all of an element's regions (the element representation) when
+/// `multi` and its first alone otherwise.
+fn layer_strategy() -> impl Strategy<Value = (Vec<GenElement>, bool)> {
+    (
+        prop::collection::vec(prop::collection::vec((0i64..400, 0i64..30), 1..4), 0..50),
+        1usize..4,
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(|(mut areas, stride, sorted, multi)| {
+            if sorted {
+                areas.sort_unstable();
+            }
+            let elements = (areas.into_iter().enumerate())
+                .map(|(k, regions)| (k % 3, (k % stride == 0).then_some(regions)))
+                .collect();
+            (elements, multi)
         })
-    }) {
-        return refuse("entry has no matching node-view region");
-    }
-    if !node_ids
-        .iter()
-        .all(|&id| kinds[id as usize] == NodeKind::Element as u8)
-    {
-        return Err("region index annotates a non-element node".into());
-    }
-    Ok(())
 }
 
-/// One way to damage (or not) a valid index. Picks are reduced modulo
-/// the column lengths.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The node view a mount derives from the stored entries is the
+    /// document's own: every element's regions are the area its
+    /// attributes or `region` children give it, the annotated ranks are
+    /// exactly those elements', and `max_regions` and `max_extent` are
+    /// the largest area and region of the document — over single- and
+    /// multi-region layers, ids in start order and shuffled, and sparse
+    /// annotation. The mount equals the build, lookup for lookup.
+    #[test]
+    fn mount_derives_the_documents_node_view(layer in layer_strategy()) {
+        let (elements_of, multi) = layer;
+        let (doc, built) = named_document(&elements_of, multi);
+        let kinds = doc.kinds();
+        let mounted = mount(&built, kinds).unwrap();
+        let config = if multi {
+            StandoffConfig::element_repr()
+        } else {
+            StandoffConfig::default()
+        };
+        let mut annotated = Vec::new();
+        let (mut max_regions, mut max_extent) = (0, 0);
+        for pre in 0..doc.node_count() as u32 + 2 {
+            let area = (pre < doc.node_count() as u32 && doc.kind(pre) == NodeKind::Element)
+                .then(|| config.area_of(&doc, pre).unwrap())
+                .flatten();
+            let want: Vec<Region> = area.iter().flat_map(|a| a.regions().to_vec()).collect();
+            if !want.is_empty() {
+                annotated.push(pre);
+                max_regions = max_regions.max(want.len() as u32);
+            }
+            max_extent = want.iter().fold(max_extent, |m, r| m.max(r.end - r.start));
+            for index in [&built, &mounted] {
+                prop_assert_eq!(index.regions_of(pre), &want[..], "pre {}", pre);
+            }
+        }
+        for index in [&built, &mounted] {
+            prop_assert_eq!(index.annotated_nodes(), &annotated[..]);
+            prop_assert_eq!(index.max_regions(), max_regions);
+            prop_assert_eq!(index.max_extent(), max_extent);
+            prop_assert_eq!(index.entries(), built.entries());
+        }
+    }
+}
+
+/// The rules a mount checks, each over the whole column in the order
+/// `from_storage` names them, by definition: what it must accept, and
+/// for what it refuses, the message of the first rule broken.
+fn definitional_refusal(entries: &[RegionEntry], max_regions: u32, kinds: &[u8]) -> Option<String> {
+    let key = |e: &RegionEntry| (e.start, e.end, e.id);
+    let first = [
+        (
+            !entries.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+            "region index: entries not clustered on (start, end, id)",
+        ),
+        (
+            entries.iter().any(|e| e.start > e.end),
+            "region index: bad region: start > end",
+        ),
+        (
+            entries.iter().any(|e| e.id as usize >= kinds.len()),
+            "region index: references nodes beyond the document",
+        ),
+        (
+            (entries.iter()).any(|e| kinds.get(e.id as usize) != Some(&(NodeKind::Element as u8))),
+            "region index annotates a non-element node",
+        ),
+    ];
+    if let Some((_, message)) = first.iter().find(|(broken, _)| *broken) {
+        return Some(message.to_string());
+    }
+    let mut ids: Vec<u32> = entries.iter().map(|e| e.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let mut found = 0;
+    for id in ids {
+        let mut area: Vec<Region> = (entries.iter())
+            .filter(|e| e.id == id)
+            .map(|e| *e.region())
+            .collect();
+        area.sort_unstable();
+        if area.len() > 1 && Area::try_new(area.clone()).is_err() {
+            return Some(format!(
+                "region index: node {id} regions invalid: regions overlap or touch"
+            ));
+        }
+        found = found.max(area.len() as u32);
+    }
+    (found != max_regions).then(|| "region index: stored max-regions is inconsistent".into())
+}
+
+/// One way to damage (or not) a valid entry column. Picks are reduced
+/// modulo the column length.
 #[derive(Clone, Debug)]
 enum Damage {
     /// Nothing: must be accepted.
     None,
-    /// Give entry `at` the id `id` (annotated, unannotated or beyond the
-    /// document), keeping the table clustered: its old node misses an
-    /// entry, another node may hold one too many.
+    /// Give entry `at` the id `id` — annotated or not, an element or
+    /// not, inside the document or beyond it — and recluster.
     Reassign { at: usize, id: u32 },
-    /// Overwrite entry `at` with entry `from`'s region: a duplicated
-    /// region for one node, a missing one for another.
+    /// Give entry `at` entry `from`'s region and recluster: a duplicate
+    /// region, maybe a duplicate entry.
     CopyRegion { at: usize, from: usize },
-    /// Drop entry `at` outright.
-    Drop { at: usize },
-    /// Repeat entry `at` in place of its successor.
+    /// Repeat entry `at` in place of its successor, unclustered.
     Repeat { at: usize },
-    /// Overwrite node-view region `at` with region `from`.
-    CopyNodeRegion { at: usize, from: usize },
-    /// Move annotated id `at` by one (the ids are sparse, so the column
-    /// stays ascending), with or without renaming its entries to match.
-    ShiftId { at: usize, rename: bool },
-    /// Swap the regions of two entries (ids stay): accepted exactly
-    /// when both belong to the same node.
-    SwapRegions { a: usize, b: usize },
-    /// Move node-view region `at`'s start `by` past its end, and every
-    /// entry with the same region too when `entry` holds.
-    Invert { at: usize, by: i64, entry: bool },
+    /// Swap two entries without reclustering.
+    Swap { a: usize, b: usize },
+    /// Move entry `at`'s start past its end.
+    Invert { at: usize },
+    /// Move entry `at` to touch the end of another region of its node's
+    /// neighbour id, then give it that id: a touching area.
+    Touch { at: usize },
     /// Raise the stored max-regions statistic by one.
     MaxRegionsLie,
-    /// One damage, then another: which check names the pair pins the
-    /// order the checks run in.
+    /// One damage, then another: which rule names the pair pins the
+    /// order the rules are checked in.
     Both(Box<Damage>, Box<Damage>),
 }
 
@@ -601,103 +596,74 @@ fn one_damage_strategy() -> prop::strategy::BoxedStrategy<Damage> {
     let at = || 0usize..10_000;
     prop_oneof![
         Just(Damage::None),
-        (at(), 0u32..120).prop_map(|(at, id)| Damage::Reassign { at, id }),
+        (at(), 0u32..140).prop_map(|(at, id)| Damage::Reassign { at, id }),
         (at(), at()).prop_map(|(at, from)| Damage::CopyRegion { at, from }),
-        at().prop_map(|at| Damage::Drop { at }),
         at().prop_map(|at| Damage::Repeat { at }),
-        (at(), at()).prop_map(|(at, from)| Damage::CopyNodeRegion { at, from }),
-        (at(), any::<bool>()).prop_map(|(at, rename)| Damage::ShiftId { at, rename }),
-        (at(), at()).prop_map(|(a, b)| Damage::SwapRegions { a, b }),
-        (at(), prop_oneof![Just(1i64), Just(500)], any::<bool>())
-            .prop_map(|(at, by, entry)| Damage::Invert { at, by, entry }),
+        (at(), at()).prop_map(|(a, b)| Damage::Swap { a, b }),
+        at().prop_map(|at| Damage::Invert { at }),
+        at().prop_map(|at| Damage::Touch { at }),
         Just(Damage::MaxRegionsLie),
     ]
     .boxed()
 }
 
-fn apply_damage(raw: &mut RawIndex, damage: &Damage) {
-    let n = raw.entries.len();
+fn recluster(entries: &mut [RegionEntry]) {
+    entries.sort_by_key(|e| (e.start, e.end, e.id));
+}
+
+fn apply_damage(entries: &mut [RegionEntry], max_regions: &mut u32, damage: &Damage) {
+    let n = entries.len();
     if n == 0 {
         return;
     }
     match *damage {
         Damage::None => {}
         Damage::Both(ref first, ref then) => {
-            apply_damage(raw, first);
-            apply_damage(raw, then);
+            apply_damage(entries, max_regions, first);
+            apply_damage(entries, max_regions, then);
         }
         Damage::Reassign { at, id } => {
-            raw.entries[at % n].id = id;
-            raw.recluster();
+            entries[at % n].id = id;
+            recluster(entries);
         }
         Damage::CopyRegion { at, from } => {
-            let src = raw.entries[from % n];
-            let e = &mut raw.entries[at % n];
+            let src = entries[from % n];
+            let e = &mut entries[at % n];
             (e.start, e.end) = (src.start, src.end);
-            raw.recluster();
-        }
-        Damage::Drop { at } => {
-            raw.entries.remove(at % n);
+            recluster(entries);
         }
         Damage::Repeat { at } => {
             let k = at % n;
-            raw.entries[(k + 1) % n] = raw.entries[k];
-            raw.recluster();
+            entries[(k + 1) % n] = entries[k];
         }
-        Damage::CopyNodeRegion { at, from } => {
-            raw.node_regions[at % n] = raw.node_regions[from % n];
+        Damage::Swap { a, b } => entries.swap(a % n, b % n),
+        Damage::Invert { at } => {
+            let e = &mut entries[at % n];
+            e.start = e.end + 1;
         }
-        Damage::ShiftId { at, rename } => {
-            let k = at % raw.node_ids.len();
-            let old = raw.node_ids[k];
-            raw.node_ids[k] = old + 1;
-            if rename {
-                for e in raw.entries.iter_mut().filter(|e| e.id == old) {
-                    e.id = old + 1;
-                }
-                raw.recluster();
-            }
+        Damage::Touch { at } => {
+            let (k, other) = (at % n, (at + 1) % n);
+            let (touching, id) = (entries[other].end + 1, entries[other].id);
+            let e = &mut entries[k];
+            (e.start, e.end, e.id) = (touching, touching, id);
+            recluster(entries);
         }
-        Damage::SwapRegions { a, b } => {
-            let (a, b) = (a % n, b % n);
-            let (ra, rb) = (raw.entries[a], raw.entries[b]);
-            (raw.entries[a].start, raw.entries[a].end) = (rb.start, rb.end);
-            (raw.entries[b].start, raw.entries[b].end) = (ra.start, ra.end);
-            raw.recluster();
-        }
-        Damage::Invert { at, by, entry } => {
-            let r = raw.node_regions[at % n];
-            let inverted = Region {
-                start: r.end + by,
-                end: r.end,
-            };
-            raw.node_regions[at % n] = inverted;
-            if entry {
-                for e in raw
-                    .entries
-                    .iter_mut()
-                    .filter(|e| (e.start, e.end) == (r.start, r.end))
-                {
-                    e.start = inverted.start;
-                }
-                raw.recluster();
-            }
-        }
-        Damage::MaxRegionsLie => raw.max_regions += 1,
+        Damage::MaxRegionsLie => *max_regions += 1,
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The linear bijection check accepts and rejects exactly what the
-    /// per-entry binary search did, naming the same first broken check,
-    /// over multi-region areas, single-region layouts with same-start
-    /// nesting (the node cursor steps back), ids with gaps and without,
-    /// and every kind of damage above — including documents too short for
-    /// the ids the index names and annotated nodes that are not elements.
+    /// A mount accepts exactly the entry columns the definitions accept,
+    /// naming the first rule broken otherwise — never a panic — over
+    /// multi-region areas, same-start nesting (ids against start order),
+    /// sparse ids, and every damage above: duplicate ids and entries,
+    /// ids past the document and on non-elements, unclustered columns,
+    /// inverted regions and touching areas, alone and in pairs. What it accepts, it derives
+    /// the view of that the definitions give.
     #[test]
-    fn linear_bijection_check_has_the_old_accept_set(
+    fn hostile_entries_are_refused_by_the_first_rule_they_break(
         annotations in prop_oneof![annotations_strategy(), nested_single_strategy()],
         stride in 1u32..3,
         damage in damage_strategy(),
@@ -705,84 +671,97 @@ proptest! {
         text_at in prop::option::of(0usize..160),
     ) {
         let (pres, index) = build_index_strided(&annotations, stride);
-        let mut raw = RawIndex::of(&index);
-        apply_damage(&mut raw, &damage);
+        let s = index.storage();
+        let (mut entries, mut max_regions) = (s.entries.to_vec(), s.max_regions);
+        apply_damage(&mut entries, &mut max_regions, &damage);
         // Usually a document that holds every id (with slack for a
-        // shifted one); sometimes one that ends before the last.
+        // reassigned one); sometimes one that ends before the last.
         let full = pres.last().map_or(0, |&p| p as usize) + 3;
         let node_count = if short_by == 3 { full.saturating_sub(4) } else { full };
         let mut kinds = elements(node_count);
         if let Some(k) = text_at.filter(|&k| k < node_count) {
             kinds[k] = NodeKind::Text as u8;
         }
-        let oracle = accepted_by_per_entry_search(&raw, &kinds);
+        let refusal = definitional_refusal(&entries, max_regions, &kinds);
         if matches!(damage, Damage::None) && short_by != 3 && text_at.is_none() {
-            prop_assert!(oracle.is_ok(), "an undamaged index must mount");
+            prop_assert!(refusal.is_none(), "an undamaged index must mount");
         }
-        match raw.mount(&kinds) {
+        match RegionIndex::from_storage(entries.clone().into(), max_regions, &kinds) {
             Ok(mounted) => {
-                prop_assert!(oracle.is_ok(), "accepted what the oracle rejects: {damage:?}");
-                prop_assert_eq!(mounted.entries(), &raw.entries[..]);
+                prop_assert_eq!(refusal, None, "{:?}", damage);
+                prop_assert_eq!(mounted.entries(), &entries[..]);
+                for pre in 0..node_count as u32 {
+                    let want: Vec<Region> = (entries.iter())
+                        .filter(|e| e.id == pre)
+                        .map(|e| *e.region())
+                        .collect();
+                    prop_assert_eq!(mounted.regions_of(pre), &want[..]);
+                }
             }
             Err(e) => {
                 prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
-                prop_assert_eq!(Err(e.to_string()), oracle, "{:?}", damage);
+                prop_assert_eq!(Some(e.to_string()), refusal, "{:?}", damage);
             }
         }
     }
 }
 
-/// A hostile node-id column — ascending, ending just below `u32::MAX` —
-/// is refused as invalid data before any id is used as an index: ids
-/// are bounded by the document's node count, and the bijection check
-/// allocates nothing, so this returns promptly.
+/// Each hostile shape by name, refused as invalid data with its rule's
+/// message: duplicate ids within one region, non-element ids, ids at or
+/// past the node count (up to `u32::MAX`, promptly — no allocation is
+/// sized by an id), unsorted entries and touching regions in one area.
 #[test]
-fn hostile_node_ids_are_rejected_without_a_large_allocation() {
-    let id = u32::MAX - 1;
-    let raw = RawIndex {
-        entries: vec![
-            RegionEntry {
-                start: 0,
-                end: 1,
-                id: 2,
-            },
-            RegionEntry {
-                start: 5,
-                end: 9,
-                id,
-            },
-        ],
-        node_ids: vec![2, id],
-        node_offsets: vec![0, 1, 2],
-        node_regions: vec![Region::new(0, 1).unwrap(), Region::new(5, 9).unwrap()],
-        max_regions: 1,
-    };
-    for node_count in [0, 3, 1000] {
-        let err = raw.mount(&elements(node_count)).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        assert!(err.to_string().contains("beyond the document"), "{err}");
-        assert!(accepted_by_per_entry_search(&raw, &elements(node_count)).is_err());
-    }
-    // An entry naming a node beyond the document (while the node view
-    // stays in range) is a bijection failure, not an out-of-bounds probe.
-    let mut stray = raw.clone();
-    stray.node_ids[1] = 4;
-    let err = stray.mount(&elements(10)).unwrap_err();
-    assert!(
-        err.to_string().contains("no matching node-view region"),
-        "{err}"
-    );
-    // The same shape over a document that really holds its ids is fine
-    // — which is exactly why the bound must come from outside — as long
-    // as every annotated node is an element.
-    let mut near = raw.clone();
-    near.node_ids[1] = 9;
-    near.entries[1].id = 9;
-    assert!(near.mount(&elements(10)).is_ok());
-    assert!(accepted_by_per_entry_search(&near, &elements(10)).is_ok());
+fn hostile_entry_columns_are_refused_by_name() {
+    let entry = |start, end, id| RegionEntry { start, end, id };
+    let cases: [(&str, Vec<RegionEntry>, u32, &str); 7] = [
+        (
+            "a duplicate entry",
+            vec![entry(0, 4, 2), entry(0, 4, 2)],
+            1,
+            "entries not clustered",
+        ),
+        (
+            "one id on two regions under max-regions 1",
+            vec![entry(0, 4, 2), entry(9, 12, 2)],
+            1,
+            "stored max-regions is inconsistent",
+        ),
+        (
+            "an id on a text node",
+            vec![entry(0, 4, 2), entry(5, 8, 3)],
+            1,
+            "non-element",
+        ),
+        (
+            "an id at the node count",
+            vec![entry(0, 4, 2), entry(5, 8, 10)],
+            1,
+            "beyond the document",
+        ),
+        (
+            "an id at u32::MAX",
+            vec![entry(0, 4, 2), entry(5, 8, u32::MAX)],
+            1,
+            "beyond the document",
+        ),
+        (
+            "unsorted entries",
+            vec![entry(5, 8, 4), entry(0, 4, 2)],
+            1,
+            "entries not clustered",
+        ),
+        (
+            "touching regions in one area",
+            vec![entry(0, 4, 4), entry(5, 8, 4), entry(6, 7, 2)],
+            2,
+            "node 4 regions invalid: regions overlap or touch",
+        ),
+    ];
     let mut kinds = elements(10);
-    kinds[9] = NodeKind::Text as u8;
-    let err = near.mount(&kinds).unwrap_err();
-    assert!(err.to_string().contains("non-element"), "{err}");
-    assert!(accepted_by_per_entry_search(&near, &kinds).is_err());
+    kinds[3] = NodeKind::Text as u8;
+    for (what, entries, max_regions, message) in cases {
+        let err = RegionIndex::from_storage(entries.into(), max_regions, &kinds).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+        assert!(err.to_string().contains(message), "{what}: {err}");
+    }
 }

@@ -375,6 +375,9 @@ fn fold_layer(
     ops: &[&DeltaOp],
 ) -> Result<Layer, StoreError> {
     let doc = layer.doc();
+    // The copy reads the attribute table: verified first, so stored
+    // bytes that fail their checks are never copied into a new layer.
+    doc.verify_attrs()?;
     let root = root_element(doc)
         .ok_or_else(|| StoreError::Delta("layer document has no root element".into()))?;
     // Pending inserts are empty elements, so as the root's last children

@@ -65,6 +65,14 @@ impl From<standoff_core::StandoffError> for StoreError {
     }
 }
 
+/// A stored attribute table that failed its first-read verification is
+/// the same corruption a materialization reports.
+impl From<standoff_xml::AttrCorrupt> for StoreError {
+    fn from(e: standoff_xml::AttrCorrupt) -> Self {
+        StoreError::corrupt(e.section, e.detail)
+    }
+}
+
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)

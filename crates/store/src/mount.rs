@@ -1,4 +1,4 @@
-//! SOSN v4: the sectioned, offset-indexed, checksummed columnar
+//! SOSN v5: the sectioned, offset-indexed, checksummed columnar
 //! snapshot format that is *mounted*, not decoded — the one binary
 //! format this workspace reads or writes, and the only module that
 //! knows the section-table layout.
@@ -6,13 +6,13 @@
 //! Layout (little-endian):
 //!
 //! ```text
-//! 0   magic "SOSN" | u32 version = 4 | u32 section-count | u32 reserved
+//! 0   magic "SOSN" | u32 version = 5 | u32 section-count | u32 reserved
 //! 16  section table: section-count × (u32 tag | u32 layer | u64 offset | u64 length)
 //! …   payloads, each padded to 8-byte alignment, in table order
 //! ```
 //!
 //! The version field is checked before anything else is parsed: a file
-//! that says anything but 4 is refused with an error naming the version
+//! that says anything but 5 is refused with an error naming the version
 //! found, the version supported and the remedy (a snapshot is a cache
 //! derived from the layer XML — rebuild it with `standoff-xq index`).
 //! There is no second decoder and no way to open a file unverified.
@@ -22,19 +22,26 @@
 //! payload bytes. Opening verifies only the tiny eagerly-decoded
 //! sections (META, layer headers) plus the checksum table's structure —
 //! the lazy-mount hot path never hashes bulk columns. A layer's column
-//! checksums are verified the first time the layer is materialized; a
+//! checksums are verified the first time the layer is materialized —
+//! all but its attribute table's, which are verified the first time a
+//! request reads an attribute of the layer ([`Document::verify_attrs`],
+//! through the loader a materialization hands the document). A
 //! mismatch is a categorized [`StoreError::Corrupt`], never a panic.
 //! Each section is hashed once per mount: open, a layer's catalog,
-//! materialization and [`Snapshot::verify`] share one record of which
-//! sections already matched. A layer's checksums are all checked before
-//! any of its structure is, so a flipped payload byte is always reported
-//! as its section's checksum mismatch, never as a structural error.
+//! materialization, a first attribute read and [`Snapshot::verify`]
+//! share one record of which sections already matched. The checksums
+//! of what a materialization (or a first read) checks are all checked
+//! before any of its structure is, so a flipped payload byte is always
+//! reported as its section's checksum mismatch, never as a structural
+//! error. Writers verify every attribute table before they copy it, and
+//! `verify` checks every section.
 //!
 //! Offsets are absolute file positions. Per-layer payloads are one
 //! section per *column* — the document's `kind`/`size`/`level`/`parent`/
 //! `name` columns, string-arena heaps and offsets, the attribute table,
-//! the element-name CSR, and the region index's entry/node/CSR/region
-//! columns. [`Snapshot::open`] maps the file read-only (falling back to
+//! the element-name CSR, and the region index's entries — its node view
+//! is derived from them at mount, never stored (v4 stored it).
+//! [`Snapshot::open`] maps the file read-only (falling back to
 //! reading it where it cannot be mapped) and walks only the section
 //! table plus the tiny META/LAYER_HDR payloads, so opening touches a few
 //! pages whatever the file size; a layer's columns become zero-copy typed
@@ -42,8 +49,8 @@
 //! accessed — documents and region indexes are *realized lazily* and
 //! cached, so `inspect` and single-layer workloads never pay for
 //! untouched siblings. Every structural invariant is re-validated at
-//! materialization time (the query optimizer's post-filter elision
-//! relies on them).
+//! materialization time, the attribute table's at its first read (the
+//! query optimizer's post-filter elision relies on them).
 //!
 //! A mapping follows the *inode*, and every writer in this crate
 //! replaces a snapshot by temp file → fsync → rename
@@ -67,7 +74,10 @@ use std::time::{Duration, Instant};
 
 use standoff_core::{RegionIndex, StandoffConfig};
 use standoff_xml::column::{write_slice_le, PodCol, SharedBytes, StrArena};
-use standoff_xml::{Document, DocumentParts, ElemIndex, KindCol, NameId, NameTable};
+use standoff_xml::{
+    AttrCorrupt, AttrLoader, AttrTable, Document, DocumentParts, ElemIndex, KindCol, NameId,
+    NameTable,
+};
 
 use crate::error::StoreError;
 use crate::layer::{Layer, LayerSet, BASE_LAYER};
@@ -81,7 +91,7 @@ use standoff_xml::wire::{read_string, read_u32, read_u64, read_u8, write_string,
 
 const MAGIC: &[u8; 4] = b"SOSN";
 /// The one format version this build reads and writes.
-pub(crate) const VERSION: u32 = 4;
+pub(crate) const VERSION: u32 = 5;
 
 /// A format error; [`StoreError::Io`]'s `Display` supplies the
 /// `snapshot:` prefix.
@@ -151,11 +161,17 @@ const SEC_DOC_ATTR_VAL_OFF: u32 = 22;
 const SEC_DOC_ELEM_NAMES: u32 = 23;
 const SEC_DOC_ELEM_OFF: u32 = 24;
 const SEC_DOC_ELEM_PRES: u32 = 25;
+/// The attribute table's sections, verified on first read instead of
+/// at materialization.
+const ATTR_SECTIONS: [u32; 5] = [
+    SEC_DOC_ATTR_FIRST,
+    SEC_DOC_ATTR_OWNER,
+    SEC_DOC_ATTR_NAME,
+    SEC_DOC_ATTR_VAL_HEAP,
+    SEC_DOC_ATTR_VAL_OFF,
+];
 const SEC_RIDX_META: u32 = 30;
 const SEC_RIDX_ENTRIES: u32 = 31;
-const SEC_RIDX_NODE_IDS: u32 = 32;
-const SEC_RIDX_NODE_OFF: u32 = 33;
-const SEC_RIDX_REGIONS: u32 = 34;
 /// `(u32 tag | u32 layer | u32 crc32)` per other section.
 const SEC_CHECKSUMS: u32 = 40;
 /// Bytes per checksum-table entry.
@@ -185,9 +201,6 @@ fn section_name(tag: u32) -> &'static str {
         SEC_DOC_ELEM_PRES => "doc.elem-pres",
         SEC_RIDX_META => "ridx.meta",
         SEC_RIDX_ENTRIES => "ridx.entries",
-        SEC_RIDX_NODE_IDS => "ridx.node-ids",
-        SEC_RIDX_NODE_OFF => "ridx.node-offsets",
-        SEC_RIDX_REGIONS => "ridx.regions",
         SEC_CHECKSUMS => "checksums",
         _ => "unknown",
     }
@@ -214,7 +227,6 @@ enum Body<'a> {
     U16(&'a [u16]),
     U32(&'a [u32]),
     Entries(&'a [standoff_core::RegionEntry]),
-    Regions(&'a [standoff_core::Region]),
 }
 
 impl Body<'_> {
@@ -225,7 +237,6 @@ impl Body<'_> {
             Body::U16(s) => s.len() as u64 * 2,
             Body::U32(s) => s.len() as u64 * 4,
             Body::Entries(s) => s.len() as u64 * 24,
-            Body::Regions(s) => s.len() as u64 * 16,
         }
     }
 
@@ -236,7 +247,6 @@ impl Body<'_> {
             Body::U16(s) => write_slice_le(s, w),
             Body::U32(s) => write_slice_le(s, w),
             Body::Entries(s) => write_slice_le(s, w),
-            Body::Regions(s) => write_slice_le(s, w),
         }
     }
 
@@ -303,8 +313,13 @@ impl Write for CrcSink {
 }
 
 /// Serialize a layer set into `w`: one section per column, then a
-/// trailing CHECKSUMS section with a CRC32 per payload.
+/// trailing CHECKSUMS section with a CRC32 per payload. Every layer's
+/// attribute table is verified first, so stored bytes that fail their
+/// checks are never checksummed into a new file.
 pub fn write_snapshot<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
+    for layer in set.layers() {
+        layer.doc().verify_attrs().map_err(StoreError::from)?;
+    }
     let mut sections: Vec<(u32, u32, Body<'_>)> = Vec::new();
 
     let mut meta = Vec::new();
@@ -322,7 +337,7 @@ pub fn write_snapshot<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
         write_config(&mut hdr, layer.config())?;
         standoff_xml::wire::write_u64(&mut hdr, doc.kind_bytes.len() as u64)?;
         standoff_xml::wire::write_u64(&mut hdr, doc.attr_owner.len() as u64)?;
-        standoff_xml::wire::write_u64(&mut hdr, ridx.node_ids.len() as u64)?;
+        standoff_xml::wire::write_u64(&mut hdr, layer.annotation_count() as u64)?;
         standoff_xml::wire::write_u64(&mut hdr, ridx.entries.len() as u64)?;
         sections.push((SEC_LAYER_HDR, k, Body::Rendered(hdr)));
 
@@ -368,9 +383,6 @@ pub fn write_snapshot<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
         write_u32(&mut ridx_meta, ridx.max_regions)?;
         sections.push((SEC_RIDX_META, k, Body::Rendered(ridx_meta)));
         sections.push((SEC_RIDX_ENTRIES, k, Body::Entries(ridx.entries)));
-        sections.push((SEC_RIDX_NODE_IDS, k, Body::U32(ridx.node_ids)));
-        sections.push((SEC_RIDX_NODE_OFF, k, Body::U32(ridx.node_offsets)));
-        sections.push((SEC_RIDX_REGIONS, k, Body::Regions(ridx.node_regions)));
     }
 
     // One CRC32 per section, covering its exact payload bytes; the
@@ -561,8 +573,9 @@ struct Mounted {
     uri: String,
     payload_bytes: u64,
     layers: Vec<MountLayer>,
-    /// Every section's recorded checksum, for [`Snapshot::verify`].
-    checks: Vec<SectionCheck>,
+    /// Every section's recorded checksum, for [`Snapshot::verify`] —
+    /// shared with the attribute loaders of materialized layers.
+    checks: Arc<[SectionCheck]>,
 }
 
 impl Snapshot {
@@ -775,7 +788,7 @@ impl Snapshot {
                 uri,
                 payload_bytes,
                 layers,
-                checks,
+                checks: checks.into(),
             }),
         };
         snapshot.validate_names()?;
@@ -907,12 +920,13 @@ impl Snapshot {
     /// Deep integrity check: every recorded section checksum holds —
     /// each section hashed once per mount, so what open, a catalog or a
     /// materialized layer already checked is not hashed again — then
-    /// every layer materializes, which re-runs the full structural
-    /// revalidation the lazy mount path applies. Corruption is a
+    /// every layer materializes and its attribute table is verified,
+    /// which re-runs the full structural revalidation the lazy mount
+    /// path and a first attribute read apply. Corruption is a
     /// categorized [`StoreError::Corrupt`].
     pub fn verify(&self) -> Result<VerifyReport, StoreError> {
         let mut sections_checked = 0;
-        for c in &self.inner.checks {
+        for c in self.inner.checks.iter() {
             let layer_name = usize::try_from(c.layer)
                 .ok()
                 .and_then(|k| self.inner.layers.get(k))
@@ -926,7 +940,7 @@ impl Snapshot {
             sections_checked += 1;
         }
         for k in 0..self.inner.layers.len() {
-            self.layer_at(k)?;
+            self.layer_at(k)?.doc().verify_attrs()?;
         }
         Ok(VerifyReport {
             layers: self.inner.layers.len(),
@@ -1088,24 +1102,31 @@ impl Snapshot {
             .ok_or_else(|| StoreError::BadLayerName(format!("<layer {k}>")))
     }
 
-    /// Realize every layer and assemble an eager [`LayerSet`] — what a
-    /// pending delta is folded into, and what the writers consume. Layers stay shared with
-    /// this snapshot's cache (cloning a [`Layer`] clones two `Arc`s).
+    /// Realize every layer, its attribute table verified, and assemble
+    /// an eager [`LayerSet`] — what a pending delta is folded into, and
+    /// what the writers consume. Layers stay shared with this snapshot's
+    /// cache (cloning a [`Layer`] clones two `Arc`s).
     pub fn to_layer_set(&self) -> Result<LayerSet, StoreError> {
         let mut layers = Vec::with_capacity(self.inner.layers.len());
         for k in 0..self.inner.layers.len() {
-            layers.push((*self.layer_at(k)?).clone());
+            let layer = self.layer_at(k)?;
+            layer.doc().verify_attrs()?;
+            layers.push((*layer).clone());
         }
         LayerSet::from_layers(&self.inner.uri, layers)
     }
 
-    /// Decode + validate one layer from its sections.
+    /// Decode + validate one layer from its sections — all but the
+    /// attribute table's, which are handed to the document's loader
+    /// ([`Snapshot::attr_loader`]) and verified on first read.
     fn materialize(&self, slot: &MountLayer) -> Result<Layer, StoreError> {
         // The columns are about to become live views — this is the
         // moment their checksums are verified (those the catalog or
         // `verify` has not already). A flipped payload byte stops here as
         // `StoreError::Corrupt`, before any view is built.
-        for &c in &slot.checks {
+        let (deferred, now): (Vec<usize>, Vec<usize>) =
+            (slot.checks.iter()).partition(|&&c| ATTR_SECTIONS.contains(&self.inner.checks[c].tag));
+        for c in now {
             check_crc(&self.inner.buf, &self.inner.checks[c], Some(&slot.name))?;
         }
         let sect = |tag: u32| -> io::Result<Range<usize>> {
@@ -1135,12 +1156,12 @@ impl Snapshot {
             sect(SEC_DOC_VAL_OFF).map_err(StoreError::Io)?,
         )
         .map_err(wrap)?;
-        let attr_values = StrArena::view(
-            &self.inner.buf,
-            sect(SEC_DOC_ATTR_VAL_HEAP).map_err(StoreError::Io)?,
-            sect(SEC_DOC_ATTR_VAL_OFF).map_err(StoreError::Io)?,
-        )
-        .map_err(wrap)?;
+        let attr_sections = ATTR_SECTIONS.map(sect);
+        let mut ranges = Vec::with_capacity(attr_sections.len());
+        for range in attr_sections {
+            ranges.push(range.map_err(StoreError::Io)?);
+        }
+        let attrs = self.attr_loader(slot, deferred, ranges, kind.len(), names.len());
         let parts = DocumentParts {
             uri,
             names,
@@ -1154,10 +1175,8 @@ impl Snapshot {
             parent: col(SEC_DOC_PARENT).map_err(wrap)?,
             name: col(SEC_DOC_NAME).map_err(wrap)?,
             values,
-            attr_first: col(SEC_DOC_ATTR_FIRST).map_err(wrap)?,
-            attr_owner: col(SEC_DOC_ATTR_OWNER).map_err(wrap)?,
-            attr_name: col(SEC_DOC_ATTR_NAME).map_err(wrap)?,
-            attr_values,
+            attr_count: usize::try_from(slot.attrs).unwrap_or(usize::MAX),
+            attrs,
             elem: ElemIndex {
                 names: col(SEC_DOC_ELEM_NAMES).map_err(wrap)?,
                 offsets: col(SEC_DOC_ELEM_OFF).map_err(wrap)?,
@@ -1165,13 +1184,14 @@ impl Snapshot {
             },
         };
         let doc = Document::from_storage(parts).map_err(|e| wrap(bad(&e)))?;
-        if doc.node_count() as u64 != slot.nodes || doc.attr_count() as u64 != slot.attrs {
+        if doc.node_count() as u64 != slot.nodes {
             return Err(wrap(bad("layer header disagrees with document columns")));
         }
 
-        // Region index columns. `from_storage` also refuses an index
-        // annotating any node but an element of this document, so that
-        // refusal comes before the header check below.
+        // The region index: its entries, from which `from_storage`
+        // derives the node view. It also refuses an index annotating any
+        // node but an element of this document, so that refusal comes
+        // before the header check below.
         let mut r = &self.inner.buf[sect(SEC_RIDX_META).map_err(StoreError::Io)?];
         let max_regions = read_u32(&mut r).map_err(wrap)?;
         let index = RegionIndex::from_storage(
@@ -1180,20 +1200,11 @@ impl Snapshot {
                 sect(SEC_RIDX_ENTRIES).map_err(StoreError::Io)?,
             )
             .map_err(wrap)?,
-            col(SEC_RIDX_NODE_IDS).map_err(wrap)?,
-            col(SEC_RIDX_NODE_OFF).map_err(wrap)?,
-            PodCol::view(
-                &self.inner.buf,
-                sect(SEC_RIDX_REGIONS).map_err(StoreError::Io)?,
-            )
-            .map_err(wrap)?,
             max_regions,
-            doc.storage().kind_bytes,
+            doc.kinds(),
         )
         .map_err(wrap)?;
-        if index.annotated_nodes().len() as u64 != slot.annotations
-            || index.len() as u64 != slot.entries
-        {
+        if index.stats().annotated != slot.annotations || index.len() as u64 != slot.entries {
             return Err(wrap(bad("layer header disagrees with region index")));
         }
         Layer::from_shared(
@@ -1202,6 +1213,61 @@ impl Snapshot {
             Arc::new(doc),
             Arc::new(index),
         )
+    }
+
+    /// The loader of one layer's attribute table: it verifies the
+    /// `deferred` checksums (of the five attribute sections, at
+    /// `ranges` in [`ATTR_SECTIONS`] order — those `verify` or an earlier
+    /// load has not hashed already), then views and validates the
+    /// columns for a document of `nodes` nodes and `names` names. Every
+    /// failure is [`StoreError::Corrupt`] naming the section. It holds
+    /// the buffer and the checksum records, never the snapshot, so a
+    /// layer can outlive its snapshot without a cycle.
+    fn attr_loader(
+        &self,
+        slot: &MountLayer,
+        deferred: Vec<usize>,
+        ranges: Vec<Range<usize>>,
+        nodes: usize,
+        names: usize,
+    ) -> AttrLoader {
+        let unverified = (deferred.iter())
+            .filter(|&&c| !self.inner.checks[c].verified.load(Ordering::Acquire))
+            .count();
+        MetricsRegistry::global().add("store.verify.sections_deferred", unverified as u64);
+        let buf = self.inner.buf.clone();
+        let checks = Arc::clone(&self.inner.checks);
+        let layer = slot.name.clone();
+        let count = usize::try_from(slot.attrs).unwrap_or(usize::MAX);
+        Arc::new(move || {
+            for &c in &deferred {
+                match check_crc(&buf, &checks[c], Some(&layer)) {
+                    Err(StoreError::Corrupt { section, detail }) => {
+                        return Err(AttrCorrupt { section, detail })
+                    }
+                    checked => checked.expect("a checksum fails as corruption"),
+                }
+            }
+            let failed = |column: &str, detail: String| AttrCorrupt {
+                section: format!("section doc.{column} (layer {layer})"),
+                detail,
+            };
+            let col = |k: usize, column: &str| {
+                PodCol::view(&buf, ranges[k].clone()).map_err(|e| failed(column, e.to_string()))
+            };
+            let values = StrArena::view(&buf, ranges[3].clone(), ranges[4].clone())
+                .map_err(|e| failed("attr-value-offsets", e.to_string()))?;
+            AttrTable::from_storage(
+                col(0, "attr-first")?,
+                col(1, "attr-owner")?,
+                col(2, "attr-name")?,
+                values,
+                count,
+                nodes,
+                names,
+            )
+            .map_err(|(column, detail)| failed(column, detail))
+        })
     }
 }
 

@@ -1,6 +1,7 @@
 //! A mounted snapshot hashes each section once: whichever of open, a
-//! layer's catalog, materialization or `verify` reaches a section first
-//! checks its CRC32, and nothing hashes it again. Counted through the
+//! layer's catalog, materialization, a first attribute read or `verify`
+//! reaches a section first checks its CRC32, and nothing hashes it
+//! again. Counted through the
 //! process-global `store.verify.bytes_hashed`, which is why this file
 //! holds a single test: no other test in the binary mounts anything.
 
@@ -55,6 +56,15 @@ fn each_section_is_hashed_once_per_mount() {
     let buf = bytes();
     let header = Some(&["layer.header"][..]);
     let catalog = Some(&["doc.meta", "doc.elem-names", "doc.elem-offsets"][..]);
+    let attrs = Some(
+        &[
+            "doc.attr-first",
+            "doc.attr-owner",
+            "doc.attr-name",
+            "doc.attr-value-heap",
+            "doc.attr-value-offsets",
+        ][..],
+    );
 
     // `verify` on a fresh mount: every payload byte once — all of it but
     // the checksum table itself and what open already hashed (the
@@ -84,7 +94,8 @@ fn each_section_is_hashed_once_per_mount() {
 
     // A query's path through a fresh mount: every layer's catalog, then
     // two layers materialized — their sections hashed exactly once, the
-    // catalog sections included; the third layer only for its catalog.
+    // catalog sections included and the attribute table's left for its
+    // first read; the third layer only for its catalog.
     let snapshot = Snapshot::mount_bytes(buf).unwrap();
     let before = hashed();
     for k in 0..3 {
@@ -95,15 +106,30 @@ fn each_section_is_hashed_once_per_mount() {
     snapshot.layer_at(0).unwrap();
     snapshot.layer("tokens").unwrap();
     let reached: u64 = (0..2)
-        .map(|k| section_bytes(&snapshot, k, None) - section_bytes(&snapshot, k, header))
+        .map(|k| {
+            section_bytes(&snapshot, k, None)
+                - section_bytes(&snapshot, k, header)
+                - section_bytes(&snapshot, k, attrs)
+        })
         .sum();
     let reached_catalogs: u64 = (0..2).map(|k| section_bytes(&snapshot, k, catalog)).sum();
     assert_eq!(hashed() - before, catalogs + reached - reached_catalogs);
-    // Verifying afterwards hashes only what is left: the third layer.
+    // The first read of the tokens layer's attributes hashes its
+    // attribute table; a second hashes nothing.
+    let before = hashed();
+    let tokens = snapshot.layer("tokens").unwrap();
+    tokens.doc().verify_attrs().unwrap();
+    tokens.doc().verify_attrs().unwrap();
+    assert_eq!(hashed() - before, section_bytes(&snapshot, 1, attrs));
+    // Verifying afterwards hashes only what is left: the third layer
+    // and the base layer's attribute table.
     let before = hashed();
     snapshot.verify().unwrap();
     let third = section_bytes(&snapshot, 2, None)
         - section_bytes(&snapshot, 2, header)
         - section_bytes(&snapshot, 2, catalog);
-    assert_eq!(hashed() - before, third);
+    assert_eq!(
+        hashed() - before,
+        third + section_bytes(&snapshot, 0, attrs)
+    );
 }

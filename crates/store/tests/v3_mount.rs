@@ -71,11 +71,16 @@ fn table_of(buf: &[u8]) -> Vec<(u32, u32, usize, u64, u64)> {
 }
 
 /// What opening a snapshot and then materializing each of its layers
-/// through [`Snapshot::layer_at`] — the lazy path a query takes — comes
-/// to, as text: the first error in full, or `"ok"`.
+/// through [`Snapshot::layer_at`] and reading its attributes — the lazy
+/// path a query that reads them takes — comes to, as text: the first
+/// error in full, or `"ok"`.
 fn lazy_outcome(opened: Result<Snapshot, StoreError>) -> String {
-    let layers =
-        |snapshot: Snapshot| (0..snapshot.len()).try_for_each(|k| snapshot.layer_at(k).map(drop));
+    let read = |layer: std::sync::Arc<standoff_store::Layer>| {
+        layer.doc().verify_attrs().map_err(StoreError::from)
+    };
+    let layers = |snapshot: Snapshot| {
+        (0..snapshot.len()).try_for_each(|k| snapshot.layer_at(k).and_then(read))
+    };
     match opened.and_then(layers) {
         Ok(()) => "ok".to_string(),
         Err(e) => format!("{e:?}"),
@@ -98,7 +103,7 @@ fn assert_rejected(bytes: Vec<u8>, what: &str) {
 #[test]
 fn open_is_lazy_and_layer_access_materializes_one() {
     let snapshot = Snapshot::from_bytes(v3_bytes()).unwrap();
-    assert_eq!(snapshot.version(), 4);
+    assert_eq!(snapshot.version(), 5);
     assert_eq!(snapshot.uri(), "corpus.xml");
     assert_eq!(
         snapshot.layer_names().collect::<Vec<_>>(),
@@ -139,9 +144,11 @@ fn materialized_layers_are_zero_copy_views() {
         base.index().is_mounted(),
         "v3 mount must back index columns with buffer views"
     );
-    // And the mounted data reads back correctly.
+    // And the mounted data reads back correctly — the attribute table
+    // once it is verified.
     // pre: 0=document 1=<doc> 2=<seg> 3=<seg> 4=text "état"
     assert_eq!(base.doc().elements_named("seg").len(), 2);
+    base.doc().verify_attrs().unwrap();
     assert_eq!(base.doc().attribute(2, "end"), Some("19"));
     assert_eq!(
         base.doc().string_value(standoff_xml::NodeId::tree(4)),
@@ -472,9 +479,6 @@ fn block_written_snapshot_is_byte_identical_to_the_per_element_writer() {
                 24 => old_loop(&doc.elem.offsets),
                 25 => old_loop(&doc.elem.pres),
                 31 => old_loop(idx.entries),
-                32 => old_loop(idx.node_ids),
-                33 => old_loop(idx.node_offsets),
-                34 => old_loop(idx.node_regions),
                 _ => continue, // rendered metadata and raw byte heaps
             };
             assert_eq!(bytes.len() as u64, len, "section {tag} of layer {k}");
@@ -491,7 +495,7 @@ fn block_written_snapshot_is_byte_identical_to_the_per_element_writer() {
             columns += 1;
         }
     }
-    assert_eq!(columns, 16 * set.len());
+    assert_eq!(columns, 13 * set.len());
     assert!(
         copy == buf,
         "block-staged bytes differ from the per-element writer"

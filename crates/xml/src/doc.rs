@@ -16,7 +16,7 @@
 use std::fmt;
 use std::io;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::column::{PodCol, SharedBytes, StrArena, StrArenaBuilder};
 use crate::name::{NameId, NameTable};
@@ -209,11 +209,157 @@ pub struct DocumentParts {
     /// Raw name ids (`NameId::NONE` = `u32::MAX` for unnamed kinds).
     pub name: PodCol<u32>,
     pub values: StrArena,
-    pub attr_first: PodCol<u32>,
-    pub attr_owner: PodCol<u32>,
-    pub attr_name: PodCol<u32>,
-    pub attr_values: StrArena,
+    /// Attribute rows the stored table declares, for
+    /// [`Document::attr_count`] before the table is read; `attrs` refuses
+    /// a table of any other length.
+    pub attr_count: usize,
+    /// Verifies and assembles the attribute table, the first time it
+    /// is read ([`Document::verify_attrs`]).
+    pub attrs: AttrLoader,
     pub elem: ElemIndex,
+}
+
+/// The attribute table: a CSR over owner pre rank — `first[pre]..
+/// first[pre + 1]` are the rows of the element at `pre` — with each
+/// row's owner, name id and value.
+#[derive(Clone)]
+pub struct AttrTable {
+    first: PodCol<u32>,
+    owner: PodCol<u32>,
+    name: PodCol<u32>,
+    values: StrArena,
+}
+
+impl AttrTable {
+    /// Assemble a stored table of `count` rows for a document of
+    /// `node_count` nodes and `names` names, validating it whole: the
+    /// column lengths, the name ids, and the CSR (runs monotone from 0,
+    /// covering the table, each row inside its owner's run). A failure
+    /// names the stored column it was found in (`attr-first`,
+    /// `attr-owner`, `attr-name` or `attr-value-offsets`) and why.
+    pub fn from_storage(
+        first: PodCol<u32>,
+        owner: PodCol<u32>,
+        name: PodCol<u32>,
+        values: StrArena,
+        count: usize,
+        node_count: usize,
+        names: usize,
+    ) -> Result<AttrTable, (&'static str, String)> {
+        if first.len() != node_count + 1 {
+            return Err(("attr-first", "attr_first length mismatch".into()));
+        }
+        let lengths = [
+            ("attr-owner", owner.len()),
+            ("attr-name", name.len()),
+            ("attr-value-offsets", values.len()),
+        ];
+        if let Some(&(column, _)) = lengths.iter().find(|&&(_, len)| len != count) {
+            return Err((column, "attribute column lengths disagree".into()));
+        }
+        let limit = u32::try_from(names).unwrap_or(u32::MAX);
+        if !name.is_empty() && name.iter().fold(0, |m, &id| m.max(id)) >= limit {
+            return Err(("attr-name", "attribute name out of range".into()));
+        }
+        let table = AttrTable {
+            first,
+            owner,
+            name,
+            values,
+        };
+        table.check_csr(node_count)?;
+        Ok(table)
+    }
+
+    /// The CSR rules, each column read once. Needs `first` to hold
+    /// `node_count + 1` entries; nothing else is assumed, so hostile
+    /// columns cannot make it index out of bounds.
+    fn check_csr(&self, n: usize) -> Result<(), (&'static str, String)> {
+        // With owners non-decreasing from run 0, a run whose first and
+        // last attribute name its node holds only that node's.
+        let (attr_first, owner) = (&self.first[..=n], &self.owner[..]);
+        let mut owners_match = (attr_first[0] == 0 || owner.is_empty())
+            && owner.windows(2).fold(true, |ok, w| ok & (w[0] <= w[1]));
+        let mut monotone = true;
+        for (pre, run) in attr_first.windows(2).enumerate() {
+            let (lo, hi) = (run[0] as usize, run[1] as usize);
+            monotone &= lo <= hi;
+            let owns = |i: usize| owner.get(i) == Some(&(pre as u32));
+            owners_match &= lo >= hi || (owns(lo) && owns(hi - 1));
+        }
+        if !monotone {
+            return Err(("attr-first", "attr_first not monotone".into()));
+        }
+        if attr_first[n] as usize != owner.len() {
+            return Err((
+                "attr-first",
+                "attr_first does not cover attribute table".into(),
+            ));
+        }
+        if owners_match {
+            return Ok(());
+        }
+        // Monotone and covering, so the runs partition the table: the
+        // first attribute outside its owner's run is named.
+        for (i, &owner) in self.owner.iter().enumerate() {
+            let run = match attr_first.get(owner as usize..owner as usize + 2) {
+                Some(run) => run[0] as usize..run[1] as usize,
+                None => return Err(("attr-owner", format!("attribute {i} owner out of range"))),
+            };
+            if !run.contains(&i) {
+                return Err(("attr-owner", format!("attribute {i} owner CSR mismatch")));
+            }
+        }
+        unreachable!("a run holds an attribute of another node")
+    }
+
+    /// Number of attribute rows.
+    fn len(&self) -> usize {
+        self.name.len()
+    }
+}
+
+/// A stored attribute table that failed its verification: the section
+/// that failed, and why — what the snapshot store reports as corrupt.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AttrCorrupt {
+    /// What failed, e.g. `"section doc.attr-name (layer tokens)"`.
+    pub section: String,
+    /// Why, e.g. a checksum mismatch.
+    pub detail: String,
+}
+
+impl fmt::Display for AttrCorrupt {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "corrupt {}: {}", self.section, self.detail)
+    }
+}
+
+impl std::error::Error for AttrCorrupt {}
+
+/// Verifies and assembles a stored attribute table, the first time a
+/// document reads it.
+pub type AttrLoader = Arc<dyn Fn() -> Result<AttrTable, AttrCorrupt> + Send + Sync>;
+
+/// A document's attribute table: built with the document, or stored
+/// and verified the first time it is read.
+#[derive(Clone)]
+struct Attrs {
+    table: OnceLock<Result<AttrTable, AttrCorrupt>>,
+    /// Present for a stored table.
+    loader: Option<AttrLoader>,
+    /// Rows, known before the table is read.
+    count: usize,
+}
+
+impl Attrs {
+    fn built(table: AttrTable) -> Attrs {
+        Attrs {
+            count: table.len(),
+            table: OnceLock::from(Ok(table)),
+            loader: None,
+        }
+    }
 }
 
 /// Borrowed raw columns of a [`Document`] (see [`Document::storage`]).
@@ -274,10 +420,12 @@ impl Columns {
             parent: self.parent.into(),
             name: self.name.into(),
             values: self.values.finish(),
-            attr_first: self.attr_first.into(),
-            attr_owner: self.attr_owner.into(),
-            attr_name: self.attr_name.into(),
-            attr_values: self.attr_values.finish(),
+            attrs: Attrs::built(AttrTable {
+                first: self.attr_first.into(),
+                owner: self.attr_owner.into(),
+                name: self.attr_name.into(),
+                values: self.attr_values.finish(),
+            }),
             elem,
             fragment_starts,
         };
@@ -303,11 +451,8 @@ pub struct Document {
     parent: PodCol<u32>,
     name: PodCol<u32>,
     values: StrArena,
-    // --- attribute table (CSR over owner pre rank) ---
-    attr_first: PodCol<u32>,
-    attr_owner: PodCol<u32>,
-    attr_name: PodCol<u32>,
-    attr_values: StrArena,
+    // --- attribute table, verified on first read when stored ---
+    attrs: Attrs,
     // --- element name index: CSR name -> pre ranks in document order ---
     elem: ElemIndex,
     /// A container's level-0 rows, ascending (see `doc/arena.rs`);
@@ -317,14 +462,15 @@ pub struct Document {
 
 impl Document {
     /// Assemble a document from raw (possibly buffer-backed) storage,
-    /// validating **everything** (the node kinds were checked by
-    /// [`KindCol::view`]): column arity, name-id ranges, the structural
-    /// pre/size/level invariants, attribute CSR consistency, and the
-    /// element-name index's agreement with the columns. This is the single
-    /// trust boundary of the snapshot mount — a corrupted file fails here,
-    /// cleanly. Each column is read once: name ids by branch-free folds,
-    /// the element index against the columns, then the structural rules
-    /// by one pre-order pass.
+    /// validating everything but the attribute table (the node kinds
+    /// were checked by [`KindCol::view`]): column arity, name-id ranges,
+    /// the structural pre/size/level invariants, and the element-name
+    /// index's agreement with the columns. This is the trust boundary of
+    /// the snapshot mount — a corrupted file fails here, cleanly. Each
+    /// column is read once: name ids by a branch-free fold, the element
+    /// index against the columns, then the structural rules by one
+    /// pre-order pass. The attribute table is verified the first time
+    /// it is read ([`Document::verify_attrs`]).
     pub fn from_storage(parts: DocumentParts) -> Result<Document, String> {
         let n = parts.kind.len();
         if n == 0 {
@@ -338,13 +484,6 @@ impl Document {
         {
             return Err("node column lengths disagree".into());
         }
-        if parts.attr_first.len() != n + 1 {
-            return Err("attr_first length mismatch".into());
-        }
-        let a = parts.attr_name.len();
-        if parts.attr_owner.len() != a || parts.attr_values.len() != a {
-            return Err("attribute column lengths disagree".into());
-        }
         let doc = Document {
             uri: parts.uri,
             names: Arc::new(parts.names),
@@ -354,10 +493,11 @@ impl Document {
             parent: parts.parent,
             name: parts.name,
             values: parts.values,
-            attr_first: parts.attr_first,
-            attr_owner: parts.attr_owner,
-            attr_name: parts.attr_name,
-            attr_values: parts.attr_values,
+            attrs: Attrs {
+                table: OnceLock::new(),
+                loader: Some(parts.attrs),
+                count: parts.attr_count,
+            },
             elem: parts.elem,
             fragment_starts: Vec::new(),
         };
@@ -365,9 +505,6 @@ impl Document {
         let limit = u32::try_from(doc.names.len()).unwrap_or(u32::MAX);
         if doc.name.iter().fold(0, |m, &id| m.max(id.wrapping_add(1))) > limit {
             return Err("name id out of range".into());
-        }
-        if !doc.attr_name.is_empty() && doc.attr_name.iter().fold(0, |m, &id| m.max(id)) >= limit {
-            return Err("attribute name out of range".into());
         }
         let kind = doc.kind.raw_bytes();
         let elements = kind.iter().filter(|&&k| k == NodeKind::Element as u8);
@@ -378,8 +515,10 @@ impl Document {
     }
 
     /// Borrow the raw column storage (the snapshot writer's hook — each
-    /// slice is dumped as one aligned section).
+    /// slice is dumped as one aligned section). A stored attribute table
+    /// must have been verified ([`Document::verify_attrs`]).
     pub fn storage(&self) -> DocumentStorageRef<'_> {
+        let attrs = self.attrs();
         DocumentStorageRef {
             names: &self.names,
             kind_bytes: self.kind.raw_bytes(),
@@ -388,12 +527,56 @@ impl Document {
             parent: &self.parent,
             name: &self.name,
             values: &self.values,
-            attr_first: &self.attr_first,
-            attr_owner: &self.attr_owner,
-            attr_name: &self.attr_name,
-            attr_values: &self.attr_values,
+            attr_first: &attrs.first,
+            attr_owner: &attrs.owner,
+            attr_name: &attrs.name,
+            attr_values: &attrs.values,
             elem: &self.elem,
         }
+    }
+
+    /// Verify the attribute table, the first time this is asked of a
+    /// mounted document: the loader the mount handed over checksums and
+    /// validates the stored columns, once, and the outcome is kept — a
+    /// table that failed fails every later call the same way. Every
+    /// operator that reads attributes asks this of each document first;
+    /// a built document's table is verified already.
+    pub fn verify_attrs(&self) -> Result<(), AttrCorrupt> {
+        self.load_attrs().map(drop)
+    }
+
+    fn load_attrs(&self) -> Result<&AttrTable, AttrCorrupt> {
+        let loaded = self.attrs.table.get_or_init(|| {
+            let load = self
+                .attrs
+                .loader
+                .as_ref()
+                .expect("an unset table has a loader");
+            load()
+        });
+        loaded.as_ref().map_err(Clone::clone)
+    }
+
+    /// The attribute table, for an accessor. Every caller reads a table
+    /// [`Document::verify_attrs`] already verified — debug builds assert
+    /// it; a release build verifies here, where a corrupt table can only
+    /// panic.
+    #[inline]
+    fn attrs(&self) -> &AttrTable {
+        match self.attrs.table.get() {
+            Some(Ok(table)) => table,
+            _ => self.attrs_unverified(),
+        }
+    }
+
+    #[cold]
+    fn attrs_unverified(&self) -> &AttrTable {
+        debug_assert!(
+            self.attrs.table.get().is_some(),
+            "attribute table read before Document::verify_attrs"
+        );
+        self.load_attrs()
+            .unwrap_or_else(|e| panic!("attribute table read unverified: {e}"))
     }
 
     /// Are the bulk node columns zero-copy views over a mounted snapshot
@@ -412,6 +595,12 @@ impl Document {
         self.uri = Some(uri);
     }
 
+    /// The node-kind column, one [`NodeKind`] byte per node.
+    #[inline]
+    pub fn kinds(&self) -> &[u8] {
+        self.kind.raw_bytes()
+    }
+
     /// Number of tree nodes (including the document node at pre 0).
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -421,7 +610,7 @@ impl Document {
     /// Number of attribute nodes.
     #[inline]
     pub fn attr_count(&self) -> usize {
-        self.attr_name.len()
+        self.attrs.count
     }
 
     /// The document node (root of the first fragment; see
@@ -476,7 +665,7 @@ impl Document {
     /// Name id of a node (tree or attribute).
     pub fn node_name_id(&self, id: NodeId) -> NameId {
         match id.attr_index() {
-            Some(a) => NameId(self.attr_name[a as usize]),
+            Some(a) => NameId(self.attrs().name[a as usize]),
             None => self.name_id(id.pre().expect("tree id")),
         }
     }
@@ -492,7 +681,8 @@ impl Document {
     /// Attribute-table index range of the element at `pre`.
     #[inline]
     pub fn attr_range(&self, pre: u32) -> std::ops::Range<u32> {
-        self.attr_first[pre as usize]..self.attr_first[pre as usize + 1]
+        let first = &self.attrs().first;
+        first[pre as usize]..first[pre as usize + 1]
     }
 
     /// Attribute node ids of the element at `pre`, in attribute order.
@@ -503,27 +693,28 @@ impl Document {
     /// Owner element pre rank of the attribute with table index `idx`.
     #[inline]
     pub fn attr_owner(&self, idx: u32) -> u32 {
-        self.attr_owner[idx as usize]
+        self.attrs().owner[idx as usize]
     }
 
     /// Name id of the attribute with table index `idx`.
     #[inline]
     pub fn attr_name_id(&self, idx: u32) -> NameId {
-        NameId(self.attr_name[idx as usize])
+        NameId(self.attrs().name[idx as usize])
     }
 
     /// Value of the attribute with table index `idx`.
     #[inline]
     pub fn attr_value(&self, idx: u32) -> &str {
-        self.attr_values.get(idx as usize)
+        self.attrs().values.get(idx as usize)
     }
 
     /// Value of the attribute of element `pre` named `name`, if present.
     pub fn attribute(&self, pre: u32, name: &str) -> Option<&str> {
         let name_id = self.names.get(name)?;
+        let attrs = self.attrs();
         self.attr_range(pre)
-            .find(|&a| self.attr_name[a as usize] == name_id.0)
-            .map(|a| self.attr_values.get(a as usize))
+            .find(|&a| attrs.name[a as usize] == name_id.0)
+            .map(|a| attrs.values.get(a as usize))
     }
 
     // ----- navigation -----
@@ -615,7 +806,7 @@ impl Document {
     /// text/comment/PI nodes, their content; for attributes, their value.
     pub fn string_value(&self, id: NodeId) -> String {
         match id.attr_index() {
-            Some(a) => self.attr_values.get(a as usize).to_string(),
+            Some(a) => self.attr_value(a).to_string(),
             None => {
                 let pre = id.pre().expect("tree id");
                 match self.kind(pre) {
@@ -642,32 +833,35 @@ impl Document {
     #[inline]
     pub fn order_key(&self, id: NodeId) -> (u32, u32) {
         match id.attr_index() {
-            Some(a) => (
-                self.attr_owner[a as usize],
-                1 + a - self.attr_first[self.attr_owner[a as usize] as usize],
-            ),
+            Some(a) => {
+                let attrs = self.attrs();
+                let owner = attrs.owner[a as usize];
+                (owner, 1 + a - attrs.first[owner as usize])
+            }
             None => (id.pre().expect("tree id"), 0),
         }
     }
 
     /// Validate internal invariants (used by tests and the builder in debug
     /// builds): sizes nest properly, levels and parents are consistent,
-    /// attribute CSR is monotone.
+    /// attribute CSR is monotone. A stored attribute table must have been
+    /// verified.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.node_count() == 0 {
             return Err("document has no nodes".into());
         }
-        if self.attr_first.len() != self.node_count() + 1 {
+        let attrs = self.attrs();
+        if attrs.first.len() != self.node_count() + 1 {
             return Err("attr_first length mismatch".into());
         }
-        self.check_structure()
+        self.check_structure()?;
+        attrs.check_csr(self.node_count()).map_err(|(_, e)| e)
     }
 
-    /// The structural rules in order, each column read once: one
-    /// pre-order pass per fragment for the parent/size/level rules, one
-    /// over the attribute runs. Needs a non-empty document and
-    /// `attr_first` to hold `node_count + 1` entries; nothing else is
-    /// assumed, so hostile columns cannot make it index out of bounds.
+    /// The tree's structural rules in order, each column read once: one
+    /// pre-order pass per fragment for the parent/size/level rules.
+    /// Needs a non-empty document; nothing else is assumed, so hostile
+    /// columns cannot make it index out of bounds.
     fn check_structure(&self) -> Result<(), String> {
         let n = self.node_count();
         let (size, level, parent) = (&self.size[..n], &self.level[..n], &self.parent[..n]);
@@ -708,38 +902,7 @@ impl Document {
                 }
             }
         }
-        // With owners non-decreasing from run 0, a run whose first and
-        // last attribute name its node holds only that node's.
-        let (attr_first, owner) = (&self.attr_first[..=n], &self.attr_owner[..]);
-        let mut owners_match = (attr_first[0] == 0 || owner.is_empty())
-            && owner.windows(2).fold(true, |ok, w| ok & (w[0] <= w[1]));
-        let mut monotone = true;
-        for (pre, run) in attr_first.windows(2).enumerate() {
-            let (lo, hi) = (run[0] as usize, run[1] as usize);
-            monotone &= lo <= hi;
-            let owns = |i: usize| owner.get(i) == Some(&(pre as u32));
-            owners_match &= lo >= hi || (owns(lo) && owns(hi - 1));
-        }
-        if !monotone {
-            return Err("attr_first not monotone".into());
-        }
-        if attr_first[n] as usize != owner.len() {
-            return Err("attr_first does not cover attribute table".into());
-        }
-        if owners_match {
-            return Ok(());
-        }
-        // Monotone and covering, so the runs partition the table: the
-        // first attribute outside its owner's run is named.
-        for (i, &owner) in self.attr_owner.iter().enumerate() {
-            if owner as usize >= n {
-                return Err(format!("attribute {i} owner out of range"));
-            }
-            if !self.attr_range(owner).contains(&(i as u32)) {
-                return Err(format!("attribute {i} owner CSR mismatch"));
-            }
-        }
-        unreachable!("a run holds an attribute of another node")
+        Ok(())
     }
 
     /// The rule node `pre` (≥ 1) breaks: its parent comes before it, it
@@ -845,10 +1008,11 @@ mod tests {
             parent: d.parent.clone(),
             name: d.name.clone(),
             values: d.values.clone(),
-            attr_first: d.attr_first.clone(),
-            attr_owner: d.attr_owner.clone(),
-            attr_name: d.attr_name.clone(),
-            attr_values: d.attr_values.clone(),
+            attr_count: d.attr_count(),
+            attrs: {
+                let table = d.attrs().clone();
+                std::sync::Arc::new(move || Ok(table.clone()))
+            },
             elem: d.elem.clone(),
         };
         let err = crate::Document::from_storage(parts)

@@ -158,7 +158,7 @@ impl Columns {
         values.reserve_bytes(doc.values.heap_bytes().len());
         let mut attr_values = StrArenaBuilder::new();
         attr_values.reserve(attrs);
-        attr_values.reserve_bytes(doc.attr_values.heap_bytes().len());
+        attr_values.reserve_bytes(doc.attrs().values.heap_bytes().len());
         Columns {
             kind: Vec::with_capacity(nodes),
             size: Vec::with_capacity(nodes),
@@ -189,18 +189,14 @@ impl Columns {
                 false => moved.get(p).expect("a kept node's parent is kept"),
             }));
         self.values.extend_from(&doc.values, f..e);
-        let (af, ae) = (doc.attr_first[f], doc.attr_first[e]);
+        let table = doc.attrs();
+        let (af, ae) = (table.first[f], table.first[e]);
         let base = self.attr_owner.len() as u32;
-        (self.attr_first).extend(doc.attr_first[f..e].iter().map(|&a| a - af + base));
+        (self.attr_first).extend(table.first[f..e].iter().map(|&a| a - af + base));
         let attrs = af as usize..ae as usize;
-        (self.attr_owner).extend(
-            doc.attr_owner[attrs.clone()]
-                .iter()
-                .map(|&o| o - first + to),
-        );
-        self.attr_name
-            .extend_from_slice(&doc.attr_name[attrs.clone()]);
-        self.attr_values.extend_from(&doc.attr_values, attrs);
+        (self.attr_owner).extend(table.owner[attrs.clone()].iter().map(|&o| o - first + to));
+        self.attr_name.extend_from_slice(&table.name[attrs.clone()]);
+        self.attr_values.extend_from(&table.values, attrs);
     }
 }
 

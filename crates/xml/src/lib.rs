@@ -41,7 +41,8 @@ pub mod wire;
 pub use builder::DocumentBuilder;
 pub use column::{Pod, PodCol, SharedBytes, StrArena, StrArenaBuilder};
 pub use doc::{
-    Document, DocumentParts, DocumentStorageRef, ElemIndex, KindCol, NewElement, Renumbering,
+    AttrCorrupt, AttrLoader, AttrTable, Document, DocumentParts, DocumentStorageRef, ElemIndex,
+    KindCol, NewElement, Renumbering,
 };
 pub use error::{ParseError, XmlError};
 pub use name::{NameId, NameTable, QName};

@@ -155,6 +155,29 @@ impl Store {
 
     /// `doc(id).elements_named(name).len()`, answered by a lazily
     /// registered document's source without materializing it.
+    /// [`Store::try_doc`], with the document's attribute table verified
+    /// ([`Document::verify_attrs`]): what an operator asks of each
+    /// document before it reads attributes there.
+    pub fn try_attrs(&self, id: DocId) -> Result<&Document, String> {
+        let doc = self.try_doc(id)?;
+        doc.verify_attrs()
+            .map_err(|e| format!("cannot read attributes: {e}"))?;
+        Ok(doc)
+    }
+
+    /// [`Store::try_attrs`] for the document of every node of `nodes`,
+    /// asked once per run of nodes in one document.
+    pub fn verify_attrs(&self, nodes: impl IntoIterator<Item = NodeRef>) -> Result<(), String> {
+        let mut last = None;
+        for node in nodes {
+            if last != Some(node.doc) {
+                self.try_attrs(node.doc)?;
+                last = Some(node.doc);
+            }
+        }
+        Ok(())
+    }
+
     pub fn name_count(&self, id: DocId, name: &str) -> usize {
         match &self.docs[id.0 as usize].source {
             Some(source) => source.name_count(name),

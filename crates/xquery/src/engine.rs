@@ -393,7 +393,9 @@ impl EngineState {
         if let Some(idx) = self.region_cache.get(&key) {
             return Ok(Arc::clone(idx));
         }
-        let index = Arc::new(RegionIndex::build(self.store.doc(doc), config)?);
+        // Building reads the regions' attributes.
+        let read = self.store.try_attrs(doc).map_err(QueryError::dynamic)?;
+        let index = Arc::new(RegionIndex::build(read, config)?);
         self.region_cache.insert(key, Arc::clone(&index));
         Ok(index)
     }
@@ -529,9 +531,8 @@ impl EngineState {
             loaded,
         );
         !holders.is_empty()
-            && (holders.iter()).all(|(doc, index)| {
-                self.store.doc(*doc).elements_named(name) == index.annotated_nodes()
-            })
+            && (holders.iter())
+                .all(|(doc, index)| index.covers(self.store.doc(*doc).elements_named(name)))
     }
 
     /// The compilation context this state offers the query compiler:
@@ -601,6 +602,10 @@ impl EngineState {
             .query_exec_ns
             .record_duration(started.elapsed());
         let items = outcome?.into_items();
+        // Serializing an element writes its attributes.
+        (self.store)
+            .verify_attrs(items.iter().filter_map(Item::as_node))
+            .map_err(QueryError::dynamic)?;
         Ok(QueryResult::new(items, &self.store))
     }
 

@@ -83,6 +83,14 @@ impl Evaluator<'_> {
         // assemble one element per iteration.
         let mut tables: Vec<LlSeq> = Vec::new();
         self.eval_constructor_exprs(c, &mut tables)?;
+        // Copied nodes bring their attributes along.
+        let copied = tables
+            .iter()
+            .flat_map(|t| t.items())
+            .filter_map(Item::as_node);
+        (self.engine.store)
+            .verify_attrs(copied)
+            .map_err(QueryError::dynamic)?;
         let n = self.n_iters();
         if n == 0 {
             return Ok(LlSeq::empty());

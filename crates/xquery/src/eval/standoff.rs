@@ -217,7 +217,7 @@ impl Evaluator<'_> {
         explicit_candidates: Option<&NodeTable>,
         sink: &mut JoinSink<'_>,
     ) -> Result<JoinExec, QueryError> {
-        let units = self.join_units(ctx);
+        let units = self.join_units(ctx)?;
         // Explicit candidates, bucketed per document like the context.
         let cand_buckets = explicit_candidates.map(|cands| {
             let mut buckets: HashMap<DocId, Vec<u32>> = HashMap::new();
@@ -283,7 +283,7 @@ impl Evaluator<'_> {
 
     /// Split a join's context into its [`JoinUnit`]s, ascending by
     /// document.
-    fn join_units(&self, ctx: &NodeTable) -> Vec<JoinUnit> {
+    fn join_units(&self, ctx: &NodeTable) -> Result<Vec<JoinUnit>, QueryError> {
         // Rows arrive grouped by iteration and, within one, by document:
         // remembering the last bucket makes the map lookup per run of
         // rows, not per row.
@@ -292,13 +292,12 @@ impl Evaluator<'_> {
         let mut last = 0;
         for (&iter, node) in ctx.iters().iter().zip(ctx.nodes()) {
             // Only element nodes can be area-annotations; other context
-            // nodes still pin their fragment for the reject domain.
+            // nodes still pin their fragment for the reject domain, an
+            // attribute through its owner element.
             let pre = match node.id.pre() {
                 Some(p) => p,
-                None => self
-                    .engine
-                    .store
-                    .doc(node.doc)
+                None => (self.engine.store.try_attrs(node.doc))
+                    .map_err(QueryError::dynamic)?
                     .attr_owner(node.id.attr_index().expect("attr id")),
             };
             if buckets.get(last).is_none_or(|(doc, _)| *doc != node.doc) {
@@ -346,7 +345,7 @@ impl Evaluator<'_> {
                 }),
             }
         }
-        units
+        Ok(units)
     }
 
     /// Join one unit: resolve its context once, then one kernel call per

@@ -82,7 +82,8 @@ impl<T> Rows for Picked<T> {
 /// generic frame computes for this shape — the attribute axis from the
 /// row, atomized, string-compared, existentially — without attribute
 /// nodes, a boolean column or position/last columns: rows that are not
-/// elements have no attributes and drop.
+/// elements have no attributes and drop. The caller verified the
+/// attribute tables of the rows' documents.
 struct AttrTest<'a> {
     engine: &'a EngineState,
     name: &'a str,
@@ -161,7 +162,7 @@ impl Evaluator<'_> {
                 predicates,
             } if predicates.is_empty() => Some(self.metered(expr, |ev| {
                 let ctx = ev.context_nodes(input.as_deref())?;
-                Ok(ev.tree_step_nodes(ctx, *axis, test, None))
+                ev.tree_step_nodes(ctx, *axis, test, None)
             })),
             PlanExpr::StandoffStep {
                 input,
@@ -228,11 +229,11 @@ impl Evaluator<'_> {
         // so the rows it drops are never stored or ordered.
         if let [first @ PlanExpr::AttrEquals { name, value }, rest @ ..] = predicates {
             let nodes = self.metered(first, |ev| {
-                Ok(ev.tree_step_nodes(ctx, axis, test, Some((name, value))))
+                ev.tree_step_nodes(ctx, axis, test, Some((name, value)))
             })?;
             return self.apply_step_predicates(nodes, rest);
         }
-        let nodes = self.tree_step_nodes(ctx, axis, test, None);
+        let nodes = self.tree_step_nodes(ctx, axis, test, None)?;
         self.apply_step_predicates(nodes, predicates)
     }
 
@@ -266,20 +267,27 @@ impl Evaluator<'_> {
     }
 
     /// One tree step over `ctx`, keeping only the rows that carry
-    /// attribute `attr.0` = `attr.1` when asked to.
+    /// attribute `attr.0` = `attr.1` when asked to. An attribute step or
+    /// filter first verifies the attribute tables of the context's
+    /// documents — the step stays in them.
     fn tree_step_nodes(
         &mut self,
         ctx: NodeTable,
         axis: TreeAxis,
         test: &NodeTest,
         attr: Option<(&str, &str)>,
-    ) -> NodeTable {
+    ) -> Result<NodeTable, QueryError> {
         use standoff_algebra::staircase::{ll_step_cached, ll_step_where};
+        let engine = &*self.engine;
+        if axis == TreeAxis::Attribute || attr.is_some() {
+            (engine.store)
+                .verify_attrs(ctx.nodes().iter().copied())
+                .map_err(QueryError::dynamic)?;
+        }
         // `test` is plan memory (see `name_cache`), so resolution is
         // memoized per document across re-executions of this step.
-        let engine = &*self.engine;
         let cache = &mut self.name_cache;
-        match attr {
+        Ok(match attr {
             Some((name, value)) => {
                 let mut attr = AttrTest::new(engine, name, value);
                 ll_step_where(&engine.store, &ctx, axis, test, cache, |node| {
@@ -287,7 +295,7 @@ impl Evaluator<'_> {
                 })
             }
             None => ll_step_cached(&engine.store, &ctx, axis, test, cache),
-        }
+        })
     }
 
     pub(super) fn eval_path_expr(
@@ -415,6 +423,9 @@ impl Evaluator<'_> {
         name: &str,
         value: &str,
     ) -> Result<NodeTable, QueryError> {
+        (self.engine.store)
+            .verify_attrs(table.nodes().iter().copied())
+            .map_err(QueryError::dynamic)?;
         let budget = self.engine.budget.as_ref();
         let mut attr = AttrTest::new(self.engine, name, value);
         let mut out = NodeTable::new();

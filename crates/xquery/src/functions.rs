@@ -302,20 +302,26 @@ pub(crate) fn call_builtin(
             }
             table
         }
-        ("serialize", 1) => per_iter_map(engine, n, &args[0], |engine, g| {
-            let mut s = String::new();
-            for item in g {
-                match item {
-                    Item::Node(node) => s.push_str(&standoff_xml::serialize_node(
-                        engine.store.doc(node.doc),
-                        node.id,
-                        SerializeOptions::default(),
-                    )),
-                    atom => s.push_str(&atom.string_value(&engine.store)),
+        ("serialize", 1) => {
+            // Serializing an element writes its attributes.
+            (engine.store)
+                .verify_attrs(args[0].items().iter().filter_map(Item::as_node))
+                .map_err(QueryError::dynamic)?;
+            per_iter_map(engine, n, &args[0], |engine, g| {
+                let mut s = String::new();
+                for item in g {
+                    match item {
+                        Item::Node(node) => s.push_str(&standoff_xml::serialize_node(
+                            engine.store.doc(node.doc),
+                            node.id,
+                            SerializeOptions::default(),
+                        )),
+                        atom => s.push_str(&atom.string_value(&engine.store)),
+                    }
                 }
-            }
-            Some(Item::str(s))
-        }),
+                Some(Item::str(s))
+            })
+        }
         _ => return Ok(None),
     };
     Ok(Some(result))

@@ -329,7 +329,7 @@ fn cmd_index(argv: &[String]) -> Result<ExitCode, String> {
 
     let annotations: usize = set.layers().iter().map(|l| l.annotation_count()).sum();
     eprintln!(
-        "# indexed {} layer(s), {annotations} annotation(s) -> {out} (uri '{uri}', v4 columnar)",
+        "# indexed {} layer(s), {annotations} annotation(s) -> {out} (uri '{uri}', v5 columnar)",
         set.len(),
     );
     Ok(ExitCode::SUCCESS)

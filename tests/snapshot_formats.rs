@@ -102,7 +102,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 fn refusal(version: u32) -> String {
     format!(
-        "unsupported format version {version} (this build reads version 4 only); \
+        "unsupported format version {version} (this build reads version 5 only); \
          rebuild it from the layer XML with standoff-xq index"
     )
 }
@@ -202,7 +202,7 @@ fn downgraded_header_cannot_switch_the_checksums_off() {
         "{stdout}"
     );
     // …and stays refused under every other version value.
-    for version in [3u32, 1, 2, 5, 0, u32::MAX] {
+    for version in [3u32, 1, 2, 4, 6, 0, u32::MAX] {
         damaged[4..8].copy_from_slice(&version.to_le_bytes());
         let path = dir.join(format!("says-{version}.snap"));
         std::fs::write(&path, &damaged).unwrap();
@@ -476,66 +476,79 @@ fn resealed_hostile_structures_are_refused_by_their_checks() {
     let kind_5: Edit = &|col| col[2] = 5;
     let owner: Edit = &|col| put(col, 1, 3);
     let split: Edit = &|col| put(col, 1, 1);
-    // What is damaged, the damaged columns, the refusal.
-    type Case<'a> = (&'a str, &'a [(u32, Edit<'a>)], &'a str);
+    // What is damaged, the damaged columns, the refusal — and, for the
+    // attribute table, which is verified on its first read, the section
+    // the refusal names.
+    type Case<'a> = (&'a str, &'a [(u32, Edit<'a>)], &'a str, Option<&'a str>);
     let cases: [Case; 11] = [
         (
             "two swapped entries",
             &[(31, swap)],
             "region index: entries not clustered on (start, end, id)",
+            None,
         ),
         (
             "an entry id moved to another node",
             &[(31, &|col| col.copy_within(24 + 16..24 + 20, 16))],
-            "region index: entry has no matching node-view region",
+            "region index: stored max-regions is inconsistent",
+            None,
         ),
         (
             "a duplicate entry",
             &[(31, &|col| col.copy_within(0..24, 24))],
             "region index: entries not clustered on (start, end, id)",
+            None,
         ),
         (
             "a max-regions lie",
             &[(30, max_lie)],
             "region index: stored max-regions is inconsistent",
+            None,
         ),
         (
-            "non-identity node offsets under one region per node",
-            &[(33, &|col| put(col, 1, 2))],
-            "region index: region CSR offsets not increasing from 0",
+            "an entry id past the document",
+            &[(31, &|col| put(col, (2 * 24 + 16) / 4, 99))],
+            "region index: references nodes beyond the document",
+            None,
         ),
         (
             "a kind byte of 5",
             &[(11, kind_5)],
             "invalid node kind in kind column",
+            None,
         ),
         (
             "an attribute owner mismatch",
             &[(19, owner)],
             "attribute 1 owner CSR mismatch",
+            Some("doc.attr-owner"),
         ),
         (
             "a non-ASCII arena slot split mid-character",
             &[(22, split)],
             "string arena slot splits a UTF-8 character",
+            Some("doc.attr-value-offsets"),
         ),
         (
             "a kind byte of 5 and a split arena slot",
             &[(11, kind_5), (22, split)],
             "invalid node kind in kind column",
+            None,
         ),
         (
             "a kind byte of 5 and an attribute owner mismatch",
             &[(11, kind_5), (19, owner)],
             "invalid node kind in kind column",
+            None,
         ),
         (
             "two swapped entries and a max-regions lie",
             &[(31, swap), (30, max_lie)],
             "region index: entries not clustered on (start, end, id)",
+            None,
         ),
     ];
-    for (what, edits, message) in cases {
+    for (what, edits, message, attrs) in cases {
         let mut bytes = clean.clone();
         for &(tag, edit) in edits {
             let column = section(&bytes, tag, 1);
@@ -544,16 +557,24 @@ fn resealed_hostile_structures_are_refused_by_their_checks() {
         }
         for snapshot in both_mounts(&dir, &bytes) {
             snapshot.layer("base").expect("the base layer is untouched");
-            match snapshot.layer("tokens") {
-                Err(e @ StoreError::Io(_)) => {
+            match (snapshot.layer("tokens"), attrs) {
+                (Err(e @ StoreError::Io(_)), None) => {
                     assert_eq!(
                         e.to_string(),
                         format!("snapshot: layer \"tokens\": {message}"),
                         "{what}"
                     )
                 }
-                Err(other) => panic!("{what}: wrong category: {other}"),
-                Ok(_) => panic!("{what}: a hostile layer mounted"),
+                (Ok(layer), Some(column)) => {
+                    let refused = layer.doc().verify_attrs().expect_err(what);
+                    assert_eq!(
+                        StoreError::from(refused).to_string(),
+                        format!("corrupt section {column} (layer tokens): {message}"),
+                        "{what}"
+                    )
+                }
+                (Err(other), _) => panic!("{what}: wrong category: {other}"),
+                (Ok(_), None) => panic!("{what}: a hostile layer mounted"),
             }
             assert!(snapshot.verify().is_err(), "{what}");
         }
@@ -561,10 +582,12 @@ fn resealed_hostile_structures_are_refused_by_their_checks() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// One flipped byte in the `tokens` layer: queries that never reach it
-/// answer, `verify` still fails, and every query that reaches it — by
-/// `doc()`, by a join from base, in a server — fails with the same
-/// categorized checksum error through both opens.
+/// One flipped byte in the `tokens` layer's attribute table: queries
+/// that never reach the layer answer, and so do those that reach it —
+/// by `doc()` or by a join from base — without reading its attributes;
+/// `verify` still fails, and every query that reads them — by a step,
+/// by a filter, in a server — fails with the same categorized checksum
+/// error through both opens.
 #[test]
 fn damage_in_an_unreached_layer_fails_only_the_queries_that_reach_it() {
     let dir = temp_dir("unreached");
@@ -583,7 +606,14 @@ fn damage_in_an_unreached_layer_fails_only_the_queries_that_reach_it() {
         );
         assert!(!snapshot.is_materialized(1));
         assert!(matches!(snapshot.verify(), Err(StoreError::Corrupt { .. })));
-        for q in [WORDS, r#"count(doc("corpus")/text/select-narrow::w)"#] {
+        for (q, n) in [
+            (r#"count(doc("corpus#tokens")//w)"#, "3"),
+            (r#"count(doc("corpus")/text/select-narrow::w)"#, "0"),
+        ] {
+            assert_eq!(answer(&snapshot, q).unwrap(), n, "{q}");
+        }
+        assert!(snapshot.is_materialized(1));
+        for q in [WORDS, r#"doc("corpus#tokens")//w[@word = "met"]"#] {
             match answer(&snapshot, q) {
                 Err(QueryError::Dynamic(text)) => texts.push(text),
                 other => panic!("{q}: {other:?}"),
