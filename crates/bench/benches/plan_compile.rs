@@ -3,10 +3,9 @@
 //!
 //! What the sweep shows:
 //!
-//! * `compile/<query>` — full execution-path pipeline cost per query
-//!   shape (parse + resolve + the optimizer passes; explain-only
-//!   estimates are skipped on this path). This is the latency a cache
-//!   miss adds to a query.
+//! * `compile/<query>` — full pipeline cost per query shape (parse +
+//!   resolve + the optimizer passes; the one compile path `explain`
+//!   shares). This is the latency a cache miss adds to a query.
 //! * `cache/cold-vs-warm` — a repeat-heavy batch through a fresh
 //!   [`QueryCache`] (every distinct text compiles once) vs a pre-warmed
 //!   one (every lookup hits); the difference is what the compiled-plan

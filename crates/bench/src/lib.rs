@@ -14,7 +14,7 @@
 use standoff_core::{StandoffConfig, StandoffStrategy};
 use standoff_xmark::queries::XmarkQuery;
 use standoff_xmark::{generate, serialized_size, standoffify, XmarkConfig};
-use standoff_xquery::compile::{resolve, PlanContext};
+use standoff_xquery::compile::resolve;
 use standoff_xquery::optimize::PASSES;
 use standoff_xquery::{Engine, Plan, QueryError};
 
@@ -56,10 +56,9 @@ pub fn prepare_workload(scale: f64) -> Workload {
 /// `count(…)`: the plan a Figure 6 cell times.
 pub fn figure6_plan(engine: &Engine, query: &str) -> Result<Plan, QueryError> {
     let mut plan = engine.parse(query)?;
-    let ctx = PlanContext::bare(engine.options());
-    resolve(&mut plan, &ctx)?;
+    resolve(&mut plan, engine.options())?;
     for pass in PASSES.iter().filter(|p| p.name != "fuse-count") {
-        (pass.run)(&mut plan, &ctx);
+        (pass.run)(&mut plan, engine.options());
         plan.passes.push(pass.name);
     }
     Ok(plan)

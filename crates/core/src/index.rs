@@ -89,9 +89,9 @@ unsafe impl Pod for RegionEntry {
     }
 }
 
-/// Summary statistics of one or more region indexes — the cost-model
-/// inputs the query optimizer consults at plan time (per-step strategy
-/// selection, explain-time cardinality estimates).
+/// Summary statistics of one or more region indexes: what `explain`
+/// prints for the indexes a StandOff join reaches, and what a mount
+/// checks a layer header against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct IndexStats {
     /// Number of indexes aggregated into this summary.

@@ -32,52 +32,25 @@ use std::collections::HashMap;
 
 use standoff_core::{StandoffAxis, StandoffConfig, StandoffStrategy};
 
-use crate::engine::{EngineOptions, EngineState};
+use crate::engine::EngineOptions;
 use crate::error::QueryError;
 use crate::optimize;
 use crate::plan::*;
 
-/// Everything the compiler may consult about the engine it compiles
-/// for: the evaluation options and (optionally) corpus statistics for
-/// the optimizer's cost decisions. Statistics are optional so queries
-/// can be compiled and explained without a corpus.
-pub struct PlanContext<'a> {
-    pub options: &'a EngineOptions,
-    /// The corpus compiled against: documents and their element-name
-    /// tables (candidate counts) and mounted layer groups (which layers
-    /// a join can reach).
-    pub corpus: Option<&'a EngineState>,
-    /// Run the `estimate` pass (explain-grade cardinality annotations).
-    /// Off on execution paths — estimates are only ever read by
-    /// explain, and computing them scans the corpus per operator.
-    pub estimates: bool,
-}
-
-impl<'a> PlanContext<'a> {
-    /// A context with options only — no corpus statistics, no
-    /// estimates.
-    pub fn bare(options: &'a EngineOptions) -> PlanContext<'a> {
-        PlanContext {
-            options,
-            corpus: None,
-            estimates: false,
-        }
-    }
-}
-
-/// Compile a parsed query: resolve it and run the full optimizer pass
-/// list. This is the production path — `Engine::run`, `Session`s and
-/// the batch executor's plan cache all execute plans produced here.
-pub fn compile(mut plan: Plan, ctx: &PlanContext<'_>) -> Result<Plan, QueryError> {
-    resolve(&mut plan, ctx)?;
-    plan.passes = optimize::optimize(&mut plan, ctx);
+/// Compile a parsed query under an engine's options: resolve it and
+/// run the full optimizer pass list. `Engine::run`, `Session`s, the
+/// batch executor's plan cache and `explain` all take their plans from
+/// here, and nothing about the corpus enters a plan.
+pub fn compile(mut plan: Plan, options: &EngineOptions) -> Result<Plan, QueryError> {
+    resolve(&mut plan, options)?;
+    plan.passes = optimize::optimize(&mut plan, options);
     Ok(plan)
 }
 
 /// Resolve a parsed plan in place without optimizing it — alone, the
 /// unoptimized reference path of `Engine::run_unoptimized` and the
 /// equivalence test suite; production code wants [`compile`].
-pub fn resolve(plan: &mut Plan, ctx: &PlanContext<'_>) -> Result<(), QueryError> {
+pub fn resolve(plan: &mut Plan, options: &EngineOptions) -> Result<(), QueryError> {
     plan.config = config_from_options(&plan.options)?;
     // Function-name table first (late binding: bodies may call functions
     // declared after them, and a duplicate name re-binds to the later
@@ -86,7 +59,7 @@ pub fn resolve(plan: &mut Plan, ctx: &PlanContext<'_>) -> Result<(), QueryError>
     for (index, f) in plan.functions.iter().enumerate() {
         functions.insert(local_name(&f.name).to_string(), (index, f.name.clone()));
     }
-    let strategy = ctx.options.strategy;
+    let strategy = options.strategy;
     plan.for_each_root_mut(|root| {
         root.rewrite_bottom_up(&mut |e| resolve_expr(e, &functions, strategy))
     });
@@ -179,7 +152,7 @@ mod tests {
     fn resolve_body(q: &str) -> PlanExpr {
         let mut plan = parse_query(q).unwrap();
         let options = EngineOptions::default();
-        resolve(&mut plan, &PlanContext::bare(&options)).unwrap();
+        resolve(&mut plan, &options).unwrap();
         plan.body
     }
 
@@ -233,7 +206,7 @@ mod tests {
     fn bad_standoff_config_is_a_compile_error() {
         let parsed = parse_query(r#"declare option standoff-type "xs:duration"; 1"#).unwrap();
         let options = EngineOptions::default();
-        let err = compile(parsed, &PlanContext::bare(&options)).unwrap_err();
+        let err = compile(parsed, &options).unwrap_err();
         assert!(matches!(err, QueryError::Static(_)), "{err:?}");
     }
 }

@@ -23,11 +23,11 @@ use std::time::Instant;
 use standoff_algebra::{Item, LlSeq};
 use standoff_core::join::{JoinScratch, JoinStats};
 use standoff_core::obs::{Counter, Histogram, MetricsRegistry};
-use standoff_core::{Budget, IndexStats, RegionIndex, StandoffConfig, StandoffStrategy};
+use standoff_core::{Budget, RegionIndex, StandoffConfig, StandoffStrategy};
 use standoff_store::{Catalog, Layer, LayerSet, Snapshot};
 use standoff_xml::{DocId, DocSource, Document, Store};
 
-use crate::compile::{self, PlanContext};
+use crate::compile;
 use crate::error::QueryError;
 use crate::eval::Evaluator;
 use crate::parser::parse_query;
@@ -194,8 +194,8 @@ impl<'a> LayerFilter<'a> {
 /// materialized, so a layer without the name is never loaded — and an
 /// explicit candidate sequence when some candidate lies in it; the
 /// evaluator joins into exactly these layers (materializing them) and
-/// the `estimate` pass prints exactly these, so plan and execution
-/// cannot name different ones.
+/// `explain` prints exactly these, so plan and execution cannot name
+/// different ones.
 pub(crate) fn answering_layers(
     store: &Store,
     members: &[DocId],
@@ -483,12 +483,12 @@ impl EngineState {
     }
 
     /// The region indexes of the documents `include` keeps: every
-    /// mounted layer's (materialized now — the `estimate` pass includes
-    /// only layers the plan reaches) and the `loaded` ones
+    /// mounted layer's (materialized now — a rendered plan includes
+    /// only the layers its joins reach) and the `loaded` ones
     /// ([`EngineState::loaded_indexes`]). A layer that fails to
     /// materialize is left out; the query that reaches it reports the
     /// failure.
-    fn indexes(
+    pub(crate) fn indexes(
         &self,
         include: impl Fn(DocId) -> bool,
         loaded: &[(DocId, Arc<RegionIndex>)],
@@ -500,56 +500,9 @@ impl EngineState {
         layers.chain(loaded).collect()
     }
 
-    /// Merged statistics of the region indexes of the documents
-    /// `include` keeps ([`EngineState::indexes`]).
-    pub(crate) fn index_stats(
-        &self,
-        include: impl Fn(DocId) -> bool,
-        loaded: &[(DocId, Arc<RegionIndex>)],
-    ) -> IndexStats {
-        let mut stats = IndexStats::default();
-        for (_, index) in self.indexes(include, loaded) {
-            stats.merge(index.stats());
-        }
-        stats
-    }
-
-    /// Are `name`'s elements exactly the annotated nodes of every
-    /// `include`d document that holds the name (and of at least one)?
-    /// The condition under which a join borrows the table instead of
-    /// the name's posting, as the `estimate` pass reports it. Which
-    /// documents hold the name comes from the catalog, so no other layer
-    /// is materialized.
-    pub(crate) fn name_covers(
-        &self,
-        name: &str,
-        include: impl Fn(DocId) -> bool,
-        loaded: &[(DocId, Arc<RegionIndex>)],
-    ) -> bool {
-        let holders = self.indexes(
-            |doc| include(doc) && self.store.name_count(doc, name) > 0,
-            loaded,
-        );
-        !holders.is_empty()
-            && (holders.iter())
-                .all(|(doc, index)| index.covers(self.store.doc(*doc).elements_named(name)))
-    }
-
-    /// The compilation context this state offers the query compiler:
-    /// current options and the corpus itself. Estimates are off — execution paths don't
-    /// pay for explain-only annotations; inspection entry points flip
-    /// [`PlanContext::estimates`] on.
-    pub fn plan_context(&self) -> PlanContext<'_> {
-        PlanContext {
-            options: &self.options,
-            corpus: Some(self),
-            estimates: false,
-        }
-    }
-
     /// Parse, compile and evaluate a query against this state.
     fn run(&mut self, query: &str) -> Result<QueryResult, QueryError> {
-        let plan = compile::compile(parse_query(query)?, &self.plan_context())?;
+        let plan = compile::compile(parse_query(query)?, &self.options)?;
         self.execute_plan(&plan)
     }
 
@@ -827,8 +780,8 @@ impl Engine {
 
     /// Run a query with per-operator profiling forced on, returning the
     /// result together with the executed plan and its profile. The plan
-    /// is compiled with explain-grade estimates so renderings can show
-    /// estimate-vs-actual drift.
+    /// is the one [`Engine::run`] executes; render the profile against
+    /// this engine ([`Engine::state`]).
     pub fn run_profiled(&mut self, query: &str) -> Result<(QueryResult, QueryProfile), QueryError> {
         let plan = Arc::new(self.compile(query)?);
         let was = self.state.options.profile;
@@ -840,11 +793,12 @@ impl Engine {
     }
 
     /// `explain analyze`: execute the query with profiling and render
-    /// the plan tree annotated with measured rows/time per operator
-    /// next to the optimizer's estimates (see [`crate::explain`]).
+    /// the plan tree annotated with measured rows/time per operator,
+    /// each StandOff line's claim held against its operator's actuals
+    /// (see [`crate::explain`]).
     pub fn explain_analyze(&mut self, query: &str) -> Result<String, QueryError> {
         let (result, profile) = self.run_profiled(query)?;
-        let mut out = profile.render();
+        let mut out = profile.render(&self.state);
         out.push_str(&format!("result: {} item(s)\n", result.len()));
         Ok(out)
     }
@@ -896,21 +850,25 @@ impl Engine {
     }
 
     /// Compile a query into its optimized plan without running it —
-    /// the same pipeline [`Engine::run`] executes, plus the
-    /// explain-grade `estimate` pass [`Engine::explain`] renders.
+    /// the plan [`Engine::run`], [`SharedEngine::compile`] and the plan
+    /// cache make of the same text under the same options.
     pub fn compile(&self, query: &str) -> Result<Plan, QueryError> {
-        let parsed = parse_query(query)?;
-        let mut ctx = self.state.plan_context();
-        ctx.estimates = true;
-        compile::compile(parsed, &ctx)
+        compile::compile(parse_query(query)?, &self.state.options)
     }
 
-    /// Render the optimized plan of a query under the engine's current
-    /// options and corpus statistics (see [`crate::explain`]). The text
-    /// is generated from the very plan object execution would run.
+    /// Render the optimized plan of a query with what this engine's
+    /// corpus holds for each StandOff join (see [`crate::explain`]).
+    /// The text is generated from the very plan object execution would
+    /// run.
     pub fn explain(&self, query: &str) -> Result<String, QueryError> {
         let plan = self.compile(query)?;
-        Ok(crate::explain::explain_plan(&plan))
+        Ok(crate::explain::explain_plan(&plan, Some(&self.state)))
+    }
+
+    /// The evaluation state behind this engine: what a plan or a
+    /// [`QueryProfile`] of a query it ran is rendered against.
+    pub fn state(&self) -> &EngineState {
+        &self.state
     }
 
     /// Parse, compile, optimize and evaluate a query; returns the
@@ -925,7 +883,7 @@ impl Engine {
     #[doc(hidden)]
     pub fn run_unoptimized(&mut self, query: &str) -> Result<QueryResult, QueryError> {
         let mut plan = parse_query(query)?;
-        compile::resolve(&mut plan, &self.state.plan_context())?;
+        compile::resolve(&mut plan, &self.state.options)?;
         self.state.execute_plan(&plan)
     }
 
@@ -934,7 +892,7 @@ impl Engine {
     /// so repeated runs neither pay serialization costs nor accumulate
     /// constructed results in the store.
     pub fn run_and_discard(&mut self, query: &str) -> Result<usize, QueryError> {
-        let plan = compile::compile(parse_query(query)?, &self.state.plan_context())?;
+        let plan = compile::compile(parse_query(query)?, &self.state.options)?;
         self.execute_and_discard(&plan)
     }
 
@@ -1051,12 +1009,17 @@ impl SharedEngine {
         }
     }
 
-    /// Compile a query against the frozen corpus — current options and
-    /// index statistics included. This is the plan cache's compile
-    /// path, so explain-only estimate annotations are skipped; use
-    /// [`Engine::compile`]/[`Engine::explain`] for inspection.
+    /// Compile a query under the frozen options — the plan cache's
+    /// compile path, and the same plan [`Engine::compile`] makes.
     pub fn compile(&self, query: &str) -> Result<Plan, QueryError> {
-        compile::compile(parse_query(query)?, &self.core.plan_context())
+        compile::compile(parse_query(query)?, &self.core.options)
+    }
+
+    /// The frozen evaluation state: what a [`QueryProfile`] of a query
+    /// run on this corpus (by a [`Session`] or an executor) is rendered
+    /// against.
+    pub fn state(&self) -> &EngineState {
+        &self.core
     }
 }
 

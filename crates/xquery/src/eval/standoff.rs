@@ -371,18 +371,6 @@ impl Evaluator<'_> {
         };
         let filter = LayerFilter::of(op, cand_buckets);
         let targets = answering_layers(&self.engine.store, members, &filter);
-        // Plan honesty: an explain-grade plan printed the layers of each
-        // mounted group this join would reach (`layers: …; result: …`,
-        // absent for an explicit candidate sequence); the layers reached
-        // now must be those.
-        let claimed = op.estimate.as_ref().and_then(|est| est.layers.as_ref());
-        if let (Some(g), Some(claimed)) = (unit.group, claimed) {
-            let claim = claimed.iter().find(|c| c.group == g);
-            if claim.map(|c| c.answering.len()) != Some(targets.len()) {
-                self.engine.handles.claim_mismatch_result_merge.inc();
-                debug_assert!(false, "plan claimed {claim:?}, joined {targets:?}");
-            }
-        }
         if targets.is_empty() {
             return Ok(());
         }
@@ -465,11 +453,6 @@ impl Evaluator<'_> {
                 JoinSink::Counts(counts) => {
                     if count_resolved(op.axis, &input, scratch, counts) {
                         exec.stats.counts_from_index += 1;
-                    } else if op.claims_index_count() {
-                        // The plan said `count: from index`, but this
-                        // layer's annotations are multi-region now: a
-                        // write reshaped it after the plan was made.
-                        engine.handles.claim_mismatch_count.inc();
                     }
                 }
             }

@@ -739,8 +739,8 @@ mod tests {
     /// Regression (writable overlays): applying a delta through
     /// [`crate::WritableEngine`] swaps in a fresh store generation, so a
     /// shared [`QueryCache`] must treat the post-mutation engine as a
-    /// new epoch — replaying a plan compiled against the pre-mutation
-    /// corpus would silently serve stale candidate estimates and stats.
+    /// new epoch: a cache entry is never served across generations,
+    /// whatever its plan holds.
     #[test]
     fn cache_invalidates_on_writable_mutation() {
         use crate::WritableEngine;

@@ -4,28 +4,42 @@
 //! evaluator executes — as an indented operator tree, annotated with the
 //! loop-lifting structure (which operators open new iteration scopes)
 //! and, for StandOff joins, the per-operator plan decisions: the join
-//! algorithm the optimizer selected, whether (and which) element-name
-//! candidate sequence is pushed down, which layers of a mounted corpus
-//! can answer it and whether their outputs are emitted directly or
-//! merged, and the cardinality estimate from those layers' region-index
-//! statistics. The textual shape mirrors how
-//! Pathfinder plans are usually shown.
+//! algorithm the optimizer selected and whether (and which)
+//! element-name candidate sequence is pushed down. The textual shape
+//! mirrors how Pathfinder plans are usually shown.
+//!
+//! Rendered for an engine, each StandOff line also states what that
+//! engine's corpus holds for the join, worked out at render time by the
+//! functions the join itself calls (`join_facts`): which layers of a
+//! mounted corpus answer it and whether their outputs are emitted
+//! directly or merged, the entries of the region indexes it reaches
+//! (`entries=`) and the pushed name's elements in them (`named=`).
+//! Rendered with a profile (`explain analyze`), each such line's claim
+//! — `count: from index`, `result: direct` — is held against that
+//! operator's recorded actuals, and a broken one is counted
+//! (`plan.claim_mismatch.*`).
 //!
 //! Because the text is generated from the plan that executes, it
 //! cannot drift from execution: what explain prints *is* what runs.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use standoff_algebra::TreeAxis;
-use standoff_core::StandoffStrategy;
+use standoff_core::{IndexStats, RegionIndex, StandoffStrategy};
+use standoff_xml::DocId;
 
+use crate::engine::{answering_layers, EngineState, LayerFilter};
 use crate::plan::*;
 use crate::profile::{fmt_ns, operator_ids, PlanProfile};
 
-/// Render the optimized plan.
-pub fn explain_plan(plan: &Plan) -> String {
-    render_plan(plan, None)
+/// Render the optimized plan. With the engine it is rendered for, each
+/// StandOff line also states that engine's facts for the join; without
+/// one, only what the plan decided.
+pub fn explain_plan(plan: &Plan, engine: Option<&EngineState>) -> String {
+    render_plan(plan, engine, None)
 }
 
 /// Render the optimized plan annotated with one execution's measurements
@@ -33,17 +47,29 @@ pub fn explain_plan(plan: &Plan) -> String {
 /// `-- actual #id:` block with call count, output rows and wall time
 /// (plus join mechanism detail for StandOff joins); operators the
 /// execution never reached say so. With `redact` the times print as `~`,
-/// which keeps the output deterministic for golden tests.
-pub fn explain_analyze(plan: &Plan, profile: &PlanProfile, redact: bool) -> String {
-    let ctx = AnalyzeCtx {
+/// which keeps the output deterministic for golden tests. `engine` is
+/// the engine the plan ran on.
+pub fn explain_analyze(
+    plan: &Plan,
+    profile: &PlanProfile,
+    engine: &EngineState,
+    redact: bool,
+) -> String {
+    let analyze = AnalyzeCtx {
         ids: operator_ids(plan),
         profile,
         redact,
     };
-    render_plan(plan, Some(&ctx))
+    render_plan(plan, Some(engine), Some(analyze))
 }
 
-fn render_plan(plan: &Plan, ctx: Option<&AnalyzeCtx>) -> String {
+fn render_plan(plan: &Plan, engine: Option<&EngineState>, analyze: Option<AnalyzeCtx>) -> String {
+    let ctx = &Render {
+        engine,
+        plan,
+        loaded: OnceCell::new(),
+        analyze,
+    };
     let mut out = String::new();
     if !plan.passes.is_empty() {
         let _ = writeln!(out, "passes: {}", plan.passes.join(" → "));
@@ -65,6 +91,17 @@ fn render_plan(plan: &Plan, ctx: Option<&AnalyzeCtx>) -> String {
     out.push_str("plan:\n");
     explain_expr_in(&plan.body, 1, &mut out, ctx);
     out
+}
+
+/// What one rendering reads besides the plan: the engine it is
+/// rendered for, and the measurements of `explain analyze`.
+struct Render<'a> {
+    engine: Option<&'a EngineState>,
+    plan: &'a Plan,
+    /// The region indexes of the engine's loaded documents under the
+    /// plan's configuration, obtained for the first StandOff line.
+    loaded: OnceCell<Vec<(DocId, Arc<RegionIndex>)>>,
+    analyze: Option<AnalyzeCtx<'a>>,
 }
 
 /// The measurement side-channel of `explain analyze`: stable operator
@@ -128,11 +165,16 @@ fn line(out: &mut String, depth: usize, text: &str) {
     out.push('\n');
 }
 
-/// The annotation block of one StandOff join operator.
+/// The annotation block of one StandOff join operator `expr`.
 /// `explicit_candidates` is set for the built-in function form with a
 /// second argument, which overrides any name-test pushdown at run time
 /// — the note must describe the candidate source actually used.
-fn standoff_note(op: &StandoffOp, explicit_candidates: bool) -> String {
+fn standoff_note(
+    ctx: &Render,
+    expr: &PlanExpr,
+    op: &StandoffOp,
+    explicit_candidates: bool,
+) -> String {
     let algo = match op.strategy {
         StandoffStrategy::NaiveNoCandidates => "nested loop over all elements",
         StandoffStrategy::NaiveWithCandidates => "nested loop over candidates",
@@ -141,35 +183,32 @@ fn standoff_note(op: &StandoffOp, explicit_candidates: bool) -> String {
             "loop-lifted StandOff MergeJoin, single index scan"
         }
     };
+    let facts = ctx.engine.map(|engine| {
+        let loaded = (ctx.loaded).get_or_init(|| engine.loaded_indexes(&ctx.plan.config));
+        (engine, join_facts(engine, loaded, op, explicit_candidates))
+    });
     // Where a merge join reads a pushed name's candidates, when the
-    // estimate pass found the name in a non-empty index: the name's
-    // posting, or — when its elements are every annotated node — the
-    // table itself, borrowed ([`standoff_core::RegionIndex::posting`]).
-    // The loop-lifted joins read only their context's reach of it
-    // (widened by its largest entry extent for the overlap axes).
-    let access = |count: Option<u64>| match (count, &op.estimate, op.strategy) {
+    // indexes it reaches are not empty: the name's posting, or — when
+    // its elements are every annotated node — the table itself,
+    // borrowed ([`standoff_core::RegionIndex::posting`]). The
+    // loop-lifted joins read only their context's reach of it (widened
+    // by its largest entry extent for the overlap axes).
+    let access = match (&facts, op.strategy) {
         (
-            Some(_),
-            Some(est),
+            Some((_, f)),
             StandoffStrategy::BasicMergeJoin | StandoffStrategy::LoopLiftedMergeJoin,
-        ) if est.index.entries > 0 => {
-            let source = if est.covering { "borrowed" } else { "posting" };
+        ) if f.index.entries > 0 => {
+            let source = if f.covering { "borrowed" } else { "posting" };
             let bounded = op.strategy == StandoffStrategy::LoopLiftedMergeJoin;
             let reach = if bounded { " ≤ context reach" } else { "" };
             format!(" [{source}{reach}]")
         }
         _ => String::new(),
     };
-    let cand = if explicit_candidates {
-        "candidates: explicit node sequence ∩ region index".to_string()
-    } else {
-        match &op.pushdown {
-            Some(name) => {
-                let path = access(op.estimate.as_ref().and_then(|e| e.candidates));
-                format!("candidates: element index '{name}' ∩ region index{path}")
-            }
-            None => "candidates: full region index".to_string(),
-        }
+    let cand = match (&op.pushdown, explicit_candidates) {
+        (_, true) => "candidates: explicit node sequence ∩ region index".to_string(),
+        (Some(name), _) => format!("candidates: element index '{name}' ∩ region index{access}"),
+        (None, _) => "candidates: full region index".to_string(),
     };
     let mut note = format!("{algo}; {cand}");
     // What will happen to the result, for a context inside a mounted
@@ -178,32 +217,35 @@ fn standoff_note(op: &StandoffOp, explicit_candidates: bool) -> String {
     // so one is emitted as it is and several are merged. An operator
     // only counted is answered from the index where its layers hold
     // single-region annotations, and by counting the join's rows
-    // elsewhere. The evaluator holds each execution against this line
-    // (`eval_standoff_join`, `count_standoff_join`).
-    if let Some(est) = &op.estimate {
-        for (k, g) in est.layers.iter().flatten().enumerate() {
+    // elsewhere.
+    let (mut index_count, mut direct) = (false, false);
+    if let Some((engine, f)) = &facts {
+        let groups = engine.layer_groups();
+        for (k, (answering, members)) in f.answering.iter().flatten().zip(groups).enumerate() {
             note.push_str(if k == 0 { "; layers: " } else { " | " });
-            if est.layers.as_ref().is_some_and(|groups| groups.len() > 1) {
-                let _ = write!(note, "{}: ", g.uri);
+            if groups.len() > 1 {
+                let uri = engine.store.doc_uri(members[0]).unwrap_or("?");
+                let _ = write!(note, "{uri}: ");
             }
-            let names = if g.answering.is_empty() {
+            let names: Vec<String> = answering.iter().map(|&d| engine.layer_label(d)).collect();
+            let names = if names.is_empty() {
                 "none".to_string()
             } else {
-                g.answering.join(", ")
+                names.join(", ")
             };
-            let _ = write!(note, "{names} ({} of {})", g.answering.len(), g.members);
+            let _ = write!(note, "{names} ({} of {})", answering.len(), members.len());
         }
-        let widest = (est.layers.iter().flatten())
-            .map(|g| g.answering.len())
-            .max();
-        match (&est.layers, widest) {
-            _ if op.claims_index_count() => note.push_str("; count: from index"),
+        let widest = f.answering.iter().flatten().map(Vec::len).max();
+        index_count = op.count_from_index && f.index.max_regions <= 1;
+        direct = !op.count_from_index && f.answering.is_some() && widest.unwrap_or(0) <= 1;
+        match (&f.answering, widest) {
+            _ if index_count => note.push_str("; count: from index"),
             _ if op.count_from_index => note.push_str("; count: from join rows"),
             (None, _) => note.push_str("; result: one run per layer of the candidate sequence"),
-            (Some(_), Some(k)) if k > 1 => {
-                let _ = write!(note, "; result: k-way merge ({k})");
+            _ if direct => note.push_str("; result: direct"),
+            _ => {
+                let _ = write!(note, "; result: k-way merge ({})", widest.unwrap_or(0));
             }
-            _ => note.push_str("; result: direct"),
         }
     }
     let _ = write!(
@@ -215,31 +257,96 @@ fn standoff_note(op: &StandoffOp, explicit_candidates: bool) -> String {
             "self-step"
         }
     );
-    if let Some(est) = &op.estimate {
-        let _ = write!(
-            note,
-            "; est: {} region entr{}",
-            est.index.entries,
-            if est.index.entries == 1 { "y" } else { "ies" },
-        );
-        if let Some(c) = est.candidates {
-            let _ = write!(note, ", ≈{c} candidate(s)");
+    if let Some((engine, f)) = &facts {
+        let _ = write!(note, "; entries={}", f.index.entries);
+        if let Some(n) = f.named {
+            let _ = write!(note, ", named={n}");
         }
-        if est.index.max_regions > 1 {
-            let _ = write!(note, ", ≤{} region(s)/annotation", est.index.max_regions);
+        if f.index.max_regions > 1 {
+            let _ = write!(note, ", max-regions={}", f.index.max_regions);
+        }
+        // The actuals hold the claim: every target of a count from the
+        // index is one `from-index=` of its `targets=`, and a direct
+        // result was never merged (`merges=`). Execution and these
+        // facts call the same functions, so a broken claim is a fault
+        // in one of them.
+        let profile = ctx.analyze.as_ref().and_then(|a| a.profile.get(expr));
+        if let Some(j) = profile.and_then(|m| m.join.as_ref()) {
+            if index_count && j.stats.counts_from_index != j.target_joins {
+                engine.handles.claim_mismatch_count.inc();
+            }
+            if direct && j.stats.result_merges > 0 {
+                engine.handles.claim_mismatch_result_merge.inc();
+            }
         }
     }
     note
+}
+
+/// What an engine's corpus holds for one StandOff join, worked out by
+/// the functions the join itself calls.
+struct JoinFacts {
+    /// Per mounted layer group, the layers that answer the join
+    /// ([`answering_layers`]); `None` for an explicit candidate
+    /// sequence, whose layers are known only once it is evaluated.
+    answering: Option<Vec<Vec<DocId>>>,
+    /// Statistics of the region indexes the join reaches: those of its
+    /// answering layers and of every loaded document.
+    index: IndexStats,
+    /// The pushed name's elements in those indexes' documents.
+    named: Option<u64>,
+    /// Those elements are every annotated node of each reached document
+    /// that holds the name: the join borrows the table, not a posting.
+    covering: bool,
+}
+
+fn join_facts(
+    engine: &EngineState,
+    loaded: &[(DocId, Arc<RegionIndex>)],
+    op: &StandoffOp,
+    explicit_candidates: bool,
+) -> JoinFacts {
+    let answering: Option<Vec<Vec<DocId>>> = (!explicit_candidates).then(|| {
+        let filter = LayerFilter::of(op, None);
+        (engine.layer_groups().iter())
+            .map(|members| answering_layers(&engine.store, members, &filter))
+            .collect()
+    });
+    let reached = |doc: DocId| match (&answering, engine.layer_group_id(doc)) {
+        (Some(answering), Some(g)) => answering[g as usize].contains(&doc),
+        _ => true,
+    };
+    let indexes = engine.indexes(reached, loaded);
+    let mut index = IndexStats::default();
+    indexes
+        .iter()
+        .for_each(|(_, reached)| index.merge(reached.stats()));
+    let named = op.pushdown.as_deref().map(|name| {
+        (indexes.iter())
+            .map(|(doc, reached)| (reached, engine.store.doc(*doc).elements_named(name)))
+            .filter(|(_, nodes)| !nodes.is_empty())
+            .collect::<Vec<_>>()
+    });
+    let covering = named.as_ref().is_some_and(|named| {
+        !named.is_empty() && named.iter().all(|(reached, nodes)| reached.covers(nodes))
+    });
+    let named = named.map(|named| named.iter().map(|(_, nodes)| nodes.len() as u64).sum());
+    JoinFacts {
+        answering,
+        index,
+        named,
+        covering,
+    }
 }
 
 /// Render one operator subtree, then splice the analyze annotation (if
 /// any) into the operator's head line — the first line the arm emitted.
 /// Children are already rendered (and annotated) by the time the parent
 /// splices, so the insertion point is always the parent's own newline.
-fn explain_expr_in(expr: &PlanExpr, depth: usize, out: &mut String, ctx: Option<&AnalyzeCtx>) {
+fn explain_expr_in(expr: &PlanExpr, depth: usize, out: &mut String, ctx: &Render) {
     let head_start = out.len();
     explain_expr_body(expr, depth, out, ctx);
-    if let Some(actx) = ctx {
+    if let Some(actx) = &ctx.analyze {
         if let Some(note) = actx.annotation(expr) {
             if let Some(pos) = out[head_start..].find('\n') {
                 out.insert_str(head_start + pos, &note);
@@ -248,7 +355,7 @@ fn explain_expr_in(expr: &PlanExpr, depth: usize, out: &mut String, ctx: Option<
     }
 }
 
-fn explain_expr_body(expr: &PlanExpr, depth: usize, out: &mut String, ctx: Option<&AnalyzeCtx>) {
+fn explain_expr_body(expr: &PlanExpr, depth: usize, out: &mut String, ctx: &Render) {
     match expr {
         PlanExpr::Const(atom) => {
             let text = match atom {
@@ -433,7 +540,7 @@ fn explain_expr_body(expr: &PlanExpr, depth: usize, out: &mut String, ctx: Optio
                 &format!(
                     "step {}::{test}  [{}]",
                     op.axis.as_str(),
-                    standoff_note(op, false)
+                    standoff_note(ctx, expr, op, false)
                 ),
             );
             explain_step_tail(input.as_deref(), predicates, depth, out, ctx);
@@ -472,7 +579,7 @@ fn explain_expr_body(expr: &PlanExpr, depth: usize, out: &mut String, ctx: Optio
                 &format!(
                     "standoff-join {}(..)  [{}]",
                     op.axis.as_str(),
-                    standoff_note(op, candidates.is_some())
+                    standoff_note(ctx, expr, op, candidates.is_some())
                 ),
             );
             line(out, depth + 1, "context");
@@ -518,7 +625,7 @@ fn explain_step_tail(
     predicates: &[PlanExpr],
     depth: usize,
     out: &mut String,
-    ctx: Option<&AnalyzeCtx>,
+    ctx: &Render,
 ) {
     if let Some(input) = input {
         explain_expr_in(input, depth + 1, out, ctx);
@@ -534,13 +641,13 @@ fn explain_step_tail(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{compile, PlanContext};
+    use crate::compile::compile;
     use crate::engine::EngineOptions;
     use crate::parser::parse_query;
 
     fn explain_with(q: &str, options: &EngineOptions) -> String {
-        let plan = compile(parse_query(q).unwrap(), &PlanContext::bare(options)).unwrap();
-        explain_plan(&plan)
+        let plan = compile(parse_query(q).unwrap(), options).unwrap();
+        explain_plan(&plan, None)
     }
 
     #[test]
@@ -599,5 +706,34 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("hoisted $#h0"), "{text}");
+    }
+
+    /// The analyze renderer holds each StandOff line's claim against
+    /// its operator's recorded actuals: a profile in which the `count:
+    /// from index` target fell back to the join and the `result:
+    /// direct` result was merged moves each counter once.
+    #[test]
+    fn analyze_counts_the_claims_its_actuals_break() {
+        let mut engine = crate::Engine::new();
+        let d = r#"<d><a start="0" end="9"/><w start="0" end="4"/><w start="5" end="9"/></d>"#;
+        engine.load_document("d.xml", d).unwrap();
+        let step = r#"doc("d.xml")//a/select-narrow::w"#;
+        let query = format!("(count({step}), {step})");
+        let (_, mut profile) = engine.run_profiled(&query).unwrap();
+        let broken = |engine: &crate::Engine| {
+            let counters = engine.metrics().snapshot().counters;
+            let count = counters["plan.claim_mismatch.count"];
+            [count, counters["plan.claim_mismatch.result_merge"]]
+        };
+        let text = profile.render(engine.state());
+        assert!(text.contains("; count: from index;"), "{text}");
+        assert!(text.contains("; result: direct;"), "{text}");
+        assert_eq!(broken(&engine), [0, 0], "{text}");
+        for join in profile.ops.ops.values_mut().filter_map(|m| m.join.as_mut()) {
+            join.stats.counts_from_index = 0;
+            join.stats.result_merges = 1;
+        }
+        profile.render(engine.state());
+        assert_eq!(broken(&engine), [1, 1]);
     }
 }

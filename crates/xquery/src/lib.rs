@@ -8,14 +8,15 @@
 //! finish — the [`plan`] IR: `parse` ([`parser`] builds the plan) →
 //! `resolve` ([`compile`]: prolog options, function calls, join
 //! strategy) → `optimize` ([`optimize`], an ordered pass list: constant
-//! folding, loop-invariant hoisting, per-operator strategy selection,
-//! candidate pushdown, cardinality estimates) → `execute` (the
+//! folding, step fusion, loop-invariant hoisting, candidate pushdown,
+//! post-filter elision, counts from the index) → `execute` (the
 //! crate-private `eval`: one module per operator family — paths, tree
 //! steps and predicates; StandOff joins; FLWOR, quantifiers and calls;
 //! constructors; value operators — over one frame stack whose scopes
 //! are opened in one place; built-ins live in the crate-private
 //! `functions`).
-//! [`explain`] renders the same plan object that executes, and the
+//! [`explain`] renders the same plan object that executes, with what
+//! the engine's corpus holds for each StandOff join, and the
 //! batch executor ([`exec`]) caches compiled plans keyed on `(query
 //! text, store generation, options fingerprint)`.
 //!

@@ -46,12 +46,11 @@
 //!    rows per iteration from the index instead of producing them — an
 //!    aggregate under loop-lifting is a grouping on `iter` (§4.5). Runs
 //!    after `elide`, whose guarantee it reads.
-//! 8. **estimate** — resolves, for every StandOff operator, the layers
-//!    of each mounted group that can answer it (the function execution
-//!    resolves them with) and attaches their region-index statistics
-//!    and the pushed name's candidate counts for explain output. Purely
-//!    informational; runs last so it sees final strategies and
-//!    pushdowns.
+//!
+//! No pass reads the corpus: a plan depends on the query and the
+//! engine's options alone. What the corpus holds for a join — the
+//! layers it reaches, their entries — is worked out when the plan is
+//! rendered ([`crate::explain`]).
 //!
 //! Hoisting and XQuery error semantics: per XQuery 1.0 §2.3.4 an
 //! implementation may evaluate an expression eagerly even when a strict
@@ -65,22 +64,17 @@ use std::collections::HashSet;
 use standoff_algebra::{NodeTest, TreeAxis};
 use standoff_core::StandoffStrategy;
 
-use standoff_xml::DocId;
-
-use crate::compile::PlanContext;
-use crate::engine::{answering_layers, LayerFilter};
+use crate::engine::EngineOptions;
 use crate::plan::*;
 
 /// One optimizer pass: its name as `explain` prints it, and the rewrite.
 pub struct Pass {
     pub name: &'static str,
-    pub run: fn(&mut Plan, &PlanContext<'_>),
+    pub run: fn(&mut Plan, &EngineOptions),
 }
 
-/// The pass list, in execution order. The `estimate` pass runs only
-/// when the context asks for explain-grade estimates
-/// ([`PlanContext::estimates`]); the others always run.
-pub const PASSES: [Pass; 8] = [
+/// The pass list, in execution order.
+pub const PASSES: [Pass; 7] = [
     Pass {
         name: "const-fold",
         run: const_fold,
@@ -109,29 +103,20 @@ pub const PASSES: [Pass; 8] = [
         name: "fuse-count",
         run: fuse_count,
     },
-    Pass {
-        name: ESTIMATE,
-        run: estimate,
-    },
 ];
-
-const ESTIMATE: &str = "estimate";
 
 /// Run the pass list over `plan`; returns the names of the passes
 /// applied, in order.
-pub fn optimize(plan: &mut Plan, ctx: &PlanContext<'_>) -> Vec<&'static str> {
-    let estimates = ctx.estimates && ctx.corpus.is_some();
-    let mut applied = Vec::with_capacity(PASSES.len());
-    for pass in PASSES.iter().filter(|p| estimates || p.name != ESTIMATE) {
-        (pass.run)(plan, ctx);
-        applied.push(pass.name);
+pub fn optimize(plan: &mut Plan, options: &EngineOptions) -> Vec<&'static str> {
+    for pass in &PASSES {
+        (pass.run)(plan, options);
     }
-    applied
+    PASSES.iter().map(|p| p.name).collect()
 }
 
 // ================= pass 1: constant folding =================
 
-fn const_fold(plan: &mut Plan, _: &PlanContext<'_>) {
+fn const_fold(plan: &mut Plan, _: &EngineOptions) {
     plan.for_each_root_mut(|root| root.rewrite_bottom_up(&mut fold_expr));
 }
 
@@ -269,7 +254,7 @@ fn fold_compare(op: CompOp, x: &Atom, y: &Atom) -> Option<Atom> {
 
 // ================= pass 2: `//T` step fusion =================
 
-fn fuse_descendant(plan: &mut Plan, _: &PlanContext<'_>) {
+fn fuse_descendant(plan: &mut Plan, _: &EngineOptions) {
     plan.for_each_root_mut(|root| root.rewrite_bottom_up(&mut fuse_step));
 }
 
@@ -356,7 +341,7 @@ fn local_name(name: &str) -> &str {
 
 // ================= pass 3: attribute-equals-literal filter =================
 
-fn fuse_attr_filter(plan: &mut Plan, _: &PlanContext<'_>) {
+fn fuse_attr_filter(plan: &mut Plan, _: &EngineOptions) {
     plan.for_each_root_mut(|root| {
         root.rewrite_bottom_up(&mut |e| match e {
             PlanExpr::TreeStep { predicates, .. } | PlanExpr::StandoffStep { predicates, .. } => {
@@ -402,7 +387,7 @@ fn fuse_attr_predicate(p: &mut PlanExpr) {
 
 // ================= pass 4: loop-invariant hoisting =================
 
-fn hoist_invariants(plan: &mut Plan, _: &PlanContext<'_>) {
+fn hoist_invariants(plan: &mut Plan, _: &EngineOptions) {
     // Which user-defined functions (transitively) construct nodes: calls
     // to them are never hoisted, because collapsing per-iteration
     // construction to one shared node is observable through node
@@ -858,41 +843,23 @@ fn scan_children_with_binders(
     }
 }
 
-// ================= passes 5–8: StandOff operator annotation =================
+// ================= passes 5–7: StandOff operator annotation =================
 
 /// Visit every StandOff join operator with its node test (`None` for
-/// the built-in function form) and whether it takes an explicit
-/// candidate sequence.
-fn for_each_standoff_op(
-    plan: &mut Plan,
-    mut f: impl FnMut(&mut StandoffOp, Option<&standoff_algebra::NodeTest>, bool),
-) {
+/// the built-in function form).
+fn for_each_standoff_op(plan: &mut Plan, mut f: impl FnMut(&mut StandoffOp, Option<&NodeTest>)) {
     plan.for_each_root_mut(|root| {
         root.rewrite_bottom_up(&mut |e| match e {
-            PlanExpr::StandoffStep { op, test, .. } => f(op, Some(test), false),
-            PlanExpr::StandoffFn { op, candidates, .. } => f(op, None, candidates.is_some()),
+            PlanExpr::StandoffStep { op, test, .. } => f(op, Some(test)),
+            PlanExpr::StandoffFn { op, .. } => f(op, None),
             _ => {}
         })
     });
 }
 
-/// Total occurrences of an element name across the corpus — the size
-/// of the candidate sequence a pushdown of `name` would produce. Read
-/// off the catalog: counting a name loads no layer.
-fn corpus_name_count(ctx: &PlanContext<'_>, name: &str) -> Option<u64> {
-    let corpus = ctx.corpus?;
-    let store = &corpus.store;
-    Some(
-        store
-            .doc_ids()
-            .map(|id| store.name_count(id, name) as u64)
-            .sum(),
-    )
-}
-
-fn pushdown(plan: &mut Plan, ctx: &PlanContext<'_>) {
-    let allowed = ctx.options.candidate_pushdown;
-    for_each_standoff_op(plan, |op, test, _| {
+fn pushdown(plan: &mut Plan, options: &EngineOptions) {
+    let allowed = options.candidate_pushdown;
+    for_each_standoff_op(plan, |op, test| {
         op.pushdown = match test {
             Some(test)
                 if allowed
@@ -922,9 +889,9 @@ fn pushdown(plan: &mut Plan, ctx: &PlanContext<'_>) {
 ///
 /// Runs after `pushdown` because the name-test case is only sound once
 /// the pushdown decision is final.
-fn elide(plan: &mut Plan, _: &PlanContext<'_>) {
+fn elide(plan: &mut Plan, _: &EngineOptions) {
     use standoff_algebra::KindTest;
-    for_each_standoff_op(plan, |op, test, _| {
+    for_each_standoff_op(plan, |op, test| {
         op.test_guaranteed = match test {
             None => true, // function form: evaluated under `*`
             Some(test) => match (&test.name, test.kind) {
@@ -940,7 +907,7 @@ fn elide(plan: &mut Plan, _: &PlanContext<'_>) {
 /// only `count`, `exists` or `empty` read: their sole argument, under
 /// the loop-lifted strategy, with no predicate and no post-filter to
 /// run on the rows.
-fn fuse_count(plan: &mut Plan, _: &PlanContext<'_>) {
+fn fuse_count(plan: &mut Plan, _: &EngineOptions) {
     plan.for_each_root_mut(|root| {
         root.rewrite_bottom_up(&mut |e| {
             let PlanExpr::BuiltinCall { name, args } = e else {
@@ -958,63 +925,15 @@ fn fuse_count(plan: &mut Plan, _: &PlanContext<'_>) {
     });
 }
 
-/// Attach explain-grade estimates: which layers of each mounted group
-/// the join reaches ([`answering_layers`], as execution decides it), the
-/// region statistics of those layers, and the pushed name's candidate
-/// counts. Gated by the caller ([`optimize`]): estimates feed explain
-/// output only, so execution paths skip this per-operator corpus scan
-/// entirely.
-fn estimate(plan: &mut Plan, ctx: &PlanContext<'_>) {
-    let Some(corpus) = ctx.corpus else { return };
-    let config = plan.config.clone();
-    // The loaded documents' indexes, once per plan: the first StandOff
-    // operator obtains them.
-    let mut loaded = None;
-    for_each_standoff_op(plan, |op, _, explicit_candidates| {
-        let loaded: &[_] = loaded.get_or_insert_with(|| corpus.loaded_indexes(&config));
-        // Which layers an explicit candidate sequence reaches is only
-        // known once it is evaluated.
-        let answering: Option<Vec<Vec<DocId>>> = (!explicit_candidates).then(|| {
-            let filter = LayerFilter::of(op, None);
-            let groups = corpus.layer_groups().iter();
-            groups
-                .map(|members| answering_layers(&corpus.store, members, &filter))
-                .collect()
-        });
-        let reached = |doc: DocId| match (&answering, corpus.layer_group_id(doc)) {
-            (Some(answering), Some(g)) => answering[g as usize].contains(&doc),
-            _ => true,
-        };
-        let name = op.pushdown.as_deref();
-        op.estimate = Some(Box::new(JoinEstimate {
-            index: corpus.index_stats(reached, loaded),
-            candidates: name.and_then(|name| corpus_name_count(ctx, name)),
-            covering: name.is_some_and(|name| corpus.name_covers(name, reached, loaded)),
-            layers: answering.map(|answering| {
-                let groups = answering.iter().zip(corpus.layer_groups()).enumerate();
-                groups
-                    .map(|(g, (answering, members))| GroupLayers {
-                        group: g as u32,
-                        uri: corpus.store.doc_uri(members[0]).unwrap_or("?").to_string(),
-                        answering: answering.iter().map(|&d| corpus.layer_label(d)).collect(),
-                        members: members.len(),
-                    })
-                    .collect()
-            }),
-        }));
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compile::compile;
-    use crate::engine::EngineOptions;
     use crate::parser::parse_query;
 
     fn optimized(q: &str) -> Plan {
         let options = EngineOptions::default();
-        compile(parse_query(q).unwrap(), &PlanContext::bare(&options)).unwrap()
+        compile(parse_query(q).unwrap(), &options).unwrap()
     }
 
     #[test]
@@ -1097,7 +1016,7 @@ mod tests {
             strategy,
             ..EngineOptions::default()
         };
-        let plan = compile(parse_query(q).unwrap(), &PlanContext::bare(&options)).unwrap();
+        let plan = compile(parse_query(q).unwrap(), &options).unwrap();
         let PlanExpr::BuiltinCall { args, .. } = &plan.body else {
             panic!("expected a call, got {:?}", plan.body);
         };
@@ -1138,7 +1057,7 @@ mod tests {
             strategy: standoff_core::StandoffStrategy::NaiveNoCandidates,
             ..EngineOptions::default()
         };
-        let plan = compile(parsed, &PlanContext::bare(&options)).unwrap();
+        let plan = compile(parsed, &options).unwrap();
         let PlanExpr::StandoffStep { op, .. } = &plan.body else {
             panic!("expected standoff step");
         };

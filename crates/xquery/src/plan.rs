@@ -13,8 +13,8 @@
 //! * every StandOff join operator — axis step or built-in function form —
 //!   carries an explicit [`StandoffOp`] annotation: the join
 //!   [`StandoffStrategy`] chosen for *this* operator, the element name
-//!   pushed down as a candidate sequence (if any), and the optimizer's
-//!   cardinality estimate from [`IndexStats`];
+//!   pushed down as a candidate sequence (if any), and whether its
+//!   trailing self-step and its rows can be skipped;
 //! * user-defined function calls are resolved to an index into the
 //!   plan's function table (shadowing of built-ins happens here, once);
 //! * FLWOR operators carry the loop-invariant bindings the optimizer
@@ -29,7 +29,7 @@
 use std::sync::Arc;
 
 use standoff_algebra::{Item, NodeTest, TreeAxis};
-use standoff_core::{IndexStats, StandoffAxis, StandoffConfig, StandoffStrategy};
+use standoff_core::{StandoffAxis, StandoffConfig, StandoffStrategy};
 
 /// General (existential, type-coercing) vs value (singleton) comparison.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -159,15 +159,12 @@ pub struct StandoffOp {
     /// `fuse-count` pass on loop-lifted, predicate-free operators whose
     /// node test is guaranteed.
     pub count_from_index: bool,
-    /// Optimizer cardinality estimate, when corpus statistics were
-    /// available at compile time.
-    pub estimate: Option<Box<JoinEstimate>>,
 }
 
 impl StandoffOp {
-    /// An operator with the given axis and strategy, no pushdown, no
-    /// post-filter elision and no estimate — the state the parser and
-    /// the resolve step leave it in before the optimizer runs.
+    /// An operator with the given axis and strategy, no pushdown and no
+    /// post-filter elision — the state the parser and the resolve step
+    /// leave it in before the optimizer runs.
     pub fn new(axis: StandoffAxis, strategy: StandoffStrategy) -> StandoffOp {
         StandoffOp {
             axis,
@@ -175,53 +172,8 @@ impl StandoffOp {
             pushdown: None,
             test_guaranteed: false,
             count_from_index: false,
-            estimate: None,
         }
     }
-
-    /// Does the plan line say `count: from index`? It does for a
-    /// counted operator whose estimate found no multi-region annotation
-    /// in the layers it reaches; the evaluator counts each target that
-    /// then falls back to the join as a broken claim.
-    pub fn claims_index_count(&self) -> bool {
-        self.count_from_index && (self.estimate.as_ref()).is_some_and(|e| e.index.max_regions <= 1)
-    }
-}
-
-/// What the `estimate` pass worked out about one StandOff join from
-/// the corpus the plan was compiled against: which layers it will join
-/// into, and how much they hold.
-#[derive(Clone, Debug)]
-pub struct JoinEstimate {
-    /// Region-index statistics of the layers the join can reach: the
-    /// answering layers of every mounted group (see `layers`), plus
-    /// every document outside a group.
-    pub index: IndexStats,
-    /// Estimated candidate count after name-test pushdown (total
-    /// occurrences of the pushed element name across the corpus).
-    pub candidates: Option<u64>,
-    /// The pushed name's elements are exactly the annotated nodes of
-    /// every reached layer that holds it — the candidate rule's borrow
-    /// condition.
-    pub covering: bool,
-    /// Per mounted layer group, the layers that can answer this join —
-    /// resolved by the function execution resolves them with. `None`
-    /// for the function form with an explicit candidate sequence, whose
-    /// layers are whichever the sequence reaches at run time.
-    pub layers: Option<Vec<GroupLayers>>,
-}
-
-/// The layers of one mounted layer group that can answer a join.
-#[derive(Clone, Debug)]
-pub struct GroupLayers {
-    /// The engine's id of the group.
-    pub group: u32,
-    /// The URI the group is mounted under.
-    pub uri: String,
-    /// Names of the answering layers, in document order.
-    pub answering: Vec<String>,
-    /// Number of layers in the group.
-    pub members: usize,
 }
 
 /// One `for`/`let` binding of a compiled FLWOR.

@@ -24,6 +24,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::engine::EngineState;
 use crate::plan::{Plan, PlanExpr};
 use standoff_core::JoinStats;
 
@@ -117,15 +118,17 @@ pub struct QueryProfile {
 }
 
 impl QueryProfile {
-    /// The `explain analyze` tree with measured times.
-    pub fn render(&self) -> String {
-        crate::explain::explain_analyze(&self.plan, &self.ops, false)
+    /// The `explain analyze` tree with measured times, rendered against
+    /// `engine`, the engine the query ran on ([`crate::Engine::state`],
+    /// [`crate::SharedEngine::state`]).
+    pub fn render(&self, engine: &EngineState) -> String {
+        crate::explain::explain_analyze(&self.plan, &self.ops, engine, false)
     }
 
     /// The `explain analyze` tree with times redacted — deterministic
     /// output for golden tests.
-    pub fn render_redacted(&self) -> String {
-        crate::explain::explain_analyze(&self.plan, &self.ops, true)
+    pub fn render_redacted(&self, engine: &EngineState) -> String {
+        crate::explain::explain_analyze(&self.plan, &self.ops, engine, true)
     }
 
     /// Machine-readable profile: a JSON object with the pass list and
@@ -173,17 +176,6 @@ impl QueryProfile {
                     ", \"construct\": {{\"fragments\": {}, \"arena_bytes\": {}}}",
                     m.fragments, m.arena_bytes
                 ));
-            }
-            if let PlanExpr::StandoffStep { op, .. } | PlanExpr::StandoffFn { op, .. } = expr {
-                if let Some(est) = &op.estimate {
-                    out.push_str(&format!(
-                        ", \"estimate\": {{\"entries\": {}, \"candidates\": {}}}",
-                        est.index.entries,
-                        est.candidates
-                            .map(|c| c.to_string())
-                            .unwrap_or_else(|| "null".to_string())
-                    ));
-                }
             }
             out.push('}');
         });

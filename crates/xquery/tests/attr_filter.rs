@@ -7,7 +7,7 @@
 //! identical, and `explain` must show the operator exactly where the
 //! shape matches.
 
-use standoff_xquery::compile::{resolve, PlanContext};
+use standoff_xquery::compile::resolve;
 use standoff_xquery::explain::explain_plan;
 use standoff_xquery::optimize::PASSES;
 use standoff_xquery::parser::parse_query;
@@ -48,12 +48,11 @@ fn fused(shared: &SharedEngine, q: &str) -> Answer {
 
 fn generic(shared: &SharedEngine, q: &str) -> Answer {
     let mut plan = parse_query(q).map_err(|e| e.to_string())?;
-    let ctx = PlanContext::bare(shared.options());
-    resolve(&mut plan, &ctx).map_err(|e| e.to_string())?;
+    resolve(&mut plan, shared.options()).map_err(|e| e.to_string())?;
     for pass in PASSES.iter().filter(|p| p.name != PASS) {
-        (pass.run)(&mut plan, &ctx);
+        (pass.run)(&mut plan, shared.options());
     }
-    assert!(!explain_plan(&plan).contains("attr-filter"));
+    assert!(!explain_plan(&plan, None).contains("attr-filter"));
     shared
         .session()
         .execute_plan(&plan)
@@ -62,7 +61,7 @@ fn generic(shared: &SharedEngine, q: &str) -> Answer {
 }
 
 fn plan_text(shared: &SharedEngine, q: &str) -> String {
-    explain_plan(&shared.compile(q).unwrap())
+    explain_plan(&shared.compile(q).unwrap(), None)
 }
 
 /// Both pipelines agree on `q`; returns the shared answer.

@@ -34,11 +34,10 @@
 //! print `!! error: …` in place of a result and flip the exit code to
 //! 1; no query input can bring the process down.
 //!
-//! `explain` compiles the query against the loaded corpus and prints
-//! the **optimized plan** to stdout — the same plan object `query`
-//! would execute, including per-operator StandOff strategy, candidate
-//! pushdown, and cardinality estimates from the mounted region
-//! indexes.
+//! `explain` compiles the query and prints the **optimized plan** to
+//! stdout — the same plan object `query` would execute, with each
+//! StandOff join's strategy and candidate pushdown, and what the loaded
+//! corpus holds for it: the layers it reaches and their region entries.
 //!
 //! All subcommands print diagnostics to stderr and never panic. Exit
 //! codes: **0** success; **1** query failure (parse, compile, or
@@ -810,7 +809,7 @@ fn cmd_query(argv: &[String]) -> Result<ExitCode, String> {
     };
     if let Some(prof) = prof {
         if profile {
-            eprint!("{}", prof.render());
+            eprint!("{}", prof.render(engine.state()));
         }
         if profile_json {
             eprintln!("{}", prof.to_json());
@@ -853,11 +852,11 @@ fn time_line(
     )
 }
 
-/// First-class plan printer: compile the query against the loaded
-/// corpus and print the optimized plan to stdout without executing it.
-/// `--analyze` is explain's *executing* mode, governed like `query`: run
-/// the query with per-operator profiling and print the plan tree with
-/// measured calls/rows/time next to the optimizer's estimates.
+/// First-class plan printer: compile the query and print the optimized
+/// plan, rendered against the loaded corpus, to stdout without
+/// executing it. `--analyze` is explain's *executing* mode, governed
+/// like `query`: run the query with per-operator profiling and print the
+/// plan tree with measured calls/rows/time on every operator.
 fn cmd_explain(argv: &[String]) -> Result<ExitCode, String> {
     let analyze = [Flag(&["--analyze"], None)];
     let groups = [CORPUS, GOVERNANCE, QUERY_TEXT, &analyze];
@@ -914,7 +913,7 @@ fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
                 outcome.map(|(result, prof)| {
                     if profile {
                         eprintln!("# query {k}");
-                        eprint!("{}", prof.render());
+                        eprint!("{}", prof.render(executor.engine().state()));
                     }
                     if profile_json {
                         eprintln!("{}", prof.to_json());

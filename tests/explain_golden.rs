@@ -1,10 +1,11 @@
 //! Golden snapshot tests of `explain` output.
 //!
-//! Each case compiles a query against a small, fully deterministic
-//! corpus and compares the rendered optimized plan against a checked-in
-//! snapshot under `tests/golden/`. Optimizer regressions — a pass
-//! reordered, a pushdown decision flipped, an estimate miscounted —
-//! show up as a readable text diff instead of a silent plan change.
+//! Each case compiles a query, renders its optimized plan against a
+//! small, fully deterministic corpus and compares the text with a
+//! checked-in snapshot under `tests/golden/`. Optimizer regressions — a
+//! pass reordered, a pushdown decision flipped — and render-time facts
+//! miscounted (`entries=`, `named=`, the access bracket) show up as a
+//! readable text diff instead of a silent plan change.
 //!
 //! To regenerate after an *intentional* plan-format change:
 //! `BLESS=1 cargo test --test explain_golden` rewrites the snapshots;
@@ -14,8 +15,8 @@ use standoff::core::{StandoffConfig, StandoffStrategy};
 use standoff::xquery::Engine;
 
 /// A tiny annotation corpus: one BLOB with a token layer and an entity
-/// layer as plain StandOff documents, region indexes pre-built so
-/// explain shows estimates.
+/// layer as plain StandOff documents, region indexes pre-built, so
+/// explain prints their facts.
 fn corpus() -> Engine {
     let mut engine = Engine::new();
     let tokens = engine
@@ -67,13 +68,14 @@ fn standoff_step_with_pushdown_and_estimates() {
     );
 }
 
-/// A rare pushed-down name (1 `place` across the corpus): the estimate
-/// names the sparse-candidate kernel the rule picks — over this 6-entry
-/// corpus one probe per entry undercuts the node-view gather, the sparse
-/// path of larger tables — and the pushed name test is plan-guaranteed
-/// so the post-filter annotation reads `elided`.
+/// A pushed-down name that is not every annotated node of its document
+/// (1 `place` of the entity layer's 2 annotations): the join reads the
+/// name's posting, within its context's reach (`[posting ≤ context
+/// reach]`, `named=1`), where `w`, every token, borrows the table
+/// itself; the pushed name test is plan-guaranteed, so the post-filter
+/// annotation reads `elided`.
 #[test]
-fn sparse_pushdown_node_view_access() {
+fn rare_pushed_name_reads_its_posting() {
     let engine = corpus();
     check(
         "standoff_step_node_view",
@@ -120,8 +122,8 @@ fn standoff_function_form_and_udf() {
 
 #[test]
 fn xmark_q2_shape() {
-    // No corpus statistics here: the paper's Q2 rewrite explained
-    // against an empty engine (estimates show zero entries).
+    // No corpus here: the paper's Q2 rewrite rendered against an empty
+    // engine, whose facts are zero entries and no named elements.
     let engine = Engine::new();
     check(
         "xmark_q2",

@@ -132,7 +132,7 @@ fn result_cap_error_is_identical_across_all_strategies() {
 /// prefix (a `doc()` and one `s`) and below the fifty `w` rows.
 #[test]
 fn counted_step_trips_the_result_cap_like_the_join() {
-    use standoff::xquery::compile::{resolve, PlanContext};
+    use standoff::xquery::compile::resolve;
     use standoff::xquery::optimize::PASSES;
     let mut xml = String::from(r#"<d><s start="0" end="999"/>"#);
     for k in 0..50 {
@@ -158,10 +158,9 @@ fn counted_step_trips_the_result_cap_like_the_join() {
     );
 
     let mut plan = engine.parse(query).unwrap();
-    let ctx = PlanContext::bare(engine.options());
-    resolve(&mut plan, &ctx).unwrap();
+    resolve(&mut plan, engine.options()).unwrap();
     for pass in PASSES.iter().filter(|p| p.name != "fuse-count") {
-        (pass.run)(&mut plan, &ctx);
+        (pass.run)(&mut plan, engine.options());
     }
     engine.set_budget(None);
     assert_eq!(engine.execute_and_discard(&plan).unwrap(), 1);

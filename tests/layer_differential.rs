@@ -36,7 +36,7 @@ use proptest::prelude::*;
 use standoff::core::{StandoffConfig, StandoffStrategy};
 use standoff::store::{compact, DeltaOp, DeltaSet, LayerSet};
 use standoff::xml::{parse_document, serialize_document, SerializeOptions};
-use standoff::xquery::compile::{resolve, PlanContext};
+use standoff::xquery::compile::resolve;
 use standoff::xquery::optimize::PASSES;
 use standoff::xquery::parser::parse_query;
 use standoff::xquery::{Engine, EngineOptions, QueryError, QueryResult, Session, WritableEngine};
@@ -161,10 +161,9 @@ fn agree(
 fn without_fuse_count(session: &mut Session, query: &str) -> Result<QueryResult, QueryError> {
     let mut plan = parse_query(query)?;
     let options = options(StandoffStrategy::LoopLiftedMergeJoin);
-    let ctx = PlanContext::bare(&options);
-    resolve(&mut plan, &ctx)?;
+    resolve(&mut plan, &options)?;
     for pass in PASSES.iter().filter(|p| p.name != "fuse-count") {
-        (pass.run)(&mut plan, &ctx);
+        (pass.run)(&mut plan, &options);
     }
     session.execute_plan(&plan)
 }

@@ -167,8 +167,8 @@ fn golden_texts(engine: &mut Engine) -> Vec<String> {
 /// the query runs: the explain goldens' queries and the benchmark's
 /// class texts — each `count(…)` class also as its bare step, whose
 /// rows are assembled — on a pure mount and on the view of sixteen
-/// pending batches. A broken `result:` claim also fails the evaluator's
-/// `debug_assert!` on the spot. The `sorts=` counts add up to the
+/// pending batches. The analyze renderer holds each claim against its
+/// operator's actuals and counts a broken one. The `sorts=` counts add up to the
 /// registry's, and on the pure mount only the base layer's rows are
 /// ever put in document order (the view's inserted entities follow the
 /// layer's other elements in document order, wherever they start).
@@ -230,7 +230,7 @@ fn plan_line_names_the_answering_layers() {
         .explain_analyze(r#"doc("xmark")//description/select-narrow::w"#)
         .unwrap();
     let claim = format!(
-        "layers: tokens (1 of 3); result: direct; post-filter: elided; est: {token_entries} region entries"
+        "layers: tokens (1 of 3); result: direct; post-filter: elided; entries={token_entries}, named={token_entries}"
     );
     assert!(one.contains(&claim), "{one}");
     assert!(
@@ -312,7 +312,7 @@ fn entity_tokens_over_sixteen_pending_batches_is_one_kernel_call() {
 /// `explain` reads the index a join reads: under `--load` the document
 /// is indexed under the query's prolog, as under `--store` it is the
 /// mounted layer's. So one document prints the same access bracket and
-/// the same entry count either way, and a `--load` document of
+/// the same `entries=`/`named=` facts either way, and a `--load` document of
 /// two-region annotations explains `count(…)` as counted from the
 /// join's rows, which is what execution does.
 #[test]
@@ -349,8 +349,8 @@ fn explain_under_load_reads_the_index_execution_reads() {
             .unwrap();
         let from = line.find("region index [").unwrap();
         let to = from + line[from..].find(']').unwrap();
-        let est = line.split_once("est: ").unwrap().1;
-        (line[from..=to].to_string(), est.to_string())
+        let entries = line.split_once("entries=").unwrap().1;
+        (line[from..=to].to_string(), entries.to_string())
     };
     let load = format!("xmark={}", xml.display());
     let loaded = run(xq().args(["explain", "--load", &load, "-q", query]));
@@ -361,7 +361,7 @@ fn explain_under_load_reads_the_index_execution_reads() {
         .args(["-q", query]));
     assert_eq!(bracket(&loaded), bracket(&stored), "{loaded}{stored}");
     assert_eq!(bracket(&loaded).0, "region index [posting ≤ context reach]");
-    assert!(!bracket(&loaded).1.starts_with("0 "), "{loaded}");
+    assert!(!bracket(&loaded).1.starts_with("0,"), "{loaded}");
 
     let r = |s: i64, e: i64| format!("<region><start>{s}</start><end>{e}</end></region>");
     let tr = format!(
@@ -387,5 +387,70 @@ fn explain_under_load_reads_the_index_execution_reads() {
         run(xq().args(["query", "--load", &load, "-q", query])).trim(),
         "2"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One query compiles to one plan: `Engine::compile` (what `explain`
+/// renders) and `SharedEngine::compile` (what the plan cache, `serve`
+/// and `batch` execute) agree to the last field, on the explain goldens'
+/// queries and the benchmark's class texts.
+#[test]
+fn engine_and_shared_engine_compile_the_same_plan() {
+    let (set, _) = three_layers();
+    let mut engine = Engine::new();
+    engine.mount_store(set).unwrap();
+    let mut queries = golden_texts(&mut engine);
+    queries.extend(class_texts());
+    let plans: Vec<String> = (queries.iter())
+        .map(|query| format!("{:?}", engine.compile(query).unwrap()))
+        .collect();
+    let shared = engine.into_shared();
+    for (query, plan) in queries.iter().zip(plans) {
+        assert_eq!(
+            format!("{:?}", shared.compile(query).unwrap()),
+            plan,
+            "{query}"
+        );
+    }
+}
+
+/// `query --profile` and `batch --profile` print the same plan text for
+/// each benchmark class over the same snapshot, facts included: `batch`
+/// renders against its executor's shared engine what `query` renders
+/// against its own. `time=` is the one field two runs do not share.
+#[test]
+fn query_and_batch_profiles_print_the_same_plan() {
+    let dir = std::env::temp_dir().join(format!("standoff-profile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (snap, file) = (dir.join("three.snap"), dir.join("queries.txt"));
+    standoff::store::save_snapshot(&three_layers().0, &snap).unwrap();
+    let queries = class_texts();
+    std::fs::write(&file, queries.join("\n%%\n")).unwrap();
+    let (snap, file) = (snap.to_str().unwrap(), file.to_str().unwrap());
+    let profile = |args: &[&str]| {
+        let xq = env!("CARGO_BIN_EXE_standoff-xq");
+        let out = std::process::Command::new(xq).args(args).output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "{stderr}");
+        let redact = |word: &str| match word.split_once("time=") {
+            Some((head, _)) => format!("{head}time=~"),
+            None => word.to_string(),
+        };
+        let lines = stderr.lines().map(|l| l.split(' ').map(redact));
+        lines
+            .map(|words| words.collect::<Vec<_>>().join(" ") + "\n")
+            .collect::<String>()
+    };
+    let batch = profile(&["batch", "--store", snap, "--profile", file]);
+    let batched: Vec<&str> = batch.split("# query ").skip(1).collect();
+    assert_eq!(batched.len(), queries.len(), "{batch}");
+    assert!(
+        batch.contains("; layers: ") && !batch.contains("estimate"),
+        "{batch}"
+    );
+    for (query, batched) in queries.iter().zip(batched) {
+        let alone = profile(&["query", "--store", snap, "--profile", "-q", query]);
+        assert_eq!(alone, batched.split_once('\n').unwrap().1, "{query}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

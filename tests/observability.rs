@@ -63,7 +63,7 @@ fn check_analyze(name: &str, engine: &mut Engine, query: &str) {
     let (_, profile) = engine
         .run_profiled(query)
         .unwrap_or_else(|e| panic!("{name}: profiled run failed: {e}"));
-    let actual = profile.render_redacted();
+    let actual = profile.render_redacted(engine.state());
     let path = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
     if std::env::var_os("BLESS").is_some() {
         std::fs::write(&path, &actual).unwrap();
@@ -114,7 +114,7 @@ fn analyze_marks_unexecuted_operators() {
             r#"if (count(doc("tokens.xml")//w) = 0) then doc("entities.xml")//place else 42"#,
         )
         .unwrap();
-    let text = profile.render_redacted();
+    let text = profile.render_redacted(engine.state());
     assert!(
         text.contains("not executed"),
         "dead branch not marked:\n{text}"
