@@ -9,7 +9,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
-use standoff_xml::{NodeRef, Store};
+use standoff_xml::{Corrupt, NodeRef, Store};
 
 /// One XQuery item.
 #[derive(Clone, Debug)]
@@ -48,35 +48,37 @@ impl Item {
     }
 
     /// Atomize: nodes become untyped atomics carrying their string value;
-    /// atomic values pass through.
-    pub fn atomize(&self, store: &Store) -> Item {
-        match self {
-            Item::Node(n) => Item::Untyped(Arc::from(store.string_value(*n).as_str())),
+    /// atomic values pass through. A node's string value is read from its
+    /// document's tree columns or attribute table, either of which can
+    /// fail its verification.
+    pub fn atomize(&self, store: &Store) -> Result<Item, Corrupt> {
+        Ok(match self {
+            Item::Node(n) => Item::Untyped(Arc::from(store.string_value(*n)?.as_str())),
             other => other.clone(),
-        }
+        })
     }
 
     /// String value per `fn:string`.
-    pub fn string_value(&self, store: &Store) -> String {
-        match self {
-            Item::Node(n) => store.string_value(*n),
+    pub fn string_value(&self, store: &Store) -> Result<String, Corrupt> {
+        Ok(match self {
+            Item::Node(n) => store.string_value(*n)?,
             Item::Integer(i) => i.to_string(),
             Item::Double(d) => format_double(*d),
             Item::String(s) | Item::Untyped(s) => s.to_string(),
             Item::Boolean(b) => b.to_string(),
-        }
+        })
     }
 
     /// Numeric value if this item is a number or a string/untyped that
     /// parses as one.
-    pub fn as_number(&self, store: &Store) -> Option<f64> {
-        match self {
+    pub fn as_number(&self, store: &Store) -> Result<Option<f64>, Corrupt> {
+        Ok(match self {
             Item::Integer(i) => Some(*i as f64),
             Item::Double(d) => Some(*d),
             Item::String(s) | Item::Untyped(s) => s.trim().parse().ok(),
             Item::Boolean(b) => Some(if *b { 1.0 } else { 0.0 }),
-            Item::Node(_) => self.atomize(store).as_number(store),
-        }
+            Item::Node(_) => self.atomize(store)?.as_number(store)?,
+        })
     }
 
     /// Effective boolean value of a *single* item (sequence-level EBV is in
@@ -97,11 +99,15 @@ impl Item {
     /// numbers (the XPath 1.0 heritage that annotation queries like the
     /// paper's Figure 2 UDF — `@end <= @end` on integer positions — rely
     /// on), as strings otherwise.
-    pub fn general_compare(&self, other: &Item, store: &Store) -> Option<Ordering> {
-        let a = self.atomize(store);
-        let b = other.atomize(store);
+    pub fn general_compare(
+        &self,
+        other: &Item,
+        store: &Store,
+    ) -> Result<Option<Ordering>, Corrupt> {
+        let a = self.atomize(store)?;
+        let b = other.atomize(store)?;
         use Item::*;
-        match (&a, &b) {
+        Ok(match (&a, &b) {
             (Integer(x), Integer(y)) => Some(x.cmp(y)),
             (Boolean(x), Boolean(y)) => Some(x.cmp(y)),
             (Untyped(x), Untyped(y)) => {
@@ -115,15 +121,16 @@ impl Item {
             }
             // Numeric if either side is numeric.
             (Integer(_) | Double(_), _) | (_, Integer(_) | Double(_)) => {
-                let x = a.as_number(store)?;
-                let y = b.as_number(store)?;
-                x.partial_cmp(&y)
+                match (a.as_number(store)?, b.as_number(store)?) {
+                    (Some(x), Some(y)) => x.partial_cmp(&y),
+                    _ => None,
+                }
             }
             (Boolean(_), _) | (_, Boolean(_)) => {
                 Some(a.effective_boolean().cmp(&b.effective_boolean()))
             }
             (Node(_), _) | (_, Node(_)) => unreachable!("atomize removed nodes"),
-        }
+        })
     }
 }
 
@@ -188,15 +195,21 @@ mod tests {
         let s = empty_store();
         // untyped "10" vs integer 9 compares numerically, not lexically
         assert_eq!(
-            Item::untyped("10").general_compare(&Item::Integer(9), &s),
+            Item::untyped("10")
+                .general_compare(&Item::Integer(9), &s)
+                .unwrap(),
             Some(Ordering::Greater)
         );
         assert_eq!(
-            Item::untyped("10").general_compare(&Item::untyped("9"), &s),
+            Item::untyped("10")
+                .general_compare(&Item::untyped("9"), &s)
+                .unwrap(),
             Some(Ordering::Greater) // both numeric-looking: numeric compare
         );
         assert_eq!(
-            Item::untyped("abc").general_compare(&Item::untyped("abd"), &s),
+            Item::untyped("abc")
+                .general_compare(&Item::untyped("abd"), &s)
+                .unwrap(),
             Some(Ordering::Less) // non-numeric untyped pair: string compare
         );
     }
@@ -205,7 +218,9 @@ mod tests {
     fn general_compare_strings() {
         let s = empty_store();
         assert_eq!(
-            Item::str("abc").general_compare(&Item::untyped("abc"), &s),
+            Item::str("abc")
+                .general_compare(&Item::untyped("abc"), &s)
+                .unwrap(),
             Some(Ordering::Equal)
         );
     }
@@ -214,7 +229,9 @@ mod tests {
     fn non_numeric_untyped_vs_number_is_incomparable() {
         let s = empty_store();
         assert_eq!(
-            Item::untyped("hello").general_compare(&Item::Integer(1), &s),
+            Item::untyped("hello")
+                .general_compare(&Item::Integer(1), &s)
+                .unwrap(),
             None
         );
     }
@@ -224,9 +241,9 @@ mod tests {
         let mut store = Store::new();
         store.load("d", "<a>42</a>").unwrap();
         let node = Item::Node(NodeRef::tree(store.by_uri("d").unwrap(), 1));
-        assert_eq!(node.as_number(&store), Some(42.0));
+        assert_eq!(node.as_number(&store).unwrap(), Some(42.0));
         assert_eq!(
-            node.general_compare(&Item::Integer(42), &store),
+            node.general_compare(&Item::Integer(42), &store).unwrap(),
             Some(Ordering::Equal)
         );
     }
@@ -235,6 +252,9 @@ mod tests {
     fn double_formatting() {
         assert_eq!(format_double(3.0), "3");
         assert_eq!(format_double(3.5), "3.5");
-        assert_eq!(Item::Double(12.0).string_value(&empty_store()), "12");
+        assert_eq!(
+            Item::Double(12.0).string_value(&empty_store()).unwrap(),
+            "12"
+        );
     }
 }

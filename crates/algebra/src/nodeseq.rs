@@ -10,7 +10,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use standoff_xml::{DocId, NodeRef, Store};
+use standoff_xml::{Corrupt, DocId, NodeRef, Store};
 
 use crate::item::Item;
 use crate::sequence::LlSeq;
@@ -134,18 +134,21 @@ impl NodeTable {
     /// Sort each iteration group into document order and remove duplicate
     /// nodes within the group. This is the `/.`-style normalization the
     /// paper's Figure 2 applies ("a final self-axis step `/.` ensures
-    /// unique results in document order").
-    pub fn normalize(&mut self, store: &Store) {
-        if self.is_normalized(store) {
-            return;
+    /// unique results in document order"). An attribute's order key is
+    /// read from its document's attribute table, which can fail its
+    /// verification.
+    pub fn normalize(&mut self, store: &Store) -> Result<(), Corrupt> {
+        if self.is_normalized(store)? {
+            return Ok(());
         }
         let n = self.len();
         // Sort an index permutation per (iter, order-key), then rebuild.
+        let mut keys = Vec::with_capacity(n);
+        for k in 0..n {
+            keys.push((self.iters[k], store.order_key(self.nodes[k])?));
+        }
         let mut idx: Vec<u32> = (0..n as u32).collect();
-        idx.sort_by_key(|&k| {
-            let ku = k as usize;
-            (self.iters[ku], store.order_key(self.nodes[ku]))
-        });
+        idx.sort_by_key(|&k| keys[k as usize]);
         let mut iters = Vec::with_capacity(n);
         let mut nodes = Vec::with_capacity(n);
         for &k in &idx {
@@ -159,15 +162,20 @@ impl NodeTable {
         }
         self.iters = iters;
         self.nodes = nodes;
+        Ok(())
     }
 
     /// Is every iteration group already in document order and
     /// duplicate-free? One ordered scan.
-    pub fn is_normalized(&self, store: &Store) -> bool {
-        (1..self.len()).all(|k| {
-            self.iters[k] != self.iters[k - 1]
-                || store.order_key(self.nodes[k - 1]) < store.order_key(self.nodes[k])
-        })
+    pub fn is_normalized(&self, store: &Store) -> Result<bool, Corrupt> {
+        for k in 1..self.len() {
+            if self.iters[k] == self.iters[k - 1]
+                && store.order_key(self.nodes[k - 1])? >= store.order_key(self.nodes[k])?
+            {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Convert into the generic item table.
@@ -239,7 +247,7 @@ mod tests {
         let n = |pre| NodeRef::tree(d, pre);
         let mut t =
             NodeTable::from_columns(vec![0, 0, 0, 1, 1], vec![n(3), n(2), n(3), n(4), n(4)]);
-        t.normalize(&s);
+        t.normalize(&s).unwrap();
         assert_eq!(t.group(0), &[n(2), n(3)]);
         assert_eq!(t.group(1), &[n(4)]);
     }
@@ -249,7 +257,7 @@ mod tests {
         let (s, d) = store();
         let n = |pre| NodeRef::tree(d, pre);
         let mut t = NodeTable::from_columns(vec![0, 1], vec![n(2), n(2)]);
-        t.normalize(&s);
+        t.normalize(&s).unwrap();
         assert_eq!(t.len(), 2, "same node may appear in different iterations");
     }
 
@@ -259,7 +267,7 @@ mod tests {
         let n = |pre| NodeRef::tree(d, pre);
         let mut t = NodeTable::from_columns(vec![0, 0], vec![n(2), n(3)]);
         let before = t.clone();
-        t.normalize(&s);
+        t.normalize(&s).unwrap();
         assert_eq!(t, before);
     }
 
@@ -281,7 +289,7 @@ mod tests {
             .iter()
             .flat_map(|(doc, run)| run.iter().map(|&(i, pre)| (i, NodeRef::tree(*doc, pre))))
             .collect();
-        rows.sort_by_key(|&(i, n)| (i, s.order_key(n)));
+        rows.sort_by_key(|&(i, n)| (i, s.order_key(n).unwrap()));
         for (i, n) in rows {
             sorted.push(i, n);
         }

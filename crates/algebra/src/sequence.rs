@@ -91,14 +91,6 @@ impl LlSeq {
         &self.items[start..end]
     }
 
-    /// Map every item, preserving shape.
-    pub fn map_items(&self, mut f: impl FnMut(&Item) -> Item) -> LlSeq {
-        LlSeq {
-            iters: self.iters.clone(),
-            items: self.items.iter().map(&mut f).collect(),
-        }
-    }
-
     /// Concatenate two loop-lifted sequences per iteration: the XQuery
     /// comma operator under loop-lifting. Merges group-wise, `self` first.
     pub fn concat(&self, other: &LlSeq) -> LlSeq {

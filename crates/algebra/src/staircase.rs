@@ -34,7 +34,7 @@
 
 use std::borrow::Cow;
 
-use standoff_xml::{DocId, Document, NameId, NodeId, NodeKind, NodeRef, Store};
+use standoff_xml::{Corrupt, DocId, Document, NameId, NodeId, NodeKind, NodeRef, Store};
 
 use crate::nodeseq::NodeTable;
 
@@ -239,9 +239,18 @@ fn gallop(postings: &[u32], from: usize, target: u32) -> usize {
 
 /// Evaluate a loop-lifted tree-axis step: for every iteration in `ctx`,
 /// compute the axis result of its context node sequence. The result is
-/// duplicate-free and in document order per iteration.
-pub fn ll_step(store: &Store, ctx: &NodeTable, axis: TreeAxis, test: &NodeTest) -> NodeTable {
-    ll_step_impl(store, ctx, axis, test, None, |_| true)
+/// duplicate-free and in document order per iteration. A step reads a
+/// document's tree columns only where its axis navigates ([`Document::tree`]:
+/// `descendant` from a fragment's document node reads none), and its
+/// attribute table only from attribute contexts or along the
+/// `attribute` axis; a group that fails its verification fails the step.
+pub fn ll_step(
+    store: &Store,
+    ctx: &NodeTable,
+    axis: TreeAxis,
+    test: &NodeTest,
+) -> Result<NodeTable, Corrupt> {
+    ll_step_impl(store, ctx, axis, test, None, |_| Ok(true))
 }
 
 /// [`ll_step`] with a [`NameCache`] memoizing per-document name-test
@@ -253,22 +262,22 @@ pub fn ll_step_cached(
     axis: TreeAxis,
     test: &NodeTest,
     cache: &mut NameCache,
-) -> NodeTable {
-    ll_step_impl(store, ctx, axis, test, Some(cache), |_| true)
+) -> Result<NodeTable, Corrupt> {
+    ll_step_impl(store, ctx, axis, test, Some(cache), |_| Ok(true))
 }
 
 /// [`ll_step_cached`] keeping only the rows `keep` accepts, tested as
 /// the step emits them: a row filter fused into the walk, so a row it
 /// drops is never stored or ordered. `keep` must be a function of the
-/// node alone.
+/// node alone; its failure fails the step.
 pub fn ll_step_where(
     store: &Store,
     ctx: &NodeTable,
     axis: TreeAxis,
     test: &NodeTest,
     cache: &mut NameCache,
-    keep: impl FnMut(NodeRef) -> bool,
-) -> NodeTable {
+    keep: impl FnMut(NodeRef) -> Result<bool, Corrupt>,
+) -> Result<NodeTable, Corrupt> {
     ll_step_impl(store, ctx, axis, test, Some(cache), keep)
 }
 
@@ -278,13 +287,13 @@ fn ll_step_impl(
     axis: TreeAxis,
     test: &NodeTest,
     mut cache: Option<&mut NameCache>,
-    mut keep: impl FnMut(NodeRef) -> bool,
-) -> NodeTable {
-    let ctx = if ctx.is_normalized(store) {
+    mut keep: impl FnMut(NodeRef) -> Result<bool, Corrupt>,
+) -> Result<NodeTable, Corrupt> {
+    let ctx = if ctx.is_normalized(store)? {
         Cow::Borrowed(ctx)
     } else {
         let mut ctx = ctx.clone();
-        ctx.normalize(store);
+        ctx.normalize(store)?;
         Cow::Owned(ctx)
     };
     let mut out = Emitted {
@@ -298,10 +307,10 @@ fn ll_step_impl(
         while k < nodes.len() {
             let doc_id = nodes[k].doc;
             let doc = store.doc(doc_id);
-            let root = doc.fragment_root(owner_pre(doc, nodes[k]));
-            let end = root + doc.size(root);
+            let root = doc.fragment_root(doc.owner_pre(nodes[k].id)?);
+            let end = doc.fragment_end(root);
             let mut j = k + 1;
-            while j < nodes.len() && nodes[j].doc == doc_id && owner_pre(doc, nodes[j]) <= end {
+            while j < nodes.len() && nodes[j].doc == doc_id && doc.owner_pre(nodes[j].id)? <= end {
                 j += 1;
             }
             step_fragment(
@@ -313,7 +322,7 @@ fn ll_step_impl(
                 cache.as_deref_mut(),
                 &mut keep,
                 &mut out,
-            );
+            )?;
             k = j;
         }
     }
@@ -321,18 +330,9 @@ fn ll_step_impl(
     // sorted.
     let mut table = out.table;
     if !out.in_order {
-        table.normalize(store);
+        table.normalize(store)?;
     }
-    table
-}
-
-/// The pre rank a context node stands at: its own, or its owner's.
-#[inline]
-fn owner_pre(doc: &Document, node: NodeRef) -> u32 {
-    match node.id.pre() {
-        Some(pre) => pre,
-        None => doc.attr_owner(node.id.attr_index().expect("attr id")),
-    }
+    Ok(table)
 }
 
 /// A step's output table, and whether its rows arrived in document
@@ -345,11 +345,12 @@ struct Emitted {
 
 impl Emitted {
     #[inline]
-    fn push(&mut self, doc: &Document, iter: u32, node: NodeRef) {
-        let key = (iter, node.doc, doc.order_key(node.id));
+    fn push(&mut self, doc: &Document, iter: u32, node: NodeRef) -> Result<(), Corrupt> {
+        let key = (iter, node.doc, doc.order_key(node.id)?);
         self.in_order &= self.last.is_none_or(|last| last < key);
         self.last = Some(key);
         self.table.push(iter, node);
+        Ok(())
     }
 }
 
@@ -364,22 +365,22 @@ fn step_fragment(
     axis: TreeAxis,
     test: &NodeTest,
     cache: Option<&mut NameCache>,
-    keep: &mut impl FnMut(NodeRef) -> bool,
+    keep: &mut impl FnMut(NodeRef) -> Result<bool, Corrupt>,
     out: &mut Emitted,
-) {
+) -> Result<(), Corrupt> {
     let name = match cache {
         Some(c) => c.resolve(doc, doc_id, test),
         None => resolve_name(doc, test),
     };
     if name == ResolvedName::NoMatch && axis != TreeAxis::Attribute {
-        return;
+        return Ok(());
     }
     // Every row leaves through here, past the caller's filter.
     macro_rules! emit {
         ($node:expr) => {{
             let node = $node;
-            if keep(node) {
-                out.push(doc, iter, node);
+            if keep(node)? {
+                out.push(doc, iter, node)?;
             }
         }};
     }
@@ -404,9 +405,10 @@ fn step_fragment(
             }
         }
         TreeAxis::Child => {
+            let tree = doc.tree()?;
             for n in nodes {
                 if let Some(pre) = n.id.pre() {
-                    for c in doc.children(pre) {
+                    for c in tree.children(pre) {
                         if matches_tree(doc, c, test, name) {
                             emit!(NodeRef::tree(doc_id, c));
                         }
@@ -444,7 +446,12 @@ fn step_fragment(
                         continue; // pruned: contained in earlier context
                     }
                 }
-                let end = pre + doc.size(pre);
+                // A fragment's document node spans its fragment, which
+                // is known without the tree columns.
+                let end = match pre == root {
+                    true => doc.fragment_end(root),
+                    false => pre + doc.tree()?.size(pre),
+                };
                 covered_end = Some(end);
                 let start = if or_self { pre } else { pre + 1 };
                 match postings {
@@ -468,13 +475,13 @@ fn step_fragment(
         TreeAxis::Parent => {
             for n in nodes {
                 let parent = match n.id.attr_index() {
-                    Some(a) => Some(doc.attr_owner(a)),
+                    Some(a) => Some(doc.attrs()?.owner(a)),
                     None => {
                         let pre = n.id.pre().unwrap();
                         if pre == root {
                             None
                         } else {
-                            Some(doc.parent(pre))
+                            Some(doc.tree()?.parent(pre))
                         }
                     }
                 };
@@ -487,6 +494,7 @@ fn step_fragment(
         }
         TreeAxis::Ancestor | TreeAxis::AncestorOrSelf => {
             let or_self = axis == TreeAxis::AncestorOrSelf;
+            let tree = doc.tree()?;
             // Climbing stops at a pre we have already emitted for this
             // (iteration, fragment): its ancestors were emitted too.
             let mut seen = std::collections::HashSet::new();
@@ -496,7 +504,7 @@ fn step_fragment(
                         if or_self && test.kind == KindTest::AnyKind && test.name.is_none() {
                             emit!(*n);
                         }
-                        Some(doc.attr_owner(a))
+                        Some(doc.attrs()?.owner(a))
                     }
                     None => {
                         let pre = n.id.pre().unwrap();
@@ -505,7 +513,7 @@ fn step_fragment(
                         } else if pre == root {
                             None
                         } else {
-                            Some(doc.parent(pre))
+                            Some(tree.parent(pre))
                         }
                     }
                 };
@@ -519,31 +527,33 @@ fn step_fragment(
                     cur = if pre == root {
                         None
                     } else {
-                        Some(doc.parent(pre))
+                        Some(tree.parent(pre))
                     };
                 }
             }
         }
         TreeAxis::FollowingSibling => {
+            let tree = doc.tree()?;
             for n in nodes {
                 if let Some(pre) = n.id.pre() {
-                    let mut cur = doc.next_sibling(pre);
+                    let mut cur = tree.next_sibling(pre);
                     while let Some(s) = cur {
                         if matches_tree(doc, s, test, name) {
                             emit!(NodeRef::tree(doc_id, s));
                         }
-                        cur = doc.next_sibling(s);
+                        cur = tree.next_sibling(s);
                     }
                 }
             }
         }
         TreeAxis::PrecedingSibling => {
+            let tree = doc.tree()?;
             for n in nodes {
                 if let Some(pre) = n.id.pre() {
                     if pre == root {
                         continue;
                     }
-                    for s in doc.children(doc.parent(pre)) {
+                    for s in tree.children(tree.parent(pre)) {
                         if s >= pre {
                             break;
                         }
@@ -557,18 +567,20 @@ fn step_fragment(
         TreeAxis::Following => {
             // Union over the context collapses to one range starting after
             // the earliest subtree end (staircase partitioning).
-            let start = nodes
-                .iter()
-                .map(|n| match n.id.attr_index() {
-                    Some(a) => doc.attr_owner(a) + 1,
+            let tree = doc.tree()?;
+            let mut start = None::<u32>;
+            for n in nodes {
+                let after = match n.id.attr_index() {
+                    Some(a) => doc.attrs()?.owner(a) + 1,
                     None => {
                         let pre = n.id.pre().unwrap();
-                        pre + doc.size(pre) + 1
+                        pre + tree.size(pre) + 1
                     }
-                })
-                .min();
+                };
+                start = Some(start.map_or(after, |s| s.min(after)));
+            }
             if let Some(start) = start {
-                let end = root + doc.size(root);
+                let end = doc.fragment_end(root);
                 for v in start..=end {
                     if matches_tree(doc, v, test, name) {
                         emit!(NodeRef::tree(doc_id, v));
@@ -578,16 +590,15 @@ fn step_fragment(
         }
         TreeAxis::Preceding => {
             // Union collapses to {v : v.pre + v.size < max(ctx pre)}.
-            let cmax = nodes
-                .iter()
-                .map(|n| match n.id.attr_index() {
-                    Some(a) => doc.attr_owner(a),
-                    None => n.id.pre().unwrap(),
-                })
-                .max();
+            let tree = doc.tree()?;
+            let mut cmax = None::<u32>;
+            for n in nodes {
+                let at = doc.owner_pre(n.id)?;
+                cmax = Some(cmax.map_or(at, |m| m.max(at)));
+            }
             if let Some(cmax) = cmax {
                 for v in root + 1..cmax {
-                    if v + doc.size(v) < cmax && matches_tree(doc, v, test, name) {
+                    if v + tree.size(v) < cmax && matches_tree(doc, v, test, name) {
                         emit!(NodeRef::tree(doc_id, v));
                     }
                 }
@@ -604,14 +615,15 @@ fn step_fragment(
                 },
             };
             if attr_name == ResolvedName::NoMatch {
-                return;
+                return Ok(());
             }
+            let attrs = doc.attrs()?;
             for n in nodes {
                 if let Some(pre) = n.id.pre() {
-                    for a in doc.attr_range(pre) {
+                    for a in attrs.range(pre) {
                         let ok = match attr_name {
                             ResolvedName::Any => true,
-                            ResolvedName::Id(id) => doc.attr_name_id(a) == id,
+                            ResolvedName::Id(id) => attrs.name_id(a) == id,
                             ResolvedName::NoMatch => false,
                         };
                         if ok {
@@ -622,6 +634,7 @@ fn step_fragment(
             }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -656,7 +669,8 @@ mod tests {
             &ctx(d, &[1, 2]),
             TreeAxis::Descendant,
             &NodeTest::any_node(),
-        );
+        )
+        .unwrap();
         assert_eq!(pres(&out), vec![2, 3, 4, 5, 6, 7, 8]);
     }
 
@@ -668,7 +682,8 @@ mod tests {
             &ctx(d, &[1]),
             TreeAxis::Descendant,
             &NodeTest::named("b"),
-        );
+        )
+        .unwrap();
         assert_eq!(pres(&out), vec![2, 7]);
     }
 
@@ -680,7 +695,8 @@ mod tests {
             &ctx(d, &[2]),
             TreeAxis::DescendantOrSelf,
             &NodeTest::any_element(),
-        );
+        )
+        .unwrap();
         assert_eq!(pres(&out), vec![2, 3, 4]);
     }
 
@@ -693,7 +709,8 @@ mod tests {
             &ctx(d, &[7, 2]),
             TreeAxis::Child,
             &NodeTest::any_element(),
-        );
+        )
+        .unwrap();
         assert_eq!(pres(&out), vec![3, 4, 8]);
     }
 
@@ -705,10 +722,11 @@ mod tests {
             &ctx(d, &[3, 4]),
             TreeAxis::Parent,
             &NodeTest::any_element(),
-        );
+        )
+        .unwrap();
         assert_eq!(pres(&out), vec![2], "shared parent deduplicated");
 
-        let out = ll_step(&s, &ctx(d, &[5]), TreeAxis::Ancestor, &NodeTest::any_node());
+        let out = ll_step(&s, &ctx(d, &[5]), TreeAxis::Ancestor, &NodeTest::any_node()).unwrap();
         assert_eq!(pres(&out), vec![0, 1, 2, 4]);
 
         let out = ll_step(
@@ -716,7 +734,8 @@ mod tests {
             &ctx(d, &[5, 8]),
             TreeAxis::Ancestor,
             &NodeTest::named("b"),
-        );
+        )
+        .unwrap();
         assert_eq!(pres(&out), vec![2, 7]);
     }
 
@@ -728,7 +747,8 @@ mod tests {
             &ctx(d, &[3]),
             TreeAxis::AncestorOrSelf,
             &NodeTest::any_element(),
-        );
+        )
+        .unwrap();
         assert_eq!(pres(&out), vec![1, 2, 3]);
     }
 
@@ -740,14 +760,16 @@ mod tests {
             &ctx(d, &[2]),
             TreeAxis::FollowingSibling,
             &NodeTest::any_node(),
-        );
+        )
+        .unwrap();
         assert_eq!(pres(&out), vec![6, 7]);
         let out = ll_step(
             &s,
             &ctx(d, &[7]),
             TreeAxis::PrecedingSibling,
             &NodeTest::any_node(),
-        );
+        )
+        .unwrap();
         assert_eq!(pres(&out), vec![2, 6]);
     }
 
@@ -759,7 +781,8 @@ mod tests {
             &ctx(d, &[2, 7]),
             TreeAxis::Following,
             &NodeTest::any_node(),
-        );
+        )
+        .unwrap();
         // following(b#1) = {e, b#2, f}; following(b#2) = {} — union from
         // the earliest subtree end.
         assert_eq!(pres(&out), vec![6, 7, 8]);
@@ -773,7 +796,8 @@ mod tests {
             &ctx(d, &[8]),
             TreeAxis::Preceding,
             &NodeTest::any_node(),
-        );
+        )
+        .unwrap();
         // Everything before f except its ancestors a, b#2 (and doc).
         assert_eq!(pres(&out), vec![2, 3, 4, 5, 6]);
     }
@@ -787,14 +811,16 @@ mod tests {
             &ctx(d, &[1]),
             TreeAxis::Attribute,
             &NodeTest::any_node(),
-        );
+        )
+        .unwrap();
         assert_eq!(out.len(), 2);
         let out = ll_step(
             &s,
             &ctx(d, &[1, 2]),
             TreeAxis::Attribute,
             &NodeTest::named("x"),
-        );
+        )
+        .unwrap();
         assert_eq!(out.len(), 2);
         assert!(out.nodes().iter().all(|n| n.id.is_attr()));
     }
@@ -808,8 +834,9 @@ mod tests {
             &ctx(d, &[2]),
             TreeAxis::Attribute,
             &NodeTest::any_node(),
-        );
-        let parents = ll_step(&s, &attrs, TreeAxis::Parent, &NodeTest::any_element());
+        )
+        .unwrap();
+        let parents = ll_step(&s, &attrs, TreeAxis::Parent, &NodeTest::any_element()).unwrap();
         assert_eq!(pres(&parents), vec![2]);
     }
 
@@ -821,7 +848,8 @@ mod tests {
             &ctx(d, &[1]),
             TreeAxis::Descendant,
             &NodeTest::named("zzz"),
-        );
+        )
+        .unwrap();
         assert!(out.is_empty());
     }
 
@@ -829,7 +857,7 @@ mod tests {
     fn loop_lifted_iterations_stay_separate() {
         let (s, d) = fixture();
         let t = NodeTable::from_columns(vec![0, 1], vec![NodeRef::tree(d, 2), NodeRef::tree(d, 7)]);
-        let out = ll_step(&s, &t, TreeAxis::Descendant, &NodeTest::any_element());
+        let out = ll_step(&s, &t, TreeAxis::Descendant, &NodeTest::any_element()).unwrap();
         assert_eq!(
             out.group(0)
                 .iter()
@@ -857,7 +885,8 @@ mod tests {
                 kind: KindTest::Text,
                 name: None,
             },
-        );
+        )
+        .unwrap();
         assert_eq!(pres(&out), vec![5]);
     }
 }

@@ -146,7 +146,8 @@ fn construct(c: &mut Criterion) {
                     node.id,
                     SerializeOptions::default(),
                     &mut out,
-                );
+                )
+                .expect("a parsed document serializes");
             }
             out.len()
         });

@@ -73,7 +73,7 @@ fn staircase_vs_standoff(c: &mut Criterion) {
     };
     let descendant = || staircase::ll_step(store, &std_table, TreeAxis::Descendant, &test);
     assert_eq!(
-        descendant().len(),
+        descendant().unwrap().len(),
         select_narrow().len(),
         "operators must agree on the result"
     );

@@ -107,7 +107,7 @@ impl StandoffConfig {
             RegionRepr::Elements => self.area_from_elements(doc, pre),
         };
         match result {
-            Err(_) if self.lenient => Ok(None),
+            Err(e) if self.lenient && !matches!(e, StandoffError::Corrupt(_)) => Ok(None),
             other => other,
         }
     }
@@ -117,17 +117,13 @@ impl StandoffConfig {
         doc: &Document,
         pre: u32,
     ) -> Result<Option<Area>, StandoffError> {
-        let start = doc.attribute(pre, &self.start_name);
-        let end = doc.attribute(pre, &self.end_name);
+        let start = doc.attribute(pre, &self.start_name)?;
+        let end = doc.attribute(pre, &self.end_name)?;
         match (start, end) {
             (None, None) => Ok(None),
             (Some(s), Some(e)) => {
-                let context = || {
-                    format!(
-                        "<{}> at pre {pre}",
-                        doc.node_name(standoff_xml::NodeId::tree(pre))
-                    )
-                };
+                let context =
+                    || format!("<{}> at pre {pre}", doc.names().lexical(doc.name_id(pre)));
                 let start = parse_position(s, &context)?;
                 let end = parse_position(e, &context)?;
                 Ok(Some(Area::single(start, end)?))
@@ -144,7 +140,8 @@ impl StandoffConfig {
     fn area_from_elements(&self, doc: &Document, pre: u32) -> Result<Option<Area>, StandoffError> {
         let region_name = self.region_name.as_deref().expect("element repr");
         let mut regions = Vec::new();
-        for child in doc.children(pre) {
+        let tree = doc.tree()?;
+        for child in tree.children(pre) {
             if doc.kind(child) != NodeKind::Element {
                 continue;
             }
@@ -153,12 +150,12 @@ impl StandoffConfig {
             }
             let mut start = None;
             let mut end = None;
-            for grand in doc.children(child) {
+            for grand in tree.children(child) {
                 if doc.kind(grand) != NodeKind::Element {
                     continue;
                 }
                 let name = doc.names().lexical(doc.name_id(grand));
-                let text = doc.string_value(standoff_xml::NodeId::tree(grand));
+                let text = tree.string_value(grand);
                 let context = || format!("<{region_name}> at pre {child}");
                 if name == self.start_name {
                     start = Some(parse_position(text.trim(), &context)?);

@@ -25,6 +25,15 @@ pub enum StandoffError {
     IncompleteRegion { context: String },
     /// The `standoff-type` option names an unsupported position type.
     UnsupportedType(String),
+    /// A column group the region markup is read from failed its
+    /// verification.
+    Corrupt(standoff_xml::Corrupt),
+}
+
+impl From<standoff_xml::Corrupt> for StandoffError {
+    fn from(e: standoff_xml::Corrupt) -> Self {
+        StandoffError::Corrupt(e)
+    }
 }
 
 impl fmt::Display for StandoffError {
@@ -46,6 +55,7 @@ impl fmt::Display for StandoffError {
             StandoffError::UnsupportedType(t) => {
                 write!(f, "unsupported standoff-type '{t}' (supported: xs:integer)")
             }
+            StandoffError::Corrupt(e) => e.fmt(f),
         }
     }
 }

@@ -166,12 +166,18 @@ pub struct RegionIndex {
 
 /// The node-ordered view of an index: the annotated pre ranks,
 /// ascending, and where each one's regions are — as little as the
-/// entries leave to store.
+/// entries leave to store. A single-region index whose ranks fill their
+/// span (any nested hierarchy: a parent and its first child share a
+/// start, so its ids do not ascend) keeps one entry row per node, not a
+/// copy of the node's id and region.
 #[derive(Clone, Debug)]
 enum NodeView {
     /// The entries' ids ascend, so start order is node order: node `k`
     /// is entry `k`'s id, and that entry is its one region.
     Entries,
+    /// The annotated ranks fill `[first, first + at.len())`: node
+    /// `first + k`'s one region is `entries[at[k]]` — four bytes a node.
+    Span { first: u32, at: Vec<u32> },
     /// Node `k` is `ids[k]`, its one region `regions[k]`.
     One { ids: Vec<u32>, regions: Vec<Region> },
     /// Node `k` is `ids[k]`, its regions `regions[offsets[k]..offsets[k +
@@ -307,21 +313,33 @@ impl RegionIndex {
     pub fn annotated_nodes(&self) -> &[u32] {
         match self.view() {
             NodeView::One { ids, .. } | NodeView::Areas { ids, .. } => ids,
+            NodeView::Span { first, at } => {
+                (self.ids).get_or_init(|| (*first..*first + at.len() as u32).collect())
+            }
             NodeView::Entries => self
                 .ids
                 .get_or_init(|| self.entries.iter().map(|e| e.id).collect()),
         }
     }
 
-    /// Are `sorted_node_pres` exactly the annotated nodes? Asked of the
-    /// entries themselves when their ids ascend, so no view is derived
-    /// for it.
+    /// Are `sorted_node_pres` — strictly ascending — exactly the
+    /// annotated nodes? Asked of the entries themselves when their ids
+    /// ascend, and of the length and the two endpoints when the
+    /// annotated ranks fill their span, so no view is derived for it.
     pub fn covers(&self, sorted_node_pres: &[u32]) -> bool {
+        debug_assert!(sorted_node_pres.windows(2).all(|w| w[0] < w[1]));
         if sorted_node_pres.len() != self.annotated {
             return false;
         }
         if self.ascending {
             return (self.entries.iter().zip(sorted_node_pres)).all(|(e, &pre)| e.id == pre);
+        }
+        let (first, bound) = self.node_span;
+        if bound - first as usize == self.annotated {
+            // A strictly ascending list as long as the span, starting and
+            // ending where it does, is the span.
+            return sorted_node_pres.first() == Some(&first)
+                && sorted_node_pres.last() == Some(&(bound as u32 - 1));
         }
         sorted_node_pres == self.annotated_nodes()
     }
@@ -336,13 +354,13 @@ impl RegionIndex {
             let (first, bound) = self.node_span;
             if self.max_regions == 1 && bound - first as usize == self.entries.len() {
                 // Distinct ids filling their span: each entry's slot is
-                // its id's distance from the first, so no count per rank.
-                let mut regions = vec![Region { start: 0, end: 0 }; self.entries.len()];
-                for e in self.entries.iter() {
-                    regions[(e.id - first) as usize] = *e.region();
+                // its id's distance from the first, so no count per rank,
+                // and the slot holds the entry's row, not a copy.
+                let mut at = vec![0u32; self.entries.len()];
+                for (row, e) in self.entries.iter().enumerate() {
+                    at[(e.id - first) as usize] = row as u32;
                 }
-                let ids = (first..bound as u32).collect();
-                return NodeView::One { ids, regions };
+                return NodeView::Span { first, at };
             }
             let derived = node_view(&self.entries, bound);
             derived.expect("the entries were checked").view
@@ -355,6 +373,10 @@ impl RegionIndex {
     fn slot_of(&self, view: &NodeView, from: usize, pre: u32) -> Option<usize> {
         match view {
             NodeView::Entries => seek(&self.entries, |e| e.id, from, pre),
+            NodeView::Span { first, at } => {
+                let k = pre.checked_sub(*first)? as usize;
+                (k < at.len()).then_some(k)
+            }
             NodeView::One { ids, .. } | NodeView::Areas { ids, .. } => {
                 seek(ids, |&id| id, from, pre)
             }
@@ -402,6 +424,9 @@ impl RegionIndex {
     fn regions_at<'a>(&'a self, view: &'a NodeView, k: usize) -> &'a [Region] {
         match view {
             NodeView::Entries => std::slice::from_ref(self.entries[k].region()),
+            NodeView::Span { at, .. } => {
+                std::slice::from_ref(self.entries[at[k] as usize].region())
+            }
             NodeView::One { regions, .. } => std::slice::from_ref(&regions[k]),
             NodeView::Areas {
                 offsets, regions, ..

@@ -135,7 +135,7 @@ mod tests {
     fn shot_ids(doc: &standoff_xml::Document, nodes: &[IterNode]) -> Vec<String> {
         nodes
             .iter()
-            .map(|n| doc.attribute(n.node, "id").unwrap().to_string())
+            .map(|n| doc.attribute(n.node, "id").unwrap().unwrap().to_string())
             .collect()
     }
 

@@ -369,6 +369,129 @@ fn assert_lookups_match(index: &RegionIndex, order: &[u32]) -> Result<(), TestCa
     Ok(())
 }
 
+/// Groups of a nested hierarchy: `(start, length, depth)`.
+fn nested_groups() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
+    prop::collection::vec((0i64..300, 0i64..30, 1i64..4), 0..20)
+}
+
+/// A nested hierarchy of single-region elements under an unannotated
+/// root: each group opens `depth` `a` elements at one start, each inside
+/// the last, the outermost longest. A parent and its first child share
+/// a start, so the start-clustered ids do not ascend, while every `a` is
+/// annotated and their ids fill their span — what an XMark base layer
+/// is.
+fn nested_document(groups: &[(i64, i64, i64)]) -> (standoff_xml::Document, RegionIndex) {
+    let mut b = DocumentBuilder::new();
+    b.start_element("d");
+    for &(start, len, depth) in groups {
+        for j in 0..depth {
+            b.start_element("a");
+            b.attribute("start", &start.to_string());
+            b.attribute("end", &(start + len + depth - 1 - j).to_string());
+        }
+        for _ in 0..depth {
+            b.end_element();
+        }
+    }
+    b.end_element();
+    let doc = b.finish().unwrap();
+    let index = RegionIndex::build(&doc, &StandoffConfig::default()).unwrap();
+    (doc, index)
+}
+
+/// The node-view shape an index must take, by definition over its
+/// entries' ids: the entries themselves when the ids ascend; else, for
+/// distinct ids, one row per node of their span when they fill it and
+/// an id list otherwise; else (an id repeats) the area runs.
+fn shape_by_definition(index: &RegionIndex) -> &'static str {
+    let ids: Vec<u32> = index.entries().iter().map(|e| e.id).collect();
+    if ids.windows(2).all(|w| w[0] < w[1]) {
+        return "entries";
+    }
+    let mut distinct = ids.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    match distinct.len() == ids.len() {
+        false => "areas",
+        true if distinct[distinct.len() - 1] - distinct[0] + 1 == ids.len() as u32 => "span",
+        true => "one",
+    }
+}
+
+/// Whether every annotated node's region is read in place from its own
+/// entry — as a view of the entries themselves or of one entry row per
+/// node reads it — rather than from a copied region column.
+fn reads_regions_in_place(index: &RegionIndex) -> bool {
+    (index.entries().iter()).all(|e| match index.regions_of(e.id) {
+        [region] => std::ptr::eq(region, e.region()),
+        _ => false,
+    })
+}
+
+/// [`reads_regions_in_place`] holds exactly for the shapes that copy no
+/// region: the entries themselves and one entry row per node.
+fn assert_shape(index: &RegionIndex) -> Result<(), TestCaseError> {
+    let in_place = matches!(shape_by_definition(index), "entries" | "span");
+    prop_assert_eq!(reads_regions_in_place(index), in_place);
+    Ok(())
+}
+
+/// The covering test by definition: the candidates are exactly the
+/// distinct annotated ids.
+fn covers_by_definition(index: &RegionIndex, candidates: &[u32]) -> bool {
+    let mut ids: Vec<u32> = index.entries().iter().map(|e| e.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids == candidates
+}
+
+/// `covers` against [`covers_by_definition`] for the annotated ranks
+/// themselves and their near misses — the same length with either
+/// endpoint moved, or an interior rank swapped for an unannotated one —
+/// plus `extra` candidates drawn from every rank up to `bound`.
+fn assert_covers_match(
+    index: &RegionIndex,
+    bound: u32,
+    extra: &[Vec<u16>],
+) -> Result<(), TestCaseError> {
+    let annotated = index.annotated_nodes().to_vec();
+    let mut lists = vec![annotated.clone(), Vec::new()];
+    if let (Some(&first), Some(&last)) = (annotated.first(), annotated.last()) {
+        let n = annotated.len();
+        if first > 0 {
+            let mut moved = annotated.clone();
+            moved[0] = first - 1;
+            lists.push(moved);
+        }
+        let mut moved = annotated.clone();
+        moved[n - 1] = last + 1;
+        lists.push(moved);
+        for k in 1..n.saturating_sub(1) {
+            let gap = (annotated[k - 1] + 1..annotated[k + 1]).find(|r| *r != annotated[k]);
+            if let Some(gap) = gap.filter(|g| annotated.binary_search(g).is_err()) {
+                let mut swapped = annotated.clone();
+                swapped[k] = gap;
+                lists.push(swapped);
+            }
+        }
+    }
+    for raw in extra {
+        let mut list: Vec<u32> = raw.iter().map(|&r| r as u32 % (bound + 2)).collect();
+        list.sort_unstable();
+        list.dedup();
+        lists.push(list);
+    }
+    for list in &lists {
+        prop_assert_eq!(
+            index.covers(list),
+            covers_by_definition(index, list),
+            "{:?}",
+            list
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -385,6 +508,7 @@ proptest! {
         retract in prop::collection::vec(any::<bool>(), 0..120),
         appended in 0usize..4,
         probes in prop::collection::vec(any::<u16>(), 0..64),
+        groups in nested_groups(),
     ) {
         let n = annotations.len() * stride;
         let mut b = DocumentBuilder::new();
@@ -412,7 +536,7 @@ proptest! {
             name: "a".into(),
             attrs: Vec::new(),
         };
-        let (spliced, moved) = doc.splice(&dropped, &vec![new; appended]).unwrap();
+        let (spliced, moved) = doc.splice(&dropped, &vec![new.clone(); appended]).unwrap();
         let added: Vec<(u32, Region)> = (moved.added())
             .map(|pre| (pre, Region::new(pre as i64, pre as i64 + 3).unwrap()))
             .collect();
@@ -423,6 +547,34 @@ proptest! {
         order.push(u32::MAX);
         for index in [&index, &mounted, &renumbered] {
             assert_lookups_match(index, &order)?;
+            assert_shape(index)?;
+        }
+
+        // A nested hierarchy, whose ids fill their span without
+        // ascending: built, mounted, and renumbered after retracts
+        // (taking nested elements with them) and appends.
+        let (doc, index) = nested_document(&groups);
+        let mounted = mount(&index, doc.kinds()).unwrap();
+        let elements_a = doc.elements_named("a");
+        let dropped: Vec<u32> = (elements_a.iter().zip(&retract))
+            .filter(|(_, &r)| r)
+            .map(|(&pre, _)| pre)
+            .collect();
+        let (spliced, moved) = doc.splice(&dropped, &vec![new; appended]).unwrap();
+        let added: Vec<(u32, Region)> = (moved.added())
+            .map(|pre| (pre, Region::new(pre as i64 + 400, pre as i64 + 403).unwrap()))
+            .collect();
+        let renumbered = index.renumbered(&moved, &added);
+        let last = spliced.node_count().max(doc.node_count()) as u32 + 3;
+        let mut order: Vec<u32> = (0..last).chain((0..last).rev()).collect();
+        order.extend(probes.iter().map(|&p| p as u32 % (last + 5)));
+        for index in [&index, &mounted, &renumbered] {
+            assert_lookups_match(index, &order)?;
+            assert_shape(index)?;
+        }
+        if groups.iter().any(|g| g.2 > 1) {
+            prop_assert_eq!(shape_by_definition(&mounted), "span");
+            prop_assert!(reads_regions_in_place(&mounted));
         }
     }
 }
@@ -475,39 +627,77 @@ proptest! {
     /// multi-region layers, ids in start order and shuffled, and sparse
     /// annotation. The mount equals the build, lookup for lookup.
     #[test]
-    fn mount_derives_the_documents_node_view(layer in layer_strategy()) {
+    fn mount_derives_the_documents_node_view(
+        layer in layer_strategy(),
+        groups in nested_groups(),
+        candidates in prop::collection::vec(prop::collection::vec(any::<u16>(), 0..40), 0..4),
+        reach in (0i64..450, 0i64..200),
+    ) {
         let (elements_of, multi) = layer;
         let (doc, built) = named_document(&elements_of, multi);
-        let kinds = doc.kinds();
-        let mounted = mount(&built, kinds).unwrap();
         let config = if multi {
             StandoffConfig::element_repr()
         } else {
             StandoffConfig::default()
         };
-        let mut annotated = Vec::new();
-        let (mut max_regions, mut max_extent) = (0, 0);
-        for pre in 0..doc.node_count() as u32 + 2 {
-            let area = (pre < doc.node_count() as u32 && doc.kind(pre) == NodeKind::Element)
-                .then(|| config.area_of(&doc, pre).unwrap())
-                .flatten();
-            let want: Vec<Region> = area.iter().flat_map(|a| a.regions().to_vec()).collect();
-            if !want.is_empty() {
-                annotated.push(pre);
-                max_regions = max_regions.max(want.len() as u32);
-            }
-            max_extent = want.iter().fold(max_extent, |m, r| m.max(r.end - r.start));
-            for index in [&built, &mounted] {
-                prop_assert_eq!(index.regions_of(pre), &want[..], "pre {}", pre);
-            }
+        assert_mount_derives(&doc, &built, &config)?;
+        // A nested hierarchy: the view a mount derives is one entry row
+        // per node of the span, and it answers the covering test and the
+        // candidate gather as the definitions do.
+        let (doc, built) = nested_document(&groups);
+        assert_mount_derives(&doc, &built, &StandoffConfig::default())?;
+        let mounted = mount(&built, doc.kinds()).unwrap();
+        if groups.iter().any(|g| g.2 > 1) {
+            prop_assert_eq!(shape_by_definition(&mounted), "span");
+            prop_assert!(reads_regions_in_place(&mounted));
         }
-        for index in [&built, &mounted] {
-            prop_assert_eq!(index.annotated_nodes(), &annotated[..]);
-            prop_assert_eq!(index.max_regions(), max_regions);
-            prop_assert_eq!(index.max_extent(), max_extent);
-            prop_assert_eq!(index.entries(), built.entries());
+        let bound = doc.node_count() as u32;
+        assert_covers_match(&mounted, bound, &candidates)?;
+        let reach = mounted.reach(reach.0, reach.0 + reach.1);
+        for raw in &candidates {
+            let mut list: Vec<u32> = raw.iter().map(|&r| r as u32 % (bound + 2)).collect();
+            list.sort_unstable();
+            list.dedup();
+            assert_all_agree(&mounted, &list, 0..mounted.len());
+            assert_all_agree(&mounted, &list, reach.clone());
+        }
+        assert_all_agree(&mounted, mounted.annotated_nodes(), reach);
+    }
+}
+
+/// The node view a mount of `built`, the index of `doc` under `config`,
+/// derives is the document's own, and so is the build's — lookup for
+/// lookup, with the shape the definition gives.
+fn assert_mount_derives(
+    doc: &standoff_xml::Document,
+    built: &RegionIndex,
+    config: &StandoffConfig,
+) -> Result<(), TestCaseError> {
+    let mounted = mount(built, doc.kinds()).unwrap();
+    let mut annotated = Vec::new();
+    let (mut max_regions, mut max_extent) = (0, 0);
+    for pre in 0..doc.node_count() as u32 + 2 {
+        let area = (pre < doc.node_count() as u32 && doc.kind(pre) == NodeKind::Element)
+            .then(|| config.area_of(doc, pre).unwrap())
+            .flatten();
+        let want: Vec<Region> = area.iter().flat_map(|a| a.regions().to_vec()).collect();
+        if !want.is_empty() {
+            annotated.push(pre);
+            max_regions = max_regions.max(want.len() as u32);
+        }
+        max_extent = want.iter().fold(max_extent, |m, r| m.max(r.end - r.start));
+        for index in [built, &mounted] {
+            prop_assert_eq!(index.regions_of(pre), &want[..], "pre {}", pre);
         }
     }
+    for index in [built, &mounted] {
+        prop_assert_eq!(index.annotated_nodes(), &annotated[..]);
+        prop_assert_eq!(index.max_regions(), max_regions);
+        prop_assert_eq!(index.max_extent(), max_extent);
+        prop_assert_eq!(index.entries(), built.entries());
+        assert_shape(index)?;
+    }
+    Ok(())
 }
 
 /// The rules a mount checks, each over the whole column in the order

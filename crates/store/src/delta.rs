@@ -375,18 +375,21 @@ fn fold_layer(
     ops: &[&DeltaOp],
 ) -> Result<Layer, StoreError> {
     let doc = layer.doc();
-    // The copy reads the attribute table: verified first, so stored
+    // The copy reads every column group: verified first, so stored
     // bytes that fail their checks are never copied into a new layer.
-    doc.verify_attrs()?;
+    doc.verify()?;
+    let tree = doc.tree()?;
     let root = root_element(doc)
         .ok_or_else(|| StoreError::Delta("layer document has no root element".into()))?;
     // Pending inserts are empty elements, so as the root's last children
     // they hold the last pre ranks of its subtree.
-    let end = root + doc.size(root);
+    let end = root + tree.size(root);
     let first = (end + 1).checked_sub(old.len() as u32).filter(|&first| {
         first > root
             && (first..=end).all(|pre| {
-                doc.kind(pre) == NodeKind::Element && doc.size(pre) == 0 && doc.parent(pre) == root
+                doc.kind(pre) == NodeKind::Element
+                    && tree.size(pre) == 0
+                    && tree.parent(pre) == root
             })
     });
     let Some(first) = first else {
@@ -492,8 +495,12 @@ fn splice_layer(
     Ok(folded)
 }
 
+/// The root element: the first element in document order — whatever
+/// precedes it is a comment or PI child of the document node.
 fn root_element(doc: &Document) -> Option<u32> {
-    doc.children(0).find(|&c| doc.kind(c) == NodeKind::Element)
+    (doc.kinds().iter())
+        .position(|&k| k == NodeKind::Element as u8)
+        .map(|pre| pre as u32)
 }
 
 fn check_token(s: &str, what: &str) -> Result<(), StoreError> {
@@ -755,7 +762,7 @@ mod tests {
             let kinds: Vec<&str> = doc
                 .elements_named("w")
                 .iter()
-                .map(|&w| doc.attribute(w, "kind").unwrap())
+                .map(|&w| doc.attribute(w, "kind").unwrap().unwrap())
                 .collect();
             assert_eq!(kinds, ["word", "word", "replaced"]);
         }
@@ -840,8 +847,11 @@ mod tests {
         assert_eq!(tokens.doc().elements_named("w").len(), 2);
         let ner = tokens.doc().elements_named("ner");
         assert_eq!(ner.len(), 1);
-        assert_eq!(tokens.doc().attribute(ner[0], "class"), Some("MISC"));
-        assert_eq!(tokens.doc().attribute(ner[0], "start"), Some("6"));
+        assert_eq!(
+            tokens.doc().attribute(ner[0], "class").unwrap(),
+            Some("MISC")
+        );
+        assert_eq!(tokens.doc().attribute(ner[0], "start").unwrap(), Some("6"));
         // Inserts land after the surviving originals, as root children.
         let last_w = tokens.doc().elements_named("w")[1];
         assert!(ner[0] > last_w);

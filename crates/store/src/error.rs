@@ -65,11 +65,11 @@ impl From<standoff_core::StandoffError> for StoreError {
     }
 }
 
-/// A stored attribute table that failed its first-read verification is
+/// A stored column group that failed its first-read verification is
 /// the same corruption a materialization reports.
-impl From<standoff_xml::AttrCorrupt> for StoreError {
-    fn from(e: standoff_xml::AttrCorrupt) -> Self {
-        StoreError::corrupt(e.section, e.detail)
+impl From<standoff_xml::Corrupt> for StoreError {
+    fn from(e: standoff_xml::Corrupt) -> Self {
+        StoreError::corrupt(e.section(), e.detail())
     }
 }
 

@@ -23,18 +23,21 @@
 //! sections (META, layer headers) plus the checksum table's structure —
 //! the lazy-mount hot path never hashes bulk columns. A layer's column
 //! checksums are verified the first time the layer is materialized —
-//! all but its attribute table's, which are verified the first time a
-//! request reads an attribute of the layer ([`Document::verify_attrs`],
-//! through the loader a materialization hands the document). A
-//! mismatch is a categorized [`StoreError::Corrupt`], never a panic.
-//! Each section is hashed once per mount: open, a layer's catalog,
-//! materialization, a first attribute read and [`Snapshot::verify`]
-//! share one record of which sections already matched. The checksums
-//! of what a materialization (or a first read) checks are all checked
-//! before any of its structure is, so a flipped payload byte is always
-//! reported as its section's checksum mismatch, never as a structural
-//! error. Writers verify every attribute table before they copy it, and
-//! `verify` checks every section.
+//! those of the columns read directly (`kind`, `name`, the element-name
+//! index, the region index). Its two deferred groups, the tree columns
+//! (`size`, `level`, `parent`, the value arena) and the attribute table,
+//! are each checksummed and checked the first time a request reads
+//! them, by the loader a materialization hands the document, and are
+//! reached only through [`Document::tree`] or [`Document::attrs`]. A mismatch is a
+//! categorized [`StoreError::Corrupt`], never a panic. Each section is
+//! hashed once per mount: open, a layer's catalog, materialization, a
+//! group's first read and [`Snapshot::verify`] share one record of which
+//! sections already matched. The checksums of what a materialization
+//! (or a first read) checks are all checked before any of its structure
+//! is, so a flipped payload byte is always reported as its section's
+//! checksum mismatch, never as a structural error. Writers verify every
+//! group of every layer before they copy it, and `verify` checks every
+//! section.
 //!
 //! Offsets are absolute file positions. Per-layer payloads are one
 //! section per *column* — the document's `kind`/`size`/`level`/`parent`/
@@ -49,7 +52,7 @@
 //! accessed — documents and region indexes are *realized lazily* and
 //! cached, so `inspect` and single-layer workloads never pay for
 //! untouched siblings. Every structural invariant is re-validated at
-//! materialization time, the attribute table's at its first read (the
+//! materialization time, a deferred group's at its first read (the
 //! query optimizer's post-filter elision relies on them).
 //!
 //! A mapping follows the *inode*, and every writer in this crate
@@ -75,8 +78,8 @@ use std::time::{Duration, Instant};
 use standoff_core::{RegionIndex, StandoffConfig};
 use standoff_xml::column::{write_slice_le, PodCol, SharedBytes, StrArena};
 use standoff_xml::{
-    AttrCorrupt, AttrLoader, AttrTable, Document, DocumentParts, ElemIndex, KindCol, NameId,
-    NameTable,
+    AttrTable, Corrupt, Document, DocumentParts, ElemIndex, KindCol, Loader, NameId, NameTable,
+    TreeColumns,
 };
 
 use crate::error::StoreError;
@@ -161,8 +164,17 @@ const SEC_DOC_ATTR_VAL_OFF: u32 = 22;
 const SEC_DOC_ELEM_NAMES: u32 = 23;
 const SEC_DOC_ELEM_OFF: u32 = 24;
 const SEC_DOC_ELEM_PRES: u32 = 25;
-/// The attribute table's sections, verified on first read instead of
-/// at materialization.
+/// The tree columns' sections: a group verified on its first read
+/// ([`Document::tree`]), not at materialization.
+const TREE_SECTIONS: [u32; 5] = [
+    SEC_DOC_SIZE,
+    SEC_DOC_LEVEL,
+    SEC_DOC_PARENT,
+    SEC_DOC_VAL_HEAP,
+    SEC_DOC_VAL_OFF,
+];
+/// The attribute table's sections, the other group verified on its
+/// first read ([`Document::attrs`]).
 const ATTR_SECTIONS: [u32; 5] = [
     SEC_DOC_ATTR_FIRST,
     SEC_DOC_ATTR_OWNER,
@@ -313,12 +325,12 @@ impl Write for CrcSink {
 }
 
 /// Serialize a layer set into `w`: one section per column, then a
-/// trailing CHECKSUMS section with a CRC32 per payload. Every layer's
-/// attribute table is verified first, so stored bytes that fail their
-/// checks are never checksummed into a new file.
+/// trailing CHECKSUMS section with a CRC32 per payload. Every column
+/// group of every layer is verified first, so stored bytes that fail
+/// their checks are never checksummed into a new file.
 pub fn write_snapshot<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
     for layer in set.layers() {
-        layer.doc().verify_attrs().map_err(StoreError::from)?;
+        layer.doc().verify().map_err(StoreError::from)?;
     }
     let mut sections: Vec<(u32, u32, Body<'_>)> = Vec::new();
 
@@ -329,7 +341,7 @@ pub fn write_snapshot<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
 
     for (k, layer) in set.layers().iter().enumerate() {
         let k = k as u32;
-        let doc = layer.doc().storage();
+        let doc = layer.doc().storage().map_err(StoreError::from)?;
         let ridx = layer.index().storage();
 
         let mut hdr = Vec::new();
@@ -574,7 +586,7 @@ struct Mounted {
     payload_bytes: u64,
     layers: Vec<MountLayer>,
     /// Every section's recorded checksum, for [`Snapshot::verify`] —
-    /// shared with the attribute loaders of materialized layers.
+    /// shared with the group loaders of materialized layers.
     checks: Arc<[SectionCheck]>,
 }
 
@@ -920,9 +932,9 @@ impl Snapshot {
     /// Deep integrity check: every recorded section checksum holds —
     /// each section hashed once per mount, so what open, a catalog or a
     /// materialized layer already checked is not hashed again — then
-    /// every layer materializes and its attribute table is verified,
-    /// which re-runs the full structural revalidation the lazy mount
-    /// path and a first attribute read apply. Corruption is a
+    /// every layer materializes and its tree columns and attribute table
+    /// are verified, which re-runs the full structural revalidation the
+    /// lazy mount path and a group's first read apply. Corruption is a
     /// categorized [`StoreError::Corrupt`].
     pub fn verify(&self) -> Result<VerifyReport, StoreError> {
         let mut sections_checked = 0;
@@ -940,7 +952,7 @@ impl Snapshot {
             sections_checked += 1;
         }
         for k in 0..self.inner.layers.len() {
-            self.layer_at(k)?.doc().verify_attrs()?;
+            self.layer_at(k)?.doc().verify()?;
         }
         Ok(VerifyReport {
             layers: self.inner.layers.len(),
@@ -1102,7 +1114,7 @@ impl Snapshot {
             .ok_or_else(|| StoreError::BadLayerName(format!("<layer {k}>")))
     }
 
-    /// Realize every layer, its attribute table verified, and assemble
+    /// Realize every layer, every column group verified, and assemble
     /// an eager [`LayerSet`] — what a pending delta is folded into, and
     /// what the writers consume. Layers stay shared with this snapshot's
     /// cache (cloning a [`Layer`] clones two `Arc`s).
@@ -1110,24 +1122,27 @@ impl Snapshot {
         let mut layers = Vec::with_capacity(self.inner.layers.len());
         for k in 0..self.inner.layers.len() {
             let layer = self.layer_at(k)?;
-            layer.doc().verify_attrs()?;
+            layer.doc().verify()?;
             layers.push((*layer).clone());
         }
         LayerSet::from_layers(&self.inner.uri, layers)
     }
 
-    /// Decode + validate one layer from its sections — all but the
-    /// attribute table's, which are handed to the document's loader
-    /// ([`Snapshot::attr_loader`]) and verified on first read.
+    /// Decode + validate one layer from its sections — all but the tree
+    /// columns' and the attribute table's, which are handed to the
+    /// document as loaders ([`Snapshot::deferred`]) and verified on
+    /// their first read.
     fn materialize(&self, slot: &MountLayer) -> Result<Layer, StoreError> {
-        // The columns are about to become live views — this is the
-        // moment their checksums are verified (those the catalog or
-        // `verify` has not already). A flipped payload byte stops here as
-        // `StoreError::Corrupt`, before any view is built.
-        let (deferred, now): (Vec<usize>, Vec<usize>) =
-            (slot.checks.iter()).partition(|&&c| ATTR_SECTIONS.contains(&self.inner.checks[c].tag));
-        for c in now {
-            check_crc(&self.inner.buf, &self.inner.checks[c], Some(&slot.name))?;
+        // The columns read directly are about to become live views —
+        // this is the moment their checksums are verified (those the
+        // catalog or `verify` has not already). A flipped payload byte
+        // stops here as `StoreError::Corrupt`, before any view is built.
+        let deferred = |c: &usize| {
+            let tag = self.inner.checks[*c].tag;
+            TREE_SECTIONS.contains(&tag) || ATTR_SECTIONS.contains(&tag)
+        };
+        for c in slot.checks.iter().filter(|c| !deferred(c)) {
+            check_crc(&self.inner.buf, &self.inner.checks[*c], Some(&slot.name))?;
         }
         let sect = |tag: u32| -> io::Result<Range<usize>> {
             slot.sections
@@ -1150,32 +1165,40 @@ impl Snapshot {
             .map_err(wrap)?;
         let col =
             |tag: u32| -> io::Result<PodCol<u32>> { PodCol::view(&self.inner.buf, sect(tag)?) };
-        let values = StrArena::view(
-            &self.inner.buf,
-            sect(SEC_DOC_VAL_HEAP).map_err(StoreError::Io)?,
-            sect(SEC_DOC_VAL_OFF).map_err(StoreError::Io)?,
-        )
-        .map_err(wrap)?;
-        let attr_sections = ATTR_SECTIONS.map(sect);
-        let mut ranges = Vec::with_capacity(attr_sections.len());
-        for range in attr_sections {
-            ranges.push(range.map_err(StoreError::Io)?);
-        }
-        let attrs = self.attr_loader(slot, deferred, ranges, kind.len(), names.len());
+        let tree_kind = kind.clone();
+        let tree = self.deferred(slot, TREE_SECTIONS, move |buf, r| {
+            let view_err = |column: &'static str| move |e: io::Error| (column, e.to_string());
+            TreeColumns::from_storage(
+                PodCol::view(buf, r[0].clone()).map_err(view_err("size"))?,
+                PodCol::view(buf, r[1].clone()).map_err(view_err("level"))?,
+                PodCol::view(buf, r[2].clone()).map_err(view_err("parent"))?,
+                StrArena::view(buf, r[3].clone(), r[4].clone())
+                    .map_err(view_err("value-offsets"))?,
+                &tree_kind,
+            )
+        })?;
+        let (nodes, name_count) = (kind.len(), names.len());
+        let count = usize::try_from(slot.attrs).unwrap_or(usize::MAX);
+        let attrs = self.deferred(slot, ATTR_SECTIONS, move |buf, r| {
+            let view_err = |column: &'static str| move |e: io::Error| (column, e.to_string());
+            AttrTable::from_storage(
+                PodCol::view(buf, r[0].clone()).map_err(view_err("attr-first"))?,
+                PodCol::view(buf, r[1].clone()).map_err(view_err("attr-owner"))?,
+                PodCol::view(buf, r[2].clone()).map_err(view_err("attr-name"))?,
+                StrArena::view(buf, r[3].clone(), r[4].clone())
+                    .map_err(view_err("attr-value-offsets"))?,
+                count,
+                nodes,
+                name_count,
+            )
+        })?;
         let parts = DocumentParts {
             uri,
             names,
             kind,
-            size: col(SEC_DOC_SIZE).map_err(wrap)?,
-            level: PodCol::view(
-                &self.inner.buf,
-                sect(SEC_DOC_LEVEL).map_err(StoreError::Io)?,
-            )
-            .map_err(wrap)?,
-            parent: col(SEC_DOC_PARENT).map_err(wrap)?,
             name: col(SEC_DOC_NAME).map_err(wrap)?,
-            values,
-            attr_count: usize::try_from(slot.attrs).unwrap_or(usize::MAX),
+            tree,
+            attr_count: count,
             attrs,
             elem: ElemIndex {
                 names: col(SEC_DOC_ELEM_NAMES).map_err(wrap)?,
@@ -1215,59 +1238,56 @@ impl Snapshot {
         )
     }
 
-    /// The loader of one layer's attribute table: it verifies the
-    /// `deferred` checksums (of the five attribute sections, at
-    /// `ranges` in [`ATTR_SECTIONS`] order — those `verify` or an earlier
-    /// load has not hashed already), then views and validates the
-    /// columns for a document of `nodes` nodes and `names` names. Every
-    /// failure is [`StoreError::Corrupt`] naming the section. It holds
+    /// The loader of one of a layer's deferred column groups — the
+    /// sections `tags`, in that order: it verifies their checksums
+    /// (those `verify` or an earlier load has not hashed already), then
+    /// `build` views and checks the columns at their ranges. Every
+    /// failure is a [`Corrupt`] naming the section: `build` names the
+    /// column (`size`, `attr-name`, …) it found broken. The loader holds
     /// the buffer and the checksum records, never the snapshot, so a
-    /// layer can outlive its snapshot without a cycle.
-    fn attr_loader(
+    /// layer can outlive its snapshot without a cycle. The sections not
+    /// yet hashed are added to `store.verify.sections_deferred`.
+    fn deferred<T: 'static>(
         &self,
         slot: &MountLayer,
-        deferred: Vec<usize>,
-        ranges: Vec<Range<usize>>,
-        nodes: usize,
-        names: usize,
-    ) -> AttrLoader {
-        let unverified = (deferred.iter())
+        tags: [u32; 5],
+        build: impl Fn(&SharedBytes, &[Range<usize>]) -> Result<T, (&'static str, String)>
+            + Send
+            + Sync
+            + 'static,
+    ) -> Result<Loader<T>, StoreError> {
+        let mut ranges = Vec::with_capacity(tags.len());
+        for tag in tags {
+            ranges.push(
+                slot.sections
+                    .get(&tag)
+                    .cloned()
+                    .ok_or_else(|| bad(&format!("layer {:?}: missing section {tag}", slot.name)))?,
+            );
+        }
+        let group: Vec<usize> = (slot.checks.iter().copied())
+            .filter(|&c| tags.contains(&self.inner.checks[c].tag))
+            .collect();
+        let unverified = (group.iter())
             .filter(|&&c| !self.inner.checks[c].verified.load(Ordering::Acquire))
             .count();
         MetricsRegistry::global().add("store.verify.sections_deferred", unverified as u64);
         let buf = self.inner.buf.clone();
         let checks = Arc::clone(&self.inner.checks);
         let layer = slot.name.clone();
-        let count = usize::try_from(slot.attrs).unwrap_or(usize::MAX);
-        Arc::new(move || {
-            for &c in &deferred {
+        Ok(Arc::new(move || {
+            for &c in &group {
                 match check_crc(&buf, &checks[c], Some(&layer)) {
                     Err(StoreError::Corrupt { section, detail }) => {
-                        return Err(AttrCorrupt { section, detail })
+                        return Err(Corrupt::new(section, detail))
                     }
                     checked => checked.expect("a checksum fails as corruption"),
                 }
             }
-            let failed = |column: &str, detail: String| AttrCorrupt {
-                section: format!("section doc.{column} (layer {layer})"),
-                detail,
-            };
-            let col = |k: usize, column: &str| {
-                PodCol::view(&buf, ranges[k].clone()).map_err(|e| failed(column, e.to_string()))
-            };
-            let values = StrArena::view(&buf, ranges[3].clone(), ranges[4].clone())
-                .map_err(|e| failed("attr-value-offsets", e.to_string()))?;
-            AttrTable::from_storage(
-                col(0, "attr-first")?,
-                col(1, "attr-owner")?,
-                col(2, "attr-name")?,
-                values,
-                count,
-                nodes,
-                names,
-            )
-            .map_err(|(column, detail)| failed(column, detail))
-        })
+            build(&buf, &ranges).map_err(|(column, detail)| {
+                Corrupt::new(format!("section doc.{column} (layer {layer})"), detail)
+            })
+        }))
     }
 }
 

@@ -129,8 +129,8 @@ mod tests {
             assert_eq!(orig.name(), re.name());
             assert_eq!(orig.doc().node_count(), re.doc().node_count());
             assert_eq!(
-                standoff_xml::serialize_document(orig.doc(), Default::default()),
-                standoff_xml::serialize_document(re.doc(), Default::default())
+                standoff_xml::try_serialize_document(orig.doc(), Default::default()),
+                standoff_xml::try_serialize_document(re.doc(), Default::default())
             );
         }
         // Re-serialization is byte-idempotent.

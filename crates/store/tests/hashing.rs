@@ -1,5 +1,6 @@
 //! A mounted snapshot hashes each section once: whichever of open, a
-//! layer's catalog, materialization, a first attribute read or `verify`
+//! layer's catalog, materialization, a first read of a layer's tree
+//! columns or attribute table, or `verify`
 //! reaches a section first checks its CRC32, and nothing hashes it
 //! again. Counted through the
 //! process-global `store.verify.bytes_hashed`, which is why this file
@@ -56,6 +57,15 @@ fn each_section_is_hashed_once_per_mount() {
     let buf = bytes();
     let header = Some(&["layer.header"][..]);
     let catalog = Some(&["doc.meta", "doc.elem-names", "doc.elem-offsets"][..]);
+    let tree = Some(
+        &[
+            "doc.size",
+            "doc.level",
+            "doc.parent",
+            "doc.value-heap",
+            "doc.value-offsets",
+        ][..],
+    );
     let attrs = Some(
         &[
             "doc.attr-first",
@@ -94,8 +104,9 @@ fn each_section_is_hashed_once_per_mount() {
 
     // A query's path through a fresh mount: every layer's catalog, then
     // two layers materialized — their sections hashed exactly once, the
-    // catalog sections included and the attribute table's left for its
-    // first read; the third layer only for its catalog.
+    // catalog sections included and the tree columns' and attribute
+    // table's left for their first read; the third layer only for its
+    // catalog.
     let snapshot = Snapshot::mount_bytes(buf).unwrap();
     let before = hashed();
     for k in 0..3 {
@@ -109,6 +120,7 @@ fn each_section_is_hashed_once_per_mount() {
         .map(|k| {
             section_bytes(&snapshot, k, None)
                 - section_bytes(&snapshot, k, header)
+                - section_bytes(&snapshot, k, tree)
                 - section_bytes(&snapshot, k, attrs)
         })
         .sum();
@@ -118,11 +130,16 @@ fn each_section_is_hashed_once_per_mount() {
     // attribute table; a second hashes nothing.
     let before = hashed();
     let tokens = snapshot.layer("tokens").unwrap();
-    tokens.doc().verify_attrs().unwrap();
-    tokens.doc().verify_attrs().unwrap();
+    tokens.doc().attrs().map(drop).unwrap();
+    tokens.doc().attrs().map(drop).unwrap();
     assert_eq!(hashed() - before, section_bytes(&snapshot, 1, attrs));
+    // Likewise its tree columns.
+    let before = hashed();
+    tokens.doc().tree().map(drop).unwrap();
+    tokens.doc().tree().map(drop).unwrap();
+    assert_eq!(hashed() - before, section_bytes(&snapshot, 1, tree));
     // Verifying afterwards hashes only what is left: the third layer
-    // and the base layer's attribute table.
+    // and the base layer's tree columns and attribute table.
     let before = hashed();
     snapshot.verify().unwrap();
     let third = section_bytes(&snapshot, 2, None)
@@ -130,6 +147,6 @@ fn each_section_is_hashed_once_per_mount() {
         - section_bytes(&snapshot, 2, catalog);
     assert_eq!(
         hashed() - before,
-        third + section_bytes(&snapshot, 0, attrs)
+        third + section_bytes(&snapshot, 0, tree) + section_bytes(&snapshot, 0, attrs)
     );
 }

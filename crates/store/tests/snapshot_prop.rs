@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use standoff_core::StandoffConfig;
 use standoff_store::{read_snapshot, write_snapshot, LayerSet};
-use standoff_xml::{parse_document, serialize_document, Document};
+use standoff_xml::{parse_document, try_serialize_document, Document};
 
 /// Random non-touching annotation spans: (start, end) pairs.
 fn spans_strategy(max_annotations: usize) -> impl Strategy<Value = Vec<(i64, i64)>> {
@@ -66,8 +66,8 @@ proptest! {
             prop_assert_eq!(a.config(), b.config());
             // Documents: identical serialization.
             prop_assert_eq!(
-                serialize_document(a.doc(), Default::default()),
-                serialize_document(b.doc(), Default::default())
+                try_serialize_document(a.doc(), Default::default()),
+                try_serialize_document(b.doc(), Default::default())
             );
             // Region indices: identical entries and node views.
             prop_assert_eq!(a.index().entries(), b.index().entries());

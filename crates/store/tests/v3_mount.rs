@@ -71,12 +71,12 @@ fn table_of(buf: &[u8]) -> Vec<(u32, u32, usize, u64, u64)> {
 }
 
 /// What opening a snapshot and then materializing each of its layers
-/// through [`Snapshot::layer_at`] and reading its attributes — the lazy
-/// path a query that reads them takes — comes to, as text: the first
-/// error in full, or `"ok"`.
+/// through [`Snapshot::layer_at`] and reading its tree columns and its
+/// attributes — the lazy path a query that reads them takes — comes to,
+/// as text: the first error in full, or `"ok"`.
 fn lazy_outcome(opened: Result<Snapshot, StoreError>) -> String {
     let read = |layer: std::sync::Arc<standoff_store::Layer>| {
-        layer.doc().verify_attrs().map_err(StoreError::from)
+        layer.doc().verify().map_err(StoreError::from)
     };
     let layers = |snapshot: Snapshot| {
         (0..snapshot.len()).try_for_each(|k| snapshot.layer_at(k).and_then(read))
@@ -87,14 +87,18 @@ fn lazy_outcome(opened: Result<Snapshot, StoreError>) -> String {
     }
 }
 
-/// Opening or materializing the tampered bytes must fail — never panic,
-/// never silently succeed.
+/// Opening, materializing or first reading the tampered bytes must fail
+/// — never panic, never silently succeed.
 fn assert_rejected(bytes: Vec<u8>, what: &str) {
     match Snapshot::from_bytes(bytes) {
         Err(_) => {}
         Ok(snapshot) => {
-            let all: Result<Vec<_>, _> =
-                (0..snapshot.len()).map(|k| snapshot.layer_at(k)).collect();
+            let all: Result<Vec<_>, _> = (0..snapshot.len())
+                .map(|k| {
+                    let layer = snapshot.layer_at(k)?;
+                    layer.doc().verify().map_err(StoreError::from)
+                })
+                .collect();
             assert!(all.is_err(), "{what}: tampering must be rejected");
         }
     }
@@ -148,10 +152,12 @@ fn materialized_layers_are_zero_copy_views() {
     // once it is verified.
     // pre: 0=document 1=<doc> 2=<seg> 3=<seg> 4=text "état"
     assert_eq!(base.doc().elements_named("seg").len(), 2);
-    base.doc().verify_attrs().unwrap();
-    assert_eq!(base.doc().attribute(2, "end"), Some("19"));
+    base.doc().verify().unwrap();
+    assert_eq!(base.doc().attribute(2, "end").unwrap(), Some("19"));
     assert_eq!(
-        base.doc().string_value(standoff_xml::NodeId::tree(4)),
+        base.doc()
+            .string_value(standoff_xml::NodeId::tree(4))
+            .unwrap(),
         "état"
     );
     assert_eq!(base.index().annotated_nodes(), &[2, 3]);
@@ -462,7 +468,7 @@ fn block_written_snapshot_is_byte_identical_to_the_per_element_writer() {
     let (_, _, _, sums_off, sums_len) = *table.iter().find(|s| s.0 == 40).expect("checksums");
     let mut columns = 0;
     for (k, layer) in set.layers().iter().enumerate() {
-        let doc = layer.doc().storage();
+        let doc = layer.doc().storage().unwrap();
         let idx = layer.index().storage();
         for &(tag, _, _, off, len) in table.iter().filter(|s| s.1 == k as u32) {
             let bytes = match tag {

@@ -83,7 +83,7 @@ pub fn generate(config: &XmarkConfig) -> Document {
 }
 
 /// Size of a document's serialized XML text in bytes (the unit of the
-/// paper's Figure 6 x-axis).
+/// paper's Figure 6 x-axis), for a document built in memory.
 pub fn serialized_size(doc: &Document) -> usize {
     standoff_xml::serialize_document(doc, SerializeOptions::default()).len()
 }
@@ -574,15 +574,15 @@ mod tests {
         let config = XmarkConfig::with_scale(0.001);
         let doc = generate(&config);
         let people = doc.elements_named("person");
-        assert_eq!(doc.attribute(people[0], "id"), Some("person0"));
+        assert_eq!(doc.attribute(people[0], "id").unwrap(), Some("person0"));
         let last = people[people.len() - 1];
         assert_eq!(
-            doc.attribute(last, "id"),
+            doc.attribute(last, "id").unwrap(),
             Some(format!("person{}", config.n_people() - 1).as_str())
         );
         // References point inside the id spaces.
         for &r in doc.elements_named("itemref") {
-            let target = doc.attribute(r, "item").unwrap();
+            let target = doc.attribute(r, "item").unwrap().unwrap();
             let n: usize = target["item".len()..].parse().unwrap();
             assert!(n < config.n_items());
         }
@@ -619,8 +619,10 @@ mod tests {
         let with_increase = bidders
             .iter()
             .filter(|&&b| {
-                doc.children(b)
-                    .any(|c| doc.node_name(NodeId::tree(c)) == "increase")
+                doc.tree()
+                    .unwrap()
+                    .children(b)
+                    .any(|c| doc.node_name(NodeId::tree(c)).unwrap() == "increase")
             })
             .count();
         assert_eq!(with_increase, bidders.len(), "every bidder has an increase");

@@ -48,9 +48,11 @@ impl StandoffDoc {
     }
 }
 
-/// Transform a document into its StandOff form.
+/// Transform a document into its StandOff form. `src` is a document
+/// built or parsed in memory, whose column groups are verified.
 pub fn standoffify(src: &Document, seed: u64) -> StandoffDoc {
     let n = src.node_count();
+    let tree = src.tree().expect("a built document's tree is verified");
     // Pass 1: compute the BLOB and each element's [start,end] span.
     let mut spans: Vec<(i64, i64)> = vec![(0, 0); n];
     let mut blob = String::new();
@@ -58,7 +60,7 @@ pub fn standoffify(src: &Document, seed: u64) -> StandoffDoc {
     for pre in 1..n as u32 {
         // Close elements whose subtree ended before `pre`.
         while let Some(&top) = open.last() {
-            if pre > top + src.size(top) {
+            if pre > top + tree.size(top) {
                 blob.push('\n');
                 spans[top as usize].1 = blob.len() as i64 - 1;
                 open.pop();
@@ -69,14 +71,14 @@ pub fn standoffify(src: &Document, seed: u64) -> StandoffDoc {
         match src.kind(pre) {
             NodeKind::Element => {
                 spans[pre as usize].0 = blob.len() as i64;
-                if src.size(pre) == 0 {
+                if tree.size(pre) == 0 {
                     blob.push('\n');
                     spans[pre as usize].1 = blob.len() as i64 - 1;
                 } else {
                     open.push(pre);
                 }
             }
-            NodeKind::Text => blob.push_str(src.value(pre)),
+            NodeKind::Text => blob.push_str(tree.value(pre)),
             NodeKind::Comment | NodeKind::Pi | NodeKind::Document => {}
         }
     }
@@ -112,9 +114,12 @@ pub fn standoffify(src: &Document, seed: u64) -> StandoffDoc {
 fn emit_element(src: &Document, pre: u32, spans: &[(i64, i64)], b: &mut DocumentBuilder) {
     let name = src.names().lexical(src.name_id(pre));
     b.start_element(&name);
-    for a in src.attr_range(pre) {
-        let an = src.names().lexical(src.attr_name_id(a));
-        b.attribute(&an, src.attr_value(a));
+    let attrs = src
+        .attrs()
+        .expect("a built document's attributes are verified");
+    for a in attrs.range(pre) {
+        let an = src.names().lexical(attrs.name_id(a));
+        b.attribute(&an, attrs.value(a));
     }
     let (start, end) = spans[pre as usize];
     b.attribute("start", &start.to_string());
@@ -152,7 +157,7 @@ mod tests {
         // Every element except the root is a child of the root.
         let root = 1u32;
         for pre in 2..so.doc.node_count() as u32 {
-            assert_eq!(so.doc.parent(pre), root);
+            assert_eq!(so.doc.tree().unwrap().parent(pre), root);
         }
     }
 
@@ -229,14 +234,14 @@ mod tests {
         let src_p0 = src
             .elements_named("person")
             .iter()
-            .find(|&&p| src.attribute(p, "id") == Some("person0"))
+            .find(|&&p| src.attribute(p, "id").unwrap() == Some("person0"))
             .copied()
             .unwrap();
         let so_p0 = so
             .doc
             .elements_named("person")
             .iter()
-            .find(|&&p| so.doc.attribute(p, "id") == Some("person0"))
+            .find(|&&p| so.doc.attribute(p, "id").unwrap() == Some("person0"))
             .copied();
         assert!(so_p0.is_some());
         let _ = src_p0;

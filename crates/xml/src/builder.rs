@@ -332,7 +332,7 @@ mod tests {
         b.end_element();
         let d = b.finish().unwrap();
         assert_eq!(d.node_count(), 3); // doc, a, text
-        assert_eq!(d.value(2), "foobar");
+        assert_eq!(d.tree().unwrap().value(2), "foobar");
     }
 
     #[test]
@@ -357,8 +357,8 @@ mod tests {
         let d = b.finish().unwrap();
         // doc, a, "x", b, "y"
         assert_eq!(d.node_count(), 5);
-        assert_eq!(d.value(2), "x");
-        assert_eq!(d.value(4), "y");
+        assert_eq!(d.tree().unwrap().value(2), "x");
+        assert_eq!(d.tree().unwrap().value(4), "y");
     }
 
     #[test]
@@ -381,8 +381,8 @@ mod tests {
         }
         let d = b.finish().unwrap();
         d.check_invariants().unwrap();
-        assert_eq!(d.level(100), 100);
-        assert_eq!(d.size(1), 99);
+        assert_eq!(d.tree().unwrap().level(100), 100);
+        assert_eq!(d.tree().unwrap().size(1), 99);
     }
 
     #[test]
@@ -395,8 +395,8 @@ mod tests {
         let d = b.finish().unwrap();
         assert_eq!(d.kind(2), crate::NodeKind::Comment);
         assert_eq!(d.kind(3), crate::NodeKind::Pi);
-        assert_eq!(d.node_name(crate::NodeId::tree(3)), "target");
-        assert_eq!(d.value(3), "data");
+        assert_eq!(d.node_name(crate::NodeId::tree(3)).unwrap(), "target");
+        assert_eq!(d.tree().unwrap().value(3), "data");
     }
 
     #[test]
@@ -420,13 +420,23 @@ mod tests {
         assert_eq!(d.elements_named("x:b"), &[3, 7, 11]);
         assert_eq!(d.elements_named("a"), &[1, 5, 9]);
         for (k, &f) in d.fragment_starts().iter().enumerate() {
-            assert_eq!((d.level(f), d.parent(f), d.size(f)), (0, f, 3));
+            assert_eq!(
+                (
+                    d.tree().unwrap().level(f),
+                    d.tree().unwrap().parent(f),
+                    d.tree().unwrap().size(f)
+                ),
+                (0, f, 3)
+            );
             assert_eq!(d.fragment_root(f + 3), f);
-            assert_eq!(d.next_sibling(f), None);
-            assert_eq!(d.attribute(f + 1, "k"), Some(k.to_string().as_str()));
+            assert_eq!(d.tree().unwrap().next_sibling(f), None);
+            assert_eq!(
+                d.attribute(f + 1, "k").unwrap(),
+                Some(k.to_string().as_str())
+            );
             let text = if k == 1 { "t&amp;" } else { "t" };
             assert_eq!(
-                crate::serialize_node(&d, crate::NodeId::tree(f), Default::default()),
+                crate::serialize_node(&d, crate::NodeId::tree(f), Default::default()).unwrap(),
                 format!("<a k=\"{k}\">{text}<x:b/></a>")
             );
         }

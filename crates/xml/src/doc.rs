@@ -9,15 +9,19 @@
 //!
 //! Every column is a [`PodCol`]/[`StrArena`]: owned when the document was
 //! parsed or built in memory, a zero-copy view over a snapshot buffer when
-//! it was mounted (see `standoff-store`'s snapshot format). The element-name
+//! it was mounted (see `standoff-store`'s snapshot format). A mounted
+//! document verifies its tree columns and its attribute table the first
+//! time each is read, so both are reached through fallible accessors
+//! ([`Document::tree`], [`Document::attrs`]; see `checked.rs`). The element-name
 //! index is a CSR over `(name id → element pre ranks)` — persisted by the
 //! snapshot writer and mounted as-is, never rebuilt through a hash map.
 
 use std::fmt;
 use std::io;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
+use crate::checked::{Checked, Corrupt, Loader};
 use crate::column::{PodCol, SharedBytes, StrArena, StrArenaBuilder};
 use crate::name::{NameId, NameTable};
 use crate::node::{NodeId, NodeKind};
@@ -197,31 +201,264 @@ impl ElemIndex {
 
 /// The raw column storage behind a [`Document`] — each column either
 /// owned or a zero-copy view over a mounted snapshot buffer. Assembled
-/// by the snapshot mount path, then validated as a whole by
-/// [`Document::from_storage`].
+/// by the snapshot mount path, then validated by
+/// [`Document::from_storage`]; the tree columns and the attribute table
+/// are handed over as loaders, verified the first time they are read.
 pub struct DocumentParts {
     pub uri: Option<String>,
     pub names: NameTable,
     pub kind: KindCol,
-    pub size: PodCol<u32>,
-    pub level: PodCol<u16>,
-    pub parent: PodCol<u32>,
     /// Raw name ids (`NameId::NONE` = `u32::MAX` for unnamed kinds).
     pub name: PodCol<u32>,
-    pub values: StrArena,
+    /// Verifies and assembles the tree columns ([`Document::tree`]).
+    pub tree: Loader<TreeColumns>,
     /// Attribute rows the stored table declares, for
     /// [`Document::attr_count`] before the table is read; `attrs` refuses
     /// a table of any other length.
     pub attr_count: usize,
-    /// Verifies and assembles the attribute table, the first time it
-    /// is read ([`Document::verify_attrs`]).
-    pub attrs: AttrLoader,
+    /// Verifies and assembles the attribute table ([`Document::attrs`]).
+    pub attrs: Loader<AttrTable>,
     pub elem: ElemIndex,
+}
+
+/// The tree columns, indexed by pre rank: subtree size, depth, parent
+/// and the text/comment/PI content. What navigation and serialization
+/// read, reached through [`Document::tree`].
+#[derive(Clone)]
+pub struct TreeColumns {
+    size: PodCol<u32>,
+    level: PodCol<u16>,
+    parent: PodCol<u32>,
+    values: StrArena,
+}
+
+impl TreeColumns {
+    /// Assemble the stored tree columns of a one-tree document whose
+    /// node kinds are `kind`, validating them whole: the column lengths,
+    /// then the structural pre/size/level rules in one pre-order pass. A
+    /// failure names the stored column it was found in (`size`, `level`,
+    /// `parent` or `value-offsets`) and why.
+    pub fn from_storage(
+        size: PodCol<u32>,
+        level: PodCol<u16>,
+        parent: PodCol<u32>,
+        values: StrArena,
+        kind: &KindCol,
+    ) -> Result<TreeColumns, (&'static str, String)> {
+        let n = kind.len();
+        let lengths = [
+            ("size", size.len()),
+            ("level", level.len()),
+            ("parent", parent.len()),
+            ("value-offsets", values.len()),
+        ];
+        if let Some(&(column, _)) = lengths.iter().find(|&&(_, len)| len != n) {
+            return Err((column, "node column lengths disagree".into()));
+        }
+        let tree = TreeColumns {
+            size,
+            level,
+            parent,
+            values,
+        };
+        tree.check_structure(kind, &[0])?;
+        Ok(tree)
+    }
+
+    /// The tree's structural rules in order, each column read once: one
+    /// pre-order pass per fragment (`starts`, ascending) for the
+    /// parent/size/level rules. Needs a non-empty document and columns
+    /// as long as `kind`; nothing else is assumed, so hostile columns
+    /// cannot make it index out of bounds.
+    fn check_structure(
+        &self,
+        kind: &KindCol,
+        starts: &[u32],
+    ) -> Result<(), (&'static str, String)> {
+        let n = kind.len();
+        let (size, level, parent) = (&self.size[..n], &self.level[..n], &self.parent[..n]);
+        let ends = starts[1..].iter().map(|&s| s as usize).chain([n]);
+        for (&root, next) in starts.iter().zip(ends) {
+            let root = root as usize;
+            if root >= next {
+                return Err(("size", "fragment starts not ascending".into()));
+            }
+            if kind.get(root) != NodeKind::Document
+                || level[root] != 0
+                || parent[root] as usize != root
+            {
+                let column = if level[root] != 0 { "level" } else { "parent" };
+                return Err((
+                    column,
+                    format!("fragment start {root} is not a document node"),
+                ));
+            }
+            if root + size[root] as usize != next - 1 {
+                return Err((
+                    "size",
+                    format!(
+                        "document node size {} != node count - 1 ({})",
+                        size[root],
+                        next - 1 - root
+                    ),
+                ));
+            }
+            // Bounded by the fragment, so the loop needs no bounds checks.
+            let (size, level, parent) = (&size[..next], &level[..next], &parent[..next]);
+            for pre in root + 1..next {
+                // The rules of `node_error`, without branches: a parent at or
+                // after the node fails it, so any in-bounds row stands in.
+                let up = parent[pre] as usize;
+                let p = if up < pre { up } else { root };
+                let end = |p: usize| p as u64 + size[p] as u64;
+                if (up >= pre)
+                    | (pre as u64 > end(p))
+                    | (level[pre] as u32 != level[p] as u32 + 1)
+                    | (end(pre) > end(p))
+                {
+                    return Err(self.node_error(pre as u32));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The rule node `pre` (≥ 1) breaks, and the column it is found in:
+    /// its parent comes before it, it lies inside its parent's subtree
+    /// one level down, and its own subtree ends inside its parent's. Only
+    /// asked of a node [`TreeColumns::check_structure`] found breaking
+    /// one.
+    #[cold]
+    fn node_error(&self, pre: u32) -> (&'static str, String) {
+        let parent = self.parent[pre as usize];
+        if parent >= pre {
+            return (
+                "parent",
+                format!("node {pre} has parent {parent} >= itself"),
+            );
+        }
+        // Subtree ends are summed in u64: a hostile `size` column must
+        // fail here, not wrap past the parent's end.
+        let end = |p: u32| p as u64 + self.size[p as usize] as u64;
+        if pre as u64 > end(parent) {
+            return (
+                "parent",
+                format!("node {pre} outside parent {parent} region"),
+            );
+        }
+        if self.level[pre as usize] as u32 != self.level[parent as usize] as u32 + 1 {
+            return (
+                "level",
+                format!("node {pre} level inconsistent with parent"),
+            );
+        }
+        ("size", format!("node {pre} subtree leaks out of parent"))
+    }
+}
+
+/// A document's verified tree columns, with the navigation they answer
+/// ([`Document::tree`]). Copy it freely: it is two references.
+#[derive(Clone, Copy)]
+pub struct Tree<'d> {
+    doc: &'d Document,
+    cols: &'d TreeColumns,
+}
+
+impl<'d> Tree<'d> {
+    /// Subtree size (descendant count) of the tree node at `pre`.
+    #[inline]
+    pub fn size(self, pre: u32) -> u32 {
+        self.cols.size[pre as usize]
+    }
+
+    /// Depth of the tree node at `pre` (document node has level 0).
+    #[inline]
+    pub fn level(self, pre: u32) -> u16 {
+        self.cols.level[pre as usize]
+    }
+
+    /// Parent pre rank of the tree node at `pre` (a document node is its
+    /// own parent).
+    #[inline]
+    pub fn parent(self, pre: u32) -> u32 {
+        self.cols.parent[pre as usize]
+    }
+
+    /// Raw value column of the tree node at `pre` (text/comment/PI content).
+    #[inline]
+    pub fn value(self, pre: u32) -> &'d str {
+        self.cols.values.get(pre as usize)
+    }
+
+    /// First child of the node at `pre`, if any.
+    #[inline]
+    pub fn first_child(self, pre: u32) -> Option<u32> {
+        (self.size(pre) > 0).then_some(pre + 1)
+    }
+
+    /// Next sibling of the node at `pre`, if any.
+    #[inline]
+    pub fn next_sibling(self, pre: u32) -> Option<u32> {
+        if self.level(pre) == 0 {
+            return None; // document node
+        }
+        let parent = self.parent(pre);
+        let next = pre + self.size(pre) + 1;
+        (next <= parent + self.size(parent)).then_some(next)
+    }
+
+    /// Children of the node at `pre`, in document order.
+    pub fn children(self, pre: u32) -> Children<'d> {
+        Children {
+            tree: self,
+            next: self.first_child(pre),
+            end: pre + self.size(pre),
+        }
+    }
+
+    /// Pre ranks of the subtree rooted at `pre`, *excluding* `pre` itself.
+    #[inline]
+    pub fn descendants(self, pre: u32) -> std::ops::RangeInclusive<u32> {
+        let s = self.size(pre);
+        if s == 0 {
+            // Empty range (start > end).
+            #[allow(clippy::reversed_empty_ranges)]
+            {
+                1..=0
+            }
+        } else {
+            (pre + 1)..=(pre + s)
+        }
+    }
+
+    /// Does `anc` (pre rank) contain `desc` (pre rank), strictly?
+    #[inline]
+    pub fn is_ancestor(self, anc: u32, desc: u32) -> bool {
+        anc < desc && desc <= anc + self.size(anc)
+    }
+
+    /// The string value of the tree node at `pre` per XPath: for
+    /// elements and the document node, the concatenation of all
+    /// descendant text nodes; for text/comment/PI nodes, their content.
+    pub fn string_value(self, pre: u32) -> String {
+        match self.doc.kind(pre) {
+            NodeKind::Text | NodeKind::Comment | NodeKind::Pi => self.value(pre).to_string(),
+            NodeKind::Element | NodeKind::Document => {
+                let mut out = String::new();
+                for d in self.descendants(pre) {
+                    if self.doc.kind(d) == NodeKind::Text {
+                        out.push_str(self.value(d));
+                    }
+                }
+                out
+            }
+        }
+    }
 }
 
 /// The attribute table: a CSR over owner pre rank — `first[pre]..
 /// first[pre + 1]` are the rows of the element at `pre` — with each
-/// row's owner, name id and value.
+/// row's owner, name id and value. Reached through [`Document::attrs`].
 #[derive(Clone)]
 pub struct AttrTable {
     first: PodCol<u32>,
@@ -314,51 +551,57 @@ impl AttrTable {
     }
 
     /// Number of attribute rows.
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.name.len()
     }
-}
 
-/// A stored attribute table that failed its verification: the section
-/// that failed, and why — what the snapshot store reports as corrupt.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AttrCorrupt {
-    /// What failed, e.g. `"section doc.attr-name (layer tokens)"`.
-    pub section: String,
-    /// Why, e.g. a checksum mismatch.
-    pub detail: String,
-}
-
-impl fmt::Display for AttrCorrupt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "corrupt {}: {}", self.section, self.detail)
+    pub fn is_empty(&self) -> bool {
+        self.name.is_empty()
     }
-}
 
-impl std::error::Error for AttrCorrupt {}
+    /// Attribute-table index range of the element at `pre`.
+    #[inline]
+    pub fn range(&self, pre: u32) -> Range<u32> {
+        self.first[pre as usize]..self.first[pre as usize + 1]
+    }
 
-/// Verifies and assembles a stored attribute table, the first time a
-/// document reads it.
-pub type AttrLoader = Arc<dyn Fn() -> Result<AttrTable, AttrCorrupt> + Send + Sync>;
+    /// Attribute node ids of the element at `pre`, in attribute order.
+    pub fn of(&self, pre: u32) -> impl Iterator<Item = NodeId> {
+        self.range(pre).map(NodeId::attr)
+    }
 
-/// A document's attribute table: built with the document, or stored
-/// and verified the first time it is read.
-#[derive(Clone)]
-struct Attrs {
-    table: OnceLock<Result<AttrTable, AttrCorrupt>>,
-    /// Present for a stored table.
-    loader: Option<AttrLoader>,
-    /// Rows, known before the table is read.
-    count: usize,
-}
+    /// Owner element pre rank of the attribute with table index `idx`.
+    #[inline]
+    pub fn owner(&self, idx: u32) -> u32 {
+        self.owner[idx as usize]
+    }
 
-impl Attrs {
-    fn built(table: AttrTable) -> Attrs {
-        Attrs {
-            count: table.len(),
-            table: OnceLock::from(Ok(table)),
-            loader: None,
-        }
+    /// Name id of the attribute with table index `idx`.
+    #[inline]
+    pub fn name_id(&self, idx: u32) -> NameId {
+        NameId(self.name[idx as usize])
+    }
+
+    /// Value of the attribute with table index `idx`.
+    #[inline]
+    pub fn value(&self, idx: u32) -> &str {
+        self.values.get(idx as usize)
+    }
+
+    /// Value of the attribute of element `pre` named `name`, if present.
+    pub fn find(&self, pre: u32, name: NameId) -> Option<&str> {
+        self.range(pre)
+            .find(|&a| self.name[a as usize] == name.0)
+            .map(|a| self.values.get(a as usize))
+    }
+
+    /// Document-order key of the attribute with table index `idx`: after
+    /// its owner element, before the element's first child, and among
+    /// its owner's attributes by table index.
+    #[inline]
+    pub fn order_key(&self, idx: u32) -> (u32, u32) {
+        let owner = self.owner[idx as usize];
+        (owner, 1 + idx - self.first[owner as usize])
     }
 }
 
@@ -415,12 +658,15 @@ impl Columns {
             uri,
             names,
             kind,
-            size: self.size.into(),
-            level: self.level.into(),
-            parent: self.parent.into(),
             name: self.name.into(),
-            values: self.values.finish(),
-            attrs: Attrs::built(AttrTable {
+            tree: Checked::ready(TreeColumns {
+                size: self.size.into(),
+                level: self.level.into(),
+                parent: self.parent.into(),
+                values: self.values.finish(),
+            }),
+            attr_count: self.attr_owner.len(),
+            attrs: Checked::ready(AttrTable {
                 first: self.attr_first.into(),
                 owner: self.attr_owner.into(),
                 name: self.attr_name.into(),
@@ -440,19 +686,26 @@ impl Columns {
 /// Construct with [`crate::DocumentBuilder`] or [`crate::parse_document`];
 /// this type is immutable after construction (annotation databases in the
 /// paper are bulk-loaded, then queried).
+///
+/// Its columns fall in three groups. The node kinds, name ids, name
+/// table and element-name index are read directly. The tree columns
+/// ([`Document::tree`]) and the attribute table ([`Document::attrs`])
+/// are each reached through a fallible accessor: a mounted document
+/// verifies a group the first time it is read, a built one holds both
+/// verified.
 #[derive(Clone)]
 pub struct Document {
     uri: Option<String>,
     names: Arc<NameTable>,
-    // --- tree node columns, indexed by pre rank ---
+    // --- node columns read directly, indexed by pre rank ---
     kind: KindCol,
-    size: PodCol<u32>,
-    level: PodCol<u16>,
-    parent: PodCol<u32>,
     name: PodCol<u32>,
-    values: StrArena,
+    // --- tree columns, verified on first read when stored ---
+    tree: Checked<TreeColumns>,
     // --- attribute table, verified on first read when stored ---
-    attrs: Attrs,
+    attrs: Checked<AttrTable>,
+    /// Attribute rows, known before the table is read.
+    attr_count: usize,
     // --- element name index: CSR name -> pre ranks in document order ---
     elem: ElemIndex,
     /// A container's level-0 rows, ascending (see `doc/arena.rs`);
@@ -462,42 +715,31 @@ pub struct Document {
 
 impl Document {
     /// Assemble a document from raw (possibly buffer-backed) storage,
-    /// validating everything but the attribute table (the node kinds
-    /// were checked by [`KindCol::view`]): column arity, name-id ranges,
-    /// the structural pre/size/level invariants, and the element-name
-    /// index's agreement with the columns. This is the trust boundary of
-    /// the snapshot mount — a corrupted file fails here, cleanly. Each
-    /// column is read once: name ids by a branch-free fold, the element
-    /// index against the columns, then the structural rules by one
-    /// pre-order pass. The attribute table is verified the first time
-    /// it is read ([`Document::verify_attrs`]).
+    /// validating the columns read directly (the node kinds were checked
+    /// by [`KindCol::view`]): the name column's length and id range, and
+    /// the element-name index's agreement with the columns. This is the
+    /// trust boundary of the snapshot mount — a corrupted file fails
+    /// here, cleanly. Each column is read once: name ids by a
+    /// branch-free fold, then the element index against the columns. The
+    /// tree columns and the attribute table are verified by their
+    /// loaders the first time each is read ([`Document::tree`],
+    /// [`Document::attrs`]).
     pub fn from_storage(parts: DocumentParts) -> Result<Document, String> {
         let n = parts.kind.len();
         if n == 0 {
             return Err("document has no nodes".into());
         }
-        if parts.size.len() != n
-            || parts.level.len() != n
-            || parts.parent.len() != n
-            || parts.name.len() != n
-            || parts.values.len() != n
-        {
+        if parts.name.len() != n {
             return Err("node column lengths disagree".into());
         }
         let doc = Document {
             uri: parts.uri,
             names: Arc::new(parts.names),
             kind: parts.kind,
-            size: parts.size,
-            level: parts.level,
-            parent: parts.parent,
             name: parts.name,
-            values: parts.values,
-            attrs: Attrs {
-                table: OnceLock::new(),
-                loader: Some(parts.attrs),
-                count: parts.attr_count,
-            },
+            tree: Checked::deferred(parts.tree),
+            attr_count: parts.attr_count,
+            attrs: Checked::deferred(parts.attrs),
             elem: parts.elem,
             fragment_starts: Vec::new(),
         };
@@ -510,80 +752,61 @@ impl Document {
         let elements = kind.iter().filter(|&&k| k == NodeKind::Element as u8);
         doc.elem
             .validate(&doc.kind, &doc.name, doc.names.len(), elements.count())?;
-        doc.check_structure()?;
         Ok(doc)
     }
 
+    /// The tree columns, verified: the first call on a mounted document
+    /// runs the loader the mount handed over — it checksums and checks
+    /// the stored columns, once — and the outcome is kept, so a group
+    /// that failed fails every later call the same way. An operator asks
+    /// this once per document and navigates the [`Tree`] it returns.
+    #[inline]
+    pub fn tree(&self) -> Result<Tree<'_>, Corrupt> {
+        let cols = self.tree.get()?;
+        Ok(Tree { doc: self, cols })
+    }
+
+    /// The attribute table, verified the way [`Document::tree`] verifies
+    /// the tree columns.
+    #[inline]
+    pub fn attrs(&self) -> Result<&AttrTable, Corrupt> {
+        self.attrs.get()
+    }
+
+    /// Verify every column group: what a writer asks before it copies a
+    /// document, and `verify` of each layer.
+    pub fn verify(&self) -> Result<(), Corrupt> {
+        self.tree()?;
+        self.attrs().map(drop)
+    }
+
     /// Borrow the raw column storage (the snapshot writer's hook — each
-    /// slice is dumped as one aligned section). A stored attribute table
-    /// must have been verified ([`Document::verify_attrs`]).
-    pub fn storage(&self) -> DocumentStorageRef<'_> {
-        let attrs = self.attrs();
-        DocumentStorageRef {
+    /// slice is dumped as one aligned section), every group verified
+    /// first.
+    pub fn storage(&self) -> Result<DocumentStorageRef<'_>, Corrupt> {
+        let tree = self.tree.get()?;
+        let attrs = self.attrs()?;
+        Ok(DocumentStorageRef {
             names: &self.names,
             kind_bytes: self.kind.raw_bytes(),
-            size: &self.size,
-            level: &self.level,
-            parent: &self.parent,
+            size: &tree.size,
+            level: &tree.level,
+            parent: &tree.parent,
             name: &self.name,
-            values: &self.values,
+            values: &tree.values,
             attr_first: &attrs.first,
             attr_owner: &attrs.owner,
             attr_name: &attrs.name,
             attr_values: &attrs.values,
             elem: &self.elem,
-        }
+        })
     }
 
-    /// Verify the attribute table, the first time this is asked of a
-    /// mounted document: the loader the mount handed over checksums and
-    /// validates the stored columns, once, and the outcome is kept — a
-    /// table that failed fails every later call the same way. Every
-    /// operator that reads attributes asks this of each document first;
-    /// a built document's table is verified already.
-    pub fn verify_attrs(&self) -> Result<(), AttrCorrupt> {
-        self.load_attrs().map(drop)
-    }
-
-    fn load_attrs(&self) -> Result<&AttrTable, AttrCorrupt> {
-        let loaded = self.attrs.table.get_or_init(|| {
-            let load = self
-                .attrs
-                .loader
-                .as_ref()
-                .expect("an unset table has a loader");
-            load()
-        });
-        loaded.as_ref().map_err(Clone::clone)
-    }
-
-    /// The attribute table, for an accessor. Every caller reads a table
-    /// [`Document::verify_attrs`] already verified — debug builds assert
-    /// it; a release build verifies here, where a corrupt table can only
-    /// panic.
-    #[inline]
-    fn attrs(&self) -> &AttrTable {
-        match self.attrs.table.get() {
-            Some(Ok(table)) => table,
-            _ => self.attrs_unverified(),
-        }
-    }
-
-    #[cold]
-    fn attrs_unverified(&self) -> &AttrTable {
-        debug_assert!(
-            self.attrs.table.get().is_some(),
-            "attribute table read before Document::verify_attrs"
-        );
-        self.load_attrs()
-            .unwrap_or_else(|e| panic!("attribute table read unverified: {e}"))
-    }
-
-    /// Are the bulk node columns zero-copy views over a mounted snapshot
-    /// buffer (vs owned vectors)? Benches and tests use this to assert the mount path
-    /// actually mounted.
+    /// Are the node columns read directly zero-copy views over a mounted
+    /// snapshot buffer (vs owned vectors)? Benches and tests use this to
+    /// assert the mount path actually mounted.
     pub fn is_mounted(&self) -> bool {
-        self.kind.is_view() && self.size.is_view() && self.values.is_view()
+        self.kind.is_view() && self.name.is_view()
     }
 
     /// The URI this document was registered under, if any.
@@ -610,7 +833,7 @@ impl Document {
     /// Number of attribute nodes.
     #[inline]
     pub fn attr_count(&self) -> usize {
-        self.attrs.count
+        self.attr_count
     }
 
     /// The document node (root of the first fragment; see
@@ -632,25 +855,6 @@ impl Document {
         self.kind.get(pre as usize)
     }
 
-    /// Subtree size (descendant count) of the tree node at `pre`.
-    #[inline]
-    pub fn size(&self, pre: u32) -> u32 {
-        self.size[pre as usize]
-    }
-
-    /// Depth of the tree node at `pre` (document node has level 0).
-    #[inline]
-    pub fn level(&self, pre: u32) -> u16 {
-        self.level[pre as usize]
-    }
-
-    /// Parent pre rank of the tree node at `pre` (a document node is its
-    /// own parent).
-    #[inline]
-    pub fn parent(&self, pre: u32) -> u32 {
-        self.parent[pre as usize]
-    }
-
     /// Name id of the tree node at `pre` (`NameId::NONE` for unnamed kinds).
     #[inline]
     pub fn name_id(&self, pre: u32) -> NameId {
@@ -658,120 +862,33 @@ impl Document {
     }
 
     /// Lexical name of a node (tree or attribute); empty for unnamed nodes.
-    pub fn node_name(&self, id: NodeId) -> String {
-        self.names.lexical(self.node_name_id(id))
+    pub fn node_name(&self, id: NodeId) -> Result<String, Corrupt> {
+        Ok(self.names.lexical(self.node_name_id(id)?))
     }
 
     /// Name id of a node (tree or attribute).
-    pub fn node_name_id(&self, id: NodeId) -> NameId {
-        match id.attr_index() {
-            Some(a) => NameId(self.attrs().name[a as usize]),
+    pub fn node_name_id(&self, id: NodeId) -> Result<NameId, Corrupt> {
+        Ok(match id.attr_index() {
+            Some(a) => self.attrs()?.name_id(a),
             None => self.name_id(id.pre().expect("tree id")),
+        })
+    }
+
+    /// The pre rank a node stands at: its own, or an attribute's owner's.
+    #[inline]
+    pub fn owner_pre(&self, id: NodeId) -> Result<u32, Corrupt> {
+        match id.attr_index() {
+            Some(a) => Ok(self.attrs()?.owner(a)),
+            None => Ok(id.pre().expect("tree id")),
         }
-    }
-
-    /// Raw value column of the tree node at `pre` (text/comment/PI content).
-    #[inline]
-    pub fn value(&self, pre: u32) -> &str {
-        self.values.get(pre as usize)
-    }
-
-    // ----- attributes -----
-
-    /// Attribute-table index range of the element at `pre`.
-    #[inline]
-    pub fn attr_range(&self, pre: u32) -> std::ops::Range<u32> {
-        let first = &self.attrs().first;
-        first[pre as usize]..first[pre as usize + 1]
-    }
-
-    /// Attribute node ids of the element at `pre`, in attribute order.
-    pub fn attributes(&self, pre: u32) -> impl Iterator<Item = NodeId> + '_ {
-        self.attr_range(pre).map(NodeId::attr)
-    }
-
-    /// Owner element pre rank of the attribute with table index `idx`.
-    #[inline]
-    pub fn attr_owner(&self, idx: u32) -> u32 {
-        self.attrs().owner[idx as usize]
-    }
-
-    /// Name id of the attribute with table index `idx`.
-    #[inline]
-    pub fn attr_name_id(&self, idx: u32) -> NameId {
-        NameId(self.attrs().name[idx as usize])
-    }
-
-    /// Value of the attribute with table index `idx`.
-    #[inline]
-    pub fn attr_value(&self, idx: u32) -> &str {
-        self.attrs().values.get(idx as usize)
     }
 
     /// Value of the attribute of element `pre` named `name`, if present.
-    pub fn attribute(&self, pre: u32, name: &str) -> Option<&str> {
-        let name_id = self.names.get(name)?;
-        let attrs = self.attrs();
-        self.attr_range(pre)
-            .find(|&a| attrs.name[a as usize] == name_id.0)
-            .map(|a| attrs.values.get(a as usize))
-    }
-
-    // ----- navigation -----
-
-    /// First child of the node at `pre`, if any.
-    #[inline]
-    pub fn first_child(&self, pre: u32) -> Option<u32> {
-        if self.size(pre) > 0 {
-            Some(pre + 1)
-        } else {
-            None
-        }
-    }
-
-    /// Next sibling of the node at `pre`, if any.
-    #[inline]
-    pub fn next_sibling(&self, pre: u32) -> Option<u32> {
-        if self.level(pre) == 0 {
-            return None; // document node
-        }
-        let parent = self.parent(pre);
-        let next = pre + self.size(pre) + 1;
-        if next <= parent + self.size(parent) {
-            Some(next)
-        } else {
-            None
-        }
-    }
-
-    /// Children of the node at `pre`, in document order.
-    pub fn children(&self, pre: u32) -> Children<'_> {
-        Children {
-            doc: self,
-            next: self.first_child(pre),
-            end: pre + self.size(pre),
-        }
-    }
-
-    /// Pre ranks of the subtree rooted at `pre`, *excluding* `pre` itself.
-    #[inline]
-    pub fn descendants(&self, pre: u32) -> std::ops::RangeInclusive<u32> {
-        let s = self.size(pre);
-        if s == 0 {
-            // Empty range (start > end).
-            #[allow(clippy::reversed_empty_ranges)]
-            {
-                1..=0
-            }
-        } else {
-            (pre + 1)..=(pre + s)
-        }
-    }
-
-    /// Does `anc` (pre rank) contain `desc` (pre rank), strictly?
-    #[inline]
-    pub fn is_ancestor(&self, anc: u32, desc: u32) -> bool {
-        anc < desc && desc <= anc + self.size(anc)
+    pub fn attribute(&self, pre: u32, name: &str) -> Result<Option<&str>, Corrupt> {
+        let Some(name) = self.names.get(name) else {
+            return Ok(None);
+        };
+        Ok(self.attrs()?.find(pre, name))
     }
 
     /// Element pre ranks with the given name, in document order. Returns an
@@ -804,127 +921,49 @@ impl Document {
     /// The typed-value string of a node per XPath: for elements and the
     /// document node, the concatenation of all descendant text nodes; for
     /// text/comment/PI nodes, their content; for attributes, their value.
-    pub fn string_value(&self, id: NodeId) -> String {
-        match id.attr_index() {
-            Some(a) => self.attr_value(a).to_string(),
-            None => {
-                let pre = id.pre().expect("tree id");
-                match self.kind(pre) {
-                    NodeKind::Text | NodeKind::Comment | NodeKind::Pi => {
-                        self.value(pre).to_string()
-                    }
-                    NodeKind::Element | NodeKind::Document => {
-                        let mut out = String::new();
-                        for d in self.descendants(pre) {
-                            if self.kind(d) == NodeKind::Text {
-                                out.push_str(self.value(d));
-                            }
-                        }
-                        out
-                    }
-                }
-            }
-        }
+    pub fn string_value(&self, id: NodeId) -> Result<String, Corrupt> {
+        Ok(match id.attr_index() {
+            Some(a) => self.attrs()?.value(a).to_string(),
+            None => self.tree()?.string_value(id.pre().expect("tree id")),
+        })
     }
 
     /// Document-order sort key for any node id. Attributes order after
     /// their owner element but before the element's first child, and among
     /// themselves by attribute-table index.
     #[inline]
-    pub fn order_key(&self, id: NodeId) -> (u32, u32) {
+    pub fn order_key(&self, id: NodeId) -> Result<(u32, u32), Corrupt> {
         match id.attr_index() {
-            Some(a) => {
-                let attrs = self.attrs();
-                let owner = attrs.owner[a as usize];
-                (owner, 1 + a - attrs.first[owner as usize])
-            }
-            None => (id.pre().expect("tree id"), 0),
+            Some(a) => Ok(self.attrs()?.order_key(a)),
+            None => Ok((id.pre().expect("tree id"), 0)),
         }
     }
 
     /// Validate internal invariants (used by tests and the builder in debug
     /// builds): sizes nest properly, levels and parents are consistent,
-    /// attribute CSR is monotone. A stored attribute table must have been
-    /// verified.
+    /// attribute CSR is monotone. Every group is verified first.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.node_count() == 0 {
             return Err("document has no nodes".into());
         }
-        let attrs = self.attrs();
+        let tree = self.tree.get().map_err(|e| e.to_string())?;
+        let attrs = self.attrs().map_err(|e| e.to_string())?;
+        let lengths = [
+            tree.size.len(),
+            tree.level.len(),
+            tree.parent.len(),
+            tree.values.len(),
+            self.name.len(),
+        ];
+        if lengths.iter().any(|&len| len != self.node_count()) {
+            return Err("node column lengths disagree".into());
+        }
         if attrs.first.len() != self.node_count() + 1 {
             return Err("attr_first length mismatch".into());
         }
-        self.check_structure()?;
+        tree.check_structure(&self.kind, self.fragment_starts())
+            .map_err(|(_, e)| e)?;
         attrs.check_csr(self.node_count()).map_err(|(_, e)| e)
-    }
-
-    /// The tree's structural rules in order, each column read once: one
-    /// pre-order pass per fragment for the parent/size/level rules.
-    /// Needs a non-empty document; nothing else is assumed, so hostile
-    /// columns cannot make it index out of bounds.
-    fn check_structure(&self) -> Result<(), String> {
-        let n = self.node_count();
-        let (size, level, parent) = (&self.size[..n], &self.level[..n], &self.parent[..n]);
-        let starts = self.fragment_starts();
-        let ends = starts[1..].iter().map(|&s| s as usize).chain([n]);
-        for (&root, next) in starts.iter().zip(ends) {
-            let root = root as usize;
-            if root >= next {
-                return Err("fragment starts not ascending".into());
-            }
-            if self.kind(root as u32) != NodeKind::Document
-                || level[root] != 0
-                || parent[root] as usize != root
-            {
-                return Err(format!("fragment start {root} is not a document node"));
-            }
-            if root + size[root] as usize != next - 1 {
-                return Err(format!(
-                    "document node size {} != node count - 1 ({})",
-                    size[root],
-                    next - 1 - root
-                ));
-            }
-            // Bounded by the fragment, so the loop needs no bounds checks.
-            let (size, level, parent) = (&size[..next], &level[..next], &parent[..next]);
-            for pre in root + 1..next {
-                // The rules of `node_error`, without branches: a parent at or
-                // after the node fails it, so any in-bounds row stands in.
-                let up = parent[pre] as usize;
-                let p = if up < pre { up } else { root };
-                let end = |p: usize| p as u64 + size[p] as u64;
-                if (up >= pre)
-                    | (pre as u64 > end(p))
-                    | (level[pre] as u32 != level[p] as u32 + 1)
-                    | (end(pre) > end(p))
-                {
-                    return Err(self.node_error(pre as u32));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The rule node `pre` (≥ 1) breaks: its parent comes before it, it
-    /// lies inside its parent's subtree one level down, and its own
-    /// subtree ends inside its parent's. Only asked of a node
-    /// [`Document::check_structure`] found breaking one.
-    #[cold]
-    fn node_error(&self, pre: u32) -> String {
-        let parent = self.parent(pre);
-        if parent >= pre {
-            return format!("node {pre} has parent {parent} >= itself");
-        }
-        // Subtree ends are summed in u64: a hostile `size` column must
-        // fail here, not wrap past the parent's end.
-        let end = |p: u32| p as u64 + self.size(p) as u64;
-        if pre as u64 > end(parent) {
-            return format!("node {pre} outside parent {parent} region");
-        }
-        if self.level(pre) as u32 != self.level(parent) as u32 + 1 {
-            return format!("node {pre} level inconsistent with parent");
-        }
-        format!("node {pre} subtree leaks out of parent")
     }
 }
 
@@ -942,7 +981,7 @@ impl fmt::Debug for Document {
 
 /// Iterator over the children of a node.
 pub struct Children<'d> {
-    doc: &'d Document,
+    tree: Tree<'d>,
     next: Option<u32>,
     end: u32,
 }
@@ -952,7 +991,7 @@ impl Iterator for Children<'_> {
 
     fn next(&mut self) -> Option<u32> {
         let cur = self.next?;
-        let following = cur + self.doc.size(cur) + 1;
+        let following = cur + self.tree.size(cur) + 1;
         self.next = if following <= self.end {
             Some(following)
         } else {
@@ -991,7 +1030,7 @@ mod tests {
     /// A two-node document whose `size` column says `[1, u32::MAX]`:
     /// the element's subtree end does not fit in u32. Validation must
     /// refuse it in every build profile — neither panic on the overflow
-    /// (debug) nor wrap it into an accepted document (release).
+    /// (debug) nor wrap it into an accepted tree (release).
     #[test]
     fn hostile_size_column_is_refused_not_wrapped() {
         let mut b = DocumentBuilder::new();
@@ -999,88 +1038,86 @@ mod tests {
         b.end_element();
         let d = b.finish().unwrap();
         assert_eq!(d.node_count(), 2);
-        let parts = crate::DocumentParts {
-            uri: None,
-            names: (*d.names).clone(),
-            kind: d.kind.clone(),
-            size: crate::PodCol::owned(vec![1, u32::MAX]),
-            level: d.level.clone(),
-            parent: d.parent.clone(),
-            name: d.name.clone(),
-            values: d.values.clone(),
-            attr_count: d.attr_count(),
-            attrs: {
-                let table = d.attrs().clone();
-                std::sync::Arc::new(move || Ok(table.clone()))
-            },
-            elem: d.elem.clone(),
-        };
-        let err = crate::Document::from_storage(parts)
-            .expect_err("a subtree past the end of the document was accepted");
+        let tree = d.tree.get().unwrap().clone();
+        let (column, err) = crate::TreeColumns::from_storage(
+            crate::PodCol::owned(vec![1, u32::MAX]),
+            tree.level,
+            tree.parent,
+            tree.values,
+            &d.kind,
+        )
+        .err()
+        .expect("a subtree past the end of the document was accepted");
+        assert_eq!(column, "size");
         assert!(err.contains("leaks out of parent"), "{err}");
     }
 
     #[test]
     fn pre_size_level_encoding() {
         let d = sample();
+        let t = d.tree().unwrap();
         // pre: 0=doc 1=a 2=b 3=c 4=t 5=d
         assert_eq!(d.node_count(), 6);
         assert_eq!(d.kind(0), NodeKind::Document);
         assert_eq!(d.kind(1), NodeKind::Element);
-        assert_eq!(d.size(1), 4);
-        assert_eq!(d.size(2), 0);
-        assert_eq!(d.size(3), 2);
-        assert_eq!(d.level(1), 1);
-        assert_eq!(d.level(5), 3);
-        assert_eq!(d.parent(5), 3);
+        assert_eq!(t.size(1), 4);
+        assert_eq!(t.size(2), 0);
+        assert_eq!(t.size(3), 2);
+        assert_eq!(t.level(1), 1);
+        assert_eq!(t.level(5), 3);
+        assert_eq!(t.parent(5), 3);
     }
 
     #[test]
     fn children_iteration() {
         let d = sample();
-        let kids: Vec<u32> = d.children(1).collect();
+        let t = d.tree().unwrap();
+        let kids: Vec<u32> = t.children(1).collect();
         assert_eq!(kids, vec![2, 3]);
-        let kids: Vec<u32> = d.children(3).collect();
+        let kids: Vec<u32> = t.children(3).collect();
         assert_eq!(kids, vec![4, 5]);
-        assert_eq!(d.children(2).count(), 0);
+        assert_eq!(t.children(2).count(), 0);
     }
 
     #[test]
     fn descendants_range() {
-        let d = sample();
-        let desc: Vec<u32> = d.descendants(1).collect();
+        let t = sample();
+        let t = t.tree().unwrap();
+        let desc: Vec<u32> = t.descendants(1).collect();
         assert_eq!(desc, vec![2, 3, 4, 5]);
-        assert_eq!(d.descendants(5).count(), 0);
+        assert_eq!(t.descendants(5).count(), 0);
     }
 
     #[test]
     fn sibling_navigation() {
         let d = sample();
-        assert_eq!(d.next_sibling(2), Some(3));
-        assert_eq!(d.next_sibling(3), None);
-        assert_eq!(d.first_child(3), Some(4));
-        assert_eq!(d.first_child(2), None);
+        let t = d.tree().unwrap();
+        assert_eq!(t.next_sibling(2), Some(3));
+        assert_eq!(t.next_sibling(3), None);
+        assert_eq!(t.first_child(3), Some(4));
+        assert_eq!(t.first_child(2), None);
     }
 
     #[test]
     fn attribute_lookup() {
         let d = sample();
-        assert_eq!(d.attribute(2, "x"), Some("1"));
-        assert_eq!(d.attribute(2, "y"), None);
-        assert_eq!(d.attribute(3, "x"), None);
-        let attrs: Vec<NodeId> = d.attributes(2).collect();
+        assert_eq!(d.attribute(2, "x"), Ok(Some("1")));
+        assert_eq!(d.attribute(2, "y"), Ok(None));
+        assert_eq!(d.attribute(3, "x"), Ok(None));
+        let attrs: Vec<NodeId> = d.attrs().unwrap().of(2).collect();
         assert_eq!(attrs.len(), 1);
-        assert_eq!(d.node_name(attrs[0]), "x");
-        assert_eq!(d.string_value(attrs[0]), "1");
+        assert_eq!(d.node_name(attrs[0]).unwrap(), "x");
+        assert_eq!(d.string_value(attrs[0]).unwrap(), "1");
     }
 
     #[test]
     fn string_values() {
         let d = sample();
-        assert_eq!(d.string_value(NodeId::tree(1)), "t");
-        assert_eq!(d.string_value(NodeId::tree(3)), "t");
-        assert_eq!(d.string_value(NodeId::tree(4)), "t");
-        assert_eq!(d.string_value(NodeId::tree(5)), "");
+        let value = |pre| d.string_value(NodeId::tree(pre)).unwrap();
+        assert_eq!(value(1), "t");
+        assert_eq!(value(3), "t");
+        assert_eq!(value(4), "t");
+        assert_eq!(value(5), "");
     }
 
     #[test]
@@ -1107,9 +1144,10 @@ mod tests {
     #[test]
     fn order_keys_interleave_attributes() {
         let d = sample();
-        let elem_b = d.order_key(NodeId::tree(2));
-        let attr_x = d.order_key(NodeId::attr(0));
-        let elem_c = d.order_key(NodeId::tree(3));
+        let key = |id| d.order_key(id).unwrap();
+        let elem_b = key(NodeId::tree(2));
+        let attr_x = key(NodeId::attr(0));
+        let elem_c = key(NodeId::tree(3));
         assert!(elem_b < attr_x, "attribute sorts after owner");
         assert!(attr_x < elem_c, "attribute sorts before next element");
     }
@@ -1117,10 +1155,11 @@ mod tests {
     #[test]
     fn is_ancestor_is_strict() {
         let d = sample();
-        assert!(d.is_ancestor(1, 5));
-        assert!(d.is_ancestor(3, 4));
-        assert!(!d.is_ancestor(3, 3));
-        assert!(!d.is_ancestor(5, 3));
-        assert!(!d.is_ancestor(2, 3));
+        let t = d.tree().unwrap();
+        assert!(t.is_ancestor(1, 5));
+        assert!(t.is_ancestor(3, 4));
+        assert!(!t.is_ancestor(3, 3));
+        assert!(!t.is_ancestor(5, 3));
+        assert!(!t.is_ancestor(2, 3));
     }
 }

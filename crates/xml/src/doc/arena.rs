@@ -49,6 +49,20 @@ impl Document {
         let k = self.fragment_starts.partition_point(|&f| f <= pre);
         self.fragment_starts[k - 1]
     }
+
+    /// The last row of the fragment whose document node is `root`: the
+    /// row before the next fragment's start, or the document's last. A
+    /// fragment's document node spans exactly its fragment — the rule
+    /// the tree check enforces — so this is `root + size(root)`, read
+    /// without the tree columns.
+    #[inline]
+    pub fn fragment_end(&self, root: u32) -> u32 {
+        let k = self.fragment_starts.partition_point(|&f| f <= root);
+        match self.fragment_starts.get(k) {
+            Some(&next) => next - 1,
+            None => self.node_count() as u32 - 1,
+        }
+    }
 }
 
 impl Columns {

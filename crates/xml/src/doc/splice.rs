@@ -7,7 +7,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use super::{Columns, Document};
+use super::{AttrTable, Columns, Document, Tree};
 use crate::column::StrArenaBuilder;
 use crate::node::NodeKind;
 
@@ -61,12 +61,14 @@ impl Document {
         appended: &[NewElement],
     ) -> Result<(Document, Renumbering), String> {
         let n = self.node_count() as u32;
-        let root = (self.children(0))
+        let tree = self.tree().map_err(|e| e.to_string())?;
+        let attrs = self.attrs().map_err(|e| e.to_string())?;
+        let root = (tree.children(0))
             .find(|&c| self.kind(c) == NodeKind::Element)
             .ok_or("document has no root element")?;
         // The appended elements go in just before the root closes, after
         // every element of the document.
-        let at = root + self.size(root) + 1;
+        let at = root + tree.size(root) + 1;
         if (at..n).any(|pre| self.kind(pre) == NodeKind::Element) {
             return Err("document has more than one root element".into());
         }
@@ -78,7 +80,7 @@ impl Document {
             if d <= root || d >= at || self.kind(d) != NodeKind::Element {
                 return Err(format!("node {d} is not an element inside the root"));
             }
-            cuts.push(d..d + self.size(d) + 1);
+            cuts.push(d..d + tree.size(d) + 1);
         }
         let k = u32::try_from(appended.len()).map_err(|_| "too many appended elements")?;
         let mut runs = Vec::with_capacity(cuts.len() + 2);
@@ -100,18 +102,18 @@ impl Document {
         run(at, n, &mut to);
         let moved = Renumbering { runs, added };
 
-        let mut out = Columns::with_capacity(self, to as usize);
+        let mut out = Columns::with_capacity(tree, attrs, to as usize);
         let mut names = (*self.names).clone();
         let mut runs = moved.runs.iter().peekable();
         while let Some(&(first, end, to)) = runs.next_if(|r| r.0 < at) {
-            out.copy(self, &moved, first..end, to);
+            out.copy((self, tree, attrs), &moved, first..end, to);
         }
         let owner = moved.get(root).expect("the root is kept");
         for el in appended {
             let pre = out.kind.len() as u32;
             out.kind.push(NodeKind::Element as u8);
             out.size.push(0);
-            out.level.push(self.level(root) + 1);
+            out.level.push(tree.level(root) + 1);
             out.parent.push(owner);
             out.name.push(names.intern(&el.name).0);
             out.values.push("");
@@ -123,7 +125,7 @@ impl Document {
             }
         }
         for &(first, end, to) in runs {
-            out.copy(self, &moved, first..end, to);
+            out.copy((self, tree, attrs), &moved, first..end, to);
         }
         out.attr_first.push(out.attr_owner.len() as u32);
         // Every ancestor of a cut loses it; the root and its ancestors
@@ -136,11 +138,11 @@ impl Document {
                 if a == 0 {
                     break;
                 }
-                a = self.parent(a);
+                a = tree.parent(a);
             }
         };
         for cut in &cuts {
-            resize(self.parent(cut.start), -((cut.end - cut.start) as i64));
+            resize(tree.parent(cut.start), -((cut.end - cut.start) as i64));
         }
         resize(root, k as i64);
 
@@ -151,14 +153,14 @@ impl Document {
 
 impl Columns {
     /// Columns for a copy of `doc` with about `nodes` nodes.
-    fn with_capacity(doc: &Document, nodes: usize) -> Columns {
-        let attrs = doc.attr_count();
+    fn with_capacity(tree: Tree, table: &AttrTable, nodes: usize) -> Columns {
+        let attrs = table.len();
         let mut values = StrArenaBuilder::new();
         values.reserve(nodes);
-        values.reserve_bytes(doc.values.heap_bytes().len());
+        values.reserve_bytes(tree.cols.values.heap_bytes().len());
         let mut attr_values = StrArenaBuilder::new();
         attr_values.reserve(attrs);
-        attr_values.reserve_bytes(doc.attrs().values.heap_bytes().len());
+        attr_values.reserve_bytes(table.values.heap_bytes().len());
         Columns {
             kind: Vec::with_capacity(nodes),
             size: Vec::with_capacity(nodes),
@@ -174,22 +176,28 @@ impl Columns {
     }
 
     /// Copy the run `old` of `doc`, its first node landing at `to`.
-    fn copy(&mut self, doc: &Document, moved: &Renumbering, old: Range<u32>, to: u32) {
+    fn copy(
+        &mut self,
+        (doc, tree, table): (&Document, Tree, &AttrTable),
+        moved: &Renumbering,
+        old: Range<u32>,
+        to: u32,
+    ) {
+        let cols = tree.cols;
         let first = old.start;
         let (f, e) = (old.start as usize, old.end as usize);
         self.kind.extend_from_slice(&doc.kind.raw_bytes()[f..e]);
-        self.size.extend_from_slice(&doc.size[f..e]);
-        self.level.extend_from_slice(&doc.level[f..e]);
+        self.size.extend_from_slice(&cols.size[f..e]);
+        self.level.extend_from_slice(&cols.level[f..e]);
         self.name.extend_from_slice(&doc.name[f..e]);
         // A parent inside the run moves with it; one before it is a kept
         // ancestor of the run, looked up.
         self.parent
-            .extend(doc.parent[f..e].iter().map(|&p| match p >= first {
+            .extend(cols.parent[f..e].iter().map(|&p| match p >= first {
                 true => p - first + to,
                 false => moved.get(p).expect("a kept node's parent is kept"),
             }));
-        self.values.extend_from(&doc.values, f..e);
-        let table = doc.attrs();
+        self.values.extend_from(&cols.values, f..e);
         let (af, ae) = (table.first[f], table.first[e]);
         let base = self.attr_owner.len() as u32;
         (self.attr_first).extend(table.first[f..e].iter().map(|&a| a - af + base));
@@ -246,7 +254,7 @@ mod tests {
             out.elements_named("c"),
             &[moved.get(c).unwrap(), moved.added().end - 1]
         );
-        assert_eq!(out.attribute(moved.added().start, "y"), Some("3"));
+        assert_eq!(out.attribute(moved.added().start, "y").unwrap(), Some("3"));
     }
 
     #[test]

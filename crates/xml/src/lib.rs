@@ -28,6 +28,7 @@
 //! `v` are exactly the pre ranks in `v.pre + 1 ..= v.pre + v.size`.
 
 pub mod builder;
+mod checked;
 pub mod column;
 pub mod doc;
 pub mod error;
@@ -39,14 +40,18 @@ pub mod store;
 pub mod wire;
 
 pub use builder::DocumentBuilder;
+pub use checked::{Corrupt, Loader};
 pub use column::{Pod, PodCol, SharedBytes, StrArena, StrArenaBuilder};
 pub use doc::{
-    AttrCorrupt, AttrLoader, AttrTable, Document, DocumentParts, DocumentStorageRef, ElemIndex,
-    KindCol, NewElement, Renumbering,
+    AttrTable, Document, DocumentParts, DocumentStorageRef, ElemIndex, KindCol, NewElement,
+    Renumbering, Tree, TreeColumns,
 };
 pub use error::{ParseError, XmlError};
 pub use name::{NameId, NameTable, QName};
 pub use node::{DocId, NodeId, NodeKind, NodeRef};
 pub use parser::{parse_document, ParseOptions};
-pub use serialize::{serialize_document, serialize_node, serialize_node_into, SerializeOptions};
+pub use serialize::{
+    serialize_document, serialize_node, serialize_node_into, try_serialize_document,
+    SerializeOptions,
+};
 pub use store::{DocSource, Store};

@@ -7,7 +7,8 @@
 //! the name table, and character data is escaped in place, so a node
 //! costs no allocation of its own ([`serialize_node_into`]).
 
-use crate::doc::Document;
+use crate::checked::Corrupt;
+use crate::doc::{AttrTable, Document, Tree};
 use crate::name::NameId;
 use crate::node::{NodeId, NodeKind};
 
@@ -19,29 +20,50 @@ pub struct SerializeOptions {
     pub indent: bool,
 }
 
-/// Serialize a whole document (children of the document node).
+/// Serialize a whole document (children of the document node) that was
+/// built or parsed in memory, whose column groups are verified by
+/// construction. A mounted document's groups are verified on their first
+/// read, which can fail: serialize it with [`try_serialize_document`],
+/// which reports the failure — here it panics.
 pub fn serialize_document(doc: &Document, options: SerializeOptions) -> String {
+    try_serialize_document(doc, options)
+        .unwrap_or_else(|e| panic!("serialize_document over failed columns: {e}"))
+}
+
+/// Serialize a whole document (children of the document node); fails
+/// when a column group the markup reads fails its verification.
+pub fn try_serialize_document(
+    doc: &Document,
+    options: SerializeOptions,
+) -> Result<String, Corrupt> {
     serialize_node(doc, doc.root(), options)
 }
 
 /// Serialize the subtree rooted at `node`. For the document node this
 /// serializes all its children; for attributes, the `name="value"` form.
-pub fn serialize_node(doc: &Document, node: NodeId, options: SerializeOptions) -> String {
+/// Fails when a column group the markup reads fails its verification.
+pub fn serialize_node(
+    doc: &Document,
+    node: NodeId,
+    options: SerializeOptions,
+) -> Result<String, Corrupt> {
     let mut out = String::new();
-    serialize_node_into(doc, node, options, &mut out);
-    out
+    serialize_node_into(doc, node, options, &mut out)?;
+    Ok(out)
 }
 
 /// [`serialize_node`], appended to `out`. Indentation is laid out as if
-/// the node's markup started a buffer of its own.
+/// the node's markup started a buffer of its own. An attribute reads the
+/// attribute table; a tree node reads the tree columns as well.
 pub fn serialize_node_into(
     doc: &Document,
     node: NodeId,
     options: SerializeOptions,
     out: &mut String,
-) {
+) -> Result<(), Corrupt> {
     let mut w = Writer {
         doc,
+        attrs: doc.attrs()?,
         options,
         out,
         start: 0,
@@ -49,26 +71,29 @@ pub fn serialize_node_into(
     w.start = w.out.len();
     if let Some(a) = node.attr_index() {
         w.attribute(a);
-        return;
+        return Ok(());
     }
+    let tree = doc.tree()?;
     let root_pre = node.pre().expect("tree node");
     match doc.kind(root_pre) {
         NodeKind::Document => {
-            for child in doc.children(root_pre) {
-                w.subtree(child);
+            for child in tree.children(root_pre) {
+                w.subtree(tree, child);
                 if options.indent {
                     w.out.push('\n');
                 }
             }
         }
-        _ => w.subtree(root_pre),
+        _ => w.subtree(tree, root_pre),
     }
+    Ok(())
 }
 
 /// One serialization into a caller's buffer, whose markup for this call
 /// starts at `start`.
 struct Writer<'a> {
     doc: &'a Document,
+    attrs: &'a AttrTable,
     options: SerializeOptions,
     out: &'a mut String,
     start: usize,
@@ -87,26 +112,26 @@ impl Writer<'_> {
 
     /// `name="value"`.
     fn attribute(&mut self, a: u32) {
-        self.name(self.doc.attr_name_id(a));
+        self.name(self.attrs.name_id(a));
         self.out.push_str("=\"");
-        push_escaped(self.out, self.doc.attr_value(a), true);
+        push_escaped(self.out, self.attrs.value(a), true);
         self.out.push('"');
     }
 
     /// Non-recursive subtree serializer.
-    fn subtree(&mut self, root: u32) {
+    fn subtree(&mut self, tree: Tree, root: u32) {
         let doc = self.doc;
         // Elements whose end tag is still pending.
         let mut open: Vec<u32> = Vec::new();
-        let end = root + doc.size(root);
-        let base_level = doc.level(root);
+        let end = root + tree.size(root);
+        let base_level = tree.level(root);
         let mut pre = root;
         while pre <= end {
             // Close elements whose subtree we have left.
             while let Some(&open_pre) = open.last() {
-                if pre > open_pre + doc.size(open_pre) {
+                if pre > open_pre + tree.size(open_pre) {
                     open.pop();
-                    self.close_tag(open_pre, base_level);
+                    self.close_tag(tree, open_pre, base_level);
                 } else {
                     break;
                 }
@@ -114,39 +139,39 @@ impl Writer<'_> {
             match doc.kind(pre) {
                 NodeKind::Element => {
                     if self.options.indent {
-                        self.indent(pre, base_level);
+                        self.indent(tree, pre, base_level);
                     }
                     self.out.push('<');
                     self.name(doc.name_id(pre));
-                    for a in doc.attr_range(pre) {
+                    for a in self.attrs.range(pre) {
                         self.out.push(' ');
                         self.attribute(a);
                     }
-                    if doc.size(pre) == 0 {
+                    if tree.size(pre) == 0 {
                         self.out.push_str("/>");
                     } else {
                         self.out.push('>');
                         open.push(pre);
                     }
                 }
-                NodeKind::Text => push_escaped(self.out, doc.value(pre), false),
+                NodeKind::Text => push_escaped(self.out, tree.value(pre), false),
                 NodeKind::Comment => {
                     if self.options.indent {
-                        self.indent(pre, base_level);
+                        self.indent(tree, pre, base_level);
                     }
                     self.out.push_str("<!--");
-                    self.out.push_str(doc.value(pre));
+                    self.out.push_str(tree.value(pre));
                     self.out.push_str("-->");
                 }
                 NodeKind::Pi => {
                     if self.options.indent {
-                        self.indent(pre, base_level);
+                        self.indent(tree, pre, base_level);
                     }
                     self.out.push_str("<?");
                     self.name(doc.name_id(pre));
-                    if !doc.value(pre).is_empty() {
+                    if !tree.value(pre).is_empty() {
                         self.out.push(' ');
-                        self.out.push_str(doc.value(pre));
+                        self.out.push_str(tree.value(pre));
                     }
                     self.out.push_str("?>");
                 }
@@ -155,43 +180,43 @@ impl Writer<'_> {
             pre += 1;
         }
         while let Some(open_pre) = open.pop() {
-            self.close_tag(open_pre, base_level);
+            self.close_tag(tree, open_pre, base_level);
         }
     }
 
-    fn close_tag(&mut self, open_pre: u32, base_level: u16) {
+    fn close_tag(&mut self, tree: Tree, open_pre: u32, base_level: u16) {
         let doc = self.doc;
         // Indent the close tag only if the element has element/comment/PI
         // children (mixed text content stays inline).
         if self.options.indent
-            && doc
+            && tree
                 .children(open_pre)
                 .any(|c| doc.kind(c) != NodeKind::Text)
         {
             self.out.push('\n');
-            self.spaces(doc.level(open_pre) - base_level);
+            self.spaces(tree.level(open_pre) - base_level);
         }
         self.out.push_str("</");
         self.name(doc.name_id(open_pre));
         self.out.push('>');
     }
 
-    fn indent(&mut self, pre: u32, base_level: u16) {
+    fn indent(&mut self, tree: Tree, pre: u32, base_level: u16) {
         let doc = self.doc;
         let fresh = |out: &String, start: usize| out.len() == start || out.ends_with('\n');
         // Only break before a node whose parent has non-text children
         // (i.e. we're in "element content").
         if !fresh(self.out, self.start) {
-            let parent = doc.parent(pre);
+            let parent = tree.parent(pre);
             if doc.kind(parent) != NodeKind::Document
-                && doc.children(parent).any(|c| doc.kind(c) == NodeKind::Text)
+                && tree.children(parent).any(|c| doc.kind(c) == NodeKind::Text)
             {
                 return; // mixed content: stay inline
             }
             self.out.push('\n');
         }
         if fresh(self.out, self.start) {
-            self.spaces(doc.level(pre).saturating_sub(base_level));
+            self.spaces(tree.level(pre).saturating_sub(base_level));
         }
     }
 
@@ -257,8 +282,11 @@ mod tests {
         let once = round_trip(xml);
         assert_eq!(round_trip(&once), once, "serialization is stable");
         let doc = parse_document(&once).unwrap();
-        assert_eq!(doc.attribute(1, "x"), Some("<\"&"));
-        assert_eq!(doc.string_value(crate::NodeId::tree(1)), "<body> & soul");
+        assert_eq!(doc.attribute(1, "x").unwrap(), Some("<\"&"));
+        assert_eq!(
+            doc.string_value(crate::NodeId::tree(1)).unwrap(),
+            "<body> & soul"
+        );
     }
 
     #[test]
@@ -269,16 +297,17 @@ mod tests {
             &doc,
             crate::NodeId::tree(b_pre),
             SerializeOptions::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(s, "<b><c/></b>");
     }
 
     #[test]
     fn attribute_serialization() {
         let doc = parse_document("<a k=\"v\"/>").unwrap();
-        let attr = doc.attributes(1).next().unwrap();
+        let attr = doc.attrs().unwrap().of(1).next().unwrap();
         assert_eq!(
-            serialize_node(&doc, attr, SerializeOptions::default()),
+            serialize_node(&doc, attr, SerializeOptions::default()).unwrap(),
             "k=\"v\""
         );
     }
@@ -296,7 +325,8 @@ mod tests {
         let re = parse_document(&pretty).unwrap();
         assert_eq!(re.elements_named("c").len(), 1);
         assert_eq!(
-            re.string_value(crate::NodeId::tree(re.elements_named("d")[0])),
+            re.string_value(crate::NodeId::tree(re.elements_named("d")[0]))
+                .unwrap(),
             "txt"
         );
         assert!(pretty.contains('\n'));
@@ -325,11 +355,11 @@ mod tests {
         let doc = parse_document("<a><b><c/></b></a>").unwrap();
         let pretty = SerializeOptions { indent: true };
         let mut out = String::from("prefix>");
-        serialize_node_into(&doc, doc.root(), pretty, &mut out);
+        serialize_node_into(&doc, doc.root(), pretty, &mut out).unwrap();
         assert_eq!(out, format!("prefix>{}", serialize_document(&doc, pretty)));
         let b = crate::NodeId::tree(doc.elements_named("b")[0]);
         let mut out = String::from("<x/>");
-        serialize_node_into(&doc, b, SerializeOptions::default(), &mut out);
+        serialize_node_into(&doc, b, SerializeOptions::default(), &mut out).unwrap();
         assert_eq!(out, "<x/><b><c/></b>");
     }
 

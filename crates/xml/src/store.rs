@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
+use crate::checked::Corrupt;
 use crate::doc::Document;
 use crate::error::ParseError;
 use crate::node::{DocId, NodeId, NodeRef};
@@ -155,29 +156,6 @@ impl Store {
 
     /// `doc(id).elements_named(name).len()`, answered by a lazily
     /// registered document's source without materializing it.
-    /// [`Store::try_doc`], with the document's attribute table verified
-    /// ([`Document::verify_attrs`]): what an operator asks of each
-    /// document before it reads attributes there.
-    pub fn try_attrs(&self, id: DocId) -> Result<&Document, String> {
-        let doc = self.try_doc(id)?;
-        doc.verify_attrs()
-            .map_err(|e| format!("cannot read attributes: {e}"))?;
-        Ok(doc)
-    }
-
-    /// [`Store::try_attrs`] for the document of every node of `nodes`,
-    /// asked once per run of nodes in one document.
-    pub fn verify_attrs(&self, nodes: impl IntoIterator<Item = NodeRef>) -> Result<(), String> {
-        let mut last = None;
-        for node in nodes {
-            if last != Some(node.doc) {
-                self.try_attrs(node.doc)?;
-                last = Some(node.doc);
-            }
-        }
-        Ok(())
-    }
-
     pub fn name_count(&self, id: DocId, name: &str) -> usize {
         match &self.docs[id.0 as usize].source {
             Some(source) => source.name_count(name),
@@ -224,31 +202,28 @@ impl Store {
     /// The document node of the fragment `node` lies in (`fn:root`, and
     /// what `/` starts from): its document's root, or — in a
     /// constructor's container — its own fragment's.
-    pub fn fragment_root(&self, node: NodeRef) -> NodeRef {
+    pub fn fragment_root(&self, node: NodeRef) -> Result<NodeRef, Corrupt> {
         let doc = self.doc(node.doc);
-        let pre = match node.id.attr_index() {
-            Some(a) => doc.attr_owner(a),
-            None => node.id.pre().expect("tree id"),
-        };
-        NodeRef::tree(node.doc, doc.fragment_root(pre))
+        let pre = doc.owner_pre(node.id)?;
+        Ok(NodeRef::tree(node.doc, doc.fragment_root(pre)))
     }
 
     /// String value of a node reference.
-    pub fn string_value(&self, node: NodeRef) -> String {
+    pub fn string_value(&self, node: NodeRef) -> Result<String, Corrupt> {
         self.doc(node.doc).string_value(node.id)
     }
 
     /// Lexical name of a node reference.
-    pub fn node_name(&self, node: NodeRef) -> String {
+    pub fn node_name(&self, node: NodeRef) -> Result<String, Corrupt> {
         self.doc(node.doc).node_name(node.id)
     }
 
     /// Total document-order key: (doc, in-document order key). Node
     /// sequences produced by path steps are sorted by this.
     #[inline]
-    pub fn order_key(&self, node: NodeRef) -> (u32, u32, u32) {
-        let (a, b) = self.doc(node.doc).order_key(node.id);
-        (node.doc.0, a, b)
+    pub fn order_key(&self, node: NodeRef) -> Result<(u32, u32, u32), Corrupt> {
+        let (a, b) = self.doc(node.doc).order_key(node.id)?;
+        Ok((node.doc.0, a, b))
     }
 }
 
@@ -283,6 +258,6 @@ mod tests {
         let b = s.load("b", "<x/>").unwrap();
         let na = NodeRef::tree(a, 1);
         let nb = NodeRef::tree(b, 1);
-        assert!(s.order_key(na) < s.order_key(nb));
+        assert!(s.order_key(na).unwrap() < s.order_key(nb).unwrap());
     }
 }

@@ -119,13 +119,13 @@ proptest! {
             (0..d.node_count() as u32)
                 .filter(|&p| {
                     d.kind(p) != standoff_xml::NodeKind::Text
-                        || !d.value(p).chars().all(char::is_whitespace)
+                        || !d.tree().unwrap().value(p).chars().all(char::is_whitespace)
                 })
                 .map(|p| {
                     (
                         d.kind(p) as u8,
                         d.names().lexical(d.name_id(p)),
-                        d.value(p).to_string(),
+                        d.tree().unwrap().value(p).to_string(),
                     )
                 })
                 .collect()
@@ -192,8 +192,8 @@ proptest! {
 
         // children() and parent() agree.
         for p in 0..doc.node_count() as u32 {
-            for c in doc.children(p) {
-                prop_assert_eq!(doc.parent(c), p);
+            for c in doc.tree().unwrap().children(p) {
+                prop_assert_eq!(doc.tree().unwrap().parent(c), p);
             }
         }
     }

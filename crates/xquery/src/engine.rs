@@ -393,8 +393,7 @@ impl EngineState {
         if let Some(idx) = self.region_cache.get(&key) {
             return Ok(Arc::clone(idx));
         }
-        // Building reads the regions' attributes.
-        let read = self.store.try_attrs(doc).map_err(QueryError::dynamic)?;
+        let read = self.store.try_doc(doc).map_err(QueryError::dynamic)?;
         let index = Arc::new(RegionIndex::build(read, config)?);
         self.region_cache.insert(key, Arc::clone(&index));
         Ok(index)
@@ -554,12 +553,7 @@ impl EngineState {
         self.handles
             .query_exec_ns
             .record_duration(started.elapsed());
-        let items = outcome?.into_items();
-        // Serializing an element writes its attributes.
-        (self.store)
-            .verify_attrs(items.iter().filter_map(Item::as_node))
-            .map_err(QueryError::dynamic)?;
-        Ok(QueryResult::new(items, &self.store))
+        QueryResult::new(outcome?.into_items(), &self.store)
     }
 
     /// The per-operator profile of the most recent profiled execution,

@@ -110,6 +110,14 @@ impl From<standoff_xml::ParseError> for QueryError {
     }
 }
 
+/// A document's tree columns or attribute table failed their
+/// first-read verification: the operator that read them fails.
+impl From<standoff_xml::Corrupt> for QueryError {
+    fn from(e: standoff_xml::Corrupt) -> Self {
+        QueryError::Dynamic(format!("cannot read the document: {e}"))
+    }
+}
+
 impl From<standoff_core::StandoffError> for QueryError {
     fn from(e: standoff_core::StandoffError) -> Self {
         QueryError::Dynamic(format!("standoff annotation error: {e}"))

@@ -7,7 +7,9 @@
 use std::collections::HashMap;
 
 use standoff_algebra::{Item, LlSeq};
-use standoff_xml::{Document, DocumentBuilder, NameId, NameTable, NodeKind, NodeRef};
+use standoff_xml::{
+    AttrTable, Document, DocumentBuilder, NameId, NameTable, NodeKind, NodeRef, Tree,
+};
 
 use super::Evaluator;
 use crate::error::QueryError;
@@ -83,14 +85,6 @@ impl Evaluator<'_> {
         // assemble one element per iteration.
         let mut tables: Vec<LlSeq> = Vec::new();
         self.eval_constructor_exprs(c, &mut tables)?;
-        // Copied nodes bring their attributes along.
-        let copied = tables
-            .iter()
-            .flat_map(|t| t.items())
-            .filter_map(Item::as_node);
-        (self.engine.store)
-            .verify_attrs(copied)
-            .map_err(QueryError::dynamic)?;
         let n = self.n_iters();
         if n == 0 {
             return Ok(LlSeq::empty());
@@ -179,7 +173,7 @@ impl Evaluator<'_> {
                                 value.push(' ');
                             }
                             first = false;
-                            value.push_str(&item.string_value(&self.engine.store));
+                            value.push_str(&item.string_value(&self.engine.store)?);
                         }
                     }
                     PlanContent::Element(_) => unreachable!("no elements in attributes"),
@@ -211,7 +205,7 @@ impl Evaluator<'_> {
                                 if pending_atom {
                                     container.builder.text(" ");
                                 }
-                                (container.builder).text(&atom.string_value(&self.engine.store));
+                                (container.builder).text(&atom.string_value(&self.engine.store)?);
                                 pending_atom = true;
                             }
                         }
@@ -225,22 +219,25 @@ impl Evaluator<'_> {
 
     /// Deep-copy a node into the container (XQuery constructor content copy
     /// semantics). Attribute nodes become attributes when they arrive
-    /// before any other content of the element under construction.
+    /// before any other content of the element under construction. The
+    /// copy reads the attribute table, and a subtree the tree columns.
     fn copy_node(&self, node: NodeRef, container: &mut Container) -> Result<(), QueryError> {
         let doc = self.engine.store.doc(node.doc);
+        let attrs = doc.attrs()?;
         let (builder, mut names) = container.memo(doc.names());
         if let Some(a) = node.id.attr_index() {
-            let name = names.get(builder, doc.attr_name_id(a));
-            let lexical = || doc.names().lexical(doc.attr_name_id(a));
-            return add_attribute(builder, name, lexical, doc.attr_value(a));
+            let name = names.get(builder, attrs.name_id(a));
+            let lexical = || doc.names().lexical(attrs.name_id(a));
+            return add_attribute(builder, name, lexical, attrs.value(a));
         }
+        let source = (doc, doc.tree()?, attrs);
         let root = node.id.pre().expect("tree node");
         if doc.kind(root) == NodeKind::Document {
-            for child in doc.children(root) {
-                copy_subtree(doc, child, builder, &mut names);
+            for child in source.1.children(root) {
+                copy_subtree(source, child, builder, &mut names);
             }
         } else {
-            copy_subtree(doc, root, builder, &mut names);
+            copy_subtree(source, root, builder, &mut names);
         }
         Ok(())
     }
@@ -248,11 +245,16 @@ impl Evaluator<'_> {
 
 /// Copy the subtree of `doc` rooted at `root` (not the document node)
 /// into `builder`, non-recursively via an explicit end-stack.
-fn copy_subtree(doc: &Document, root: u32, builder: &mut DocumentBuilder, names: &mut Names<'_>) {
-    let end = root + doc.size(root);
+fn copy_subtree(
+    (doc, tree, attrs): (&Document, Tree, &AttrTable),
+    root: u32,
+    builder: &mut DocumentBuilder,
+    names: &mut Names<'_>,
+) {
+    let end = root + tree.size(root);
     let mut open: Vec<u32> = Vec::new();
     for pre in root..=end {
-        while open.last().is_some_and(|&top| pre > top + doc.size(top)) {
+        while open.last().is_some_and(|&top| pre > top + tree.size(top)) {
             builder.end_element();
             open.pop();
         }
@@ -260,25 +262,25 @@ fn copy_subtree(doc: &Document, root: u32, builder: &mut DocumentBuilder, names:
             NodeKind::Element => {
                 let name = names.get(builder, doc.name_id(pre));
                 builder.start_element_named(name);
-                for a in doc.attr_range(pre) {
-                    let name = names.get(builder, doc.attr_name_id(a));
-                    builder.attribute_named(name, doc.attr_value(a));
+                for a in attrs.range(pre) {
+                    let name = names.get(builder, attrs.name_id(a));
+                    builder.attribute_named(name, attrs.value(a));
                 }
-                if doc.size(pre) == 0 {
+                if tree.size(pre) == 0 {
                     builder.end_element();
                 } else {
                     open.push(pre);
                 }
             }
             NodeKind::Text => {
-                builder.text(doc.value(pre));
+                builder.text(tree.value(pre));
             }
             NodeKind::Comment => {
-                builder.comment(doc.value(pre));
+                builder.comment(tree.value(pre));
             }
             NodeKind::Pi => {
                 let target = names.get(builder, doc.name_id(pre));
-                builder.pi_named(target, doc.value(pre));
+                builder.pi_named(target, tree.value(pre));
             }
             NodeKind::Document => {}
         }

@@ -163,13 +163,14 @@ impl Evaluator<'_> {
             let mut col: Vec<Option<Item>> = vec![None; n as usize];
             for (iter, items) in t.groups() {
                 if let Some(first) = items.first() {
-                    col[iter as usize] = Some(first.atomize(&self.engine.store));
+                    col[iter as usize] = Some(first.atomize(&self.engine.store)?);
                 }
             }
             keys.push(col);
         }
         let store = &self.engine.store;
         let mut order: Vec<u32> = (0..n).collect();
+        // The keys are atomized: comparing them reads no document.
         order.sort_by(|&a, &b| {
             for (key, spec) in keys.iter().zip(order_by) {
                 let (ka, kb) = (&key[a as usize], &key[b as usize]);
@@ -177,8 +178,7 @@ impl Evaluator<'_> {
                     (None, None) => std::cmp::Ordering::Equal,
                     (None, Some(_)) => std::cmp::Ordering::Less, // empty least
                     (Some(_), None) => std::cmp::Ordering::Greater,
-                    (Some(x), Some(y)) => x
-                        .general_compare(y, store)
+                    (Some(x), Some(y)) => (x.general_compare(y, store).ok().flatten())
                         .unwrap_or(std::cmp::Ordering::Equal),
                 };
                 let ord = if spec.descending { ord.reverse() } else { ord };

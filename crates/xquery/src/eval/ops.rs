@@ -80,7 +80,7 @@ impl Evaluator<'_> {
                         }
                     }
                 } else {
-                    check(ga[0].general_compare(&gb[0], &self.engine.store), op)
+                    check(ga[0].general_compare(&gb[0], &self.engine.store)?, op)
                 };
                 iters.push(iter);
                 items.push(Item::Boolean(result));
@@ -89,7 +89,7 @@ impl Evaluator<'_> {
                 let mut result = false;
                 'outer: for x in ga {
                     for y in gb {
-                        if check(x.general_compare(y, &self.engine.store), op) {
+                        if check(x.general_compare(y, &self.engine.store)?, op) {
                             result = true;
                             break 'outer;
                         }
@@ -119,8 +119,8 @@ impl Evaluator<'_> {
             if ga.is_empty() || gb.is_empty() {
                 continue; // arithmetic on () is ()
             }
-            let x = ga[0].atomize(&self.engine.store);
-            let y = gb[0].atomize(&self.engine.store);
+            let x = ga[0].atomize(&self.engine.store)?;
+            let y = gb[0].atomize(&self.engine.store)?;
             items.push(arith_items(op, &x, &y, &self.engine.store)?);
             iters.push(iter);
         }
@@ -156,11 +156,11 @@ impl Evaluator<'_> {
             if g.is_empty() {
                 continue;
             }
-            let item = match g[0].atomize(&self.engine.store) {
+            let item = match g[0].atomize(&self.engine.store)? {
                 Item::Integer(i) => Item::Integer(-i),
                 other => Item::Double(
                     -other
-                        .as_number(&self.engine.store)
+                        .as_number(&self.engine.store)?
                         .ok_or_else(|| QueryError::dynamic("cannot negate non-number"))?,
                 ),
             };
@@ -178,7 +178,7 @@ impl Evaluator<'_> {
         // Merge rows per iteration then normalize.
         let merged = na.into_llseq().concat(&nb.into_llseq());
         let mut table = NodeTable::from_llseq(&merged).expect("nodes in, nodes out");
-        table.normalize(&self.engine.store);
+        table.normalize(&self.engine.store)?;
         Ok(table.into_llseq())
     }
 
@@ -194,8 +194,8 @@ impl Evaluator<'_> {
         let tb = self.eval(b)?;
         let mut na = NodeTable::from_llseq(&ta).map_err(QueryError::dynamic)?;
         let mut nb = NodeTable::from_llseq(&tb).map_err(QueryError::dynamic)?;
-        na.normalize(&self.engine.store);
-        nb.normalize(&self.engine.store);
+        na.normalize(&self.engine.store)?;
+        nb.normalize(&self.engine.store)?;
         let mut out = NodeTable::with_capacity(na.len());
         for (&iter, node) in na.iters().iter().zip(na.nodes()) {
             let in_b = nb.group(iter).contains(node);
@@ -245,10 +245,10 @@ fn arith_items(
         });
     }
     let a = x
-        .as_number(store)
+        .as_number(store)?
         .ok_or_else(|| QueryError::dynamic(format!("'{x}' is not a number")))?;
     let b = y
-        .as_number(store)
+        .as_number(store)?
         .ok_or_else(|| QueryError::dynamic(format!("'{y}' is not a number")))?;
     Ok(match op {
         ArithOp::Add => Item::Double(a + b),

@@ -176,7 +176,7 @@ impl Evaluator<'_> {
             &out,
             TreeAxis::SelfAxis,
             test,
-        ))
+        )?)
     }
 
     /// [`Self::eval_standoff_join`] for an operator stamped
@@ -296,9 +296,7 @@ impl Evaluator<'_> {
             // attribute through its owner element.
             let pre = match node.id.pre() {
                 Some(p) => p,
-                None => (self.engine.store.try_attrs(node.doc))
-                    .map_err(QueryError::dynamic)?
-                    .attr_owner(node.id.attr_index().expect("attr id")),
+                None => self.engine.store.doc(node.doc).owner_pre(node.id)?,
             };
             if buckets.get(last).is_none_or(|(doc, _)| *doc != node.doc) {
                 last = *slots.entry(node.doc).or_insert_with(|| {
@@ -326,7 +324,7 @@ impl Evaluator<'_> {
                 }
                 units.extend(parts.into_iter().map(|(root, rows)| JoinUnit {
                     group: None,
-                    fragment: Some((root, root + d.size(root))),
+                    fragment: Some((root, d.fragment_end(root))),
                     contexts: vec![(doc, rows)],
                 }));
                 continue;

@@ -5,7 +5,7 @@
 //! filter and a pick by rank (`[k]`, `[last()]`).
 
 use standoff_algebra::{Item, LlSeq, NodeTable, NodeTest, TreeAxis};
-use standoff_xml::{DocId, NodeRef};
+use standoff_xml::{AttrTable, Corrupt, DocId, NodeRef};
 
 use super::{positions, Evaluator, Frame, Rows};
 use crate::engine::EngineState;
@@ -82,15 +82,17 @@ impl<T> Rows for Picked<T> {
 /// generic frame computes for this shape — the attribute axis from the
 /// row, atomized, string-compared, existentially — without attribute
 /// nodes, a boolean column or position/last columns: rows that are not
-/// elements have no attributes and drop. The caller verified the
-/// attribute tables of the rows' documents.
+/// elements have no attributes and drop. A document's attribute table
+/// is asked for once, with the name: a table that fails its
+/// verification fails the test.
 struct AttrTest<'a> {
     engine: &'a EngineState,
     name: &'a str,
     value: &'a str,
     /// Rows arrive grouped by document, so one remembered resolution
-    /// makes the name lookup once per document.
-    resolved: Option<(DocId, Option<standoff_xml::NameId>)>,
+    /// makes the name lookup and the table's verification once per
+    /// document.
+    resolved: Option<(DocId, Option<standoff_xml::NameId>, &'a AttrTable)>,
 }
 
 impl<'a> AttrTest<'a> {
@@ -103,23 +105,22 @@ impl<'a> AttrTest<'a> {
         }
     }
 
-    fn keeps(&mut self, node: NodeRef) -> bool {
+    fn keeps(&mut self, node: NodeRef) -> Result<bool, Corrupt> {
         let Some(pre) = node.id.pre() else {
-            return false; // attribute rows have no attributes
+            return Ok(false); // attribute rows have no attributes
         };
-        let doc = self.engine.store.doc(node.doc);
-        let id = match self.resolved {
-            Some((d, id)) if d == node.doc => id,
+        let (id, attrs) = match self.resolved {
+            Some((d, id, attrs)) if d == node.doc => (id, attrs),
             _ => {
-                let id = doc.names().get(self.name);
-                self.resolved = Some((node.doc, id));
-                id
+                let doc = self.engine.store.doc(node.doc);
+                let (id, attrs) = (doc.names().get(self.name), doc.attrs()?);
+                self.resolved = Some((node.doc, id, attrs));
+                (id, attrs)
             }
         };
-        id.is_some_and(|id| {
-            doc.attr_range(pre)
-                .any(|a| doc.attr_name_id(a) == id && doc.attr_value(a) == self.value)
-        })
+        Ok(id.is_some_and(|id| {
+            (attrs.range(pre)).any(|a| attrs.name_id(a) == id && attrs.value(a) == self.value)
+        }))
     }
 }
 
@@ -212,7 +213,7 @@ impl Evaluator<'_> {
         })?;
         let mut nodes = NodeTable::from_llseq(&result.unrestrict(ctx.iters()))
             .expect("a tree step yields nodes");
-        nodes.normalize(&self.engine.store);
+        nodes.normalize(&self.engine.store)?;
         Ok(nodes.into_llseq())
     }
 
@@ -267,9 +268,7 @@ impl Evaluator<'_> {
     }
 
     /// One tree step over `ctx`, keeping only the rows that carry
-    /// attribute `attr.0` = `attr.1` when asked to. An attribute step or
-    /// filter first verifies the attribute tables of the context's
-    /// documents — the step stays in them.
+    /// attribute `attr.0` = `attr.1` when asked to.
     fn tree_step_nodes(
         &mut self,
         ctx: NodeTable,
@@ -279,11 +278,6 @@ impl Evaluator<'_> {
     ) -> Result<NodeTable, QueryError> {
         use standoff_algebra::staircase::{ll_step_cached, ll_step_where};
         let engine = &*self.engine;
-        if axis == TreeAxis::Attribute || attr.is_some() {
-            (engine.store)
-                .verify_attrs(ctx.nodes().iter().copied())
-                .map_err(QueryError::dynamic)?;
-        }
         // `test` is plan memory (see `name_cache`), so resolution is
         // memoized per document across re-executions of this step.
         let cache = &mut self.name_cache;
@@ -292,9 +286,9 @@ impl Evaluator<'_> {
                 let mut attr = AttrTest::new(engine, name, value);
                 ll_step_where(&engine.store, &ctx, axis, test, cache, |node| {
                     attr.keeps(node)
-                })
+                })?
             }
-            None => ll_step_cached(&engine.store, &ctx, axis, test, cache),
+            None => ll_step_cached(&engine.store, &ctx, axis, test, cache)?,
         })
     }
 
@@ -313,7 +307,7 @@ impl Evaluator<'_> {
         // sequence order (XQuery 3.0 relaxation — simple-map-like).
         match NodeTable::from_llseq(&r) {
             Ok(mut nodes) => {
-                nodes.normalize(&self.engine.store);
+                nodes.normalize(&self.engine.store)?;
                 Ok(nodes.into_llseq())
             }
             Err(_) => Ok(r),
@@ -331,7 +325,7 @@ impl Evaluator<'_> {
                 let node = item
                     .as_node()
                     .ok_or_else(|| QueryError::dynamic("'/' on a non-node context item"))?;
-                let root = self.engine.store.fragment_root(node);
+                let root = self.engine.store.fragment_root(node)?;
                 if last != Some(root) {
                     out.push(iter, Item::Node(root));
                     last = Some(root);
@@ -423,9 +417,6 @@ impl Evaluator<'_> {
         name: &str,
         value: &str,
     ) -> Result<NodeTable, QueryError> {
-        (self.engine.store)
-            .verify_attrs(table.nodes().iter().copied())
-            .map_err(QueryError::dynamic)?;
         let budget = self.engine.budget.as_ref();
         let mut attr = AttrTest::new(self.engine, name, value);
         let mut out = NodeTable::new();
@@ -436,7 +427,7 @@ impl Evaluator<'_> {
                     return Err(why.into());
                 }
             }
-            if attr.keeps(node) {
+            if attr.keeps(node)? {
                 out.push(iter, node);
             }
         }

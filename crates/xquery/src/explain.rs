@@ -13,7 +13,8 @@
 //! functions the join itself calls (`join_facts`): which layers of a
 //! mounted corpus answer it and whether their outputs are emitted
 //! directly or merged, the entries of the region indexes it reaches
-//! (`entries=`) and the pushed name's elements in them (`named=`).
+//! (`entries=`, one term for the answering layers and one per loaded
+//! document) and the pushed name's elements in them (`named=`).
 //! Rendered with a profile (`explain analyze`), each such line's claim
 //! — `count: from index`, `result: direct` — is held against that
 //! operator's recorded actuals, and a broken one is counted
@@ -258,7 +259,8 @@ fn standoff_note(
         }
     );
     if let Some((engine, f)) = &facts {
-        let _ = write!(note, "; entries={}", f.index.entries);
+        let terms: Vec<String> = f.entries.iter().map(u64::to_string).collect();
+        let _ = write!(note, "; entries={}", terms.join("+"));
         if let Some(n) = f.named {
             let _ = write!(note, ", named={n}");
         }
@@ -293,6 +295,10 @@ struct JoinFacts {
     /// Statistics of the region indexes the join reaches: those of its
     /// answering layers and of every loaded document.
     index: IndexStats,
+    /// Their entries: the answering layers' together, then one term per
+    /// loaded document in load order — which of them a context lies in
+    /// is known only when the join runs.
+    entries: Vec<u64>,
     /// The pushed name's elements in those indexes' documents.
     named: Option<u64>,
     /// Those elements are every annotated node of each reached document
@@ -321,6 +327,15 @@ fn join_facts(
     indexes
         .iter()
         .for_each(|(_, reached)| index.merge(reached.stats()));
+    let is_loaded = |doc: &DocId| loaded.iter().any(|(d, _)| d == doc);
+    let (in_layers, in_loaded): (Vec<_>, Vec<_>) =
+        indexes.iter().partition(|(doc, _)| !is_loaded(doc));
+    let layers = (!in_layers.is_empty() || in_loaded.is_empty())
+        .then(|| in_layers.iter().map(|(_, i)| i.len() as u64).sum());
+    let entries = layers
+        .into_iter()
+        .chain(in_loaded.iter().map(|(_, i)| i.len() as u64))
+        .collect();
     let named = op.pushdown.as_deref().map(|name| {
         (indexes.iter())
             .map(|(doc, reached)| (reached, engine.store.doc(*doc).elements_named(name)))
@@ -334,6 +349,7 @@ fn join_facts(
     JoinFacts {
         answering,
         index,
+        entries,
         named,
         covering,
     }

@@ -45,27 +45,28 @@ pub(crate) fn call_builtin(
             )
         }
         ("string", 1) => per_iter_map(engine, n, &args[0], |engine, g| {
-            Some(Item::str(match g.first() {
-                Some(item) => item.string_value(&engine.store),
-                None => String::new(),
-            }))
-        }),
+            Ok(Some(Item::str(text(engine, g.first())?)))
+        })?,
         ("data", 1) => {
             let store = &engine.store;
-            args[0].map_items(|i| i.atomize(store))
+            let mut atoms = Vec::with_capacity(args[0].len());
+            for item in args[0].items() {
+                atoms.push(item.atomize(store)?);
+            }
+            LlSeq::from_columns(args[0].iters().to_vec(), atoms)
         }
         ("number", 1) => per_iter_map(engine, n, &args[0], |engine, g| {
-            Some(Item::Double(match g.first() {
-                Some(item) => item.as_number(&engine.store).unwrap_or(f64::NAN),
+            Ok(Some(Item::Double(match g.first() {
+                Some(item) => item.as_number(&engine.store)?.unwrap_or(f64::NAN),
                 None => f64::NAN,
-            }))
-        }),
+            })))
+        })?,
         ("name", 1) | ("local-name", 1) => {
             let local_only = name == "local-name";
             per_iter_map(engine, n, &args[0], move |engine, g| {
                 let text = match g.first() {
                     Some(Item::Node(node)) => {
-                        let full = engine.store.node_name(*node);
+                        let full = engine.store.node_name(*node)?;
                         if local_only {
                             full.split(':').next_back().unwrap_or("").to_string()
                         } else {
@@ -74,36 +75,25 @@ pub(crate) fn call_builtin(
                     }
                     _ => String::new(),
                 };
-                Some(Item::str(text))
-            })
+                Ok(Some(Item::str(text)))
+            })?
         }
         ("string-length", 1) => per_iter_map(engine, n, &args[0], |engine, g| {
-            let len = g
-                .first()
-                .map(|i| i.string_value(&engine.store).chars().count())
-                .unwrap_or(0);
-            Some(Item::Integer(len as i64))
-        }),
-        ("normalize-space", 1) => per_iter_map(engine, n, &args[0], |engine, g| {
-            let s = g
-                .first()
-                .map(|i| i.string_value(&engine.store))
-                .unwrap_or_default();
-            Some(Item::str(
-                s.split_whitespace().collect::<Vec<_>>().join(" "),
-            ))
-        }),
-        ("upper-case", 1) => string_unary(engine, n, &args[0], |s| s.to_uppercase()),
-        ("lower-case", 1) => string_unary(engine, n, &args[0], |s| s.to_lowercase()),
+            let len = text(engine, g.first())?.chars().count();
+            Ok(Some(Item::Integer(len as i64)))
+        })?,
+        ("normalize-space", 1) => string_unary(engine, n, &args[0], |s| {
+            s.split_whitespace().collect::<Vec<_>>().join(" ")
+        })?,
+        ("upper-case", 1) => string_unary(engine, n, &args[0], |s| s.to_uppercase())?,
+        ("lower-case", 1) => string_unary(engine, n, &args[0], |s| s.to_lowercase())?,
         ("concat", _) if args.len() >= 2 => {
             let mut iters = Vec::with_capacity(n as usize);
             let mut items = Vec::with_capacity(n as usize);
             for iter in 0..n {
                 let mut s = String::new();
                 for a in &args {
-                    if let Some(item) = a.group(iter).first() {
-                        s.push_str(&item.string_value(&engine.store));
-                    }
+                    s.push_str(&text(engine, a.group(iter).first())?);
                 }
                 iters.push(iter);
                 items.push(Item::str(s));
@@ -112,27 +102,21 @@ pub(crate) fn call_builtin(
         }
         ("contains", 2) => string_binary(engine, n, &args[0], &args[1], |a, b| {
             Item::Boolean(a.contains(b))
-        }),
+        })?,
         ("starts-with", 2) => string_binary(engine, n, &args[0], &args[1], |a, b| {
             Item::Boolean(a.starts_with(b))
-        }),
+        })?,
         ("ends-with", 2) => string_binary(engine, n, &args[0], &args[1], |a, b| {
             Item::Boolean(a.ends_with(b))
-        }),
+        })?,
         ("string-join", 2) => {
             let mut iters = Vec::new();
             let mut items = Vec::new();
             for iter in 0..n {
-                let sep = args[1]
-                    .group(iter)
-                    .first()
+                let sep = text(engine, args[1].group(iter).first())?;
+                let joined = (args[0].group(iter).iter())
                     .map(|i| i.string_value(&engine.store))
-                    .unwrap_or_default();
-                let joined = args[0]
-                    .group(iter)
-                    .iter()
-                    .map(|i| i.string_value(&engine.store))
-                    .collect::<Vec<_>>()
+                    .collect::<Result<Vec<_>, _>>()?
                     .join(&sep);
                 iters.push(iter);
                 items.push(Item::str(joined));
@@ -142,33 +126,17 @@ pub(crate) fn call_builtin(
         ("substring", 2) | ("substring", 3) => fn_substring(engine, n, &args)?,
         ("substring-before", 2) => string_binary(engine, n, &args[0], &args[1], |a, b| {
             Item::str(a.find(b).map(|k| &a[..k]).unwrap_or(""))
-        }),
+        })?,
         ("substring-after", 2) => string_binary(engine, n, &args[0], &args[1], |a, b| {
             Item::str(a.find(b).map(|k| &a[k + b.len()..]).unwrap_or(""))
-        }),
+        })?,
         ("translate", 3) => {
             let mut iters = Vec::new();
             let mut items = Vec::new();
             for iter in 0..n {
-                let s = args[0]
-                    .group(iter)
-                    .first()
-                    .map(|i| i.string_value(&engine.store))
-                    .unwrap_or_default();
-                let from: Vec<char> = args[1]
-                    .group(iter)
-                    .first()
-                    .map(|i| i.string_value(&engine.store))
-                    .unwrap_or_default()
-                    .chars()
-                    .collect();
-                let to: Vec<char> = args[2]
-                    .group(iter)
-                    .first()
-                    .map(|i| i.string_value(&engine.store))
-                    .unwrap_or_default()
-                    .chars()
-                    .collect();
+                let s = text(engine, args[0].group(iter).first())?;
+                let from: Vec<char> = text(engine, args[1].group(iter).first())?.chars().collect();
+                let to: Vec<char> = text(engine, args[2].group(iter).first())?.chars().collect();
                 let out: String = s
                     .chars()
                     .filter_map(|c| match from.iter().position(|&f| f == c) {
@@ -187,7 +155,7 @@ pub(crate) fn call_builtin(
             let mut out = LlSeq::empty();
             for iter in 0..n {
                 if let Some(item) = args[0].group(iter).first() {
-                    for tok in item.string_value(&engine.store).split_whitespace() {
+                    for tok in item.string_value(&engine.store)?.split_whitespace() {
                         out.push(iter, Item::str(tok));
                     }
                 }
@@ -198,67 +166,75 @@ pub(crate) fn call_builtin(
             let mut all_int = true;
             let mut total = 0f64;
             for item in g {
-                match item.atomize(&engine.store) {
+                match item.atomize(&engine.store)? {
                     Item::Integer(i) => total += i as f64,
                     other => {
                         all_int = false;
-                        total += other.as_number(&engine.store).unwrap_or(f64::NAN);
+                        total += other.as_number(&engine.store)?.unwrap_or(f64::NAN);
                     }
                 }
             }
-            Some(if all_int && total.fract() == 0.0 {
+            Ok(Some(if all_int && total.fract() == 0.0 {
                 Item::Integer(total as i64)
             } else {
                 Item::Double(total)
-            })
-        }),
+            }))
+        })?,
         ("avg", 1) => per_iter_map(engine, n, &args[0], |engine, g| {
             if g.is_empty() {
-                return None;
+                return Ok(None);
             }
-            let total: f64 = g
-                .iter()
-                .map(|i| i.as_number(&engine.store).unwrap_or(f64::NAN))
-                .sum();
-            Some(Item::Double(total / g.len() as f64))
-        }),
+            let mut total = 0f64;
+            for item in g {
+                total += item.as_number(&engine.store)?.unwrap_or(f64::NAN);
+            }
+            Ok(Some(Item::Double(total / g.len() as f64)))
+        })?,
         ("max", 1) | ("min", 1) => {
             let want_max = name == "max";
             per_iter_map(engine, n, &args[0], move |engine, g| {
                 let store = &engine.store;
-                g.iter().map(|i| i.atomize(store)).reduce(|best, x| {
-                    let keep_x = matches!(
-                        x.general_compare(&best, store),
-                        Some(std::cmp::Ordering::Greater)
-                    ) == want_max
-                        && x.general_compare(&best, store).is_some()
-                        && x.general_compare(&best, store) != Some(std::cmp::Ordering::Equal);
-                    if keep_x {
-                        x
-                    } else {
-                        best
-                    }
-                })
-            })
+                let mut best: Option<Item> = None;
+                for item in g {
+                    let x = item.atomize(store)?;
+                    best = Some(match best {
+                        Some(best) => {
+                            let order = x.general_compare(&best, store)?;
+                            let keep_x = matches!(order, Some(std::cmp::Ordering::Greater))
+                                == want_max
+                                && order.is_some()
+                                && order != Some(std::cmp::Ordering::Equal);
+                            if keep_x {
+                                x
+                            } else {
+                                best
+                            }
+                        }
+                        None => x,
+                    });
+                }
+                Ok(best)
+            })?
         }
-        ("abs", 1) => numeric_unary(engine, n, &args[0], |v| v.abs()),
-        ("floor", 1) => numeric_unary(engine, n, &args[0], f64::floor),
-        ("ceiling", 1) => numeric_unary(engine, n, &args[0], f64::ceil),
+        ("abs", 1) => numeric_unary(engine, n, &args[0], |v| v.abs())?,
+        ("floor", 1) => numeric_unary(engine, n, &args[0], f64::floor)?,
+        ("ceiling", 1) => numeric_unary(engine, n, &args[0], f64::ceil)?,
         ("round", 1) => numeric_unary(engine, n, &args[0], |v| {
             // XPath rounds half towards positive infinity.
             (v + 0.5).floor()
-        }),
+        })?,
         ("distinct-values", 1) => {
             let store = &engine.store;
             let mut out = LlSeq::empty();
             for (iter, items) in args[0].groups() {
                 let mut seen: Vec<Item> = Vec::new();
                 for item in items {
-                    let v = item.atomize(store);
-                    if !seen
-                        .iter()
-                        .any(|s| s.general_compare(&v, store) == Some(std::cmp::Ordering::Equal))
-                    {
+                    let v = item.atomize(store)?;
+                    let mut fresh = true;
+                    for s in &seen {
+                        fresh &= s.general_compare(&v, store)? != Some(std::cmp::Ordering::Equal);
+                    }
+                    if fresh {
                         seen.push(v.clone());
                         out.push(iter, v);
                     }
@@ -302,26 +278,21 @@ pub(crate) fn call_builtin(
             }
             table
         }
-        ("serialize", 1) => {
-            // Serializing an element writes its attributes.
-            (engine.store)
-                .verify_attrs(args[0].items().iter().filter_map(Item::as_node))
-                .map_err(QueryError::dynamic)?;
-            per_iter_map(engine, n, &args[0], |engine, g| {
-                let mut s = String::new();
-                for item in g {
-                    match item {
-                        Item::Node(node) => s.push_str(&standoff_xml::serialize_node(
-                            engine.store.doc(node.doc),
-                            node.id,
-                            SerializeOptions::default(),
-                        )),
-                        atom => s.push_str(&atom.string_value(&engine.store)),
-                    }
+        ("serialize", 1) => per_iter_map(engine, n, &args[0], |engine, g| {
+            let mut s = String::new();
+            for item in g {
+                match item {
+                    Item::Node(node) => standoff_xml::serialize_node_into(
+                        engine.store.doc(node.doc),
+                        node.id,
+                        SerializeOptions::default(),
+                        &mut s,
+                    )?,
+                    atom => s.push_str(&atom.string_value(&engine.store)?),
                 }
-                Some(Item::str(s))
-            })
-        }
+            }
+            Ok(Some(Item::str(s)))
+        })?,
         _ => return Ok(None),
     };
     Ok(Some(result))
@@ -345,31 +316,40 @@ pub(crate) fn aggregate_rows(name: &str, counts: &[u64]) -> LlSeq {
     LlSeq::from_columns((0..n).collect(), counts.iter().map(item).collect())
 }
 
+/// The string value of an iteration's first item, empty for none.
+fn text(engine: &EngineState, item: Option<&Item>) -> Result<String, QueryError> {
+    match item {
+        Some(item) => Ok(item.string_value(&engine.store)?),
+        None => Ok(String::new()),
+    }
+}
+
 /// Per-iteration mapping producing zero-or-one item per iteration.
 fn per_iter_map(
     engine: &EngineState,
     n: u32,
     table: &LlSeq,
-    f: impl Fn(&EngineState, &[Item]) -> Option<Item>,
-) -> LlSeq {
+    f: impl Fn(&EngineState, &[Item]) -> Result<Option<Item>, QueryError>,
+) -> Result<LlSeq, QueryError> {
     let mut iters = Vec::with_capacity(n as usize);
     let mut items = Vec::with_capacity(n as usize);
     for iter in 0..n {
-        if let Some(item) = f(engine, table.group(iter)) {
+        if let Some(item) = f(engine, table.group(iter))? {
             iters.push(iter);
             items.push(item);
         }
     }
-    LlSeq::from_columns(iters, items)
+    Ok(LlSeq::from_columns(iters, items))
 }
 
-fn string_unary(engine: &EngineState, n: u32, table: &LlSeq, f: impl Fn(&str) -> String) -> LlSeq {
+fn string_unary(
+    engine: &EngineState,
+    n: u32,
+    table: &LlSeq,
+    f: impl Fn(&str) -> String,
+) -> Result<LlSeq, QueryError> {
     per_iter_map(engine, n, table, |engine, g| {
-        let s = g
-            .first()
-            .map(|i| i.string_value(&engine.store))
-            .unwrap_or_default();
-        Some(Item::str(f(&s)))
+        Ok(Some(Item::str(f(&text(engine, g.first())?))))
     })
 }
 
@@ -379,36 +359,37 @@ fn string_binary(
     a: &LlSeq,
     b: &LlSeq,
     f: impl Fn(&str, &str) -> Item,
-) -> LlSeq {
+) -> Result<LlSeq, QueryError> {
     let mut iters = Vec::with_capacity(n as usize);
     let mut items = Vec::with_capacity(n as usize);
     for iter in 0..n {
-        let x = a
-            .group(iter)
-            .first()
-            .map(|i| i.string_value(&engine.store))
-            .unwrap_or_default();
-        let y = b
-            .group(iter)
-            .first()
-            .map(|i| i.string_value(&engine.store))
-            .unwrap_or_default();
+        let x = text(engine, a.group(iter).first())?;
+        let y = text(engine, b.group(iter).first())?;
         iters.push(iter);
         items.push(f(&x, &y));
     }
-    LlSeq::from_columns(iters, items)
+    Ok(LlSeq::from_columns(iters, items))
 }
 
-fn numeric_unary(engine: &EngineState, n: u32, table: &LlSeq, f: impl Fn(f64) -> f64) -> LlSeq {
+fn numeric_unary(
+    engine: &EngineState,
+    n: u32,
+    table: &LlSeq,
+    f: impl Fn(f64) -> f64,
+) -> Result<LlSeq, QueryError> {
     per_iter_map(engine, n, table, |engine, g| {
-        let item = g.first()?;
-        let v = item.as_number(&engine.store)?;
+        let Some(item) = g.first() else {
+            return Ok(None);
+        };
+        let Some(v) = item.as_number(&engine.store)? else {
+            return Ok(None);
+        };
         let r = f(v);
-        Some(match item.atomize(&engine.store) {
+        Ok(Some(match item.atomize(&engine.store)? {
             Item::Integer(_) => Item::Integer(r as i64),
             _ if r.fract() == 0.0 && r.abs() < 1e15 => Item::Integer(r as i64),
             _ => Item::Double(r),
-        })
+        }))
     })
 }
 
@@ -418,7 +399,7 @@ fn fn_doc(engine: &EngineState, n: u32, uris: &LlSeq) -> Result<LlSeq, QueryErro
         let Some(item) = uris.group(iter).first() else {
             continue;
         };
-        let uri = item.string_value(&engine.store);
+        let uri = item.string_value(&engine.store)?;
         let doc_id = engine
             .store
             .by_uri(&uri)
@@ -447,8 +428,8 @@ fn fn_layer(
         else {
             continue;
         };
-        let uri = uri_item.string_value(&engine.store);
-        let name = name_item.string_value(&engine.store);
+        let uri = uri_item.string_value(&engine.store)?;
+        let name = name_item.string_value(&engine.store)?;
         let doc_id = engine.layer_doc(&uri, &name).ok_or_else(|| {
             QueryError::dynamic(format!("no layer '{name}' mounted under '{uri}'"))
         })?;
@@ -466,7 +447,7 @@ fn fn_root(engine: &EngineState, nodes: &LlSeq) -> Result<LlSeq, QueryError> {
             let node = item
                 .as_node()
                 .ok_or_else(|| QueryError::dynamic("root() requires nodes"))?;
-            let root = engine.store.fragment_root(node);
+            let root = engine.store.fragment_root(node)?;
             if last != Some(root) {
                 out.push(iter, Item::Node(root));
                 last = Some(root);
@@ -480,21 +461,17 @@ fn fn_substring(engine: &EngineState, n: u32, args: &[LlSeq]) -> Result<LlSeq, Q
     let mut iters = Vec::new();
     let mut items = Vec::new();
     for iter in 0..n {
-        let s = args[0]
-            .group(iter)
-            .first()
-            .map(|i| i.string_value(&engine.store))
-            .unwrap_or_default();
+        let s = text(engine, args[0].group(iter).first())?;
         let Some(start_item) = args[1].group(iter).first() else {
             continue;
         };
         let start = start_item
-            .as_number(&engine.store)
+            .as_number(&engine.store)?
             .ok_or_else(|| QueryError::dynamic("substring(): start is not a number"))?;
         let len = match args.get(2) {
             Some(a) => match a.group(iter).first() {
                 Some(item) => item
-                    .as_number(&engine.store)
+                    .as_number(&engine.store)?
                     .ok_or_else(|| QueryError::dynamic("substring(): length is not a number"))?,
                 None => 0.0,
             },
@@ -547,7 +524,7 @@ fn fn_subsequence(engine: &EngineState, n: u32, args: &[LlSeq]) -> Result<LlSeq,
 /// An item as an integer: integers, integral doubles, and strings that
 /// parse as one.
 pub(crate) fn int_value(item: &Item, store: &standoff_xml::Store) -> Result<i64, QueryError> {
-    match item.atomize(store) {
+    match item.atomize(store)? {
         Item::Integer(i) => Ok(i),
         Item::Double(d) if d.fract() == 0.0 => Ok(d as i64),
         Item::Untyped(s) | Item::String(s) => s

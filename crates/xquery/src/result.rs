@@ -5,6 +5,8 @@ use std::ops::Range;
 use standoff_algebra::Item;
 use standoff_xml::{SerializeOptions, Store};
 
+use crate::error::QueryError;
+
 /// The result sequence of a query, with its serialized forms materialized
 /// at construction (results no longer reference the engine).
 #[derive(Clone, Debug)]
@@ -19,13 +21,15 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    pub(crate) fn new(items: Vec<Item>, store: &Store) -> QueryResult {
+    /// Serialize `items`: a node's markup and string value read its
+    /// document's column groups, whose failure fails the result.
+    pub(crate) fn new(items: Vec<Item>, store: &Store) -> Result<QueryResult, QueryError> {
         let mut strings = Vec::with_capacity(items.len());
         let mut spans = Vec::with_capacity(items.len());
         let mut xml = String::new();
         let mut prev_needs_sep = false;
         for item in &items {
-            let string = item.string_value(store);
+            let string = item.string_value(store)?;
             let needs_sep = match item {
                 Item::Node(node) => node.id.is_attr(),
                 _ => true,
@@ -40,19 +44,19 @@ impl QueryResult {
                     node.id,
                     SerializeOptions::default(),
                     &mut xml,
-                ),
+                )?,
                 _ => xml.push_str(&string),
             }
             spans.push(start..xml.len());
             strings.push(string);
             prev_needs_sep = needs_sep;
         }
-        QueryResult {
+        Ok(QueryResult {
             items,
             strings,
             xml,
             spans,
-        }
+        })
     }
 
     /// The raw items.

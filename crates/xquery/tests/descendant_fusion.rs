@@ -38,7 +38,11 @@ fn ns(e: &Engine, result: &QueryResult) -> Vec<String> {
         .items()
         .iter()
         .map(|item| match item {
-            Item::Node(n) => doc.attribute(n.id.pre().unwrap(), "n").unwrap().to_string(),
+            Item::Node(n) => doc
+                .attribute(n.id.pre().unwrap(), "n")
+                .unwrap()
+                .unwrap()
+                .to_string(),
             other => panic!("expected nodes, got {other}"),
         })
         .collect()
@@ -57,12 +61,14 @@ fn answer(e: &mut Engine, q: &str) -> Vec<String> {
 type Pred = Box<dyn Fn(usize, usize, &Document, u32) -> bool>;
 
 fn k(doc: &Document, x: u32) -> &str {
-    doc.attribute(x, "k").unwrap()
+    doc.attribute(x, "k").unwrap().unwrap()
 }
 
 fn ys(doc: &Document, x: u32) -> usize {
-    doc.children(x)
-        .filter(|&c| doc.node_name(NodeId::tree(c)) == "y")
+    doc.tree()
+        .unwrap()
+        .children(x)
+        .filter(|&c| doc.node_name(NodeId::tree(c)).unwrap() == "y")
         .count()
 }
 
@@ -74,8 +80,12 @@ fn per_parent(chain: &[Pred]) -> Vec<String> {
     let mut picked: Vec<u32> = Vec::new();
     for parent in 0..doc.node_count() as u32 {
         let mut kids: Vec<u32> = doc
+            .tree()
+            .unwrap()
             .children(parent)
-            .filter(|&c| doc.kind(c) == NodeKind::Element && doc.node_name(NodeId::tree(c)) == "x")
+            .filter(|&c| {
+                doc.kind(c) == NodeKind::Element && doc.node_name(NodeId::tree(c)).unwrap() == "x"
+            })
             .collect();
         for pred in chain {
             let last = kids.len();
@@ -92,7 +102,7 @@ fn per_parent(chain: &[Pred]) -> Vec<String> {
     picked.dedup();
     picked
         .iter()
-        .map(|&c| doc.attribute(c, "n").unwrap().to_string())
+        .map(|&c| doc.attribute(c, "n").unwrap().unwrap().to_string())
         .collect()
 }
 

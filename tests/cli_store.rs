@@ -727,9 +727,10 @@ fn inspect_and_verify_report_backing_and_crc() {
 }
 
 /// Damaged files through the mapped open: a flipped payload byte is a
-/// checksum mismatch for `verify` and for a `query --store` that
-/// reaches every layer (layers materialize when a query first reaches
-/// them, so the damage cannot hide from it), and a file
+/// checksum mismatch for `verify` and for a `query --store` that reads
+/// every column group of every layer (a layer is checked when a query
+/// first reaches it, its tree columns and attribute table when a query
+/// first reads them, so the damage cannot hide from it), and a file
 /// cut to 0 or 7 bytes — the empty one cannot even be mapped — is the
 /// categorized truncation error, never a panic or a raw OS error.
 #[test]
@@ -767,7 +768,7 @@ fn damaged_snapshots_fail_categorized_through_the_mapped_open() {
         !ok && text.contains("checksum mismatch"),
         "byte {at}: {text}"
     );
-    let every_layer = r#"count((doc("corpus"), doc("corpus#tokens"))//node())"#;
+    let every_layer = r#"let $e := (doc("corpus"), doc("corpus#tokens"))//* return count($e/@*) + count($e/node())"#;
     let (ok, text) = run(&["query", "--store", &path, "--query", every_layer]);
     assert!(
         !ok && text.contains("checksum mismatch"),

@@ -14,6 +14,15 @@ use standoff::xquery::{Engine, QueryError};
 
 const TOKENS: &str = r#"<tokens><w word="Alice" start="0" end="4"/><w word="met" start="6" end="8"/><w word="Bob" start="10" end="12"/></tokens>"#;
 
+/// The tree columns' sections, also verified on their first read.
+const TREE_SECTIONS: [&str; 5] = [
+    "doc.size",
+    "doc.level",
+    "doc.parent",
+    "doc.value-heap",
+    "doc.value-offsets",
+];
+
 /// The attribute table's sections: tag and name.
 const ATTR_SECTIONS: [(u32, &str); 5] = [
     (18, "doc.attr-first"),
@@ -60,9 +69,10 @@ fn engine(snapshot: &Snapshot) -> Engine {
 }
 
 /// A count over the token layer materializes it and hashes everything
-/// it reads — but not one byte of its attribute table, whose five
-/// sections are counted as deferred. The first query that reads an
-/// attribute hashes exactly those sections, once.
+/// it reads — but not one byte of its attribute table or its tree
+/// columns, whose ten sections are counted as deferred. The first query
+/// that reads an attribute hashes exactly the table's five sections,
+/// once, and the first serialization exactly the tree's five.
 #[test]
 fn a_count_hashes_no_attribute_section_and_a_first_attribute_read_does() {
     let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
@@ -73,6 +83,11 @@ fn a_count_hashes_no_attribute_section_and_a_first_attribute_read_does() {
         .map(|s| s.bytes)
         .sum();
     assert!(attr_bytes > 0);
+    let tree_bytes: u64 = (info.layers[1].sections.iter())
+        .filter(|s| TREE_SECTIONS.contains(&s.name))
+        .map(|s| s.bytes)
+        .sum();
+    assert!(tree_bytes > 0);
     let mut engine = engine(&snapshot);
 
     let (hashed, checked) = (
@@ -84,9 +99,11 @@ fn a_count_hashes_no_attribute_section_and_a_first_attribute_read_does() {
     assert_eq!(count.as_xml(), "3");
     assert!(snapshot.is_materialized(1));
     // Every tokens section but the header (hashed at open), the three
-    // catalog sections (hashed at mount) and the attribute table.
+    // catalog sections (hashed at mount), the tree columns and the
+    // attribute table.
     let read_now: u64 = (info.layers[1].sections.iter())
         .filter(|s| !ATTR_SECTIONS.iter().any(|&(_, name)| name == s.name))
+        .filter(|s| !TREE_SECTIONS.contains(&s.name))
         .filter(|s| {
             ![
                 "layer.header",
@@ -99,7 +116,7 @@ fn a_count_hashes_no_attribute_section_and_a_first_attribute_read_does() {
         .map(|s| s.bytes)
         .sum();
     assert_eq!(counter("store.verify.bytes_hashed") - hashed, read_now);
-    assert_eq!(counter("store.verify.sections_deferred") - deferred, 5);
+    assert_eq!(counter("store.verify.sections_deferred") - deferred, 10);
     let checked_by_count = counter("store.verify.sections_checked") - checked;
 
     let (hashed, checked) = (
@@ -112,11 +129,17 @@ fn a_count_hashes_no_attribute_section_and_a_first_attribute_read_does() {
     assert_eq!(counter("store.verify.sections_checked") - checked, 5);
     assert!(checked_by_count > 0);
 
+    // Serializing the filtered rows reads the tree for the first time:
+    // it hashes the five tree sections and no attribute section again.
+    let query = r#"doc("corpus#tokens")//w[@word = "met"]"#;
+    let hashed = counter("store.verify.bytes_hashed");
+    let met = engine.run(query).unwrap();
+    assert_eq!(met.as_xml(), r#"<w word="met" start="6" end="8"/>"#);
+    assert_eq!(counter("store.verify.bytes_hashed") - hashed, tree_bytes);
+
     // Read again: nothing is hashed twice.
     let hashed = counter("store.verify.bytes_hashed");
-    engine
-        .run(r#"doc("corpus#tokens")//w[@word = "met"]"#)
-        .unwrap();
+    engine.run(query).unwrap();
     assert_eq!(counter("store.verify.bytes_hashed"), hashed);
 }
 
@@ -173,7 +196,7 @@ fn a_flipped_attribute_byte_fails_exactly_the_requests_that_read_attributes() {
         };
         for snapshot in mounts() {
             let layer = snapshot.layer("tokens").expect("the layer materializes");
-            match layer.doc().verify_attrs().map_err(StoreError::from) {
+            match layer.doc().attrs().map(drop).map_err(StoreError::from) {
                 Err(StoreError::Corrupt { section, .. }) => {
                     assert_eq!(section, format!("section {name} (layer tokens)"))
                 }

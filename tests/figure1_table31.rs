@@ -71,7 +71,7 @@ fn table31_via_core_join_api() {
         .elements_named("music")
         .iter()
         .copied()
-        .find(|&m| doc.attribute(m, "artist") == Some("U2"))
+        .find(|&m| doc.attribute(m, "artist").unwrap() == Some("U2"))
         .unwrap();
     let shots = doc.elements_named("shot");
     let context = [IterNode { iter: 0, node: u2 }];
@@ -88,7 +88,7 @@ fn table31_via_core_join_api() {
             evaluate_standoff_join(axis, StandoffStrategy::LoopLiftedMergeJoin, &input, None);
         let ids: Vec<&str> = result
             .iter()
-            .map(|e| doc.attribute(e.node, "id").unwrap())
+            .map(|e| doc.attribute(e.node, "id").unwrap().unwrap())
             .collect();
         assert_eq!(ids, expected, "{axis} via core API");
     }

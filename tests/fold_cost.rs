@@ -21,7 +21,7 @@ use std::time::Instant;
 use standoff::core::StandoffConfig;
 use standoff::store::{compact, DeltaOp, LayerSet};
 use standoff::xmark::{generate, standoffify, XmarkConfig};
-use standoff::xml::{parse_document, serialize_document, SerializeOptions};
+use standoff::xml::{parse_document, try_serialize_document, SerializeOptions};
 use standoff::xquery::{EngineOptions, WritableEngine};
 
 /// The three layers at XMark `scale`, and the slots new entities go to.
@@ -113,7 +113,7 @@ fn prefilled(target: Target, set: &LayerSet, slots: &[(i64, i64)]) -> WritableEn
 
 fn serialized(set: &LayerSet) -> Vec<String> {
     (set.layers().iter())
-        .map(|layer| serialize_document(layer.doc(), SerializeOptions::default()))
+        .map(|layer| try_serialize_document(layer.doc(), SerializeOptions::default()).unwrap())
         .collect()
 }
 

@@ -35,7 +35,7 @@ use proptest::prelude::*;
 
 use standoff::core::{StandoffConfig, StandoffStrategy};
 use standoff::store::{compact, DeltaOp, DeltaSet, LayerSet};
-use standoff::xml::{parse_document, serialize_document, SerializeOptions};
+use standoff::xml::{parse_document, try_serialize_document, SerializeOptions};
 use standoff::xquery::compile::resolve;
 use standoff::xquery::optimize::PASSES;
 use standoff::xquery::parser::parse_query;
@@ -118,7 +118,7 @@ fn layer_set(layers: &[(&str, String, StandoffConfig)]) -> LayerSet {
 fn reparsed(set: &LayerSet) -> LayerSet {
     let layers: Vec<(&str, String, StandoffConfig)> = (set.layers().iter())
         .map(|layer| {
-            let xml = serialize_document(layer.doc(), SerializeOptions::default());
+            let xml = try_serialize_document(layer.doc(), SerializeOptions::default()).unwrap();
             (layer.name(), xml, layer.config().clone())
         })
         .collect();

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use standoff::core::{StandoffConfig, StandoffStrategy};
 use standoff::store::{DeltaOp, DeltaSet, LayerSet};
-use standoff::xml::{parse_document, serialize_document, SerializeOptions};
+use standoff::xml::{parse_document, try_serialize_document, SerializeOptions};
 use standoff::xquery::{Engine, EngineOptions, WritableEngine};
 
 const STRATEGIES: [StandoffStrategy; 4] = [
@@ -35,7 +35,7 @@ fn options(strategy: StandoffStrategy) -> EngineOptions {
 /// Every layer of `set`, serialized.
 fn serialized(set: &LayerSet) -> Vec<String> {
     (set.layers().iter())
-        .map(|layer| serialize_document(layer.doc(), SerializeOptions::default()))
+        .map(|layer| try_serialize_document(layer.doc(), SerializeOptions::default()).unwrap())
         .collect()
 }
 
@@ -295,11 +295,15 @@ fn xmark_overlay_matches_compaction() {
     let region_of = |pre: u32| -> (i64, i64) {
         let mut start = None;
         let mut end = None;
-        for attr in doc.attributes(pre) {
+        for attr in doc.attrs().unwrap().of(pre) {
             let a = attr.attr_index().unwrap();
-            match doc.names().lexical(doc.attr_name_id(a)).as_str() {
-                "start" => start = doc.attr_value(a).parse().ok(),
-                "end" => end = doc.attr_value(a).parse().ok(),
+            match doc
+                .names()
+                .lexical(doc.attrs().unwrap().name_id(a))
+                .as_str()
+            {
+                "start" => start = doc.attrs().unwrap().value(a).parse().ok(),
+                "end" => end = doc.attrs().unwrap().value(a).parse().ok(),
                 _ => {}
             }
         }

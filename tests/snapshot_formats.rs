@@ -418,9 +418,10 @@ fn answer(snapshot: &Snapshot, q: &str) -> Result<String, QueryError> {
 }
 
 /// A `size` column whose last entry is `u32::MAX` (the subtree end
-/// overflows u32), resealed so its checksum matches: materializing the
-/// layer is a categorized refusal through both opens, never a panic and
-/// never a mounted document.
+/// overflows u32), resealed so its checksum matches: the layer mounts —
+/// its tree columns are checked on their first read — and that read is
+/// a categorized refusal naming the column through both opens, never a
+/// panic and never a navigable tree.
 #[test]
 fn a_resealed_hostile_size_column_is_refused() {
     let dir = temp_dir("hostile-size");
@@ -430,12 +431,20 @@ fn a_resealed_hostile_size_column_is_refused() {
     bytes[size.end - 4..size.end].copy_from_slice(&u32::MAX.to_le_bytes());
     reseal(&mut bytes, 12, 0);
     for snapshot in both_mounts(&dir, &bytes) {
-        match snapshot.layer_at(0) {
-            Err(e @ StoreError::Io(_)) => {
-                assert!(e.to_string().contains("leaks out of parent"), "{e}")
+        let layer = snapshot
+            .layer_at(0)
+            .expect("the columns read directly are sound");
+        match layer.doc().tree().map(drop).map_err(StoreError::from) {
+            Err(e @ StoreError::Corrupt { .. }) => {
+                let e = e.to_string();
+                assert!(
+                    e.starts_with("corrupt section doc.size (layer base): "),
+                    "{e}"
+                );
+                assert!(e.contains("leaks out of parent"), "{e}")
             }
             Err(other) => panic!("wrong category: {other}"),
-            Ok(_) => panic!("a hostile size column mounted"),
+            Ok(()) => panic!("a hostile size column was navigable"),
         }
         assert!(snapshot.verify().is_err());
         let err = answer(&snapshot, r#"string(doc("corpus"))"#).unwrap_err();
@@ -477,10 +486,10 @@ fn resealed_hostile_structures_are_refused_by_their_checks() {
     let owner: Edit = &|col| put(col, 1, 3);
     let split: Edit = &|col| put(col, 1, 1);
     // What is damaged, the damaged columns, the refusal — and, for the
-    // attribute table, which is verified on its first read, the section
-    // the refusal names.
+    // tree columns and the attribute table, which are verified on their
+    // first read, the section the refusal names.
     type Case<'a> = (&'a str, &'a [(u32, Edit<'a>)], &'a str, Option<&'a str>);
-    let cases: [Case; 11] = [
+    let cases: [Case; 12] = [
         (
             "two swapped entries",
             &[(31, swap)],
@@ -518,6 +527,12 @@ fn resealed_hostile_structures_are_refused_by_their_checks() {
             None,
         ),
         (
+            "a level off its parent's",
+            &[(13, &|col| col[4..6].copy_from_slice(&5u16.to_le_bytes()))],
+            "node 2 level inconsistent with parent",
+            Some("doc.level"),
+        ),
+        (
             "an attribute owner mismatch",
             &[(19, owner)],
             "attribute 1 owner CSR mismatch",
@@ -548,7 +563,7 @@ fn resealed_hostile_structures_are_refused_by_their_checks() {
             None,
         ),
     ];
-    for (what, edits, message, attrs) in cases {
+    for (what, edits, message, deferred) in cases {
         let mut bytes = clean.clone();
         for &(tag, edit) in edits {
             let column = section(&bytes, tag, 1);
@@ -557,7 +572,7 @@ fn resealed_hostile_structures_are_refused_by_their_checks() {
         }
         for snapshot in both_mounts(&dir, &bytes) {
             snapshot.layer("base").expect("the base layer is untouched");
-            match (snapshot.layer("tokens"), attrs) {
+            match (snapshot.layer("tokens"), deferred) {
                 (Err(e @ StoreError::Io(_)), None) => {
                     assert_eq!(
                         e.to_string(),
@@ -566,7 +581,7 @@ fn resealed_hostile_structures_are_refused_by_their_checks() {
                     )
                 }
                 (Ok(layer), Some(column)) => {
-                    let refused = layer.doc().verify_attrs().expect_err(what);
+                    let refused = layer.doc().verify().expect_err(what);
                     assert_eq!(
                         StoreError::from(refused).to_string(),
                         format!("corrupt section {column} (layer tokens): {message}"),
