@@ -620,14 +620,16 @@ fn step_fragment(
             let attrs = doc.attrs()?;
             for n in nodes {
                 if let Some(pre) = n.id.pre() {
-                    for a in attrs.range(pre) {
-                        let ok = match attr_name {
-                            ResolvedName::Any => true,
-                            ResolvedName::Id(id) => attrs.name_id(a) == id,
-                            ResolvedName::NoMatch => false,
-                        };
-                        if ok {
-                            emit!(NodeRef::new(doc_id, NodeId::attr(a)));
+                    match attr_name {
+                        ResolvedName::Id(id) => {
+                            if let Some(a) = attrs.named(pre, id) {
+                                emit!(NodeRef::new(doc_id, NodeId::attr(a)));
+                            }
+                        }
+                        _ => {
+                            for a in attrs.ids(pre) {
+                                emit!(NodeRef::new(doc_id, NodeId::attr(a)));
+                            }
                         }
                     }
                 }

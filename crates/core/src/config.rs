@@ -124,8 +124,8 @@ impl StandoffConfig {
             (Some(s), Some(e)) => {
                 let context =
                     || format!("<{}> at pre {pre}", doc.names().lexical(doc.name_id(pre)));
-                let start = parse_position(s, &context)?;
-                let end = parse_position(e, &context)?;
+                let start = parse_position(&s, &context)?;
+                let end = parse_position(&e, &context)?;
                 Ok(Some(Area::single(start, end)?))
             }
             _ => Err(StandoffError::IncompleteRegion {

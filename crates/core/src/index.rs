@@ -823,6 +823,18 @@ impl RegionIndex {
     }
 }
 
+/// A single-region layer's region attributes are its entries: a mounted
+/// layer's attribute table reads them through the node view.
+impl standoff_xml::RegionSource for RegionIndex {
+    #[inline]
+    fn region(&self, pre: u32) -> Option<(i64, i64)> {
+        match self.regions_of(pre) {
+            [r] => Some((r.start, r.end)),
+            _ => None,
+        }
+    }
+}
+
 /// A start-clustered run of region entries with an upper bound on
 /// their `end − start`: what a join reads its reach of — a whole index
 /// ([`RegionIndex::table`]) or one name's posting.

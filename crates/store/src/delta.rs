@@ -759,10 +759,10 @@ mod tests {
         for d in [&delta, &replayed, &from_text] {
             let folded = compact(&set, d).unwrap();
             let doc = folded.layer("tokens").unwrap().doc();
-            let kinds: Vec<&str> = doc
+            let kinds: Vec<String> = doc
                 .elements_named("w")
                 .iter()
-                .map(|&w| doc.attribute(w, "kind").unwrap().unwrap())
+                .map(|&w| doc.attribute(w, "kind").unwrap().unwrap().to_string())
                 .collect();
             assert_eq!(kinds, ["word", "word", "replaced"]);
         }
@@ -848,10 +848,13 @@ mod tests {
         let ner = tokens.doc().elements_named("ner");
         assert_eq!(ner.len(), 1);
         assert_eq!(
-            tokens.doc().attribute(ner[0], "class").unwrap(),
+            tokens.doc().attribute(ner[0], "class").unwrap().as_deref(),
             Some("MISC")
         );
-        assert_eq!(tokens.doc().attribute(ner[0], "start").unwrap(), Some("6"));
+        assert_eq!(
+            tokens.doc().attribute(ner[0], "start").unwrap().as_deref(),
+            Some("6")
+        );
         // Inserts land after the surviving originals, as root children.
         let last_w = tokens.doc().elements_named("w")[1];
         assert!(ner[0] > last_w);

@@ -17,8 +17,8 @@
 use std::sync::{Arc, OnceLock};
 
 use standoff_core::obs::{Counter, MetricsRegistry};
-use standoff_core::{RegionIndex, StandoffConfig};
-use standoff_xml::{Document, NodeKind};
+use standoff_core::{RegionIndex, RegionRepr, StandoffConfig};
+use standoff_xml::{Document, NameTable, NodeKind, RegionAttrs};
 
 use crate::error::StoreError;
 
@@ -90,6 +90,25 @@ impl Layer {
         self.index.stats().annotated as usize
     }
 
+    /// The region attributes a snapshot of this layer need not store
+    /// ([`region_attrs`]).
+    pub(crate) fn region_attrs(&self) -> Option<RegionAttrs> {
+        region_attrs(&self.config, self.doc.names(), self.index_arc())
+    }
+
+    /// How this layer holds its region attributes: how many its
+    /// attribute table presents from the region table, and how many rows
+    /// it stores with their names ([`standoff_xml::AttrTable::region_rows`]).
+    /// What `inspect` prints; reads the attribute table.
+    pub fn region_attribute_counts(&self) -> Result<[u64; 2], StoreError> {
+        let Some(regions) = self.region_attrs() else {
+            return Ok([0, 0]);
+        };
+        let table = self.doc.attrs()?;
+        let (presented, stored) = table.region_rows(&regions, self.annotation_count() as u64);
+        Ok([presented, stored])
+    }
+
     /// Pre ranks of the `<name>` annotation elements carrying exactly the
     /// region `[start, end]`, ascending — the one place the
     /// region → annotation question is answered, through the region
@@ -154,6 +173,24 @@ impl std::fmt::Debug for Layer {
 fn retract_probes() -> &'static Counter {
     static PROBES: OnceLock<Counter> = OnceLock::new();
     PROBES.get_or_init(|| MetricsRegistry::global().counter("store.delta.retract_probes"))
+}
+
+/// The region attributes a layer's attribute table presents once
+/// mounted ([`RegionAttrs`]): in the attribute representation, when the
+/// layer's names hold both, read from its region index.
+pub(crate) fn region_attrs(
+    config: &StandoffConfig,
+    names: &NameTable,
+    index: Arc<RegionIndex>,
+) -> Option<RegionAttrs> {
+    if config.repr() != RegionRepr::Attributes {
+        return None;
+    }
+    Some(RegionAttrs {
+        source: index,
+        start: names.get(&config.start_name)?,
+        end: names.get(&config.end_name)?,
+    })
 }
 
 fn validate_name(name: &str) -> Result<(), StoreError> {

@@ -12,7 +12,7 @@
 //!   [`standoff_core::StandoffConfig`]. Layers share the BLOB coordinate
 //!   space, so the StandOff axes (`select-narrow` & co.) and merge joins
 //!   compose *across* layers.
-//! * [`snapshot`] / [`mount`] — the one binary format (SOSN v5, no
+//! * [`snapshot`] / [`mount`] — the one binary format (SOSN v6, no
 //!   external serde) that persists every layer's shredded document,
 //!   element-name CSR and prebuilt region index. It is columnar and
 //!   offset-indexed with a CRC32 per section: [`Snapshot::open`]

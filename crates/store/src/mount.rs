@@ -1,4 +1,4 @@
-//! SOSN v5: the sectioned, offset-indexed, checksummed columnar
+//! SOSN v6: the sectioned, offset-indexed, checksummed columnar
 //! snapshot format that is *mounted*, not decoded — the one binary
 //! format this workspace reads or writes, and the only module that
 //! knows the section-table layout.
@@ -6,13 +6,13 @@
 //! Layout (little-endian):
 //!
 //! ```text
-//! 0   magic "SOSN" | u32 version = 5 | u32 section-count | u32 reserved
+//! 0   magic "SOSN" | u32 version = 6 | u32 section-count | u32 reserved
 //! 16  section table: section-count × (u32 tag | u32 layer | u64 offset | u64 length)
 //! …   payloads, each padded to 8-byte alignment, in table order
 //! ```
 //!
 //! The version field is checked before anything else is parsed: a file
-//! that says anything but 5 is refused with an error naming the version
+//! that says anything but 6 is refused with an error naming the version
 //! found, the version supported and the remedy (a snapshot is a cache
 //! derived from the layer XML — rebuild it with `standoff-xq index`).
 //! There is no second decoder and no way to open a file unverified.
@@ -44,6 +44,16 @@
 //! `name` columns, string-arena heaps and offsets, the attribute table,
 //! the element-name CSR, and the region index's entries — its node view
 //! is derived from them at mount, never stored (v4 stored it).
+//!
+//! A region is stored once, as its region-index entry (v5 also stored
+//! it as attribute text). The writer drops an annotated element's
+//! `start`/`end` attribute rows from a single-region layer in the
+//! attribute representation when they are the element's last two rows,
+//! in that order, and their text is the canonical decimal of its entry
+//! ([`AttrTable::without_region_rows`]). A materialized layer's
+//! attribute table presents the dropped pairs again from its region
+//! index ([`standoff_xml::RegionAttrs`]), so every reader sees the
+//! attributes the layer was parsed with.
 //! [`Snapshot::open`] maps the file read-only (falling back to
 //! reading it where it cannot be mapped) and walks only the section
 //! table plus the tiny META/LAYER_HDR payloads, so opening touches a few
@@ -83,7 +93,7 @@ use standoff_xml::{
 };
 
 use crate::error::StoreError;
-use crate::layer::{Layer, LayerSet, BASE_LAYER};
+use crate::layer::{region_attrs, Layer, LayerSet, BASE_LAYER};
 use crate::snapshot::{LayerInfo, SectionInfo, SnapshotInfo};
 
 use standoff_core::crc::{crc32, Crc32};
@@ -94,7 +104,7 @@ use standoff_xml::wire::{read_string, read_u32, read_u64, read_u8, write_string,
 
 const MAGIC: &[u8; 4] = b"SOSN";
 /// The one format version this build reads and writes.
-pub(crate) const VERSION: u32 = 5;
+pub(crate) const VERSION: u32 = 6;
 
 /// A format error; [`StoreError::Io`]'s `Display` supplies the
 /// `snapshot:` prefix.
@@ -328,9 +338,22 @@ impl Write for CrcSink {
 /// trailing CHECKSUMS section with a CRC32 per payload. Every column
 /// group of every layer is verified first, so stored bytes that fail
 /// their checks are never checksummed into a new file.
+///
+/// An annotated element's region attributes are not stored when they
+/// repeat its region entry: its last two attribute rows, `start` and
+/// then `end` as the layer configures them, whose text is the canonical
+/// decimal of its one region ([`AttrTable::without_region_rows`]). A
+/// mounted layer's table already stores only what remains, and is
+/// copied as it is.
 pub fn write_snapshot<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
+    let mut dropped = Vec::with_capacity(set.len());
     for layer in set.layers() {
         layer.doc().verify().map_err(StoreError::from)?;
+        let table = layer.doc().attrs().map_err(StoreError::from)?;
+        dropped.push(match layer.region_attrs() {
+            Some(r) if !table.presents_regions() => table.without_region_rows(&r),
+            _ => None,
+        });
     }
     let mut sections: Vec<(u32, u32, Body<'_>)> = Vec::new();
 
@@ -339,9 +362,19 @@ pub fn write_snapshot<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
     write_u32(&mut meta, set.len() as u32)?;
     sections.push((SEC_META, 0, Body::Rendered(meta)));
 
-    for (k, layer) in set.layers().iter().enumerate() {
+    for (k, (layer, dropped)) in set.layers().iter().zip(&dropped).enumerate() {
         let k = k as u32;
-        let doc = layer.doc().storage().map_err(StoreError::from)?;
+        let mut doc = layer.doc().storage().map_err(StoreError::from)?;
+        let table = match dropped {
+            Some(table) => table,
+            None => layer.doc().attrs().map_err(StoreError::from)?,
+        };
+        (
+            doc.attr_first,
+            doc.attr_owner,
+            doc.attr_name,
+            doc.attr_values,
+        ) = table.columns();
         let ridx = layer.index().storage();
 
         let mut hdr = Vec::new();
@@ -1177,6 +1210,21 @@ impl Snapshot {
                 &tree_kind,
             )
         })?;
+        // The region index: its entries, from which `from_storage`
+        // derives the node view. It also refuses an index annotating any
+        // node but an element of this document. The attribute table
+        // presents its region attributes from it, so it is built first;
+        // its failure is reported after the document's.
+        let index = (|| -> Result<Arc<RegionIndex>, StoreError> {
+            let mut r = &self.inner.buf[sect(SEC_RIDX_META).map_err(StoreError::Io)?];
+            let max_regions = read_u32(&mut r).map_err(wrap)?;
+            let entries = sect(SEC_RIDX_ENTRIES).map_err(StoreError::Io)?;
+            let entries = PodCol::view(&self.inner.buf, entries).map_err(wrap)?;
+            let index = RegionIndex::from_storage(entries, max_regions, kind.raw_bytes());
+            Ok(Arc::new(index.map_err(wrap)?))
+        })();
+        let regions = (index.as_ref().ok())
+            .and_then(|index| region_attrs(&slot.config, &names, Arc::clone(index)));
         let (nodes, name_count) = (kind.len(), names.len());
         let count = usize::try_from(slot.attrs).unwrap_or(usize::MAX);
         let attrs = self.deferred(slot, ATTR_SECTIONS, move |buf, r| {
@@ -1190,6 +1238,7 @@ impl Snapshot {
                 count,
                 nodes,
                 name_count,
+                regions.clone(),
             )
         })?;
         let parts = DocumentParts {
@@ -1211,31 +1260,11 @@ impl Snapshot {
             return Err(wrap(bad("layer header disagrees with document columns")));
         }
 
-        // The region index: its entries, from which `from_storage`
-        // derives the node view. It also refuses an index annotating any
-        // node but an element of this document, so that refusal comes
-        // before the header check below.
-        let mut r = &self.inner.buf[sect(SEC_RIDX_META).map_err(StoreError::Io)?];
-        let max_regions = read_u32(&mut r).map_err(wrap)?;
-        let index = RegionIndex::from_storage(
-            PodCol::view(
-                &self.inner.buf,
-                sect(SEC_RIDX_ENTRIES).map_err(StoreError::Io)?,
-            )
-            .map_err(wrap)?,
-            max_regions,
-            doc.kinds(),
-        )
-        .map_err(wrap)?;
+        let index = index?;
         if index.stats().annotated != slot.annotations || index.len() as u64 != slot.entries {
             return Err(wrap(bad("layer header disagrees with region index")));
         }
-        Layer::from_shared(
-            slot.name.clone(),
-            slot.config.clone(),
-            Arc::new(doc),
-            Arc::new(index),
-        )
+        Layer::from_shared(slot.name.clone(), slot.config.clone(), Arc::new(doc), index)
     }
 
     /// The loader of one of a layer's deferred column groups — the

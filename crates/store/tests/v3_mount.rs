@@ -8,7 +8,7 @@ use std::path::PathBuf;
 
 use standoff_core::StandoffConfig;
 use standoff_store::{save_snapshot, write_snapshot, LayerSet, Snapshot, StoreError};
-use standoff_xml::parse_document;
+use standoff_xml::{parse_document, RegionAttrs};
 
 /// A scratch file path unique to this test process and `tag`.
 fn temp_file(tag: &str) -> PathBuf {
@@ -107,7 +107,7 @@ fn assert_rejected(bytes: Vec<u8>, what: &str) {
 #[test]
 fn open_is_lazy_and_layer_access_materializes_one() {
     let snapshot = Snapshot::from_bytes(v3_bytes()).unwrap();
-    assert_eq!(snapshot.version(), 5);
+    assert_eq!(snapshot.version(), 6);
     assert_eq!(snapshot.uri(), "corpus.xml");
     assert_eq!(
         snapshot.layer_names().collect::<Vec<_>>(),
@@ -153,7 +153,10 @@ fn materialized_layers_are_zero_copy_views() {
     // pre: 0=document 1=<doc> 2=<seg> 3=<seg> 4=text "état"
     assert_eq!(base.doc().elements_named("seg").len(), 2);
     base.doc().verify().unwrap();
-    assert_eq!(base.doc().attribute(2, "end").unwrap(), Some("19"));
+    assert_eq!(
+        base.doc().attribute(2, "end").unwrap().as_deref(),
+        Some("19")
+    );
     assert_eq!(
         base.doc()
             .string_value(standoff_xml::NodeId::tree(4))
@@ -468,8 +471,34 @@ fn block_written_snapshot_is_byte_identical_to_the_per_element_writer() {
     let (_, _, _, sums_off, sums_len) = *table.iter().find(|s| s.0 == 40).expect("checksums");
     let mut columns = 0;
     for (k, layer) in set.layers().iter().enumerate() {
-        let doc = layer.doc().storage().unwrap();
+        let mut doc = layer.doc().storage().unwrap();
         let idx = layer.index().storage();
+        // The writer stores no region attribute row the region table
+        // holds: every element here carries a canonical trailing
+        // `start`/`end` pair, so the expected table keeps no row of
+        // either name.
+        let names = layer.doc().names();
+        let regions = RegionAttrs {
+            source: layer.index_arc(),
+            start: names.get("start").unwrap(),
+            end: names.get("end").unwrap(),
+        };
+        let dropped = layer
+            .doc()
+            .attrs()
+            .unwrap()
+            .without_region_rows(&regions)
+            .expect("region rows to drop");
+        (
+            doc.attr_first,
+            doc.attr_owner,
+            doc.attr_name,
+            doc.attr_values,
+        ) = dropped.columns();
+        assert!(
+            !(doc.attr_name.iter()).any(|&n| n == regions.start.0 || n == regions.end.0),
+            "layer {k} keeps a region row"
+        );
         for &(tag, _, _, off, len) in table.iter().filter(|s| s.1 == k as u32) {
             let bytes = match tag {
                 12 => old_loop(doc.size),

@@ -574,10 +574,13 @@ mod tests {
         let config = XmarkConfig::with_scale(0.001);
         let doc = generate(&config);
         let people = doc.elements_named("person");
-        assert_eq!(doc.attribute(people[0], "id").unwrap(), Some("person0"));
+        assert_eq!(
+            doc.attribute(people[0], "id").unwrap().as_deref(),
+            Some("person0")
+        );
         let last = people[people.len() - 1];
         assert_eq!(
-            doc.attribute(last, "id").unwrap(),
+            doc.attribute(last, "id").unwrap().as_deref(),
             Some(format!("person{}", config.n_people() - 1).as_str())
         );
         // References point inside the id spaces.

@@ -117,9 +117,9 @@ fn emit_element(src: &Document, pre: u32, spans: &[(i64, i64)], b: &mut Document
     let attrs = src
         .attrs()
         .expect("a built document's attributes are verified");
-    for a in attrs.range(pre) {
+    for a in attrs.ids(pre) {
         let an = src.names().lexical(attrs.name_id(a));
-        b.attribute(&an, attrs.value(a));
+        b.attribute(&an, &attrs.value(a));
     }
     let (start, end) = spans[pre as usize];
     b.attribute("start", &start.to_string());
@@ -234,14 +234,14 @@ mod tests {
         let src_p0 = src
             .elements_named("person")
             .iter()
-            .find(|&&p| src.attribute(p, "id").unwrap() == Some("person0"))
+            .find(|&&p| src.attribute(p, "id").unwrap().as_deref() == Some("person0"))
             .copied()
             .unwrap();
         let so_p0 = so
             .doc
             .elements_named("person")
             .iter()
-            .find(|&&p| so.doc.attribute(p, "id").unwrap() == Some("person0"))
+            .find(|&&p| so.doc.attribute(p, "id").unwrap().as_deref() == Some("person0"))
             .copied();
         assert!(so_p0.is_some());
         let _ = src_p0;

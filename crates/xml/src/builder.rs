@@ -431,7 +431,7 @@ mod tests {
             assert_eq!(d.fragment_root(f + 3), f);
             assert_eq!(d.tree().unwrap().next_sibling(f), None);
             assert_eq!(
-                d.attribute(f + 1, "k").unwrap(),
+                d.attribute(f + 1, "k").unwrap().as_deref(),
                 Some(k.to_string().as_str())
             );
             let text = if k == 1 { "t&amp;" } else { "t" };

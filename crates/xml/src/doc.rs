@@ -456,24 +456,122 @@ impl<'d> Tree<'d> {
     }
 }
 
+/// Where a mounted layer's region attributes come from: the one region
+/// of an annotated element, by pre rank. A snapshot stores no
+/// attribute row that repeats its layer's region table (the layer's
+/// region index implements this, in `standoff-core`).
+pub trait RegionSource: Send + Sync {
+    /// The region `(start, end)` of the element at `pre`, if it is
+    /// annotated with exactly one.
+    fn region(&self, pre: u32) -> Option<(i64, i64)>;
+}
+
+/// The region attributes a mounted table presents without storing
+/// them: an element that is annotated and stores no row named either
+/// one has two more attributes after its stored ones, `start` and then
+/// `end`, whose text is the canonical decimal of its region.
+#[derive(Clone)]
+pub struct RegionAttrs {
+    pub source: Arc<dyn RegionSource>,
+    /// The configured start and end attribute names.
+    pub start: NameId,
+    pub end: NameId,
+}
+
+/// An attribute's value: a stored slice, or a region position formatted
+/// in place — never an allocation. Derefs to `str`.
+#[derive(Clone, Copy)]
+pub struct AttrValue<'a>(Value<'a>);
+
+#[derive(Clone, Copy)]
+enum Value<'a> {
+    Stored(&'a str),
+    /// `digits[at..]` is the decimal.
+    Decimal {
+        at: u8,
+        digits: [u8; 20],
+    },
+}
+
+impl AttrValue<'_> {
+    /// The canonical decimal of `n`: what `n.to_string()` gives.
+    pub fn decimal(n: i64) -> AttrValue<'static> {
+        let (mut digits, mut at, mut m) = ([0u8; 20], 20, n.unsigned_abs());
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (m % 10) as u8;
+            m /= 10;
+            if m == 0 {
+                break;
+            }
+        }
+        if n < 0 {
+            at -= 1;
+            digits[at] = b'-';
+        }
+        AttrValue(Value::Decimal {
+            at: at as u8,
+            digits,
+        })
+    }
+}
+
+impl std::ops::Deref for AttrValue<'_> {
+    type Target = str;
+
+    #[inline]
+    fn deref(&self) -> &str {
+        match &self.0 {
+            Value::Stored(s) => s,
+            Value::Decimal { at, digits } => {
+                std::str::from_utf8(&digits[*at as usize..]).expect("ASCII digits")
+            }
+        }
+    }
+}
+
+impl fmt::Debug for AttrValue<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl fmt::Display for AttrValue<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
 /// The attribute table: a CSR over owner pre rank — `first[pre]..
-/// first[pre + 1]` are the rows of the element at `pre` — with each
-/// row's owner, name id and value. Reached through [`Document::attrs`].
+/// first[pre + 1]` are the stored rows of the element at `pre` — with
+/// each row's owner, name id and value. Reached through
+/// [`Document::attrs`].
+///
+/// A mounted layer's table may also present region attributes it does
+/// not store ([`RegionAttrs`]). Their ids follow the `R` stored rows:
+/// the `start` of the element at `pre` is `R + 2·pre`, its `end`
+/// `R + 2·pre + 1`. So an attribute's owner, name and order key are
+/// arithmetic, and a test of any other name never reads the regions.
+/// Readers go through [`AttrTable::ids`] and [`AttrTable::named`],
+/// which see both kinds.
 #[derive(Clone)]
 pub struct AttrTable {
     first: PodCol<u32>,
     owner: PodCol<u32>,
     name: PodCol<u32>,
     values: StrArena,
+    regions: Option<RegionAttrs>,
 }
 
 impl AttrTable {
     /// Assemble a stored table of `count` rows for a document of
     /// `node_count` nodes and `names` names, validating it whole: the
-    /// column lengths, the name ids, and the CSR (runs monotone from 0,
-    /// covering the table, each row inside its owner's run). A failure
-    /// names the stored column it was found in (`attr-first`,
+    /// column lengths, the name ids, the CSR (runs monotone from 0,
+    /// covering the table, each row inside its owner's run), and that
+    /// the ids of the attributes `regions` presents fit an attribute id.
+    /// A failure names the stored column it was found in (`attr-first`,
     /// `attr-owner`, `attr-name` or `attr-value-offsets`) and why.
+    #[allow(clippy::too_many_arguments)]
     pub fn from_storage(
         first: PodCol<u32>,
         owner: PodCol<u32>,
@@ -482,6 +580,7 @@ impl AttrTable {
         count: usize,
         node_count: usize,
         names: usize,
+        regions: Option<RegionAttrs>,
     ) -> Result<AttrTable, (&'static str, String)> {
         if first.len() != node_count + 1 {
             return Err(("attr-first", "attr_first length mismatch".into()));
@@ -498,11 +597,15 @@ impl AttrTable {
         if !name.is_empty() && name.iter().fold(0, |m, &id| m.max(id)) >= limit {
             return Err(("attr-name", "attribute name out of range".into()));
         }
+        if regions.is_some() && count as u64 + 2 * node_count as u64 > 1 << 31 {
+            return Err(("attr-first", "region attribute ids exceed 31 bits".into()));
+        }
         let table = AttrTable {
             first,
             owner,
             name,
             values,
+            regions,
         };
         table.check_csr(node_count)?;
         Ok(table)
@@ -550,7 +653,7 @@ impl AttrTable {
         unreachable!("a run holds an attribute of another node")
     }
 
-    /// Number of attribute rows.
+    /// Number of stored attribute rows.
     pub fn len(&self) -> usize {
         self.name.len()
     }
@@ -559,49 +662,195 @@ impl AttrTable {
         self.name.is_empty()
     }
 
-    /// Attribute-table index range of the element at `pre`.
+    /// Does this table present region attributes it does not store?
+    pub fn presents_regions(&self) -> bool {
+        self.regions.is_some()
+    }
+
+    /// The stored rows of the element at `pre`.
     #[inline]
-    pub fn range(&self, pre: u32) -> Range<u32> {
+    pub(crate) fn range(&self, pre: u32) -> Range<u32> {
         self.first[pre as usize]..self.first[pre as usize + 1]
+    }
+
+    /// The first id of a presented region attribute: the stored row count.
+    #[inline]
+    fn presented(&self) -> u32 {
+        self.name.len() as u32
+    }
+
+    /// The region the element at `pre` presents as its two trailing
+    /// attributes: it is annotated and stores no row named either.
+    #[inline]
+    fn region_of(&self, pre: u32) -> Option<(i64, i64)> {
+        let r = self.regions.as_ref()?;
+        let run = self.range(pre);
+        let stored = &self.name[run.start as usize..run.end as usize];
+        if stored.iter().any(|&n| n == r.start.0 || n == r.end.0) {
+            return None;
+        }
+        r.source.region(pre)
+    }
+
+    /// Attribute ids of the element at `pre`, in attribute order: its
+    /// stored rows, then the region attributes it presents.
+    #[inline]
+    pub fn ids(&self, pre: u32) -> std::iter::Chain<Range<u32>, Range<u32>> {
+        let presented = match self.region_of(pre) {
+            Some(_) => self.presented() + 2 * pre..self.presented() + 2 * pre + 2,
+            None => 0..0,
+        };
+        self.range(pre).chain(presented)
     }
 
     /// Attribute node ids of the element at `pre`, in attribute order.
     pub fn of(&self, pre: u32) -> impl Iterator<Item = NodeId> {
-        self.range(pre).map(NodeId::attr)
+        self.ids(pre).map(NodeId::attr)
     }
 
-    /// Owner element pre rank of the attribute with table index `idx`.
+    /// The id of the attribute of element `pre` named `name`, if it has
+    /// one. Only a region attribute's name reads the regions.
+    #[inline]
+    pub fn named(&self, pre: u32, name: NameId) -> Option<u32> {
+        if let Some(a) = self.range(pre).find(|&a| self.name[a as usize] == name.0) {
+            return Some(a);
+        }
+        let r = self.regions.as_ref()?;
+        let j = [r.start, r.end].iter().position(|&n| n == name)? as u32;
+        self.region_of(pre)?;
+        Some(self.presented() + 2 * pre + j)
+    }
+
+    /// Owner element pre rank of the attribute with id `idx`.
     #[inline]
     pub fn owner(&self, idx: u32) -> u32 {
-        self.owner[idx as usize]
+        match idx.checked_sub(self.presented()) {
+            None => self.owner[idx as usize],
+            Some(k) => k / 2,
+        }
     }
 
-    /// Name id of the attribute with table index `idx`.
+    /// Name id of the attribute with id `idx`.
     #[inline]
     pub fn name_id(&self, idx: u32) -> NameId {
-        NameId(self.name[idx as usize])
+        match idx.checked_sub(self.presented()) {
+            None => NameId(self.name[idx as usize]),
+            Some(k) => {
+                let r = self.regions.as_ref().expect("a presented id");
+                [r.start, r.end][k as usize % 2]
+            }
+        }
     }
 
-    /// Value of the attribute with table index `idx`.
+    /// Value of the attribute with id `idx`.
     #[inline]
-    pub fn value(&self, idx: u32) -> &str {
-        self.values.get(idx as usize)
+    pub fn value(&self, idx: u32) -> AttrValue<'_> {
+        match idx.checked_sub(self.presented()) {
+            None => AttrValue(Value::Stored(self.values.get(idx as usize))),
+            Some(k) => {
+                let r = self.regions.as_ref().expect("a presented id");
+                let (start, end) = (r.source.region(k / 2)).expect("a presented id is annotated");
+                AttrValue::decimal([start, end][k as usize % 2])
+            }
+        }
     }
 
     /// Value of the attribute of element `pre` named `name`, if present.
-    pub fn find(&self, pre: u32, name: NameId) -> Option<&str> {
-        self.range(pre)
-            .find(|&a| self.name[a as usize] == name.0)
-            .map(|a| self.values.get(a as usize))
+    #[inline]
+    pub fn find(&self, pre: u32, name: NameId) -> Option<AttrValue<'_>> {
+        self.named(pre, name).map(|a| self.value(a))
     }
 
-    /// Document-order key of the attribute with table index `idx`: after
-    /// its owner element, before the element's first child, and among
-    /// its owner's attributes by table index.
+    /// Document-order key of the attribute with id `idx`: after its
+    /// owner element, before the element's first child, and among its
+    /// owner's attributes in attribute order.
     #[inline]
     pub fn order_key(&self, idx: u32) -> (u32, u32) {
-        let owner = self.owner[idx as usize];
-        (owner, 1 + idx - self.first[owner as usize])
+        let owner = self.owner(idx);
+        let run = self.first[owner as usize];
+        match idx.checked_sub(self.presented()) {
+            None => (owner, 1 + idx - run),
+            Some(k) => (owner, 1 + self.first[owner as usize + 1] - run + k % 2),
+        }
+    }
+
+    /// The table a snapshot stores for this one, which presents
+    /// `regions`: each element's two trailing rows dropped where they
+    /// are `start` and then `end`, in that order, and their text is the
+    /// canonical decimal of the element's one region. `None` when no row
+    /// drops.
+    pub fn without_region_rows(&self, regions: &RegionAttrs) -> Option<AttrTable> {
+        let n = self.first.len() - 1;
+        let (start, end) = (regions.start.0, regions.end.0);
+        let mut first = Vec::with_capacity(n + 1);
+        // The stored rows kept, as runs.
+        let (mut kept, mut from, mut dropped) = (Vec::new(), 0, 0);
+        for pre in 0..n {
+            first.push(self.first[pre] - dropped);
+            let hi = self.first[pre + 1] as usize;
+            if hi < self.first[pre] as usize + 2
+                || self.name[hi - 2] != start
+                || self.name[hi - 1] != end
+            {
+                continue;
+            }
+            let canonical = |(s, e): (i64, i64)| {
+                *AttrValue::decimal(s) == *self.values.get(hi - 2)
+                    && *AttrValue::decimal(e) == *self.values.get(hi - 1)
+            };
+            if regions.source.region(pre as u32).is_some_and(canonical) {
+                kept.push(from..hi - 2);
+                from = hi;
+                dropped += 2;
+            }
+        }
+        if dropped == 0 {
+            return None;
+        }
+        first.push(self.first[n] - dropped);
+        kept.push(from..self.len());
+        let rows = self.len() - dropped as usize;
+        let (mut owner, mut name) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+        let mut values = StrArenaBuilder::new();
+        values.reserve(rows);
+        for run in kept {
+            owner.extend_from_slice(&self.owner[run.clone()]);
+            name.extend_from_slice(&self.name[run.clone()]);
+            values.extend_from(&self.values, run);
+        }
+        Some(AttrTable {
+            first: first.into(),
+            owner: owner.into(),
+            name: name.into(),
+            values: values.finish(),
+            regions: Some(regions.clone()),
+        })
+    }
+
+    /// The stored columns: `first`, `owner`, `name` and the values (the
+    /// snapshot writer's hook).
+    pub fn columns(&self) -> (&[u32], &[u32], &[u32], &StrArena) {
+        (&self.first, &self.owner, &self.name, &self.values)
+    }
+
+    /// How a table of a layer with `annotated` annotated elements holds
+    /// their region attributes: how many it would present under
+    /// `regions` — two for each annotated element that stores no row
+    /// named either — and how many rows it stores with their names.
+    /// What `inspect` prints per layer; costs a region lookup per stored
+    /// region row, not per element.
+    pub fn region_rows(&self, regions: &RegionAttrs, annotated: u64) -> (u64, u64) {
+        let (mut stored, mut claimed, mut last) = (0, 0, None);
+        for (&name, &owner) in self.name.iter().zip(self.owner.iter()) {
+            if name == regions.start.0 || name == regions.end.0 {
+                stored += 1;
+                if last != Some(owner) {
+                    last = Some(owner);
+                    claimed += u64::from(regions.source.region(owner).is_some());
+                }
+            }
+        }
+        (2 * annotated.saturating_sub(claimed), stored)
     }
 }
 
@@ -671,6 +920,7 @@ impl Columns {
                 owner: self.attr_owner.into(),
                 name: self.attr_name.into(),
                 values: self.attr_values.finish(),
+                regions: None,
             }),
             elem,
             fragment_starts,
@@ -767,7 +1017,9 @@ impl Document {
     }
 
     /// The attribute table, verified the way [`Document::tree`] verifies
-    /// the tree columns.
+    /// the tree columns. A mounted layer's table presents the region
+    /// attributes its snapshot does not store ([`RegionAttrs`]), so
+    /// every reader sees the rows the layer was parsed with.
     #[inline]
     pub fn attrs(&self) -> Result<&AttrTable, Corrupt> {
         self.attrs.get()
@@ -830,7 +1082,8 @@ impl Document {
         self.kind.len()
     }
 
-    /// Number of attribute nodes.
+    /// Number of stored attribute rows (a mounted table presents its
+    /// region attributes besides, [`AttrTable`]).
     #[inline]
     pub fn attr_count(&self) -> usize {
         self.attr_count
@@ -884,7 +1137,7 @@ impl Document {
     }
 
     /// Value of the attribute of element `pre` named `name`, if present.
-    pub fn attribute(&self, pre: u32, name: &str) -> Result<Option<&str>, Corrupt> {
+    pub fn attribute(&self, pre: u32, name: &str) -> Result<Option<AttrValue<'_>>, Corrupt> {
         let Some(name) = self.names.get(name) else {
             return Ok(None);
         };
@@ -1101,9 +1354,9 @@ mod tests {
     #[test]
     fn attribute_lookup() {
         let d = sample();
-        assert_eq!(d.attribute(2, "x"), Ok(Some("1")));
-        assert_eq!(d.attribute(2, "y"), Ok(None));
-        assert_eq!(d.attribute(3, "x"), Ok(None));
+        assert_eq!(d.attribute(2, "x").unwrap().as_deref(), Some("1"));
+        assert_eq!(d.attribute(2, "y").unwrap().as_deref(), None);
+        assert_eq!(d.attribute(3, "x").unwrap().as_deref(), None);
         let attrs: Vec<NodeId> = d.attrs().unwrap().of(2).collect();
         assert_eq!(attrs.len(), 1);
         assert_eq!(d.node_name(attrs[0]).unwrap(), "x");
@@ -1150,6 +1403,64 @@ mod tests {
         let elem_c = key(NodeId::tree(3));
         assert!(elem_b < attr_x, "attribute sorts after owner");
         assert!(attr_x < elem_c, "attribute sorts before next element");
+    }
+
+    #[test]
+    fn a_decimal_is_what_to_string_gives() {
+        for n in [0, 7, -7, 10, 1_234_567_890, i64::MAX, i64::MIN] {
+            assert_eq!(&*super::AttrValue::decimal(n), n.to_string());
+        }
+    }
+
+    /// `<a><b x="1"/><c>t<d/></c></a>` with `b` and `d` annotated: `b`
+    /// presents its region after its stored `x`, `d` presents it alone.
+    #[test]
+    fn presented_region_attributes_follow_the_stored_rows() {
+        struct Regions;
+        impl super::RegionSource for Regions {
+            fn region(&self, pre: u32) -> Option<(i64, i64)> {
+                [(2, (-3, 9)), (5, (4, 4))]
+                    .into_iter()
+                    .find_map(|(p, r)| (p == pre).then_some(r))
+            }
+        }
+        let mut d = sample();
+        let names = std::sync::Arc::make_mut(&mut d.names);
+        let (start, end) = (names.intern("start"), names.intern("end"));
+        let stored = d.attrs().unwrap().clone();
+        let table = super::AttrTable {
+            regions: Some(super::RegionAttrs {
+                source: std::sync::Arc::new(Regions),
+                start,
+                end,
+            }),
+            ..stored
+        };
+        let attrs = |pre| -> Vec<(String, String, (u32, u32))> {
+            (table.ids(pre))
+                .map(|a| {
+                    let name = d.names().lexical(table.name_id(a));
+                    assert_eq!(table.owner(a), pre);
+                    (name, table.value(a).to_string(), table.order_key(a))
+                })
+                .collect()
+        };
+        let row = |n: &str, v: &str, k| (n.to_string(), v.to_string(), k);
+        let b = [
+            row("x", "1", (2, 1)),
+            row("start", "-3", (2, 2)),
+            row("end", "9", (2, 3)),
+        ];
+        assert_eq!(attrs(2), b);
+        assert_eq!(
+            attrs(5),
+            [row("start", "4", (5, 1)), row("end", "4", (5, 2))]
+        );
+        assert!(attrs(3).is_empty());
+        assert_eq!(table.find(5, end).as_deref(), Some("4"));
+        assert_eq!(table.named(3, start), None);
+        let x = d.names().get("x").unwrap();
+        assert_eq!(table.named(5, x), None);
     }
 
     #[test]

@@ -2,7 +2,11 @@
 //! empty elements to the root element. The copy is made run by run —
 //! each stretch of kept nodes is copied whole and shifted by a constant
 //! — so it costs what moving the columns costs, with no per-node
-//! re-interning or builder bookkeeping.
+//! re-interning or builder bookkeeping. The one exception is the
+//! attribute table of a mounted layer, which presents region attributes
+//! it does not store ([`super::RegionAttrs`]): its runs are copied
+//! element by element, the presented attributes written as rows, so
+//! the copy — an owned document — holds every attribute.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -198,6 +202,23 @@ impl Columns {
                 false => moved.get(p).expect("a kept node's parent is kept"),
             }));
         self.values.extend_from(&cols.values, f..e);
+        if table.presents_regions() {
+            // Every row is written, the presented ones too: an owned
+            // document holds all of its attributes.
+            for pre in old {
+                self.attr_first.push(self.attr_owner.len() as u32);
+                let ids = match doc.kind(pre) {
+                    NodeKind::Element => table.ids(pre),
+                    _ => table.range(pre).chain(0..0),
+                };
+                for a in ids {
+                    self.attr_owner.push(pre - first + to);
+                    self.attr_name.push(table.name_id(a).0);
+                    self.attr_values.push(&table.value(a));
+                }
+            }
+            return;
+        }
         let (af, ae) = (table.first[f], table.first[e]);
         let base = self.attr_owner.len() as u32;
         (self.attr_first).extend(table.first[f..e].iter().map(|&a| a - af + base));
@@ -254,7 +275,10 @@ mod tests {
             out.elements_named("c"),
             &[moved.get(c).unwrap(), moved.added().end - 1]
         );
-        assert_eq!(out.attribute(moved.added().start, "y").unwrap(), Some("3"));
+        assert_eq!(
+            out.attribute(moved.added().start, "y").unwrap().as_deref(),
+            Some("3")
+        );
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub use builder::DocumentBuilder;
 pub use checked::{Corrupt, Loader};
 pub use column::{Pod, PodCol, SharedBytes, StrArena, StrArenaBuilder};
 pub use doc::{
-    AttrTable, Document, DocumentParts, DocumentStorageRef, ElemIndex, KindCol, NewElement,
-    Renumbering, Tree, TreeColumns,
+    AttrTable, AttrValue, Document, DocumentParts, DocumentStorageRef, ElemIndex, KindCol,
+    NewElement, RegionAttrs, RegionSource, Renumbering, Tree, TreeColumns,
 };
 pub use error::{ParseError, XmlError};
 pub use name::{NameId, NameTable, QName};

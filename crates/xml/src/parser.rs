@@ -448,8 +448,8 @@ mod tests {
     #[test]
     fn attributes_both_quote_styles() {
         let d = parse_document(r#"<a x="1" y='2'/>"#).unwrap();
-        assert_eq!(d.attribute(1, "x").unwrap(), Some("1"));
-        assert_eq!(d.attribute(1, "y").unwrap(), Some("2"));
+        assert_eq!(d.attribute(1, "x").unwrap().as_deref(), Some("1"));
+        assert_eq!(d.attribute(1, "y").unwrap().as_deref(), Some("2"));
     }
 
     #[test]
@@ -471,14 +471,14 @@ mod tests {
         assert_eq!(d.elements_named("shot").len(), 3);
         assert_eq!(d.elements_named("music").len(), 2);
         let intro = d.elements_named("shot")[0];
-        assert_eq!(d.attribute(intro, "id").unwrap(), Some("Intro"));
-        assert_eq!(d.attribute(intro, "start").unwrap(), Some("0"));
+        assert_eq!(d.attribute(intro, "id").unwrap().as_deref(), Some("Intro"));
+        assert_eq!(d.attribute(intro, "start").unwrap().as_deref(), Some("0"));
     }
 
     #[test]
     fn entity_decoding() {
         let d = parse_document("<a b=\"&lt;&amp;&gt;\">&quot;x&apos; &#65;&#x42;</a>").unwrap();
-        assert_eq!(d.attribute(1, "b").unwrap(), Some("<&>"));
+        assert_eq!(d.attribute(1, "b").unwrap().as_deref(), Some("<&>"));
         assert_eq!(d.string_value(NodeId::tree(1)).unwrap(), "\"x' AB");
     }
 
@@ -572,7 +572,9 @@ mod tests {
         d.check_invariants().unwrap();
         assert_eq!(d.elements_named("item").len(), 1000);
         assert_eq!(
-            d.attribute(d.elements_named("item")[999], "n").unwrap(),
+            d.attribute(d.elements_named("item")[999], "n")
+                .unwrap()
+                .as_deref(),
             Some("999")
         );
     }

@@ -228,7 +228,7 @@ impl Evaluator<'_> {
         if let Some(a) = node.id.attr_index() {
             let name = names.get(builder, attrs.name_id(a));
             let lexical = || doc.names().lexical(attrs.name_id(a));
-            return add_attribute(builder, name, lexical, attrs.value(a));
+            return add_attribute(builder, name, lexical, &attrs.value(a));
         }
         let source = (doc, doc.tree()?, attrs);
         let root = node.id.pre().expect("tree node");
@@ -262,9 +262,9 @@ fn copy_subtree(
             NodeKind::Element => {
                 let name = names.get(builder, doc.name_id(pre));
                 builder.start_element_named(name);
-                for a in attrs.range(pre) {
+                for a in attrs.ids(pre) {
                     let name = names.get(builder, attrs.name_id(a));
-                    builder.attribute_named(name, attrs.value(a));
+                    builder.attribute_named(name, &attrs.value(a));
                 }
                 if tree.size(pre) == 0 {
                     builder.end_element();

@@ -118,9 +118,7 @@ impl<'a> AttrTest<'a> {
                 (id, attrs)
             }
         };
-        Ok(id.is_some_and(|id| {
-            (attrs.range(pre)).any(|a| attrs.name_id(a) == id && attrs.value(a) == self.value)
-        }))
+        Ok(id.is_some_and(|id| attrs.find(pre, id).is_some_and(|v| *v == *self.value)))
     }
 }
 

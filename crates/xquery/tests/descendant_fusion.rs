@@ -60,8 +60,8 @@ fn answer(e: &mut Engine, q: &str) -> Vec<String> {
 /// One predicate of a chain: `(position, last, document, x pre) → keep`.
 type Pred = Box<dyn Fn(usize, usize, &Document, u32) -> bool>;
 
-fn k(doc: &Document, x: u32) -> &str {
-    doc.attribute(x, "k").unwrap().unwrap()
+fn k(doc: &Document, x: u32) -> String {
+    doc.attribute(x, "k").unwrap().unwrap().to_string()
 }
 
 fn ys(doc: &Document, x: u32) -> usize {

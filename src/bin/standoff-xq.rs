@@ -328,7 +328,7 @@ fn cmd_index(argv: &[String]) -> Result<ExitCode, String> {
 
     let annotations: usize = set.layers().iter().map(|l| l.annotation_count()).sum();
     eprintln!(
-        "# indexed {} layer(s), {annotations} annotation(s) -> {out} (uri '{uri}', v5 columnar)",
+        "# indexed {} layer(s), {annotations} annotation(s) -> {out} (uri '{uri}', v6 columnar)",
         set.len(),
     );
     Ok(ExitCode::SUCCESS)
@@ -361,9 +361,10 @@ fn cmd_inspect(argv: &[String]) -> Result<ExitCode, String> {
     let args = parse(argv, &[&flags], Operands::One(Some(ONE_PATH)))?;
     let path = args.operand().ok_or(format!("{ONE_PATH}\n{USAGE}"))?;
     let sections = args.has("--sections");
-    // A pure header walk: uri, layer names and counts live in the
-    // section table + layer headers, so no payload is read (let alone
-    // decoded). `query --store` is the integrity-proving path.
+    // A header walk: uri, layer names and counts live in the section
+    // table + layer headers; only the per-layer region-attribute line
+    // materializes the layer and reads its attribute table.
+    // `query --store` and `verify` are the integrity-proving paths.
     let snapshot = Snapshot::open(path).map_err(|e| format!("{path}: {e}"))?;
     let info = snapshot.info();
     println!("snapshot {path}");
@@ -380,6 +381,14 @@ fn cmd_inspect(argv: &[String]) -> Result<ExitCode, String> {
             "  - {:<12} {:>8} byte(s)  {:>7} node(s)  {:>7} annotation(s)",
             layer.name, layer.bytes, layer.nodes, layer.annotations,
         );
+        // The one line that reads payload: the layer's attribute table.
+        let counts = snapshot.layer(&layer.name);
+        match counts.and_then(|l| l.region_attribute_counts()) {
+            Ok([presented, stored]) => println!(
+                "      region attributes: {presented} from the region table, {stored} stored"
+            ),
+            Err(e) => println!("      region attributes: unreadable: {e}"),
+        }
         if sections {
             for s in &layer.sections {
                 println!("      {:<22} {:>8} byte(s)", s.name, s.bytes);

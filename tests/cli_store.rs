@@ -270,7 +270,7 @@ fn inspect_sections_prints_per_section_sizes() {
 }
 
 /// `inspect` reads everything it prints from `Snapshot::info()`; what it
-/// prints for a v5 file — uri, layer names, node and annotation counts,
+/// prints for a v6 file — uri, layer names, node and annotation counts,
 /// the `--sections` byte breakdown — is pinned to the output of the
 /// build that still had a separate header skimmer. (The path line and
 /// the platform-dependent `backing`/`crc32` lines are checked above.)
@@ -301,20 +301,20 @@ fn inspect_output_is_unchanged_through_snapshot_info() {
 fn verify_names_the_version_it_read_when_a_file_does_not_mount() {
     let (dir, snap) = obs_snapshot("verify-header");
     let good = std::fs::read(&snap).unwrap();
-    // A checksum mismatch in a v5 file, a refused version, not a
+    // A checksum mismatch in a v6 file, a refused version, not a
     // snapshot at all: (bytes, header-line version, json version, finding).
     let mut flipped = good.clone();
     let at = flipped.windows(5).position(|w| w == b"Alice").unwrap();
     flipped[at] = b'M';
     let mut old = good.clone();
-    old[4..8].copy_from_slice(&4u32.to_le_bytes());
+    old[4..8].copy_from_slice(&5u32.to_le_bytes());
     for (bytes, header, json_version, finding) in [
-        (&flipped[..], "v5", "5", "checksum mismatch"),
+        (&flipped[..], "v6", "6", "checksum mismatch"),
         (
             &old[..],
-            "v4",
-            "4",
-            "unsupported format version 4 (this build reads version 5 only)",
+            "v5",
+            "5",
+            "unsupported format version 5 (this build reads version 6 only)",
         ),
         (
             &b"not a snapshot"[..],

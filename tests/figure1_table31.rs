@@ -71,7 +71,7 @@ fn table31_via_core_join_api() {
         .elements_named("music")
         .iter()
         .copied()
-        .find(|&m| doc.attribute(m, "artist").unwrap() == Some("U2"))
+        .find(|&m| doc.attribute(m, "artist").unwrap().as_deref() == Some("U2"))
         .unwrap();
     let shots = doc.elements_named("shot");
     let context = [IterNode { iter: 0, node: u2 }];
@@ -86,9 +86,9 @@ fn table31_via_core_join_api() {
     for (axis, expected) in EXPECTED {
         let result =
             evaluate_standoff_join(axis, StandoffStrategy::LoopLiftedMergeJoin, &input, None);
-        let ids: Vec<&str> = result
+        let ids: Vec<String> = result
             .iter()
-            .map(|e| doc.attribute(e.node, "id").unwrap().unwrap())
+            .map(|e| doc.attribute(e.node, "id").unwrap().unwrap().to_string())
             .collect();
         assert_eq!(ids, expected, "{axis} via core API");
     }

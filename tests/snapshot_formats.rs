@@ -102,7 +102,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 fn refusal(version: u32) -> String {
     format!(
-        "unsupported format version {version} (this build reads version 5 only); \
+        "unsupported format version {version} (this build reads version 6 only); \
          rebuild it from the layer XML with standoff-xq index"
     )
 }
@@ -189,9 +189,9 @@ fn downgraded_header_cannot_switch_the_checksums_off() {
     // One flipped byte inside the attribute-value arena…
     let mut damaged = bytes.clone();
     let at = damaged
-        .windows(7)
-        .position(|w| w == b"Alice04")
-        .expect("attribute arena holds word, start, end back to back");
+        .windows(8)
+        .position(|w| w == b"Alicemet")
+        .expect("the attribute arena holds the words back to back");
     damaged[at] = b'M';
     let flipped = dir.join("flipped.snap");
     std::fs::write(&flipped, &damaged).unwrap();
@@ -202,7 +202,7 @@ fn downgraded_header_cannot_switch_the_checksums_off() {
         "{stdout}"
     );
     // …and stays refused under every other version value.
-    for version in [3u32, 1, 2, 4, 6, 0, u32::MAX] {
+    for version in [3u32, 1, 2, 4, 5, 0, u32::MAX] {
         damaged[4..8].copy_from_slice(&version.to_le_bytes());
         let path = dir.join(format!("says-{version}.snap"));
         std::fs::write(&path, &damaged).unwrap();
@@ -483,7 +483,7 @@ fn resealed_hostile_structures_are_refused_by_their_checks() {
     };
     let max_lie: Edit = &|col| put(col, 0, 2);
     let kind_5: Edit = &|col| col[2] = 5;
-    let owner: Edit = &|col| put(col, 1, 3);
+    let owner: Edit = &|col| put(col, 1, 4);
     let split: Edit = &|col| put(col, 1, 1);
     // What is damaged, the damaged columns, the refusal — and, for the
     // tree columns and the attribute table, which are verified on their
@@ -609,9 +609,9 @@ fn damage_in_an_unreached_layer_fails_only_the_queries_that_reach_it() {
     let mut bytes = Vec::new();
     write_snapshot(&corpus(), &mut bytes).unwrap();
     let at = bytes
-        .windows(7)
-        .position(|w| w == b"Alice04")
-        .expect("the tokens attribute arena holds word, start, end back to back");
+        .windows(8)
+        .position(|w| w == b"Alicemet")
+        .expect("the tokens attribute arena holds the words back to back");
     bytes[at] = b'M';
     let mut texts = Vec::new();
     for snapshot in both_mounts(&dir, &bytes) {
