@@ -55,6 +55,7 @@ pub mod naive;
 pub mod post;
 mod stats;
 
+pub use post::{Rank, RankPick};
 pub use stats::{JoinCounter, JoinStats};
 
 use std::ops::Range;
@@ -586,23 +587,30 @@ pub fn evaluate_standoff_join_with(
         return finish(axis, Vec::new(), &target, &mut scratch.universe);
     }
     scratch.resolve_context([(input.context_index(), input.context)]);
-    join_resolved(axis, strategy, &target, trace, scratch)
+    join_resolved(axis, strategy, &target, None, trace, scratch)
 }
 
 /// Join the context last resolved into `scratch`
 /// ([`JoinScratch::resolve_context`]) against one target. Returns
 /// `(iter, node)` pairs of the target's fragment sorted by
-/// `(iter, node)`, like [`evaluate_standoff_join`].
+/// `(iter, node)`, like [`evaluate_standoff_join`] — or, with a `pick`,
+/// only its rank candidates of them, the rows selected counted in it
+/// ([`RankPick`]). A merge join's select axis picks while it
+/// post-processes its emissions ([`post::finalize_select`]); the nested
+/// loops and the reject axes pick from their finished result.
 pub fn join_resolved(
     axis: StandoffAxis,
     strategy: StandoffStrategy,
     target: &JoinTarget<'_>,
+    mut pick: Option<&mut RankPick>,
     trace: Option<&mut dyn TraceSink>,
     scratch: &mut JoinScratch,
 ) -> Vec<IterNode> {
     if target.has_no_candidates() {
         return Vec::new();
     }
+    // The pick a select merge join applies to its emissions.
+    let mut in_post = if axis.is_select() { pick.take() } else { None };
     // All four axes share one selection core; rejects complement it.
     let select_axis = axis.select_counterpart();
     let budget = scratch.budget.clone();
@@ -676,8 +684,8 @@ pub fn join_resolved(
                 }
             }
             let cands = target.candidate_entries_in(whole, &mut scratch.stats, &mut scratch.cands);
-            let stats = &mut scratch.stats;
-            post::finalize_select(select_axis, &scratch.emissions, cands, target.index, stats)
+            let (emissions, index, stats) = (&scratch.emissions, target.index, &mut scratch.stats);
+            post::finalize_select(select_axis, emissions, cands, index, in_post.take(), stats)
         }
         StandoffStrategy::LoopLiftedMergeJoin => {
             // A region contained in some context region starts inside the
@@ -703,8 +711,8 @@ pub fn join_resolved(
                     &mut scratch.emissions,
                 ),
             }
-            let stats = &mut scratch.stats;
-            post::finalize_select(select_axis, &scratch.emissions, cands, target.index, stats)
+            let (emissions, index, stats) = (&scratch.emissions, target.index, &mut scratch.stats);
+            post::finalize_select(select_axis, emissions, cands, index, in_post.take(), stats)
         }
     };
     // The merge kernels count their branch-free emission blocks in the
@@ -716,7 +724,8 @@ pub fn join_resolved(
     if let Some(b) = &budget {
         let _ = b.note_scratch(scratch.approx_bytes());
     }
-    finish(axis, selected, target, &mut scratch.universe)
+    let rows = finish(axis, selected, target, &mut scratch.universe);
+    post::keep_picked(in_post.or(pick), rows)
 }
 
 /// Count, per iteration, the rows the loop-lifted [`join_resolved`]
@@ -739,7 +748,7 @@ pub fn count_resolved(
 ) -> bool {
     if target.index.max_regions() > 1 {
         let strategy = StandoffStrategy::LoopLiftedMergeJoin;
-        for row in join_resolved(axis, strategy, target, None, scratch) {
+        for row in join_resolved(axis, strategy, target, None, None, scratch) {
             counts[row.iter as usize] += 1;
         }
         return false;

@@ -13,22 +13,175 @@
 //!   region match selects the annotation.)
 //! * The reject axes are complements of their select counterparts over
 //!   the candidate universe, computed per iteration of the scope.
+//! * A step whose first predicate picks by rank ([`Rank`]) hands the
+//!   pick to the join ([`RankPick`]): for `[1]` and `[last()]`,
+//!   single-region emissions go through one pass into per-iteration
+//!   slots, so only the kept rows are ever materialized — never grouped
+//!   or sorted whole. Every other result is picked from once it is in
+//!   document order.
 
 use crate::index::{RegionEntry, RegionIndex};
 use crate::join::{Emission, IterNode, JoinStats, StandoffAxis};
 
+/// A predicate that keeps one row by its position in each iteration's
+/// document-ordered run: `[k]` for a constant integer `k`, or
+/// `[last()]`. Under loop-lifting a position is a property of the run
+/// (§4.5), so the pick needs no per-row scope.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rank {
+    Nth(i64),
+    Last,
+}
+
+impl Rank {
+    /// The rows kept of a table with columns `iters` (grouped by
+    /// iteration) and `values`: the rank-th row of every run of equal
+    /// iterations that has one.
+    pub fn pick<V: Clone>(self, iters: &[u32], values: &[V]) -> (Vec<u32>, Vec<V>) {
+        let (mut kept_iters, mut kept) = (Vec::new(), Vec::new());
+        let mut start = 0;
+        while start < iters.len() {
+            let run = (iters[start..].iter())
+                .take_while(|&&i| i == iters[start])
+                .count();
+            let row = match self {
+                Rank::Nth(k) => (k >= 1 && k as usize <= run).then(|| k as usize - 1),
+                Rank::Last => Some(run - 1),
+            };
+            if let Some(row) = row {
+                kept_iters.push(iters[start + row]);
+                kept.push(values[start + row].clone());
+            }
+            start += run;
+        }
+        (kept_iters, kept)
+    }
+
+    /// The rows of a run of `run` rows a pick over any union that holds
+    /// the run can take: its first `k` for `[k]` (none for `k < 1`), its
+    /// last for `[last()]`.
+    fn within(self, run: usize) -> std::ops::Range<usize> {
+        match self {
+            Rank::Nth(k) => 0..k.clamp(0, run as i64) as usize,
+            Rank::Last => run.saturating_sub(1)..run,
+        }
+    }
+}
+
+/// A pick by rank fused into a select join: per iteration, a target
+/// keeps only the rows the pick can take from the document-ordered
+/// union of every target's rows ([`Rank`]'s candidates), so the caller
+/// merges the targets' kept rows and picks once. `selected` counts the
+/// rows the join selected before the pick, summed over the targets —
+/// what the predicate is metered on.
+#[derive(Clone, Copy, Debug)]
+pub struct RankPick {
+    pub rank: Rank,
+    pub selected: u64,
+}
+
+impl RankPick {
+    pub fn new(rank: Rank) -> RankPick {
+        RankPick { rank, selected: 0 }
+    }
+
+    /// The rank candidates of `rows`, sorted and duplicate-free.
+    fn keep_sorted(&mut self, rows: Vec<IterNode>) -> Vec<IterNode> {
+        self.selected += rows.len() as u64;
+        let mut out = Vec::new();
+        for run in rows.chunk_by(|a, b| a.iter == b.iter) {
+            out.extend_from_slice(&run[self.rank.within(run.len())]);
+        }
+        out
+    }
+
+    /// The rank candidates of single-region emissions — each candidate
+    /// entry one annotation — for `[1]` and `[last()]`, without putting
+    /// the emissions in document order. One pass counts every
+    /// iteration's distinct rows into its slot and keeps the least or
+    /// greatest node: a kernel emits an iteration's matches in candidate
+    /// order, so a repeated row repeats its slot's last entry. `None`
+    /// for any other rank, and when the iterations spread too thin for
+    /// slots (the rule `document_order` uses for its counting pass).
+    fn keep_emitted(
+        &mut self,
+        emissions: &[Emission],
+        candidates: &[RegionEntry],
+    ) -> Option<Vec<IterNode>> {
+        if !matches!(self.rank, Rank::Nth(1) | Rank::Last) {
+            return None;
+        }
+        let (lo, hi) = (emissions.iter()).fold((u32::MAX, 0), |(lo, hi), e| {
+            (lo.min(e.iter), hi.max(e.iter))
+        });
+        if emissions.is_empty() || (hi - lo) as usize / 2 >= emissions.len() {
+            return emissions.is_empty().then(Vec::new);
+        }
+        let node_of = |e: &Emission| candidates[e.cand_idx as usize].id;
+        // Per iteration: the last candidate entry counted, plus one (0
+        // for none yet), and the node kept.
+        let mut slots = vec![(0u32, 0u32); (hi - lo) as usize + 1];
+        let before = self.selected;
+        for e in emissions {
+            let slot = &mut slots[(e.iter - lo) as usize];
+            if slot.0 == e.cand_idx + 1 {
+                continue;
+            }
+            let (fresh, node) = (slot.0 == 0, node_of(e));
+            slot.0 = e.cand_idx + 1;
+            self.selected += 1;
+            let better = if self.rank == Rank::Last {
+                node > slot.1
+            } else {
+                node < slot.1
+            };
+            if fresh || better {
+                slot.1 = node;
+            }
+        }
+        debug_assert_eq!(self.selected - before, {
+            let mut rows: Vec<(u32, u32)> =
+                emissions.iter().map(|e| (e.iter, node_of(e))).collect();
+            rows.sort_unstable();
+            rows.dedup();
+            rows.len() as u64
+        });
+        let slotted = slots.iter().enumerate().filter(|(_, s)| s.0 != 0);
+        Some(
+            slotted
+                .map(|(k, &(_, node))| IterNode {
+                    iter: lo + k as u32,
+                    node,
+                })
+                .collect(),
+        )
+    }
+}
+
+/// `rows`, sorted and duplicate-free, or `pick`'s rank candidates of
+/// them when there is one.
+pub(crate) fn keep_picked(pick: Option<&mut RankPick>, rows: Vec<IterNode>) -> Vec<IterNode> {
+    match pick {
+        Some(p) => p.keep_sorted(rows),
+        None => rows,
+    }
+}
+
 /// Turn raw emissions into the select-join result: `(iter, node)` pairs,
-/// sorted and duplicate-free (document order per iteration).
+/// sorted and duplicate-free (document order per iteration) — or, with
+/// a `pick`, only its rank candidates of them ([`RankPick`]).
 ///
 /// `index` is the candidate-side region index the candidate entries were
 /// drawn from, so every referenced annotation's full region set is
 /// available for the ∀∃ check. A result that had to be reordered counts
-/// in `stats.result_sorts`.
+/// in `stats.result_sorts`; a single-region result picked from in its
+/// slots is never reordered.
 pub fn finalize_select(
     axis: StandoffAxis,
     emissions: &[Emission],
     candidates: &[RegionEntry],
     index: &RegionIndex,
+    mut pick: Option<&mut RankPick>,
     stats: &mut JoinStats,
 ) -> Vec<IterNode> {
     debug_assert!(axis.is_select());
@@ -36,6 +189,12 @@ pub fn finalize_select(
     // attribute representation), or overlap semantics (∃∃) — any region
     // match selects its annotation.
     if index.max_regions() <= 1 || axis == StandoffAxis::SelectWide {
+        let slotted = (pick.as_deref_mut())
+            .filter(|_| index.max_regions() <= 1)
+            .and_then(|p| p.keep_emitted(emissions, candidates));
+        if let Some(rows) = slotted {
+            return rows;
+        }
         let out = emissions
             .iter()
             .map(|e| IterNode {
@@ -43,7 +202,7 @@ pub fn finalize_select(
                 node: candidates[e.cand_idx as usize].id,
             })
             .collect();
-        return document_order(out, stats);
+        return keep_picked(pick, document_order(out, stats));
     }
 
     // Multi-region containment: a candidate annotation is selected in an
@@ -81,7 +240,7 @@ pub fn finalize_select(
         }
         k = run;
     }
-    document_order(out, stats)
+    keep_picked(pick, document_order(out, stats))
 }
 
 /// Stable counting sort of `rows` on their iteration, every one of which
@@ -256,6 +415,7 @@ mod tests {
             &emissions,
             &cands,
             &index,
+            None,
             &mut stats,
         );
         assert_eq!(
@@ -297,6 +457,7 @@ mod tests {
                 &both,
                 &cands,
                 &index,
+                None,
                 &mut JoinStats::default()
             ),
             vec![IterNode { iter: 0, node: 7 }]
@@ -321,6 +482,7 @@ mod tests {
             &split,
             &cands,
             &index,
+            None,
             &mut JoinStats::default()
         )
         .is_empty());
@@ -337,6 +499,7 @@ mod tests {
                 &one,
                 &cands,
                 &index,
+                None,
                 &mut JoinStats::default()
             ),
             vec![IterNode { iter: 0, node: 7 }]
@@ -387,6 +550,81 @@ mod tests {
             let mut stats = JoinStats::default();
             assert_eq!(document_order(rows(case), &mut stats), expected, "{case:?}");
             assert_eq!(stats.result_sorts, u64::from(reordered), "{case:?}");
+        }
+    }
+
+    /// A pick in the join keeps what the pick over the full,
+    /// document-ordered result needs: the same rows once picked again,
+    /// the same selected count, and no reordering for the slotted ranks
+    /// `[1]` and `[last()]`.
+    /// The emissions come in candidate order with a row repeated by a
+    /// second context, a nested layer's node order unlike its start
+    /// order, and iterations interleaved.
+    #[test]
+    fn a_pick_in_the_join_picks_what_the_full_result_would() {
+        let index = RegionIndex::from_areas(&[
+            (3, Area::single(0, 50).unwrap()),
+            (4, Area::single(0, 10).unwrap()),
+            (6, Area::single(20, 30).unwrap()),
+            (8, Area::single(5, 8).unwrap()),
+        ]);
+        let cands: Vec<RegionEntry> = index.table().entries.to_vec();
+        let at = |id: u32| cands.iter().position(|c| c.id == id).unwrap() as u32;
+        let rows = [
+            (2, 4),
+            (2, 4),
+            (0, 3),
+            (2, 3),
+            (0, 8),
+            (2, 8),
+            (0, 6),
+            (0, 6),
+            (2, 6),
+        ];
+        let emissions: Vec<Emission> = (rows.iter())
+            .map(|&(iter, id)| Emission {
+                iter,
+                ctx_node: 0,
+                cand_idx: at(id),
+            })
+            .collect();
+        let axis = StandoffAxis::SelectNarrow;
+        let full = finalize_select(
+            axis,
+            &emissions,
+            &cands,
+            &index,
+            None,
+            &mut JoinStats::default(),
+        );
+        assert_eq!(full.len(), 7);
+        let (iters, nodes): (Vec<u32>, Vec<u32>) = full.iter().map(|r| (r.iter, r.node)).unzip();
+        for rank in [0, 1, 2, 3, 4, 9]
+            .map(Rank::Nth)
+            .into_iter()
+            .chain([Rank::Last])
+        {
+            let mut pick = RankPick::new(rank);
+            let mut stats = JoinStats::default();
+            let kept = finalize_select(
+                axis,
+                &emissions,
+                &cands,
+                &index,
+                Some(&mut pick),
+                &mut stats,
+            );
+            assert_eq!(pick.selected, 7, "{rank:?}");
+            let slotted = matches!(rank, Rank::Nth(1) | Rank::Last);
+            assert_eq!(stats.result_sorts, u64::from(!slotted), "{rank:?}");
+            assert!(kept.windows(2).all(|w| w[0] < w[1]), "{rank:?}: {kept:?}");
+            let (kept_iters, kept_nodes): (Vec<u32>, Vec<u32>) =
+                kept.iter().map(|r| (r.iter, r.node)).unzip();
+            assert_eq!(
+                rank.pick(&kept_iters, &kept_nodes),
+                rank.pick(&iters, &nodes),
+                "{rank:?}"
+            );
         }
     }
 

@@ -553,7 +553,9 @@ impl fmt::Display for AttrValue<'_> {
 /// `R + 2·pre + 1`. So an attribute's owner, name and order key are
 /// arithmetic, and a test of any other name never reads the regions.
 /// Readers go through [`AttrTable::ids`] and [`AttrTable::named`],
-/// which see both kinds.
+/// which see both kinds; a reader of all of an element's attributes
+/// with their values — a copy, the serializer — through
+/// [`AttrTable::pairs`], which looks the region up once.
 #[derive(Clone)]
 pub struct AttrTable {
     first: PodCol<u32>,
@@ -701,6 +703,23 @@ impl AttrTable {
             None => 0..0,
         };
         self.range(pre).chain(presented)
+    }
+
+    /// The attributes of the element at `pre`, each handed to `f` as a
+    /// `(name, value)` pair, in attribute order: its stored rows, then
+    /// the region attributes it presents, whose region is looked up once
+    /// for both — what a copy or a serializer reads of an element.
+    /// ([`AttrTable::ids`] then [`AttrTable::value`] look it up again
+    /// for each value.)
+    #[inline]
+    pub fn pairs(&self, pre: u32, mut f: impl FnMut(NameId, &str)) {
+        for a in self.range(pre) {
+            f(NameId(self.name[a as usize]), self.values.get(a as usize));
+        }
+        if let (Some((start, end)), Some(r)) = (self.region_of(pre), &self.regions) {
+            f(r.start, &AttrValue::decimal(start));
+            f(r.end, &AttrValue::decimal(end));
+        }
     }
 
     /// Attribute node ids of the element at `pre`, in attribute order.

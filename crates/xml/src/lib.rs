@@ -51,7 +51,7 @@ pub use name::{NameId, NameTable, QName};
 pub use node::{DocId, NodeId, NodeKind, NodeRef};
 pub use parser::{parse_document, ParseOptions};
 pub use serialize::{
-    serialize_document, serialize_node, serialize_node_into, try_serialize_document,
+    serialize_document, serialize_node, serialize_node_into, try_serialize_document, NodeWriter,
     SerializeOptions,
 };
 pub use store::{DocSource, Store};

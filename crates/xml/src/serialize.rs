@@ -4,8 +4,12 @@
 //! end-tag stack — no recursion, so arbitrarily deep documents serialize in
 //! `O(n)` without stack growth. Everything is written into one caller's
 //! buffer: names are pushed as their prefix and local part straight from
-//! the name table, and character data is escaped in place, so a node
-//! costs no allocation of its own ([`serialize_node_into`]).
+//! the name table, an element's attributes come with their values from
+//! one region lookup ([`AttrTable::pairs`]), and character data is
+//! copied whole unless a byte scan finds something to escape. A
+//! [`NodeWriter`] keeps its end-tag stack across the nodes it writes, so
+//! a sequence of nodes costs no allocation of its own
+//! ([`serialize_node_into`] is one node through a fresh one).
 
 use crate::checked::Corrupt;
 use crate::doc::{AttrTable, Document, Tree};
@@ -61,32 +65,55 @@ pub fn serialize_node_into(
     options: SerializeOptions,
     out: &mut String,
 ) -> Result<(), Corrupt> {
-    let mut w = Writer {
-        doc,
-        attrs: doc.attrs()?,
-        options,
-        out,
-        start: 0,
-    };
-    w.start = w.out.len();
-    if let Some(a) = node.attr_index() {
-        w.attribute(a);
-        return Ok(());
-    }
-    let tree = doc.tree()?;
-    let root_pre = node.pre().expect("tree node");
-    match doc.kind(root_pre) {
-        NodeKind::Document => {
-            for child in tree.children(root_pre) {
-                w.subtree(tree, child);
-                if options.indent {
-                    w.out.push('\n');
+    NodeWriter::default().write(doc, node, options, out)
+}
+
+/// Serializes node after node into callers' buffers, reusing one
+/// end-tag stack: every node's markup closes all it opened, so the
+/// stack is empty again between nodes.
+#[derive(Debug, Default)]
+pub struct NodeWriter {
+    /// Elements whose end tag is still pending.
+    open: Vec<u32>,
+}
+
+impl NodeWriter {
+    /// [`serialize_node_into`] with this writer's stack.
+    pub fn write(
+        &mut self,
+        doc: &Document,
+        node: NodeId,
+        options: SerializeOptions,
+        out: &mut String,
+    ) -> Result<(), Corrupt> {
+        let start = out.len();
+        let mut w = Writer {
+            doc,
+            attrs: doc.attrs()?,
+            options,
+            out,
+            start,
+            open: &mut self.open,
+        };
+        if let Some(a) = node.attr_index() {
+            w.attribute(a);
+            return Ok(());
+        }
+        let tree = doc.tree()?;
+        let root_pre = node.pre().expect("tree node");
+        match doc.kind(root_pre) {
+            NodeKind::Document => {
+                for child in tree.children(root_pre) {
+                    w.subtree(tree, child);
+                    if options.indent {
+                        w.out.push('\n');
+                    }
                 }
             }
+            _ => w.subtree(tree, root_pre),
         }
-        _ => w.subtree(tree, root_pre),
+        Ok(())
     }
-    Ok(())
 }
 
 /// One serialization into a caller's buffer, whose markup for this call
@@ -97,6 +124,7 @@ struct Writer<'a> {
     options: SerializeOptions,
     out: &'a mut String,
     start: usize,
+    open: &'a mut Vec<u32>,
 }
 
 impl Writer<'_> {
@@ -111,26 +139,30 @@ impl Writer<'_> {
     }
 
     /// `name="value"`.
-    fn attribute(&mut self, a: u32) {
-        self.name(self.attrs.name_id(a));
+    fn pair(&mut self, name: NameId, value: &str) {
+        self.name(name);
         self.out.push_str("=\"");
-        push_escaped(self.out, &self.attrs.value(a), true);
+        push_escaped(self.out, value, true);
         self.out.push('"');
+    }
+
+    /// The attribute node with id `a`.
+    fn attribute(&mut self, a: u32) {
+        self.pair(self.attrs.name_id(a), &self.attrs.value(a));
     }
 
     /// Non-recursive subtree serializer.
     fn subtree(&mut self, tree: Tree, root: u32) {
-        let doc = self.doc;
-        // Elements whose end tag is still pending.
-        let mut open: Vec<u32> = Vec::new();
+        let (doc, attrs) = (self.doc, self.attrs);
+        self.open.clear();
         let end = root + tree.size(root);
         let base_level = tree.level(root);
         let mut pre = root;
         while pre <= end {
             // Close elements whose subtree we have left.
-            while let Some(&open_pre) = open.last() {
+            while let Some(&open_pre) = self.open.last() {
                 if pre > open_pre + tree.size(open_pre) {
-                    open.pop();
+                    self.open.pop();
                     self.close_tag(tree, open_pre, base_level);
                 } else {
                     break;
@@ -143,15 +175,15 @@ impl Writer<'_> {
                     }
                     self.out.push('<');
                     self.name(doc.name_id(pre));
-                    for a in self.attrs.ids(pre) {
+                    attrs.pairs(pre, |name, value| {
                         self.out.push(' ');
-                        self.attribute(a);
-                    }
+                        self.pair(name, value);
+                    });
                     if tree.size(pre) == 0 {
                         self.out.push_str("/>");
                     } else {
                         self.out.push('>');
-                        open.push(pre);
+                        self.open.push(pre);
                     }
                 }
                 NodeKind::Text => push_escaped(self.out, tree.value(pre), false),
@@ -179,7 +211,7 @@ impl Writer<'_> {
             }
             pre += 1;
         }
-        while let Some(open_pre) = open.pop() {
+        while let Some(open_pre) = self.open.pop() {
             self.close_tag(tree, open_pre, base_level);
         }
     }
@@ -228,10 +260,12 @@ impl Writer<'_> {
 }
 
 /// Append `s` to `out`, escaping `<`, `>` and `&` — and `"` when it is
-/// an attribute value: unescaped runs are copied whole.
+/// an attribute value: unescaped runs are copied whole, found by a scan
+/// of bytes (every byte escaped is ASCII, so never inside a character).
 fn push_escaped(out: &mut String, s: &str, attr: bool) {
+    let escaped = |b: &u8| matches!(b, b'<' | b'>' | b'&') || (attr && *b == b'"');
     let mut rest = s;
-    while let Some(at) = rest.find(|c| matches!(c, '<' | '>' | '&') || (attr && c == '"')) {
+    while let Some(at) = rest.as_bytes().iter().position(escaped) {
         out.push_str(&rest[..at]);
         out.push_str(match rest.as_bytes()[at] {
             b'<' => "&lt;",

@@ -3,12 +3,22 @@
 //! evaluation's fragments rows of one container document (one builder,
 //! one name table, one store document; see
 //! [`DocumentBuilder::finish_container`]).
+//!
+//! What stays the same across iterations is resolved once per
+//! evaluation: the constructors' names are interned before the first
+//! fragment, each enclosed table is read through a forward cursor (its
+//! iterations ascend, as the fragments do), and a run of copies from one
+//! source document resolves that document's tables and name map once. A
+//! copied element's attributes come with their values from one region
+//! lookup ([`AttrTable::pairs`]).
 
 use std::collections::HashMap;
+use std::iter::Peekable;
 
+use standoff_algebra::sequence::Groups;
 use standoff_algebra::{Item, LlSeq};
 use standoff_xml::{
-    AttrTable, Document, DocumentBuilder, NameId, NameTable, NodeKind, NodeRef, Tree,
+    AttrTable, DocId, Document, DocumentBuilder, NameId, NameTable, NodeKind, NodeRef, Store, Tree,
 };
 
 use super::Evaluator;
@@ -16,37 +26,116 @@ use crate::error::QueryError;
 use crate::plan::{PlanConstructor, PlanContent, PlanExpr};
 
 /// One constructor evaluation's container under construction.
-struct Container {
+struct Container<'s> {
     builder: DocumentBuilder,
     /// Per source name table, its ids mapped to the container's
     /// (`NameId::NONE` until first used), so copied content is interned
     /// once per distinct name, not once per node — and once for all the
-    /// fragments of another container, which share one table.
+    /// fragments of another container, which share one table. The
+    /// current source's map is out of here, in [`Source::ids`].
     names: HashMap<*const NameTable, Vec<NameId>>,
+    /// The document the last copy read.
+    source: Option<Source<'s>>,
+    /// A copy's stack of elements whose end is still to be built.
+    open: Vec<u32>,
 }
 
-impl Container {
-    /// The map of source name table `table`.
-    fn memo<'a>(&'a mut self, table: &'a NameTable) -> (&'a mut DocumentBuilder, Names<'a>) {
-        let ids = (self.names.entry(table as *const NameTable))
-            .or_insert_with(|| vec![NameId::NONE; table.len()]);
-        (&mut self.builder, Names { table, ids })
+/// A source document of copies, resolved for a run of copies from it.
+struct Source<'s> {
+    id: DocId,
+    doc: &'s Document,
+    attrs: &'s AttrTable,
+    /// Its tree columns, once a copy of a tree node read them.
+    tree: Option<Tree<'s>>,
+    /// Its name table's ids mapped into the container's.
+    ids: Vec<NameId>,
+}
+
+impl<'s> Container<'s> {
+    fn new() -> Self {
+        Container {
+            builder: DocumentBuilder::new(),
+            names: HashMap::new(),
+            source: None,
+            open: Vec::new(),
+        }
+    }
+
+    /// Make document `id` of `store` the source, resolving its attribute
+    /// table and name map unless it already is.
+    fn read_from(&mut self, store: &'s Store, id: DocId) -> Result<(), QueryError> {
+        if self.source.as_ref().is_none_or(|s| s.id != id) {
+            let doc = store.doc(id);
+            let attrs = doc.attrs()?;
+            if let Some(done) = self.source.take() {
+                self.names.insert(done.doc.names(), done.ids);
+            }
+            let table: *const NameTable = doc.names();
+            let ids = (self.names.remove(&table))
+                .unwrap_or_else(|| vec![NameId::NONE; doc.names().len()]);
+            self.source = Some(Source {
+                id,
+                doc,
+                attrs,
+                tree: None,
+                ids,
+            });
+        }
+        Ok(())
     }
 }
 
-/// A source name table's ids, mapped into a container's name table.
-struct Names<'a> {
-    table: &'a NameTable,
-    ids: &'a mut Vec<NameId>,
-}
-
-impl Names<'_> {
-    fn get(&mut self, builder: &mut DocumentBuilder, id: NameId) -> NameId {
+impl Source<'_> {
+    /// Source name `id` as the container's.
+    fn name(&mut self, builder: &mut DocumentBuilder, id: NameId) -> NameId {
         let slot = &mut self.ids[id.0 as usize];
         if slot.is_none() {
-            *slot = builder.intern(&self.table.lexical(id));
+            *slot = builder.intern(&self.doc.names().lexical(id));
         }
         *slot
+    }
+}
+
+/// What one evaluation's fragments read, in the order `build_element`
+/// visits it: the enclosed tables and the interned names — an element's
+/// name, then its attributes', then its children's.
+struct Walk<'t> {
+    /// Each table's groups, read one ascending iteration at a time.
+    tables: Vec<Peekable<Groups<'t>>>,
+    names: Vec<NameId>,
+    /// The next table and name of the fragment being built.
+    table: usize,
+    name: usize,
+}
+
+impl<'t> Walk<'t> {
+    /// The next table's items in iteration `iter`; every earlier
+    /// iteration's were read before.
+    fn next_group(&mut self, iter: u32) -> &'t [Item] {
+        self.table += 1;
+        let groups = &mut self.tables[self.table - 1];
+        groups
+            .next_if(|&(i, _)| i == iter)
+            .map_or(&[], |(_, items)| items)
+    }
+
+    fn next_name(&mut self) -> NameId {
+        self.name += 1;
+        self.names[self.name - 1]
+    }
+}
+
+/// Intern the names of constructor `c` and its descendants in
+/// `build_element`'s order.
+fn intern_names(c: &PlanConstructor, builder: &mut DocumentBuilder, out: &mut Vec<NameId>) {
+    out.push(builder.intern(&c.name));
+    for (name, _) in &c.attributes {
+        out.push(builder.intern(name));
+    }
+    for part in &c.content {
+        if let PlanContent::Element(child) = part {
+            intern_names(child, builder, out);
+        }
     }
 }
 
@@ -89,21 +178,27 @@ impl Evaluator<'_> {
         if n == 0 {
             return Ok(LlSeq::empty());
         }
-        let mut building = Container {
-            builder: DocumentBuilder::new(),
-            names: HashMap::new(),
+        let (container, bytes) = {
+            let mut building = Container::new();
+            let mut walk = Walk {
+                tables: tables.iter().map(|t| t.groups().peekable()).collect(),
+                names: Vec::new(),
+                table: 0,
+                name: 0,
+            };
+            intern_names(c, &mut building.builder, &mut walk.names);
+            for iter in 0..n {
+                (walk.table, walk.name) = (0, 0);
+                self.build_element(c, iter, &mut walk, &mut building)?;
+                building
+                    .builder
+                    .end_fragment()
+                    .map_err(constructor_failed)?;
+            }
+            (building.builder)
+                .finish_container()
+                .map_err(constructor_failed)?
         };
-        for iter in 0..n {
-            let mut cursor = 0usize;
-            self.build_element(c, iter, &tables, &mut cursor, &mut building)?;
-            building
-                .builder
-                .end_fragment()
-                .map_err(constructor_failed)?;
-        }
-        let (container, bytes) = (building.builder)
-            .finish_container()
-            .map_err(constructor_failed)?;
         let doc = self.engine.store.add(container, None);
         // Iteration `k`'s element is the row after fragment `k`'s
         // document node.
@@ -121,7 +216,7 @@ impl Evaluator<'_> {
     }
 
     /// Depth-first evaluation of all enclosed expressions of a constructor
-    /// tree, in syntactic order (matched by `build_element`'s cursor).
+    /// tree, in syntactic order (matched by `build_element`'s walk).
     fn eval_constructor_exprs(
         &mut self,
         c: &PlanConstructor,
@@ -150,36 +245,34 @@ impl Evaluator<'_> {
         Ok(())
     }
 
-    fn build_element(
-        &self,
+    fn build_element<'s>(
+        &'s self,
         c: &PlanConstructor,
         iter: u32,
-        tables: &[LlSeq],
-        cursor: &mut usize,
-        container: &mut Container,
+        walk: &mut Walk<'_>,
+        container: &mut Container<'s>,
     ) -> Result<(), QueryError> {
-        container.builder.start_element(&c.name);
+        let store = &self.engine.store;
+        container.builder.start_element_named(walk.next_name());
         for (attr_name, parts) in &c.attributes {
             let mut value = String::new();
             for part in parts {
                 match part {
                     PlanContent::Text(t) => value.push_str(t),
                     PlanContent::Enclosed(_) => {
-                        let t = &tables[*cursor];
-                        *cursor += 1;
                         let mut first = true;
-                        for item in t.group(iter) {
+                        for item in walk.next_group(iter) {
                             if !first {
                                 value.push(' ');
                             }
                             first = false;
-                            value.push_str(&item.string_value(&self.engine.store)?);
+                            value.push_str(&item.string_value(store)?);
                         }
                     }
                     PlanContent::Element(_) => unreachable!("no elements in attributes"),
                 }
             }
-            let name = container.builder.intern(attr_name);
+            let name = walk.next_name();
             add_attribute(&mut container.builder, name, || attr_name.clone(), &value)?;
         }
         for part in &c.content {
@@ -188,16 +281,14 @@ impl Evaluator<'_> {
                     container.builder.text(t);
                 }
                 PlanContent::Element(child) => {
-                    self.build_element(child, iter, tables, cursor, container)?;
+                    self.build_element(child, iter, walk, container)?;
                 }
                 PlanContent::Enclosed(_) => {
-                    let t = &tables[*cursor];
-                    *cursor += 1;
                     let mut pending_atom = false;
-                    for item in t.group(iter) {
+                    for item in walk.next_group(iter) {
                         match item {
                             Item::Node(node) => {
-                                self.copy_node(*node, container)?;
+                                copy_node(store, *node, container)?;
                                 pending_atom = false;
                             }
                             atom => {
@@ -205,7 +296,7 @@ impl Evaluator<'_> {
                                 if pending_atom {
                                     container.builder.text(" ");
                                 }
-                                (container.builder).text(&atom.string_value(&self.engine.store)?);
+                                (container.builder).text(&atom.string_value(store)?);
                                 pending_atom = true;
                             }
                         }
@@ -216,43 +307,58 @@ impl Evaluator<'_> {
         container.builder.end_element();
         Ok(())
     }
-
-    /// Deep-copy a node into the container (XQuery constructor content copy
-    /// semantics). Attribute nodes become attributes when they arrive
-    /// before any other content of the element under construction. The
-    /// copy reads the attribute table, and a subtree the tree columns.
-    fn copy_node(&self, node: NodeRef, container: &mut Container) -> Result<(), QueryError> {
-        let doc = self.engine.store.doc(node.doc);
-        let attrs = doc.attrs()?;
-        let (builder, mut names) = container.memo(doc.names());
-        if let Some(a) = node.id.attr_index() {
-            let name = names.get(builder, attrs.name_id(a));
-            let lexical = || doc.names().lexical(attrs.name_id(a));
-            return add_attribute(builder, name, lexical, &attrs.value(a));
-        }
-        let source = (doc, doc.tree()?, attrs);
-        let root = node.id.pre().expect("tree node");
-        if doc.kind(root) == NodeKind::Document {
-            for child in source.1.children(root) {
-                copy_subtree(source, child, builder, &mut names);
-            }
-        } else {
-            copy_subtree(source, root, builder, &mut names);
-        }
-        Ok(())
-    }
 }
 
-/// Copy the subtree of `doc` rooted at `root` (not the document node)
-/// into `builder`, non-recursively via an explicit end-stack.
+/// Deep-copy a node into the container (XQuery constructor content copy
+/// semantics). Attribute nodes become attributes when they arrive
+/// before any other content of the element under construction. The
+/// copy reads the attribute table, and a subtree the tree columns.
+fn copy_node<'s>(
+    store: &'s Store,
+    node: NodeRef,
+    container: &mut Container<'s>,
+) -> Result<(), QueryError> {
+    container.read_from(store, node.doc)?;
+    let Container {
+        builder,
+        source,
+        open,
+        ..
+    } = container;
+    let source = source.as_mut().expect("just resolved");
+    if let Some(a) = node.id.attr_index() {
+        let attrs = source.attrs;
+        let name = source.name(builder, attrs.name_id(a));
+        let lexical = || source.doc.names().lexical(attrs.name_id(a));
+        return add_attribute(builder, name, lexical, &attrs.value(a));
+    }
+    let tree = match source.tree {
+        Some(tree) => tree,
+        None => *source.tree.insert(source.doc.tree()?),
+    };
+    let root = node.id.pre().expect("tree node");
+    if source.doc.kind(root) == NodeKind::Document {
+        for child in tree.children(root) {
+            copy_subtree(source, tree, child, builder, open);
+        }
+    } else {
+        copy_subtree(source, tree, root, builder, open);
+    }
+    Ok(())
+}
+
+/// Copy the subtree of the source rooted at `root` (not the document
+/// node) into `builder`, non-recursively via the end-stack `open`.
 fn copy_subtree(
-    (doc, tree, attrs): (&Document, Tree, &AttrTable),
+    source: &mut Source<'_>,
+    tree: Tree,
     root: u32,
     builder: &mut DocumentBuilder,
-    names: &mut Names<'_>,
+    open: &mut Vec<u32>,
 ) {
+    let (doc, attrs) = (source.doc, source.attrs);
     let end = root + tree.size(root);
-    let mut open: Vec<u32> = Vec::new();
+    open.clear();
     for pre in root..=end {
         while open.last().is_some_and(|&top| pre > top + tree.size(top)) {
             builder.end_element();
@@ -260,12 +366,12 @@ fn copy_subtree(
         }
         match doc.kind(pre) {
             NodeKind::Element => {
-                let name = names.get(builder, doc.name_id(pre));
+                let name = source.name(builder, doc.name_id(pre));
                 builder.start_element_named(name);
-                for a in attrs.ids(pre) {
-                    let name = names.get(builder, attrs.name_id(a));
-                    builder.attribute_named(name, &attrs.value(a));
-                }
+                attrs.pairs(pre, |name, value| {
+                    let name = source.name(builder, name);
+                    builder.attribute_named(name, value);
+                });
                 if tree.size(pre) == 0 {
                     builder.end_element();
                 } else {
@@ -279,7 +385,7 @@ fn copy_subtree(
                 builder.comment(tree.value(pre));
             }
             NodeKind::Pi => {
-                let target = names.get(builder, doc.name_id(pre));
+                let target = source.name(builder, doc.name_id(pre));
                 builder.pi_named(target, tree.value(pre));
             }
             NodeKind::Document => {}

@@ -50,6 +50,8 @@ mod ops;
 mod standoff;
 mod steps;
 
+pub(crate) use steps::fused_rank;
+
 /// An operator result [`Evaluator::metered`] can account for.
 trait Rows {
     fn rows(&self) -> usize;
@@ -384,8 +386,10 @@ impl<'e> Evaluator<'e> {
                 test,
                 predicates,
             } => {
-                let nodes = self.standoff_step_nodes(expr, input.as_deref(), op, test)?;
-                self.apply_step_predicates(nodes, predicates)
+                let pick = steps::fused_rank(op, predicates).map(|rank| (&predicates[0], rank));
+                let nodes = self.standoff_step_nodes(expr, input.as_deref(), op, test, pick)?;
+                let rest = &predicates[usize::from(pick.is_some())..];
+                self.apply_step_predicates(nodes, rest)
             }
             PlanExpr::PathExpr { input, step } => self.eval_path_expr(input, step),
             PlanExpr::RootPath => self.eval_root_path(),

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use standoff_algebra::{LlSeq, NodeTable, NodeTest, TreeAxis};
-use standoff_core::join::{count_resolved, join_resolved, JoinScratch, JoinTarget};
+use standoff_core::join::{count_resolved, join_resolved, JoinScratch, JoinTarget, Rank, RankPick};
 use standoff_core::{IterNode, RegionIndex, StandoffStrategy};
 use standoff_xml::{DocId, NodeRef};
 
@@ -41,28 +41,36 @@ fn within(nodes: &[u32], (from, to): (u32, u32)) -> &[u32] {
 }
 
 /// Where a join delivers each target layer: its `(iter, pre)`-sorted
-/// run, or — for an operator stamped `count_from_index` — its rows'
-/// count per iteration of the scope, added up across targets (nodes of
-/// different layers are distinct).
+/// run — only the rows a fused pick can take, when it has one — or, for
+/// an operator stamped `count_from_index`, its rows' count per iteration
+/// of the scope, added up across targets (nodes of different layers are
+/// distinct).
 enum JoinSink<'a> {
-    Runs(&'a mut Vec<(DocId, Vec<IterNode>)>),
+    Runs(
+        &'a mut Vec<(DocId, Vec<IterNode>)>,
+        Option<&'a mut RankPick>,
+    ),
     Counts(&'a mut [u64]),
 }
 
 impl Evaluator<'_> {
-    /// A StandOff axis step without its predicates. The step is a join
-    /// over each iteration's whole context sequence (§3.1), so a
-    /// positional predicate after it counts within the iteration's join
-    /// result — not per context node, as after a tree step.
+    /// A StandOff axis step without its predicates — or with the first,
+    /// `pick`, a pick by rank ([`super::steps::fused_rank`]) applied
+    /// inside the join. The step is a join over each iteration's whole
+    /// context sequence (§3.1), so a positional predicate after it counts
+    /// within the iteration's join result — not per context node, as
+    /// after a tree step.
     pub(super) fn standoff_step_nodes(
         &mut self,
         expr: &PlanExpr,
         input: Option<&PlanExpr>,
         op: &StandoffOp,
         test: &NodeTest,
+        pick: Option<(&PlanExpr, Rank)>,
     ) -> Result<NodeTable, QueryError> {
         let ctx = self.context_nodes(input)?;
-        self.eval_standoff_join(&ctx, op, test, None, expr as *const PlanExpr as usize)
+        let key = expr as *const PlanExpr as usize;
+        self.eval_standoff_join(&ctx, op, test, None, key, pick)
     }
 
     /// The function form, `select-narrow($ctx, $candidates)` and kin
@@ -82,6 +90,7 @@ impl Evaluator<'_> {
             &NodeTest::any_element(),
             cands.as_ref(),
             expr as *const PlanExpr as usize,
+            None,
         )?;
         Ok(out.into_llseq())
     }
@@ -136,6 +145,13 @@ impl Evaluator<'_> {
     /// and layers are visited in document order ([`Self::join_targets`]),
     /// so the result is one such run as it is, or a k-way merge of
     /// several ([`NodeTable::from_runs`]) — never a sort.
+    ///
+    /// With a `pick`, every layer keeps only the rows the pick can take
+    /// ([`RankPick`]), and the pick is made once over their merge: a
+    /// node two contexts select counts once, and several answering
+    /// layers are ranked as one document-ordered union. The predicate
+    /// is metered on the rows the join selected, and the join's scratch
+    /// charge counts them as held, as when they were materialized.
     fn eval_standoff_join(
         &mut self,
         ctx: &NodeTable,
@@ -143,10 +159,12 @@ impl Evaluator<'_> {
         test: &NodeTest,
         explicit_candidates: Option<&NodeTable>,
         prof_key: usize,
+        pick: Option<(&PlanExpr, Rank)>,
     ) -> Result<NodeTable, QueryError> {
         let mut runs: Vec<(DocId, Vec<IterNode>)> = Vec::new();
-        let mut exec =
-            self.join_targets(ctx, op, explicit_candidates, &mut JoinSink::Runs(&mut runs))?;
+        let mut rank_pick = pick.map(|(_, rank)| RankPick::new(rank));
+        let mut sink = JoinSink::Runs(&mut runs, rank_pick.as_mut());
+        let mut exec = self.join_targets(ctx, op, explicit_candidates, &mut sink)?;
         let out = NodeTable::from_runs(&runs, |row| (row.iter, row.node));
         if runs.len() > 1 {
             exec.stats.result_merges += 1;
@@ -156,12 +174,26 @@ impl Evaluator<'_> {
         // The runs and the table merged from them are join memory like
         // the kernel buffers: one scratch cap covers all of it.
         if let Some(b) = &self.engine.budget {
-            let run_rows: usize = runs.iter().map(|(_, run)| run.capacity()).sum();
+            let (run_rows, out_rows) = match &rank_pick {
+                Some(p) => (p.selected as usize, p.selected as usize),
+                None => (runs.iter().map(|(_, run)| run.capacity()).sum(), out.len()),
+            };
             let held = run_rows * std::mem::size_of::<IterNode>()
-                + out.len() * (std::mem::size_of::<u32>() + std::mem::size_of::<NodeRef>());
+                + out_rows * (std::mem::size_of::<u32>() + std::mem::size_of::<NodeRef>());
             b.note_scratch(self.engine.join_scratch.approx_bytes() + held as u64)?;
         }
+        let picked = pick.zip(rank_pick).map(|((predicate, rank), p)| {
+            let (iters, nodes, selected) = (out.iters(), out.nodes(), p.selected as usize);
+            let make = NodeTable::from_columns;
+            let kept = self.pick_by_rank(predicate, rank, selected, iters, nodes, make);
+            let rows = kept.as_ref().map_or(0, |t| t.len() as u64);
+            exec.picked = Some((p.selected, rows));
+            kept
+        });
         self.record_join(op, exec, prof_key);
+        if let Some(kept) = picked {
+            return kept;
+        }
         // Post-filter with the node test — unless the plan proved the
         // test is guaranteed by the join itself (pushed-down name test,
         // kind-only test over element output): then the §3.2 trailing
@@ -444,8 +476,9 @@ impl Evaluator<'_> {
                 iter_domain: &iter_domain,
             };
             match sink {
-                JoinSink::Runs(runs) => {
-                    let run = join_resolved(op.axis, op.strategy, &input, None, scratch);
+                JoinSink::Runs(runs, pick) => {
+                    let pick = pick.as_deref_mut();
+                    let run = join_resolved(op.axis, op.strategy, &input, pick, None, scratch);
                     runs.push((target, run));
                 }
                 JoinSink::Counts(counts) => {

@@ -5,60 +5,40 @@
 //! filter and a pick by rank (`[k]`, `[last()]`).
 
 use standoff_algebra::{Item, LlSeq, NodeTable, NodeTest, TreeAxis};
+use standoff_core::join::Rank;
 use standoff_xml::{AttrTable, Corrupt, DocId, NodeRef};
 
 use super::{positions, Evaluator, Frame, Rows};
 use crate::engine::EngineState;
 use crate::error::QueryError;
-use crate::plan::{Atom, PlanExpr};
+use crate::plan::{Atom, PlanExpr, StandoffOp};
 
-/// A predicate that keeps one row by its position in each iteration's
-/// run: `[k]` for a constant integer `k`, or `[last()]`. Under
-/// loop-lifting position is a property of the run (§4.5), so the pick
-/// is one pass over the `iter` column — no per-row scope, no position
-/// or last columns.
-#[derive(Clone, Copy)]
-enum Rank {
-    Nth(i64),
-    Last,
+/// The pick by rank a predicate is ([`Rank`]): `[k]` for a constant
+/// integer `k`, or `[last()]`; `None` for any other predicate.
+fn rank_of(predicate: &PlanExpr) -> Option<Rank> {
+    match predicate {
+        PlanExpr::Const(Atom::Integer(k)) => Some(Rank::Nth(*k)),
+        // Resolved like `eval_builtin_call`: by local name, never a UDF.
+        PlanExpr::BuiltinCall { name, args }
+            if args.is_empty()
+                && name.split_once(':').map_or(name.as_str(), |(_, l)| l) == "last" =>
+        {
+            Some(Rank::Last)
+        }
+        _ => None,
+    }
 }
 
-impl Rank {
-    fn of(predicate: &PlanExpr) -> Option<Rank> {
-        match predicate {
-            PlanExpr::Const(Atom::Integer(k)) => Some(Rank::Nth(*k)),
-            // Resolved like `eval_builtin_call`: by local name, never a UDF.
-            PlanExpr::BuiltinCall { name, args }
-                if args.is_empty()
-                    && name.split_once(':').map_or(name.as_str(), |(_, l)| l) == "last" =>
-            {
-                Some(Rank::Last)
-            }
-            _ => None,
-        }
-    }
-
-    /// The rows kept of a table with columns `iters` and `values`: the
-    /// rank-th row of every run of equal iterations that has one.
-    fn pick<V: Clone>(self, iters: &[u32], values: &[V]) -> (Vec<u32>, Vec<V>) {
-        let (mut kept_iters, mut kept) = (Vec::new(), Vec::new());
-        let mut start = 0;
-        while start < iters.len() {
-            let run = (iters[start..].iter())
-                .take_while(|&&i| i == iters[start])
-                .count();
-            let row = match self {
-                Rank::Nth(k) => (k >= 1 && k as usize <= run).then(|| start + k as usize - 1),
-                Rank::Last => Some(start + run - 1),
-            };
-            if let Some(row) = row {
-                kept_iters.push(iters[row]);
-                kept.push(values[row].clone());
-            }
-            start += run;
-        }
-        (kept_iters, kept)
-    }
+/// The pick a StandOff step hands to its join: its first predicate's
+/// rank, when the join's own rows are the step's — the plan proved the
+/// node test, so no trailing `self::` step filters them first. A
+/// leading rank is picked in the join as a leading `[@a = "v"]` is
+/// tested as a tree step emits.
+pub(crate) fn fused_rank(op: &StandoffOp, predicates: &[PlanExpr]) -> Option<Rank> {
+    predicates
+        .first()
+        .filter(|_| op.test_guaranteed)
+        .and_then(rank_of)
 }
 
 /// A pick by rank's output, metered as the predicate it replaces: that
@@ -148,10 +128,11 @@ impl Evaluator<'_> {
         }
     }
 
-    /// A step without predicates computes a node table; consumers that
-    /// need nodes — or only their `iter` column, like `count` — take it
-    /// as it is instead of an item table built from it row by row.
-    /// `None` for any other operator.
+    /// A step without predicates — or a StandOff step whose only one is
+    /// picked in its join — computes a node table; consumers that need
+    /// nodes — or only their `iter` column, like `count` — take it as it
+    /// is instead of an item table built from it row by row. `None` for
+    /// any other operator.
     fn eval_step_nodes(&mut self, expr: &PlanExpr) -> Option<Result<NodeTable, QueryError>> {
         match expr {
             PlanExpr::TreeStep {
@@ -168,9 +149,14 @@ impl Evaluator<'_> {
                 op,
                 test,
                 predicates,
-            } if predicates.is_empty() => Some(self.metered(expr, |ev| {
-                ev.standoff_step_nodes(expr, input.as_deref(), op, test)
-            })),
+            } => {
+                let pick = fused_rank(op, predicates).map(|rank| (&predicates[0], rank));
+                (predicates.len() == usize::from(pick.is_some())).then(|| {
+                    self.metered(expr, |ev| {
+                        ev.standoff_step_nodes(expr, input.as_deref(), op, test, pick)
+                    })
+                })
+            }
             _ => None,
         }
     }
@@ -246,13 +232,14 @@ impl Evaluator<'_> {
     ) -> Result<LlSeq, QueryError> {
         let mut rest = predicates;
         while let [predicate, tail @ ..] = rest {
-            nodes = match (predicate, Rank::of(predicate)) {
+            nodes = match (predicate, rank_of(predicate)) {
                 (PlanExpr::AttrEquals { name, value }, _) => {
                     self.metered(predicate, |ev| ev.filter_attr_nodes(nodes, name, value))?
                 }
                 (_, Some(rank)) => {
                     let (iters, values) = (nodes.iters(), nodes.nodes());
-                    self.pick_by_rank(predicate, rank, iters, values, NodeTable::from_columns)?
+                    let make = NodeTable::from_columns;
+                    self.pick_by_rank(predicate, rank, iters.len(), iters, values, make)?
                 }
                 _ => break,
             };
@@ -348,9 +335,10 @@ impl Evaluator<'_> {
                 Ok(ev.filter_attr_nodes(nodes, name, value)?.into_llseq())
             });
         }
-        if let Some(rank) = Rank::of(predicate) {
+        if let Some(rank) = rank_of(predicate) {
             let (iters, items) = (table.iters(), table.items());
-            return self.pick_by_rank(predicate, rank, iters, items, LlSeq::from_columns);
+            let make = LlSeq::from_columns;
+            return self.pick_by_rank(predicate, rank, iters.len(), iters, items, make);
         }
         // Positions and group sizes within the input's iterations: a
         // row's `last()` is the position of its run's final row.
@@ -389,10 +377,16 @@ impl Evaluator<'_> {
 
     /// `predicate`, a pick by `rank`, over a table with columns `iters`
     /// and `values`; `table` makes the output table from the kept rows.
-    fn pick_by_rank<V: Clone, T>(
+    /// It is metered on the `positions` rows it picks from: the table's
+    /// own, or all the rows a join selected before it kept only these
+    /// ([`RankPick`]).
+    ///
+    /// [`RankPick`]: standoff_core::join::RankPick
+    pub(super) fn pick_by_rank<V: Clone, T>(
         &mut self,
         predicate: &PlanExpr,
         rank: Rank,
+        positions: usize,
         iters: &[u32],
         values: &[V],
         table: impl FnOnce(Vec<u32>, Vec<V>) -> T,
@@ -401,7 +395,7 @@ impl Evaluator<'_> {
             let (kept_iters, kept) = rank.pick(iters, values);
             Ok(Picked {
                 table: table(kept_iters, kept),
-                positions: iters.len(),
+                positions,
             })
         })?;
         Ok(picked.table)

@@ -29,10 +29,12 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use standoff_algebra::TreeAxis;
+use standoff_core::join::Rank;
 use standoff_core::{IndexStats, RegionIndex, StandoffStrategy};
 use standoff_xml::DocId;
 
 use crate::engine::{answering_layers, EngineState, LayerFilter};
+use crate::eval::fused_rank;
 use crate::plan::*;
 use crate::profile::{fmt_ns, operator_ids, PlanProfile};
 
@@ -149,6 +151,9 @@ impl AnalyzeCtx<'_> {
                     note.push_str(&label.replace("{}", &value.to_string()));
                 }
             }
+            if let Some((selected, kept)) = j.picked {
+                let _ = write!(note, " selected={selected} kept={kept}");
+            }
         }
         Some(note)
     }
@@ -175,6 +180,7 @@ fn standoff_note(
     expr: &PlanExpr,
     op: &StandoffOp,
     explicit_candidates: bool,
+    pick: Option<Rank>,
 ) -> String {
     let algo = match op.strategy {
         StandoffStrategy::NaiveNoCandidates => "nested loop over all elements",
@@ -258,6 +264,15 @@ fn standoff_note(
             "self-step"
         }
     );
+    // A leading pick by rank made in the join: each layer keeps only the
+    // rows it can take, and nothing is put in document order whole.
+    match pick {
+        Some(Rank::Nth(k)) => {
+            let _ = write!(note, "; pick: [{k}] in join");
+        }
+        Some(Rank::Last) => note.push_str("; pick: [last()] in join"),
+        None => {}
+    }
     if let Some((engine, f)) = &facts {
         let terms: Vec<String> = f.entries.iter().map(u64::to_string).collect();
         let _ = write!(note, "; entries={}", terms.join("+"));
@@ -556,7 +571,7 @@ fn explain_expr_body(expr: &PlanExpr, depth: usize, out: &mut String, ctx: &Rend
                 &format!(
                     "step {}::{test}  [{}]",
                     op.axis.as_str(),
-                    standoff_note(ctx, expr, op, false)
+                    standoff_note(ctx, expr, op, false, fused_rank(op, predicates))
                 ),
             );
             explain_step_tail(input.as_deref(), predicates, depth, out, ctx);
@@ -595,7 +610,7 @@ fn explain_expr_body(expr: &PlanExpr, depth: usize, out: &mut String, ctx: &Rend
                 &format!(
                     "standoff-join {}(..)  [{}]",
                     op.axis.as_str(),
-                    standoff_note(ctx, expr, op, candidates.is_some())
+                    standoff_note(ctx, expr, op, candidates.is_some(), None)
                 ),
             );
             line(out, depth + 1, "context");

@@ -78,6 +78,20 @@ pub(crate) fn call_builtin(
                 Ok(Some(Item::str(text)))
             })?
         }
+        // The engine has no `xs:QName`: the name comes back as its
+        // lexical form, as `name()` gives it; a node without a name (a
+        // document, text or comment node) has none, like an empty
+        // argument.
+        ("node-name", 1) => per_iter_map(engine, n, &args[0], |engine, g| match g.first() {
+            None => Ok(None),
+            Some(Item::Node(node)) => {
+                let name = engine.store.node_name(*node)?;
+                Ok((!name.is_empty()).then(|| Item::str(name)))
+            }
+            Some(_) => Err(QueryError::dynamic(
+                "type error XPTY0004: node-name() of an atomic value",
+            )),
+        })?,
         ("string-length", 1) => per_iter_map(engine, n, &args[0], |engine, g| {
             let len = text(engine, g.first())?.chars().count();
             Ok(Some(Item::Integer(len as i64)))
@@ -532,5 +546,30 @@ pub(crate) fn int_value(item: &Item, store: &standoff_xml::Store) -> Result<i64,
             .parse()
             .map_err(|_| QueryError::dynamic(format!("'{s}' is not an integer"))),
         other => Err(QueryError::dynamic(format!("'{other}' is not an integer"))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::Engine;
+
+    #[test]
+    fn node_name_is_the_lexical_name_or_nothing() {
+        let mut engine = Engine::new();
+        let xml = r#"<a xmlns:p="urn:p"><p:b p:k="v">t</p:b><!--c--></a>"#;
+        engine.load_document("d.xml", xml).unwrap();
+        let run = |engine: &mut Engine, q: &str| engine.run(q).unwrap().as_xml();
+        let d = r#"doc("d.xml")"#;
+        assert_eq!(run(&mut engine, &format!("node-name({d}/a/*)")), "p:b");
+        assert_eq!(run(&mut engine, &format!("node-name({d}/a/*/@*)")), "p:k");
+        assert_eq!(run(&mut engine, &format!("node-name({d}/a)")), "a");
+        for nameless in ["()", "{d}//text()", "{d}//comment()", "{d}"] {
+            let q = format!("count(node-name({}))", nameless.replace("{d}", d));
+            assert_eq!(run(&mut engine, &q), "0", "{q}");
+        }
+        let q = format!("for $n in {d}//* return node-name($n)");
+        let names = engine.run(&q).unwrap();
+        assert_eq!(names.as_strings(), ["a", "p:b"]);
+        assert!(engine.run("node-name(1)").is_err());
     }
 }

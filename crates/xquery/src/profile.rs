@@ -66,6 +66,9 @@ pub struct JoinExec {
     /// The join's fast-path decision counters (same meaning as the
     /// engine-wide [`JoinStats`], restricted to this operator).
     pub stats: JoinStats,
+    /// For a step whose leading pick by rank was made in the join: the
+    /// rows the join selected and the rows the pick kept.
+    pub picked: Option<(u64, u64)>,
 }
 
 impl JoinExec {
@@ -77,6 +80,11 @@ impl JoinExec {
         self.cand_rows += other.cand_rows;
         self.cand_max = self.cand_max.max(other.cand_max);
         self.stats.merge(other.stats);
+        if let Some((selected, kept)) = other.picked {
+            let (s, k) = self.picked.get_or_insert((0, 0));
+            *s += selected;
+            *k += kept;
+        }
     }
 }
 

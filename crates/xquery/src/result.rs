@@ -3,7 +3,7 @@
 use std::ops::Range;
 
 use standoff_algebra::Item;
-use standoff_xml::{SerializeOptions, Store};
+use standoff_xml::{NodeWriter, SerializeOptions, Store};
 
 use crate::error::QueryError;
 
@@ -22,11 +22,14 @@ pub struct QueryResult {
 
 impl QueryResult {
     /// Serialize `items`: a node's markup and string value read its
-    /// document's column groups, whose failure fails the result.
+    /// document's column groups, whose failure fails the result. One
+    /// [`NodeWriter`] serializes every node, so its end-tag stack is
+    /// allocated once per result.
     pub(crate) fn new(items: Vec<Item>, store: &Store) -> Result<QueryResult, QueryError> {
         let mut strings = Vec::with_capacity(items.len());
         let mut spans = Vec::with_capacity(items.len());
         let mut xml = String::new();
+        let mut writer = NodeWriter::default();
         let mut prev_needs_sep = false;
         for item in &items {
             let string = item.string_value(store)?;
@@ -39,7 +42,7 @@ impl QueryResult {
             }
             let start = xml.len();
             match item {
-                Item::Node(node) => standoff_xml::serialize_node_into(
+                Item::Node(node) => writer.write(
                     store.doc(node.doc),
                     node.id,
                     SerializeOptions::default(),

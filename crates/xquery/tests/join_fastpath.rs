@@ -172,7 +172,9 @@ fn candidate_access_path_counters() {
 
 /// StandOff XMark's start order is not its document order: Q2's
 /// `bidder` step, whose rows span many iterations, must put them in
-/// document order, and says so.
+/// document order, and says so. With Q2's `[1]` the pick is made in the
+/// join: it keeps a row per iteration from slots, sorts nothing, and
+/// says how many rows it selected and kept.
 #[test]
 fn xmark_q2_bidder_step_counts_its_sort() {
     use standoff_xmark::queries::XmarkQuery;
@@ -180,18 +182,38 @@ fn xmark_q2_bidder_step_counts_its_sort() {
     let so = standoffify(&generate(&XmarkConfig::with_scale(0.002)), 7);
     let mut engine = Engine::new();
     engine.add_document(so.doc, Some("xmark.xml"));
-    let text = engine
-        .explain_analyze(&XmarkQuery::Q2.standoff("xmark.xml"))
-        .unwrap();
-    let line = (text.lines())
-        .find(|l| l.contains("select-narrow::bidder"))
-        .unwrap_or_else(|| panic!("no bidder step: {text}"));
-    let sorts: u64 = line
-        .split_once(" sorts=")
-        .and_then(|(_, rest)| rest.split(' ').next()?.parse().ok())
-        .unwrap_or_else(|| panic!("no sorts count: {line}"));
-    assert!(sorts >= 1, "{line}");
+    let bidder_line = |engine: &mut Engine, query: &str| {
+        let text = engine.explain_analyze(query).unwrap();
+        (text.lines())
+            .find(|l| l.contains("select-narrow::bidder"))
+            .unwrap_or_else(|| panic!("no bidder step: {text}"))
+            .to_string()
+    };
+    let sorts = |line: &str| -> u64 {
+        line.split_once(" sorts=")
+            .and_then(|(_, rest)| rest.split(' ').next()?.parse().ok())
+            .unwrap_or_else(|| panic!("no sorts count: {line}"))
+    };
+    let every_bidder =
+        r#"for $b in doc("xmark.xml")//open_auction return $b/select-narrow::bidder"#;
+    let line = bidder_line(&mut engine, every_bidder);
+    assert!(sorts(&line) >= 1, "{line}");
     assert!(line.contains("(elided 0)"), "{line}");
+    assert!(!line.contains("pick:"), "{line}");
+
+    let line = bidder_line(&mut engine, &XmarkQuery::Q2.standoff("xmark.xml"));
+    assert_eq!(sorts(&line), 0, "{line}");
+    assert!(line.contains("(elided 1)"), "{line}");
+    assert!(line.contains("pick: [1] in join"), "{line}");
+    let count = |engine: &mut Engine, q: &str| -> String {
+        engine.run(&format!("count({q})")).unwrap().as_strings()[0].clone()
+    };
+    let selected = count(&mut engine, every_bidder);
+    let kept = count(&mut engine, &every_bidder.replace("bidder", "bidder[1]"));
+    assert!(
+        line.contains(&format!(" selected={selected} kept={kept}")),
+        "{line}"
+    );
 }
 
 /// A context over several documents yields one sorted run per document:

@@ -15,7 +15,11 @@
 //! **Queries** are a context × the four axes × {name test, `*`,
 //! `node()`} in step form, flat and per iteration of a `for`, and the
 //! function form with an explicit candidate sequence, each also under
-//! `count`, `exists` and `empty`; then tree
+//! `count`, `exists` and `empty`; a pick by rank after each axis in
+//! step form — `[1]`, `[2]`, `[last()]`, `[0]` or a rank past every
+//! run, flat (one iteration whose contexts select a node more than
+//! once) and per iteration of a `for` whose contexts overlap — which
+//! the joins make inside their post-processing; then tree
 //! navigation from the same context along the horizontal and upward
 //! axes, and whole layers serialized. A second property puts point
 //! contexts over a dense token layer, where the narrow joins read only
@@ -33,8 +37,9 @@
 
 use proptest::prelude::*;
 
-use standoff::core::{StandoffConfig, StandoffStrategy};
+use standoff::core::{Budget, BudgetLimits, StandoffConfig, StandoffStrategy};
 use standoff::store::{compact, DeltaOp, DeltaSet, LayerSet};
+use standoff::xmark::{generate, standoffify, XmarkConfig};
 use standoff::xml::{parse_document, try_serialize_document, SerializeOptions};
 use standoff::xquery::compile::resolve;
 use standoff::xquery::optimize::PASSES;
@@ -48,6 +53,9 @@ const AXES: [&str; 4] = [
     "reject-narrow",
     "reject-wide",
 ];
+/// The ranks a pick after a StandOff step is tested with; `99` is past
+/// every run.
+const RANKS: [&str; 5] = ["1", "2", "last()", "0", "99"];
 
 type Extent = (i64, i64);
 
@@ -263,6 +271,21 @@ fn join_queries(context: &str, tests: &[&str], candidates: &str) -> Vec<String> 
     queries
 }
 
+/// `context` × four axes × `tests` in step form with the pick `[rank]`,
+/// flat and per iteration of a `for`.
+fn rank_queries(context: &str, tests: &[&str], rank: &str) -> Vec<String> {
+    let mut queries = Vec::new();
+    for axis in AXES {
+        for test in tests {
+            queries.push(format!("{context}/{axis}::{test}[{rank}]"));
+            queries.push(format!(
+                "for $c in {context} return $c/{axis}::{test}[{rank}]"
+            ));
+        }
+    }
+    queries
+}
+
 /// Tree navigation from `context` along the axes that leave its
 /// subtree, and the given layers serialized whole.
 fn tree_queries(context: &str, layers: &[&str]) -> Vec<String> {
@@ -305,6 +328,7 @@ proptest! {
         inserts in prop::collection::vec((any::<bool>(), 0usize..8, 0u8..5), 0..5),
         retracts in prop::collection::vec((0usize..4, 0usize..8), 0..5),
         picks in (0usize..4, 0usize..3),
+        rank in 0usize..RANKS.len(),
     ) {
         let pool: Vec<Extent> = pool.iter().map(|&(s, len)| (s, s + len)).collect();
         let at = |picks: &[(usize, u8)]| -> Vec<Extent> {
@@ -372,6 +396,7 @@ proptest! {
         let context = &contexts[picks.0 % contexts.len()];
         let name = ["w", "unit", "word"][picks.1];
         let mut queries = join_queries(context, &[name, "*", "node()"], &format!("({candidates})"));
+        queries.extend(rank_queries(context, &[name, "node()"], RANKS[rank]));
         queries.extend(tree_queries(context, &["tokens", "units"]));
         check(&set, &ops, &queries);
     }
@@ -391,6 +416,7 @@ proptest! {
         points in prop::collection::vec((0i64..30, 0i64..6), 1..=3),
         inserts in prop::collection::vec((0i64..70, 0i64..4), 0..4),
         retracts in prop::collection::vec(0i64..40, 0..4),
+        rank in 0usize..RANKS.len(),
     ) {
         // Tokens `[2k, 2k + 1]`; the spans sit from the middle, `n`, on.
         let tokens: Vec<Extent> = (0..n).map(|k| (2 * k, 2 * k + 1)).collect();
@@ -415,7 +441,9 @@ proptest! {
         }
         let context = format!("{}//pt", layer("spans"));
         let candidates = format!("({}//w)", layer("tokens"));
-        check(&set, &ops, &join_queries(&context, &["w", "*", "node()"], &candidates));
+        let mut queries = join_queries(&context, &["w", "*", "node()"], &candidates);
+        queries.extend(rank_queries(&context, &["w"], RANKS[rank]));
+        check(&set, &ops, &queries);
     }
 }
 
@@ -685,4 +713,109 @@ fn seed_counted_edges_at_the_max_extent() {
         &ops,
         &join_queries(&context, &["w", "x", "node()"], &candidates),
     );
+}
+
+/// Picks by rank made in the join, by hand. One iteration's contexts
+/// — `vp`, `pp` and the token "met" itself — overlap, and "met" is
+/// selected by two of them: it is one row, so `[2]` is "Bob" and `[3]`
+/// is "in". A `select-wide::node()` that three layers answer is ranked
+/// as their one document-ordered union; a pick per layer would keep a
+/// node of each. `explain` names the pick in the step's bracket, and
+/// `--analyze` shows the rows the join selected and kept, and no sort:
+/// `[1]` is kept in per-iteration slots, `[3]` picked from the join's
+/// result, which arrives here in document order.
+/// (A row that two regions of one multi-region context select reaches
+/// the pick twice; the property above holds that case.)
+#[test]
+fn seed_rank_picks_in_the_join() {
+    let (entities, tokens, syntax) = (layer("entities"), layer("tokens"), layer("syntax"));
+    let spans = format!(r#"({syntax}//vp | {syntax}//pp | {tokens}//w[@word = "met"])"#);
+    let cases: [(String, &[&str]); 8] = [
+        (format!("{spans}/select-wide::w[2]/@word"), &["Bob"]),
+        (format!("{spans}/select-wide::w[3]/@word"), &["in"]),
+        (format!("{spans}/select-wide::w[last()]/@word"), &["Paris"]),
+        (format!("{spans}/select-wide::w[5]/@word"), &[]),
+        (
+            format!("for $s in {spans} return $s/select-wide::w[2]/@word"),
+            &["Bob", "Paris"],
+        ),
+        (
+            format!(r#"name({entities}//person[@id = "alice"]/select-wide::node()[1])"#),
+            &["w"],
+        ),
+        (
+            format!(r#"name({entities}//person[@id = "alice"]/select-wide::node()[last()])"#),
+            &["s"],
+        ),
+        (
+            format!(
+                "for $w in {tokens}//w return (for $n in $w/select-narrow::*[2] return name($n))"
+            ),
+            &["person", "person", "place"],
+        ),
+    ];
+    for strategy in StandoffStrategy::ALL {
+        let mut engine = engine(strategy);
+        engine.mount_store(alice_corpus()).unwrap();
+        for (query, expected) in &cases {
+            let result = engine.run(query).unwrap();
+            assert_eq!(&result.as_strings(), expected, "{strategy}: {query}");
+        }
+    }
+    let mut engine = engine(StandoffStrategy::LoopLiftedMergeJoin);
+    engine.mount_store(alice_corpus()).unwrap();
+    for rank in [1, 3] {
+        let plan = engine
+            .explain_analyze(&format!("{spans}/select-wide::w[{rank}]"))
+            .unwrap();
+        let join = plan.lines().find(|l| l.contains("select-wide::w")).unwrap();
+        assert!(join.contains(&format!("pick: [{rank}] in join")), "{plan}");
+        assert!(join.contains("sorts=0 (elided 1)"), "{plan}");
+        assert!(join.contains("selected=4 kept=1"), "{plan}");
+    }
+    let queries: Vec<String> = cases.into_iter().map(|(query, _)| query).collect();
+    check(&alice_corpus(), &[], &queries);
+}
+
+/// A result cap between the rows Q2's `bidder[1]` keeps and the rows
+/// its join selects trips whether the pick is made in the join (the
+/// production plan) or after it (the unoptimized plan, which keeps the
+/// node test's self step): the predicate is charged the rows it picks
+/// from either way.
+#[test]
+fn seed_a_result_cap_between_kept_and_selected_trips_either_way() {
+    let so = standoffify(&generate(&XmarkConfig::with_scale(0.002)), 7);
+    let xml = standoff::xml::serialize_document(&so.doc, SerializeOptions::default());
+    let auctions = r#"doc("q2.xml")//open_auction"#;
+    let count = |engine: &mut Engine, step: &str| -> u64 {
+        let q = format!("count(for $b in {auctions} return $b/select-narrow::{step})");
+        engine.run(&q).unwrap().as_strings()[0].parse().unwrap()
+    };
+    let mut engine = engine(StandoffStrategy::LoopLiftedMergeJoin);
+    engine.load_document("q2.xml", &xml).unwrap();
+    let (kept, selected) = (
+        count(&mut engine, "bidder[1]"),
+        count(&mut engine, "bidder"),
+    );
+    assert!(0 < kept && kept < selected, "{kept} of {selected}");
+    let q2 = format!(
+        "for $b in {auctions} return <increase>{{$b/select-narrow::bidder[1]/select-narrow::increase}}</increase>"
+    );
+    let free = engine.run(&q2).unwrap().as_xml();
+    assert_eq!(engine.run_unoptimized(&q2).unwrap().as_xml(), free);
+    let plan = engine.explain_analyze(&q2).unwrap();
+    assert!(
+        plan.contains(&format!("selected={selected} kept={kept}")),
+        "{plan}"
+    );
+    let cap = BudgetLimits {
+        max_results: Some((kept + selected) / 2),
+        ..BudgetLimits::default()
+    };
+    engine.set_budget(Some(Budget::new(cap)));
+    let fused = engine.run(&q2).unwrap_err();
+    assert!(matches!(fused, QueryError::ResultLimit(_)), "{fused:?}");
+    engine.set_budget(Some(Budget::new(cap)));
+    let unfused = engine.run_unoptimized(&q2).unwrap_err();
+    assert_eq!(unfused, fused);
 }

@@ -4,7 +4,8 @@
 //!
 //! **Same bytes everywhere.** Every attribute reader — the attribute
 //! axis, `string`/`data`, the fused `[@start = "…"]` filter, `name`,
-//! `serialize`, result serialization, constructor copies, document
+//! `node-name`, `serialize`, result serialization, constructor copies,
+//! document
 //! order across `@*` of several elements — answers byte-identically
 //! whether the layers were parsed, mounted from a snapshot, folded by
 //! `WritableEngine::apply` from a mounted set, or compacted and mounted
@@ -18,6 +19,11 @@
 //! element-representation layer — each keeps its rows, as the mounted
 //! layer's region-attribute counts and the attribute sections' sizes
 //! show.
+//!
+//! **Serializer and copies**: a result mixing a deep element, an
+//! attribute, a text node and a presenting `w` serializes as its items
+//! do one by one, stored and presented region attributes copy alike,
+//! and values that need escaping are escaped.
 //!
 //! **Robustness**: a damaged `ridx.entries` is refused as before, and a
 //! resealed one whose regions moved reads the moved regions without
@@ -109,7 +115,7 @@ fn queries(uri: &str, layer: &str, name: &str, probe: i64) -> Vec<String> {
         format!("for $e in {e} return data($e/@start) + 1"),
         format!(r#"{e}[@start = "{probe}"]"#),
         format!(r#"{e}[@n = "1"]"#),
-        format!("for $a in {e}/@* return name($a)"),
+        format!("for $w in {e} return node-name($w/@end)"),
         format!("for $e in {e} return serialize($e)"),
         d.clone(),
         format!("for $e in {e} return <x>{{$e}}</x>"),
@@ -437,4 +443,76 @@ fn a_damaged_region_table_is_refused_and_a_resealed_one_reads_what_it_says() {
         err.contains("non-element") || err.contains("clustered"),
         "{err}"
     );
+}
+
+/// One writer serializes a whole result, reusing its end-tag stack: a
+/// deep element, an attribute node, a text node and an element that
+/// presents its region, in that order, read as the concatenation of
+/// each item serialized alone. A copy `<x>{$w}</x>` keeps a stored
+/// non-canonical `start="007"` beside a presented region, and values
+/// holding `<`, `&` and `"` come out escaped — parsed or mounted.
+#[test]
+fn a_result_serializes_as_its_items_do_and_copies_keep_every_attribute() {
+    let set = layer_set(
+        URI,
+        &[
+            (
+                "base",
+                "<doc><sec><p><q>deep<r/></q></p>tail</sec><sec/></doc>".into(),
+                StandoffConfig::default(),
+            ),
+            (
+                "tokens",
+                concat!(
+                    r#"<tokens><w n="a" start="007" end="9"/>"#,
+                    r#"<w n="&lt;&amp;&quot;" start="10" end="12"/></tokens>"#
+                )
+                .into(),
+                StandoffConfig::default(),
+            ),
+        ],
+    );
+    let (base, tokens) = (doc(URI, "base"), doc(URI, "tokens"));
+    let items = format!(
+        "({base}//q, ({tokens}//w)[1]/@n, ({base}//sec)[1]/text(), ({tokens}//w)[2], {base}//r)"
+    );
+    let queries = [
+        items.clone(),
+        format!("for $i in {items} return serialize($i)"),
+        format!("for $w in {tokens}//w return <x>{{$w}}</x>"),
+        format!("for $w in {tokens}//w return <x>{{$w/@*}}</x>"),
+    ];
+    let snapshot = mount(&set);
+    for answers in [parsed(&set, &queries), mounted(&snapshot, &queries)] {
+        let mut engine = Engine::new();
+        engine.mount_snapshot(&snapshot).unwrap();
+        let one_by_one = engine.run(&queries[1]).unwrap().as_strings().concat();
+        assert_eq!(answers[0], one_by_one);
+        assert_eq!(
+            answers[0],
+            concat!(
+                "<q>deep<r/></q>",
+                r#"n="a""#,
+                "tail",
+                r#"<w n="&lt;&amp;&quot;" start="10" end="12"/>"#,
+                "<r/>"
+            )
+        );
+        assert_eq!(
+            answers[2],
+            concat!(
+                r#"<x><w n="a" start="007" end="9"/></x>"#,
+                r#"<x><w n="&lt;&amp;&quot;" start="10" end="12"/></x>"#
+            )
+        );
+        assert_eq!(
+            answers[3],
+            concat!(
+                r#"<x n="a" start="007" end="9"/>"#,
+                r#"<x n="&lt;&amp;&quot;" start="10" end="12"/>"#
+            )
+        );
+    }
+    let tokens = snapshot.layer("tokens").unwrap();
+    assert_eq!(tokens.region_attribute_counts().unwrap(), [2, 2]);
 }
