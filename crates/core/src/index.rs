@@ -22,10 +22,11 @@
 //! candidate sequence is intersected per join, through the node view
 //! ([`RegionIndex::gather_candidates`]) or by borrowing when it covers.
 //!
-//! The loop-lifted count sweeps read a table through its *keys*: the
-//! entries' starts as one contiguous column and the largest end of each
-//! 64-row block. They are derived, never stored: a posting's with the
-//! posting, the index's own on the first sweep that reads it.
+//! The loop-lifted count sweeps read a table through its *keys*: a
+//! directory of the entries' starts, one row number per bucket of the
+//! starts' span, and the largest end of each 64-row block. They are
+//! derived, never stored: a posting's with the posting, the index's own
+//! on the first sweep that reads it.
 
 use std::io;
 use std::ops::Range;
@@ -608,8 +609,9 @@ impl RegionIndex {
     /// is `None`, which leaves the derivation to the caller. Every published
     /// posting adds its bytes to the `index.posting_bytes` counter of
     /// the process-wide registry, and its keys' to `index.key_bytes`:
-    /// engine memory, bounded by 24 and 8⅛ bytes per entry of the index,
-    /// shared by every request that reads it.
+    /// engine memory, bounded by 24 and about 4⅛ bytes per entry of the
+    /// index (the keys are a start directory and block ends), shared by
+    /// every request that reads it.
     pub fn posting(
         &self,
         doc: &Document,
@@ -884,14 +886,27 @@ impl<'a> Table<'a> {
 /// Rows per block of [`Keys::block_ends`].
 pub(crate) const KEY_BLOCK: usize = 64;
 
-/// What a count sweep reads of a start-clustered run of entries instead
-/// of its 24-byte rows: the starts as one contiguous column, to seek on,
-/// and the largest end of each [`KEY_BLOCK`]-row block, so a run of rows
-/// that all end before a point is counted without being read.
+/// Rows a [`Keys::seek`] steps through from its directory bucket before
+/// it binary-searches the rest of its range.
+const DIR_SCAN: usize = 16;
+
+/// What a count sweep reads of a start-clustered run of entries besides
+/// the rows themselves: a directory of starts, to seek through, and the
+/// largest end of each [`KEY_BLOCK`]-row block, so a run of rows that
+/// all end before a point is counted without being read.
+///
+/// The directory cuts the starts' span, from the first row's start
+/// `base`, into buckets of `2^shift` positions, `2^shift` the smallest
+/// power of two of at least span ÷ rows: it has at most one bucket more
+/// than the run has rows, whatever their distribution, so the keys hold
+/// about 4⅛ bytes per row — 4 per row and 4 more, and 8 per block.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Keys {
-    /// `starts[k]` is row `k`'s start.
-    pub(crate) starts: Vec<i64>,
+    base: i64,
+    shift: u32,
+    /// `dir[b]` is the first row whose start is at least
+    /// `base + (b << shift)`.
+    dir: Vec<u32>,
     /// `block_ends[b]` is the largest end of rows `[64·b, 64·b + 64)`.
     pub(crate) block_ends: Vec<i64>,
 }
@@ -904,22 +919,79 @@ impl Keys {
         keys
     }
 
-    /// Replace the keys with those of `entries`, reusing the columns.
+    /// Replace the keys with those of `entries` (start-sorted, fewer
+    /// than 2³² rows), reusing the columns: the directory and the block
+    /// ends in one pass.
     pub(crate) fn fill(&mut self, entries: &[RegionEntry]) {
-        self.starts.clear();
-        self.starts.reserve(entries.len());
+        debug_assert!(entries.is_sorted_by_key(|e| e.start));
+        debug_assert!(entries.len() <= u32::MAX as usize);
+        self.dir.clear();
         self.block_ends.clear();
+        let (Some(first), Some(last)) = (entries.first(), entries.last()) else {
+            return;
+        };
+        // The span is below 2⁶⁴ and, with two rows or more, a bucket
+        // below 2⁶³ positions.
+        let span = last.start.wrapping_sub(first.start) as u64;
+        let per_row = span.div_ceil(entries.len() as u64);
+        (self.base, self.shift) = (first.start, per_row.next_power_of_two().trailing_zeros());
+        // Each bucket's rows counted one slot up, then summed: slot `b`
+        // becomes the rows before bucket `b`, its first row. No branch
+        // per row.
+        self.dir.resize((span >> self.shift) as usize + 2, 0);
         for block in entries.chunks(KEY_BLOCK) {
-            self.starts.extend(block.iter().map(|e| e.start));
-            let end = block.iter().fold(i64::MIN, |m, e| m.max(e.end));
+            let mut end = i64::MIN;
+            for e in block {
+                let bucket = (e.start.wrapping_sub(self.base) as u64 >> self.shift) as usize;
+                self.dir[bucket + 1] += 1;
+                end = end.max(e.end);
+            }
             self.block_ends.push(end);
         }
+        let mut rows = 0;
+        for slot in &mut self.dir {
+            rows += *slot;
+            *slot = rows;
+        }
+        // The last slot is every row: a seek past the last bucket.
+        self.dir.pop();
+    }
+
+    /// The first position of `from..to` whose row of `rows` (the rows
+    /// these keys are of) starts at or after `target`, or `to`. The
+    /// directory bucket of `target` bounds it from below; the rows'
+    /// own starts are stepped through from there for [`DIR_SCAN`] rows,
+    /// then binary-searched up to `to`, so a run of equal starts or a
+    /// cluster in one bucket stays logarithmic.
+    #[inline]
+    pub(crate) fn seek(&self, rows: &[RegionEntry], from: usize, to: usize, target: i64) -> usize {
+        let floor = if target <= self.base {
+            0
+        } else {
+            let bucket = (target.wrapping_sub(self.base) as u64 >> self.shift) as usize;
+            self.dir.get(bucket).map_or(usize::MAX, |&row| row as usize)
+        };
+        let mut at = from.max(floor).min(to);
+        let scan = (at + DIR_SCAN).min(to);
+        while at < scan {
+            if rows[at].start >= target {
+                return at;
+            }
+            at += 1;
+        }
+        at + rows[at..to].partition_point(|e| e.start < target)
     }
 
     /// Bytes the two columns hold.
     fn bytes(&self) -> u64 {
-        std::mem::size_of_val(&self.starts[..]) as u64
+        std::mem::size_of_val(&self.dir[..]) as u64
             + std::mem::size_of_val(&self.block_ends[..]) as u64
+    }
+
+    /// Bytes the two columns' allocations pin.
+    pub(crate) fn capacity_bytes(&self) -> u64 {
+        (self.dir.capacity() * std::mem::size_of::<u32>()
+            + self.block_ends.capacity() * std::mem::size_of::<i64>()) as u64
     }
 }
 
@@ -1147,6 +1219,51 @@ mod tests {
         // Ties on start break on (end, id): Intro [0,8] before U2 [0,31].
         assert_eq!(idx.entries()[0].end, 8);
         assert_eq!(idx.entries()[1].end, 31);
+    }
+
+    /// The start directory has at most one bucket more than its run has
+    /// rows, and a seek from any position finds, inside any range, what
+    /// a binary search of the rows finds: over one row, equal-start runs
+    /// longer than the scan, a far cluster, negative starts and the
+    /// extremes of `i64`.
+    #[test]
+    fn the_start_directory_is_bounded_and_seeks_like_a_search() {
+        let far = 1i64 << 40;
+        let mut cases: Vec<Vec<i64>> = vec![
+            vec![5],
+            vec![0, far, far, far + 3, far + 64, far + 65],
+            (-300..-200).chain(-5..40).collect(),
+            [3; 40].into_iter().chain([4; 3]).chain([90; 25]).collect(),
+            (0..500).map(|k| k * 7 % 3001).collect(),
+            vec![i64::MIN, -1, 0, i64::MAX],
+        ];
+        for starts in &mut cases {
+            starts.sort_unstable();
+            let rows: Vec<RegionEntry> = (starts.iter().enumerate())
+                .map(|(k, &start)| RegionEntry {
+                    start,
+                    end: start,
+                    id: k as u32,
+                })
+                .collect();
+            let keys = Keys::of(&rows);
+            let n = rows.len();
+            assert!(keys.dir.len() <= n + 1, "{starts:?}");
+            assert!(keys.bytes() as usize <= 4 * (n + 1) + 8 * n.div_ceil(KEY_BLOCK));
+            let mut targets = vec![i64::MIN, i64::MAX];
+            for &s in starts.iter() {
+                targets.extend([s.saturating_sub(1), s, s.saturating_add(1)]);
+            }
+            for from in [0, n / 3, n / 2, n] {
+                for to in [n / 2, (2 * n).div_ceil(3), n] {
+                    for &target in targets.iter().filter(|_| from <= to) {
+                        let expected = from + rows[from..to].partition_point(|e| e.start < target);
+                        let got = keys.seek(&rows, from, to, target);
+                        assert_eq!(got, expected, "{target} in {from}..{to} of {starts:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,14 +19,15 @@
 //!   entry starting in the gap before `a` overlaps iff it ends at or
 //!   after `a`, which only those starting at or after `a − w` can.
 //!
-//! The sweep reads the candidates' [`Keys`], not their rows: every
-//! boundary is found by seeking forward on the start column from the
-//! previous one — a short in-order scan, then a gallop — and rows are
-//! read only for the ends of the `(M − w, M]` tail and of a gap's head,
-//! where a [`KEY_BLOCK`]-row block whose largest end is before `a` is
-//! counted whole without reading it. An iteration costs its contexts
-//! times a logarithm of the entries between them, plus the entries
-//! within `w` of a boundary.
+//! Every boundary is found by seeking forward from the previous one
+//! through the candidates' [`Keys`]: the start directory's bucket of the
+//! boundary bounds the seek from below, and the rows' own starts are
+//! stepped through from there — a few, then a binary search — so a
+//! boundary costs two directory probes and the rows of its bucket. Ends
+//! are read only in the `(M − w, M]` tail and in a gap's head, where a
+//! [`KEY_BLOCK`]-row block whose largest end is before `a` is counted
+//! whole without reading it. An iteration costs its contexts times a
+//! bucket's rows, plus the entries within `w` of a boundary.
 //!
 //! [`RegionIndex::max_extent`]: crate::index::RegionIndex::max_extent
 
@@ -34,7 +35,7 @@ use std::ops::Range;
 
 use crate::budget::Budget;
 use crate::index::{Keys, RegionEntry, KEY_BLOCK};
-use crate::join::merge::{gallop, POLL_BLOCK};
+use crate::join::merge::POLL_BLOCK;
 use crate::join::{CtxEntry, StandoffAxis};
 
 /// The candidates a count sweeps: the entries `reach` of a
@@ -67,8 +68,7 @@ pub(crate) fn select_counts(
     debug_assert!(context
         .windows(2)
         .all(|w| (w[0].iter, w[0].start) <= (w[1].iter, w[1].start)));
-    debug_assert_eq!(candidates.keys.starts.len(), candidates.rows.len());
-    debug_assert!(candidates.keys.starts.is_sorted());
+    debug_assert!(candidates.rows.is_sorted_by_key(|e| e.start));
     let mut seen = 0usize;
     let mut tripped = || {
         seen += 1;
@@ -99,7 +99,7 @@ fn contained(
     max_extent: i64,
     tripped: &mut impl FnMut() -> bool,
 ) -> Option<u64> {
-    let starts = &candidates.keys.starts[..candidates.reach.end];
+    let (rows, keys, to) = (candidates.rows, candidates.keys, candidates.reach.end);
     let mut count = 0u64;
     let mut at = candidates.reach.start;
     let mut m = i64::MIN; // M: the largest end of the contexts so far
@@ -116,14 +116,11 @@ fn contained(
         }
         // The entries starting in [c.start, min(M, next − 1)]: all
         // contained but those of the last `w` that end past M.
-        at = seek(starts, at, c.start);
-        let past = seek(starts, at, m.saturating_add(1).min(next));
+        at = keys.seek(rows, at, to, c.start);
+        let past = keys.seek(rows, at, to, m.saturating_add(1).min(next));
         let sure = m.saturating_sub(max_extent);
-        let tail = past
-            - (starts[at..past].iter().rev())
-                .take_while(|&&s| s > sure)
-                .count();
-        let out = (candidates.rows[tail..past].iter())
+        let out = (rows[at..past].iter().rev())
+            .take_while(|e| e.start > sure)
             .filter(|e| e.end > m)
             .count();
         count += (past - at - out) as u64;
@@ -140,7 +137,7 @@ fn overlapping(
     max_extent: i64,
     tripped: &mut impl FnMut() -> bool,
 ) -> Option<u64> {
-    let starts = &candidates.keys.starts[..candidates.reach.end];
+    let (rows, keys, to) = (candidates.rows, candidates.keys, candidates.reach.end);
     let mut count = 0u64;
     let mut at = candidates.reach.start;
     let mut gap = i64::MIN; // first position after the last covered interval
@@ -158,9 +155,9 @@ fn overlapping(
         }
         // The entries starting in [max(gap, a − w), b]: all overlapping
         // but those of the gap's head that end before `a`.
-        at = seek(starts, at, gap.max(a.saturating_sub(max_extent)));
-        let inside = seek(starts, at, a);
-        let past = seek(starts, inside, b.saturating_add(1));
+        at = keys.seek(rows, at, to, gap.max(a.saturating_sub(max_extent)));
+        let inside = keys.seek(rows, at, to, a);
+        let past = keys.seek(rows, inside, to, b.saturating_add(1));
         let out = ended_before(candidates, at..inside, a);
         count += (past - at - out) as u64;
         at = past;
@@ -187,28 +184,6 @@ fn ended_before(candidates: &Candidates<'_>, rows: Range<usize>, a: i64) -> usiz
         at = to;
     }
     out
-}
-
-/// Starts a seek steps through in order before it gallops.
-const SCAN: usize = 64;
-
-/// First position at or after `from` whose start is at or after
-/// `target`. Between the boundaries of a dense layer's contexts lie
-/// tens of entries, so the first [`SCAN`] are stepped through eight at a
-/// time — one cache line of starts — in memory order, before galloping
-/// ([`gallop`]): probing ahead and back across a short run reads the
-/// same cache lines out of order, and the sweep is bound by those reads.
-fn seek(starts: &[i64], from: usize, target: i64) -> usize {
-    let mut at = from;
-    for _ in 0..SCAN / 8 {
-        let end = (at + 8).min(starts.len());
-        let block = &starts[at..end];
-        if end - at < 8 || block[7] >= target {
-            return at + block.partition_point(|&s| s < target);
-        }
-        at = end;
-    }
-    gallop(starts, at, |&s| s < target)
 }
 
 #[cfg(test)]
@@ -512,6 +487,121 @@ mod tests {
             };
             let spans: Vec<(i64, i64)> = (0..n_cand as usize).map(|k| span(k % 37 == 5)).collect();
             let fillers: Vec<(i64, i64)> = (0..n_fill).map(|_| span(false)).collect();
+            agree(&ctx(&rows), &spans, &fillers);
+        }
+    }
+
+    /// Context rows `(iter, start, end)`, candidate spans and fillers.
+    type Geometry = (Vec<(u32, i64, i64)>, Vec<(i64, i64)>, Vec<(i64, i64)>);
+
+    /// A generated geometry at an edge of the start directory — the
+    /// context rows, candidate spans and fillers `agree` takes — drawn
+    /// from `next` (`next(m)` is uniform in `[0, m)`):
+    ///
+    /// 0. runs of equal starts longer than a seek's in-order scan, with
+    ///    contexts starting on, inside and after them;
+    /// 1. one row at 0 and the rest past 2⁴⁰, so one bucket spans 2³⁴
+    ///    positions and the far rows share a few;
+    /// 2. negative starts, some rows crossing 0;
+    /// 3. a single row;
+    /// 4. a uniform layer whose contexts begin and end mid-bucket, so
+    ///    every reach does.
+    fn directory_edge(kind: usize, next: &mut impl FnMut(u64) -> i64) -> Geometry {
+        let mut ctx: Vec<(u32, i64, i64)> = Vec::new();
+        let mut spans: Vec<(i64, i64)> = Vec::new();
+        let mut fillers: Vec<(i64, i64)> = Vec::new();
+        match kind {
+            0 => {
+                for run in 0..1 + next(3) {
+                    let s = 100 * run + next(20);
+                    for _ in 0..17 + next(40) {
+                        spans.push((s, s + next(30)));
+                    }
+                    ctx.push((next(3) as u32, s, s + next(40)));
+                    ctx.push((next(3) as u32, s + 1 + next(5), s + 30 + next(40)));
+                    ctx.push((next(3) as u32, s - next(5), s + next(3)));
+                }
+                for _ in 0..next(10) {
+                    fillers.push((next(300), next(300) + 300));
+                }
+            }
+            1 => {
+                let far = 1i64 << 40;
+                spans.push((0, next(4)));
+                for _ in 0..1 + next(80) {
+                    let s = far + next(300);
+                    spans.push((s, s + next(8)));
+                }
+                ctx.push((next(3) as u32, -next(3), next(5)));
+                for _ in 0..1 + next(4) {
+                    let s = far + next(320) - 10;
+                    ctx.push((next(3) as u32, s, s + next(40)));
+                }
+                ctx.push((next(3) as u32, -2, far + 400));
+                fillers.push((far + next(100), far + 150));
+            }
+            2 => {
+                for _ in 0..1 + next(120) {
+                    let s = -500 + next(520);
+                    spans.push((s, s + next(25)));
+                }
+                for _ in 0..1 + next(6) {
+                    let s = -520 + next(540);
+                    ctx.push((next(3) as u32, s, s + next(60)));
+                }
+                for _ in 0..next(8) {
+                    fillers.push((-next(40), next(40)));
+                }
+            }
+            3 => {
+                let s = next(40) - 20;
+                spans.push((s, s + next(6)));
+                for _ in 0..1 + next(4) {
+                    let c = next(50) - 25;
+                    ctx.push((next(3) as u32, c, c + next(12)));
+                }
+                for _ in 0..next(3) {
+                    let f = next(40) - 20;
+                    fillers.push((f, f + next(40)));
+                }
+            }
+            _ => {
+                // ~200 rows over ~3 200 positions: buckets of 16.
+                for _ in 0..150 + next(100) {
+                    let s = next(3200);
+                    spans.push((s, s + next(20)));
+                }
+                for _ in 0..1 + next(6) {
+                    let s = 16 * next(200) + 1 + next(14);
+                    ctx.push((next(3) as u32, s, s + 16 * next(6) + 1 + next(14)));
+                }
+                for _ in 0..next(20) {
+                    let f = next(3200);
+                    fillers.push((f, f + 20));
+                }
+            }
+        }
+        (ctx, spans, fillers)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(200))]
+
+        /// Every candidate path counts as the nested loop does on the
+        /// start directory's edge geometries.
+        #[test]
+        fn directory_edges_agree_with_the_nested_loop(
+            kind in 0usize..5,
+            seed in proptest::arbitrary::any::<u64>(),
+        ) {
+            let mut seed = seed | 1;
+            let mut next = |m: u64| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                (seed % m.max(1)) as i64
+            };
+            let (rows, spans, fillers) = directory_edge(kind, &mut next);
             agree(&ctx(&rows), &spans, &fillers);
         }
     }

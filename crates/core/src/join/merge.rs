@@ -343,7 +343,7 @@ pub(crate) fn gallop_starts(candidates: &[RegionEntry], from: usize, target: i64
 /// comparison and a run of `s` skippable items costs `O(log s)` instead
 /// of `s` steps.
 #[inline]
-pub(crate) fn gallop<T>(items: &[T], from: usize, before: impl Fn(&T) -> bool) -> usize {
+fn gallop<T>(items: &[T], from: usize, before: impl Fn(&T) -> bool) -> usize {
     let mut step = 1usize;
     let mut hi = from;
     while hi < items.len() && before(&items[hi]) {

@@ -26,7 +26,10 @@
 //! up and start-sorts them into the scratch's context table — for one
 //! fragment ([`evaluate_standoff_join_with`] does it for its
 //! [`JoinInput`]) or for a whole *join unit* of the query engine, whose
-//! context may span several layers of one corpus. Then each
+//! context may span several layers of one corpus; a unit whose context
+//! is one iteration of exactly one name's elements reads the table from
+//! that name's posting instead ([`JoinScratch::context_from_posting`]).
+//! Then each
 //! [`JoinTarget`] — the candidate side: one layer's document, region
 //! index and candidate restriction — is joined against that table by
 //! [`join_resolved`], as many targets as the unit has, without the
@@ -394,7 +397,7 @@ pub struct JoinScratch {
     cand_keys: Keys,
     emissions: Vec<Emission>,
     iters: Vec<u32>,
-    /// A second context table: the sort's gather target, a
+    /// A second context table: the sort's gather target, or a
     /// per-iteration view of the context.
     single: Vec<CtxEntry>,
     /// The context sort's radix keys, and their other half.
@@ -427,6 +430,10 @@ impl JoinScratch {
     /// across all parts, not by its pre rank: two layers of one corpus
     /// reuse the same pre ranks, and `select-narrow`'s ∀∃ attribution
     /// over multi-region areas keys on that identity.
+    ///
+    /// A context that is one iteration of exactly one name's elements
+    /// needs neither the probes nor the sort: it is resolved from the
+    /// name's posting ([`JoinScratch::context_from_posting`]).
     pub fn resolve_context<'a>(
         &mut self,
         parts: impl IntoIterator<Item = (&'a RegionIndex, &'a [IterNode])>,
@@ -448,6 +455,32 @@ impl JoinScratch {
             first += rows.len() as u32;
         }
         sort_context(&mut self.ctx, &mut self.single, &mut self.keys);
+        self.note_extent();
+    }
+
+    /// Resolve a join's context from a posting ([`RegionIndex::posting`]):
+    /// `entries`, in their `(start, end, id)` order, as the rows of one
+    /// iteration `iter`, each identified by its pre rank. That is what
+    /// [`JoinScratch::resolve_context`] makes of one document's rows of
+    /// one iteration that are exactly the posting's elements — the same
+    /// rows in the same order, a row's rank standing for its ordinal —
+    /// read in one pass, without a node-view probe or a sort. Counted as
+    /// `context_posting`.
+    pub fn context_from_posting(&mut self, iter: u32, entries: &[RegionEntry]) {
+        self.ctx.clear();
+        self.ctx.extend(entries.iter().map(|e| CtxEntry {
+            iter,
+            node: e.id,
+            start: e.start,
+            end: e.end,
+        }));
+        self.stats.context_posting += 1;
+        self.note_extent();
+    }
+
+    /// Note the extent of the context just resolved, which every join
+    /// of it reads.
+    fn note_extent(&mut self) {
         let to = self.ctx.iter().map(|c| c.end).max();
         self.extent = (self.ctx.first().map_or(0, |c| c.start), to.unwrap_or(-1));
     }
@@ -472,9 +505,9 @@ impl JoinScratch {
             + (self.iters.capacity() + self.buckets.capacity() + self.universe.capacity())
                 * std::mem::size_of::<u32>()
             + self.selected.capacity() * std::mem::size_of::<(u32, u64)>()
-            + (self.keys[0].capacity() + self.keys[1].capacity()) * std::mem::size_of::<u64>()
-            + (self.cand_keys.starts.capacity() + self.cand_keys.block_ends.capacity())
-                * std::mem::size_of::<i64>()) as u64
+            + (self.keys[0].capacity() + self.keys[1].capacity()) * std::mem::size_of::<u64>())
+            as u64
+            + self.cand_keys.capacity_bytes()
     }
 
     /// Take the counters accumulated since the last take, leaving zeros
@@ -736,7 +769,9 @@ pub fn join_resolved(
 /// produced: the candidates are derived as the join derives them, over
 /// the same reach, and counted by interval arithmetic on the
 /// start-clustered table (`count.rs`); a reject axis counts its
-/// iteration's candidate universe minus the select count. Returns
+/// iteration's candidate universe minus the select count. The sweep
+/// takes the context one iteration at a time: a scope of one iteration
+/// is read in place, one of several is grouped on iteration. Returns
 /// `true` then. A target with multi-region annotations runs the join
 /// and counts its rows, returning `false`. A tripped budget leaves the
 /// counts partial, as the join leaves its rows; the caller surfaces it.
@@ -787,13 +822,19 @@ pub fn count_resolved(
             }
         };
         // The context table is start-sorted across iterations; the
-        // sweep takes one iteration at a time, each in start order.
-        let iters = (0, counts.len().saturating_sub(1) as u32);
-        let (ctx, buckets) = (&scratch.ctx, &mut scratch.buckets);
-        post::group_by_iter(ctx, |c| c.iter, iters, buckets, &mut scratch.single);
+        // sweep takes one iteration at a time, each in start order. A
+        // scope of one iteration is swept as it is.
+        let context = if counts.len() <= 1 {
+            &scratch.ctx
+        } else {
+            let iters = (0, counts.len() as u32 - 1);
+            let (ctx, buckets) = (&scratch.ctx, &mut scratch.buckets);
+            post::group_by_iter(ctx, |c| c.iter, iters, buckets, &mut scratch.single);
+            &scratch.single
+        };
         count::select_counts(
             select_axis,
-            &scratch.single,
+            context,
             &candidates,
             table.max_extent,
             budget.as_ref(),

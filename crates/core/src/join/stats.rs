@@ -109,6 +109,10 @@ join_counters! {
     /// Target layers a `count`, `exists` or `empty` was answered for
     /// from the index, without producing the join's rows.
     counts_from_index: "from-index={}" nonzero,
+    /// Join contexts read from a posting: one iteration of exactly one
+    /// name's elements, resolved without a node-view probe or a sort
+    /// ([`JoinScratch::context_from_posting`](crate::join::JoinScratch::context_from_posting)).
+    context_posting: "ctx-posting={}" nonzero,
 }
 
 impl JoinStats {
@@ -132,13 +136,14 @@ mod tests {
             ..JoinStats::default()
         };
         let pairs: Vec<(&str, u64)> = stats.counters().map(|(c, v)| (c.name, v)).collect();
-        assert_eq!(pairs.len(), 13);
+        assert_eq!(pairs.len(), 14);
         assert_eq!(pairs[0], ("candidate_node_view", 1));
         assert_eq!(pairs[1], ("candidate_posting", 0));
         assert_eq!(pairs[8], ("candidate_dense_blocks", 8));
         assert_eq!(pairs[10], ("candidate_reach_entries", 0));
         assert_eq!(pairs[11], ("naive_pairs", 0));
         assert_eq!(pairs[12], ("counts_from_index", 0));
+        assert_eq!(pairs[13], ("context_posting", 0));
         let mut sum = stats;
         sum.merge(stats);
         assert_eq!(sum.candidate_dense_blocks, 16);

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use standoff_algebra::{LlSeq, NodeTable, NodeTest, TreeAxis};
 use standoff_core::join::{count_resolved, join_resolved, JoinScratch, JoinTarget, Rank, RankPick};
-use standoff_core::{IterNode, RegionIndex, StandoffStrategy};
-use standoff_xml::{DocId, NodeRef};
+use standoff_core::{IterNode, RegionEntry, RegionIndex, StandoffStrategy};
+use standoff_xml::{DocId, NodeKind, NodeRef};
 
 use super::Evaluator;
 use crate::engine::{answering_layers, LayerFilter};
@@ -378,6 +378,41 @@ impl Evaluator<'_> {
         Ok(units)
     }
 
+    /// The posting entries that are `unit`'s resolved context, with its
+    /// one iteration, when the context is one iteration of exactly one
+    /// name's elements in one document outside a constructed fragment,
+    /// and `index`, that document's, has no multi-region annotation:
+    /// then the posting holds the context's regions in start order, one
+    /// per node, and the node-view probes and the sort of
+    /// [`JoinScratch::resolve_context`] are skipped. The name is the
+    /// first row's; the check is a length and a compare per row.
+    fn whole_name_context<'i>(
+        &self,
+        unit: &JoinUnit,
+        index: &'i RegionIndex,
+    ) -> Result<Option<(u32, &'i [RegionEntry])>, QueryError> {
+        let [(doc, rows)] = &unit.contexts[..] else {
+            return Ok(None);
+        };
+        let (Some(first), Some(last)) = (rows.first(), rows.last()) else {
+            return Ok(None);
+        };
+        if unit.fragment.is_some() || first.iter != last.iter || index.max_regions() > 1 {
+            return Ok(None);
+        }
+        let doc = self.engine.store.doc(*doc);
+        if doc.kind(first.node) != NodeKind::Element {
+            return Ok(None);
+        }
+        let name = doc.name_id(first.node);
+        let nodes = doc.element_postings(name);
+        if nodes.len() != rows.len() || !rows.iter().zip(nodes).all(|(r, &n)| r.node == n) {
+            return Ok(None);
+        }
+        let posting = index.posting(doc, name, self.engine.budget.as_ref())?;
+        Ok(posting.map(|p| (first.iter, p.table.entries)))
+    }
+
     /// Join one unit: resolve its context once, then one kernel call per
     /// answering layer, each delivering into `sink`.
     fn join_unit(
@@ -412,8 +447,14 @@ impl Evaluator<'_> {
             .map(|&doc| self.region_index_of(doc))
             .collect::<Result<Vec<_>, _>>()?;
         let engine = &*self.engine;
-        let contexts = unit.contexts.iter().zip(&ctx_indexes);
-        scratch.resolve_context(contexts.map(|((_, rows), index)| (&**index, &rows[..])));
+        // One resolution serves every target, rows and counts alike.
+        match self.whole_name_context(unit, &ctx_indexes[0])? {
+            Some((iter, entries)) => scratch.context_from_posting(iter, entries),
+            None => {
+                let contexts = unit.contexts.iter().zip(&ctx_indexes);
+                scratch.resolve_context(contexts.map(|((_, rows), index)| (&**index, &rows[..])))
+            }
+        }
         // The rejects complement over every iteration of the unit.
         let mut iter_domain: Vec<u32> = Vec::new();
         if !op.axis.is_select() {

@@ -98,6 +98,11 @@ impl QueryResult {
         self.xml.clone()
     }
 
+    /// [`QueryResult::as_xml`], taking the buffer instead of copying it.
+    pub fn into_xml(self) -> String {
+        self.xml
+    }
+
     /// Convenience for tests: single-item result as string.
     pub fn single(&self) -> Option<&str> {
         if self.items.len() == 1 {

@@ -827,7 +827,7 @@ fn cmd_query(argv: &[String]) -> Result<ExitCode, String> {
     if args.has("--time") {
         eprintln!("{}", time_line(&engine, &result, start, load));
     }
-    println!("{}", result.as_xml());
+    println!("{}", result.into_xml());
     Ok(ExitCode::SUCCESS)
 }
 

@@ -43,7 +43,7 @@
 //! baseline snapshot so `stats` stays cumulative across remounts.
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -484,13 +484,26 @@ fn read_frame(
     Ok(Some(payload))
 }
 
-/// Write one `ok|err <len>\n<payload>` response as a single TCP write.
+/// Write one `ok|err <len>\n<payload>` response: header and payload in
+/// one vectored write, without copying the payload into a frame, and
+/// continued from where a short write stopped.
 fn write_frame(stream: &mut TcpStream, ok: bool, payload: &str) -> io::Result<()> {
     let status = if ok { "ok" } else { "err" };
-    let mut frame = Vec::with_capacity(payload.len() + 16);
-    frame.extend_from_slice(format!("{status} {}\n", payload.len()).as_bytes());
-    frame.extend_from_slice(payload.as_bytes());
-    stream.write_all(&frame)
+    let header = format!("{status} {}\n", payload.len());
+    let mut parts = [
+        IoSlice::new(header.as_bytes()),
+        IoSlice::new(payload.as_bytes()),
+    ];
+    let mut rest = &mut parts[..];
+    while !rest.is_empty() {
+        match stream.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// The error-category token clients dispatch on (first line of an
@@ -620,7 +633,7 @@ fn handle_query(shared: &Arc<Shared>, exec: &Executor, text: &str) -> (bool, Str
         .unwrap_or_else(|e| e.into_inner())
         .retain(|(k, _)| *k != id);
     match result {
-        Ok(result) => (true, result.as_xml()),
+        Ok(result) => (true, result.into_xml()),
         Err(e) => (false, error_payload(&e)),
     }
 }

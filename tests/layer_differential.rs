@@ -819,3 +819,134 @@ fn seed_a_result_cap_between_kept_and_selected_trips_either_way() {
     let unfused = engine.run_unoptimized(&q2).unwrap_err();
     assert_eq!(unfused, fused);
 }
+
+/// A context that is one iteration of exactly one name's elements is
+/// read from the name's posting, without a node-view probe or a sort
+/// (`ctx-posting`); every other context is resolved row by row. Both
+/// answer as the naive oracle does — pure, writer-fed and compacted,
+/// all four axes, counted and as rows — and as the same context with
+/// the base layer's unannotated root added, which the path never takes.
+/// The path is taken for a whole name, a union of it with itself, a
+/// name's attributes (their owners), a name that is every annotation of
+/// its layer and a constructor evaluated once; not for the same set
+/// minus one node, a multi-region context layer, one fragment of a
+/// container, three iterations, or a context spanning two layers.
+#[test]
+fn seed_whole_name_contexts_read_their_posting() {
+    let attrs = StandoffConfig::default;
+    let mut tokens = String::from("<tokens>");
+    for k in 0..14 {
+        let s = 3 * k;
+        tokens.push_str(&format!(r#"<w start="{s}" end="{}"/>"#, s + 1 + k % 3));
+    }
+    tokens.push_str("</tokens>");
+    let set = layer_set(&[
+        ("base", "<text/>".into(), attrs()),
+        ("tokens", tokens, attrs()),
+        (
+            "spans",
+            attribute_layer(
+                "spans",
+                "d",
+                &[(30, 40), (0, 8), (6, 14), (20, 20), (6, 14)],
+                ((24, 33), 2),
+            ),
+            attrs(),
+        ),
+        (
+            "other",
+            r#"<other><e start="1" end="2"/><c start="9" end="26"/><c start="2" end="5"/></other>"#
+                .into(),
+            attrs(),
+        ),
+        (
+            "units",
+            units_layer(&[("u", vec![(0, 3), (9, 16)]), ("u", vec![(18, 29)])]),
+            StandoffConfig::element_repr(),
+        ),
+    ]);
+    let (spans, other, units) = (layer("spans"), layer("other"), layer("units"));
+    let pure = |query: &str| -> (String, u64) {
+        let mut engine = engine(StandoffStrategy::LoopLiftedMergeJoin);
+        engine.mount_store(set.clone()).unwrap();
+        let answer = engine.run(query).unwrap().as_xml();
+        let counters = engine.metrics().snapshot().counters;
+        (answer, counters["join.context_posting"])
+    };
+    // A constructor evaluated once makes a one-tree document, whose
+    // name's posting serves; evaluated twice, a container of two
+    // fragments, each joined within itself.
+    let fragment = r#"<r><d start="1" end="5"/><d start="3" end="9"/><w start="2" end="3"/><w start="4" end="4"/></r>"#;
+    let (once, twice) = (
+        format!("{fragment}//d"),
+        format!("(for $i in (1, 2) return {fragment})[1]//d"),
+    );
+    // (context, posting taken, a union with an unannotated row of the
+    // corpus leaves its answers alone)
+    let cases: [(String, bool, bool); 11] = [
+        (format!("{spans}//d"), true, true),
+        (format!("({spans}//d | {spans}//d)"), true, true),
+        (format!("{spans}//d/@n"), true, true),
+        (format!("{other}//e/following-sibling::c"), true, true),
+        (format!("{}//w", layer("tokens")), true, true),
+        (once, true, false),
+        (format!("{spans}//d[position() > 1]"), false, true),
+        (format!("{units}//u"), false, true),
+        (twice, false, false),
+        (format!("({spans}//d | {other}//c)"), false, true),
+        (
+            format!("for $i in 1 to 3 return {spans}//d[$i > 0]"),
+            false,
+            false,
+        ),
+    ];
+    let ops = [
+        DeltaOp::Insert {
+            layer: "spans".into(),
+            name: "d".into(),
+            start: 11,
+            end: 19,
+            attrs: vec![("n".into(), "9".into())],
+        },
+        DeltaOp::Retract {
+            layer: "tokens".into(),
+            name: "w".into(),
+            start: 6,
+            end: 9,
+        },
+    ];
+    let mut queries = Vec::new();
+    for (context, posting, defeat) in &cases {
+        for axis in AXES {
+            for test in ["w", "node()"] {
+                for query in [
+                    format!("{context}/{axis}::{test}"),
+                    format!("count({context}/{axis}::{test})"),
+                ] {
+                    let (answer, taken) = pure(&query);
+                    assert_eq!(taken > 0, *posting, "{query}: ctx-posting={taken}");
+                    // The same context with a row the path never takes,
+                    // where that leaves the answer alone: another
+                    // document of the corpus, unannotated.
+                    if *defeat {
+                        let defeated = query.replacen(
+                            context.as_str(),
+                            &format!("({context} | {}/*)", layer("base")),
+                            1,
+                        );
+                        let (expected, taken) = pure(&defeated);
+                        assert_eq!(answer, expected, "{query}");
+                        assert_eq!(taken, 0, "{defeated}");
+                    }
+                    queries.push(query);
+                }
+            }
+        }
+    }
+    // A loop-invariant count is hoisted out of its three iterations and
+    // joined once, in one: its context is the posting again.
+    let per_iteration = format!("for $i in 1 to 3 return count({spans}//d/select-narrow::w)");
+    assert_eq!(pure(&per_iteration), ("10 10 10".into(), 1));
+    queries.push(per_iteration);
+    check(&set, &ops, &queries);
+}
