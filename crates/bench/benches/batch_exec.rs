@@ -28,7 +28,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use standoff_bench::{prepare_workload, SO_URI};
 use standoff_xmark::queries::XmarkQuery;
 use standoff_xml::SerializeOptions;
-use standoff_xquery::{Executor, SharedEngine};
+use standoff_xquery::{Executor, Governance, SharedEngine};
 
 /// A 120-query batch over the StandOff XMark document: the paper's
 /// axis-step queries plus aggregate and FLWOR shapes, 24 distinct
@@ -71,7 +71,7 @@ fn batch_exec(c: &mut Criterion) {
 
     // Thread sweep, warm cache (the Bencher's warm-up run primes it).
     for threads in [1usize, 2, 4, 8] {
-        let exec = Executor::new(shared.clone(), threads);
+        let exec = Executor::governed(shared.clone(), threads, Governance::default());
         group.bench_with_input(BenchmarkId::new("threads", threads), &batch, |b, batch| {
             b.iter(|| {
                 let results = exec.run_batch(batch);
@@ -87,11 +87,11 @@ fn batch_exec(c: &mut Criterion) {
         b.iter(|| {
             // Fresh executor per run: empty plan cache, every query
             // parses.
-            let exec = Executor::new(shared.clone(), 1);
+            let exec = Executor::governed(shared.clone(), 1, Governance::default());
             exec.run_batch(batch).len()
         });
     });
-    let warm = Executor::new(shared.clone(), 1);
+    let warm = Executor::governed(shared.clone(), 1, Governance::default());
     warm.run_batch(&batch); // prime
     group.bench_with_input(BenchmarkId::new("cache", "warm"), &batch, |b, batch| {
         b.iter(|| warm.run_batch(batch).len());

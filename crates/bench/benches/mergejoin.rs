@@ -18,10 +18,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use standoff_core::join::merge::{ll_select_narrow, ll_select_wide};
-use standoff_core::join::{count_resolved, CtxEntry, JoinScratch, JoinTarget};
+use standoff_core::join::{count_resolved, join_resolved, CtxEntry, JoinScratch, JoinTarget};
 use standoff_core::{
-    evaluate_standoff_join, Area, IterNode, JoinInput, RegionEntry, RegionIndex, StandoffAxis,
-    StandoffConfig, StandoffStrategy,
+    Area, IterNode, RegionEntry, RegionIndex, StandoffAxis, StandoffConfig, StandoffStrategy,
 };
 use standoff_xmark::{generate, standoffify, XmarkConfig};
 use standoff_xml::{Document, DocumentBuilder};
@@ -61,6 +60,19 @@ fn workload(n_ctx: usize, iters: u32, n_cand: usize) -> (Vec<CtxEntry>, Vec<Regi
     (context, candidates)
 }
 
+/// One join as the query engine runs it: `context` resolved into
+/// `scratch`, then joined into `target`.
+fn join(
+    axis: StandoffAxis,
+    strategy: StandoffStrategy,
+    target: &JoinTarget<'_>,
+    context: &[IterNode],
+    scratch: &mut JoinScratch,
+) -> Vec<IterNode> {
+    scratch.resolve_context([(target.index, context)]);
+    join_resolved(axis, strategy, target, None, None, scratch)
+}
+
 fn mergejoin(c: &mut Criterion) {
     // Loop-lifted vs basic as iteration count grows (context and
     // candidate sizes fixed): basic re-scans candidates per iteration.
@@ -88,21 +100,22 @@ fn mergejoin(c: &mut Criterion) {
         context.sort_unstable();
         let candidates: Vec<u32> = (n..n + cand_rows.len() as u32).collect();
         let iter_domain: Vec<u32> = (0..iters).collect();
-        let input = JoinInput {
+        let target = JoinTarget {
             doc: &doc,
             index: &index,
-            ctx_index: None,
-            context: &context,
             candidates: Some(&candidates),
+            posting: None,
             iter_domain: &iter_domain,
         };
+        let narrow = StandoffAxis::SelectNarrow;
         for (label, strategy) in [
             ("loop-lifted", StandoffStrategy::LoopLiftedMergeJoin),
             ("basic", StandoffStrategy::BasicMergeJoin),
         ] {
             group.bench_with_input(BenchmarkId::new(label, iters), &iters, |b, _| {
                 b.iter(|| {
-                    evaluate_standoff_join(StandoffAxis::SelectNarrow, strategy, &input, None)
+                    let fresh = &mut JoinScratch::default();
+                    join(narrow, strategy, &target, &context, fresh)
                 });
             });
         }
@@ -124,53 +137,51 @@ fn mergejoin(c: &mut Criterion) {
     // buffers per join vs one reused JoinScratch (the executor's shape).
     let mut group = c.benchmark_group("scratch_reuse");
     {
-        let pairs: Vec<(u32, standoff_core::Area)> = (0..256)
+        let pairs: Vec<(u32, Area)> = (0..256)
             .map(|k| {
                 let s = k as i64 * 10;
-                (k, standoff_core::Area::single(s, s + 8).unwrap())
+                (k, Area::single(s, s + 8).unwrap())
             })
             .collect();
-        let index = standoff_core::RegionIndex::from_areas(&pairs);
+        let index = RegionIndex::from_areas(&pairs);
         let doc = standoff_xml::parse_document("<d/>").unwrap();
-        let context: Vec<standoff_core::IterNode> = (0..32)
-            .map(|k| standoff_core::IterNode {
+        let context: Vec<IterNode> = (0..32)
+            .map(|k| IterNode {
                 iter: k,
                 node: k * 7,
             })
             .collect();
         let cands: Vec<u32> = (0..64u32).map(|k| k * 4).collect();
         let iter_domain: Vec<u32> = (0..32).collect();
-        let input = standoff_core::JoinInput {
+        let target = JoinTarget {
             doc: &doc,
             index: &index,
-            ctx_index: None,
-            context: &context,
             candidates: Some(&cands),
+            posting: None,
             iter_domain: &iter_domain,
         };
+        let (axis, strategy) = (
+            StandoffAxis::SelectNarrow,
+            StandoffStrategy::LoopLiftedMergeJoin,
+        );
         group.bench_function("fresh_buffers_x64", |b| {
             b.iter(|| {
                 for _ in 0..64 {
-                    standoff_core::evaluate_standoff_join(
-                        standoff_core::StandoffAxis::SelectNarrow,
-                        standoff_core::StandoffStrategy::LoopLiftedMergeJoin,
-                        &input,
-                        None,
+                    join(
+                        axis,
+                        strategy,
+                        &target,
+                        &context,
+                        &mut JoinScratch::default(),
                     );
                 }
             });
         });
         group.bench_function("shared_scratch_x64", |b| {
-            let mut scratch = standoff_core::JoinScratch::default();
+            let mut scratch = JoinScratch::default();
             b.iter(|| {
                 for _ in 0..64 {
-                    standoff_core::evaluate_standoff_join_with(
-                        standoff_core::StandoffAxis::SelectNarrow,
-                        standoff_core::StandoffStrategy::LoopLiftedMergeJoin,
-                        &input,
-                        None,
-                        &mut scratch,
-                    );
+                    join(axis, strategy, &target, &context, &mut scratch);
                 }
             });
         });

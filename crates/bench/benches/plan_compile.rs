@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use standoff_bench::{prepare_workload, SO_URI};
 use standoff_xmark::queries::XmarkQuery;
-use standoff_xquery::{Executor, QueryCache, SharedEngine};
+use standoff_xquery::{Executor, Governance, QueryCache, SharedEngine};
 
 fn query_set() -> Vec<(&'static str, String)> {
     vec![
@@ -84,7 +84,7 @@ fn plan_compile(c: &mut Criterion) {
 
     // End-to-end sanity: one executor run over the batch so the bench
     // binary exercises the full plan-cached execution path too.
-    let exec = Executor::new(shared, 1);
+    let exec = Executor::governed(shared, 1, Governance::default());
     group.sample_size(10);
     group.bench_function("batch-roundtrip", |b| {
         b.iter(|| {

@@ -6,9 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use standoff_core::join::join_resolved;
 use standoff_core::{
-    evaluate_standoff_join, IterNode, JoinInput, RegionIndex, StandoffAxis, StandoffConfig,
-    StandoffStrategy,
+    IterNode, JoinScratch, JoinTarget, RegionIndex, StandoffAxis, StandoffConfig, StandoffStrategy,
 };
 use standoff_xmark::{generate, standoffify, XmarkConfig};
 
@@ -23,13 +23,18 @@ fn region_index(c: &mut Criterion) {
 
     let index = RegionIndex::build(&so.doc, &config).unwrap();
 
-    // Candidate intersection at different selectivities: a rare element
-    // (person: ~9% of nodes) vs a common wildcard-ish one.
-    let mut group = c.benchmark_group("region_index/candidates_for");
+    // Candidate intersection over the whole table at different
+    // selectivities: a rare element (person: ~9% of nodes) vs a common
+    // wildcard-ish one.
+    let mut group = c.benchmark_group("region_index/gather_all");
+    let mut out = Vec::new();
     for name in ["person", "bidder", "incategory"] {
         let nodes = so.doc.elements_named(name).to_vec();
         group.bench_with_input(BenchmarkId::from_parameter(name), &nodes, |b, nodes| {
-            b.iter(|| index.candidates_for(nodes));
+            b.iter(|| {
+                index.gather_candidates(nodes, 0..index.len(), &mut out);
+                out.len()
+            });
         });
     }
     group.finish();
@@ -52,7 +57,10 @@ fn region_index(c: &mut Criterion) {
             BenchmarkId::new("gather_64_cands", n),
             &sparse,
             |b, cands| {
-                b.iter(|| synthetic.candidates_for(cands));
+                b.iter(|| {
+                    synthetic.gather_candidates(cands, 0..synthetic.len(), &mut out);
+                    out.len()
+                });
             },
         );
     }
@@ -67,7 +75,7 @@ fn region_index(c: &mut Criterion) {
         let e = index.entries();
         (e[e.len() * 4 / 10].start, e[e.len() / 2].start)
     };
-    let reach = index.reach(from, to);
+    let reach = index.table().reach(from, to);
     for name in ["person", "bidder", "incategory"] {
         let id = so.doc.names().get(name).unwrap();
         let nodes = so.doc.elements_named(name);
@@ -96,42 +104,29 @@ fn region_index(c: &mut Criterion) {
         .collect();
     let increases = so.doc.elements_named("increase").to_vec();
     let mut group = c.benchmark_group("pushdown_ablation");
-    group.bench_function("with_candidates", |b| {
-        b.iter(|| {
-            let input = JoinInput {
-                doc: &so.doc,
-                index: &index,
-                ctx_index: None,
-                context: &context,
-                candidates: Some(&increases),
-                iter_domain: &[0],
-            };
-            evaluate_standoff_join(
-                StandoffAxis::SelectNarrow,
-                StandoffStrategy::LoopLiftedMergeJoin,
-                &input,
-                None,
-            )
+    let (axis, strategy) = (
+        StandoffAxis::SelectNarrow,
+        StandoffStrategy::LoopLiftedMergeJoin,
+    );
+    let mut scratch = JoinScratch::default();
+    for (label, candidates) in [
+        ("with_candidates", Some(&increases[..])),
+        ("without_candidates", None),
+    ] {
+        let target = JoinTarget {
+            doc: &so.doc,
+            index: &index,
+            candidates,
+            posting: None,
+            iter_domain: &[0],
+        };
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                scratch.resolve_context([(&index, &context[..])]);
+                join_resolved(axis, strategy, &target, None, None, &mut scratch)
+            });
         });
-    });
-    group.bench_function("without_candidates", |b| {
-        b.iter(|| {
-            let input = JoinInput {
-                doc: &so.doc,
-                index: &index,
-                ctx_index: None,
-                context: &context,
-                candidates: None,
-                iter_domain: &[0],
-            };
-            evaluate_standoff_join(
-                StandoffAxis::SelectNarrow,
-                StandoffStrategy::LoopLiftedMergeJoin,
-                &input,
-                None,
-            )
-        });
-    });
+    }
     group.finish();
 }
 

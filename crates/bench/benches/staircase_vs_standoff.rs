@@ -6,9 +6,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use standoff_algebra::{staircase, NodeTable, NodeTest, TreeAxis};
 use standoff_bench::{prepare_workload, SO_URI, STD_URI};
+use standoff_core::join::join_resolved;
 use standoff_core::{
-    evaluate_standoff_join, IterNode, JoinInput, RegionIndex, StandoffAxis, StandoffConfig,
-    StandoffStrategy,
+    IterNode, JoinScratch, JoinTarget, RegionIndex, StandoffAxis, StandoffConfig, StandoffStrategy,
 };
 use standoff_xmark::queries::XmarkQuery;
 use standoff_xml::NodeRef;
@@ -59,17 +59,21 @@ fn staircase_vs_standoff(c: &mut Criterion) {
     let index = RegionIndex::build(so_doc, &StandoffConfig::default()).unwrap();
     let candidates = so_doc.elements_named("increase").to_vec();
     let iter_domain: Vec<u32> = (0..so_ctx.len() as u32).collect();
-    let input = JoinInput {
+    let target = JoinTarget {
         doc: so_doc,
         index: &index,
-        ctx_index: None,
-        context: &so_ctx,
         candidates: Some(&candidates),
+        posting: None,
         iter_domain: &iter_domain,
     };
-    let select_narrow = || {
-        let axis = StandoffAxis::SelectNarrow;
-        evaluate_standoff_join(axis, StandoffStrategy::LoopLiftedMergeJoin, &input, None)
+    let (axis, strategy) = (
+        StandoffAxis::SelectNarrow,
+        StandoffStrategy::LoopLiftedMergeJoin,
+    );
+    let mut scratch = JoinScratch::default();
+    let mut select_narrow = || {
+        scratch.resolve_context([(&index, &so_ctx[..])]);
+        join_resolved(axis, strategy, &target, None, None, &mut scratch)
     };
     let descendant = || staircase::ll_step(store, &std_table, TreeAxis::Descendant, &test);
     assert_eq!(
@@ -78,7 +82,7 @@ fn staircase_vs_standoff(c: &mut Criterion) {
         "operators must agree on the result"
     );
     group.bench_function("operator/descendant-staircase", |b| b.iter(descendant));
-    group.bench_function("operator/select-narrow", |b| b.iter(select_narrow));
+    group.bench_function("operator/select-narrow", |b| b.iter(&mut select_narrow));
     group.finish();
 }
 

@@ -152,8 +152,7 @@ pub struct RegionIndex {
     /// single-region post-processing path applies).
     max_regions: u32,
     /// The largest `end − start` over the entries, derived with the node
-    /// view: the loop-lifted wide join's reach
-    /// ([`RegionIndex::wide_reach`]).
+    /// view: the loop-lifted wide join's reach ([`Table::wide_reach`]).
     max_extent: i64,
     /// One slot per element name of the indexed document, holding the
     /// name's posting once a join has derived it
@@ -439,15 +438,10 @@ impl RegionIndex {
     /// range of that key in the clustered column, so ids come out
     /// ascending. Two binary searches — this is the lookup that answers
     /// "which annotations sit at this region?" without touching the
-    /// other rows.
-    pub fn entries_at(&self, start: i64, end: i64) -> &[RegionEntry] {
-        self.entries_at_probed(start, end).0
-    }
-
-    /// [`RegionIndex::entries_at`] plus the number of entries it
-    /// examined: every comparison of the two binary searches and every
-    /// row of the answer. Callers that publish a probe counter feed it
-    /// from here, so the count is measured, not derived.
+    /// other rows. Returned with the number of entries it examined:
+    /// every comparison of the two binary searches and every row of the
+    /// answer. Callers that publish a probe counter feed it from here,
+    /// so the count is measured, not derived.
     pub fn entries_at_probed(&self, start: i64, end: i64) -> (&[RegionEntry], u64) {
         let mut probes = 0u64;
         let lo = self.entries.partition_point(|e| {
@@ -476,50 +470,18 @@ impl RegionIndex {
         }
     }
 
-    /// The *reach* of a context extent `[from, to]` — first context
-    /// start, largest context end: the entries whose start lies inside
-    /// it, found by two partition points on the start-clustered table.
-    /// Every region a `select-narrow` over that context can contain is
-    /// one of them; the rest of the table need not be read.
-    pub fn reach(&self, from: i64, to: i64) -> Range<usize> {
-        self.table().reach(from, to)
-    }
-
-    /// The reach of a context extent `[from, to]` for the overlap axes:
-    /// an entry overlapping a context region starts at or before the
-    /// context's end and at most [`RegionIndex::max_extent`] before its
-    /// start, so every region a `select-wide` over that context can
-    /// overlap starts inside `[from − max_extent, to]`. A layer of short
-    /// annotations (tokens, entities) shrinks to its context's stretch;
-    /// one whose root spans the text stays whole.
-    pub fn wide_reach(&self, from: i64, to: i64) -> Range<usize> {
-        self.table().wide_reach(from, to)
-    }
-
     /// Candidate-sequence intersection (§4.3): restrict the index to the
     /// given candidate node ids (sorted ascending), *preserving the start
-    /// ordering* of the region index. This is how an element-name test is
-    /// pushed down into a StandOff step.
+    /// ordering* of the region index. This is how an explicit candidate
+    /// sequence is pushed into a StandOff step.
     ///
-    /// The allocating form, over the whole table: candidates that are
-    /// every annotated node copy the table, any others are gathered
-    /// through the node view ([`RegionIndex::gather_candidates`]).
-    pub fn candidates_for(&self, sorted_node_pres: &[u32]) -> Vec<RegionEntry> {
-        if self.covers(sorted_node_pres) {
-            return self.entries.to_vec();
-        }
-        let mut out = Vec::new();
-        self.gather_candidates(sorted_node_pres, 0..self.len(), &mut out);
-        out
-    }
-
     /// The node-view derivation: fetch each candidate's regions through
     /// the CSR node view — one galloping cursor over the node ids, both
     /// lists ascending — into `out` (cleared first), keeping those inside
-    /// `reach` (a range [`RegionIndex::reach`] returned, or the whole
-    /// table — never one that splits a run of equal starts) and
-    /// restoring the `(start, end, id)` clustering only when the
-    /// gathered runs actually violate it.
+    /// `reach` (a range [`Table::reach`] returned, or the whole table —
+    /// never one that splits a run of equal starts) and restoring the
+    /// `(start, end, id)` clustering only when the gathered runs actually
+    /// violate it.
     pub fn gather_candidates(
         &self,
         sorted_node_pres: &[u32],
@@ -850,16 +812,25 @@ pub struct Table<'a> {
 }
 
 impl<'a> Table<'a> {
-    /// The entries whose start lies inside `[from, to]`
-    /// ([`RegionIndex::reach`]).
+    /// The *reach* of a context extent `[from, to]` — first context
+    /// start, largest context end: the entries whose start lies inside
+    /// it, found by two partition points on the start-clustered table.
+    /// Every region a `select-narrow` over that context can contain is
+    /// one of them; the rest of the table need not be read.
     pub fn reach(&self, from: i64, to: i64) -> Range<usize> {
         let lo = self.entries.partition_point(|e| e.start < from);
         let hi = lo + self.entries[lo..].partition_point(|e| e.start <= to);
         lo..hi
     }
 
-    /// The entries that can overlap `[from, to]`
-    /// ([`RegionIndex::wide_reach`]), by this table's own extent bound.
+    /// The reach of a context extent `[from, to]` for the overlap axes:
+    /// an entry overlapping a context region starts at or before the
+    /// context's end and at most [`Table::max_extent`] before its start,
+    /// so every region a `select-wide` over that context can overlap
+    /// starts inside `[from − max_extent, to]`. A layer of short
+    /// annotations (tokens, entities) shrinks to its context's stretch;
+    /// one whose root spans the text stays whole. The bound is the
+    /// table's own: a posting's is its name's largest extent.
     pub fn wide_reach(&self, from: i64, to: i64) -> Range<usize> {
         self.reach(from.saturating_sub(self.max_extent), to)
     }
@@ -1200,6 +1171,13 @@ mod tests {
         (doc, idx)
     }
 
+    /// The node-view gather over the whole table.
+    fn gathered(idx: &RegionIndex, cands: &[u32]) -> Vec<RegionEntry> {
+        let mut out = Vec::new();
+        idx.gather_candidates(cands, 0..idx.len(), &mut out);
+        out
+    }
+
     /// §4.3 by definition: the start-clustered table filtered by
     /// candidate membership.
     fn definitional(idx: &RegionIndex, cands: &[u32]) -> Vec<RegionEntry> {
@@ -1306,7 +1284,8 @@ mod tests {
         )
         .unwrap();
         let idx = RegionIndex::build(&doc, &StandoffConfig::default()).unwrap();
-        let ids = |s, e| -> Vec<u32> { idx.entries_at(s, e).iter().map(|x| x.id).collect() };
+        let ids =
+            |s, e| -> Vec<u32> { idx.entries_at_probed(s, e).0.iter().map(|x| x.id).collect() };
         let a = doc.elements_named("a");
         let b = doc.elements_named("b");
         assert_eq!(ids(3, 5), vec![a[0], b[0], a[1]], "ascending ids");
@@ -1321,7 +1300,7 @@ mod tests {
             assert!(hit.iter().all(|x| (x.start, x.end) == (e.start, e.end)));
             assert!(probes as usize <= 2 * (idx.len().ilog2() as usize + 2) + hit.len());
         }
-        assert!(RegionIndex::default().entries_at(0, 0).is_empty());
+        assert!(RegionIndex::default().entries_at_probed(0, 0).0.is_empty());
     }
 
     #[test]
@@ -1336,13 +1315,13 @@ mod tests {
     fn candidate_intersection_preserves_start_order() {
         let (doc, idx) = figure1_index();
         let shots = doc.elements_named("shot");
-        let cands = idx.candidates_for(shots);
+        let cands = gathered(&idx, shots);
         assert_eq!(cands.len(), 3);
         assert!(cands.windows(2).all(|w| w[0].start <= w[1].start));
         assert!(cands.iter().all(|e| shots.contains(&e.id)));
     }
 
-    /// Regression: `candidates_for` silently assumed its input was
+    /// Regression: the gather silently assumed its input was
     /// strictly ascending — unsorted input made the scan path's binary
     /// search skip candidates *without any diagnostic*. The invariant is
     /// debug-asserted (this test, which runs in CI's debug-assertions
@@ -1358,7 +1337,7 @@ mod tests {
         let (doc, idx) = figure1_index();
         let shots = doc.elements_named("shot");
         let unsorted: Vec<u32> = shots.iter().rev().copied().collect();
-        let _ = idx.candidates_for(&unsorted);
+        let _ = gathered(&idx, &unsorted);
     }
 
     /// Companion regression: input that arrives unsorted and is sorted
@@ -1375,7 +1354,7 @@ mod tests {
             .collect();
         cands.sort_unstable(); // …the caller-side fix
         cands.dedup();
-        let got = idx.candidates_for(&cands);
+        let got = gathered(&idx, &cands);
         assert_eq!(got, definitional(&idx, &cands));
         assert_eq!(got.len(), 5); // 3 shots + 2 music annotations
     }
@@ -1418,7 +1397,7 @@ mod tests {
         });
         let idx = RegionIndex::from_areas(&pairs.into_iter().chain(filler).collect::<Vec<_>>());
         let cands = vec![3, 5, 7];
-        let got = idx.candidates_for(&cands);
+        let got = gathered(&idx, &cands);
         assert_eq!(got.len(), 5);
         assert!(
             got.windows(2)
@@ -1447,7 +1426,7 @@ mod tests {
             let edges = [0, 1, 8, 9, 52, 64, 65];
             for (k, &from) in edges.iter().enumerate() {
                 for &to in &edges[k..] {
-                    idx.gather_candidates(&subset, idx.reach(from, to), &mut buf);
+                    idx.gather_candidates(&subset, idx.table().reach(from, to), &mut buf);
                     let want: Vec<RegionEntry> = definitional(&idx, &subset)
                         .into_iter()
                         .filter(|e| (from..=to).contains(&e.start))
@@ -1455,24 +1434,25 @@ mod tests {
                     assert_eq!(buf, want, "mask {mask:#b}, extent [{from}, {to}]");
                 }
             }
-            assert_eq!(idx.candidates_for(&subset), definitional(&idx, &subset));
+            assert_eq!(gathered(&idx, &subset), definitional(&idx, &subset));
         }
         // Unannotated candidates simply contribute nothing.
         let video = doc.elements_named("video")[0];
-        assert!(idx.candidates_for(&[video]).is_empty());
+        assert!(gathered(&idx, &[video]).is_empty());
     }
 
     /// The reach of an extent: exactly the entries starting inside it.
     #[test]
     fn reach_is_the_entries_starting_inside_the_extent() {
         let (_, idx) = figure1_index(); // starts 0, 0, 8, 52, 64
-        assert_eq!(idx.reach(0, 94), 0..5);
-        assert_eq!(idx.reach(0, 0), 0..2);
-        assert_eq!(idx.reach(1, 8), 2..3);
-        assert_eq!(idx.reach(9, 51), 3..3);
-        assert_eq!(idx.reach(52, 64), 3..5);
-        assert_eq!(idx.reach(95, 200), 5..5);
-        assert!(RegionIndex::default().reach(0, 9).is_empty());
+        let table = idx.table();
+        assert_eq!(table.reach(0, 94), 0..5);
+        assert_eq!(table.reach(0, 0), 0..2);
+        assert_eq!(table.reach(1, 8), 2..3);
+        assert_eq!(table.reach(9, 51), 3..3);
+        assert_eq!(table.reach(52, 64), 3..5);
+        assert_eq!(table.reach(95, 200), 5..5);
+        assert!(RegionIndex::default().table().reach(0, 9).is_empty());
     }
 
     /// The wide reach widens the extent left by the largest entry
@@ -1482,12 +1462,14 @@ mod tests {
     fn wide_reach_widens_by_the_largest_extent() {
         let (doc, idx) = figure1_index(); // starts 0, 0, 8, 52, 64; widest 8..64
         assert_eq!(idx.max_extent(), 56);
-        assert_eq!(idx.wide_reach(64, 64), 2..5, "starting exactly 56 before");
-        assert_eq!(idx.wide_reach(65, 65), 3..5, "one further out");
-        assert_eq!(idx.wide_reach(70, 80), 3..5);
-        assert_eq!(idx.wide_reach(0, 94), 0..5);
+        let table = idx.table();
+        assert_eq!(table.wide_reach(64, 64), 2..5, "starting exactly 56 before");
+        assert_eq!(table.wide_reach(65, 65), 3..5, "one further out");
+        assert_eq!(table.wide_reach(70, 80), 3..5);
+        assert_eq!(table.wide_reach(0, 94), 0..5);
         assert_eq!(RegionIndex::default().max_extent(), 0);
-        assert!(RegionIndex::default().wide_reach(i64::MIN, 9).is_empty());
+        let empty = RegionIndex::default();
+        assert!(empty.table().wide_reach(i64::MIN, 9).is_empty());
 
         let s = idx.storage();
         let kinds = vec![NodeKind::Element as u8; doc.node_count()];

@@ -102,8 +102,8 @@ pub(crate) const POLL_BLOCK: usize = 64;
 /// Produces raw `(iter, ctx_node, candidate)` matches; containment of each
 /// candidate *region* in a context region of the same iteration.
 ///
-/// Tracing is monomorphized away when disabled: pass [`NoTrace`] (or use
-/// the `None` convenience of [`crate::evaluate_standoff_join`]).
+/// Tracing is monomorphized away when disabled: pass [`NoTrace`] (or
+/// `None` as the trace of [`crate::join::join_resolved`]).
 pub fn ll_select_narrow(
     context: &[CtxEntry],
     candidates: &[RegionEntry],

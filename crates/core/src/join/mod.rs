@@ -23,13 +23,11 @@
 //!
 //! A join runs in two phases. The *context* is resolved first, once:
 //! [`JoinScratch::resolve_context`] looks every context node's regions
-//! up and start-sorts them into the scratch's context table — for one
-//! fragment ([`evaluate_standoff_join_with`] does it for its
-//! [`JoinInput`]) or for a whole *join unit* of the query engine, whose
-//! context may span several layers of one corpus; a unit whose context
-//! is one iteration of exactly one name's elements reads the table from
-//! that name's posting instead ([`JoinScratch::context_from_posting`]).
-//! Then each
+//! up and start-sorts them into the scratch's context table, for a
+//! whole *join unit* of the query engine, whose context may span several
+//! layers of one corpus; a unit whose context is one iteration of
+//! exactly one name's elements reads the table from that name's posting
+//! instead ([`JoinScratch::context_from_posting`]). Then each
 //! [`JoinTarget`] — the candidate side: one layer's document, region
 //! index and candidate restriction — is joined against that table by
 //! [`join_resolved`], as many targets as the unit has, without the
@@ -216,86 +214,38 @@ pub struct Emission {
     pub cand_idx: u32,
 }
 
-/// Everything a StandOff join evaluation needs for one document fragment.
+/// The candidate side of a StandOff join: one document fragment whose
+/// annotations the join emits. A join unit of the query engine has one
+/// per layer that can answer the step, all joined against the same
+/// resolved context ([`join_resolved`]).
 ///
 /// The paper first partitions the context sequence per XML fragment and
-/// runs the join fragment-by-fragment (§4.4); the query engine performs
-/// that partitioning and builds one `JoinInput` per fragment.
-pub struct JoinInput<'a> {
+/// runs the join fragment by fragment (§4.4); the query engine performs
+/// that partitioning, resolves each unit's context once
+/// ([`JoinScratch::resolve_context`]) and joins it into one target per
+/// answering layer.
+#[derive(Clone, Copy)]
+pub struct JoinTarget<'a> {
     /// The *candidate-side* document: StandOff steps emit nodes of this
     /// fragment.
     pub doc: &'a Document,
-    /// The candidate-side region index.
+    /// The candidate-side region index. The context's areas may come
+    /// from another index of the same BLOB (a sibling layer of
+    /// `standoff-store`): regions share the coordinate space, so the
+    /// merge joins run unchanged.
     pub index: &'a RegionIndex,
-    /// Region index the *context* nodes' areas are looked up in. `None`
-    /// means the context lives in the same fragment as the candidates
-    /// (the classic single-document join). `Some` is the multi-layer
-    /// case of `standoff-store`: context annotations from one layer
-    /// joined against the candidate annotations of a sibling layer over
-    /// the same BLOB — regions share the coordinate space, so the merge
-    /// joins run unchanged.
-    pub ctx_index: Option<&'a RegionIndex>,
-    /// Context `(iter, node)` pairs, grouped by ascending iter, document
-    /// order within each iteration. Node ids refer to the context
-    /// fragment (which is `doc` unless `ctx_index` is set).
-    pub context: &'a [IterNode],
     /// Candidate node pre ranks (ascending), produced by a pushed-down
     /// selection such as an element name test; `None` means "no
     /// restriction" — every annotation in the index is a candidate.
-    pub candidates: Option<&'a [u32]>,
-    /// All iterations of the scope, ascending. Required by the reject
-    /// axes: an iteration whose context selects nothing must still reject
-    /// *all* candidates.
-    pub iter_domain: &'a [u32],
-}
-
-impl<'a> JoinInput<'a> {
-    /// The index context-node areas are fetched from (see
-    /// [`JoinInput::ctx_index`]).
-    #[inline]
-    pub fn context_index(&self) -> &'a RegionIndex {
-        self.ctx_index.unwrap_or(self.index)
-    }
-
-    /// The candidate side of this input.
-    #[inline]
-    pub fn target(&self) -> JoinTarget<'a> {
-        JoinTarget {
-            doc: self.doc,
-            index: self.index,
-            candidates: self.candidates,
-            posting: None,
-            iter_domain: self.iter_domain,
-        }
-    }
-
-    /// The distinct candidate *annotation* nodes, ascending — the universe
-    /// the reject axes complement against.
-    pub fn candidate_universe(&self) -> Vec<u32> {
-        self.target()
-            .candidate_universe_in(&mut Vec::new())
-            .to_vec()
-    }
-}
-
-/// The candidate side of a StandOff join: one document fragment whose
-/// annotations the join emits. A [`JoinInput`] has one; a join unit of
-/// the query engine has one per layer that can answer the step, all
-/// joined against the same resolved context ([`join_resolved`]).
-#[derive(Clone, Copy)]
-pub struct JoinTarget<'a> {
-    /// See [`JoinInput::doc`].
-    pub doc: &'a Document,
-    /// See [`JoinInput::index`].
-    pub index: &'a RegionIndex,
-    /// See [`JoinInput::candidates`].
     pub candidates: Option<&'a [u32]>,
     /// The entries of `candidates` when they are a pushed name's
     /// elements: the name's posting ([`RegionIndex::posting`]). `None`
     /// for an explicit candidate sequence, which is intersected with the
     /// index per join.
     pub posting: Option<Posting<'a>>,
-    /// See [`JoinInput::iter_domain`].
+    /// All iterations of the scope, ascending. Required by the reject
+    /// axes: an iteration whose context selects nothing must still reject
+    /// *all* candidates.
     pub iter_domain: &'a [u32],
 }
 
@@ -587,46 +537,11 @@ impl Clone for JoinScratch {
     }
 }
 
-/// Evaluate a StandOff join on one document fragment.
-///
-/// Returns `(iter, node)` pairs sorted by `(iter, node)` — duplicate-free
-/// and in document order per iteration, as required of an XPath step.
-pub fn evaluate_standoff_join(
-    axis: StandoffAxis,
-    strategy: StandoffStrategy,
-    input: &JoinInput<'_>,
-    trace: Option<&mut dyn TraceSink>,
-) -> Vec<IterNode> {
-    evaluate_standoff_join_with(axis, strategy, input, trace, &mut JoinScratch::default())
-}
-
-/// [`evaluate_standoff_join`] with a caller-owned [`JoinScratch`], so a
-/// long-lived executor reuses the context/candidate/emission buffers and
-/// the merge kernels' active lists across operators and queries.
-pub fn evaluate_standoff_join_with(
-    axis: StandoffAxis,
-    strategy: StandoffStrategy,
-    input: &JoinInput<'_>,
-    trace: Option<&mut dyn TraceSink>,
-    scratch: &mut JoinScratch,
-) -> Vec<IterNode> {
-    let target = input.target();
-    // Nothing to select from, or nothing to select with: answered
-    // without looking the context up or sorting it.
-    if target.has_no_candidates() {
-        return Vec::new();
-    }
-    if input.context.is_empty() {
-        return finish(axis, Vec::new(), &target, &mut scratch.universe);
-    }
-    scratch.resolve_context([(input.context_index(), input.context)]);
-    join_resolved(axis, strategy, &target, None, trace, scratch)
-}
-
 /// Join the context last resolved into `scratch`
 /// ([`JoinScratch::resolve_context`]) against one target. Returns
 /// `(iter, node)` pairs of the target's fragment sorted by
-/// `(iter, node)`, like [`evaluate_standoff_join`] — or, with a `pick`,
+/// `(iter, node)` — duplicate-free and in document order per
+/// iteration, as required of an XPath step — or, with a `pick`,
 /// only its rank candidates of them, the rows selected counted in it
 /// ([`RankPick`]). A merge join's select axis picks while it
 /// post-processes its emissions ([`post::finalize_select`]); the nested
@@ -908,14 +823,14 @@ mod tests {
         );
     }
 
-    /// A join with nothing to select from (`candidates: Some(&[])`) or
-    /// nothing to select with (no context rows) is answered before the
-    /// context is looked up: the scratch's context table keeps whatever
-    /// the previous join left in it, and every axis of every strategy
-    /// still returns the nested loop's answer — also over an empty
-    /// iteration domain.
+    /// A join with nothing to select from (`candidates: Some(&[])`) is
+    /// answered before the resolved context is read, and one with
+    /// nothing to select with reads an empty table: every axis of every
+    /// strategy, as rows and as counts, returns the nested loop's answer
+    /// — also over an empty iteration domain — and leaves the resolved
+    /// table as it found it.
     #[test]
-    fn empty_sides_return_before_the_context_is_resolved() {
+    fn empty_sides_answer_like_the_nested_loop() {
         let doc = standoff_xml::parse_document(
             r#"<d><a start="0" end="9"/><b start="2" end="3"/><b start="20" end="21"/></d>"#,
         )
@@ -923,62 +838,64 @@ mod tests {
         let index = crate::RegionIndex::build(&doc, &crate::StandoffConfig::default()).unwrap();
         let (a, bs) = (doc.elements_named("a")[0], doc.elements_named("b"));
         let context = [IterNode { iter: 0, node: a }];
-        let input = |context, candidates, iter_domain| JoinInput {
+        let target = |candidates, iter_domain| JoinTarget {
             doc: &doc,
             index: &index,
-            ctx_index: None,
-            context,
             candidates,
+            posting: None,
             iter_domain,
         };
         let mut scratch = JoinScratch::default();
-        let warm = input(&context[..], Some(bs), &[0][..]);
-        let strategy = StandoffStrategy::LoopLiftedMergeJoin;
-        let narrow = StandoffAxis::SelectNarrow;
-        assert_eq!(
-            evaluate_standoff_join_with(narrow, strategy, &warm, None, &mut scratch).len(),
-            1
-        );
-        let resolved = scratch.ctx.clone();
-        assert_eq!(resolved.len(), 1);
         let cases = [
             (
                 "empty candidates",
-                input(&context[..], Some(&[][..]), &[0][..]),
+                &context[..],
+                target(Some(&[][..]), &[0][..]),
             ),
-            ("empty context", input(&[][..], Some(bs), &[0][..])),
+            ("empty context", &[][..], target(Some(bs), &[0][..])),
             (
                 "empty context, all annotations",
-                input(&[][..], None, &[0, 1][..]),
+                &[][..],
+                target(None, &[0, 1][..]),
             ),
-            ("empty iteration domain", input(&[][..], Some(bs), &[][..])),
+            ("empty iteration domain", &[][..], target(Some(bs), &[][..])),
         ];
-        for (what, case) in &cases {
+        for (what, rows, case) in &cases {
             // What the nested loop computes: nothing is selected, so the
             // rejects are the whole universe in every iteration.
-            let universe = case.candidate_universe();
+            let universe = case.candidate_universe_in(&mut Vec::new()).to_vec();
             let rejected: Vec<IterNode> = case
                 .iter_domain
                 .iter()
                 .flat_map(|&iter| universe.iter().map(move |&node| IterNode { iter, node }))
                 .collect();
+            scratch.resolve_context([(&index, *rows)]);
+            let resolved = scratch.ctx.clone();
+            assert_eq!(resolved.len(), rows.len(), "{what}");
             for axis in StandoffAxis::ALL {
-                let got = evaluate_standoff_join_with(axis, strategy, case, None, &mut scratch);
-                assert_eq!(
-                    scratch.ctx, resolved,
-                    "{what}, {axis}: context table touched"
-                );
                 let expected = if axis.is_select() {
                     &[][..]
                 } else {
                     &rejected[..]
                 };
-                assert_eq!(got, expected, "{what}, {axis}");
-                let naive = StandoffStrategy::NaiveNoCandidates;
-                assert_eq!(evaluate_standoff_join(axis, naive, case, None), expected);
+                for strategy in StandoffStrategy::ALL {
+                    let got = join_resolved(axis, strategy, case, None, None, &mut scratch);
+                    assert_eq!(got, expected, "{what}, {axis} under {strategy}");
+                }
+                let mut counts = [0u64; 2];
+                assert!(count_resolved(axis, case, &mut scratch, &mut counts));
+                let mut want = [0u64; 2];
+                for row in expected {
+                    want[row.iter as usize] += 1;
+                }
+                assert_eq!(counts, want, "{what}, {axis} counted");
+                assert_eq!(
+                    scratch.ctx, resolved,
+                    "{what}, {axis}: context table touched"
+                );
             }
         }
-        assert_eq!(cases[2].1.candidate_universe().len(), 3);
+        assert_eq!(cases[2].2.candidate_universe_in(&mut Vec::new()).len(), 3);
     }
 
     /// The radix context sort orders like the four-field comparison

@@ -97,16 +97,23 @@ mod tests {
     use super::*;
     use crate::config::StandoffConfig;
     use crate::index::RegionIndex;
-    use crate::join::{JoinInput, JoinScratch};
+    use crate::join::JoinScratch;
     use standoff_xml::parse_document;
 
-    fn naive(axis: StandoffAxis, input: &JoinInput<'_>, with_candidates: bool) -> Vec<IterNode> {
+    /// Resolve the one row `ctx` as the engine does, then run the nested
+    /// loop over `target`.
+    fn naive(
+        axis: StandoffAxis,
+        target: &JoinTarget<'_>,
+        ctx: IterNode,
+        with_candidates: bool,
+    ) -> Vec<IterNode> {
         let mut scratch = JoinScratch::default();
-        scratch.resolve_context([(input.context_index(), input.context)]);
+        scratch.resolve_context([(target.index, &[ctx][..])]);
         naive_select(
             axis,
             &scratch.ctx,
-            &input.target(),
+            target,
             with_candidates,
             None,
             &mut scratch.stats,
@@ -144,18 +151,17 @@ mod tests {
         let (doc, index) = figure1();
         let u2 = doc.elements_named("music")[0];
         let shots = doc.elements_named("shot");
-        let ctx = [IterNode { iter: 0, node: u2 }];
-        let input = JoinInput {
+        let ctx = IterNode { iter: 0, node: u2 };
+        let target = JoinTarget {
             doc: &doc,
             index: &index,
-            ctx_index: None,
-            context: &ctx,
             candidates: Some(shots),
+            posting: None,
             iter_domain: &[0],
         };
-        let narrow = naive(StandoffAxis::SelectNarrow, &input, true);
+        let narrow = naive(StandoffAxis::SelectNarrow, &target, ctx, true);
         assert_eq!(shot_ids(&doc, &narrow), vec!["Intro"]);
-        let wide = naive(StandoffAxis::SelectWide, &input, true);
+        let wide = naive(StandoffAxis::SelectWide, &target, ctx, true);
         assert_eq!(shot_ids(&doc, &wide), vec!["Intro", "Interview"]);
     }
 
@@ -163,16 +169,15 @@ mod tests {
     fn without_candidates_scans_everything_but_matches_annotated_only() {
         let (doc, index) = figure1();
         let u2 = doc.elements_named("music")[0];
-        let ctx = [IterNode { iter: 0, node: u2 }];
-        let input = JoinInput {
+        let ctx = IterNode { iter: 0, node: u2 };
+        let target = JoinTarget {
             doc: &doc,
             index: &index,
-            ctx_index: None,
-            context: &ctx,
             candidates: None,
+            posting: None,
             iter_domain: &[0],
         };
-        let wide = naive(StandoffAxis::SelectWide, &input, false);
+        let wide = naive(StandoffAxis::SelectWide, &target, ctx, false);
         // U2 [0,31] overlaps Intro, Interview and itself; <video>/<audio>
         // have no regions and never match.
         assert_eq!(wide.len(), 3);
@@ -182,18 +187,17 @@ mod tests {
     fn unannotated_context_contributes_nothing() {
         let (doc, index) = figure1();
         let video = doc.elements_named("video")[0];
-        let ctx = [IterNode {
+        let ctx = IterNode {
             iter: 0,
             node: video,
-        }];
-        let input = JoinInput {
+        };
+        let target = JoinTarget {
             doc: &doc,
             index: &index,
-            ctx_index: None,
-            context: &ctx,
             candidates: None,
+            posting: None,
             iter_domain: &[0],
         };
-        assert!(naive(StandoffAxis::SelectWide, &input, false).is_empty());
+        assert!(naive(StandoffAxis::SelectWide, &target, ctx, false).is_empty());
     }
 }

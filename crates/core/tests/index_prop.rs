@@ -8,7 +8,9 @@ use std::ops::Range;
 
 use proptest::prelude::*;
 
-use standoff_core::{Area, Region, RegionEntry, RegionIndex, StandoffConfig};
+use standoff_core::{
+    Area, JoinStats, JoinTarget, Region, RegionEntry, RegionIndex, StandoffConfig,
+};
 use standoff_xml::{DocumentBuilder, NewElement, NodeKind};
 
 /// The oracle, by definition: the start-clustered table filtered by
@@ -24,7 +26,8 @@ fn oracle(index: &RegionIndex, candidates: &[u32], reach: Range<usize>) -> Vec<R
         .collect()
 }
 
-/// The gather and the allocating form against the oracle.
+/// The gather, and the derivation a join over `candidates` reads
+/// through, against the oracle.
 fn assert_all_agree(index: &RegionIndex, candidates: &[u32], reach: Range<usize>) {
     let want = oracle(index, candidates, reach.clone());
     let mut got = vec![RegionEntry {
@@ -35,9 +38,18 @@ fn assert_all_agree(index: &RegionIndex, candidates: &[u32], reach: Range<usize>
     if candidates == index.annotated_nodes() {
         assert_eq!(&index.entries()[reach.clone()], want, "borrowed reach");
     }
-    if reach == (0..index.len()) {
-        assert_eq!(index.candidates_for(candidates), want, "allocating form");
-    }
+    // The candidate side never reads its document here.
+    let doc = standoff_xml::parse_document("<d/>").unwrap();
+    let target = JoinTarget {
+        doc: &doc,
+        index,
+        candidates: Some(candidates),
+        posting: None,
+        iter_domain: &[],
+    };
+    let mut buf = Vec::new();
+    let derived = target.candidate_entries_in(reach.clone(), &mut JoinStats::default(), &mut buf);
+    assert_eq!(derived, want, "the join's derivation");
     index.gather_candidates(candidates, reach, &mut got);
     assert_eq!(got, want, "gather");
 }
@@ -125,7 +137,7 @@ proptest! {
             candidates = pres;
         }
         let reach = match extent {
-            Some((from, len)) => index.reach(from, from + len),
+            Some((from, len)) => index.table().reach(from, from + len),
             None => 0..index.len(),
         };
         assert_all_agree(&index, &candidates, reach);
@@ -160,9 +172,9 @@ proptest! {
             let mut gathered = Vec::new();
             for &(from, len) in &extents {
                 let to = from + len;
-                index.gather_candidates(nodes, index.reach(from, to), &mut gathered);
+                index.gather_candidates(nodes, index.table().reach(from, to), &mut gathered);
                 prop_assert_eq!(&table.entries[table.reach(from, to)], &gathered[..]);
-                index.gather_candidates(nodes, index.wide_reach(from, to), &mut gathered);
+                index.gather_candidates(nodes, index.table().wide_reach(from, to), &mut gathered);
                 let wide = &table.entries[table.wide_reach(from, to)];
                 // Its own bound is tighter: it may start later, never
                 // drop an entry that can overlap.
@@ -292,13 +304,11 @@ fn empty_single_entry_and_oversubscribed_tables() {
     let one = single(1);
     assert_eq!(one.len(), 1);
     assert_all_agree(&one, &[], 0..1);
-    assert_eq!(one.candidates_for(&[1]), one.entries());
     assert_all_agree(&one, &[1], 0..1);
     assert_all_agree(&one, &[2], 0..1);
     assert_all_agree(&one, &many, 0..1);
 
     let small = single(64);
-    assert_eq!(small.candidates_for(&many), small.entries());
     assert_all_agree(&small, &many, 0..64);
 }
 
@@ -653,7 +663,7 @@ proptest! {
         }
         let bound = doc.node_count() as u32;
         assert_covers_match(&mounted, bound, &candidates)?;
-        let reach = mounted.reach(reach.0, reach.0 + reach.1);
+        let reach = mounted.table().reach(reach.0, reach.0 + reach.1);
         for raw in &candidates {
             let mut list: Vec<u32> = raw.iter().map(|&r| r as u32 % (bound + 2)).collect();
             list.sort_unstable();

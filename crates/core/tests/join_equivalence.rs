@@ -4,15 +4,18 @@
 //! serves as the oracle. The Basic and Loop-Lifted StandOff MergeJoins
 //! must produce identical results on arbitrary region configurations —
 //! overlapping, nested, duplicated, multi-iteration, with and without
-//! candidate restrictions, in both region representations.
+//! candidate restrictions, in both region representations. Every join
+//! runs the query engine's sequence: the context resolved into a
+//! [`JoinScratch`], then [`join_resolved`] or [`count_resolved`] over a
+//! [`JoinTarget`] — an explicit candidate sequence, or a pushed name's
+//! posting.
 
 use proptest::prelude::*;
 
 use standoff_core::join::merge::ll_select_wide;
-use standoff_core::join::{count_resolved, evaluate_standoff_join_with, CtxEntry, JoinScratch};
+use standoff_core::join::{count_resolved, join_resolved, CtxEntry, JoinScratch, JoinTarget};
 use standoff_core::{
-    evaluate_standoff_join, IterNode, JoinInput, JoinStats, RegionEntry, RegionIndex, StandoffAxis,
-    StandoffStrategy,
+    IterNode, JoinStats, RegionEntry, RegionIndex, StandoffAxis, StandoffStrategy,
 };
 use standoff_xml::DocumentBuilder;
 
@@ -91,58 +94,162 @@ fn build_named(
     (doc, index)
 }
 
-/// Every axis under every other strategy equals the naive oracle on
-/// `input`. Returns the candidate-kernel counters of the loop-lifted
-/// runs, so a case can assert which derivation it exercised.
-fn assert_strategies_agree(input: &JoinInput<'_>, what: &dyn std::fmt::Debug) -> JoinStats {
-    let mut lifted = JoinScratch::default();
+/// Resolve `context`, one fragment's rows, into `scratch` as the
+/// engine's join unit does, then join it into `target`.
+fn join(
+    axis: StandoffAxis,
+    strategy: StandoffStrategy,
+    target: &JoinTarget<'_>,
+    context: &[IterNode],
+    scratch: &mut JoinScratch,
+) -> Vec<IterNode> {
+    scratch.resolve_context([(target.index, context)]);
+    join_resolved(axis, strategy, target, None, None, scratch)
+}
+
+/// The posting entries the engine reads `context` from, with its one
+/// iteration, when the context is one iteration of exactly one name's
+/// elements over an index without multi-region annotations.
+fn whole_name<'a>(
+    target: &JoinTarget<'a>,
+    context: &[IterNode],
+) -> Option<(u32, &'a [RegionEntry])> {
+    let (first, last) = (context.first()?, context.last()?);
+    if first.iter != last.iter || target.index.max_regions() > 1 {
+        return None;
+    }
+    let name = target.doc.name_id(first.node);
+    let nodes = target.doc.element_postings(name);
+    if !context.iter().map(|row| row.node).eq(nodes.iter().copied()) {
+        return None;
+    }
+    let posting = target.index.posting(target.doc, name, None).unwrap()?;
+    Some((first.iter, posting.table.entries))
+}
+
+/// Every axis under each of `strategies` equals the naive oracle on
+/// `context` joined into `target`, as rows and as per-iteration counts;
+/// with the context resolved by its node-view probes and, when it is a
+/// whole name ([`whole_name`]), read from the name's posting too. The
+/// loop-lifted runs and the counts use `lifted`, the others `scratch`.
+fn assert_agree(
+    target: &JoinTarget<'_>,
+    context: &[IterNode],
+    strategies: &[StandoffStrategy],
+    (scratch, lifted): (&mut JoinScratch, &mut JoinScratch),
+    what: &dyn std::fmt::Debug,
+) {
+    let whole = whole_name(target, context);
+    let resolve = |scratch: &mut JoinScratch, from_posting: bool| match whole {
+        Some((iter, entries)) if from_posting => scratch.context_from_posting(iter, entries),
+        _ => scratch.resolve_context([(target.index, context)]),
+    };
+    let ways: &[bool] = if whole.is_some() {
+        &[false, true]
+    } else {
+        &[false]
+    };
+    let naive = StandoffStrategy::NaiveWithCandidates;
     for axis in StandoffAxis::ALL {
-        let oracle =
-            evaluate_standoff_join(axis, StandoffStrategy::NaiveWithCandidates, input, None);
-        for strategy in [
-            StandoffStrategy::NaiveNoCandidates,
-            StandoffStrategy::BasicMergeJoin,
-            StandoffStrategy::LoopLiftedMergeJoin,
-        ] {
-            // The no-candidates baseline ignores the candidate
-            // restriction by design; only compare when none is set.
-            if strategy == StandoffStrategy::NaiveNoCandidates && input.candidates.is_some() {
-                continue;
-            }
-            let got = match strategy {
-                StandoffStrategy::LoopLiftedMergeJoin => {
-                    evaluate_standoff_join_with(axis, strategy, input, None, &mut lifted)
-                }
-                _ => evaluate_standoff_join(axis, strategy, input, None),
-            };
-            assert_eq!(
-                got, oracle,
-                "{axis} under {strategy} diverges from the naive oracle\n{what:?}\n\
-                 context: {:?}\ncandidates: {:?}",
-                input.context, input.candidates
-            );
-        }
-        // The counted form adds, per iteration, the oracle's row count.
-        let iters = input.context.iter().map(|r| r.iter);
-        let n = iters.chain(input.iter_domain.iter().copied()).max();
+        let oracle = join(axis, naive, target, context, scratch);
+        let iters = context.iter().map(|r| r.iter);
+        let n = iters.chain(target.iter_domain.iter().copied()).max();
         let mut expected = vec![0u64; n.map_or(0, |n| n as usize + 1)];
         for row in &oracle {
             expected[row.iter as usize] += 1;
         }
-        let mut counts = vec![0u64; expected.len()];
-        lifted.resolve_context([(input.context_index(), input.context)]);
-        let from_index = count_resolved(axis, &input.target(), &mut lifted, &mut counts);
-        assert_eq!(from_index, input.index.max_regions() <= 1);
-        assert_eq!(
-            counts, expected,
-            "{axis} counted diverges from the naive oracle\n{what:?}\n\
-             context: {:?}\ncandidates: {:?}",
-            input.context, input.candidates
-        );
+        for &from_posting in ways {
+            for &strategy in strategies {
+                let scratch = match strategy {
+                    StandoffStrategy::LoopLiftedMergeJoin => &mut *lifted,
+                    _ => &mut *scratch,
+                };
+                resolve(scratch, from_posting);
+                let got = join_resolved(axis, strategy, target, None, None, scratch);
+                assert_eq!(
+                    got,
+                    oracle,
+                    "{axis} under {strategy} diverges from the naive oracle\n{what:?}\n\
+                     context: {context:?} (from posting: {from_posting})\n\
+                     candidates: {:?}\nposting: {}",
+                    target.candidates,
+                    target.posting.is_some()
+                );
+            }
+            // The counted form adds, per iteration, the oracle's row count.
+            let mut counts = vec![0u64; expected.len()];
+            resolve(lifted, from_posting);
+            let from_index = count_resolved(axis, target, lifted, &mut counts);
+            assert_eq!(from_index, target.index.max_regions() <= 1);
+            assert_eq!(
+                counts,
+                expected,
+                "{axis} counted diverges from the naive oracle\n{what:?}\n\
+                 context: {context:?} (from posting: {from_posting})\n\
+                 candidates: {:?}\nposting: {}",
+                target.candidates,
+                target.posting.is_some()
+            );
+        }
     }
-    lifted.take_stats()
 }
 
+/// Every axis under every other strategy equals the naive oracle on
+/// `context` joined into `target` ([`assert_agree`]); then the Basic and
+/// loop-lifted joins do again over each annotated name's posting, the
+/// name pushed as the engine's join unit pushes a name test. Returns
+/// the candidate-kernel counters of the loop-lifted runs over `target`,
+/// so a case can assert which derivation it exercised.
+fn assert_strategies_agree(
+    target: &JoinTarget<'_>,
+    context: &[IterNode],
+    what: &dyn std::fmt::Debug,
+) -> JoinStats {
+    let (mut scratch, mut lifted) = (JoinScratch::default(), JoinScratch::default());
+    let all = [
+        StandoffStrategy::NaiveNoCandidates,
+        StandoffStrategy::BasicMergeJoin,
+        StandoffStrategy::LoopLiftedMergeJoin,
+    ];
+    let merges = &all[1..];
+    // The no-candidates baseline ignores the candidate restriction by
+    // design; only compare when none is set.
+    let strategies = if target.candidates.is_some() {
+        merges
+    } else {
+        &all[..]
+    };
+    assert_agree(
+        target,
+        context,
+        strategies,
+        (&mut scratch, &mut lifted),
+        what,
+    );
+    let stats = lifted.take_stats();
+    let (doc, index) = (target.doc, target.index);
+    let mut names: Vec<_> = (index.annotated_nodes().iter())
+        .map(|&node| doc.name_id(node))
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    for name in names {
+        let pushed = JoinTarget {
+            candidates: Some(doc.element_postings(name)),
+            posting: index.posting(doc, name, None).unwrap(),
+            ..*target
+        };
+        assert!(pushed.posting.is_some());
+        assert_agree(&pushed, context, merges, (&mut scratch, &mut lifted), what);
+    }
+    stats
+}
+
+/// The generated annotations, named `a` and `b` in turn so that each
+/// name's posting is a proper part of the index, joined from the picked
+/// context under every strategy ([`assert_strategies_agree`]) — and
+/// from every `a` in one iteration, a context the engine reads from
+/// `a`'s posting.
 fn run_all_strategies(
     annotations: Vec<GenAnnotation>,
     ctx_picks: Vec<(u32, usize)>,
@@ -152,8 +259,11 @@ fn run_all_strategies(
     if annotations.is_empty() {
         return;
     }
-    let (doc, index) = build(&annotations, multi);
-    let nodes = doc.elements_named("a").to_vec();
+    let named: Vec<(&str, Vec<(i64, i64)>)> = (annotations.iter().enumerate())
+        .map(|(k, a)| (["a", "b"][k % 2], a.regions.clone()))
+        .collect();
+    let (doc, index) = build_named(&named, multi);
+    let nodes = index.annotated_nodes();
 
     // Context: (iter, node) pairs, grouped by iter, doc order within iter.
     let mut context: Vec<IterNode> = ctx_picks
@@ -173,16 +283,18 @@ fn run_all_strategies(
         c
     });
 
-    let iter_domain = [0, 1, 2];
-    let input = JoinInput {
+    let target = JoinTarget {
         doc: &doc,
         index: &index,
-        ctx_index: None,
-        context: &context,
         candidates: candidates.as_deref(),
-        iter_domain: &iter_domain,
+        posting: None,
+        iter_domain: &[0, 1, 2],
     };
-    assert_strategies_agree(&input, &annotations);
+    assert_strategies_agree(&target, &context, &annotations);
+    let every_a: Vec<IterNode> = (doc.elements_named("a").iter())
+        .map(|&node| IterNode { iter: 1, node })
+        .collect();
+    assert_strategies_agree(&target, &every_a, &annotations);
 }
 
 /// A dense layer of `n` single-region `a` annotations (starts about
@@ -384,24 +496,24 @@ proptest! {
         context.sort_unstable();
         context.dedup();
         let iter_domain = [0, 1];
-        let input = JoinInput {
+        let target = JoinTarget {
             doc: &doc,
             index: &index,
-            ctx_index: None,
-            context: &context,
             candidates: None,
+            posting: None,
             iter_domain: &iter_domain,
         };
+        let (ll, mut scratch) = (StandoffStrategy::LoopLiftedMergeJoin, JoinScratch::default());
         for (sel, rej) in [
             (StandoffAxis::SelectNarrow, StandoffAxis::RejectNarrow),
             (StandoffAxis::SelectWide, StandoffAxis::RejectWide),
         ] {
-            let s = evaluate_standoff_join(sel, StandoffStrategy::LoopLiftedMergeJoin, &input, None);
-            let r = evaluate_standoff_join(rej, StandoffStrategy::LoopLiftedMergeJoin, &input, None);
+            let s = join(sel, ll, &target, &context, &mut scratch);
+            let r = join(rej, ll, &target, &context, &mut scratch);
             prop_assert!(s.windows(2).all(|w| w[0] < w[1]), "select sorted+unique");
             prop_assert!(r.windows(2).all(|w| w[0] < w[1]), "reject sorted+unique");
             // Per iteration: select ∪ reject = universe, disjoint.
-            let universe = input.candidate_universe();
+            let universe = target.candidate_universe_in(&mut Vec::new()).to_vec();
             for &iter in &iter_domain {
                 let sel_nodes: Vec<u32> =
                     s.iter().filter(|e| e.iter == iter).map(|e| e.node).collect();
@@ -429,19 +541,16 @@ proptest! {
             .collect();
         context.sort_unstable();
         context.dedup();
-        let iter_domain = [0, 1];
-        let input = JoinInput {
+        let target = JoinTarget {
             doc: &doc,
             index: &index,
-            ctx_index: None,
-            context: &context,
             candidates: None,
-            iter_domain: &iter_domain,
+            posting: None,
+            iter_domain: &[0, 1],
         };
-        let narrow = evaluate_standoff_join(
-            StandoffAxis::SelectNarrow, StandoffStrategy::LoopLiftedMergeJoin, &input, None);
-        let wide = evaluate_standoff_join(
-            StandoffAxis::SelectWide, StandoffStrategy::LoopLiftedMergeJoin, &input, None);
+        let (ll, mut scratch) = (StandoffStrategy::LoopLiftedMergeJoin, JoinScratch::default());
+        let narrow = join(StandoffAxis::SelectNarrow, ll, &target, &context, &mut scratch);
+        let wide = join(StandoffAxis::SelectWide, ll, &target, &context, &mut scratch);
         for e in &narrow {
             prop_assert!(wide.contains(e), "{e:?} selected by narrow but not wide");
         }
@@ -471,8 +580,7 @@ proptest! {
             c.dedup();
             c
         });
-        let iter_domain = [0, 1, 2];
-        let mut shared = standoff_core::join::JoinScratch::default();
+        let mut shared = JoinScratch::default();
         for axis in StandoffAxis::ALL {
             for strategy in [
                 StandoffStrategy::BasicMergeJoin,
@@ -481,17 +589,15 @@ proptest! {
                 // Alternate restricted and unrestricted inputs so the
                 // shared buffers see shrinking *and* growing workloads.
                 for with_cands in [true, false] {
-                    let input = JoinInput {
+                    let target = JoinTarget {
                         doc: &doc,
                         index: &index,
-                        ctx_index: None,
-                        context: &context,
                         candidates: if with_cands { candidates.as_deref() } else { None },
-                        iter_domain: &iter_domain,
+                        posting: None,
+                        iter_domain: &[0, 1, 2],
                     };
-                    let fresh = evaluate_standoff_join(axis, strategy, &input, None);
-                    let reused = standoff_core::join::evaluate_standoff_join_with(
-                        axis, strategy, &input, None, &mut shared);
+                    let fresh = join(axis, strategy, &target, &context, &mut JoinScratch::default());
+                    let reused = join(axis, strategy, &target, &context, &mut shared);
                     prop_assert_eq!(
                         &reused, &fresh,
                         "{} under {} with shared scratch diverges", axis, strategy
@@ -530,18 +636,17 @@ proptest! {
             .collect();
         context.sort_unstable();
         context.dedup();
-        let input = JoinInput {
+        let target = JoinTarget {
             doc: &doc,
             index: &index,
-            ctx_index: None,
-            context: &context,
             candidates: Some(nodes),
+            posting: None,
             iter_domain: &[0, 1, 2],
         };
-        let stats = assert_strategies_agree(&input, &annotations);
+        let stats = assert_strategies_agree(&target, &context, &annotations);
         // At full reach, proving coverage is cheaper than any
         // intersection of the table.
-        prop_assert_eq!(index.wide_reach(0, 150), 0..index.len());
+        prop_assert_eq!(index.table().wide_reach(0, 150), 0..index.len());
         prop_assert!(stats.candidate_borrowed > 0, "{:?}", stats);
     }
 
@@ -566,15 +671,14 @@ proptest! {
             .filter(|(k, _)| k % skip != 0)
             .map(|(_, &a)| a)
             .collect();
-        let input = JoinInput {
+        let target = JoinTarget {
             doc: &doc,
             index: &index,
-            ctx_index: None,
-            context: &context,
             candidates: Some(&candidates),
+            posting: None,
             iter_domain: &[0, 1, 2],
         };
-        let stats = assert_strategies_agree(&input, &seed);
+        let stats = assert_strategies_agree(&target, &context, &seed);
         prop_assert!(stats.candidate_node_view > 0, "{:?}", stats);
     }
 
@@ -618,7 +722,7 @@ proptest! {
         shapes.extend(contexts);
         let (doc, index) = build_named(&shapes, true);
         prop_assert_eq!(index.max_extent(), m);
-        let reach = index.wide_reach(from, to);
+        let reach = index.table().wide_reach(from, to);
         prop_assert!(index.entries()[reach.clone()].iter().all(|e| e.start >= left));
         prop_assert!(index.entries()[..reach.start].iter().all(|e| e.start < left));
         let annotated = index.annotated_nodes();
@@ -632,15 +736,14 @@ proptest! {
             .enumerate()
             .map(|(k, &node)| IterNode { iter: k as u32 % 2, node })
             .collect();
-        let input = JoinInput {
+        let target = JoinTarget {
             doc: &doc,
             index: &index,
-            ctx_index: None,
-            context: &context,
             candidates: candidates.as_deref(),
+            posting: None,
             iter_domain: &[0, 1],
         };
-        assert_strategies_agree(&input, &shapes);
+        assert_strategies_agree(&target, &context, &shapes);
     }
 
     /// The reach's boundaries, over multi-region areas: candidates on
@@ -675,14 +778,13 @@ proptest! {
             .enumerate()
             .map(|(k, &node)| IterNode { iter: k as u32 % 2, node })
             .collect();
-        let input = JoinInput {
+        let target = JoinTarget {
             doc: &doc,
             index: &index,
-            ctx_index: None,
-            context: &context,
             candidates: candidates.as_deref(),
+            posting: None,
             iter_domain: &[0, 1],
         };
-        assert_strategies_agree(&input, &shapes);
+        assert_strategies_agree(&target, &context, &shapes);
     }
 }

@@ -112,7 +112,7 @@ impl Layer {
     /// Pre ranks of the `<name>` annotation elements carrying exactly the
     /// region `[start, end]`, ascending — the one place the
     /// region → annotation question is answered, through the region
-    /// index's clustered column ([`RegionIndex::entries_at`]) rather than
+    /// index's clustered column ([`RegionIndex::entries_at_probed`]) rather than
     /// by walking the name's postings. An element whose area has several
     /// regions matches on any one of them. The entries examined are added
     /// to the global `store.delta.retract_probes` counter.

@@ -60,9 +60,7 @@ pub use delta::{
 pub use error::StoreError;
 pub use layer::{Layer, LayerSet, BASE_LAYER};
 pub use mount::{write_snapshot, Catalog, Snapshot, VerifyReport};
-pub use snapshot::{
-    load_snapshot, read_snapshot, save_snapshot, LayerInfo, SectionInfo, SnapshotInfo,
-};
+pub use snapshot::{save_snapshot, LayerInfo, SectionInfo, SnapshotInfo};
 pub use wal::{
     audit_delta, recover_delta, recover_delta_for_write, wal_path, DeltaWal, Recovery,
     RecoveryError, WalRecord, WalScan,

@@ -586,7 +586,7 @@ struct SectionCheck {
     verified: AtomicBool,
 }
 
-/// What [`Snapshot::verify`] / [`Snapshot::open_verified`] report back.
+/// What [`Snapshot::verify`] reports back.
 #[derive(Clone, Debug)]
 pub struct VerifyReport {
     /// Layers materialized and revalidated.
@@ -633,16 +633,6 @@ impl Snapshot {
         Snapshot::mount(buf, started)
     }
 
-    /// Mount a snapshot file and eagerly verify everything — every
-    /// section checksum, every layer materialized and revalidated —
-    /// before returning. The `verify_all` open mode behind
-    /// `standoff-xq verify`.
-    pub fn open_verified(path: impl AsRef<Path>) -> Result<(Snapshot, VerifyReport), StoreError> {
-        let snapshot = Snapshot::open(path)?;
-        let report = snapshot.verify()?;
-        Ok((snapshot, report))
-    }
-
     /// The version field the file at `path` declares, from its first
     /// eight bytes alone — `None` when those are not a snapshot header.
     /// What `standoff-xq verify` names a file by that does not mount.
@@ -652,14 +642,8 @@ impl Snapshot {
         Ok(header_version(&head).ok())
     }
 
-    /// Mount a snapshot from in-memory bytes.
-    pub fn from_bytes(bytes: Vec<u8>) -> io::Result<Snapshot> {
-        Snapshot::mount_bytes(bytes).map_err(io::Error::from)
-    }
-
-    /// [`Snapshot::from_bytes`] with categorized errors — corruption
-    /// surfaces as [`StoreError::Corrupt`] rather than flattened into
-    /// `io::Error`.
+    /// Mount a snapshot from in-memory bytes. Corruption surfaces as
+    /// [`StoreError::Corrupt`].
     pub fn mount_bytes(bytes: Vec<u8>) -> Result<Snapshot, StoreError> {
         Snapshot::mount(SharedBytes::from_vec(bytes), Instant::now())
     }

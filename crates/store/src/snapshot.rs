@@ -1,5 +1,7 @@
-//! The snapshot file's public surface: save, load, and the on-disk
-//! statistics `standoff-xq inspect` prints.
+//! The snapshot file's public surface: save, and the on-disk
+//! statistics `standoff-xq inspect` prints. Files are opened with
+//! [`crate::Snapshot::open`] (or mounted from memory with
+//! [`crate::Snapshot::mount_bytes`]).
 //!
 //! A snapshot persists a whole [`LayerSet`] — every layer's shredded
 //! document, element-name table and prebuilt region index — in **one**
@@ -15,14 +17,13 @@
 //! `standoff-xq index`. Strings inside the tiny metadata sections are
 //! u32-length-prefixed UTF-8. No external serde dependencies.
 
-use std::io::{self, Read};
 use std::path::Path;
 
 use crate::error::StoreError;
 use crate::layer::LayerSet;
-use crate::mount::{write_snapshot, Snapshot};
+use crate::mount::write_snapshot;
 
-// ---- save / load ----
+// ---- save ----
 
 /// Serialize a layer set to a file, atomically: the bytes are written
 /// to a temp file in the same directory, fsynced, renamed over `path`,
@@ -31,22 +32,6 @@ use crate::mount::{write_snapshot, Snapshot};
 pub fn save_snapshot(set: &LayerSet, path: impl AsRef<Path>) -> Result<(), StoreError> {
     crate::atomic::atomic_replace(path.as_ref(), |w| write_snapshot(set, w))?;
     Ok(())
-}
-
-/// Deserialize a snapshot written by [`write_snapshot`], eagerly.
-/// Documents, element-name tables and region indices are loaded
-/// column-wise and validated; `RegionIndex::build` is never called. For
-/// the lazy entry point that materializes layers on demand, use
-/// [`crate::Snapshot`] directly.
-pub fn read_snapshot<R: Read>(r: &mut R) -> io::Result<LayerSet> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    Ok(Snapshot::from_bytes(bytes)?.to_layer_set()?)
-}
-
-/// Deserialize a snapshot from a file, eagerly.
-pub fn load_snapshot(path: impl AsRef<Path>) -> Result<LayerSet, StoreError> {
-    Snapshot::open(path)?.to_layer_set()
 }
 
 // ---- inspect ----
@@ -77,7 +62,7 @@ pub struct LayerInfo {
     pub sections: Vec<SectionInfo>,
 }
 
-/// Summary of a snapshot file ([`Snapshot::info`]): a pure header +
+/// Summary of a snapshot file ([`crate::Snapshot::info`]): a pure header +
 /// section-table walk, payloads untouched.
 #[derive(Clone, Debug)]
 pub struct SnapshotInfo {
@@ -93,9 +78,14 @@ pub struct SnapshotInfo {
 mod tests {
     use super::*;
     use crate::layer::Layer;
-    use crate::mount::VERSION;
+    use crate::mount::{Snapshot, VERSION};
     use standoff_core::{Area, RegionIndex, StandoffConfig};
     use standoff_xml::parse_document;
+
+    /// Mount `bytes` and materialize every layer.
+    fn reload(bytes: &[u8]) -> Result<LayerSet, StoreError> {
+        Snapshot::mount_bytes(bytes.to_vec())?.to_layer_set()
+    }
 
     fn sample_set() -> LayerSet {
         let base =
@@ -116,7 +106,7 @@ mod tests {
         let set = sample_set();
         let mut buf = Vec::new();
         write_snapshot(&set, &mut buf).unwrap();
-        let loaded = read_snapshot(&mut buf.as_slice()).unwrap();
+        let loaded = reload(&buf).unwrap();
         assert_eq!(loaded.uri(), "corpus.xml");
         assert_eq!(loaded.len(), 2);
         let tokens = loaded.layer("tokens").unwrap();
@@ -159,7 +149,7 @@ mod tests {
         let set = LayerSet::from_layers("u", vec![layer]).unwrap();
         let mut buf = Vec::new();
         write_snapshot(&set, &mut buf).unwrap();
-        let err = read_snapshot(&mut buf.as_slice()).unwrap_err();
+        let err = reload(&buf).unwrap_err();
         assert!(
             err.to_string().contains("non-element"),
             "unexpected error: {err}"
@@ -171,7 +161,7 @@ mod tests {
         let set = sample_set();
         let mut buf = Vec::new();
         write_snapshot(&set, &mut buf).unwrap();
-        let snapshot = Snapshot::from_bytes(buf).unwrap();
+        let snapshot = Snapshot::mount_bytes(buf).unwrap();
         let info = snapshot.info();
         assert_eq!(info.version, VERSION);
         assert_eq!(info.uri, "corpus.xml");
@@ -200,9 +190,7 @@ mod tests {
             other[4..8].copy_from_slice(&version.to_le_bytes());
             // Nothing after the version needs to be there, let alone parse.
             for bytes in [other.clone(), other[..8].to_vec()] {
-                let err = read_snapshot(&mut bytes.as_slice())
-                    .unwrap_err()
-                    .to_string();
+                let err = reload(&bytes).unwrap_err().to_string();
                 assert!(
                     err.contains(&format!("unsupported format version {version} "))
                         && err.contains(&format!("reads version {VERSION} only"))
@@ -220,11 +208,11 @@ mod tests {
         // Bad magic.
         let mut bad_magic = buf.clone();
         bad_magic[0] = b'X';
-        assert!(read_snapshot(&mut bad_magic.as_slice()).is_err());
+        assert!(reload(&bad_magic).is_err());
         // Every truncation fails, never panics.
         for cut in 0..buf.len() {
             assert!(
-                read_snapshot(&mut buf[..cut].to_vec().as_slice()).is_err(),
+                reload(&buf[..cut]).is_err(),
                 "truncation at {cut} must fail"
             );
         }

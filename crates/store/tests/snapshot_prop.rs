@@ -6,8 +6,13 @@
 use proptest::prelude::*;
 
 use standoff_core::StandoffConfig;
-use standoff_store::{read_snapshot, write_snapshot, LayerSet};
+use standoff_store::{write_snapshot, LayerSet, Snapshot, StoreError};
 use standoff_xml::{parse_document, try_serialize_document, Document};
+
+/// Mount `bytes` and materialize every layer.
+fn reload(bytes: &[u8]) -> Result<LayerSet, StoreError> {
+    Snapshot::mount_bytes(bytes.to_vec())?.to_layer_set()
+}
 
 /// Random non-touching annotation spans: (start, end) pairs.
 fn spans_strategy(max_annotations: usize) -> impl Strategy<Value = Vec<(i64, i64)>> {
@@ -56,7 +61,7 @@ proptest! {
 
         let mut buf = Vec::new();
         write_snapshot(&set, &mut buf).unwrap();
-        let loaded = read_snapshot(&mut buf.as_slice()).unwrap();
+        let loaded = reload(&buf).unwrap();
 
         // Metadata.
         prop_assert_eq!(loaded.uri(), set.uri());
@@ -97,7 +102,7 @@ proptest! {
         write_snapshot(&set, &mut buf).unwrap();
         let cut = (cut_frac as usize * buf.len()) / 1000;
         prop_assert!(cut < buf.len());
-        prop_assert!(read_snapshot(&mut buf[..cut].to_vec().as_slice()).is_err());
+        prop_assert!(reload(&buf[..cut]).is_err());
     }
 
     /// Arbitrary single-byte corruption either fails cleanly or yields a
@@ -118,7 +123,7 @@ proptest! {
         write_snapshot(&set, &mut buf).unwrap();
         let pos = (pos_frac as usize * buf.len()) / 1000;
         buf[pos] ^= byte;
-        if let Ok(loaded) = read_snapshot(&mut buf.as_slice()) {
+        if let Ok(loaded) = reload(&buf) {
             // Whatever decoded must uphold the structural invariants.
             for layer in loaded.layers() {
                 layer.doc().check_invariants().unwrap();

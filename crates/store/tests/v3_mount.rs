@@ -90,7 +90,7 @@ fn lazy_outcome(opened: Result<Snapshot, StoreError>) -> String {
 /// Opening, materializing or first reading the tampered bytes must fail
 /// — never panic, never silently succeed.
 fn assert_rejected(bytes: Vec<u8>, what: &str) {
-    match Snapshot::from_bytes(bytes) {
+    match Snapshot::mount_bytes(bytes) {
         Err(_) => {}
         Ok(snapshot) => {
             let all: Result<Vec<_>, _> = (0..snapshot.len())
@@ -106,7 +106,7 @@ fn assert_rejected(bytes: Vec<u8>, what: &str) {
 
 #[test]
 fn open_is_lazy_and_layer_access_materializes_one() {
-    let snapshot = Snapshot::from_bytes(v3_bytes()).unwrap();
+    let snapshot = Snapshot::mount_bytes(v3_bytes()).unwrap();
     assert_eq!(snapshot.version(), 6);
     assert_eq!(snapshot.uri(), "corpus.xml");
     assert_eq!(
@@ -138,7 +138,7 @@ fn open_is_lazy_and_layer_access_materializes_one() {
 #[test]
 #[cfg(target_endian = "little")]
 fn materialized_layers_are_zero_copy_views() {
-    let snapshot = Snapshot::from_bytes(v3_bytes()).unwrap();
+    let snapshot = Snapshot::mount_bytes(v3_bytes()).unwrap();
     let base = snapshot.layer("base").unwrap();
     assert!(
         base.doc().is_mounted(),
@@ -279,7 +279,7 @@ fn single_byte_corruption_never_panics_and_is_always_detected() {
     // The checksummed payload bytes, by the name of their section: a
     // flip there is that section's checksum mismatch before anything
     // else is checked.
-    let info = Snapshot::from_bytes(buf.clone()).unwrap().info();
+    let info = Snapshot::mount_bytes(buf.clone()).unwrap().info();
     let mut payload: Vec<Option<&str>> = vec![None; buf.len()];
     for &(tag, layer, _, off, len) in &table {
         let name = match tag {
@@ -397,7 +397,7 @@ fn opened_snapshot_outlives_the_replacement_of_its_path() {
         new.layer("tokens").unwrap().doc().elements_named("w").len(),
         1
     );
-    assert_eq!(Snapshot::from_bytes(v3_bytes()).unwrap().backing(), "heap");
+    assert_eq!(Snapshot::mount_bytes(v3_bytes()).unwrap().backing(), "heap");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -536,6 +536,6 @@ fn block_written_snapshot_is_byte_identical_to_the_per_element_writer() {
         "block-staged bytes differ from the per-element writer"
     );
 
-    let report = Snapshot::from_bytes(buf).unwrap().verify().unwrap();
+    let report = Snapshot::mount_bytes(buf).unwrap().verify().unwrap();
     assert_eq!(report.layers, set.len());
 }

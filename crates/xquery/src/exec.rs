@@ -291,17 +291,17 @@ struct GovHandles {
 /// A concurrent batch query executor over a [`SharedEngine`].
 ///
 /// ```
-/// use standoff_xquery::{Engine, Executor};
+/// use standoff_xquery::{Engine, Executor, Governance};
 /// let mut engine = Engine::new();
 /// engine.load_document("d.xml", "<a><b/><b/></a>").unwrap();
-/// let exec = Executor::new(engine.into_shared(), 4);
+/// let exec = Executor::governed(engine.into_shared(), 4, Governance::default());
 /// let results = exec.run_batch(&[r#"count(doc("d.xml")//b)"#, "1 + 1"]);
 /// assert_eq!(results[0].as_ref().unwrap().as_strings(), ["2"]);
 /// assert_eq!(results[1].as_ref().unwrap().as_strings(), ["2"]);
 /// ```
 ///
-/// With [`Executor::governed`] the same executor also serves the
-/// request-at-a-time path ([`Executor::run_governed`]): admission
+/// The same executor also serves the request-at-a-time path
+/// ([`Executor::run_governed`]): admission
 /// control with shed-on-full, a per-request [`Budget`] (deadline,
 /// result and scratch caps), and `executor.*` governance counters.
 pub struct Executor {
@@ -317,26 +317,11 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// An executor with `threads` workers (clamped to ≥ 1) and a
-    /// private plan cache of [`DEFAULT_CACHE_CAPACITY`].
-    pub fn new(engine: SharedEngine, threads: usize) -> Executor {
-        Self::with_cache(
-            engine,
-            threads,
-            Arc::new(QueryCache::new(DEFAULT_CACHE_CAPACITY)),
-        )
-    }
-
-    /// An executor sharing an existing plan cache (e.g. across executors
-    /// serving different thread counts — or different evaluation
-    /// options — over the same corpus).
-    pub fn with_cache(engine: SharedEngine, threads: usize, cache: Arc<QueryCache>) -> Executor {
-        Self::governed_with_cache(engine, threads, Governance::default(), cache)
-    }
-
-    /// An executor enforcing `governance` on every request (batch
-    /// queries get per-query budgets; [`Executor::run_governed`] adds
-    /// admission control), with a private plan cache.
+    /// An executor with `threads` workers (clamped to ≥ 1) enforcing
+    /// `governance` on every request (batch queries get per-query
+    /// budgets; [`Executor::run_governed`] adds admission control), with
+    /// a private plan cache of [`DEFAULT_CACHE_CAPACITY`]. The default
+    /// [`Governance`] sets no limit.
     pub fn governed(engine: SharedEngine, threads: usize, governance: Governance) -> Executor {
         Self::governed_with_cache(
             engine,
@@ -626,7 +611,7 @@ mod tests {
 
     #[test]
     fn batch_results_in_submission_order() {
-        let exec = Executor::new(fixture(), 3);
+        let exec = Executor::governed(fixture(), 3, Governance::default());
         let queries: Vec<String> = (1..=20).map(|k| format!("{k} * 2")).collect();
         let results = exec.run_batch(&queries);
         for (k, r) in results.iter().enumerate() {
@@ -639,7 +624,7 @@ mod tests {
 
     #[test]
     fn errors_are_per_query() {
-        let exec = Executor::new(fixture(), 2);
+        let exec = Executor::governed(fixture(), 2, Governance::default());
         let results = exec.run_batch(&["1 + 1", "1 +", r#"count(doc("missing")//x)"#]);
         assert_eq!(results[0].as_ref().unwrap().as_strings(), ["2"]);
         assert!(results[1].is_err());
@@ -648,7 +633,7 @@ mod tests {
 
     #[test]
     fn cache_hits_on_repeats() {
-        let exec = Executor::new(fixture(), 1);
+        let exec = Executor::governed(fixture(), 1, Governance::default());
         let batch = vec!["count(doc(\"d.xml\")//w)"; 10];
         let results = exec.run_batch(&batch);
         assert!(results.iter().all(|r| r.is_ok()));
@@ -728,8 +713,11 @@ mod tests {
 
         // Executors sharing the cache under either option set agree on
         // results (strategies are semantically equivalent).
-        let r1 = Executor::with_cache(shared, 1, Arc::clone(&cache)).run_batch(&[query]);
-        let r2 = Executor::with_cache(naive, 1, Arc::clone(&cache)).run_batch(&[query]);
+        let open = Governance::default();
+        let r1 =
+            Executor::governed_with_cache(shared, 1, open, Arc::clone(&cache)).run_batch(&[query]);
+        let r2 =
+            Executor::governed_with_cache(naive, 1, open, Arc::clone(&cache)).run_batch(&[query]);
         assert_eq!(
             r1[0].as_ref().unwrap().as_xml(),
             r2[0].as_ref().unwrap().as_xml()
@@ -758,10 +746,10 @@ mod tests {
             .unwrap();
         let mut writable = WritableEngine::mount(set, EngineOptions::default()).unwrap();
 
-        let cache = Arc::new(QueryCache::new(8));
+        let (cache, open) = (Arc::new(QueryCache::new(8)), Governance::default());
         let query = r#"count(layer("mem://w", "tokens")//w)"#;
 
-        let before = Executor::with_cache(writable.shared(), 1, Arc::clone(&cache));
+        let before = Executor::governed_with_cache(writable.shared(), 1, open, Arc::clone(&cache));
         let r = before.run_batch(&[query, query]);
         assert_eq!(r[0].as_ref().unwrap().as_xml(), "3");
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
@@ -779,7 +767,7 @@ mod tests {
         // Same query text, same cache — but the mutated engine carries a
         // new generation, so this is a fresh compile, not a stale hit,
         // and the result reflects the insert.
-        let after = Executor::with_cache(writable.shared(), 1, Arc::clone(&cache));
+        let after = Executor::governed_with_cache(writable.shared(), 1, open, Arc::clone(&cache));
         let r = after.run_batch(&[query]);
         assert_eq!(r[0].as_ref().unwrap().as_xml(), "4");
         assert_eq!(
@@ -809,8 +797,9 @@ mod tests {
                     .to_string(),
             })
             .collect();
-        let sequential = Executor::new(shared.clone(), 1).run_batch(&queries);
-        let concurrent = Executor::new(shared, 4).run_batch(&queries);
+        let open = Governance::default();
+        let sequential = Executor::governed(shared.clone(), 1, open).run_batch(&queries);
+        let concurrent = Executor::governed(shared, 4, open).run_batch(&queries);
         assert_eq!(sequential.len(), concurrent.len());
         for (s, c) in sequential.iter().zip(&concurrent) {
             let s = s.as_ref().expect("fixture queries succeed");

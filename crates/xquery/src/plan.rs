@@ -154,8 +154,8 @@ pub struct StandoffOp {
     pub test_guaranteed: bool,
     /// The operator is the sole argument of `count`, `exists` or
     /// `empty`, so only its row count per iteration is needed: the
-    /// evaluator counts it from the index instead of joining
-    /// ([`standoff_core::count_resolved`]). Set by the optimizer's
+    /// evaluator counts it from the index instead of joining (the
+    /// counted form of [`standoff_core::join`]). Set by the optimizer's
     /// `fuse-count` pass on loop-lifted, predicate-free operators whose
     /// node test is guaranteed.
     pub count_from_index: bool,
@@ -340,205 +340,6 @@ impl PlanExpr {
         self.for_each_child(|c| c.visit(f));
     }
 
-    /// Apply `f` to every direct child expression.
-    pub fn for_each_child(&self, mut f: impl FnMut(&PlanExpr)) {
-        match self {
-            PlanExpr::Const(_)
-            | PlanExpr::Var(_)
-            | PlanExpr::ContextItem
-            | PlanExpr::RootPath
-            | PlanExpr::AttrEquals { .. } => {}
-            PlanExpr::Sequence(items) => items.iter().for_each(&mut f),
-            PlanExpr::Flwor {
-                hoisted,
-                clauses,
-                where_clause,
-                order_by,
-                return_clause,
-            } => {
-                for (_, e) in hoisted {
-                    f(e);
-                }
-                for c in clauses {
-                    match c {
-                        PlanClause::For { seq, .. } => f(seq),
-                        PlanClause::Let { value, .. } => f(value),
-                    }
-                }
-                if let Some(w) = where_clause {
-                    f(w);
-                }
-                for k in order_by {
-                    f(&k.expr);
-                }
-                f(return_clause);
-            }
-            PlanExpr::Quantified {
-                bindings,
-                satisfies,
-                ..
-            } => {
-                for (_, e) in bindings {
-                    f(e);
-                }
-                f(satisfies);
-            }
-            PlanExpr::IfThenElse {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                f(cond);
-                f(then_branch);
-                f(else_branch);
-            }
-            PlanExpr::Or(a, b)
-            | PlanExpr::And(a, b)
-            | PlanExpr::Comparison(_, a, b)
-            | PlanExpr::Arith(_, a, b)
-            | PlanExpr::Range(a, b)
-            | PlanExpr::Union(a, b)
-            | PlanExpr::Intersect(a, b)
-            | PlanExpr::Except(a, b) => {
-                f(a);
-                f(b);
-            }
-            PlanExpr::Neg(e) => f(e),
-            PlanExpr::TreeStep {
-                input, predicates, ..
-            }
-            | PlanExpr::StandoffStep {
-                input, predicates, ..
-            } => {
-                if let Some(input) = input {
-                    f(input);
-                }
-                predicates.iter().for_each(&mut f);
-            }
-            PlanExpr::PathExpr { input, step } => {
-                f(input);
-                f(step);
-            }
-            PlanExpr::Filter { input, predicate } => {
-                f(input);
-                f(predicate);
-            }
-            PlanExpr::UdfCall { args, .. } | PlanExpr::BuiltinCall { args, .. } => {
-                args.iter().for_each(&mut f)
-            }
-            PlanExpr::StandoffFn {
-                ctx, candidates, ..
-            } => {
-                f(ctx);
-                if let Some(c) = candidates {
-                    f(c);
-                }
-            }
-            PlanExpr::Constructor(c) => visit_constructor(c, &mut f),
-        }
-    }
-}
-
-impl PlanExpr {
-    /// Apply `f` to every direct child expression, mutably (the
-    /// optimizer's rewrite substrate).
-    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut PlanExpr)) {
-        match self {
-            PlanExpr::Const(_)
-            | PlanExpr::Var(_)
-            | PlanExpr::ContextItem
-            | PlanExpr::RootPath
-            | PlanExpr::AttrEquals { .. } => {}
-            PlanExpr::Sequence(items) => items.iter_mut().for_each(&mut f),
-            PlanExpr::Flwor {
-                hoisted,
-                clauses,
-                where_clause,
-                order_by,
-                return_clause,
-            } => {
-                for (_, e) in hoisted {
-                    f(e);
-                }
-                for c in clauses {
-                    match c {
-                        PlanClause::For { seq, .. } => f(seq),
-                        PlanClause::Let { value, .. } => f(value),
-                    }
-                }
-                if let Some(w) = where_clause {
-                    f(w);
-                }
-                for k in order_by {
-                    f(&mut k.expr);
-                }
-                f(return_clause);
-            }
-            PlanExpr::Quantified {
-                bindings,
-                satisfies,
-                ..
-            } => {
-                for (_, e) in bindings {
-                    f(e);
-                }
-                f(satisfies);
-            }
-            PlanExpr::IfThenElse {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                f(cond);
-                f(then_branch);
-                f(else_branch);
-            }
-            PlanExpr::Or(a, b)
-            | PlanExpr::And(a, b)
-            | PlanExpr::Comparison(_, a, b)
-            | PlanExpr::Arith(_, a, b)
-            | PlanExpr::Range(a, b)
-            | PlanExpr::Union(a, b)
-            | PlanExpr::Intersect(a, b)
-            | PlanExpr::Except(a, b) => {
-                f(a);
-                f(b);
-            }
-            PlanExpr::Neg(e) => f(e),
-            PlanExpr::TreeStep {
-                input, predicates, ..
-            }
-            | PlanExpr::StandoffStep {
-                input, predicates, ..
-            } => {
-                if let Some(input) = input {
-                    f(input);
-                }
-                predicates.iter_mut().for_each(&mut f);
-            }
-            PlanExpr::PathExpr { input, step } => {
-                f(input);
-                f(step);
-            }
-            PlanExpr::Filter { input, predicate } => {
-                f(input);
-                f(predicate);
-            }
-            PlanExpr::UdfCall { args, .. } | PlanExpr::BuiltinCall { args, .. } => {
-                args.iter_mut().for_each(&mut f)
-            }
-            PlanExpr::StandoffFn {
-                ctx, candidates, ..
-            } => {
-                f(ctx);
-                if let Some(c) = candidates {
-                    f(c);
-                }
-            }
-            PlanExpr::Constructor(c) => visit_constructor_mut(c, &mut f),
-        }
-    }
-
     /// Post-order mutable rewrite: children first, then `f(self)` — so a
     /// rewrite sees already-rewritten children (constant folding's
     /// bottom-up order).
@@ -548,39 +349,158 @@ impl PlanExpr {
     }
 }
 
-fn visit_constructor_mut(c: &mut PlanConstructor, f: &mut impl FnMut(&mut PlanExpr)) {
-    for (_, parts) in &mut c.attributes {
-        for part in parts {
-            if let PlanContent::Enclosed(e) = part {
-                f(e);
+/// Declares a plan expression's direct children once, for the shared
+/// and the mutable walk alike: every arm binds by reference, so one body
+/// hands `f` `&PlanExpr` or `&mut PlanExpr` children, and a new variant
+/// edits this table only. Each use emits one `PlanExpr` method and the
+/// constructor walk it recurses through.
+macro_rules! child_walk {
+    ($(#[$doc:meta])* $each:ident, $constructor:ident $(, $mut:tt)?) => {
+        impl PlanExpr {
+            $(#[$doc])*
+            pub fn $each(&$($mut)? self, mut f: impl FnMut(&$($mut)? PlanExpr)) {
+                match self {
+                    PlanExpr::Const(_)
+                    | PlanExpr::Var(_)
+                    | PlanExpr::ContextItem
+                    | PlanExpr::RootPath
+                    | PlanExpr::AttrEquals { .. } => {}
+                    PlanExpr::Sequence(items) => {
+                        for e in items {
+                            f(e);
+                        }
+                    }
+                    PlanExpr::Flwor {
+                        hoisted,
+                        clauses,
+                        where_clause,
+                        order_by,
+                        return_clause,
+                    } => {
+                        for (_, e) in hoisted {
+                            f(e);
+                        }
+                        for c in clauses {
+                            match c {
+                                PlanClause::For { seq, .. } => f(seq),
+                                PlanClause::Let { value, .. } => f(value),
+                            }
+                        }
+                        if let Some(w) = where_clause {
+                            f(w);
+                        }
+                        for PlanOrderKey { expr, .. } in order_by {
+                            f(expr);
+                        }
+                        f(return_clause);
+                    }
+                    PlanExpr::Quantified {
+                        bindings,
+                        satisfies,
+                        ..
+                    } => {
+                        for (_, e) in bindings {
+                            f(e);
+                        }
+                        f(satisfies);
+                    }
+                    PlanExpr::IfThenElse {
+                        cond,
+                        then_branch,
+                        else_branch,
+                    } => {
+                        f(cond);
+                        f(then_branch);
+                        f(else_branch);
+                    }
+                    PlanExpr::Or(a, b)
+                    | PlanExpr::And(a, b)
+                    | PlanExpr::Comparison(_, a, b)
+                    | PlanExpr::Arith(_, a, b)
+                    | PlanExpr::Range(a, b)
+                    | PlanExpr::Union(a, b)
+                    | PlanExpr::Intersect(a, b)
+                    | PlanExpr::Except(a, b) => {
+                        f(a);
+                        f(b);
+                    }
+                    PlanExpr::Neg(e) => f(e),
+                    PlanExpr::TreeStep {
+                        input, predicates, ..
+                    }
+                    | PlanExpr::StandoffStep {
+                        input, predicates, ..
+                    } => {
+                        if let Some(input) = input {
+                            f(input);
+                        }
+                        for p in predicates {
+                            f(p);
+                        }
+                    }
+                    PlanExpr::PathExpr { input, step } => {
+                        f(input);
+                        f(step);
+                    }
+                    PlanExpr::Filter { input, predicate } => {
+                        f(input);
+                        f(predicate);
+                    }
+                    PlanExpr::UdfCall { args, .. } | PlanExpr::BuiltinCall { args, .. } => {
+                        for a in args {
+                            f(a);
+                        }
+                    }
+                    PlanExpr::StandoffFn {
+                        ctx, candidates, ..
+                    } => {
+                        f(ctx);
+                        if let Some(c) = candidates {
+                            f(c);
+                        }
+                    }
+                    PlanExpr::Constructor(c) => $constructor(c, &mut f),
+                }
             }
         }
-    }
-    for part in &mut c.content {
-        match part {
-            PlanContent::Enclosed(e) => f(e),
-            PlanContent::Element(child) => visit_constructor_mut(child, f),
-            PlanContent::Text(_) => {}
+
+        fn $constructor(c: &$($mut)? PlanConstructor, f: &mut impl FnMut(&$($mut)? PlanExpr)) {
+            let PlanConstructor {
+                attributes,
+                content,
+                ..
+            } = c;
+            for (_, parts) in attributes {
+                for part in parts {
+                    if let PlanContent::Enclosed(e) = part {
+                        f(e);
+                    }
+                }
+            }
+            for part in content {
+                match part {
+                    PlanContent::Enclosed(e) => f(e),
+                    PlanContent::Element(child) => $constructor(child, f),
+                    PlanContent::Text(_) => {}
+                }
+            }
         }
-    }
+    };
 }
 
-fn visit_constructor(c: &PlanConstructor, f: &mut impl FnMut(&PlanExpr)) {
-    for (_, parts) in &c.attributes {
-        for part in parts {
-            if let PlanContent::Enclosed(e) = part {
-                f(e);
-            }
-        }
-    }
-    for part in &c.content {
-        match part {
-            PlanContent::Enclosed(e) => f(e),
-            PlanContent::Element(child) => visit_constructor(child, f),
-            PlanContent::Text(_) => {}
-        }
-    }
-}
+child_walk!(
+    /// Apply `f` to every direct child expression.
+    for_each_child,
+    visit_constructor
+);
+
+child_walk!(
+    /// Apply `f` to every direct child expression, mutably (the
+    /// optimizer's rewrite substrate).
+    for_each_child_mut,
+    visit_constructor_mut,
+    mut
+);
 
 impl Plan {
     /// Visit every expression in the plan — body, globals, hoisted

@@ -7,7 +7,7 @@
 //! concurrently through the batch [`Executor`] — and must come back as a
 //! proper `Err(QueryError)`.
 
-use standoff_xquery::{Engine, Executor};
+use standoff_xquery::{Engine, Executor, Governance};
 
 /// ~50 malformed, truncated, and adversarially nested query strings.
 /// Every single one must fail: a parse error, a static error, or a
@@ -141,7 +141,11 @@ fn every_hostile_query_errs_sequentially() {
 fn every_hostile_query_errs_through_the_batch_executor() {
     let corpus = hostile_corpus();
     for threads in [1, 4] {
-        let exec = Executor::new(engine_with_fixture().into_shared(), threads);
+        let exec = Executor::governed(
+            engine_with_fixture().into_shared(),
+            threads,
+            Governance::default(),
+        );
         let results = exec.run_batch(&corpus);
         assert_eq!(results.len(), corpus.len());
         for (query, result) in corpus.iter().zip(&results) {

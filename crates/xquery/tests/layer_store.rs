@@ -5,7 +5,7 @@
 //! regression seeds).
 
 use standoff_core::StandoffConfig;
-use standoff_store::{read_snapshot, write_snapshot, LayerSet};
+use standoff_store::{write_snapshot, LayerSet, Snapshot};
 use standoff_xml::parse_document;
 use standoff_xquery::Engine;
 
@@ -100,7 +100,7 @@ fn snapshot_round_trip_preserves_query_results() {
     let mut direct = mounted_engine();
     let mut buf = Vec::new();
     write_snapshot(&corpus(), &mut buf).unwrap();
-    let reloaded = read_snapshot(&mut buf.as_slice()).unwrap();
+    let reloaded = Snapshot::mount_bytes(buf).unwrap().to_layer_set().unwrap();
     let mut engine = Engine::new();
     engine.mount_store(reloaded).unwrap();
 

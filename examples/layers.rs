@@ -7,7 +7,7 @@
 //! ```
 
 use standoff::core::StandoffConfig;
-use standoff::store::{load_snapshot, save_snapshot, LayerSet};
+use standoff::store::{save_snapshot, LayerSet, Snapshot};
 use standoff::xml::parse_document;
 use standoff::xquery::Engine;
 
@@ -47,7 +47,7 @@ fn main() {
     // Persist and reload — the reload is a validated column read.
     let snap = std::env::temp_dir().join("standoff-layers-example.snap");
     save_snapshot(&set, &snap).unwrap();
-    let reloaded = load_snapshot(&snap).unwrap();
+    let reloaded = Snapshot::open(&snap).unwrap().to_layer_set().unwrap();
     println!(
         "snapshot {} -> {} layers, {} annotations",
         snap.display(),

@@ -80,8 +80,8 @@ const USAGE: &str = "standoff-xq index <base.xml> -o <snapshot> [--layer NAME=FI
                      standoff-xq stats [--store SNAPSHOT]... [--load URI=FILE]...\n\
                      \x20           [--strategy ...] [--no-pushdown] [queries.txt | -]\n\
                      standoff-xq serve [--listen ADDR] [--store SNAPSHOT]... [--strategy ...] [--no-pushdown]\n\
-                     \x20           [--threads N] [--deadline-ms N] [--max-results N] [--max-scratch-mb N]\n\
-                     \x20           [--queue-cap N] [--read-timeout-ms N]\n\
+                     \x20           [--deadline-ms N] [--max-results N] [--max-scratch-mb N]\n\
+                     \x20           [--queue-cap N] [--read-timeout-ms N] [--threads N (accepted, unused)]\n\
                      standoff-xq call ADDR VERB [ARG...] [--retries N]   (verbs: ping, query Q, stats,\n\
                      \x20           mount PATH, unmount URI, mounts, shutdown)\n\
                      exit codes: 0 success, 1 query failure (verify: corruption), 2 usage/corpus error";
@@ -907,7 +907,7 @@ fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
     let engine = corpus.build_engine()?;
     let load_elapsed = load_start.elapsed();
     // Governed batches give every query its own fresh budget; without
-    // governance flags this is exactly `Executor::new`.
+    // governance flags the default `Governance` sets no limit.
     let executor = Executor::governed(engine.into_shared(), threads, governance);
 
     let (profile, profile_json) = (args.has("--profile"), args.has("--profile-json"));
@@ -974,7 +974,7 @@ fn cmd_stats(argv: &[String]) -> Result<ExitCode, String> {
     let one = Some("stats takes at most one queries file");
     let args = parse(argv, &[CORPUS], Operands::One(one))?;
     let engine = CorpusArgs::new(&args)?.build_engine()?;
-    let executor = Executor::new(engine.into_shared(), 1);
+    let executor = Executor::governed(engine.into_shared(), 1, Governance::default());
     let mut failures = 0usize;
     if let Some(path) = args.operand() {
         let text = read_text_or_stdin(path)?;
@@ -1034,7 +1034,9 @@ fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
     let args = parse(argv, &[CORPUS, GOVERNANCE, QUEUE, &flags], Operands::Zero)?;
     let corpus = CorpusArgs::new(&args)?;
     let governance = governance(&args)?;
-    let threads = args.int("--threads", 1)?.unwrap_or(1);
+    // Accepted and checked as a count, for the invocations that pass
+    // it, but unused: every request evaluates on its connection thread.
+    args.int::<usize>("--threads", 1)?;
     let read_timeout_ms: u64 = args.int("--read-timeout-ms", 0)?.unwrap_or(10_000);
     let listen = args.last("--listen").unwrap_or("127.0.0.1:7878");
     // Hot mount/unmount rebuilds engines from retained snapshots, so
@@ -1048,7 +1050,6 @@ fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
         mounts.push(ServeMount::open(path).map_err(|e| e.to_string())?);
     }
     let opts = ServeOptions {
-        threads,
         engine: corpus.options,
         governance,
         read_timeout: Duration::from_millis(read_timeout_ms.max(1)),

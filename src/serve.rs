@@ -67,16 +67,12 @@ const POLL: Duration = Duration::from_millis(100);
 /// How long the accept loop waits for connections to finish draining.
 const DRAIN_WAIT: Duration = Duration::from_secs(5);
 
-/// Server configuration: worker shape, per-request governance, and how
-/// much patience slow clients get.
+/// Server configuration: engine options, per-request governance, and
+/// how much patience slow clients get. Every request evaluates
+/// sequentially on its connection thread and the protocol has no batch
+/// verb, so the executor has no fan-out width to configure.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Executor width only: worker threads an `Executor::run_batch`
-    /// would fan out over. Every request evaluates sequentially on its
-    /// connection thread and the protocol has no batch verb, so the
-    /// value changes nothing a client can observe; `serve --threads N`
-    /// stays accepted because deployed invocations pass it.
-    pub threads: usize,
     /// Compile-time engine options (strategy, pushdown) every mounted
     /// corpus is served under.
     pub engine: EngineOptions,
@@ -91,7 +87,6 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            threads: 1,
             engine: EngineOptions::default(),
             governance: Governance::default(),
             read_timeout: Duration::from_secs(10),
@@ -211,7 +206,7 @@ fn build_executor(
     }
     Ok(Arc::new(Executor::governed_with_cache(
         engine.into_shared(),
-        opts.threads,
+        1,
         opts.governance,
         cache,
     )))

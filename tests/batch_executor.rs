@@ -12,7 +12,7 @@ use std::process::{Command, Output};
 use standoff::core::StandoffConfig;
 use standoff::xmark::queries::XmarkQuery;
 use standoff::xmark::{generate, standoffify, XmarkConfig};
-use standoff::xquery::{Engine, Executor};
+use standoff::xquery::{Engine, Executor, Governance};
 
 const SO_URI: &str = "xmark-standoff.xml";
 
@@ -55,8 +55,8 @@ fn four_threads_match_one_thread_bytewise() {
     let queries = xmark_batch();
     assert!(queries.len() >= 100);
 
-    let one = Executor::new(shared.clone(), 1).run_batch(&queries);
-    let four = Executor::new(shared, 4).run_batch(&queries);
+    let one = Executor::governed(shared.clone(), 1, Governance::default()).run_batch(&queries);
+    let four = Executor::governed(shared, 4, Governance::default()).run_batch(&queries);
     assert_eq!(one.len(), four.len());
     for (k, (a, b)) in one.iter().zip(&four).enumerate() {
         match (a, b) {
@@ -88,8 +88,8 @@ fn four_threads_racing_for_cold_postings_match_one_thread() {
             _ => format!(r#"doc("{SO_URI}")//bidder[{k}]/select-narrow::increase"#),
         })
         .collect();
-    let one = Executor::new(xmark_shared(), 1).run_batch(&queries);
-    let four = Executor::new(xmark_shared(), 4).run_batch(&queries);
+    let one = Executor::governed(xmark_shared(), 1, Governance::default()).run_batch(&queries);
+    let four = Executor::governed(xmark_shared(), 4, Governance::default()).run_batch(&queries);
     for (k, (a, b)) in one.iter().zip(&four).enumerate() {
         let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
         assert_eq!(a.as_xml(), b.as_xml(), "query {k} diverged");

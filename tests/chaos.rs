@@ -48,7 +48,7 @@ fn corpus_mount(uri: &str) -> ServeMount {
     write_snapshot(&corpus_set(uri), &mut bytes).unwrap();
     ServeMount {
         path: "<mem>".to_string(),
-        snapshot: Snapshot::from_bytes(bytes).unwrap(),
+        snapshot: Snapshot::mount_bytes(bytes).unwrap(),
     }
 }
 
@@ -77,7 +77,7 @@ fn injected_pool_worker_panic_fails_batch_cleanly_and_pool_recovers() {
             r#"<a><w start="0" end="4"/><w start="6" end="9"/></a>"#,
         )
         .unwrap();
-    let exec = Executor::new(engine.into_shared(), 2);
+    let exec = Executor::governed(engine.into_shared(), 2, Governance::default());
     let queries = vec!["1 + 1"; 6];
 
     fault::inject_times("par.worker", FaultAction::Panic, 1);

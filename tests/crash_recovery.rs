@@ -512,12 +512,13 @@ fn snapshot_rewrite_crash_leaves_the_old_snapshot_intact() {
             before,
             "{point}: old snapshot bytes changed"
         );
-        let (_snap, report) = Snapshot::open_verified(&path).unwrap();
+        let report = Snapshot::open(&path).unwrap().verify().unwrap();
         assert!(report.sections_checked > 0);
     }
     // Without a fault the replace goes through and verifies.
     save_snapshot(&bigger, &path).unwrap();
-    let (snapshot, _report) = Snapshot::open_verified(&path).unwrap();
+    let snapshot = Snapshot::open(&path).unwrap();
+    snapshot.verify().unwrap();
     assert_eq!(
         snapshot
             .to_layer_set()
@@ -570,7 +571,7 @@ fn flipped_snapshot_payload_fails_verification_not_queries() {
     let at = bytes.len() - 9;
     bytes[at] ^= 0xff;
     std::fs::write(&path, &bytes).unwrap();
-    match Snapshot::open_verified(&path) {
+    match Snapshot::open(&path).and_then(|s| s.verify()) {
         Err(StoreError::Corrupt { .. }) => {}
         Err(other) => panic!("wrong category: {other}"),
         Ok(_) => panic!("flipped payload verified clean"),

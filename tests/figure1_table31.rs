@@ -3,9 +3,9 @@
 //! XQuery engine (axis steps, all strategies) and directly through the
 //! core join API.
 
+use standoff::core::join::join_resolved;
 use standoff::core::{
-    evaluate_standoff_join, IterNode, JoinInput, RegionIndex, StandoffAxis, StandoffConfig,
-    StandoffStrategy,
+    IterNode, JoinScratch, JoinTarget, RegionIndex, StandoffAxis, StandoffConfig, StandoffStrategy,
 };
 use standoff::fixtures::{engine_with_figure1, FIGURE1_URI, FIGURE1_XML};
 
@@ -75,17 +75,18 @@ fn table31_via_core_join_api() {
         .unwrap();
     let shots = doc.elements_named("shot");
     let context = [IterNode { iter: 0, node: u2 }];
-    let input = JoinInput {
+    let target = JoinTarget {
         doc: &doc,
         index: &index,
-        ctx_index: None,
-        context: &context,
         candidates: Some(shots),
+        posting: None,
         iter_domain: &[0],
     };
+    let mut scratch = JoinScratch::default();
+    scratch.resolve_context([(&index, &context[..])]);
     for (axis, expected) in EXPECTED {
-        let result =
-            evaluate_standoff_join(axis, StandoffStrategy::LoopLiftedMergeJoin, &input, None);
+        let strategy = StandoffStrategy::LoopLiftedMergeJoin;
+        let result = join_resolved(axis, strategy, &target, None, None, &mut scratch);
         let ids: Vec<String> = result
             .iter()
             .map(|e| doc.attribute(e.node, "id").unwrap().unwrap().to_string())

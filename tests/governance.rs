@@ -491,7 +491,7 @@ fn governed_batch_times_out_every_query_and_stays_complete() {
 fn ungoverned_executor_still_runs_requests() {
     // `run_governed` without any policy: admission always succeeds,
     // queries run without a budget.
-    let exec = Executor::new(shared_fixture(), 1);
+    let exec = Executor::governed(shared_fixture(), 1, Governance::default());
     let result = exec.run_governed(r#"count(doc("d.xml")//w)"#).unwrap();
     assert_eq!(result.as_strings(), ["3"]);
     let snapshot = exec.metrics_snapshot();

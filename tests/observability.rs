@@ -15,7 +15,7 @@ use standoff::core::StandoffConfig;
 use standoff::store::LayerSet;
 use standoff::xmark::queries::XmarkQuery;
 use standoff::xmark::{generate, standoffify, XmarkConfig};
-use standoff::xquery::{Engine, Executor, JoinStats, QueryCache};
+use standoff::xquery::{Engine, Executor, Governance, JoinStats, QueryCache};
 
 /// The deterministic corpus of the `explain` goldens, plus the crate's
 /// video sample so joins have same-document annotations to hit (the
@@ -300,7 +300,7 @@ fn stats_dump_join_keys_are_exactly_the_declared_set() {
         "join.result_sorts",
         "join.result_sorts_elided",
     ];
-    let executor = Executor::new(dense_corpus().into_shared(), 1);
+    let executor = Executor::governed(dense_corpus().into_shared(), 1, Governance::default());
     executor.run_batch(&[r#"count(doc("dense.xml")//big/select-narrow::w)"#]);
     let snap = executor.metrics_snapshot();
     // BTreeMap keys: already sorted, like JOIN_KEYS.
@@ -392,7 +392,7 @@ fn executor_metrics_and_plan_cache_counters() {
     // Single worker: the hit/miss counts below stay deterministic (two
     // racing workers could both miss on the repeated query).
     let engine = corpus().into_shared();
-    let executor = Executor::new(engine, 1);
+    let executor = Executor::governed(engine, 1, Governance::default());
     let queries = [
         r#"count(doc("tokens.xml")//w)"#,
         r#"count(doc("entities.xml")//place)"#,
@@ -416,7 +416,7 @@ fn executor_metrics_and_plan_cache_counters() {
 fn plan_cache_eviction_counter() {
     let engine = corpus().into_shared();
     let cache = std::sync::Arc::new(QueryCache::new(2));
-    let executor = Executor::with_cache(engine, 1, cache);
+    let executor = Executor::governed_with_cache(engine, 1, Governance::default(), cache);
     // Three distinct queries through a two-entry cache: one eviction.
     let queries = ["1", "2", "3"];
     executor.run_batch(&queries);

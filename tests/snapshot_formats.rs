@@ -74,7 +74,7 @@ fn parsed_and_v4_round_trip_answer_queries_byte_identically() {
     let expected = answers(&mut direct);
     assert!(expected.iter().any(|a| !a.is_empty()));
 
-    let snapshot = Snapshot::from_bytes(bytes).unwrap();
+    let snapshot = Snapshot::mount_bytes(bytes).unwrap();
     let mut engine = Engine::new();
     engine.mount_snapshot(&snapshot).unwrap();
     assert_eq!(answers(&mut engine), expected, "snapshot mount diverges");
@@ -165,7 +165,7 @@ fn serve_corpus() -> standoff::serve::ServerHandle {
     write_snapshot(&corpus(), &mut bytes).unwrap();
     let mount = ServeMount {
         path: "<mem>".to_string(),
-        snapshot: Snapshot::from_bytes(bytes).unwrap(),
+        snapshot: Snapshot::mount_bytes(bytes).unwrap(),
     };
     Server::bind("127.0.0.1:0", vec![mount], ServeOptions::default())
         .unwrap()
@@ -246,7 +246,7 @@ fn committed_v1_fixture_is_refused_by_name() {
 fn committed_v1_fixture_truncation_at_every_byte_errors_cleanly() {
     let full = std::fs::read(fixture_path()).unwrap();
     for cut in 0..=full.len() {
-        let result = std::panic::catch_unwind(|| Snapshot::from_bytes(full[..cut].to_vec()));
+        let result = std::panic::catch_unwind(|| Snapshot::mount_bytes(full[..cut].to_vec()));
         let mounted = result.unwrap_or_else(|_| panic!("truncation at {cut} panicked the reader"));
         assert!(mounted.is_err(), "truncation at {cut} mounted");
     }
@@ -292,7 +292,7 @@ fn cold_bytes() -> Vec<u8> {
 
 /// Mount `bytes` lazily, run `q`, and name the layers it materialized.
 fn reached(bytes: &[u8], q: &str) -> Vec<String> {
-    let snapshot = Snapshot::from_bytes(bytes.to_vec()).unwrap();
+    let snapshot = Snapshot::mount_bytes(bytes.to_vec()).unwrap();
     let mut engine = Engine::new();
     engine.mount_snapshot(&snapshot).unwrap();
     assert!(
@@ -357,11 +357,11 @@ fn lazy_and_eager_mounts_answer_byte_identically() {
     let mut bytes = Vec::new();
     write_snapshot(&xmark_set(0.002), &mut bytes).unwrap();
     let mut eager = Engine::new();
-    let set = Snapshot::from_bytes(bytes.clone()).unwrap().to_layer_set();
+    let set = Snapshot::mount_bytes(bytes.clone()).unwrap().to_layer_set();
     eager.mount_store(set.unwrap()).unwrap();
     for q in queries() {
         let mut lazy = Engine::new();
-        lazy.mount_snapshot(&Snapshot::from_bytes(bytes.clone()).unwrap())
+        lazy.mount_snapshot(&Snapshot::mount_bytes(bytes.clone()).unwrap())
             .unwrap();
         assert_eq!(
             lazy.run(&q).unwrap().as_xml(),
@@ -676,7 +676,7 @@ fn concurrent_sessions_materialize_a_layer_once() {
         .unwrap();
     let mut bytes = Vec::new();
     write_snapshot(&set, &mut bytes).unwrap();
-    let snapshot = Snapshot::from_bytes(bytes).unwrap();
+    let snapshot = Snapshot::mount_bytes(bytes).unwrap();
     let mut engine = Engine::new();
     engine.mount_snapshot(&snapshot).unwrap();
     let shared = engine.into_shared();
