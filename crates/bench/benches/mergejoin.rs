@@ -19,16 +19,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use standoff_core::join::merge::{ll_select_narrow, ll_select_wide};
 use standoff_core::join::{count_resolved, join_resolved, CtxEntry, JoinScratch, JoinTarget};
-use standoff_core::{
-    Area, IterNode, RegionEntry, RegionIndex, StandoffAxis, StandoffConfig, StandoffStrategy,
-};
+use standoff_core::{Area, IterNode, RegionIndex, StandoffAxis, StandoffConfig, StandoffStrategy};
 use standoff_xmark::{generate, standoffify, XmarkConfig};
 use standoff_xml::{Document, DocumentBuilder};
 
 /// Deterministic synthetic workload: `n_ctx` context regions spread over
 /// `iters` iterations, nested in chains of depth ~4, over `n_cand`
-/// candidates.
-fn workload(n_ctx: usize, iters: u32, n_cand: usize) -> (Vec<CtxEntry>, Vec<RegionEntry>) {
+/// candidates (candidate `k` is node `k` of the returned index).
+fn workload(n_ctx: usize, iters: u32, n_cand: usize) -> (Vec<CtxEntry>, RegionIndex) {
     let mut context = Vec::with_capacity(n_ctx);
     let mut x = 0i64;
     for k in 0..n_ctx {
@@ -47,17 +45,14 @@ fn workload(n_ctx: usize, iters: u32, n_cand: usize) -> (Vec<CtxEntry>, Vec<Regi
         }
     }
     context.sort_by_key(|c| (c.start, c.end, c.iter));
-    let mut candidates = Vec::with_capacity(n_cand);
-    for k in 0..n_cand {
-        let start = (k as i64 * 13) % (x + 200);
-        candidates.push(RegionEntry {
-            start,
-            end: start + (k as i64 % 40),
-            id: k as u32,
-        });
-    }
-    candidates.sort_by_key(|e| (e.start, e.end));
-    (context, candidates)
+    let candidates: Vec<(u32, Area)> = (0..n_cand)
+        .map(|k| {
+            let start = (k as i64 * 13) % (x + 200);
+            let end = start + (k as i64 % 40);
+            (k as u32, Area::single(start, end).unwrap())
+        })
+        .collect();
+    (context, RegionIndex::from_areas(&candidates))
 }
 
 /// One join as the query engine runs it: `context` resolved into
@@ -88,7 +83,9 @@ fn mergejoin(c: &mut Criterion) {
             .iter()
             .map(|c| (c.node, area(c.start, c.end)))
             .collect();
+        let cand_rows = cand_rows.entries();
         areas.extend(cand_rows.iter().map(|e| (n + e.id, area(e.start, e.end))));
+        areas.sort_unstable_by_key(|a| a.0);
         let index = RegionIndex::from_areas(&areas);
         let mut context: Vec<IterNode> = ctx_rows
             .iter()
@@ -126,10 +123,10 @@ fn mergejoin(c: &mut Criterion) {
     let mut group = c.benchmark_group("context_skip_ablation");
     let (context, candidates) = workload(4096, 1, 8192);
     group.bench_function("skip_enabled", |b| {
-        b.iter(|| ll_select_narrow(&context, &candidates, false, None));
+        b.iter(|| ll_select_narrow(&context, candidates.table().rows, false, None));
     });
     group.bench_function("skip_disabled(per_annotation)", |b| {
-        b.iter(|| ll_select_narrow(&context, &candidates, true, None));
+        b.iter(|| ll_select_narrow(&context, candidates.table().rows, true, None));
     });
     group.finish();
 
@@ -192,10 +189,10 @@ fn mergejoin(c: &mut Criterion) {
     let mut group = c.benchmark_group("narrow_vs_wide");
     let (context, candidates) = workload(2048, 64, 8192);
     group.bench_function("select-narrow", |b| {
-        b.iter(|| ll_select_narrow(&context, &candidates, false, None));
+        b.iter(|| ll_select_narrow(&context, candidates.table().rows, false, None));
     });
     group.bench_function("select-wide", |b| {
-        b.iter(|| ll_select_wide(&context, &candidates));
+        b.iter(|| ll_select_wide(&context, candidates.table().rows));
     });
     group.finish();
 }

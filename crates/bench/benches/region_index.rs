@@ -8,7 +8,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use standoff_core::join::join_resolved;
 use standoff_core::{
-    IterNode, JoinScratch, JoinTarget, RegionIndex, StandoffAxis, StandoffConfig, StandoffStrategy,
+    IterNode, JoinScratch, JoinTarget, RegionIndex, RowBuf, StandoffAxis, StandoffConfig,
+    StandoffStrategy,
 };
 use standoff_xmark::{generate, standoffify, XmarkConfig};
 
@@ -27,13 +28,13 @@ fn region_index(c: &mut Criterion) {
     // selectivities: a rare element (person: ~9% of nodes) vs a common
     // wildcard-ish one.
     let mut group = c.benchmark_group("region_index/gather_all");
-    let mut out = Vec::new();
+    let mut out = RowBuf::default();
     for name in ["person", "bidder", "incategory"] {
         let nodes = so.doc.elements_named(name).to_vec();
         group.bench_with_input(BenchmarkId::from_parameter(name), &nodes, |b, nodes| {
             b.iter(|| {
                 index.gather_candidates(nodes, 0..index.len(), &mut out);
-                out.len()
+                out.rows().len()
             });
         });
     }
@@ -59,7 +60,7 @@ fn region_index(c: &mut Criterion) {
             |b, cands| {
                 b.iter(|| {
                     synthetic.gather_candidates(cands, 0..synthetic.len(), &mut out);
-                    out.len()
+                    out.rows().len()
                 });
             },
         );
@@ -72,18 +73,18 @@ fn region_index(c: &mut Criterion) {
     // pays), against the cached posting's two partition points.
     let mut group = c.benchmark_group("region_index/posting");
     let (from, to) = {
-        let e = index.entries();
-        (e[e.len() * 4 / 10].start, e[e.len() / 2].start)
+        let rows = index.table().rows;
+        (rows.start(rows.len() * 4 / 10), rows.start(rows.len() / 2))
     };
     let reach = index.table().reach(from, to);
     for name in ["person", "bidder", "incategory"] {
         let id = so.doc.names().get(name).unwrap();
         let nodes = so.doc.elements_named(name);
-        let mut out = Vec::new();
+        let mut out = RowBuf::default();
         group.bench_function(format!("gather/{name}"), |b| {
             b.iter(|| {
                 index.gather_candidates(nodes, reach.clone(), &mut out);
-                out.len()
+                out.rows().len()
             })
         });
         group.bench_function(format!("posting/{name}"), |b| {

@@ -25,6 +25,10 @@ pub enum StandoffError {
     IncompleteRegion { context: String },
     /// The `standoff-type` option names an unsupported position type.
     UnsupportedType(String),
+    /// A document's regions, from its first start `first` to its last
+    /// end `last`, span 2³² positions or more: more than one region
+    /// index holds.
+    SpanTooWide { first: i64, last: i64 },
     /// A column group the region markup is read from failed its
     /// verification.
     Corrupt(standoff_xml::Corrupt),
@@ -55,6 +59,11 @@ impl fmt::Display for StandoffError {
             StandoffError::UnsupportedType(t) => {
                 write!(f, "unsupported standoff-type '{t}' (supported: xs:integer)")
             }
+            StandoffError::SpanTooWide { first, last } => write!(
+                f,
+                "regions span {first} to {last}, 2^32 positions or more; \
+                 a layer's regions must lie within 4294967295 positions of its first start"
+            ),
             StandoffError::Corrupt(e) => e.fmt(f),
         }
     }

@@ -19,48 +19,97 @@
 //!   entry starting in the gap before `a` overlaps iff it ends at or
 //!   after `a`, which only those starting at or after `a − w` can.
 //!
-//! Every boundary is found by seeking forward from the previous one
-//! through the candidates' [`Keys`]: the start directory's bucket of the
-//! boundary bounds the seek from below, and the rows' own starts are
-//! stepped through from there — a few, then a binary search — so a
-//! boundary costs two directory probes and the rows of its bucket. Ends
-//! are read only in the `(M − w, M]` tail and in a gap's head, where a
+//! Every boundary is found by seeking forward from the previous one on
+//! the table's stored `starts` column, four bytes a row: a near boundary
+//! by stepping through the starts, a far one by a gallop from the row
+//! the reach's density puts it at (`Candidates::seeker`), so a boundary
+//! costs its distance in rows or the logarithm of the guess's error,
+//! whichever is smaller. No directory of starts is derived. Ends are read only
+//! in the `(M − w, M]` tail and in a gap's head, where a
 //! [`KEY_BLOCK`]-row block whose largest end is before `a` is counted
-//! whole without reading it. An iteration costs its contexts times a
-//! bucket's rows, plus the entries within `w` of a boundary.
+//! whole without reading it. An iteration costs its contexts times the
+//! logarithm of their gaps, plus the entries within `w` of a boundary.
 //!
 //! [`RegionIndex::max_extent`]: crate::index::RegionIndex::max_extent
 
 use std::ops::Range;
 
 use crate::budget::Budget;
-use crate::index::{Keys, RegionEntry, KEY_BLOCK};
-use crate::join::merge::POLL_BLOCK;
+use crate::index::{Table, KEY_BLOCK};
+use crate::join::merge::{gallop, POLL_BLOCK};
 use crate::join::{CtxEntry, StandoffAxis};
 
-/// The candidates a count sweeps: the entries `reach` of a
-/// start-clustered run of `rows` with that run's `keys`, position for
-/// position — a table with its own keys, or a buffer with keys derived
-/// from it.
+/// The candidates a count sweeps: the rows `reach` of a table — an
+/// index's own, a posting or a gathered buffer — whose block ends and
+/// extent bound it reads.
 pub(crate) struct Candidates<'a> {
-    pub rows: &'a [RegionEntry],
-    pub keys: &'a Keys,
+    pub table: Table<'a>,
     pub reach: Range<usize>,
 }
+
+impl Candidates<'_> {
+    /// The seek of a sweep: the first row of `from..to` whose start is
+    /// at least `pos`, or `to`. The reach's mean density of rows per
+    /// position, found once per sweep, says how many rows ahead of
+    /// `from` the row lies: fewer than [`NEAR_ROWS`], and the starts are
+    /// stepped through from `from`, galloping on past twice that many;
+    /// more, and the seek steps back from that guess by 1, 2, 4, … rows
+    /// to one that starts before `pos` and gallops forward from there.
+    /// On evenly spread starts — a token layer — the guess is a row or
+    /// two off, so a far seek reads a cache line or two where a gallop
+    /// from `from` reads one per doubling; on any spread a seek costs at
+    /// most two gallops and `2 · NEAR_ROWS` steps.
+    fn seeker(&self) -> impl Fn(usize, usize, i64) -> usize + '_ {
+        let (rows, reach) = (self.table.rows, &self.reach);
+        let span = match reach.len() {
+            0 => 1,
+            _ => (rows.starts[reach.end - 1] - rows.starts[reach.start]).max(1),
+        };
+        // Rows per position, as a fraction of 2³².
+        let per_position = ((reach.len().saturating_sub(1) as u128) << 32) / span as u128;
+        move |from: usize, to: usize, pos: i64| {
+            let (starts, pos) = (&rows.starts[..to], rows.offset(pos));
+            let before = |k: usize| (starts[k] as i64) < pos;
+            if from >= to || !before(from) {
+                return from;
+            }
+            let ahead = ((pos - starts[from] as i64).min(1 << 32) as u128 * per_position) >> 32;
+            let (mut at, mut step) = (from + (ahead as usize).min(to - 1 - from), 1);
+            if at - from < NEAR_ROWS {
+                let near = (from + 2 * NEAR_ROWS).min(to);
+                at = from + 1;
+                while at < near && before(at) {
+                    at += 1;
+                }
+                return if at < near {
+                    at
+                } else {
+                    gallop(starts, at, |&s| (s as i64) < pos)
+                };
+            }
+            while !before(at) {
+                (at, step) = (at.saturating_sub(step).max(from), 2 * step);
+            }
+            gallop(starts, at, |&s| (s as i64) < pos)
+        }
+    }
+}
+
+/// Rows ahead a sweep's seek steps through rather than guesses.
+const NEAR_ROWS: usize = 32;
 
 /// For each iteration of `context`, the number of `candidates` the
 /// select axis `axis` keeps, appended to `out` as `(iter, count)`.
 ///
 /// `context` must be sorted on `(iter, start)`, `candidates` on start,
-/// each candidate must be a distinct node, and `max_extent` must bound
-/// every candidate's `end − start`. Iterations come out ascending, each
+/// each candidate must be a distinct node, and the table's `max_extent`
+/// must bound every candidate's `end − start`. Iterations come out ascending, each
 /// once. The budget is polled once per [`POLL_BLOCK`] contexts; `false`
 /// means it tripped and `out` is incomplete.
 pub(crate) fn select_counts(
     axis: StandoffAxis,
     context: &[CtxEntry],
     candidates: &Candidates<'_>,
-    max_extent: i64,
     budget: Option<&Budget>,
     out: &mut Vec<(u32, u64)>,
 ) -> bool {
@@ -68,7 +117,7 @@ pub(crate) fn select_counts(
     debug_assert!(context
         .windows(2)
         .all(|w| (w[0].iter, w[0].start) <= (w[1].iter, w[1].start)));
-    debug_assert!(candidates.rows.is_sorted_by_key(|e| e.start));
+    debug_assert!(candidates.table.rows.starts.is_sorted());
     let mut seen = 0usize;
     let mut tripped = || {
         seen += 1;
@@ -79,8 +128,8 @@ pub(crate) fn select_counts(
         let len = rest.partition_point(|c| c.iter == first.iter);
         let (group, tail) = rest.split_at(len);
         let count = match axis {
-            StandoffAxis::SelectNarrow => contained(group, candidates, max_extent, &mut tripped),
-            _ => overlapping(group, candidates, max_extent, &mut tripped),
+            StandoffAxis::SelectNarrow => contained(group, candidates, &mut tripped),
+            _ => overlapping(group, candidates, &mut tripped),
         };
         let Some(count) = count else {
             return false;
@@ -96,10 +145,10 @@ pub(crate) fn select_counts(
 fn contained(
     context: &[CtxEntry],
     candidates: &Candidates<'_>,
-    max_extent: i64,
     tripped: &mut impl FnMut() -> bool,
 ) -> Option<u64> {
-    let (rows, keys, to) = (candidates.rows, candidates.keys, candidates.reach.end);
+    let (rows, to) = (candidates.table.rows, candidates.reach.end);
+    let (max_extent, seek) = (candidates.table.max_extent, candidates.seeker());
     let mut count = 0u64;
     let mut at = candidates.reach.start;
     let mut m = i64::MIN; // M: the largest end of the contexts so far
@@ -116,12 +165,13 @@ fn contained(
         }
         // The entries starting in [c.start, min(M, next − 1)]: all
         // contained but those of the last `w` that end past M.
-        at = keys.seek(rows, at, to, c.start);
-        let past = keys.seek(rows, at, to, m.saturating_add(1).min(next));
-        let sure = m.saturating_sub(max_extent);
-        let out = (rows[at..past].iter().rev())
-            .take_while(|e| e.start > sure)
-            .filter(|e| e.end > m)
+        at = seek(at, to, c.start);
+        let past = seek(at, to, m.saturating_add(1).min(next));
+        let (sure, m) = (rows.offset(m.saturating_sub(max_extent)), rows.offset(m));
+        let out = (at..past)
+            .rev()
+            .take_while(|&k| rows.starts[k] as i64 > sure)
+            .filter(|&k| rows.ends[k] as i64 > m)
             .count();
         count += (past - at - out) as u64;
         at = past;
@@ -134,10 +184,10 @@ fn contained(
 fn overlapping(
     context: &[CtxEntry],
     candidates: &Candidates<'_>,
-    max_extent: i64,
     tripped: &mut impl FnMut() -> bool,
 ) -> Option<u64> {
-    let (rows, keys, to) = (candidates.rows, candidates.keys, candidates.reach.end);
+    let to = candidates.reach.end;
+    let (max_extent, seek) = (candidates.table.max_extent, candidates.seeker());
     let mut count = 0u64;
     let mut at = candidates.reach.start;
     let mut gap = i64::MIN; // first position after the last covered interval
@@ -155,9 +205,9 @@ fn overlapping(
         }
         // The entries starting in [max(gap, a − w), b]: all overlapping
         // but those of the gap's head that end before `a`.
-        at = keys.seek(rows, at, to, gap.max(a.saturating_sub(max_extent)));
-        let inside = keys.seek(rows, at, to, a);
-        let past = keys.seek(rows, inside, to, b.saturating_add(1));
+        at = seek(at, to, gap.max(a.saturating_sub(max_extent)));
+        let inside = seek(at, to, a);
+        let past = seek(inside, to, b.saturating_add(1));
         let out = ended_before(candidates, at..inside, a);
         count += (past - at - out) as u64;
         at = past;
@@ -169,16 +219,18 @@ fn overlapping(
 /// How many of the candidates `rows` end before `a`: a [`KEY_BLOCK`]
 /// block whose largest end is before `a` counts whole, unread.
 fn ended_before(candidates: &Candidates<'_>, rows: Range<usize>, a: i64) -> usize {
+    let table = &candidates.table;
+    let a = table.rows.offset(a);
     let mut out = 0;
     let mut at = rows.start;
     while at < rows.end {
         let block = at / KEY_BLOCK;
         let to = ((block + 1) * KEY_BLOCK).min(rows.end);
-        out += if candidates.keys.block_ends[block] < a {
+        out += if (table.block_ends[block] as i64) < a {
             to - at
         } else {
-            (candidates.rows[at..to].iter())
-                .filter(|e| e.end < a)
+            (table.rows.ends[at..to].iter())
+                .filter(|&&e| (e as i64) < a)
                 .count()
         };
         at = to;
@@ -189,7 +241,7 @@ fn ended_before(candidates: &Candidates<'_>, rows: Range<usize>, a: i64) -> usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{RegionIndex, Table};
+    use crate::index::{RegionEntry, RegionIndex, RowBuf};
     use crate::region::Area;
 
     fn ctx(rows: &[(u32, i64, i64)]) -> Vec<CtxEntry> {
@@ -205,24 +257,12 @@ mod tests {
         v
     }
 
-    fn cands(rows: &[(i64, i64)]) -> Vec<RegionEntry> {
-        let mut v: Vec<RegionEntry> = (rows.iter().enumerate())
-            .map(|(n, &(start, end))| RegionEntry {
-                start,
-                end,
-                id: n as u32,
-            })
+    /// Span `n` as node `n`, clustered on start.
+    fn cands(rows: &[(i64, i64)]) -> RegionIndex {
+        let areas: Vec<(u32, Area)> = (rows.iter().enumerate())
+            .map(|(n, &(start, end))| (n as u32, Area::single(start, end).unwrap()))
             .collect();
-        v.sort_by_key(|e| (e.start, e.end, e.id));
-        v
-    }
-
-    fn extent(candidates: &[RegionEntry]) -> i64 {
-        candidates
-            .iter()
-            .map(|e| e.end - e.start)
-            .max()
-            .unwrap_or(0)
+        RegionIndex::from_areas(&areas)
     }
 
     /// The nested loop: per iteration, the candidates some context of
@@ -253,34 +293,27 @@ mod tests {
     fn counts(
         axis: StandoffAxis,
         context: &[CtxEntry],
-        candidates: &[RegionEntry],
+        candidates: &RegionIndex,
         max_extent: i64,
     ) -> Vec<(u32, u64)> {
-        let keys = Keys::of(candidates);
+        let table = Table {
+            max_extent,
+            ..candidates.table()
+        };
         let candidates = Candidates {
-            rows: candidates,
-            keys: &keys,
+            table,
             reach: 0..candidates.len(),
         };
         let mut out = Vec::new();
-        assert!(select_counts(
-            axis,
-            context,
-            &candidates,
-            max_extent,
-            None,
-            &mut out
-        ));
+        assert!(select_counts(axis, context, &candidates, None, &mut out));
         out
     }
 
     /// Every way a count gets its candidates agrees with the nested loop
     /// over the `spans`, for both select axes and loose extent bounds:
-    /// the keys of the index's own table over the context's reach, the
-    /// keys of a name's posting in an index that also holds `fillers`,
-    /// keys derived for a copy of the reach (the scratch of a short
-    /// reach) and for the node-view gather of the spans' nodes from that
-    /// index.
+    /// the index's own table over the context's reach, a name's posting
+    /// in an index that also holds `fillers`, and the node-view gather
+    /// of the spans' nodes from that index.
     fn agree(context: &[CtxEntry], spans: &[(i64, i64)], fillers: &[(i64, i64)]) {
         let mut b = standoff_xml::DocumentBuilder::new();
         b.start_element("d");
@@ -317,60 +350,34 @@ mod tests {
         let from = context.iter().map(|c| c.start).min().unwrap();
         let to = context.iter().map(|c| c.end).max().unwrap();
         for axis in [StandoffAxis::SelectNarrow, StandoffAxis::SelectWide] {
-            let expected = brute(axis, context, own.entries());
+            let expected = brute(axis, context, &own.entries());
             let reach = |t: &Table| match axis {
                 StandoffAxis::SelectNarrow => t.reach(from, to),
                 _ => t.wide_reach(from, to),
             };
             let table = own.table();
-            let slice = &table.entries[reach(&table)];
-            let mut gathered = Vec::new();
+            let mut gathered = RowBuf::default();
             mixed.gather_candidates(cs, reach(&mixed.table()), &mut gathered);
-            let (slice_keys, gathered_keys) = (Keys::of(slice), Keys::of(&gathered));
+            let gathered = gathered.table(mixed.max_extent());
             let paths = [
-                (
-                    "table",
-                    table.entries,
-                    table.keys(),
-                    reach(&table),
-                    own.max_extent(),
-                ),
-                (
-                    "posting",
-                    posting.entries,
-                    posting.keys(),
-                    reach(&posting),
-                    posting.max_extent,
-                ),
-                (
-                    "scratch",
-                    slice,
-                    &slice_keys,
-                    0..slice.len(),
-                    own.max_extent(),
-                ),
-                (
-                    "gathered",
-                    &gathered[..],
-                    &gathered_keys,
-                    0..gathered.len(),
-                    mixed.max_extent(),
-                ),
+                ("table", table, reach(&table)),
+                ("posting", posting, reach(&posting)),
+                ("gathered", gathered, 0..gathered.rows.len()),
             ];
-            for (what, rows, keys, reach, bound) in paths {
-                let candidates = Candidates { rows, keys, reach };
+            for (what, table, reach) in paths {
                 // The extent bound may be loose: only its being an
                 // upper bound matters.
                 for slack in [0, 1, 7] {
+                    let table = Table {
+                        max_extent: table.max_extent + slack,
+                        ..table
+                    };
+                    let candidates = Candidates {
+                        table,
+                        reach: reach.clone(),
+                    };
                     let mut got = Vec::new();
-                    assert!(select_counts(
-                        axis,
-                        context,
-                        &candidates,
-                        bound + slack,
-                        None,
-                        &mut got
-                    ));
+                    assert!(select_counts(axis, context, &candidates, None, &mut got));
                     assert_eq!(
                         got, expected,
                         "{axis} via {what}, slack {slack}: {context:?} {spans:?} {fillers:?}"
@@ -396,7 +403,7 @@ mod tests {
             (5, 9),   // before the context, in the gap
         ];
         let candidates = cands(&spans);
-        assert_eq!(extent(&candidates), 4);
+        assert_eq!(candidates.max_extent(), 4);
         assert_eq!(
             counts(StandoffAxis::SelectNarrow, &context, &candidates, 4),
             [(0, 5)]
@@ -445,7 +452,7 @@ mod tests {
         spans.push((130, 1000)); // in the third block, ends inside [a, b]
         let context = ctx(&[(0, 600, 610), (1, 700, 700)]);
         let candidates = cands(&spans);
-        let expected = brute(StandoffAxis::SelectWide, &context, &candidates);
+        let expected = brute(StandoffAxis::SelectWide, &context, &candidates.entries());
         assert_eq!(expected, [(0, 1), (1, 1)]);
         assert_eq!(
             counts(StandoffAxis::SelectWide, &context, &candidates, 870),
@@ -494,17 +501,17 @@ mod tests {
     /// Context rows `(iter, start, end)`, candidate spans and fillers.
     type Geometry = (Vec<(u32, i64, i64)>, Vec<(i64, i64)>, Vec<(i64, i64)>);
 
-    /// A generated geometry at an edge of the start directory — the
-    /// context rows, candidate spans and fillers `agree` takes — drawn
-    /// from `next` (`next(m)` is uniform in `[0, m)`):
+    /// A generated geometry at an edge of the seek — the context rows,
+    /// candidate spans and fillers `agree` takes — drawn from `next`
+    /// (`next(m)` is uniform in `[0, m)`):
     ///
-    /// 0. runs of equal starts longer than a seek's in-order scan, with
+    /// 0. runs of equal starts longer than a gallop's first steps, with
     ///    contexts starting on, inside and after them;
-    /// 1. one row at 0 and the rest past 2⁴⁰, so one bucket spans 2³⁴
-    ///    positions and the far rows share a few;
+    /// 1. one row at 0 and the rest past 2³¹, so a seek gallops across
+    ///    half the offsets a table holds;
     /// 2. negative starts, some rows crossing 0;
     /// 3. a single row;
-    /// 4. a uniform layer whose contexts begin and end mid-bucket, so
+    /// 4. a uniform layer whose contexts begin and end between rows, so
     ///    every reach does.
     fn directory_edge(kind: usize, next: &mut impl FnMut(u64) -> i64) -> Geometry {
         let mut ctx: Vec<(u32, i64, i64)> = Vec::new();
@@ -526,7 +533,7 @@ mod tests {
                 }
             }
             1 => {
-                let far = 1i64 << 40;
+                let far = 1i64 << 31;
                 spans.push((0, next(4)));
                 for _ in 0..1 + next(80) {
                     let s = far + next(300);
@@ -588,7 +595,7 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(200))]
 
         /// Every candidate path counts as the nested loop does on the
-        /// start directory's edge geometries.
+        /// seek's edge geometries.
         #[test]
         fn directory_edges_agree_with_the_nested_loop(
             kind in 0usize..5,
@@ -610,11 +617,9 @@ mod tests {
     fn a_tripped_budget_stops_the_sweep() {
         let rows: Vec<(u32, i64, i64)> = (0..1000).map(|k| (0, 10 * k, 10 * k + 5)).collect();
         let context = ctx(&rows);
-        let candidates = cands(&[(0, 1)]);
-        let keys = Keys::of(&candidates);
+        let index = cands(&[(0, 1)]);
         let candidates = Candidates {
-            rows: &candidates,
-            keys: &keys,
+            table: index.table(),
             reach: 0..1,
         };
         let budget = Budget::cancel_token();
@@ -625,7 +630,6 @@ mod tests {
                 axis,
                 &context,
                 &candidates,
-                1,
                 Some(&budget),
                 &mut out
             ));

@@ -36,7 +36,7 @@
 //!    are a subset of the new item's) and inserts the new item keeping
 //!    the list sorted descending on `end`.
 
-use crate::index::RegionEntry;
+use crate::index::Rows;
 use crate::join::{CtxEntry, Emission};
 use crate::trace::{NoTrace, TraceEvent, TraceSink};
 
@@ -106,7 +106,7 @@ pub(crate) const POLL_BLOCK: usize = 64;
 /// `None` as the trace of [`crate::join::join_resolved`]).
 pub fn ll_select_narrow(
     context: &[CtxEntry],
-    candidates: &[RegionEntry],
+    candidates: Rows<'_>,
     per_annotation: bool,
     trace: Option<&mut dyn TraceSink>,
 ) -> Vec<Emission> {
@@ -128,7 +128,7 @@ pub fn ll_select_narrow(
 /// `scratch`.
 pub(crate) fn ll_select_narrow_into(
     context: &[CtxEntry],
-    candidates: &[RegionEntry],
+    candidates: Rows<'_>,
     per_annotation: bool,
     trace: Option<&mut dyn TraceSink>,
     scratch: &mut MergeScratch,
@@ -149,19 +149,20 @@ pub(crate) fn ll_select_narrow_into(
 
 fn ll_select_narrow_impl<T: TraceSink>(
     context: &[CtxEntry],
-    candidates: &[RegionEntry],
+    candidates: Rows<'_>,
     per_annotation: bool,
     mut trace: T,
     scratch: &mut MergeScratch,
     result: &mut Vec<Emission>,
 ) {
     debug_assert!(context.windows(2).all(|w| w[0].start <= w[1].start));
-    debug_assert!(candidates.windows(2).all(|w| w[0].start <= w[1].start));
+    debug_assert!(candidates.starts.is_sorted());
     if context.is_empty() || candidates.is_empty() {
         return;
     }
 
     let budget = scratch.budget.clone();
+    let n = candidates.len();
     let active: &mut Vec<ActiveItem> = &mut scratch.narrow_active;
     active.clear();
     let mut i = 0usize; // iterates over context
@@ -208,12 +209,12 @@ fn ll_select_narrow_impl<T: TraceSink>(
         // candidate at a time; traced runs keep the per-candidate events
         // Figure 4 prints.
         if trace.enabled() {
-            while j < candidates.len() && candidates[j].start < context[i].start {
+            while j < n && candidates.start(j) < context[i].start {
                 trace.event(TraceEvent::SkipCandidateBefore { cand: j as u32 });
                 j += 1;
             }
         } else {
-            j = gallop_starts(candidates, j, context[i].start);
+            j = candidates.seek(j, n, context[i].start);
         }
         // lines 26-36: analyze candidates until the next context item
         // must enter the list (or the active list drains). Each round is
@@ -222,7 +223,7 @@ fn ll_select_narrow_impl<T: TraceSink>(
         // block of candidates since the last poll, so governed work is
         // bounded without a poll per candidate and without a
         // data-dependent branch inside the 64-wide match masks.
-        while j < candidates.len() && candidates[j].start < next_start {
+        while j < n && candidates.start(j) < next_start {
             if j >= poll_at {
                 if tripped(&budget) {
                     return;
@@ -244,7 +245,7 @@ fn ll_select_narrow_impl<T: TraceSink>(
             if active.len() == 1 && !trace.enabled() {
                 let a = active[0];
                 let bound = next_start.min(a.end.saturating_add(1));
-                if candidates[j].start >= bound {
+                if candidates.start(j) >= bound {
                     // Empty run: the loop bound admits this candidate but
                     // the sole active item ended before it starts — the
                     // line 28-31 trim kills the item and the list drains.
@@ -255,16 +256,16 @@ fn ll_select_narrow_impl<T: TraceSink>(
                 // Gallop, not bisect: the run is usually much shorter
                 // than the candidate tail, so the doubling search costs
                 // O(log run), not O(log remaining).
-                let hi = gallop_starts(candidates, j, bound);
+                let hi = candidates.seek(j, n, bound);
                 emit_contained_run(
-                    &candidates[j..hi],
+                    candidates.slice(j..hi),
                     j as u32,
                     &a,
                     result,
                     &mut scratch.blocks,
                 );
                 j = hi;
-                if j < candidates.len() && candidates[j].start < next_start {
+                if j < n && candidates.start(j) < next_start {
                     // The sole active item ended before this candidate
                     // starts: trim kills it and the list drains.
                     active.clear();
@@ -272,12 +273,12 @@ fn ll_select_narrow_impl<T: TraceSink>(
                 }
                 continue;
             }
-            let cand = &candidates[j];
+            let (cand_start, cand_end) = (candidates.start(j), candidates.end(j));
             // lines 28-31: trim active items that ended before this
             // candidate starts (list is sorted descending on end, so they
             // sit at the back).
             while let Some(last) = active.last() {
-                if last.end < cand.start {
+                if last.end < cand_start {
                     trace.event(TraceEvent::RemoveActive { ctx: last.ctx_idx });
                     active.pop();
                 } else {
@@ -291,7 +292,7 @@ fn ll_select_narrow_impl<T: TraceSink>(
             // the candidate (their start ≤ cand.start by merge order).
             let mut emitted = false;
             for a in active.iter() {
-                if a.end < cand.end {
+                if a.end < cand_end {
                     break; // descending ends: nothing further contains it
                 }
                 result.push(Emission {
@@ -311,7 +312,7 @@ fn ll_select_narrow_impl<T: TraceSink>(
             j += 1;
         }
         // lines 37-38: all candidates consumed.
-        if j == candidates.len() {
+        if j == n {
             trace.event(TraceEvent::Exit);
             break;
         }
@@ -330,20 +331,13 @@ fn ll_select_narrow_impl<T: TraceSink>(
     }
 }
 
-/// First position at or after `from` whose candidate starts at or after
-/// `target` ([`gallop`]).
-#[inline]
-pub(crate) fn gallop_starts(candidates: &[RegionEntry], from: usize, target: i64) -> usize {
-    gallop(candidates, from, |c| c.start < target)
-}
-
 /// First position at or after `from` whose item is not `before` (which
 /// must hold on a prefix of `items[from..]`) — exponential probe
 /// bracketing a binary search, so the common no-skip case costs a single
 /// comparison and a run of `s` skippable items costs `O(log s)` instead
 /// of `s` steps.
 #[inline]
-fn gallop<T>(items: &[T], from: usize, before: impl Fn(&T) -> bool) -> usize {
+pub(crate) fn gallop<T>(items: &[T], from: usize, before: impl Fn(&T) -> bool) -> usize {
     let mut step = 1usize;
     let mut hi = from;
     while hi < items.len() && before(&items[hi]) {
@@ -361,18 +355,19 @@ fn gallop<T>(items: &[T], from: usize, before: impl Fn(&T) -> bool) -> usize {
 /// order) with a data-independent inner loop, then pop set bits in order.
 #[inline]
 fn emit_contained_run(
-    run: &[RegionEntry],
+    run: Rows<'_>,
     base_idx: u32,
     a: &ActiveItem,
     result: &mut Vec<Emission>,
     blocks: &mut u64,
 ) {
     let mut idx = base_idx;
-    for chunk in run.chunks(64) {
+    let end = run.offset(a.end);
+    for chunk in run.ends.chunks(64) {
         *blocks += 1;
         let mut mask = 0u64;
-        for (k, c) in chunk.iter().enumerate() {
-            mask |= ((c.end <= a.end) as u64) << k;
+        for (k, &e) in chunk.iter().enumerate() {
+            mask |= ((e as i64 <= end) as u64) << k;
         }
         while mask != 0 {
             result.push(Emission {
@@ -438,7 +433,7 @@ fn insert_active<T: TraceSink>(
 /// Total work is O(contexts + candidates + matches) over the reach: the
 /// loop-lifted caller passes only the entries that start inside its
 /// context's extent widened by the index's largest extent.
-pub fn ll_select_wide(context: &[CtxEntry], candidates: &[RegionEntry]) -> Vec<Emission> {
+pub fn ll_select_wide(context: &[CtxEntry], candidates: Rows<'_>) -> Vec<Emission> {
     let mut result = Vec::new();
     ll_select_wide_into(
         context,
@@ -453,12 +448,12 @@ pub fn ll_select_wide(context: &[CtxEntry], candidates: &[RegionEntry]) -> Vec<E
 /// *appended* to `result`.
 pub(crate) fn ll_select_wide_into(
     context: &[CtxEntry],
-    candidates: &[RegionEntry],
+    candidates: Rows<'_>,
     scratch: &mut MergeScratch,
     result: &mut Vec<Emission>,
 ) {
     debug_assert!(context.windows(2).all(|w| w[0].start <= w[1].start));
-    debug_assert!(candidates.windows(2).all(|w| w[0].start <= w[1].start));
+    debug_assert!(candidates.starts.is_sorted());
     if context.is_empty() || candidates.is_empty() {
         return;
     }
@@ -468,15 +463,16 @@ pub(crate) fn ll_select_wide_into(
     active.clear();
     let mut i = 0usize; // first context starting after every candidate start so far
 
-    for (j, cand) in candidates.iter().enumerate() {
+    for j in 0..candidates.len() {
+        let (cand_start, cand_end) = (candidates.start(j), candidates.end(j));
         if j % POLL_BLOCK == 0 && tripped(&budget) {
             return;
         }
         // Admit the contexts that start at or before this candidate.
-        while i < context.len() && context[i].start <= cand.start {
+        while i < context.len() && context[i].start <= cand_start {
             let c = &context[i];
             i += 1;
-            if c.end < cand.start {
+            if c.end < cand_start {
                 continue; // over before this and every later candidate starts
             }
             // One item per iteration: the earlier one either reaches at
@@ -498,7 +494,7 @@ pub(crate) fn ll_select_wide_into(
             );
         }
         // Trim items that ended before this candidate starts.
-        while active.last().is_some_and(|a| a.end < cand.start) {
+        while active.last().is_some_and(|a| a.end < cand_start) {
             active.pop();
         }
         // Only the (iter, candidate) pair survives post-processing, so a
@@ -517,7 +513,7 @@ pub(crate) fn ll_select_wide_into(
         for a in active.iter() {
             emit(a.iter, a.node);
         }
-        for c in context[i..].iter().take_while(|c| c.start <= cand.end) {
+        for c in context[i..].iter().take_while(|c| c.start <= cand_end) {
             emit(c.iter, c.node);
         }
     }
@@ -526,6 +522,8 @@ pub(crate) fn ll_select_wide_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::RegionIndex;
+    use crate::region::Area;
 
     fn ctx(rows: &[(u32, i64, i64)]) -> Vec<CtxEntry> {
         let mut v: Vec<CtxEntry> = rows
@@ -542,35 +540,31 @@ mod tests {
         v
     }
 
-    fn cands(rows: &[(i64, i64)]) -> Vec<RegionEntry> {
-        let mut v: Vec<RegionEntry> = rows
-            .iter()
-            .enumerate()
-            .map(|(n, &(start, end))| RegionEntry {
-                start,
-                end,
-                id: 1000 + n as u32,
-            })
+    /// Candidate `n` of `rows` as node `1000 + n`, clustered on start.
+    fn cands(rows: &[(i64, i64)]) -> RegionIndex {
+        let areas: Vec<(u32, Area)> = (rows.iter().enumerate())
+            .map(|(n, &(start, end))| (1000 + n as u32, Area::single(start, end).unwrap()))
             .collect();
-        v.sort_by_key(|e| (e.start, e.end));
-        v
+        RegionIndex::from_areas(&areas)
     }
 
     /// (iter, candidate id) pairs, sorted, deduplicated.
-    fn narrow_pairs(context: &[CtxEntry], candidates: &[RegionEntry]) -> Vec<(u32, u32)> {
-        let mut p: Vec<(u32, u32)> = ll_select_narrow(context, candidates, false, None)
+    fn narrow_pairs(context: &[CtxEntry], candidates: &RegionIndex) -> Vec<(u32, u32)> {
+        let rows = candidates.table().rows;
+        let mut p: Vec<(u32, u32)> = ll_select_narrow(context, rows, false, None)
             .into_iter()
-            .map(|e| (e.iter, candidates[e.cand_idx as usize].id))
+            .map(|e| (e.iter, rows.ids[e.cand_idx as usize]))
             .collect();
         p.sort_unstable();
         p.dedup();
         p
     }
 
-    fn wide_pairs(context: &[CtxEntry], candidates: &[RegionEntry]) -> Vec<(u32, u32)> {
-        let mut p: Vec<(u32, u32)> = ll_select_wide(context, candidates)
+    fn wide_pairs(context: &[CtxEntry], candidates: &RegionIndex) -> Vec<(u32, u32)> {
+        let rows = candidates.table().rows;
+        let mut p: Vec<(u32, u32)> = ll_select_wide(context, rows)
             .into_iter()
-            .map(|e| (e.iter, candidates[e.cand_idx as usize].id))
+            .map(|e| (e.iter, rows.ids[e.cand_idx as usize]))
             .collect();
         p.sort_unstable();
         p.dedup();
@@ -663,11 +657,12 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let context = ctx(&[(0, 0, 10)]);
-        let candidates = cands(&[(0, 5)]);
-        assert!(ll_select_narrow(&[], &candidates, false, None).is_empty());
-        assert!(ll_select_narrow(&context, &[], false, None).is_empty());
-        assert!(ll_select_wide(&[], &candidates).is_empty());
-        assert!(ll_select_wide(&context, &[]).is_empty());
+        let index = cands(&[(0, 5)]);
+        let (candidates, none) = (index.table().rows, Rows::default());
+        assert!(ll_select_narrow(&[], candidates, false, None).is_empty());
+        assert!(ll_select_narrow(&context, none, false, None).is_empty());
+        assert!(ll_select_wide(&[], candidates).is_empty());
+        assert!(ll_select_wide(&context, none).is_empty());
     }
 
     #[test]
@@ -702,20 +697,21 @@ mod tests {
         use crate::budget::{Budget, BudgetLimits, POLL_STRIDE};
         let context = ctx(&[(0, 0, 1_000_000), (1, 0, 1_000_000)]);
         let spans: Vec<(i64, i64)> = (0..20_000).map(|k| (10 * k, 10 * k + 5)).collect();
-        let candidates = cands(&spans);
+        let index = cands(&spans);
+        let candidates = index.table().rows;
         let scratch = |budget| MergeScratch {
             budget,
             ..MergeScratch::default()
         };
         let wide = |budget: Option<Budget>| {
             let mut out = Vec::new();
-            ll_select_wide_into(&context, &candidates, &mut scratch(budget), &mut out);
+            ll_select_wide_into(&context, candidates, &mut scratch(budget), &mut out);
             out.len()
         };
         let narrow = |budget: Option<Budget>| {
             let mut out = Vec::new();
             let mut s = scratch(budget);
-            ll_select_narrow_into(&context, &candidates, false, None, &mut s, &mut out);
+            ll_select_narrow_into(&context, candidates, false, None, &mut s, &mut out);
             out.len()
         };
         let cancelled = || {

@@ -64,7 +64,7 @@ use std::ops::Range;
 use standoff_xml::Document;
 
 use crate::budget::Budget;
-use crate::index::{Keys, Posting, RegionEntry, RegionIndex, Table, KEY_BLOCK};
+use crate::index::{Posting, RegionIndex, RowBuf, Rows, Table};
 use crate::trace::TraceSink;
 
 /// The four StandOff joins, proposed as XPath axis steps (§3.3).
@@ -205,8 +205,8 @@ pub struct CtxEntry {
 }
 
 /// A raw match produced by a merge join before post-processing: candidate
-/// entry `cand_idx` (an index into the candidate [`RegionEntry`] slice)
-/// matched context annotation `ctx_node` in iteration `iter`.
+/// row `cand_idx` (of the candidate [`Rows`]) matched context
+/// annotation `ctx_node` in iteration `iter`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct Emission {
     pub iter: u32,
@@ -257,8 +257,8 @@ impl<'a> JoinTarget<'a> {
         self.posting.map_or(self.index.table(), |p| p.table)
     }
 
-    /// The candidate entries inside `reach`, a range of
-    /// [`JoinTarget::table`], in start order: the table's own slice,
+    /// The candidate rows inside `reach`, a range of
+    /// [`JoinTarget::table`], in start order: the table's own rows,
     /// borrowed, unless an explicit candidate sequence that is not every
     /// annotated node restricts it — then gathered through the node view
     /// into `buf`. Counts the derivation and its reach in `stats`.
@@ -266,27 +266,22 @@ impl<'a> JoinTarget<'a> {
         &'s self,
         reach: Range<usize>,
         stats: &mut JoinStats,
-        buf: &'s mut Vec<RegionEntry>,
-    ) -> &'s [RegionEntry]
+        buf: &'s mut RowBuf,
+    ) -> Rows<'s>
     where
         'a: 's,
     {
         if self.gather_in(reach.clone(), stats, buf) {
-            buf
+            buf.rows()
         } else {
-            &self.table().entries[reach]
+            self.table().rows.slice(reach)
         }
     }
 
     /// Derive the candidate entries inside `reach` as
     /// [`JoinTarget::candidate_entries_in`] does: `true` when they were
     /// gathered into `buf`, `false` when they are the table's own slice.
-    fn gather_in(
-        &self,
-        reach: Range<usize>,
-        stats: &mut JoinStats,
-        buf: &mut Vec<RegionEntry>,
-    ) -> bool {
+    fn gather_in(&self, reach: Range<usize>, stats: &mut JoinStats, buf: &mut RowBuf) -> bool {
         stats.candidate_reach_entries += reach.len() as u64;
         match (self.posting, self.candidates) {
             (Some(p), _) if !p.covering => stats.candidate_posting += 1,
@@ -342,9 +337,7 @@ pub struct JoinScratch {
     ctx: Vec<CtxEntry>,
     /// The resolved context's extent: its first start and largest end.
     extent: (i64, i64),
-    cands: Vec<RegionEntry>,
-    /// The keys a count sweep derives for `cands` or a short reach.
-    cand_keys: Keys,
+    cands: RowBuf,
     emissions: Vec<Emission>,
     iters: Vec<u32>,
     /// A second context table: the sort's gather target, or a
@@ -393,7 +386,7 @@ impl JoinScratch {
         for (index, rows) in parts {
             self.ctx.reserve(rows.len());
             for (k, &IterNode { iter, node }) in rows.iter().enumerate() {
-                for r in index.regions_of(node) {
+                for r in index.regions_of(node).iter() {
                     self.ctx.push(CtxEntry {
                         iter,
                         node: first + k as u32,
@@ -409,20 +402,20 @@ impl JoinScratch {
     }
 
     /// Resolve a join's context from a posting ([`RegionIndex::posting`]):
-    /// `entries`, in their `(start, end, id)` order, as the rows of one
+    /// `rows`, in their `(start, end, id)` order, as the rows of one
     /// iteration `iter`, each identified by its pre rank. That is what
     /// [`JoinScratch::resolve_context`] makes of one document's rows of
     /// one iteration that are exactly the posting's elements — the same
     /// rows in the same order, a row's rank standing for its ordinal —
     /// read in one pass, without a node-view probe or a sort. Counted as
     /// `context_posting`.
-    pub fn context_from_posting(&mut self, iter: u32, entries: &[RegionEntry]) {
+    pub fn context_from_posting(&mut self, iter: u32, rows: Rows<'_>) {
         self.ctx.clear();
-        self.ctx.extend(entries.iter().map(|e| CtxEntry {
+        self.ctx.extend((0..rows.len()).map(|k| CtxEntry {
             iter,
-            node: e.id,
-            start: e.start,
-            end: e.end,
+            node: rows.ids[k],
+            start: rows.start(k),
+            end: rows.end(k),
         }));
         self.stats.context_posting += 1;
         self.note_extent();
@@ -449,7 +442,6 @@ impl JoinScratch {
     /// among them: they belong to the index and outlive the request.
     pub fn approx_bytes(&self) -> u64 {
         (self.ctx.capacity() * std::mem::size_of::<CtxEntry>()
-            + self.cands.capacity() * std::mem::size_of::<RegionEntry>()
             + self.emissions.capacity() * std::mem::size_of::<Emission>()
             + self.single.capacity() * std::mem::size_of::<CtxEntry>()
             + (self.iters.capacity() + self.buckets.capacity() + self.universe.capacity())
@@ -457,7 +449,7 @@ impl JoinScratch {
             + self.selected.capacity() * std::mem::size_of::<(u32, u64)>()
             + (self.keys[0].capacity() + self.keys[1].capacity()) * std::mem::size_of::<u64>())
             as u64
-            + self.cand_keys.capacity_bytes()
+            + self.cands.capacity_bytes()
     }
 
     /// Take the counters accumulated since the last take, leaving zeros
@@ -582,7 +574,7 @@ pub fn join_resolved(
             // iteration, and every invocation re-reads its candidate
             // sequence in full — the "repeated full scans of the region
             // index" that make XMark Q2 blow up.
-            let whole = 0..target.table().entries.len();
+            let whole = 0..target.table().rows.len();
             scratch.iters.clear();
             scratch.iters.extend(scratch.ctx.iter().map(|c| c.iter));
             scratch.iters.sort_unstable();
@@ -713,28 +705,17 @@ pub fn count_resolved(
     if !scratch.ctx.is_empty() {
         let table = target.table();
         let reach = reach_of(select_axis, target, scratch.extent);
-        // The sweep reads keys: the table's own over a long reach, or
-        // keys derived into the scratch for a gathered buffer or a
-        // short reach, so a point context derives nothing.
+        // The sweep reads a table's starts and block ends: the target's
+        // own over the reach, or a gathered buffer's, found as it is
+        // gathered.
         let gathered = target.gather_in(reach.clone(), &mut scratch.stats, &mut scratch.cands);
-        let candidates = if gathered || reach.len() <= KEY_BLOCK {
-            let rows = if gathered {
-                &scratch.cands[..]
-            } else {
-                &table.entries[reach]
-            };
-            scratch.cand_keys.fill(rows);
+        let candidates = if gathered {
             count::Candidates {
-                rows,
-                keys: &scratch.cand_keys,
-                reach: 0..rows.len(),
+                table: scratch.cands.table(table.max_extent),
+                reach: 0..scratch.cands.rows().len(),
             }
         } else {
-            count::Candidates {
-                rows: table.entries,
-                keys: table.keys(),
-                reach,
-            }
+            count::Candidates { table, reach }
         };
         // The context table is start-sorted across iterations; the
         // sweep takes one iteration at a time, each in start order. A
@@ -751,7 +732,6 @@ pub fn count_resolved(
             select_axis,
             context,
             &candidates,
-            table.max_extent,
             budget.as_ref(),
             &mut selected,
         );

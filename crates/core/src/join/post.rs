@@ -20,7 +20,7 @@
 //!   or sorted whole. Every other result is picked from once it is in
 //!   document order.
 
-use crate::index::{RegionEntry, RegionIndex};
+use crate::index::{RegionIndex, Rows};
 use crate::join::{Emission, IterNode, JoinStats, StandoffAxis};
 
 /// A predicate that keeps one row by its position in each iteration's
@@ -106,7 +106,7 @@ impl RankPick {
     fn keep_emitted(
         &mut self,
         emissions: &[Emission],
-        candidates: &[RegionEntry],
+        candidates: Rows<'_>,
     ) -> Option<Vec<IterNode>> {
         if !matches!(self.rank, Rank::Nth(1) | Rank::Last) {
             return None;
@@ -117,7 +117,7 @@ impl RankPick {
         if emissions.is_empty() || (hi - lo) as usize / 2 >= emissions.len() {
             return emissions.is_empty().then(Vec::new);
         }
-        let node_of = |e: &Emission| candidates[e.cand_idx as usize].id;
+        let node_of = |e: &Emission| candidates.ids[e.cand_idx as usize];
         // Per iteration: the last candidate entry counted, plus one (0
         // for none yet), and the node kept.
         let mut slots = vec![(0u32, 0u32); (hi - lo) as usize + 1];
@@ -179,7 +179,7 @@ pub(crate) fn keep_picked(pick: Option<&mut RankPick>, rows: Vec<IterNode>) -> V
 pub fn finalize_select(
     axis: StandoffAxis,
     emissions: &[Emission],
-    candidates: &[RegionEntry],
+    candidates: Rows<'_>,
     index: &RegionIndex,
     mut pick: Option<&mut RankPick>,
     stats: &mut JoinStats,
@@ -199,7 +199,7 @@ pub fn finalize_select(
             .iter()
             .map(|e| IterNode {
                 iter: e.iter,
-                node: candidates[e.cand_idx as usize].id,
+                node: candidates.ids[e.cand_idx as usize],
             })
             .collect();
         return keep_picked(pick, document_order(out, stats));
@@ -212,7 +212,7 @@ pub fn finalize_select(
     let mut keyed: Vec<(u32, u32, u32, u32)> = emissions
         .iter()
         .map(|e| {
-            let entry = candidates[e.cand_idx as usize];
+            let entry = candidates.entry(e.cand_idx as usize);
             let ordinal = index
                 .regions_of(entry.id)
                 .binary_search_by_key(&(entry.start, entry.end), |r| (r.start, r.end))
@@ -381,17 +381,13 @@ mod tests {
     use crate::index::RegionIndex;
     use crate::region::Area;
 
-    fn entry(start: i64, end: i64, id: u32) -> RegionEntry {
-        RegionEntry { start, end, id }
-    }
-
     #[test]
     fn single_region_select_dedups_and_sorts() {
         let index = RegionIndex::from_areas(&[
             (5, Area::single(0, 10).unwrap()),
             (9, Area::single(20, 30).unwrap()),
         ]);
-        let cands = vec![entry(0, 10, 5), entry(20, 30, 9)];
+        let cands = index.table().rows;
         let emissions = vec![
             Emission {
                 iter: 1,
@@ -413,7 +409,7 @@ mod tests {
         let out = finalize_select(
             StandoffAxis::SelectNarrow,
             &emissions,
-            &cands,
+            cands,
             &index,
             None,
             &mut stats,
@@ -436,7 +432,7 @@ mod tests {
             ])
             .unwrap(),
         )]);
-        let cands = vec![entry(0, 10, 7), entry(20, 30, 7)];
+        let cands = index.table().rows;
 
         // Context annotation 100 contains both regions → selected.
         let both = vec![
@@ -455,7 +451,7 @@ mod tests {
             finalize_select(
                 StandoffAxis::SelectNarrow,
                 &both,
-                &cands,
+                cands,
                 &index,
                 None,
                 &mut JoinStats::default()
@@ -480,7 +476,7 @@ mod tests {
         assert!(finalize_select(
             StandoffAxis::SelectNarrow,
             &split,
-            &cands,
+            cands,
             &index,
             None,
             &mut JoinStats::default()
@@ -497,7 +493,7 @@ mod tests {
             finalize_select(
                 StandoffAxis::SelectWide,
                 &one,
-                &cands,
+                cands,
                 &index,
                 None,
                 &mut JoinStats::default()
@@ -568,8 +564,8 @@ mod tests {
             (6, Area::single(20, 30).unwrap()),
             (8, Area::single(5, 8).unwrap()),
         ]);
-        let cands: Vec<RegionEntry> = index.table().entries.to_vec();
-        let at = |id: u32| cands.iter().position(|c| c.id == id).unwrap() as u32;
+        let cands = index.table().rows;
+        let at = |id: u32| cands.ids.iter().position(|&c| c == id).unwrap() as u32;
         let rows = [
             (2, 4),
             (2, 4),
@@ -592,7 +588,7 @@ mod tests {
         let full = finalize_select(
             axis,
             &emissions,
-            &cands,
+            cands,
             &index,
             None,
             &mut JoinStats::default(),
@@ -606,14 +602,8 @@ mod tests {
         {
             let mut pick = RankPick::new(rank);
             let mut stats = JoinStats::default();
-            let kept = finalize_select(
-                axis,
-                &emissions,
-                &cands,
-                &index,
-                Some(&mut pick),
-                &mut stats,
-            );
+            let kept =
+                finalize_select(axis, &emissions, cands, &index, Some(&mut pick), &mut stats);
             assert_eq!(pick.selected, 7, "{rank:?}");
             let slotted = matches!(rank, Rank::Nth(1) | Rank::Last);
             assert_eq!(stats.result_sorts, u64::from(!slotted), "{rank:?}");

@@ -54,7 +54,7 @@ pub use budget::{Budget, BudgetExceeded, BudgetLimits};
 pub use config::{RegionRepr, StandoffConfig};
 pub use crc::{crc32, Crc32};
 pub use error::StandoffError;
-pub use index::{IndexStats, Posting, RegionEntry, RegionIndex, Table};
+pub use index::{IndexStats, NodeRegions, Posting, RegionEntry, RegionIndex, RowBuf, Rows, Table};
 pub use join::{
     IterNode, JoinCounter, JoinScratch, JoinStats, JoinTarget, StandoffAxis, StandoffStrategy,
 };

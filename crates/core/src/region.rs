@@ -23,34 +23,9 @@ use crate::error::StandoffError;
 /// # Ok::<(), standoff_core::StandoffError>(())
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[repr(C)]
 pub struct Region {
     pub start: i64,
     pub end: i64,
-}
-
-const _: () = assert!(std::mem::size_of::<Region>() == 16);
-
-// A region's memory layout (`repr(C)`: two little-endian `i64`s on LE
-// targets) equals its wire layout, so region columns in SOSN snapshots
-// mount zero-copy. Note the `start ≤ end` invariant is *semantic* — the
-// mount path re-validates it per region (see `RegionIndex::from_storage`).
-unsafe impl standoff_xml::column::Pod for Region {
-    const WIDTH: usize = 16;
-
-    #[inline]
-    fn read_le(bytes: &[u8]) -> Self {
-        Region {
-            start: i64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes")),
-            end: i64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
-        }
-    }
-
-    #[inline]
-    fn write_le<W: std::io::Write>(self, w: &mut W) -> std::io::Result<()> {
-        w.write_all(&self.start.to_le_bytes())?;
-        w.write_all(&self.end.to_le_bytes())
-    }
 }
 
 impl Region {

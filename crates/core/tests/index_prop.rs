@@ -9,7 +9,8 @@ use std::ops::Range;
 use proptest::prelude::*;
 
 use standoff_core::{
-    Area, JoinStats, JoinTarget, Region, RegionEntry, RegionIndex, StandoffConfig,
+    Area, JoinStats, JoinTarget, NodeRegions, Region, RegionEntry, RegionIndex, RowBuf,
+    StandoffConfig,
 };
 use standoff_xml::{DocumentBuilder, NewElement, NodeKind};
 
@@ -30,11 +31,8 @@ fn oracle(index: &RegionIndex, candidates: &[u32], reach: Range<usize>) -> Vec<R
 /// through, against the oracle.
 fn assert_all_agree(index: &RegionIndex, candidates: &[u32], reach: Range<usize>) {
     let want = oracle(index, candidates, reach.clone());
-    let mut got = vec![RegionEntry {
-        start: -1,
-        end: -1,
-        id: 0,
-    }]; // must be cleared
+    let mut got = RowBuf::default();
+    index.gather_candidates(candidates, 0..index.len(), &mut got); // must be cleared
     if candidates == index.annotated_nodes() {
         assert_eq!(&index.entries()[reach.clone()], want, "borrowed reach");
     }
@@ -47,11 +45,11 @@ fn assert_all_agree(index: &RegionIndex, candidates: &[u32], reach: Range<usize>
         posting: None,
         iter_domain: &[],
     };
-    let mut buf = Vec::new();
+    let mut buf = RowBuf::default();
     let derived = target.candidate_entries_in(reach.clone(), &mut JoinStats::default(), &mut buf);
-    assert_eq!(derived, want, "the join's derivation");
+    assert_eq!(derived.entries(), want, "the join's derivation");
     index.gather_candidates(candidates, reach, &mut got);
-    assert_eq!(got, want, "gather");
+    assert_eq!(got.rows().entries(), want, "gather");
 }
 
 /// Random single/multi-region annotations with controlled geometry.
@@ -166,25 +164,28 @@ proptest! {
             let posting = index.posting(&doc, id, None).unwrap().unwrap();
             let table = posting.table;
             prop_assert_eq!(posting.covering, nodes == index.annotated_nodes());
-            prop_assert!(table.entries.iter().all(|e| e.end - e.start <= table.max_extent));
+            let entries = table.rows.entries();
+            prop_assert!(entries.iter().all(|e| e.end - e.start <= table.max_extent));
             let annotated = nodes.iter().filter(|&&n| index.region_count(n) > 0).count();
             prop_assert_eq!(posting.annotated, annotated);
-            let mut gathered = Vec::new();
+            let mut gathered = RowBuf::default();
             for &(from, len) in &extents {
                 let to = from + len;
                 index.gather_candidates(nodes, index.table().reach(from, to), &mut gathered);
-                prop_assert_eq!(&table.entries[table.reach(from, to)], &gathered[..]);
+                prop_assert_eq!(&entries[table.reach(from, to)], &gathered.rows().entries()[..]);
                 index.gather_candidates(nodes, index.table().wide_reach(from, to), &mut gathered);
-                let wide = &table.entries[table.wide_reach(from, to)];
+                let wide = &entries[table.wide_reach(from, to)];
                 // Its own bound is tighter: it may start later, never
                 // drop an entry that can overlap.
                 prop_assert!(gathered
+                    .rows()
+                    .entries()
                     .iter()
                     .filter(|e| e.end >= from)
                     .all(|e| wide.contains(e)));
             }
             let again = index.posting(&doc, id, None).unwrap().unwrap();
-            prop_assert!(std::ptr::eq(again.table.entries, table.entries));
+            prop_assert!(std::ptr::eq(again.table.rows.starts, table.rows.starts));
         }
     }
 
@@ -329,17 +330,20 @@ fn postings_are_derived_once_and_cover_by_borrowing() {
     let shot = doc.names().get("shot").unwrap();
     let p = idx.posting(&doc, shot, None).unwrap().unwrap();
     let shots = doc.elements_named("shot");
-    assert_eq!(p.table.entries, oracle(&idx, shots, 0..idx.len()));
+    assert_eq!(p.table.rows.entries(), oracle(&idx, shots, 0..idx.len()));
     assert_eq!(
         (p.covering, p.annotated, p.table.max_extent),
         (false, 3, 56)
     );
     let again = idx.posting(&doc, shot, None).unwrap().unwrap();
-    assert!(std::ptr::eq(p.table.entries, again.table.entries), "cached");
+    assert!(
+        std::ptr::eq(p.table.rows.starts, again.table.rows.starts),
+        "cached"
+    );
     // `video` has no regions: an empty posting.
     let video = doc.names().get("video").unwrap();
     let empty = idx.posting(&doc, video, None).unwrap().unwrap();
-    assert_eq!((empty.table.entries.len(), empty.annotated), (0, 0));
+    assert_eq!((empty.table.rows.len(), empty.annotated), (0, 0));
     // A name outside the document's table is not cached.
     assert!(idx.posting(&doc, NameId(999), None).unwrap().is_none());
 
@@ -351,7 +355,11 @@ fn postings_are_derived_once_and_cover_by_borrowing() {
     let err = idx.posting(&doc, w, Some(&tripped)).unwrap_err();
     assert_eq!(err, BudgetExceeded::Cancelled);
     let w = idx.posting(&doc, w, None).unwrap().unwrap();
-    assert_eq!(w.table.entries, &idx.entries()[..1], "nothing partial kept");
+    assert_eq!(
+        w.table.rows.entries(),
+        &idx.entries()[..1],
+        "nothing partial kept"
+    );
     // `x` alone is not every annotation either.
     assert!(!idx.posting(&doc, x, None).unwrap().unwrap().covering);
     let whole = parse_document(r#"<d><w start="0" end="4"/><w start="6" end="9"/></d>"#).unwrap();
@@ -360,7 +368,7 @@ fn postings_are_derived_once_and_cover_by_borrowing() {
     let covering = idx.posting(&whole, w, None).unwrap().unwrap();
     assert!(covering.covering);
     assert!(
-        std::ptr::eq(covering.table.entries, idx.entries()),
+        std::ptr::eq(covering.table.rows.starts, idx.table().rows.starts),
         "borrowed"
     );
 }
@@ -371,9 +379,9 @@ fn assert_lookups_match(index: &RegionIndex, order: &[u32]) -> Result<(), TestCa
     for &pre in order {
         let want: Vec<Region> = (index.entries().iter())
             .filter(|e| e.id == pre)
-            .map(|e| *e.region())
+            .map(|e| Region::new(e.start, e.end).unwrap())
             .collect();
-        prop_assert_eq!(index.regions_of(pre), &want[..], "pre {}", pre);
+        prop_assert_eq!(&*index.regions_of(pre), &want[..], "pre {}", pre);
         prop_assert_eq!(index.region_count(pre), want.len());
     }
     Ok(())
@@ -428,20 +436,20 @@ fn shape_by_definition(index: &RegionIndex) -> &'static str {
     }
 }
 
-/// Whether every annotated node's region is read in place from its own
-/// entry — as a view of the entries themselves or of one entry row per
-/// node reads it — rather than from a copied region column.
+/// Whether every annotated node's region is read from its own row — as
+/// a view of the rows themselves or of one row number per node reads it
+/// — rather than from a copied region column.
 fn reads_regions_in_place(index: &RegionIndex) -> bool {
     (index.entries().iter()).all(|e| match index.regions_of(e.id) {
-        [region] => std::ptr::eq(region, e.region()),
-        _ => false,
+        NodeRegions::One(region) => (region.start, region.end) == (e.start, e.end),
+        NodeRegions::Area(_) => false,
     })
 }
 
 /// [`reads_regions_in_place`] holds exactly for the shapes that copy no
-/// region: the entries themselves and one entry row per node.
+/// region: every single-region one.
 fn assert_shape(index: &RegionIndex) -> Result<(), TestCaseError> {
-    let in_place = matches!(shape_by_definition(index), "entries" | "span");
+    let in_place = shape_by_definition(index) != "areas";
     prop_assert_eq!(reads_regions_in_place(index), in_place);
     Ok(())
 }
@@ -550,7 +558,7 @@ proptest! {
         let added: Vec<(u32, Region)> = (moved.added())
             .map(|pre| (pre, Region::new(pre as i64, pre as i64 + 3).unwrap()))
             .collect();
-        let renumbered = index.renumbered(&moved, &added);
+        let renumbered = index.renumbered(&moved, &added).unwrap();
         let last = spliced.node_count().max(doc.node_count()) as u32 + 3;
         let mut order: Vec<u32> = (0..last).chain((0..last).rev()).collect();
         order.extend(probes.iter().map(|&p| p as u32 % (last + 5)));
@@ -574,7 +582,7 @@ proptest! {
         let added: Vec<(u32, Region)> = (moved.added())
             .map(|pre| (pre, Region::new(pre as i64 + 400, pre as i64 + 403).unwrap()))
             .collect();
-        let renumbered = index.renumbered(&moved, &added);
+        let renumbered = index.renumbered(&moved, &added).unwrap();
         let last = spliced.node_count().max(doc.node_count()) as u32 + 3;
         let mut order: Vec<u32> = (0..last).chain((0..last).rev()).collect();
         order.extend(probes.iter().map(|&p| p as u32 % (last + 5)));
@@ -593,9 +601,34 @@ proptest! {
 
 /// What a snapshot mount makes of `index`'s stored columns over a
 /// document of the node kinds `kinds`.
-fn mount(index: &RegionIndex, kinds: &[u8]) -> std::io::Result<RegionIndex> {
-    let s = index.storage();
-    RegionIndex::from_storage(s.entries.to_vec().into(), s.max_regions, kinds)
+fn mount(index: &RegionIndex, kinds: &[u8]) -> Result<RegionIndex, standoff_xml::Corrupt> {
+    let s = index.table().rows;
+    let col = |c: &[u32]| c.to_vec().into();
+    let (starts, ends, ids) = (col(s.starts), col(s.ends), col(s.ids));
+    RegionIndex::from_storage(s.origin, starts, ends, ids, index.max_regions(), kinds)
+}
+
+/// Mount `entries` as stored columns from the smallest position they
+/// hold.
+fn mount_entries(
+    entries: &[RegionEntry],
+    max_regions: u32,
+    kinds: &[u8],
+) -> Result<RegionIndex, standoff_xml::Corrupt> {
+    let origin = (entries.iter()).fold(0, |o: i64, e| o.min(e.start).min(e.end));
+    let col = |pos: fn(&RegionEntry) -> i64| -> Vec<u32> {
+        entries.iter().map(|e| (pos(e) - origin) as u32).collect()
+    };
+    let ids: Vec<u32> = entries.iter().map(|e| e.id).collect();
+    let (starts, ends) = (col(|e| e.start), col(|e| e.end));
+    RegionIndex::from_storage(
+        origin,
+        starts.into(),
+        ends.into(),
+        ids.into(),
+        max_regions,
+        kinds,
+    )
 }
 
 /// A document of `node_count` elements (every annotated id an element).
@@ -697,7 +730,7 @@ fn assert_mount_derives(
         }
         max_extent = want.iter().fold(max_extent, |m, r| m.max(r.end - r.start));
         for index in [built, &mounted] {
-            prop_assert_eq!(index.regions_of(pre), &want[..], "pre {}", pre);
+            prop_assert_eq!(&*index.regions_of(pre), &want[..], "pre {}", pre);
         }
     }
     for index in [built, &mounted] {
@@ -743,7 +776,10 @@ fn definitional_refusal(entries: &[RegionEntry], max_regions: u32, kinds: &[u8])
     for id in ids {
         let mut area: Vec<Region> = (entries.iter())
             .filter(|e| e.id == id)
-            .map(|e| *e.region())
+            .map(|e| Region {
+                start: e.start,
+                end: e.end,
+            })
             .collect();
         area.sort_unstable();
         if area.len() > 1 && Area::try_new(area.clone()).is_err() {
@@ -871,8 +907,7 @@ proptest! {
         text_at in prop::option::of(0usize..160),
     ) {
         let (pres, index) = build_index_strided(&annotations, stride);
-        let s = index.storage();
-        let (mut entries, mut max_regions) = (s.entries.to_vec(), s.max_regions);
+        let (mut entries, mut max_regions) = (index.entries(), index.max_regions());
         apply_damage(&mut entries, &mut max_regions, &damage);
         // Usually a document that holds every id (with slack for a
         // reassigned one); sometimes one that ends before the last.
@@ -886,21 +921,20 @@ proptest! {
         if matches!(damage, Damage::None) && short_by != 3 && text_at.is_none() {
             prop_assert!(refusal.is_none(), "an undamaged index must mount");
         }
-        match RegionIndex::from_storage(entries.clone().into(), max_regions, &kinds) {
+        match mount_entries(&entries, max_regions, &kinds) {
             Ok(mounted) => {
                 prop_assert_eq!(refusal, None, "{:?}", damage);
                 prop_assert_eq!(mounted.entries(), &entries[..]);
                 for pre in 0..node_count as u32 {
                     let want: Vec<Region> = (entries.iter())
                         .filter(|e| e.id == pre)
-                        .map(|e| *e.region())
+                        .map(|e| Region { start: e.start, end: e.end })
                         .collect();
-                    prop_assert_eq!(mounted.regions_of(pre), &want[..]);
+                    prop_assert_eq!(&*mounted.regions_of(pre), &want[..]);
                 }
             }
             Err(e) => {
-                prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
-                prop_assert_eq!(Some(e.to_string()), refusal, "{:?}", damage);
+                prop_assert_eq!(Some(e.detail().to_string()), refusal, "{:?}", damage);
             }
         }
     }
@@ -960,8 +994,7 @@ fn hostile_entry_columns_are_refused_by_name() {
     let mut kinds = elements(10);
     kinds[3] = NodeKind::Text as u8;
     for (what, entries, max_regions, message) in cases {
-        let err = RegionIndex::from_storage(entries.into(), max_regions, &kinds).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
-        assert!(err.to_string().contains(message), "{what}: {err}");
+        let err = mount_entries(&entries, max_regions, &kinds).unwrap_err();
+        assert!(err.detail().contains(message), "{what}: {err}");
     }
 }

@@ -14,9 +14,7 @@ use proptest::prelude::*;
 
 use standoff_core::join::merge::ll_select_wide;
 use standoff_core::join::{count_resolved, join_resolved, CtxEntry, JoinScratch, JoinTarget};
-use standoff_core::{
-    IterNode, JoinStats, RegionEntry, RegionIndex, StandoffAxis, StandoffStrategy,
-};
+use standoff_core::{Area, IterNode, JoinStats, RegionIndex, Rows, StandoffAxis, StandoffStrategy};
 use standoff_xml::DocumentBuilder;
 
 /// A generated annotation: node with 1..=3 regions.
@@ -107,13 +105,10 @@ fn join(
     join_resolved(axis, strategy, target, None, None, scratch)
 }
 
-/// The posting entries the engine reads `context` from, with its one
+/// The posting rows the engine reads `context` from, with its one
 /// iteration, when the context is one iteration of exactly one name's
 /// elements over an index without multi-region annotations.
-fn whole_name<'a>(
-    target: &JoinTarget<'a>,
-    context: &[IterNode],
-) -> Option<(u32, &'a [RegionEntry])> {
+fn whole_name<'a>(target: &JoinTarget<'a>, context: &[IterNode]) -> Option<(u32, Rows<'a>)> {
     let (first, last) = (context.first()?, context.last()?);
     if first.iter != last.iter || target.index.max_regions() > 1 {
         return None;
@@ -124,7 +119,7 @@ fn whole_name<'a>(
         return None;
     }
     let posting = target.index.posting(target.doc, name, None).unwrap()?;
-    Some((first.iter, posting.table.entries))
+    Some((first.iter, posting.table.rows))
 }
 
 /// Every axis under each of `strategies` equals the naive oracle on
@@ -400,19 +395,18 @@ fn wide_over_flat(n: u32, iters: u32) -> Vec<(u32, u32)> {
         })
         .collect();
     // Candidate 0 is the wide one; candidate k + 1 overlaps context k only.
-    let mut candidates = vec![RegionEntry {
-        start: 0,
-        end: 10 * n as i64,
-        id: 0,
-    }];
-    candidates.extend((0..n).map(|k| RegionEntry {
-        start: 10 * k as i64 + 5,
-        end: 10 * k as i64 + 8,
-        id: k + 1,
+    let mut areas = vec![(0, Area::single(0, 10 * n as i64).unwrap())];
+    areas.extend((0..n).map(|k| {
+        (
+            k + 1,
+            Area::single(10 * k as i64 + 5, 10 * k as i64 + 8).unwrap(),
+        )
     }));
-    let mut pairs: Vec<(u32, u32)> = ll_select_wide(&context, &candidates)
+    let index = RegionIndex::from_areas(&areas);
+    let candidates = index.table().rows;
+    let mut pairs: Vec<(u32, u32)> = ll_select_wide(&context, candidates)
         .iter()
-        .map(|e| (e.iter, candidates[e.cand_idx as usize].id))
+        .map(|e| (e.iter, candidates.ids[e.cand_idx as usize]))
         .collect();
     pairs.sort_unstable();
     pairs.dedup();

@@ -484,7 +484,8 @@ fn splice_layer(
             Ok((pre, region))
         })
         .collect::<Result<Vec<_>, StoreError>>()?;
-    let index = layer.index().renumbered(&moved, &added);
+    let renumbered = layer.index().renumbered(&moved, &added);
+    let index = renumbered.map_err(StoreError::index(layer.name()))?;
     let folded = Layer::from_shared(
         layer.name().to_string(),
         config.clone(),

@@ -10,8 +10,11 @@ pub enum StoreError {
     BadLayerName(String),
     /// Two layers of one set share a name.
     DuplicateLayer(String),
-    /// Index construction over a layer document failed.
-    Index(standoff_core::StandoffError),
+    /// Index construction over layer `layer`'s document failed.
+    Index {
+        layer: String,
+        error: standoff_core::StandoffError,
+    },
     /// Snapshot I/O or format error.
     Io(std::io::Error),
     /// An overlay mutation was rejected (unknown layer, region out of
@@ -33,6 +36,14 @@ pub enum StoreError {
 }
 
 impl StoreError {
+    /// An index failure of layer `layer` ([`StoreError::Index`]).
+    pub fn index(layer: &str) -> impl Fn(standoff_core::StandoffError) -> StoreError + '_ {
+        move |error| StoreError::Index {
+            layer: layer.to_string(),
+            error,
+        }
+    }
+
     /// Shorthand constructor for [`StoreError::Corrupt`].
     pub fn corrupt(section: impl Into<String>, detail: impl Into<String>) -> StoreError {
         StoreError::Corrupt {
@@ -47,7 +58,7 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::BadLayerName(name) => write!(f, "bad layer name {name:?}"),
             StoreError::DuplicateLayer(name) => write!(f, "duplicate layer {name:?}"),
-            StoreError::Index(e) => write!(f, "layer index: {e}"),
+            StoreError::Index { layer, error } => write!(f, "layer {layer:?} index: {error}"),
             StoreError::Io(e) => write!(f, "snapshot: {e}"),
             StoreError::Delta(msg) => write!(f, "delta: {msg}"),
             StoreError::Corrupt { section, detail } => {
@@ -58,12 +69,6 @@ impl fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
-
-impl From<standoff_core::StandoffError> for StoreError {
-    fn from(e: standoff_core::StandoffError) -> Self {
-        StoreError::Index(e)
-    }
-}
 
 /// A stored column group that failed its first-read verification is
 /// the same corruption a materialization reports.

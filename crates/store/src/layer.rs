@@ -38,7 +38,7 @@ pub struct Layer {
 impl Layer {
     /// Build a layer, constructing its region index.
     pub fn build(name: &str, doc: Document, config: StandoffConfig) -> Result<Layer, StoreError> {
-        let index = RegionIndex::build(&doc, &config)?;
+        let index = RegionIndex::build(&doc, &config).map_err(StoreError::index(name))?;
         Layer::from_shared(name.to_string(), config, Arc::new(doc), Arc::new(index))
     }
 
@@ -112,7 +112,7 @@ impl Layer {
     /// Pre ranks of the `<name>` annotation elements carrying exactly the
     /// region `[start, end]`, ascending — the one place the
     /// region → annotation question is answered, through the region
-    /// index's clustered column ([`RegionIndex::entries_at_probed`]) rather than
+    /// index's clustered columns ([`RegionIndex::entries_at_probed`]) rather than
     /// by walking the name's postings. An element whose area has several
     /// regions matches on any one of them. The entries examined are added
     /// to the global `store.delta.retract_probes` counter.
@@ -123,13 +123,14 @@ impl Layer {
         end: i64,
     ) -> impl Iterator<Item = u32> + 'a {
         let name_id = self.doc.names().get(name);
-        let (entries, probes) = match name_id {
+        let (rows, probes) = match name_id {
             Some(_) => self.index.entries_at_probed(start, end),
-            None => (&[][..], 0),
+            None => (0..0, 0),
         };
         retract_probes().add(probes);
         let doc = &self.doc;
-        entries.iter().map(|e| e.id).filter(move |&pre| {
+        let ids = &self.index.table().rows.ids[rows];
+        ids.iter().copied().filter(move |&pre| {
             doc.kind(pre) == NodeKind::Element && Some(doc.name_id(pre)) == name_id
         })
     }
@@ -141,10 +142,11 @@ impl Layer {
     pub fn check(&self) -> Result<(), StoreError> {
         let failed = |detail: String| StoreError::Delta(format!("layer {:?}: {detail}", self.name));
         self.doc.check_invariants().map_err(failed)?;
-        let built = RegionIndex::build(&self.doc, &self.config)?;
-        // The node view is derived from the entries, so they decide.
-        let (a, b) = (self.index.storage(), built.storage());
-        if (a.entries, a.max_regions) != (b.entries, b.max_regions) {
+        let built =
+            RegionIndex::build(&self.doc, &self.config).map_err(StoreError::index(&self.name))?;
+        // The node view is derived from the columns, so they decide.
+        let (a, b) = (&self.index, &built);
+        if (a.entries(), a.max_regions()) != (b.entries(), b.max_regions()) {
             return Err(failed("region index disagrees with the document".into()));
         }
         Ok(())
@@ -372,7 +374,7 @@ mod tests {
             doc(r#"<d><w start="7"/></d>"#),
             StandoffConfig::default(),
         );
-        assert!(matches!(r, Err(StoreError::Index(_))));
+        assert!(matches!(r, Err(StoreError::Index { layer, .. }) if layer == "broken"));
     }
 
     #[test]

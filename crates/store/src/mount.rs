@@ -1,4 +1,4 @@
-//! SOSN v6: the sectioned, offset-indexed, checksummed columnar
+//! SOSN v7: the sectioned, offset-indexed, checksummed columnar
 //! snapshot format that is *mounted*, not decoded — the one binary
 //! format this workspace reads or writes, and the only module that
 //! knows the section-table layout.
@@ -6,13 +6,13 @@
 //! Layout (little-endian):
 //!
 //! ```text
-//! 0   magic "SOSN" | u32 version = 6 | u32 section-count | u32 reserved
+//! 0   magic "SOSN" | u32 version = 7 | u32 section-count | u32 reserved
 //! 16  section table: section-count × (u32 tag | u32 layer | u64 offset | u64 length)
 //! …   payloads, each padded to 8-byte alignment, in table order
 //! ```
 //!
 //! The version field is checked before anything else is parsed: a file
-//! that says anything but 6 is refused with an error naming the version
+//! that says anything but 7 is refused with an error naming the version
 //! found, the version supported and the remedy (a snapshot is a cache
 //! derived from the layer XML — rebuild it with `standoff-xq index`).
 //! There is no second decoder and no way to open a file unverified.
@@ -42,10 +42,14 @@
 //! Offsets are absolute file positions. Per-layer payloads are one
 //! section per *column* — the document's `kind`/`size`/`level`/`parent`/
 //! `name` columns, string-arena heaps and offsets, the attribute table,
-//! the element-name CSR, and the region index's entries — its node view
-//! is derived from them at mount, never stored (v4 stored it).
+//! the element-name CSR, and the region index's three `u32` columns
+//! `ridx.starts`, `ridx.ends` and `ridx.ids` — 12 bytes a region, the
+//! offsets counted from the origin `ridx.meta` holds with the
+//! max-regions statistic (v6 stored one 24-byte entry a region). Its
+//! node view and block ends are derived from them at mount, never
+//! stored.
 //!
-//! A region is stored once, as its region-index entry (v5 also stored
+//! A region is stored once, as its region-index row (v5 also stored
 //! it as attribute text). The writer drops an annotated element's
 //! `start`/`end` attribute rows from a single-region layer in the
 //! attribute representation when they are the element's last two rows,
@@ -104,7 +108,7 @@ use standoff_xml::wire::{read_string, read_u32, read_u64, read_u8, write_string,
 
 const MAGIC: &[u8; 4] = b"SOSN";
 /// The one format version this build reads and writes.
-pub(crate) const VERSION: u32 = 6;
+pub(crate) const VERSION: u32 = 7;
 
 /// A format error; [`StoreError::Io`]'s `Display` supplies the
 /// `snapshot:` prefix.
@@ -193,7 +197,9 @@ const ATTR_SECTIONS: [u32; 5] = [
     SEC_DOC_ATTR_VAL_OFF,
 ];
 const SEC_RIDX_META: u32 = 30;
-const SEC_RIDX_ENTRIES: u32 = 31;
+const SEC_RIDX_STARTS: u32 = 32;
+const SEC_RIDX_ENDS: u32 = 33;
+const SEC_RIDX_IDS: u32 = 34;
 /// `(u32 tag | u32 layer | u32 crc32)` per other section.
 const SEC_CHECKSUMS: u32 = 40;
 /// Bytes per checksum-table entry.
@@ -222,7 +228,9 @@ fn section_name(tag: u32) -> &'static str {
         SEC_DOC_ELEM_OFF => "doc.elem-offsets",
         SEC_DOC_ELEM_PRES => "doc.elem-pres",
         SEC_RIDX_META => "ridx.meta",
-        SEC_RIDX_ENTRIES => "ridx.entries",
+        SEC_RIDX_STARTS => "ridx.starts",
+        SEC_RIDX_ENDS => "ridx.ends",
+        SEC_RIDX_IDS => "ridx.ids",
         SEC_CHECKSUMS => "checksums",
         _ => "unknown",
     }
@@ -248,7 +256,6 @@ enum Body<'a> {
     Bytes(&'a [u8]),
     U16(&'a [u16]),
     U32(&'a [u32]),
-    Entries(&'a [standoff_core::RegionEntry]),
 }
 
 impl Body<'_> {
@@ -258,7 +265,6 @@ impl Body<'_> {
             Body::Bytes(s) => s.len() as u64,
             Body::U16(s) => s.len() as u64 * 2,
             Body::U32(s) => s.len() as u64 * 4,
-            Body::Entries(s) => s.len() as u64 * 24,
         }
     }
 
@@ -268,7 +274,6 @@ impl Body<'_> {
             Body::Bytes(s) => w.write_all(s),
             Body::U16(s) => write_slice_le(s, w),
             Body::U32(s) => write_slice_le(s, w),
-            Body::Entries(s) => write_slice_le(s, w),
         }
     }
 
@@ -375,7 +380,7 @@ pub fn write_snapshot<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
             doc.attr_name,
             doc.attr_values,
         ) = table.columns();
-        let ridx = layer.index().storage();
+        let ridx = layer.index().table().rows;
 
         let mut hdr = Vec::new();
         write_string(&mut hdr, layer.name())?;
@@ -383,7 +388,7 @@ pub fn write_snapshot<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
         standoff_xml::wire::write_u64(&mut hdr, doc.kind_bytes.len() as u64)?;
         standoff_xml::wire::write_u64(&mut hdr, doc.attr_owner.len() as u64)?;
         standoff_xml::wire::write_u64(&mut hdr, layer.annotation_count() as u64)?;
-        standoff_xml::wire::write_u64(&mut hdr, ridx.entries.len() as u64)?;
+        standoff_xml::wire::write_u64(&mut hdr, ridx.starts.len() as u64)?;
         sections.push((SEC_LAYER_HDR, k, Body::Rendered(hdr)));
 
         let mut doc_meta = Vec::new();
@@ -425,9 +430,12 @@ pub fn write_snapshot<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
         sections.push((SEC_DOC_ELEM_PRES, k, Body::U32(&doc.elem.pres)));
 
         let mut ridx_meta = Vec::new();
-        write_u32(&mut ridx_meta, ridx.max_regions)?;
+        write_u32(&mut ridx_meta, layer.index().max_regions())?;
+        standoff_xml::wire::write_u64(&mut ridx_meta, ridx.origin as u64)?;
         sections.push((SEC_RIDX_META, k, Body::Rendered(ridx_meta)));
-        sections.push((SEC_RIDX_ENTRIES, k, Body::Entries(ridx.entries)));
+        sections.push((SEC_RIDX_STARTS, k, Body::U32(ridx.starts)));
+        sections.push((SEC_RIDX_ENDS, k, Body::U32(ridx.ends)));
+        sections.push((SEC_RIDX_IDS, k, Body::U32(ridx.ids)));
     }
 
     // One CRC32 per section, covering its exact payload bytes; the
@@ -1194,18 +1202,29 @@ impl Snapshot {
                 &tree_kind,
             )
         })?;
-        // The region index: its entries, from which `from_storage`
+        // The region index: its columns, from which `from_storage`
         // derives the node view. It also refuses an index annotating any
         // node but an element of this document. The attribute table
         // presents its region attributes from it, so it is built first;
-        // its failure is reported after the document's.
+        // its failure is reported after the document's. Every refusal
+        // names the section at fault.
         let index = (|| -> Result<Arc<RegionIndex>, StoreError> {
             let mut r = &self.inner.buf[sect(SEC_RIDX_META).map_err(StoreError::Io)?];
             let max_regions = read_u32(&mut r).map_err(wrap)?;
-            let entries = sect(SEC_RIDX_ENTRIES).map_err(StoreError::Io)?;
-            let entries = PodCol::view(&self.inner.buf, entries).map_err(wrap)?;
-            let index = RegionIndex::from_storage(entries, max_regions, kind.raw_bytes());
-            Ok(Arc::new(index.map_err(wrap)?))
+            let origin = read_u64(&mut r).map_err(wrap)? as i64;
+            let [starts, ends, ids] = [SEC_RIDX_STARTS, SEC_RIDX_ENDS, SEC_RIDX_IDS].map(col);
+            let (starts, ends, ids) = (
+                starts.map_err(wrap)?,
+                ends.map_err(wrap)?,
+                ids.map_err(wrap)?,
+            );
+            let index =
+                RegionIndex::from_storage(origin, starts, ends, ids, max_regions, kind.raw_bytes());
+            let at = |e: Corrupt| {
+                let section = format!("section ridx.{} (layer {})", e.section(), slot.name);
+                StoreError::corrupt(section, e.detail())
+            };
+            Ok(Arc::new(index.map_err(at)?))
         })();
         let regions = (index.as_ref().ok())
             .and_then(|index| region_attrs(&slot.config, &names, Arc::clone(index)));

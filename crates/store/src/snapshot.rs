@@ -5,7 +5,7 @@
 //!
 //! A snapshot persists a whole [`LayerSet`] — every layer's shredded
 //! document, element-name table and prebuilt region index — in **one**
-//! format, SOSN version 6: columnar, offset-indexed, a CRC32 per
+//! format, SOSN version 7: columnar, offset-indexed, a CRC32 per
 //! section. The layout, its writer and its reader live in
 //! [`crate::mount`]; files are *mounted* (one shared buffer, zero-copy
 //! column views, lazily materialized layers), never decoded.
@@ -185,7 +185,7 @@ mod tests {
     fn every_other_version_is_refused_before_parsing() {
         let mut buf = Vec::new();
         write_snapshot(&sample_set(), &mut buf).unwrap();
-        for version in [0u32, 1, 2, 3, 4, 5, 7, 99, u32::MAX] {
+        for version in [0u32, 1, 2, 3, 4, 5, 6, 8, 99, u32::MAX] {
             let mut other = buf.clone();
             other[4..8].copy_from_slice(&version.to_le_bytes());
             // Nothing after the version needs to be there, let alone parse.

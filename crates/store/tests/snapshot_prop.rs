@@ -79,7 +79,7 @@ proptest! {
             prop_assert_eq!(a.index().annotated_nodes(), b.index().annotated_nodes());
             prop_assert_eq!(a.index().max_regions(), b.index().max_regions());
             for &pre in a.index().annotated_nodes() {
-                prop_assert_eq!(a.index().regions_of(pre), b.index().regions_of(pre));
+                prop_assert_eq!(&*a.index().regions_of(pre), &*b.index().regions_of(pre));
             }
         }
 

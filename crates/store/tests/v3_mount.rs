@@ -107,7 +107,7 @@ fn assert_rejected(bytes: Vec<u8>, what: &str) {
 #[test]
 fn open_is_lazy_and_layer_access_materializes_one() {
     let snapshot = Snapshot::mount_bytes(v3_bytes()).unwrap();
-    assert_eq!(snapshot.version(), 6);
+    assert_eq!(snapshot.version(), 7);
     assert_eq!(snapshot.uri(), "corpus.xml");
     assert_eq!(
         snapshot.layer_names().collect::<Vec<_>>(),
@@ -472,7 +472,7 @@ fn block_written_snapshot_is_byte_identical_to_the_per_element_writer() {
     let mut columns = 0;
     for (k, layer) in set.layers().iter().enumerate() {
         let mut doc = layer.doc().storage().unwrap();
-        let idx = layer.index().storage();
+        let idx = layer.index().table().rows;
         // The writer stores no region attribute row the region table
         // holds: every element here carries a canonical trailing
         // `start`/`end` pair, so the expected table keeps no row of
@@ -513,7 +513,9 @@ fn block_written_snapshot_is_byte_identical_to_the_per_element_writer() {
                 23 => old_loop(&doc.elem.names),
                 24 => old_loop(&doc.elem.offsets),
                 25 => old_loop(&doc.elem.pres),
-                31 => old_loop(idx.entries),
+                32 => old_loop(idx.starts),
+                33 => old_loop(idx.ends),
+                34 => old_loop(idx.ids),
                 _ => continue, // rendered metadata and raw byte heaps
             };
             assert_eq!(bytes.len() as u64, len, "section {tag} of layer {k}");
@@ -530,7 +532,7 @@ fn block_written_snapshot_is_byte_identical_to_the_per_element_writer() {
             columns += 1;
         }
     }
-    assert_eq!(columns, 13 * set.len());
+    assert_eq!(columns, 15 * set.len());
     assert!(
         copy == buf,
         "block-staged bytes differ from the per-element writer"

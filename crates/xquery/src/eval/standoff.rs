@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use standoff_algebra::{LlSeq, NodeTable, NodeTest, TreeAxis};
 use standoff_core::join::{count_resolved, join_resolved, JoinScratch, JoinTarget, Rank, RankPick};
-use standoff_core::{IterNode, RegionEntry, RegionIndex, StandoffStrategy};
+use standoff_core::{IterNode, RegionIndex, Rows, StandoffStrategy};
 use standoff_xml::{DocId, NodeKind, NodeRef};
 
 use super::Evaluator;
@@ -378,7 +378,7 @@ impl Evaluator<'_> {
         Ok(units)
     }
 
-    /// The posting entries that are `unit`'s resolved context, with its
+    /// The posting rows that are `unit`'s resolved context, with its
     /// one iteration, when the context is one iteration of exactly one
     /// name's elements in one document outside a constructed fragment,
     /// and `index`, that document's, has no multi-region annotation:
@@ -390,7 +390,7 @@ impl Evaluator<'_> {
         &self,
         unit: &JoinUnit,
         index: &'i RegionIndex,
-    ) -> Result<Option<(u32, &'i [RegionEntry])>, QueryError> {
+    ) -> Result<Option<(u32, Rows<'i>)>, QueryError> {
         let [(doc, rows)] = &unit.contexts[..] else {
             return Ok(None);
         };
@@ -410,7 +410,7 @@ impl Evaluator<'_> {
             return Ok(None);
         }
         let posting = index.posting(doc, name, self.engine.budget.as_ref())?;
-        Ok(posting.map(|p| (first.iter, p.table.entries)))
+        Ok(posting.map(|p| (first.iter, p.table.rows)))
     }
 
     /// Join one unit: resolve its context once, then one kernel call per

@@ -328,7 +328,7 @@ fn cmd_index(argv: &[String]) -> Result<ExitCode, String> {
 
     let annotations: usize = set.layers().iter().map(|l| l.annotation_count()).sum();
     eprintln!(
-        "# indexed {} layer(s), {annotations} annotation(s) -> {out} (uri '{uri}', v6 columnar)",
+        "# indexed {} layer(s), {annotations} annotation(s) -> {out} (uri '{uri}', v7 columnar)",
         set.len(),
     );
     Ok(ExitCode::SUCCESS)

@@ -7,10 +7,10 @@
 
 use standoff::core::join::merge::ll_select_narrow;
 use standoff::core::join::CtxEntry;
-use standoff::core::{RegionEntry, TraceEvent, VecTrace};
+use standoff::core::{Area, RegionIndex, TraceEvent, VecTrace};
 use standoff::fixtures::{FIGURE4_CANDIDATES, FIGURE4_CONTEXT};
 
-fn figure4_inputs() -> (Vec<CtxEntry>, Vec<RegionEntry>) {
+fn figure4_inputs() -> (Vec<CtxEntry>, RegionIndex) {
     let mut context: Vec<CtxEntry> = FIGURE4_CONTEXT
         .iter()
         .enumerate()
@@ -22,23 +22,20 @@ fn figure4_inputs() -> (Vec<CtxEntry>, Vec<RegionEntry>) {
         })
         .collect();
     context.sort_by_key(|c| (c.start, c.end));
-    let candidates: Vec<RegionEntry> = FIGURE4_CANDIDATES
+    let candidates: Vec<(u32, Area)> = FIGURE4_CANDIDATES
         .iter()
         .enumerate()
-        .map(|(k, &(start, end))| RegionEntry {
-            start,
-            end,
-            id: k as u32, // r1..r4
-        })
+        .map(|(k, &(start, end))| (k as u32, Area::single(start, end).unwrap())) // r1..r4
         .collect();
-    (context, candidates)
+    (context, RegionIndex::from_areas(&candidates))
 }
 
 #[test]
 fn figure4_trace_reproduces_all_ten_steps() {
     let (context, candidates) = figure4_inputs();
     let mut trace = VecTrace::default();
-    let emissions = ll_select_narrow(&context, &candidates, false, Some(&mut trace));
+    let candidates = candidates.table().rows;
+    let emissions = ll_select_narrow(&context, candidates, false, Some(&mut trace));
 
     use TraceEvent::*;
     // ctx indices refer to the start-sorted context: 0=c1, 1=c2, 2=c3,
@@ -61,7 +58,7 @@ fn figure4_trace_reproduces_all_ten_steps() {
     // And the join's result matches the figure: (iter1, r1), (iter1, r4).
     let pairs: Vec<(u32, u32)> = emissions
         .iter()
-        .map(|e| (e.iter, candidates[e.cand_idx as usize].id))
+        .map(|e| (e.iter, candidates.ids[e.cand_idx as usize]))
         .collect();
     assert_eq!(pairs, vec![(1, 0), (1, 3)]);
 }
@@ -69,11 +66,12 @@ fn figure4_trace_reproduces_all_ten_steps() {
 #[test]
 fn figure4_without_tracing_gives_same_result() {
     let (context, candidates) = figure4_inputs();
+    let candidates = candidates.table().rows;
     let traced = {
         let mut t = VecTrace::default();
-        ll_select_narrow(&context, &candidates, false, Some(&mut t))
+        ll_select_narrow(&context, candidates, false, Some(&mut t))
     };
-    let untraced = ll_select_narrow(&context, &candidates, false, None);
+    let untraced = ll_select_narrow(&context, candidates, false, None);
     assert_eq!(traced, untraced);
 }
 
@@ -83,7 +81,7 @@ fn figure4_active_list_never_exceeds_two() {
     // items; verify via the add/remove event balance.
     let (context, candidates) = figure4_inputs();
     let mut trace = VecTrace::default();
-    ll_select_narrow(&context, &candidates, false, Some(&mut trace));
+    ll_select_narrow(&context, candidates.table().rows, false, Some(&mut trace));
     let mut active = 0i32;
     let mut max_active = 0;
     for e in &trace.events {

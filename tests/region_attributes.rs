@@ -25,7 +25,7 @@
 //! do one by one, stored and presented region attributes copy alike,
 //! and values that need escaping are escaped.
 //!
-//! **Robustness**: a damaged `ridx.entries` is refused as before, and a
+//! **Robustness**: a damaged `ridx.ends` is refused as before, and a
 //! resealed one whose regions moved reads the moved regions without
 //! panicking.
 
@@ -402,30 +402,32 @@ fn tokens_set() -> LayerSet {
 #[test]
 fn a_damaged_region_table_is_refused_and_a_resealed_one_reads_what_it_says() {
     let good = snapshot_bytes(&tokens_set());
-    let entries_tag = tag(&good, 1, "ridx.entries");
-    let entries = section(&good, entries_tag, 1);
+    let ends_tag = tag(&good, 1, "ridx.ends");
+    let ends = section(&good, ends_tag, 1);
+    let ids_tag = tag(&good, 1, "ridx.ids");
+    let ids = section(&good, ids_tag, 1);
     let query = [format!("{}//w/@*", doc(URI, "tokens"))];
 
     // A flipped byte: refused with the section's checksum error, on the
     // first read of the layer, as before.
     let mut flipped = good.clone();
-    flipped[entries.start + 8] ^= 0x01;
+    flipped[ends.start] ^= 0x01;
     let snapshot = Snapshot::mount_bytes(flipped).unwrap();
     let mut engine = Engine::new();
     engine.mount_snapshot(&snapshot).unwrap();
     let err = engine.run(&query[0]).unwrap_err().to_string();
     assert!(
-        err.contains("section ridx.entries (layer tokens)") && err.contains("checksum mismatch"),
+        err.contains("section ridx.ends (layer tokens)") && err.contains("checksum mismatch"),
         "{err}"
     );
 
-    // Resealed: the last entry's end moved from 12 to 13, still sorted.
-    // The presented `end` is the entry's; nothing panics, and `verify`
-    // still accepts a file whose one copy of the region is consistent.
+    // Resealed: the last row's end moved from 12 to 13 (its offset from
+    // the origin 0), still sorted. The presented `end` is the row's;
+    // nothing panics, and `verify` still accepts a file whose one copy
+    // of the region is consistent.
     let mut moved = good.clone();
-    let last = entries.end - 24;
-    moved[last + 8..last + 16].copy_from_slice(&13i64.to_le_bytes());
-    reseal(&mut moved, entries_tag, 1);
+    moved[ends.end - 4..ends.end].copy_from_slice(&13u32.to_le_bytes());
+    reseal(&mut moved, ends_tag, 1);
     let snapshot = Snapshot::mount_bytes(moved).unwrap();
     assert_eq!(
         mounted(&snapshot, &query),
@@ -433,10 +435,10 @@ fn a_damaged_region_table_is_refused_and_a_resealed_one_reads_what_it_says() {
     );
     snapshot.verify().unwrap();
 
-    // Resealed so that an entry names a text node: refused as before.
+    // Resealed so that a row names a text node: refused as before.
     let mut text = good;
-    text[entries.start + 16..entries.start + 20].copy_from_slice(&0u32.to_le_bytes());
-    reseal(&mut text, entries_tag, 1);
+    text[ids.start..ids.start + 4].copy_from_slice(&0u32.to_le_bytes());
+    reseal(&mut text, ids_tag, 1);
     let snapshot = Snapshot::mount_bytes(text).unwrap();
     let err = snapshot.layer("tokens").unwrap_err().to_string();
     assert!(

@@ -102,7 +102,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 fn refusal(version: u32) -> String {
     format!(
-        "unsupported format version {version} (this build reads version 6 only); \
+        "unsupported format version {version} (this build reads version 7 only); \
          rebuild it from the layer XML with standoff-xq index"
     )
 }
@@ -202,7 +202,7 @@ fn downgraded_header_cannot_switch_the_checksums_off() {
         "{stdout}"
     );
     // …and stays refused under every other version value.
-    for version in [3u32, 1, 2, 4, 5, 0, u32::MAX] {
+    for version in [3u32, 1, 2, 4, 5, 6, 0, u32::MAX] {
         damaged[4..8].copy_from_slice(&version.to_le_bytes());
         let path = dir.join(format!("says-{version}.snap"));
         std::fs::write(&path, &damaged).unwrap();
@@ -453,12 +453,49 @@ fn a_resealed_hostile_size_column_is_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One flipped byte in any of the region columns — `ridx.starts`,
+/// `ridx.ends`, `ridx.ids` — refuses the layer through both opens as
+/// corruption naming that section, before any of its structure is
+/// checked; `verify` fails and the base layer still mounts.
+#[test]
+fn a_flipped_byte_in_a_region_column_names_its_section() {
+    let dir = temp_dir("flipped-ridx");
+    let mut clean = Vec::new();
+    write_snapshot(&corpus(), &mut clean).unwrap();
+    for (tag, name) in [(32, "ridx.starts"), (33, "ridx.ends"), (34, "ridx.ids")] {
+        let column = section(&clean, tag, 1);
+        for at in [column.start, column.end - 1] {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 0x40;
+            for snapshot in both_mounts(&dir, &bytes) {
+                snapshot.layer("base").expect("the base layer is untouched");
+                match snapshot.layer("tokens") {
+                    Err(e @ StoreError::Corrupt { .. }) => {
+                        let e = e.to_string();
+                        let want =
+                            format!("corrupt section {name} (layer tokens): checksum mismatch");
+                        assert!(e.starts_with(&want), "{e}");
+                    }
+                    Err(other) => panic!("{name}: wrong category: {other}"),
+                    Ok(_) => panic!("{name}: a damaged layer mounted"),
+                }
+                assert!(snapshot.verify().is_err(), "{name}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// One mutation per structural check of a layer's columns, each
 /// resealed so every checksum passes: through both mounts the layer is
-/// refused, as invalid data, with the message that check has always
-/// given, and `verify` fails. Where two columns are damaged, the check
-/// that has always run first names the layer. The tokens carry a
-/// non-ASCII value so the string arena has a character to split.
+/// refused with the message that check has always given, and `verify`
+/// fails — as invalid data, or, for the region columns (refused at
+/// materialization) and the tree columns and attribute table (refused on
+/// their first read), as corruption naming the section at fault. Where
+/// two columns are damaged, the check that has always run first names
+/// the layer. The tokens carry a non-ASCII value so the string arena
+/// has a character to split; their regions are rows `(0, 5, 2)`,
+/// `(7, 9, 3)` and `(11, 13, 4)` from the origin 0.
 #[test]
 fn resealed_hostile_structures_are_refused_by_their_checks() {
     let dir = temp_dir("hostile-table");
@@ -473,52 +510,66 @@ fn resealed_hostile_structures_are_refused_by_their_checks() {
     .unwrap();
     let mut clean = Vec::new();
     write_snapshot(&set, &mut clean).unwrap();
-    // Column words and 24-byte region entries, little-endian.
+    // Column words, little-endian.
     let put =
         |col: &mut [u8], k: usize, v: u32| col[4 * k..4 * k + 4].copy_from_slice(&v.to_le_bytes());
     type Edit<'a> = &'a dyn Fn(&mut [u8]);
     let swap: Edit = &|col| {
-        let (first, rest) = col.split_at_mut(24);
-        first.swap_with_slice(&mut rest[..24]);
+        let (first, rest) = col.split_at_mut(4);
+        first.swap_with_slice(&mut rest[..4]);
     };
+    let first_again: Edit = &|col| col.copy_within(0..4, 4);
     let max_lie: Edit = &|col| put(col, 0, 2);
     let kind_5: Edit = &|col| col[2] = 5;
     let owner: Edit = &|col| put(col, 1, 4);
     let split: Edit = &|col| put(col, 1, 1);
-    // What is damaged, the damaged columns, the refusal — and, for the
-    // tree columns and the attribute table, which are verified on their
-    // first read, the section the refusal names.
+    // What is damaged, the damaged columns, the refusal — and, for a
+    // refusal as corruption, the section it names.
     type Case<'a> = (&'a str, &'a [(u32, Edit<'a>)], &'a str, Option<&'a str>);
-    let cases: [Case; 12] = [
+    let cases: [Case; 14] = [
         (
-            "two swapped entries",
-            &[(31, swap)],
+            "starts out of order",
+            &[(32, swap)],
             "region index: entries not clustered on (start, end, id)",
-            None,
+            Some("ridx.starts"),
         ),
         (
-            "an entry id moved to another node",
-            &[(31, &|col| col.copy_within(24 + 16..24 + 20, 16))],
+            "a row's id moved to another node",
+            &[(34, &|col| col.copy_within(4..8, 0))],
             "region index: stored max-regions is inconsistent",
-            None,
+            Some("ridx.meta"),
         ),
         (
-            "a duplicate entry",
-            &[(31, &|col| col.copy_within(0..24, 24))],
+            "a duplicate row",
+            &[(32, first_again), (33, first_again), (34, first_again)],
             "region index: entries not clustered on (start, end, id)",
-            None,
+            Some("ridx.starts"),
         ),
         (
             "a max-regions lie",
             &[(30, max_lie)],
             "region index: stored max-regions is inconsistent",
-            None,
+            Some("ridx.meta"),
         ),
         (
-            "an entry id past the document",
-            &[(31, &|col| put(col, (2 * 24 + 16) / 4, 99))],
+            "an id past the document",
+            &[(34, &|col| put(col, 2, 99))],
             "region index: references nodes beyond the document",
-            None,
+            Some("ridx.ids"),
+        ),
+        (
+            "an end before its start",
+            &[(33, &|col| put(col, 1, 6))],
+            "region index: bad region: start > end",
+            Some("ridx.ends"),
+        ),
+        (
+            "an origin whose offsets pass i64",
+            &[(30, &|col| {
+                col[4..12].copy_from_slice(&(i64::MAX - 12).to_le_bytes())
+            })],
+            &format!("region index: origin {} + 13 overflows i64", i64::MAX - 12),
+            Some("ridx.meta"),
         ),
         (
             "a kind byte of 5",
@@ -557,10 +608,10 @@ fn resealed_hostile_structures_are_refused_by_their_checks() {
             None,
         ),
         (
-            "two swapped entries and a max-regions lie",
-            &[(31, swap), (30, max_lie)],
+            "starts out of order and a max-regions lie",
+            &[(32, swap), (30, max_lie)],
             "region index: entries not clustered on (start, end, id)",
-            None,
+            Some("ridx.starts"),
         ),
     ];
     for (what, edits, message, deferred) in cases {
@@ -577,6 +628,13 @@ fn resealed_hostile_structures_are_refused_by_their_checks() {
                     assert_eq!(
                         e.to_string(),
                         format!("snapshot: layer \"tokens\": {message}"),
+                        "{what}"
+                    )
+                }
+                (Err(e @ StoreError::Corrupt { .. }), Some(section)) => {
+                    assert_eq!(
+                        e.to_string(),
+                        format!("corrupt section {section} (layer tokens): {message}"),
                         "{what}"
                     )
                 }
